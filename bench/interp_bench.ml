@@ -1,7 +1,7 @@
 (* Evaluation-engine benchmark: tree-walking reference interpreter vs the
-   closure-compiled engine vs the dynlinked native backend, plus
-   parallel-tuning scaling. Writes BENCH_eval.json (schema
-   xpiler-eval-bench/v2) into the current directory.
+   closure-compiled engine, plus parallel-tuning scaling. Writes
+   BENCH_eval.json (schema xpiler-eval-bench/v3) into the current
+   directory.
 
    Usage:
      dune exec bench/interp_bench.exe            # full measurement
@@ -31,8 +31,6 @@ type row = {
   tree_eps : float;  (** tree-walker elements/second *)
   compiled_eps : float;
   speedup : float;
-  native_eps : float option;  (** [None] when the native toolchain is absent *)
-  native_speedup : float option;  (** native over compiled, same runs *)
 }
 
 let elems (s : Interp.stats) = s.stores + s.intrinsic_elems + s.memcpy_elems
@@ -91,64 +89,16 @@ let bench_op name =
     Printf.eprintf "engine stats divergence on %s\n" name;
     exit 1
   end;
-  (* same correctness gate for the native backend, when a toolchain exists:
-     outputs bit-for-bit and observable stats identical to the closure
-     engine. Native.run is called directly so the bench measures the backend
-     regardless of the XPILER_NATIVE / --native dispatch toggle. *)
-  let a_native = clone_args args in
-  let native_run () =
-    match Native.run kernel a_native with
-    | Some s -> s
-    | None ->
-      Printf.eprintf "native backend failed on %s despite an available toolchain\n" name;
-      exit 1
-  in
-  let native_ok =
-    Native.available ()
-    &&
-    let s_nat = native_run () in
-    List.iter
-      (fun ((n, t), (n', t')) ->
-        assert (n = n');
-        if Tensor.max_abs_diff t t' <> 0.0 then begin
-          Printf.eprintf "native divergence on %s output %s\n" name n;
-          exit 1
-        end)
-      (List.combine (out_tensors op a_comp) (out_tensors op a_native));
-    if
-      s_nat.Interp.steps <> s_comp.Interp.steps
-      || s_nat.Interp.stores <> s_comp.Interp.stores
-      || s_nat.Interp.intrinsic_elems <> s_comp.Interp.intrinsic_elems
-      || s_nat.Interp.memcpy_elems <> s_comp.Interp.memcpy_elems
-      || s_nat.Interp.barriers <> s_comp.Interp.barriers
-    then begin
-      Printf.eprintf "native stats divergence on %s\n" name;
-      exit 1
-    end;
-    true
-  in
   let elems_per_run = elems s_tree in
   let min_time = if smoke then 0.05 else 0.5 in
-  (* timed loops reuse one argument set: outputs are recomputed in place.
-     The untimed warmup inside [rate] absorbs the native compile+dynlink
-     cost (and on later runs the disk-cache hit), so rates are steady-state. *)
+  (* timed loops reuse one argument set: outputs are recomputed in place *)
   let tree_eps = rate ~min_time ~elems_per_run (fun () -> Interp.run_tree kernel a_tree) in
   let compiled_eps = rate ~min_time ~elems_per_run (fun () -> Interp.run kernel a_comp) in
-  let native_eps =
-    if native_ok then Some (rate ~min_time ~elems_per_run native_run) else None
-  in
   let r =
-    { op_name = name; elems_per_run; tree_eps; compiled_eps;
-      speedup = compiled_eps /. tree_eps;
-      native_eps;
-      native_speedup = Option.map (fun n -> n /. compiled_eps) native_eps }
+    { op_name = name; elems_per_run; tree_eps; compiled_eps; speedup = compiled_eps /. tree_eps }
   in
-  Printf.printf
-    "%-14s %10d elems/run | tree %12.3e elems/s | compiled %12.3e elems/s | %5.1fx | native %s\n%!"
-    r.op_name r.elems_per_run r.tree_eps r.compiled_eps r.speedup
-    (match (r.native_eps, r.native_speedup) with
-    | Some n, Some s -> Printf.sprintf "%12.3e elems/s (%5.1fx)" n s
-    | _ -> "n/a (no toolchain)");
+  Printf.printf "%-14s %10d elems/run | tree %12.3e elems/s | compiled %12.3e elems/s | %5.1fx\n%!"
+    r.op_name r.elems_per_run r.tree_eps r.compiled_eps r.speedup;
   r
 
 let bench_tuning () =
@@ -209,33 +159,19 @@ let () =
   in
   let g = geomean (List.map (fun r -> r.speedup) rows) in
   Printf.printf "geomean speedup: %.1fx\n%!" g;
-  let native_rows = List.filter_map (fun r -> r.native_speedup) rows in
-  let native_g = if native_rows = [] then None else Some (geomean native_rows) in
-  (match native_g with
-  | Some ng -> Printf.printf "native speedup geomean: %.1fx over the closure engine\n%!" ng
-  | None -> Printf.printf "native backend: toolchain unavailable, closure numbers only\n%!");
   let sims, cores, t1, t4 = bench_tuning () in
   let oc = open_out "BENCH_eval.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"xpiler-eval-bench/v2\",\n  \"smoke\": %b,\n" smoke;
+  Printf.fprintf oc "{\n  \"schema\": \"xpiler-eval-bench/v3\",\n  \"smoke\": %b,\n" smoke;
   Printf.fprintf oc "  \"kernels\": [\n";
   List.iteri
     (fun i r ->
-      let native_fields =
-        match (r.native_eps, r.native_speedup) with
-        | Some n, Some s ->
-          Printf.sprintf ", \"native_elems_per_sec\": %.6e, \"native_speedup\": %.3f" n s
-        | _ -> ""
-      in
       Printf.fprintf oc
         "    {\"op\": %S, \"elems_per_run\": %d, \"tree_elems_per_sec\": %.6e, \
-         \"compiled_elems_per_sec\": %.6e, \"speedup\": %.3f%s}%s\n"
-        r.op_name r.elems_per_run r.tree_eps r.compiled_eps r.speedup native_fields
+         \"compiled_elems_per_sec\": %.6e, \"speedup\": %.3f}%s\n"
+        r.op_name r.elems_per_run r.tree_eps r.compiled_eps r.speedup
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ],\n  \"geomean_speedup\": %.3f,\n" g;
-  (match native_g with
-  | Some ng -> Printf.fprintf oc "  \"native_speedup_geomean\": %.3f,\n" ng
-  | None -> ());
   Printf.fprintf oc
     "  \"tuning\": {\"root_parallel\": 4, \"simulations\": %d, \"available_cores\": %d, \
      \"jobs1_sec\": %.4f, \"jobs4_sec\": %.4f, \"parallel_speedup\": %.3f, \
@@ -243,13 +179,4 @@ let () =
     sims cores t1 t4 (t1 /. t4);
   close_out oc;
   Printf.printf "wrote BENCH_eval.json\n%!";
-  (* hard floor on the tentpole win: in a full measurement run with the
-     toolchain present, the native backend must beat the closure engine by
-     at least 2x geomean. Smoke runs keep the parity gates above but skip
-     the wall-clock floor — 50 ms windows are too noisy to gate on. *)
-  (match native_g with
-  | Some ng when (not smoke) && ng < 2.0 ->
-    Printf.eprintf "NATIVE GATE: speedup geomean %.2fx is below the 2.0x floor\n%!" ng;
-    exit 1
-  | _ -> ());
   History_gate.record_and_gate ~bench:"eval" ~file:"BENCH_eval.json"

@@ -34,7 +34,7 @@ let traced name f =
   let tracer = Xpiler_obs.Tracer.create ~level:Xpiler_obs.Tracer.Detail () in
   Xpiler_obs.Trace.install tracer;
   Fun.protect ~finally:Xpiler_obs.Trace.uninstall f;
-  if not (Sys.file_exists "results") then Sys.mkdir "results" 0o755;
+  Xpiler_util.Fsx.mkdir_p "results";
   let path = Filename.concat "results" (Printf.sprintf "trace_%s.jsonl" name) in
   let events = Xpiler_obs.Tracer.events tracer in
   Xpiler_obs.Journal.write_file path events;

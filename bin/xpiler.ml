@@ -18,7 +18,10 @@ let op_arg =
   Arg.(required & opt (some string) None & info [ "op" ] ~docv:"OP" ~doc)
 
 let shape_arg =
-  let doc = "Shape as comma-separated dims, e.g. m=16,n=64,k=32. Default: the operator's first benchmark shape." in
+  let doc =
+    "Shape as comma-separated positive dims, e.g. m=16,n=64,k=32. Dims left out keep the \
+     operator's first benchmark shape."
+  in
   Arg.(value & opt (some string) None & info [ "shape" ] ~docv:"SHAPE" ~doc)
 
 let src_arg =
@@ -88,16 +91,6 @@ let fault_scale_arg =
   in
   Arg.(value & opt float 1.0 & info [ "fault-scale" ] ~docv:"F" ~doc)
 
-let native_arg =
-  let doc =
-    "Execute kernels through the native backend: lower each kernel to OCaml source, \
-     compile it out of process and dynlink the artifact, with compiled kernels cached \
-     on disk under \\$XPILER_CACHE_DIR (default ~/.cache/xpiler). Falls back to the \
-     closure engine per kernel when the toolchain is unavailable, so results never \
-     change — only wall-clock does. Also enabled by \\$XPILER_NATIVE=1."
-  in
-  Arg.(value & flag & info [ "native" ] ~doc)
-
 let store_dir_arg =
   let doc =
     "Durable knowledge store directory: the warm-start schedule DB, transposition \
@@ -137,14 +130,36 @@ let trace_level_arg =
   let doc = "Trace level: off, stages (spans only) or detail (spans + metrics)." in
   Arg.(value & opt level_conv Xpiler_obs.Tracer.Detail & info [ "trace-level" ] ~docv:"LEVEL" ~doc)
 
-let parse_shape op = function
-  | None -> List.hd op.Opdef.shapes
+(* A --shape value overrides some of the op's declared dims; the rest keep
+   the op's first registered shape. Unknown dims, non-integers and values
+   <= 0 are usage errors: one line on stderr, exit 2. *)
+let parse_shape (op : Opdef.t) arg =
+  let defaults = List.hd op.Opdef.shapes in
+  match arg with
+  | None -> defaults
   | Some s ->
-    String.split_on_char ',' s
-    |> List.map (fun kv ->
-           match String.split_on_char '=' kv with
-           | [ k; v ] -> (String.trim k, int_of_string (String.trim v))
-           | _ -> failwith ("bad shape component " ^ kv))
+    let reject fmt =
+      Printf.ksprintf
+        (fun msg ->
+          Printf.eprintf "xpiler: bad --shape %S for %s: %s\n" s op.Opdef.name msg;
+          exit 2)
+        fmt
+    in
+    let override kv =
+      match String.split_on_char '=' kv with
+      | [ k; v ] -> (
+        let k = String.trim k and v = String.trim v in
+        if not (List.mem_assoc k defaults) then
+          reject "unknown dim %S (declared: %s)" k (String.concat ", " (List.map fst defaults));
+        match int_of_string_opt v with
+        | Some n when n > 0 -> (k, n)
+        | _ -> reject "%s=%s is not a positive integer" k v)
+      | _ -> reject "expected NAME=VALUE, got %S" kv
+    in
+    let overrides = List.map override (String.split_on_char ',' s) in
+    List.map
+      (fun (k, d) -> (k, Option.value ~default:d (List.assoc_opt k overrides)))
+      defaults
 
 let find_op name =
   match Registry.find name with
@@ -156,8 +171,7 @@ let find_op name =
 (* ---- translate ------------------------------------------------------------ *)
 
 let translate op_name shape src dst tune seed jobs no_prune no_warm_start max_escalation
-    no_rollback no_speculative_repair fault_scale native store_dir no_store trace
-    trace_level =
+    no_rollback no_speculative_repair fault_scale store_dir no_store trace trace_level =
   let op = find_op op_name in
   let shape = parse_shape op shape in
   let config =
@@ -170,7 +184,6 @@ let translate op_name shape src dst tune seed jobs no_prune no_warm_start max_es
         tuning_warm_start = not no_warm_start;
         rollback = not no_rollback;
         speculative_repair = not no_speculative_repair;
-        native_backend = native;
         store_dir = effective_store_dir store_dir no_store
       }
     in
@@ -216,8 +229,8 @@ let translate_cmd =
     Term.(
       const translate $ op_arg $ shape_arg $ src_arg $ dst_arg $ tune_arg $ seed_arg
       $ jobs_arg $ no_prune_arg $ no_warm_start_arg $ max_escalation_arg $ no_rollback_arg
-      $ no_speculative_repair_arg $ fault_scale_arg $ native_arg $ store_dir_arg
-      $ no_store_arg $ trace_arg $ trace_level_arg)
+      $ no_speculative_repair_arg $ fault_scale_arg $ store_dir_arg $ no_store_arg
+      $ trace_arg $ trace_level_arg)
 
 (* ---- show-source ----------------------------------------------------------- *)
 
@@ -368,8 +381,8 @@ let trace_cmd =
 (* run a translation with the registry and the wall-clock profiler on, then
    print the registry snapshot and wall-vs-virtual stage tables; tuning is on
    by default so the cache/transposition meters have something to show *)
-let metrics_run op_name shape src dst no_tune seed jobs fault_scale native store_dir
-    no_store openmetrics_out json_out =
+let metrics_run op_name shape src dst no_tune seed jobs fault_scale store_dir no_store
+    openmetrics_out json_out =
   let op = find_op op_name in
   let shape = parse_shape op shape in
   let config =
@@ -383,7 +396,6 @@ let metrics_run op_name shape src dst no_tune seed jobs fault_scale native store
     { base with
       Config.profile = true;
       mcts;
-      native_backend = native;
       store_dir = effective_store_dir store_dir no_store
     }
   in
@@ -442,8 +454,8 @@ let metrics_cmd =
   Cmd.v info
     Term.(
       const metrics_run $ op_arg $ shape_arg $ src_arg $ dst_arg $ no_tune_flag $ seed_arg
-      $ jobs_arg $ fault_scale_arg $ native_arg $ store_dir_arg $ no_store_arg
-      $ openmetrics_opt $ json_opt)
+      $ jobs_arg $ fault_scale_arg $ store_dir_arg $ no_store_arg $ openmetrics_opt
+      $ json_opt)
 
 (* ---- bench-diff -------------------------------------------------------------- *)
 
@@ -543,41 +555,6 @@ let bench_diff_cmd =
       const bench_diff $ history_opt $ eval_opt $ tuning_opt $ resilience_opt $ repair_opt
       $ threshold_opt $ exact_only_flag)
 
-(* ---- cache ------------------------------------------------------------------- *)
-
-let cache clear =
-  let module Native = Xpiler_machine.Native in
-  if clear then begin
-    let removed = Native.cache_clear () in
-    Printf.printf "removed %d file%s from %s\n" removed
-      (if removed = 1 then "" else "s")
-      (Native.cache_dir ())
-  end
-  else begin
-    let info = Native.cache_info () in
-    Printf.printf "dir:    %s\n" info.Native.dir;
-    Printf.printf "files:  %d\n" info.Native.files;
-    Printf.printf "bytes:  %d (%.1f MiB)\n" info.Native.bytes
-      (float_of_int info.Native.bytes /. (1024.0 *. 1024.0));
-    Printf.printf "limit:  %d (%.1f MiB)\n" info.Native.limit_bytes
-      (float_of_int info.Native.limit_bytes /. (1024.0 *. 1024.0))
-  end
-
-let cache_cmd =
-  let info =
-    Cmd.info "cache"
-      ~doc:
-        "Inspect the native-backend artifact cache (default: print dir, file count, \
-         size, and the eviction limit) or empty it with $(b,--clear). The cache lives \
-         under \\$XPILER_CACHE_DIR (default ~/.cache/xpiler) and is safe to delete at \
-         any time; the backend recompiles on the next miss."
-  in
-  let clear_flag =
-    let doc = "Remove every cached artifact and kept generated source." in
-    Arg.(value & flag & info [ "clear" ] ~doc)
-  in
-  Cmd.v info Term.(const cache $ clear_flag)
-
 (* ---- store ------------------------------------------------------------------- *)
 
 let store_action dir action =
@@ -669,4 +646,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ translate_cmd; show_source_cmd; list_ops_cmd; lint_cmd; trace_cmd; metrics_cmd;
-            bench_diff_cmd; cache_cmd; store_cmd; manual_cmd ]))
+            bench_diff_cmd; store_cmd; manual_cmd ]))

@@ -67,10 +67,8 @@ type t = {
           ([Obs.Prof]). Non-deterministic by nature and fully segregated
           from the trace stream: journals stay byte-identical either way. *)
   native_backend : bool;
-      (** Execute kernels through the native backend (OCaml-source codegen +
-          [Dynlink], disk-cached artifacts) for the duration of the
-          translation; any kernel the backend cannot handle falls back to
-          the closure engine, so results are identical either way. *)
+      (** Ignored: nothing reads this field. It is kept only because
+          [e2ebench/sweep.ml] sets it; drop the two together. *)
   store_dir : string option;
       (** When set, the durable knowledge store at this directory is loaded
           into the schedule DB / transposition table / solver memo before

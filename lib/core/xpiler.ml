@@ -180,16 +180,10 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
         Obs.Tracer.stage_charge t (Vclock.stage_name stage) s;
         observe_stage stage s)
   | None -> if prof_on then Vclock.set_observer clock observe_stage);
-  (* native kernel backend for the duration of this translation: enable-only
-     (never disable an ambient opt-in), restored on every exit path. The
-     backend is fall-back-transparent, so outcomes are identical either way *)
-  let native_was = Native.enabled () in
-  Native.set_enabled (native_was || config.Config.native_backend);
-  (* whatever happens below, never leak our tracer (or a running profiler,
-     or the native-backend toggle) into the caller *)
+  (* whatever happens below, never leak our tracer (or a running profiler)
+     into the caller *)
   Fun.protect
     ~finally:(fun () ->
-      Native.set_enabled native_was;
       restore_ambient ();
       if prof_on then Obs.Prof.disable ())
   @@ fun () ->

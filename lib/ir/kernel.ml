@@ -32,16 +32,8 @@ let hash t =
   in
   Stmt.hash_fold_block h t.body
 
-(* One keying helper shared by every content-addressed kernel cache (the
-   in-process compile memo and the on-disk native-artifact cache): a hex
-   digest over the marshalled structure with the structural hash mixed in,
-   plus a caller salt (codegen version). Both caches key on the same string,
-   so a collision cannot make them disagree about which kernel an artifact
-   belongs to. *)
-let cache_key ?(salt = "") t =
-  Digest.to_hex
-    (Digest.string
-       (salt ^ "\x00" ^ string_of_int (hash t) ^ "\x00" ^ Marshal.to_string t []))
+let cache_key t =
+  Digest.to_hex (Digest.string (string_of_int (hash t) ^ "\x00" ^ Marshal.to_string t []))
 
 let axis_extent t ax = List.assoc_opt ax t.launch
 let with_body t body = { t with body }

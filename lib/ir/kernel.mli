@@ -26,13 +26,11 @@ val hash : t -> int
     engine's compile/throughput/reference-output memo tables
     (via [Hashtbl.Make]). *)
 
-val cache_key : ?salt:string -> t -> string
+val cache_key : t -> string
 (** Content-addressed cache key: a hex digest of the kernel's marshalled
-    structure with {!hash} mixed in, prefixed by [salt] (e.g. a codegen
-    version). Consistent with [equal]; collision-resistant, unlike the bare
-    structural {!hash}. The evaluation engine's in-process compile memo and
-    the native backend's on-disk artifact cache both key on this helper so
-    the two can never diverge on collisions. *)
+    structure with {!hash} mixed in. Consistent with [equal];
+    collision-resistant, unlike the bare structural {!hash}. The evaluation
+    engine's compile memo ([Compile.cached]) keys on it. *)
 
 val axis_extent : t -> Axis.t -> int option
 val with_body : t -> Stmt.t list -> t

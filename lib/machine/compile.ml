@@ -347,7 +347,6 @@ type frame = { scalars : value array; ints : int array; bufs : Tensor.t array }
 type slot = Scalar_slot of int | Buffer_slot of int
 
 type t = {
-  kernel : Kernel.t;
   code : ctx -> frame -> unit;
   nscalars : int;
   nints : int;
@@ -981,15 +980,12 @@ let compile (k : Kernel.t) : t =
       k.Kernel.params
   in
   let code = comp_block cenv0 k.Kernel.body in
-  { kernel = k;
-    code;
+  { code;
     nscalars = !nscalars;
     nints = !nints;
     nbufs = !nbufs;
     param_binds = List.rev rev_binds
   }
-
-let kernel c = c.kernel
 
 let bind_args c args =
   let scalars = Array.make (max c.nscalars 1) (I 0) in
@@ -1031,9 +1027,8 @@ let run_prefix ?(fuel = 200_000_000) c ~stop_after args =
 
 (* ---- bounded compile memo ---------------------------------------------- *)
 
-(* Keyed by [Kernel.cache_key] — the same helper that addresses the native
-   backend's on-disk artifact cache — so the two caches cannot diverge on a
-   collision. *)
+(* Keyed by [Kernel.cache_key]: a collision-resistant digest, so two
+   structurally distinct kernels never share a compiled entry. *)
 let cache : (string, t) Hashtbl.t = Hashtbl.create 64
 let cache_mutex = Mutex.create ()
 let cache_limit = 4096

@@ -48,7 +48,6 @@ type ctx = {
 val to_float : value -> float
 val to_int : value -> int
 val truthy : value -> bool
-val of_bool : bool -> value
 val err : ('a, unit, string, 'b) format4 -> 'a
 val tally : ctx -> string -> int -> unit
 val buf_get : Tensor.t -> string -> int -> float
@@ -60,8 +59,6 @@ val unop : Expr.unop -> value -> value
 type _ Effect.t += Barrier : unit Effect.t
 
 val is_thread_axis : Axis.t -> bool
-
-type fiber_state = Done | Suspended of (unit -> fiber_state)
 
 val run_fiber_group : (unit -> unit) list -> unit
 (** Runs SIMT fibers round-robin between barriers, reversing order each
@@ -88,19 +85,10 @@ val profile : stats -> (string, int) Hashtbl.t option -> unit
 
 (** {1 The compiler} *)
 
-type frame = { scalars : value array; ints : int array; bufs : Tensor.t array }
-(** A runtime activation: every binding site of the kernel got a distinct
-    slot at compile time. Variables proven always-integer (loop counters,
-    int-valued lets that are never reassigned) live unboxed in [ints];
-    everything else is a boxed [value] in [scalars]. Fibers copy all three
-    arrays (cheap — the tensors themselves stay shared). *)
-
 type t
 (** A compiled kernel. *)
 
 val compile : Kernel.t -> t
-val kernel : t -> Kernel.t
-val bind_args : t -> (string * arg) list -> frame
 
 val run : ?fuel:int -> ?trace:(string -> int -> float -> unit) -> t -> (string * arg) list -> stats
 (** Same contract as [Interp.run]. *)
@@ -109,7 +97,6 @@ val run_prefix : ?fuel:int -> t -> stop_after:int -> (string * arg) list -> stat
 (** Same contract as [Interp.run_prefix]. *)
 
 val cached : Kernel.t -> t
-(** Bounded thread-safe memo keyed by [Kernel.cache_key] (the same helper
-    that addresses the native backend's on-disk artifact cache); the tuner
+(** Bounded thread-safe memo keyed by [Kernel.cache_key]; the tuner
     re-executes the same candidate kernels many times, so this makes
     compilation cost amortize to zero. *)

@@ -45,13 +45,7 @@ let fresh_stats = Compile.fresh_stats
 
 (* ---- the compiled fast path -------------------------------------------- *)
 
-let run ?fuel ?trace kernel args =
-  (* the native backend is best-effort: [None] (disabled, toolchain absent,
-     compile/dynlink failure) falls back to the closure engine, while kernel
-     runtime errors propagate from either engine identically *)
-  match if Native.enabled () then Native.run ?fuel ?trace kernel args else None with
-  | Some stats -> stats
-  | None -> Compile.run ?fuel ?trace (Compile.cached kernel) args
+let run ?fuel ?trace kernel args = Compile.run ?fuel ?trace (Compile.cached kernel) args
 
 let run_prefix ?fuel kernel ~stop_after args =
   Compile.run_prefix ?fuel (Compile.cached kernel) ~stop_after args

@@ -19,11 +19,9 @@ open Xpiler_ir
     [run] and [run_prefix] execute through {!Compile}: the kernel is lowered
     once into OCaml closures over slot-indexed frames (memoized on the
     kernel's structural hash) and then executed without walking the statement
-    tree. When {!Native.enabled} is on, [run] first tries the native backend
-    (OCaml-source codegen + [Dynlink], artifacts cached on disk) and falls
-    back to the closure engine whenever it returns [None]. {!run_tree} keeps
-    the direct tree-walker; the differential property in [test/test_fuzz.ml]
-    holds all engines to identical outputs, stats and error messages. *)
+    tree. {!run_tree} keeps the direct tree-walker; the differential
+    property in [test/test_fuzz.ml] holds both engines to identical outputs,
+    stats and error messages. *)
 
 exception Runtime_error of string
 

@@ -98,15 +98,7 @@ let of_bench_json ~bench j =
       let par =
         match Json.member "tuning" j with Some t -> Option.value ~default:0.0 (mfloat "parallel_speedup" t) | None -> 0.0
       in
-      (* absent (not 0.0) when the bench ran without the native toolchain, so
-         the spec below is skipped rather than tripped on closure-only hosts *)
-      let native =
-        match mfloat "native_speedup_geomean" j with
-        | Some n -> [ ("native_speedup_geomean", n) ]
-        | None -> []
-      in
       [ ("compiled_eps_geomean", eps); ("geomean_speedup", g); ("parallel_speedup", par) ]
-      @ native
     | "tuning" ->
       let reductions = kernel_floats "eval_reduction" j in
       let ratios = kernel_floats "best_reward_ratio" j in
@@ -169,7 +161,6 @@ let specs = function
       (* parallel speedup collapses to ~1 on single-core hosts; recorded but
          never gated *)
       { metric = "parallel_speedup"; direction = Higher; noise = Wall; rel_threshold = 1.0; abs_slack = 0.0; gated = false };
-      { metric = "native_speedup_geomean"; direction = Higher; noise = Wall; rel_threshold = 0.25; abs_slack = 0.0; gated = true };
     ]
   | "tuning" ->
     [

@@ -197,8 +197,8 @@ let pool_samples () =
             counts = Array.copy s.Pool.latency_counts;
             sum = s.Pool.busy_seconds;
             count = s.Pool.tasks;
-            hmin = 0.0;
-            hmax = 0.0;
+            hmin = s.Pool.latency_min;
+            hmax = s.Pool.latency_max;
           };
     };
   ]

@@ -330,10 +330,10 @@ let rm_rf_flat d =
 let compact t =
   Mutex.protect t.mutex @@ fun () ->
   close_channels_locked t;
-  (* scratch-dir + rename, in the style of the native backend's artifact
-     installs: every shard's new snapshot (and fresh empty log) is staged
-     fully, then renamed into place — readers and a crash at any point see
-     either the old pair or the new one, never a half-written file *)
+  (* scratch-dir + rename: every shard's new snapshot (and fresh empty log)
+     is staged fully, then renamed into place — readers and a crash at any
+     point see either the old pair or the new one, never a half-written
+     file *)
   let scratch = Filename.concat t.dir (Printf.sprintf "compact.%d" (Unix.getpid ())) in
   let records_in = ref 0 and records_out = ref 0 in
   match

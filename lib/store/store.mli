@@ -31,9 +31,8 @@
     {b Crash safety.} Appends are whole flushed frames ({!Wal}), so a torn
     tail loads as a valid prefix and is truncated before the next append.
     Compaction stages every shard's new snapshot in a scratch directory
-    and renames it into place (the native backend's artifact-install
-    idiom); a crash anywhere leaves a consistent, at worst duplicated,
-    record stream. *)
+    and renames it into place; a crash anywhere leaves a consistent, at
+    worst duplicated, record stream. *)
 
 open Xpiler_tuning
 module Memo = Xpiler_smt.Memo

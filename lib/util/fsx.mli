@@ -1,9 +1,9 @@
 (** Shared filesystem helpers.
 
     Every subsystem that writes results or caches to disk ([Report] CSVs,
-    the bench-history journal, the native artifact cache, the durable
-    knowledge store) needs the same two things: recursive directory
-    creation that tolerates concurrent creators, and whole-file reads.
+    the bench-history journal, the durable knowledge store) needs the same
+    two things: recursive directory creation that tolerates concurrent
+    creators, and whole-file reads.
     They live here so the check-then-create TOCTOU race is fixed in one
     place. *)
 

@@ -56,6 +56,8 @@ type stats = {
   wall_seconds : float;  (** sum of wall time of the [map] calls themselves *)
   max_jobs : int;  (** largest effective job count seen *)
   latency_counts : int array;  (** task latencies, per {!latency_bounds} bucket, plus overflow *)
+  latency_min : float;  (** fastest task, seconds; 0 before the first task *)
+  latency_max : float;  (** slowest task, seconds; 0 before the first task *)
 }
 
 let stats_lock = Mutex.create ()
@@ -65,11 +67,15 @@ let s_busy = ref 0.0
 let s_wall = ref 0.0
 let s_max_jobs = ref 0
 let s_latency = Array.make (Array.length latency_bounds + 1) 0
+let s_lat_min = ref infinity
+let s_lat_max = ref 0.0
 
 let note_task dt =
   Mutex.protect stats_lock (fun () ->
       incr s_tasks;
       s_busy := !s_busy +. dt;
+      s_lat_min := Float.min !s_lat_min dt;
+      s_lat_max := Float.max !s_lat_max dt;
       let n = Array.length latency_bounds in
       let rec bucket i = if i >= n || dt <= latency_bounds.(i) then i else bucket (i + 1) in
       let b = bucket 0 in
@@ -90,6 +96,8 @@ let stats () =
         wall_seconds = !s_wall;
         max_jobs = !s_max_jobs;
         latency_counts = Array.copy s_latency;
+        latency_min = (if !s_tasks = 0 then 0.0 else !s_lat_min);
+        latency_max = !s_lat_max;
       })
 
 let reset_stats () =
@@ -99,7 +107,9 @@ let reset_stats () =
       s_busy := 0.0;
       s_wall := 0.0;
       s_max_jobs := 0;
-      Array.fill s_latency 0 (Array.length s_latency) 0)
+      Array.fill s_latency 0 (Array.length s_latency) 0;
+      s_lat_min := infinity;
+      s_lat_max := 0.0)
 
 (* Independent per-task streams: a task's RNG depends on (seed, index) only,
    never on the job count or the schedule. *)

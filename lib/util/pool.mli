@@ -82,6 +82,8 @@ type stats = {
   wall_seconds : float;  (** sum of wall time of the [map] calls themselves *)
   max_jobs : int;  (** largest effective job count seen *)
   latency_counts : int array;  (** per-bucket task counts, plus overflow *)
+  latency_min : float;  (** fastest task, seconds; 0 before the first task *)
+  latency_max : float;  (** slowest task, seconds; 0 before the first task *)
 }
 
 val stats : unit -> stats

@@ -129,6 +129,17 @@ let test_kernel_helpers () =
   Alcotest.(check (option int)) "extent" (Some 4) (Kernel.axis_extent k Axis.Block_x);
   Alcotest.(check int) "buffers" 1 (List.length (Kernel.buffer_params k))
 
+(* the two properties the compile memo relies on: structurally equal kernels
+   share a key, distinct kernels never do *)
+let test_cache_key () =
+  let kernel_of_seed seed = Test_support.Kgen.kernel (Xpiler_util.Rng.create seed) in
+  let k1 = kernel_of_seed 77 and k2 = kernel_of_seed 77 and k3 = kernel_of_seed 78 in
+  Alcotest.(check bool) "fresh structurally equal copies" true (k1 != k2 && Kernel.equal k1 k2);
+  Alcotest.(check string) "equal kernels, equal key" (Kernel.cache_key k1) (Kernel.cache_key k2);
+  Alcotest.(check bool) "distinct kernels" false (Kernel.equal k1 k3);
+  Alcotest.(check bool) "distinct kernels, distinct keys" true
+    (Kernel.cache_key k1 <> Kernel.cache_key k3)
+
 (* property tests *)
 
 let gen_expr =
@@ -192,6 +203,7 @@ let () =
           Alcotest.test_case "intrinsic arity" `Quick test_validate_intrinsic_arity;
           Alcotest.test_case "kernel helpers" `Quick test_kernel_helpers
         ] );
+      ("kernel", [ Alcotest.test_case "content keying" `Quick test_cache_key ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_simplify_preserves_value; prop_simplify_idempotent; prop_subst_removes_var ]

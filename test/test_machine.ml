@@ -429,6 +429,94 @@ let prop_barrier_determinism =
       done;
       Tensor.allclose out1 expected && Tensor.allclose out1 out2)
 
+(* ---- closure engine: compile memo and error parity ---------------------- *)
+
+module Kgen = Test_support.Kgen
+module Tcommon = Test_support.Tcommon
+
+let buf_size b = List.assoc b Kgen.buffer_sizes
+let kernel_of_seed seed = Kgen.kernel (Xpiler_util.Rng.create seed)
+
+(* observation of one engine run: stats tuple + scalar-store trace + error *)
+let observe runner k args =
+  let trace = ref [] in
+  match runner ~trace:(fun b i x -> trace := (b, i, x) :: !trace) k args with
+  | (s : Interp.stats) ->
+    Ok (s.steps, s.stores, s.intrinsic_elems, s.memcpy_elems, s.barriers, List.rev !trace)
+  | exception Interp.Runtime_error m -> Error m
+
+(* handcrafted dynamic errors: a memo-served compiled kernel raises the same
+   Runtime_error message as a fresh compile and as the tree interpreter *)
+let test_error_message_parity () =
+  let open Expr.Infix in
+  let out = Builder.buffer "out" in
+  let mk name body = Kernel.make ~name ~params:[ out ] ~launch:[] body in
+  let cases =
+    [ mk "m_div0"
+        [ Builder.for_ "i" (int 4)
+            [ Builder.let_ "x" (int 7 / (v "i" - v "i"));
+              Builder.store "out" (v "i") (v "x")
+            ]
+        ];
+      mk "m_oob_store" [ Builder.store "out" (int 100_000) (flt 1.0) ];
+      mk "m_oob_load" [ Builder.store "out" (int 0) (load "out" (int (-1))) ];
+      mk "m_neg_extent"
+        [ Builder.for_ "i" (int 0 - int 3) [ Builder.store "out" (v "i") (flt 0.0) ] ];
+      mk "m_fuel" [ Builder.for_ "i" (int 1_000_000) [ Builder.let_ "x" (v "i") ] ]
+    ]
+  in
+  let fuel = 1000 in
+  List.iter
+    (fun k ->
+      let msg run =
+        match run [ ("out", Interp.Buf (Tensor.create 1024)) ] with
+        | (_ : Interp.stats) -> Alcotest.failf "%s: expected Runtime_error" k.Kernel.name
+        | exception Interp.Runtime_error m -> m
+      in
+      let reference = msg (Interp.run_tree ~fuel k) in
+      Alcotest.(check string)
+        (k.Kernel.name ^ ": fresh compile")
+        reference
+        (msg (Compile.run ~fuel (Compile.compile k)));
+      Alcotest.(check string)
+        (k.Kernel.name ^ ": memo-served compile")
+        reference
+        (msg (Compile.run ~fuel (Compile.cached k))))
+    cases
+
+(* cold vs warm: a fresh compile and a memo-served compile of a structurally
+   equal (but separately built) kernel produce identical outputs, stats and
+   traces, and the memo hands back the same compiled value *)
+let test_cold_vs_warm () =
+  let k = kernel_of_seed 7 in
+  let k' = kernel_of_seed 7 in
+  let args = Tcommon.make_args (Xpiler_util.Rng.create 9) ~buf_size k [] in
+  let a_cold = Tcommon.clone_args args in
+  let a_warm = Tcommon.clone_args args in
+  let cold = Compile.compile k in
+  let r_cold = observe (fun ~trace _ a -> Compile.run ~trace cold a) k a_cold in
+  let c = Compile.cached k in
+  Alcotest.(check bool) "memo keyed by content" true (Compile.cached k' == c);
+  let r_warm = observe (fun ~trace _ a -> Compile.run ~trace c a) k' a_warm in
+  Alcotest.(check bool) "cold = warm (stats+trace)" true (compare r_cold r_warm = 0);
+  Alcotest.(check bool) "cold = warm (buffers)" true
+    (compare (Tcommon.buffers a_cold) (Tcommon.buffers a_warm) = 0)
+
+(* the stable metrics snapshot — the cross-jobs determinism contract — is
+   touched only by compile-memo lookups, never by executing a compiled
+   kernel: pool workers run kernels on whichever domain is free *)
+let test_stable_metrics_untouched () =
+  let k = kernel_of_seed 11 in
+  let args = Tcommon.make_args (Xpiler_util.Rng.create 4) ~buf_size k [] in
+  let c = Compile.cached k in
+  let before = Xpiler_obs.Metrics.snapshot ~stable_only:true () in
+  ignore (Compile.run c (Tcommon.clone_args args));
+  ignore (Compile.run ~trace:(fun _ _ _ -> ()) c (Tcommon.clone_args args));
+  ignore (Compile.run_prefix c ~stop_after:1 (Tcommon.clone_args args));
+  ignore (Interp.run_tree k (Tcommon.clone_args args));
+  let after = Xpiler_obs.Metrics.snapshot ~stable_only:true () in
+  Alcotest.(check bool) "stable snapshot unchanged" true (before = after)
+
 let () =
   Alcotest.run "machine"
     [ ( "interp",
@@ -456,5 +544,10 @@ let () =
           Alcotest.test_case "parallel speedup" `Quick test_cost_parallel_speedup;
           Alcotest.test_case "tensorize faster" `Quick test_cost_tensorize_faster
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_barrier_determinism ])
+      ("properties", [ QCheck_alcotest.to_alcotest prop_barrier_determinism ]);
+      ("parity", [ Alcotest.test_case "error-message parity" `Quick test_error_message_parity ]);
+      ( "cache",
+        [ Alcotest.test_case "cold vs warm identical" `Quick test_cold_vs_warm;
+          Alcotest.test_case "stable metrics untouched" `Quick test_stable_metrics_untouched
+        ] )
     ]

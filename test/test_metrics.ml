@@ -211,6 +211,19 @@ let test_openmetrics_format () =
     eof
     (String.sub text (String.length text - String.length eof) (String.length eof))
 
+(* the synthesized pool latency histogram carries the observed min/max, so
+   its quantiles are real task latencies rather than a clamp to zero *)
+let test_pool_latency_histogram () =
+  Metrics.reset ();
+  ignore (Pool.map ~jobs:2 (fun _ () -> Unix.sleepf 0.002) [ (); (); () ]);
+  match hist_value "xpiler_pool_task_latency_seconds" [] (Metrics.snapshot ()) with
+  | None -> Alcotest.fail "pool latency histogram missing"
+  | Some h ->
+    Alcotest.(check int) "one observation per task" 3 h.Metrics.count;
+    Alcotest.(check bool) "max is a real latency" true (h.Metrics.hmax >= 0.002);
+    Alcotest.(check bool) "min <= max" true (h.Metrics.hmin <= h.Metrics.hmax);
+    Alcotest.(check bool) "p50 > 0" true (Metrics.hist_quantile h 0.5 > 0.0)
+
 let test_json_parseable () =
   Metrics.inc (Metrics.counter "testm_json_total");
   let s = Metrics.snapshot () in
@@ -474,6 +487,51 @@ let test_of_bench_file_and_regression () =
       Alcotest.(check bool) "smoke and full runs never compare" true
         (List.for_all (fun (x : BH.verdict) -> x.BH.baseline = None && not x.BH.regressed) v))
 
+(* histories written while the eval bench still reported the retired
+   speedup-geomean metric (schema v2) keep loading and diffing: the metric
+   is neither extracted from a v2 file nor given a verdict *)
+let retired_metric = "native_speedup_geomean"
+
+let test_history_retired_metric () =
+  let path = Filename.temp_file "xpiler_hist" ".jsonl" in
+  let bench = Filename.temp_file "xpiler_bencheval" ".json" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ path; bench ])
+    (fun () ->
+      let old =
+        entry "eval"
+          [ ("compiled_eps_geomean", 1e6); ("geomean_speedup", 2.0); (retired_metric, 2.3);
+            ("parallel_speedup", 1.0) ]
+      in
+      Sys.remove path;
+      BH.append ~path old;
+      BH.append ~path old;
+      let hist = match BH.load ~path () with Ok h -> h | Error m -> Alcotest.fail m in
+      let oc = open_out bench in
+      Printf.fprintf oc
+        {|{"schema": "xpiler-eval-bench/v2", "smoke": true,
+  "kernels": [{"op": "gemm", "compiled_elems_per_sec": 1e6, "speedup": 2.0}],
+  "geomean_speedup": 2.0, %S: 0.5,
+  "tuning": {"parallel_speedup": 1.0, "deterministic": true}}
+|}
+        retired_metric;
+      close_out oc;
+      let current =
+        match BH.of_bench_file ~bench:"eval" bench with Ok e -> e | Error m -> Alcotest.fail m
+      in
+      Alcotest.(check bool) "not extracted" false
+        (List.mem_assoc retired_metric current.BH.metrics);
+      let verdicts = BH.diff ~history:hist current in
+      Alcotest.(check bool) "no verdict for the retired metric" true
+        (List.for_all (fun (v : BH.verdict) -> v.BH.metric <> retired_metric) verdicts);
+      Alcotest.(check bool) "live metrics still compared" true (verdicts <> []);
+      Alcotest.(check bool) "no regression" true (BH.regressions verdicts = []);
+      (* an entry that itself still carries the metric diffs the same way *)
+      Alcotest.(check bool) "old-shaped entry diffs cleanly" true
+        (List.for_all
+           (fun (v : BH.verdict) -> v.BH.metric <> retired_metric && not v.BH.regressed)
+           (BH.diff ~history:hist old)))
+
 let test_history_zero_baseline () =
   (* a zero median makes the relative drop undefined; the defined semantics:
      any worsening move off zero is an unbounded relative change, so only
@@ -600,6 +658,7 @@ let () =
           Alcotest.test_case "merge" `Quick test_merge;
           Alcotest.test_case "hist quantile edges" `Quick test_hist_quantile_edges;
           Alcotest.test_case "openmetrics format" `Quick test_openmetrics_format;
+          Alcotest.test_case "pool latency histogram" `Quick test_pool_latency_histogram;
           Alcotest.test_case "json parseable" `Quick test_json_parseable
         ] );
       ( "summary",
@@ -619,6 +678,8 @@ let () =
           Alcotest.test_case "append and load" `Quick test_history_append_load;
           Alcotest.test_case "bench extraction and regression" `Quick
             test_of_bench_file_and_regression;
+          Alcotest.test_case "retired eval metric diffs cleanly" `Quick
+            test_history_retired_metric;
           Alcotest.test_case "zero baseline semantics" `Quick test_history_zero_baseline;
           Alcotest.test_case "corrupt history surfaces" `Quick test_history_record_corrupt;
           Alcotest.test_case "store warm metric absent-not-zero" `Quick
