@@ -25,6 +25,7 @@ open Xpiler_core
 module Solver = Xpiler_smt.Solver
 module Memo = Xpiler_smt.Memo
 module Repairer = Xpiler_repair.Repairer
+module Metrics = Xpiler_obs.Metrics
 
 let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
 let now = Unix.gettimeofday
@@ -58,21 +59,35 @@ type arm_stats = {
   wall_score : float;
   memo_hits : int;
   memo_misses : int;
-  spec : Repairer.spec_stats;
+  spec_batches : int;  (** speculative candidate batches: won + lost *)
+  spec_won : int;
+  spec_cancelled : int;  (** losers above each winning index *)
   wall : float;
 }
+
+(* the repairer's speculation series, interned by (name, labels) *)
+let spec_meter result =
+  let c = Metrics.counter ~labels:[ ("result", result) ] "xpiler_repair_speculative_total" in
+  fun () -> Metrics.value c
+
+(* a process-lifetime meter read as the change since this call *)
+let delta read =
+  let v0 = read () in
+  fun () -> read () - v0
 
 let run_arm ~engine ~memo config_of op_name src dst scale =
   let op = Registry.find_exn op_name in
   let shape = List.hd op.Opdef.shapes in
   Solver.set_engine engine;
   Memo.clear ();
-  Memo.reset_stats ();
   Memo.set_enabled memo;
   Solver.reset_work_totals ();
   Repairer.reset_verdict_memo ();
   Repairer.reset_wall_totals ();
-  Repairer.reset_speculation_totals ();
+  let hits = delta Memo.hits and misses = delta Memo.misses in
+  let won = delta (spec_meter "won")
+  and lost = delta (spec_meter "lost")
+  and cancelled = delta (spec_meter "cancelled") in
   let t0 = now () in
   let outcomes =
     List.init n_seeds (fun seed ->
@@ -94,9 +109,11 @@ let run_arm ~engine ~memo config_of op_name src dst scale =
     wall_solve = rw.Repairer.solve_seconds;
     wall_test = rw.Repairer.test_seconds;
     wall_score = rw.Repairer.score_seconds;
-    memo_hits = Memo.hits ();
-    memo_misses = Memo.misses ();
-    spec = Repairer.speculation_totals ();
+    memo_hits = hits ();
+    memo_misses = misses ();
+    spec_batches = won () + lost ();
+    spec_won = won ();
+    spec_cancelled = cancelled ();
     wall
   }
 
@@ -155,7 +172,7 @@ let json_arm oc label (a : arm_stats) last =
     label a.broken a.solves a.steps a.evals a.repairs a.repair_wall a.solver_wall
     (hotpath_wall a) a.wall_localize
     a.wall_solve a.wall_test a.wall_score a.memo_hits a.memo_misses
-    a.spec.Repairer.batches a.spec.Repairer.won a.spec.Repairer.cancelled a.wall
+    a.spec_batches a.spec_won a.spec_cancelled a.wall
     (if last then "" else ",")
 
 let ratio num den = if den <= 0.0 then Float.infinity else num /. den
@@ -177,8 +194,8 @@ let () =
   and o_wall = totalf (fun r -> hotpath_wall r.optimized) in
   let hits = total (fun r -> r.optimized.memo_hits)
   and misses = total (fun r -> r.optimized.memo_misses) in
-  let batches = total (fun r -> r.optimized.spec.Repairer.batches)
-  and won = total (fun r -> r.optimized.spec.Repairer.won) in
+  let batches = total (fun r -> r.optimized.spec_batches)
+  and won = total (fun r -> r.optimized.spec_won) in
   let steps_reduction = ratio (float_of_int b_steps) (float_of_int o_steps) in
   let evals_reduction = ratio (float_of_int b_evals) (float_of_int o_evals) in
   let wall_speedup = ratio b_wall o_wall in

@@ -51,11 +51,12 @@ type point = { sims : int; evals : int; best : float; wall : float }
 
 let run_search ~mode_config ~share ~db ~buffer_sizes kernel budget =
   Transposition.clear ();
+  let evals0 = Transposition.evals () in
   let t0 = now () in
   let r =
     Mcts.search ~config:(mode_config budget) ~buffer_sizes ~share ?db ~platform kernel
   in
-  { sims = budget; evals = Transposition.evals (); best = r.Mcts.best_reward;
+  { sims = budget; evals = Transposition.evals () - evals0; best = r.Mcts.best_reward;
     wall = now () -. t0 }
 
 (* first curve point whose reward reaches [target]; None when the curve
@@ -226,9 +227,10 @@ let bench_store_warm name =
         Transposition.clear ();
         let db = Schedule_db.create () in
         ignore (Store.load ~db store);
+        let evals0 = Transposition.evals () in
         let t0 = now () in
         let r = Mcts.search ~config:(base_config b) ~buffer_sizes ~share:true ~db ~platform kernel in
-        { sims = b; evals = Transposition.evals (); best = r.Mcts.best_reward;
+        { sims = b; evals = Transposition.evals () - evals0; best = r.Mcts.best_reward;
           wall = now () -. t0 })
       budgets
   in

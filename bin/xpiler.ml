@@ -378,9 +378,9 @@ let trace_cmd =
 
 (* ---- metrics ----------------------------------------------------------------- *)
 
-(* run a translation with the registry and the wall-clock profiler on, then
-   print the registry snapshot and wall-vs-virtual stage tables; tuning is on
-   by default so the cache/transposition meters have something to show *)
+(* run a translation with the wall-clock profiler on, then print the registry
+   snapshot and the profiled span table; tuning is on by default so the
+   cache/transposition meters have something to show *)
 let metrics_run op_name shape src dst no_tune seed jobs fault_scale store_dir no_store
     openmetrics_out json_out =
   let op = find_op op_name in
@@ -437,7 +437,7 @@ let metrics_cmd =
       ~doc:
         "Translate (with auto-tuning unless --no-tune) and print the metrics-registry \
          snapshot — cache hit rates, escalation rungs, SMT steps, pool usage — plus \
-         wall-vs-virtual time per stage from the profiler."
+         the wall time and allocation of each profiled span."
   in
   let no_tune_flag =
     let doc = "Skip auto-tuning (the tuner is on by default here, unlike `translate`)." in

@@ -104,27 +104,6 @@ let render_metrics samples = String.concat "\n" (List.map Report.render (metrics
 (* ---- profiler reports ---------------------------------------------------- *)
 
 let prof_tables (r : Prof.report) =
-  let stage_rows =
-    List.map
-      (fun (s : Prof.stage_row) ->
-        let ratio = if s.Prof.virtual_s > 0.0 then s.Prof.wall_s /. s.Prof.virtual_s else 0.0 in
-        ( s.Prof.stage,
-          [ Report.Count s.Prof.charges; Report.Num s.Prof.virtual_s; Report.Num s.Prof.wall_s;
-            Report.Ratio ratio ] ))
-      r.Prof.stage_rows
-  in
-  let stage_rows =
-    if stage_rows = [] then []
-    else begin
-      let tv = List.fold_left (fun a (s : Prof.stage_row) -> a +. s.Prof.virtual_s) 0.0 r.Prof.stage_rows in
-      let tw = List.fold_left (fun a (s : Prof.stage_row) -> a +. s.Prof.wall_s) 0.0 r.Prof.stage_rows in
-      let tc = List.fold_left (fun a (s : Prof.stage_row) -> a + s.Prof.charges) 0 r.Prof.stage_rows in
-      stage_rows
-      @ [ ( "total",
-            [ Report.Count tc; Report.Num tv; Report.Num tw;
-              Report.Ratio (if tv > 0.0 then tw /. tv else 0.0) ] ) ]
-    end
-  in
   let span_rows =
     List.map
       (fun (s : Prof.span_row) ->
@@ -133,9 +112,9 @@ let prof_tables (r : Prof.report) =
             Report.Num (s.Prof.alloc_words /. 1e6); Report.Count s.Prof.majors ] ))
       r.Prof.span_rows
   in
-  List.filter_map
-    (fun (title, cols, rows) -> if rows = [] then None else Some (Report.make ~title ~cols rows))
-    [ ("Wall vs virtual time per stage", [ "charges"; "virtual s"; "wall s"; "wall/virtual" ], stage_rows);
-      ("Profiled spans (wall clock)", [ "count"; "wall s"; "alloc Mw"; "majors" ], span_rows) ]
+  if span_rows = [] then []
+  else
+    [ Report.make ~title:"Profiled spans (wall clock)"
+        ~cols:[ "count"; "wall s"; "alloc Mw"; "majors" ] span_rows ]
 
 let render_prof r = String.concat "\n" (List.map Report.render (prof_tables r))

@@ -22,7 +22,7 @@ val metrics_tables : Xpiler_obs.Metrics.sample list -> Report.t list
 val render_metrics : Xpiler_obs.Metrics.sample list -> string
 
 val prof_tables : Xpiler_obs.Prof.report -> Report.t list
-(** Wall-vs-virtual seconds per stage (with the wall/virtual ratio) and
-    profiled span costs (wall seconds, allocated megawords, major GCs). *)
+(** Profiled span costs (wall seconds, allocated megawords, major GCs);
+    empty when no span was profiled. *)
 
 val render_prof : Xpiler_obs.Prof.report -> string

@@ -57,7 +57,7 @@ let m_pass =
   let mk result =
     ( result,
       Obs.Metrics.counter ~help:"pass applications by outcome" ~labels:[ ("result", result) ]
-        "xpiler_passes_total" )
+        ~trace:("pass." ^ result) "xpiler_passes_total" )
   in
   List.map mk [ "applied"; "inapplicable"; "broken"; "skipped" ]
 
@@ -170,16 +170,12 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
      byte-identical with profiling on or off *)
   let prof_on = config.Config.profile in
   if prof_on then Obs.Prof.enable ();
-  let observe_stage stage s =
-    if prof_on then Obs.Prof.stage_charge (Vclock.stage_name stage) s
-  in
-  (match tracer with
-  | Some t ->
-    if owns_tracer then Obs.Trace.install t;
-    Vclock.set_observer clock (fun stage s ->
-        Obs.Tracer.stage_charge t (Vclock.stage_name stage) s;
-        observe_stage stage s)
-  | None -> if prof_on then Vclock.set_observer clock observe_stage);
+  Option.iter
+    (fun t ->
+      if owns_tracer then Obs.Trace.install t;
+      Vclock.set_observer clock (fun stage s ->
+          Obs.Tracer.stage_charge t (Vclock.stage_name stage) s))
+    tracer;
   (* whatever happens below, never leak our tracer (or a running profiler)
      into the caller *)
   Fun.protect
@@ -204,14 +200,14 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
   (* seal the trace and restore the caller's tracing state *)
   let finish_trace outcome =
     Obs.Metrics.inc (List.assoc (status_class outcome.status) m_translations);
-    (match tracer with
-    | Some t ->
-      Obs.Tracer.instant t
-        ~attrs:[ ("status", status_to_string outcome.status) ]
-        "translate.status";
-      (match root_span with Some s -> Obs.Tracer.span_end t s | None -> ());
-      Vclock.clear_observer clock
-    | None -> if prof_on then Vclock.clear_observer clock);
+    Option.iter
+      (fun t ->
+        Obs.Tracer.instant t
+          ~attrs:[ ("status", status_to_string outcome.status) ]
+          "translate.status";
+        Option.iter (Obs.Tracer.span_end t) root_span;
+        Vclock.clear_observer clock)
+      tracer;
     if prof_on then Obs.Prof.disable ();
     restore_ambient ();
     match (owns_tracer, tracer) with
@@ -451,7 +447,6 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
           | Skipped -> "skipped"
         in
         Obs.Metrics.inc (m_pass_for cls);
-        Obs.Trace.count ("pass." ^ cls);
         r)
   in
   (* phase 1: sequentialize when the source is parallel *)

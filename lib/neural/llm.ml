@@ -31,10 +31,11 @@ let severity_name = function Fault.Structural -> "structural" | Fault.Detail -> 
    counts are a pure function of workload and seed. *)
 let m_attempts =
   Metrics.counter ~help:"simulated LLM calls (translate + pass application)"
-    "xpiler_llm_attempts_total"
+    ~trace:"llm.attempts" "xpiler_llm_attempts_total"
 
 let m_garbage =
-  Metrics.counter ~help:"LLM responses discarded as garbage" "xpiler_llm_garbage_total"
+  Metrics.counter ~help:"LLM responses discarded as garbage" ~trace:"llm.garbage"
+    "xpiler_llm_garbage_total"
 
 let record_faults faults =
   List.iter
@@ -85,11 +86,9 @@ let translate_program t ~profile ~src ~dst ~op ~shape =
   (* the ground-truth sketch: the idiomatic target program *)
   let truth = Xpiler_ops.Idiom.source dst op shape in
   Metrics.inc m_attempts;
-  Trace.count "llm.attempts";
   charge t Vclock.Llm_transform (llm_call_seconds truth);
   if Rng.bernoulli t.rng p.Profile.gives_up then begin
     Metrics.inc m_garbage;
-    Trace.count "llm.garbage";
     Garbage
   end
   else begin
@@ -102,7 +101,6 @@ let apply_pass t ~profile ~target ?prompt spec kernel =
   | Error m -> Error m
   | Ok transformed ->
     Metrics.inc m_attempts;
-    Trace.count "llm.attempts";
     charge t Vclock.Llm_transform (llm_call_seconds transformed);
     (* a richer prompt (manual references present) reduces fault rates *)
     let quality =

@@ -35,13 +35,11 @@ type metric = {
   cell : cell;
 }
 
-type counter = int Atomic.t
+(* a handle is the interned cell plus the trace name its updates forward to;
+   two handles on one cell may forward differently (or not at all) *)
+type counter = { c : int Atomic.t; c_trace : string option }
 type gauge = float Atomic.t
-type histogram = hist_state
-
-let enabled = Atomic.make true
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
+type histogram = { h : hist_state; h_trace : string option }
 
 let registry : (string * (string * string) list, metric) Hashtbl.t = Hashtbl.create 64
 let name_meta : (string, kind * string) Hashtbl.t = Hashtbl.create 64
@@ -70,9 +68,9 @@ let register ~kind ~stable ~help ~labels name make_cell =
         Hashtbl.replace registry (name, labels) m;
         m.cell)
 
-let counter ?(stable = true) ?(help = "") ?(labels = []) name : counter =
+let counter ?(stable = true) ?(help = "") ?(labels = []) ?trace name : counter =
   match register ~kind:Counter ~stable ~help ~labels name (fun () -> Ccell (Atomic.make 0)) with
-  | Ccell c -> c
+  | Ccell c -> { c; c_trace = trace }
   | _ -> assert false
 
 let gauge ?(stable = true) ?(help = "") ?(labels = []) name : gauge =
@@ -80,8 +78,8 @@ let gauge ?(stable = true) ?(help = "") ?(labels = []) name : gauge =
   | Gcell g -> g
   | _ -> assert false
 
-let histogram ?(stable = true) ?(help = "") ?(labels = []) ?(bounds = default_bounds) name :
-    histogram =
+let histogram ?(stable = true) ?(help = "") ?(labels = []) ?(bounds = default_bounds) ?trace
+    name : histogram =
   if Array.length bounds = 0 then invalid_arg "Metrics.histogram: empty bounds";
   Array.iteri
     (fun i b -> if i > 0 && b <= bounds.(i - 1) then invalid_arg "Metrics.histogram: bounds not increasing")
@@ -99,33 +97,32 @@ let histogram ?(stable = true) ?(help = "") ?(labels = []) ?(bounds = default_bo
             lock = Mutex.create ();
           })
   with
-  | Hcell h -> h
+  | Hcell h -> { h; h_trace = trace }
   | _ -> assert false
 
-let inc ?(n = 1) (c : counter) = if Atomic.get enabled then ignore (Atomic.fetch_and_add c n)
+let inc ?(n = 1) { c; c_trace } =
+  ignore (Atomic.fetch_and_add c n);
+  match c_trace with Some name -> Trace.count ~n name | None -> ()
 
-let set (g : gauge) v = if Atomic.get enabled then Atomic.set g v
+let value { c; _ } = Atomic.get c
 
-let add (g : gauge) v =
-  if Atomic.get enabled then begin
-    let rec loop () =
-      let cur = Atomic.get g in
-      if not (Atomic.compare_and_set g cur (cur +. v)) then loop ()
-    in
-    loop ()
-  end
+let set (g : gauge) v = Atomic.set g v
 
-let observe (h : histogram) v =
-  if Atomic.get enabled then
-    Mutex.protect h.lock (fun () ->
-        let n = Array.length h.bounds in
-        let rec bucket i = if i >= n || v <= h.bounds.(i) then i else bucket (i + 1) in
-        let b = bucket 0 in
-        h.counts.(b) <- h.counts.(b) + 1;
-        h.sum <- h.sum +. v;
-        h.count <- h.count + 1;
-        if v < h.vmin then h.vmin <- v;
-        if v > h.vmax then h.vmax <- v)
+let rec add (g : gauge) v =
+  let cur = Atomic.get g in
+  if not (Atomic.compare_and_set g cur (cur +. v)) then add g v
+
+let observe { h; h_trace } v =
+  Mutex.protect h.lock (fun () ->
+      let n = Array.length h.bounds in
+      let rec bucket i = if i >= n || v <= h.bounds.(i) then i else bucket (i + 1) in
+      let b = bucket 0 in
+      h.counts.(b) <- h.counts.(b) + 1;
+      h.sum <- h.sum +. v;
+      h.count <- h.count + 1;
+      if v < h.vmin then h.vmin <- v;
+      if v > h.vmax then h.vmax <- v);
+  match h_trace with Some name -> Trace.observe name v | None -> ()
 
 (* ---- snapshots ---------------------------------------------------------- *)
 

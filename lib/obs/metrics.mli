@@ -17,17 +17,26 @@
     this module without a dependency cycle).
 
     Handles are interned per [(name, labels)]: registering the same pair
-    twice returns the same handle; reusing a name with a different kind
+    twice returns a handle on the same series; reusing a name with a different kind
     raises [Invalid_argument]. Register handles once at the instrumentation
-    site, not per event — the hot path is then a single atomic operation. *)
+    site, not per event — the hot path is then a single atomic operation.
+
+    {b One call per event.} A handle registered with [~trace:name] also
+    forwards every update to the ambient {!Trace} facade ([inc ~n] emits
+    [Trace.count ~n name], [observe v] emits [Trace.observe name v]), so an
+    event that belongs in both the registry and the trace stream is
+    instrumented once. The forwarded events obey the facade: nothing is
+    emitted without a [Detail] tracer or inside {!Trace.without}. *)
 
 type counter
 type gauge
 type histogram
 
-val counter : ?stable:bool -> ?help:string -> ?labels:(string * string) list -> string -> counter
+val counter :
+  ?stable:bool -> ?help:string -> ?labels:(string * string) list -> ?trace:string -> string ->
+  counter
 (** [stable] defaults to [true]; label lists are sorted and deduplicated by
-    key at registration. *)
+    key at registration. [trace] names the trace counter {!inc} forwards to. *)
 
 val gauge : ?stable:bool -> ?help:string -> ?labels:(string * string) list -> string -> gauge
 
@@ -36,22 +45,22 @@ val histogram :
   ?help:string ->
   ?labels:(string * string) list ->
   ?bounds:float array ->
+  ?trace:string ->
   string ->
   histogram
 (** [bounds] are inclusive upper bucket bounds, strictly increasing; an
     implicit overflow bucket is appended. Defaults to a 1-2.5-5 decade ladder
-    from 1 to 1000. *)
+    from 1 to 1000. [trace] names the trace histogram {!observe} forwards
+    to. *)
 
 val inc : ?n:int -> counter -> unit
 val set : gauge -> float -> unit
 val add : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
-val set_enabled : bool -> unit
-(** When disabled, {!inc}/{!set}/{!add}/{!observe} are no-ops (a single
-    atomic load). Registration still works. Default: enabled. *)
-
-val is_enabled : unit -> bool
+val value : counter -> int
+(** The counter's current total (zeroed only by {!reset}); readers that
+    need a window take before/after deltas. *)
 
 (** {2 Snapshots} *)
 

@@ -5,8 +5,6 @@
    journals and golden traces stay byte-identical whether profiling is on or
    off. Results are pulled with [report] and exported separately. *)
 
-module Vclock = Xpiler_util.Vclock
-
 type span_agg = {
   mutable s_count : int;
   mutable s_wall : float;
@@ -14,33 +12,18 @@ type span_agg = {
   mutable s_majors : int;
 }
 
-type stage_agg = {
-  mutable g_charges : int;
-  mutable g_virtual : float;
-  mutable g_wall : float;
-}
-
 let enabled = Atomic.make false
 let lock = Mutex.create ()
 let spans : (string, span_agg) Hashtbl.t = Hashtbl.create 16
-let stages : (string, stage_agg) Hashtbl.t = Hashtbl.create 16
 let t_start = ref 0.0
 let t_stop = ref 0.0 (* <= t_start while running *)
-
-(* Wall attribution for stage charges: the wall time since the previous
-   charge (or since [enable]) is attributed to the stage being charged. The
-   virtual clock advances only at charge points, so this is the wall-clock
-   analogue of the same partition of the run. *)
-let last_mark = ref 0.0
 
 let alloc_words (st : Gc.stat) = st.minor_words +. st.major_words -. st.promoted_words
 
 let enable () =
   Mutex.protect lock (fun () ->
-      let now = Unix.gettimeofday () in
-      t_start := now;
-      t_stop := 0.0;
-      last_mark := now);
+      t_start := Unix.gettimeofday ();
+      t_stop := 0.0);
   Atomic.set enabled true
 
 let disable () =
@@ -52,11 +35,8 @@ let is_enabled () = Atomic.get enabled
 let reset () =
   Mutex.protect lock (fun () ->
       Hashtbl.reset spans;
-      Hashtbl.reset stages;
-      let now = Unix.gettimeofday () in
-      t_start := now;
-      t_stop := 0.0;
-      last_mark := now)
+      t_start := Unix.gettimeofday ();
+      t_stop := 0.0)
 
 let record_span name wall alloc majors =
   Mutex.protect lock (fun () ->
@@ -88,33 +68,10 @@ let span name f =
       f
   end
 
-let stage_charge stage_name virtual_s =
-  if Atomic.get enabled then
-    Mutex.protect lock (fun () ->
-        let now = Unix.gettimeofday () in
-        let wall = Float.max 0.0 (now -. !last_mark) in
-        last_mark := now;
-        let agg =
-          match Hashtbl.find_opt stages stage_name with
-          | Some a -> a
-          | None ->
-            let a = { g_charges = 0; g_virtual = 0.0; g_wall = 0.0 } in
-            Hashtbl.replace stages stage_name a;
-            a
-        in
-        agg.g_charges <- agg.g_charges + 1;
-        agg.g_virtual <- agg.g_virtual +. virtual_s;
-        agg.g_wall <- agg.g_wall +. wall)
-
 (* ---- reports ------------------------------------------------------------- *)
 
 type span_row = { span : string; count : int; wall_s : float; alloc_words : float; majors : int }
-type stage_row = { stage : string; charges : int; virtual_s : float; wall_s : float }
-type report = { span_rows : span_row list; stage_rows : stage_row list; total_wall : float }
-
-let stage_rank =
-  let canonical = List.mapi (fun i s -> (Vclock.stage_name s, i)) Vclock.all_stages in
-  fun name -> match List.assoc_opt name canonical with Some i -> i | None -> 100
+type report = { span_rows : span_row list; total_wall : float }
 
 let report () =
   Mutex.protect lock (fun () ->
@@ -126,35 +83,13 @@ let report () =
           spans []
         |> List.sort (fun a b -> compare a.span b.span)
       in
-      let stage_rows =
-        Hashtbl.fold
-          (fun name a acc ->
-            { stage = name; charges = a.g_charges; virtual_s = a.g_virtual; wall_s = a.g_wall } :: acc)
-          stages []
-        |> List.sort (fun a b ->
-               match compare (stage_rank a.stage) (stage_rank b.stage) with
-               | 0 -> compare a.stage b.stage
-               | c -> c)
-      in
       let t_end = if !t_stop > !t_start then !t_stop else Unix.gettimeofday () in
-      { span_rows; stage_rows; total_wall = Float.max 0.0 (t_end -. !t_start) })
+      { span_rows; total_wall = Float.max 0.0 (t_end -. !t_start) })
 
 let to_json r =
   Json.Obj
     [
       ("total_wall_seconds", Json.Float r.total_wall);
-      ( "stages",
-        Json.List
-          (List.map
-             (fun s ->
-               Json.Obj
-                 [
-                   ("stage", Json.Str s.stage);
-                   ("charges", Json.Int s.charges);
-                   ("virtual_seconds", Json.Float s.virtual_s);
-                   ("wall_seconds", Json.Float s.wall_s);
-                 ])
-             r.stage_rows) );
       ( "spans",
         Json.List
           (List.map

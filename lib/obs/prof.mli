@@ -3,8 +3,8 @@
     The tracer's timeline is the deterministic virtual clock; this module
     measures what the same marks cost in {e real} time and allocation,
     sampling [Unix.gettimeofday] and [Gc.quick_stat] around the spans the
-    {!Trace} facade already delimits, and attributing wall time to virtual
-    stages at each [Vclock] charge point.
+    {!Trace} facade already delimits. It brackets work and never guesses:
+    only what runs inside a span is attributed to it.
 
     The profiler stream is deliberately segregated from the tracer: nothing
     here ever emits a trace event or touches a journal, so golden traces stay
@@ -16,8 +16,8 @@
     entry point is a no-op behind a single atomic load. *)
 
 val enable : unit -> unit
-(** Also resets the wall-attribution mark; aggregates from a previous
-    enabled period are kept (call {!reset} for a clean slate). *)
+(** Starts the total-wall window; aggregates from a previous enabled period
+    are kept (call {!reset} for a clean slate). *)
 
 val disable : unit -> unit
 val is_enabled : unit -> bool
@@ -29,19 +29,11 @@ val span : string -> (unit -> 'a) -> 'a
     Exceptions still record the partial cost. [Trace.span] calls this
     automatically while profiling is enabled. *)
 
-val stage_charge : string -> float -> unit
-(** [stage_charge stage virtual_s]: attribute the wall time elapsed since
-    the previous charge (or since {!enable}) to [stage], alongside the
-    virtual seconds charged. Wired to the [Vclock] observer. *)
-
 (** {2 Reports} *)
 
 type span_row = { span : string; count : int; wall_s : float; alloc_words : float; majors : int }
-type stage_row = { stage : string; charges : int; virtual_s : float; wall_s : float }
-
 type report = {
   span_rows : span_row list;  (** sorted by span name *)
-  stage_rows : stage_row list;  (** canonical [Vclock] stage order first *)
   total_wall : float;  (** wall seconds from {!enable} to {!disable} (or now) *)
 }
 

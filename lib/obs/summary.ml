@@ -1,24 +1,6 @@
 module Vclock = Xpiler_util.Vclock
 
-type hist = { n : int; min : float; max : float; mean : float; total : float; samples : float array }
-
-let empty_hist = { n = 0; min = 0.0; max = 0.0; mean = 0.0; total = 0.0; samples = [||] }
-
-let quantile h q =
-  (* Defined on every histogram: empty -> 0.0, single sample -> that sample.
-     Nearest-rank on the sorted sample array, with q clamped to [0, 1]. *)
-  if h.n = 0 || Array.length h.samples = 0 then 0.0
-  else begin
-    let samples = h.samples in
-    let n = Array.length samples in
-    if q <= 0.0 then samples.(0)
-    else if q >= 1.0 then samples.(n - 1)
-    else begin
-      let rank = int_of_float (ceil (q *. float_of_int n)) in
-      let rank = max 1 (min n rank) in
-      samples.(rank - 1)
-    end
-  end
+type hist = { n : int; min : float; max : float; mean : float; total : float }
 
 type t = {
   total_seconds : float;
@@ -42,7 +24,6 @@ let of_events events =
   let span_order = ref [] in
   let counters : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let hists : (string, hist) Hashtbl.t = Hashtbl.create 16 in
-  let hist_samples : (string, float list) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun e ->
       match e with
@@ -60,15 +41,13 @@ let of_events events =
       | Event.Observe { name; v; _ } ->
         let h =
           match Hashtbl.find_opt hists name with
-          | None -> { n = 1; min = v; max = v; mean = v; total = v; samples = [||] }
+          | None -> { n = 1; min = v; max = v; mean = v; total = v }
           | Some h ->
             let n = h.n + 1 and total = h.total +. v in
             { n; min = Float.min h.min v; max = Float.max h.max v;
-              mean = total /. float_of_int n; total; samples = [||] }
+              mean = total /. float_of_int n; total }
         in
-        Hashtbl.replace hists name h;
-        Hashtbl.replace hist_samples name
-          (v :: Option.value ~default:[] (Hashtbl.find_opt hist_samples name))
+        Hashtbl.replace hists name h
       | Event.Instant _ -> ())
     events;
   let stages =
@@ -84,15 +63,6 @@ let of_events events =
       !span_order
   in
   let sorted_bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare in
-  let histograms =
-    sorted_bindings hists
-    |> List.map (fun (name, h) ->
-           let samples =
-             Array.of_list (Option.value ~default:[] (Hashtbl.find_opt hist_samples name))
-           in
-           Array.sort compare samples;
-           (name, { h with samples }))
-  in
   (* summing the per-stage totals in canonical order reproduces exactly the
      float additions [Vclock.elapsed] performs, so the grand total matches
      the clock bit-for-bit, not just approximately *)
@@ -101,7 +71,7 @@ let of_events events =
     stages;
     spans;
     counters = sorted_bindings counters;
-    histograms;
+    histograms = sorted_bindings hists;
     events = List.length events
   }
 

@@ -6,21 +6,7 @@
     stages, mirroring [Vclock.breakdown]; counter and histogram rows sort
     by name so output is stable. *)
 
-type hist = {
-  n : int;
-  min : float;
-  max : float;
-  mean : float;
-  total : float;
-  samples : float array;  (** all observed values, sorted ascending *)
-}
-
-val empty_hist : hist
-
-val quantile : hist -> float -> float
-(** Nearest-rank quantile over [samples], defined on every histogram: an
-    empty histogram yields [0.0] (no exception), a single-sample histogram
-    yields that sample for any [q]; [q] is clamped to [\[0, 1\]]. *)
+type hist = { n : int; min : float; max : float; mean : float; total : float }
 
 type t = {
   total_seconds : float;  (** sum of stage-span durations = [Vclock.elapsed] *)

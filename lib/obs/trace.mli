@@ -5,7 +5,10 @@
     the functions below, which no-op unless a tracer is installed.
     [Core.Xpiler] installs one per translation when
     [Config.trace_level <> Off]; the bench harness installs one around a
-    whole experiment to journal every case into one file.
+    whole experiment to journal every case into one file. An event also
+    counted in the metrics registry is recorded once, through a [Metrics]
+    handle registered with [~trace], which calls {!count} / {!observe}
+    itself.
 
     The current tracer is *domain-local*: the pipeline is deterministic and
     effectively single-threaded per domain, and worker domains spawned by

@@ -13,6 +13,7 @@ type outcome =
   | Gave_up of { reason : string; tests_run : int }
 
 let dedup = Xpiler_util.Listx.dedup
+let take = Xpiler_util.Listx.take
 
 (* constants visible in the program: the context Algorithm 3 harvests *)
 let context_constants (k : Kernel.t) =
@@ -292,32 +293,18 @@ type spec_result =
   | Spec_passed of Kernel.t
   | Spec_failed of Kernel.t * int  (** unit test failed; mismatch score, [max_int] if unscored *)
 
-let spec_batches = ref 0
-let spec_won = ref 0
-let spec_cancelled = ref 0
-
-type spec_stats = { batches : int; won : int; cancelled : int }
-
-let speculation_totals () =
-  { batches = !spec_batches; won = !spec_won; cancelled = !spec_cancelled }
-
-let reset_speculation_totals () =
-  spec_batches := 0;
-  spec_won := 0;
-  spec_cancelled := 0
-
 (* Stable: see the determinism contract above — these count logical, not
-   physical, cancellations. *)
+   physical, cancellations. Batches = won + lost; [cancelled] counts the
+   losers above each winning index. *)
 let m_spec_won =
   Metrics.counter ~help:"speculative repair batches by result" ~labels:[ ("result", "won") ]
-    "xpiler_repair_speculative_total"
+    ~trace:"repair.speculative_won" "xpiler_repair_speculative_total"
+
+let m_spec_lost = Metrics.counter ~labels:[ ("result", "lost") ] "xpiler_repair_speculative_total"
 
 let m_spec_cancelled =
-  Metrics.counter ~labels:[ ("result", "cancelled") ] "xpiler_repair_speculative_total"
-
-let rec take n = function
-  | [] -> []
-  | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
+  Metrics.counter ~labels:[ ("result", "cancelled") ] ~trace:"repair.speculative_cancelled"
+    "xpiler_repair_speculative_total"
 
 let eval_site_speculative ~jobs ~want_score ~op ~shape k site values =
   let winner = Atomic.make max_int in
@@ -355,19 +342,12 @@ let winner_index results =
 
 let spec_site ~jobs ~clock ~tests ~op ~shape ~want_score ~on_failed k site values =
   let results = eval_site_speculative ~jobs ~want_score ~op ~shape k site values in
-  incr spec_batches;
   (match winner_index results with
   | Some w ->
-    incr spec_won;
     Metrics.inc m_spec_won;
-    Trace.count "repair.speculative_won";
     let cancelled = List.length results - w - 1 in
-    if cancelled > 0 then begin
-      spec_cancelled := !spec_cancelled + cancelled;
-      Metrics.inc ~n:cancelled m_spec_cancelled;
-      Trace.count ~n:cancelled "repair.speculative_cancelled"
-    end
-  | None -> ());
+    if cancelled > 0 then Metrics.inc ~n:cancelled m_spec_cancelled
+  | None -> Metrics.inc m_spec_lost);
   (* master-side replay in index order; stops at the winner, so cancelled
      losers (which only ever sit above it) are never replayed *)
   let rec replay = function

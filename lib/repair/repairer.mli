@@ -46,15 +46,12 @@ val repair :
     equals serial testing's (first passing candidate), and the emitted
     charge/trace stream is byte-identical across job counts. *)
 
-(** {2 Bench meters} *)
+(** {2 Bench meters}
 
-type spec_stats = { batches : int; won : int; cancelled : int }
-
-val speculation_totals : unit -> spec_stats
-(** Logical speculation accounting (cancelled = losers above each winning
-    index), jobs-invariant by construction. *)
-
-val reset_speculation_totals : unit -> unit
+    Speculation is counted in the registry as
+    [xpiler_repair_speculative_total{result=won|lost|cancelled}]: one
+    [won] or [lost] per batch, and [cancelled] adds the losers above each
+    winning index. The accounting is logical, hence jobs-invariant. *)
 
 val reset_verdict_memo : unit -> unit
 (** Drop the process-global candidate verdict/score memo (unit-test trial

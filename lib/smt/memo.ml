@@ -62,8 +62,6 @@ let capacity = 65536
 let mutex = Mutex.create ()
 let table : entry KTbl.t = KTbl.create 256
 let enabled = ref true
-let hit_count = ref 0
-let miss_count = ref 0
 
 (* durable-store hook: called outside the mutex on every fresh [store];
    [restore] bypasses it so log replay never echoes back to disk *)
@@ -76,11 +74,9 @@ let is_enabled () = Mutex.protect mutex (fun () -> !enabled)
 let find_locked key =
   match KTbl.find_opt table key with
   | Some e ->
-    incr hit_count;
     Metrics.inc m_hits;
     Some e
   | None ->
-    incr miss_count;
     Metrics.inc m_misses;
     None
 
@@ -117,14 +113,9 @@ let restore key entry =
 
 let fold f acc = Mutex.protect mutex (fun () -> KTbl.fold f table acc)
 
-let hits () = Mutex.protect mutex (fun () -> !hit_count)
-let misses () = Mutex.protect mutex (fun () -> !miss_count)
+let hits () = Metrics.value m_hits
+let misses () = Metrics.value m_misses
 let size () = Mutex.protect mutex (fun () -> KTbl.length table)
-
-let reset_stats () =
-  Mutex.protect mutex (fun () ->
-      hit_count := 0;
-      miss_count := 0)
 
 let clear () =
   Mutex.protect mutex (fun () ->

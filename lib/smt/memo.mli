@@ -8,7 +8,7 @@
     the key, which is what makes memoizing [Unsat] and [Timeout] sound.
 
     [Solver] is the only intended writer; benches and tests use
-    [set_enabled]/[clear]/[reset_stats] to build cold baselines. *)
+    [set_enabled]/[clear] to build cold baselines. *)
 
 type mode = Solve | Models of { limit : int }
 
@@ -28,8 +28,8 @@ type payload =
 type entry = { payload : payload; stats : Problem.stats  (** the receipt *) }
 
 val find : mode:mode -> max_steps:int -> Problem.t -> entry option
-(** [None] when absent or when the memo is disabled. Counts a hit/miss
-    (registry + [hits]/[misses]) only while enabled. *)
+(** [None] when absent or when the memo is disabled. Counts a hit/miss in
+    the registry (read back by {!hits}/{!misses}) only while enabled. *)
 
 val store : mode:mode -> max_steps:int -> Problem.t -> entry -> unit
 (** No-op while disabled. Evicts half the table at capacity. *)
@@ -41,8 +41,10 @@ val is_enabled : unit -> bool
 
 val hits : unit -> int
 val misses : unit -> int
+(** Totals of [xpiler_smt_memo_lookups_total] since the last
+    [Metrics.reset]; measure a window with deltas. *)
+
 val size : unit -> int
-val reset_stats : unit -> unit
 val clear : unit -> unit
 
 (** {2 Durable-store integration} (see [Xpiler_store.Store]) *)

@@ -243,7 +243,7 @@ module Metrics = Xpiler_obs.Metrics
    ladder, so query counts and step distributions are workload-determined. *)
 let m_queries verdict =
   Metrics.counter ~help:"SMT queries by verdict" ~labels:[ ("verdict", verdict) ]
-    "xpiler_smt_queries_total"
+    ~trace:("smt." ^ verdict) "xpiler_smt_queries_total"
 
 let m_sat = m_queries "sat"
 let m_unsat = m_queries "unsat"
@@ -251,19 +251,18 @@ let m_timeout = m_queries "timeout"
 
 let m_steps =
   Metrics.histogram ~help:"search steps per SMT query"
-    ~bounds:[| 1.0; 10.0; 100.0; 1000.0; 10000.0; 100000.0 |] "xpiler_smt_steps"
+    ~bounds:[| 1.0; 10.0; 100.0; 1000.0; 10000.0; 100000.0 |] ~trace:"smt.steps"
+    "xpiler_smt_steps"
 
 let m_skipped =
   Metrics.counter ~help:"constraint evaluations avoided by last-bound-variable indexing"
     "xpiler_smt_constraints_skipped_total"
 
+(* [smt.queries] first: the journal's event order is queries, verdict, steps *)
 let record_query (stats : stats) verdict =
-  Metrics.inc
-    (match verdict with "sat" -> m_sat | "unsat" -> m_unsat | _ -> m_timeout);
-  Metrics.observe m_steps (float_of_int stats.steps);
   Trace.count "smt.queries";
-  Trace.count ("smt." ^ verdict);
-  Trace.observe "smt.steps" (float_of_int stats.steps)
+  Metrics.inc (match verdict with "sat" -> m_sat | "unsat" -> m_unsat | _ -> m_timeout);
+  Metrics.observe m_steps (float_of_int stats.steps)
 
 (* ---- engine selection and fresh-work meters ------------------------------- *)
 

@@ -15,7 +15,7 @@ let memo_metrics table =
     Metrics.counter ~stable:false ~labels:(("result", "miss") :: lbl)
       "xpiler_intra_memo_lookups_total",
     Metrics.counter ~stable:false ~help:"intra memo entries dropped by capacity eviction"
-      ~labels:lbl "xpiler_intra_memo_evictions_total" )
+      ~labels:lbl ~trace:"intra.memo_evictions" "xpiler_intra_memo_evictions_total" )
 
 let compile_metrics = memo_metrics "compile"
 let throughput_metrics = memo_metrics "throughput"
@@ -116,10 +116,7 @@ let memoized tbl (m_hit, m_miss, m_evict) compute key =
           PTbl.replace tbl key v;
           dropped)
     in
-    if dropped > 0 then begin
-      Metrics.inc ~n:dropped m_evict;
-      Trace.count ~n:dropped "intra.memo_evictions"
-    end;
+    if dropped > 0 then Metrics.inc ~n:dropped m_evict;
     v
 
 let compiles platform k =

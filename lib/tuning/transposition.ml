@@ -16,7 +16,6 @@
    different configurations never alias. *)
 
 open Xpiler_machine
-module Trace = Xpiler_obs.Trace
 module Metrics = Xpiler_obs.Metrics
 
 (* Registry metrics are unstable: lookups run inside pooled worker domains,
@@ -36,7 +35,7 @@ let m_evals =
 
 let m_evictions =
   Metrics.counter ~stable:false ~help:"entries dropped by capacity eviction"
-    "xpiler_transposition_evictions_total"
+    ~trace:"mcts.tt_evictions" "xpiler_transposition_evictions_total"
 
 let m_entries =
   Metrics.gauge ~stable:false ~help:"live transposition table entries" "xpiler_transposition_entries"
@@ -83,13 +82,6 @@ let table : entry KTbl.t = KTbl.create 1024
 let observer : (Key.t -> entry -> unit) option ref = ref None
 let set_observer o = Mutex.protect mutex (fun () -> observer := o)
 
-(* stats are plain counters under the same mutex; [evals] additionally
-   counts fresh reward evaluations (including ones made with sharing off, so
-   benches can compare baseline and shared searches with one meter) *)
-let hit_count = ref 0
-let miss_count = ref 0
-let eval_count = ref 0
-
 let key ~platform ~budget ~prune ~compose kernel =
   { Key.platform; budget; prune; compose; kernel }
 
@@ -97,11 +89,9 @@ let find ~platform ~budget ~prune ~compose kernel =
   Mutex.protect mutex (fun () ->
       match KTbl.find_opt table (key ~platform ~budget ~prune ~compose kernel) with
       | Some e ->
-        incr hit_count;
         Metrics.inc m_hits;
         Some e
       | None ->
-        incr miss_count;
         Metrics.inc m_misses;
         None)
 
@@ -129,10 +119,7 @@ let store ~platform ~budget ~prune ~compose kernel entry =
         (dropped, KTbl.length table, !observer))
   in
   Metrics.set m_entries (float_of_int entries);
-  if dropped > 0 then begin
-    Metrics.inc ~n:dropped m_evictions;
-    Trace.count ~n:dropped "mcts.tt_evictions"
-  end;
+  if dropped > 0 then Metrics.inc ~n:dropped m_evictions;
   match obs with Some f -> f k entry | None -> ()
 
 let restore k entry =
@@ -148,24 +135,12 @@ let restore k entry =
 
 let fold f acc = Mutex.protect mutex (fun () -> KTbl.fold f table acc)
 
-let count_eval () =
-  Metrics.inc m_evals;
-  Mutex.protect mutex (fun () -> incr eval_count)
+let count_eval () = Metrics.inc m_evals
 let size () = Mutex.protect mutex (fun () -> KTbl.length table)
-let hits () = Mutex.protect mutex (fun () -> !hit_count)
-let misses () = Mutex.protect mutex (fun () -> !miss_count)
-let evals () = Mutex.protect mutex (fun () -> !eval_count)
-
-let reset_stats () =
-  Mutex.protect mutex (fun () ->
-      hit_count := 0;
-      miss_count := 0;
-      eval_count := 0)
+let hits () = Metrics.value m_hits
+let misses () = Metrics.value m_misses
+let evals () = Metrics.value m_evals
 
 let clear () =
   Metrics.set m_entries 0.0;
-  Mutex.protect mutex (fun () ->
-      KTbl.reset table;
-      hit_count := 0;
-      miss_count := 0;
-      eval_count := 0)
+  Mutex.protect mutex (fun () -> KTbl.reset table)

@@ -56,15 +56,16 @@ val count_eval : unit -> unit
     benches can compare search modes with a single meter. *)
 
 val size : unit -> int
+
 val hits : unit -> int
 val misses : unit -> int
 val evals : unit -> int
-
-val reset_stats : unit -> unit
-(** Zero the hit/miss/eval counters, keeping the entries. *)
+(** Totals since the last [Metrics.reset], read from the registry counters
+    [xpiler_transposition_lookups_total] and
+    [xpiler_transposition_evals_total]; measure a window with deltas. *)
 
 val clear : unit -> unit
-(** Drop all entries and zero the counters (bench/test isolation). *)
+(** Drop all entries (bench/test isolation); the counters keep running. *)
 
 (** {2 Durable-store integration} (see [Xpiler_store.Store]) *)
 

@@ -14,7 +14,7 @@ module Json = Xpiler_obs.Json
 module Event = Xpiler_obs.Event
 module Tracer = Xpiler_obs.Tracer
 module Journal = Xpiler_obs.Journal
-module Summary = Xpiler_obs.Summary
+module Trace = Xpiler_obs.Trace
 module Metrics = Xpiler_obs.Metrics
 module Prof = Xpiler_obs.Prof
 module BH = Xpiler_obs.Bench_history
@@ -96,17 +96,24 @@ let test_kind_conflict () =
   in
   Alcotest.(check bool) "name reuse across kinds raises" true raised
 
-let test_disabled_noop () =
-  let c = Metrics.counter "testm_disabled_total" in
-  Fun.protect
-    ~finally:(fun () -> Metrics.set_enabled true)
-    (fun () ->
-      Metrics.inc c;
-      Metrics.set_enabled false;
-      Alcotest.(check bool) "reports disabled" false (Metrics.is_enabled ());
-      Metrics.inc ~n:100 c);
-  Alcotest.(check (option int)) "updates dropped while disabled" (Some 1)
-    (counter_value "testm_disabled_total" [] (Metrics.snapshot ()))
+(* a [~trace] handle feeds the ambient tracer with the same call, and obeys
+   the facade: silent without a tracer and inside [Trace.without] *)
+let test_trace_forwarding () =
+  let c = Metrics.counter ~trace:"testm.fwd" "testm_fwd_total" in
+  let h = Metrics.histogram ~trace:"testm.fwd_h" "testm_fwd_hist" in
+  Metrics.inc c;
+  let t = Tracer.create ~level:Tracer.Detail () in
+  Trace.install t;
+  Fun.protect ~finally:Trace.uninstall (fun () ->
+      Metrics.inc ~n:3 c;
+      Metrics.observe h 2.0;
+      Trace.without (fun () -> Metrics.inc ~n:10 c));
+  Alcotest.(check int) "registry sees every update" 14 (Metrics.value c);
+  Alcotest.(check int) "trace sees the traced ones" 3 (Tracer.counter_total t "testm.fwd");
+  Alcotest.(check bool) "observe forwarded" true
+    (List.exists
+       (function Event.Observe { name = "testm.fwd_h"; v = 2.0; _ } -> true | _ -> false)
+       (Tracer.events t))
 
 let test_stable_only_filter () =
   let stable = Metrics.counter "testm_stable_total" in
@@ -231,26 +238,42 @@ let test_json_parseable () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("metrics JSON does not parse: " ^ e)
 
-(* ---- summary quantiles --------------------------------------------------- *)
+(* ---- trace/registry parity --------------------------------------------- *)
 
-let summary_hist values =
+(* every registry handle that forwards to a trace counter, with that name *)
+let forwarded =
+  [ ("llm.attempts", "xpiler_llm_attempts_total", []);
+    ("llm.garbage", "xpiler_llm_garbage_total", []) ]
+  @ List.map
+      (fun r -> ("pass." ^ r, "xpiler_passes_total", [ ("result", r) ]))
+      [ "applied"; "inapplicable"; "broken"; "skipped" ]
+  @ List.map
+      (fun v -> ("smt." ^ v, "xpiler_smt_queries_total", [ ("verdict", v) ]))
+      [ "sat"; "unsat"; "timeout" ]
+  @ List.map
+      (fun r -> ("repair.speculative_" ^ r, "xpiler_repair_speculative_total", [ ("result", r) ]))
+      [ "won"; "cancelled" ]
+
+(* one traced translation that reaches SMT repair: each forwarded trace
+   counter must equal the registry delta of its handle over the same run *)
+let test_trace_registry_parity () =
+  let relu = Registry.find_exn "relu" in
+  let handles =
+    List.map (fun (tname, name, labels) -> (tname, Metrics.counter ~labels name)) forwarded
+  in
+  let before = List.map (fun (_, c) -> Metrics.value c) handles in
   let t = Tracer.create ~level:Tracer.Detail () in
-  List.iter (Tracer.observe t "h") values;
-  match List.assoc_opt "h" (Summary.of_events (Tracer.events t)).Summary.histograms with
-  | Some h -> h
-  | None -> Alcotest.fail "summary histogram missing"
-
-let test_summary_quantile_edges () =
-  Alcotest.(check (float 1e-9)) "empty hist -> 0, no exception" 0.0
-    (Summary.quantile Summary.empty_hist 0.5);
-  let one = summary_hist [ 3.0 ] in
-  Alcotest.(check (float 1e-9)) "single sample, any q" 3.0 (Summary.quantile one 0.73);
-  let four = summary_hist [ 4.0; 1.0; 3.0; 2.0 ] in
-  Alcotest.(check (float 1e-9)) "q=0 -> min" 1.0 (Summary.quantile four 0.0);
-  Alcotest.(check (float 1e-9)) "q=1 -> max" 4.0 (Summary.quantile four 1.0);
-  Alcotest.(check (float 1e-9)) "nearest-rank p50" 2.0 (Summary.quantile four 0.5);
-  Alcotest.(check (float 1e-9)) "nearest-rank p75" 3.0 (Summary.quantile four 0.75);
-  Alcotest.(check (float 1e-9)) "q clamped above" 4.0 (Summary.quantile four 1.5)
+  Trace.install t;
+  Fun.protect ~finally:Trace.uninstall (fun () ->
+      ignore
+        (Xpiler.transcompile ~config:(Config.with_fault_scale Config.default 20.0)
+           ~src:Platform.Cuda ~dst:Platform.Bang ~op:relu ~shape:(List.hd relu.Opdef.shapes) ()));
+  List.iter2
+    (fun (tname, c) v0 ->
+      Alcotest.(check int) tname (Tracer.counter_total t tname) (Metrics.value c - v0))
+    handles before;
+  Alcotest.(check bool) "the run reached speculative repair" true
+    (Tracer.counter_total t "repair.speculative_won" > 0)
 
 (* ---- journal sink -------------------------------------------------------- *)
 
@@ -308,27 +331,13 @@ let test_prof_aggregation () =
   Fun.protect ~finally:Prof.disable (fun () ->
       let v = Prof.span "testm.work" (fun () -> Array.length (Array.make 4096 0.0)) in
       Alcotest.(check int) "span passes the value through" 4096 v;
-      ignore (Prof.span "testm.work" (fun () -> ()));
-      Prof.stage_charge "llm-transform" 2.0;
-      Prof.stage_charge "llm-transform" 0.5;
-      Prof.stage_charge "unit-test" 1.0);
+      ignore (Prof.span "testm.work" (fun () -> ())));
   let r = Prof.report () in
   (match List.find_opt (fun (s : Prof.span_row) -> s.Prof.span = "testm.work") r.Prof.span_rows with
   | None -> Alcotest.fail "span row missing"
   | Some s ->
     Alcotest.(check int) "span count" 2 s.Prof.count;
     Alcotest.(check bool) "wall time non-negative" true (s.Prof.wall_s >= 0.0));
-  (match
-     List.find_opt (fun (s : Prof.stage_row) -> s.Prof.stage = "llm-transform") r.Prof.stage_rows
-   with
-  | None -> Alcotest.fail "stage row missing"
-  | Some s ->
-    Alcotest.(check int) "stage charges" 2 s.Prof.charges;
-    Alcotest.(check (float 1e-9)) "virtual seconds accumulate" 2.5 s.Prof.virtual_s);
-  (* canonical Vclock order: llm-transform precedes unit-test *)
-  let stages = List.map (fun (s : Prof.stage_row) -> s.Prof.stage) r.Prof.stage_rows in
-  let idx name = Option.get (List.find_index (( = ) name) stages) in
-  Alcotest.(check bool) "canonical stage order" true (idx "llm-transform" < idx "unit-test");
   (* JSON export parses back *)
   (match Json.parse (Json.to_string (Prof.to_json r)) with
   | Ok _ -> ()
@@ -653,7 +662,8 @@ let () =
         [ Alcotest.test_case "counter gauge histogram" `Quick test_counter_gauge_histogram;
           Alcotest.test_case "labels" `Quick test_labels;
           Alcotest.test_case "kind conflict" `Quick test_kind_conflict;
-          Alcotest.test_case "disabled no-op" `Quick test_disabled_noop;
+          Alcotest.test_case "trace forwarding" `Quick test_trace_forwarding;
+          Alcotest.test_case "trace parity" `Quick test_trace_registry_parity;
           Alcotest.test_case "stable-only filter" `Quick test_stable_only_filter;
           Alcotest.test_case "merge" `Quick test_merge;
           Alcotest.test_case "hist quantile edges" `Quick test_hist_quantile_edges;
@@ -661,8 +671,6 @@ let () =
           Alcotest.test_case "pool latency histogram" `Quick test_pool_latency_histogram;
           Alcotest.test_case "json parseable" `Quick test_json_parseable
         ] );
-      ( "summary",
-        [ Alcotest.test_case "quantile edges" `Quick test_summary_quantile_edges ] );
       ( "journal",
         [ Alcotest.test_case "buffered sink" `Quick test_journal_sink ] );
       ( "profiler",
