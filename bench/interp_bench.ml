@@ -1,6 +1,6 @@
 (* Evaluation-engine benchmark: tree-walking reference interpreter vs the
    closure-compiled engine, plus parallel-tuning scaling. Writes
-   BENCH_eval.json (schema xpiler-eval-bench/v3) into the current
+   BENCH_eval.json (schema xpiler-eval-bench/v4) into the current
    directory.
 
    Usage:
@@ -9,7 +9,9 @@
 
    The smoke run is attached to `dune runtest` via the @bench-smoke alias:
    it cross-checks that both engines produce identical outputs before
-   timing them. *)
+   timing them, and fails when the serial gemm kernel allocates more than
+   [gemm_words_per_step_limit] minor words per executed statement on the
+   compiled engine (its accumulator loop must stay unboxed). *)
 
 open Xpiler_machine
 open Xpiler_ops
@@ -31,7 +33,10 @@ type row = {
   tree_eps : float;  (** tree-walker elements/second *)
   compiled_eps : float;
   speedup : float;
+  words_per_step : float;  (** compiled-engine minor words per executed statement *)
 }
+
+let gemm_words_per_step_limit = 1.0
 
 let elems (s : Interp.stats) = s.stores + s.intrinsic_elems + s.memcpy_elems
 
@@ -94,11 +99,23 @@ let bench_op name =
   (* timed loops reuse one argument set: outputs are recomputed in place *)
   let tree_eps = rate ~min_time ~elems_per_run (fun () -> Interp.run_tree kernel a_tree) in
   let compiled_eps = rate ~min_time ~elems_per_run (fun () -> Interp.run kernel a_comp) in
+  (* one run on the warm compile cache; allocation is deterministic *)
+  let w0 = Gc.minor_words () in
+  let s = Interp.run kernel a_comp in
+  let words_per_step = (Gc.minor_words () -. w0) /. float_of_int s.Interp.steps in
   let r =
-    { op_name = name; elems_per_run; tree_eps; compiled_eps; speedup = compiled_eps /. tree_eps }
+    { op_name = name;
+      elems_per_run;
+      tree_eps;
+      compiled_eps;
+      speedup = compiled_eps /. tree_eps;
+      words_per_step
+    }
   in
-  Printf.printf "%-14s %10d elems/run | tree %12.3e elems/s | compiled %12.3e elems/s | %5.1fx\n%!"
-    r.op_name r.elems_per_run r.tree_eps r.compiled_eps r.speedup;
+  Printf.printf
+    "%-14s %10d elems/run | tree %12.3e elems/s | compiled %12.3e elems/s | %5.1fx | \
+     %6.2f words/step\n%!"
+    r.op_name r.elems_per_run r.tree_eps r.compiled_eps r.speedup r.words_per_step;
   r
 
 let bench_tuning () =
@@ -154,6 +171,12 @@ let bench_tuning () =
 let () =
   Printf.printf "evaluation-engine benchmark%s\n%!" (if smoke then " (smoke)" else "");
   let rows = List.map bench_op bench_ops in
+  let gemm = List.find (fun r -> r.op_name = "gemm") rows in
+  if gemm.words_per_step > gemm_words_per_step_limit then begin
+    Printf.eprintf "allocation gate: serial gemm allocates %.2f words/step (limit %.1f)\n"
+      gemm.words_per_step gemm_words_per_step_limit;
+    exit 1
+  end;
   let geomean xs =
     exp (List.fold_left (fun a x -> a +. log x) 0.0 xs /. float_of_int (List.length xs))
   in
@@ -161,14 +184,15 @@ let () =
   Printf.printf "geomean speedup: %.1fx\n%!" g;
   let sims, cores, t1, t4 = bench_tuning () in
   let oc = open_out "BENCH_eval.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"xpiler-eval-bench/v3\",\n  \"smoke\": %b,\n" smoke;
+  Printf.fprintf oc "{\n  \"schema\": \"xpiler-eval-bench/v4\",\n  \"smoke\": %b,\n" smoke;
   Printf.fprintf oc "  \"kernels\": [\n";
   List.iteri
     (fun i r ->
       Printf.fprintf oc
         "    {\"op\": %S, \"elems_per_run\": %d, \"tree_elems_per_sec\": %.6e, \
-         \"compiled_elems_per_sec\": %.6e, \"speedup\": %.3f}%s\n"
-        r.op_name r.elems_per_run r.tree_eps r.compiled_eps r.speedup
+         \"compiled_elems_per_sec\": %.6e, \"speedup\": %.3f, \
+         \"compiled_words_per_step\": %.3f}%s\n"
+        r.op_name r.elems_per_run r.tree_eps r.compiled_eps r.speedup r.words_per_step
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ],\n  \"geomean_speedup\": %.3f,\n" g;

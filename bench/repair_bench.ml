@@ -82,7 +82,7 @@ let run_arm ~engine ~memo config_of op_name src dst scale =
   Memo.clear ();
   Memo.set_enabled memo;
   Solver.reset_work_totals ();
-  Repairer.reset_verdict_memo ();
+  Unit_test.reset_memo ();
   Repairer.reset_wall_totals ();
   let hits = delta Memo.hits and misses = delta Memo.misses in
   let won = delta (spec_meter "won")

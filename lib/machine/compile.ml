@@ -42,18 +42,21 @@ let tally ctx buf n =
   | None -> ()
   | Some tbl -> Hashtbl.replace tbl buf (n + Option.value ~default:0 (Hashtbl.find_opt tbl buf))
 
+let oob_read b i n = err "out-of-bounds read %s[%d] (size %d)" b i n
+let oob_write b i n = err "out-of-bounds write %s[%d] (size %d)" b i n
+
 (* single bounds check, then unsafe access: these run once per simulated
-   element so the double check of Tensor.get/set is measurable *)
-let buf_get t b i =
+   element so the double check of Tensor.get/set is measurable. Inlined,
+   with the error path out of line: without flambda a float crossing a
+   function call is boxed, so a called [buf_get] allocates per element *)
+let[@inline] buf_get t b i =
   let data = t.Tensor.data in
-  if i < 0 || i >= Array.length data then
-    err "out-of-bounds read %s[%d] (size %d)" b i (Array.length data)
+  if i < 0 || i >= Array.length data then oob_read b i (Array.length data)
   else Array.unsafe_get data i
 
-let buf_set t b i v =
+let[@inline] buf_set t b i v =
   let data = t.Tensor.data in
-  if i < 0 || i >= Array.length data then
-    err "out-of-bounds write %s[%d] (size %d)" b i (Array.length data)
+  if i < 0 || i >= Array.length data then oob_write b i (Array.length data)
   else Array.unsafe_set data i v
 
 let int_binop op a b =
@@ -318,6 +321,11 @@ module Trace = Xpiler_obs.Trace
 
 let fresh_stats () = { steps = 0; stores = 0; intrinsic_elems = 0; memcpy_elems = 0; barriers = 0 }
 
+type receipt = { stats : stats; traffic : (string * int) list option; error : string option }
+
+let traffic_list =
+  Option.map (fun tbl -> List.sort compare (Hashtbl.fold (fun buf n acc -> (buf, n) :: acc) tbl []))
+
 (* profiling hook: per-run op counts and per-buffer write traffic, emitted
    to the ambient tracer so unit-test and localization executions show up
    in the per-translation trace *)
@@ -329,20 +337,23 @@ let profile stats traffic =
     Trace.count ~n:stats.intrinsic_elems "interp.intrinsic_elems";
     Trace.count ~n:stats.memcpy_elems "interp.memcpy_elems";
     Trace.count ~n:stats.barriers "interp.barriers";
-    match traffic with
-    | None -> ()
-    | Some tbl ->
-      Hashtbl.fold (fun buf n acc -> (buf, n) :: acc) tbl []
-      |> List.sort compare
-      |> List.iter (fun (buf, n) -> Trace.count ~n ("interp.traffic." ^ buf))
+    Option.iter (List.iter (fun (buf, n) -> Trace.count ~n ("interp.traffic." ^ buf))) traffic
   end
+
+let replay r = profile r.stats r.traffic
 
 (* ---- the closure compiler ---------------------------------------------- *)
 
-(* [ints] holds the variables proven always-integer (loop counters, int lets):
-   writing an [int array] slot allocates nothing and skips the generational
-   write barrier that boxed [value array] writes pay on every loop iteration *)
-type frame = { scalars : value array; ints : int array; bufs : Tensor.t array }
+(* [ints] holds the variables proven always-integer (loop counters, int lets)
+   and [floats] those proven always-float (accumulators): writing an unboxed
+   array slot allocates nothing and skips the generational write barrier
+   that boxed [value array] writes pay on every loop iteration *)
+type frame = {
+  scalars : value array;
+  ints : int array;
+  floats : float array;
+  bufs : Tensor.t array;
+}
 
 type slot = Scalar_slot of int | Buffer_slot of int
 
@@ -350,6 +361,7 @@ type t = {
   code : ctx -> frame -> unit;
   nscalars : int;
   nints : int;
+  nfloats : int;
   nbufs : int;
   param_binds : (Kernel.param * slot) list;
 }
@@ -358,45 +370,83 @@ type t = {
    most recent binding first, exactly the tree-walker's cons discipline.
    [Unboxed] slots live in [frame.ints]: every runtime write to them is an
    integer (loop counters, int-valued lets never reassigned), which licenses
-   the unboxed integer compilation path below. [Fboxed] slots are ordinary
-   [frame.scalars] slots additionally proven to always hold [F _], which
-   licenses the unboxed float path. *)
-type sref = Boxed of int | Fboxed of int | Unboxed of int
+   the unboxed integer compilation path below. [Fslot] slots live in
+   [frame.floats]: every runtime write to them is proven to be an [F _],
+   which licenses the unboxed float path. *)
+type sref = Boxed of int | Fslot of int | Unboxed of int
 
 type cenv = { svars : (string * sref) list; bvars : (string * int) list }
 
 let dummy_tensor = Tensor.create 0
 
+(* [float_valued is_float_var e]: evaluation provably yields [F _], given
+   that every variable satisfying [is_float_var] holds an [F _]. Transcendental
+   unops always do; arithmetic does if either operand does (the mixed case
+   takes [float_binop]). *)
+let rec float_valued is_float_var (e : Expr.t) =
+  match e with
+  | Float _ -> true
+  | Int _ | Load _ -> false
+  | Var x -> is_float_var x
+  | Binop ((Eq | Ne | Lt | Le | Gt | Ge | And | Or), _, _) -> false
+  | Binop (_, l, r) -> float_valued is_float_var l || float_valued is_float_var r
+  | Unop ((Exp | Log | Sqrt | Rsqrt | Tanh | Erf | Recip | Floor), _) -> true
+  | Unop ((Neg | Abs), x) -> float_valued is_float_var x
+  | Unop (Not, _) -> false
+  | Select (_, t, f) -> float_valued is_float_var t && float_valued is_float_var f
+  | Cast (d, _) -> Dtype.is_float d
+
+(* The names that only ever hold floats: the greatest set of Let/Assign
+   targets, excluding parameter and loop-variable names, such that every
+   Let/Assign value of a member is [float_valued] assuming the members are.
+   Start from all targets and drop violators until none is left. *)
+let float_names (k : Kernel.t) =
+  let excluded = Hashtbl.create 16 and defs = ref [] in
+  List.iter (fun (p : Kernel.param) -> Hashtbl.replace excluded p.name ()) k.Kernel.params;
+  Stmt.iter
+    (fun s ->
+      match s with
+      | Stmt.Let { var; value } | Stmt.Assign { var; value } -> defs := (var, value) :: !defs
+      | Stmt.For { var; _ } -> Hashtbl.replace excluded var ()
+      | _ -> ())
+    k.Kernel.body;
+  let names = Hashtbl.create 16 in
+  List.iter
+    (fun (v, _) -> if not (Hashtbl.mem excluded v) then Hashtbl.replace names v ())
+    !defs;
+  let rec shrink () =
+    let violators =
+      List.filter
+        (fun (v, e) -> Hashtbl.mem names v && not (float_valued (Hashtbl.mem names) e))
+        !defs
+    in
+    if violators <> [] then begin
+      List.iter (fun (v, _) -> Hashtbl.remove names v) violators;
+      shrink ()
+    end
+  in
+  shrink ();
+  names
+
 let compile (k : Kernel.t) : t =
-  let nscalars = ref 0 and nints = ref 0 and nbufs = ref 0 in
-  let fresh_scalar () =
-    let s = !nscalars in
-    incr nscalars;
+  let nscalars = ref 0 and nints = ref 0 and nfloats = ref 0 and nbufs = ref 0 in
+  let fresh r =
+    let s = !r in
+    incr r;
     s
   in
-  let fresh_int () =
-    let s = !nints in
-    incr nints;
-    s
-  in
-  let fresh_buf () =
-    let s = !nbufs in
-    incr nbufs;
-    s
-  in
+  let fresh_scalar () = fresh nscalars in
+  let fresh_int () = fresh nints in
+  let fresh_float () = fresh nfloats in
+  let fresh_buf () = fresh nbufs in
+  let float_names = float_names k in
   (* names ever targeted by an Assign anywhere in the kernel: a variable not
      in this set whose binding only ever writes integers can never observe a
      float, so expressions over it compile to unboxed int closures *)
   let assigned = Hashtbl.create 16 in
-  let rec scan_stmt = function
-    | Stmt.Assign { var; _ } -> Hashtbl.replace assigned var ()
-    | Stmt.For { body; _ } -> List.iter scan_stmt body
-    | Stmt.If { then_; else_; _ } ->
-      List.iter scan_stmt then_;
-      List.iter scan_stmt else_
-    | _ -> ()
-  in
-  List.iter scan_stmt k.Kernel.body;
+  Stmt.iter
+    (function Stmt.Assign { var; _ } -> Hashtbl.replace assigned var () | _ -> ())
+    k.Kernel.body;
   let never_assigned v = not (Hashtbl.mem assigned v) in
   (* a reference to a buffer name: raising closure when unbound, so unbound
      names fail at execution time (a never-executed branch must not fail) *)
@@ -420,23 +470,13 @@ let compile (k : Kernel.t) : t =
     | Select (_, t, f) -> static_int cenv t && static_int cenv f
     | Cast (d, _) -> not (Dtype.is_float d)
   in
-  (* [static_float cenv e]: evaluation provably yields [F _]. Transcendental
-     unops always do; arithmetic does if either operand does (the mixed case
-     takes [float_binop]). Matters only as the licence to evaluate a [Binop]'s
-     operands unboxed: an [I , I] pair must keep taking the [int_binop] path,
-     so only a proof that one side is [F] lets both sides skip boxing. *)
-  let rec static_float cenv (e : Expr.t) =
-    match e with
-    | Float _ -> true
-    | Int _ | Load _ -> false
-    | Var x -> ( match List.assoc_opt x cenv.svars with Some (Fboxed _) -> true | _ -> false)
-    | Binop ((Eq | Ne | Lt | Le | Gt | Ge | And | Or), _, _) -> false
-    | Binop (_, l, r) -> static_float cenv l || static_float cenv r
-    | Unop ((Exp | Log | Sqrt | Rsqrt | Tanh | Erf | Recip | Floor), _) -> true
-    | Unop ((Neg | Abs), x) -> static_float cenv x
-    | Unop (Not, _) -> false
-    | Select (_, t, f) -> static_float cenv t && static_float cenv f
-    | Cast (d, _) -> Dtype.is_float d
+  (* [static_float cenv e]: evaluation provably yields [F _]. Matters only as
+     the licence to evaluate a [Binop]'s operands unboxed: an [I , I] pair
+     must keep taking the [int_binop] path, so only a proof that one side is
+     [F] lets both sides skip boxing. *)
+  let static_float cenv =
+    float_valued (fun x ->
+        match List.assoc_opt x cenv.svars with Some (Fslot _) -> true | _ -> false)
   in
   let rec comp cenv (e : Expr.t) : frame -> value =
     match e with
@@ -448,7 +488,8 @@ let compile (k : Kernel.t) : t =
       fun _ -> v
     | Var x -> (
       match List.assoc_opt x cenv.svars with
-      | Some (Boxed s) | Some (Fboxed s) -> fun fr -> fr.scalars.(s)
+      | Some (Boxed s) -> fun fr -> fr.scalars.(s)
+      | Some (Fslot s) -> fun fr -> F (Array.unsafe_get fr.floats s)
       | Some (Unboxed s) -> fun fr -> I fr.ints.(s)
       | None -> fun _ -> err "unbound variable %s" x)
     | Load (b, i) ->
@@ -533,7 +574,8 @@ let compile (k : Kernel.t) : t =
     | Var x -> (
       match List.assoc_opt x cenv.svars with
       | Some (Unboxed s) -> fun fr -> Array.unsafe_get fr.ints s
-      | Some (Boxed s) | Some (Fboxed s) -> fun fr -> to_int fr.scalars.(s)
+      | Some (Boxed s) -> fun fr -> to_int fr.scalars.(s)
+      | Some (Fslot s) -> fun fr -> int_of_float (Array.unsafe_get fr.floats s)
       | None -> fun _ -> err "unbound variable %s" x)
     | Binop (op, l, r) when static_int cenv l && static_int cenv r ->
       let il = comp_iint cenv l in
@@ -667,7 +709,8 @@ let compile (k : Kernel.t) : t =
     | Float f -> fun _ -> f
     | Var x -> (
       match List.assoc_opt x cenv.svars with
-      | Some (Boxed s) | Some (Fboxed s) -> fun fr -> to_float fr.scalars.(s)
+      | Some (Boxed s) -> fun fr -> to_float fr.scalars.(s)
+      | Some (Fslot s) -> fun fr -> Array.unsafe_get fr.floats s
       | Some (Unboxed s) -> fun fr -> float_of_int (Array.unsafe_get fr.ints s)
       | None -> fun _ -> err "unbound variable %s" x)
     | Load (b, i) ->
@@ -780,22 +823,27 @@ let compile (k : Kernel.t) : t =
         let s = fresh_int () in
         ({ cenv with svars = (var, Unboxed s) :: cenv.svars }, fun _ fr -> fr.ints.(s) <- civ fr)
       end
+      else if Hashtbl.mem float_names var || (static_float cenv value && never_assigned var)
+      then begin
+        (* the value is an [F _]: storing its float is storing the value *)
+        let cv = comp_ffloat cenv value in
+        let s = fresh_float () in
+        ( { cenv with svars = (var, Fslot s) :: cenv.svars },
+          fun _ fr -> Array.unsafe_set fr.floats s (cv fr) )
+      end
       else begin
-        let r =
-          if static_float cenv value && never_assigned var then Fboxed (fresh_scalar ())
-          else Boxed (fresh_scalar ())
-        in
         let cv = comp cenv value in
-        let s = match r with Boxed s | Fboxed s -> s | Unboxed _ -> assert false in
-        ({ cenv with svars = (var, r) :: cenv.svars }, fun _ fr -> fr.scalars.(s) <- cv fr)
+        let s = fresh_scalar () in
+        ({ cenv with svars = (var, Boxed s) :: cenv.svars }, fun _ fr -> fr.scalars.(s) <- cv fr)
       end
     | Stmt.Assign { var; value } -> (
       match List.assoc_opt var cenv.svars with
       | Some (Boxed s) ->
         let cv = comp cenv value in
         (cenv, fun _ fr -> fr.scalars.(s) <- cv fr)
-      | Some (Unboxed _) | Some (Fboxed _) ->
-        (* unreachable: both require [never_assigned] over the whole kernel,
+      | Some (Fslot s) -> (cenv, comp_assign_float cenv var s value)
+      | Some (Unboxed _) ->
+        (* unreachable: requires [never_assigned] over the whole kernel,
            which is name-based and thus covers every binding of [var] *)
         (cenv, fun _ _ -> err "assignment to unbound variable %s" var)
       | None -> (cenv, fun _ _ -> err "assignment to unbound variable %s" var))
@@ -925,12 +973,14 @@ let compile (k : Kernel.t) : t =
                      let fr' =
                        { scalars = Array.copy fr.scalars;
                          ints = Array.copy fr.ints;
+                         floats = Array.copy fr.floats;
                          bufs = Array.copy fr.bufs
                        }
                      in
                      (match r with
                      | Unboxed s -> fr'.ints.(s) <- lo_v + i
-                     | Boxed s | Fboxed s -> fr'.scalars.(s) <- I (lo_v + i));
+                     | Boxed s -> fr'.scalars.(s) <- I (lo_v + i)
+                     | Fslot _ -> assert false (* loop variables are never float slots *));
                      spawn fr' rest))
           in
           run_fiber_group (spawn fr cloops) )
@@ -963,6 +1013,44 @@ let compile (k : Kernel.t) : t =
               cbody ctx fr
             done )
       end
+  (* An assignment to a float slot. Only names in [float_names] are assigned
+     float slots, so the value is an [F _] and storing its float is exact.
+     [acc = acc + a[i] * b[j]] (either operand order) gets one fused closure:
+     the generic one boxes both loads and the product on every iteration. It
+     evaluates in the generic order (index, buffer, bounds check for [a],
+     then for [b]), so errors are unchanged, and takes the unboxed path only
+     when both tensors hold floats: int-dtype loads fall back to the generic
+     closure, whose [I * I] product keeps [int_binop] semantics. *)
+  and comp_assign_float cenv var s (value : Expr.t) : ctx -> frame -> unit =
+    let generic =
+      let cv = comp_ffloat cenv value in
+      fun _ fr -> Array.unsafe_set fr.floats s (cv fr)
+    in
+    let fused ~acc_first a ia b ib =
+      let cia = comp_int cenv ia and cib = comp_int cenv ib in
+      let geta = buf_slot cenv a and getb = buf_slot cenv b in
+      fun ctx fr ->
+        let i = cia fr in
+        let ta = geta fr in
+        let da = ta.Tensor.data in
+        if i < 0 || i >= Array.length da then oob_read a i (Array.length da);
+        let j = cib fr in
+        let tb = getb fr in
+        let db = tb.Tensor.data in
+        if j < 0 || j >= Array.length db then oob_read b j (Array.length db);
+        if Dtype.is_float ta.Tensor.dtype && Dtype.is_float tb.Tensor.dtype then begin
+          let p = Array.unsafe_get da i *. Array.unsafe_get db j in
+          let acc = Array.unsafe_get fr.floats s in
+          Array.unsafe_set fr.floats s (if acc_first then acc +. p else p +. acc)
+        end
+        else generic ctx fr
+    in
+    match value with
+    | Binop (Add, Var x, Binop (Mul, Load (a, ia), Load (b, ib))) when String.equal x var ->
+      fused ~acc_first:true a ia b ib
+    | Binop (Add, Binop (Mul, Load (a, ia), Load (b, ib)), Var x) when String.equal x var ->
+      fused ~acc_first:false a ia b ib
+    | _ -> generic
   in
   let cenv0, rev_binds =
     List.fold_left
@@ -983,6 +1071,7 @@ let compile (k : Kernel.t) : t =
   { code;
     nscalars = !nscalars;
     nints = !nints;
+    nfloats = !nfloats;
     nbufs = !nbufs;
     param_binds = List.rev rev_binds
   }
@@ -990,6 +1079,7 @@ let compile (k : Kernel.t) : t =
 let bind_args c args =
   let scalars = Array.make (max c.nscalars 1) (I 0) in
   let ints = Array.make (max c.nints 1) 0 in
+  let floats = Array.make (max c.nfloats 1) 0.0 in
   let bufs = Array.make (max c.nbufs 1) dummy_tensor in
   List.iter
     (fun ((p : Kernel.param), slot) ->
@@ -1008,15 +1098,28 @@ let bind_args c args =
         | Scalar_slot s -> scalars.(s) <- F f
         | Buffer_slot _ -> err "parameter %s is a buffer but got a scalar" p.name))
     c.param_binds;
-  { scalars; ints; bufs }
+  { scalars; ints; floats; bufs }
 
-let run ?(fuel = 200_000_000) ?trace c args =
+let run_receipt ?(fuel = 200_000_000) ?trace c args =
   let stats = fresh_stats () in
   let traffic = if Trace.enabled () then Some (Hashtbl.create 8) else None in
   let ctx = { stats; fuel; trace; store_limit = max_int; traffic } in
   let frame = bind_args c args in
-  Fun.protect ~finally:(fun () -> profile stats traffic) (fun () -> c.code ctx frame);
-  stats
+  let error =
+    match c.code ctx frame with
+    | () -> None
+    | exception Runtime_error m -> Some m
+    | exception e ->
+      profile stats (traffic_list traffic);
+      raise e
+  in
+  let r = { stats; traffic = traffic_list traffic; error } in
+  replay r;
+  r
+
+let run ?fuel ?trace c args =
+  let r = run_receipt ?fuel ?trace c args in
+  match r.error with Some m -> raise (Runtime_error m) | None -> r.stats
 
 let run_prefix ?(fuel = 200_000_000) c ~stop_after args =
   let stats = fresh_stats () in

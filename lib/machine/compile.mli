@@ -81,7 +81,28 @@ val intrinsic_exec :
     ["%s: no scalar"] when absent. *)
 
 val fresh_stats : unit -> stats
-val profile : stats -> (string, int) Hashtbl.t option -> unit
+
+(** {1 Run receipts} *)
+
+type receipt = {
+  stats : stats;
+  traffic : (string * int) list option;
+      (** per-buffer written elements, sorted by buffer; [None] when the run
+          was not traced *)
+  error : string option;  (** the [Runtime_error] message that ended the run *)
+}
+(** What one execution emitted to the ambient tracer, so a memoized result
+    can emit it again. *)
+
+val traffic_list : (string, int) Hashtbl.t option -> (string * int) list option
+
+val profile : stats -> (string * int) list option -> unit
+(** Emit a run's [interp.*] counts to the ambient tracer (a no-op when
+    tracing is off). *)
+
+val replay : receipt -> unit
+(** [profile] of a receipt: exactly what the recorded run emitted, when the
+    receipt carries traffic. *)
 
 (** {1 The compiler} *)
 
@@ -92,6 +113,12 @@ val compile : Kernel.t -> t
 
 val run : ?fuel:int -> ?trace:(string -> int -> float -> unit) -> t -> (string * arg) list -> stats
 (** Same contract as [Interp.run]. *)
+
+val run_receipt :
+  ?fuel:int -> ?trace:(string -> int -> float -> unit) -> t -> (string * arg) list -> receipt
+(** [run], with a [Runtime_error] raised during execution returned in the
+    receipt instead; argument-binding errors still raise (they emit
+    nothing). *)
 
 val run_prefix : ?fuel:int -> t -> stop_after:int -> (string * arg) list -> stats
 (** Same contract as [Interp.run_prefix]. *)

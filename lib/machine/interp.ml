@@ -259,6 +259,17 @@ let run_tree ?(fuel = 200_000_000) ?trace kernel args =
   let ctx = { stats; fuel; trace; store_limit = max_int; traffic } in
   let env = build_env kernel args in
   Fun.protect
-    ~finally:(fun () -> Compile.profile stats traffic)
+    ~finally:(fun () -> Compile.profile stats (Compile.traffic_list traffic))
     (fun () -> exec_block ctx env kernel.Kernel.body);
   stats
+
+(* ---- run receipts ------------------------------------------------------ *)
+
+type receipt = Compile.receipt = {
+  stats : stats;
+  traffic : (string * int) list option;
+  error : string option;
+}
+
+let run_receipt ?fuel kernel args = Compile.run_receipt ?fuel (Compile.cached kernel) args
+let replay = Compile.replay

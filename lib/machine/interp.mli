@@ -47,6 +47,26 @@ val run :
     memcpy/intrinsic writes) — bug localization uses it as its "insert print
     statements" probe. [fuel] bounds executed statements (default 200M). *)
 
+type receipt = Compile.receipt = {
+  stats : stats;
+  traffic : (string * int) list option;
+      (** per-buffer written elements, sorted by buffer; [None] when the run
+          was not traced *)
+  error : string option;  (** the [Runtime_error] message that ended the run *)
+}
+
+val run_receipt : ?fuel:int -> Kernel.t -> (string * arg) list -> receipt
+(** [run] that returns what the run emitted to the ambient tracer — its
+    stats and, when traced, its per-buffer traffic — with a runtime error
+    raised during execution in the receipt instead of raised.
+    Argument-binding errors still raise [Runtime_error] (they emit
+    nothing). *)
+
+val replay : receipt -> unit
+(** Emit a receipt's [interp.*] counts to the ambient tracer: the same
+    events the recorded run emitted, when the receipt carries traffic. A
+    no-op when tracing is off. *)
+
 val run_prefix :
   ?fuel:int -> Kernel.t -> stop_after:int -> (string * arg) list -> stats
 (** Execute only the first [stop_after] store operations, then halt cleanly.

@@ -34,12 +34,12 @@ let max_abs_diff a b =
     Array.iteri (fun i x -> m := Float.max !m (Float.abs (x -. b.data.(i)))) a.data;
     !m
 
-let mismatched_indices ?(rtol = 1e-4) ?(atol = 1e-5) a b =
-  if length a <> length b then List.init (max (length a) (length b)) Fun.id
+let mismatch_count ?(rtol = 1e-4) ?(atol = 1e-5) a b =
+  if length a <> length b then max (length a) (length b)
   else begin
-    let bad = ref [] in
-    for i = length a - 1 downto 0 do
-      if not (close ~rtol ~atol a.data.(i) b.data.(i)) then bad := i :: !bad
+    let bad = ref 0 in
+    for i = 0 to length a - 1 do
+      if not (close ~rtol ~atol a.data.(i) b.data.(i)) then incr bad
     done;
     !bad
   end

@@ -25,8 +25,8 @@ val random : Xpiler_util.Rng.t -> ?dtype:Dtype.t -> int -> t
 val allclose : ?rtol:float -> ?atol:float -> t -> t -> bool
 val max_abs_diff : t -> t -> float
 
-val mismatched_indices : ?rtol:float -> ?atol:float -> t -> t -> int list
-(** Indices where the two tensors differ beyond tolerance (used by bug
-    localization). *)
+val mismatch_count : ?rtol:float -> ?atol:float -> t -> t -> int
+(** Number of elements where the two tensors differ beyond tolerance; the
+    longer length when the lengths differ (the repair mismatch score). *)
 
 val to_string : ?max_elems:int -> t -> string

@@ -130,135 +130,17 @@ let apply_candidate (k : Kernel.t) (site : Localize.site) value =
 
 let charge clock stage s = match clock with Some c -> Vclock.charge c stage s | None -> ()
 
-(* ---- candidate verdict memo ------------------------------------------------
-
-   Repair rounds, ladder retries and repeated bench seeds regenerate the
-   same candidate kernels, and both oracles below are pure functions of
-   (op, shape, kernel): the per-trial unit-test verdict and the mismatch
-   score. Cache them process-globally, keyed by structural kernel identity
-   (with physical op identity, like [Unit_test.reference_outputs_seeded],
-   so regenerated fuzz ops that reuse a name cannot collide).
-
-   Gated by the same switch as the solver memo ([Memo.set_enabled]) so the
-   bench's baseline arm really is the pre-overhaul stack — and bypassed
-   while tracing: a fresh run emits interp.* trace counts that a memo hit
-   could not replay, and cold-vs-warm journal byte-identity outranks
-   speed. Speculative task bodies run under [Trace.without], so candidate
-   testing over the pool always qualifies. *)
-
-module VKey = struct
-  type t = { trial : int; op : Opdef.t; shape : Opdef.shape; kernel : Kernel.t }
-
-  let equal a b =
-    a.trial = b.trial && a.op == b.op && a.shape = b.shape && Kernel.equal a.kernel b.kernel
-
-  let hash a = Hashtbl.hash (a.trial, a.op.Opdef.name, a.shape, Kernel.hash a.kernel)
-end
-
-module VTbl = Hashtbl.Make (VKey)
-
-let vmemo_mutex = Mutex.create ()
-let vmemo_capacity = 8192
-let verdict_tbl : Unit_test.verdict VTbl.t = VTbl.create 256
-let score_tbl : int VTbl.t = VTbl.create 256
-
-let reset_verdict_memo () =
-  Mutex.protect vmemo_mutex (fun () ->
-      VTbl.reset verdict_tbl;
-      VTbl.reset score_tbl)
-
-(* hit/miss order races between speculating domains -> unstable class *)
-let m_vmemo_hit =
-  Metrics.counter ~stable:false ~help:"repair verdict-memo lookups by result"
-    ~labels:[ ("result", "hit") ] "xpiler_repair_verdict_memo_lookups_total"
-
-let m_vmemo_miss =
-  Metrics.counter ~stable:false ~labels:[ ("result", "miss") ]
-    "xpiler_repair_verdict_memo_lookups_total"
-
-let vmemo_cached tbl key compute =
-  match Mutex.protect vmemo_mutex (fun () -> VTbl.find_opt tbl key) with
-  | Some v ->
-    Metrics.inc m_vmemo_hit;
-    v
-  | None ->
-    Metrics.inc m_vmemo_miss;
-    let v = compute () in
-    Mutex.protect vmemo_mutex (fun () ->
-        if VTbl.length tbl >= vmemo_capacity then VTbl.reset tbl;
-        VTbl.replace tbl key v);
-    v
-
-let vmemo_active () = Xpiler_smt.Memo.is_enabled () && not (Trace.enabled ())
-
-(* equivalent to [Unit_test.check ~trials] — trial [i] draws from seed
-   [20250706 + i*7919] and checking stops at the first failing trial —
-   but with each trial memoized separately, so a [~trials:2] confirmation
-   reuses the winning candidate's [~trials:1] verdict as its first trial *)
-let check_cached ~trials op shape kernel =
-  if not (vmemo_active ()) then Unit_test.check ~trials op shape kernel
-  else begin
-    let rec go i =
-      if i >= trials then Unit_test.Pass
-      else
-        let v =
-          vmemo_cached verdict_tbl { VKey.trial = i; op; shape; kernel } (fun () ->
-              Unit_test.check ~trials:1 ~seed:(20250706 + (i * 7919)) op shape kernel)
-        in
-        match v with Unit_test.Pass -> go (i + 1) | fail -> fail
-    in
-    go 0
-  end
-
-(* how wrong is a kernel? used to hill-climb when several faults coexist.
-   The oracle is the cached seeded reference ([Rng.create 20250706] either
-   way), so scoring N candidates costs one serial reference run, not N *)
-let mismatch_score_fresh ~op ~shape kernel =
-  let args, expected = Unit_test.reference_outputs_seeded ~seed:20250706 op shape in
-  match Interp.run kernel args with
-  | exception Interp.Runtime_error _ -> max_int
-  | _ ->
-    List.fold_left
-      (fun acc (name, e) ->
-        match List.assoc_opt name args with
-        | Some (Interp.Buf t) -> acc + List.length (Tensor.mismatched_indices t e)
-        | _ -> acc + Tensor.length e)
-      0 expected
-
-let mismatch_score ~op ~shape kernel =
-  if not (vmemo_active ()) then mismatch_score_fresh ~op ~shape kernel
-  else
-    vmemo_cached score_tbl { VKey.trial = -1; op; shape; kernel } (fun () ->
-        mismatch_score_fresh ~op ~shape kernel)
-
-(* fused trial-0 verdict + mismatch score in one interpreter run (both draw
-   on the seed-20250706 reference), populating both memo tables so a later
-   [~trials:2] confirmation or hill-climb score re-read hits *)
-let eval_scored_cached ~op ~shape kernel =
-  if not (vmemo_active ()) then Unit_test.check_scored op shape kernel
-  else begin
-    let vkey = { VKey.trial = 0; op; shape; kernel } in
-    let skey = { VKey.trial = -1; op; shape; kernel } in
-    let hit =
-      Mutex.protect vmemo_mutex (fun () ->
-          match (VTbl.find_opt verdict_tbl vkey, VTbl.find_opt score_tbl skey) with
-          | Some v, Some s -> Some (v, s)
-          | _ -> None)
-    in
-    match hit with
-    | Some r ->
-      Metrics.inc m_vmemo_hit;
-      r
-    | None ->
-      Metrics.inc m_vmemo_miss;
-      let v, s = Unit_test.check_scored op shape kernel in
-      Mutex.protect vmemo_mutex (fun () ->
-          if VTbl.length verdict_tbl >= vmemo_capacity then VTbl.reset verdict_tbl;
-          if VTbl.length score_tbl >= vmemo_capacity then VTbl.reset score_tbl;
-          VTbl.replace verdict_tbl vkey v;
-          VTbl.replace score_tbl skey s);
-      (v, s)
-  end
+(* The repairer's unit tests go through [Unit_test]'s verdict memo; its
+   lookups are counted apart from the pipeline's (hit/miss order races
+   between speculating domains -> unstable class) *)
+let lookups =
+  { Unit_test.hit =
+      Metrics.counter ~stable:false ~help:"repair verdict-memo lookups by result"
+        ~labels:[ ("result", "hit") ] "xpiler_repair_verdict_memo_lookups_total";
+    miss =
+      Metrics.counter ~stable:false ~labels:[ ("result", "miss") ]
+        "xpiler_repair_verdict_memo_lookups_total"
+  }
 
 (* candidates must stay structurally well-formed; full platform checking
    happens on the final program (intermediate pipeline states legitimately
@@ -318,16 +200,21 @@ let eval_site_speculative ~jobs ~want_score ~op ~shape k site values =
             if not (compile_ok candidate) then Spec_rejected
             else if Atomic.get winner < idx then Spec_cancelled
             else begin
-              match eval_scored_cached ~op ~shape candidate with
-              | Unit_test.Pass, _ ->
+              match Unit_test.check ~trials:1 ~lookups op shape candidate with
+              | Unit_test.Pass ->
                 let rec publish () =
                   let cur = Atomic.get winner in
                   if idx < cur && not (Atomic.compare_and_set winner cur idx) then publish ()
                 in
                 publish ();
                 Spec_passed candidate
-              | Unit_test.Fail _, score ->
-                Spec_failed (candidate, if want_score then score else max_int)
+              | Unit_test.Fail _ ->
+                (* a failing run is scored as it is judged: a memo hit *)
+                let score =
+                  if want_score then Unit_test.mismatch_score ~lookups op shape candidate
+                  else max_int
+                in
+                Spec_failed (candidate, score)
             end
           end))
     values
@@ -425,12 +312,12 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ?(speculative 
   let unit_ok k =
     incr tests;
     charge clock Vclock.Unit_test 45.0;
-    timed wall_test (fun () -> check_cached ~trials:1 op shape k) = Unit_test.Pass
+    timed wall_test (fun () -> Unit_test.check ~trials:1 ~lookups op shape k) = Unit_test.Pass
   in
   let fully_ok k =
     incr tests;
     charge clock Vclock.Unit_test 90.0;
-    timed wall_test (fun () -> check_cached ~trials:2 op shape k) = Unit_test.Pass
+    timed wall_test (fun () -> Unit_test.check ~trials:2 ~lookups op shape k) = Unit_test.Pass
   in
   (* evaluate one site's candidate batch; [on_failed] feeds the hill-climb.
      The speculative path clamps the batch to the remaining test budget up
@@ -460,7 +347,10 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ?(speculative 
               else if unit_ok candidate then Some candidate
               else begin
                 (if want_score then
-                   let score = timed wall_score (fun () -> mismatch_score ~op ~shape candidate) in
+                   let score =
+                     timed wall_score (fun () ->
+                         Unit_test.mismatch_score ~lookups op shape candidate)
+                   in
                    on_failed candidate score);
                 None
               end
@@ -491,7 +381,11 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ?(speculative 
             tests_run = !tests
           }
       else begin
-        let base_score = timed wall_score (fun () -> mismatch_score ~op ~shape k) in
+        (* how wrong is the kernel? several faults may coexist, so repair
+           hill-climbs on this score *)
+        let base_score =
+          timed wall_score (fun () -> Unit_test.mismatch_score ~lookups op shape k)
+        in
         let best_partial = ref None in
         (* several faults may coexist: remember the candidate that brings
            the output closest to the reference *)
@@ -555,12 +449,18 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ?(speculative 
       | _ -> None
     end
   in
-  let outcome =
+  let attempt () =
     match if static = [] then None else static_attempt () with
     | Some outcome ->
       Trace.count "repair.static_fastpath";
       outcome
     | None -> round rounds kernel "no rounds"
+  in
+  let outcome =
+    try attempt ()
+    with Unit_test.Reference_failed m ->
+      (* no oracle to repair against *)
+      Gave_up { reason = "reference run: " ^ m; tests_run = !tests }
   in
   (match outcome with
   | Repaired { site; tests_run; _ } ->

@@ -51,13 +51,11 @@ val repair :
     Speculation is counted in the registry as
     [xpiler_repair_speculative_total{result=won|lost|cancelled}]: one
     [won] or [lost] per batch, and [cancelled] adds the losers above each
-    winning index. The accounting is logical, hence jobs-invariant. *)
+    winning index. The accounting is logical, hence jobs-invariant.
 
-val reset_verdict_memo : unit -> unit
-(** Drop the process-global candidate verdict/score memo (unit-test trial
-    verdicts and mismatch scores keyed by structural kernel identity). The
-    memo obeys [Xpiler_smt.Memo.set_enabled] and bypasses itself while
-    tracing, so traced journals are byte-identical cold vs warm. *)
+    Candidate tests and mismatch scores go through [Unit_test]'s verdict
+    memo; the repairer's lookups are counted in
+    [xpiler_repair_verdict_memo_lookups_total{result=hit|miss}]. *)
 
 type wall_stats = {
   repairs : int;

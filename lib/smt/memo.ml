@@ -69,7 +69,6 @@ let observer : (Key.t -> entry -> unit) option ref = ref None
 let set_observer o = Mutex.protect mutex (fun () -> observer := o)
 
 let set_enabled b = Mutex.protect mutex (fun () -> enabled := b)
-let is_enabled () = Mutex.protect mutex (fun () -> !enabled)
 
 let find_locked key =
   match KTbl.find_opt table key with

@@ -37,8 +37,6 @@ val store : mode:mode -> max_steps:int -> Problem.t -> entry -> unit
 val set_enabled : bool -> unit
 (** Default enabled; benches disable it for the cold/naive baseline arm. *)
 
-val is_enabled : unit -> bool
-
 val hits : unit -> int
 val misses : unit -> int
 (** Totals of [xpiler_smt_memo_lookups_total] since the last

@@ -128,10 +128,72 @@ let run_engine
     Ok (s.steps, s.stores, s.intrinsic_elems, s.memcpy_elems, s.barriers, List.rev !trace)
   | exception Interp.Runtime_error m -> Error m
 
+(* Accumulator kernels, which the general generator never builds: [acc =
+   acc + x * y] loops in either operand order (the compiled engine's fused
+   float path) next to other float updates (its generic float-slot path),
+   over float or int buffers (the fused path's fallback, where an [I * I]
+   product keeps [int_binop] semantics), serially or inside a
+   thread-parallel chain (per-fiber frame copies of the float slots). An
+   accumulator initialized from a load may hold an int and stays boxed. *)
+let accum_kernel rng =
+  let open Expr.Infix in
+  let dtype () = if Rng.bernoulli rng 0.3 then Dtype.I32 else Dtype.F32 in
+  let operand vars = load (Rng.choose rng [ "a"; "b" ]) (Kgen.gen_index rng vars) in
+  let update vars =
+    let x = operand vars and y = operand vars in
+    Builder.assign "acc"
+      (match Rng.int rng 4 with
+      | 0 -> v "acc" + (x * y)
+      | 1 -> (x * y) + v "acc"
+      | 2 -> (v "acc" * flt 0.5) - x
+      | _ -> v "acc" + (x * flt 0.25))
+  in
+  let init vars =
+    match Rng.int rng 3 with
+    | 0 -> flt 0.0
+    | 1 -> operand vars * flt 0.5
+    | _ -> operand vars
+  in
+  let ext_i = Rng.choose rng [ 2; 4; 8 ] and ext_j = Rng.choose rng [ 2; 4; 8; 16 ] in
+  let reduce vars =
+    let updates = Stdlib.( + ) 1 (Rng.int rng 2) in
+    Builder.for_ "j" (int ext_j) (List.init updates (fun _ -> update (("j", ext_j) :: vars)))
+  in
+  let body =
+    if Rng.bernoulli rng 0.5 then
+      [ Builder.for_ "i" (int ext_i)
+          (let vars = [ ("i", ext_i) ] in
+           [ Builder.let_ "acc" (init vars); reduce vars;
+             Builder.store "out" (Kgen.gen_index rng vars) (v "acc") ])
+      ]
+    else begin
+      (* a thread block: fibers share the pre-chain accumulator's value and
+         each updates its own copy *)
+      let vars = [ ("ty", 2); ("tx", ext_i) ] in
+      let inner_let = Rng.bernoulli rng 0.5 in
+      (if inner_let then [] else [ Builder.let_ "acc" (init []) ])
+      @ [ Builder.par_for Axis.Thread_x "tx" (int ext_i)
+            [ Builder.par_for Axis.Thread_y "ty" (int 2)
+                ((if inner_let then [ Builder.let_ "acc" (init vars) ] else [])
+                @ [ reduce vars;
+                    Builder.sync;
+                    Builder.store "out" (Kgen.gen_index rng vars) (v "acc") ])
+            ]
+        ]
+    end
+  in
+  Kernel.make ~name:"accum"
+    ~params:
+      [ Builder.buffer ~dtype:(dtype ()) "a"; Builder.buffer ~dtype:(dtype ()) "b";
+        Builder.buffer "out" ]
+    body
+
 let prop_engines_agree =
-  QCheck.Test.make ~name:"compiled and tree engines agree" ~count:200 arb_seed
+  QCheck.Test.make ~name:"compiled and tree engines agree" ~count:350 arb_seed
     (fun seed ->
-      let k = kernel_of_seed seed in
+      let g = Rng.create ((seed * 7) + 1) in
+      let accum = Rng.bernoulli g 0.4 in
+      let k = if accum then accum_kernel g else kernel_of_seed seed in
       let frng = Rng.create (seed + 17) in
       let k =
         match seed mod 3 with
@@ -149,6 +211,19 @@ let prop_engines_agree =
          the same step with the same message in both engines *)
       let fuel = if seed mod 5 = 0 then 100 else 200_000_000 in
       let args = Tcommon.make_args (Rng.create (seed + 2)) ~buf_size k [] in
+      (* int buffers holding fractions (as a memcpy from a float buffer
+         leaves them): an int load must truncate, whichever path runs it *)
+      let args =
+        if not accum then args
+        else
+          List.map
+            (fun (n, a) ->
+              match a with
+              | Interp.Buf t when not (Dtype.is_float t.Tensor.dtype) ->
+                (n, Interp.Buf { t with Tensor.data = Array.map (fun x -> x /. 3.0) t.Tensor.data })
+              | a -> (n, a))
+            args
+      in
       let a_tree = Tcommon.clone_args args in
       let a_comp = Tcommon.clone_args args in
       let r_tree = run_engine Interp.run_tree ~fuel k a_tree in

@@ -49,6 +49,67 @@ let test_corrupted_kernel_fails () =
   | Unit_test.Fail _ -> ()
   | Unit_test.Pass -> Alcotest.fail "corrupted kernel must fail its unit test"
 
+(* a throwaway elementwise operator over [n] floats whose serial kernel is
+   [body]: fresh per call, so its reference entries are its own *)
+let throwaway_op name body : Opdef.t =
+  let open Expr.Infix in
+  let n = 64 in
+  { name;
+    cls = Opdef.Elementwise;
+    shapes = [ [ ("n", n) ] ];
+    buffers =
+      [ { buf_name = "inp"; dtype = Dtype.F32; size = (fun _ -> n); is_output = false };
+        { buf_name = "out"; dtype = Dtype.F32; size = (fun _ -> n); is_output = true } ];
+    serial =
+      (fun _ ->
+        Kernel.make ~name ~params:[ Builder.buffer "inp"; Builder.buffer "out" ]
+          [ Builder.for_ "i" (int n) [ Builder.store "out" (v "i") (body (v "i")) ] ]);
+    flops = (fun _ -> float_of_int n)
+  }
+
+(* the serial reference reads one past the end of its input: the oracle
+   cannot run, which must end in a typed failure, not an exception *)
+let oob_op () = throwaway_op "oob_reference" (fun i -> Expr.Infix.(load "inp" (i + int 1)))
+
+let test_reference_failure_is_typed () =
+  let op = oob_op () in
+  let shape = List.hd op.shapes in
+  (match Unit_test.check ~trials:1 op shape (op.serial shape) with
+  | Unit_test.Fail m ->
+    Alcotest.(check bool) ("names the reference run: " ^ m) true
+      (String.starts_with ~prefix:"reference run: " m)
+  | Unit_test.Pass -> Alcotest.fail "a check against a raising reference must fail");
+  let open Xpiler_core in
+  match
+    Xpiler.transcompile ~config:(Config.with_seed Config.default 3) ~src:Platform.Cuda
+      ~dst:Platform.Bang ~op ~shape ()
+  with
+  | o ->
+    Alcotest.(check bool) "not accepted" false (Xpiler.accepted o.Xpiler.status)
+  | exception e -> Alcotest.failf "transcompile raised %s" (Printexc.to_string e)
+
+let reference_runs () =
+  Xpiler_obs.Metrics.value
+    (Xpiler_obs.Metrics.counter ~stable:false "xpiler_unit_test_reference_runs_total")
+
+(* the reference cache evicts least-recently-used entries, not everything:
+   after touching more keys than it holds, the most recent is still cached *)
+let test_reference_cache_lru () =
+  let op = throwaway_op "lru_probe" (fun i -> Expr.Infix.(load "inp" i * flt 2.0)) in
+  let shape = List.hd op.shapes in
+  let touch seed = ignore (Unit_test.reference_outputs_seeded ~seed op shape) in
+  let keys = 600 in
+  let before = reference_runs () in
+  for seed = 1 to keys do
+    touch seed
+  done;
+  Alcotest.(check int) "one run per new key" keys (reference_runs () - before);
+  let filled = reference_runs () in
+  touch keys;
+  Alcotest.(check int) "the most recent key is still cached" filled (reference_runs ());
+  touch 1;
+  Alcotest.(check int) "the least recent was evicted" (filled + 1) (reference_runs ())
+
 let idiom_case pid (op : Opdef.t) shape =
   let platform = Platform.of_id pid in
   let k = Idiom.source pid op shape in
@@ -183,7 +244,10 @@ let () =
         [ Alcotest.test_case "inventory" `Quick test_registry;
           Alcotest.test_case "serial kernels well-formed" `Quick test_serial_wellformed;
           Alcotest.test_case "serial passes unit test" `Quick test_serial_passes_own_unit_test;
-          Alcotest.test_case "corrupted kernel fails" `Quick test_corrupted_kernel_fails
+          Alcotest.test_case "corrupted kernel fails" `Quick test_corrupted_kernel_fails;
+          Alcotest.test_case "raising reference is a typed failure" `Quick
+            test_reference_failure_is_typed;
+          Alcotest.test_case "reference cache is LRU" `Quick test_reference_cache_lru
         ] );
       ( "idioms",
         [ Alcotest.test_case "all ops, first shape, 4 platforms" `Slow test_idioms_first_shape;

@@ -7,8 +7,8 @@
      byte-identical trace journals (lowest-index-wins selection + master-side
      canonical effect replay);
    - cold vs warm: re-running a traced translation against warm memos yields
-     a byte-identical journal (memo entries carry their original search
-     receipts, and the verdict memo bypasses itself while tracing);
+     a byte-identical journal (solver-memo entries carry their original
+     search receipts, unit-test verdict-memo entries their run receipts);
    - speculative vs serial: both engines accept the same repair (the first
      passing candidate in batch order). *)
 
@@ -47,7 +47,7 @@ let traced ?(seed = 11) ~jobs scale =
 
 let cold () =
   Memo.clear ();
-  Repairer.reset_verdict_memo ()
+  Unit_test.reset_memo ()
 
 (* speculative batches so far: every batch ends won or lost in the registry *)
 let spec_batches () =
@@ -91,6 +91,28 @@ let test_cold_vs_warm_journal () =
   let o_warm = run ~config in
   Alcotest.(check bool) "warm run hit the solver memo" true
     (Memo.hits () > hits_after_cold);
+  Alcotest.(check bool) "same status" true (o_cold.Xpiler.status = o_warm.Xpiler.status);
+  Alcotest.(check string) "byte-identical journal" (journal o_cold) (journal o_warm)
+
+(* unit-test verdict-memo hits, the pipeline's and the repairer's *)
+let verdict_memo_hits () =
+  List.fold_left
+    (fun n name ->
+      n + Metrics.value (Metrics.counter ~stable:false ~labels:[ ("result", "hit") ] name))
+    0
+    [ "xpiler_unit_test_memo_lookups_total"; "xpiler_repair_verdict_memo_lookups_total" ]
+
+(* the verdict memo stays on under tracing: a warm run replays the recorded
+   receipts instead of re-running kernels, and its journal is the cold
+   run's byte for byte *)
+let test_verdict_memo_traced_cold_vs_warm () =
+  let config = traced ~seed:3 ~jobs:1 20.0 in
+  warm_refs config;
+  Unit_test.reset_memo ();
+  let o_cold = run ~config in
+  let hits = verdict_memo_hits () in
+  let o_warm = run ~config in
+  Alcotest.(check bool) "warm run hit the verdict memo" true (verdict_memo_hits () > hits);
   Alcotest.(check bool) "same status" true (o_cold.Xpiler.status = o_warm.Xpiler.status);
   Alcotest.(check string) "byte-identical journal" (journal o_cold) (journal o_warm)
 
@@ -170,6 +192,8 @@ let () =
             test_jobs_invariant_journal;
           Alcotest.test_case "cold vs warm byte-identical journal" `Slow
             test_cold_vs_warm_journal;
+          Alcotest.test_case "traced verdict memo: cold vs warm journal" `Slow
+            test_verdict_memo_traced_cold_vs_warm;
           Alcotest.test_case "speculative matches serial (pipeline)" `Slow
             test_speculative_matches_serial_pipeline;
           Alcotest.test_case "speculative matches serial (repairer)" `Quick

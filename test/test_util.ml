@@ -253,6 +253,30 @@ let test_listx_top_k () =
     [ (1, "a"); (1, "b") ]
     (Listx.top_k ~k:2 ~score:(fun (s, _) -> float_of_int s) [ (1, "a"); (0, "z"); (1, "b") ])
 
+module Lru = Xpiler_util.Lru.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+let test_lru_evicts_least_recent () =
+  let t = Lru.create 2 in
+  Lru.replace t 1 "a";
+  Lru.replace t 2 "b";
+  Alcotest.(check (option string)) "hit" (Some "a") (Lru.find t 1);
+  (* 2 is now the least recently used *)
+  Lru.replace t 3 "c";
+  Alcotest.(check int) "bounded" 2 (Lru.length t);
+  Alcotest.(check (option string)) "least recent evicted" None (Lru.find t 2);
+  Alcotest.(check (option string)) "recently used kept" (Some "a") (Lru.find t 1);
+  Lru.replace t 3 "c'";
+  Lru.replace t 4 "d";
+  Alcotest.(check (option string)) "replace refreshes recency" (Some "c'") (Lru.find t 3);
+  Alcotest.(check (option string)) "then the older one goes" None (Lru.find t 1);
+  Lru.clear t;
+  Alcotest.(check int) "cleared" 0 (Lru.length t)
+
 let () =
   Alcotest.run "util"
     [ ( "rng",
@@ -285,5 +309,6 @@ let () =
         [ Alcotest.test_case "take" `Quick test_listx_take;
           Alcotest.test_case "top_k" `Quick test_listx_top_k
         ] );
+      ("lru", [ Alcotest.test_case "evicts least recent" `Quick test_lru_evicts_least_recent ]);
       ("properties", [ QCheck_alcotest.to_alcotest prop_bernoulli_frequency ])
     ]
