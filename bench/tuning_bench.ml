@@ -91,10 +91,12 @@ let bench_op name =
   in
   (* intra-level pruning: lossless by construction, counted for the report *)
   let exhaustive, _ =
-    Intra.tune_with_stats ~prune:false ~compose:true ~max_candidates:64 ~platform kernel
+    Intra.tune_with_stats ~prune:false ~compose:true ~max_candidates:64
+      ~memo:(Intra.create_memo ()) ~platform kernel
   in
   let pruned_v, prune_stats =
-    Intra.tune_with_stats ~prune:true ~compose:true ~max_candidates:64 ~platform kernel
+    Intra.tune_with_stats ~prune:true ~compose:true ~max_candidates:64
+      ~memo:(Intra.create_memo ()) ~platform kernel
   in
   let prune_lossless = pruned_v.Intra.throughput = exhaustive.Intra.throughput in
   if not prune_lossless then begin
@@ -102,12 +104,6 @@ let bench_op name =
       pruned_v.Intra.throughput exhaustive.Intra.throughput;
     exit 1
   end;
-  (* warm both checker/cost-model memos so baseline and tuned wall-clocks
-     see comparable cache state *)
-  ignore
-    (Mcts.search
-       ~config:{ (base_config (List.hd (List.rev budgets))) with prune = false; compose = false }
-       ~buffer_sizes ~share:false ~platform kernel);
   (* pre-PR baseline: exhaustive intra, private reward caches, cold start *)
   let baseline_config budget = { (base_config budget) with Mcts.prune = false; compose = false } in
   let baseline =

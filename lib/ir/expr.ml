@@ -60,7 +60,10 @@ let unop_to_string = function
 let rec equal a b =
   match (a, b) with
   | Int x, Int y -> x = y
-  | Float x, Float y -> Float.equal x y
+  | Float x, Float y ->
+    (* bit patterns, not [Float.equal]: 0.0 and -0.0 are distinct literals
+       ([1.0 /. -0.0] is -inf), and memo tables key kernels on [equal] *)
+    Int64.bits_of_float x = Int64.bits_of_float y
   | Var x, Var y -> String.equal x y
   | Load (b1, i1), Load (b2, i2) -> String.equal b1 b2 && equal i1 i2
   | Binop (o1, l1, r1), Binop (o2, l2, r2) -> o1 = o2 && equal l1 l2 && equal r1 r2

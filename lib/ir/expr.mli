@@ -35,6 +35,8 @@ type t =
 
 val binop_to_string : binop -> string
 val equal : t -> t -> bool
+(** Structural equality. Float literals compare by bit pattern, so [0.0]
+    and [-0.0] differ (they divide to opposite infinities). *)
 
 val hash : t -> int
 (** Full-depth structural hash, consistent with [equal] (unlike the

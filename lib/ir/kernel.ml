@@ -32,9 +32,6 @@ let hash t =
   in
   Stmt.hash_fold_block h t.body
 
-let cache_key t =
-  Digest.to_hex (Digest.string (string_of_int (hash t) ^ "\x00" ^ Marshal.to_string t []))
-
 let axis_extent t ax = List.assoc_opt ax t.launch
 let with_body t body = { t with body }
 let with_launch t launch = { t with launch }

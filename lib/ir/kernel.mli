@@ -21,16 +21,10 @@ val param_names : t -> string list
 val equal : t -> t -> bool
 
 val hash : t -> int
-(** Cheap full-depth structural hash, consistent with [equal]. Replaces
-    [Marshal]-based keys in the tuner's reward cache and keys the evaluation
-    engine's compile/throughput/reference-output memo tables
-    (via [Hashtbl.Make]). *)
-
-val cache_key : t -> string
-(** Content-addressed cache key: a hex digest of the kernel's marshalled
-    structure with {!hash} mixed in. Consistent with [equal];
-    collision-resistant, unlike the bare structural {!hash}. The evaluation
-    engine's compile memo ([Compile.cached]) keys on it. *)
+(** Cheap full-depth structural hash, consistent with [equal]. Together with
+    [equal] it is the one key scheme of every kernel-keyed memo: the compile
+    cache, the tuner's transposition table and intra-pass memo, and the
+    unit-test verdict memo. *)
 
 val axis_extent : t -> Axis.t -> int option
 val with_body : t -> Stmt.t list -> t

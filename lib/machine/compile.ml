@@ -1130,11 +1130,16 @@ let run_prefix ?(fuel = 200_000_000) c ~stop_after args =
 
 (* ---- bounded compile memo ---------------------------------------------- *)
 
-(* Keyed by [Kernel.cache_key]: a collision-resistant digest, so two
-   structurally distinct kernels never share a compiled entry. *)
-let cache : (string, t) Hashtbl.t = Hashtbl.create 64
-let cache_mutex = Mutex.create ()
+module Cache = Xpiler_util.Lru.Make (struct
+  type t = Kernel.t
+
+  let equal = Kernel.equal
+  let hash = Kernel.hash
+end)
+
 let cache_limit = 4096
+let cache : t Cache.t = Cache.create cache_limit
+let cache_mutex = Mutex.create ()
 
 module Metrics = Xpiler_obs.Metrics
 
@@ -1147,22 +1152,18 @@ let m_cache_hits =
 let m_cache_misses =
   Metrics.counter ~labels:[ ("result", "miss") ] "xpiler_compile_cache_lookups_total"
 
-let m_cache_resets =
-  Metrics.counter ~help:"full cache resets under capacity pressure" "xpiler_compile_cache_resets_total"
+let m_cache_evictions =
+  Metrics.counter ~help:"least-recently-used entries dropped at capacity"
+    "xpiler_compile_cache_evictions_total"
 
 let cached k =
-  let key = Kernel.cache_key k in
   Mutex.protect cache_mutex (fun () ->
-      match Hashtbl.find_opt cache key with
+      match Cache.find cache k with
       | Some c ->
         Metrics.inc m_cache_hits;
         c
       | None ->
         Metrics.inc m_cache_misses;
-        if Hashtbl.length cache >= cache_limit then begin
-          Metrics.inc m_cache_resets;
-          Hashtbl.reset cache
-        end;
         let c = compile k in
-        Hashtbl.add cache key c;
+        if Cache.replace cache k c then Metrics.inc m_cache_evictions;
         c)

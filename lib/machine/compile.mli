@@ -124,6 +124,7 @@ val run_prefix : ?fuel:int -> t -> stop_after:int -> (string * arg) list -> stat
 (** Same contract as [Interp.run_prefix]. *)
 
 val cached : Kernel.t -> t
-(** Bounded thread-safe memo keyed by [Kernel.cache_key]; the tuner
-    re-executes the same candidate kernels many times, so this makes
+(** Thread-safe LRU memo of [compile] (4096 entries), keyed by the
+    structural [Kernel.hash]/[equal]; the tuner and the unit-test oracle
+    re-execute the same candidate kernels many times, so this makes
     compilation cost amortize to zero. *)

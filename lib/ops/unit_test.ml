@@ -84,7 +84,7 @@ let reference ~seed (op : Opdef.t) shape =
       | r -> Ok r
       | exception (Interp.Runtime_error m | Invalid_argument m) -> Error m
     in
-    Mutex.protect ref_mutex (fun () -> Ref_lru.replace ref_cache key r);
+    Mutex.protect ref_mutex (fun () -> ignore (Ref_lru.replace ref_cache key r));
     r
 
 let reference_outputs_seeded ~seed op shape =
@@ -210,7 +210,7 @@ let trial ~lookups ~want_score ~seed (op : Opdef.t) shape kernel khash =
       match execute op kernel inputs expected ~want_score with
       | Error m -> (Fail m, Some max_int)
       | Ok e ->
-        Mutex.protect memo_mutex (fun () -> Memo_lru.replace memo key e);
+        Mutex.protect memo_mutex (fun () -> ignore (Memo_lru.replace memo key e));
         (e.verdict, e.score)))
 
 let default_seed = 20250706

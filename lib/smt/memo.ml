@@ -48,7 +48,7 @@ module Key = struct
     comb (comb (Hashtbl.hash k.mode) k.max_steps) (Problem.hash k.problem)
 end
 
-module KTbl = Hashtbl.Make (Key)
+module Table = Xpiler_util.Lru.Make (Key)
 
 type payload =
   | Outcome of Problem.outcome
@@ -58,9 +58,8 @@ type entry = { payload : payload; stats : Problem.stats  (** the receipt *) }
 
 (* a repair pass touches a few dozen distinct problems; whole bench sweeps a
    few thousand — same sizing logic as the transposition table *)
-let capacity = 65536
 let mutex = Mutex.create ()
-let table : entry KTbl.t = KTbl.create 256
+let table : entry Table.t = Table.create 65536
 let enabled = ref true
 
 (* durable-store hook: called outside the mutex on every fresh [store];
@@ -71,7 +70,7 @@ let set_observer o = Mutex.protect mutex (fun () -> observer := o)
 let set_enabled b = Mutex.protect mutex (fun () -> enabled := b)
 
 let find_locked key =
-  match KTbl.find_opt table key with
+  match Table.find table key with
   | Some e ->
     Metrics.inc m_hits;
     Some e
@@ -83,20 +82,13 @@ let find ~mode ~max_steps problem =
   Mutex.protect mutex (fun () ->
       if not !enabled then None else find_locked { Key.mode; max_steps; problem })
 
-(* evict arbitrary half rather than resetting (no recency recorded); a reset
-   would turn every in-flight repair's next lookups into recomputes at once *)
-let evict_half_locked () =
-  let keys = KTbl.fold (fun k _ acc -> k :: acc) table [] in
-  List.iteri (fun i k -> if i land 1 = 0 then KTbl.remove table k) keys
-
 let store ~mode ~max_steps problem entry =
   let key = { Key.mode; max_steps; problem } in
   let obs =
     Mutex.protect mutex (fun () ->
         if !enabled then begin
-          if KTbl.length table >= capacity then evict_half_locked ();
-          KTbl.replace table key entry;
-          Metrics.set m_entries (float_of_int (KTbl.length table));
+          ignore (Table.replace table key entry);
+          Metrics.set m_entries (float_of_int (Table.length table));
           !observer
         end
         else None)
@@ -105,18 +97,16 @@ let store ~mode ~max_steps problem entry =
 
 let restore key entry =
   Mutex.protect mutex (fun () ->
-      (* capacity still applies, but silently (no eviction effects) *)
-      if KTbl.length table >= capacity then evict_half_locked ();
-      KTbl.replace table key entry;
-      Metrics.set m_entries (float_of_int (KTbl.length table)))
+      ignore (Table.replace table key entry);
+      Metrics.set m_entries (float_of_int (Table.length table)))
 
-let fold f acc = Mutex.protect mutex (fun () -> KTbl.fold f table acc)
+let fold f acc = Mutex.protect mutex (fun () -> Table.fold f table acc)
 
 let hits () = Metrics.value m_hits
 let misses () = Metrics.value m_misses
-let size () = Mutex.protect mutex (fun () -> KTbl.length table)
+let size () = Mutex.protect mutex (fun () -> Table.length table)
 
 let clear () =
   Mutex.protect mutex (fun () ->
-      KTbl.reset table;
+      Table.clear table;
       Metrics.set m_entries 0.0)

@@ -1,4 +1,5 @@
-(** Process-global solver memo: canonical problem hash → outcome/models.
+(** Process-global solver memo: canonical problem hash → outcome/models,
+    an LRU of 65536 entries ({!Xpiler_util.Lru}).
 
     Entries carry the original search's [stats] as an effect *receipt*
     (same trick as the tuner's transposition table): [Solver] replays a
@@ -32,7 +33,8 @@ val find : mode:mode -> max_steps:int -> Problem.t -> entry option
     the registry (read back by {!hits}/{!misses}) only while enabled. *)
 
 val store : mode:mode -> max_steps:int -> Problem.t -> entry -> unit
-(** No-op while disabled. Evicts half the table at capacity. *)
+(** No-op while disabled. At capacity, evicts the least recently used
+    entry. *)
 
 val set_enabled : bool -> unit
 (** Default enabled; benches disable it for the cold/naive baseline arm. *)
@@ -50,11 +52,11 @@ val clear : unit -> unit
 val restore : Key.t -> entry -> unit
 (** Reinsert a persisted entry — silent (no hit/miss counts, no observer),
     and unconditional: it works even while the memo is disabled, so a
-    bench's cold arm can still be rebuilt explicitly. Capacity eviction
-    still applies. *)
+    bench's cold arm can still be rebuilt explicitly. LRU eviction still
+    applies. *)
 
 val fold : (Key.t -> entry -> 'a -> 'a) -> 'a -> 'a
-(** Fold over the live entries (order unspecified), for snapshot dumps. *)
+(** Fold over the live entries (most recent first), for snapshot dumps. *)
 
 val set_observer : (Key.t -> entry -> unit) option -> unit
 (** Hook called (outside the memo mutex) on every fresh {!store} while the

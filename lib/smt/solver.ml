@@ -114,7 +114,7 @@ let search_naive ?(max_steps = default_max_steps) problem ~on_model =
    subtree and rejected every leaf below it. The model set is the same;
    steps under such constraints differ. *)
 
-module ETbl = Hashtbl.Make (struct
+module Simp_cache = Xpiler_util.Lru.Make (struct
   type t = Expr.t
 
   let equal = Expr.equal
@@ -124,18 +124,16 @@ end)
 (* once-per-pass simplification shared across candidate holes: the repairer
    poses the same alignment/positivity constraints for every candidate site
    of a kernel, so this cache turns N simplify passes into 1 *)
-let simp_capacity = 8192
 let simp_mutex = Mutex.create ()
-let simp_cache : Expr.t ETbl.t = ETbl.create 256
+let simp_cache : Expr.t Simp_cache.t = Simp_cache.create 8192
 
 let simplify_shared e =
   Mutex.protect simp_mutex (fun () ->
-      match ETbl.find_opt simp_cache e with
+      match Simp_cache.find simp_cache e with
       | Some s -> s
       | None ->
         let s = Expr.simplify e in
-        if ETbl.length simp_cache >= simp_capacity then ETbl.reset simp_cache;
-        ETbl.add simp_cache e s;
+        ignore (Simp_cache.replace simp_cache e s);
         s)
 
 type prepared = {

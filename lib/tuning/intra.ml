@@ -13,9 +13,7 @@ let memo_metrics table =
   ( Metrics.counter ~stable:false ~help:"intra memo lookups by table and result"
       ~labels:(("result", "hit") :: lbl) "xpiler_intra_memo_lookups_total",
     Metrics.counter ~stable:false ~labels:(("result", "miss") :: lbl)
-      "xpiler_intra_memo_lookups_total",
-    Metrics.counter ~stable:false ~help:"intra memo entries dropped by capacity eviction"
-      ~labels:lbl ~trace:"intra.memo_evictions" "xpiler_intra_memo_evictions_total" )
+      "xpiler_intra_memo_lookups_total" )
 
 let compile_metrics = memo_metrics "compile"
 let throughput_metrics = memo_metrics "throughput"
@@ -64,68 +62,42 @@ let composed_candidates survivors ~limit =
 (* The tuner revisits the same (platform, kernel) states constantly: MCTS
    rollouts rediscover states the tree already expanded, and intra candidates
    collide across rewards. Both functions are pure, so memoizing them is
-   invisible except in time — which also makes the tables safe to share
-   between pool workers (values are equal no matter who computes them). *)
-module PK = struct
+   invisible except in time — which also makes a memo safe to share between
+   pool workers (values are equal no matter who computes them). Every hit
+   falls within one search, so the memo lives as long as the search that
+   owns it: bounded by that search's budget, with no eviction. *)
+module PTbl = Hashtbl.Make (struct
   type t = Platform.id * Xpiler_ir.Kernel.t
 
   let equal (aid, ak) (bid, bk) = aid = bid && Xpiler_ir.Kernel.equal ak bk
   let hash (id, k) = Xpiler_ir.Expr.hash_comb (Hashtbl.hash id) (Xpiler_ir.Kernel.hash k)
-end
+end)
 
-module PTbl = Hashtbl.Make (PK)
+type memo = { mutex : Mutex.t; compiled : bool PTbl.t; modelled : float PTbl.t }
 
-(* generous: a full MCTS search touches a few thousand states, and losing
-   entries mid-search turns subsequent lookups into recomputes. Mutable so
-   tests can force the eviction path. *)
-let memo_limit = ref 65536
-let set_memo_limit n = if n > 0 then memo_limit := n
-let memo_mutex = Mutex.create ()
-let compile_memo : bool PTbl.t = PTbl.create 256
-let throughput_memo : float PTbl.t = PTbl.create 256
-
-(* At capacity, evict half (arbitrary members — the memo records no
-   recency) instead of resetting: a reset silently dropped the whole table
-   mid-search, turning every later lookup into a recompute. Evictions are
-   traced so capacity pressure is visible in journals. *)
-let evict_half_locked tbl =
-  let keys = PTbl.fold (fun key _ acc -> key :: acc) tbl [] in
-  let dropped = ref 0 in
-  List.iteri
-    (fun i key ->
-      if i land 1 = 0 then begin
-        PTbl.remove tbl key;
-        incr dropped
-      end)
-    keys;
-  !dropped
+let create_memo () =
+  { mutex = Mutex.create (); compiled = PTbl.create 256; modelled = PTbl.create 256 }
 
 (* compute runs outside the lock: a concurrent duplicate costs time, never
    correctness *)
-let memoized tbl (m_hit, m_miss, m_evict) compute key =
-  match Mutex.protect memo_mutex (fun () -> PTbl.find_opt tbl key) with
+let memoized memo tbl (m_hit, m_miss) compute key =
+  match Mutex.protect memo.mutex (fun () -> PTbl.find_opt tbl key) with
   | Some v ->
     Metrics.inc m_hit;
     v
   | None ->
     Metrics.inc m_miss;
     let v = compute () in
-    let dropped =
-      Mutex.protect memo_mutex (fun () ->
-          let dropped = if PTbl.length tbl >= !memo_limit then evict_half_locked tbl else 0 in
-          PTbl.replace tbl key v;
-          dropped)
-    in
-    if dropped > 0 then Metrics.inc ~n:dropped m_evict;
+    Mutex.protect memo.mutex (fun () -> PTbl.replace tbl key v);
     v
 
-let compiles platform k =
-  memoized compile_memo compile_metrics
+let compiles memo platform k =
+  memoized memo memo.compiled compile_metrics
     (fun () -> Result.is_ok (Checker.compile platform k))
     (platform.Platform.id, k)
 
-let modelled_throughput platform k =
-  memoized throughput_memo throughput_metrics
+let modelled_throughput memo platform k =
+  memoized memo memo.modelled throughput_metrics
     (fun () -> Costmodel.throughput platform k ~shapes:[])
     (platform.Platform.id, k)
 
@@ -135,7 +107,7 @@ let modelled_throughput platform k =
 let compose_seeds = 4
 
 let tune_with_stats ?clock ?charge ?(jobs = 1) ?(max_candidates = 64) ?(prune = true)
-    ?(compose = true) ~platform k =
+    ?(compose = true) ~memo ~platform k =
   let charge_fn =
     match charge with
     | Some f -> f
@@ -144,6 +116,7 @@ let tune_with_stats ?clock ?charge ?(jobs = 1) ?(max_candidates = 64) ?(prune = 
       | Some c -> fun s -> Vclock.charge c Vclock.Auto_tuning s
       | None -> fun _ -> ())
   in
+  let compiles = compiles memo and modelled_throughput = modelled_throughput memo in
   let base = { specs = []; kernel = k; throughput = modelled_throughput platform k } in
   let best = ref base in
   let measured = ref [] (* successful variants, newest first *) in
@@ -252,4 +225,6 @@ let tune_with_stats ?clock ?charge ?(jobs = 1) ?(max_candidates = 64) ?(prune = 
   (!best, { evaluated = !evaluated; pruned = !pruned })
 
 let tune ?clock ?charge ?jobs ?max_candidates ?prune ?compose ~platform k =
-  fst (tune_with_stats ?clock ?charge ?jobs ?max_candidates ?prune ?compose ~platform k)
+  fst
+    (tune_with_stats ?clock ?charge ?jobs ?max_candidates ?prune ?compose
+       ~memo:(create_memo ()) ~platform k)

@@ -35,20 +35,20 @@ val composed_candidates : variant list -> limit:int -> Pass.spec list list
     first): reorders and pipelines applicable to each survivor's transformed
     kernel, appended to its specs; at most [limit] results. *)
 
-val compiles : Platform.t -> Kernel.t -> bool
-(** Memoized [Checker.compile] success, keyed by the kernel's structural
-    hash per platform. The checker is pure, so the shared bounded table is
-    safe for concurrent tuner workers. *)
+type memo
+(** Memo of the checker and the cost model for one search: [compiles] and
+    modelled-throughput results keyed by (platform, kernel) on the
+    structural {!Kernel.hash}/[equal]. {!Mcts.search} creates one per
+    search, shares it across its root-parallel batches and drops it on
+    return; {!tune} uses a fresh one. It is unbounded — a search's budget
+    bounds it — and mutex-protected, so concurrent tuner workers may share
+    it. Lookups count in [xpiler_intra_memo_lookups_total{table,result}]. *)
 
-val modelled_throughput : Platform.t -> Kernel.t -> float
-(** Memoized [Costmodel.throughput] with empty shape bindings (the tuner's
-    reward), same keying and sharing discipline as {!compiles}. *)
+val create_memo : unit -> memo
 
-val set_memo_limit : int -> unit
-(** Override the shared memo capacity (default 65536). At capacity, half
-    the table is evicted — never a full reset, which would turn every
-    subsequent lookup mid-search into a recompute — and the eviction is
-    traced as [intra.memo_evictions]. Exposed for tests. *)
+val compiles : memo -> Platform.t -> Kernel.t -> bool
+(** Memoized [Checker.compile] success. The checker is pure, so a hit and
+    a recompute are indistinguishable except in time. *)
 
 val tune_with_stats :
   ?clock:Xpiler_util.Vclock.t ->
@@ -57,12 +57,14 @@ val tune_with_stats :
   ?max_candidates:int ->
   ?prune:bool ->
   ?compose:bool ->
+  memo:memo ->
   platform:Platform.t ->
   Kernel.t ->
   variant * stats
-(** Like {!tune}, additionally returning the evaluation/pruning counts —
-    the receipt {!Mcts} stores in the transposition table so cache hits can
-    replay the canonical effect stream of the original evaluation. *)
+(** Like {!tune}, on the caller's [memo], additionally returning the
+    evaluation/pruning counts — the receipt {!Mcts} stores in the
+    transposition table so cache hits can replay the canonical effect
+    stream of the original evaluation. *)
 
 val tune :
   ?clock:Xpiler_util.Vclock.t ->

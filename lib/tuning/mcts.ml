@@ -67,7 +67,7 @@ end)
    aggregated [intra.pruned] count. Fresh evaluations run under
    [Trace.without] with a null charge sink so the only effects are that
    canonical stream — whoever fills the table first is unobservable. *)
-let search_one ~config ~sims ~seed ~charge ?(jobs = 1) ~share ~prefix ~buffer_sizes
+let search_one ~config ~sims ~seed ~charge ?(jobs = 1) ~share ~memo ~prefix ~buffer_sizes
     ~platform kernel =
   let rng = Rng.create seed in
   let nodes = ref 0 in
@@ -101,14 +101,14 @@ let search_one ~config ~sims ~seed ~charge ?(jobs = 1) ~share ~prefix ~buffer_si
             Transposition.count_eval ();
             let e =
               Trace.without (fun () ->
-                  if not (Intra.compiles platform k) then
+                  if not (Intra.compiles memo platform k) then
                     { Transposition.reward = 0.0; evaluated = 0; pruned = 0 }
                   else begin
                     let v, st =
                       Intra.tune_with_stats
                         ~charge:(fun _ -> ())
                         ~jobs ~prune:config.prune ~compose:config.compose
-                        ~max_candidates:config.intra_candidates ~platform k
+                        ~max_candidates:config.intra_candidates ~memo ~platform k
                     in
                     { Transposition.reward = v.Intra.throughput;
                       evaluated = st.Intra.evaluated;
@@ -298,6 +298,8 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?(jobs = 1) ?(
       | Some specs -> specs
       | None -> [])
   in
+  (* the checker/cost-model memo lives exactly as long as this search *)
+  let memo = Intra.create_memo () in
   let result =
     let b = max config.root_parallel 1 in
     if b <= 1 && prefix = [] then begin
@@ -306,7 +308,7 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?(jobs = 1) ?(
       in
       let result, _, _ =
         search_one ~config ~sims:config.simulations ~seed:config.seed ~charge ~jobs ~share
-          ~prefix:[] ~buffer_sizes ~platform kernel
+          ~memo ~prefix:[] ~buffer_sizes ~platform kernel
       in
       result
     end
@@ -334,7 +336,7 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?(jobs = 1) ?(
                 let res, steps, warm =
                   search_one ~config ~sims:(sims_of i) ~seed:(config.seed + (7919 * i))
                     ~charge:(fun s -> Pool.charge task Vclock.Auto_tuning s)
-                    ~jobs:1 ~share ~prefix:(prefix_of i) ~buffer_sizes ~platform kernel
+                    ~jobs:1 ~share ~memo ~prefix:(prefix_of i) ~buffer_sizes ~platform kernel
                 in
                 Pool.defer task (fun () ->
                     Trace.count ~n:res.nodes_expanded "mcts.expansions";

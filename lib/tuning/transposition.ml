@@ -69,16 +69,16 @@ module Key = struct
       (Xpiler_ir.Kernel.hash k.kernel)
 end
 
-module KTbl = Hashtbl.Make (Key)
+module Table = Xpiler_util.Lru.Make (Key)
 
-(* sized like the intra memos: a full search touches a few thousand states *)
-let capacity = 65536
+(* a full search touches a few thousand states *)
 let mutex = Mutex.create ()
-let table : entry KTbl.t = KTbl.create 1024
+let table : entry Table.t = Table.create 65536
 
-(* durable-store hook: called outside the mutex on every fresh [store]
-   (worker domains included — the observer must synchronize internally);
-   [restore] bypasses it so log replay never echoes back to disk *)
+(* durable-store hook: called outside the mutex on every [store] of a new
+   state (worker domains included — the observer must synchronize
+   internally); [restore] bypasses it so log replay never echoes back to
+   disk *)
 let observer : (Key.t -> entry -> unit) option ref = ref None
 let set_observer o = Mutex.protect mutex (fun () -> observer := o)
 
@@ -87,7 +87,7 @@ let key ~platform ~budget ~prune ~compose kernel =
 
 let find ~platform ~budget ~prune ~compose kernel =
   Mutex.protect mutex (fun () ->
-      match KTbl.find_opt table (key ~platform ~budget ~prune ~compose kernel) with
+      match Table.find table (key ~platform ~budget ~prune ~compose kernel) with
       | Some e ->
         Metrics.inc m_hits;
         Some e
@@ -95,52 +95,40 @@ let find ~platform ~budget ~prune ~compose kernel =
         Metrics.inc m_misses;
         None)
 
-(* evict half (arbitrary members; the table records no recency) rather than
-   resetting: a reset would turn every live searcher's next lookups into
-   recomputes at once *)
-let evict_half_locked () =
-  let keys = KTbl.fold (fun k _ acc -> k :: acc) table [] in
-  let dropped = ref 0 in
-  List.iteri
-    (fun i k ->
-      if i land 1 = 0 then begin
-        KTbl.remove table k;
-        incr dropped
-      end)
-    keys;
-  !dropped
-
 let store ~platform ~budget ~prune ~compose kernel entry =
   let k = key ~platform ~budget ~prune ~compose kernel in
-  let dropped, entries, obs =
+  let evicted, entries, obs =
     Mutex.protect mutex (fun () ->
-        let dropped = if KTbl.length table >= capacity then evict_half_locked () else 0 in
-        KTbl.replace table k entry;
-        (dropped, KTbl.length table, !observer))
+        (* an entry is a pure function of its key: when searchers race on
+           one state, the first store logs it and the rest change nothing,
+           so the persisted record count does not depend on the schedule *)
+        if Option.is_some (Table.find table k) then (false, Table.length table, None)
+        else
+          let evicted = Table.replace table k entry in
+          (evicted, Table.length table, !observer))
   in
   Metrics.set m_entries (float_of_int entries);
-  if dropped > 0 then Metrics.inc ~n:dropped m_evictions;
+  if evicted then Metrics.inc m_evictions;
   match obs with Some f -> f k entry | None -> ()
 
 let restore k entry =
   let entries =
     Mutex.protect mutex (fun () ->
-        (* capacity still applies, but silently: a replay must not emit the
+        (* eviction still applies, but silently: a replay must not emit the
            eviction trace counts the original run never produced *)
-        if KTbl.length table >= capacity then ignore (evict_half_locked ());
-        KTbl.replace table k entry;
-        KTbl.length table)
+        ignore (Table.replace table k entry);
+        Table.length table)
   in
   Metrics.set m_entries (float_of_int entries)
 
-let fold f acc = Mutex.protect mutex (fun () -> KTbl.fold f table acc)
+let fold f acc = Mutex.protect mutex (fun () -> Table.fold f table acc)
 
 let count_eval () = Metrics.inc m_evals
-let size () = Mutex.protect mutex (fun () -> KTbl.length table)
+let size () = Mutex.protect mutex (fun () -> Table.length table)
 let hits () = Metrics.value m_hits
 let misses () = Metrics.value m_misses
 let evals () = Metrics.value m_evals
 
 let clear () =
   Metrics.set m_entries 0.0;
-  Mutex.protect mutex (fun () -> KTbl.reset table)
+  Mutex.protect mutex (fun () -> Table.clear table)

@@ -17,8 +17,9 @@ open Xpiler_machine
     the search trajectory, not on which searcher populated the table first —
     preserving the byte-identical [--jobs] guarantee.
 
-    At capacity (65536 entries) half the table is evicted (never a full
-    reset), traced as [mcts.tt_evictions]. *)
+    The table is an LRU of 65536 entries ({!Xpiler_util.Lru}): at capacity
+    a fresh {!store} evicts the least recently used entry, traced as
+    [mcts.tt_evictions]. *)
 
 type entry = {
   reward : float;  (** best intra-tuned throughput; 0 for non-compiling states *)
@@ -49,6 +50,9 @@ val find :
 val store :
   platform:Platform.id -> budget:int -> prune:bool -> compose:bool ->
   Xpiler_ir.Kernel.t -> entry -> unit
+(** Bind a freshly evaluated state. A state already present (a racing
+    searcher stored it first) is left as is and not passed to the
+    observer. *)
 
 val count_eval : unit -> unit
 (** Record one fresh reward evaluation (an actual [Intra.tune] run). {!Mcts}
@@ -72,12 +76,13 @@ val clear : unit -> unit
 val restore : Key.t -> entry -> unit
 (** Reinsert a persisted entry. Silent — no hit/miss counts, no eviction
     traces, no observer — so replaying a log emits none of the effects the
-    original run already journaled. Capacity eviction still applies. *)
+    original run already journaled. LRU eviction still applies. *)
 
 val fold : (Key.t -> entry -> 'a -> 'a) -> 'a -> 'a
-(** Fold over the live entries (order unspecified), for snapshot dumps. *)
+(** Fold over the live entries (most recent first), for snapshot dumps. *)
 
 val set_observer : (Key.t -> entry -> unit) option -> unit
-(** Hook called on every fresh {!store} — outside the table mutex, possibly
-    from pool worker domains, so the observer must synchronize internally.
-    The durable store uses it to append to its write-ahead log. *)
+(** Hook called on every {!store} of a new state — outside the table
+    mutex, possibly from pool worker domains, so the observer must
+    synchronize internally. The durable store uses it to append to its
+    write-ahead log. *)

@@ -5,7 +5,7 @@ module Make (H : Hashtbl.HashedType) = struct
   module Tbl = Hashtbl.Make (H)
 
   type 'a node = {
-    key : H.t;
+    mutable key : H.t;
     mutable value : 'a;
     mutable prev : 'a node option;  (** towards the head (more recent) *)
     mutable next : 'a node option;  (** towards the tail (less recent) *)
@@ -49,19 +49,32 @@ module Make (H : Hashtbl.HashedType) = struct
   let replace t k v =
     match Tbl.find_opt t.table k with
     | Some n ->
+      (* like [Hashtbl.replace], the new key replaces the equal old one *)
+      n.key <- k;
       n.value <- v;
+      Tbl.replace t.table k n;
       unlink t n;
-      push_front t n
+      push_front t n;
+      false
     | None ->
-      if Tbl.length t.table >= t.capacity then (
+      let evicted =
+        Tbl.length t.table >= t.capacity
+        &&
         match t.tail with
         | Some last ->
           unlink t last;
-          Tbl.remove t.table last.key
-        | None -> ());
+          Tbl.remove t.table last.key;
+          true
+        | None -> false
+      in
       let n = { key = k; value = v; prev = None; next = None } in
       Tbl.replace t.table k n;
-      push_front t n
+      push_front t n;
+      evicted
+
+  let fold f t acc =
+    let rec go acc = function None -> acc | Some n -> go (f n.key n.value acc) n.next in
+    go acc t.head
 
   let clear t =
     Tbl.reset t.table;

@@ -129,16 +129,33 @@ let test_kernel_helpers () =
   Alcotest.(check (option int)) "extent" (Some 4) (Kernel.axis_extent k Axis.Block_x);
   Alcotest.(check int) "buffers" 1 (List.length (Kernel.buffer_params k))
 
-(* the two properties the compile memo relies on: structurally equal kernels
-   share a key, distinct kernels never do *)
-let test_cache_key () =
+(* the two properties the structural memo keys rely on: structurally equal
+   kernels are [equal] with one hash, distinct kernels are not [equal] *)
+let test_content_keying () =
   let kernel_of_seed seed = Test_support.Kgen.kernel (Xpiler_util.Rng.create seed) in
   let k1 = kernel_of_seed 77 and k2 = kernel_of_seed 77 and k3 = kernel_of_seed 78 in
   Alcotest.(check bool) "fresh structurally equal copies" true (k1 != k2 && Kernel.equal k1 k2);
-  Alcotest.(check string) "equal kernels, equal key" (Kernel.cache_key k1) (Kernel.cache_key k2);
-  Alcotest.(check bool) "distinct kernels" false (Kernel.equal k1 k3);
-  Alcotest.(check bool) "distinct kernels, distinct keys" true
-    (Kernel.cache_key k1 <> Kernel.cache_key k3)
+  Alcotest.(check int) "equal kernels, equal hash" (Kernel.hash k1) (Kernel.hash k2);
+  Alcotest.(check bool) "distinct kernels" false (Kernel.equal k1 k3)
+
+(* 0.0 and -0.0 compare equal as floats but are different literals:
+   [1.0 / -0.0] is -inf. Keying a memo on an equality that aliased them
+   would hand one kernel the other's results. *)
+let test_signed_zero_keying () =
+  let open Expr.Infix in
+  let k z =
+    Kernel.make ~name:"recip" ~params:[ Builder.buffer "out" ]
+      [ Builder.store "out" (int 0) (flt 1.0 / flt z) ]
+  in
+  let pos = k 0.0 and neg = k (-0.0) in
+  Alcotest.(check bool) "0.0 and -0.0 kernels differ" false (Kernel.equal pos neg);
+  let run k =
+    let out = Xpiler_machine.Tensor.create 1 in
+    ignore (Xpiler_machine.Interp.run k [ ("out", Xpiler_machine.Interp.Buf out) ]);
+    Xpiler_machine.Tensor.get out 0
+  in
+  Alcotest.(check (float 0.0)) "1 / 0.0" Float.infinity (run pos);
+  Alcotest.(check (float 0.0)) "1 / -0.0" Float.neg_infinity (run neg)
 
 (* property tests *)
 
@@ -203,7 +220,10 @@ let () =
           Alcotest.test_case "intrinsic arity" `Quick test_validate_intrinsic_arity;
           Alcotest.test_case "kernel helpers" `Quick test_kernel_helpers
         ] );
-      ("kernel", [ Alcotest.test_case "content keying" `Quick test_cache_key ]);
+      ( "kernel",
+        [ Alcotest.test_case "content keying" `Quick test_content_keying;
+          Alcotest.test_case "signed zeros do not alias" `Quick test_signed_zero_keying
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_simplify_preserves_value; prop_simplify_idempotent; prop_subst_removes_var ]

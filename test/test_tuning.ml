@@ -159,10 +159,12 @@ let test_intra_prune_lossless () =
   List.iter
     (fun p ->
       let v_off, s_off =
-        Intra.tune_with_stats ~prune:false ~compose:false ~platform:p (serial ())
+        Intra.tune_with_stats ~prune:false ~compose:false ~memo:(Intra.create_memo ())
+          ~platform:p (serial ())
       in
       let v_on, s_on =
-        Intra.tune_with_stats ~prune:true ~compose:false ~platform:p (serial ())
+        Intra.tune_with_stats ~prune:true ~compose:false ~memo:(Intra.create_memo ())
+          ~platform:p (serial ())
       in
       Alcotest.(check (float 0.0)) "same best throughput" v_off.Intra.throughput
         v_on.Intra.throughput;
@@ -170,31 +172,48 @@ let test_intra_prune_lossless () =
         (s_on.Intra.evaluated + s_on.Intra.pruned);
       (* composition only ever adds candidates *)
       let v_comp, _ =
-        Intra.tune_with_stats ~prune:true ~compose:true ~platform:p (serial ())
+        Intra.tune_with_stats ~prune:true ~compose:true ~memo:(Intra.create_memo ())
+          ~platform:p (serial ())
       in
       Alcotest.(check bool) "composition never loses" true
         (v_comp.Intra.throughput >= v_on.Intra.throughput))
     [ Platform.cuda; Platform.bang ]
 
-(* ---- memo eviction ------------------------------------------------------ *)
+(* ---- intra memo scope ------------------------------------------------------ *)
 
-let test_memo_eviction_traced () =
-  let module Tracer = Xpiler_obs.Tracer in
-  let module Trace = Xpiler_obs.Trace in
-  let tracer = Tracer.create ~level:Tracer.Detail () in
-  Trace.install tracer;
-  Fun.protect ~finally:(fun () ->
-      Intra.set_memo_limit 65536;
-      Trace.uninstall ())
-  @@ fun () ->
-  Intra.set_memo_limit 4;
-  for seed = 1 to 12 do
+(* the checker/cost-model memo belongs to one search: repeating the same
+   search starts cold again and sees exactly the first run's hits and misses *)
+let test_intra_memo_per_search () =
+  let module Metrics = Xpiler_obs.Metrics in
+  let lookups () =
+    List.filter_map
+      (fun (s : Metrics.sample) ->
+        match s.value with
+        | Metrics.Vcounter n when s.name = "xpiler_intra_memo_lookups_total" -> Some (s.labels, n)
+        | _ -> None)
+      (Metrics.snapshot ())
+  in
+  let config = { Mcts.default_config with simulations = 32; max_depth = 6 } in
+  let search_deltas () =
+    let before = lookups () in
     ignore
-      (Intra.modelled_throughput Platform.bang
-         (Test_support.Kgen.kernel (Xpiler_util.Rng.create seed)))
-  done;
-  Alcotest.(check bool) "evictions traced" true
-    (Tracer.counter_total tracer "intra.memo_evictions" > 0)
+      (Mcts.search ~config ~buffer_sizes ~share:false ~jobs:1 ~platform:Platform.bang
+         (serial ()));
+    List.map
+      (fun (l, n) -> (l, n - Option.value ~default:0 (List.assoc_opt l before)))
+      (lookups ())
+  in
+  let first = search_deltas () in
+  let second = search_deltas () in
+  let total result =
+    List.fold_left
+      (fun acc (l, n) -> if List.assoc_opt "result" l = Some result then acc + n else acc)
+      0 first
+  in
+  Alcotest.(check bool) "the search misses" true (total "miss" > 0);
+  Alcotest.(check bool) "the search hits" true (total "hit" > 0);
+  Alcotest.(check (list (pair (list (pair string string)) int)))
+    "same hits and misses" first second
 
 (* ---- actions ------------------------------------------------------------------ *)
 
@@ -453,7 +472,7 @@ let () =
           Alcotest.test_case "pruning lossless" `Quick test_intra_prune_lossless;
           Alcotest.test_case "bound admissible on tuning states" `Quick
             test_bound_admissible_on_tuning_states;
-          Alcotest.test_case "memo eviction traced" `Quick test_memo_eviction_traced
+          Alcotest.test_case "memo scoped to one search" `Quick test_intra_memo_per_search
         ] );
       ( "sharing",
         [ Alcotest.test_case "transposition values pure" `Quick test_transposition_values_pure;

@@ -260,22 +260,69 @@ module Lru = Xpiler_util.Lru.Make (struct
   let hash = Hashtbl.hash
 end)
 
+let put t k v = ignore (Lru.replace t k v)
+
 let test_lru_evicts_least_recent () =
   let t = Lru.create 2 in
-  Lru.replace t 1 "a";
-  Lru.replace t 2 "b";
+  put t 1 "a";
+  put t 2 "b";
   Alcotest.(check (option string)) "hit" (Some "a") (Lru.find t 1);
   (* 2 is now the least recently used *)
-  Lru.replace t 3 "c";
+  put t 3 "c";
   Alcotest.(check int) "bounded" 2 (Lru.length t);
   Alcotest.(check (option string)) "least recent evicted" None (Lru.find t 2);
   Alcotest.(check (option string)) "recently used kept" (Some "a") (Lru.find t 1);
-  Lru.replace t 3 "c'";
-  Lru.replace t 4 "d";
+  put t 3 "c'";
+  put t 4 "d";
   Alcotest.(check (option string)) "replace refreshes recency" (Some "c'") (Lru.find t 3);
   Alcotest.(check (option string)) "then the older one goes" None (Lru.find t 1);
   Lru.clear t;
   Alcotest.(check int) "cleared" 0 (Lru.length t)
+
+let bindings t = List.sort compare (Lru.fold (fun k v acc -> (k, v) :: acc) t [])
+
+let test_lru_fold_live_entries () =
+  let t = Lru.create 3 in
+  List.iter (fun k -> put t k (string_of_int k)) [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check (list (pair int string))) "exactly the live entries"
+    [ (3, "3"); (4, "4"); (5, "5") ]
+    (bindings t);
+  Alcotest.(check (list int)) "most recent first" [ 5; 4; 3 ]
+    (List.rev (Lru.fold (fun k _ acc -> k :: acc) t []));
+  (* folding is a read, not a use: 3 is still the next to go *)
+  put t 6 "6";
+  Alcotest.(check (list int)) "fold leaves recency alone" [ 4; 5; 6 ] (List.map fst (bindings t))
+
+(* keys equal on their first component only, so a rebind can tell which
+   key instance the table kept *)
+module Lru_fst = Xpiler_util.Lru.Make (struct
+  type t = int * string
+
+  let equal (a, _) (b, _) = Int.equal a b
+  let hash (a, _) = Hashtbl.hash a
+end)
+
+let test_lru_rebind_at_capacity () =
+  let t = Lru.create 2 in
+  put t 1 "a";
+  put t 2 "b";
+  Alcotest.(check bool) "re-binding a present key evicts nothing" false (Lru.replace t 1 "a'");
+  Alcotest.(check (list (pair int string))) "both kept" [ (1, "a'"); (2, "b") ] (bindings t);
+  let t = Lru_fst.create 1 in
+  ignore (Lru_fst.replace t (1, "old") "a");
+  ignore (Lru_fst.replace t (1, "new") "b");
+  Alcotest.(check (list (pair (pair int string) string)))
+    "the new key replaces the old one, as in Hashtbl.replace" [ ((1, "new"), "b") ]
+    (Lru_fst.fold (fun k v acc -> (k, v) :: acc) t [])
+
+let test_lru_overflow_evicts_one () =
+  let t = Lru.create 4 in
+  let evictions = ref 0 in
+  for k = 1 to 10 do
+    if Lru.replace t k k then incr evictions;
+    Alcotest.(check int) "length" (min k 4) (Lru.length t);
+    Alcotest.(check int) "one eviction per overflowing insert" (max 0 (k - 4)) !evictions
+  done
 
 let () =
   Alcotest.run "util"
@@ -309,6 +356,11 @@ let () =
         [ Alcotest.test_case "take" `Quick test_listx_take;
           Alcotest.test_case "top_k" `Quick test_listx_top_k
         ] );
-      ("lru", [ Alcotest.test_case "evicts least recent" `Quick test_lru_evicts_least_recent ]);
+      ( "lru",
+        [ Alcotest.test_case "evicts least recent" `Quick test_lru_evicts_least_recent;
+          Alcotest.test_case "fold sees live entries" `Quick test_lru_fold_live_entries;
+          Alcotest.test_case "rebind at capacity" `Quick test_lru_rebind_at_capacity;
+          Alcotest.test_case "overflow evicts one" `Quick test_lru_overflow_evicts_one
+        ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_bernoulli_frequency ])
     ]
