@@ -1,9 +1,9 @@
 (* Repair/SMT hot-path benchmark: the pre-overhaul repair stack (naive
-   re-checking solver, no memo, serial candidate testing) vs the overhauled
-   one (incremental watched-constraint solver, process-global memo,
-   speculative parallel candidate testing) on the resilience workload at
-   matched injected-fault rates. Writes BENCH_repair.json (schema
-   xpiler-repair-bench/v1) into the current directory.
+   re-checking solver, no memo) vs the overhauled one (incremental
+   watched-constraint solver, process-global memo) on the resilience
+   workload at matched injected-fault rates. Both arms test repair
+   candidates serially. Writes BENCH_repair.json (schema
+   xpiler-repair-bench/v2) into the current directory.
 
    Usage:
      dune exec bench/repair_bench.exe            # full measurement (x5/x10/x20)
@@ -25,7 +25,6 @@ open Xpiler_core
 module Solver = Xpiler_smt.Solver
 module Memo = Xpiler_smt.Memo
 module Repairer = Xpiler_repair.Repairer
-module Metrics = Xpiler_obs.Metrics
 
 let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
 let now = Unix.gettimeofday
@@ -59,16 +58,8 @@ type arm_stats = {
   wall_score : float;
   memo_hits : int;
   memo_misses : int;
-  spec_batches : int;  (** speculative candidate batches: won + lost *)
-  spec_won : int;
-  spec_cancelled : int;  (** losers above each winning index *)
   wall : float;
 }
-
-(* the repairer's speculation series, interned by (name, labels) *)
-let spec_meter result =
-  let c = Metrics.counter ~labels:[ ("result", result) ] "xpiler_repair_speculative_total" in
-  fun () -> Metrics.value c
 
 (* a process-lifetime meter read as the change since this call *)
 let delta read =
@@ -85,9 +76,6 @@ let run_arm ~engine ~memo config_of op_name src dst scale =
   Unit_test.reset_memo ();
   Repairer.reset_wall_totals ();
   let hits = delta Memo.hits and misses = delta Memo.misses in
-  let won = delta (spec_meter "won")
-  and lost = delta (spec_meter "lost")
-  and cancelled = delta (spec_meter "cancelled") in
   let t0 = now () in
   let outcomes =
     List.init n_seeds (fun seed ->
@@ -111,9 +99,6 @@ let run_arm ~engine ~memo config_of op_name src dst scale =
     wall_score = rw.Repairer.score_seconds;
     memo_hits = hits ();
     memo_misses = misses ();
-    spec_batches = won () + lost ();
-    spec_won = won ();
-    spec_cancelled = cancelled ();
     wall
   }
 
@@ -133,12 +118,9 @@ type row = {
 }
 
 let bench_cell scale (op_name, src, dst) =
-  (* baseline = the pre-overhaul stack: naive engine, cold memo, serial
-     candidate testing (speculation off) *)
+  (* baseline = the pre-overhaul stack: naive engine, cold memo *)
   let baseline =
-    run_arm ~engine:Solver.Naive ~memo:false
-      (fun () -> { Config.default with Config.speculative_repair = false })
-      op_name src dst scale
+    run_arm ~engine:Solver.Naive ~memo:false (fun () -> Config.default) op_name src dst scale
   in
   let optimized =
     run_arm ~engine:Solver.Incremental ~memo:true
@@ -167,12 +149,10 @@ let json_arm oc label (a : arm_stats) last =
      \"solver_wall_sec\": %.4f, \"hotpath_wall_sec\": %.4f, \
      \"repair_localize_sec\": %.4f, \"repair_solve_sec\": %.4f, \"repair_test_sec\": %.4f, \
      \"repair_score_sec\": %.4f, \"memo_hits\": %d, \
-     \"memo_misses\": %d, \"spec_batches\": %d, \"spec_won\": %d, \"spec_cancelled\": %d, \
-     \"wall_sec\": %.3f}%s\n"
+     \"memo_misses\": %d, \"wall_sec\": %.3f}%s\n"
     label a.broken a.solves a.steps a.evals a.repairs a.repair_wall a.solver_wall
     (hotpath_wall a) a.wall_localize
-    a.wall_solve a.wall_test a.wall_score a.memo_hits a.memo_misses
-    a.spec_batches a.spec_won a.spec_cancelled a.wall
+    a.wall_solve a.wall_test a.wall_score a.memo_hits a.memo_misses a.wall
     (if last then "" else ",")
 
 let ratio num den = if den <= 0.0 then Float.infinity else num /. den
@@ -194,19 +174,16 @@ let () =
   and o_wall = totalf (fun r -> hotpath_wall r.optimized) in
   let hits = total (fun r -> r.optimized.memo_hits)
   and misses = total (fun r -> r.optimized.memo_misses) in
-  let batches = total (fun r -> r.optimized.spec_batches)
-  and won = total (fun r -> r.optimized.spec_won) in
   let steps_reduction = ratio (float_of_int b_steps) (float_of_int o_steps) in
   let evals_reduction = ratio (float_of_int b_evals) (float_of_int o_evals) in
   let wall_speedup = ratio b_wall o_wall in
   let memo_hit_rate = ratio (float_of_int hits) (float_of_int (hits + misses)) in
-  let win_rate = ratio (float_of_int won) (float_of_int (max 1 batches)) in
   let gate_steps = steps_reduction >= 2.0 in
   let gate_evals = evals_reduction >= 2.0 in
   let gate_broken = o_broken <= b_broken in
   let gate_wall = smoke || wall_speedup >= 2.0 in
   let oc = open_out "BENCH_repair.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"xpiler-repair-bench/v1\",\n  \"smoke\": %b,\n" smoke;
+  Printf.fprintf oc "{\n  \"schema\": \"xpiler-repair-bench/v2\",\n  \"smoke\": %b,\n" smoke;
   Printf.fprintf oc "  \"runs_per_cell\": %d,\n" n_seeds;
   Printf.fprintf oc "  \"fault_scales\": [%s],\n"
     (String.concat ", " (List.map (Printf.sprintf "%.1f") fault_scales));
@@ -235,8 +212,7 @@ let () =
   Printf.fprintf oc "  \"wall_speedup\": %.4f,\n" wall_speedup;
   Printf.fprintf oc "  \"baseline_broken\": %d,\n  \"optimized_broken\": %d,\n" b_broken
     o_broken;
-  Printf.fprintf oc "  \"memo_hit_rate\": %.4f,\n  \"speculation_win_rate\": %.4f,\n"
-    memo_hit_rate win_rate;
+  Printf.fprintf oc "  \"memo_hit_rate\": %.4f,\n" memo_hit_rate;
   Printf.fprintf oc
     "  \"gate_steps_reduction\": %b,\n  \"gate_evals_reduction\": %b,\n  \
      \"gate_broken\": %b,\n  \"gate_wall\": %b\n}\n"
@@ -245,9 +221,9 @@ let () =
   Printf.printf "wrote BENCH_repair.json\n%!";
   Printf.printf
     "solver steps %d -> %d (%.1fx), evals %d -> %d (%.1fx), hot-path wall %.2fs -> %.2fs \
-     (%.1fx), broken %d -> %d, memo hit rate %.0f%%, speculation win rate %.0f%%\n%!"
+     (%.1fx), broken %d -> %d, memo hit rate %.0f%%\n%!"
     b_steps o_steps steps_reduction b_evals o_evals evals_reduction b_wall o_wall wall_speedup
-    b_broken o_broken (memo_hit_rate *. 100.0) (win_rate *. 100.0);
+    b_broken o_broken (memo_hit_rate *. 100.0);
   let fail = ref false in
   if not gate_steps then begin
     Printf.eprintf "GATE FAILED: solver steps must drop >= 2x (got %.2fx)\n%!" steps_reduction;

@@ -76,14 +76,6 @@ let no_rollback_arg =
   in
   Arg.(value & flag & info [ "no-rollback" ] ~doc)
 
-let no_speculative_repair_arg =
-  let doc =
-    "Test SMT-repair candidates serially instead of speculatively over the worker pool. \
-     Speculation is deterministic (lowest-index winner, canonical replayed effects), so \
-     the flag exists for A/B measurement and debugging."
-  in
-  Arg.(value & flag & info [ "no-speculative-repair" ] ~doc)
-
 let fault_scale_arg =
   let doc =
     "Multiplier on the simulated LLM's fault-injection rates (default 1.0, the \
@@ -171,7 +163,7 @@ let find_op name =
 (* ---- translate ------------------------------------------------------------ *)
 
 let translate op_name shape src dst tune seed jobs no_prune no_warm_start max_escalation
-    no_rollback no_speculative_repair fault_scale store_dir no_store trace trace_level =
+    no_rollback fault_scale store_dir no_store trace trace_level =
   let op = find_op op_name in
   let shape = parse_shape op shape in
   let config =
@@ -183,7 +175,6 @@ let translate op_name shape src dst tune seed jobs no_prune no_warm_start max_es
         Config.tuning_prune = not no_prune;
         tuning_warm_start = not no_warm_start;
         rollback = not no_rollback;
-        speculative_repair = not no_speculative_repair;
         store_dir = effective_store_dir store_dir no_store
       }
     in
@@ -229,8 +220,7 @@ let translate_cmd =
     Term.(
       const translate $ op_arg $ shape_arg $ src_arg $ dst_arg $ tune_arg $ seed_arg
       $ jobs_arg $ no_prune_arg $ no_warm_start_arg $ max_escalation_arg $ no_rollback_arg
-      $ no_speculative_repair_arg $ fault_scale_arg $ store_dir_arg $ no_store_arg
-      $ trace_arg $ trace_level_arg)
+      $ fault_scale_arg $ store_dir_arg $ no_store_arg $ trace_arg $ trace_level_arg)
 
 (* ---- show-source ----------------------------------------------------------- *)
 

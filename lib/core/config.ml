@@ -36,7 +36,6 @@ type t = {
   static_analysis : bool;
   escalation : escalation;
   rollback : bool;
-  speculative_repair : bool;
   fault_scale : float;
   tune : bool;
   mcts : Xpiler_tuning.Mcts.config;
@@ -60,7 +59,6 @@ let default =
     static_analysis = true;
     escalation = default_escalation;
     rollback = true;
-    speculative_repair = true;
     fault_scale = 1.0;
     tune = false;
     mcts = { Xpiler_tuning.Mcts.default_config with simulations = 48; max_depth = 6 };
@@ -82,8 +80,7 @@ let seed_pipeline =
   { default with
     name = "qimeng-xpiler-seed";
     escalation = no_escalation;
-    rollback = false;
-    speculative_repair = false
+    rollback = false
   }
 
 let without_smt =

@@ -35,10 +35,6 @@ type t = {
       (** never commit a kernel that failed validation: when the whole ladder
           is exhausted, roll the pass back to the last validated checkpoint
           and re-plan around it (outcome becomes [Degraded], not broken) *)
-  speculative_repair : bool;
-      (** evaluate SMT-repair candidate batches speculatively over the
-          worker pool ([jobs] wide) with deterministic lowest-index-wins
-          selection; off = serial first-pass-wins testing (same winner) *)
   fault_scale : float;
       (** multiplier on the neural oracle's fault-injection rates (1.0 =
           calibrated paper rates); the resilience tests and bench elevate it

@@ -393,9 +393,8 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
         reach Ledger.Smt;
         st.repairs_attempted <- st.repairs_attempted + 1;
         match
-          Xpiler_repair.Repairer.repair ~static:!static_diags ~clock
-            ~speculative:config.Config.speculative_repair ~jobs:config.Config.jobs
-            ~platform:target ~op ~shape k
+          Xpiler_repair.Repairer.repair ~static:!static_diags ~clock ~platform:target ~op
+            ~shape k
         with
         | Xpiler_repair.Repairer.Repaired { kernel; _ } ->
           st.repairs_succeeded <- st.repairs_succeeded + 1;

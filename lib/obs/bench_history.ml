@@ -130,7 +130,6 @@ let of_bench_json ~bench j =
         ("evals_reduction", v "evals_reduction");
         ("wall_speedup", v "wall_speedup");
         ("optimized_broken", v "optimized_broken");
-        ("speculation_win_rate", v "speculation_win_rate");
       ]
     | other -> invalid_arg ("Bench_history.of_bench_json: unknown bench " ^ other)
   in
@@ -183,7 +182,6 @@ let specs = function
       { metric = "evals_reduction"; direction = Higher; noise = Exact; rel_threshold = 0.15; abs_slack = 0.1; gated = true };
       { metric = "optimized_broken"; direction = Lower; noise = Exact; rel_threshold = 0.0; abs_slack = 0.5; gated = true };
       { metric = "wall_speedup"; direction = Higher; noise = Wall; rel_threshold = 0.35; abs_slack = 0.0; gated = true };
-      { metric = "speculation_win_rate"; direction = Higher; noise = Exact; rel_threshold = 1.0; abs_slack = 0.0; gated = false };
     ]
   | _ -> []
 

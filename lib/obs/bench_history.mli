@@ -41,7 +41,7 @@ val of_bench_file : bench:string -> string -> (entry, string) result
     [eval_reduction], min [best_reward_ratio]; resilience →
     [total_ladder_broken], [total_seed_broken]; repair →
     [steps_reduction], [evals_reduction], [wall_speedup],
-    [optimized_broken], [speculation_win_rate]. *)
+    [optimized_broken]. *)
 
 (** {2 Regression specs} *)
 

@@ -66,10 +66,8 @@ let ref_cache :
     ((string * Interp.arg) list * (string * Tensor.t) list, string) result Ref_lru.t =
   Ref_lru.create ref_capacity
 
-(* unstable: speculative pool tasks touch the cache, which can reorder
-   evictions between job counts *)
 let m_reference_runs =
-  Metrics.counter ~stable:false ~help:"serial reference runs (reference cache misses)"
+  Metrics.counter ~help:"serial reference runs (reference cache misses)"
     "xpiler_unit_test_reference_runs_total"
 
 (* the cached inputs and outputs, shared: callers clone before mutating *)
@@ -130,13 +128,12 @@ let reset_memo () = Mutex.protect memo_mutex (fun () -> Memo_lru.clear memo)
 
 type lookups = { hit : Metrics.counter; miss : Metrics.counter }
 
-(* unstable: speculative pool tasks fill entries the master may then hit *)
 let pipeline_lookups =
   { hit =
-      Metrics.counter ~stable:false ~help:"unit-test verdict-memo lookups by result"
+      Metrics.counter ~help:"unit-test verdict-memo lookups by result"
         ~labels:[ ("result", "hit") ] "xpiler_unit_test_memo_lookups_total";
     miss =
-      Metrics.counter ~stable:false ~labels:[ ("result", "miss") ]
+      Metrics.counter ~labels:[ ("result", "miss") ]
         "xpiler_unit_test_memo_lookups_total"
   }
 

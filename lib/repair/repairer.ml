@@ -4,7 +4,6 @@ open Xpiler_ops
 module Rewrite = Xpiler_passes.Rewrite
 module Solver = Xpiler_smt.Solver
 module Vclock = Xpiler_util.Vclock
-module Pool = Xpiler_util.Pool
 module Trace = Xpiler_obs.Trace
 module Metrics = Xpiler_obs.Metrics
 
@@ -13,7 +12,6 @@ type outcome =
   | Gave_up of { reason : string; tests_run : int }
 
 let dedup = Xpiler_util.Listx.dedup
-let take = Xpiler_util.Listx.take
 
 (* constants visible in the program: the context Algorithm 3 harvests *)
 let context_constants (k : Kernel.t) =
@@ -131,14 +129,13 @@ let apply_candidate (k : Kernel.t) (site : Localize.site) value =
 let charge clock stage s = match clock with Some c -> Vclock.charge c stage s | None -> ()
 
 (* The repairer's unit tests go through [Unit_test]'s verdict memo; its
-   lookups are counted apart from the pipeline's (hit/miss order races
-   between speculating domains -> unstable class) *)
+   lookups are counted apart from the pipeline's *)
 let lookups =
   { Unit_test.hit =
-      Metrics.counter ~stable:false ~help:"repair verdict-memo lookups by result"
+      Metrics.counter ~help:"repair verdict-memo lookups by result"
         ~labels:[ ("result", "hit") ] "xpiler_repair_verdict_memo_lookups_total";
     miss =
-      Metrics.counter ~stable:false ~labels:[ ("result", "miss") ]
+      Metrics.counter ~labels:[ ("result", "miss") ]
         "xpiler_repair_verdict_memo_lookups_total"
   }
 
@@ -146,114 +143,6 @@ let lookups =
    happens on the final program (intermediate pipeline states legitimately
    mix source and target features) *)
 let compile_ok k = match Validate.check k with Ok () -> true | Error _ -> false
-
-(* ---- speculative candidate evaluation -------------------------------------
-
-   One localized site yields a batch of SMT-filtered candidate values; the
-   serial engine tests them one by one and stops at the first pass. The
-   speculative engine runs the whole batch over [Pool.map] and selects the
-   *lowest-index* passing candidate — the same one serial testing would
-   have accepted — so the repair result is independent of the schedule.
-
-   Determinism contract:
-   - a task may abort only when a success at a *strictly lower* index has
-     already been published, so no task at or below the final winning index
-     is ever cancelled: every result the replay below reads is complete;
-   - task bodies run under [Trace.without] and buffer nothing through the
-     pool (worker-side emission order is schedule-dependent); instead they
-     return plain result records and the master replays the canonical
-     effect stream — candidate counts, test charges, hill-climb updates —
-     in index order for exactly the candidates serial testing would have
-     attempted (everything up to the winner, or the whole batch on a miss);
-   - won/cancelled meters are computed *logically* from the result vector
-     (cancelled = batch size - winner - 1), not from which tasks physically
-     aborted, so they are jobs-invariant too. *)
-
-type spec_result =
-  | Spec_cancelled  (** a lower-index success was already published *)
-  | Spec_rejected  (** failed the structural compile check; consumes no test *)
-  | Spec_passed of Kernel.t
-  | Spec_failed of Kernel.t * int  (** unit test failed; mismatch score, [max_int] if unscored *)
-
-(* Stable: see the determinism contract above — these count logical, not
-   physical, cancellations. Batches = won + lost; [cancelled] counts the
-   losers above each winning index. *)
-let m_spec_won =
-  Metrics.counter ~help:"speculative repair batches by result" ~labels:[ ("result", "won") ]
-    ~trace:"repair.speculative_won" "xpiler_repair_speculative_total"
-
-let m_spec_lost = Metrics.counter ~labels:[ ("result", "lost") ] "xpiler_repair_speculative_total"
-
-let m_spec_cancelled =
-  Metrics.counter ~labels:[ ("result", "cancelled") ] ~trace:"repair.speculative_cancelled"
-    "xpiler_repair_speculative_total"
-
-let eval_site_speculative ~jobs ~want_score ~op ~shape k site values =
-  let winner = Atomic.make max_int in
-  Pool.map ~jobs
-    (fun task value ->
-      let idx = Pool.index task in
-      Trace.without (fun () ->
-          if Atomic.get winner < idx then Spec_cancelled
-          else begin
-            let candidate = apply_candidate k site value in
-            if not (compile_ok candidate) then Spec_rejected
-            else if Atomic.get winner < idx then Spec_cancelled
-            else begin
-              match Unit_test.check ~trials:1 ~lookups op shape candidate with
-              | Unit_test.Pass ->
-                let rec publish () =
-                  let cur = Atomic.get winner in
-                  if idx < cur && not (Atomic.compare_and_set winner cur idx) then publish ()
-                in
-                publish ();
-                Spec_passed candidate
-              | Unit_test.Fail _ ->
-                (* a failing run is scored as it is judged: a memo hit *)
-                let score =
-                  if want_score then Unit_test.mismatch_score ~lookups op shape candidate
-                  else max_int
-                in
-                Spec_failed (candidate, score)
-            end
-          end))
-    values
-
-let winner_index results =
-  let rec go i = function
-    | [] -> None
-    | Spec_passed _ :: _ -> Some i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 results
-
-let spec_site ~jobs ~clock ~tests ~op ~shape ~want_score ~on_failed k site values =
-  let results = eval_site_speculative ~jobs ~want_score ~op ~shape k site values in
-  (match winner_index results with
-  | Some w ->
-    Metrics.inc m_spec_won;
-    let cancelled = List.length results - w - 1 in
-    if cancelled > 0 then Metrics.inc ~n:cancelled m_spec_cancelled
-  | None -> Metrics.inc m_spec_lost);
-  (* master-side replay in index order; stops at the winner, so cancelled
-     losers (which only ever sit above it) are never replayed *)
-  let rec replay = function
-    | [] -> None
-    | r :: rest ->
-      Trace.count "repair.candidates";
-      (match r with
-      | Spec_rejected | Spec_cancelled -> replay rest
-      | Spec_passed candidate ->
-        incr tests;
-        charge clock Vclock.Unit_test 45.0;
-        Some candidate
-      | Spec_failed (candidate, score) ->
-        incr tests;
-        charge clock Vclock.Unit_test 45.0;
-        on_failed candidate score;
-        replay rest)
-  in
-  replay results
 
 (* ---- wall-clock accounting (bench/repair_bench.ml) ------------------------ *)
 
@@ -290,17 +179,13 @@ let reset_wall_totals () =
   wall_test := 0.0;
   wall_score := 0.0
 
-(* component meters are master-domain only: speculative task bodies run
-   their tests/scores inside the pool, where per-component attribution
-   would be schedule-dependent — their cost still lands in [wall_seconds] *)
 let timed acc f =
   let t0 = Unix.gettimeofday () in
   Fun.protect ~finally:(fun () -> acc := !acc +. (Unix.gettimeofday () -. t0)) f
 
 (* ---------------------------------------------------------------------------- *)
 
-let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ?(speculative = false)
-    ?(jobs = 1) ~platform ~op ~shape kernel =
+let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ~platform ~op ~shape kernel =
   let t0 = Unix.gettimeofday () in
   Fun.protect ~finally:(fun () ->
       incr repair_count;
@@ -319,43 +204,34 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ?(speculative 
     charge clock Vclock.Unit_test 90.0;
     timed wall_test (fun () -> Unit_test.check ~trials:2 ~lookups op shape k) = Unit_test.Pass
   in
-  (* evaluate one site's candidate batch; [on_failed] feeds the hill-climb.
-     The speculative path clamps the batch to the remaining test budget up
-     front (serial testing re-checks the budget per candidate, but cannot
-     learn the batch's compile failures in advance), so it can attempt
-     slightly fewer candidates than serial testing near exhaustion — never
-     more *)
-  let eval_site k site values ~want_score ~on_failed =
-    if speculative then begin
-      let remaining = max_tests - !tests in
-      if remaining <= 0 then None
-      else
-        spec_site ~jobs ~clock ~tests ~op ~shape ~want_score ~on_failed k site
-          (take remaining values)
-    end
-    else
-      List.fold_left
-        (fun found value ->
-          match found with
-          | Some _ -> found
-          | None ->
-            if !tests >= max_tests then None
-            else begin
-              Trace.count "repair.candidates";
-              let candidate = apply_candidate k site value in
-              if not (compile_ok candidate) then None
-              else if unit_ok candidate then Some candidate
-              else begin
-                (if want_score then
-                   let score =
-                     timed wall_score (fun () ->
-                         Unit_test.mismatch_score ~lookups op shape candidate)
-                   in
-                   on_failed candidate score);
-                None
-              end
-            end)
-        None values
+  (* Algorithm 3's inner loop: solve each site's candidate domain in turn
+     and test its candidates one at a time; the first that passes wins.
+     [on_failed], when given, receives each failing candidate's mismatch
+     score (the hill-climb below) *)
+  let first_fix ?on_failed k sites =
+    let test site value =
+      if !tests >= max_tests then None
+      else begin
+        Trace.count "repair.candidates";
+        let candidate = apply_candidate k site value in
+        if not (compile_ok candidate) then None
+        else if unit_ok candidate then Some (candidate, site)
+        else begin
+          Option.iter
+            (fun f ->
+              f candidate
+                (timed wall_score (fun () -> Unit_test.mismatch_score ~lookups op shape candidate)))
+            on_failed;
+          None
+        end
+      end
+    in
+    List.find_map
+      (fun site ->
+        charge clock Vclock.Smt_solving 90.0;
+        let values = timed wall_solve (fun () -> candidate_values ~platform k site) in
+        List.find_map (test site) values)
+      sites
   in
   let rec round n k last_reason =
     if n <= 0 then Gave_up { reason = last_reason; tests_run = !tests }
@@ -394,17 +270,7 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ?(speculative 
           | Some (s, _) when s <= score -> ()
           | _ -> if score < base_score then best_partial := Some (score, candidate)
         in
-        let try_site found site =
-          match found with
-          | Some _ -> found
-          | None ->
-            charge clock Vclock.Smt_solving 90.0;
-            let values = timed wall_solve (fun () -> candidate_values ~platform k site) in
-            match eval_site k site values ~want_score:true ~on_failed with
-            | Some fixed -> Some (fixed, site)
-            | None -> None
-        in
-        match List.fold_left try_site None report.Localize.sites with
+        match first_fix ~on_failed k report.Localize.sites with
         | Some (fixed, site) ->
           if fully_ok fixed then
             Repaired
@@ -431,19 +297,7 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ?(speculative 
     else begin
       Trace.count "repair.static_localizations";
       charge clock Vclock.Bug_localization 30.0;
-      let try_site found site =
-        match found with
-        | Some _ -> found
-        | None ->
-          charge clock Vclock.Smt_solving 90.0;
-          let values = timed wall_solve (fun () -> candidate_values ~platform kernel site) in
-          match
-            eval_site kernel site values ~want_score:false ~on_failed:(fun _ _ -> ())
-          with
-          | Some fixed -> Some (fixed, site)
-          | None -> None
-      in
-      match List.fold_left try_site None report.Localize.sites with
+      match first_fix kernel report.Localize.sites with
       | Some (fixed, site) when fully_ok fixed ->
         Some (Repaired { kernel = fixed; tests_run = !tests; site = Localize.site_to_string site })
       | _ -> None

@@ -26,8 +26,6 @@ val repair :
   ?rounds:int ->
   ?static:Xpiler_analysis.Analyzer.finding list ->
   ?clock:Xpiler_util.Vclock.t ->
-  ?speculative:bool ->
-  ?jobs:int ->
   platform:Platform.t ->
   op:Opdef.t ->
   shape:Opdef.shape ->
@@ -39,19 +37,10 @@ val repair :
     first at a fraction of a localization round's modelled cost ([Vclock]
     charges 30s against 240s), with the dynamic rounds as fallback.
 
-    [speculative] (default false; the pipeline enables it via
-    [Config.speculative_repair]) evaluates each site's candidate batch over
-    the domain pool with deterministic lowest-index-wins selection and
-    cancellation of losers; [jobs] is the pool width. The selected repair
-    equals serial testing's (first passing candidate), and the emitted
-    charge/trace stream is byte-identical across job counts. *)
+    Candidates are tested one at a time in site order, then in the solver's
+    candidate order; the first that passes is accepted. *)
 
 (** {2 Bench meters}
-
-    Speculation is counted in the registry as
-    [xpiler_repair_speculative_total{result=won|lost|cancelled}]: one
-    [won] or [lost] per batch, and [cancelled] adds the losers above each
-    winning index. The accounting is logical, hence jobs-invariant.
 
     Candidate tests and mismatch scores go through [Unit_test]'s verdict
     memo; the repairer's lookups are counted in
@@ -62,14 +51,13 @@ type wall_stats = {
   wall_seconds : float;  (** total time inside {!repair} *)
   localize_seconds : float;  (** dynamic bug localization *)
   solve_seconds : float;  (** SMT candidate-domain solving *)
-  test_seconds : float;  (** serial-path unit testing (master domain only) *)
+  test_seconds : float;  (** candidate and acceptance unit testing *)
   score_seconds : float;  (** mismatch scoring for partial-repair ranking *)
 }
 
 val wall_totals : unit -> wall_stats
 (** Wall-clock time spent inside {!repair} since the last reset, with a
-    per-component breakdown. Component meters only cover work on the master
-    domain — speculative task internals run unattributed — so they need not
-    sum to [wall_seconds]. *)
+    per-component breakdown. Candidate construction and structural checks
+    are not metered, so the components need not sum to [wall_seconds]. *)
 
 val reset_wall_totals : unit -> unit

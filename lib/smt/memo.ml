@@ -24,9 +24,9 @@
 module Metrics = Xpiler_obs.Metrics
 
 (* Stable: solver queries are issued from the master domain only (the
-   escalation ladder and synthesis run outside the pool; speculative repair
-   parallelizes candidate *testing*, not solving), so hit/miss counts are a
-   deterministic function of the workload and stay jobs-invariant. *)
+   escalation ladder, repair and synthesis run outside the pool), so
+   hit/miss counts are a deterministic function of the workload and stay
+   jobs-invariant. *)
 let m_hits =
   Metrics.counter ~help:"solver memo lookups by result" ~labels:[ ("result", "hit") ]
     "xpiler_smt_memo_lookups_total"

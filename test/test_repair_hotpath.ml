@@ -1,26 +1,24 @@
 (* Repair/SMT hot-path guarantees: the overhauled stack — incremental
-   watched-constraint solver, process-global solver + verdict memos,
-   speculative parallel candidate testing — changes wall-clock time, never
-   outcomes or journals. The three contracts asserted here:
+   watched-constraint solver, process-global solver + verdict memos —
+   changes wall-clock time, never outcomes or journals. The contracts
+   asserted here:
 
-   - jobs invariance: with speculative repair on, jobs=1 and jobs=4 produce
-     byte-identical trace journals (lowest-index-wins selection + master-side
-     canonical effect replay);
+   - jobs invariance: jobs=1 and jobs=4 produce byte-identical trace
+     journals and stable metrics snapshots;
    - cold vs warm: re-running a traced translation against warm memos yields
      a byte-identical journal (solver-memo entries carry their original
      search receipts, unit-test verdict-memo entries their run receipts);
-   - speculative vs serial: both engines accept the same repair (the first
-     passing candidate in batch order). *)
+   - journal honesty: every unit test the repairer counts reaches the
+     journal as an interpreter run. *)
 
 open Xpiler_machine
 open Xpiler_ops
 open Xpiler_neural
 open Xpiler_core
-module Solver = Xpiler_smt.Solver
 module Memo = Xpiler_smt.Memo
-module Repairer = Xpiler_repair.Repairer
 module Pool = Xpiler_util.Pool
 module Journal = Xpiler_obs.Journal
+module Event = Xpiler_obs.Event
 module Metrics = Xpiler_obs.Metrics
 
 let rng seed = Xpiler_util.Rng.create seed
@@ -49,14 +47,15 @@ let cold () =
   Memo.clear ();
   Unit_test.reset_memo ()
 
-(* speculative batches so far: every batch ends won or lost in the registry *)
-let spec_batches () =
+(* the summed increments of trace counter [name] whose timestamps satisfy
+   [within] *)
+let count_total ?(within = fun _ -> true) name events =
   List.fold_left
-    (fun n result ->
-      n
-      + Metrics.value
-          (Metrics.counter ~labels:[ ("result", result) ] "xpiler_repair_speculative_total"))
-    0 [ "won"; "lost" ]
+    (fun acc e ->
+      match e with
+      | Event.Count { name = n; ts; n = k } when n = name && within ts -> acc + k
+      | _ -> acc)
+    0 events
 
 (* [Unit_test.reference_outputs_seeded] caches the serial reference run
    process-globally (pre-overhaul behaviour): a cold-cache run emits the
@@ -72,15 +71,24 @@ let test_jobs_invariant_journal () =
   warm_refs (traced ~jobs:1 20.0);
   let mk jobs =
     cold ();
-    run ~config:(traced ~jobs 20.0)
+    Metrics.reset ();
+    let o = run ~config:(traced ~jobs 20.0) in
+    (o, Metrics.snapshot ~stable_only:true ())
   in
-  let batches0 = spec_batches () in
-  let o1 = mk 1 and o4 = mk 4 in
-  Alcotest.(check bool) "speculation actually ran" true (spec_batches () > batches0);
+  let o1, s1 = mk 1 in
+  let o4, s4 = mk 4 in
+  Alcotest.(check bool) "repair actually ran" true
+    (count_total "repair.candidates" o1.Xpiler.trace > 0);
   Alcotest.(check bool) "same status" true (o1.Xpiler.status = o4.Xpiler.status);
   Alcotest.(check bool) "byte-identical target text" true
     (o1.Xpiler.target_text = o4.Xpiler.target_text);
-  Alcotest.(check string) "byte-identical journal" (journal o1) (journal o4)
+  Alcotest.(check string) "byte-identical journal" (journal o1) (journal o4);
+  Alcotest.(check string) "byte-identical stable metrics" (Metrics.to_openmetrics s1)
+    (Metrics.to_openmetrics s4);
+  Alcotest.(check bool) "verdict-memo lookups are stable" true
+    (List.exists
+       (fun (s : Metrics.sample) -> s.Metrics.name = "xpiler_unit_test_memo_lookups_total")
+       s1)
 
 let test_cold_vs_warm_journal () =
   let config = traced ~seed:5 ~jobs:1 18.0 in
@@ -116,50 +124,32 @@ let test_verdict_memo_traced_cold_vs_warm () =
   Alcotest.(check bool) "same status" true (o_cold.Xpiler.status = o_warm.Xpiler.status);
   Alcotest.(check string) "byte-identical journal" (journal o_cold) (journal o_warm)
 
-let test_speculative_matches_serial_pipeline () =
-  let base jobs speculative =
-    Config.with_jobs
-      { (Config.with_fault_scale (Config.with_seed Config.default 7) 20.0) with
-        Config.speculative_repair = speculative
-      }
-      jobs
+(* every candidate test the repairer counts is a traced interpreter run:
+   each [repair] span holds at least as many [interp.runs] as the
+   [repair.tests_run] it observes *)
+let test_repair_tests_journaled () =
+  cold ();
+  let events = (run ~config:(traced ~seed:1 ~jobs:1 20.0)).Xpiler.trace in
+  let spans =
+    List.filter_map
+      (function Event.Span { name = "repair"; ts; dur; _ } -> Some (ts, dur) | _ -> None)
+      events
+  and tests_run =
+    List.filter_map
+      (function
+        | Event.Observe { name = "repair.tests_run"; v; _ } -> Some (int_of_float v) | _ -> None)
+      events
   in
-  cold ();
-  let serial = run ~config:(base 1 false) in
-  cold ();
-  let spec = with_max_domains 4 (fun () -> run ~config:(base 4 true)) in
-  Alcotest.(check bool) "same status" true (serial.Xpiler.status = spec.Xpiler.status);
-  Alcotest.(check bool) "byte-identical target text" true
-    (serial.Xpiler.target_text = spec.Xpiler.target_text);
-  Alcotest.(check bool) "same ledger" true (serial.Xpiler.ledger = spec.Xpiler.ledger)
-
-(* direct repairer-level equality on injected single faults: the speculative
-   engine must select exactly the candidate serial first-pass-wins testing
-   accepts, with the same test count *)
-let test_speculative_matches_serial_repairer () =
-  with_max_domains 4 @@ fun () ->
-  let checked = ref 0 in
-  List.iter
-    (fun seed ->
-      match Fault.inject_bound (rng seed) (Idiom.source Platform.Cuda gemm gemm_shape) with
-      | None -> ()
-      | Some (broken, _) ->
-        cold ();
-        let serial =
-          Repairer.repair ~platform:Platform.cuda ~op:gemm ~shape:gemm_shape broken
-        in
-        cold ();
-        let spec =
-          Repairer.repair ~speculative:true ~jobs:4 ~platform:Platform.cuda ~op:gemm
-            ~shape:gemm_shape broken
-        in
-        incr checked;
-        Alcotest.(check bool)
-          (Printf.sprintf "identical outcome for injected fault (seed %d)" seed)
-          true
-          (serial = spec))
-    [ 0; 1; 2; 3; 5; 7; 11 ];
-  Alcotest.(check bool) "at least one fault exercised" true (!checked > 0)
+  Alcotest.(check bool) "the run reached repair" true (spans <> []);
+  Alcotest.(check int) "one tests_run observation per repair span" (List.length spans)
+    (List.length tests_run);
+  List.iteri
+    (fun i ((ts, dur), tests) ->
+      let runs = count_total ~within:(fun t -> t >= ts && t <= ts +. dur) "interp.runs" events in
+      Alcotest.(check bool)
+        (Printf.sprintf "repair span %d: %d interp runs >= %d tests" i runs tests)
+        true (runs >= tests))
+    (List.combine spans tests_run)
 
 (* the fused one-run oracle must agree with the two-run path it replaces *)
 let test_fused_oracle_matches_check () =
@@ -194,10 +184,8 @@ let () =
             test_cold_vs_warm_journal;
           Alcotest.test_case "traced verdict memo: cold vs warm journal" `Slow
             test_verdict_memo_traced_cold_vs_warm;
-          Alcotest.test_case "speculative matches serial (pipeline)" `Slow
-            test_speculative_matches_serial_pipeline;
-          Alcotest.test_case "speculative matches serial (repairer)" `Quick
-            test_speculative_matches_serial_repairer
+          Alcotest.test_case "every repair test reaches the journal" `Slow
+            test_repair_tests_journaled
         ] );
       ( "oracle",
         [ Alcotest.test_case "fused check+score matches check" `Quick
