@@ -1,7 +1,6 @@
 (* Evaluation-engine benchmark: tree-walking reference interpreter vs the
-   closure-compiled engine, plus parallel-tuning scaling. Writes
-   BENCH_eval.json (schema xpiler-eval-bench/v4) into the current
-   directory.
+   closure-compiled engine. Writes BENCH_eval.json (schema
+   xpiler-eval-bench/v5) into the current directory.
 
    Usage:
      dune exec bench/interp_bench.exe            # full measurement
@@ -16,8 +15,6 @@
 open Xpiler_machine
 open Xpiler_ops
 module Rng = Xpiler_util.Rng
-module Pool = Xpiler_util.Pool
-module Mcts = Xpiler_tuning.Mcts
 
 let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
 let now = Unix.gettimeofday
@@ -118,56 +115,6 @@ let bench_op name =
     r.op_name r.elems_per_run r.tree_eps r.compiled_eps r.speedup r.words_per_step;
   r
 
-let bench_tuning () =
-  let gemm = Registry.find_exn "gemm" in
-  let shape = List.hd gemm.Opdef.shapes in
-  let serial = gemm.Opdef.serial shape in
-  let buffer_sizes =
-    List.map (fun (b : Opdef.buffer_spec) -> (b.buf_name, b.size shape)) gemm.Opdef.buffers
-  in
-  let config =
-    { Mcts.default_config with
-      simulations = (if smoke then 8 else 96);
-      max_depth = 6;
-      root_parallel = 4
-    }
-  in
-  let search jobs =
-    let t0 = now () in
-    let r = Mcts.search ~config ~buffer_sizes ~jobs ~platform:Platform.bang serial in
-    (now () -. t0, r)
-  in
-  (* determinism gate first, with the domain clamp lifted so jobs=4 really
-     crosses domains even on a single-core host *)
-  let default_cap = Pool.get_max_domains () in
-  Pool.set_max_domains 4;
-  let _, r1 = search 1 in
-  let _, r4 = search 4 in
-  Pool.set_max_domains default_cap;
-  let deterministic =
-    r1.Mcts.best_reward = r4.Mcts.best_reward
-    && r1.Mcts.simulations_run = r4.Mcts.simulations_run
-    && Xpiler_ir.Kernel.equal r1.Mcts.best_kernel r4.Mcts.best_kernel
-  in
-  if not deterministic then begin
-    Printf.eprintf "tuning nondeterminism: jobs=1 and jobs=4 disagree\n";
-    exit 1
-  end;
-  (* wall-clock under the default clamp: on a multi-core host jobs=4 engages
-     real domains; on this host the clamp may collapse it to inline, in which
-     case the honest result is parity, not speedup. Memo tables are warm from
-     the gate runs, so both timings see the same cache state. *)
-  let t1, _ = search 1 in
-  let t4, _ = search 4 in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "tuning (root_parallel=4, %d sims, %d core%s): jobs=1 %.3fs, jobs=4 %.3fs (%.2fx, \
-     deterministic)\n%!"
-    r1.Mcts.simulations_run cores
-    (if cores = 1 then "" else "s")
-    t1 t4 (t1 /. t4);
-  (r1.Mcts.simulations_run, cores, t1, t4)
-
 let () =
   Printf.printf "evaluation-engine benchmark%s\n%!" (if smoke then " (smoke)" else "");
   let rows = List.map bench_op bench_ops in
@@ -182,9 +129,8 @@ let () =
   in
   let g = geomean (List.map (fun r -> r.speedup) rows) in
   Printf.printf "geomean speedup: %.1fx\n%!" g;
-  let sims, cores, t1, t4 = bench_tuning () in
   let oc = open_out "BENCH_eval.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"xpiler-eval-bench/v4\",\n  \"smoke\": %b,\n" smoke;
+  Printf.fprintf oc "{\n  \"schema\": \"xpiler-eval-bench/v5\",\n  \"smoke\": %b,\n" smoke;
   Printf.fprintf oc "  \"kernels\": [\n";
   List.iteri
     (fun i r ->
@@ -195,12 +141,7 @@ let () =
         r.op_name r.elems_per_run r.tree_eps r.compiled_eps r.speedup r.words_per_step
         (if i = List.length rows - 1 then "" else ","))
     rows;
-  Printf.fprintf oc "  ],\n  \"geomean_speedup\": %.3f,\n" g;
-  Printf.fprintf oc
-    "  \"tuning\": {\"root_parallel\": 4, \"simulations\": %d, \"available_cores\": %d, \
-     \"jobs1_sec\": %.4f, \"jobs4_sec\": %.4f, \"parallel_speedup\": %.3f, \
-     \"deterministic\": true}\n}\n"
-    sims cores t1 t4 (t1 /. t4);
+  Printf.fprintf oc "  ],\n  \"geomean_speedup\": %.3f\n}\n" g;
   close_out oc;
   Printf.printf "wrote BENCH_eval.json\n%!";
   History_gate.record_and_gate ~bench:"eval" ~file:"BENCH_eval.json"

@@ -123,9 +123,8 @@ let bench_cell scale (op_name, src, dst) =
     run_arm ~engine:Solver.Naive ~memo:false (fun () -> Config.default) op_name src dst scale
   in
   let optimized =
-    run_arm ~engine:Solver.Incremental ~memo:true
-      (fun () -> Config.with_jobs Config.default 4)
-      op_name src dst scale
+    run_arm ~engine:Solver.Incremental ~memo:true (fun () -> Config.default) op_name src dst
+      scale
   in
   Printf.printf
     "  %-8s %s->%s x%-4.0f steps %9d -> %7d  evals %10d -> %7d  broken %d -> %d\n%!"

@@ -40,13 +40,6 @@ let seed_arg =
   let doc = "Seed for the (simulated) neural oracle." in
   Arg.(value & opt int 20250706 & info [ "seed" ] ~doc)
 
-let jobs_arg =
-  let doc =
-    "Worker domains for parallel auto-tuning. Deterministic: any value produces \
-     identical results and traces, only wall-clock changes."
-  in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
 let no_prune_arg =
   let doc =
     "Disable bound-based pruning of intra-pass tuning candidates. Pruning is lossless \
@@ -162,14 +155,13 @@ let find_op name =
 
 (* ---- translate ------------------------------------------------------------ *)
 
-let translate op_name shape src dst tune seed jobs no_prune no_warm_start max_escalation
+let translate op_name shape src dst tune seed no_prune no_warm_start max_escalation
     no_rollback fault_scale store_dir no_store trace trace_level =
   let op = find_op op_name in
   let shape = parse_shape op shape in
   let config =
     let base = if tune then Config.tuned else Config.default in
     let base = Config.with_seed base seed in
-    let base = Config.with_jobs base jobs in
     let base =
       { base with
         Config.tuning_prune = not no_prune;
@@ -219,7 +211,7 @@ let translate_cmd =
   Cmd.v info
     Term.(
       const translate $ op_arg $ shape_arg $ src_arg $ dst_arg $ tune_arg $ seed_arg
-      $ jobs_arg $ no_prune_arg $ no_warm_start_arg $ max_escalation_arg $ no_rollback_arg
+      $ no_prune_arg $ no_warm_start_arg $ max_escalation_arg $ no_rollback_arg
       $ fault_scale_arg $ store_dir_arg $ no_store_arg $ trace_arg $ trace_level_arg)
 
 (* ---- show-source ----------------------------------------------------------- *)
@@ -371,14 +363,13 @@ let trace_cmd =
 (* run a translation with the wall-clock profiler on, then print the registry
    snapshot and the profiled span table; tuning is on by default so the
    cache/transposition meters have something to show *)
-let metrics_run op_name shape src dst no_tune seed jobs fault_scale store_dir no_store
+let metrics_run op_name shape src dst no_tune seed fault_scale store_dir no_store
     openmetrics_out json_out =
   let op = find_op op_name in
   let shape = parse_shape op shape in
   let config =
     let base = if no_tune then Config.default else Config.tuned in
     let base = Config.with_seed base seed in
-    let base = Config.with_jobs base jobs in
     let base = Config.with_fault_scale base fault_scale in
     (* root-parallel search batches share the transposition table, which is
        what makes its hit/miss meters informative in a single run *)
@@ -426,7 +417,7 @@ let metrics_cmd =
     Cmd.info "metrics"
       ~doc:
         "Translate (with auto-tuning unless --no-tune) and print the metrics-registry \
-         snapshot — cache hit rates, escalation rungs, SMT steps, pool usage — plus \
+         snapshot — cache hit rates, escalation rungs, SMT steps — plus \
          the wall time and allocation of each profiled span."
   in
   let no_tune_flag =
@@ -444,7 +435,7 @@ let metrics_cmd =
   Cmd.v info
     Term.(
       const metrics_run $ op_arg $ shape_arg $ src_arg $ dst_arg $ no_tune_flag $ seed_arg
-      $ jobs_arg $ fault_scale_arg $ store_dir_arg $ no_store_arg $ openmetrics_opt
+      $ fault_scale_arg $ store_dir_arg $ no_store_arg $ openmetrics_opt
       $ json_opt)
 
 (* ---- bench-diff -------------------------------------------------------------- *)

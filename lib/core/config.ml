@@ -99,7 +99,6 @@ let without_smt_self_debug =
 let tuned = { default with name = "qimeng-xpiler-tuned"; tune = true }
 
 let with_seed t seed = { t with seed }
-let with_jobs t jobs = { t with jobs = max 1 jobs }
 let with_trace ?sink t level = { t with trace_level = level; trace_sink = sink }
 let with_fault_scale t fault_scale = { t with fault_scale = Float.max 0.0 fault_scale }
 

@@ -50,8 +50,8 @@ type t = {
           simulations *)
   unit_test_trials : int;
   jobs : int;
-      (** domain-pool width for auto-tuning; results are identical for any
-          value (deterministic parallel evaluation), only wall-clock changes *)
+      (** Ignored: nothing reads this field. It is kept only because
+          [e2ebench/sweep.ml] sets it; drop the two together. *)
   trace_level : Xpiler_obs.Tracer.level;
       (** [Off]: no tracing. [Stages]/[Detail]: record a per-translation
           event stream, returned in [Xpiler.outcome.trace]. *)
@@ -101,9 +101,6 @@ val tuned : t
     simulated runs fast — the knob is exposed. *)
 
 val with_seed : t -> int -> t
-
-val with_jobs : t -> int -> t
-(** Set the worker-domain count (clamped to at least 1). *)
 
 val with_trace : ?sink:string -> t -> Xpiler_obs.Tracer.level -> t
 (** Enable tracing, optionally journaling to [sink] (a JSONL path). *)

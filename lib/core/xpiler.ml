@@ -484,8 +484,8 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
           else None
         in
         let result =
-          Xpiler_tuning.Mcts.search ~config:mcts_config ~clock ~buffer_sizes
-            ~jobs:config.Config.jobs ?db ~platform:target k
+          Xpiler_tuning.Mcts.search ~config:mcts_config ~clock ~buffer_sizes ?db
+            ~platform:target k
         in
         let tuned = result.Xpiler_tuning.Mcts.best_kernel in
         if unit_ok tuned then (tuned, Some result.Xpiler_tuning.Mcts.best_reward)

@@ -95,10 +95,7 @@ let of_bench_json ~bench j =
     | "eval" ->
       let g = Option.value ~default:0.0 (mfloat "geomean_speedup" j) in
       let eps = geomean (kernel_floats "compiled_elems_per_sec" j) in
-      let par =
-        match Json.member "tuning" j with Some t -> Option.value ~default:0.0 (mfloat "parallel_speedup" t) | None -> 0.0
-      in
-      [ ("compiled_eps_geomean", eps); ("geomean_speedup", g); ("parallel_speedup", par) ]
+      [ ("compiled_eps_geomean", eps); ("geomean_speedup", g) ]
     | "tuning" ->
       let reductions = kernel_floats "eval_reduction" j in
       let ratios = kernel_floats "best_reward_ratio" j in
@@ -157,9 +154,6 @@ let specs = function
     [
       { metric = "geomean_speedup"; direction = Higher; noise = Wall; rel_threshold = 0.25; abs_slack = 0.0; gated = true };
       { metric = "compiled_eps_geomean"; direction = Higher; noise = Wall; rel_threshold = 0.35; abs_slack = 0.0; gated = true };
-      (* parallel speedup collapses to ~1 on single-core hosts; recorded but
-         never gated *)
-      { metric = "parallel_speedup"; direction = Higher; noise = Wall; rel_threshold = 1.0; abs_slack = 0.0; gated = false };
     ]
   | "tuning" ->
     [

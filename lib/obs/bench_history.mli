@@ -37,7 +37,7 @@ val load : ?path:string -> unit -> (entry list, string) result
 val of_bench_file : bench:string -> string -> (entry, string) result
 (** Extract the headline metrics from a [BENCH_<bench>.json] report:
     eval → [geomean_speedup], geomean of per-kernel
-    [compiled_elems_per_sec], [parallel_speedup]; tuning → mean
+    [compiled_elems_per_sec]; tuning → mean
     [eval_reduction], min [best_reward_ratio]; resilience →
     [total_ladder_broken], [total_seed_broken]; repair →
     [steps_reduction], [evals_reduction], [wall_speedup],

@@ -3,16 +3,18 @@
     The virtual-clock tracer answers "what happened, deterministically"; this
     registry answers "how often and how expensively", accumulating labeled
     counters, gauges and bucketed histograms from anywhere in the process —
-    including pool worker domains (all updates are atomic or mutex-protected).
+    including translations on pool worker domains (all updates are atomic or
+    mutex-protected).
 
     {b Stability classes.} Some instrumented quantities are pure functions of
     the input and configuration (escalation rung counts, SMT verdicts, pass
-    tallies); others depend on the parallel schedule (transposition-table and
-    intra-memo hit/miss counts race between worker domains; pool latencies
-    are wall-clock). Each metric is registered [~stable:true/false], and
-    {!snapshot}[ ~stable_only:true] keeps only the schedule-independent ones —
-    that restricted snapshot is byte-identical across [--jobs] values, which
-    the determinism tests assert. The full snapshot additionally synthesizes
+    tallies, intra-memo lookups); others depend on what ran before or on the
+    parallel schedule (transposition-table hit/miss counts of the
+    process-global table; pool latencies are wall-clock). Each metric is
+    registered [~stable:true/false], and {!snapshot}[ ~stable_only:true]
+    keeps only the schedule-independent ones — that restricted snapshot is
+    byte-identical whatever the job count of the pool running whole
+    translations, which test_store asserts. The full snapshot additionally synthesizes
     pool-usage metrics by pulling {!Pool.stats} (the pool cannot call into
     this module without a dependency cycle).
 

@@ -10,12 +10,11 @@
     handle registered with [~trace], which calls {!count} / {!observe}
     itself.
 
-    The current tracer is *domain-local*: the pipeline is deterministic and
-    effectively single-threaded per domain, and worker domains spawned by
-    [Util.Pool] start with no tracer, so pooled tasks can never race on the
-    master's event stream. Pool users that must keep [jobs=1] and [jobs>1]
-    byte-identical wrap task bodies in {!without} and re-emit through the
-    pool's deferred-replay buffers instead. *)
+    The current tracer is *domain-local*: a translation runs on one domain,
+    and worker domains spawned by [Util.Pool] start with no tracer, so
+    pooled translations can never race on the master's event stream. Pool
+    users wrap task bodies in {!without}, so [jobs=1] (inline) and [jobs>1]
+    runs emit the same events: none from inside the tasks. *)
 
 val install : Tracer.t -> unit
 val uninstall : unit -> unit
@@ -25,7 +24,8 @@ val without : (unit -> 'a) -> 'a
 (** Runs the function with tracing suspended on this domain (restored on
     exit, including by exception). Used around pooled task bodies so inline
     ([jobs=1]) execution emits exactly what worker-domain execution does:
-    nothing ambient. *)
+    nothing ambient — and around work whose effects a caller re-emits in
+    canonical form (tuner batches, transposition receipts). *)
 
 val enabled : unit -> bool
 (** A tracer is installed (at any level). *)

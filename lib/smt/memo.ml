@@ -12,9 +12,10 @@
    canonical [stats] the original search produced. A hit replays those
    stats through the same [Solver.record_query] effect path a fresh solve
    uses, so the emitted charge/trace/metrics stream is a function of the
-   query trajectory alone — cold vs. warm runs and jobs=1 vs. jobs=N runs
-   are observably byte-identical. Only the registry hit/miss meters below
-   (and wall time) reveal that the table exists.
+   query trajectory alone — cold vs. warm runs are observably
+   byte-identical, whichever translation filled an entry first. Only the
+   registry hit/miss meters below (and wall time) reveal that the table
+   exists.
 
    [max_steps] (and [limit] for model enumeration) are part of the key:
    a [Timeout] under a small budget says nothing about a larger one, so
@@ -23,10 +24,10 @@
 
 module Metrics = Xpiler_obs.Metrics
 
-(* Stable: solver queries are issued from the master domain only (the
-   escalation ladder, repair and synthesis run outside the pool), so
-   hit/miss counts are a deterministic function of the workload and stay
-   jobs-invariant. *)
+(* Stable: a translation issues its solver queries on one domain, in a fixed
+   order. Translations the bench harness runs in parallel could race on a
+   shared problem; the translation-level determinism test in test_store
+   checks that the split stays jobs-invariant on its workload. *)
 let m_hits =
   Metrics.counter ~help:"solver memo lookups by result" ~labels:[ ("result", "hit") ]
     "xpiler_smt_memo_lookups_total"

@@ -4,9 +4,9 @@
     Entries carry the original search's [stats] as an effect *receipt*
     (same trick as the tuner's transposition table): [Solver] replays a
     hit's receipt through the same metrics/trace path a fresh solve uses,
-    so cold-vs-warm and jobs=1-vs-jobs=N runs emit byte-identical
-    observable streams. [max_steps] (and [limit] for [Models]) are part of
-    the key, which is what makes memoizing [Unsat] and [Timeout] sound.
+    so cold and warm runs emit byte-identical observable streams.
+    [max_steps] (and [limit] for [Models]) are part of the key, which is
+    what makes memoizing [Unsat] and [Timeout] sound.
 
     [Solver] is the only intended writer; benches and tests use
     [set_enabled]/[clear] to build cold baselines. *)

@@ -41,8 +41,9 @@ type memo
     structural {!Kernel.hash}/[equal]. {!Mcts.search} creates one per
     search, shares it across its root-parallel batches and drops it on
     return; {!tune} uses a fresh one. It is unbounded — a search's budget
-    bounds it — and mutex-protected, so concurrent tuner workers may share
-    it. Lookups count in [xpiler_intra_memo_lookups_total{table,result}]. *)
+    bounds it — and owned by one search on one domain, so it takes no lock.
+    Lookups count in [xpiler_intra_memo_lookups_total{table,result}], a
+    stable series. *)
 
 val create_memo : unit -> memo
 
@@ -53,7 +54,6 @@ val compiles : memo -> Platform.t -> Kernel.t -> bool
 val tune_with_stats :
   ?clock:Xpiler_util.Vclock.t ->
   ?charge:(float -> unit) ->
-  ?jobs:int ->
   ?max_candidates:int ->
   ?prune:bool ->
   ?compose:bool ->
@@ -69,7 +69,6 @@ val tune_with_stats :
 val tune :
   ?clock:Xpiler_util.Vclock.t ->
   ?charge:(float -> unit) ->
-  ?jobs:int ->
   ?max_candidates:int ->
   ?prune:bool ->
   ?compose:bool ->
@@ -82,13 +81,9 @@ val tune :
     never regresses.
 
     [charge] overrides the cost sink (default: charge [clock]'s
-    [Auto_tuning] stage) — the batched MCTS passes the pool's deferred
-    charge so worker batches never touch the master clock. With
-    [prune:false] every candidate is evaluated on a domain pool of [jobs]
-    workers; results, trace counts and clock charges are replayed in
-    candidate order, so any job count produces the byte-identical observable
-    stream. With [prune:true] (default) the scan is sequential — the
-    incumbent is the pruning threshold — and [jobs] is ignored; the
-    observable stream is canonical: one [intra.variants] count plus one
-    charge per measured variant, then a single aggregated [intra.pruned]
-    count. *)
+    [Auto_tuning] stage). With [prune:false] every candidate is evaluated,
+    in candidate order, each emitting one [intra.variants] count and one
+    charge. With [prune:true] (default) the scan stops at the first bound
+    that cannot beat the incumbent; the observable stream is canonical: one
+    [intra.variants] count plus one charge per measured variant, then a
+    single aggregated [intra.pruned] count. *)

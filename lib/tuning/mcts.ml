@@ -2,7 +2,6 @@ open Xpiler_ir
 module Pass = Xpiler_passes.Pass
 module Rng = Xpiler_util.Rng
 module Vclock = Xpiler_util.Vclock
-module Pool = Xpiler_util.Pool
 module Trace = Xpiler_obs.Trace
 
 type config = {
@@ -51,9 +50,9 @@ module KTbl = Hashtbl.Make (struct
 end)
 
 (* One independent search: own rng, own first-touch table, cost sink
-   abstracted as [charge] so batched runs route charges through the pool's
-   deferred replay. Returns the result plus the rollout-step and
-   warm-replay-step counts (for deferred trace aggregation).
+   abstracted as [charge] so batched runs can buffer their charges. Returns
+   the result plus the rollout-step and warm-replay-step counts (for a
+   batch's aggregated trace counts).
 
    Reward lookup is two-level. The per-search [seen] table (L1) keeps the
    trajectory's own repeats free, exactly like the old private reward
@@ -67,7 +66,7 @@ end)
    aggregated [intra.pruned] count. Fresh evaluations run under
    [Trace.without] with a null charge sink so the only effects are that
    canonical stream — whoever fills the table first is unobservable. *)
-let search_one ~config ~sims ~seed ~charge ?(jobs = 1) ~share ~memo ~prefix ~buffer_sizes
+let search_one ~config ~sims ~seed ~charge ~share ~memo ~prefix ~buffer_sizes
     ~platform kernel =
   let rng = Rng.create seed in
   let nodes = ref 0 in
@@ -107,7 +106,7 @@ let search_one ~config ~sims ~seed ~charge ?(jobs = 1) ~share ~memo ~prefix ~buf
                     let v, st =
                       Intra.tune_with_stats
                         ~charge:(fun _ -> ())
-                        ~jobs ~prune:config.prune ~compose:config.compose
+                        ~prune:config.prune ~compose:config.compose
                         ~max_candidates:config.intra_candidates ~memo ~platform k
                     in
                     { Transposition.reward = v.Intra.throughput;
@@ -279,8 +278,9 @@ let search_one ~config ~sims ~seed ~charge ?(jobs = 1) ~share ~memo ~prefix ~buf
     !rollout_steps,
     !warm_steps )
 
-let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?(jobs = 1) ?(share = true)
-    ?db ~platform kernel =
+(* [jobs] is ignored: the search runs on one domain. *)
+let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?(share = true) ?db
+    ~platform kernel =
   Trace.span ~cat:"phase"
     ~attrs:
       [ ("simulations", string_of_int config.simulations);
@@ -288,8 +288,8 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?(jobs = 1) ?(
     "mcts"
   @@ fun () ->
   let platform_id = platform.Xpiler_machine.Platform.id in
-  (* warm start: one database lookup on the master domain, before any
-     batch spawns — the prefix is replayed by a dedicated extra batch *)
+  (* warm start: one database lookup before any batch runs — the prefix is
+     replayed by a dedicated extra batch *)
   let prefix =
     match db with
     | None -> []
@@ -300,54 +300,51 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?(jobs = 1) ?(
   in
   (* the checker/cost-model memo lives exactly as long as this search *)
   let memo = Intra.create_memo () in
+  let charge_clock s =
+    match clock with Some c -> Vclock.charge c Vclock.Auto_tuning s | None -> ()
+  in
   let result =
     let b = max config.root_parallel 1 in
     if b <= 1 && prefix = [] then begin
-      let charge s =
-        match clock with Some c -> Vclock.charge c Vclock.Auto_tuning s | None -> ()
-      in
       let result, _, _ =
-        search_one ~config ~sims:config.simulations ~seed:config.seed ~charge ~jobs ~share
-          ~memo ~prefix:[] ~buffer_sizes ~platform kernel
+        search_one ~config ~sims:config.simulations ~seed:config.seed ~charge:charge_clock
+          ~share ~memo ~prefix:[] ~buffer_sizes ~platform kernel
       in
       result
     end
     else begin
       (* root parallelism: independent searches over distinct seeds, each
          with a private first-touch table over the shared transposition
-         table, merged on the master domain. Simulations split evenly over
-         the [b] base batches (remainder to the early ones). The warm-start
-         trajectory runs as one *extra* batch — the base batches never see
-         the prefix, so a schedule-database hit can only improve the merged
-         result relative to the cold search, never redirect it. Per-batch
-         trace counts and clock charges are buffered and replayed in batch
-         order, so the result and the observable stream do not depend on
-         [jobs]. *)
+         table, run one after another and merged. Simulations split evenly
+         over the [b] base batches (remainder to the early ones). The
+         warm-start trajectory runs as one *extra* batch — the base batches
+         never see the prefix, so a schedule-database hit can only improve
+         the merged result relative to the cold search, never redirect it.
+         Each batch runs untraced; its clock charges are buffered and
+         applied after it, followed by its aggregated trace counts. *)
       let n = b + if prefix = [] then 0 else 1 in
       let sims_of i =
         if i >= b then max 1 (config.simulations / b)
         else (config.simulations / b) + if i < config.simulations mod b then 1 else 0
       in
       let prefix_of i = if i >= b then prefix else [] in
-      let results =
-        Pool.map ~jobs ?clock
-          (fun task i ->
-            Trace.without (fun () ->
-                let res, steps, warm =
-                  search_one ~config ~sims:(sims_of i) ~seed:(config.seed + (7919 * i))
-                    ~charge:(fun s -> Pool.charge task Vclock.Auto_tuning s)
-                    ~jobs:1 ~share ~memo ~prefix:(prefix_of i) ~buffer_sizes ~platform kernel
-                in
-                Pool.defer task (fun () ->
-                    Trace.count ~n:res.nodes_expanded "mcts.expansions";
-                    Trace.count ~n:res.simulations_run "mcts.simulations";
-                    Trace.count ~n:steps "mcts.rollout_steps";
-                    if warm > 0 then Trace.count ~n:warm "mcts.warm_steps";
-                    Trace.observe "mcts.reward" res.best_reward);
-                res))
-          (List.init n Fun.id)
+      let batch i =
+        let charges = Queue.create () in
+        let res, steps, warm =
+          Trace.without (fun () ->
+              search_one ~config ~sims:(sims_of i) ~seed:(config.seed + (7919 * i))
+                ~charge:(fun s -> Queue.add s charges)
+                ~share ~memo ~prefix:(prefix_of i) ~buffer_sizes ~platform kernel)
+        in
+        Queue.iter charge_clock charges;
+        Trace.count ~n:res.nodes_expanded "mcts.expansions";
+        Trace.count ~n:res.simulations_run "mcts.simulations";
+        Trace.count ~n:steps "mcts.rollout_steps";
+        if warm > 0 then Trace.count ~n:warm "mcts.warm_steps";
+        Trace.observe "mcts.reward" res.best_reward;
+        res
       in
-      match results with
+      match List.init n batch with
       | [] -> assert false
       | r0 :: rest ->
         let merged =

@@ -18,8 +18,8 @@ module Pass = Xpiler_passes.Pass
       root-parallel batches and successive searches, on top of a per-search
       first-touch table. Rewards are pure, so sharing changes wall-clock
       only; observable charges/trace counts replay from per-entry receipts,
-      so they depend on the search trajectory alone — [jobs] determinism is
-      preserved bit-for-bit.
+      so they depend on the search trajectory alone — a cold and a
+      pre-populated table give byte-identical journals.
     - {b Bound-based pruning and composed candidates}
       ([config.prune]/[config.compose], default on): forwarded to
       {!Intra.tune_with_stats} for every reward evaluation.
@@ -34,9 +34,9 @@ module Pass = Xpiler_passes.Pass
       steps are traced as [mcts.warm_steps].
 
     With [root_parallel > 1] the simulation budget is split over that many
-    independent searches (distinct seeds, private first-touch tables) whose
-    best result is kept — deterministically, whatever the [jobs] count used
-    to run them. *)
+    independent searches (distinct seeds, private first-touch tables), run
+    one after another on the calling domain, whose best result is kept.
+    [root_parallel] shapes the search; it does not parallelize it. *)
 
 type config = {
   max_depth : int;
@@ -75,9 +75,6 @@ val search :
     kernel always passes the platform checker (it may equal the input when
     nothing better is found).
 
-    [jobs] sizes the domain pool. With [root_parallel = 1] it parallelizes
-    intra-pass candidate evaluation inside each reward (only when
-    [config.prune] is off — the pruned scan is sequential); with
-    [root_parallel > 1] it runs the search batches themselves in parallel.
-    Results, virtual-clock totals and trace summaries are identical for any
-    [jobs] value, including with [share] on and a warm-start [db]. *)
+    [jobs] is inert: a search runs on one domain, and only whole
+    translations run in parallel (the bench harness's {!Xpiler_util.Pool}).
+    The argument is kept because the end-to-end benchmark worker passes it. *)

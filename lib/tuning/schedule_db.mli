@@ -14,8 +14,10 @@ module Pass = Xpiler_passes.Pass
 
     Conflicts resolve most-recent-wins: rewards are not comparable across
     shapes, so the last completed search owns the entry. All operations are
-    mutex-protected; lookups happen once per search on the master domain, so
-    the database never perturbs the deterministic [--jobs] replay. *)
+    mutex-protected. A lookup sees what earlier searches recorded, so
+    translations that share a signature must run in a fixed order: the
+    bench harness gives each operator one pool task that runs its shapes in
+    case order. *)
 
 type entry = { specs : Pass.spec list; reward : float }
 type t

@@ -8,8 +8,8 @@
    who filled the table first, so entries carry a *receipt*: the canonical
    effect counts the original evaluation emitted. A hit replays the receipt,
    a miss evaluates and then emits the same receipt — the emitted stream is
-   a function of the search trajectory alone, which is what preserves the
-   byte-identical [--jobs] determinism guarantee.
+   a function of the search trajectory alone, so a cold and a pre-populated
+   table give byte-identical journals.
 
    The reward depends on the intra-tuning parameters (candidate budget,
    pruning, composition), so they are part of the key: searches with
@@ -18,10 +18,10 @@
 open Xpiler_machine
 module Metrics = Xpiler_obs.Metrics
 
-(* Registry metrics are unstable: lookups run inside pooled worker domains,
-   so which searcher sees a hit vs. a miss depends on the schedule. The
-   deterministic view of the same activity is the receipt-replayed trace
-   counter stream. *)
+(* Registry metrics are unstable: the table is process-global, so whether a
+   lookup hits depends on what ran before it, and on the schedule when the
+   bench harness runs translations in parallel. The deterministic view of
+   the same activity is the receipt-replayed trace counter stream. *)
 let m_hits =
   Metrics.counter ~stable:false ~help:"transposition table lookups by result"
     ~labels:[ ("result", "hit") ] "xpiler_transposition_lookups_total"

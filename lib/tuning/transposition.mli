@@ -6,16 +6,17 @@ open Xpiler_machine
     by the structural {!Xpiler_ir.Kernel.hash}/[equal] — to the reward of
     its intra-pass tuning plus a *receipt* of the effects the original
     evaluation emitted (variants measured, variants pruned). The table is
-    mutex-protected and process-global: root-parallel MCTS batches and
-    successive searches all share it, so a state is intra-tuned once per
-    process instead of once per searcher.
+    mutex-protected and process-global: root-parallel MCTS batches,
+    successive searches and translations running in parallel in the bench
+    harness all share it, so a state is intra-tuned once per process
+    instead of once per searcher.
 
     Rewards are pure, so sharing changes wall-clock time only, never values.
     Observable effects are kept deterministic by the receipt discipline (see
     {!Mcts}): both a table hit and a fresh evaluation emit exactly the
     receipt's canonical stream, so charges and trace counters depend only on
-    the search trajectory, not on which searcher populated the table first —
-    preserving the byte-identical [--jobs] guarantee.
+    the search trajectory, not on which searcher populated the table first,
+    so a cold and a pre-populated table give byte-identical journals.
 
     The table is an LRU of 65536 entries ({!Xpiler_util.Lru}): at capacity
     a fresh {!store} evicts the least recently used entry, traced as

@@ -1,14 +1,5 @@
-(* Deterministic domain pool: parallel map whose observable behaviour is
-   byte-identical for any job count. See pool.mli for the contract. *)
-
-type deferred = Thunk of (unit -> unit) | Charge of Vclock.stage * float
-
-type task = { index : int; rng : Rng.t; fx : deferred Queue.t }
-
-let index t = t.index
-let rng t = t.rng
-let defer t f = Queue.add (Thunk f) t.fx
-let charge t stage s = Queue.add (Charge (stage, s)) t.fx
+(* Domain pool: parallel map with input-order results, for independent
+   whole translations. See pool.mli for the contract. *)
 
 let default_jobs =
   ref
@@ -22,8 +13,9 @@ let set_jobs n = if n > 0 then default_jobs := n
 (* Effective parallelism is capped by the cores actually available: extra
    domains on an oversubscribed host cannot run concurrently, yet every live
    domain must join each stop-the-world minor collection, so they make things
-   strictly slower. The replay contract makes the clamp invisible except in
-   wall-clock. Overridable (tests force real domains even on one core). *)
+   strictly slower. Results are in input order either way, so the clamp is
+   invisible except in wall-clock. Overridable (tests force real domains even
+   on one core). *)
 let max_domains =
   ref
     (match Sys.getenv_opt "XPILER_MAX_DOMAINS" with
@@ -35,11 +27,6 @@ let max_domains =
 
 let get_max_domains () = !max_domains
 let set_max_domains n = if n > 0 then max_domains := n
-
-(* Nested [map] calls (a pooled task that itself pools) run inline: domains
-   spawning domains would oversubscribe, and the replay contract already
-   guarantees the results are the same either way. *)
-let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 (* ---- self-stats ---------------------------------------------------------
    The pool cannot depend on the metrics registry (xpiler_obs depends on
@@ -111,10 +98,6 @@ let reset_stats () =
       s_lat_min := infinity;
       s_lat_max := 0.0)
 
-(* Independent per-task streams: a task's RNG depends on (seed, index) only,
-   never on the job count or the schedule. *)
-let task_seed seed i = Hashtbl.hash (seed, i, "xpiler-pool")
-
 (* ---- worker lifetime ----------------------------------------------------
    Helper domains are spawned per [map] call and joined before it returns.
    A persistent pool (workers parked on a condition variable between jobs)
@@ -125,70 +108,39 @@ let task_seed seed i = Hashtbl.hash (seed, i, "xpiler-pool")
    which a parallel section worth parallelising amortises easily, and joined
    domains leave no residue. *)
 
-let map ?jobs:j ?(seed = 0) ?clock f inputs =
+let map ?jobs:j f inputs =
   let j = min (match j with Some j -> j | None -> jobs ()) !max_domains in
   let items = Array.of_list inputs in
   let n = Array.length items in
-  let tasks =
-    Array.init n (fun i -> { index = i; rng = Rng.create (task_seed seed i); fx = Queue.create () })
-  in
   let results = Array.make n None in
   let run i =
     let t0 = Unix.gettimeofday () in
-    let r =
-      try Ok (f tasks.(i) items.(i))
-      with e -> Error (e, Printexc.get_raw_backtrace ())
-    in
+    let r = try Ok (f items.(i)) with e -> Error (e, Printexc.get_raw_backtrace ()) in
     note_task (Unix.gettimeofday () -. t0);
     results.(i) <- Some r
   in
   let map_t0 = Unix.gettimeofday () in
-  (if j <= 1 || n <= 1 || Domain.DLS.get in_worker then
+  (if j <= 1 || n <= 1 then
      for i = 0 to n - 1 do
        run i
      done
    else begin
      let next = Atomic.make 0 in
-     let pull () =
-       let rec loop () =
-         let i = Atomic.fetch_and_add next 1 in
-         if i < n then begin
-           run i;
-           loop ()
-         end
-       in
-       loop ()
+     let rec pull () =
+       let i = Atomic.fetch_and_add next 1 in
+       if i < n then begin
+         run i;
+         pull ()
+       end
      in
-     let helpers =
-       List.init
-         (min (j - 1) (n - 1))
-         (fun _ ->
-           Domain.spawn (fun () ->
-               Domain.DLS.set in_worker true;
-               pull ()))
-     in
-     (* the caller works too; its tasks must still see nested maps as inline *)
-     let saved = Domain.DLS.get in_worker in
-     Domain.DLS.set in_worker true;
-     Fun.protect
-       ~finally:(fun () ->
-         Domain.DLS.set in_worker saved;
-         List.iter Domain.join helpers)
-       (fun () -> pull ())
+     (* the caller works too *)
+     let helpers = List.init (min (j - 1) (n - 1)) (fun _ -> Domain.spawn pull) in
+     Fun.protect ~finally:(fun () -> List.iter Domain.join helpers) pull
    end);
   note_map ~jobs:(max 1 (min j (max n 1))) (Unix.gettimeofday () -. map_t0);
-  (* Deterministic replay: per-task effect buffers drain in input order on
-     the calling domain, so clock observers and deferred trace emission see
-     the exact sequential event stream. The first failing task (by input
-     order) re-raises after the effects of the tasks before it. *)
+  (* the first failing task by input order re-raises; later results drop *)
   let out = ref [] in
   for i = 0 to n - 1 do
-    Queue.iter
-      (function
-        | Thunk g -> g ()
-        | Charge (stage, s) -> (
-          match clock with Some c -> Vclock.charge c stage s | None -> ()))
-      tasks.(i).fx;
     match results.(i) with
     | Some (Ok v) -> out := v :: !out
     | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt

@@ -1,53 +1,26 @@
-(** Deterministic domain pool.
+(** Domain pool for independent whole translations.
 
     [map] evaluates a function over a list on up to [jobs] OCaml 5 domains
-    and returns the results in input order. The contract is stronger than
-    plain parallel map: every observable output — results, virtual-clock
-    charges, deferred trace events, exceptions — is byte-identical whatever
-    the job count, so [jobs=8] runs produce the same CSVs, journals and
-    tuning decisions as [jobs=1].
+    and returns the results in input order. It is the only parallel level:
+    the bench harness runs whole translations through it, and nothing below
+    a translation pools. A task must not depend on state another task of the
+    same [map] writes, so that [jobs=1] and [jobs=N] runs agree; callers
+    additionally wrap task bodies in [Obs.Trace.without], because worker
+    domains have no ambient tracer while inline ([jobs=1]) execution would
+    otherwise trace. If tasks fail, the first failing task by input order
+    re-raises with its backtrace; the other results are dropped. *)
 
-    How determinism is achieved:
-    - each task gets an independently seeded {!Rng.t} derived from
-      [(seed, index)] only — never from the schedule;
-    - tasks must not mutate shared state or emit ambient traces; instead
-      they buffer effects with {!charge} / {!defer}, and the buffers are
-      replayed on the calling domain in input order after all tasks finish
-      (callers in this repo additionally wrap task bodies in
-      [Obs.Trace.without], which is what makes [jobs=1] — inline execution —
-      match [jobs>1], where worker domains have no ambient tracer);
-    - the first failing task by input order re-raises after the effects of
-      the tasks preceding it; later tasks' results and effects are dropped.
-
-    Nested [map] calls from inside a task run inline on the worker. *)
-
-type task
-
-val index : task -> int
-val rng : task -> Rng.t
-(** Per-task deterministic RNG, a pure function of [(seed, index)]. *)
-
-val defer : task -> (unit -> unit) -> unit
-(** Buffer a side effect (e.g. a trace emission); runs on the calling domain
-    during the input-order replay phase. *)
-
-val charge : task -> Vclock.stage -> float -> unit
-(** Buffer a virtual-clock charge against [map]'s [?clock]; replayed in
-    input order so clock observers fire deterministically. *)
-
-val map :
-  ?jobs:int -> ?seed:int -> ?clock:Vclock.t -> (task -> 'a -> 'b) -> 'a list -> 'b list
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f inputs] with results in input order. [jobs] defaults to
-    {!jobs}[ ()]; [seed] (default 0) derives the per-task RNGs; [clock]
-    receives the replayed {!charge}s.
+    {!jobs}[ ()].
 
     The effective job count is additionally clamped to {!get_max_domains}
     (default [Domain.recommended_domain_count ()]): oversubscribed domains
     cannot run concurrently but still join every stop-the-world collection,
-    so on a single-core host [jobs > 1] degrades to inline execution — with
-    identical observable behaviour, by the replay contract. Helper domains
-    are spawned per call and joined before [map] returns; idle parked
-    domains were measured to slow unrelated serial code 20-100x. *)
+    so on a single-core host [jobs > 1] degrades to inline execution, with
+    the same results. Helper domains are spawned per call and joined before
+    [map] returns; idle parked domains were measured to slow unrelated
+    serial code 20-100x. *)
 
 val jobs : unit -> int
 (** The process default used when [map]'s [?jobs] is omitted: last

@@ -3,8 +3,8 @@
    changes wall-clock time, never outcomes or journals. The contracts
    asserted here:
 
-   - jobs invariance: jobs=1 and jobs=4 produce byte-identical trace
-     journals and stable metrics snapshots;
+   - repeat-run identity: two same-seed runs from the same cache state
+     produce byte-identical trace journals and stable metrics snapshots;
    - cold vs warm: re-running a traced translation against warm memos yields
      a byte-identical journal (solver-memo entries carry their original
      search receipts, unit-test verdict-memo entries their run receipts);
@@ -16,7 +16,6 @@ open Xpiler_ops
 open Xpiler_neural
 open Xpiler_core
 module Memo = Xpiler_smt.Memo
-module Pool = Xpiler_util.Pool
 module Journal = Xpiler_obs.Journal
 module Event = Xpiler_obs.Event
 module Metrics = Xpiler_obs.Metrics
@@ -30,18 +29,10 @@ let run ~config =
 
 let journal o = Journal.encode o.Xpiler.trace
 
-(* force real worker domains even on a single-core host, where the pool
-   otherwise clamps to inline execution and the test would be vacuous *)
-let with_max_domains n f =
-  let prev = Pool.get_max_domains () in
-  Pool.set_max_domains n;
-  Fun.protect ~finally:(fun () -> Pool.set_max_domains prev) f
-
-let traced ?(seed = 11) ~jobs scale =
-  Config.with_jobs
-    (Config.with_trace (Config.with_fault_scale (Config.with_seed Config.default seed) scale)
-       Xpiler_obs.Tracer.Detail)
-    jobs
+let traced ?(seed = 11) scale =
+  Config.with_trace
+    (Config.with_fault_scale (Config.with_seed Config.default seed) scale)
+    Xpiler_obs.Tracer.Detail
 
 let cold () =
   Memo.clear ();
@@ -66,32 +57,31 @@ let warm_refs config =
   cold ();
   ignore (run ~config)
 
-let test_jobs_invariant_journal () =
-  with_max_domains 4 @@ fun () ->
-  warm_refs (traced ~jobs:1 20.0);
-  let mk jobs =
+let test_repeat_run_journal () =
+  warm_refs (traced 20.0);
+  let mk () =
     cold ();
     Metrics.reset ();
-    let o = run ~config:(traced ~jobs 20.0) in
+    let o = run ~config:(traced 20.0) in
     (o, Metrics.snapshot ~stable_only:true ())
   in
-  let o1, s1 = mk 1 in
-  let o4, s4 = mk 4 in
+  let o1, s1 = mk () in
+  let o2, s2 = mk () in
   Alcotest.(check bool) "repair actually ran" true
     (count_total "repair.candidates" o1.Xpiler.trace > 0);
-  Alcotest.(check bool) "same status" true (o1.Xpiler.status = o4.Xpiler.status);
+  Alcotest.(check bool) "same status" true (o1.Xpiler.status = o2.Xpiler.status);
   Alcotest.(check bool) "byte-identical target text" true
-    (o1.Xpiler.target_text = o4.Xpiler.target_text);
-  Alcotest.(check string) "byte-identical journal" (journal o1) (journal o4);
+    (o1.Xpiler.target_text = o2.Xpiler.target_text);
+  Alcotest.(check string) "byte-identical journal" (journal o1) (journal o2);
   Alcotest.(check string) "byte-identical stable metrics" (Metrics.to_openmetrics s1)
-    (Metrics.to_openmetrics s4);
+    (Metrics.to_openmetrics s2);
   Alcotest.(check bool) "verdict-memo lookups are stable" true
     (List.exists
        (fun (s : Metrics.sample) -> s.Metrics.name = "xpiler_unit_test_memo_lookups_total")
        s1)
 
 let test_cold_vs_warm_journal () =
-  let config = traced ~seed:5 ~jobs:1 18.0 in
+  let config = traced ~seed:5 18.0 in
   warm_refs config;
   cold ();
   let o_cold = run ~config in
@@ -114,7 +104,7 @@ let verdict_memo_hits () =
    receipts instead of re-running kernels, and its journal is the cold
    run's byte for byte *)
 let test_verdict_memo_traced_cold_vs_warm () =
-  let config = traced ~seed:3 ~jobs:1 20.0 in
+  let config = traced ~seed:3 20.0 in
   warm_refs config;
   Unit_test.reset_memo ();
   let o_cold = run ~config in
@@ -129,7 +119,7 @@ let test_verdict_memo_traced_cold_vs_warm () =
    [repair.tests_run] it observes *)
 let test_repair_tests_journaled () =
   cold ();
-  let events = (run ~config:(traced ~seed:1 ~jobs:1 20.0)).Xpiler.trace in
+  let events = (run ~config:(traced ~seed:1 20.0)).Xpiler.trace in
   let spans =
     List.filter_map
       (function Event.Span { name = "repair"; ts; dur; _ } -> Some (ts, dur) | _ -> None)
@@ -178,8 +168,8 @@ let test_fused_oracle_matches_check () =
 let () =
   Alcotest.run "repair-hotpath"
     [ ( "determinism",
-        [ Alcotest.test_case "jobs=1 vs jobs=4 byte-identical journal" `Slow
-            test_jobs_invariant_journal;
+        [ Alcotest.test_case "repeat run byte-identical journal" `Slow
+            test_repeat_run_journal;
           Alcotest.test_case "cold vs warm byte-identical journal" `Slow
             test_cold_vs_warm_journal;
           Alcotest.test_case "traced verdict memo: cold vs warm journal" `Slow

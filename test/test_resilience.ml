@@ -231,22 +231,33 @@ let test_max_escalation_mapping () =
 
 (* ---- determinism --------------------------------------------------------------- *)
 
-(* the ladder must not break jobs-count invariance: tuning fan-out is the
-   only parallel stage, and escalation happens before it *)
-let test_jobs_invariance_under_faults () =
-  let mk jobs =
-    let config =
-      Config.with_jobs
-        (Config.with_fault_scale (Config.with_seed Config.tuned 3) 15.0)
-        jobs
-    in
-    run ~config ~src:Platform.Cuda ~dst:Platform.Bang gemm gemm_shape
+(* a tuned run under faults, once on an empty schedule database and once
+   warm-started from the record the first run left: escalation happens
+   before tuning, so status and ledger match, and the warm start replays the
+   schedule the cold search found, so the target text matches too *)
+let test_cold_vs_warm_schedule_db_under_faults () =
+  Xpiler_tuning.Schedule_db.clear Xpiler_tuning.Schedule_db.default;
+  let config =
+    Config.with_trace
+      (Config.with_fault_scale (Config.with_seed Config.tuned 3) 15.0)
+      Xpiler_obs.Tracer.Detail
   in
-  let o1 = mk 1 and o4 = mk 4 in
-  Alcotest.(check bool) "same status" true (o1.Xpiler.status = o4.Xpiler.status);
+  let cold = run ~config ~src:Platform.Cuda ~dst:Platform.Bang gemm gemm_shape in
+  let warm = run ~config ~src:Platform.Cuda ~dst:Platform.Bang gemm gemm_shape in
+  let warm_steps (o : Xpiler.outcome) =
+    List.fold_left
+      (fun acc e ->
+        match e with
+        | Xpiler_obs.Event.Count { name = "mcts.warm_steps"; n; _ } -> acc + n
+        | _ -> acc)
+      0 o.Xpiler.trace
+  in
+  Alcotest.(check int) "cold run replays nothing" 0 (warm_steps cold);
+  Alcotest.(check bool) "warm run replays the record" true (warm_steps warm > 0);
+  Alcotest.(check bool) "same status" true (cold.Xpiler.status = warm.Xpiler.status);
   Alcotest.(check bool) "byte-identical target text" true
-    (o1.Xpiler.target_text = o4.Xpiler.target_text);
-  Alcotest.(check bool) "same ledger" true (o1.Xpiler.ledger = o4.Xpiler.ledger)
+    (cold.Xpiler.target_text = warm.Xpiler.target_text);
+  Alcotest.(check bool) "same ledger" true (cold.Xpiler.ledger = warm.Xpiler.ledger)
 
 let test_repeat_determinism () =
   let config = Config.with_fault_scale Config.default 18.0 in
@@ -274,7 +285,8 @@ let () =
         ] );
       ("config", [ Alcotest.test_case "max-escalation mapping" `Quick test_max_escalation_mapping ]);
       ( "determinism",
-        [ Alcotest.test_case "jobs invariance under faults" `Slow test_jobs_invariance_under_faults;
+        [ Alcotest.test_case "cold vs warm schedule DB under faults" `Slow
+            test_cold_vs_warm_schedule_db_under_faults;
           Alcotest.test_case "repeat determinism" `Quick test_repeat_determinism
         ] )
     ]

@@ -3,8 +3,9 @@
    included (QCheck property); a torn tail loads as the valid prefix and is
    repaired before the next append; a corrupt snapshot degrades to a
    log-only rebuild, never an error; compaction preserves content exactly
-   while emptying the logs; and the persisted state of a tuning search is
-   identical at any jobs count. `dune build @store` runs just this suite;
+   while emptying the logs; and tuned translations run on the domain pool
+   give the same results, stable metrics and persisted state at any job
+   count. `dune build @store` runs just this suite;
    it is also attached to `dune runtest`. *)
 
 open Xpiler_machine
@@ -16,7 +17,6 @@ module Problem = Xpiler_smt.Problem
 module Memo = Xpiler_smt.Memo
 module Schedule_db = Xpiler_tuning.Schedule_db
 module Transposition = Xpiler_tuning.Transposition
-module Mcts = Xpiler_tuning.Mcts
 module Wal = Xpiler_store.Wal
 module Store = Xpiler_store.Store
 module Registry = Xpiler_ops.Registry
@@ -267,39 +267,74 @@ let test_attach_write_through () =
   Alcotest.(check bool) "ensure is idempotent" true (t1 == t2);
   Store.detach ()
 
-(* ---- jobs determinism of the persisted state ------------------------------ *)
+(* ---- parallel translations: jobs=1 vs jobs=4 ------------------------------
 
-let test_jobs_determinism () =
-  let op = Registry.find_exn "gemm" in
-  let shape = List.hd op.Opdef.shapes in
-  let kernel = op.Opdef.serial shape in
-  let buffer_sizes =
-    List.map (fun (b : Opdef.buffer_spec) -> (b.buf_name, b.size shape)) op.Opdef.buffers
+   Whole translations are the only work that runs in parallel. Tuned
+   translations of one operator warm-start from each other's schedule-DB
+   records, so — as in the bench harness — each operator is one pool task
+   that translates its shapes in order. Results, the stable metrics snapshot
+   and the persisted store state must then not depend on the job count. *)
+
+module Pool = Xpiler_util.Pool
+module Listx = Xpiler_util.Listx
+module Metrics = Xpiler_obs.Metrics
+module Json = Xpiler_obs.Json
+module Xpiler = Xpiler_core.Xpiler
+module Config = Xpiler_core.Config
+
+let translation_groups =
+  List.map
+    (fun name ->
+      let op = Registry.find_exn name in
+      List.map (fun shape -> (op, shape)) (Listx.take 3 op.Opdef.shapes))
+    [ "gemm"; "relu"; "add" ]
+
+let translate_groups ~jobs =
+  clear_tables ();
+  Schedule_db.clear Schedule_db.default;
+  Metrics.reset ();
+  let store = ok_exn (Store.open_store ~dir:(fresh_dir ()) ()) in
+  Store.attach store;
+  let outcomes =
+    Fun.protect ~finally:Store.detach (fun () ->
+        Pool.map ~jobs
+          (List.map (fun (op, shape) ->
+               let o =
+                 Xpiler.transcompile ~config:Config.tuned ~src:Platform.Cuda ~dst:Platform.Bang
+                   ~op ~shape ()
+               in
+               (o.Xpiler.status, o.Xpiler.target_text, o.Xpiler.throughput)))
+          translation_groups)
   in
-  let config =
-    { Mcts.default_config with
-      simulations = 4; max_depth = 4; intra_candidates = 6; root_parallel = 2 }
-  in
-  let persisted jobs =
-    let dir = fresh_dir () in
-    let store = ok_exn (Store.open_store ~dir ()) in
-    let db = Schedule_db.create () in
-    clear_tables ();
-    Store.attach ~db store;
-    ignore (Mcts.search ~config ~buffer_sizes ~jobs ~share:true ~db ~platform:Platform.bang kernel);
-    Store.detach ();
-    store
-  in
-  let s1 = persisted 1 and s4 = persisted 4 in
+  (outcomes, Metrics.snapshot ~stable_only:true (), store)
+
+let test_parallel_translations_deterministic () =
+  let saved = Pool.get_max_domains () in
+  Pool.set_max_domains 4;
+  Fun.protect ~finally:(fun () -> Pool.set_max_domains saved) @@ fun () ->
+  (* one warm-up so both compared runs see the same compile, reference and
+     verdict caches, which no reset empties *)
+  ignore (translate_groups ~jobs:1);
+  let o1, m1, s1 = translate_groups ~jobs:1 in
+  let o4, m4, s4 = translate_groups ~jobs:4 in
+  Alcotest.(check bool) "same status, target text and throughput" true (o1 = o4);
+  Alcotest.(check bool) "tuning ran" true
+    (List.exists (List.exists (fun (_, _, t) -> t <> None)) o1);
+  let json m = Json.to_string (Metrics.to_json m) in
+  Alcotest.(check string) "same stable metrics snapshot" (json m1) (json m4);
+  Alcotest.(check bool) "intra memo lookups are stable" true
+    (List.exists
+       (fun (s : Metrics.sample) -> s.Metrics.name = "xpiler_intra_memo_lookups_total")
+       m1);
   let db1, st1 = load_fresh s1 in
   let d1 = dump_tables db1 in
   let db4, st4 = load_fresh s4 in
   let d4 = dump_tables db4 in
-  Alcotest.(check bool) "the search persisted something" true (Store.total st1.Store.loaded > 0);
-  Alcotest.(check int) "same record count at any jobs" (Store.total st1.Store.loaded)
+  Alcotest.(check bool) "the translations persisted something" true
+    (Store.total st1.Store.loaded > 0);
+  Alcotest.(check int) "same record count" (Store.total st1.Store.loaded)
     (Store.total st4.Store.loaded);
-  Alcotest.(check bool) "identical persisted state at jobs=1 and jobs=4" true (d1 = d4);
-  ignore db4
+  Alcotest.(check bool) "identical persisted state" true (d1 = d4)
 
 let () =
   clear_tables ();
@@ -312,5 +347,7 @@ let () =
       ( "wiring",
         [ Alcotest.test_case "attach write-through" `Quick test_attach_write_through ] );
       ( "determinism",
-        [ Alcotest.test_case "jobs=1 vs jobs=4 persisted state" `Quick test_jobs_determinism ] )
+        [ Alcotest.test_case "parallel translations jobs=1 = jobs=4" `Slow
+            test_parallel_translations_deterministic
+        ] )
     ]
