@@ -42,7 +42,7 @@ let () =
     (String.concat "; " report.Localize.failing_buffers)
     (List.length report.Localize.sites);
   List.iter
-    (fun site -> Printf.printf "  site: %s\n" (Localize.site_to_string site))
+    (fun site -> Printf.printf "  site: %s\n" (Site.to_string site))
     report.Localize.sites;
 
   (* Algorithm 3: SMT-based repair *)

@@ -31,18 +31,11 @@ let check_name = function
   | Out_of_bounds -> "out-of-bounds"
   | Uninit_read -> "uninit-read"
 
-(* repair-site hints; constructors and [nth] numbering match
-   [Xpiler_repair.Localize.site] (post-order statement traversal) *)
-type site =
-  | Param_site of { nth : int; current : int }
-  | Bound_site of { nth : int; var : string; current : int }
-  | Index_site of { nth : int; buf : string }
-
 type finding = {
   check : check;
   diag : Diag.t;
   buffers : string list;
-  sites : site list;
+  sites : Site.t list;
 }
 
 let finding_to_string f =
@@ -50,68 +43,11 @@ let finding_to_string f =
 
 let errors fs = List.filter (fun f -> Diag.is_error f.diag) fs
 
-(* ---- statement numbering (shared with Repair.Localize) --------------------- *)
-
-(* the same selectors as Localize.is_{param,bound,index}_site; duplicated
-   here because repair depends on analysis, not the other way around.
-   test/test_analysis.ml pins the numbering equivalence end-to-end. *)
-let is_param_stmt = function
-  | Stmt.Intrinsic { params = Expr.Int _ :: _; _ } -> true
-  | Stmt.Memcpy { len = Expr.Int _; _ } -> true
-  | _ -> false
-
-let is_bound_stmt = function
-  | Stmt.For { extent = Expr.Int _; kind = Stmt.Serial; _ } -> true
-  | _ -> false
-
-let is_store_stmt = function Stmt.Store _ -> true | _ -> false
-
-(* post-order (children before parent, left to right): the traversal order
-   of both Localize.enumerate and Rewrite.rewrite_nth *)
-let postorder select (k : Kernel.t) =
-  let found = ref [] in
-  let rec walk block =
-    List.iter
-      (fun s ->
-        (match s with
-        | Stmt.For r -> walk r.body
-        | Stmt.If r ->
-          walk r.then_;
-          walk r.else_
-        | _ -> ());
-        if select s then found := s :: !found)
-      block
-  in
-  walk k.Kernel.body;
-  List.rev !found
-
-(* index of [stmt] among the selected statements; physical equality first
-   (the analyzer only numbers nodes of the kernel it walked) *)
-let ordinal select k stmt =
-  let rec go n = function
-    | [] -> None
-    | s :: rest -> if s == stmt || Stmt.equal s stmt then Some n else go (n + 1) rest
-  in
-  go 0 (postorder select k)
-
-let store_site k stmt =
-  match stmt with
-  | Stmt.Store { buf; _ } ->
-    Option.map (fun nth -> Index_site { nth; buf }) (ordinal is_store_stmt k stmt)
-  | _ -> None
-
-let param_site k stmt =
-  match stmt with
-  | (Stmt.Intrinsic { params = Expr.Int current :: _; _ } | Stmt.Memcpy { len = Expr.Int current; _ })
-    when is_param_stmt stmt ->
-    Option.map (fun nth -> Param_site { nth; current }) (ordinal is_param_stmt k stmt)
-  | _ -> None
-
-let bound_site k stmt =
-  match stmt with
-  | Stmt.For { var; extent = Expr.Int current; kind = Stmt.Serial; _ } ->
-    Option.map (fun nth -> Bound_site { nth; var; current }) (ordinal is_bound_stmt k stmt)
-  | _ -> None
+(* the repair site at [stmt], matched by physical identity: structurally
+   equal statements at different positions are different sites. [table] is
+   [Site.walk] of the analyzed kernel, forced by the first finding *)
+let site_of table stmt =
+  List.find_map (fun (site, s) -> if s == stmt then Some site else None) (Lazy.force table)
 
 (* ---- access collection ------------------------------------------------------ *)
 
@@ -121,7 +57,7 @@ type access = {
   start : Expr.t;  (* first element, lets resolved *)
   width : Expr.t;  (* element count, >= 1 *)
   where : string;
-  stmt : Stmt.t;  (* the statement carrying the access, for site hints *)
+  stmt : Stmt.t;  (* the statement carrying the access, for repair sites *)
   guards : Expr.t list;  (* path conditions, lets resolved *)
   phase : int;  (* barrier phase within the collection root *)
   loops : Stmt.t list;  (* enclosing For statements, innermost first *)
@@ -339,7 +275,7 @@ let buffer_extents ?(extents = []) (k : Kernel.t) =
   (* alloc sizes shadow caller-provided extents *)
   allocs @ extents
 
-let check_oob ?(extents = []) (k : Kernel.t) =
+let check_oob ?(extents = []) ~table (k : Kernel.t) =
   let sizes = buffer_extents ~extents k in
   let accesses = collect ~root_env:[] k.Kernel.body in
   let findings = ref [] in
@@ -373,11 +309,12 @@ let check_oob ?(extents = []) (k : Kernel.t) =
                 " at "
                 ^ String.concat ", " (List.map (fun (v, n) -> Printf.sprintf "%s=%d" v n) m)
             in
+            let bounds = List.filter_map (site_of table) a.loops in
             let sites =
-              List.filter_map Fun.id
-                [ param_site k a.stmt ]
-              @ List.filter_map (bound_site k) a.loops
-              @ List.filter_map Fun.id [ store_site k a.stmt ]
+              match site_of table a.stmt with
+              | Some (Site.Param _ as p) -> p :: bounds
+              | Some (Site.Index _ as i) -> bounds @ [ i ]
+              | _ -> bounds
             in
             findings :=
               { check = Out_of_bounds;
@@ -556,7 +493,7 @@ let shared_across ax (scope : Scope.t) =
   | Scope.Shared -> is_thread_axis ax
   | Scope.Local | Scope.Fragment | Scope.Nram | Scope.Wram -> false
 
-let check_races (k : Kernel.t) =
+let check_races ~table (k : Kernel.t) =
   let scope_of =
     let allocs = List.map (fun (b, sc, _, _) -> (b, sc)) (Stmt.allocs k.Kernel.body) in
     fun buf ->
@@ -674,7 +611,12 @@ let check_races (k : Kernel.t) =
                   | _ -> ""
                 in
                 let sites =
-                  List.filter_map Fun.id [ store_site k a1.stmt; store_site k a2.stmt ]
+                  List.filter_map
+                    (fun stmt ->
+                      match site_of table stmt with
+                      | Some (Site.Index _) as i -> i
+                      | _ -> None)
+                    [ a1.stmt; a2.stmt ]
                 in
                 findings :=
                   { check = Race;
@@ -717,7 +659,10 @@ let check_races (k : Kernel.t) =
 (* ---- entry point -------------------------------------------------------------- *)
 
 let analyze ?(extents = []) (k : Kernel.t) =
-  let findings = check_races k @ check_barriers k @ check_oob ~extents k @ check_uninit k in
+  let table = lazy (Site.walk k) in
+  let findings =
+    check_races ~table k @ check_barriers k @ check_oob ~extents ~table k @ check_uninit k
+  in
   List.iter
     (fun f ->
       Xpiler_obs.Trace.count

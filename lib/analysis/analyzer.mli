@@ -12,19 +12,11 @@ type check = Race | Barrier_divergence | Out_of_bounds | Uninit_read
 
 val check_name : check -> string
 
-(** Repair-site hints. Constructors and [nth] ordinals mirror
-    [Xpiler_repair.Localize.site] (post-order statement numbering), so the
-    repairer can act on them without re-deriving sites dynamically. *)
-type site =
-  | Param_site of { nth : int; current : int }
-  | Bound_site of { nth : int; var : string; current : int }
-  | Index_site of { nth : int; buf : string }
-
 type finding = {
   check : check;
   diag : Diag.t;  (** shared diagnostic record (same as [Checker.error]) *)
   buffers : string list;  (** buffers implicated, for localization *)
-  sites : site list;  (** candidate repair sites, best first *)
+  sites : Site.t list;  (** candidate repair sites, best first *)
 }
 
 val finding_to_string : finding -> string

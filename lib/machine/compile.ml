@@ -7,7 +7,6 @@ open Xpiler_ir
    scheduler — live here so both engines agree by construction. *)
 
 exception Runtime_error of string
-exception Halt
 
 type arg = Buf of Tensor.t | Scalar_int of int | Scalar_float of float
 
@@ -25,7 +24,6 @@ type ctx = {
   stats : stats;
   fuel : int;
   trace : (string -> int -> float -> unit) option;
-  store_limit : int;  (** max stores before Halt; max_int = unlimited *)
   traffic : (string, int) Hashtbl.t option;
       (** per-buffer written elements, tallied only when profiling *)
 }
@@ -863,8 +861,7 @@ let compile (k : Kernel.t) : t =
           buf_set t buf i v;
           ctx.stats.stores <- ctx.stats.stores + 1;
           tally ctx buf 1;
-          (match ctx.trace with Some f -> f buf i v | None -> ());
-          if ctx.stats.stores >= ctx.store_limit then raise Halt )
+          match ctx.trace with Some f -> f buf i v | None -> () )
     | Stmt.Alloc { buf; dtype; size; _ } ->
       let s = fresh_buf () in
       ( { cenv with bvars = (buf, s) :: cenv.bvars },
@@ -1103,7 +1100,7 @@ let bind_args c args =
 let run_receipt ?(fuel = 200_000_000) ?trace c args =
   let stats = fresh_stats () in
   let traffic = if Trace.enabled () then Some (Hashtbl.create 8) else None in
-  let ctx = { stats; fuel; trace; store_limit = max_int; traffic } in
+  let ctx = { stats; fuel; trace; traffic } in
   let frame = bind_args c args in
   let error =
     match c.code ctx frame with
@@ -1120,13 +1117,6 @@ let run_receipt ?(fuel = 200_000_000) ?trace c args =
 let run ?fuel ?trace c args =
   let r = run_receipt ?fuel ?trace c args in
   match r.error with Some m -> raise (Runtime_error m) | None -> r.stats
-
-let run_prefix ?(fuel = 200_000_000) c ~stop_after args =
-  let stats = fresh_stats () in
-  let ctx = { stats; fuel; trace = None; store_limit = stop_after; traffic = None } in
-  let frame = bind_args c args in
-  (try c.code ctx frame with Halt -> ());
-  stats
 
 (* ---- bounded compile memo ---------------------------------------------- *)
 

@@ -19,9 +19,6 @@ exception Runtime_error of string
     division by zero, fuel exhaustion, negative extents, argument-binding
     mismatches. *)
 
-exception Halt
-(** Internal: raised when the store limit of {!run_prefix} is reached. *)
-
 type arg = Buf of Tensor.t | Scalar_int of int | Scalar_float of float
 
 type stats = {
@@ -38,7 +35,6 @@ type ctx = {
   stats : stats;
   fuel : int;
   trace : (string -> int -> float -> unit) option;
-  store_limit : int;  (** max stores before Halt; max_int = unlimited *)
   traffic : (string, int) Hashtbl.t option;
       (** per-buffer written elements, tallied only when profiling *)
 }
@@ -119,9 +115,6 @@ val run_receipt :
 (** [run], with a [Runtime_error] raised during execution returned in the
     receipt instead; argument-binding errors still raise (they emit
     nothing). *)
-
-val run_prefix : ?fuel:int -> t -> stop_after:int -> (string * arg) list -> stats
-(** Same contract as [Interp.run_prefix]. *)
 
 val cached : Kernel.t -> t
 (** Thread-safe LRU memo of [compile] (4096 entries), keyed by the

@@ -2,12 +2,11 @@ open Xpiler_ir
 
 (* The shared runtime (value/stat types, operator and intrinsic semantics,
    barrier effect, fiber scheduler) lives in Compile so the closure-compiled
-   engine and this reference tree-walker agree by construction. [run] and
-   [run_prefix] dispatch to the compiled engine; [run_tree] keeps the direct
+   engine and this reference tree-walker agree by construction. [run]
+   dispatches to the compiled engine; [run_tree] keeps the direct
    tree-walker as the differential-testing baseline. *)
 
 exception Runtime_error = Compile.Runtime_error
-exception Halt = Compile.Halt
 
 type arg = Compile.arg = Buf of Tensor.t | Scalar_int of int | Scalar_float of float
 
@@ -25,7 +24,6 @@ type ctx = Compile.ctx = {
   stats : stats;
   fuel : int;
   trace : (string -> int -> float -> unit) option;
-  store_limit : int;
   traffic : (string, int) Hashtbl.t option;
 }
 
@@ -46,9 +44,6 @@ let fresh_stats = Compile.fresh_stats
 (* ---- the compiled fast path -------------------------------------------- *)
 
 let run ?fuel ?trace kernel args = Compile.run ?fuel ?trace (Compile.cached kernel) args
-
-let run_prefix ?fuel kernel ~stop_after args =
-  Compile.run_prefix ?fuel (Compile.cached kernel) ~stop_after args
 
 (* ---- tree-walking reference interpreter -------------------------------- *)
 
@@ -163,7 +158,6 @@ and exec_stmt ctx env stmt : [ `Scalar of string | `Buf of string ] option =
     ctx.stats.stores <- ctx.stats.stores + 1;
     tally ctx buf 1;
     (match ctx.trace with Some f -> f buf i v | None -> ());
-    if ctx.stats.stores >= ctx.store_limit then raise Halt;
     None
   | Stmt.Alloc { buf; dtype; size; _ } ->
     Hashtbl.add env.bufs buf (Tensor.create ~dtype size);
@@ -256,7 +250,7 @@ let build_env (kernel : Kernel.t) args =
 let run_tree ?(fuel = 200_000_000) ?trace kernel args =
   let stats = fresh_stats () in
   let traffic = if Xpiler_obs.Trace.enabled () then Some (Hashtbl.create 8) else None in
-  let ctx = { stats; fuel; trace; store_limit = max_int; traffic } in
+  let ctx = { stats; fuel; trace; traffic } in
   let env = build_env kernel args in
   Fun.protect
     ~finally:(fun () -> Compile.profile stats (Compile.traffic_list traffic))

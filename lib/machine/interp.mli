@@ -16,7 +16,7 @@ open Xpiler_ir
     bounds, unbound name, fuel exhausted, division by zero) means the
     translated kernel fails its unit test.
 
-    [run] and [run_prefix] execute through {!Compile}: the kernel is lowered
+    [run] executes through {!Compile}: the kernel is lowered
     once into OCaml closures over slot-indexed frames (memoized on the
     kernel's structural hash) and then executed without walking the statement
     tree. {!run_tree} keeps the direct tree-walker; the differential
@@ -44,8 +44,8 @@ val run :
 (** [run kernel args] executes the kernel, mutating the [Buf] arguments in
     place. [args] must bind every kernel parameter. [trace], when given, is
     called as [trace buf index value] on every scalar store (not on bulk
-    memcpy/intrinsic writes) — bug localization uses it as its "insert print
-    statements" probe. [fuel] bounds executed statements (default 200M). *)
+    memcpy/intrinsic writes); the differential engine tests compare store
+    sequences with it. [fuel] bounds executed statements (default 200M). *)
 
 type receipt = Compile.receipt = {
   stats : stats;
@@ -66,11 +66,6 @@ val replay : receipt -> unit
 (** Emit a receipt's [interp.*] counts to the ambient tracer: the same
     events the recorded run emitted, when the receipt carries traffic. A
     no-op when tracing is off. *)
-
-val run_prefix :
-  ?fuel:int -> Kernel.t -> stop_after:int -> (string * arg) list -> stats
-(** Execute only the first [stop_after] store operations, then halt cleanly.
-    Used by bug localization's binary search over program points. *)
 
 val run_tree :
   ?fuel:int ->

@@ -1,44 +1,19 @@
 open Xpiler_ir
 open Xpiler_machine
 open Xpiler_ops
-module Rng = Xpiler_util.Rng
-
-type site =
-  | Param_site of { nth : int; current : int }
-  | Bound_site of { nth : int; var : string; current : int }
-  | Index_site of { nth : int; buf : string }
 
 type report = {
   failing_buffers : string list;
   runtime_error : string option;
-  first_divergent_store : int option;
-  sites : site list;
+  sites : Site.t list;
   unrepairable : string list;
 }
 
-let site_to_string = function
-  | Param_site { nth; current } -> Printf.sprintf "param#%d (=%d)" nth current
-  | Bound_site { nth; var; current } -> Printf.sprintf "bound#%d %s (=%d)" nth var current
-  | Index_site { nth; buf } -> Printf.sprintf "index#%d -> %s" nth buf
-
-(* selectors shared with the repairer (same traversal = same numbering) *)
-let is_param_site = function
-  | Stmt.Intrinsic { params = Expr.Int _ :: _; _ } -> true
-  | Stmt.Memcpy { len = Expr.Int _; _ } -> true
-  | _ -> false
-
-let is_bound_site = function
-  | Stmt.For { extent = Expr.Int _; kind = Stmt.Serial; _ } -> true
-  | _ -> false
-
-let is_index_site = function Stmt.Store _ -> true | _ -> false
-
-(* enumerate matching statements in map_block order, with the enclosing
-   data-dependent-control-flow flag *)
-let enumerate select (k : Kernel.t) =
+(* statements under data-dependent control flow: a conditional over a
+   buffer load, or over a scalar whose value depends on one (the Figure 9
+   pattern) *)
+let dynamic_stmts (k : Kernel.t) =
   let found = ref [] in
-  (* scalar variables whose value depends on buffer contents make any
-     conditional over them data-dependent (the Figure 9 pattern) *)
   let tainted = Hashtbl.create 8 in
   let expr_tainted e =
     Expr.buffers_read e <> []
@@ -51,38 +26,24 @@ let enumerate select (k : Kernel.t) =
         | Stmt.Let { var; value } | Stmt.Assign { var; value } ->
           if expr_tainted value then Hashtbl.replace tainted var ()
         | _ -> ());
-        (match s with
+        if in_dyn then found := s :: !found;
+        match s with
         | Stmt.For r -> walk in_dyn r.body
         | Stmt.If r ->
           let dyn = in_dyn || expr_tainted r.cond in
           walk dyn r.then_;
           walk dyn r.else_
-        | _ -> ());
-        if select s then found := (s, in_dyn) :: !found)
+        | _ -> ())
       block
   in
   walk false k.Kernel.body;
-  List.rev !found
-
-let tol_ok a b = Float.abs (a -. b) <= 1e-4 +. (1e-3 *. Float.abs b)
+  !found
 
 let localize ?(seed = 20250706) ~op ~shape (kernel : Kernel.t) =
   let args, expected = Unit_test.reference_outputs_seeded ~seed op shape in
-  (* trace of output-buffer stores: our "print statements" probe *)
   let out_names = List.map fst expected in
-  let store_counter = ref 0 in
-  let first_div = ref None in
-  let trace buf idx value =
-    incr store_counter;
-    if !first_div = None && List.mem buf out_names then begin
-      match List.assoc_opt buf expected with
-      | Some t when idx >= 0 && idx < Tensor.length t ->
-        if not (tol_ok value (Tensor.get t idx)) then first_div := Some !store_counter
-      | _ -> first_div := Some !store_counter
-    end
-  in
   let runtime_error =
-    match Interp.run ~trace kernel args with
+    match Interp.run kernel args with
     | _ -> None
     | exception Interp.Runtime_error m -> Some m
   in
@@ -126,81 +87,46 @@ let localize ?(seed = 20250706) ~op ~shape (kernel : Kernel.t) =
       kernel.Kernel.body
   done;
   let in_cone b = List.mem b !cone in
+  let dynamic = dynamic_stmts kernel in
   let unrepairable = ref [] in
-  let keep kind (s, dyn) relevant =
+  (* a site in the cone is kept unless it sits under data-dependent control
+     flow, where the SMT stage cannot extract constraints *)
+  let keep (site, s) =
+    let what, relevant =
+      match (site, s) with
+      | Site.Param _, Stmt.Intrinsic i ->
+        ("intrinsic parameter", List.exists in_cone (Intrin.buffers i))
+      | Site.Param _, Stmt.Memcpy { dst; src; _ } ->
+        ("intrinsic parameter", in_cone dst.buf || in_cone src.buf)
+      | Site.Bound _, Stmt.For { body; _ } ->
+        (* a loop matters if its subtree writes a failing buffer, or if it
+           accumulates into a scalar (reduction loops write buffers only
+           after they finish) *)
+        let has_assign =
+          Stmt.fold (fun acc s -> acc || match s with Stmt.Assign _ -> true | _ -> false) false body
+        in
+        ("loop bound", has_assign || List.exists in_cone (Stmt.buffers_written body))
+      | Site.Index { buf; _ }, _ -> ("store index", in_cone buf)
+      | _ -> ("", false)
+    in
     if not relevant then None
-    else if dyn then begin
-      unrepairable := (kind ^ " under data-dependent control flow") :: !unrepairable;
-      ignore s;
+    else if List.memq s dynamic then begin
+      unrepairable := (what ^ " under data-dependent control flow") :: !unrepairable;
       None
     end
-    else Some ()
+    else Some site
   in
-  let params =
-    enumerate is_param_site kernel
-    |> List.mapi (fun nth entry -> (nth, entry))
-    |> List.filter_map (fun (nth, ((s, _) as entry)) ->
-           let current, relevant =
-             match s with
-             | Stmt.Intrinsic ({ params = Expr.Int n :: _; _ } as i) ->
-               (n, List.exists in_cone (Intrin.buffers i))
-             | Stmt.Memcpy { len = Expr.Int n; dst; src; _ } ->
-               (n, in_cone dst.buf || in_cone src.buf)
-             | _ -> (0, false)
-           in
-           keep "intrinsic parameter" entry relevant
-           |> Option.map (fun () -> Param_site { nth; current }))
-  in
-  let bounds =
-    enumerate is_bound_site kernel
-    |> List.mapi (fun nth entry -> (nth, entry))
-    |> List.filter_map (fun (nth, ((s, _) as entry)) ->
-           match s with
-           | Stmt.For { var; extent = Expr.Int n; body; _ } ->
-             (* a loop matters if its subtree writes a failing buffer, or if
-                it accumulates into a scalar (reduction loops write buffers
-                only after they finish) *)
-             let has_assign =
-               Stmt.fold
-                 (fun acc s -> acc || match s with Stmt.Assign _ -> true | _ -> false)
-                 false body
-             in
-             let relevant = has_assign || List.exists in_cone (Stmt.buffers_written body) in
-             keep "loop bound" entry relevant
-             |> Option.map (fun () -> Bound_site { nth; var; current = n })
-           | _ -> None)
-  in
-  let indices =
-    enumerate is_index_site kernel
-    |> List.mapi (fun nth entry -> (nth, entry))
-    |> List.filter_map (fun (nth, ((s, _) as entry)) ->
-           match s with
-           | Stmt.Store { buf; _ } ->
-             keep "store index" entry (in_cone buf)
-             |> Option.map (fun () -> Index_site { nth; buf })
-           | _ -> None)
-  in
-  { failing_buffers;
-    runtime_error;
-    first_divergent_store = !first_div;
-    sites = params @ bounds @ indices;
-    unrepairable = !unrepairable
-  }
+  let sites = List.filter_map keep (Site.walk kernel) in
+  { failing_buffers; runtime_error; sites; unrepairable = !unrepairable }
 
 (* ---- static localization ------------------------------------------------------ *)
 
 (* translate analyzer findings into a report without running a single probe:
-   the analyzer's site ordinals use the same post-order numbering as
-   [enumerate], so they can be consumed directly by the repairer *)
+   the analyzer names its sites through [Site], like [localize] *)
 let of_findings (findings : Xpiler_analysis.Analyzer.finding list) =
   let module A = Xpiler_analysis.Analyzer in
-  let convert = function
-    | A.Param_site { nth; current } -> Param_site { nth; current }
-    | A.Bound_site { nth; var; current } -> Bound_site { nth; var; current }
-    | A.Index_site { nth; buf } -> Index_site { nth; buf }
-  in
   let sites =
-    List.concat_map (fun (f : A.finding) -> List.map convert f.A.sites) findings
+    List.concat_map (fun (f : A.finding) -> f.A.sites) findings
     |> List.fold_left (fun acc s -> if List.mem s acc then acc else s :: acc) []
     |> List.rev
   in
@@ -223,9 +149,4 @@ let of_findings (findings : Xpiler_analysis.Analyzer.finding list) =
         if f.A.sites = [] then Some f.A.diag.Diag.message else None)
       findings
   in
-  { failing_buffers;
-    runtime_error;
-    first_divergent_store = None;
-    sites;
-    unrepairable
-  }
+  { failing_buffers; runtime_error; sites; unrepairable }

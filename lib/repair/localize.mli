@@ -4,47 +4,29 @@ open Xpiler_ops
 (** Bug localization (paper Algorithm 2).
 
     Given a transformed program that fails its unit tests, narrow the fault
-    to a ranked list of repair sites. The steps mirror the paper:
-    (1) run the unit test to learn which output buffers diverge (or where a
-    runtime error occurs); (2) binary-search over executed stores — our
-    version of "inserting print statements after relevant memory locations" —
-    to find the earliest store whose value contradicts the reference output;
-    (3) restrict candidate sites to the dataflow cone of the failing buffers
-    and rank them (intrinsic/copy lengths, then loop bounds, then store
-    indices). Sites under data-dependent control flow are reported
-    separately: the SMT stage cannot extract constraints for them (§7.6). *)
-
-type site =
-  | Param_site of { nth : int; current : int }
-      (** the [nth] intrinsic/memcpy with a constant leading length *)
-  | Bound_site of { nth : int; var : string; current : int }
-      (** the [nth] serial loop with a constant extent *)
-  | Index_site of { nth : int; buf : string }  (** the [nth] store *)
+    to a ranked list of repair sites: (1) one probe run on the unit-test
+    oracle's inputs learns which output buffers diverge (or where a runtime
+    error occurs); (2) candidate sites are restricted to the dataflow cone
+    of the failing buffers; (3) they are ranked by kind (intrinsic/copy
+    lengths, then loop bounds, then store indices). The 240 modelled
+    seconds the repairer charges per localization round stand in for the
+    paper's binary search with inserted print statements. Sites under
+    data-dependent control flow are reported separately: the SMT stage
+    cannot extract constraints for them (§7.6). *)
 
 type report = {
   failing_buffers : string list;
   runtime_error : string option;
-  first_divergent_store : int option;
-  sites : site list;
+  sites : Site.t list;
   unrepairable : string list;
       (** descriptions of fault locations under data-dependent control flow *)
 }
 
-val site_to_string : site -> string
 val localize : ?seed:int -> op:Opdef.t -> shape:Opdef.shape -> Kernel.t -> report
 (** [seed] selects the probe inputs; the default matches the unit-test
     oracle's, so localization sees exactly the failure validation saw. *)
 
-(** Site selectors, shared with the repairer so statement numbering stays
-    consistent between localization and stitching. *)
-
-val is_param_site : Stmt.t -> bool
-val is_bound_site : Stmt.t -> bool
-val is_index_site : Stmt.t -> bool
-
 val of_findings : Xpiler_analysis.Analyzer.finding list -> report
-(** Build a report from static-analyzer findings alone — no probe runs, no
-    binary search. Site ordinals transfer directly because the analyzer and
-    [enumerate] share one statement numbering. Findings without sites land
-    in [unrepairable]; barrier-divergence findings surface as a modelled
-    [runtime_error]. *)
+(** Build a report from static-analyzer findings alone, with no probe run.
+    Findings without sites land in [unrepairable]; barrier-divergence
+    findings surface as a modelled [runtime_error]. *)

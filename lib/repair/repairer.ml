@@ -1,7 +1,6 @@
 open Xpiler_ir
 open Xpiler_machine
 open Xpiler_ops
-module Rewrite = Xpiler_passes.Rewrite
 module Solver = Xpiler_smt.Solver
 module Vclock = Xpiler_util.Vclock
 module Trace = Xpiler_obs.Trace
@@ -26,38 +25,10 @@ let context_constants (k : Kernel.t) =
     [] k.Kernel.body
   |> dedup
 
-(* the statement a Param/Bound site refers to, for alignment constraints;
-   children are visited before their parent so match numbering agrees with
-   [Rewrite.rewrite_nth] (which selects on the post-order rebuild), and the
-   walk stops as soon as the nth match is found *)
-let nth_matching select nth (k : Kernel.t) =
-  let exception Found of Stmt.t in
-  let count = ref (-1) in
-  let check s =
-    if select s then begin
-      incr count;
-      if !count = nth then raise (Found s)
-    end
-  in
-  let rec go_block b = List.iter go_stmt b
-  and go_stmt s =
-    (match s with
-    | Stmt.For r -> go_block r.body
-    | Stmt.If r ->
-      go_block r.then_;
-      go_block r.else_
-    | _ -> ());
-    check s
-  in
-  try
-    go_block k.Kernel.body;
-    None
-  with Found s -> Some s
-
-let candidate_values ~platform (k : Kernel.t) (site : Localize.site) =
+let candidate_values ~platform (k : Kernel.t) (site : Site.t) =
   match site with
-  | Localize.Index_site _ -> [ -2; -1; 1; 2 ]  (* deltas on the index constant *)
-  | Localize.Bound_site { current; _ } ->
+  | Site.Index _ -> [ -2; -1; 1; 2 ]  (* deltas on the index constant *)
+  | Site.Bound { current; _ } ->
     let ctx = context_constants k in
     let raw =
       [ current - 1; current + 1; current - 2; current + 2; current / 2; current * 2 ]
@@ -69,10 +40,9 @@ let candidate_values ~platform (k : Kernel.t) (site : Localize.site) =
       }
     in
     Solver.solve_all problem |> List.filter_map (List.assoc_opt "?b")
-  | Localize.Param_site { nth; current } ->
-    let stmt = nth_matching Localize.is_param_site nth k in
+  | Site.Param { current; _ } ->
     let align_c =
-      match stmt with
+      match Site.stmt k site with
       | Some (Stmt.Intrinsic i) when Intrin.is_vector i.op && platform.Platform.vector_align > 1
         ->
         [ Expr.Binop
@@ -95,36 +65,6 @@ let candidate_values ~platform (k : Kernel.t) (site : Localize.site) =
       }
     in
     Solver.solve_all ~limit:24 problem |> List.filter_map (List.assoc_opt "?p")
-
-let apply_candidate (k : Kernel.t) (site : Localize.site) value =
-  match site with
-  | Localize.Param_site { nth; _ } ->
-    Kernel.map_body
-      (Rewrite.rewrite_nth nth Localize.is_param_site (fun s ->
-           match s with
-           | Stmt.Intrinsic ({ params = Expr.Int _ :: rest; _ } as i) ->
-             Stmt.Intrinsic { i with params = Expr.Int value :: rest }
-           | Stmt.Memcpy r -> Stmt.Memcpy { r with len = Expr.Int value }
-           | s -> s))
-      k
-  | Localize.Bound_site { nth; _ } ->
-    Kernel.map_body
-      (Rewrite.rewrite_nth nth Localize.is_bound_site (fun s ->
-           match s with
-           | Stmt.For r -> Stmt.For { r with extent = Expr.Int value }
-           | s -> s))
-      k
-  | Localize.Index_site { nth; _ } ->
-    Kernel.map_body
-      (Rewrite.rewrite_nth nth Localize.is_index_site (fun s ->
-           match s with
-           | Stmt.Store r ->
-             Stmt.Store
-               { r with
-                 index = Linear.normalize (Expr.Binop (Expr.Add, r.index, Expr.Int value))
-               }
-           | s -> s))
-      k
 
 let charge clock stage s = match clock with Some c -> Vclock.charge c stage s | None -> ()
 
@@ -213,7 +153,7 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ~platform ~op 
       if !tests >= max_tests then None
       else begin
         Trace.count "repair.candidates";
-        let candidate = apply_candidate k site value in
+        let candidate = Site.set k site value in
         if not (compile_ok candidate) then None
         else if unit_ok candidate then Some (candidate, site)
         else begin
@@ -274,7 +214,7 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ~platform ~op 
         | Some (fixed, site) ->
           if fully_ok fixed then
             Repaired
-              { kernel = fixed; tests_run = !tests; site = Localize.site_to_string site }
+              { kernel = fixed; tests_run = !tests; site = Site.to_string site }
           else round (n - 1) fixed "single-trial fix did not generalize"
         | None ->
           if !tests >= max_tests then
@@ -288,9 +228,9 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ~platform ~op 
     end
   in
   (* static fast path: analyzer findings already name the suspect sites, so
-     skip the probe-execution binary search entirely (reading a report is
-     ~30 modelled seconds against 240 for a localization round). Dynamic
-     rounds below remain the untouched fallback. *)
+     skip the probe run and the dataflow cone (reading a report is ~30
+     modelled seconds against 240 for a localization round). Dynamic rounds
+     above remain the untouched fallback. *)
   let static_attempt () =
     let report = Localize.of_findings static in
     if report.Localize.sites = [] then None
@@ -299,7 +239,7 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ~platform ~op 
       charge clock Vclock.Bug_localization 30.0;
       match first_fix kernel report.Localize.sites with
       | Some (fixed, site) when fully_ok fixed ->
-        Some (Repaired { kernel = fixed; tests_run = !tests; site = Localize.site_to_string site })
+        Some (Repaired { kernel = fixed; tests_run = !tests; site = Site.to_string site })
       | _ -> None
     end
   in

@@ -17,7 +17,7 @@ type outcome =
   | Gave_up of { reason : string; tests_run : int }
 
 val candidate_values :
-  platform:Platform.t -> Kernel.t -> Localize.site -> int list
+  platform:Platform.t -> Kernel.t -> Site.t -> int list
 (** The SMT-filtered candidate domain for a site (exposed for tests and for
     the Table 3 solving-time comparison). *)
 

@@ -279,7 +279,7 @@ type work = {
 
 (* counts real searches under either engine (memo hits excluded), so the
    repair bench compares baseline and overhauled arms with one meter —
-   mirroring the transposition table's [eval_count] *)
+   mirroring the transposition table's [Transposition.evals] *)
 let w_solves = ref 0
 let w_steps = ref 0
 let w_evals = ref 0

@@ -6,10 +6,11 @@ module Problem = Xpiler_smt.Problem
 module Metrics = Xpiler_obs.Metrics
 module Fsx = Xpiler_util.Fsx
 
-(* All store meters are unstable: transposition appends happen on pool
-   worker domains, so which process phase sees which count depends on the
-   schedule. The deterministic artifact is the reconstructed table
-   contents, not these meters. *)
+(* All store meters are unstable: transposition appends happen inside whole
+   translations that the bench harness may run in parallel, so which
+   translation appends a shared state first depends on the schedule. The
+   deterministic artifact is the reconstructed table contents, not these
+   meters. *)
 let m_append_schedule =
   Metrics.counter ~stable:false ~help:"records appended to the store WAL by kind"
     ~labels:[ ("kind", "schedule") ] "xpiler_store_records_total"

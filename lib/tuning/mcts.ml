@@ -49,8 +49,8 @@ module KTbl = Hashtbl.Make (struct
   let hash = Kernel.hash
 end)
 
-(* One independent search: own rng, own first-touch table, cost sink
-   abstracted as [charge] so batched runs can buffer their charges. Returns
+(* One independent search: own rng, own first-touch table, modelled device
+   time charged through [charge]. Returns
    the result plus the rollout-step and warm-replay-step counts (for a
    batch's aggregated trace counts).
 
@@ -320,8 +320,9 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?(shar
          warm-start trajectory runs as one *extra* batch — the base batches
          never see the prefix, so a schedule-database hit can only improve
          the merged result relative to the cold search, never redirect it.
-         Each batch runs untraced; its clock charges are buffered and
-         applied after it, followed by its aggregated trace counts. *)
+         Each batch runs untraced but charges the clock as it goes (the
+         clock's observer writes to the translation's tracer even under
+         [Trace.without]); its aggregated trace counts follow it. *)
       let n = b + if prefix = [] then 0 else 1 in
       let sims_of i =
         if i >= b then max 1 (config.simulations / b)
@@ -329,14 +330,12 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?(shar
       in
       let prefix_of i = if i >= b then prefix else [] in
       let batch i =
-        let charges = Queue.create () in
         let res, steps, warm =
           Trace.without (fun () ->
               search_one ~config ~sims:(sims_of i) ~seed:(config.seed + (7919 * i))
-                ~charge:(fun s -> Queue.add s charges)
-                ~share ~memo ~prefix:(prefix_of i) ~buffer_sizes ~platform kernel)
+                ~charge:charge_clock ~share ~memo ~prefix:(prefix_of i) ~buffer_sizes ~platform
+                kernel)
         in
-        Queue.iter charge_clock charges;
         Trace.count ~n:res.nodes_expanded "mcts.expansions";
         Trace.count ~n:res.simulations_run "mcts.simulations";
         Trace.count ~n:steps "mcts.rollout_steps";

@@ -177,6 +177,27 @@ let test_oob_guard_respected () =
   Alcotest.(check bool) "unguarded flagged" true
     (has_check A.Out_of_bounds (A.errors (A.analyze ~extents:ex unguarded)))
 
+(* structurally equal stores are still different sites: the finding on the
+   second loop's store names that store, not its twin in the first loop *)
+let test_oob_site_of_equal_store () =
+  let open Expr.Infix in
+  let copy extent =
+    Builder.for_ "i" (int extent) [ Builder.store "o" (v "i") (load "a" (v "i")) ]
+  in
+  let k =
+    Kernel.make ~name:"twins"
+      ~params:[ Builder.buffer "a"; Builder.buffer "o" ]
+      [ copy 64; copy 65 ]
+  in
+  let fs = A.errors (A.analyze ~extents:[ ("a", 64); ("o", 64) ] k) in
+  Alcotest.(check bool) "oob flagged" true (has_check A.Out_of_bounds fs);
+  List.iter
+    (fun (f : A.finding) ->
+      Alcotest.(check (list string))
+        "second loop's sites" [ "bound#1 i (=65)"; "index#1 -> o" ]
+        (List.map Site.to_string f.A.sites))
+    fs
+
 (* ---- check 4: def-before-use on staged buffers -------------------------------- *)
 
 let gemm = Registry.find_exn "gemm"
@@ -288,6 +309,7 @@ let () =
           Alcotest.test_case "divergent barrier deadlocks" `Quick test_barrier_divergence;
           Alcotest.test_case "index fault out of bounds" `Quick test_oob_index_fault;
           Alcotest.test_case "bound fault out of bounds" `Quick test_oob_bound_fault;
+          Alcotest.test_case "equal stores are distinct sites" `Quick test_oob_site_of_equal_store;
           Alcotest.test_case "elided staging copy uninit" `Quick test_uninit_staged_read
         ] );
       ( "repair",

@@ -295,6 +295,65 @@ let test_engine_float_compare () =
     (compare r_tree r_comp = 0
     && compare (Tcommon.buffers a_tree) (Tcommon.buffers a_comp) = 0)
 
+(* the repair-site numbering agrees with itself: [Site.stmt] finds the
+   statement [Site.walk] paired with each site, and [Site.set] changes that
+   site and no other *)
+let sites_consistent (k : Kernel.t) =
+  let before = Site.walk k in
+  List.for_all
+    (fun (site, stmt) ->
+      (match Site.stmt k site with Some s -> s == stmt | None -> false)
+      &&
+      let value =
+        match site with
+        | Site.Param { current; _ } | Site.Bound { current; _ } -> current + 1
+        | Site.Index _ -> 1
+      in
+      (* a site's value: its constant, or its store's index *)
+      let index_equal st0 st1 =
+        match (st0, st1) with
+        | Stmt.Store a, Stmt.Store b -> Expr.equal a.index b.index
+        | _ -> true
+      in
+      let after = Site.walk (Site.set k site value) in
+      List.length after = List.length before
+      && List.for_all2
+           (fun (s0, st0) (s1, st1) ->
+             if s0 == site then
+               match s1 with
+               | Site.Param { current; _ } | Site.Bound { current; _ } -> current = value
+               | Site.Index _ -> s1 = s0 && not (index_equal st0 st1)
+             else s1 = s0 && index_equal st0 st1)
+           before after)
+    before
+
+(* generated guards have empty else branches; mirror each then branch into
+   its else branch so the numbering order across branches is exercised *)
+let with_else_branches (k : Kernel.t) =
+  Kernel.map_body
+    (Stmt.map_block (function
+      | Stmt.If ({ else_ = []; _ } as r) -> Some (Stmt.If { r with else_ = r.then_ })
+      | _ -> None))
+    k
+
+let prop_sites_consistent =
+  QCheck.Test.make ~name:"repair-site lookup and rewrite agree with the walk" ~count:150
+    arb_seed (fun seed ->
+      let k = kernel_of_seed seed in
+      sites_consistent k && sites_consistent (with_else_branches k))
+
+let test_golden_sites_consistent () =
+  List.iter
+    (fun (op : Xpiler_ops.Opdef.t) ->
+      let shape = List.hd op.Xpiler_ops.Opdef.shapes in
+      List.iter
+        (fun (p : Platform.t) ->
+          let k = Xpiler_ops.Idiom.source p.Platform.id op shape in
+          if not (sites_consistent k) then
+            Alcotest.failf "%s @ %s" op.Xpiler_ops.Opdef.name (Platform.id_to_string p.Platform.id))
+        Platform.all)
+    Xpiler_ops.Registry.all
+
 (* detail-level fault injection + repair round trip: every repairable fault
    class the oracle injects is fixed by the repairer on these kernels *)
 let prop_inject_repair =
@@ -346,9 +405,10 @@ let () =
           (QCheck_alcotest.to_alcotest ~rand)
           [ prop_generator_sound; prop_roundtrip_vnni; prop_roundtrip_cuda;
             prop_roundtrip_bang; prop_pass_sequences_preserve; prop_intra_preserves;
-            prop_engines_agree; prop_analyzer_clean_executes;
+            prop_engines_agree; prop_analyzer_clean_executes; prop_sites_consistent;
             prop_inject_repair ] );
       ( "engines",
         [ Alcotest.test_case "error parity" `Quick test_engine_error_parity;
-          Alcotest.test_case "float comparison" `Quick test_engine_float_compare ] )
+          Alcotest.test_case "float comparison" `Quick test_engine_float_compare ] );
+      ("sites", [ Alcotest.test_case "golden kernels" `Quick test_golden_sites_consistent ])
     ]

@@ -201,18 +201,6 @@ let test_fuel () =
   | exception Interp.Runtime_error _ -> ()
   | _ -> Alcotest.fail "expected fuel exhaustion"
 
-let test_run_prefix () =
-  let open Expr.Infix in
-  let k =
-    Kernel.make ~name:"fill" ~params:[ Builder.buffer "a" ]
-      [ Builder.for_ "i" (int 10) [ Builder.store "a" (v "i") (flt 1.0) ] ]
-  in
-  let a = Tensor.create 10 in
-  let stats = Interp.run_prefix k ~stop_after:4 [ ("a", Interp.Buf a) ] in
-  Alcotest.(check int) "stopped after 4 stores" 4 stats.stores;
-  Alcotest.(check (float 0.0)) "a[3] written" 1.0 (Tensor.get a 3);
-  Alcotest.(check (float 0.0)) "a[4] untouched" 0.0 (Tensor.get a 4)
-
 (* ---- checker ---------------------------------------------------------- *)
 
 let nram_alloc_kernel =
@@ -512,7 +500,6 @@ let test_stable_metrics_untouched () =
   let before = Xpiler_obs.Metrics.snapshot ~stable_only:true () in
   ignore (Compile.run c (Tcommon.clone_args args));
   ignore (Compile.run ~trace:(fun _ _ _ -> ()) c (Tcommon.clone_args args));
-  ignore (Compile.run_prefix c ~stop_after:1 (Tcommon.clone_args args));
   ignore (Interp.run_tree k (Tcommon.clone_args args));
   let after = Xpiler_obs.Metrics.snapshot ~stable_only:true () in
   Alcotest.(check bool) "stable snapshot unchanged" true (before = after)
@@ -526,8 +513,7 @@ let () =
           Alcotest.test_case "mlp intrinsic" `Quick test_intrinsic_mlp;
           Alcotest.test_case "dp4a intrinsic" `Quick test_intrinsic_dp4a;
           Alcotest.test_case "out-of-bounds" `Quick test_oob_raises;
-          Alcotest.test_case "fuel" `Quick test_fuel;
-          Alcotest.test_case "run prefix" `Quick test_run_prefix
+          Alcotest.test_case "fuel" `Quick test_fuel
         ] );
       ( "checker",
         [ Alcotest.test_case "scope legality" `Quick test_checker_scope;

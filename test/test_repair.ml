@@ -136,15 +136,30 @@ let test_repair_index_on_elementwise () =
       Alcotest.(check bool) "repaired" true (Unit_test.check op shape kernel = Unit_test.Pass)
     | Repairer.Gave_up { reason; _ } -> Alcotest.fail ("gave up: " ^ reason))
 
+(* the bang gemm's vec_fill is a vector intrinsic: every length candidate
+   must keep the platform's vector alignment *)
 let test_candidates_respect_alignment () =
   let k = bang_gemm () in
-  (* find a vector-intrinsic param site if any; candidates must all be 64-aligned *)
-  let report = Localize.localize ~op:gemm ~shape:gemm_shape k in
-  ignore report;
-  let site = Localize.Param_site { nth = 0; current = 128 } in
+  let site =
+    match
+      List.find_opt
+        (fun (_, s) ->
+          match s with Stmt.Intrinsic { op = Intrin.Vec_fill; _ } -> true | _ -> false)
+        (Site.walk k)
+    with
+    | Some (site, _) -> site
+    | None -> Alcotest.fail "no vec_fill site"
+  in
+  Alcotest.(check string) "vec_fill site" "param#3 (=128)" (Site.to_string site);
   let values = Repairer.candidate_values ~platform:bang k site in
   Alcotest.(check bool) "non-empty" true (values <> []);
-  List.iter (fun v -> Alcotest.(check bool) "positive" true (v > 0)) values
+  List.iter
+    (fun v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d is a positive multiple of %d" v bang.Platform.vector_align)
+        true
+        (v > 0 && v mod bang.Platform.vector_align = 0))
+    values
 
 (* ---- annotation / prompts -------------------------------------------------------- *)
 
