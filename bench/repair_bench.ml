@@ -72,10 +72,9 @@ let run_arm ~engine ~memo config_of op_name src dst scale =
   Solver.set_engine engine;
   Memo.clear ();
   Memo.set_enabled memo;
-  Solver.reset_work_totals ();
   Unit_test.reset_memo ();
-  Repairer.reset_wall_totals ();
   let hits = delta Memo.hits and misses = delta Memo.misses in
+  let w0 = Solver.work_totals () and r0 = Repairer.wall_totals () in
   let t0 = now () in
   let outcomes =
     List.init n_seeds (fun seed ->
@@ -83,20 +82,19 @@ let run_arm ~engine ~memo config_of op_name src dst scale =
         Xpiler.transcompile ~config ~src ~dst ~op ~shape ())
   in
   let wall = now () -. t0 in
-  let work = Solver.work_totals () in
-  let rw = Repairer.wall_totals () in
+  let work = Solver.work_totals () and rw = Repairer.wall_totals () in
   { broken =
       List.length (List.filter (fun o -> not (Xpiler.accepted o.Xpiler.status)) outcomes);
-    solves = work.Solver.fresh_solves;
-    steps = work.Solver.fresh_steps;
-    evals = work.Solver.fresh_evals;
-    repairs = rw.Repairer.repairs;
-    repair_wall = rw.Repairer.wall_seconds;
-    solver_wall = work.Solver.fresh_wall;
-    wall_localize = rw.Repairer.localize_seconds;
-    wall_solve = rw.Repairer.solve_seconds;
-    wall_test = rw.Repairer.test_seconds;
-    wall_score = rw.Repairer.score_seconds;
+    solves = work.Solver.fresh_solves - w0.Solver.fresh_solves;
+    steps = work.Solver.fresh_steps - w0.Solver.fresh_steps;
+    evals = work.Solver.fresh_evals - w0.Solver.fresh_evals;
+    repairs = rw.Repairer.repairs - r0.Repairer.repairs;
+    repair_wall = rw.Repairer.wall_seconds -. r0.Repairer.wall_seconds;
+    solver_wall = work.Solver.fresh_wall -. w0.Solver.fresh_wall;
+    wall_localize = rw.Repairer.localize_seconds -. r0.Repairer.localize_seconds;
+    wall_solve = rw.Repairer.solve_seconds -. r0.Repairer.solve_seconds;
+    wall_test = rw.Repairer.test_seconds -. r0.Repairer.test_seconds;
+    wall_score = rw.Repairer.score_seconds -. r0.Repairer.score_seconds;
     memo_hits = hits ();
     memo_misses = misses ();
     wall

@@ -146,6 +146,14 @@ let parse_shape (op : Opdef.t) arg =
       (fun (k, d) -> (k, Option.value ~default:d (List.assoc_opt k overrides)))
       defaults
 
+(* A file the user asked for that cannot be written is a usage error: one
+   line on stderr, exit 2, never an uncaught [Sys_error]. *)
+let write_output ~what path text =
+  try Out_channel.with_open_text path (fun oc -> output_string oc text)
+  with Sys_error m ->
+    Printf.eprintf "xpiler: cannot write %s: %s\n" what m;
+    exit 2
+
 let find_op name =
   match Registry.find name with
   | Some op -> op
@@ -172,13 +180,15 @@ let translate op_name shape src dst tune seed no_prune no_warm_start max_escalat
     in
     let base = Config.with_max_escalation base max_escalation in
     let base = Config.with_fault_scale base fault_scale in
-    match trace with
-    | Some sink -> Config.with_trace ~sink base trace_level
-    | None -> base
+    if trace = None then base else Config.with_trace base trace_level
   in
   Printf.printf "// source (%s):\n%s\n" (Platform.id_to_string src)
     (Idiom.source_text src op shape);
   let o = Xpiler.transcompile ~config ~src ~dst ~op ~shape () in
+  Option.iter
+    (fun path ->
+      write_output ~what:"trace journal" path (Xpiler_obs.Journal.encode o.Xpiler.trace))
+    trace;
   Printf.printf "// status: %s\n" (Xpiler.status_to_string o.Xpiler.status);
   Printf.printf "// passes: %s\n"
     (String.concat " | " (List.map Xpiler_passes.Pass.describe o.Xpiler.specs_applied));
@@ -336,9 +346,7 @@ let trace_replay journal chrome_out =
     (match chrome_out with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Xpiler_obs.Chrome.to_string events);
-      close_out oc;
+      write_output ~what:"Chrome trace" path (Xpiler_obs.Chrome.to_string events);
       Printf.printf "wrote Chrome trace JSON to %s (load in chrome://tracing or Perfetto)\n"
         path)
 
@@ -360,9 +368,9 @@ let trace_cmd =
 
 (* ---- metrics ----------------------------------------------------------------- *)
 
-(* run a translation with the wall-clock profiler on, then print the registry
-   snapshot and the profiled span table; tuning is on by default so the
-   cache/transposition meters have something to show *)
+(* run a translation, then print the registry snapshot and the profiled
+   span table; tuning is on by default so the cache/transposition meters
+   have something to show *)
 let metrics_run op_name shape src dst no_tune seed fault_scale store_dir no_store
     openmetrics_out json_out =
   let op = find_op op_name in
@@ -375,8 +383,7 @@ let metrics_run op_name shape src dst no_tune seed fault_scale store_dir no_stor
        what makes its hit/miss meters informative in a single run *)
     let mcts = { base.Config.mcts with Xpiler_tuning.Mcts.root_parallel = 4 } in
     { base with
-      Config.profile = true;
-      mcts;
+      Config.mcts;
       store_dir = effective_store_dir store_dir no_store
     }
   in
@@ -394,9 +401,7 @@ let metrics_run op_name shape src dst no_tune seed fault_scale store_dir no_stor
   (match openmetrics_out with
   | None -> ()
   | Some path ->
-    let oc = open_out path in
-    output_string oc (Xpiler_obs.Metrics.to_openmetrics samples);
-    close_out oc;
+    write_output ~what:"OpenMetrics text" path (Xpiler_obs.Metrics.to_openmetrics samples);
     Printf.printf "wrote OpenMetrics text to %s\n" path);
   match json_out with
   | None -> ()
@@ -406,10 +411,7 @@ let metrics_run op_name shape src dst no_tune seed fault_scale store_dir no_stor
         [ ("metrics", Xpiler_obs.Metrics.to_json samples);
           ("profile", Xpiler_obs.Prof.to_json prof) ]
     in
-    let oc = open_out path in
-    output_string oc (Xpiler_obs.Json.to_string j);
-    output_char oc '\n';
-    close_out oc;
+    write_output ~what:"metrics JSON" path (Xpiler_obs.Json.to_string j ^ "\n");
     Printf.printf "wrote metrics JSON to %s\n" path
 
 let metrics_cmd =

@@ -57,11 +57,12 @@ type t = {
           event stream, returned in [Xpiler.outcome.trace]. *)
   trace_sink : string option;
       (** When set (and [trace_level <> Off]), the JSONL journal is also
-          written to this path at the end of the translation. *)
+          written to this path at the end of the translation. A path that
+          cannot be written is a warning on stderr, not a failure. *)
   profile : bool;
-      (** Bracket the translation with the wall-clock + allocation profiler
-          ([Obs.Prof]). Non-deterministic by nature and fully segregated
-          from the trace stream: journals stay byte-identical either way. *)
+      (** Ignored: the wall-clock profiler ([Obs.Prof]) is always on. It is
+          kept only because [e2ebench/sweep.ml] sets it; drop the two
+          together. *)
   native_backend : bool;
       (** Ignored: nothing reads this field. It is kept only because
           [e2ebench/sweep.ml] sets it; drop the two together. *)

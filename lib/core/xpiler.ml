@@ -165,24 +165,14 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
       | None -> Obs.Trace.uninstall ()
     end
   in
-  (* optional wall-clock profiling: enabled for the duration of this
-     translation; its stream never touches the tracer, so journals stay
-     byte-identical with profiling on or off *)
-  let prof_on = config.Config.profile in
-  if prof_on then Obs.Prof.enable ();
   Option.iter
     (fun t ->
       if owns_tracer then Obs.Trace.install t;
       Vclock.set_observer clock (fun stage s ->
           Obs.Tracer.stage_charge t (Vclock.stage_name stage) s))
     tracer;
-  (* whatever happens below, never leak our tracer (or a running profiler)
-     into the caller *)
-  Fun.protect
-    ~finally:(fun () ->
-      restore_ambient ();
-      if prof_on then Obs.Prof.disable ())
-  @@ fun () ->
+  (* whatever happens below, never leak our tracer into the caller *)
+  Fun.protect ~finally:restore_ambient @@ fun () ->
   let root_span =
     Option.map
       (fun t ->
@@ -208,13 +198,16 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
         Option.iter (Obs.Tracer.span_end t) root_span;
         Vclock.clear_observer clock)
       tracer;
-    if prof_on then Obs.Prof.disable ();
     restore_ambient ();
     match (owns_tracer, tracer) with
     | true, Some t ->
       let events = Obs.Tracer.events t in
+      (* like an unopenable store, an unwritable sink is a warning: the
+         outcome (and its trace) is still returned *)
       (match config.Config.trace_sink with
-      | Some path -> Obs.Journal.write_file path events
+      | Some path -> (
+        try Obs.Journal.write_file path events
+        with Sys_error m -> Printf.eprintf "warning: trace journal not written: %s\n%!" m)
       | None -> ());
       { outcome with trace = events }
     | _ -> outcome
@@ -436,17 +429,19 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
       if valid k' then apply_ok k' Ledger.Applied else reprompt k' faults 1
   in
   let run_pass spec =
-    Obs.Trace.span ~cat:"pass" (Pass.describe spec) (fun () ->
-        let r = run_pass_untraced spec in
-        let cls =
-          match r with
-          | Applied -> "applied"
-          | Inapplicable _ -> "inapplicable"
-          | Broken -> "broken"
-          | Skipped -> "skipped"
-        in
-        Obs.Metrics.inc (m_pass_for cls);
-        r)
+    (* the profiler keys pass spans by family: [describe] is unbounded *)
+    Obs.Trace.span ~cat:"pass" ~prof:("pass." ^ Pass.name spec) (Pass.describe spec)
+    @@ fun () ->
+    let r = run_pass_untraced spec in
+    let cls =
+      match r with
+      | Applied -> "applied"
+      | Inapplicable _ -> "inapplicable"
+      | Broken -> "broken"
+      | Skipped -> "skipped"
+    in
+    Obs.Metrics.inc (m_pass_for cls);
+    r
   in
   (* phase 1: sequentialize when the source is parallel *)
   let recovery_ok =

@@ -6,8 +6,6 @@
    instrumentation-site registration, not per increment, so the hot path is a
    single atomic op. *)
 
-module Pool = Xpiler_util.Pool
-
 type kind = Counter | Gauge | Histogram
 
 let kind_name = function Counter -> "counter" | Gauge -> "gauge" | Histogram -> "histogram"
@@ -165,48 +163,12 @@ let sample_of_metric m =
   in
   { name = m.m_name; labels = m.m_labels; help = m.m_help; stable = m.m_stable; value }
 
-(* Pool self-stats, pulled rather than pushed: xpiler_util cannot depend on
-   this module. Everything wall-clock-derived is unstable by construction. *)
-let pool_samples () =
-  let s = Pool.stats () in
-  let g name help v = { name; labels = []; help; stable = false; value = Vgauge v } in
-  let c name help v = { name; labels = []; help; stable = false; value = Vcounter v } in
-  let utilization =
-    if s.Pool.wall_seconds > 0.0 && s.Pool.max_jobs > 0 then
-      s.Pool.busy_seconds /. (s.Pool.wall_seconds *. float_of_int s.Pool.max_jobs)
-    else 0.0
-  in
-  [
-    c "xpiler_pool_maps_total" "completed Pool.map calls" s.Pool.maps;
-    g "xpiler_pool_busy_seconds" "sum of per-task wall time across all domains" s.Pool.busy_seconds;
-    g "xpiler_pool_wall_seconds" "sum of wall time of the Pool.map calls" s.Pool.wall_seconds;
-    g "xpiler_pool_max_jobs" "largest effective job count seen" (float_of_int s.Pool.max_jobs);
-    g "xpiler_pool_utilization_ratio" "busy seconds / (map wall seconds * max jobs)" utilization;
-    {
-      name = "xpiler_pool_task_latency_seconds";
-      labels = [];
-      help = "wall-clock latency of individual pool tasks";
-      stable = false;
-      value =
-        Vhist
-          {
-            bounds = Array.copy Pool.latency_bounds;
-            counts = Array.copy s.Pool.latency_counts;
-            sum = s.Pool.busy_seconds;
-            count = s.Pool.tasks;
-            hmin = s.Pool.latency_min;
-            hmax = s.Pool.latency_max;
-          };
-    };
-  ]
-
 let snapshot ?(stable_only = false) () =
   let base =
     Mutex.protect registry_lock (fun () ->
         Hashtbl.fold (fun _ m acc -> sample_of_metric m :: acc) registry [])
   in
-  let all = if stable_only then base else base @ pool_samples () in
-  let all = if stable_only then List.filter (fun s -> s.stable) all else all in
+  let all = if stable_only then List.filter (fun s -> s.stable) base else base in
   List.sort (fun a b ->
       match compare a.name b.name with 0 -> compare a.labels b.labels | c -> c)
     all
@@ -225,8 +187,7 @@ let reset () =
                 h.count <- 0;
                 h.vmin <- infinity;
                 h.vmax <- neg_infinity))
-        registry);
-  Pool.reset_stats ()
+        registry)
 
 (* ---- merge --------------------------------------------------------------- *)
 

@@ -10,13 +10,12 @@
     the input and configuration (escalation rung counts, SMT verdicts, pass
     tallies, intra-memo lookups); others depend on what ran before or on the
     parallel schedule (transposition-table hit/miss counts of the
-    process-global table; pool latencies are wall-clock). Each metric is
-    registered [~stable:true/false], and {!snapshot}[ ~stable_only:true]
-    keeps only the schedule-independent ones — that restricted snapshot is
-    byte-identical whatever the job count of the pool running whole
-    translations, which test_store asserts. The full snapshot additionally synthesizes
-    pool-usage metrics by pulling {!Pool.stats} (the pool cannot call into
-    this module without a dependency cycle).
+    process-global table, fresh solver searches behind a warm memo). Each
+    metric is registered [~stable:true/false], and
+    {!snapshot}[ ~stable_only:true] keeps only the schedule-independent ones
+    — that restricted snapshot is byte-identical whatever the job count of
+    the pool running whole translations, which test_store asserts. Wall-clock time is not a
+    registry metric: {!Prof} is the one real-time meter.
 
     Handles are interned per [(name, labels)]: registering the same pair
     twice returns a handle on the same series; reusing a name with a different kind
@@ -87,11 +86,11 @@ type sample = {
 
 val snapshot : ?stable_only:bool -> unit -> sample list
 (** Deterministically ordered (by name, then labels). With
-    [~stable_only:true], drops unstable metrics {e and} the synthesized pool
-    metrics, leaving exactly the schedule-independent set. *)
+    [~stable_only:true], drops unstable metrics, leaving exactly the
+    schedule-independent set. *)
 
 val reset : unit -> unit
-(** Zero all values (registrations survive) and reset {!Pool} stats. *)
+(** Zero all values (registrations survive). *)
 
 val merge : sample list -> sample list -> sample list
 (** Fold two snapshots: counters add, gauges take the max, histograms add

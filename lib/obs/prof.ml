@@ -2,8 +2,8 @@
 
    Everything here is wall-clock and Gc-derived, hence non-deterministic by
    nature; the module therefore never writes into the tracer's event stream —
-   journals and golden traces stay byte-identical whether profiling is on or
-   off. Results are pulled with [report] and exported separately. *)
+   journals and golden traces are the same whatever the profiler measured.
+   Results are pulled with [report] and exported separately. *)
 
 type span_agg = {
   mutable s_count : int;
@@ -12,31 +12,25 @@ type span_agg = {
   mutable s_majors : int;
 }
 
-let enabled = Atomic.make false
 let lock = Mutex.create ()
 let spans : (string, span_agg) Hashtbl.t = Hashtbl.create 16
-let t_start = ref 0.0
-let t_stop = ref 0.0 (* <= t_start while running *)
+let t_start = ref (Unix.gettimeofday ())
 
-let alloc_words (st : Gc.stat) = st.minor_words +. st.major_words -. st.promoted_words
+(* finished major cycles, bumped at the end of each one, so a span reads an
+   atomic rather than a whole-program Gc stat record *)
+let majors = Atomic.make 0
+let (_ : Gc.alarm) = Gc.create_alarm (fun () -> Atomic.incr majors)
 
-let enable () =
-  Mutex.protect lock (fun () ->
-      t_start := Unix.gettimeofday ();
-      t_stop := 0.0);
-  Atomic.set enabled true
-
-let disable () =
-  Atomic.set enabled false;
-  Mutex.protect lock (fun () -> t_stop := Unix.gettimeofday ())
-
-let is_enabled () = Atomic.get enabled
+(* words allocated by this domain: [Gc.counters] reads domain-local fields
+   and allocates no more than its result tuple *)
+let alloc_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
 
 let reset () =
   Mutex.protect lock (fun () ->
       Hashtbl.reset spans;
-      t_start := Unix.gettimeofday ();
-      t_stop := 0.0)
+      t_start := Unix.gettimeofday ())
 
 let record_span name wall alloc majors =
   Mutex.protect lock (fun () ->
@@ -54,37 +48,38 @@ let record_span name wall alloc majors =
       agg.s_majors <- agg.s_majors + majors)
 
 let span name f =
-  if not (Atomic.get enabled) then f ()
-  else begin
-    let t0 = Unix.gettimeofday () in
-    let g0 = Gc.quick_stat () in
-    Fun.protect
-      ~finally:(fun () ->
-        let t1 = Unix.gettimeofday () in
-        let g1 = Gc.quick_stat () in
-        record_span name (t1 -. t0)
-          (alloc_words g1 -. alloc_words g0)
-          (g1.major_collections - g0.major_collections))
-      f
-  end
+  let t0 = Unix.gettimeofday () in
+  let a0 = alloc_words () in
+  let m0 = Atomic.get majors in
+  Fun.protect
+    ~finally:(fun () ->
+      let t1 = Unix.gettimeofday () in
+      let a1 = alloc_words () in
+      record_span name (t1 -. t0) (a1 -. a0) (Atomic.get majors - m0))
+    f
 
 (* ---- reports ------------------------------------------------------------- *)
 
 type span_row = { span : string; count : int; wall_s : float; alloc_words : float; majors : int }
 type report = { span_rows : span_row list; total_wall : float }
 
+let to_row name a =
+  { span = name; count = a.s_count; wall_s = a.s_wall; alloc_words = a.s_alloc;
+    majors = a.s_majors }
+
+let row name =
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt spans name with
+      | Some a -> to_row name a
+      | None -> { span = name; count = 0; wall_s = 0.0; alloc_words = 0.0; majors = 0 })
+
 let report () =
   Mutex.protect lock (fun () ->
       let span_rows =
-        Hashtbl.fold
-          (fun name a acc ->
-            { span = name; count = a.s_count; wall_s = a.s_wall; alloc_words = a.s_alloc; majors = a.s_majors }
-            :: acc)
-          spans []
+        Hashtbl.fold (fun name a acc -> to_row name a :: acc) spans []
         |> List.sort (fun a b -> compare a.span b.span)
       in
-      let t_end = if !t_stop > !t_start then !t_stop else Unix.gettimeofday () in
-      { span_rows; total_wall = Float.max 0.0 (t_end -. !t_start) })
+      { span_rows; total_wall = Float.max 0.0 (Unix.gettimeofday () -. !t_start) })
 
 let to_json r =
   Json.Obj

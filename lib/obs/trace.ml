@@ -14,13 +14,13 @@ let without f =
     Domain.DLS.set active None;
     Fun.protect ~finally:(fun () -> Domain.DLS.set active (Some t)) f
 
-(* When the profiler is on, the same span marks feed it — but through its own
-   wall-clock stream, never through the tracer's deterministic one. *)
-let span ?cat ?attrs name f =
-  let f = if Prof.is_enabled () then fun () -> Prof.span name f else f in
+(* The same span marks feed the profiler — but through its own wall-clock
+   stream, never through the tracer's deterministic one. *)
+let span ?cat ?attrs ?prof name f =
+  let profiled () = Prof.span (Option.value prof ~default:name) f in
   match Domain.DLS.get active with
-  | None -> f ()
-  | Some t -> Tracer.with_span t ?cat ?attrs name f
+  | None -> profiled ()
+  | Some t -> Tracer.with_span t ?cat ?attrs name profiled
 
 let count ?n name =
   match Domain.DLS.get active with None -> () | Some t -> Tracer.count t ?n name

@@ -30,11 +30,14 @@ val without : (unit -> 'a) -> 'a
 val enabled : unit -> bool
 (** A tracer is installed (at any level). *)
 
-val span : ?cat:string -> ?attrs:Event.attrs -> string -> (unit -> 'a) -> 'a
+val span :
+  ?cat:string -> ?attrs:Event.attrs -> ?prof:string -> string -> (unit -> 'a) -> 'a
 (** Runs the function inside a span on the current tracer; just runs it
-    when tracing is off. While {!Prof.is_enabled}, the same span also feeds
-    the wall-clock profiler — via its segregated stream, so the tracer's
-    event sequence is unchanged. *)
+    when tracing is off. The same span always feeds the wall-clock profiler
+    ({!Prof.span}) under the row key [prof] (default: the span name) — via
+    its segregated stream, so the tracer's event sequence is unchanged.
+    Pass [prof] when the span name is unbounded, so the profiler keeps one
+    row per family. *)
 
 val count : ?n:int -> string -> unit
 val observe : string -> float -> unit

@@ -84,14 +84,11 @@ let lookups =
    mix source and target features) *)
 let compile_ok k = match Validate.check k with Ok () -> true | Error _ -> false
 
-(* ---- wall-clock accounting (bench/repair_bench.ml) ------------------------ *)
+(* ---- wall-clock accounting (bench/repair_bench.ml) ------------------------
+   The profiler's rows are the meter: [repair] is the whole call's span, the
+   [repair.*] spans below are profiler-only, so the journal never sees them *)
 
-let repair_count = ref 0
-let wall_total = ref 0.0
-let wall_localize = ref 0.0
-let wall_solve = ref 0.0
-let wall_test = ref 0.0
-let wall_score = ref 0.0
+module Prof = Xpiler_obs.Prof
 
 type wall_stats = {
   repairs : int;
@@ -103,46 +100,31 @@ type wall_stats = {
 }
 
 let wall_totals () =
-  { repairs = !repair_count;
-    wall_seconds = !wall_total;
-    localize_seconds = !wall_localize;
-    solve_seconds = !wall_solve;
-    test_seconds = !wall_test;
-    score_seconds = !wall_score
+  let wall name = (Prof.row name).Prof.wall_s in
+  let whole = Prof.row "repair" in
+  { repairs = whole.Prof.count;
+    wall_seconds = whole.Prof.wall_s;
+    localize_seconds = wall "repair.localize";
+    solve_seconds = wall "repair.solve";
+    test_seconds = wall "repair.test";
+    score_seconds = wall "repair.score"
   }
 
-let reset_wall_totals () =
-  repair_count := 0;
-  wall_total := 0.0;
-  wall_localize := 0.0;
-  wall_solve := 0.0;
-  wall_test := 0.0;
-  wall_score := 0.0
-
-let timed acc f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> acc := !acc +. (Unix.gettimeofday () -. t0)) f
-
-(* ---------------------------------------------------------------------------- *)
-
 let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ~platform ~op ~shape kernel =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () ->
-      incr repair_count;
-      wall_total := !wall_total +. (Unix.gettimeofday () -. t0))
-  @@ fun () ->
   Trace.span ~cat:"phase" "repair" @@ fun () ->
   let total_rounds = rounds in
   let tests = ref 0 in
   let unit_ok k =
     incr tests;
     charge clock Vclock.Unit_test 45.0;
-    timed wall_test (fun () -> Unit_test.check ~trials:1 ~lookups op shape k) = Unit_test.Pass
+    Prof.span "repair.test" (fun () -> Unit_test.check ~trials:1 ~lookups op shape k)
+    = Unit_test.Pass
   in
   let fully_ok k =
     incr tests;
     charge clock Vclock.Unit_test 90.0;
-    timed wall_test (fun () -> Unit_test.check ~trials:2 ~lookups op shape k) = Unit_test.Pass
+    Prof.span "repair.test" (fun () -> Unit_test.check ~trials:2 ~lookups op shape k)
+    = Unit_test.Pass
   in
   (* Algorithm 3's inner loop: solve each site's candidate domain in turn
      and test its candidates one at a time; the first that passes wins.
@@ -160,7 +142,8 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ~platform ~op 
           Option.iter
             (fun f ->
               f candidate
-                (timed wall_score (fun () -> Unit_test.mismatch_score ~lookups op shape candidate)))
+                (Prof.span "repair.score" (fun () ->
+                     Unit_test.mismatch_score ~lookups op shape candidate)))
             on_failed;
           None
         end
@@ -169,7 +152,7 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ~platform ~op 
     List.find_map
       (fun site ->
         charge clock Vclock.Smt_solving 90.0;
-        let values = timed wall_solve (fun () -> candidate_values ~platform k site) in
+        let values = Prof.span "repair.solve" (fun () -> candidate_values ~platform k site) in
         List.find_map (test site) values)
       sites
   in
@@ -182,7 +165,7 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ~platform ~op 
       (* fresh localization inputs each round: a fault masked on one input
          draw shows up on another *)
       let report =
-        timed wall_localize (fun () ->
+        Prof.span "repair.localize" (fun () ->
             Localize.localize ~seed:(20250706 + ((total_rounds - n) * 7717)) ~op ~shape k)
       in
       if report.Localize.failing_buffers = [] && report.Localize.runtime_error = None then
@@ -200,7 +183,7 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ~platform ~op 
         (* how wrong is the kernel? several faults may coexist, so repair
            hill-climbs on this score *)
         let base_score =
-          timed wall_score (fun () -> Unit_test.mismatch_score ~lookups op shape k)
+          Prof.span "repair.score" (fun () -> Unit_test.mismatch_score ~lookups op shape k)
         in
         let best_partial = ref None in
         (* several faults may coexist: remember the candidate that brings

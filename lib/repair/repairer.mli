@@ -56,8 +56,9 @@ type wall_stats = {
 }
 
 val wall_totals : unit -> wall_stats
-(** Wall-clock time spent inside {!repair} since the last reset, with a
-    per-component breakdown. Candidate construction and structural checks
-    are not metered, so the components need not sum to [wall_seconds]. *)
-
-val reset_wall_totals : unit -> unit
+(** Wall-clock time spent inside {!repair} since process start, with a
+    per-component breakdown: the [Obs.Prof] rows [repair] (also the call
+    count) and [repair.localize]/[repair.solve]/[repair.test]/[repair.score].
+    Readers take before/after deltas. Candidate construction and structural
+    checks are not metered, so the components need not sum to
+    [wall_seconds]. *)

@@ -48,7 +48,7 @@ let default_max_steps = 2_000_000
    The pre-overhaul engine, retained verbatim: re-materializes domains at
    every visit and re-checks the whole constraint list at every assignment
    step. It is the differential-fuzz oracle for the incremental engine and
-   the baseline arm of bench/repair_bench.ml (via [set_engine `Naive]). *)
+   the baseline arm of bench/repair_bench.ml (via [set_engine Naive]). *)
 
 let search_naive ?(max_steps = default_max_steps) problem ~on_model =
   let steps = ref 0 and evals = ref 0 in
@@ -277,48 +277,42 @@ type work = {
   fresh_wall : float;
 }
 
-(* counts real searches under either engine (memo hits excluded), so the
-   repair bench compares baseline and overhauled arms with one meter —
-   mirroring the transposition table's [Transposition.evals] *)
-let w_solves = ref 0
-let w_steps = ref 0
-let w_evals = ref 0
-let w_wall = ref 0.0
+(* real searches under either engine (memo hits excluded), so the repair
+   bench compares baseline and overhauled arms with one meter. Unstable:
+   a warm memo (or store) turns fresh searches into hits *)
+let m_fresh name help = Metrics.counter ~stable:false ~help name
+let m_fresh_solves =
+  m_fresh "xpiler_smt_fresh_solves_total" "fresh solver searches (memo hits excluded)"
 
-let note_fresh (s : stats) =
-  incr w_solves;
-  w_steps := !w_steps + s.steps;
-  w_evals := !w_evals + s.evals
+let m_fresh_steps =
+  m_fresh "xpiler_smt_fresh_steps_total" "assignment attempts in fresh solver searches"
+
+let m_fresh_evals =
+  m_fresh "xpiler_smt_fresh_evals_total" "constraint evaluations in fresh solver searches"
 
 let work_totals () =
-  { fresh_solves = !w_solves;
-    fresh_steps = !w_steps;
-    fresh_evals = !w_evals;
-    fresh_wall = !w_wall
+  { fresh_solves = Metrics.value m_fresh_solves;
+    fresh_steps = Metrics.value m_fresh_steps;
+    fresh_evals = Metrics.value m_fresh_evals;
+    fresh_wall = (Xpiler_obs.Prof.row "smt.search").Xpiler_obs.Prof.wall_s
   }
-
-let reset_work_totals () =
-  w_solves := 0;
-  w_steps := 0;
-  w_evals := 0;
-  w_wall := 0.0
 
 (* ---- public solve entry points -------------------------------------------- *)
 
 let run_search ~max_steps problem ~on_model =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> w_wall := !w_wall +. (Unix.gettimeofday () -. t0))
-  @@ fun () ->
-  match !current_engine with
-  | Naive ->
-    let found, timeout, stats = search_naive ~max_steps problem ~on_model in
-    note_fresh stats;
-    (found, timeout, stats)
-  | Incremental ->
-    let found, timeout, stats, skipped = search_incremental ~max_steps problem ~on_model in
-    note_fresh stats;
-    if skipped > 0 then Metrics.inc ~n:skipped m_skipped;
-    (found, timeout, stats)
+  Xpiler_obs.Prof.span "smt.search" @@ fun () ->
+  let found, timeout, stats =
+    match !current_engine with
+    | Naive -> search_naive ~max_steps problem ~on_model
+    | Incremental ->
+      let found, timeout, stats, skipped = search_incremental ~max_steps problem ~on_model in
+      if skipped > 0 then Metrics.inc ~n:skipped m_skipped;
+      (found, timeout, stats)
+  in
+  Metrics.inc m_fresh_solves;
+  Metrics.inc ~n:stats.steps m_fresh_steps;
+  Metrics.inc ~n:stats.evals m_fresh_evals;
+  (found, timeout, stats)
 
 let verdict_of_outcome = function Sat _ -> "sat" | Unsat -> "unsat" | Timeout -> "timeout"
 

@@ -69,11 +69,12 @@ type work = {
 }
 
 val work_totals : unit -> work
-(** Real search work since the last reset, under either engine; memo hits
-    do not count. One meter for both bench arms, like the transposition
-    table's eval counter. *)
-
-val reset_work_totals : unit -> unit
+(** Real search work under either engine; memo hits do not count. One meter
+    for both bench arms, like the transposition table's eval counter. The
+    counts are the unstable registry counters
+    [xpiler_smt_fresh_{solves,steps,evals}_total] (zeroed only by
+    [Metrics.reset]) and the wall is the [Obs.Prof] row [smt.search];
+    readers take before/after deltas. *)
 
 val solve_naive : ?max_steps:int -> problem -> outcome * stats
 (** The naive reference, silent (no metrics/trace/memo) — the differential

@@ -29,74 +29,15 @@ let get_max_domains () = !max_domains
 let set_max_domains n = if n > 0 then max_domains := n
 
 (* ---- self-stats ---------------------------------------------------------
-   The pool cannot depend on the metrics registry (xpiler_obs depends on
-   xpiler_util), so it keeps its own counters and the registry pulls them at
-   snapshot time. Wall-clock numbers are inherently schedule-dependent; the
-   registry classifies everything derived from here as unstable. *)
+   Per-task wall time, summed over domains: the pool cannot depend on the
+   profiler (xpiler_obs depends on xpiler_util), so it keeps its own sum. *)
 
-let latency_bounds = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.0; 10.0 |]
+type stats = { busy_seconds : float }
 
-type stats = {
-  maps : int;  (** completed [map] calls *)
-  tasks : int;  (** tasks executed across all maps *)
-  busy_seconds : float;  (** sum of per-task wall time across all domains *)
-  wall_seconds : float;  (** sum of wall time of the [map] calls themselves *)
-  max_jobs : int;  (** largest effective job count seen *)
-  latency_counts : int array;  (** task latencies, per {!latency_bounds} bucket, plus overflow *)
-  latency_min : float;  (** fastest task, seconds; 0 before the first task *)
-  latency_max : float;  (** slowest task, seconds; 0 before the first task *)
-}
-
-let stats_lock = Mutex.create ()
-let s_maps = ref 0
-let s_tasks = ref 0
-let s_busy = ref 0.0
-let s_wall = ref 0.0
-let s_max_jobs = ref 0
-let s_latency = Array.make (Array.length latency_bounds + 1) 0
-let s_lat_min = ref infinity
-let s_lat_max = ref 0.0
-
-let note_task dt =
-  Mutex.protect stats_lock (fun () ->
-      incr s_tasks;
-      s_busy := !s_busy +. dt;
-      s_lat_min := Float.min !s_lat_min dt;
-      s_lat_max := Float.max !s_lat_max dt;
-      let n = Array.length latency_bounds in
-      let rec bucket i = if i >= n || dt <= latency_bounds.(i) then i else bucket (i + 1) in
-      let b = bucket 0 in
-      s_latency.(b) <- s_latency.(b) + 1)
-
-let note_map ~jobs dt =
-  Mutex.protect stats_lock (fun () ->
-      incr s_maps;
-      s_wall := !s_wall +. dt;
-      if jobs > !s_max_jobs then s_max_jobs := jobs)
-
-let stats () =
-  Mutex.protect stats_lock (fun () ->
-      {
-        maps = !s_maps;
-        tasks = !s_tasks;
-        busy_seconds = !s_busy;
-        wall_seconds = !s_wall;
-        max_jobs = !s_max_jobs;
-        latency_counts = Array.copy s_latency;
-        latency_min = (if !s_tasks = 0 then 0.0 else !s_lat_min);
-        latency_max = !s_lat_max;
-      })
-
-let reset_stats () =
-  Mutex.protect stats_lock (fun () ->
-      s_maps := 0;
-      s_tasks := 0;
-      s_busy := 0.0;
-      s_wall := 0.0;
-      s_max_jobs := 0;
-      Array.fill s_latency 0 (Array.length s_latency) 0;
-      s_lat_min := infinity;
-      s_lat_max := 0.0)
+let busy = ref 0.0
+let busy_lock = Mutex.create ()
+let note_task dt = Mutex.protect busy_lock (fun () -> busy := !busy +. dt)
+let stats () = Mutex.protect busy_lock (fun () -> { busy_seconds = !busy })
 
 (* ---- worker lifetime ----------------------------------------------------
    Helper domains are spawned per [map] call and joined before it returns.
@@ -119,7 +60,6 @@ let map ?jobs:j f inputs =
     note_task (Unix.gettimeofday () -. t0);
     results.(i) <- Some r
   in
-  let map_t0 = Unix.gettimeofday () in
   (if j <= 1 || n <= 1 then
      for i = 0 to n - 1 do
        run i
@@ -137,7 +77,6 @@ let map ?jobs:j f inputs =
      let helpers = List.init (min (j - 1) (n - 1)) (fun _ -> Domain.spawn pull) in
      Fun.protect ~finally:(fun () -> List.iter Domain.join helpers) pull
    end);
-  note_map ~jobs:(max 1 (min j (max n 1))) (Unix.gettimeofday () -. map_t0);
   (* the first failing task by input order re-raises; later results drop *)
   let out = ref [] in
   for i = 0 to n - 1 do

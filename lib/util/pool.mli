@@ -36,28 +36,11 @@ val set_max_domains : int -> unit
 (** Override the domain cap — tests use this to force cross-domain execution
     even on a single-core host. *)
 
-(** {2 Self-stats}
+(** {2 Self-stats} *)
 
-    The pool keeps wall-clock usage counters for the observability layer,
-    which pulls them at snapshot time ([Obs.Metrics] cannot be called from
-    here without a dependency cycle). All values are schedule-dependent:
-    identical *results* across job counts, but busy/wall seconds and latency
-    buckets differ run to run. *)
-
-val latency_bounds : float array
-(** Upper bounds (seconds, inclusive) of the task-latency histogram buckets;
-    [latency_counts] has one extra trailing overflow bucket. *)
-
-type stats = {
-  maps : int;  (** completed [map] calls *)
-  tasks : int;  (** tasks executed across all maps *)
-  busy_seconds : float;  (** sum of per-task wall time across all domains *)
-  wall_seconds : float;  (** sum of wall time of the [map] calls themselves *)
-  max_jobs : int;  (** largest effective job count seen *)
-  latency_counts : int array;  (** per-bucket task counts, plus overflow *)
-  latency_min : float;  (** fastest task, seconds; 0 before the first task *)
-  latency_max : float;  (** slowest task, seconds; 0 before the first task *)
-}
+type stats = { busy_seconds : float  (** sum of per-task wall time across all domains *) }
 
 val stats : unit -> stats
-val reset_stats : unit -> unit
+(** Totals since process start; readers take before/after deltas. The value
+    is schedule-dependent: identical {e results} across job counts, but not
+    identical busy seconds. *)

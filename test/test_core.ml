@@ -176,6 +176,70 @@ let test_report_csv_cell_escaping () =
   Alcotest.(check (option string)) "cr cell quoted" (Some "cr,\"carriage\rreturn\"")
     (List.nth_opt lines 5)
 
+(* ---- totality ---------------------------------------------------------------- *)
+
+(* like an unopenable store, an unwritable trace sink is a warning: the
+   outcome and its trace still come back *)
+let test_unwritable_sink () =
+  let file = Filename.temp_file "xpiler_sink" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  (* a path below a regular file can never be opened *)
+  let sink = Filename.concat file "out.jsonl" in
+  let config = Config.with_trace ~sink Config.default Xpiler_obs.Tracer.Detail in
+  let o = run ~config ~src:Platform.Cuda ~dst:Platform.Bang relu relu_shape in
+  Alcotest.(check string) "status" "success" (Xpiler.status_to_string o.Xpiler.status);
+  Alcotest.(check bool) "trace returned" true (o.Xpiler.trace <> [])
+
+let platforms = [ Platform.Cuda; Platform.Bang; Platform.Hip; Platform.Vnni ]
+
+(* Random op x shape x direction x fault scale. Each dim keeps the op's
+   first registered value or is redrawn as 1, a small odd number, or an
+   oversize 2d+1; a redraw is kept only while the product of dims stays
+   within twice the registered one, so no case costs much more than the
+   registered shape. *)
+let gen_case =
+  let open QCheck.Gen in
+  let* op = oneofl Registry.all in
+  let dims = List.hd op.Opdef.shapes in
+  let* draws =
+    flatten_l
+      (List.map
+         (fun (_, d) ->
+           frequency [ (1, return d); (2, oneofl [ 1; 3; 5; 7; 17; 33; (2 * d) + 1 ]) ])
+         dims)
+  in
+  let budget = 2 * List.fold_left (fun acc (_, d) -> acc * d) 1 dims in
+  let _, shape =
+    List.fold_left2
+      (fun (product, acc) (k, d) v ->
+        let v = if product / d * v <= budget then v else d in
+        (product / d * v, acc @ [ (k, v) ]))
+      (budget / 2, []) dims draws
+  in
+  let* src = oneofl platforms in
+  let* dst = oneofl (List.filter (( <> ) src) platforms) in
+  let* scale = oneofl [ 0.0; 1.0; 5.0; 20.0; 1000.0 ] in
+  let* seed = int_bound 1000 in
+  return (op, shape, src, dst, scale, seed)
+
+let print_case ((op : Opdef.t), shape, src, dst, scale, seed) =
+  Printf.sprintf "%s [%s] %s->%s fault-scale %g seed %d" op.Opdef.name
+    (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) shape))
+    (Platform.id_to_string src) (Platform.id_to_string dst) scale seed
+
+(* no exception escapes [transcompile], and the same inputs give the same
+   status and target text *)
+let prop_total =
+  QCheck.Test.make ~name:"transcompile is total and deterministic" ~count:40
+    (QCheck.make ~print:print_case gen_case)
+    (fun (op, shape, src, dst, scale, seed) ->
+      let config = Config.with_fault_scale (Config.with_seed Config.default seed) scale in
+      let go () =
+        let o = run ~config ~src ~dst op shape in
+        (Xpiler.status_to_string o.Xpiler.status, o.Xpiler.target_text)
+      in
+      go () = go ())
+
 (* ---- config ----------------------------------------------------------------- *)
 
 let test_configs () =
@@ -204,5 +268,8 @@ let () =
         [ Alcotest.test_case "render and csv" `Quick test_report_render_and_csv;
           Alcotest.test_case "csv cell escaping" `Quick test_report_csv_cell_escaping
         ] );
+      ( "totality",
+        [ Alcotest.test_case "unwritable trace sink" `Quick test_unwritable_sink;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20250706 |]) prop_total ] );
       ("config", [ Alcotest.test_case "variants" `Quick test_configs ])
     ]

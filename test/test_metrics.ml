@@ -3,13 +3,12 @@
    the reasons this layer is safe to leave on in production — are (1) the
    stable-only registry snapshot is byte-identical whatever the job count of
    the pool running whole translations (asserted in test_store.ml, next to
-   the persisted state), and (2) the profiler stream is fully segregated from the tracer, so golden
-   journals do not change when profiling is enabled. *)
+   the persisted state), and (2) the always-on profiler stream is fully
+   segregated from the tracer, so its spans never reach a journal. *)
 
 open Xpiler_machine
 open Xpiler_ops
 open Xpiler_core
-module Pool = Xpiler_util.Pool
 module Json = Xpiler_obs.Json
 module Event = Xpiler_obs.Event
 module Tracer = Xpiler_obs.Tracer
@@ -17,10 +16,11 @@ module Journal = Xpiler_obs.Journal
 module Trace = Xpiler_obs.Trace
 module Metrics = Xpiler_obs.Metrics
 module Prof = Xpiler_obs.Prof
+module Repairer = Xpiler_repair.Repairer
+module Solver = Xpiler_smt.Solver
 module BH = Xpiler_obs.Bench_history
 
 let gemm = Registry.find_exn "gemm"
-let gemm_shape = [ ("m", 32); ("n", 64); ("k", 64) ]
 
 let find_sample name labels samples =
   List.find_opt
@@ -120,18 +120,14 @@ let test_stable_only_filter () =
   Alcotest.(check (option int)) "stable kept" (Some 1) (counter_value "testm_stable_total" [] s);
   Alcotest.(check (option int)) "unstable dropped" None
     (counter_value "testm_unstable_total" [] s);
-  Alcotest.(check bool) "pool metrics dropped" true
-    (not
-       (List.exists
-          (fun (x : Metrics.sample) ->
-            String.length x.Metrics.name >= 12 && String.sub x.Metrics.name 0 12 = "xpiler_pool_")
-          s));
-  (* the full snapshot keeps both and synthesizes the pool series *)
   let full = Metrics.snapshot () in
   Alcotest.(check (option int)) "unstable in full snapshot" (Some 1)
     (counter_value "testm_unstable_total" [] full);
-  Alcotest.(check bool) "pool gauge synthesized" true
-    (gauge_value "xpiler_pool_max_jobs" [] full <> None)
+  Alcotest.(check bool) "no synthesized pool series" true
+    (not
+       (List.exists
+          (fun (x : Metrics.sample) -> String.starts_with ~prefix:"xpiler_pool_" x.Metrics.name)
+          full))
 
 let test_merge () =
   let c = Metrics.counter "testm_merge_total" in
@@ -213,19 +209,6 @@ let test_openmetrics_format () =
   Alcotest.(check string) "terminated by EOF"
     eof
     (String.sub text (String.length text - String.length eof) (String.length eof))
-
-(* the synthesized pool latency histogram carries the observed min/max, so
-   its quantiles are real task latencies rather than a clamp to zero *)
-let test_pool_latency_histogram () =
-  Metrics.reset ();
-  ignore (Pool.map ~jobs:2 (fun () -> Unix.sleepf 0.002) [ (); (); () ]);
-  match hist_value "xpiler_pool_task_latency_seconds" [] (Metrics.snapshot ()) with
-  | None -> Alcotest.fail "pool latency histogram missing"
-  | Some h ->
-    Alcotest.(check int) "one observation per task" 3 h.Metrics.count;
-    Alcotest.(check bool) "max is a real latency" true (h.Metrics.hmax >= 0.002);
-    Alcotest.(check bool) "min <= max" true (h.Metrics.hmin <= h.Metrics.hmax);
-    Alcotest.(check bool) "p50 > 0" true (Metrics.hist_quantile h 0.5 > 0.0)
 
 let test_json_parseable () =
   Metrics.inc (Metrics.counter "testm_json_total");
@@ -320,49 +303,121 @@ let test_journal_sink () =
 
 let test_prof_aggregation () =
   Prof.reset ();
-  Prof.enable ();
-  Fun.protect ~finally:Prof.disable (fun () ->
-      let v = Prof.span "testm.work" (fun () -> Array.length (Array.make 4096 0.0)) in
-      Alcotest.(check int) "span passes the value through" 4096 v;
-      ignore (Prof.span "testm.work" (fun () -> ())));
+  let v = Prof.span "testm.work" (fun () -> Array.length (Array.make 4096 0.0)) in
+  Alcotest.(check int) "span passes the value through" 4096 v;
+  ignore (Prof.span "testm.work" (fun () -> ()));
   let r = Prof.report () in
   (match List.find_opt (fun (s : Prof.span_row) -> s.Prof.span = "testm.work") r.Prof.span_rows with
   | None -> Alcotest.fail "span row missing"
   | Some s ->
     Alcotest.(check int) "span count" 2 s.Prof.count;
-    Alcotest.(check bool) "wall time non-negative" true (s.Prof.wall_s >= 0.0));
+    Alcotest.(check bool) "wall time non-negative" true (s.Prof.wall_s >= 0.0);
+    Alcotest.(check bool) "the array's words are counted" true (s.Prof.alloc_words >= 4096.0);
+    Alcotest.(check int) "row agrees with the report" s.Prof.count
+      (Prof.row "testm.work").Prof.count);
+  Alcotest.(check int) "a span that never ran reads zero" 0 (Prof.row "testm.never").Prof.count;
   (* JSON export parses back *)
-  (match Json.parse (Json.to_string (Prof.to_json r)) with
+  match Json.parse (Json.to_string (Prof.to_json r)) with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail ("profile JSON does not parse: " ^ e));
-  (* disabled: spans pass through without aggregating *)
-  Prof.reset ();
-  ignore (Prof.span "testm.off" (fun () -> ()));
-  let r = Prof.report () in
-  Alcotest.(check int) "no rows while disabled" 0 (List.length r.Prof.span_rows)
+  | Error e -> Alcotest.fail ("profile JSON does not parse: " ^ e)
 
+(* One repairing translation with the default config, traced, with the
+   bench meters, the profiler rows and the fresh-solve counters read around
+   it. The profiler is always on, so nothing needs switching. *)
+type meter_run = {
+  journal : Event.t list;
+  rows : (string * Prof.span_row * Prof.span_row) list;  (** name, before, after *)
+  wall : Repairer.wall_stats * Repairer.wall_stats;
+  work : Solver.work * Solver.work;
+  fresh : (string * int * int) list;  (** counter name, before, after *)
+  report : Prof.report;
+}
+
+let meter_run =
+  lazy
+    (let row_names =
+       [ "repair"; "repair.localize"; "repair.solve"; "repair.test"; "repair.score"; "smt.search" ]
+     in
+     let counters =
+       List.map
+         (fun n -> (n, Metrics.counter ~stable:false n))
+         [ "xpiler_smt_fresh_solves_total"; "xpiler_smt_fresh_steps_total";
+           "xpiler_smt_fresh_evals_total" ]
+     in
+     let rows0 = List.map Prof.row row_names in
+     let counts0 = List.map (fun (_, c) -> Metrics.value c) counters in
+     let wall0 = Repairer.wall_totals () and work0 = Solver.work_totals () in
+     let config =
+       Config.with_trace
+         (Config.with_fault_scale (Config.with_seed Config.default 1) 20.0)
+         Tracer.Detail
+     in
+     let o =
+       Xpiler.transcompile ~config ~src:Platform.Cuda ~dst:Platform.Bang ~op:gemm
+         ~shape:(List.hd gemm.Opdef.shapes) ()
+     in
+     let wall1 = Repairer.wall_totals () and work1 = Solver.work_totals () in
+     { journal = o.Xpiler.trace;
+       rows = List.map2 (fun n r0 -> (n, r0, Prof.row n)) row_names rows0;
+       wall = (wall0, wall1);
+       work = (work0, work1);
+       fresh = List.map2 (fun (n, c) v0 -> (n, v0, Metrics.value c)) counters counts0;
+       report = Prof.report ()
+     })
+
+(* the profiler-only spans never reach the journal, and span-backed
+   profiler rows keep their bounded keys *)
 let test_prof_trace_segregation () =
-  let run profile =
-    let config =
-      { (Config.with_seed Config.default 7) with
-        Config.trace_level = Tracer.Detail;
-        profile
-      }
-    in
-    let o =
-      Xpiler.transcompile ~config ~src:Platform.Cuda ~dst:Platform.Bang ~op:gemm
-        ~shape:gemm_shape ()
-    in
-    Journal.encode o.Xpiler.trace
+  let r = Lazy.force meter_run in
+  let names = List.map Event.name r.journal in
+  Alcotest.(check bool) "the journal has the repair span" true (List.mem "repair" names);
+  List.iter
+    (fun n -> Alcotest.(check bool) (n ^ " stays out of the journal") false (List.mem n names))
+    [ "repair.localize"; "repair.solve"; "repair.test"; "repair.score"; "smt.search" ];
+  let pass_rows =
+    List.filter
+      (fun (s : Prof.span_row) -> String.starts_with ~prefix:"pass." s.Prof.span)
+      r.report.Prof.span_rows
   in
-  (* one warm-up translation so both compared runs see the same steady-state
-     caches (a cold compile/reference cache changes interp.* trace counters
-     between consecutive runs, which has nothing to do with profiling) *)
-  ignore (run false);
-  let off = run false in
-  let on = run true in
-  Alcotest.(check bool) "trace is non-trivial" true (String.length off > 0);
-  Alcotest.(check string) "journal byte-identical with profiling on" off on
+  Alcotest.(check bool) "pass spans were profiled" true (pass_rows <> []);
+  List.iter
+    (fun (s : Prof.span_row) ->
+      let family = String.sub s.Prof.span 5 (String.length s.Prof.span - 5) in
+      Alcotest.(check bool) (s.Prof.span ^ " is keyed by a pass family") true
+        (List.mem family Xpiler_passes.Pass.family_names))
+    pass_rows
+
+(* the bench meters are views of the profiler rows and registry counters *)
+let test_prof_meters_agree () =
+  let r = Lazy.force meter_run in
+  let row name =
+    let _, r0, r1 = List.find (fun (n, _, _) -> n = name) r.rows in
+    (r1.Prof.count - r0.Prof.count, r1.Prof.wall_s -. r0.Prof.wall_s)
+  in
+  let fresh name =
+    let _, v0, v1 = List.find (fun (n, _, _) -> n = name) r.fresh in
+    v1 - v0
+  in
+  let (w0 : Repairer.wall_stats), w1 = r.wall and (s0 : Solver.work), s1 = r.work in
+  let wall f = f w1 -. f w0 in
+  Alcotest.(check bool) "the run repaired" true (w1.Repairer.repairs > w0.Repairer.repairs);
+  Alcotest.(check int) "repairs" (fst (row "repair")) (w1.Repairer.repairs - w0.Repairer.repairs);
+  List.iter
+    (fun (name, delta) -> Alcotest.(check (float 1e-9)) name (snd (row name)) delta)
+    [ ("repair", wall (fun w -> w.Repairer.wall_seconds));
+      ("repair.localize", wall (fun w -> w.Repairer.localize_seconds));
+      ("repair.solve", wall (fun w -> w.Repairer.solve_seconds));
+      ("repair.test", wall (fun w -> w.Repairer.test_seconds));
+      ("repair.score", wall (fun w -> w.Repairer.score_seconds));
+      ("smt.search", s1.Solver.fresh_wall -. s0.Solver.fresh_wall) ];
+  List.iter
+    (fun (name, delta) -> Alcotest.(check int) name (fresh name) delta)
+    [ ("xpiler_smt_fresh_solves_total", s1.Solver.fresh_solves - s0.Solver.fresh_solves);
+      ("xpiler_smt_fresh_steps_total", s1.Solver.fresh_steps - s0.Solver.fresh_steps);
+      ("xpiler_smt_fresh_evals_total", s1.Solver.fresh_evals - s0.Solver.fresh_evals) ];
+  Alcotest.(check int) "one smt.search span per fresh solve" (fst (row "smt.search"))
+    (s1.Solver.fresh_solves - s0.Solver.fresh_solves);
+  Alcotest.(check bool) "candidate tests were timed" true (fst (row "repair.test") > 0)
 
 (* ---- bench history ------------------------------------------------------- *)
 
@@ -620,14 +675,14 @@ let () =
           Alcotest.test_case "merge" `Quick test_merge;
           Alcotest.test_case "hist quantile edges" `Quick test_hist_quantile_edges;
           Alcotest.test_case "openmetrics format" `Quick test_openmetrics_format;
-          Alcotest.test_case "pool latency histogram" `Quick test_pool_latency_histogram;
           Alcotest.test_case "json parseable" `Quick test_json_parseable
         ] );
       ( "journal",
         [ Alcotest.test_case "buffered sink" `Quick test_journal_sink ] );
       ( "profiler",
         [ Alcotest.test_case "aggregation" `Quick test_prof_aggregation;
-          Alcotest.test_case "trace segregation" `Quick test_prof_trace_segregation
+          Alcotest.test_case "trace segregation" `Quick test_prof_trace_segregation;
+          Alcotest.test_case "meters agree" `Quick test_prof_meters_agree
         ] );
       ( "bench-history",
         [ Alcotest.test_case "entry roundtrip" `Quick test_history_roundtrip;
