@@ -176,7 +176,7 @@ type warm_row = {
   store_records : int;
 }
 
-let rm_rf_flat dir =
+let remove_flat_dir dir =
   if Sys.file_exists dir then begin
     Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
     Unix.rmdir dir
@@ -194,7 +194,7 @@ let bench_store_warm name =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "xpiler-tuning-store-%d-%s" (Unix.getpid ()) name)
   in
-  rm_rf_flat dir;
+  remove_flat_dir dir;
   let store =
     match Store.open_store ~dir () with Ok s -> s | Error m -> failwith ("store: " ^ m)
   in
@@ -205,9 +205,7 @@ let bench_store_warm name =
   ignore (Mcts.search ~config:(base_config top) ~buffer_sizes ~share:true ~db:db1 ~platform kernel);
   Store.detach ();
   let info = Store.scan store in
-  let store_records =
-    Store.total info.Store.snapshot_records + Store.total info.Store.wal_records
-  in
+  let store_records = Store.total info.Store.records in
   (* process death: no in-memory state survives into either measured arm *)
   let cold =
     List.map
@@ -230,7 +228,7 @@ let bench_store_warm name =
           wall = now () -. t0 })
       budgets
   in
-  rm_rf_flat dir;
+  remove_flat_dir dir;
   let cold_evals =
     match evals_to cold target with Some e -> e | None -> assert false
   in

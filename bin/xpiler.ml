@@ -80,8 +80,8 @@ let store_dir_arg =
   let doc =
     "Durable knowledge store directory: the warm-start schedule DB, transposition \
      table and solver memo are loaded from it before translating and written through \
-     (append-only WAL + snapshots) during it, so later processes warm-start from this \
-     run's learning. Defaults to \\$XPILER_STORE_DIR when that is set. Persisted \
+     (one append-only log, DIR/store.wal) during it, so later processes warm-start \
+     from this run's learning. Defaults to \\$XPILER_STORE_DIR when that is set. Persisted \
      entries carry their effect receipts: results and traces are identical with or \
      without the store — only evals-to-target and wall-clock change."
   in
@@ -565,9 +565,7 @@ let store_action dir action =
   | `Stats ->
     let info = Store.scan t in
     Printf.printf "dir:    %s\n" info.Store.info_dir;
-    Printf.printf "shards: %d\n" info.Store.info_shards;
-    print_counts "snapshot:" info.Store.snapshot_records;
-    print_counts "wal:" info.Store.wal_records;
+    print_counts "records:" info.Store.records;
     Printf.printf "bytes:  %d (%.1f KiB)\n" info.Store.bytes
       (float_of_int info.Store.bytes /. 1024.0);
     if info.Store.damaged then
@@ -582,7 +580,7 @@ let store_action dir action =
       exit 2)
   | `Clear ->
     let removed = Store.clear_files t in
-    Printf.printf "removed %d shard file%s from %s\n" removed
+    Printf.printf "removed %d store file%s from %s\n" removed
       (if removed = 1 then "" else "s")
       dir
 
@@ -590,8 +588,8 @@ let store_cmd =
   let info =
     Cmd.info "store"
       ~doc:
-        "Inspect the durable knowledge store ($(b,stats), the default), fold its \
-         write-ahead logs into fresh snapshots ($(b,compact)), or delete its contents \
+        "Inspect the durable knowledge store ($(b,stats), the default), rewrite its \
+         log keeping the last record per key ($(b,compact)), or delete it \
          ($(b,clear)). The store persists the warm-start schedule DB, transposition \
          table and solver memo under \\$XPILER_STORE_DIR (or $(b,--dir)); it is safe \
          to delete at any time — later runs simply start cold."

@@ -2,7 +2,6 @@
 
 open Xpiler_tuning
 module Memo = Xpiler_smt.Memo
-module Problem = Xpiler_smt.Problem
 module Metrics = Xpiler_obs.Metrics
 module Fsx = Xpiler_util.Fsx
 
@@ -35,16 +34,12 @@ let m_torn =
   Metrics.counter ~stable:false ~help:"torn WAL tails truncated to a valid prefix at load"
     "xpiler_store_torn_tails_total"
 
-let m_corrupt_snap =
-  Metrics.counter ~stable:false ~help:"snapshots found corrupt at load (rebuilt from the log)"
-    "xpiler_store_corrupt_snapshots_total"
-
 let m_dropped =
   Metrics.counter ~stable:false ~help:"checksummed frames whose payload failed to decode"
     "xpiler_store_dropped_records_total"
 
 let m_compactions =
-  Metrics.counter ~stable:false ~help:"snapshot/compaction passes" "xpiler_store_compactions_total"
+  Metrics.counter ~stable:false ~help:"compaction passes" "xpiler_store_compactions_total"
 
 let m_bytes = Metrics.gauge ~stable:false ~help:"on-disk store size" "xpiler_store_bytes"
 
@@ -55,132 +50,59 @@ type record =
   | Transposition of Transposition.Key.t * Transposition.entry
   | Solver_memo of Memo.Key.t * Memo.entry
 
-(* Shard key: the shape-wildcard structural signature where one exists
-   (schedule entries carry it; transposition keys derive it from their
-   kernel), else the problem's structural hash — so a fleet splitting the
-   keyspace by shard keeps every shape of one operator structure, and its
-   solver problems, groupable. *)
-let shard_hash = function
-  | Schedule { signature; _ } -> signature
-  | Transposition (k, _) -> Schedule_db.signature k.Transposition.Key.platform k.Transposition.Key.kernel
-  | Solver_memo (k, _) -> Problem.hash k.Memo.Key.problem
-
-let kind_of = function
-  | Schedule _ -> `Schedule
-  | Transposition _ -> `Transposition
-  | Solver_memo _ -> `Memo
-
 (* ---- layout -------------------------------------------------------------- *)
 
 type t = {
   dir : string;
-  shards : int;
   mutex : Mutex.t;
-  channels : out_channel option array;  (* lazily opened per-shard appenders *)
+  mutable channel : out_channel option;  (* the lazily opened appender *)
 }
 
 let dir t = t.dir
-let shards t = t.shards
-let meta_file dir = Filename.concat dir "STORE"
-let wal_path t i = Filename.concat t.dir (Printf.sprintf "shard-%03d.wal" i)
-let snap_path t i = Filename.concat t.dir (Printf.sprintf "shard-%03d.snap" i)
-let format_version = 1
+let log_path t = Filename.concat t.dir "store.wal"
 
 let env_dir () =
   match Sys.getenv_opt "XPILER_STORE_DIR" with Some d when d <> "" -> Some d | _ -> None
 
-let default_shards () =
-  match Sys.getenv_opt "XPILER_STORE_SHARDS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with Some n when n > 0 && n <= 1024 -> n | _ -> 4)
-  | None -> 4
-
-let write_meta ~shards path =
-  let oc = open_out_bin path in
-  Printf.fprintf oc "xpiler-store/%d\nshards=%d\n" format_version shards;
-  close_out oc
-
-let read_meta path =
-  match Fsx.read_file path with
-  | Error m -> Error m
-  | Ok text -> (
-    match String.split_on_char '\n' text with
-    | version :: rest when version = Printf.sprintf "xpiler-store/%d" format_version -> (
-      let shards =
-        List.find_map
-          (fun line ->
-            match String.split_on_char '=' line with
-            | [ "shards"; n ] -> int_of_string_opt n
-            | _ -> None)
-          rest
-      in
-      match shards with
-      | Some n when n > 0 -> Ok n
-      | _ -> Error (path ^ ": missing or invalid shards field"))
-    | v :: _ -> Error (Printf.sprintf "%s: unsupported store format %S" path v)
-    | [] -> Error (path ^ ": empty meta file"))
-
-let open_store ?shards ~dir () =
+let open_store ~dir () =
   match Fsx.mkdir_p dir with
   | exception Unix.Unix_error (e, _, _) ->
     Error (Printf.sprintf "cannot create %s: %s" dir (Unix.error_message e))
   | () ->
-    let meta = meta_file dir in
-    let shard_count =
-      if Sys.file_exists meta then read_meta meta
-      else begin
-        let n = match shards with Some n when n > 0 -> n | _ -> default_shards () in
-        write_meta ~shards:n meta;
-        Ok n
-      end
-    in
-    Result.map
-      (fun shards ->
-        { dir; shards; mutex = Mutex.create (); channels = Array.make shards None })
-      shard_count
+    match Sys.is_directory dir with
+    | true -> Ok { dir; mutex = Mutex.create (); channel = None }
+    | false -> Error (dir ^ ": not a directory")
+    | exception Sys_error m -> Error m
 
-let close_channels_locked t =
-  Array.iteri
-    (fun i oc ->
-      match oc with
-      | Some oc ->
-        close_out_noerr oc;
-        t.channels.(i) <- None
-      | None -> ())
-    t.channels
+let close_locked t =
+  Option.iter close_out_noerr t.channel;
+  t.channel <- None
 
-let close t = Mutex.protect t.mutex (fun () -> close_channels_locked t)
+let close t = Mutex.protect t.mutex (fun () -> close_locked t)
 
 let disk_bytes t =
-  let add acc path = if Sys.file_exists path then acc + (Unix.stat path).Unix.st_size else acc in
-  let acc = ref 0 in
-  for i = 0 to t.shards - 1 do
-    acc := add (add !acc (wal_path t i)) (snap_path t i)
-  done;
-  !acc
+  let path = log_path t in
+  if Sys.file_exists path then (Unix.stat path).Unix.st_size else 0
 
 (* ---- appending (the observer path) --------------------------------------- *)
 
-let shard_of t r = (shard_hash r land max_int) mod t.shards
-
 let append t r =
   let payload = Marshal.to_string r [] in
-  let i = shard_of t r in
   Mutex.protect t.mutex (fun () ->
       let oc =
-        match t.channels.(i) with
+        match t.channel with
         | Some oc -> oc
         | None ->
-          let oc = Wal.open_append ~magic:Wal.wal_magic (wal_path t i) in
-          t.channels.(i) <- Some oc;
+          let oc = Wal.open_append (log_path t) in
+          t.channel <- Some oc;
           oc
       in
       Wal.append oc payload);
   Metrics.inc
-    (match kind_of r with
-    | `Schedule -> m_append_schedule
-    | `Transposition -> m_append_transposition
-    | `Memo -> m_append_memo)
+    (match r with
+    | Schedule _ -> m_append_schedule
+    | Transposition _ -> m_append_transposition
+    | Solver_memo _ -> m_append_memo)
 
 (* ---- loading ------------------------------------------------------------- *)
 
@@ -191,8 +113,7 @@ let total c = c.schedule + c.transposition + c.solver_memo
 
 type load_stats = {
   loaded : counts;
-  torn_tails : int;  (** WAL tails truncated to a valid prefix *)
-  corrupt_snapshots : int;  (** snapshots ignored or cut short; the log still replays *)
+  torn_tails : int;  (** logs cut short or with a corrupt header *)
   dropped : int;  (** checksummed frames whose payload failed to decode *)
 }
 
@@ -203,7 +124,7 @@ let decode payload : record option =
 
 let load ?(db = Schedule_db.default) t =
   let loaded = ref zero_counts and torn_tails = ref 0 in
-  let corrupt_snapshots = ref 0 and dropped = ref 0 in
+  let dropped = ref 0 in
   let apply payload =
     match decode payload with
     | None ->
@@ -222,68 +143,68 @@ let load ?(db = Schedule_db.default) t =
       loaded := { !loaded with solver_memo = !loaded.solver_memo + 1 };
       Metrics.inc m_loaded_memo
   in
+  let count_torn () =
+    incr torn_tails;
+    Metrics.inc m_torn
+  in
   Mutex.protect t.mutex (fun () ->
-      (* reading through live appenders is safe (appends flush whole
-         frames), but reload semantics are clearest from closed files *)
-      close_channels_locked t;
-      for i = 0 to t.shards - 1 do
-        (* snapshot first, then the log: replay order is write order, so
-           Hashtbl.replace in the restores gives last-wins for free *)
-        (match Wal.read ~magic:Wal.snap_magic (snap_path t i) with
-        | Wal.Missing -> ()
-        | Wal.Bad_header ->
-          incr corrupt_snapshots;
-          Metrics.inc m_corrupt_snap
-        | Wal.Data { payloads; torn; _ } ->
-          (* a snapshot is written atomically, so a torn one is corruption,
-             not a crash tail — but its valid prefix is still sound data *)
-          if torn then begin
-            incr corrupt_snapshots;
-            Metrics.inc m_corrupt_snap
-          end;
-          List.iter apply payloads);
-        match Wal.read ~magic:Wal.wal_magic (wal_path t i) with
-        | Wal.Missing -> ()
-        | Wal.Bad_header ->
-          incr torn_tails;
-          Metrics.inc m_torn
-        | Wal.Data { payloads; torn; _ } ->
-          if torn then begin
-            incr torn_tails;
-            Metrics.inc m_torn
-          end;
-          List.iter apply payloads
-      done);
+      (* reading through a live appender is safe (appends flush whole
+         frames), but reload semantics are clearest from a closed file *)
+      close_locked t;
+      (* replay order is write order, so Hashtbl.replace in the restores
+         gives last-wins for free *)
+      match Wal.read (log_path t) with
+      | Wal.Missing -> ()
+      | Wal.Bad_header -> count_torn ()
+      | Wal.Data { payloads; torn; _ } ->
+        if torn then count_torn ();
+        List.iter apply payloads);
   Metrics.set m_bytes (float_of_int (disk_bytes t));
-  { loaded = !loaded; torn_tails = !torn_tails; corrupt_snapshots = !corrupt_snapshots;
-    dropped = !dropped }
+  { loaded = !loaded; torn_tails = !torn_tails; dropped = !dropped }
 
 (* ---- attach/detach (global observer wiring) ------------------------------ *)
 
-let attached : (t * Schedule_db.t) option ref = ref None
+(* an atomic so that, when appends from several domains fail at once,
+   exactly one of them wins the detach and prints the warning *)
+let attached : (t * Schedule_db.t) option Atomic.t = Atomic.make None
 
-let detach () =
-  match !attached with
+let unhook = function
   | None -> ()
   | Some (t, db) ->
     Schedule_db.set_observer db None;
     Transposition.set_observer None;
     Memo.set_observer None;
-    close t;
-    attached := None
+    close t
+
+let detach () = unhook (Atomic.exchange attached None)
 
 let attach ?(db = Schedule_db.default) t =
   detach ();
-  Schedule_db.set_observer db
-    (Some (fun signature entry -> append t (Schedule { signature; entry })));
-  Transposition.set_observer (Some (fun k e -> append t (Transposition (k, e))));
-  Memo.set_observer (Some (fun k e -> append t (Solver_memo (k, e))));
-  attached := Some (t, db)
+  (* the store is a cache: an I/O error on the log detaches it with one
+     warning and leaves the translation that learned the record untouched *)
+  let disable m =
+    let cur = Atomic.get attached in
+    match cur with
+    | Some (t', _) when t' == t && Atomic.compare_and_set attached cur None ->
+      unhook cur;
+      Printf.eprintf "warning: knowledge store disabled: %s: %s\n%!" t.dir m
+    | _ -> ()
+  in
+  let write r =
+    match append t r with
+    | () -> ()
+    | exception Sys_error m -> disable m
+    | exception Unix.Unix_error (e, _, _) -> disable (Unix.error_message e)
+  in
+  Schedule_db.set_observer db (Some (fun signature entry -> write (Schedule { signature; entry })));
+  Transposition.set_observer (Some (fun k e -> write (Transposition (k, e))));
+  Memo.set_observer (Some (fun k e -> write (Solver_memo (k, e))));
+  Atomic.set attached (Some (t, db))
 
-let active () = Option.map fst !attached
+let active () = Option.map fst (Atomic.get attached)
 
 let ensure ?db ~dir () =
-  match !attached with
+  match Atomic.get attached with
   | Some (t, _) when t.dir = dir -> Ok t
   | _ -> (
     match open_store ~dir () with
@@ -322,95 +243,52 @@ let dkey = function
 
 type compact_stats = { records_in : int; records_out : int; bytes : int }
 
-let rm_rf_flat d =
-  (match Sys.readdir d with
-  | names -> Array.iter (fun n -> try Sys.remove (Filename.concat d n) with Sys_error _ -> ()) names
-  | exception Sys_error _ -> ());
-  try Unix.rmdir d with Unix.Unix_error (_, _, _) -> ()
-
 let compact t =
   Mutex.protect t.mutex @@ fun () ->
-  close_channels_locked t;
-  (* scratch-dir + rename: every shard's new snapshot (and fresh empty log)
-     is staged fully, then renamed into place — readers and a crash at any
-     point see either the old pair or the new one, never a half-written
-     file *)
-  let scratch = Filename.concat t.dir (Printf.sprintf "compact.%d" (Unix.getpid ())) in
-  let records_in = ref 0 and records_out = ref 0 in
-  match
-    Fsx.mkdir_p scratch;
-    for i = 0 to t.shards - 1 do
-      let payloads =
-        let from_file magic path =
-          match Wal.read ~magic path with
-          | Wal.Missing | Wal.Bad_header -> []
-          | Wal.Data { payloads; _ } -> payloads
-        in
-        from_file Wal.snap_magic (snap_path t i) @ from_file Wal.wal_magic (wal_path t i)
-      in
-      records_in := !records_in + List.length payloads;
-      (* last-wins dedup, output in first-seen order (deterministic given
-         the file contents); undecodable payloads are dropped here — this
-         is where a store heals *)
-      let latest : string DTbl.t = DTbl.create 256 in
-      let order = ref [] in
-      List.iter
-        (fun payload ->
-          match decode payload with
-          | None -> ()
-          | Some r ->
-            let k = dkey r in
-            if not (DTbl.mem latest k) then order := k :: !order;
-            DTbl.replace latest k payload)
-        payloads;
-      let scratch_snap = Filename.concat scratch (Printf.sprintf "shard-%03d.snap" i) in
-      let scratch_wal = Filename.concat scratch (Printf.sprintf "shard-%03d.wal" i) in
-      let oc = open_out_bin scratch_snap in
-      output_string oc Wal.snap_magic;
-      List.iter
-        (fun k ->
-          incr records_out;
-          output_string oc (Wal.frame (DTbl.find latest k)))
-        (List.rev !order);
-      close_out oc;
-      Wal.create ~magic:Wal.wal_magic scratch_wal
-    done;
-    (* flip: snapshot before log per shard, so a crash in between leaves
-       the old log alongside the new snapshot — replaying both is merely
-       idempotent (same keys, same final entries), never lossy *)
-    for i = 0 to t.shards - 1 do
-      Sys.rename (Filename.concat scratch (Printf.sprintf "shard-%03d.snap" i)) (snap_path t i);
-      Sys.rename (Filename.concat scratch (Printf.sprintf "shard-%03d.wal" i)) (wal_path t i)
-    done
-  with
+  close_locked t;
+  let payloads =
+    match Wal.read (log_path t) with
+    | Wal.Missing | Wal.Bad_header -> []
+    | Wal.Data { payloads; _ } -> payloads
+  in
+  (* last-wins dedup, output in first-seen order (deterministic given the
+     file contents); undecodable payloads are dropped here — this is where
+     a store heals *)
+  let latest : string DTbl.t = DTbl.create 256 in
+  let order = ref [] in
+  List.iter
+    (fun payload ->
+      match decode payload with
+      | None -> ()
+      | Some r ->
+        let k = dkey r in
+        if not (DTbl.mem latest k) then order := k :: !order;
+        DTbl.replace latest k payload)
+    payloads;
+  let kept = List.rev_map (DTbl.find latest) !order in
+  (* a rename of one file is atomic: a crash leaves the old log or the
+     compacted one *)
+  match Wal.write_atomic (log_path t) kept with
   | () ->
-    rm_rf_flat scratch;
     Metrics.inc m_compactions;
     let bytes = disk_bytes t in
     Metrics.set m_bytes (float_of_int bytes);
-    Ok { records_in = !records_in; records_out = !records_out; bytes }
-  | exception Sys_error m ->
-    rm_rf_flat scratch;
-    Error ("compaction failed: " ^ m)
-  | exception Unix.Unix_error (e, fn, _) ->
-    rm_rf_flat scratch;
-    Error (Printf.sprintf "compaction failed: %s: %s" fn (Unix.error_message e))
+    Ok { records_in = List.length payloads; records_out = List.length kept; bytes }
+  | exception Sys_error m -> Error ("compaction failed: " ^ m)
 
 (* ---- stats / maintenance (the [xpiler store] subcommand) ----------------- *)
 
 type info = {
   info_dir : string;
-  info_shards : int;
-  snapshot_records : counts;
-  wal_records : counts;
+  records : counts;
   bytes : int;
-  damaged : bool;  (** any torn tail or corrupt header seen *)
+  damaged : bool;  (** a torn tail, corrupt header or undecodable frame seen *)
 }
 
 let scan t =
   let damaged = ref false in
-  let count magic path =
-    match Wal.read ~magic path with
+  let records =
+    match Wal.read (log_path t) with
     | Wal.Missing -> zero_counts
     | Wal.Bad_header ->
       damaged := true;
@@ -428,37 +306,20 @@ let scan t =
             c)
         zero_counts payloads
   in
-  let add a b =
-    { schedule = a.schedule + b.schedule;
-      transposition = a.transposition + b.transposition;
-      solver_memo = a.solver_memo + b.solver_memo
-    }
-  in
-  let snap = ref zero_counts and wal = ref zero_counts in
-  for i = 0 to t.shards - 1 do
-    snap := add !snap (count Wal.snap_magic (snap_path t i));
-    wal := add !wal (count Wal.wal_magic (wal_path t i))
-  done;
-  { info_dir = t.dir; info_shards = t.shards; snapshot_records = !snap; wal_records = !wal;
-    bytes = disk_bytes t; damaged = !damaged }
+  { info_dir = t.dir; records; bytes = disk_bytes t; damaged = !damaged }
 
 let clear_files t =
   Mutex.protect t.mutex @@ fun () ->
-  close_channels_locked t;
-  let removed = ref 0 in
-  for i = 0 to t.shards - 1 do
-    let snap = snap_path t i and wal = wal_path t i in
-    if Sys.file_exists snap then begin
-      (try Sys.remove snap with Sys_error _ -> ());
-      incr removed
-    end;
-    if Sys.file_exists wal then begin
-      (try Sys.remove wal with Sys_error _ -> ());
-      incr removed
-    end
-  done;
+  close_locked t;
+  let log = log_path t in
+  let removed =
+    List.length
+      (List.filter
+         (fun path -> match Sys.remove path with () -> true | exception Sys_error _ -> false)
+         [ log; log ^ ".tmp" ])
+  in
   Metrics.set m_bytes 0.0;
-  !removed
+  removed
 
 (* ---- fingerprinting (determinism tests) ---------------------------------- *)
 

@@ -3,11 +3,10 @@
 
 type read = Missing | Bad_header | Data of { payloads : string list; valid_len : int; torn : bool }
 
-(* 8-byte magics so a header read is one fixed-size input *)
-let wal_magic = "XPWAL01\n"
-let snap_magic = "XPSNAP1\n"
-let magic_len = 8
-let () = assert (String.length wal_magic = magic_len && String.length snap_magic = magic_len)
+(* 8 bytes so a header read is one fixed-size input; bump the digit when
+   the record encoding changes, and old files read as [Bad_header] *)
+let magic = "XPWAL02\n"
+let magic_len = String.length magic
 
 (* FNV-1a, 32-bit: cheap, endian-free, and plenty to reject a torn or
    bit-flipped frame (we never unmarshal a payload that fails it) *)
@@ -47,7 +46,7 @@ let append oc payload =
    kernel/problem record comes anywhere near it *)
 let max_frame = 64 * 1024 * 1024
 
-let read ~magic path =
+let read path =
   if not (Sys.file_exists path) then Missing
   else begin
     match Xpiler_util.Fsx.read_file path with
@@ -81,18 +80,23 @@ let truncate path len =
   let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
   Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.ftruncate fd len)
 
-let create ~magic path =
-  let oc = open_out_bin path in
-  output_string oc magic;
-  close_out oc
+let write_atomic path payloads =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc magic;
+      List.iter (fun p -> output_string oc (frame p)) payloads;
+      close_out oc);
+  Sys.rename tmp path
 
 (* Open for appending, repairing first: a torn tail is truncated back to
    the valid prefix (otherwise frames appended after the garbage would be
    unreachable), and an unreadable header means the file is rewritten
    empty. Returns the channel positioned at the end of the valid data. *)
-let open_append ~magic path =
-  (match read ~magic path with
-  | Missing -> create ~magic path
-  | Bad_header -> create ~magic path
+let open_append path =
+  (match read path with
+  | Missing | Bad_header -> write_atomic path []
   | Data { valid_len; torn; _ } -> if torn then truncate path valid_len);
   open_out_gen [ Open_wronly; Open_creat; Open_append; Open_binary ] 0o644 path

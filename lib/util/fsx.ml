@@ -16,6 +16,8 @@ let read_file path =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
+        (* [in_channel_length] raises on a directory, which opens fine *)
         match really_input_string ic (in_channel_length ic) with
         | s -> Ok s
-        | exception End_of_file -> Error (path ^ ": truncated while reading"))
+        | exception End_of_file -> Error (path ^ ": truncated while reading")
+        | exception Sys_error m -> Error (path ^ ": " ^ m))

@@ -16,4 +16,5 @@ val mkdir_p : string -> unit
 
 val read_file : string -> (string, string) result
 (** Whole file as a string (binary mode); [Error] carries the failing path
-    and reason. *)
+    and reason. Never raises: every [Sys_error] (a missing file, a
+    directory, an I/O error) is an [Error]. *)

@@ -1,12 +1,14 @@
-(* Durable-store guarantees: a record stream appended to the write-ahead
-   log replays back into the in-memory tables bit-for-bit, effect receipts
-   included (QCheck property); a torn tail loads as the valid prefix and is
-   repaired before the next append; a corrupt snapshot degrades to a
-   log-only rebuild, never an error; compaction preserves content exactly
-   while emptying the logs; and tuned translations run on the domain pool
-   give the same results, stable metrics and persisted state at any job
-   count. `dune build @store` runs just this suite;
-   it is also attached to `dune runtest`. *)
+(* Durable-store guarantees: a record stream appended to the log replays
+   back into the in-memory tables bit-for-bit, effect receipts included
+   (QCheck property); compaction preserves content exactly while keeping
+   one record per key; a torn tail loads as the valid prefix and is
+   repaired before the next append; a corrupt frame cuts the log at that
+   frame and a corrupt header loads nothing, never an error; a failing
+   append detaches the store without raising; a leftover compaction file
+   is never read; and tuned translations run on the domain pool give the
+   same results, stable metrics and persisted state at any job count.
+   `dune build @store` runs just this suite; it is also attached to
+   `dune runtest`. *)
 
 open Xpiler_machine
 open Xpiler_ir
@@ -136,13 +138,13 @@ let load_fresh store =
 let prop_roundtrip seed =
   let rng = Rng.create seed in
   let records = gen_records rng (1 + Rng.int rng 40) in
-  let store = ok_exn (Store.open_store ~shards:3 ~dir:(fresh_dir ()) ()) in
+  let store = ok_exn (Store.open_store ~dir:(fresh_dir ()) ()) in
   List.iter (Store.append store) records;
   let exp = expected records in
   (* replay reconstructs the tables bit-for-bit, receipts included *)
   let db, stats = load_fresh store in
-  if stats.Store.torn_tails <> 0 || stats.Store.corrupt_snapshots <> 0 || stats.Store.dropped <> 0
-  then QCheck.Test.fail_report "clean store reported damage";
+  if stats.Store.torn_tails <> 0 || stats.Store.dropped <> 0 then
+    QCheck.Test.fail_report "clean store reported damage";
   if Store.total stats.Store.loaded <> List.length records then
     QCheck.Test.fail_report "replay count mismatch";
   if dump_tables db <> exp then QCheck.Test.fail_report "replayed tables differ from the stream";
@@ -150,18 +152,18 @@ let prop_roundtrip seed =
   let fp1 = Store.fingerprint ~db () in
   let db2, _ = load_fresh store in
   if Store.fingerprint ~db:db2 () <> fp1 then QCheck.Test.fail_report "reload changed fingerprint";
-  (* compaction folds the stream into a snapshot without changing content *)
+  (* compaction keeps one record per key without changing content *)
   let cs = ok_exn (Store.compact store) in
   if cs.Store.records_in <> List.length records then
     QCheck.Test.fail_report "compaction lost input records";
   let db3, stats3 = load_fresh store in
   if Store.total stats3.Store.loaded <> cs.Store.records_out then
-    QCheck.Test.fail_report "snapshot replay count differs from compaction output";
+    QCheck.Test.fail_report "compacted replay count differs from compaction output";
   if dump_tables db3 <> exp then QCheck.Test.fail_report "compaction changed table contents";
   if Store.fingerprint ~db:db3 () <> fp1 then
     QCheck.Test.fail_report "compaction changed fingerprint";
   let info = Store.scan store in
-  Store.total info.Store.wal_records = 0 && not info.Store.damaged
+  Store.total info.Store.records = cs.Store.records_out && not info.Store.damaged
 
 let roundtrip_test =
   QCheck_alcotest.to_alcotest
@@ -185,11 +187,11 @@ let test_torn_tail () =
   let rng = Rng.create 42 in
   let records = gen_records rng 8 in
   let dir = fresh_dir () in
-  let store = ok_exn (Store.open_store ~shards:1 ~dir ()) in
+  let store = ok_exn (Store.open_store ~dir ()) in
   List.iter (Store.append store) records;
   Store.close store;
   (* crash mid-append: cut into the last frame *)
-  let wal = Filename.concat dir "shard-000.wal" in
+  let wal = Filename.concat dir "store.wal" in
   let size = (Unix.stat wal).Unix.st_size in
   Wal.truncate wal (size - 3);
   let db, stats = load_fresh store in
@@ -206,34 +208,54 @@ let test_torn_tail () =
   Alcotest.(check bool) "repaired contents exact" true
     (dump_tables db2 = expected (prefix @ [ extra ]))
 
-(* ---- snapshot corruption -------------------------------------------------- *)
+(* ---- frame and header corruption ---------------------------------------- *)
 
-let test_corrupt_snapshot () =
+let test_corrupt_frame () =
   let rng = Rng.create 7 in
-  let before = gen_records rng 6 in
+  let records = gen_records rng 6 in
   let dir = fresh_dir () in
-  let store = ok_exn (Store.open_store ~shards:1 ~dir ()) in
-  List.iter (Store.append store) before;
-  let cs = ok_exn (Store.compact store) in
-  let after = gen_records rng 3 in
-  List.iter (Store.append store) after;
+  let store = ok_exn (Store.open_store ~dir ()) in
+  List.iter (Store.append store) records;
   Store.close store;
-  let snap = Filename.concat dir "shard-000.snap" in
-  (* a flipped payload byte cuts the snapshot short at that frame; the
-     valid prefix and the whole log still replay *)
-  flip_byte snap ((Unix.stat snap).Unix.st_size - 1);
-  let _db, stats = load_fresh store in
-  Alcotest.(check int) "snapshot counted corrupt" 1 stats.Store.corrupt_snapshots;
-  Alcotest.(check int) "valid snapshot prefix plus the whole log"
-    (cs.Store.records_out - 1 + 3)
-    (Store.total stats.Store.loaded);
-  (* a smashed header drops the snapshot entirely: the store degrades to
-     exactly what the log holds *)
-  flip_byte snap 0;
+  let wal = Filename.concat dir "store.wal" in
+  (* a flipped payload byte fails that frame's checksum: the log loads as
+     the frames before it *)
+  flip_byte wal ((Unix.stat wal).Unix.st_size - 1);
+  let db, stats = load_fresh store in
+  Alcotest.(check int) "cut counted" 1 stats.Store.torn_tails;
+  Alcotest.(check int) "valid prefix replayed" 5 (Store.total stats.Store.loaded);
+  Alcotest.(check bool) "prefix contents exact" true
+    (dump_tables db = expected (List.filteri (fun i _ -> i < 5) records));
+  (* a smashed header leaves no valid prefix: the store loads empty *)
+  flip_byte wal 0;
   let db2, stats2 = load_fresh store in
-  Alcotest.(check int) "header corruption counted" 1 stats2.Store.corrupt_snapshots;
-  Alcotest.(check int) "only the log replays" 3 (Store.total stats2.Store.loaded);
-  Alcotest.(check bool) "rebuilt from log exactly" true (dump_tables db2 = expected after)
+  Alcotest.(check int) "header corruption counted" 1 stats2.Store.torn_tails;
+  Alcotest.(check int) "nothing replays" 0 (Store.total stats2.Store.loaded);
+  Alcotest.(check bool) "tables empty" true (dump_tables db2 = ([], [], []))
+
+(* ---- interrupted compaction ----------------------------------------------- *)
+
+let test_leftover_compaction_file () =
+  let rng = Rng.create 5 in
+  let records = gen_records rng 6 in
+  let dir = fresh_dir () in
+  let store = ok_exn (Store.open_store ~dir ()) in
+  List.iter (Store.append store) records;
+  Store.close store;
+  (* a crash before the rename leaves the new log half-written beside the
+     old one *)
+  let tmp = Filename.concat dir "store.wal.tmp" in
+  let oc = open_out_bin tmp in
+  output_string oc (Wal.magic ^ "half a frame");
+  close_out oc;
+  let db, stats = load_fresh store in
+  Alcotest.(check int) "the log alone replays" 6 (Store.total stats.Store.loaded);
+  Alcotest.(check int) "no damage seen" 0 stats.Store.torn_tails;
+  Alcotest.(check bool) "contents exact" true (dump_tables db = expected records);
+  ignore (ok_exn (Store.compact store));
+  Alcotest.(check bool) "compaction consumed the leftover" false (Sys.file_exists tmp);
+  let db2, _ = load_fresh store in
+  Alcotest.(check bool) "compacted contents exact" true (dump_tables db2 = expected records)
 
 (* ---- write-through attachment --------------------------------------------- *)
 
@@ -253,19 +275,37 @@ let test_attach_write_through () =
     { Memo.payload = Memo.Outcome Problem.Unsat; stats = { Problem.steps = 5; evals = 9 } };
   Store.detach ();
   let info = Store.scan store in
-  Alcotest.(check int) "schedule record persisted" 1 info.Store.wal_records.Store.schedule;
-  Alcotest.(check int) "transposition record persisted" 1 info.Store.wal_records.Store.transposition;
-  Alcotest.(check int) "memo record persisted" 1 info.Store.wal_records.Store.solver_memo;
+  Alcotest.(check int) "schedule record persisted" 1 info.Store.records.Store.schedule;
+  Alcotest.(check int) "transposition record persisted" 1 info.Store.records.Store.transposition;
+  Alcotest.(check int) "memo record persisted" 1 info.Store.records.Store.solver_memo;
   (* detached: fresh learning no longer streams to the log *)
   Transposition.store ~platform:pid ~budget:9 ~prune:true ~compose:true kernel
     { Transposition.reward = 1.0; evaluated = 1; pruned = 0 };
   Alcotest.(check int) "no append after detach" 3
-    (Store.total (Store.scan store).Store.wal_records);
+    (Store.total (Store.scan store).Store.records);
   (* ensure is idempotent: same dir, same attachment *)
   let t1 = ok_exn (Store.ensure ~db ~dir ()) in
   let t2 = ok_exn (Store.ensure ~db ~dir ()) in
   Alcotest.(check bool) "ensure is idempotent" true (t1 == t2);
   Store.detach ()
+
+let test_failing_append_detaches () =
+  let dir = fresh_dir () in
+  let store = ok_exn (Store.open_store ~dir ()) in
+  (* a directory where the log should be: every append fails *)
+  Unix.mkdir (Filename.concat dir "store.wal") 0o755;
+  let db = Schedule_db.create () in
+  clear_tables ();
+  Store.attach ~db store;
+  let kernel = gen_kernel (Rng.create 13) in
+  let entry = { Transposition.reward = 1.5; evaluated = 3; pruned = 1 } in
+  Transposition.store ~platform:pid ~budget:8 ~prune:true ~compose:true kernel entry;
+  Alcotest.(check bool) "detached" true (Store.active () = None);
+  let _, trans, _ = dump_tables db in
+  Alcotest.(check int) "the in-memory table kept the entry" 1 (List.length trans);
+  (* detached: later learning no longer reaches the store *)
+  Transposition.store ~platform:pid ~budget:9 ~prune:true ~compose:true kernel entry;
+  Alcotest.(check bool) "still detached" true (Store.active () = None)
 
 (* ---- parallel translations: jobs=1 vs jobs=4 ------------------------------
 
@@ -342,10 +382,14 @@ let () =
     [ ( "wal",
         [ roundtrip_test;
           Alcotest.test_case "torn tail is a valid prefix" `Quick test_torn_tail;
-          Alcotest.test_case "corrupt snapshot rebuilt from log" `Quick test_corrupt_snapshot
+          Alcotest.test_case "corrupt frame cuts the log" `Quick test_corrupt_frame;
+          Alcotest.test_case "leftover compaction file is ignored" `Quick
+            test_leftover_compaction_file
         ] );
       ( "wiring",
-        [ Alcotest.test_case "attach write-through" `Quick test_attach_write_through ] );
+        [ Alcotest.test_case "attach write-through" `Quick test_attach_write_through;
+          Alcotest.test_case "failing append detaches" `Quick test_failing_append_detaches
+        ] );
       ( "determinism",
         [ Alcotest.test_case "parallel translations jobs=1 = jobs=4" `Slow
             test_parallel_translations_deterministic
