@@ -10,7 +10,10 @@
    it cross-checks that both engines produce identical outputs before
    timing them, and fails when the serial gemm kernel allocates more than
    [gemm_words_per_step_limit] minor words per executed statement on the
-   compiled engine (its accumulator loop must stay unboxed). *)
+   compiled engine (its accumulator loop must stay unboxed), or when the
+   compiled engine is less than [speedup_limit] times faster than the
+   tree-walker on gemm or self_attention (their innermost loops must stay
+   lowered to one OCaml loop each). *)
 
 open Xpiler_machine
 open Xpiler_ops
@@ -34,6 +37,8 @@ type row = {
 }
 
 let gemm_words_per_step_limit = 1.0
+let speedup_limit = 20.0
+let speedup_gated = [ "gemm"; "self_attention" ]
 
 let elems (s : Interp.stats) = s.stores + s.intrinsic_elems + s.memcpy_elems
 
@@ -124,6 +129,16 @@ let () =
       gemm.words_per_step gemm_words_per_step_limit;
     exit 1
   end;
+  List.iter
+    (fun r ->
+      if List.mem r.op_name speedup_gated && r.speedup < speedup_limit then begin
+        Printf.eprintf
+          "speedup gate: %s runs %.1fx faster compiled than tree-walked (limit %.0fx); are its \
+           innermost loops still lowered?\n"
+          r.op_name r.speedup speedup_limit;
+        exit 1
+      end)
+    rows;
   let geomean xs =
     exp (List.fold_left (fun a x -> a +. log x) 0.0 xs /. float_of_int (List.length xs))
   in

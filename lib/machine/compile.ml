@@ -4,7 +4,16 @@ open Xpiler_ir
    slot-indexed frames (arrays, not assoc lists). The runtime pieces shared
    with the tree-walking reference interpreter — value/stat types, scalar
    operator semantics, intrinsic semantics, the barrier effect and fiber
-   scheduler — live here so both engines agree by construction. *)
+   scheduler — live here so both engines agree by construction.
+
+   The unit of work is the statement, except in an innermost loop: a loop
+   whose body is one float store or one float-slot update over indices
+   affine in its counter is also compiled to one OCaml [for] loop (see
+   [lower_loop]). That loop runs only when a check at loop entry proves
+   that no iteration can fail: no store trace hook, enough fuel for every
+   iteration, float tensors, and every index of every iteration in range.
+   Otherwise the per-element closures run, so outputs, error messages, fuel
+   exhaustion and step counts are those of the statement-at-a-time engine. *)
 
 exception Runtime_error of string
 
@@ -170,75 +179,148 @@ let run_fiber_group fibers =
 
 (* ---- intrinsic semantics (shared by both engines) ---------------------- *)
 
-let intrinsic_exec stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~srcs ~params ~fparam =
+(* Operands live in slots the caller owns: source [n] is [srcs.(n) = (b,
+   nm, o)], the tensor [bufs.(b)] named [nm] at offset [ints.(o)], and
+   parameter [n] is [ints.(params.(n))]. The compiled engine points them
+   into its frame, so an execution builds no operand arrays. [fparam env]
+   evaluates the second parameter as a float. Each elementwise op is its
+   own loop: without flambda a float closure called per element boxes. *)
+let intrinsic_run stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~bufs ~ints ~srcs ~params
+    ~fparam env =
   let src n =
-    if n < Array.length srcs then srcs.(n) else err "intrinsic %s: missing source %d" name n
+    if n < Array.length srcs then Array.unsafe_get srcs n
+    else err "intrinsic %s: missing source %d" name n
   in
   let param n =
-    if n < Array.length params then params.(n)
+    if n < Array.length params then ints.(params.(n))
     else err "intrinsic %s: missing parameter %d" name n
   in
-  let map2 f =
-    let len = param 0 in
-    let at, an, ao = src 0 in
-    let bt, bn, bo = src 1 in
-    for k = 0 to len - 1 do
-      buf_set dst_t dname (dst_off + k) (f (buf_get at an (ao + k)) (buf_get bt bn (bo + k)))
-    done;
-    stats.intrinsic_elems <- stats.intrinsic_elems + len
-  in
-  let map1 f =
-    let len = param 0 in
-    let at, an, ao = src 0 in
-    for k = 0 to len - 1 do
-      buf_set dst_t dname (dst_off + k) (f (buf_get at an (ao + k)))
-    done;
-    stats.intrinsic_elems <- stats.intrinsic_elems + len
-  in
+  let tensor (b, _, _) = bufs.(b) and offset (_, _, o) = ints.(o) in
   match op with
-  | Vec_add -> map2 ( +. )
-  | Vec_sub -> map2 ( -. )
-  | Vec_mul -> map2 ( *. )
-  | Vec_max -> map2 Float.max
-  | Vec_min -> map2 Float.min
-  | Vec_exp -> map1 exp
-  | Vec_log -> map1 log
-  | Vec_sqrt -> map1 sqrt
-  | Vec_recip -> map1 (fun x -> 1.0 /. x)
-  | Vec_tanh -> map1 tanh
-  | Vec_erf -> map1 erf_approx
-  | Vec_relu -> map1 (fun x -> Float.max x 0.0)
-  | Vec_sigmoid -> map1 (fun x -> 1.0 /. (1.0 +. exp (-.x)))
-  | Vec_gelu -> map1 (fun x -> 0.5 *. x *. (1.0 +. erf_approx (x *. 0.7071067811865476)))
-  | Vec_sign -> map1 (fun x -> if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0)
-  | Vec_copy -> map1 Fun.id
+  | Vec_add | Vec_sub | Vec_mul | Vec_max | Vec_min ->
+    let len = param 0 in
+    let ((_, an, _) as a) = src 0 in
+    let ((_, bn, _) as b) = src 1 in
+    let at = tensor a and ao = offset a and bt = tensor b and bo = offset b in
+    (* the second operand is read first: when both reads are out of
+       bounds, the error names the second *)
+    (match op with
+    | Vec_add ->
+      for k = 0 to len - 1 do
+        let y = buf_get bt bn (bo + k) in
+        let x = buf_get at an (ao + k) in
+        buf_set dst_t dname (dst_off + k) (x +. y)
+      done
+    | Vec_sub ->
+      for k = 0 to len - 1 do
+        let y = buf_get bt bn (bo + k) in
+        let x = buf_get at an (ao + k) in
+        buf_set dst_t dname (dst_off + k) (x -. y)
+      done
+    | Vec_mul ->
+      for k = 0 to len - 1 do
+        let y = buf_get bt bn (bo + k) in
+        let x = buf_get at an (ao + k) in
+        buf_set dst_t dname (dst_off + k) (x *. y)
+      done
+    | Vec_max ->
+      for k = 0 to len - 1 do
+        let y = buf_get bt bn (bo + k) in
+        let x = buf_get at an (ao + k) in
+        buf_set dst_t dname (dst_off + k) (Float.max x y)
+      done
+    | _ ->
+      for k = 0 to len - 1 do
+        let y = buf_get bt bn (bo + k) in
+        let x = buf_get at an (ao + k) in
+        buf_set dst_t dname (dst_off + k) (Float.min x y)
+      done);
+    stats.intrinsic_elems <- stats.intrinsic_elems + len
+  | Vec_exp | Vec_log | Vec_sqrt | Vec_recip | Vec_tanh | Vec_erf | Vec_relu | Vec_sigmoid
+  | Vec_gelu | Vec_sign | Vec_copy ->
+    let len = param 0 in
+    let ((_, an, _) as a) = src 0 in
+    let at = tensor a and ao = offset a in
+    (match op with
+    | Vec_exp ->
+      for k = 0 to len - 1 do
+        buf_set dst_t dname (dst_off + k) (exp (buf_get at an (ao + k)))
+      done
+    | Vec_log ->
+      for k = 0 to len - 1 do
+        buf_set dst_t dname (dst_off + k) (log (buf_get at an (ao + k)))
+      done
+    | Vec_sqrt ->
+      for k = 0 to len - 1 do
+        buf_set dst_t dname (dst_off + k) (sqrt (buf_get at an (ao + k)))
+      done
+    | Vec_recip ->
+      for k = 0 to len - 1 do
+        buf_set dst_t dname (dst_off + k) (1.0 /. buf_get at an (ao + k))
+      done
+    | Vec_tanh ->
+      for k = 0 to len - 1 do
+        buf_set dst_t dname (dst_off + k) (tanh (buf_get at an (ao + k)))
+      done
+    | Vec_erf ->
+      for k = 0 to len - 1 do
+        buf_set dst_t dname (dst_off + k) (erf_approx (buf_get at an (ao + k)))
+      done
+    | Vec_relu ->
+      for k = 0 to len - 1 do
+        buf_set dst_t dname (dst_off + k) (Float.max (buf_get at an (ao + k)) 0.0)
+      done
+    | Vec_sigmoid ->
+      for k = 0 to len - 1 do
+        buf_set dst_t dname (dst_off + k) (1.0 /. (1.0 +. exp (-.buf_get at an (ao + k))))
+      done
+    | Vec_gelu ->
+      for k = 0 to len - 1 do
+        let x = buf_get at an (ao + k) in
+        buf_set dst_t dname (dst_off + k)
+          (0.5 *. x *. (1.0 +. erf_approx (x *. 0.7071067811865476)))
+      done
+    | Vec_sign ->
+      for k = 0 to len - 1 do
+        let x = buf_get at an (ao + k) in
+        buf_set dst_t dname (dst_off + k)
+          (if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0)
+      done
+    | _ ->
+      for k = 0 to len - 1 do
+        buf_set dst_t dname (dst_off + k) (buf_get at an (ao + k))
+      done);
+    stats.intrinsic_elems <- stats.intrinsic_elems + len
   | Vec_scale ->
     (* the scalar parameter may be float-valued: re-evaluated via [fparam] *)
     let len = param 0 in
-    let s = fparam () in
-    let at, an, ao = src 0 in
+    let s = fparam env in
+    let ((_, an, _) as a) = src 0 in
+    let at = tensor a and ao = offset a in
     for k = 0 to len - 1 do
       buf_set dst_t dname (dst_off + k) (buf_get at an (ao + k) *. s)
     done;
     stats.intrinsic_elems <- stats.intrinsic_elems + len
   | Vec_adds ->
     let len = param 0 in
-    let s = fparam () in
-    let at, an, ao = src 0 in
+    let s = fparam env in
+    let ((_, an, _) as a) = src 0 in
+    let at = tensor a and ao = offset a in
     for k = 0 to len - 1 do
       buf_set dst_t dname (dst_off + k) (buf_get at an (ao + k) +. s)
     done;
     stats.intrinsic_elems <- stats.intrinsic_elems + len
   | Vec_fill ->
     let len = param 0 in
-    let s = fparam () in
+    let s = fparam env in
     for k = 0 to len - 1 do
       buf_set dst_t dname (dst_off + k) s
     done;
     stats.intrinsic_elems <- stats.intrinsic_elems + len
   | Vec_reduce_sum ->
     let len = param 0 in
-    let at, an, ao = src 0 in
+    let ((_, an, _) as a) = src 0 in
+    let at = tensor a and ao = offset a in
     let acc = ref 0.0 in
     for k = 0 to len - 1 do
       acc := !acc +. buf_get at an (ao + k)
@@ -248,7 +330,8 @@ let intrinsic_exec stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~srcs ~p
   | Vec_reduce_max ->
     let len = param 0 in
     if len <= 0 then err "vec_reduce_max: empty input";
-    let at, an, ao = src 0 in
+    let ((_, an, _) as a) = src 0 in
+    let at = tensor a and ao = offset a in
     let acc = ref (buf_get at an ao) in
     for k = 1 to len - 1 do
       acc := Float.max !acc (buf_get at an (ao + k))
@@ -257,8 +340,9 @@ let intrinsic_exec stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~srcs ~p
     stats.intrinsic_elems <- stats.intrinsic_elems + len
   | Mma | Mlp ->
     let m = param 0 and k = param 1 and n = param 2 in
-    let at, an, ao = src 0 in
-    let bt, bn, bo = src 1 in
+    let ((_, an, _) as a) = src 0 in
+    let ((_, bn, _) as b) = src 1 in
+    let at = tensor a and ao = offset a and bt = tensor b and bo = offset b in
     for r = 0 to m - 1 do
       for c = 0 to n - 1 do
         let acc = ref (buf_get dst_t dname (dst_off + (r * n) + c)) in
@@ -274,8 +358,9 @@ let intrinsic_exec stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~srcs ~p
     let co = param 0 and ci = param 1 and kh = param 2 and kw = param 3 in
     let ho = param 4 and wo = param 5 and stride = param 6 in
     let wi = ((wo - 1) * stride) + kw in
-    let it, iname, io = src 0 in
-    let wt, wname, wo_ = src 1 in
+    let ((_, iname, _) as i) = src 0 in
+    let ((_, wname, _) as w) = src 1 in
+    let it = tensor i and io = offset i and wt = tensor w and wo_ = offset w in
     for oh = 0 to ho - 1 do
       for ow = 0 to wo - 1 do
         for oc = 0 to co - 1 do
@@ -300,8 +385,9 @@ let intrinsic_exec stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~srcs ~p
   | Dp4a ->
     let len = param 0 in
     if len mod 4 <> 0 then err "dp4a: length %d not a multiple of 4" len;
-    let at, an, ao = src 0 in
-    let bt, bn, bo = src 1 in
+    let ((_, an, _) as a) = src 0 in
+    let ((_, bn, _) as b) = src 1 in
+    let at = tensor a and ao = offset a and bt = tensor b and bo = offset b in
     for g = 0 to (len / 4) - 1 do
       let acc = ref (buf_get dst_t dname (dst_off + g)) in
       for j = 0 to 3 do
@@ -312,6 +398,16 @@ let intrinsic_exec stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~srcs ~p
       buf_set dst_t dname (dst_off + g) !acc
     done;
     stats.intrinsic_elems <- stats.intrinsic_elems + len
+
+(* [intrinsic_run] over operands the caller evaluated into arrays *)
+let intrinsic_exec stats ~name ~op ~dst_t ~dname ~dst_off ~srcs ~params ~fparam =
+  let ns = Array.length srcs in
+  intrinsic_run stats ~name ~op ~dst_t ~dname ~dst_off
+    ~bufs:(Array.map (fun (t, _, _) -> t) srcs)
+    ~ints:(Array.append (Array.map (fun (_, _, o) -> o) srcs) params)
+    ~srcs:(Array.mapi (fun n (_, nm, _) -> (n, nm, n)) srcs)
+    ~params:(Array.init (Array.length params) (fun n -> ns + n))
+    ~fparam ()
 
 (* ---- profiling --------------------------------------------------------- *)
 
@@ -373,9 +469,206 @@ type t = {
    which licenses the unboxed float path. *)
 type sref = Boxed of int | Fslot of int | Unboxed of int
 
-type cenv = { svars : (string * sref) list; bvars : (string * int) list }
+(* [idx] holds index closures already compiled for the statement being
+   compiled, keyed by the physical index expression: a lowered loop's fast
+   path and its per-element fallback share them (see [lower_loop]) *)
+type cenv = {
+  svars : (string * sref) list;
+  bvars : (string * int) list;
+  idx : (Expr.t * (frame -> int)) list;
+}
 
 let dummy_tensor = Tensor.create 0
+
+(* ---- lowered innermost loops ------------------------------------------- *)
+
+(* One buffer access of a lowered loop body: its index is affine in the loop
+   counter, so at loop entry [index] is evaluated at [lo] and [lo + 1] into the
+   int slots [base] and [stride], and iteration [k] touches element [base +
+   stride * k] of the tensor in buffer slot [slot]. *)
+type access = { slot : int; index : frame -> int; base : int; stride : int }
+
+(* A lowered float expression in postfix order, evaluated on a stack of
+   float slots: loads, literals and loop-invariant float slots are pushed;
+   the operators replace their operands with the result. [Push_op2] pushes
+   [op] applied to two loads, the shape of most lowered stores
+   ([t[p] = a[p] * b[p]], [x[0] = x[0] + y[p]]), in one dispatch. *)
+type fop =
+  | Push_const of float
+  | Push_slot of int
+  | Push_load of access
+  | Push_op2 of Expr.binop * access * access
+  | Apply2 of Expr.binop
+  | Apply1 of Expr.unop
+
+let[@inline] binop_float (op : Expr.binop) x y =
+  match op with
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | Min -> Float.min x y
+  | Max -> Float.max x y
+  | Mod | Eq | Ne | Lt | Le | Gt | Ge | And | Or -> assert false
+
+(* every one of [ext] elements [first + stride * k] lies in [0, len), decided
+   without the overflow [first + stride * (ext - 1)] could hit *)
+let span_ok first stride ext len =
+  first >= 0
+  && first < len
+  && (stride = 0
+     || if stride > 0 then ext - 1 <= (len - 1 - first) / stride else ext - 1 <= first / -stride)
+
+(* The loop-entry preconditions of a lowered loop over [lo, lo + ext) with
+   counter slot [s]: no store trace hook, the whole loop within the fuel,
+   float tensors, and every access of every iteration in range. Probing the
+   indices writes the counter slot, which the per-element loop rewrites
+   before it reads it; nothing else changes until this returns [true]. *)
+let ready (ctx : ctx) fr s lo ext (accs : access array) =
+  Option.is_none ctx.trace
+  && ext >= 1
+  && lo + (ext - 1) >= lo
+  && ext <= ctx.fuel - ctx.stats.steps
+  && begin
+    let ints = fr.ints and n = Array.length accs in
+    let ok = ref true in
+    for j = 0 to n - 1 do
+      let a = Array.unsafe_get accs j in
+      if not (Dtype.is_float (Array.unsafe_get fr.bufs a.slot).Tensor.dtype) then ok := false
+    done;
+    if !ok then begin
+      Array.unsafe_set ints s lo;
+      for j = 0 to n - 1 do
+        let a = Array.unsafe_get accs j in
+        Array.unsafe_set ints a.base (a.index fr)
+      done;
+      Array.unsafe_set ints s (lo + 1);
+      for j = 0 to n - 1 do
+        let a = Array.unsafe_get accs j in
+        let first = Array.unsafe_get ints a.base in
+        let stride = a.index fr - first in
+        let len = Array.length (Array.unsafe_get fr.bufs a.slot).Tensor.data in
+        Array.unsafe_set ints a.stride stride;
+        if not (span_ok first stride ext len) then ok := false
+      done
+    end;
+    !ok
+  end
+
+(* the per-element effect of [ext] iterations, after a lowered loop ran *)
+let finish (ctx : ctx) fr s lo ext =
+  Array.unsafe_set fr.ints s (lo + ext - 1);
+  ctx.stats.steps <- ctx.stats.steps + ext
+
+(* element [k] of access [a] of a lowered loop that passed [ready] *)
+let[@inline] load fr ints a k =
+  Array.unsafe_get
+    (Array.unsafe_get fr.bufs a.slot).Tensor.data
+    (Array.unsafe_get ints a.base + (Array.unsafe_get ints a.stride * k))
+
+(* iteration [k] of a lowered expression: its value ends up in float slot
+   [sp0]. Each case writes its float straight into the slot, so nothing is
+   boxed. *)
+let run_fcode (code : fop array) fr k sp0 =
+  let fl = fr.floats and ints = fr.ints in
+  let sp = ref sp0 in
+  for pc = 0 to Array.length code - 1 do
+    match Array.unsafe_get code pc with
+    | Push_const c ->
+      Array.unsafe_set fl !sp c;
+      incr sp
+    | Push_slot x ->
+      Array.unsafe_set fl !sp (Array.unsafe_get fl x);
+      incr sp
+    | Push_load a ->
+      Array.unsafe_set fl !sp (load fr ints a k);
+      incr sp
+    | Push_op2 (op, a, b) ->
+      let x = load fr ints a k in
+      Array.unsafe_set fl !sp (binop_float op x (load fr ints b k));
+      incr sp
+    | Apply2 op ->
+      decr sp;
+      let t = !sp - 1 in
+      Array.unsafe_set fl t (binop_float op (Array.unsafe_get fl t) (Array.unsafe_get fl !sp))
+    | Apply1 op -> (
+      let t = !sp - 1 in
+      let x = Array.unsafe_get fl t in
+      match op with
+      | Neg -> Array.unsafe_set fl t (-.x)
+      | Abs -> Array.unsafe_set fl t (Float.abs x)
+      | Exp -> Array.unsafe_set fl t (exp x)
+      | Log -> Array.unsafe_set fl t (log x)
+      | Sqrt -> Array.unsafe_set fl t (sqrt x)
+      | Rsqrt -> Array.unsafe_set fl t (1.0 /. sqrt x)
+      | Tanh -> Array.unsafe_set fl t (tanh x)
+      | Erf -> Array.unsafe_set fl t (erf_approx x)
+      | Recip -> Array.unsafe_set fl t (1.0 /. x)
+      | Floor -> Array.unsafe_set fl t (Float.floor x)
+      | Not -> assert false)
+  done
+
+(* [acc = acc + a[ia] * b[ib]] (or [a[ia] * b[ib] + acc]) over the loop,
+   with the accumulator in float slot [f] *)
+let mac_loop ~acc_first f a b =
+  let accs = [| a; b |] in
+  fun ctx fr s lo ext ->
+  ready ctx fr s lo ext accs
+  && begin
+    let ints = fr.ints in
+    let da = (Array.unsafe_get fr.bufs a.slot).Tensor.data
+    and db = (Array.unsafe_get fr.bufs b.slot).Tensor.data in
+    let a0 = Array.unsafe_get ints a.base and sa = Array.unsafe_get ints a.stride in
+    let b0 = Array.unsafe_get ints b.base and sb = Array.unsafe_get ints b.stride in
+    let acc = ref (Array.unsafe_get fr.floats f) in
+    if acc_first then
+      for k = 0 to ext - 1 do
+        acc :=
+          !acc +. (Array.unsafe_get da (a0 + (sa * k)) *. Array.unsafe_get db (b0 + (sb * k)))
+      done
+    else
+      for k = 0 to ext - 1 do
+        acc :=
+          (Array.unsafe_get da (a0 + (sa * k)) *. Array.unsafe_get db (b0 + (sb * k))) +. !acc
+      done;
+    Array.unsafe_set fr.floats f !acc;
+    finish ctx fr s lo ext;
+    true
+  end
+
+(* [x = e] over the loop, for the float slot [f] of [x]: [e] may read [x],
+   so each iteration's value is written back before the next one starts *)
+let assign_loop f loads code sp0 =
+  let accs = Array.of_list loads in
+  fun ctx fr s lo ext ->
+  ready ctx fr s lo ext accs
+  && begin
+    for k = 0 to ext - 1 do
+      run_fcode code fr k sp0;
+      Array.unsafe_set fr.floats f (Array.unsafe_get fr.floats sp0)
+    done;
+    finish ctx fr s lo ext;
+    true
+  end
+
+(* [d[id] = e] over the loop: [dst] is the store's access, [loads] those of
+   [code], [sp0] the first float slot of the evaluation stack *)
+let store_loop dname dst loads code sp0 =
+  let accs = Array.of_list (dst :: loads) in
+  fun (ctx : ctx) fr s lo ext ->
+  ready ctx fr s lo ext accs
+  && begin
+    let dd = (Array.unsafe_get fr.bufs dst.slot).Tensor.data in
+    let d0 = Array.unsafe_get fr.ints dst.base and sd = Array.unsafe_get fr.ints dst.stride in
+    for k = 0 to ext - 1 do
+      run_fcode code fr k sp0;
+      Array.unsafe_set dd (d0 + (sd * k)) (Array.unsafe_get fr.floats sp0)
+    done;
+    finish ctx fr s lo ext;
+    ctx.stats.stores <- ctx.stats.stores + ext;
+    tally ctx dname ext;
+    true
+  end
 
 (* [float_valued is_float_var e]: evaluation provably yields [F _], given
    that every variable satisfying [is_float_var] holds an [F _]. Transcendental
@@ -437,6 +730,29 @@ let compile (k : Kernel.t) : t =
   let fresh_int () = fresh nints in
   let fresh_float () = fresh nfloats in
   let fresh_buf () = fresh nbufs in
+  (* A lowered loop runs to completion without running another statement,
+     so all of them share one scratch region of the frame: [scratch_int j]
+     is its [j]-th int slot, and [stack depth] the first of [depth]
+     consecutive float slots. Thread-parallel loops copy the frame per fiber,
+     so it stays small. *)
+  let scratch_ints = ref [] in
+  let rec scratch_int j =
+    match List.nth_opt !scratch_ints j with
+    | Some x -> x
+    | None ->
+      scratch_ints := !scratch_ints @ [ fresh_int () ];
+      scratch_int j
+  in
+  let stack_region = ref (0, 0) in
+  let stack depth =
+    let first, size = !stack_region in
+    if depth <= size then first
+    else begin
+      stack_region := (!nfloats, depth);
+      nfloats := !nfloats + depth;
+      !nfloats - depth
+    end
+  in
   let float_names = float_names k in
   (* names ever targeted by an Assign anywhere in the kernel: a variable not
      in this set whose binding only ever writes integers can never observe a
@@ -689,8 +1005,9 @@ let compile (k : Kernel.t) : t =
       let c = comp cenv e in
       fun fr -> to_int (c fr)
   and comp_int cenv (e : Expr.t) : frame -> int =
-    match e with
-    | Int n -> fun _ -> n
+    match (e, List.assq_opt e cenv.idx) with
+    | _, Some c -> c
+    | Int n, None -> fun _ -> n
     | _ when static_int cenv e -> comp_iint cenv e
     | _ ->
       let c = comp cenv e in
@@ -785,6 +1102,120 @@ let compile (k : Kernel.t) : t =
       let c = comp cenv e in
       fun fr -> to_float (c fr)
   in
+  (* A loop whose body is one statement over affine indices gets a fast
+     path that runs the whole loop as one OCaml loop when [ready] holds at
+     entry: a fused MAC into a float slot ([mac_loop]), another float-slot
+     update ([assign_loop]) or a store ([store_loop]), whose value is float
+     arithmetic over loads, literals and float slots. [s] is the loop
+     counter's int slot and [cenv] binds it. The per-element body is
+     compiled in the returned environment, which hands it the fast path's
+     index closures, so each index is compiled once. *)
+  let lower_loop cenv s body =
+    (* built from literals, int-slot variables, [+], [-] and [*], with
+       degree at most one in the counter: evaluating it cannot raise *)
+    let rec degree (e : Expr.t) =
+      match e with
+      | Int _ -> Some 0
+      | Var x -> (
+        match List.assoc_opt x cenv.svars with
+        | Some (Unboxed s') -> Some (if s' = s then 1 else 0)
+        | _ -> None)
+      | Binop ((Add | Sub), l, r) -> (
+        match (degree l, degree r) with Some a, Some b -> Some (max a b) | _ -> None)
+      | Binop (Mul, l, r) -> (
+        match (degree l, degree r) with Some a, Some b when a + b <= 1 -> Some (a + b) | _ -> None)
+      | _ -> None
+    in
+    let affine e = degree e <> None in
+    let bound b = List.mem_assoc b cenv.bvars in
+    let fslot x = match List.assoc_opt x cenv.svars with Some (Fslot f) -> Some f | _ -> None in
+    (* float arithmetic over loads, literals and float slots: an [F _] when
+       every load reads a float tensor ([Int] literals only next to a float) *)
+    let rec lfloat (e : Expr.t) =
+      match e with
+      | Float _ -> true
+      | Load (b, i) -> bound b && affine i
+      | Var x -> fslot x <> None
+      | Binop ((Add | Sub | Mul | Div | Min | Max), l, r) ->
+        (lfloat l && lnum r) || (lnum l && lfloat r)
+      | Unop ((Exp | Log | Sqrt | Rsqrt | Tanh | Erf | Recip | Floor), x) -> lnum x
+      | Unop ((Neg | Abs), x) -> lfloat x
+      | _ -> false
+    and lnum (e : Expr.t) = match e with Int _ -> true | _ -> lfloat e in
+    let shared = ref [] in
+    let access b e =
+      let j = List.length !shared in
+      let a =
+        { slot = List.assoc b cenv.bvars;
+          index = comp_int cenv e;
+          base = scratch_int (2 * j);
+          stride = scratch_int ((2 * j) + 1)
+        }
+      in
+      shared := (e, a.index) :: !shared;
+      a
+    in
+    (* [value] in postfix, with the accesses of its loads in order *)
+    let lower_value value =
+      let loads = ref [] in
+      let load_access b i =
+        let a = access b i in
+        loads := a :: !loads;
+        a
+      in
+      let rec emit (e : Expr.t) =
+        match e with
+        | Int n -> [ Push_const (float_of_int n) ]
+        | Float c -> [ Push_const c ]
+        | Var x -> [ Push_slot (Option.get (fslot x)) ]
+        | Load (b, i) -> [ Push_load (load_access b i) ]
+        | Binop (op, Load (b, i), Load (b', i')) ->
+          let a = load_access b i in
+          [ Push_op2 (op, a, load_access b' i') ]
+        | Binop (op, l, r) -> emit l @ emit r @ [ Apply2 op ]
+        | Unop (op, x) -> emit x @ [ Apply1 op ]
+        | _ -> assert false
+      in
+      let code = Array.of_list (emit value) in
+      (* the stack depth postfix evaluation of [value] reaches *)
+      let rec depth (e : Expr.t) =
+        match e with
+        | Binop (_, l, r) -> max (depth l) (1 + depth r)
+        | Unop (_, x) -> depth x
+        | _ -> 1
+      in
+      (List.rev !loads, code, stack (depth value))
+    in
+    let fast =
+      match body with
+      | [ Stmt.Assign { var; value } ] -> (
+        let mac ~acc_first f a ia b ib =
+          if bound a && bound b && affine ia && affine ib then begin
+            let a = access a ia in
+            let b = access b ib in
+            Some (mac_loop ~acc_first f a b)
+          end
+          else None
+        in
+        match (fslot var, value) with
+        | Some f, Binop (Add, Var x, Binop (Mul, Load (a, ia), Load (b, ib)))
+          when String.equal x var ->
+          mac ~acc_first:true f a ia b ib
+        | Some f, Binop (Add, Binop (Mul, Load (a, ia), Load (b, ib)), Var x)
+          when String.equal x var ->
+          mac ~acc_first:false f a ia b ib
+        | Some f, _ when lfloat value ->
+          let loads, code, sp0 = lower_value value in
+          Some (assign_loop f loads code sp0)
+        | _ -> None)
+      | [ Stmt.Store { buf; index; value } ] when bound buf && affine index && lfloat value ->
+        let dst = access buf index in
+        let loads, code, sp0 = lower_value value in
+        Some (store_loop buf dst loads code sp0)
+      | _ -> None
+    in
+    (fast, { cenv with idx = !shared })
+  in
   let rec comp_block cenv block : ctx -> frame -> unit =
     let codes =
       let _, rev =
@@ -839,7 +1270,11 @@ let compile (k : Kernel.t) : t =
       | Some (Boxed s) ->
         let cv = comp cenv value in
         (cenv, fun _ fr -> fr.scalars.(s) <- cv fr)
-      | Some (Fslot s) -> (cenv, comp_assign_float cenv var s value)
+      | Some (Fslot s) ->
+        (* only names in [float_names] get float slots, so the value is an
+           [F _] and storing its float is exact *)
+        let cv = comp_ffloat cenv value in
+        (cenv, fun _ fr -> Array.unsafe_set fr.floats s (cv fr))
       | Some (Unboxed _) ->
         (* unreachable: requires [never_assigned] over the whole kernel,
            which is name-based and thus covers every binding of [var] *)
@@ -886,22 +1321,50 @@ let compile (k : Kernel.t) : t =
           let soff = csoff fr in
           let n = clen fr in
           if n < 0 then err "memcpy: negative length %d" n;
-          for k = 0 to n - 1 do
-            buf_set dt dname (doff + k) (buf_get st sname (soff + k))
-          done;
+          (* both ranges checked once; a failing range, or overlapping
+             ranges of one array, take the forward per-element loop, which
+             raises at the same element and leaves the same partial copy *)
+          let dd = dt.Tensor.data and sd = st.Tensor.data in
+          if
+            soff >= 0
+            && n <= Array.length sd - soff
+            && doff >= 0
+            && n <= Array.length dd - doff
+            && not (dd == sd && soff < doff + n && doff < soff + n)
+          then Array.blit sd soff dd doff n
+          else
+            for k = 0 to n - 1 do
+              buf_set dt dname (doff + k) (buf_get st sname (soff + k))
+            done;
           ctx.stats.memcpy_elems <- ctx.stats.memcpy_elems + n;
           tally ctx dname n )
     | Stmt.Intrinsic i ->
       let name = Intrin.op_name i.op in
       let gdst = buf_slot cenv i.dst.buf in
       let cdoff = comp_int cenv i.dst.offset in
+      (* operands evaluate in order into the frame's scratch int slots:
+         source [n]'s offset into [scratch_int n], parameter [n] into
+         [scratch_int (nsrcs + n)]; an unbound source raises when its
+         buffer is read, so its slot in [srcs] is never used *)
+      let nsrcs = List.length i.srcs in
       let csrcs =
         Array.of_list
-          (List.map
-             (fun (r : Intrin.buf_ref) -> (buf_slot cenv r.buf, r.buf, comp_int cenv r.offset))
+          (List.mapi
+             (fun n (r : Intrin.buf_ref) ->
+               (buf_slot cenv r.buf, comp_int cenv r.offset, scratch_int n))
              i.srcs)
       in
-      let cparams = Array.of_list (List.map (comp_int cenv) i.params) in
+      let srcs =
+        Array.of_list
+          (List.mapi
+             (fun n (r : Intrin.buf_ref) ->
+               (Option.value ~default:0 (List.assoc_opt r.buf cenv.bvars), r.buf, scratch_int n))
+             i.srcs)
+      in
+      let cparams =
+        Array.of_list (List.mapi (fun n e -> (comp_int cenv e, scratch_int (nsrcs + n))) i.params)
+      in
+      let params = Array.map snd cparams in
       let cfparam =
         match i.params with
         | _ :: e :: _ -> comp_ffloat cenv e
@@ -914,17 +1377,17 @@ let compile (k : Kernel.t) : t =
           let before = ctx.stats.intrinsic_elems in
           let dst_t = gdst fr in
           let dst_off = cdoff fr in
-          let srcs =
-            Array.map
-              (fun (g, nm, co) ->
-                let t = g fr in
-                let o = co fr in
-                (t, nm, o))
-              csrcs
-          in
-          let params = Array.map (fun c -> c fr) cparams in
-          intrinsic_exec ctx.stats ~name ~op ~dst_t ~dname ~dst_off ~srcs ~params
-            ~fparam:(fun () -> cfparam fr);
+          for n = 0 to Array.length csrcs - 1 do
+            let get, coff, o = Array.unsafe_get csrcs n in
+            ignore (get fr : Tensor.t);
+            Array.unsafe_set fr.ints o (coff fr)
+          done;
+          for n = 0 to Array.length cparams - 1 do
+            let c, o = Array.unsafe_get cparams n in
+            Array.unsafe_set fr.ints o (c fr)
+          done;
+          intrinsic_run ctx.stats ~name ~op ~dst_t ~dname ~dst_off ~bufs:fr.bufs ~ints:fr.ints
+            ~srcs ~params ~fparam:cfparam fr;
           tally ctx dname (ctx.stats.intrinsic_elems - before) )
     | Stmt.Sync ->
       ( cenv,
@@ -986,16 +1449,28 @@ let compile (k : Kernel.t) : t =
       let cext = comp_int cenv extent in
       if never_assigned var then begin
         let s = fresh_int () in
-        let cbody = comp_block { cenv with svars = (var, Unboxed s) :: cenv.svars } body in
+        let fast, benv = lower_loop { cenv with svars = (var, Unboxed s) :: cenv.svars } s body in
+        let cbody = comp_block benv body in
+        let per_element ctx fr lo_v ext_v =
+          for i = lo_v to lo_v + ext_v - 1 do
+            Array.unsafe_set fr.ints s i;
+            cbody ctx fr
+          done
+        in
         ( cenv,
-          fun ctx fr ->
-            let lo_v = clo fr in
-            let ext_v = cext fr in
-            if ext_v < 0 then err "negative loop extent in %s" var;
-            for i = lo_v to lo_v + ext_v - 1 do
-              Array.unsafe_set fr.ints s i;
-              cbody ctx fr
-            done )
+          match fast with
+          | None ->
+            fun ctx fr ->
+              let lo_v = clo fr in
+              let ext_v = cext fr in
+              if ext_v < 0 then err "negative loop extent in %s" var;
+              per_element ctx fr lo_v ext_v
+          | Some fast ->
+            fun ctx fr ->
+              let lo_v = clo fr in
+              let ext_v = cext fr in
+              if ext_v < 0 then err "negative loop extent in %s" var;
+              if not (fast ctx fr s lo_v ext_v) then per_element ctx fr lo_v ext_v )
       end
       else begin
         let s = fresh_scalar () in
@@ -1010,44 +1485,6 @@ let compile (k : Kernel.t) : t =
               cbody ctx fr
             done )
       end
-  (* An assignment to a float slot. Only names in [float_names] are assigned
-     float slots, so the value is an [F _] and storing its float is exact.
-     [acc = acc + a[i] * b[j]] (either operand order) gets one fused closure:
-     the generic one boxes both loads and the product on every iteration. It
-     evaluates in the generic order (index, buffer, bounds check for [a],
-     then for [b]), so errors are unchanged, and takes the unboxed path only
-     when both tensors hold floats: int-dtype loads fall back to the generic
-     closure, whose [I * I] product keeps [int_binop] semantics. *)
-  and comp_assign_float cenv var s (value : Expr.t) : ctx -> frame -> unit =
-    let generic =
-      let cv = comp_ffloat cenv value in
-      fun _ fr -> Array.unsafe_set fr.floats s (cv fr)
-    in
-    let fused ~acc_first a ia b ib =
-      let cia = comp_int cenv ia and cib = comp_int cenv ib in
-      let geta = buf_slot cenv a and getb = buf_slot cenv b in
-      fun ctx fr ->
-        let i = cia fr in
-        let ta = geta fr in
-        let da = ta.Tensor.data in
-        if i < 0 || i >= Array.length da then oob_read a i (Array.length da);
-        let j = cib fr in
-        let tb = getb fr in
-        let db = tb.Tensor.data in
-        if j < 0 || j >= Array.length db then oob_read b j (Array.length db);
-        if Dtype.is_float ta.Tensor.dtype && Dtype.is_float tb.Tensor.dtype then begin
-          let p = Array.unsafe_get da i *. Array.unsafe_get db j in
-          let acc = Array.unsafe_get fr.floats s in
-          Array.unsafe_set fr.floats s (if acc_first then acc +. p else p +. acc)
-        end
-        else generic ctx fr
-    in
-    match value with
-    | Binop (Add, Var x, Binop (Mul, Load (a, ia), Load (b, ib))) when String.equal x var ->
-      fused ~acc_first:true a ia b ib
-    | Binop (Add, Binop (Mul, Load (a, ia), Load (b, ib)), Var x) when String.equal x var ->
-      fused ~acc_first:false a ia b ib
-    | _ -> generic
   in
   let cenv0, rev_binds =
     List.fold_left
@@ -1061,7 +1498,7 @@ let compile (k : Kernel.t) : t =
           let s = fresh_scalar () in
           ({ cenv with svars = (p.name, Boxed s) :: cenv.svars }, (p, Scalar_slot s) :: binds)
         end)
-      ({ svars = []; bvars = [] }, [])
+      ({ svars = []; bvars = []; idx = [] }, [])
       k.Kernel.params
   in
   let code = comp_block cenv0 k.Kernel.body in

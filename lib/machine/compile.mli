@@ -8,6 +8,12 @@
     tree-walking reference interpreter — {!Interp.run} is a thin wrapper over
     {!cached}, and [test/test_fuzz.ml] checks the two engines differentially.
 
+    An innermost loop whose body is one float store or one float-slot update
+    (a fused [acc = acc + a[i] * b[j]] among them), with every index affine
+    in the loop counter, runs as one OCaml loop when a loop-entry check
+    proves no iteration can fail; otherwise its statements run one at a
+    time. Either way the run has the same outputs, statistics and errors.
+
     This module also owns the runtime pieces both engines share (value and
     statistics types, scalar operators, intrinsic semantics, the barrier
     effect and the fiber scheduler), so the engines cannot drift apart. *)

@@ -9,10 +9,6 @@ let set t i v = t.data.(i) <- v
 let fill t v = Array.fill t.data 0 (Array.length t.data) v
 let copy t = { t with data = Array.copy t.data }
 
-let blit ~src ~dst =
-  if length src <> length dst then invalid_arg "Tensor.blit: length mismatch";
-  Array.blit src.data 0 dst.data 0 (length src)
-
 let random rng ?(dtype = Dtype.F32) n =
   let data =
     Array.init n (fun _ ->

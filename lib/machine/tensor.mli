@@ -17,7 +17,6 @@ val get : t -> int -> float
 val set : t -> int -> float -> unit
 val fill : t -> float -> unit
 val copy : t -> t
-val blit : src:t -> dst:t -> unit
 
 val random : Xpiler_util.Rng.t -> ?dtype:Dtype.t -> int -> t
 (** Uniform values: floats in [-1, 1); ints in [-8, 8). *)

@@ -114,27 +114,29 @@ let prop_analyzer_clean_executes =
    the scalar-store trace stream and runtime errors — on clean kernels, on
    fault-injected ones, and under fuel exhaustion. [compare] rather than [=]
    so NaN-producing kernels count as agreeing when both engines produce the
-   same NaN. *)
+   same NaN. A store trace hook turns off the compiled engine's lowered
+   loops, so each kernel also runs [~traced:false]. *)
 let run_engine
     (runner :
       ?fuel:int ->
       ?trace:(string -> int -> float -> unit) ->
       Kernel.t ->
       (string * Interp.arg) list ->
-      Interp.stats) ~fuel k args =
+      Interp.stats) ?(traced = true) ~fuel k args =
   let trace = ref [] in
-  match runner ~fuel ~trace:(fun b i x -> trace := (b, i, x) :: !trace) k args with
+  let hook = if traced then Some (fun b i x -> trace := (b, i, x) :: !trace) else None in
+  match runner ~fuel ?trace:hook k args with
   | (s : Interp.stats) ->
     Ok (s.steps, s.stores, s.intrinsic_elems, s.memcpy_elems, s.barriers, List.rev !trace)
   | exception Interp.Runtime_error m -> Error m
 
 (* Accumulator kernels, which the general generator never builds: [acc =
-   acc + x * y] loops in either operand order (the compiled engine's fused
-   float path) next to other float updates (its generic float-slot path),
-   over float or int buffers (the fused path's fallback, where an [I * I]
-   product keeps [int_binop] semantics), serially or inside a
-   thread-parallel chain (per-fiber frame copies of the float slots). An
-   accumulator initialized from a load may hold an int and stays boxed. *)
+   acc + x * y] loops in either operand order next to other float updates
+   (the compiled engine's float-slot path), over float or int buffers
+   (where an [I * I] product keeps [int_binop] semantics), serially or
+   inside a thread-parallel chain (per-fiber frame copies of the float
+   slots). An accumulator initialized from a load may hold an int and
+   stays boxed. *)
 let accum_kernel rng =
   let open Expr.Infix in
   let dtype () = if Rng.bernoulli rng 0.3 then Dtype.I32 else Dtype.F32 in
@@ -188,6 +190,83 @@ let accum_kernel rng =
         Builder.buffer "out" ]
     body
 
+(* Innermost affine loops, the shapes the compiled engine runs as one OCaml
+   loop: a fused MAC in either operand order, a float-slot reduction, or one
+   store (elementwise, in place [x[p] = x[p] - m], or a stride-0 reduction
+   [x[c] = x[c] + y[p]]), with strides of either sign over float or int
+   buffers, from a loop start of 0 to 2. Some indices leave their buffer
+   at the last iteration only. *)
+let affine_kernel rng =
+  let size = Kgen.buf_size in
+  let dtype () = if Rng.bernoulli rng 0.25 then Dtype.I32 else Dtype.F32 in
+  let ext_i = 1 + Rng.int rng 3 and ext = 1 + Rng.int rng 12 and lo = Rng.int rng 3 in
+  (* [first + stride * (p - lo) + outer * i]; at an edge the last iteration
+     reads or writes one past the end, or at -1 *)
+  let index () =
+    let stride = Rng.int rng 7 - 3 in
+    let span = abs stride * (ext - 1) in
+    let first, outer =
+      if Rng.bernoulli rng 0.1 then ((if stride >= 0 then size - span else span - 1), 0)
+      else begin
+        let outer = Rng.int rng 3 in
+        let first = Rng.int rng (max 1 (size - span - (outer * ext_i))) in
+        ((if stride >= 0 then first else first + span), outer)
+      end
+    in
+    let open Expr.Infix in
+    int (Stdlib.( - ) first (Stdlib.( * ) stride lo)) + (int stride * v "p") + (int outer * v "i")
+  in
+  let open Expr.Infix in
+  let buf () = Rng.choose rng [ "a"; "b"; "out" ] in
+  let ld () = load (buf ()) (index ()) in
+  let value () =
+    match Rng.int rng 6 with
+    | 0 -> ld () - v "m"
+    | 1 -> (ld () * flt 0.5) + ld ()
+    | 2 -> Expr.Unop (Expr.Tanh, ld () + int 1)
+    | 3 -> Expr.Binop (Expr.Max, ld (), Expr.Unop (Expr.Neg, v "m"))
+    | 4 -> ld () * ld ()
+    | _ -> ld () / flt 3.0
+  in
+  let inner =
+    match Rng.int rng 7 with
+    | 0 -> Builder.assign "acc" (v "acc" + (ld () * ld ()))
+    | 1 -> Builder.assign "acc" ((ld () * ld ()) + v "acc")
+    | 2 -> Builder.assign "acc" (Expr.Binop (Expr.Min, v "acc", ld () * v "m"))
+    | 3 | 4 -> Builder.store "out" (index ()) (value ())
+    | 5 ->
+      let b = buf () and i = index () in
+      Builder.store b i (load b i - v "m")
+    | _ ->
+      let b = buf () and c = int (Rng.int rng size) in
+      Builder.store b c (load b c + ld ())
+  in
+  (* [m] from a bare load may hold an int, so it stays boxed and blocks the
+     lowering of any value that reads it *)
+  let m = if Rng.bernoulli rng 0.8 then load "a" (v "i") * flt 0.5 else load "a" (v "i") in
+  Kernel.make ~name:"affine"
+    ~params:
+      [ Builder.buffer ~dtype:(dtype ()) "a"; Builder.buffer ~dtype:(dtype ()) "b";
+        Builder.buffer ~dtype:(dtype ()) "out" ]
+    [ Builder.for_ "i" (int ext_i)
+        [ Builder.let_ "m" m; Builder.let_ "acc" (flt 0.0);
+          Builder.for_ "p" ~lo:(int lo) (int ext) [ inner ];
+          Builder.store "out" (v "i") (v "acc")
+        ]
+    ]
+
+(* both engines, traced and untraced, on fresh copies of [args] *)
+let engines_agree ~fuel k args =
+  List.for_all
+    (fun traced ->
+      let a_tree = Tcommon.clone_args args in
+      let a_comp = Tcommon.clone_args args in
+      let r_tree = run_engine Interp.run_tree ~traced ~fuel k a_tree in
+      let r_comp = run_engine Interp.run ~traced ~fuel k a_comp in
+      compare r_tree r_comp = 0
+      && compare (Tcommon.buffers a_tree) (Tcommon.buffers a_comp) = 0)
+    [ true; false ]
+
 let prop_engines_agree =
   QCheck.Test.make ~name:"compiled and tree engines agree" ~count:350 arb_seed
     (fun seed ->
@@ -224,12 +303,15 @@ let prop_engines_agree =
               | a -> (n, a))
             args
       in
-      let a_tree = Tcommon.clone_args args in
-      let a_comp = Tcommon.clone_args args in
-      let r_tree = run_engine Interp.run_tree ~fuel k a_tree in
-      let r_comp = run_engine Interp.run ~fuel k a_comp in
-      compare r_tree r_comp = 0
-      && compare (Tcommon.buffers a_tree) (Tcommon.buffers a_comp) = 0)
+      engines_agree ~fuel k args
+      &&
+      (* an affine-loop kernel, run to completion and with fuel that runs
+         out part-way, most likely inside its innermost loop *)
+      let ag = Rng.create ((seed * 11) + 3) in
+      let k = affine_kernel ag in
+      let args = Tcommon.make_args (Rng.create (seed + 5)) ~buf_size k [] in
+      engines_agree ~fuel:200_000_000 k args
+      && engines_agree ~fuel:(1 + Rng.int ag 60) k args)
 
 (* handcrafted dynamic errors: both engines must raise Runtime_error with the
    exact same message *)
@@ -253,18 +335,44 @@ let test_engine_error_parity () =
       ( "neg_extent",
         mk "neg_extent"
           [ Builder.for_ "i" (int 0 - int 3) [ Builder.store "out" (v "i") (flt 0.0) ] ] );
-      ("fuel", mk "fuel" [ Builder.for_ "i" (int 1_000_000) [ Builder.let_ "x" (v "i") ] ])
+      ("fuel", mk "fuel" [ Builder.for_ "i" (int 1_000_000) [ Builder.let_ "x" (v "i") ] ]);
+      (* loops the compiled engine lowers: the entry check must send them to
+         the per-element path, which fails at the same element *)
+      ( "oob_mac_last",
+        mk "oob_mac_last"
+          [ Builder.let_ "acc" (flt 0.0);
+            Builder.for_ "p" (int 25)
+              [ Builder.assign "acc"
+                  (v "acc" + (load "out" (v "p") * load "out" (v "p" + int 1000)))
+              ];
+            Builder.store "out" (int 0) (v "acc")
+          ] );
+      ( "oob_store_last",
+        mk "oob_store_last"
+          [ Builder.for_ "p" (int 9)
+              [ Builder.store "out" (int 1016 + v "p") (load "out" (v "p") * flt 2.0) ]
+          ] );
+      ( "fuel_lowered",
+        mk "fuel_lowered"
+          [ Builder.for_ "p" (int 5000)
+              [ Builder.store "out" (int 0) (load "out" (int 0) + flt 1.0) ]
+          ] )
     ]
   in
   List.iter
     (fun (name, k) ->
-      let args () = [ ("out", Interp.Buf (Tensor.create 1024)) ] in
-      let err runner = match run_engine runner ~fuel:1000 k (args ()) with
-        | Ok _ -> Alcotest.failf "%s: expected Runtime_error" name
-        | Error m -> m
-      in
-      Alcotest.(check string)
-        (name ^ ": same error") (err Interp.run_tree) (err Interp.run))
+      List.iter
+        (fun traced ->
+          let args () = [ ("out", Interp.Buf (Tensor.create 1024)) ] in
+          let err runner =
+            match run_engine runner ~traced ~fuel:1000 k (args ()) with
+            | Ok _ -> Alcotest.failf "%s: expected Runtime_error" name
+            | Error m -> m
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s (traced %b): same error" name traced)
+            (err Interp.run_tree) (err Interp.run))
+        [ true; false ])
     cases
 
 (* regression: a comparison over float operands is an integer-valued
