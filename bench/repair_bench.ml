@@ -1,6 +1,6 @@
 (* Repair/SMT hot-path benchmark: the pre-overhaul repair stack (naive
    re-checking solver, no memo) vs the overhauled one (incremental
-   watched-constraint solver, process-global memo) on the resilience
+   watched-constraint solver, session memo) on the resilience
    workload at matched injected-fault rates. Both arms test repair
    candidates serially. Writes BENCH_repair.json (schema
    xpiler-repair-bench/v2) into the current directory.
@@ -66,12 +66,11 @@ let delta read =
   let v0 = read () in
   fun () -> read () - v0
 
-let run_arm ~engine ~memo config_of op_name src dst scale =
+let run_arm ~engine config_of op_name src dst scale =
+  Solver.with_engine engine @@ fun () ->
   let op = Registry.find_exn op_name in
   let shape = List.hd op.Opdef.shapes in
-  Solver.set_engine engine;
   Memo.clear ();
-  Memo.set_enabled memo;
   Unit_test.reset_memo ();
   let hits = delta Memo.hits and misses = delta Memo.misses in
   let w0 = Solver.work_totals () and r0 = Repairer.wall_totals () in
@@ -116,13 +115,11 @@ type row = {
 }
 
 let bench_cell scale (op_name, src, dst) =
-  (* baseline = the pre-overhaul stack: naive engine, cold memo *)
-  let baseline =
-    run_arm ~engine:Solver.Naive ~memo:false (fun () -> Config.default) op_name src dst scale
-  in
+  (* baseline = the pre-overhaul stack: the naive engine, which bypasses
+     the memo *)
+  let baseline = run_arm ~engine:Solver.Naive (fun () -> Config.default) op_name src dst scale in
   let optimized =
-    run_arm ~engine:Solver.Incremental ~memo:true (fun () -> Config.default) op_name src dst
-      scale
+    run_arm ~engine:Solver.Incremental (fun () -> Config.default) op_name src dst scale
   in
   Printf.printf
     "  %-8s %s->%s x%-4.0f steps %9d -> %7d  evals %10d -> %7d  broken %d -> %d\n%!"

@@ -10,8 +10,6 @@ open Xpiler_ir
 
 type check = Race | Barrier_divergence | Out_of_bounds | Uninit_read
 
-val check_name : check -> string
-
 type finding = {
   check : check;
   diag : Diag.t;  (** shared diagnostic record (same as [Checker.error]) *)

@@ -7,7 +7,6 @@ type bound = { lo : int; hi : int }  (** inclusive on both ends *)
 type env = (string * bound) list
 
 val point : int -> bound
-val hull : bound -> bound -> bound
 
 val range : env -> Expr.t -> bound option
 (** Sound over-approximation of the expression's value set; [None] when a

@@ -10,8 +10,6 @@ let method_name = function
   | O1_zero -> "OpenAI o1 Zero-Shot"
   | O1_few -> "OpenAI o1 Few-Shot"
 
-let all_methods = [ Gpt4_zero; O1_zero; Gpt4_few; O1_few ]
-
 let profile = function
   | Gpt4_zero -> Profile.gpt4_zero_shot
   | Gpt4_few -> Profile.gpt4_few_shot

@@ -19,6 +19,5 @@ type result = {
   computes : bool;
 }
 
-val scop_compatible : Kernel.t -> (unit, string) Result.t
 val translate : Opdef.t -> Opdef.shape -> result
 (** Translate the operator's plain-C (sequential) kernel to CUDA. *)

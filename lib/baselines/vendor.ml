@@ -19,13 +19,15 @@ let advantage (op : Opdef.t) =
 
 (* the vendor library's engineers also tune their schedules: the baseline is
    the expert kernel after the same search the transcompiler gets *)
-let tuned_cache : (string, float) Hashtbl.t = Hashtbl.create 64
+let tuned_cache : (string, float) Hashtbl.t Xpiler_util.Session.t =
+  Xpiler_util.Session.make (fun () -> Hashtbl.create 64)
 
 let tuned_expert_seconds pid (op : Opdef.t) shape =
   let key =
     Printf.sprintf "%s/%s/%s" (Platform.id_to_string pid) op.Opdef.name
       (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) shape))
   in
+  let tuned_cache = Xpiler_util.Session.get tuned_cache in
   match Hashtbl.find_opt tuned_cache key with
   | Some s -> s
   | None ->

@@ -45,7 +45,7 @@ type t = {
       (** bound-based pruning of intra-pass candidates (lossless; changes
           modelled tuning time, never the chosen schedule) *)
   tuning_warm_start : bool;
-      (** warm-start MCTS from the process-global schedule database, so
+      (** warm-start MCTS from the session's schedule database, so
           repeated translations of similar kernels converge in fewer
           simulations *)
   unit_test_trials : int;

@@ -26,8 +26,6 @@ type result =
   | Committed_broken  (** rollback off: the invalid kernel entered the state *)
   | Not_applicable of string
 
-val result_name : result -> string
-
 type entry = {
   spec : Pass.spec;
   attempts : int;  (** LLM calls spent on this pass, re-prompts included *)

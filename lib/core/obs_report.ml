@@ -49,8 +49,6 @@ let tables s =
 
 let render s = String.concat "\n" (List.map Report.render (tables s))
 
-let render_events events = render (Summary.of_events events)
-
 (* ---- registry snapshots -------------------------------------------------- *)
 
 module Metrics = Xpiler_obs.Metrics

@@ -13,16 +13,10 @@ val tables : Xpiler_obs.Summary.t -> Report.t list
 val render : Xpiler_obs.Summary.t -> string
 (** All tables concatenated, ready to print. *)
 
-val render_events : Xpiler_obs.Event.t list -> string
-
-val metrics_tables : Xpiler_obs.Metrics.sample list -> Report.t list
+val render_metrics : Xpiler_obs.Metrics.sample list -> string
 (** Registry snapshot rendered as counter / gauge / histogram tables
     (histograms get bucket-estimated p50/p99); empty sections omitted. *)
 
-val render_metrics : Xpiler_obs.Metrics.sample list -> string
-
-val prof_tables : Xpiler_obs.Prof.report -> Report.t list
+val render_prof : Xpiler_obs.Prof.report -> string
 (** Profiled span costs (wall seconds, allocated megawords, major GCs);
     empty when no span was profiled. *)
-
-val render_prof : Xpiler_obs.Prof.report -> string

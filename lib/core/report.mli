@@ -26,4 +26,3 @@ val save_csv : ?dir:string -> name:string -> t -> string
 (** Writes [dir]/[name].csv (default dir "results", created if missing) and
     returns the path. *)
 
-val cell_to_string : cell -> string

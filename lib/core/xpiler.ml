@@ -132,86 +132,8 @@ let case_seed (config : Config.t) src dst (op : Opdef.t) shape =
 let shape_to_string shape =
   String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) shape)
 
-let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
-  (* durable knowledge store: load-and-attach once per process (idempotent
-     per directory) so the schedule DB / transposition table / solver memo
-     warm-start from prior runs and write through from this one. Purely a
-     time optimization: persisted entries replay their effect receipts, so
-     results and traces are unchanged. A store that cannot be opened is a
-     warning, not a failure — the translation proceeds cold. *)
-  (match config.Config.store_dir with
-  | Some dir -> (
-    match Xpiler_store.Store.ensure ~dir () with
-    | Ok _ -> ()
-    | Error m -> Printf.eprintf "warning: knowledge store disabled: %s\n%!" m)
-  | None -> ());
-  let clock = Vclock.create () in
-  (* tracing: a tracer of our own when the config asks for one, else reuse
-     an ambient tracer a caller (e.g. the bench harness) installed; either
-     way the Vclock observer keeps span timestamps and stage totals in
-     lock-step (single source of timing truth) *)
-  let prev_ambient = Obs.Trace.current () in
-  let owns_tracer, tracer =
-    match config.Config.trace_level with
-    | Obs.Tracer.Off -> (false, prev_ambient)
-    | level -> (true, Some (Obs.Tracer.create ~level ()))
-  in
-  let restored = ref false in
-  let restore_ambient () =
-    if owns_tracer && not !restored then begin
-      restored := true;
-      match prev_ambient with
-      | Some p -> Obs.Trace.install p
-      | None -> Obs.Trace.uninstall ()
-    end
-  in
-  Option.iter
-    (fun t ->
-      if owns_tracer then Obs.Trace.install t;
-      Vclock.set_observer clock (fun stage s ->
-          Obs.Tracer.stage_charge t (Vclock.stage_name stage) s))
-    tracer;
-  (* whatever happens below, never leak our tracer into the caller *)
-  Fun.protect ~finally:restore_ambient @@ fun () ->
-  let root_span =
-    Option.map
-      (fun t ->
-        Obs.Tracer.span_begin t ~cat:"translate"
-          ~attrs:
-            [ ("op", op.Opdef.name);
-              ("src", Platform.id_to_string src);
-              ("dst", Platform.id_to_string dst);
-              ("shape", shape_to_string shape);
-              ("seed", string_of_int config.Config.seed);
-              ("config", config.Config.name) ]
-          ("translate:" ^ op.Opdef.name))
-      tracer
-  in
-  (* seal the trace and restore the caller's tracing state *)
-  let finish_trace outcome =
-    Obs.Metrics.inc (List.assoc (status_class outcome.status) m_translations);
-    Option.iter
-      (fun t ->
-        Obs.Tracer.instant t
-          ~attrs:[ ("status", status_to_string outcome.status) ]
-          "translate.status";
-        Option.iter (Obs.Tracer.span_end t) root_span;
-        Vclock.clear_observer clock)
-      tracer;
-    restore_ambient ();
-    match (owns_tracer, tracer) with
-    | true, Some t ->
-      let events = Obs.Tracer.events t in
-      (* like an unopenable store, an unwritable sink is a warning: the
-         outcome (and its trace) is still returned *)
-      (match config.Config.trace_sink with
-      | Some path -> (
-        try Obs.Journal.write_file path events
-        with Sys_error m -> Printf.eprintf "warning: trace journal not written: %s\n%!" m)
-      | None -> ());
-      { outcome with trace = events }
-    | _ -> outcome
-  in
+(* the translation proper, under [transcompile]'s tracer and error boundary *)
+let translate ~config ~clock ~src ~dst ~op ~shape =
   let buffer_sizes =
     List.map (fun (b : Opdef.buffer_spec) -> (b.buf_name, b.size shape)) op.Opdef.buffers
   in
@@ -449,8 +371,7 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
     else Applied
   in
   let finish () =
-    finish_trace
-    @@ Obs.Trace.span ~cat:"phase" "finalize"
+    Obs.Trace.span ~cat:"phase" "finalize"
     @@ fun () ->
     let k = st.kernel in
     let status =
@@ -587,3 +508,109 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
       in
       try_pipelines pipelines
     end)
+
+let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
+  (* durable knowledge store: load-and-attach once per process (idempotent
+     per directory) so the calling session's schedule DB / transposition
+     table / solver memo warm-start from prior runs and every session
+     writes through. Purely a time optimization: persisted entries replay
+     their effect receipts, so results and traces are unchanged. A store
+     that cannot be opened is a warning, not a failure — the translation
+     proceeds cold. *)
+  (match config.Config.store_dir with
+  | Some dir -> (
+    match Xpiler_store.Store.ensure ~dir () with
+    | Ok _ -> ()
+    | Error m -> Printf.eprintf "warning: knowledge store disabled: %s\n%!" m)
+  | None -> ());
+  let clock = Vclock.create () in
+  (* tracing: a tracer of our own when the config asks for one, else reuse
+     an ambient tracer a caller (e.g. the bench harness) installed; either
+     way the Vclock observer keeps span timestamps and stage totals in
+     lock-step (single source of timing truth) *)
+  let prev_ambient = Obs.Trace.current () in
+  let owns_tracer, tracer =
+    match config.Config.trace_level with
+    | Obs.Tracer.Off -> (false, prev_ambient)
+    | level -> (true, Some (Obs.Tracer.create ~level ()))
+  in
+  let restored = ref false in
+  let restore_ambient () =
+    if owns_tracer && not !restored then begin
+      restored := true;
+      match prev_ambient with
+      | Some p -> Obs.Trace.install p
+      | None -> Obs.Trace.uninstall ()
+    end
+  in
+  Option.iter
+    (fun t ->
+      if owns_tracer then Obs.Trace.install t;
+      Vclock.set_observer clock (fun stage s ->
+          Obs.Tracer.stage_charge t (Vclock.stage_name stage) s))
+    tracer;
+  (* whatever happens below, never leak our tracer into the caller *)
+  Fun.protect ~finally:restore_ambient @@ fun () ->
+  let root_span =
+    Option.map
+      (fun t ->
+        Obs.Tracer.span_begin t ~cat:"translate"
+          ~attrs:
+            [ ("op", op.Opdef.name);
+              ("src", Platform.id_to_string src);
+              ("dst", Platform.id_to_string dst);
+              ("shape", shape_to_string shape);
+              ("seed", string_of_int config.Config.seed);
+              ("config", config.Config.name) ]
+          ("translate:" ^ op.Opdef.name))
+      tracer
+  in
+  (* seal the trace and restore the caller's tracing state *)
+  let finish_trace outcome =
+    Obs.Metrics.inc (List.assoc (status_class outcome.status) m_translations);
+    Option.iter
+      (fun t ->
+        Obs.Tracer.instant t
+          ~attrs:[ ("status", status_to_string outcome.status) ]
+          "translate.status";
+        Option.iter (Obs.Tracer.span_end t) root_span;
+        Vclock.clear_observer clock)
+      tracer;
+    restore_ambient ();
+    match (owns_tracer, tracer) with
+    | true, Some t ->
+      let events = Obs.Tracer.events t in
+      (* like an unopenable store, an unwritable sink is a warning: the
+         outcome (and its trace) is still returned *)
+      (match config.Config.trace_sink with
+      | Some path -> (
+        try Obs.Journal.write_file path events
+        with Sys_error m -> Printf.eprintf "warning: trace journal not written: %s\n%!" m)
+      | None -> ());
+      { outcome with trace = events }
+    | _ -> outcome
+  in
+  (* the one error boundary: whatever a callee raises becomes a typed
+     status naming the exception, so [transcompile] stays total *)
+  let internal_error e =
+    { status = Compile_error ("internal error: " ^ Printexc.to_string e);
+      kernel = None;
+      target_text = None;
+      specs_applied = [];
+      skipped_passes = [];
+      faults_seen = [];
+      residual_faults = [];
+      repairs_attempted = 0;
+      repairs_succeeded = 0;
+      ledger = [];
+      clock;
+      throughput = None;
+      trace = []
+    }
+  in
+  finish_trace
+  @@
+  match translate ~config ~clock ~src ~dst ~op ~shape with
+  | outcome -> outcome
+  | exception ((Out_of_memory | Sys.Break) as e) -> raise e
+  | exception e -> internal_error e

@@ -58,6 +58,10 @@ val transcompile :
   shape:Opdef.shape ->
   unit ->
   outcome
+(** Total: every input ends in a status. An exception a callee raises
+    (other than [Out_of_memory] and [Sys.Break], which propagate) ends the
+    translation as [Compile_error "internal error: <exception>"], with no
+    kernel. *)
 
 val complexity_multiplier : Kernel.t -> float
 (** Fault-rate multiplier from program size and data-dependent control flow

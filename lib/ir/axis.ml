@@ -29,7 +29,3 @@ let all =
 let is_simt = function
   | Block_x | Block_y | Block_z | Thread_x | Thread_y | Thread_z -> true
   | Task_id | Cluster_id | Core_id -> false
-
-let is_mlu = function
-  | Task_id | Cluster_id | Core_id -> true
-  | Block_x | Block_y | Block_z | Thread_x | Thread_y | Thread_z -> false

@@ -23,5 +23,3 @@ val all : t list
 val is_simt : t -> bool
 (** blockIdx.* / threadIdx.* axes. *)
 
-val is_mlu : t -> bool
-(** taskId / clusterId / coreId axes. *)

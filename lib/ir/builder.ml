@@ -14,7 +14,6 @@ let memcpy ~dst ~dst_off ~src ~src_off len =
   Stmt.Memcpy { dst = { buf = dst; offset = dst_off }; src = { buf = src; offset = src_off }; len }
 
 let sync = Stmt.Sync
-let annot key value = Stmt.Annot { key; value }
 
 let intrin op ~dst ?(srcs = []) params =
   let mk (buf, offset) : Intrin.buf_ref = { buf; offset } in

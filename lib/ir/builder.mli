@@ -11,7 +11,6 @@ val alloc : ?dtype:Dtype.t -> string -> Scope.t -> int -> Stmt.t
 val if_ : Expr.t -> ?else_:Stmt.t list -> Stmt.t list -> Stmt.t
 val memcpy : dst:string -> dst_off:Expr.t -> src:string -> src_off:Expr.t -> Expr.t -> Stmt.t
 val sync : Stmt.t
-val annot : string -> string -> Stmt.t
 
 val intrin :
   Intrin.op ->

@@ -9,7 +9,6 @@ let to_string = function
 
 let size_in_bytes = function F32 -> 4 | F16 -> 2 | I32 -> 4 | I8 -> 1 | Bool -> 1
 let is_float = function F32 | F16 -> true | I32 | I8 | Bool -> false
-let is_int = function I32 | I8 -> true | F32 | F16 | Bool -> false
 let equal (a : t) (b : t) = a = b
 let compare = Stdlib.compare
 let all = [ F32; F16; I32; I8; Bool ]

@@ -5,7 +5,6 @@ type t = F32 | F16 | I32 | I8 | Bool
 val to_string : t -> string
 val size_in_bytes : t -> int
 val is_float : t -> bool
-val is_int : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val all : t list

@@ -135,7 +135,6 @@ let rename_buffer ~old_name ~new_name e =
     e
 
 let contains_var x e = List.exists (String.equal x) (free_vars e)
-let is_const = function Int _ | Float _ -> true | _ -> false
 
 let rec eval_int env = function
   | Int n -> n

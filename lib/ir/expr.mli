@@ -33,7 +33,6 @@ type t =
   | Select of t * t * t  (** [Select (cond, then_, else_)] *)
   | Cast of Dtype.t * t
 
-val binop_to_string : binop -> string
 val equal : t -> t -> bool
 (** Structural equality. Float literals compare by bit pattern, so [0.0]
     and [-0.0] differ (they divide to opposite infinities). *)
@@ -69,7 +68,6 @@ val subst_var : string -> t -> t -> t
 
 val rename_buffer : old_name:string -> new_name:string -> t -> t
 val contains_var : string -> t -> bool
-val is_const : t -> bool
 
 val eval_int : (string -> int) -> t -> int
 (** Evaluate an integer expression given a variable environment. Raises

@@ -55,12 +55,6 @@ let op_name = function
   | Conv2d -> "conv2d"
   | Dp4a -> "dp4a"
 
-let all_ops =
-  [ Vec_add; Vec_sub; Vec_mul; Vec_max; Vec_min; Vec_exp; Vec_log; Vec_sqrt; Vec_recip;
-    Vec_tanh; Vec_erf; Vec_relu; Vec_sigmoid; Vec_gelu; Vec_sign; Vec_scale; Vec_adds; Vec_fill; Vec_copy; Vec_reduce_sum;
-    Vec_reduce_max; Mma; Mlp; Conv2d; Dp4a ]
-
-let op_of_name s = List.find_opt (fun op -> String.equal (op_name op) s) all_ops
 let equal_op (a : op) (b : op) = a = b
 
 let arity = function

@@ -45,7 +45,6 @@ type buf_ref = { buf : string; offset : Expr.t }
 type t = { op : op; dst : buf_ref; srcs : buf_ref list; params : Expr.t list }
 
 val op_name : op -> string
-val op_of_name : string -> op option
 val equal_op : op -> op -> bool
 val equal : t -> t -> bool
 
@@ -59,7 +58,6 @@ val arity : op -> int
 val param_count : op -> int
 val is_vector : op -> bool
 val is_matrix : op -> bool
-val all_ops : op list
 
 val map_exprs : (Expr.t -> Expr.t) -> t -> t
 (** Apply a rewriting function to every expression (offsets and params). *)

@@ -76,7 +76,6 @@ let rec hash_fold h stmt =
 and hash_fold_block h block = List.fold_left hash_fold (Expr.hash_comb h 37) block
 
 let hash s = hash_fold 0 s
-let hash_block b = hash_fold_block 0 b
 
 let rec map_exprs f stmt =
   match stmt with
@@ -163,13 +162,6 @@ let allocs block =
     [] block
   |> List.rev
 
-let scalar_vars block =
-  fold
-    (fun acc s ->
-      match s with Let r -> r.var :: acc | For r -> r.var :: acc | _ -> acc)
-    [] block
-  |> List.rev |> dedup
-
 let loop_vars block =
   fold (fun acc s -> match s with For r -> r.var :: acc | _ -> acc) [] block
   |> List.rev |> dedup
@@ -233,16 +225,6 @@ let rename_buffer ~old_name ~new_name block =
         Some (Intrinsic { i with dst = ren_ref i.dst; srcs = List.map ren_ref i.srcs })
       | _ -> Some stmt)
     block
-
-let find_loop v block =
-  let found = ref None in
-  iter
-    (fun s ->
-      match s with
-      | For r when String.equal r.var v && !found = None -> found := Some s
-      | _ -> ())
-    block;
-  !found
 
 let simplify block =
   let rec go block =

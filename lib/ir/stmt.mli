@@ -32,7 +32,6 @@ val equal_block : t list -> t list -> bool
 val hash : t -> int
 (** Full-depth structural hash, consistent with [equal]. *)
 
-val hash_block : t list -> int
 val hash_fold : int -> t -> int
 val hash_fold_block : int -> t list -> int
 
@@ -52,8 +51,6 @@ val fold : ('a -> t -> 'a) -> 'a -> t list -> 'a
 val buffers_written : t list -> string list
 val buffers_read : t list -> string list
 val allocs : t list -> (string * Scope.t * Dtype.t * int) list
-val scalar_vars : t list -> string list
-(** Variables introduced by [Let] or [For]. *)
 
 val loop_vars : t list -> string list
 val axes_used : t list -> Axis.t list
@@ -67,9 +64,6 @@ val subst_var : string -> Expr.t -> t list -> t list
     (does not cross a rebinding of the same name). *)
 
 val rename_buffer : old_name:string -> new_name:string -> t list -> t list
-
-val find_loop : string -> t list -> t option
-(** [find_loop v block] returns the first [For] loop with variable [v]. *)
 
 val simplify : t list -> t list
 (** Simplify all expressions; drop ifs with constant conditions and loops

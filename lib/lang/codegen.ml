@@ -210,8 +210,6 @@ let emit (d : Dialect.t) (k : Kernel.t) =
   out "}\n";
   Buffer.contents buf
 
-let emit_platform pid k = emit (Dialect.of_platform pid) k
-
 let lines_of_code src =
   String.split_on_char '\n' src
   |> List.filter (fun l ->

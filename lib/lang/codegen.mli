@@ -10,7 +10,6 @@ open Xpiler_ir
     for well-formed programs. *)
 
 val emit : Dialect.t -> Kernel.t -> string
-val emit_platform : Xpiler_machine.Platform.id -> Kernel.t -> string
 
 val lines_of_code : string -> int
 (** Non-blank, non-comment-only source lines; used by the productivity

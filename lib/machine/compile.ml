@@ -1565,13 +1565,13 @@ module Cache = Xpiler_util.Lru.Make (struct
 end)
 
 let cache_limit = 4096
-let cache : t Cache.t = Cache.create cache_limit
-let cache_mutex = Mutex.create ()
+let cache : t Cache.t Xpiler_util.Session.t =
+  Xpiler_util.Session.make (fun () -> Cache.create cache_limit)
 
 module Metrics = Xpiler_obs.Metrics
 
-(* Stable: [cached] is called from the master domain's unit-test path, so
-   hit/miss counts are a pure function of the workload. *)
+(* Stable: the cache is session-local, so hit/miss counts are a pure
+   function of the session's workload. *)
 let m_cache_hits =
   Metrics.counter ~help:"compile cache lookups by result" ~labels:[ ("result", "hit") ]
     "xpiler_compile_cache_lookups_total"
@@ -1584,13 +1584,13 @@ let m_cache_evictions =
     "xpiler_compile_cache_evictions_total"
 
 let cached k =
-  Mutex.protect cache_mutex (fun () ->
-      match Cache.find cache k with
-      | Some c ->
-        Metrics.inc m_cache_hits;
-        c
-      | None ->
-        Metrics.inc m_cache_misses;
-        let c = compile k in
-        if Cache.replace cache k c then Metrics.inc m_cache_evictions;
-        c)
+  let cache = Xpiler_util.Session.get cache in
+  match Cache.find cache k with
+  | Some c ->
+    Metrics.inc m_cache_hits;
+    c
+  | None ->
+    Metrics.inc m_cache_misses;
+    let c = compile k in
+    if Cache.replace cache k c then Metrics.inc m_cache_evictions;
+    c

@@ -123,7 +123,7 @@ val run_receipt :
     nothing). *)
 
 val cached : Kernel.t -> t
-(** Thread-safe LRU memo of [compile] (4096 entries), keyed by the
+(** Session-local LRU memo of [compile] (4096 entries), keyed by the
     structural [Kernel.hash]/[equal]; the tuner and the unit-test oracle
     re-execute the same candidate kernels many times, so this makes
     compilation cost amortize to zero. *)

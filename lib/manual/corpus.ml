@@ -141,10 +141,14 @@ let parallel_entries pid =
         })
       p.Platform.axes
 
-let entries_table : (Platform.id, entry list) Hashtbl.t = Hashtbl.create 4
-let index_table : (Platform.id, Bm25.index) Hashtbl.t = Hashtbl.create 4
+let entries_table : (Platform.id, entry list) Hashtbl.t Xpiler_util.Session.t =
+  Xpiler_util.Session.make (fun () -> Hashtbl.create 4)
+
+let index_table : (Platform.id, Bm25.index) Hashtbl.t Xpiler_util.Session.t =
+  Xpiler_util.Session.make (fun () -> Hashtbl.create 4)
 
 let entries pid =
+  let entries_table = Xpiler_util.Session.get entries_table in
   match Hashtbl.find_opt entries_table pid with
   | Some es -> es
   | None ->
@@ -155,6 +159,7 @@ let entries pid =
 let find pid id = List.find_opt (fun e -> String.equal e.id id) (entries pid)
 
 let index pid =
+  let index_table = Xpiler_util.Session.get index_table in
   match Hashtbl.find_opt index_table pid with
   | Some idx -> idx
   | None ->

@@ -10,11 +10,6 @@ type t = { rng : Rng.t; clock : Vclock.t option }
 
 let create ~seed ?clock () = { rng = Rng.create seed; clock }
 
-let seed_fork t salt =
-  let r = Rng.copy t.rng in
-  let base = Rng.int r 1_000_000_000 in
-  { t with rng = Rng.create (base + salt) }
-
 type translation = Garbage | Translated of Kernel.t * Fault.injected list
 
 let charge t stage seconds =

@@ -14,9 +14,6 @@ module Vclock = Xpiler_util.Vclock
 type t
 
 val create : seed:int -> ?clock:Vclock.t -> unit -> t
-val seed_fork : t -> int -> t
-(** An independent oracle derived from this one and a salt (to keep per-case
-    results independent of evaluation order). *)
 
 type translation =
   | Garbage  (** output is not even parseable in the target dialect *)

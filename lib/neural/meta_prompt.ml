@@ -1,4 +1,3 @@
-open Xpiler_ir
 module Pass = Xpiler_passes.Pass
 
 type t = {
@@ -107,7 +106,3 @@ let render t =
     List.iter (fun h -> Buffer.add_string b ("- " ^ h ^ "\n")) t.hints
   end;
   Buffer.contents b
-
-let token_count t kernel =
-  let words s = List.length (String.split_on_char ' ' s) in
-  words (render t) + (Stmt.count_stmts kernel.Kernel.body * 12)

@@ -21,6 +21,3 @@ val with_hints : categories:Fault.category list -> t -> t
 (** The same prompt augmented with one hint per diagnosed fault class. *)
 
 val render : t -> string
-
-val token_count : t -> Kernel.t -> int
-(** Rough prompt+program size used by the compile-time model (Figure 8). *)

@@ -28,7 +28,6 @@ val name : t -> string
 val ts : t -> float
 
 val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
 
 val encode_line : t -> string
 (** One JSONL line, without the trailing newline. *)

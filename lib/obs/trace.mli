@@ -10,11 +10,11 @@
     handle registered with [~trace], which calls {!count} / {!observe}
     itself.
 
-    The current tracer is *domain-local*: a translation runs on one domain,
-    and worker domains spawned by [Util.Pool] start with no tracer, so
-    pooled translations can never race on the master's event stream. Pool
-    users wrap task bodies in {!without}, so [jobs=1] (inline) and [jobs>1]
-    runs emit the same events: none from inside the tasks. *)
+    The current tracer is a {!Xpiler_util.Session} value: a translation
+    runs on one domain, and every [Util.Pool] task starts with no tracer,
+    so pooled translations never race on the caller's event stream, and
+    [jobs=1] (inline) and [jobs>1] runs emit the same events: none from
+    inside the tasks. *)
 
 val install : Tracer.t -> unit
 val uninstall : unit -> unit
@@ -22,10 +22,8 @@ val current : unit -> Tracer.t option
 
 val without : (unit -> 'a) -> 'a
 (** Runs the function with tracing suspended on this domain (restored on
-    exit, including by exception). Used around pooled task bodies so inline
-    ([jobs=1]) execution emits exactly what worker-domain execution does:
-    nothing ambient — and around work whose effects a caller re-emits in
-    canonical form (tuner batches, transposition receipts). *)
+    exit, including by exception). Used around work whose effects a caller
+    re-emits in canonical form (tuner batches, transposition receipts). *)
 
 val enabled : unit -> bool
 (** A tracer is installed (at any level). *)

@@ -369,14 +369,18 @@ let candidate_pipelines pid (op : Opdef.t) shape (serial : Kernel.t) =
 let pipelines_for pid (op : Opdef.t) shape (kernel : Kernel.t) =
   candidate_pipelines pid op shape kernel
 
-let pipeline_cache : (string, Pass.spec list) Hashtbl.t = Hashtbl.create 64
+let pipeline_cache : (string, Pass.spec list) Hashtbl.t Xpiler_util.Session.t =
+  Xpiler_util.Session.make (fun () -> Hashtbl.create 64)
 
 let cache_key pid (op : Opdef.t) shape =
   Printf.sprintf "%s/%s/%s" (Platform.id_to_string pid) op.Opdef.name
     (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) shape))
 
+(* the pass sequence [source] applies (empty when the serial kernel is
+   already the idiom, as for plain C) *)
 let golden_pipeline pid (op : Opdef.t) shape =
   let key = cache_key pid op shape in
+  let pipeline_cache = Xpiler_util.Session.get pipeline_cache in
   match Hashtbl.find_opt pipeline_cache key with
   | Some specs -> specs
   | None ->

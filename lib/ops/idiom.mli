@@ -16,11 +16,6 @@ val source : Platform.id -> Opdef.t -> Opdef.shape -> Kernel.t
 val source_text : Platform.id -> Opdef.t -> Opdef.shape -> string
 (** The idiomatic kernel rendered in the platform's surface dialect. *)
 
-val golden_pipeline :
-  Platform.id -> Opdef.t -> Opdef.shape -> Xpiler_passes.Pass.spec list
-(** The pass sequence [source] applies (empty when the serial kernel is
-    already the idiom, as for plain C). *)
-
 val pipelines_for :
   Platform.id -> Opdef.t -> Opdef.shape -> Kernel.t -> Xpiler_passes.Pass.spec list list
 (** Candidate pass sequences for retargeting an arbitrary (e.g. just

@@ -24,6 +24,3 @@ let cases () =
     (fun (op : Opdef.t) ->
       List.map (fun shape -> { op; shape; case_id = case_id op shape }) op.shapes)
     all
-
-let cases_of names =
-  List.filter (fun c -> List.mem c.op.Opdef.name names) (cases ())

@@ -9,5 +9,3 @@ type case = { op : Opdef.t; shape : Opdef.shape; case_id : string }
 val cases : unit -> case list
 (** All 168 cases in a stable order; [case_id] is ["op@dim=n,..."]. *)
 
-val cases_of : string list -> case list
-(** Cases restricted to the named ops. *)

@@ -3,6 +3,7 @@ open Xpiler_machine
 module Metrics = Xpiler_obs.Metrics
 module Trace = Xpiler_obs.Trace
 module Lru = Xpiler_util.Lru
+module Session = Xpiler_util.Session
 
 type verdict = Pass | Fail of string
 
@@ -60,11 +61,10 @@ end
 module Ref_lru = Lru.Make (Ref_key)
 
 let ref_capacity = 512
-let ref_mutex = Mutex.create ()
 
 let ref_cache :
-    ((string * Interp.arg) list * (string * Tensor.t) list, string) result Ref_lru.t =
-  Ref_lru.create ref_capacity
+    ((string * Interp.arg) list * (string * Tensor.t) list, string) result Ref_lru.t Session.t =
+  Session.make (fun () -> Ref_lru.create ref_capacity)
 
 let m_reference_runs =
   Metrics.counter ~help:"serial reference runs (reference cache misses)"
@@ -73,7 +73,8 @@ let m_reference_runs =
 (* the cached inputs and outputs, shared: callers clone before mutating *)
 let reference ~seed (op : Opdef.t) shape =
   let key = { Ref_key.op; shape; seed } in
-  match Mutex.protect ref_mutex (fun () -> Ref_lru.find ref_cache key) with
+  let cache = Session.get ref_cache in
+  match Ref_lru.find cache key with
   | Some r -> r
   | None ->
     Metrics.inc m_reference_runs;
@@ -82,7 +83,7 @@ let reference ~seed (op : Opdef.t) shape =
       | r -> Ok r
       | exception (Interp.Runtime_error m | Invalid_argument m) -> Error m
     in
-    Mutex.protect ref_mutex (fun () -> ignore (Ref_lru.replace ref_cache key r));
+    ignore (Ref_lru.replace cache key r);
     r
 
 let reference_outputs_seeded ~seed op shape =
@@ -122,9 +123,8 @@ type entry = {
 }
 
 let memo_capacity = 8192
-let memo_mutex = Mutex.create ()
-let memo : entry Memo_lru.t = Memo_lru.create memo_capacity
-let reset_memo () = Mutex.protect memo_mutex (fun () -> Memo_lru.clear memo)
+let memo : entry Memo_lru.t Session.t = Session.make (fun () -> Memo_lru.create memo_capacity)
+let reset_memo () = Memo_lru.clear (Session.get memo)
 
 type lookups = { hit : Metrics.counter; miss : Metrics.counter }
 
@@ -186,11 +186,11 @@ let trial ~lookups ~want_score ~seed (op : Opdef.t) shape kernel khash =
   | Ok (inputs, expected) -> (
     let key = { Memo_key.op; shape; seed; kernel; khash } in
     let traced = Trace.enabled () in
+    let memo = Session.get memo in
     let hit =
-      Mutex.protect memo_mutex (fun () ->
-          match Memo_lru.find memo key with
-          | Some e when (not traced) || e.receipt.Interp.traffic <> None -> Some e
-          | _ -> None)
+      match Memo_lru.find memo key with
+      | Some e when (not traced) || e.receipt.Interp.traffic <> None -> Some e
+      | _ -> None
     in
     match hit with
     | Some e ->
@@ -207,7 +207,7 @@ let trial ~lookups ~want_score ~seed (op : Opdef.t) shape kernel khash =
       match execute op kernel inputs expected ~want_score with
       | Error m -> (Fail m, Some max_int)
       | Ok e ->
-        Mutex.protect memo_mutex (fun () -> ignore (Memo_lru.replace memo key e));
+        ignore (Memo_lru.replace memo key e);
         (e.verdict, e.score)))
 
 let default_seed = 20250706

@@ -22,7 +22,7 @@ exception Reference_failed of string
 val reference_outputs_seeded :
   seed:int -> Opdef.t -> Opdef.shape -> (string * Interp.arg) list * (string * Tensor.t) list
 (** Like {!reference_outputs} with [Rng.create seed], but the serial
-    reference run is cached per (op, shape, seed) in a bounded LRU table —
+    reference run is cached per (op, shape, seed) in a bounded session LRU —
     the checker replays the same oracle for every candidate kernel. Returned
     buffers are private copies; mutating them never corrupts the cache. A
     hit requires the same [Opdef.t] value (physical identity), so
@@ -33,12 +33,13 @@ val reference_outputs_seeded :
 
 (** {2 The checker}
 
-    Every trial is memoized process-wide, keyed by (physical op, shape,
-    trial seed, structural kernel): re-testing a kernel costs a lookup. An
-    entry keeps the run's receipt and a hit replays it to the ambient
-    tracer, so results, modelled charges (callers charge before checking)
-    and trace journals are the same as with a fresh run. Under a tracer, an
-    entry recorded without one is a miss and is re-run. *)
+    Every trial is memoized in the session ({!Xpiler_util.Session}), keyed
+    by (physical op, shape, trial seed, structural kernel): re-testing a
+    kernel costs a lookup. An entry keeps the run's receipt and a hit
+    replays it to the ambient tracer, so results, modelled charges (callers
+    charge before checking) and trace journals are the same as with a fresh
+    run. Under a tracer, an entry recorded without one is a miss and is
+    re-run. *)
 
 type lookups = { hit : Xpiler_obs.Metrics.counter; miss : Xpiler_obs.Metrics.counter }
 (** The counters a caller's memo lookups are counted in; by default the

@@ -1,5 +1,7 @@
 open Xpiler_ir
 
+(* replace the first statement (pre-order) satisfying the predicate; [None]
+   when nothing matched *)
 let rec rewrite_first p f block =
   match block with
   | [] -> None

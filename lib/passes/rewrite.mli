@@ -2,11 +2,6 @@ open Xpiler_ir
 
 (** Shared rewriting machinery for the transformation passes. *)
 
-val rewrite_first :
-  (Stmt.t -> bool) -> (Stmt.t -> Stmt.t list) -> Stmt.t list -> Stmt.t list option
-(** Replace the first statement (pre-order) satisfying the predicate;
-    [None] when nothing matched. *)
-
 val rewrite_loop :
   string -> (var:string -> lo:Expr.t -> extent:Expr.t -> kind:Stmt.loop_kind ->
              body:Stmt.t list -> Stmt.t list) ->

@@ -1,11 +1,11 @@
-(* Process-global solver memo.
+(* Session-local solver memo.
 
    The repair loop re-poses the same finite-domain problems over and over:
    every localization round rebuilds each site's candidate problem, every
    escalation rung re-enters repair on similar kernels, and bench sweeps
    repeat the whole thing across seeds. A solve is pure — outcome and
-   models depend only on (problem, budget) — so one table can serve every
-   query, exactly like the tuner's transposition table
+   models depend only on (problem, budget) — so one table per session can
+   serve every query, exactly like the tuner's transposition table
    (lib/tuning/transposition.ml).
 
    Determinism contract (the receipts trick): each entry stores the
@@ -25,17 +25,13 @@
 module Metrics = Xpiler_obs.Metrics
 
 (* Stable: a translation issues its solver queries on one domain, in a fixed
-   order. Translations the bench harness runs in parallel could race on a
-   shared problem; the translation-level determinism test in test_store
-   checks that the split stays jobs-invariant on its workload. *)
+   order, against its session's table. *)
 let m_hits =
   Metrics.counter ~help:"solver memo lookups by result" ~labels:[ ("result", "hit") ]
     "xpiler_smt_memo_lookups_total"
 
 let m_misses =
   Metrics.counter ~labels:[ ("result", "miss") ] "xpiler_smt_memo_lookups_total"
-
-let m_entries = Metrics.gauge ~help:"live solver memo entries" "xpiler_smt_memo_entries"
 
 type mode = Solve | Models of { limit : int }
 
@@ -59,19 +55,16 @@ type entry = { payload : payload; stats : Problem.stats  (** the receipt *) }
 
 (* a repair pass touches a few dozen distinct problems; whole bench sweeps a
    few thousand — same sizing logic as the transposition table *)
-let mutex = Mutex.create ()
-let table : entry Table.t = Table.create 65536
-let enabled = ref true
+let table : entry Table.t Xpiler_util.Session.t =
+  Xpiler_util.Session.make (fun () -> Table.create 65536)
 
-(* durable-store hook: called outside the mutex on every fresh [store];
+(* durable-store hook, process-wide: called on every fresh [store];
    [restore] bypasses it so log replay never echoes back to disk *)
-let observer : (Key.t -> entry -> unit) option ref = ref None
-let set_observer o = Mutex.protect mutex (fun () -> observer := o)
+let observer : (Key.t -> entry -> unit) option Atomic.t = Atomic.make None
+let set_observer o = Atomic.set observer o
 
-let set_enabled b = Mutex.protect mutex (fun () -> enabled := b)
-
-let find_locked key =
-  match Table.find table key with
+let find ~mode ~max_steps problem =
+  match Table.find (Xpiler_util.Session.get table) { Key.mode; max_steps; problem } with
   | Some e ->
     Metrics.inc m_hits;
     Some e
@@ -79,35 +72,14 @@ let find_locked key =
     Metrics.inc m_misses;
     None
 
-let find ~mode ~max_steps problem =
-  Mutex.protect mutex (fun () ->
-      if not !enabled then None else find_locked { Key.mode; max_steps; problem })
-
 let store ~mode ~max_steps problem entry =
   let key = { Key.mode; max_steps; problem } in
-  let obs =
-    Mutex.protect mutex (fun () ->
-        if !enabled then begin
-          ignore (Table.replace table key entry);
-          Metrics.set m_entries (float_of_int (Table.length table));
-          !observer
-        end
-        else None)
-  in
-  match obs with Some f -> f key entry | None -> ()
+  ignore (Table.replace (Xpiler_util.Session.get table) key entry);
+  match Atomic.get observer with Some f -> f key entry | None -> ()
 
-let restore key entry =
-  Mutex.protect mutex (fun () ->
-      ignore (Table.replace table key entry);
-      Metrics.set m_entries (float_of_int (Table.length table)))
-
-let fold f acc = Mutex.protect mutex (fun () -> Table.fold f table acc)
-
+let restore key entry = ignore (Table.replace (Xpiler_util.Session.get table) key entry)
+let fold f acc = Table.fold f (Xpiler_util.Session.get table) acc
 let hits () = Metrics.value m_hits
 let misses () = Metrics.value m_misses
-let size () = Mutex.protect mutex (fun () -> Table.length table)
-
-let clear () =
-  Mutex.protect mutex (fun () ->
-      Table.clear table;
-      Metrics.set m_entries 0.0)
+let size () = Table.length (Xpiler_util.Session.get table)
+let clear () = Table.clear (Xpiler_util.Session.get table)

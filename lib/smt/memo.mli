@@ -1,5 +1,5 @@
-(** Process-global solver memo: canonical problem hash → outcome/models,
-    an LRU of 65536 entries ({!Xpiler_util.Lru}).
+(** Solver memo: canonical problem hash → outcome/models, an LRU of 65536
+    entries ({!Xpiler_util.Lru}) per session ({!Xpiler_util.Session}).
 
     Entries carry the original search's [stats] as an effect *receipt*
     (same trick as the tuner's transposition table): [Solver] replays a
@@ -8,13 +8,13 @@
     [max_steps] (and [limit] for [Models]) are part of the key, which is
     what makes memoizing [Unsat] and [Timeout] sound.
 
-    [Solver] is the only intended writer; benches and tests use
-    [set_enabled]/[clear] to build cold baselines. *)
+    [Solver] is the only intended writer; benches and tests use [clear]
+    to build cold baselines, and the naive engine bypasses the memo. *)
 
 type mode = Solve | Models of { limit : int }
 
-(** The full memo key, exposed for the durable store (snapshot dumps,
-    write-ahead-log records and last-wins compaction). *)
+(** The full memo key, exposed for the durable store (log records
+    and last-wins compaction). *)
 module Key : sig
   type t = { mode : mode; max_steps : int; problem : Problem.t }
 
@@ -29,15 +29,11 @@ type payload =
 type entry = { payload : payload; stats : Problem.stats  (** the receipt *) }
 
 val find : mode:mode -> max_steps:int -> Problem.t -> entry option
-(** [None] when absent or when the memo is disabled. Counts a hit/miss in
-    the registry (read back by {!hits}/{!misses}) only while enabled. *)
+(** [None] when absent. Counts a hit/miss in the registry (read back by
+    {!hits}/{!misses}). *)
 
 val store : mode:mode -> max_steps:int -> Problem.t -> entry -> unit
-(** No-op while disabled. At capacity, evicts the least recently used
-    entry. *)
-
-val set_enabled : bool -> unit
-(** Default enabled; benches disable it for the cold/naive baseline arm. *)
+(** At capacity, evicts the least recently used entry. *)
 
 val hits : unit -> int
 val misses : unit -> int
@@ -50,15 +46,14 @@ val clear : unit -> unit
 (** {2 Durable-store integration} (see [Xpiler_store.Store]) *)
 
 val restore : Key.t -> entry -> unit
-(** Reinsert a persisted entry — silent (no hit/miss counts, no observer),
-    and unconditional: it works even while the memo is disabled, so a
-    bench's cold arm can still be rebuilt explicitly. LRU eviction still
-    applies. *)
+(** Reinsert a persisted entry — silent (no hit/miss counts, no observer).
+    LRU eviction still applies. *)
 
 val fold : (Key.t -> entry -> 'a -> 'a) -> 'a -> 'a
-(** Fold over the live entries (most recent first), for snapshot dumps. *)
+(** Fold over the live entries (most recent first), for
+    {!Xpiler_store.Store.fingerprint}. *)
 
 val set_observer : (Key.t -> entry -> unit) option -> unit
-(** Hook called (outside the memo mutex) on every fresh {!store} while the
-    memo is enabled; the durable store uses it to append to its
+(** Process-wide hook called on every fresh {!store}, from whichever
+    domain stores; the durable store uses it to append to its
     write-ahead log. *)

@@ -48,7 +48,7 @@ let default_max_steps = 2_000_000
    The pre-overhaul engine, retained verbatim: re-materializes domains at
    every visit and re-checks the whole constraint list at every assignment
    step. It is the differential-fuzz oracle for the incremental engine and
-   the baseline arm of bench/repair_bench.ml (via [set_engine Naive]). *)
+   the baseline arm of bench/repair_bench.ml (via [with_engine Naive]). *)
 
 let search_naive ?(max_steps = default_max_steps) problem ~on_model =
   let steps = ref 0 and evals = ref 0 in
@@ -99,7 +99,7 @@ let search_naive ?(max_steps = default_max_steps) problem ~on_model =
    - the environment is a slot-indexed int array instead of a [List.assoc]
      chain probed through an exception handler;
    - constraints are simplified once (shared across the near-identical
-     problems a repair pass builds, via a process-global cache) and indexed
+     problems a repair pass builds, via a session cache) and indexed
      by their last-bound variable, watched-literal style: binding slot [i]
      evaluates only the constraints that *became* fully bound at [i].
      Constraints bound earlier were already checked true on the ancestor
@@ -124,17 +124,17 @@ end)
 (* once-per-pass simplification shared across candidate holes: the repairer
    poses the same alignment/positivity constraints for every candidate site
    of a kernel, so this cache turns N simplify passes into 1 *)
-let simp_mutex = Mutex.create ()
-let simp_cache : Expr.t Simp_cache.t = Simp_cache.create 8192
+let simp_cache : Expr.t Simp_cache.t Xpiler_util.Session.t =
+  Xpiler_util.Session.make (fun () -> Simp_cache.create 8192)
 
 let simplify_shared e =
-  Mutex.protect simp_mutex (fun () ->
-      match Simp_cache.find simp_cache e with
-      | Some s -> s
-      | None ->
-        let s = Expr.simplify e in
-        ignore (Simp_cache.replace simp_cache e s);
-        s)
+  let cache = Xpiler_util.Session.get simp_cache in
+  match Simp_cache.find cache e with
+  | Some s -> s
+  | None ->
+    let s = Expr.simplify e in
+    ignore (Simp_cache.replace cache e s);
+    s
 
 type prepared = {
   p_names : string array;
@@ -266,9 +266,8 @@ let record_query (stats : stats) verdict =
 
 type engine = Incremental | Naive
 
-let current_engine = ref Incremental
-let set_engine e = current_engine := e
-let engine () = !current_engine
+let current_engine = Xpiler_util.Session.make (fun () -> Incremental)
+let with_engine e f = Xpiler_util.Session.with_value current_engine e f
 
 type work = {
   fresh_solves : int;
@@ -302,7 +301,7 @@ let work_totals () =
 let run_search ~max_steps problem ~on_model =
   Xpiler_obs.Prof.span "smt.search" @@ fun () ->
   let found, timeout, stats =
-    match !current_engine with
+    match Xpiler_util.Session.get current_engine with
     | Naive -> search_naive ~max_steps problem ~on_model
     | Incremental ->
       let found, timeout, stats, skipped = search_incremental ~max_steps problem ~on_model in
@@ -320,7 +319,7 @@ let verdict_of_outcome = function Sat _ -> "sat" | Unsat -> "unsat" | Timeout ->
    the pre-overhaul solver for benches, which must not see warm entries
    (and whose stats under the same key could differ on the raising-
    constraint edge documented above) *)
-let memo_active () = !current_engine = Incremental
+let memo_active () = Xpiler_util.Session.get current_engine = Incremental
 
 let solve ?(max_steps = default_max_steps) problem =
   let fresh () =

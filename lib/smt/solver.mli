@@ -15,8 +15,8 @@ open Xpiler_ir
     constraints simplified once and indexed by last-bound variable so each
     assignment step evaluates only newly-fully-bound constraints) and the
     retained naive reference they are differentially fuzzed against.
-    Incremental solves are additionally memoized process-globally
-    ({!Memo}), with effect receipts keeping cold and warm runs observably
+    Incremental solves are additionally memoized in the session's {!Memo},
+    with effect receipts keeping cold and warm runs observably
     byte-identical. *)
 
 type domain = Problem.domain =
@@ -55,11 +55,12 @@ val forall_range : string -> lo:int -> hi:int -> Expr.t -> Expr.t
 (** {2 Engine selection and work meters (benches, tests)} *)
 
 type engine =
-  | Incremental  (** default: prepared problems + process-global memo *)
+  | Incremental  (** default: prepared problems + the session's memo *)
   | Naive  (** the pre-overhaul engine; bypasses the memo *)
 
-val set_engine : engine -> unit
-val engine : unit -> engine
+val with_engine : engine -> (unit -> 'a) -> 'a
+(** Run the function with this session's solver engine set, restoring the
+    previous engine on exit. *)
 
 type work = {
   fresh_solves : int;

@@ -13,9 +13,6 @@ open Xpiler_ir
       The search space grows combinatorially ("+++"), which is why
       QiMeng-Xpiler delegates sketch generation to the LLM. *)
 
-val is_hole : string -> bool
-(** Hole variables are spelled ["?name"]. *)
-
 val holes_of : Expr.t -> string list
 
 type example = { env : (string * int) list; expected : int }

@@ -5,11 +5,11 @@ module Memo = Xpiler_smt.Memo
 module Metrics = Xpiler_obs.Metrics
 module Fsx = Xpiler_util.Fsx
 
-(* All store meters are unstable: transposition appends happen inside whole
-   translations that the bench harness may run in parallel, so which
-   translation appends a shared state first depends on the schedule. The
-   deterministic artifact is the reconstructed table contents, not these
-   meters. *)
+(* All store meters are unstable: appends happen inside whole translations
+   that the bench harness may run in parallel, so their order and their
+   count across a store's life depend on the schedule and on what earlier
+   runs persisted. The deterministic artifact is the reconstructed table
+   contents, not these meters. *)
 let m_append_schedule =
   Metrics.counter ~stable:false ~help:"records appended to the store WAL by kind"
     ~labels:[ ("kind", "schedule") ] "xpiler_store_records_total"
@@ -323,8 +323,8 @@ let clear_files t =
 
 (* ---- fingerprinting (determinism tests) ---------------------------------- *)
 
-(* Digest of the three in-memory stores. Only meaningful for comparing
-   states produced the same way (e.g. both freshly loaded from disk):
+(* Digest of the session's three in-memory stores. Only meaningful for
+   comparing states produced the same way (e.g. both freshly loaded from disk):
    Marshal bytes can differ across *construction* paths for structurally
    equal values, but are stable for equal replay inputs. *)
 let fingerprint ?(db = Schedule_db.default) () =

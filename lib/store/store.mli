@@ -1,13 +1,20 @@
 (** Durable knowledge store.
 
-    The three process-global learning stores — the warm-start schedule
-    database ({!Xpiler_tuning.Schedule_db}), the tuner's transposition
-    table ({!Xpiler_tuning.Transposition}) and the solver memo
-    ({!Xpiler_smt.Memo}) — die with the process, so every run re-learns
-    the same schedules. This module persists them under a directory
-    (canonically [$XPILER_STORE_DIR]) as one append-only log,
-    [DIR/store.wal], and replays it back into the in-memory tables on the
-    next process start.
+    The three learning stores — the warm-start schedule database
+    ({!Xpiler_tuning.Schedule_db}), the tuner's transposition table
+    ({!Xpiler_tuning.Transposition}) and the solver memo
+    ({!Xpiler_smt.Memo}) — are session values ({!Xpiler_util.Session}) and
+    die with the process, so every run re-learns the same schedules. This
+    module persists them under a directory (canonically
+    [$XPILER_STORE_DIR]) as one append-only log, [DIR/store.wal], and
+    replays it back into the in-memory tables on the next process start.
+
+    {b Sessions.} Replay fills the session that opens the store (the
+    caller of {!load} or {!ensure}; for the CLI, the main domain). The
+    write-through observers are process-wide: once attached, every
+    session's fresh entries are appended, pool tasks' included, through
+    the store's own lock. A pool task's fresh session is not filled by
+    replay, so it sees only what it computes itself.
 
     {b Content addressing.} Records are keyed by the same structural
     identities the in-memory tables use ({!Xpiler_ir.Kernel.hash}-based
@@ -55,7 +62,6 @@ val append : t -> record -> unit
 
 type counts = { schedule : int; transposition : int; solver_memo : int }
 
-val zero_counts : counts
 val total : counts -> int
 
 type load_stats = {
@@ -65,13 +71,14 @@ type load_stats = {
 }
 
 val load : ?db:Schedule_db.t -> t -> load_stats
-(** Replay the log (last write wins) into the in-memory stores via their silent [restore] entry points — no
-    hit/miss counts, no traces, no observer echo. [db] defaults to
-    {!Schedule_db.default}. *)
+(** Replay the log (last write wins) into the calling session's in-memory
+    stores via their silent [restore] entry points — no hit/miss counts, no
+    traces, no observer echo. [db] defaults to {!Schedule_db.default}. *)
 
 val attach : ?db:Schedule_db.t -> t -> unit
 (** Register the write-through observers on the three stores: from here
-    on, every fresh entry they learn is appended to the log. At most one
+    on, every fresh entry they learn, in any session, is appended to the
+    log. At most one
     store is attached per process (a prior attachment is detached). An
     append that fails prints one warning to stderr and detaches the store;
     the learning store that produced the record is unaffected. *)
@@ -111,7 +118,8 @@ val clear_files : t -> int
     files removed. *)
 
 val fingerprint : ?db:Schedule_db.t -> unit -> string
-(** Order-insensitive digest of the three in-memory stores' contents.
+(** Order-insensitive digest of the calling session's three in-memory
+    stores.
     Stable across construction paths that replay the same records (e.g.
     two loads of equivalent stores); the [@store] determinism tests
     compare these. *)

@@ -30,11 +30,6 @@ val candidates : Platform.t -> Kernel.t -> Pass.spec list list
     pipelining — each entry is a short spec sequence to try on top of the
     kernel. Includes the empty sequence (keep as is). *)
 
-val composed_candidates : variant list -> limit:int -> Pass.spec list list
-(** Depth-2 compositions seeded from measured single-split survivors (best
-    first): reorders and pipelines applicable to each survivor's transformed
-    kernel, appended to its specs; at most [limit] results. *)
-
 type memo
 (** Memo of the checker and the cost model for one search: [compiles] and
     modelled-throughput results keyed by (platform, kernel) on the

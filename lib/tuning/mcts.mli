@@ -14,7 +14,7 @@ module Pass = Xpiler_passes.Pass
     Search-efficiency mechanisms (each independently switchable):
 
     - {b Transposition sharing} ([share], default on): rewards are served
-      from the process-global {!Transposition} table, shared across
+      from the session's {!Transposition} table, shared across
       root-parallel batches and successive searches, on top of a per-search
       first-touch table. Rewards are pure, so sharing changes wall-clock
       only; observable charges/trace counts replay from per-entry receipts,

@@ -17,8 +17,8 @@ open Xpiler_machine
 module Pass = Xpiler_passes.Pass
 module Metrics = Xpiler_obs.Metrics
 
-(* Stable: lookups and records happen on the master domain, once per search,
-   so the counts are a pure function of the workload. *)
+(* Stable: lookups and records happen once per search, against the
+   session's table, so the counts are a pure function of the workload. *)
 let m_hits =
   Metrics.counter ~help:"schedule DB warm-start lookups by result" ~labels:[ ("result", "hit") ]
     "xpiler_schedule_db_lookups_total"
@@ -29,18 +29,22 @@ let m_records = Metrics.counter ~help:"schedule DB entries recorded" "xpiler_sch
 type entry = { specs : Pass.spec list; reward : float }
 
 type t = {
-  mutex : Mutex.t;
-  tbl : (int, entry) Hashtbl.t;
-  (* durable-store hook: called (outside the mutex) with the signature of
-     every entry a search actually records, so the store can append it to
-     its write-ahead log; [restore] bypasses it to avoid echoing replayed
-     records back to disk *)
-  mutable observer : (int -> entry -> unit) option;
+  tbl : unit -> (int, entry) Hashtbl.t;  (** the table, resolved per call *)
+  (* durable-store hook: called with the signature of every entry a search
+     actually records, so the store can append it to its write-ahead log;
+     [restore] bypasses it to avoid echoing replayed records back to disk *)
+  observer : (int -> entry -> unit) option Atomic.t;
 }
 
-let create () = { mutex = Mutex.create (); tbl = Hashtbl.create 64; observer = None }
-let default = create ()
-let set_observer t o = Mutex.protect t.mutex (fun () -> t.observer <- o)
+let create () =
+  let tbl = Hashtbl.create 64 in
+  { tbl = (fun () -> tbl); observer = Atomic.make None }
+
+let default =
+  let tbl = Xpiler_util.Session.make (fun () -> Hashtbl.create 64) in
+  { tbl = (fun () -> Xpiler_util.Session.get tbl); observer = Atomic.make None }
+
+let set_observer t o = Atomic.set t.observer o
 
 (* structural hash with integer literals wildcarded; mirrors Kernel.hash
    but folds every [Int _] (loop extents, indices, alloc sizes, launch
@@ -95,10 +99,7 @@ let signature (platform : Platform.id) (k : Kernel.t) =
   sig_block h k.Kernel.body
 
 let lookup t platform k =
-  let r =
-    Mutex.protect t.mutex (fun () ->
-        Option.map (fun e -> e.specs) (Hashtbl.find_opt t.tbl (signature platform k)))
-  in
+  let r = Option.map (fun e -> e.specs) (Hashtbl.find_opt (t.tbl ()) (signature platform k)) in
   Metrics.inc (match r with Some _ -> m_hits | None -> m_misses);
   r
 
@@ -107,19 +108,11 @@ let record t platform k ~specs ~reward =
     Metrics.inc m_records;
     let s = signature platform k in
     let e = { specs; reward } in
-    let observer =
-      Mutex.protect t.mutex (fun () ->
-          Hashtbl.replace t.tbl s e;
-          t.observer)
-    in
-    match observer with Some f -> f s e | None -> ()
+    Hashtbl.replace (t.tbl ()) s e;
+    match Atomic.get t.observer with Some f -> f s e | None -> ()
   end
 
-let restore t ~signature entry =
-  Mutex.protect t.mutex (fun () -> Hashtbl.replace t.tbl signature entry)
-
-let fold t f acc =
-  Mutex.protect t.mutex (fun () -> Hashtbl.fold f t.tbl acc)
-
-let size t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.tbl)
-let clear t = Mutex.protect t.mutex (fun () -> Hashtbl.reset t.tbl)
+let restore t ~signature entry = Hashtbl.replace (t.tbl ()) signature entry
+let fold t f acc = Hashtbl.fold f (t.tbl ()) acc
+let size t = Hashtbl.length (t.tbl ())
+let clear t = Hashtbl.reset (t.tbl ())

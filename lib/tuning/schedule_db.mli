@@ -13,11 +13,11 @@ module Pass = Xpiler_passes.Pass
     translations of similar kernels converge in far fewer simulations.
 
     Conflicts resolve most-recent-wins: rewards are not comparable across
-    shapes, so the last completed search owns the entry. All operations are
-    mutex-protected. A lookup sees what earlier searches recorded, so
-    translations that share a signature must run in a fixed order: the
-    bench harness gives each operator one pool task that runs its shapes in
-    case order. *)
+    shapes, so the last completed search owns the entry. A lookup sees what
+    earlier searches of the same session recorded, so translations that
+    share a signature must run in a fixed order in one session: the bench
+    harness gives each operator one pool task that runs its shapes in case
+    order. *)
 
 type entry = { specs : Pass.spec list; reward : float }
 type t
@@ -25,8 +25,9 @@ type t
 val create : unit -> t
 
 val default : t
-(** The process-global database used by [Core.Xpiler] when
-    [Config.tuning_warm_start] is on. Tests and benches should {!create}
+(** The database used by [Core.Xpiler] when [Config.tuning_warm_start] is
+    on. Its table is a session value ({!Xpiler_util.Session}): each domain
+    and each pool task sees its own. Tests and benches should {!create}
     private instances (or {!clear} this one) for isolation. *)
 
 val signature : Platform.id -> Kernel.t -> int
@@ -52,10 +53,11 @@ val restore : t -> signature:int -> entry -> unit
     log never re-journals or re-counts what the original run already did. *)
 
 val fold : t -> (int -> entry -> 'a -> 'a) -> 'a -> 'a
-(** Fold over [(signature, entry)] pairs (order unspecified), for snapshot
-    dumps. *)
+(** Fold over [(signature, entry)] pairs (order unspecified), for
+    {!Xpiler_store.Store.fingerprint}. *)
 
 val set_observer : t -> (int -> entry -> unit) option -> unit
-(** Hook called (outside the database mutex) with every entry {!record}
-    actually inserts; the durable store uses it to append to its
-    write-ahead log. At most one observer; [None] detaches. *)
+(** Hook called with every entry {!record} actually inserts, from
+    whichever domain records (for {!default}, one hook for every session);
+    the durable store uses it to append to its write-ahead log. At most
+    one observer; [None] detaches. *)

@@ -1,21 +1,20 @@
 open Xpiler_machine
 
-(** Shared transposition table for MCTS reward evaluations.
+(** Transposition table for MCTS reward evaluations, one per session
+    ({!Xpiler_util.Session}).
 
     Maps a state — [(platform, intra budget, prune, compose, kernel)], keyed
     by the structural {!Xpiler_ir.Kernel.hash}/[equal] — to the reward of
     its intra-pass tuning plus a *receipt* of the effects the original
-    evaluation emitted (variants measured, variants pruned). The table is
-    mutex-protected and process-global: root-parallel MCTS batches,
-    successive searches and translations running in parallel in the bench
-    harness all share it, so a state is intra-tuned once per process
-    instead of once per searcher.
+    evaluation emitted (variants measured, variants pruned). Successive
+    searches in a session share it, so a state is intra-tuned once per
+    session instead of once per search.
 
     Rewards are pure, so sharing changes wall-clock time only, never values.
     Observable effects are kept deterministic by the receipt discipline (see
     {!Mcts}): both a table hit and a fresh evaluation emit exactly the
     receipt's canonical stream, so charges and trace counters depend only on
-    the search trajectory, not on which searcher populated the table first,
+    the search trajectory, not on which search populated the table first,
     so a cold and a pre-populated table give byte-identical journals.
 
     The table is an LRU of 65536 entries ({!Xpiler_util.Lru}): at capacity
@@ -28,8 +27,8 @@ type entry = {
   pruned : int;  (** intra variants skipped by bound-based pruning *)
 }
 
-(** The full table key, exposed for the durable store (snapshot dumps,
-    write-ahead-log records and last-wins compaction). *)
+(** The full table key, exposed for the durable store (log records
+    and last-wins compaction). *)
 module Key : sig
   type t = {
     platform : Platform.id;
@@ -51,9 +50,8 @@ val find :
 val store :
   platform:Platform.id -> budget:int -> prune:bool -> compose:bool ->
   Xpiler_ir.Kernel.t -> entry -> unit
-(** Bind a freshly evaluated state. A state already present (a racing
-    searcher stored it first) is left as is and not passed to the
-    observer. *)
+(** Bind a freshly evaluated state (after a {!find} miss in this session)
+    and pass it to the observer. *)
 
 val count_eval : unit -> unit
 (** Record one fresh reward evaluation (an actual [Intra.tune] run). {!Mcts}
@@ -80,10 +78,10 @@ val restore : Key.t -> entry -> unit
     original run already journaled. LRU eviction still applies. *)
 
 val fold : (Key.t -> entry -> 'a -> 'a) -> 'a -> 'a
-(** Fold over the live entries (most recent first), for snapshot dumps. *)
+(** Fold over the live entries (most recent first), for
+    {!Xpiler_store.Store.fingerprint}. *)
 
 val set_observer : (Key.t -> entry -> unit) option -> unit
-(** Hook called on every {!store} of a new state — outside the table
-    mutex, possibly from pool worker domains, so the observer must
-    synchronize internally. The durable store uses it to append to its
-    write-ahead log. *)
+(** Process-wide hook called on every {!store} of a new state, from
+    whichever domain stores, so the observer must synchronize internally.
+    The durable store uses it to append to its write-ahead log. *)

@@ -1,12 +1,12 @@
 (** Bounded least-recently-used tables — the one eviction policy of every
-    process-global memo (compile cache, transposition table, solver memo,
+    session memo (compile cache, transposition table, solver memo,
     simplify cache, unit-test verdict and reference caches).
 
     At capacity, inserting a new key evicts only the least recently used
     entry, so a working set that fits keeps hitting. A full reset at
     capacity would instead turn every lookup after it into a recompute.
-    Not synchronized: callers that share a table across domains hold a
-    mutex around every call. *)
+    Not synchronized: every table lives in one domain's session
+    ({!Session}). *)
 
 module Make (H : Hashtbl.HashedType) : sig
   type 'a t

@@ -16,14 +16,7 @@ let set_jobs n = if n > 0 then default_jobs := n
    strictly slower. Results are in input order either way, so the clamp is
    invisible except in wall-clock. Overridable (tests force real domains even
    on one core). *)
-let max_domains =
-  ref
-    (match Sys.getenv_opt "XPILER_MAX_DOMAINS" with
-    | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n > 0 -> n
-      | _ -> Domain.recommended_domain_count ())
-    | None -> Domain.recommended_domain_count ())
+let max_domains = ref (Domain.recommended_domain_count ())
 
 let get_max_domains () = !max_domains
 let set_max_domains n = if n > 0 then max_domains := n
@@ -56,7 +49,10 @@ let map ?jobs:j f inputs =
   let results = Array.make n None in
   let run i =
     let t0 = Unix.gettimeofday () in
-    let r = try Ok (f items.(i)) with e -> Error (e, Printexc.get_raw_backtrace ()) in
+    let r =
+      try Ok (Session.fresh (fun () -> f items.(i)))
+      with e -> Error (e, Printexc.get_raw_backtrace ())
+    in
     note_task (Unix.gettimeofday () -. t0);
     results.(i) <- Some r
   in

@@ -3,12 +3,11 @@
     [map] evaluates a function over a list on up to [jobs] OCaml 5 domains
     and returns the results in input order. It is the only parallel level:
     the bench harness runs whole translations through it, and nothing below
-    a translation pools. A task must not depend on state another task of the
-    same [map] writes, so that [jobs=1] and [jobs=N] runs agree; callers
-    additionally wrap task bodies in [Obs.Trace.without], because worker
-    domains have no ambient tracer while inline ([jobs=1]) execution would
-    otherwise trace. If tasks fail, the first failing task by input order
-    re-raises with its backtrace; the other results are dropped. *)
+    a translation pools. Every task runs under {!Session.fresh}: it starts
+    with empty caches and no ambient tracer, sees only what it computes
+    itself, and leaves the caller's session as it was, so [jobs=1] and
+    [jobs=N] runs agree. If tasks fail, the first failing task by input
+    order re-raises with its backtrace; the other results are dropped. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f inputs] with results in input order. [jobs] defaults to
@@ -30,7 +29,7 @@ val set_jobs : int -> unit
 
 val get_max_domains : unit -> int
 (** Cap on real worker domains per [map]: last {!set_max_domains} value,
-    else [XPILER_MAX_DOMAINS], else [Domain.recommended_domain_count ()]. *)
+    else [Domain.recommended_domain_count ()]. *)
 
 val set_max_domains : int -> unit
 (** Override the domain cap — tests use this to force cross-domain execution

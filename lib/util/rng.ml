@@ -58,8 +58,3 @@ let shuffle t xs =
     arr.(j) <- tmp
   done;
   Array.to_list arr
-
-let gaussian t ~mean ~stddev =
-  let u1 = Stdlib.max 1e-12 (float t 1.0) in
-  let u2 = float t 1.0 in
-  mean +. (stddev *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))

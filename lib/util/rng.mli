@@ -40,6 +40,3 @@ val choose_weighted : t -> (float * 'a) list -> 'a
 
 val shuffle : t -> 'a list -> 'a list
 (** [shuffle t xs] is a uniformly random permutation of [xs]. *)
-
-val gaussian : t -> mean:float -> stddev:float -> float
-(** Box-Muller normal deviate. *)

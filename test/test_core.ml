@@ -190,6 +190,26 @@ let test_unwritable_sink () =
   Alcotest.(check string) "status" "success" (Xpiler.status_to_string o.Xpiler.status);
   Alcotest.(check bool) "trace returned" true (o.Xpiler.trace <> [])
 
+(* the error boundary: an exception a callee raises ends in a typed status
+   that names it *)
+let boundary_message = "internal error: "
+
+let check_internal_error name ~names o =
+  Alcotest.(check (option string)) (name ^ ": no target text") None o.Xpiler.target_text;
+  match o.Xpiler.status with
+  | Xpiler.Compile_error m ->
+    Alcotest.(check string) (name ^ ": boundary status") (boundary_message ^ names) m
+  | s -> Alcotest.fail (name ^ ": " ^ Xpiler.status_to_string s)
+
+let test_raising_reference () =
+  let boom = { relu with Opdef.serial = (fun _ -> failwith "boom") } in
+  check_internal_error "raising serial" ~names:{|Failure("boom")|}
+    (run ~src:Platform.Cuda ~dst:Platform.Bang boom relu_shape)
+
+let test_empty_shape () =
+  check_internal_error "empty shape" ~names:"Not_found"
+    (run ~src:Platform.Cuda ~dst:Platform.Bang relu [])
+
 let platforms = [ Platform.Cuda; Platform.Bang; Platform.Hip; Platform.Vnni ]
 
 (* Random op x shape x direction x fault scale. Each dim keeps the op's
@@ -227,8 +247,8 @@ let print_case ((op : Opdef.t), shape, src, dst, scale, seed) =
     (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) shape))
     (Platform.id_to_string src) (Platform.id_to_string dst) scale seed
 
-(* no exception escapes [transcompile], and the same inputs give the same
-   status and target text *)
+(* no exception reaches the error boundary, and the same inputs give the
+   same status and target text *)
 let prop_total =
   QCheck.Test.make ~name:"transcompile is total and deterministic" ~count:40
     (QCheck.make ~print:print_case gen_case)
@@ -238,7 +258,10 @@ let prop_total =
         let o = run ~config ~src ~dst op shape in
         (Xpiler.status_to_string o.Xpiler.status, o.Xpiler.target_text)
       in
-      go () = go ())
+      let ((status, _) as first) = go () in
+      if String.starts_with ~prefix:("compile error: " ^ boundary_message) status then
+        QCheck.Test.fail_reportf "reached the error boundary: %s" status;
+      first = go ())
 
 (* ---- config ----------------------------------------------------------------- *)
 
@@ -270,6 +293,8 @@ let () =
         ] );
       ( "totality",
         [ Alcotest.test_case "unwritable trace sink" `Quick test_unwritable_sink;
+          Alcotest.test_case "raising reference is a status" `Quick test_raising_reference;
+          Alcotest.test_case "empty shape is a status" `Quick test_empty_shape;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20250706 |]) prop_total ] );
       ("config", [ Alcotest.test_case "variants" `Quick test_configs ])
     ]

@@ -1,5 +1,5 @@
 (* Repair/SMT hot-path guarantees: the overhauled stack — incremental
-   watched-constraint solver, process-global solver + verdict memos —
+   watched-constraint solver, session-local solver + verdict memos —
    changes wall-clock time, never outcomes or journals. The contracts
    asserted here:
 
@@ -49,7 +49,7 @@ let count_total ?(within = fun _ -> true) name events =
     0 events
 
 (* [Unit_test.reference_outputs_seeded] caches the serial reference run
-   process-globally (pre-overhaul behaviour): a cold-cache run emits the
+   per session (pre-overhaul behaviour): a cold-cache run emits the
    reference's interp.* trace counts, a warm one doesn't. Journal
    comparisons must therefore compare runs on equal cache footing — warm
    the reference entries for a config once, then compare. *)

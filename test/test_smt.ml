@@ -86,7 +86,6 @@ let test_forall () =
    under another *)
 let test_memo_unsat_and_timeout () =
   let open Expr.Infix in
-  Solver.set_engine Solver.Incremental;
   Memo.clear ();
   let hits0 = Memo.hits () in
   let unsat_p : Solver.problem =
@@ -119,13 +118,11 @@ let test_memo_unsat_and_timeout () =
   Alcotest.(check bool) "larger budget searches further" true
     (match t3 with _, s -> Stdlib.( > ) s.Solver.steps 1001)
 
-let test_memo_disabled_is_silent () =
-  Solver.set_engine Solver.Incremental;
+let test_naive_engine_bypasses_memo () =
   Memo.clear ();
   let lookups () = Memo.hits () + Memo.misses () in
   let lookups0 = lookups () in
-  Memo.set_enabled false;
-  Fun.protect ~finally:(fun () -> Memo.set_enabled true) @@ fun () ->
+  Solver.with_engine Solver.Naive @@ fun () ->
   let open Expr.Infix in
   let p : Solver.problem =
     { vars = [ ("x", Solver.Range { lo = 0; hi = 8; stride = 1 }) ];
@@ -265,7 +262,6 @@ let prop_incremental_matches_naive =
         (Stdlib.( = ) inc_outcome naive_outcome))
 
 let () =
-  Solver.set_engine Solver.Incremental;
   Alcotest.run "smt"
     [ ( "solver",
         [ Alcotest.test_case "figure-5 split constraint" `Quick test_solve_linear;
@@ -278,7 +274,8 @@ let () =
         ] );
       ( "memo",
         [ Alcotest.test_case "unsat and timeout memoized" `Quick test_memo_unsat_and_timeout;
-          Alcotest.test_case "disabled memo is silent" `Quick test_memo_disabled_is_silent
+          Alcotest.test_case "naive engine bypasses the memo" `Quick
+            test_naive_engine_bypasses_memo
         ] );
       ( "synthesis",
         [ Alcotest.test_case "split factor hole" `Quick test_fill_holes_split_factor;

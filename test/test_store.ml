@@ -5,8 +5,9 @@
    repaired before the next append; a corrupt frame cuts the log at that
    frame and a corrupt header loads nothing, never an error; a failing
    append detaches the store without raising; a leftover compaction file
-   is never read; and tuned translations run on the domain pool give the
-   same results, stable metrics and persisted state at any job count.
+   is never read; a pool task sees none of its caller's cached entries; and
+   tuned translations run on the domain pool give the same results, stable
+   metrics and persisted state at any job count, from a cold start.
    `dune build @store` runs just this suite; it is also attached to
    `dune runtest`. *)
 
@@ -312,8 +313,9 @@ let test_failing_append_detaches () =
    Whole translations are the only work that runs in parallel. Tuned
    translations of one operator warm-start from each other's schedule-DB
    records, so — as in the bench harness — each operator is one pool task
-   that translates its shapes in order. Results, the stable metrics snapshot
-   and the persisted store state must then not depend on the job count. *)
+   that translates its shapes in order. Every task runs in a fresh session,
+   so results, the stable metrics snapshot and the persisted store state
+   must not depend on the job count, from a cold start. *)
 
 module Pool = Xpiler_util.Pool
 module Listx = Xpiler_util.Listx
@@ -352,9 +354,6 @@ let test_parallel_translations_deterministic () =
   let saved = Pool.get_max_domains () in
   Pool.set_max_domains 4;
   Fun.protect ~finally:(fun () -> Pool.set_max_domains saved) @@ fun () ->
-  (* one warm-up so both compared runs see the same compile, reference and
-     verdict caches, which no reset empties *)
-  ignore (translate_groups ~jobs:1);
   let o1, m1, s1 = translate_groups ~jobs:1 in
   let o4, m4, s4 = translate_groups ~jobs:4 in
   Alcotest.(check bool) "same status, target text and throughput" true (o1 = o4);
@@ -376,6 +375,67 @@ let test_parallel_translations_deterministic () =
     (Store.total st4.Store.loaded);
   Alcotest.(check bool) "identical persisted state" true (d1 = d4)
 
+(* ---- sessions: a pool task starts cold ------------------------------------
+
+   Every translation cache is a session value, and every pool task runs in a
+   fresh session: whatever the caller learned is invisible to the task, at
+   any job count, and survives the map. *)
+
+module Compile = Xpiler_machine.Compile
+module Tracer = Xpiler_obs.Tracer
+module Trace = Xpiler_obs.Trace
+
+let test_pool_tasks_start_cold () =
+  let saved = Pool.get_max_domains () in
+  Pool.set_max_domains 4;
+  Fun.protect ~finally:(fun () -> Pool.set_max_domains saved) @@ fun () ->
+  clear_tables ();
+  let db = Schedule_db.default in
+  Schedule_db.clear db;
+  let rng = Rng.create 17 in
+  let kernel = gen_kernel rng and problem = gen_problem rng in
+  let find_state () =
+    Transposition.find ~platform:pid ~budget:8 ~prune:true ~compose:true kernel
+  in
+  Transposition.store ~platform:pid ~budget:8 ~prune:true ~compose:true kernel
+    { Transposition.reward = 1.5; evaluated = 3; pruned = 1 };
+  Memo.store ~mode:Memo.Solve ~max_steps:100 problem
+    { Memo.payload = Memo.Outcome Problem.Unsat; stats = { Problem.steps = 5; evals = 9 } };
+  Schedule_db.record db pid kernel ~specs:[ Pass.Loop_recovery ] ~reward:2.0;
+  let compiled = Compile.cached kernel in
+  let caller_view () =
+    ( find_state () <> None,
+      Memo.find ~mode:Memo.Solve ~max_steps:100 problem <> None,
+      Schedule_db.lookup db pid kernel <> None,
+      Compile.cached kernel == compiled )
+  in
+  Trace.install (Tracer.create ~level:Tracer.Detail ());
+  Fun.protect ~finally:Trace.uninstall @@ fun () ->
+  List.iter
+    (fun jobs ->
+      let tasks =
+        Pool.map ~jobs
+          (fun _ ->
+            let c = Compile.cached kernel in
+            ( find_state () = None && Transposition.size () = 0,
+              Memo.size () = 0,
+              Schedule_db.size db = 0,
+              c != compiled && Compile.cached kernel == c,
+              Trace.enabled () ))
+          (List.init 4 Fun.id)
+      in
+      let each what f =
+        Alcotest.(check bool) (Printf.sprintf "jobs=%d: %s" jobs what) true (List.for_all f tasks)
+      in
+      each "transposition table empty" (fun (t, _, _, _, _) -> t);
+      each "solver memo empty" (fun (_, m, _, _, _) -> m);
+      each "schedule database empty" (fun (_, _, s, _, _) -> s);
+      each "compile cache empty, then its own" (fun (_, _, _, c, _) -> c);
+      each "no ambient tracer" (fun (_, _, _, _, tr) -> not tr);
+      Alcotest.(check bool) (Printf.sprintf "jobs=%d: caller's entries survive" jobs) true
+        (caller_view () = (true, true, true, true)))
+    [ 1; 4 ]
+
 let () =
   clear_tables ();
   Alcotest.run "store"
@@ -390,6 +450,8 @@ let () =
         [ Alcotest.test_case "attach write-through" `Quick test_attach_write_through;
           Alcotest.test_case "failing append detaches" `Quick test_failing_append_detaches
         ] );
+      ( "sessions",
+        [ Alcotest.test_case "pool tasks start cold" `Quick test_pool_tasks_start_cold ] );
       ( "determinism",
         [ Alcotest.test_case "parallel translations jobs=1 = jobs=4" `Slow
             test_parallel_translations_deterministic

@@ -165,6 +165,50 @@ let test_pool_jobs_clamp () =
         "clamped map" [ 2; 4; 6 ]
         (Pool.map ~jobs:8 (fun x -> 2 * x) [ 1; 2; 3 ]))
 
+(* ---- session ------------------------------------------------------------ *)
+
+module Session = Xpiler_util.Session
+
+let counter = Session.make (fun () -> ref 0)
+
+let test_session_fresh () =
+  let mine = Session.get counter in
+  mine := 5;
+  let inner =
+    Session.fresh (fun () ->
+        let r = Session.get counter in
+        incr r;
+        !r)
+  in
+  Alcotest.(check int) "fresh starts from the initializer" 1 inner;
+  Alcotest.(check bool) "caller's value restored" true (Session.get counter == mine);
+  (match Session.fresh (fun () -> Session.set counter (ref 9); raise Exit) with
+  | () -> ()
+  | exception Exit -> ());
+  Alcotest.(check int) "restored after an exception" 5 !(Session.get counter);
+  Session.with_value counter (ref 7) (fun () ->
+      Alcotest.(check int) "with_value sets" 7 !(Session.get counter));
+  Alcotest.(check int) "with_value restores" 5 !(Session.get counter)
+
+let test_pool_tasks_get_fresh_sessions () =
+  forcing_domains @@ fun () ->
+  (Session.get counter) := 3;
+  List.iter
+    (fun jobs ->
+      let seen =
+        Pool.map ~jobs
+          (fun _ ->
+            let r = Session.get counter in
+            incr r;
+            !r)
+          (List.init 6 Fun.id)
+      in
+      Alcotest.(check (list int)) (Printf.sprintf "jobs=%d: each task starts fresh" jobs)
+        [ 1; 1; 1; 1; 1; 1 ] seen;
+      Alcotest.(check int) (Printf.sprintf "jobs=%d: caller untouched" jobs) 3
+        !(Session.get counter))
+    [ 1; 4 ]
+
 let prop_bernoulli_frequency =
   QCheck.Test.make ~name:"bernoulli frequency tracks p" ~count:20
     QCheck.(float_range 0.1 0.9)
@@ -290,8 +334,10 @@ let () =
       ( "pool",
         [ Alcotest.test_case "input-order results" `Quick test_pool_order;
           Alcotest.test_case "first error by index" `Quick test_pool_first_error_by_index;
-          Alcotest.test_case "domain clamp" `Quick test_pool_jobs_clamp
+          Alcotest.test_case "domain clamp" `Quick test_pool_jobs_clamp;
+          Alcotest.test_case "fresh session per task" `Quick test_pool_tasks_get_fresh_sessions
         ] );
+      ("session", [ Alcotest.test_case "fresh and restore" `Quick test_session_fresh ]);
       ( "listx",
         [ Alcotest.test_case "take" `Quick test_listx_take;
           Alcotest.test_case "top_k" `Quick test_listx_top_k
