@@ -25,20 +25,24 @@ let experiments =
     ("micro", Micro.run) ]
 
 (* Every experiment runs under an ambient tracer: each [Xpiler.transcompile]
-   inside it (trace level Off in its config) emits into the experiment's
-   shared timeline, and the whole event stream lands in
+   it runs inline (trace level Off in its config) emits into the
+   experiment's shared timeline, and the event stream lands in
    results/trace_<experiment>.jsonl — replay with `xpiler trace`. Timestamps
    are virtual (Vclock) seconds, so the journal is deterministic even though
-   the wall-clock timings printed alongside are not. *)
+   the wall-clock timings printed alongside are not. A [Pool.map] task
+   starts with no tracer, so an experiment that runs no translation inline
+   (table2, table6 and fig7 pool theirs; table5 and space run none) records
+   no events and writes no file. *)
 let traced name f =
   let tracer = Xpiler_obs.Tracer.create ~level:Xpiler_obs.Tracer.Detail () in
-  Xpiler_obs.Trace.install tracer;
-  Fun.protect ~finally:Xpiler_obs.Trace.uninstall f;
-  Xpiler_util.Fsx.mkdir_p "results";
-  let path = Filename.concat "results" (Printf.sprintf "trace_%s.jsonl" name) in
-  let events = Xpiler_obs.Tracer.events tracer in
-  Xpiler_obs.Journal.write_file path events;
-  Printf.printf "[trace journal: %s, %d events]\n%!" path (List.length events)
+  Xpiler_obs.Trace.with_tracer tracer f;
+  match Xpiler_obs.Tracer.events tracer with
+  | [] -> Printf.printf "[trace journal: none, no traced events]\n%!"
+  | events ->
+    Xpiler_util.Fsx.mkdir_p "results";
+    let path = Filename.concat "results" (Printf.sprintf "trace_%s.jsonl" name) in
+    Xpiler_obs.Journal.write_file path events;
+    Printf.printf "[trace journal: %s, %d events]\n%!" path (List.length events)
 
 let () =
   let args = match Array.to_list Sys.argv with [] -> [] | _ :: rest -> rest in

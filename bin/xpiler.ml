@@ -57,8 +57,8 @@ let no_warm_start_arg =
 
 let max_escalation_arg =
   let doc =
-    "Cap the fault-class escalation ladder at rung $(docv) (0 validate-only, 1 +hinted \
-     re-prompt, 2 +SMT repair, 3 +symbolic fallback, 4 +skip-with-rollback)."
+    "Cap the recovery ladder at rung $(docv) (0 validate-only, 1 +hinted re-prompt, 2 +SMT \
+     repair, 3 +symbolic fallback, 4 +skip-with-rollback). Any other value exits 2."
   in
   Arg.(value & opt int 4 & info [ "max-escalation" ] ~docv:"RUNG" ~doc)
 
@@ -72,7 +72,8 @@ let no_rollback_arg =
 let fault_scale_arg =
   let doc =
     "Multiplier on the simulated LLM's fault-injection rates (default 1.0, the \
-     calibrated paper rates); raise it to watch the escalation ladder work."
+     calibrated paper rates); raise it to watch the recovery ladder work. A negative or \
+     non-finite value exits 2."
   in
   Arg.(value & opt float 1.0 & info [ "fault-scale" ] ~docv:"F" ~doc)
 
@@ -154,6 +155,20 @@ let write_output ~what path text =
     Printf.eprintf "xpiler: cannot write %s: %s\n" what m;
     exit 2
 
+(* Numeric flags follow the same contract: a value out of range is one line
+   on stderr and exit 2, never silently clamped. *)
+let check_fault_scale f =
+  if not (Float.is_finite f && f >= 0.0) then begin
+    Printf.eprintf "xpiler: bad --fault-scale %g: expected a finite number >= 0\n" f;
+    exit 2
+  end
+
+let check_max_escalation n =
+  if n < 0 || n > 4 then begin
+    Printf.eprintf "xpiler: bad --max-escalation %d: expected a rung in 0..4\n" n;
+    exit 2
+  end
+
 let find_op name =
   match Registry.find name with
   | Some op -> op
@@ -167,6 +182,8 @@ let translate op_name shape src dst tune seed no_prune no_warm_start max_escalat
     no_rollback fault_scale store_dir no_store trace trace_level =
   let op = find_op op_name in
   let shape = parse_shape op shape in
+  check_max_escalation max_escalation;
+  check_fault_scale fault_scale;
   let config =
     let base = if tune then Config.tuned else Config.default in
     let base = Config.with_seed base seed in
@@ -174,7 +191,8 @@ let translate op_name shape src dst tune seed no_prune no_warm_start max_escalat
       { base with
         Config.tuning_prune = not no_prune;
         tuning_warm_start = not no_warm_start;
-        rollback = not no_rollback;
+        ladder =
+          List.filter (fun r -> not (no_rollback && r = Config.Rollback)) base.Config.ladder;
         store_dir = effective_store_dir store_dir no_store
       }
     in
@@ -375,6 +393,7 @@ let metrics_run op_name shape src dst no_tune seed fault_scale store_dir no_stor
     openmetrics_out json_out =
   let op = find_op op_name in
   let shape = parse_shape op shape in
+  check_fault_scale fault_scale;
   let config =
     let base = if no_tune then Config.default else Config.tuned in
     let base = Config.with_seed base seed in

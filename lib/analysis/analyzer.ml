@@ -417,10 +417,6 @@ let check_uninit (k : Kernel.t) =
 
 (* ---- check 2: barrier divergence --------------------------------------------- *)
 
-let is_thread_axis = function
-  | Axis.Thread_x | Axis.Thread_y | Axis.Thread_z | Axis.Core_id -> true
-  | Axis.Block_x | Axis.Block_y | Axis.Block_z | Axis.Task_id | Axis.Cluster_id -> false
-
 let check_barriers (k : Kernel.t) =
   let tainted = Hashtbl.create 8 in
   let expr_tainted e = List.exists (Hashtbl.mem tainted) (Expr.free_vars e) in
@@ -435,7 +431,7 @@ let check_barriers (k : Kernel.t) =
           then Hashtbl.replace tainted var ()
         | Stmt.For r ->
           let thread_loop =
-            match r.kind with Stmt.Parallel ax -> is_thread_axis ax | _ -> false
+            match r.kind with Stmt.Parallel ax -> Axis.is_thread ax | _ -> false
           in
           if thread_loop then Hashtbl.replace tainted r.var ();
           let div_bounds =
@@ -490,7 +486,7 @@ let window_disjoint ~c ~r_range ~w1 ~w2 =
 let shared_across ax (scope : Scope.t) =
   match scope with
   | Scope.Global | Scope.Host -> true
-  | Scope.Shared -> is_thread_axis ax
+  | Scope.Shared -> Axis.is_thread ax
   | Scope.Local | Scope.Fragment | Scope.Nram | Scope.Wram -> false
 
 let check_races ~table (k : Kernel.t) =
@@ -534,7 +530,7 @@ let check_races ~table (k : Kernel.t) =
         | _ -> ())
       block
   and analyze_loop env ax t extent body =
-    let thread = is_thread_axis ax in
+    let thread = Axis.is_thread ax in
     let private_bufs = List.map (fun (b, _, _, _) -> b) (Stmt.allocs body) in
     let t_range = { Footprint.lo = 0; hi = extent - 1 } in
     let accesses =

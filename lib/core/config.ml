@@ -1,41 +1,17 @@
-type escalation = {
-  reprompt_parallelism : int;
-  reprompt_memory : int;
-  reprompt_instruction : int;
-  reprompt_damping : float;
-  backoff : float;
-  symbolic_fallback : bool;
-}
+type rung = Reprompt | Self_debug | Smt_repair | Symbolic | Rollback
 
-let no_escalation =
-  { reprompt_parallelism = 0;
-    reprompt_memory = 0;
-    reprompt_instruction = 0;
-    reprompt_damping = 1.0;
-    backoff = 1.0;
-    symbolic_fallback = false
-  }
-
-(* parallelism errors are the most systematic (a foreign-platform habit the
-   hint rarely dislodges), so they get the smallest re-prompt budget *)
-let default_escalation =
-  { reprompt_parallelism = 1;
-    reprompt_memory = 2;
-    reprompt_instruction = 2;
-    reprompt_damping = 0.35;
-    backoff = 1.6;
-    symbolic_fallback = true
-  }
+let rung_index = function
+  | Reprompt -> 1
+  | Self_debug | Smt_repair -> 2
+  | Symbolic -> 3
+  | Rollback -> 4
 
 type t = {
   name : string;
   seed : int;
   annotate : bool;
-  use_smt : bool;
-  self_debugging : bool;
   static_analysis : bool;
-  escalation : escalation;
-  rollback : bool;
+  ladder : rung list;
   fault_scale : float;
   tune : bool;
   mcts : Xpiler_tuning.Mcts.config;
@@ -54,11 +30,8 @@ let default =
   { name = "qimeng-xpiler";
     seed = 20250706;
     annotate = true;
-    use_smt = true;
-    self_debugging = false;
     static_analysis = true;
-    escalation = default_escalation;
-    rollback = true;
+    ladder = [ Reprompt; Smt_repair; Symbolic; Rollback ];
     fault_scale = 1.0;
     tune = false;
     mcts = { Xpiler_tuning.Mcts.default_config with simulations = 48; max_depth = 6 };
@@ -73,28 +46,14 @@ let default =
     store_dir = None
   }
 
-(* the pre-resilience pipeline: SMT repair only, a Gave_up commits the broken
-   kernel (no rollback, no re-prompting, no symbolic fallback) — the bench
-   baseline for the escalation ladder *)
-let seed_pipeline =
-  { default with
-    name = "qimeng-xpiler-seed";
-    escalation = no_escalation;
-    rollback = false
-  }
-
-let without_smt =
-  { seed_pipeline with name = "qimeng-xpiler-wo-smt"; use_smt = false }
+let seed_pipeline = { default with name = "qimeng-xpiler-seed"; ladder = [ Smt_repair ] }
+let without_smt = { default with name = "qimeng-xpiler-wo-smt"; ladder = [] }
 
 let without_analysis =
   { default with name = "qimeng-xpiler-wo-analysis"; static_analysis = false }
 
 let without_smt_self_debug =
-  { seed_pipeline with
-    name = "qimeng-xpiler-wo-smt+self-debug";
-    use_smt = false;
-    self_debugging = true
-  }
+  { default with name = "qimeng-xpiler-wo-smt+self-debug"; ladder = [ Self_debug ] }
 
 let tuned = { default with name = "qimeng-xpiler-tuned"; tune = true }
 
@@ -102,13 +61,4 @@ let with_seed t seed = { t with seed }
 let with_trace ?sink t level = { t with trace_level = level; trace_sink = sink }
 let with_fault_scale t fault_scale = { t with fault_scale = Float.max 0.0 fault_scale }
 
-(* CLI mapping: 0 = validate only, 1 = +re-prompt, 2 = +SMT repair,
-   3 = +symbolic fallback, 4 = +skip-with-rollback (the full ladder) *)
-let with_max_escalation t rung =
-  let rung = max 0 (min 4 rung) in
-  let esc = if rung >= 1 then default_escalation else no_escalation in
-  { t with
-    escalation = { esc with symbolic_fallback = rung >= 3 };
-    use_smt = t.use_smt && rung >= 2;
-    rollback = t.rollback && rung >= 4
-  }
+let with_max_escalation t n = { t with ladder = List.filter (fun r -> rung_index r <= n) t.ladder }

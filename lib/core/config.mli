@@ -1,40 +1,36 @@
 (** Transcompiler configurations, including the paper's ablations. *)
 
-type escalation = {
-  reprompt_parallelism : int;
-      (** re-prompt budget when the diagnosed fault class is parallelism *)
-  reprompt_memory : int;  (** … memory (scopes, staging, indices) *)
-  reprompt_instruction : int;  (** … instruction (intrinsics, bounds, params) *)
-  reprompt_damping : float;
-      (** per-retry multiplier on the hinted fault classes' rates (a
-          fault-specific hint makes exactly those errors less likely) *)
-  backoff : float;
-      (** virtual-clock backoff base: retry [i] charges an extra
-          [45 * backoff^i] modelled seconds of LLM latency *)
-  symbolic_fallback : bool;
-      (** rung 3: rewrite-only pass application, no LLM in the loop *)
-}
-
-val no_escalation : escalation
-(** Every rung disabled — the pre-resilience behaviour. *)
-
-val default_escalation : escalation
+(** One rung of the recovery ladder a pass climbs when its output fails
+    validation. The ledger rung and the [xpiler_escalations_total] label a
+    rung books are given in brackets. *)
+type rung =
+  | Reprompt
+      (** Re-prompt with a hint naming the diagnosed fault classes, which
+          damps exactly those classes' rates. The budget is per fault class,
+          and each retry pays a growing virtual-clock backoff. [reprompt] *)
+  | Self_debug
+      (** One flat resample with no hint: the paper's Self-Debugging
+          ablation. Most draws reproduce the fault and hand on to the next
+          rung without a call. Books no rung of its own. *)
+  | Smt_repair  (** SMT-based code repairing (Algorithm 3). [smt-repair] *)
+  | Symbolic
+      (** Rewrite-only pass application on the checkpoint: slower in the
+          modelled clock and inflexible, but no LLM in the loop. [symbolic] *)
+  | Rollback
+      (** Restore the last validated checkpoint and skip the pass; the
+          remaining plan runs around it and the outcome is [Degraded]. [skip] *)
 
 type t = {
   name : string;
   seed : int;
   annotate : bool;  (** program annotation (Algorithm 1) *)
-  use_smt : bool;  (** SMT-based code repairing (Algorithm 3) *)
-  self_debugging : bool;  (** legacy flat retry of a failed pass (ablation) *)
   static_analysis : bool;  (** IR-level static pre-validation before unit tests *)
-  escalation : escalation;
-      (** fault-class escalation ladder for a pass whose output fails
-          validation: hinted re-prompt -> SMT repair -> symbolic fallback ->
-          skip-with-rollback *)
-  rollback : bool;
-      (** never commit a kernel that failed validation: when the whole ladder
-          is exhausted, roll the pass back to the last validated checkpoint
-          and re-plan around it (outcome becomes [Degraded], not broken) *)
+  ladder : rung list;
+      (** the rungs a pass whose output fails validation climbs, in order. A
+          pass that runs off the end commits its broken kernel to pipeline
+          state (the error-accumulation failure mode), so only a ladder
+          ending in [Rollback] never commits a kernel that failed
+          validation *)
   fault_scale : float;
       (** multiplier on the neural oracle's fault-injection rates (1.0 =
           calibrated paper rates); the resilience tests and bench elevate it
@@ -78,23 +74,23 @@ type t = {
 }
 
 val default : t
-(** Full QiMeng-Xpiler (annotation + SMT repair + the escalation ladder with
-    rollback), tuning off — the accuracy experiments' setting. *)
+(** Full QiMeng-Xpiler (annotation + the ladder [Reprompt; Smt_repair;
+    Symbolic; Rollback]), tuning off — the accuracy experiments' setting. *)
 
 val seed_pipeline : t
-(** The pre-resilience pipeline: SMT repair only; when repair gives up the
-    broken kernel is committed to pipeline state (the error-accumulation
+(** The pre-resilience pipeline, ladder [[Smt_repair]]: when repair gives up
+    the broken kernel is committed to pipeline state (the error-accumulation
     failure mode). The baseline arm of the resilience bench. *)
 
 val without_smt : t
-(** "QiMeng-Xpiler w/o SMT" ablation (escalation ladder also off). *)
+(** "QiMeng-Xpiler w/o SMT" ablation: an empty ladder. *)
 
 val without_analysis : t
 (** Static pre-validation disabled: every pass goes straight to the
     interpreter-based unit test and repairs pay full dynamic localization. *)
 
 val without_smt_self_debug : t
-(** "QiMeng-Xpiler w/o SMT + Self-Debugging" ablation. *)
+(** "QiMeng-Xpiler w/o SMT + Self-Debugging" ablation: ladder [[Self_debug]]. *)
 
 val tuned : t
 (** Full system with hierarchical auto-tuning (the performance experiments'
@@ -110,7 +106,7 @@ val with_fault_scale : t -> float -> t
 (** Scale the simulated LLM's fault-injection rates (clamped to >= 0). *)
 
 val with_max_escalation : t -> int -> t
-(** Cap the escalation ladder at rung [0..4]: 0 validate-only, 1 +re-prompt,
-    2 +SMT repair, 3 +symbolic fallback, 4 +skip-with-rollback. Never
-    enables a mechanism the configuration already disabled ([use_smt],
-    [rollback]). *)
+(** [with_max_escalation t n] keeps the rungs of [t.ladder] whose level is
+    at most [n]: 0 validate-only, 1 +[Reprompt], 2 +[Smt_repair] or
+    [Self_debug], 3 +[Symbolic], 4 +[Rollback]. It never adds a rung
+    [t.ladder] lacks. *)

@@ -121,6 +121,15 @@ type state = {
 
 type pass_result = Applied | Inapplicable of string | Broken | Skipped
 
+(* [Config.Reprompt]'s policy. The hint names the diagnosed fault classes and
+   damps exactly their rates, by [reprompt_damping ** i] on retry [i], which
+   also charges [45 * reprompt_backoff ** i] modelled seconds of LLM latency.
+   Parallelism errors are the most systematic (a foreign-platform habit the
+   hint rarely dislodges), so they get the smallest budget. *)
+let reprompt_budget = function Fault.Parallelism -> 1 | Fault.Memory | Fault.Instruction -> 2
+let reprompt_damping = 0.35
+let reprompt_backoff = 1.6
+
 let case_seed (config : Config.t) src dst (op : Opdef.t) shape =
   Hashtbl.hash
     ( config.Config.seed,
@@ -177,36 +186,21 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
      repairer's localization), then the unit test (the paper's flow).
      Platform compilation is checked once on the final program, since
      intermediate states legitimately mix source and target features *)
-  let static_diags = ref [] in
-  let valid k =
-    static_diags := [];
-    if config.Config.static_analysis then begin
-      Vclock.charge clock Vclock.Static_analysis
-        (2.0 +. (0.05 *. float_of_int (Stmt.count_stmts k.Kernel.body)));
-      match
-        Xpiler_analysis.Analyzer.errors
-          (Xpiler_analysis.Analyzer.analyze ~extents:buffer_sizes k)
-      with
-      | [] -> unit_ok k
-      | findings ->
-        (* short-circuit: no interpreter run for a statically-diagnosed
-           program — reading the report is orders of magnitude cheaper *)
-        static_diags := findings;
-        false
-    end
-    else unit_ok k
+  let validate k =
+    let findings =
+      if config.Config.static_analysis then begin
+        Vclock.charge clock Vclock.Static_analysis
+          (2.0 +. (0.05 *. float_of_int (Stmt.count_stmts k.Kernel.body)));
+        Xpiler_analysis.Analyzer.errors (Xpiler_analysis.Analyzer.analyze ~extents:buffer_sizes k)
+      end
+      else []
+    in
+    (* short-circuit: no interpreter run for a statically-diagnosed program —
+       reading the report is orders of magnitude cheaper *)
+    if findings <> [] then Error findings else if unit_ok k then Ok () else Error []
   in
-  (* one LLM-assisted pass with validation; a failed validation climbs the
-     fault-class escalation ladder instead of the old single flat retry:
-       rung 1  re-prompt with a fault-specific hint (per-class budgets,
-               virtual-clock backoff)
-       rung 2  SMT-based code repairing (Algorithm 3)
-       rung 3  symbolic fallback: rewrite-only pass application, no LLM
-       rung 4  skip-with-rollback: restore the last validated checkpoint
-               and re-plan the remaining sequence around the skipped pass
-     With [rollback] off the ladder bottoms out the old way: the broken
-     kernel is committed and the pipeline ends [Broken]. *)
-  let esc = config.Config.escalation in
+  (* one LLM-assisted pass with validation; a failed validation climbs
+     [config.ladder] (see [Config.rung]) *)
   let run_pass_untraced spec =
     let checkpoint = st.kernel in
     let t0 = Vclock.elapsed clock in
@@ -243,112 +237,80 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
       st.active_faults <- [];
       record result Applied
     in
-    let commit_broken k live_faults =
-      st.kernel <- k;
-      st.specs_rev <- spec :: st.specs_rev;
-      st.active_faults <- st.active_faults @ live_faults;
-      record Ledger.Committed_broken Broken
+    let prompt = Meta_prompt.build ~target:dst spec checkpoint in
+    (* one LLM call on the checkpoint: a valid kernel is applied as [result],
+       an invalid one goes to [on_fail] with its faults and findings *)
+    let attempt ~profile ~prompt result on_fail =
+      match Llm.apply_pass llm ~profile ~target ~prompt spec checkpoint with
+      | Error m -> record (Ledger.Not_applicable m) (Inapplicable m)
+      | Ok (k, faults) -> (
+        incr attempts;
+        note_faults faults;
+        match validate k with
+        | Ok () -> apply_ok k result
+        | Error findings -> on_fail k faults findings)
     in
-    let reprompt_budget () =
-      List.fold_left
-        (fun m c ->
-          max m
-            (match c with
-            | Fault.Parallelism -> esc.Config.reprompt_parallelism
-            | Fault.Memory -> esc.Config.reprompt_memory
-            | Fault.Instruction -> esc.Config.reprompt_instruction))
-        0 !fault_classes
-    in
-    (* rung 4: never commit a checker-rejected kernel — roll back to the
-       checkpoint ([st.kernel] was last assigned a validated kernel, so
-       leaving it untouched IS the rollback) and skip the pass *)
-    let rec try_skip k live_faults =
-      if config.Config.rollback then begin
-        reach Ledger.Skip;
-        Obs.Trace.count "escalate.skip";
-        st.skipped_rev <- spec :: st.skipped_rev;
-        record Ledger.Skipped Skipped
-      end
-      else commit_broken k live_faults
-    (* rung 3: the symbolic rewrite applied to the checkpoint — slower in the
-       modelled clock and inflexible, but it cannot hallucinate *)
-    and try_symbolic k live_faults =
-      if not esc.Config.symbolic_fallback then try_skip k live_faults
-      else begin
-        reach Ledger.Symbolic;
-        Obs.Trace.count "escalate.symbolic";
-        match Pass.apply ~platform:target spec checkpoint with
-        | Error _ -> try_skip k live_faults
-        | Ok k_sym ->
-          Vclock.charge clock Vclock.Symbolic_fallback
-            (20.0 +. (2.0 *. float_of_int (Stmt.count_stmts k_sym.Kernel.body)));
-          if valid k_sym then apply_ok k_sym Ledger.Symbolic_applied
-          else try_skip k live_faults
-      end
-    (* legacy Self-Debugging (the w/o-SMT ablation): one flat resample with
-       no hint — most retries reproduce the same faulty output *)
-    and legacy_self_debug k live_faults =
-      if Rng.bernoulli retry_rng 0.85 then commit_broken k live_faults
-      else begin
-        match Llm.apply_pass llm ~profile:base_profile ~target ~prompt:(prompt ()) spec checkpoint with
-        | Error m -> record (Ledger.Not_applicable m) (Inapplicable m)
-        | Ok (k'', faults') ->
-          incr attempts;
-          note_faults faults';
-          if valid k'' then apply_ok k'' Ledger.Applied_reprompt
-          else if config.Config.rollback then try_symbolic k'' faults'
-          else commit_broken k'' (live_faults @ faults')
-      end
-    (* rung 2 *)
-    and try_smt k live_faults =
-      if not config.Config.use_smt then
-        if config.Config.self_debugging then legacy_self_debug k live_faults
-        else try_symbolic k live_faults
-      else begin
+    (* [k] failed validation with [findings] and carries the [live] faults *)
+    let rec climb k live findings = function
+      | [] ->
+        (* off the end of the ladder: the broken kernel enters the state *)
+        st.kernel <- k;
+        st.specs_rev <- spec :: st.specs_rev;
+        st.active_faults <- st.active_faults @ live;
+        record Ledger.Committed_broken Broken
+      | Config.Reprompt :: rest -> reprompt k live findings rest 1
+      | Config.Self_debug :: rest ->
+        (* no hint, so most retries would reproduce the same faulty output *)
+        if Rng.bernoulli retry_rng 0.85 then climb k live findings rest
+        else
+          attempt ~profile:base_profile ~prompt Ledger.Applied_reprompt (fun k faults findings ->
+              climb k (live @ faults) findings rest)
+      | Config.Smt_repair :: rest -> (
         reach Ledger.Smt;
         st.repairs_attempted <- st.repairs_attempted + 1;
         match
-          Xpiler_repair.Repairer.repair ~static:!static_diags ~clock ~platform:target ~op
-            ~shape k
+          Xpiler_repair.Repairer.repair ~static:findings ~clock ~platform:target ~op ~shape k
         with
         | Xpiler_repair.Repairer.Repaired { kernel; _ } ->
           st.repairs_succeeded <- st.repairs_succeeded + 1;
           apply_ok kernel Ledger.Repaired
-        | Xpiler_repair.Repairer.Gave_up _ -> try_symbolic k live_faults
-      end
-    (* rung 1: the re-prompt includes a hint naming the diagnosed fault
-       classes, which damps exactly those classes' rates; each retry waits
-       out an escalating virtual-clock backoff on top of the call itself *)
-    and reprompt k live_faults i =
-      if i > reprompt_budget () then try_smt k live_faults
+        | Xpiler_repair.Repairer.Gave_up _ -> climb k live findings rest)
+      | Config.Symbolic :: rest -> (
+        reach Ledger.Symbolic;
+        Obs.Trace.count "escalate.symbolic";
+        match Pass.apply ~platform:target spec checkpoint with
+        | Error _ -> climb k live findings rest
+        | Ok k_sym -> (
+          Vclock.charge clock Vclock.Symbolic_fallback
+            (20.0 +. (2.0 *. float_of_int (Stmt.count_stmts k_sym.Kernel.body)));
+          match validate k_sym with
+          | Ok () -> apply_ok k_sym Ledger.Symbolic_applied
+          | Error _ -> climb k live findings rest))
+      | Config.Rollback :: _ ->
+        (* [st.kernel] was last assigned a validated kernel, so leaving it
+           untouched IS the rollback *)
+        reach Ledger.Skip;
+        Obs.Trace.count "escalate.skip";
+        st.skipped_rev <- spec :: st.skipped_rev;
+        record Ledger.Skipped Skipped
+    (* retry [i] waits out a backoff on top of the call itself *)
+    and reprompt k live findings rest i =
+      let budget = List.fold_left (fun m c -> max m (reprompt_budget c)) 0 !fault_classes in
+      if i > budget then climb k live findings rest
       else begin
         reach Ledger.Reprompt;
         Obs.Trace.count "escalate.reprompt";
-        Vclock.charge clock Vclock.Llm_transform
-          (45.0 *. (esc.Config.backoff ** float_of_int i));
-        let hinted = Meta_prompt.with_hints ~categories:!fault_classes (prompt ()) in
+        Vclock.charge clock Vclock.Llm_transform (45.0 *. (reprompt_backoff ** float_of_int i));
+        let hinted = Meta_prompt.with_hints ~categories:!fault_classes prompt in
         let damped =
-          Profile.damp base_profile !fault_classes
-            (esc.Config.reprompt_damping ** float_of_int i)
+          Profile.damp base_profile !fault_classes (reprompt_damping ** float_of_int i)
         in
-        match Llm.apply_pass llm ~profile:damped ~target ~prompt:hinted spec checkpoint with
-        | Error m -> record (Ledger.Not_applicable m) (Inapplicable m)
-        | Ok (k', faults') ->
-          incr attempts;
-          note_faults faults';
-          if valid k' then apply_ok k' Ledger.Applied_reprompt
-          else reprompt k' faults' (i + 1)
+        attempt ~profile:damped ~prompt:hinted Ledger.Applied_reprompt (fun k faults findings ->
+            reprompt k faults findings rest (i + 1))
       end
-    and prompt =
-      let p = lazy (Meta_prompt.build ~target:dst spec checkpoint) in
-      fun () -> Lazy.force p
     in
-    match Llm.apply_pass llm ~profile:base_profile ~target ~prompt:(prompt ()) spec checkpoint with
-    | Error m -> record (Ledger.Not_applicable m) (Inapplicable m)
-    | Ok (k', faults) ->
-      incr attempts;
-      note_faults faults;
-      if valid k' then apply_ok k' Ledger.Applied else reprompt k' faults 1
+    attempt ~profile:base_profile ~prompt Ledger.Applied (fun k faults findings ->
+        climb k faults findings config.Config.ladder)
   in
   let run_pass spec =
     (* the profiler keys pass spans by family: [describe] is unbounded *)
@@ -525,32 +487,22 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
   | None -> ());
   let clock = Vclock.create () in
   (* tracing: a tracer of our own when the config asks for one, else reuse
-     an ambient tracer a caller (e.g. the bench harness) installed; either
-     way the Vclock observer keeps span timestamps and stage totals in
-     lock-step (single source of timing truth) *)
-  let prev_ambient = Obs.Trace.current () in
-  let owns_tracer, tracer =
+     an ambient tracer a caller (e.g. the bench harness) scoped; either way
+     the Vclock observer keeps span timestamps and stage totals in lock-step
+     (single source of timing truth) *)
+  let owned =
     match config.Config.trace_level with
-    | Obs.Tracer.Off -> (false, prev_ambient)
-    | level -> (true, Some (Obs.Tracer.create ~level ()))
+    | Obs.Tracer.Off -> None
+    | level -> Some (Obs.Tracer.create ~level ())
   in
-  let restored = ref false in
-  let restore_ambient () =
-    if owns_tracer && not !restored then begin
-      restored := true;
-      match prev_ambient with
-      | Some p -> Obs.Trace.install p
-      | None -> Obs.Trace.uninstall ()
-    end
-  in
+  (match owned with Some t -> Obs.Trace.with_tracer t | None -> fun f -> f ())
+  @@ fun () ->
+  let tracer = Obs.Trace.current () in
   Option.iter
     (fun t ->
-      if owns_tracer then Obs.Trace.install t;
       Vclock.set_observer clock (fun stage s ->
           Obs.Tracer.stage_charge t (Vclock.stage_name stage) s))
     tracer;
-  (* whatever happens below, never leak our tracer into the caller *)
-  Fun.protect ~finally:restore_ambient @@ fun () ->
   let root_span =
     Option.map
       (fun t ->
@@ -565,7 +517,7 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
           ("translate:" ^ op.Opdef.name))
       tracer
   in
-  (* seal the trace and restore the caller's tracing state *)
+  (* seal the trace *)
   let finish_trace outcome =
     Obs.Metrics.inc (List.assoc (status_class outcome.status) m_translations);
     Option.iter
@@ -576,9 +528,8 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
         Option.iter (Obs.Tracer.span_end t) root_span;
         Vclock.clear_observer clock)
       tracer;
-    restore_ambient ();
-    match (owns_tracer, tracer) with
-    | true, Some t ->
+    match owned with
+    | Some t ->
       let events = Obs.Tracer.events t in
       (* like an unopenable store, an unwritable sink is a warning: the
          outcome (and its trace) is still returned *)
@@ -588,7 +539,7 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
         with Sys_error m -> Printf.eprintf "warning: trace journal not written: %s\n%!" m)
       | None -> ());
       { outcome with trace = events }
-    | _ -> outcome
+    | None -> outcome
   in
   (* the one error boundary: whatever a callee raises becomes a typed
      status naming the exception, so [transcompile] stays total *)

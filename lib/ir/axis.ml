@@ -29,3 +29,7 @@ let all =
 let is_simt = function
   | Block_x | Block_y | Block_z | Thread_x | Thread_y | Thread_z -> true
   | Task_id | Cluster_id | Core_id -> false
+
+let is_thread = function
+  | Thread_x | Thread_y | Thread_z | Core_id -> true
+  | Block_x | Block_y | Block_z | Task_id | Cluster_id -> false

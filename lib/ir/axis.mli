@@ -23,3 +23,7 @@ val all : t list
 val is_simt : t -> bool
 (** blockIdx.* / threadIdx.* axes. *)
 
+val is_thread : t -> bool
+(** Axes whose iterations share a barrier: threadIdx.* and the MLU's
+    [coreId]. *)
+

@@ -146,10 +146,6 @@ let float_unop op : float -> float =
 
 type _ Effect.t += Barrier : unit Effect.t
 
-let is_thread_axis = function
-  | Axis.Thread_x | Axis.Thread_y | Axis.Thread_z | Axis.Core_id -> true
-  | Axis.Block_x | Axis.Block_y | Axis.Block_z | Axis.Task_id | Axis.Cluster_id -> false
-
 type fiber_state = Done | Suspended of (unit -> fiber_state)
 
 let run_fiber_group fibers =
@@ -1394,13 +1390,13 @@ let compile (k : Kernel.t) : t =
         fun ctx _ ->
           ctx.stats.barriers <- ctx.stats.barriers + 1;
           try Effect.perform Barrier with Effect.Unhandled _ -> () )
-    | Stmt.For { var; lo; extent; kind = Stmt.Parallel ax; body } when is_thread_axis ax ->
+    | Stmt.For { var; lo; extent; kind = Stmt.Parallel ax; body } when Axis.is_thread ax ->
       (* collect the maximal immediately-nested chain of thread-parallel
          loops so a barrier synchronizes the whole thread block *)
       let rec chain acc body =
         match body with
         | [ Stmt.For { var; lo; extent; kind = Stmt.Parallel ax; body = inner } ]
-          when is_thread_axis ax ->
+          when Axis.is_thread ax ->
           chain ((var, lo, extent) :: acc) inner
         | _ -> (List.rev acc, body)
       in

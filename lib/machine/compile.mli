@@ -60,8 +60,6 @@ val unop : Expr.unop -> value -> value
 
 type _ Effect.t += Barrier : unit Effect.t
 
-val is_thread_axis : Axis.t -> bool
-
 val run_fiber_group : (unit -> unit) list -> unit
 (** Runs SIMT fibers round-robin between barriers, reversing order each
     round to deterministically expose missing-barrier races. *)

@@ -37,7 +37,6 @@ let buf_set = Compile.buf_set
 let int_binop = Compile.int_binop
 let float_binop = Compile.float_binop
 let unop = Compile.unop
-let is_thread_axis = Compile.is_thread_axis
 let run_fiber_group = Compile.run_fiber_group
 let fresh_stats = Compile.fresh_stats
 
@@ -187,13 +186,13 @@ and exec_stmt ctx env stmt : [ `Scalar of string | `Buf of string ] option =
     ctx.stats.barriers <- ctx.stats.barriers + 1;
     (try Effect.perform Compile.Barrier with Effect.Unhandled _ -> ());
     None
-  | Stmt.For { var; lo; extent; kind = Stmt.Parallel ax; body } when is_thread_axis ax ->
+  | Stmt.For { var; lo; extent; kind = Stmt.Parallel ax; body } when Axis.is_thread ax ->
     (* collect the maximal immediately-nested chain of thread-parallel loops
        so a barrier synchronizes the whole thread block *)
     let rec chain acc body =
       match body with
       | [ Stmt.For { var; lo; extent; kind = Stmt.Parallel ax; body = inner } ]
-        when is_thread_axis ax ->
+        when Axis.is_thread ax ->
         chain ((var, lo, extent) :: acc) inner
       | _ -> (List.rev acc, body)
     in

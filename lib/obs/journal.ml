@@ -21,34 +21,9 @@ let decode text =
   in
   go 1 [] lines
 
-(* Buffered sink: one open channel for the whole journaling session instead
-   of an open/write/close cycle per append. The one-shot functions below are
-   wrappers over a short-lived sink. *)
-type sink = { oc : out_channel; mutable closed : bool }
-
-let open_sink ?(append = false) path =
-  let flags =
-    if append then [ Open_wronly; Open_creat; Open_append ]
-    else [ Open_wronly; Open_creat; Open_trunc ]
-  in
-  { oc = open_out_gen flags 0o644 path; closed = false }
-
-let emit sink events =
-  if sink.closed then invalid_arg "Journal.emit: sink is closed";
-  output_string sink.oc (encode events)
-
-let close sink =
-  if not sink.closed then begin
-    sink.closed <- true;
-    close_out sink.oc
-  end
-
-let write_gen ~append path events =
-  let sink = open_sink ~append path in
-  Fun.protect ~finally:(fun () -> close sink) (fun () -> emit sink events)
-
-let write_file path events = write_gen ~append:false path events
-let append_file path events = write_gen ~append:true path events
+let write_file path events =
+  Out_channel.with_open_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path (fun oc ->
+      output_string oc (encode events))
 
 let read_file path =
   match

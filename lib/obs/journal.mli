@@ -1,7 +1,7 @@
 (** JSONL event journal: one JSON event per line.
 
     The journal is the on-disk sink: [xpiler translate --trace FILE]
-    writes one, the bench harness appends one per experiment under
+    writes one, the bench harness writes one per experiment under
     [results/], and [xpiler trace FILE] replays one into the summary and
     Chrome renderers. Encoding is deterministic, so two runs with the same
     seed produce byte-identical journals. *)
@@ -14,24 +14,4 @@ val decode : string -> (Event.t list, string) result
     aborts with its line number. *)
 
 val write_file : string -> Event.t list -> unit
-val append_file : string -> Event.t list -> unit
 val read_file : string -> (Event.t list, string) result
-
-(** {2 Buffered sink}
-
-    Incremental journaling (the bench harness appends one batch per
-    experiment) previously re-opened the file on every [append_file] call;
-    a sink keeps one buffered channel open instead. [write_file] /
-    [append_file] remain as one-shot wrappers. *)
-
-type sink
-
-val open_sink : ?append:bool -> string -> sink
-(** Opens (truncating unless [~append:true]) for writing. *)
-
-val emit : sink -> Event.t list -> unit
-(** Appends the encoded events to the sink's buffer; raises
-    [Invalid_argument] on a closed sink. *)
-
-val close : sink -> unit
-(** Flushes and closes; idempotent. *)

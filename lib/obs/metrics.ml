@@ -106,9 +106,6 @@ let value { c; _ } = Atomic.get c
 
 let set (g : gauge) v = Atomic.set g v
 
-let rec add (g : gauge) v =
-  let cur = Atomic.get g in
-  if not (Atomic.compare_and_set g cur (cur +. v)) then add g v
 
 let observe { h; h_trace } v =
   Mutex.protect h.lock (fun () ->
@@ -188,41 +185,6 @@ let reset () =
                 h.vmin <- infinity;
                 h.vmax <- neg_infinity))
         registry)
-
-(* ---- merge --------------------------------------------------------------- *)
-
-let merge_values a b =
-  match (a, b) with
-  | Vcounter x, Vcounter y -> Vcounter (x + y)
-  | Vgauge x, Vgauge y -> Vgauge (Float.max x y)
-  | Vhist x, Vhist y ->
-    if x.bounds <> y.bounds then invalid_arg "Metrics.merge: histogram bounds differ";
-    Vhist
-      {
-        bounds = x.bounds;
-        counts = Array.init (Array.length x.counts) (fun i -> x.counts.(i) + y.counts.(i));
-        sum = x.sum +. y.sum;
-        count = x.count + y.count;
-        hmin =
-          (if x.count = 0 then y.hmin else if y.count = 0 then x.hmin else Float.min x.hmin y.hmin);
-        hmax = (if x.count = 0 then y.hmax else if y.count = 0 then x.hmax else Float.max x.hmax y.hmax);
-      }
-  | _ -> invalid_arg "Metrics.merge: kind mismatch"
-
-let merge a b =
-  let tbl = Hashtbl.create 64 in
-  let add_sample s =
-    let key = (s.name, s.labels) in
-    match Hashtbl.find_opt tbl key with
-    | None -> Hashtbl.replace tbl key s
-    | Some prev -> Hashtbl.replace tbl key { prev with value = merge_values prev.value s.value }
-  in
-  List.iter add_sample a;
-  List.iter add_sample b;
-  let all = Hashtbl.fold (fun _ s acc -> s :: acc) tbl [] in
-  List.sort (fun a b ->
-      match compare a.name b.name with 0 -> compare a.labels b.labels | c -> c)
-    all
 
 (* ---- quantiles ----------------------------------------------------------- *)
 

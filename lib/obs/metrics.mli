@@ -56,7 +56,6 @@ val histogram :
 
 val inc : ?n:int -> counter -> unit
 val set : gauge -> float -> unit
-val add : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
 val value : counter -> int
@@ -91,10 +90,6 @@ val snapshot : ?stable_only:bool -> unit -> sample list
 
 val reset : unit -> unit
 (** Zero all values (registrations survive). *)
-
-val merge : sample list -> sample list -> sample list
-(** Fold two snapshots: counters add, gauges take the max, histograms add
-    bucket-wise (bounds must match). Missing metrics pass through. *)
 
 val hist_quantile : hist_snapshot -> float -> float
 (** Nearest-rank quantile estimated from bucket counts, clamped to the

@@ -3,8 +3,7 @@
 module Session = Xpiler_util.Session
 
 let active : Tracer.t option Session.t = Session.make (fun () -> None)
-let install t = Session.set active (Some t)
-let uninstall () = Session.set active None
+let with_tracer t f = Session.with_value active (Some t) f
 let current () = Session.get active
 let enabled () = Option.is_some (current ())
 

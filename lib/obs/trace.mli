@@ -2,9 +2,9 @@
 
     The pipeline's libraries (neural, repair, smt, tuning, machine) record
     metrics without threading a tracer through every signature: they call
-    the functions below, which no-op unless a tracer is installed.
-    [Core.Xpiler] installs one per translation when
-    [Config.trace_level <> Off]; the bench harness installs one around a
+    the functions below, which no-op unless a tracer is in scope.
+    [Core.Xpiler] scopes one per translation when
+    [Config.trace_level <> Off]; the bench harness scopes one around a
     whole experiment to journal every case into one file. An event also
     counted in the metrics registry is recorded once, through a [Metrics]
     handle registered with [~trace], which calls {!count} / {!observe}
@@ -16,8 +16,10 @@
     [jobs=1] (inline) and [jobs>1] runs emit the same events: none from
     inside the tasks. *)
 
-val install : Tracer.t -> unit
-val uninstall : unit -> unit
+val with_tracer : Tracer.t -> (unit -> 'a) -> 'a
+(** Runs the function with the tracer current on this domain, restoring
+    the caller's tracer (or none) on exit, including by exception. *)
+
 val current : unit -> Tracer.t option
 
 val without : (unit -> 'a) -> 'a
@@ -26,7 +28,7 @@ val without : (unit -> 'a) -> 'a
     re-emits in canonical form (tuner batches, transposition receipts). *)
 
 val enabled : unit -> bool
-(** A tracer is installed (at any level). *)
+(** A tracer is current (at any level). *)
 
 val span :
   ?cat:string -> ?attrs:Event.attrs -> ?prof:string -> string -> (unit -> 'a) -> 'a

@@ -8,10 +8,6 @@ let wrap_result f = match f () with k -> Ok k | exception Failed m -> Error m
 
 (* ---- loop recovery ----------------------------------------------------- *)
 
-let is_thread_axis = function
-  | Axis.Thread_x | Axis.Thread_y | Axis.Thread_z | Axis.Core_id -> true
-  | Axis.Block_x | Axis.Block_y | Axis.Block_z | Axis.Task_id | Axis.Cluster_id -> false
-
 let contains_sync = Stmt.has_sync
 
 (* split a block at its top-level Syncs *)
@@ -60,12 +56,12 @@ let recovery (k : Kernel.t) =
       let rec seq block = List.concat_map seq_stmt block
       and seq_stmt stmt =
         match stmt with
-        | Stmt.For ({ kind = Stmt.Parallel ax; _ } as r) when is_thread_axis ax ->
+        | Stmt.For ({ kind = Stmt.Parallel ax; _ } as r) when Axis.is_thread ax ->
           (* flatten the immediately-nested thread chain, as the hardware
              barrier covers the whole thread block *)
           let rec chain acc body =
             match body with
-            | [ Stmt.For ({ kind = Stmt.Parallel ax'; _ } as r') ] when is_thread_axis ax' ->
+            | [ Stmt.For ({ kind = Stmt.Parallel ax'; _ } as r') ] when Axis.is_thread ax' ->
               chain ((r'.var, r'.lo, r'.extent) :: acc) r'.body
             | _ -> (List.rev acc, body)
           in

@@ -266,10 +266,11 @@ let prop_total =
 (* ---- config ----------------------------------------------------------------- *)
 
 let test_configs () =
-  Alcotest.(check bool) "default uses smt" true Config.default.Config.use_smt;
-  Alcotest.(check bool) "ablation disables smt" false Config.without_smt.Config.use_smt;
-  Alcotest.(check bool) "self-debug flag" true
-    Config.without_smt_self_debug.Config.self_debugging;
+  let has rung (c : Config.t) = List.mem rung c.Config.ladder in
+  Alcotest.(check bool) "default uses smt" true (has Config.Smt_repair Config.default);
+  Alcotest.(check bool) "ablation disables smt" false (has Config.Smt_repair Config.without_smt);
+  Alcotest.(check bool) "self-debug rung" true
+    (has Config.Self_debug Config.without_smt_self_debug);
   Alcotest.(check bool) "tuned tunes" true Config.tuned.Config.tune
 
 let () =

@@ -50,8 +50,7 @@ let test_counter_gauge_histogram () =
   let h = Metrics.histogram ~bounds:[| 1.0; 2.0; 5.0 |] "testm_basic_hist" in
   Metrics.inc c;
   Metrics.inc ~n:4 c;
-  Metrics.set g 2.5;
-  Metrics.add g 1.25;
+  Metrics.set g 3.75;
   List.iter (Metrics.observe h) [ 0.5; 1.5; 10.0 ];
   let s = Metrics.snapshot () in
   Alcotest.(check (option int)) "counter total" (Some 5) (counter_value "testm_basic_total" [] s);
@@ -99,8 +98,7 @@ let test_trace_forwarding () =
   let h = Metrics.histogram ~trace:"testm.fwd_h" "testm_fwd_hist" in
   Metrics.inc c;
   let t = Tracer.create ~level:Tracer.Detail () in
-  Trace.install t;
-  Fun.protect ~finally:Trace.uninstall (fun () ->
+  Trace.with_tracer t (fun () ->
       Metrics.inc ~n:3 c;
       Metrics.observe h 2.0;
       Trace.without (fun () -> Metrics.inc ~n:10 c));
@@ -128,30 +126,6 @@ let test_stable_only_filter () =
        (List.exists
           (fun (x : Metrics.sample) -> String.starts_with ~prefix:"xpiler_pool_" x.Metrics.name)
           full))
-
-let test_merge () =
-  let c = Metrics.counter "testm_merge_total" in
-  let g = Metrics.gauge "testm_merge_gauge" in
-  let h = Metrics.histogram ~bounds:[| 1.0; 10.0 |] "testm_merge_hist" in
-  Metrics.inc ~n:3 c;
-  Metrics.set g 5.0;
-  Metrics.observe h 0.5;
-  let a = Metrics.snapshot () in
-  Metrics.reset ();
-  Metrics.inc ~n:4 c;
-  Metrics.set g 2.0;
-  Metrics.observe h 20.0;
-  let b = Metrics.snapshot () in
-  let m = Metrics.merge a b in
-  Alcotest.(check (option int)) "counters add" (Some 7) (counter_value "testm_merge_total" [] m);
-  Alcotest.(check (option (float 1e-9))) "gauges take max" (Some 5.0)
-    (gauge_value "testm_merge_gauge" [] m);
-  match hist_value "testm_merge_hist" [] m with
-  | None -> Alcotest.fail "merged histogram missing"
-  | Some h ->
-    Alcotest.(check (array int)) "buckets add" [| 1; 0; 1 |] h.Metrics.counts;
-    Alcotest.(check int) "counts add" 2 h.Metrics.count;
-    Alcotest.(check (float 1e-9)) "sums add" 20.5 h.Metrics.sum
 
 let test_hist_quantile_edges () =
   let h = Metrics.histogram ~bounds:[| 1.0; 2.0; 5.0 |] "testm_quant_hist" in
@@ -239,8 +213,7 @@ let test_trace_registry_parity () =
   in
   let before = List.map (fun (_, c) -> Metrics.value c) handles in
   let t = Tracer.create ~level:Tracer.Detail () in
-  Trace.install t;
-  Fun.protect ~finally:Trace.uninstall (fun () ->
+  Trace.with_tracer t (fun () ->
       ignore
         (Xpiler.transcompile ~config:(Config.with_fault_scale Config.default 20.0)
            ~src:Platform.Cuda ~dst:Platform.Bang ~op:relu ~shape:(List.hd relu.Opdef.shapes) ()));
@@ -250,54 +223,6 @@ let test_trace_registry_parity () =
     handles before;
   Alcotest.(check bool) "the run reached repair" true
     (Tracer.counter_total t "repair.candidates" > 0)
-
-(* ---- journal sink -------------------------------------------------------- *)
-
-let sample_events n =
-  let t = Tracer.create ~level:Tracer.Detail () in
-  for i = 1 to n do
-    Tracer.count t ~n:i "alpha";
-    Tracer.observe t "h" (float_of_int i)
-  done;
-  Tracer.events t
-
-let read_all path = In_channel.with_open_bin path In_channel.input_all
-
-let test_journal_sink () =
-  let evs = sample_events 3 in
-  let batch1 = List.filteri (fun i _ -> i < 2) evs in
-  let batch2 = List.filteri (fun i _ -> i >= 2) evs in
-  let p_oneshot = Filename.temp_file "xpiler_oneshot" ".jsonl" in
-  let p_sink = Filename.temp_file "xpiler_sink" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove p_oneshot;
-      Sys.remove p_sink)
-    (fun () ->
-      (* the one-shot path: write then append *)
-      Journal.write_file p_oneshot batch1;
-      Journal.append_file p_oneshot batch2;
-      (* the sink path: one open channel, two emits *)
-      let sink = Journal.open_sink p_sink in
-      Journal.emit sink batch1;
-      Journal.emit sink batch2;
-      Journal.close sink;
-      Alcotest.(check string) "sink and one-shots agree byte-for-byte" (read_all p_oneshot)
-        (read_all p_sink);
-      (match Journal.read_file p_sink with
-      | Ok back -> Alcotest.(check string) "decodes to the same events"
-          (Journal.encode evs) (Journal.encode back)
-      | Error e -> Alcotest.fail e);
-      Journal.close sink;  (* idempotent *)
-      let raised = try Journal.emit sink []; false with Invalid_argument _ -> true in
-      Alcotest.(check bool) "emit after close raises" true raised;
-      (* ~append:true continues an existing file *)
-      let sink2 = Journal.open_sink ~append:true p_sink in
-      Journal.emit sink2 batch1;
-      Journal.close sink2;
-      Alcotest.(check string) "append sink extends the file"
-        (read_all p_oneshot ^ Journal.encode batch1)
-        (read_all p_sink))
 
 (* ---- profiler ------------------------------------------------------------ *)
 
@@ -672,13 +597,10 @@ let () =
           Alcotest.test_case "trace forwarding" `Quick test_trace_forwarding;
           Alcotest.test_case "trace parity" `Quick test_trace_registry_parity;
           Alcotest.test_case "stable-only filter" `Quick test_stable_only_filter;
-          Alcotest.test_case "merge" `Quick test_merge;
           Alcotest.test_case "hist quantile edges" `Quick test_hist_quantile_edges;
           Alcotest.test_case "openmetrics format" `Quick test_openmetrics_format;
           Alcotest.test_case "json parseable" `Quick test_json_parseable
         ] );
-      ( "journal",
-        [ Alcotest.test_case "buffered sink" `Quick test_journal_sink ] );
       ( "profiler",
         [ Alcotest.test_case "aggregation" `Quick test_prof_aggregation;
           Alcotest.test_case "trace segregation" `Quick test_prof_trace_segregation;

@@ -117,7 +117,7 @@ let test_tracer_levels () =
   Alcotest.(check int) "counter total" 4 (Tracer.counter_total detail "c")
 
 let test_trace_facade_noop () =
-  Trace.uninstall ();
+  Trace.without @@ fun () ->
   Alcotest.(check bool) "disabled" false (Trace.enabled ());
   (* all of these must be silent no-ops *)
   Trace.count "c";
@@ -125,11 +125,24 @@ let test_trace_facade_noop () =
   Trace.instant "i";
   Alcotest.(check int) "span still runs body" 7 (Trace.span "s" (fun () -> 7));
   let t = Tracer.create () in
-  Trace.install t;
+  Trace.with_tracer t (fun () -> Trace.count "c");
   Trace.count "c";
-  Trace.uninstall ();
-  Trace.count "c";
-  Alcotest.(check int) "installed tracer saw one count" 1 (Tracer.counter_total t "c")
+  Alcotest.(check int) "scoped tracer saw one count" 1 (Tracer.counter_total t "c")
+
+(* a scope restores the tracer that was current when it opened: the inner
+   translation's tracer must not end the outer experiment's journal, as a
+   paired set-then-clear of the slot did *)
+let test_trace_nested_scope () =
+  let outer = Tracer.create () and inner = Tracer.create () in
+  Trace.with_tracer outer (fun () ->
+      Trace.count "c";
+      Trace.with_tracer inner (fun () -> Trace.count "c");
+      Alcotest.(check bool) "outer restored" true
+        (match Trace.current () with Some t -> t == outer | None -> false);
+      Trace.count "c");
+  Alcotest.(check bool) "none after the outer scope" true (Trace.current () = None);
+  Alcotest.(check int) "outer saw its two counts" 2 (Tracer.counter_total outer "c");
+  Alcotest.(check int) "inner saw one" 1 (Tracer.counter_total inner "c")
 
 (* ---- events and journal ------------------------------------------------------ *)
 
@@ -175,9 +188,10 @@ let test_journal_roundtrip () =
 let test_journal_file_io () =
   let path = Filename.temp_file "xpiler_obs" ".jsonl" in
   Journal.write_file path sample_events;
-  Journal.append_file path sample_events;
+  Alcotest.(check string) "file holds the encoding" (Journal.encode sample_events)
+    (In_channel.with_open_bin path In_channel.input_all);
   (match Journal.read_file path with
-  | Ok es -> Alcotest.(check int) "append doubles" (2 * List.length sample_events) (List.length es)
+  | Ok es -> Alcotest.(check string) "read back" (Journal.encode sample_events) (Journal.encode es)
   | Error m -> Alcotest.fail m);
   Sys.remove path
 
@@ -320,7 +334,8 @@ let () =
           Alcotest.test_case "span nesting" `Quick test_tracer_span_nesting;
           Alcotest.test_case "exception unwinds stack" `Quick test_tracer_span_end_unwinds;
           Alcotest.test_case "levels gate metrics" `Quick test_tracer_levels;
-          Alcotest.test_case "ambient facade" `Quick test_trace_facade_noop
+          Alcotest.test_case "ambient facade" `Quick test_trace_facade_noop;
+          Alcotest.test_case "nested scope restores outer" `Quick test_trace_nested_scope
         ] );
       ( "journal",
         [ Alcotest.test_case "event roundtrip" `Quick test_event_roundtrip;

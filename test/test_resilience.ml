@@ -20,7 +20,7 @@ let unit_passes op shape k = Unit_test.check ~trials:1 op shape k = Unit_test.Pa
    exercises the Gave_up path the hardest *)
 let rollback_only scale seed =
   { (Config.with_seed Config.default seed) with
-    Config.escalation = Config.no_escalation;
+    Config.ladder = [ Config.Smt_repair; Config.Rollback ];
     fault_scale = scale
   }
 
@@ -132,8 +132,7 @@ let prop_rollback_commits_only_validated =
       let scale = float_of_int scale_x10 /. 10.0 in
       let config =
         { (Config.with_seed Config.default seed) with
-          Config.escalation =
-            Config.{ default_escalation with symbolic_fallback = false };
+          Config.ladder = Config.[ Reprompt; Smt_repair; Rollback ];
           fault_scale = scale
         }
       in
@@ -216,18 +215,26 @@ let test_trace_surfaces_escalation () =
 
 let test_max_escalation_mapping () =
   let open Config in
-  let c0 = with_max_escalation default 0 in
-  Alcotest.(check bool) "rung 0 disables everything" true
-    (c0.escalation = no_escalation && (not c0.use_smt) && not c0.rollback);
-  let c2 = with_max_escalation default 2 in
-  Alcotest.(check bool) "rung 2 keeps smt, drops symbolic+rollback" true
-    (c2.use_smt && (not c2.escalation.symbolic_fallback) && not c2.rollback);
-  let c4 = with_max_escalation default 4 in
-  Alcotest.(check bool) "rung 4 is the full ladder" true
-    (c4.use_smt && c4.escalation.symbolic_fallback && c4.rollback);
-  (* never re-enables what the config already disabled *)
-  let c4' = with_max_escalation without_smt 4 in
-  Alcotest.(check bool) "without_smt stays without smt" false c4'.use_smt
+  let ladder t n = (with_max_escalation t n).ladder in
+  let name = function
+    | Reprompt -> "reprompt"
+    | Self_debug -> "self-debug"
+    | Smt_repair -> "smt-repair"
+    | Symbolic -> "symbolic"
+    | Rollback -> "rollback"
+  in
+  let rungs = Alcotest.(list (of_pp (fun fmt r -> Format.pp_print_string fmt (name r)))) in
+  Alcotest.check rungs "rung 0 disables everything" [] (ladder default 0);
+  Alcotest.check rungs "rung 1 keeps re-prompting" [ Reprompt ] (ladder default 1);
+  Alcotest.check rungs "rung 2 keeps smt, drops symbolic+rollback" [ Reprompt; Smt_repair ]
+    (ladder default 2);
+  Alcotest.check rungs "rung 4 is the full ladder" default.ladder (ladder default 4);
+  (* never re-enables what the config already left out *)
+  Alcotest.check rungs "without_smt stays without smt" [] (ladder without_smt 4);
+  Alcotest.check rungs "seed pipeline gains no rung" [ Smt_repair ] (ladder seed_pipeline 4);
+  Alcotest.check rungs "self-debug shares smt's level" [ Self_debug ]
+    (ladder without_smt_self_debug 2);
+  Alcotest.check rungs "self-debug is gone below it" [] (ladder without_smt_self_debug 1)
 
 (* ---- determinism --------------------------------------------------------------- *)
 

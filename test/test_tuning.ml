@@ -343,8 +343,7 @@ let observed_run work =
   let charges = ref [] in
   Vclock.set_observer clock (fun st s -> charges := (Vclock.stage_name st, s) :: !charges);
   let tracer = Tracer.create ~level:Tracer.Detail () in
-  Trace.install tracer;
-  let v = Fun.protect ~finally:Trace.uninstall (fun () -> work clock) in
+  let v = Trace.with_tracer tracer (fun () -> work clock) in
   let counters =
     List.map
       (fun c -> (c, Tracer.counter_total tracer c))
