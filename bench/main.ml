@@ -34,7 +34,7 @@ let experiments =
    (table2, table6 and fig7 pool theirs; table5 and space run none) records
    no events and writes no file. *)
 let traced name f =
-  let tracer = Xpiler_obs.Tracer.create ~level:Xpiler_obs.Tracer.Detail () in
+  let tracer = Xpiler_obs.Tracer.create () in
   Xpiler_obs.Trace.with_tracer tracer f;
   match Xpiler_obs.Tracer.events tracer with
   | [] -> Printf.printf "[trace journal: none, no traced events]\n%!"

@@ -91,12 +91,10 @@ let bench_op name =
   in
   (* intra-level pruning: lossless by construction, counted for the report *)
   let exhaustive, _ =
-    Intra.tune_with_stats ~prune:false ~compose:true ~max_candidates:64
-      ~memo:(Intra.create_memo ()) ~platform kernel
+    Intra.tune ~prune:false ~compose:true ~max_candidates:64 ~platform kernel
   in
   let pruned_v, prune_stats =
-    Intra.tune_with_stats ~prune:true ~compose:true ~max_candidates:64
-      ~memo:(Intra.create_memo ()) ~platform kernel
+    Intra.tune ~prune:true ~compose:true ~max_candidates:64 ~platform kernel
   in
   let prune_lossless = pruned_v.Intra.throughput = exhaustive.Intra.throughput in
   if not prune_lossless then begin

@@ -104,18 +104,6 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let trace_level_arg =
-  let level_conv =
-    let parse s =
-      match Xpiler_obs.Tracer.level_of_string s with
-      | Some l -> Ok l
-      | None -> Error (`Msg (Printf.sprintf "unknown trace level %s (off|stages|detail)" s))
-    in
-    Arg.conv (parse, fun fmt l -> Format.pp_print_string fmt (Xpiler_obs.Tracer.level_to_string l))
-  in
-  let doc = "Trace level: off, stages (spans only) or detail (spans + metrics)." in
-  Arg.(value & opt level_conv Xpiler_obs.Tracer.Detail & info [ "trace-level" ] ~docv:"LEVEL" ~doc)
-
 (* A --shape value overrides some of the op's declared dims; the rest keep
    the op's first registered shape. Unknown dims, non-integers and values
    <= 0 are usage errors: one line on stderr, exit 2. *)
@@ -179,7 +167,7 @@ let find_op name =
 (* ---- translate ------------------------------------------------------------ *)
 
 let translate op_name shape src dst tune seed no_prune no_warm_start max_escalation
-    no_rollback fault_scale store_dir no_store trace trace_level =
+    no_rollback fault_scale store_dir no_store trace =
   let op = find_op op_name in
   let shape = parse_shape op shape in
   check_max_escalation max_escalation;
@@ -198,7 +186,7 @@ let translate op_name shape src dst tune seed no_prune no_warm_start max_escalat
     in
     let base = Config.with_max_escalation base max_escalation in
     let base = Config.with_fault_scale base fault_scale in
-    if trace = None then base else Config.with_trace base trace_level
+    if trace = None then base else Config.with_trace base Xpiler_obs.Tracer.Detail
   in
   Printf.printf "// source (%s):\n%s\n" (Platform.id_to_string src)
     (Idiom.source_text src op shape);
@@ -240,7 +228,7 @@ let translate_cmd =
     Term.(
       const translate $ op_arg $ shape_arg $ src_arg $ dst_arg $ tune_arg $ seed_arg
       $ no_prune_arg $ no_warm_start_arg $ max_escalation_arg $ no_rollback_arg
-      $ fault_scale_arg $ store_dir_arg $ no_store_arg $ trace_arg $ trace_level_arg)
+      $ fault_scale_arg $ store_dir_arg $ no_store_arg $ trace_arg)
 
 (* ---- show-source ----------------------------------------------------------- *)
 
@@ -569,6 +557,11 @@ let store_action dir action =
       Printf.eprintf "store: no directory (pass --dir or set $XPILER_STORE_DIR)\n";
       exit 2
   in
+  (* inspecting a store never creates one; only translate --store-dir does *)
+  if not (Sys.file_exists dir) then begin
+    Printf.eprintf "store: %s: no such directory\n" dir;
+    exit 2
+  end;
   let t =
     match Store.open_store ~dir () with
     | Ok t -> t

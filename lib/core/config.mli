@@ -49,8 +49,8 @@ type t = {
       (** Ignored: nothing reads this field. It is kept only because
           [e2ebench/sweep.ml] sets it; drop the two together. *)
   trace_level : Xpiler_obs.Tracer.level;
-      (** [Off]: no tracing. [Stages]/[Detail]: record a per-translation
-          event stream, returned in [Xpiler.outcome.trace]. *)
+      (** [Off]: no tracing. [Detail]: record a per-translation event
+          stream, returned in [Xpiler.outcome.trace]. *)
   trace_sink : string option;
       (** When set (and [trace_level <> Off]), the JSONL journal is also
           written to this path at the end of the translation. A path that

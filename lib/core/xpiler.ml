@@ -493,7 +493,7 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
   let owned =
     match config.Config.trace_level with
     | Obs.Tracer.Off -> None
-    | level -> Some (Obs.Tracer.create ~level ())
+    | Obs.Tracer.Detail -> Some (Obs.Tracer.create ())
   in
   (match owned with Some t -> Obs.Trace.with_tracer t | None -> fun f -> f ())
   @@ fun () ->

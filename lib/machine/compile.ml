@@ -33,8 +33,6 @@ type ctx = {
   stats : stats;
   fuel : int;
   trace : (string -> int -> float -> unit) option;
-  traffic : (string, int) Hashtbl.t option;
-      (** per-buffer written elements, tallied only when profiling *)
 }
 
 let to_float = function I n -> float_of_int n | F f -> f
@@ -43,11 +41,6 @@ let truthy = function I n -> n <> 0 | F f -> f <> 0.0
 let of_bool b = I (if b then 1 else 0)
 
 let err fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
-
-let tally ctx buf n =
-  match ctx.traffic with
-  | None -> ()
-  | Some tbl -> Hashtbl.replace tbl buf (n + Option.value ~default:0 (Hashtbl.find_opt tbl buf))
 
 let oob_read b i n = err "out-of-bounds read %s[%d] (size %d)" b i n
 let oob_write b i n = err "out-of-bounds write %s[%d] (size %d)" b i n
@@ -411,26 +404,22 @@ module Trace = Xpiler_obs.Trace
 
 let fresh_stats () = { steps = 0; stores = 0; intrinsic_elems = 0; memcpy_elems = 0; barriers = 0 }
 
-type receipt = { stats : stats; traffic : (string * int) list option; error : string option }
+type receipt = { stats : stats; error : string option }
 
-let traffic_list =
-  Option.map (fun tbl -> List.sort compare (Hashtbl.fold (fun buf n acc -> (buf, n) :: acc) tbl []))
-
-(* profiling hook: per-run op counts and per-buffer write traffic, emitted
-   to the ambient tracer so unit-test and localization executions show up
-   in the per-translation trace *)
-let profile stats traffic =
+(* profiling hook: per-run op counts, emitted to the ambient tracer so
+   unit-test and localization executions show up in the per-translation
+   trace *)
+let profile stats =
   if Trace.enabled () then begin
     Trace.count "interp.runs";
     Trace.count ~n:stats.steps "interp.steps";
     Trace.count ~n:stats.stores "interp.stores";
     Trace.count ~n:stats.intrinsic_elems "interp.intrinsic_elems";
     Trace.count ~n:stats.memcpy_elems "interp.memcpy_elems";
-    Trace.count ~n:stats.barriers "interp.barriers";
-    Option.iter (List.iter (fun (buf, n) -> Trace.count ~n ("interp.traffic." ^ buf))) traffic
+    Trace.count ~n:stats.barriers "interp.barriers"
   end
 
-let replay r = profile r.stats r.traffic
+let replay r = profile r.stats
 
 (* ---- the closure compiler ---------------------------------------------- *)
 
@@ -649,7 +638,7 @@ let assign_loop f loads code sp0 =
 
 (* [d[id] = e] over the loop: [dst] is the store's access, [loads] those of
    [code], [sp0] the first float slot of the evaluation stack *)
-let store_loop dname dst loads code sp0 =
+let store_loop dst loads code sp0 =
   let accs = Array.of_list (dst :: loads) in
   fun (ctx : ctx) fr s lo ext ->
   ready ctx fr s lo ext accs
@@ -662,7 +651,6 @@ let store_loop dname dst loads code sp0 =
     done;
     finish ctx fr s lo ext;
     ctx.stats.stores <- ctx.stats.stores + ext;
-    tally ctx dname ext;
     true
   end
 
@@ -1207,7 +1195,7 @@ let compile (k : Kernel.t) : t =
       | [ Stmt.Store { buf; index; value } ] when bound buf && affine index && lfloat value ->
         let dst = access buf index in
         let loads, code, sp0 = lower_value value in
-        Some (store_loop buf dst loads code sp0)
+        Some (store_loop dst loads code sp0)
       | _ -> None
     in
     (fast, { cenv with idx = !shared })
@@ -1291,7 +1279,6 @@ let compile (k : Kernel.t) : t =
           in
           buf_set t buf i v;
           ctx.stats.stores <- ctx.stats.stores + 1;
-          tally ctx buf 1;
           match ctx.trace with Some f -> f buf i v | None -> () )
     | Stmt.Alloc { buf; dtype; size; _ } ->
       let s = fresh_buf () in
@@ -1332,8 +1319,7 @@ let compile (k : Kernel.t) : t =
             for k = 0 to n - 1 do
               buf_set dt dname (doff + k) (buf_get st sname (soff + k))
             done;
-          ctx.stats.memcpy_elems <- ctx.stats.memcpy_elems + n;
-          tally ctx dname n )
+          ctx.stats.memcpy_elems <- ctx.stats.memcpy_elems + n )
     | Stmt.Intrinsic i ->
       let name = Intrin.op_name i.op in
       let gdst = buf_slot cenv i.dst.buf in
@@ -1370,7 +1356,6 @@ let compile (k : Kernel.t) : t =
       let op = i.op in
       ( cenv,
         fun ctx fr ->
-          let before = ctx.stats.intrinsic_elems in
           let dst_t = gdst fr in
           let dst_off = cdoff fr in
           for n = 0 to Array.length csrcs - 1 do
@@ -1383,8 +1368,7 @@ let compile (k : Kernel.t) : t =
             Array.unsafe_set fr.ints o (c fr)
           done;
           intrinsic_run ctx.stats ~name ~op ~dst_t ~dname ~dst_off ~bufs:fr.bufs ~ints:fr.ints
-            ~srcs ~params ~fparam:cfparam fr;
-          tally ctx dname (ctx.stats.intrinsic_elems - before) )
+            ~srcs ~params ~fparam:cfparam fr )
     | Stmt.Sync ->
       ( cenv,
         fun ctx _ ->
@@ -1532,18 +1516,17 @@ let bind_args c args =
 
 let run_receipt ?(fuel = 200_000_000) ?trace c args =
   let stats = fresh_stats () in
-  let traffic = if Trace.enabled () then Some (Hashtbl.create 8) else None in
-  let ctx = { stats; fuel; trace; traffic } in
+  let ctx = { stats; fuel; trace } in
   let frame = bind_args c args in
   let error =
     match c.code ctx frame with
     | () -> None
     | exception Runtime_error m -> Some m
     | exception e ->
-      profile stats (traffic_list traffic);
+      profile stats;
       raise e
   in
-  let r = { stats; traffic = traffic_list traffic; error } in
+  let r = { stats; error } in
   replay r;
   r
 

@@ -41,8 +41,6 @@ type ctx = {
   stats : stats;
   fuel : int;
   trace : (string -> int -> float -> unit) option;
-  traffic : (string, int) Hashtbl.t option;
-      (** per-buffer written elements, tallied only when profiling *)
 }
 
 (** {1 Shared runtime — used by the tree-walking reference interpreter} *)
@@ -51,7 +49,6 @@ val to_float : value -> float
 val to_int : value -> int
 val truthy : value -> bool
 val err : ('a, unit, string, 'b) format4 -> 'a
-val tally : ctx -> string -> int -> unit
 val buf_get : Tensor.t -> string -> int -> float
 val buf_set : Tensor.t -> string -> int -> float -> unit
 val int_binop : Expr.binop -> int -> int -> value
@@ -86,23 +83,17 @@ val fresh_stats : unit -> stats
 
 type receipt = {
   stats : stats;
-  traffic : (string * int) list option;
-      (** per-buffer written elements, sorted by buffer; [None] when the run
-          was not traced *)
   error : string option;  (** the [Runtime_error] message that ended the run *)
 }
 (** What one execution emitted to the ambient tracer, so a memoized result
     can emit it again. *)
 
-val traffic_list : (string, int) Hashtbl.t option -> (string * int) list option
-
-val profile : stats -> (string * int) list option -> unit
+val profile : stats -> unit
 (** Emit a run's [interp.*] counts to the ambient tracer (a no-op when
     tracing is off). *)
 
 val replay : receipt -> unit
-(** [profile] of a receipt: exactly what the recorded run emitted, when the
-    receipt carries traffic. *)
+(** [profile] of a receipt: exactly what the recorded run emitted. *)
 
 (** {1 The compiler} *)
 

@@ -24,14 +24,12 @@ type ctx = Compile.ctx = {
   stats : stats;
   fuel : int;
   trace : (string -> int -> float -> unit) option;
-  traffic : (string, int) Hashtbl.t option;
 }
 
 let to_float = Compile.to_float
 let to_int = Compile.to_int
 let truthy = Compile.truthy
 let err fmt = Compile.err fmt
-let tally = Compile.tally
 let buf_get = Compile.buf_get
 let buf_set = Compile.buf_set
 let int_binop = Compile.int_binop
@@ -155,7 +153,6 @@ and exec_stmt ctx env stmt : [ `Scalar of string | `Buf of string ] option =
     let v = if Dtype.is_float t.Tensor.dtype then to_float v else float_of_int (to_int v) in
     buf_set t buf i v;
     ctx.stats.stores <- ctx.stats.stores + 1;
-    tally ctx buf 1;
     (match ctx.trace with Some f -> f buf i v | None -> ());
     None
   | Stmt.Alloc { buf; dtype; size; _ } ->
@@ -175,12 +172,9 @@ and exec_stmt ctx env stmt : [ `Scalar of string | `Buf of string ] option =
       buf_set dt dst.buf (doff + k) (buf_get st src.buf (soff + k))
     done;
     ctx.stats.memcpy_elems <- ctx.stats.memcpy_elems + n;
-    tally ctx dst.buf n;
     None
   | Stmt.Intrinsic i ->
-    let before = ctx.stats.intrinsic_elems in
     intrinsic_exec ctx env i;
-    tally ctx i.Intrin.dst.Intrin.buf (ctx.stats.intrinsic_elems - before);
     None
   | Stmt.Sync ->
     ctx.stats.barriers <- ctx.stats.barriers + 1;
@@ -248,21 +242,16 @@ let build_env (kernel : Kernel.t) args =
 
 let run_tree ?(fuel = 200_000_000) ?trace kernel args =
   let stats = fresh_stats () in
-  let traffic = if Xpiler_obs.Trace.enabled () then Some (Hashtbl.create 8) else None in
-  let ctx = { stats; fuel; trace; traffic } in
+  let ctx = { stats; fuel; trace } in
   let env = build_env kernel args in
   Fun.protect
-    ~finally:(fun () -> Compile.profile stats (Compile.traffic_list traffic))
+    ~finally:(fun () -> Compile.profile stats)
     (fun () -> exec_block ctx env kernel.Kernel.body);
   stats
 
 (* ---- run receipts ------------------------------------------------------ *)
 
-type receipt = Compile.receipt = {
-  stats : stats;
-  traffic : (string * int) list option;
-  error : string option;
-}
+type receipt = Compile.receipt = { stats : stats; error : string option }
 
 let run_receipt ?fuel kernel args = Compile.run_receipt ?fuel (Compile.cached kernel) args
 let replay = Compile.replay

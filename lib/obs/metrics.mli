@@ -27,7 +27,7 @@
     [Trace.count ~n name], [observe v] emits [Trace.observe name v]), so an
     event that belongs in both the registry and the trace stream is
     instrumented once. The forwarded events obey the facade: nothing is
-    emitted without a [Detail] tracer or inside {!Trace.without}. *)
+    emitted without a tracer or inside {!Trace.without}. *)
 
 type counter
 type gauge

@@ -24,11 +24,15 @@ val current : unit -> Tracer.t option
 
 val without : (unit -> 'a) -> 'a
 (** Runs the function with tracing suspended on this domain (restored on
-    exit, including by exception). Used around work whose effects a caller
-    re-emits in canonical form (tuner batches, transposition receipts). *)
+    exit, including by exception). Used only where the caller emits the
+    work's effects itself: a fresh MCTS reward evaluation, whose
+    transposition receipt is replayed instead, and the unit-test oracle's
+    scoring re-run of a memoized kernel, whose receipt was just replayed.
+    The [Vclock] observer is not the facade, so charges still reach the
+    tracer. *)
 
 val enabled : unit -> bool
-(** A tracer is current (at any level). *)
+(** A tracer is current. *)
 
 val span :
   ?cat:string -> ?attrs:Event.attrs -> ?prof:string -> string -> (unit -> 'a) -> 'a

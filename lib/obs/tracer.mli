@@ -7,21 +7,16 @@
     truth). Spans nest through an explicit stack; each [Vclock] charge is
     emitted as its own leaf span with category ["stage"].
 
-    Levels gate event volume: [Stages] records spans and stage charges
-    only; [Detail] additionally records counters, histogram samples and
-    instants. [Off] means "do not trace" and is never given a tracer. *)
+    A tracer records everything it is given: spans, stage charges,
+    counters, histogram samples and instants. *)
 
-type level = Off | Stages | Detail
-
-val level_to_string : level -> string
-val level_of_string : string -> level option
+type level = Off | Detail
+(** Whether a translation is traced ([Config.trace_level]); [Off] is never
+    given a tracer. *)
 
 type t
 
-val create : ?level:level -> unit -> t
-(** Default level: [Detail]. *)
-
-val level : t -> level
+val create : unit -> t
 
 val now : t -> float
 (** Current virtual time in seconds (sum of all stage charges so far). *)
@@ -43,13 +38,13 @@ val with_span : t -> ?cat:string -> ?attrs:Event.attrs -> string -> (unit -> 'a)
 (** Exception-safe [span_begin]/[span_end] bracket. *)
 
 val count : t -> ?n:int -> string -> unit
-(** Counter increment ([Detail] level only; no-op otherwise). *)
+(** Counter increment. *)
 
 val observe : t -> string -> float -> unit
-(** Histogram sample ([Detail] level only). *)
+(** Histogram sample. *)
 
 val instant : t -> ?attrs:Event.attrs -> string -> unit
-(** Point event ([Detail] level only). *)
+(** Point event. *)
 
 val events : t -> Event.t list
 (** All events recorded so far, in emission order (a span is emitted when

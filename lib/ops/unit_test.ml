@@ -98,9 +98,7 @@ let reference_outputs_seeded ~seed op shape =
    shape, trial seed, kernel). Each trial is memoized, keyed by structural
    kernel identity (and physical op identity, as above). An entry keeps the
    run's receipt, so a hit re-emits exactly the [interp.*] counts the run
-   emitted and journals do not depend on the memo. Under a tracer an entry
-   recorded untraced (no traffic) is a miss: the kernel re-runs and the
-   entry is upgraded. *)
+   emitted and journals do not depend on the memo. *)
 
 module Memo_key = struct
   type t = { op : Opdef.t; shape : Opdef.shape; seed : int; kernel : Kernel.t; khash : int }
@@ -185,14 +183,8 @@ let trial ~lookups ~want_score ~seed (op : Opdef.t) shape kernel khash =
   | Error m -> (Fail ("reference run: " ^ m), Some max_int)
   | Ok (inputs, expected) -> (
     let key = { Memo_key.op; shape; seed; kernel; khash } in
-    let traced = Trace.enabled () in
     let memo = Session.get memo in
-    let hit =
-      match Memo_lru.find memo key with
-      | Some e when (not traced) || e.receipt.Interp.traffic <> None -> Some e
-      | _ -> None
-    in
-    match hit with
+    match Memo_lru.find memo key with
     | Some e ->
       Metrics.inc lookups.hit;
       Interp.replay e.receipt;

@@ -38,8 +38,7 @@ val reference_outputs_seeded :
     kernel costs a lookup. An entry keeps the run's receipt and a hit
     replays it to the ambient tracer, so results, modelled charges (callers
     charge before checking) and trace journals are the same as with a fresh
-    run. Under a tracer, an entry recorded without one is a miss and is
-    re-run. *)
+    run, whether or not the entry was recorded under a tracer. *)
 
 type lookups = { hit : Xpiler_obs.Metrics.counter; miss : Xpiler_obs.Metrics.counter }
 (** The counters a caller's memo lookups are counted in; by default the

@@ -1,8 +1,6 @@
 open Xpiler_machine
 module Pass = Xpiler_passes.Pass
-module Vclock = Xpiler_util.Vclock
 module Listx = Xpiler_util.Listx
-module Trace = Xpiler_obs.Trace
 module Metrics = Xpiler_obs.Metrics
 
 (* Stable: one search owns its memo on one domain, so the hit/miss split is
@@ -100,16 +98,8 @@ let modelled_throughput memo platform k =
 (* how many measured depth-1 split variants seed the composition phase *)
 let compose_seeds = 4
 
-let tune_with_stats ?clock ?charge ?(max_candidates = 64) ?(prune = true)
-    ?(compose = true) ~memo ~platform k =
-  let charge_fn =
-    match charge with
-    | Some f -> f
-    | None -> (
-      match clock with
-      | Some c -> fun s -> Vclock.charge c Vclock.Auto_tuning s
-      | None -> fun _ -> ())
-  in
+let tune ?(memo = create_memo ()) ?(max_candidates = 64) ?(prune = true) ?(compose = true)
+    ~platform k =
   let compiles = compiles memo and modelled_throughput = modelled_throughput memo in
   let apply specs =
     List.fold_left (fun acc spec -> Result.bind acc (Pass.apply ~platform spec)) (Ok k) specs
@@ -118,22 +108,15 @@ let tune_with_stats ?clock ?charge ?(max_candidates = 64) ?(prune = true)
   let best = ref base in
   let measured = ref [] (* successful variants, newest first *) in
   let evaluated = ref 0 and pruned = ref 0 in
-  (* One measured candidate: a count and a charge, then the checker and the
-     full cost model, untraced. That count + charge per measured variant
-     (then, when pruning, one aggregated [intra.pruned] count) is the
-     canonical effect stream transposition receipts replay, keeping hits and
-     misses observably identical. *)
+  (* one measured candidate: the checker and the full cost model *)
   let measure specs applied =
     incr evaluated;
-    Trace.count "intra.variants";
-    charge_fn 10.0 (* one variant measured on the device *);
-    Trace.without (fun () ->
-        match applied with
-        | Ok kernel when compiles platform kernel ->
-          let v = { specs; kernel; throughput = modelled_throughput platform kernel } in
-          measured := v :: !measured;
-          if v.throughput > !best.throughput then best := v
-        | _ -> ())
+    match applied with
+    | Ok kernel when compiles platform kernel ->
+      let v = { specs; kernel; throughput = modelled_throughput platform kernel } in
+      measured := v :: !measured;
+      if v.throughput > !best.throughput then best := v
+    | _ -> ()
   in
   let phase =
     if prune then begin
@@ -144,15 +127,14 @@ let tune_with_stats ?clock ?charge ?(max_candidates = 64) ?(prune = true)
          bound can either — the whole suffix is pruned without the expensive
          checker + full cost-model walk. *)
       let prep specs_list =
-        Trace.without (fun () ->
-            List.filter_map
-              (fun specs ->
-                match apply specs with
-                | Error _ -> None
-                | Ok kernel ->
-                  Some (specs, kernel, Costmodel.throughput_bound platform kernel ~shapes:[]))
-              specs_list
-            |> List.stable_sort (fun (_, _, a) (_, _, b) -> compare (b : float) a))
+        List.filter_map
+          (fun specs ->
+            match apply specs with
+            | Error _ -> None
+            | Ok kernel ->
+              Some (specs, kernel, Costmodel.throughput_bound platform kernel ~shapes:[]))
+          specs_list
+        |> List.stable_sort (fun (_, _, a) (_, _, b) -> compare (b : float) a)
       in
       let rec scan = function
         | [] -> ()
@@ -169,7 +151,7 @@ let tune_with_stats ?clock ?charge ?(max_candidates = 64) ?(prune = true)
     end
     else
       (* exhaustive mode: every candidate is measured, in candidate order *)
-      List.iter (fun specs -> measure specs (Trace.without (fun () -> apply specs)))
+      List.iter (fun specs -> measure specs (apply specs))
   in
   phase (Listx.take max_candidates (candidates platform k));
   if compose then begin
@@ -178,10 +160,4 @@ let tune_with_stats ?clock ?charge ?(max_candidates = 64) ?(prune = true)
     in
     phase (composed_candidates seeds ~limit:max_candidates)
   end;
-  if !pruned > 0 then Trace.count ~n:!pruned "intra.pruned";
   (!best, { evaluated = !evaluated; pruned = !pruned })
-
-let tune ?clock ?charge ?max_candidates ?prune ?compose ~platform k =
-  fst
-    (tune_with_stats ?clock ?charge ?max_candidates ?prune ?compose
-       ~memo:(create_memo ()) ~platform k)

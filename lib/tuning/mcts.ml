@@ -50,9 +50,7 @@ module KTbl = Hashtbl.Make (struct
 end)
 
 (* One independent search: own rng, own first-touch table, modelled device
-   time charged through [charge]. Returns
-   the result plus the rollout-step and warm-replay-step counts (for a
-   batch's aggregated trace counts).
+   time charged through [charge], events emitted as they happen.
 
    Reward lookup is two-level. The per-search [seen] table (L1) keeps the
    trajectory's own repeats free, exactly like the old private reward
@@ -63,15 +61,14 @@ end)
    the fresh-evaluation paths emit the *same* canonical stream, replayed
    from the entry's receipt: nothing for invalid states, else one 5.0
    charge, then a count + 10.0 charge per measured intra variant, then one
-   aggregated [intra.pruned] count. Fresh evaluations run under
-   [Trace.without] with a null charge sink so the only effects are that
-   canonical stream — whoever fills the table first is unobservable. *)
+   aggregated [intra.pruned] count. {!Intra} itself emits and charges
+   nothing, and a fresh evaluation runs under [Trace.without] so the
+   checker's and cost model's own events stay out of that stream — whoever
+   fills the table first is unobservable. *)
 let search_one ~config ~sims ~seed ~charge ~share ~memo ~prefix ~buffer_sizes
     ~platform kernel =
   let rng = Rng.create seed in
   let nodes = ref 0 in
-  let rollout_steps = ref 0 in
-  let warm_steps = ref 0 in
   let best = ref (kernel, [], 0.0) in
   (* L1: reward by state for this search's own repeats *)
   let seen : float KTbl.t = KTbl.create 128 in
@@ -104,9 +101,7 @@ let search_one ~config ~sims ~seed ~charge ~share ~memo ~prefix ~buffer_sizes
                     { Transposition.reward = 0.0; evaluated = 0; pruned = 0 }
                   else begin
                     let v, st =
-                      Intra.tune_with_stats
-                        ~charge:(fun _ -> ())
-                        ~prune:config.prune ~compose:config.compose
+                      Intra.tune ~prune:config.prune ~compose:config.compose
                         ~max_candidates:config.intra_candidates ~memo ~platform k
                     in
                     { Transposition.reward = v.Intra.throughput;
@@ -184,7 +179,6 @@ let search_one ~config ~sims ~seed ~charge ~share ~memo ~prefix ~buffer_sizes
           | Ok k' ->
             node.untried.(!idx) <- node.untried.(node.untried_n - 1);
             node.untried_n <- node.untried_n - 1;
-            incr warm_steps;
             Trace.count "mcts.warm_steps";
             let child = mk_node k' (spec :: node.rspecs) (node.depth + 1) in
             node.children <- child :: node.children;
@@ -209,7 +203,6 @@ let search_one ~config ~sims ~seed ~charge ~share ~memo ~prefix ~buffer_sizes
   let rec rollout k rspecs depth best_r =
     if depth >= config.max_depth then best_r
     else begin
-      incr rollout_steps;
       Trace.count "mcts.rollout_steps";
       match actions k with
       | [] -> best_r
@@ -261,22 +254,18 @@ let search_one ~config ~sims ~seed ~charge ~share ~memo ~prefix ~buffer_sizes
     node.total <- node.total +. r;
     r
   in
-  let simulated = ref 0 in
   for _ = 1 to sims do
-    incr simulated;
     Trace.count "mcts.simulations";
     ignore (simulate root)
   done;
   let bk, bs, br = !best in
-  ( { best_kernel = bk;
-      best_specs = List.rev bs;
-      best_reward = br;
-      root_reward;
-      nodes_expanded = !nodes;
-      simulations_run = !simulated
-    },
-    !rollout_steps,
-    !warm_steps )
+  { best_kernel = bk;
+    best_specs = List.rev bs;
+    best_reward = br;
+    root_reward;
+    nodes_expanded = !nodes;
+    simulations_run = sims
+  }
 
 (* [jobs] is ignored: the search runs on one domain. *)
 let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?(share = true) ?db
@@ -303,71 +292,44 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?(shar
   let charge_clock s =
     match clock with Some c -> Vclock.charge c Vclock.Auto_tuning s | None -> ()
   in
+  (* Root parallelism: independent searches over distinct seeds, each with
+     a private first-touch table over the shared transposition table, run
+     one after another and merged. Simulations split evenly over the [b]
+     base batches (remainder to the early ones). The warm-start trajectory
+     runs as one *extra* batch — the base batches never see the prefix, so
+     a schedule-database hit can only improve the merged result relative to
+     the cold search, never redirect it. One batch with no prefix is the
+     classic single tree. *)
+  let b = max config.root_parallel 1 in
+  let sims_of i =
+    if i >= b then max 1 (config.simulations / b)
+    else (config.simulations / b) + if i < config.simulations mod b then 1 else 0
+  in
+  let batch i =
+    search_one ~config ~sims:(sims_of i) ~seed:(config.seed + (7919 * i)) ~charge:charge_clock
+      ~share ~memo ~prefix:(if i >= b then prefix else []) ~buffer_sizes ~platform kernel
+  in
   let result =
-    let b = max config.root_parallel 1 in
-    if b <= 1 && prefix = [] then begin
-      let result, _, _ =
-        search_one ~config ~sims:config.simulations ~seed:config.seed ~charge:charge_clock
-          ~share ~memo ~prefix:[] ~buffer_sizes ~platform kernel
-      in
-      result
-    end
-    else begin
-      (* root parallelism: independent searches over distinct seeds, each
-         with a private first-touch table over the shared transposition
-         table, run one after another and merged. Simulations split evenly
-         over the [b] base batches (remainder to the early ones). The
-         warm-start trajectory runs as one *extra* batch — the base batches
-         never see the prefix, so a schedule-database hit can only improve
-         the merged result relative to the cold search, never redirect it.
-         Each batch runs untraced but charges the clock as it goes (the
-         clock's observer writes to the translation's tracer even under
-         [Trace.without]); its aggregated trace counts follow it. *)
-      let n = b + if prefix = [] then 0 else 1 in
-      let sims_of i =
-        if i >= b then max 1 (config.simulations / b)
-        else (config.simulations / b) + if i < config.simulations mod b then 1 else 0
-      in
-      let prefix_of i = if i >= b then prefix else [] in
-      let batch i =
-        let res, steps, warm =
-          Trace.without (fun () ->
-              search_one ~config ~sims:(sims_of i) ~seed:(config.seed + (7919 * i))
-                ~charge:charge_clock ~share ~memo ~prefix:(prefix_of i) ~buffer_sizes ~platform
-                kernel)
-        in
-        Trace.count ~n:res.nodes_expanded "mcts.expansions";
-        Trace.count ~n:res.simulations_run "mcts.simulations";
-        Trace.count ~n:steps "mcts.rollout_steps";
-        if warm > 0 then Trace.count ~n:warm "mcts.warm_steps";
-        Trace.observe "mcts.reward" res.best_reward;
-        res
-      in
-      match List.init n batch with
-      | [] -> assert false
-      | r0 :: rest ->
-        let merged =
-          List.fold_left
-            (fun acc r ->
-              let acc =
-                { acc with
-                  nodes_expanded = acc.nodes_expanded + r.nodes_expanded;
-                  simulations_run = acc.simulations_run + r.simulations_run
-                }
-              in
-              (* strict > keeps the earliest batch on ties *)
-              if r.best_reward > acc.best_reward then
-                { acc with
-                  best_kernel = r.best_kernel;
-                  best_specs = r.best_specs;
-                  best_reward = r.best_reward
-                }
-              else acc)
-            r0 rest
-        in
-        Trace.observe "mcts.best_reward" merged.best_reward;
-        merged
-    end
+    match List.init (b + if prefix = [] then 0 else 1) batch with
+    | [] -> assert false
+    | r0 :: rest ->
+      List.fold_left
+        (fun acc r ->
+          let acc =
+            { acc with
+              nodes_expanded = acc.nodes_expanded + r.nodes_expanded;
+              simulations_run = acc.simulations_run + r.simulations_run
+            }
+          in
+          (* strict > keeps the earliest batch on ties *)
+          if r.best_reward > acc.best_reward then
+            { acc with
+              best_kernel = r.best_kernel;
+              best_specs = r.best_specs;
+              best_reward = r.best_reward
+            }
+          else acc)
+        r0 rest
   in
   (* record the winner for the next similar translation *)
   (match db with

@@ -22,7 +22,7 @@ module Pass = Xpiler_passes.Pass
       pre-populated table give byte-identical journals.
     - {b Bound-based pruning and composed candidates}
       ([config.prune]/[config.compose], default on): forwarded to
-      {!Intra.tune_with_stats} for every reward evaluation.
+      {!Intra.tune} for every reward evaluation.
     - {b Warm start} ([db]): when a {!Schedule_db} holds a best-spec
       sequence for the kernel's signature (same operator structure and
       platform, any shape), a dedicated extra search batch replays the
@@ -36,7 +36,17 @@ module Pass = Xpiler_passes.Pass
     With [root_parallel > 1] the simulation budget is split over that many
     independent searches (distinct seeds, private first-touch tables), run
     one after another on the calling domain, whose best result is kept.
-    [root_parallel] shapes the search; it does not parallelize it. *)
+    [root_parallel] shapes the search; it does not parallelize it.
+
+    Every batch, the warm-start one included, emits its events as it runs:
+    one [mcts.expansions] count per node, one [mcts.simulations] count per
+    simulation, [mcts.rollout_steps]/[mcts.warm_steps] per step, and per
+    positive reward the transposition receipt's stream (a 5 s
+    [Auto_tuning] charge, then one [intra.variants] count and one 10 s
+    charge per measured variant, then [intra.pruned]). So the journal's
+    totals equal the result's [nodes_expanded]/[simulations_run] and its
+    [intra.variants] total equals its 10 s charges, however many batches
+    ran. *)
 
 type config = {
   max_depth : int;

@@ -74,7 +74,7 @@ let prop_intra_preserves =
   QCheck.Test.make ~name:"intra-pass tuning preserves semantics" ~count:60 arb_seed
     (fun seed ->
       let k = kernel_of_seed seed in
-      let v = Xpiler_tuning.Intra.tune ~platform:Platform.cuda k in
+      let v, _ = Xpiler_tuning.Intra.tune ~platform:Platform.cuda k in
       Tcommon.divergence ~buf_size ~seed:(seed + 3) k v.Xpiler_tuning.Intra.kernel = None)
 
 (* analyzer soundness: any kernel the static analyzer passes clean must not

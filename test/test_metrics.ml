@@ -97,7 +97,7 @@ let test_trace_forwarding () =
   let c = Metrics.counter ~trace:"testm.fwd" "testm_fwd_total" in
   let h = Metrics.histogram ~trace:"testm.fwd_h" "testm_fwd_hist" in
   Metrics.inc c;
-  let t = Tracer.create ~level:Tracer.Detail () in
+  let t = Tracer.create () in
   Trace.with_tracer t (fun () ->
       Metrics.inc ~n:3 c;
       Metrics.observe h 2.0;
@@ -212,7 +212,7 @@ let test_trace_registry_parity () =
     List.map (fun (tname, name, labels) -> (tname, Metrics.counter ~labels name)) forwarded
   in
   let before = List.map (fun (_, c) -> Metrics.value c) handles in
-  let t = Tracer.create ~level:Tracer.Detail () in
+  let t = Tracer.create () in
   Trace.with_tracer t (fun () ->
       ignore
         (Xpiler.transcompile ~config:(Config.with_fault_scale Config.default 20.0)

@@ -100,21 +100,16 @@ let test_tracer_span_end_unwinds () =
   Alcotest.(check bool) "leaked span closed" true (List.mem "leaked" names);
   Alcotest.(check bool) "outer span closed" true (List.mem "outer" names)
 
-let test_tracer_levels () =
-  let stages = Tracer.create ~level:Tracer.Stages () in
-  Tracer.count stages "c";
-  Tracer.observe stages "h" 1.0;
-  Tracer.instant stages "i";
-  Alcotest.(check int) "Stages drops metrics" 0 (List.length (Tracer.events stages));
-  Tracer.with_span stages "s" (fun () -> Tracer.stage_charge stages "annotation" 1.0);
-  Alcotest.(check int) "Stages keeps spans" 2 (List.length (Tracer.events stages));
-  let detail = Tracer.create ~level:Tracer.Detail () in
-  Tracer.count detail ~n:3 "c";
-  Tracer.count detail "c";
-  Tracer.observe detail "h" 1.0;
-  Tracer.instant detail "i";
-  Alcotest.(check int) "Detail keeps metrics" 4 (List.length (Tracer.events detail));
-  Alcotest.(check int) "counter total" 4 (Tracer.counter_total detail "c")
+let test_tracer_records_metrics () =
+  let t = Tracer.create () in
+  Tracer.count t ~n:3 "c";
+  Tracer.count t "c";
+  Tracer.observe t "h" 1.0;
+  Tracer.instant t "i";
+  Alcotest.(check int) "metrics kept" 4 (List.length (Tracer.events t));
+  Alcotest.(check int) "counter total" 4 (Tracer.counter_total t "c");
+  Tracer.with_span t "s" (fun () -> Tracer.stage_charge t "annotation" 1.0);
+  Alcotest.(check int) "spans kept" 6 (List.length (Tracer.events t))
 
 let test_trace_facade_noop () =
   Trace.without @@ fun () ->
@@ -333,7 +328,7 @@ let () =
             test_tracer_stage_charge_advances;
           Alcotest.test_case "span nesting" `Quick test_tracer_span_nesting;
           Alcotest.test_case "exception unwinds stack" `Quick test_tracer_span_end_unwinds;
-          Alcotest.test_case "levels gate metrics" `Quick test_tracer_levels;
+          Alcotest.test_case "records metrics" `Quick test_tracer_records_metrics;
           Alcotest.test_case "ambient facade" `Quick test_trace_facade_noop;
           Alcotest.test_case "nested scope restores outer" `Quick test_trace_nested_scope
         ] );

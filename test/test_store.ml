@@ -409,7 +409,7 @@ let test_pool_tasks_start_cold () =
       Schedule_db.lookup db pid kernel <> None,
       Compile.cached kernel == compiled )
   in
-  Trace.with_tracer (Tracer.create ~level:Tracer.Detail ()) @@ fun () ->
+  Trace.with_tracer (Tracer.create ()) @@ fun () ->
   List.iter
     (fun jobs ->
       let tasks =

@@ -108,21 +108,15 @@ let test_pipelinable_needs_copy_and_compute () =
 
 let test_intra_never_regresses () =
   let k = serial () in
-  let v = Intra.tune ~platform:Platform.cuda k in
+  let v, _ = Intra.tune ~platform:Platform.cuda k in
   let base = Costmodel.throughput Platform.cuda k ~shapes:[] in
   Alcotest.(check bool) "no regression" true (v.Intra.throughput >= base)
 
 let test_intra_result_correct () =
   let k = serial () in
-  let v = Intra.tune ~platform:Platform.cuda k in
+  let v, _ = Intra.tune ~platform:Platform.cuda k in
   check_equivalent ~buf_size:(fun b -> List.assoc b buffer_sizes) "intra variant" k
     v.Intra.kernel
-
-let test_intra_clock_charged () =
-  let clock = Xpiler_util.Vclock.create () in
-  let _ = Intra.tune ~clock ~platform:Platform.cuda (serial ()) in
-  Alcotest.(check bool) "tuning time recorded" true
-    (Xpiler_util.Vclock.stage_total clock Xpiler_util.Vclock.Auto_tuning > 0.0)
 
 (* ---- bound-based pruning ------------------------------------------------
    The pruning proof obligation: [Costmodel.throughput_bound] must dominate
@@ -159,12 +153,10 @@ let test_intra_prune_lossless () =
   List.iter
     (fun p ->
       let v_off, s_off =
-        Intra.tune_with_stats ~prune:false ~compose:false ~memo:(Intra.create_memo ())
-          ~platform:p (serial ())
+        Intra.tune ~prune:false ~compose:false ~platform:p (serial ())
       in
       let v_on, s_on =
-        Intra.tune_with_stats ~prune:true ~compose:false ~memo:(Intra.create_memo ())
-          ~platform:p (serial ())
+        Intra.tune ~prune:true ~compose:false ~platform:p (serial ())
       in
       Alcotest.(check (float 0.0)) "same best throughput" v_off.Intra.throughput
         v_on.Intra.throughput;
@@ -172,8 +164,7 @@ let test_intra_prune_lossless () =
         (s_on.Intra.evaluated + s_on.Intra.pruned);
       (* composition only ever adds candidates *)
       let v_comp, _ =
-        Intra.tune_with_stats ~prune:true ~compose:true ~memo:(Intra.create_memo ())
-          ~platform:p (serial ())
+        Intra.tune ~prune:true ~compose:true ~platform:p (serial ())
       in
       Alcotest.(check bool) "composition never loses" true
         (v_comp.Intra.throughput >= v_on.Intra.throughput))
@@ -342,7 +333,7 @@ let observed_run work =
   let clock = Vclock.create () in
   let charges = ref [] in
   Vclock.set_observer clock (fun st s -> charges := (Vclock.stage_name st, s) :: !charges);
-  let tracer = Tracer.create ~level:Tracer.Detail () in
+  let tracer = Tracer.create () in
   let v = Trace.with_tracer tracer (fun () -> work clock) in
   let counters =
     List.map
@@ -390,6 +381,40 @@ let test_mcts_full_stack_cold_vs_warm_table () =
   Alcotest.(check (float 1e-9)) "same clock" e1 e2;
   Alcotest.(check bool) "same trace journal" true (j1 = j2)
 
+(* The journal describes the tuner whatever path the search takes: every
+   measured intra variant is one [intra.variants] count and one 10 s
+   auto-tuning charge, and the [mcts.*] totals are the result's. Checked on
+   a cold single tree and on a root-parallel search with a warm-start
+   prefix (four batches). *)
+let test_mcts_journal_counts () =
+  let config = { Mcts.default_config with simulations = 24; max_depth = 6 } in
+  let check name (r, charges, counters, _, _) =
+    let tens =
+      List.length (List.filter (fun (st, s) -> st = "auto-tuning" && s = 10.0) charges)
+    in
+    let total c = List.assoc c counters in
+    Alcotest.(check bool) (name ^ ": variants measured") true (tens > 0);
+    Alcotest.(check int) (name ^ ": intra.variants = 10 s charges") tens (total "intra.variants");
+    Alcotest.(check int) (name ^ ": mcts.expansions") r.Mcts.nodes_expanded
+      (total "mcts.expansions");
+    Alcotest.(check int) (name ^ ": mcts.simulations") r.Mcts.simulations_run
+      (total "mcts.simulations")
+  in
+  check "cold single tree"
+    (observed_run (fun clock ->
+         Mcts.search ~config ~clock ~buffer_sizes ~platform:Platform.bang (serial ())));
+  let db = Schedule_db.create () in
+  ignore
+    (Mcts.search ~config ~buffer_sizes ~db ~platform:Platform.bang
+       (gemm.Opdef.serial gemm_shape_b));
+  let ((_, _, counters, _, _) as warm) =
+    observed_run (fun clock ->
+        Mcts.search ~config:{ config with root_parallel = 3 } ~clock ~buffer_sizes ~db
+          ~platform:Platform.bang (serial ()))
+  in
+  Alcotest.(check bool) "warm prefix replayed" true (List.assoc "mcts.warm_steps" counters > 0);
+  check "root-parallel warm start" warm
+
 let prop_mcts_best_is_valid =
   QCheck.Test.make ~name:"MCTS best kernel always compiles" ~count:6
     QCheck.(int_range 1 1000)
@@ -418,7 +443,6 @@ let () =
       ( "intra",
         [ Alcotest.test_case "never regresses" `Quick test_intra_never_regresses;
           Alcotest.test_case "result correct" `Quick test_intra_result_correct;
-          Alcotest.test_case "clock charged" `Quick test_intra_clock_charged;
           Alcotest.test_case "pruning lossless" `Quick test_intra_prune_lossless;
           Alcotest.test_case "bound admissible on tuning states" `Quick
             test_bound_admissible_on_tuning_states;
@@ -439,7 +463,8 @@ let () =
       ( "mcts",
         [ Alcotest.test_case "improves gemm" `Quick test_mcts_improves_gemm;
           Alcotest.test_case "deterministic" `Quick test_mcts_deterministic;
-          Alcotest.test_case "budget monotone" `Quick test_mcts_budget_monotone_ish
+          Alcotest.test_case "budget monotone" `Quick test_mcts_budget_monotone_ish;
+          Alcotest.test_case "journal counts" `Quick test_mcts_journal_counts
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_mcts_best_is_valid;
