@@ -70,6 +70,13 @@ let m_translation status =
 let m_translations =
   List.map (fun s -> (s, m_translation s)) [ "success"; "degraded"; "compile-error"; "computation-error" ]
 
+(* MCTS best kernels the final unit test rejects (the untuned kernel is
+   kept). Registry only, with no [~trace] mirror: the fallback is not a
+   journal event. *)
+let m_tuning_rejected =
+  Obs.Metrics.counter ~help:"tuned kernels the final unit test rejected (untuned kernel kept)"
+    "xpiler_tuning_rejected_total"
+
 let accepted = function Success | Degraded -> true | Compile_error _ | Computation_error _ -> false
 
 let strip_annots (k : Kernel.t) =
@@ -367,7 +374,10 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
         in
         let tuned = result.Xpiler_tuning.Mcts.best_kernel in
         if unit_ok tuned then (tuned, Some result.Xpiler_tuning.Mcts.best_reward)
-        else (k, Some (Costmodel.throughput target k ~shapes:[]))
+        else begin
+          Obs.Metrics.inc m_tuning_rejected;
+          (k, Some (Costmodel.throughput target k ~shapes:[]))
+        end
       end
       else if accepted status then (k, Some (Costmodel.throughput target k ~shapes:[]))
       else (k, None)

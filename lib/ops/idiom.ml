@@ -369,44 +369,18 @@ let candidate_pipelines pid (op : Opdef.t) shape (serial : Kernel.t) =
 let pipelines_for pid (op : Opdef.t) shape (kernel : Kernel.t) =
   candidate_pipelines pid op shape kernel
 
-let pipeline_cache : (string, Pass.spec list) Hashtbl.t Xpiler_util.Session.t =
-  Xpiler_util.Session.make (fun () -> Hashtbl.create 64)
-
-let cache_key pid (op : Opdef.t) shape =
-  Printf.sprintf "%s/%s/%s" (Platform.id_to_string pid) op.Opdef.name
-    (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) shape))
-
-(* the pass sequence [source] applies (empty when the serial kernel is
-   already the idiom, as for plain C) *)
-let golden_pipeline pid (op : Opdef.t) shape =
-  let key = cache_key pid op shape in
-  let pipeline_cache = Xpiler_util.Session.get pipeline_cache in
-  match Hashtbl.find_opt pipeline_cache key with
-  | Some specs -> specs
-  | None ->
-    let platform = Platform.of_id pid in
-    let serial = op.Opdef.serial shape in
-    let ok k =
-      match Checker.compile platform k with Ok () -> true | Error _ -> false
-    in
-    let chosen =
-      List.find_opt
-        (fun specs ->
-          match apply_all platform specs serial with
-          | Ok k -> ok k
-          | Error _ -> false)
-        (candidate_pipelines pid op shape serial)
-    in
-    let specs = Option.value ~default:[] chosen in
-    Hashtbl.replace pipeline_cache key specs;
-    specs
-
+(* the first golden pipeline whose kernel passes the checker (none when
+   the serial kernel is already the idiom, as for plain C) *)
 let source pid (op : Opdef.t) shape =
   let platform = Platform.of_id pid in
   let serial = op.Opdef.serial shape in
-  match apply_all platform (golden_pipeline pid op shape) serial with
-  | Ok k -> k
-  | Error _ -> serial
+  let checked specs =
+    match apply_all platform specs serial with
+    | Ok k when Result.is_ok (Checker.compile platform k) -> Some k
+    | _ -> None
+  in
+  Option.value ~default:serial
+    (List.find_map checked (candidate_pipelines pid op shape serial))
 
 let source_text pid op shape =
   Xpiler_lang.Codegen.emit (Xpiler_lang.Dialect.of_platform pid) (source pid op shape)

@@ -98,9 +98,8 @@ let search_naive ?(max_steps = default_max_steps) problem ~on_model =
      rebuilt full [Range] lists on every re-visit under a new parent);
    - the environment is a slot-indexed int array instead of a [List.assoc]
      chain probed through an exception handler;
-   - constraints are simplified once (shared across the near-identical
-     problems a repair pass builds, via a session cache) and indexed
-     by their last-bound variable, watched-literal style: binding slot [i]
+   - constraints are simplified once per problem and indexed by their
+     last-bound variable, watched-literal style: binding slot [i]
      evaluates only the constraints that *became* fully bound at [i].
      Constraints bound earlier were already checked true on the ancestor
      step, and later ones would be skipped as partial by the naive engine
@@ -113,28 +112,6 @@ let search_naive ?(max_steps = default_max_steps) problem ~on_model =
    division by zero) prunes here, where the naive engine kept exploring the
    subtree and rejected every leaf below it. The model set is the same;
    steps under such constraints differ. *)
-
-module Simp_cache = Xpiler_util.Lru.Make (struct
-  type t = Expr.t
-
-  let equal = Expr.equal
-  let hash = Expr.hash
-end)
-
-(* once-per-pass simplification shared across candidate holes: the repairer
-   poses the same alignment/positivity constraints for every candidate site
-   of a kernel, so this cache turns N simplify passes into 1 *)
-let simp_cache : Expr.t Simp_cache.t Xpiler_util.Session.t =
-  Xpiler_util.Session.make (fun () -> Simp_cache.create 8192)
-
-let simplify_shared e =
-  let cache = Xpiler_util.Session.get simp_cache in
-  match Simp_cache.find cache e with
-  | Some s -> s
-  | None ->
-    let s = Expr.simplify e in
-    ignore (Simp_cache.replace cache e s);
-    s
 
 type prepared = {
   p_names : string array;
@@ -163,7 +140,7 @@ let prepare (problem : problem) =
   let n_constraints = List.length problem.constraints in
   List.iter
     (fun c0 ->
-      let c = simplify_shared c0 in
+      let c = Expr.simplify c0 in
       let last =
         List.fold_left
           (fun acc v ->

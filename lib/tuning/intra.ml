@@ -1,18 +1,6 @@
 open Xpiler_machine
 module Pass = Xpiler_passes.Pass
 module Listx = Xpiler_util.Listx
-module Metrics = Xpiler_obs.Metrics
-
-(* Stable: one search owns its memo on one domain, so the hit/miss split is
-   a function of the search trajectory alone. *)
-let memo_metrics table =
-  let lbl = [ ("table", table) ] in
-  ( Metrics.counter ~help:"intra memo lookups by table and result"
-      ~labels:(("result", "hit") :: lbl) "xpiler_intra_memo_lookups_total",
-    Metrics.counter ~labels:(("result", "miss") :: lbl) "xpiler_intra_memo_lookups_total" )
-
-let compile_metrics = memo_metrics "compile"
-let throughput_metrics = memo_metrics "throughput"
 
 type variant = { specs : Pass.spec list; kernel : Xpiler_ir.Kernel.t; throughput : float }
 type stats = { evaluated : int; pruned : int }
@@ -53,67 +41,33 @@ let composed_candidates survivors ~limit =
          | _ -> [])
   |> Listx.take limit
 
-(* ---- checker/cost-model memo ------------------------------------------- *)
-
-(* The tuner revisits the same (platform, kernel) states constantly: MCTS
-   rollouts rediscover states the tree already expanded, and intra candidates
-   collide across rewards. Both functions are pure, so memoizing them is
-   invisible except in time. Every hit falls within one search, so the memo
-   lives as long as the search that owns it: bounded by that search's
-   budget, with no eviction. *)
-module PTbl = Hashtbl.Make (struct
-  type t = Platform.id * Xpiler_ir.Kernel.t
-
-  let equal (aid, ak) (bid, bk) = aid = bid && Xpiler_ir.Kernel.equal ak bk
-  let hash (id, k) = Xpiler_ir.Expr.hash_comb (Hashtbl.hash id) (Xpiler_ir.Kernel.hash k)
-end)
-
-type memo = { compiled : bool PTbl.t; modelled : float PTbl.t }
-
-let create_memo () = { compiled = PTbl.create 256; modelled = PTbl.create 256 }
-
-let memoized tbl (m_hit, m_miss) compute key =
-  match PTbl.find_opt tbl key with
-  | Some v ->
-    Metrics.inc m_hit;
-    v
-  | None ->
-    Metrics.inc m_miss;
-    let v = compute () in
-    PTbl.replace tbl key v;
-    v
-
-let compiles memo platform k =
-  memoized memo.compiled compile_metrics
-    (fun () -> Result.is_ok (Checker.compile platform k))
-    (platform.Platform.id, k)
-
-let modelled_throughput memo platform k =
-  memoized memo.modelled throughput_metrics
-    (fun () -> Costmodel.throughput platform k ~shapes:[])
-    (platform.Platform.id, k)
-
 (* ---- the tuning loop ---------------------------------------------------- *)
 
 (* how many measured depth-1 split variants seed the composition phase *)
 let compose_seeds = 4
 
-let tune ?(memo = create_memo ()) ?(max_candidates = 64) ?(prune = true) ?(compose = true)
-    ~platform k =
-  let compiles = compiles memo and modelled_throughput = modelled_throughput memo in
+let tune ?(max_candidates = 64) ?(prune = true) ?(compose = true) ~platform k =
+  let compiles k = Result.is_ok (Checker.compile platform k) in
+  let modelled_throughput k = Costmodel.throughput platform k ~shapes:[] in
   let apply specs =
     List.fold_left (fun acc spec -> Result.bind acc (Pass.apply ~platform spec)) (Ok k) specs
   in
-  let base = { specs = []; kernel = k; throughput = modelled_throughput platform k } in
+  if not (compiles k) then
+    (* a rejected input has no valid variant to offer: nothing is measured *)
+    ({ specs = []; kernel = k; throughput = 0.0 }, { evaluated = 0; pruned = 0 })
+  else
+  let base = { specs = []; kernel = k; throughput = modelled_throughput k } in
   let best = ref base in
   let measured = ref [] (* successful variants, newest first *) in
   let evaluated = ref 0 and pruned = ref 0 in
-  (* one measured candidate: the checker and the full cost model *)
+  (* one measured candidate: the checker and the full cost model; the empty
+     candidate is the input, already checked and modelled as [base] *)
   let measure specs applied =
     incr evaluated;
     match applied with
-    | Ok kernel when compiles platform kernel ->
-      let v = { specs; kernel; throughput = modelled_throughput platform kernel } in
+    | Ok _ when specs = [] -> measured := base :: !measured
+    | Ok kernel when compiles kernel ->
+      let v = { specs; kernel; throughput = modelled_throughput kernel } in
       measured := v :: !measured;
       if v.throughput > !best.throughput then best := v
     | _ -> ()

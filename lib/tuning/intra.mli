@@ -17,6 +17,12 @@ module Pass = Xpiler_passes.Pass
       split x pipeline) generated against their *transformed* kernels, so
       the search reaches schedules single-spec enumeration cannot express.
 
+    The depth-1 knob space is split factors per splittable loop,
+    interchanges and pipelining, plus the empty sequence (keep as is).
+    Every other measured candidate costs one checker run and one
+    cost-model walk, unmemoized: hashing whole kernels cost more than the
+    repeats it saved.
+
     The tuner emits no trace events and charges no clock: it returns what
     it measured and pruned, and {!Mcts} turns that into the canonical
     [intra.variants]/[intra.pruned] counts and [Auto_tuning] charges. *)
@@ -28,30 +34,7 @@ type stats = {
   pruned : int;  (** variants skipped by bound-based pruning *)
 }
 
-val candidates : Platform.t -> Kernel.t -> Pass.spec list list
-(** The depth-1 knob space: split factors per splittable loop, interchanges,
-    pipelining — each entry is a short spec sequence to try on top of the
-    kernel. Includes the empty sequence (keep as is). *)
-
-type memo
-(** Memo of the checker and the cost model for one search: [compiles] and
-    modelled-throughput results keyed by (platform, kernel) on the
-    structural {!Kernel.hash}/[equal]. {!Mcts.search} creates one per
-    search, shares it across its root-parallel batches and drops it on
-    return; {!tune} without one uses a fresh one. It is unbounded — a
-    search's budget bounds it — and owned by one search on one domain, so
-    it takes no lock.
-    Lookups count in [xpiler_intra_memo_lookups_total{table,result}], a
-    stable series. *)
-
-val create_memo : unit -> memo
-
-val compiles : memo -> Platform.t -> Kernel.t -> bool
-(** Memoized [Checker.compile] success. The checker is pure, so a hit and
-    a recompute are indistinguishable except in time. *)
-
 val tune :
-  ?memo:memo ->
   ?max_candidates:int ->
   ?prune:bool ->
   ?compose:bool ->
@@ -64,6 +47,10 @@ val tune :
     never regresses. Also returns the measured/pruned counts — the receipt
     {!Mcts} stores in the transposition table so a hit can replay the
     canonical effect stream of the original evaluation.
+
+    The checker runs on the input once. A rejected input returns itself at
+    throughput 0 with nothing measured or pruned; otherwise the empty
+    candidate reuses that check and the input's modelled throughput.
 
     With [prune:false] every candidate is measured, in candidate order.
     With [prune:true] (default) the scan stops at the first bound that

@@ -61,12 +61,12 @@ end)
    the fresh-evaluation paths emit the *same* canonical stream, replayed
    from the entry's receipt: nothing for invalid states, else one 5.0
    charge, then a count + 10.0 charge per measured intra variant, then one
-   aggregated [intra.pruned] count. {!Intra} itself emits and charges
-   nothing, and a fresh evaluation runs under [Trace.without] so the
-   checker's and cost model's own events stay out of that stream — whoever
-   fills the table first is unobservable. *)
-let search_one ~config ~sims ~seed ~charge ~share ~memo ~prefix ~buffer_sizes
-    ~platform kernel =
+   aggregated [intra.pruned] count. A fresh evaluation is one {!Intra.tune}
+   call, which checks the state itself (a rejected state tunes to 0 with an
+   empty receipt). {!Intra} emits and charges nothing, and the call runs
+   under [Trace.without] so the cost model's own events stay out of that
+   stream — whoever fills the table first is unobservable. *)
+let search_one ~config ~sims ~seed ~charge ~share ~prefix ~buffer_sizes ~platform kernel =
   let rng = Rng.create seed in
   let nodes = ref 0 in
   let best = ref (kernel, [], 0.0) in
@@ -95,20 +95,16 @@ let search_one ~config ~sims ~seed ~charge ~share ~memo ~prefix ~buffer_sizes
           | Some e -> e
           | None ->
             Transposition.count_eval ();
-            let e =
+            let v, st =
               Trace.without (fun () ->
-                  if not (Intra.compiles memo platform k) then
-                    { Transposition.reward = 0.0; evaluated = 0; pruned = 0 }
-                  else begin
-                    let v, st =
-                      Intra.tune ~prune:config.prune ~compose:config.compose
-                        ~max_candidates:config.intra_candidates ~memo ~platform k
-                    in
-                    { Transposition.reward = v.Intra.throughput;
-                      evaluated = st.Intra.evaluated;
-                      pruned = st.Intra.pruned
-                    }
-                  end)
+                  Intra.tune ~prune:config.prune ~compose:config.compose
+                    ~max_candidates:config.intra_candidates ~platform k)
+            in
+            let e =
+              { Transposition.reward = v.Intra.throughput;
+                evaluated = st.Intra.evaluated;
+                pruned = st.Intra.pruned
+              }
             in
             tt_store k e;
             e
@@ -287,8 +283,6 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?(shar
       | Some specs -> specs
       | None -> [])
   in
-  (* the checker/cost-model memo lives exactly as long as this search *)
-  let memo = Intra.create_memo () in
   let charge_clock s =
     match clock with Some c -> Vclock.charge c Vclock.Auto_tuning s | None -> ()
   in
@@ -307,7 +301,7 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?(shar
   in
   let batch i =
     search_one ~config ~sims:(sims_of i) ~seed:(config.seed + (7919 * i)) ~charge:charge_clock
-      ~share ~memo ~prefix:(if i >= b then prefix else []) ~buffer_sizes ~platform kernel
+      ~share ~prefix:(if i >= b then prefix else []) ~buffer_sizes ~platform kernel
   in
   let result =
     match List.init (b + if prefix = [] then 0 else 1) batch with

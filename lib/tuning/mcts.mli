@@ -16,10 +16,11 @@ module Pass = Xpiler_passes.Pass
     - {b Transposition sharing} ([share], default on): rewards are served
       from the session's {!Transposition} table, shared across
       root-parallel batches and successive searches, on top of a per-search
-      first-touch table. Rewards are pure, so sharing changes wall-clock
-      only; observable charges/trace counts replay from per-entry receipts,
-      so they depend on the search trajectory alone — a cold and a
-      pre-populated table give byte-identical journals.
+      first-touch table. A miss in both runs {!Intra.tune} directly, with
+      no checker or cost-model memo under it. Rewards are pure, so sharing
+      changes wall-clock only; observable charges/trace counts replay from
+      per-entry receipts, so they depend on the search trajectory alone — a
+      cold and a pre-populated table give byte-identical journals.
     - {b Bound-based pruning and composed candidates}
       ([config.prune]/[config.compose], default on): forwarded to
       {!Intra.tune} for every reward evaluation.

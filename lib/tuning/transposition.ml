@@ -101,6 +101,5 @@ let fold f acc = Table.fold f (Xpiler_util.Session.get table) acc
 let count_eval () = Metrics.inc m_evals
 let size () = Table.length (Xpiler_util.Session.get table)
 let hits () = Metrics.value m_hits
-let misses () = Metrics.value m_misses
 let evals () = Metrics.value m_evals
 let clear () = Table.clear (Xpiler_util.Session.get table)

@@ -10,7 +10,9 @@ open Xpiler_machine
     searches in a session share it, so a state is intra-tuned once per
     session instead of once per search.
 
-    Rewards are pure, so sharing changes wall-clock time only, never values.
+    It is the tuner's one cache: the checker and cost-model runs behind a
+    fresh evaluation ({!Intra.tune}) are not memoized. Rewards are pure, so
+    sharing changes wall-clock time only, never values.
     Observable effects are kept deterministic by the receipt discipline (see
     {!Mcts}): both a table hit and a fresh evaluation emit exactly the
     receipt's canonical stream, so charges and trace counters depend only on
@@ -45,7 +47,8 @@ end
 val find :
   platform:Platform.id -> budget:int -> prune:bool -> compose:bool ->
   Xpiler_ir.Kernel.t -> entry option
-(** Counted as a hit or a miss in {!hits}/{!misses}. *)
+(** Counted as a hit or a miss in [xpiler_transposition_lookups_total];
+    {!hits} reads the hits. *)
 
 val store :
   platform:Platform.id -> budget:int -> prune:bool -> compose:bool ->
@@ -54,14 +57,13 @@ val store :
     and pass it to the observer. *)
 
 val count_eval : unit -> unit
-(** Record one fresh reward evaluation (an actual [Intra.tune] run). {!Mcts}
+(** Record one fresh reward evaluation (an actual {!Intra.tune} run). {!Mcts}
     calls this on every table miss *and* when sharing is disabled, so
     benches can compare search modes with a single meter. *)
 
 val size : unit -> int
 
 val hits : unit -> int
-val misses : unit -> int
 val evals : unit -> int
 (** Totals since the last [Metrics.reset], read from the registry counters
     [xpiler_transposition_lookups_total] and

@@ -1,6 +1,6 @@
 (** Bounded least-recently-used tables — the one eviction policy of every
     session memo (compile cache, transposition table, solver memo,
-    simplify cache, unit-test verdict and reference caches).
+    unit-test verdict and reference caches).
 
     At capacity, inserting a new key evicts only the least recently used
     entry, so a working set that fits keeps hitting. A full reset at

@@ -3,10 +3,10 @@
     A session value is a slot with an initializer, one copy per domain:
     the first read on a domain runs the initializer, and no other domain
     ever sees that copy. Every translation cache (compile cache, unit-test
-    LRUs, solver memo and simplify cache, transposition table, schedule
-    database, pipeline and corpus tables, vendor baselines) and every
-    ambient setting (tracer, solver engine) is one, so no table is
-    reachable from two domains and none needs a lock.
+    LRUs, solver memo, transposition table, schedule database, corpus
+    tables, vendor baselines) and every ambient setting (tracer, solver
+    engine) is one, so no table is reachable from two domains and none
+    needs a lock.
 
     The main domain keeps one session across translations. {!fresh} gives
     a piece of work its own: {!Pool.map} runs every task under it, so a

@@ -117,6 +117,26 @@ let test_tuned_config_improves_throughput () =
     Alcotest.(check bool) (Printf.sprintf "tuned %.3g >= plain %.3g" t p) true (t >= p)
   | _ -> Alcotest.fail "missing throughput"
 
+(* the final unit test rejects MCTS's best rmsnorm kernel on HIP at this
+   shape; the translation keeps the untuned kernel and counts the fallback *)
+let test_tuning_rejected_counted () =
+  let module Metrics = Xpiler_obs.Metrics in
+  let rejected () =
+    List.fold_left
+      (fun acc (s : Metrics.sample) ->
+        match s.Metrics.value with
+        | Metrics.Vcounter n when s.Metrics.name = "xpiler_tuning_rejected_total" -> acc + n
+        | _ -> acc)
+      0 (Metrics.snapshot ())
+  in
+  let rmsnorm = Registry.find_exn "rmsnorm" in
+  let before = rejected () in
+  let o =
+    run ~config:Config.tuned ~src:Platform.Cuda ~dst:Platform.Hip rmsnorm [ ("r", 4); ("c", 64) ]
+  in
+  Alcotest.(check bool) "accepted" true (o.Xpiler.status = Xpiler.Success);
+  Alcotest.(check int) "one rejected tuned kernel" 1 (rejected () - before)
+
 let test_complexity_multiplier_ordering () =
   let da = Registry.find_exn "deformable_attention" in
   let da_k = da.Opdef.serial (List.hd da.Opdef.shapes) in
@@ -286,6 +306,7 @@ let () =
         [ Alcotest.test_case "smt ordering" `Slow test_smt_ablation_ordering;
           Alcotest.test_case "clock breakdown" `Quick test_clock_breakdown_populated;
           Alcotest.test_case "tuning improves" `Quick test_tuned_config_improves_throughput;
+          Alcotest.test_case "rejected tuning counted" `Quick test_tuning_rejected_counted;
           Alcotest.test_case "complexity ordering" `Quick test_complexity_multiplier_ordering
         ] );
       ( "report",

@@ -361,9 +361,10 @@ let test_parallel_translations_deterministic () =
     (List.exists (List.exists (fun (_, _, t) -> t <> None)) o1);
   let json m = Json.to_string (Metrics.to_json m) in
   Alcotest.(check string) "same stable metrics snapshot" (json m1) (json m4);
-  Alcotest.(check bool) "intra memo lookups are stable" true
+  Alcotest.(check bool) "schedule DB lookups are stable" true
     (List.exists
-       (fun (s : Metrics.sample) -> s.Metrics.name = "xpiler_intra_memo_lookups_total")
+       (fun (s : Metrics.sample) ->
+         s.Metrics.name = "xpiler_schedule_db_lookups_total" && s.Metrics.value <> Metrics.Vcounter 0)
        m1);
   let db1, st1 = load_fresh s1 in
   let d1 = dump_tables db1 in
