@@ -132,5 +132,4 @@ let () =
        seed pipeline (seed %d, ladder %d)\n%!"
       seed_broken ladder_broken;
     exit 1
-  end;
-  History_gate.record_and_gate ~bench:"resilience" ~file:"BENCH_resilience.json"
+  end

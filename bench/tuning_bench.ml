@@ -324,5 +324,4 @@ let () =
   if
     List.exists (fun r -> r.tuned_best < r.target || not r.prune_lossless) rows
     || not (List.for_all warm_row_ok warm_rows)
-  then exit 1;
-  History_gate.record_and_gate ~bench:"tuning" ~file:"BENCH_tuning.json"
+  then exit 1

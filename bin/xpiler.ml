@@ -402,9 +402,8 @@ let metrics_run op_name shape src dst no_tune seed fault_scale store_dir no_stor
     (Xpiler.status_to_string o.Xpiler.status)
     (if no_tune then "" else " (tuned)");
   let samples = Xpiler_obs.Metrics.snapshot () in
-  print_string (Obs_report.render_metrics samples);
   let prof = Xpiler_obs.Prof.report () in
-  print_string (Obs_report.render_prof prof);
+  print_string (Obs_report.render_metrics samples prof);
   (match openmetrics_out with
   | None -> ()
   | Some path ->
@@ -446,104 +445,6 @@ let metrics_cmd =
       const metrics_run $ op_arg $ shape_arg $ src_arg $ dst_arg $ no_tune_flag $ seed_arg
       $ fault_scale_arg $ store_dir_arg $ no_store_arg $ openmetrics_opt
       $ json_opt)
-
-(* ---- bench-diff -------------------------------------------------------------- *)
-
-let bench_diff history eval_file tuning_file resilience_file repair_file threshold exact_only
-    =
-  let module BH = Xpiler_obs.Bench_history in
-  let hist =
-    match BH.load ~path:history () with
-    | Ok h -> h
-    | Error m ->
-      Printf.eprintf "bench-diff: %s\n" m;
-      exit 2
-  in
-  let regressions = ref 0 in
-  let seen = ref 0 in
-  let check bench path =
-    if Sys.file_exists path then begin
-      incr seen;
-      match BH.of_bench_file ~bench path with
-      | Error m ->
-        Printf.eprintf "bench-diff: %s\n" m;
-        exit 2
-      | Ok entry ->
-        Printf.printf "%s (%s%s):\n" path bench (if entry.BH.smoke then ", smoke" else "");
-        let verdicts = BH.diff ~threshold_scale:threshold ~exact_only ~history:hist entry in
-        if verdicts = [] then Printf.printf "  no spec'd metrics\n"
-        else
-          List.iter
-            (fun (v : BH.verdict) ->
-              if v.BH.regressed then incr regressions;
-              Printf.printf "  %s %-24s %s\n"
-                (if v.BH.regressed then "REGRESSION" else "ok        ")
-                v.BH.metric v.BH.detail)
-            verdicts
-    end
-  in
-  check "eval" eval_file;
-  check "tuning" tuning_file;
-  check "resilience" resilience_file;
-  check "repair" repair_file;
-  if !seen = 0 then begin
-    Printf.eprintf "bench-diff: no BENCH_*.json found (looked for %s, %s, %s, %s)\n" eval_file
-      tuning_file resilience_file repair_file;
-    exit 2
-  end;
-  if !regressions > 0 then begin
-    Printf.printf "%d regression(s) against %s (%d history entries)\n" !regressions history
-      (List.length hist);
-    exit 1
-  end
-  else Printf.printf "no regressions against %s (%d history entries)\n" history (List.length hist)
-
-let bench_diff_cmd =
-  let info =
-    Cmd.info "bench-diff"
-      ~doc:
-        "Compare current BENCH_eval.json / BENCH_tuning.json / BENCH_resilience.json / \
-         BENCH_repair.json headline numbers against results/history.jsonl and fail \
-         (exit 1) on regressions beyond the per-metric thresholds."
-  in
-  let history_opt =
-    let doc = "History file (JSONL, appended by the bench executables)." in
-    Arg.(value & opt string "results/history.jsonl" & info [ "history" ] ~docv:"FILE" ~doc)
-  in
-  let eval_opt =
-    let doc = "Evaluation-engine bench report." in
-    Arg.(value & opt string "BENCH_eval.json" & info [ "eval" ] ~docv:"FILE" ~doc)
-  in
-  let tuning_opt =
-    let doc = "Auto-tuner bench report." in
-    Arg.(value & opt string "BENCH_tuning.json" & info [ "tuning" ] ~docv:"FILE" ~doc)
-  in
-  let resilience_opt =
-    let doc = "Resilience bench report." in
-    Arg.(value & opt string "BENCH_resilience.json" & info [ "resilience" ] ~docv:"FILE" ~doc)
-  in
-  let repair_opt =
-    let doc = "Repair/SMT hot-path bench report." in
-    Arg.(value & opt string "BENCH_repair.json" & info [ "repair" ] ~docv:"FILE" ~doc)
-  in
-  let threshold_opt =
-    let doc =
-      "Scale factor on every per-metric regression threshold (2.0 = twice as tolerant, \
-       0.5 = twice as strict)."
-    in
-    Arg.(value & opt float 1.0 & info [ "threshold" ] ~docv:"SCALE" ~doc)
-  in
-  let exact_only_flag =
-    let doc =
-      "Check only deterministic (schedule- and wall-clock-independent) metrics, as the \
-       bench smoke gates do; wall-clock throughputs are skipped."
-    in
-    Arg.(value & flag & info [ "exact-only" ] ~doc)
-  in
-  Cmd.v info
-    Term.(
-      const bench_diff $ history_opt $ eval_opt $ tuning_opt $ resilience_opt $ repair_opt
-      $ threshold_opt $ exact_only_flag)
 
 (* ---- store ------------------------------------------------------------------- *)
 
@@ -639,4 +540,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ translate_cmd; show_source_cmd; list_ops_cmd; lint_cmd; trace_cmd; metrics_cmd;
-            bench_diff_cmd; store_cmd; manual_cmd ]))
+            store_cmd; manual_cmd ]))

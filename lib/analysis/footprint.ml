@@ -57,6 +57,4 @@ let rec range (env : env) (e : Expr.t) : bound option =
     | _ -> None)
 
 (* all free variables of [e] have a known range in [env] *)
-let covers env e = List.for_all (fun v -> List.mem_assoc v env) (Expr.free_vars e)
-
 let to_string { lo; hi } = Printf.sprintf "[%d, %d]" lo hi

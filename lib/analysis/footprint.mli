@@ -12,7 +12,4 @@ val range : env -> Expr.t -> bound option
 (** Sound over-approximation of the expression's value set; [None] when a
     subterm (a load, a float, an unbounded variable) defeats the interval. *)
 
-val covers : env -> Expr.t -> bool
-(** Every free variable of the expression has a range in [env]. *)
-
 val to_string : bound -> string

@@ -81,8 +81,11 @@ let metrics_tables samples =
     List.filter_map
       (fun s ->
         match s.Metrics.value with
+        (* an empty histogram has no quantiles: its cells print "-", not 0 *)
+        | Metrics.Vhist h when h.Metrics.count = 0 ->
+          Some (sample_label s, Report.Count 0 :: List.init 5 (fun _ -> Report.Text "-"))
         | Metrics.Vhist h ->
-          let mean = if h.Metrics.count > 0 then h.Metrics.sum /. float_of_int h.Metrics.count else 0.0 in
+          let mean = h.Metrics.sum /. float_of_int h.Metrics.count in
           Some
             ( sample_label s,
               [ Report.Count h.Metrics.count; Report.Num h.Metrics.hmin; Report.Num mean;
@@ -96,8 +99,6 @@ let metrics_tables samples =
     [ ("Metric counters", [ "total" ], counters);
       ("Metric gauges", [ "value" ], gauges);
       ("Metric histograms", [ "n"; "min"; "mean"; "p50"; "p99"; "max" ], hists) ]
-
-let render_metrics samples = String.concat "\n" (List.map Report.render (metrics_tables samples))
 
 (* ---- profiler reports ---------------------------------------------------- *)
 
@@ -115,4 +116,5 @@ let prof_tables (r : Prof.report) =
     [ Report.make ~title:"Profiled spans (wall clock)"
         ~cols:[ "count"; "wall s"; "alloc Mw"; "majors" ] span_rows ]
 
-let render_prof r = String.concat "\n" (List.map Report.render (prof_tables r))
+let render_metrics samples r =
+  String.concat "\n" (List.map Report.render (metrics_tables samples @ prof_tables r))

@@ -13,10 +13,8 @@ val tables : Xpiler_obs.Summary.t -> Report.t list
 val render : Xpiler_obs.Summary.t -> string
 (** All tables concatenated, ready to print. *)
 
-val render_metrics : Xpiler_obs.Metrics.sample list -> string
+val render_metrics : Xpiler_obs.Metrics.sample list -> Xpiler_obs.Prof.report -> string
 (** Registry snapshot rendered as counter / gauge / histogram tables
-    (histograms get bucket-estimated p50/p99); empty sections omitted. *)
-
-val render_prof : Xpiler_obs.Prof.report -> string
-(** Profiled span costs (wall seconds, allocated megawords, major GCs);
-    empty when no span was profiled. *)
+    (histograms get bucket-estimated p50/p99, and "-" for every statistic
+    when empty), then the profiled span costs (wall seconds, allocated
+    megawords, major GCs); empty sections omitted, tables blank-separated. *)

@@ -551,10 +551,8 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
       { outcome with trace = events }
     | None -> outcome
   in
-  (* the one error boundary: whatever a callee raises becomes a typed
-     status naming the exception, so [transcompile] stays total *)
-  let internal_error e =
-    { status = Compile_error ("internal error: " ^ Printexc.to_string e);
+  let failed status =
+    { status;
       kernel = None;
       target_text = None;
       specs_applied = [];
@@ -571,7 +569,14 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
   in
   finish_trace
   @@
-  match translate ~config ~clock ~src ~dst ~op ~shape with
+  (* the one error boundary: whatever a callee raises becomes a typed
+     status naming the exception, so [transcompile] stays total. A shape
+     the oracle cannot allocate fails before any pass runs. *)
+  match
+    match Unit_test.oversized op shape with
+    | Some m -> failed (Computation_error m)
+    | None -> translate ~config ~clock ~src ~dst ~op ~shape
+  with
   | outcome -> outcome
   | exception ((Out_of_memory | Sys.Break) as e) -> raise e
-  | exception e -> internal_error e
+  | exception e -> failed (Compile_error ("internal error: " ^ Printexc.to_string e))

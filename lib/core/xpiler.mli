@@ -58,7 +58,9 @@ val transcompile :
   shape:Opdef.shape ->
   unit ->
   outcome
-(** Total: every input ends in a status. An exception a callee raises
+(** Total: every input ends in a status. A shape with a buffer the unit-test
+    oracle cannot allocate ([Unit_test.oversized]) ends as
+    [Computation_error] before any pass runs. An exception a callee raises
     (other than [Out_of_memory] and [Sys.Break], which propagate) ends the
     translation as [Compile_error "internal error: <exception>"], with no
     kernel. *)

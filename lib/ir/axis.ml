@@ -26,10 +26,6 @@ let compare = Stdlib.compare
 let all =
   [ Block_x; Block_y; Block_z; Thread_x; Thread_y; Thread_z; Task_id; Cluster_id; Core_id ]
 
-let is_simt = function
-  | Block_x | Block_y | Block_z | Thread_x | Thread_y | Thread_z -> true
-  | Task_id | Cluster_id | Core_id -> false
-
 let is_thread = function
   | Thread_x | Thread_y | Thread_z | Core_id -> true
   | Block_x | Block_y | Block_z | Task_id | Cluster_id -> false

@@ -20,9 +20,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val all : t list
 
-val is_simt : t -> bool
-(** blockIdx.* / threadIdx.* axes. *)
-
 val is_thread : t -> bool
 (** Axes whose iterations share a barrier: threadIdx.* and the MLU's
     [coreId]. *)

@@ -20,7 +20,6 @@ let category_name = function
   | `Structural -> "structural"
 
 let error category where message = { category; severity = Error; where; message }
-let warning category where message = { category; severity = Warning; where; message }
 
 (* errors keep the historical checker format so messages embedded in
    pipeline statuses (and anything matching on them) are unchanged *)

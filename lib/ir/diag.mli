@@ -18,7 +18,6 @@ type t = {
 val category_name : category -> string
 
 val error : category -> string -> string -> t
-val warning : category -> string -> string -> t
 
 val to_string : t -> string
 (** Errors render as ["[category] where: message"] (the historical checker

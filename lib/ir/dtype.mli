@@ -7,4 +7,3 @@ val size_in_bytes : t -> int
 val is_float : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val all : t list

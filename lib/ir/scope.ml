@@ -11,7 +11,6 @@ let to_string = function
 
 let equal (a : t) (b : t) = a = b
 let compare = Stdlib.compare
-let all = [ Global; Shared; Local; Nram; Wram; Host; Fragment ]
 let is_on_chip = function
   | Shared | Local | Nram | Wram | Fragment -> true
   | Global | Host -> false

@@ -16,7 +16,6 @@ type t =
 val to_string : t -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val all : t list
 
 val is_on_chip : t -> bool
 (** True for scopes that live in fast on-chip storage (everything except

@@ -237,4 +237,3 @@ let default_compute_scope = function
   | Cuda | Hip -> Scope.Shared
   | Vnni -> Scope.Host
 
-let is_simt t = match t.id with Cuda | Hip -> true | Bang | Vnni -> false

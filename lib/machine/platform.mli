@@ -55,4 +55,3 @@ val default_compute_scope : id -> Scope.t
 (** Where intrinsic operands must be staged before computing:
     NRAM on the MLU, Shared on GPUs, Host on the CPU. *)
 
-val is_simt : t -> bool

@@ -6,7 +6,6 @@ let of_array ?(dtype = Dtype.F32) data = { dtype; data }
 let length t = Array.length t.data
 let get t i = t.data.(i)
 let set t i v = t.data.(i) <- v
-let fill t v = Array.fill t.data 0 (Array.length t.data) v
 let copy t = { t with data = Array.copy t.data }
 
 let random rng ?(dtype = Dtype.F32) n =

@@ -15,7 +15,6 @@ val of_array : ?dtype:Dtype.t -> float array -> t
 val length : t -> int
 val get : t -> int -> float
 val set : t -> int -> float -> unit
-val fill : t -> float -> unit
 val copy : t -> t
 
 val random : Xpiler_util.Rng.t -> ?dtype:Dtype.t -> int -> t

@@ -34,4 +34,3 @@ let class_name = function
   | Llm -> "LLM"
 
 let outputs t = List.filter (fun b -> b.is_output) t.buffers
-let inputs t = List.filter (fun b -> not b.is_output) t.buffers

@@ -33,4 +33,3 @@ val dim : shape -> string -> int
 
 val class_name : op_class -> string
 val outputs : t -> buffer_spec list
-val inputs : t -> buffer_spec list

@@ -9,7 +9,24 @@ type verdict = Pass | Fail of string
 
 exception Reference_failed of string
 
+(* the largest buffer the oracle allocates: 2^24 elements, far above the
+   largest Registry buffer (depthwise_conv's 20,736-element input) *)
+let max_buffer_elems = 1 lsl 24
+
+let oversized (op : Opdef.t) shape =
+  List.find_map
+    (fun (b : Opdef.buffer_spec) ->
+      let n = b.size shape in
+      if n >= 0 && n <= max_buffer_elems then None
+      else
+        Some
+          (Printf.sprintf "buffer %s has %s elements, over the %d-element limit" b.buf_name
+             (if n < 0 then "an overflowing number of" else string_of_int n)
+             max_buffer_elems))
+    op.buffers
+
 let make_args rng (op : Opdef.t) shape =
+  Option.iter invalid_arg (oversized op shape);
   List.map
     (fun (b : Opdef.buffer_spec) ->
       let size = b.size shape in

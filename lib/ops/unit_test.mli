@@ -7,9 +7,14 @@ open Xpiler_machine
 
 type verdict = Pass | Fail of string
 
+val oversized : Opdef.t -> Opdef.shape -> string option
+(** A message naming the first buffer over the oracle's 2^24-element limit
+    and its element count; [None] when every buffer fits. *)
+
 val make_args :
   Xpiler_util.Rng.t -> Opdef.t -> Opdef.shape -> (string * Interp.arg) list
-(** Random inputs, zero-filled outputs, ordered as the kernel's parameters. *)
+(** Random inputs, zero-filled outputs, ordered as the kernel's parameters.
+    Raises [Invalid_argument] before allocating anything when {!oversized}. *)
 
 val reference_outputs :
   Xpiler_util.Rng.t -> Opdef.t -> Opdef.shape -> (string * Interp.arg) list * (string * Tensor.t) list

@@ -1,7 +1,7 @@
 (** Shared filesystem helpers.
 
     Every subsystem that writes results or caches to disk ([Report] CSVs,
-    the bench-history journal, the durable knowledge store) needs the same
+    the bench harness, the durable knowledge store) needs the same
     two things: recursive directory creation that tolerates concurrent
     creators, and whole-file reads.
     They live here so the check-then-create TOCTOU race is fixed in one

@@ -14,7 +14,6 @@ let next t =
   mix t.state
 
 let split t = { state = next t }
-let copy t = { state = t.state }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

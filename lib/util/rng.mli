@@ -13,9 +13,6 @@ val create : int -> t
 val split : t -> t
 (** [split t] derives an independent generator; [t] advances by one step. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound). [bound] must be positive. *)
 

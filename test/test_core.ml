@@ -230,6 +230,21 @@ let test_empty_shape () =
   check_internal_error "empty shape" ~names:"Not_found"
     (run ~src:Platform.Cuda ~dst:Platform.Bang relu [])
 
+(* a buffer over the oracle's limit ends the translation before anything
+   is allocated, naming the buffer and its element count; a count that
+   overflows int is named as such *)
+let test_too_large_shape () =
+  let gemm = Registry.find_exn "gemm" in
+  List.iter
+    (fun (m, k, count) ->
+      let shape = [ ("m", m); ("n", 100_000); ("k", k) ] in
+      let o = run ~src:Platform.Cuda ~dst:Platform.Bang gemm shape in
+      Alcotest.(check string) "status"
+        ("computation error: buffer A has " ^ count ^ " elements, over the 16777216-element limit")
+        (Xpiler.status_to_string o.Xpiler.status);
+      Alcotest.(check (option string)) "no target text" None o.Xpiler.target_text)
+    [ (100_000_000, 100_000, "10000000000000"); (1 lsl 31, 1 lsl 31, "an overflowing number of") ]
+
 let platforms = [ Platform.Cuda; Platform.Bang; Platform.Hip; Platform.Vnni ]
 
 (* Random op x shape x direction x fault scale. Each dim keeps the op's
@@ -317,6 +332,7 @@ let () =
         [ Alcotest.test_case "unwritable trace sink" `Quick test_unwritable_sink;
           Alcotest.test_case "raising reference is a status" `Quick test_raising_reference;
           Alcotest.test_case "empty shape is a status" `Quick test_empty_shape;
+          Alcotest.test_case "too-large shape is a status" `Quick test_too_large_shape;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20250706 |]) prop_total ] );
       ("config", [ Alcotest.test_case "variants" `Quick test_configs ])
     ]

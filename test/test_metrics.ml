@@ -1,10 +1,10 @@
-(* Observability-layer guarantees: the typed metrics registry, the wall-clock
-   profiler and the bench-history watchdog. The two load-bearing invariants —
-   the reasons this layer is safe to leave on in production — are (1) the
-   stable-only registry snapshot is byte-identical whatever the job count of
-   the pool running whole translations (asserted in test_store.ml, next to
-   the persisted state), and (2) the always-on profiler stream is fully
-   segregated from the tracer, so its spans never reach a journal. *)
+(* Observability-layer guarantees: the typed metrics registry and the
+   wall-clock profiler. The two load-bearing invariants — the reasons this
+   layer is safe to leave on in production — are (1) the stable-only registry
+   snapshot is byte-identical whatever the job count of the pool running whole
+   translations (asserted in test_store.ml, next to the persisted state), and
+   (2) the always-on profiler stream is fully segregated from the tracer, so
+   its spans never reach a journal. *)
 
 open Xpiler_machine
 open Xpiler_ops
@@ -18,7 +18,6 @@ module Metrics = Xpiler_obs.Metrics
 module Prof = Xpiler_obs.Prof
 module Repairer = Xpiler_repair.Repairer
 module Solver = Xpiler_smt.Solver
-module BH = Xpiler_obs.Bench_history
 
 let gemm = Registry.find_exn "gemm"
 
@@ -344,250 +343,6 @@ let test_prof_meters_agree () =
     (s1.Solver.fresh_solves - s0.Solver.fresh_solves);
   Alcotest.(check bool) "candidate tests were timed" true (fst (row "repair.test") > 0)
 
-(* ---- bench history ------------------------------------------------------- *)
-
-let entry ?(smoke = true) ?time bench metrics = { BH.bench; smoke; time; metrics }
-
-let test_history_roundtrip () =
-  let e = entry ~time:1754600000.5 "eval" [ ("a_metric", 1.5); ("b_metric", 2.0) ] in
-  (match BH.entry_of_json (BH.entry_to_json e) with
-  | Ok back -> Alcotest.(check bool) "roundtrips" true (back = e)
-  | Error err -> Alcotest.fail err);
-  let no_time = entry "tuning" [ ("m", 0.25) ] in
-  match BH.entry_of_json (BH.entry_to_json no_time) with
-  | Ok back -> Alcotest.(check bool) "roundtrips without time" true (back = no_time)
-  | Error err -> Alcotest.fail err
-
-let test_history_append_load () =
-  let path = Filename.temp_file "xpiler_hist" ".jsonl" in
-  Sys.remove path;
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      (match BH.load ~path () with
-      | Ok [] -> ()
-      | Ok _ -> Alcotest.fail "missing file should load as empty"
-      | Error e -> Alcotest.fail e);
-      let e1 = entry "eval" [ ("geomean_speedup", 3.0) ] in
-      let e2 = entry "tuning" [ ("eval_reduction_mean", 0.5) ] in
-      BH.append ~path e1;
-      BH.append ~path e2;
-      match BH.load ~path () with
-      | Ok entries -> Alcotest.(check bool) "two entries back" true (entries = [ e1; e2 ])
-      | Error e -> Alcotest.fail e)
-
-let doctored_eval_bench path ~speedup ~eps =
-  let oc = open_out path in
-  Printf.fprintf oc
-    {|{
-  "schema": "xpiler-eval-bench/v5", "smoke": true,
-  "kernels": [
-    {"op": "gemm", "compiled_elems_per_sec": %e, "speedup": %f},
-    {"op": "softmax", "compiled_elems_per_sec": %e, "speedup": %f}
-  ],
-  "geomean_speedup": %f
-}
-|}
-    eps speedup eps speedup speedup;
-  close_out oc
-
-let test_of_bench_file_and_regression () =
-  let path = Filename.temp_file "xpiler_bencheval" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      doctored_eval_bench path ~speedup:2.0 ~eps:1e6;
-      let current =
-        match BH.of_bench_file ~bench:"eval" path with
-        | Ok e -> e
-        | Error e -> Alcotest.fail e
-      in
-      Alcotest.(check (option (float 1e-6))) "geomean extracted" (Some 2.0)
-        (List.assoc_opt "geomean_speedup" current.BH.metrics);
-      Alcotest.(check (option (float 1.0))) "eps geomean extracted" (Some 1e6)
-        (List.assoc_opt "compiled_eps_geomean" current.BH.metrics);
-      (* a history full of much faster runs: the doctored current entry must
-         register as a regression on the wall-clock throughput metrics *)
-      let fast = entry "eval" [ ("geomean_speedup", 100.0); ("compiled_eps_geomean", 1e9) ] in
-      let verdicts = BH.diff ~history:[ fast; fast; fast ] current in
-      let bad = BH.regressions verdicts in
-      Alcotest.(check bool) "inflated history flags a regression" true (bad <> []);
-      Alcotest.(check bool) "geomean_speedup among the regressions" true
-        (List.exists (fun (v : BH.verdict) -> v.BH.metric = "geomean_speedup") bad);
-      (* exact-only mode skips the Wall-noise metrics entirely *)
-      let exact = BH.diff ~exact_only:true ~history:[ fast; fast; fast ] current in
-      Alcotest.(check bool) "exact-only skips wall metrics" true (BH.regressions exact = []);
-      (* matching history: no regression *)
-      let same = entry "eval" current.BH.metrics in
-      Alcotest.(check bool) "parity is not a regression" true
-        (BH.regressions (BH.diff ~history:[ same; same ] current) = []);
-      (* no matching history at all: baseline None, never regressed *)
-      let full_run = { current with BH.smoke = false } in
-      let v = BH.diff ~history:[ fast ] full_run in
-      Alcotest.(check bool) "smoke and full runs never compare" true
-        (List.for_all (fun (x : BH.verdict) -> x.BH.baseline = None && not x.BH.regressed) v))
-
-(* histories written while the eval bench still reported the retired
-   speedup-geomean metric (schema v2) or the retired tuning
-   parallel_speedup (schemas up to v4) keep loading and diffing: neither
-   metric is extracted from an old file nor given a verdict *)
-let retired_metrics = [ "native_speedup_geomean"; "parallel_speedup" ]
-let is_retired m = List.mem m retired_metrics
-
-let test_history_retired_metric () =
-  let path = Filename.temp_file "xpiler_hist" ".jsonl" in
-  let bench = Filename.temp_file "xpiler_bencheval" ".json" in
-  Fun.protect
-    ~finally:(fun () -> List.iter Sys.remove [ path; bench ])
-    (fun () ->
-      let old =
-        entry "eval"
-          [ ("compiled_eps_geomean", 1e6); ("geomean_speedup", 2.0);
-            ("native_speedup_geomean", 2.3); ("parallel_speedup", 1.0) ]
-      in
-      Sys.remove path;
-      BH.append ~path old;
-      BH.append ~path old;
-      let hist = match BH.load ~path () with Ok h -> h | Error m -> Alcotest.fail m in
-      let oc = open_out bench in
-      Printf.fprintf oc
-        {|{"schema": "xpiler-eval-bench/v2", "smoke": true,
-  "kernels": [{"op": "gemm", "compiled_elems_per_sec": 1e6, "speedup": 2.0}],
-  "geomean_speedup": 2.0, "native_speedup_geomean": 0.5,
-  "tuning": {"parallel_speedup": 0.5, "deterministic": true}}
-|};
-      close_out oc;
-      let current =
-        match BH.of_bench_file ~bench:"eval" bench with Ok e -> e | Error m -> Alcotest.fail m
-      in
-      Alcotest.(check bool) "not extracted" false
-        (List.exists (fun (m, _) -> is_retired m) current.BH.metrics);
-      let verdicts = BH.diff ~history:hist current in
-      Alcotest.(check bool) "no verdict for a retired metric" true
-        (List.for_all (fun (v : BH.verdict) -> not (is_retired v.BH.metric)) verdicts);
-      Alcotest.(check bool) "live metrics still compared" true (verdicts <> []);
-      Alcotest.(check bool) "no regression" true (BH.regressions verdicts = []);
-      (* an entry that itself still carries the metric diffs the same way *)
-      Alcotest.(check bool) "old-shaped entry diffs cleanly" true
-        (List.for_all
-           (fun (v : BH.verdict) -> (not (is_retired v.BH.metric)) && not v.BH.regressed)
-           (BH.diff ~history:hist old)))
-
-let test_history_zero_baseline () =
-  (* a zero median makes the relative drop undefined; the defined semantics:
-     any worsening move off zero is an unbounded relative change, so only
-     the absolute slack can excuse it (eval_reduction_mean: Higher, slack
-     0.05) *)
-  let hist = [ entry "tuning" [ ("eval_reduction_mean", 0.0); ("best_reward_ratio_min", 1.0) ] ] in
-  let v_of m verdicts = List.find (fun (v : BH.verdict) -> v.BH.metric = m) verdicts in
-  let worse = entry "tuning" [ ("eval_reduction_mean", -0.5); ("best_reward_ratio_min", 1.0) ] in
-  let v = v_of "eval_reduction_mean" (BH.diff ~history:hist worse) in
-  Alcotest.(check bool) "beyond-slack move off zero regresses" true v.BH.regressed;
-  Alcotest.(check bool) "detail names the zero median" true
-    (let needle = "zero median" in
-     let len = String.length needle in
-     let rec has i =
-       i + len <= String.length v.BH.detail && (String.sub v.BH.detail i len = needle || has (i + 1))
-     in
-     has 0);
-  let within = entry "tuning" [ ("eval_reduction_mean", -0.04); ("best_reward_ratio_min", 1.0) ] in
-  Alcotest.(check bool) "within-slack move off zero passes" false
-    (v_of "eval_reduction_mean" (BH.diff ~history:hist within)).BH.regressed;
-  let better = entry "tuning" [ ("eval_reduction_mean", 0.3); ("best_reward_ratio_min", 1.0) ] in
-  Alcotest.(check bool) "improvement off zero passes" false
-    (v_of "eval_reduction_mean" (BH.diff ~history:hist better)).BH.regressed
-
-let test_history_record_corrupt () =
-  let path = Filename.temp_file "xpiler_hist" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      let e = entry "tuning" [ ("eval_reduction_mean", 0.5) ] in
-      (* intact history: record appends and reports verdicts *)
-      (match BH.record ~path e with
-      | Ok [] -> ()
-      | Ok _ -> Alcotest.fail "no history yet, nothing can regress"
-      | Error m -> Alcotest.fail m);
-      (* corrupt history: record must surface the error, not append to the
-         broken file as if the baseline were merely empty *)
-      let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
-      output_string oc "{not json\n";
-      close_out oc;
-      let size_before = (Unix.stat path).Unix.st_size in
-      (match BH.record ~path e with
-      | Ok _ -> Alcotest.fail "corrupt history must be an error"
-      | Error _ -> ());
-      Alcotest.(check int) "nothing appended past the corruption" size_before
-        (Unix.stat path).Unix.st_size)
-
-let doctored_tuning_bench path ~store_warm =
-  let oc = open_out path in
-  Printf.fprintf oc
-    {|{
-  "schema": "xpiler-tuning-bench/v2", "smoke": true,
-  "kernels": [
-    {"op": "gemm", "eval_reduction": 0.5, "best_reward_ratio": 1.0},
-    {"op": "softmax", "eval_reduction": 0.3, "best_reward_ratio": 1.0}
-  ]%s
-}
-|}
-    (match store_warm with
-    | Some mean ->
-      Printf.sprintf
-        {|,
-  "store_warm_start": {"kernels": [{"op": "gemm", "warm_reduction": %f}], "warm_reduction_mean": %f}|}
-        mean mean
-    | None -> "");
-  close_out oc
-
-let test_store_warm_metric_absent_not_zero () =
-  let path = Filename.temp_file "xpiler_benchtuning" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      (* pre-store (v1-shaped) file: the metric must be absent, so histories
-         spanning the schema change skip the spec instead of reading the old
-         runs as total regressions *)
-      doctored_tuning_bench path ~store_warm:None;
-      let old_run =
-        match BH.of_bench_file ~bench:"tuning" path with Ok e -> e | Error m -> Alcotest.fail m
-      in
-      Alcotest.(check (option (float 1e-9))) "absent without store section" None
-        (List.assoc_opt "store_warm_reduction_mean" old_run.BH.metrics);
-      doctored_tuning_bench path ~store_warm:(Some 0.9);
-      let current =
-        match BH.of_bench_file ~bench:"tuning" path with Ok e -> e | Error m -> Alcotest.fail m
-      in
-      Alcotest.(check (option (float 1e-6))) "extracted when present" (Some 0.9)
-        (List.assoc_opt "store_warm_reduction_mean" current.BH.metrics);
-      (* the spec is live and gated: a collapse against a better history
-         regresses, and old-run entries without the metric contribute no
-         baseline *)
-      let degraded = { current with BH.metrics = [ ("store_warm_reduction_mean", 0.1) ] } in
-      let bad = BH.regressions (BH.diff ~history:[ current; current ] degraded) in
-      Alcotest.(check bool) "collapsed warm reduction regresses" true
-        (List.exists (fun (v : BH.verdict) -> v.BH.metric = "store_warm_reduction_mean") bad);
-      let v = BH.diff ~history:[ old_run ] degraded in
-      Alcotest.(check bool) "old runs give no baseline" true
-        (List.for_all
-           (fun (x : BH.verdict) ->
-             x.BH.metric <> "store_warm_reduction_mean" || x.BH.baseline = None)
-           v))
-
-let test_history_direction_lower_better () =
-  (* resilience ladder_broken: lower is better, abs_slack 0.5 absorbs +-0 *)
-  let hist = [ entry "resilience" [ ("ladder_broken", 1.0); ("seed_broken", 6.0) ] ] in
-  let worse = entry "resilience" [ ("ladder_broken", 5.0); ("seed_broken", 6.0) ] in
-  let bad = BH.regressions (BH.diff ~history:hist worse) in
-  Alcotest.(check bool) "more broken kernels regresses" true
-    (List.exists (fun (v : BH.verdict) -> v.BH.metric = "ladder_broken") bad);
-  let same = entry "resilience" [ ("ladder_broken", 1.0); ("seed_broken", 6.0) ] in
-  Alcotest.(check bool) "equal count passes" true
-    (BH.regressions (BH.diff ~history:hist same) = []);
-  (* threshold_scale widens the gate: a huge scale forgives the regression *)
-  Alcotest.(check bool) "threshold scale widens slack" true
-    (BH.regressions (BH.diff ~threshold_scale:100.0 ~history:hist worse) = [])
-
 let () =
   Alcotest.run "metrics"
     [ ( "registry",
@@ -605,19 +360,5 @@ let () =
         [ Alcotest.test_case "aggregation" `Quick test_prof_aggregation;
           Alcotest.test_case "trace segregation" `Quick test_prof_trace_segregation;
           Alcotest.test_case "meters agree" `Quick test_prof_meters_agree
-        ] );
-      ( "bench-history",
-        [ Alcotest.test_case "entry roundtrip" `Quick test_history_roundtrip;
-          Alcotest.test_case "append and load" `Quick test_history_append_load;
-          Alcotest.test_case "bench extraction and regression" `Quick
-            test_of_bench_file_and_regression;
-          Alcotest.test_case "retired eval metric diffs cleanly" `Quick
-            test_history_retired_metric;
-          Alcotest.test_case "zero baseline semantics" `Quick test_history_zero_baseline;
-          Alcotest.test_case "corrupt history surfaces" `Quick test_history_record_corrupt;
-          Alcotest.test_case "store warm metric absent-not-zero" `Quick
-            test_store_warm_metric_absent_not_zero;
-          Alcotest.test_case "lower-is-better direction" `Quick
-            test_history_direction_lower_better
         ] )
     ]
