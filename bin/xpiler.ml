@@ -386,13 +386,7 @@ let metrics_run op_name shape src dst no_tune seed fault_scale store_dir no_stor
     let base = if no_tune then Config.default else Config.tuned in
     let base = Config.with_seed base seed in
     let base = Config.with_fault_scale base fault_scale in
-    (* root-parallel search batches share the transposition table, which is
-       what makes its hit/miss meters informative in a single run *)
-    let mcts = { base.Config.mcts with Xpiler_tuning.Mcts.root_parallel = 4 } in
-    { base with
-      Config.mcts;
-      store_dir = effective_store_dir store_dir no_store
-    }
+    { base with Config.store_dir = effective_store_dir store_dir no_store }
   in
   Xpiler_obs.Metrics.reset ();
   Xpiler_obs.Prof.reset ();

@@ -1,13 +1,18 @@
 (** Durable knowledge store.
 
     The three learning stores — the warm-start schedule database
-    ({!Xpiler_tuning.Schedule_db}), the tuner's transposition table
+    ({!Xpiler_tuning.Schedule_db}), the tuner's reward entries
     ({!Xpiler_tuning.Transposition}) and the solver memo
-    ({!Xpiler_smt.Memo}) — are session values ({!Xpiler_util.Session}) and
-    die with the process, so every run re-learns the same schedules. This
-    module persists them under a directory (canonically
-    [$XPILER_STORE_DIR]) as one append-only log, [DIR/store.wal], and
-    replays it back into the in-memory tables on the next process start.
+    ({!Xpiler_smt.Memo}) — die with the process, so every run would
+    re-learn the same schedules. This module persists them under a
+    directory (canonically [$XPILER_STORE_DIR]) as one append-only log,
+    [DIR/store.wal], and replays it back into the in-memory tables on the
+    next process start.
+
+    {b Reward entries.} A tuner search drops its own reward table on
+    return; {!Xpiler_tuning.Transposition} holds only what {!load}
+    restored. A state that two searches of one process both evaluate is
+    appended twice; replay and {!compact} keep the last.
 
     {b Sessions.} Replay fills the session that opens the store (the
     caller of {!load} or {!ensure}; for the CLI, the main domain). The

@@ -45,7 +45,7 @@ val tune :
     default 64), keep the compilable variant with the highest modelled
     throughput; the input kernel itself is always a candidate, so the result
     never regresses. Also returns the measured/pruned counts — the receipt
-    {!Mcts} stores in the transposition table so a hit can replay the
+    {!Mcts} keeps with the reward so a hit can replay the
     canonical effect stream of the original evaluation.
 
     The checker runs on the input once. A rejected input returns itself at

@@ -49,79 +49,82 @@ module KTbl = Hashtbl.Make (struct
   let hash = Kernel.hash
 end)
 
-(* One independent search: own rng, own first-touch table, modelled device
-   time charged through [charge], events emitted as they happen.
+(* A slot of a search's reward table: the entry, and the last batch that
+   replayed its receipt. *)
+type slot = { entry : Transposition.entry; mutable replayed_by : int }
 
-   Reward lookup is two-level. The per-search [seen] table (L1) keeps the
-   trajectory's own repeats free, exactly like the old private reward
-   cache. On an L1 miss the shared {!Transposition} table (L2) may already
-   hold the state — computed by another batch, another search, or an
-   earlier translation. Values are pure, so L2 only changes wall-clock
-   time; observable effects stay deterministic because both the L2-hit and
-   the fresh-evaluation paths emit the *same* canonical stream, replayed
-   from the entry's receipt: nothing for invalid states, else one 5.0
-   charge, then a count + 10.0 charge per measured intra variant, then one
-   aggregated [intra.pruned] count. A fresh evaluation is one {!Intra.tune}
-   call, which checks the state itself (a rejected state tunes to 0 with an
-   empty receipt). {!Intra} emits and charges nothing, and the call runs
-   under [Trace.without] so the cost model's own events stay out of that
-   stream — whoever fills the table first is unobservable. *)
-let search_one ~config ~sims ~seed ~charge ~share ~prefix ~buffer_sizes ~platform kernel =
+(* One independent search: own rng, modelled device time charged through
+   [charge], events emitted as they happen.
+
+   Rewards come from [table], which the search's batches share (with
+   [share] off, each batch has its own). On a miss, the {!Transposition}
+   entries the durable store restored may hold the state; otherwise one
+   {!Intra.tune} call evaluates it (a state the checker rejects tunes to 0
+   with an empty receipt) and the entry goes to the store's observer.
+   Values are pure, so where an entry comes from changes wall-clock time
+   only. Observable effects stay deterministic because a batch's first
+   touch of a state emits the same canonical stream, replayed from the
+   entry's receipt, whatever its source: nothing for invalid states, else
+   one 5.0 charge, then a count + 10.0 charge per measured intra variant,
+   then one aggregated [intra.pruned] count. Later touches emit nothing.
+   {!Intra} emits and charges nothing, and runs under [Trace.without] so
+   the cost model's own events stay out of that stream. *)
+let search_one ~config ~batch ~table ~sims ~seed ~charge ~share ~prefix ~buffer_sizes ~platform
+    kernel =
   let rng = Rng.create seed in
   let nodes = ref 0 in
   let best = ref (kernel, [], 0.0) in
-  (* L1: reward by state for this search's own repeats *)
-  let seen : float KTbl.t = KTbl.create 128 in
-  let platform_id = platform.Xpiler_machine.Platform.id in
-  let tt_find k =
-    if share then
-      Transposition.find ~platform:platform_id ~budget:config.intra_candidates
-        ~prune:config.prune ~compose:config.compose k
-    else None
+  let keyed f =
+    f ~platform:platform.Xpiler_machine.Platform.id ~budget:config.intra_candidates
+      ~prune:config.prune ~compose:config.compose
   in
-  let tt_store k e =
-    if share then
-      Transposition.store ~platform:platform_id ~budget:config.intra_candidates
-        ~prune:config.prune ~compose:config.compose k e
+  let evaluate k =
+    Transposition.count_eval ();
+    let v, st =
+      Trace.without (fun () ->
+          Intra.tune ~prune:config.prune ~compose:config.compose
+            ~max_candidates:config.intra_candidates ~platform k)
+    in
+    let e =
+      { Transposition.reward = v.Intra.throughput;
+        evaluated = st.Intra.evaluated;
+        pruned = st.Intra.pruned
+      }
+    in
+    if share then keyed Transposition.store k e;
+    e
+  in
+  let lookup k =
+    match KTbl.find_opt table k with
+    | Some s ->
+      (* only a shared table holds another batch's states *)
+      if s.replayed_by <> batch then Transposition.count_lookup ~hit:true;
+      s
+    | None ->
+      let restored = if share then keyed Transposition.find k else None in
+      if share then Transposition.count_lookup ~hit:(restored <> None);
+      let entry = match restored with Some e -> e | None -> evaluate k in
+      let s = { entry; replayed_by = -1 } in
+      KTbl.add table k s;
+      s
   in
   (* reward = best intra-tuned throughput of the state; 0 for invalid states *)
   let reward (k : Kernel.t) rspecs =
-    let r =
-      match KTbl.find_opt seen k with
-      | Some r -> r
-      | None ->
-        let entry =
-          match tt_find k with
-          | Some e -> e
-          | None ->
-            Transposition.count_eval ();
-            let v, st =
-              Trace.without (fun () ->
-                  Intra.tune ~prune:config.prune ~compose:config.compose
-                    ~max_candidates:config.intra_candidates ~platform k)
-            in
-            let e =
-              { Transposition.reward = v.Intra.throughput;
-                evaluated = st.Intra.evaluated;
-                pruned = st.Intra.pruned
-              }
-            in
-            tt_store k e;
-            e
-        in
-        (* canonical receipt replay — identical for hits and fresh runs *)
-        if entry.Transposition.reward > 0.0 then begin
-          charge 5.0 (* state set-up on the device *);
-          for _ = 1 to entry.Transposition.evaluated do
-            Trace.count "intra.variants";
-            charge 10.0 (* one variant measured on the device *)
-          done;
-          if entry.Transposition.pruned > 0 then
-            Trace.count ~n:entry.Transposition.pruned "intra.pruned"
-        end;
-        KTbl.replace seen k entry.Transposition.reward;
-        entry.Transposition.reward
-    in
+    let s = lookup k in
+    let e = s.entry in
+    (* canonical receipt replay, once per batch *)
+    if s.replayed_by <> batch then begin
+      s.replayed_by <- batch;
+      if e.Transposition.reward > 0.0 then begin
+        charge 5.0 (* state set-up on the device *);
+        for _ = 1 to e.Transposition.evaluated do
+          Trace.count "intra.variants";
+          charge 10.0 (* one variant measured on the device *)
+        done;
+        if e.Transposition.pruned > 0 then Trace.count ~n:e.Transposition.pruned "intra.pruned"
+      end
+    end;
+    let r = e.Transposition.reward in
     Trace.observe "mcts.reward" r;
     let _, _, b = !best in
     if r > b then begin
@@ -286,22 +289,24 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?(shar
   let charge_clock s =
     match clock with Some c -> Vclock.charge c Vclock.Auto_tuning s | None -> ()
   in
-  (* Root parallelism: independent searches over distinct seeds, each with
-     a private first-touch table over the shared transposition table, run
-     one after another and merged. Simulations split evenly over the [b]
-     base batches (remainder to the early ones). The warm-start trajectory
-     runs as one *extra* batch — the base batches never see the prefix, so
-     a schedule-database hit can only improve the merged result relative to
-     the cold search, never redirect it. One batch with no prefix is the
-     classic single tree. *)
+  (* Root parallelism: independent searches over distinct seeds, sharing
+     this search's reward table, run one after another and merged.
+     Simulations split evenly over the [b] base batches (remainder to the
+     early ones). The warm-start trajectory runs as one *extra* batch — the
+     base batches never see the prefix, so a schedule-database hit can only
+     improve the merged result relative to the cold search, never redirect
+     it. One batch with no prefix is the classic single tree. *)
   let b = max config.root_parallel 1 in
   let sims_of i =
     if i >= b then max 1 (config.simulations / b)
     else (config.simulations / b) + if i < config.simulations mod b then 1 else 0
   in
+  let table = KTbl.create 1024 in
   let batch i =
-    search_one ~config ~sims:(sims_of i) ~seed:(config.seed + (7919 * i)) ~charge:charge_clock
-      ~share ~prefix:(if i >= b then prefix else []) ~buffer_sizes ~platform kernel
+    let table = if share then table else KTbl.create 128 in
+    search_one ~config ~batch:i ~table ~sims:(sims_of i) ~seed:(config.seed + (7919 * i))
+      ~charge:charge_clock ~share ~prefix:(if i >= b then prefix else []) ~buffer_sizes ~platform
+      kernel
   in
   let result =
     match List.init (b + if prefix = [] then 0 else 1) batch with

@@ -13,14 +13,15 @@ module Pass = Xpiler_passes.Pass
 
     Search-efficiency mechanisms (each independently switchable):
 
-    - {b Transposition sharing} ([share], default on): rewards are served
-      from the session's {!Transposition} table, shared across
-      root-parallel batches and successive searches, on top of a per-search
-      first-touch table. A miss in both runs {!Intra.tune} directly, with
-      no checker or cost-model memo under it. Rewards are pure, so sharing
-      changes wall-clock only; observable charges/trace counts replay from
-      per-entry receipts, so they depend on the search trajectory alone — a
-      cold and a pre-populated table give byte-identical journals.
+    - {b Transposition sharing} ([share], default on): a search's batches
+      share one reward table keyed by kernel, dropped when it returns. A
+      miss there reads the {!Transposition} entries the store restored; a
+      miss in both runs {!Intra.tune} and persists the entry. With [share]
+      off each batch has a private table and the store is not touched.
+      Rewards are pure, so sharing changes wall-clock only; charges and
+      trace counts replay from per-entry receipts on each batch's first
+      touch of a state, so a cold and a warm-started search give
+      byte-identical journals. A repeat search in one process re-evaluates.
     - {b Bound-based pruning and composed candidates}
       ([config.prune]/[config.compose], default on): forwarded to
       {!Intra.tune} for every reward evaluation.
@@ -35,7 +36,7 @@ module Pass = Xpiler_passes.Pass
       steps are traced as [mcts.warm_steps].
 
     With [root_parallel > 1] the simulation budget is split over that many
-    independent searches (distinct seeds, private first-touch tables), run
+    independent searches (distinct seeds, one shared reward table), run
     one after another on the calling domain, whose best result is kept.
     [root_parallel] shapes the search; it does not parallelize it.
 

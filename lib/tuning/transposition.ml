@@ -1,15 +1,13 @@
-(* Session-local transposition table for the hierarchical auto-tuner.
+(* Restored reward entries for the hierarchical auto-tuner.
 
-   Successive searches keep rediscovering the same (platform, kernel)
-   states; the reward of a state — its best intra-tuned throughput — is
-   pure, so one table per session can serve every search. Sharing therefore
-   changes *time*, never values. The observable stream (virtual-clock
-   charges, trace counters) must additionally not depend on which search
-   filled the table first, so entries carry a *receipt*: the canonical
-   effect counts the original evaluation emitted. A hit replays the receipt,
-   a miss evaluates and then emits the same receipt — the emitted stream is
-   a function of the search trajectory alone, so a cold and a pre-populated
-   table give byte-identical journals.
+   Each [Mcts.search] keeps the rewards it evaluates in its own table and
+   drops them on return: another search almost never reaches the same
+   states (every transposition hit of a tuned sweep falls inside one
+   search), so a live table that outlived its search would hold dead
+   states. What outlives a search is what the durable store persisted, and
+   this table holds exactly that: the entries [Store.load] replayed. Entries carry a
+   *receipt*, the effect counts the original evaluation emitted, so a hit
+   replays the same stream a fresh evaluation emits.
 
    The reward depends on the intra-tuning parameters (candidate budget,
    pruning, composition), so they are part of the key: searches with
@@ -18,9 +16,9 @@
 open Xpiler_machine
 module Metrics = Xpiler_obs.Metrics
 
-(* Registry metrics are unstable: whether a lookup hits depends on what ran
-   before it in the session (or on a store replay). The deterministic view
-   of the same activity is the receipt-replayed trace counter stream. *)
+(* Registry metrics are unstable: whether a lookup hits depends on what the
+   store restored. The deterministic view of the same activity is the
+   receipt-replayed trace counter stream. *)
 let m_hits =
   Metrics.counter ~stable:false ~help:"transposition table lookups by result"
     ~labels:[ ("result", "hit") ] "xpiler_transposition_lookups_total"
@@ -31,10 +29,6 @@ let m_misses =
 let m_evals =
   Metrics.counter ~stable:false ~help:"fresh reward evaluations (sharing on or off)"
     "xpiler_transposition_evals_total"
-
-let m_evictions =
-  Metrics.counter ~stable:false ~help:"entries dropped by capacity eviction"
-    ~trace:"mcts.tt_evictions" "xpiler_transposition_evictions_total"
 
 type entry = {
   reward : float;  (** best intra-tuned throughput; 0 for non-compiling states *)
@@ -67,12 +61,10 @@ end
 
 module Table = Xpiler_util.Lru.Make (Key)
 
-(* a full search touches a few thousand states *)
 let table : entry Table.t Xpiler_util.Session.t =
   Xpiler_util.Session.make (fun () -> Table.create 65536)
 
-(* durable-store hook, process-wide: called on every [store] of a new
-   state; [restore] bypasses it so log replay never echoes back to disk *)
+(* durable-store hook, process-wide *)
 let observer : (Key.t -> entry -> unit) option Atomic.t = Atomic.make None
 let set_observer o = Atomic.set observer o
 
@@ -80,24 +72,16 @@ let key ~platform ~budget ~prune ~compose kernel =
   { Key.platform; budget; prune; compose; kernel }
 
 let find ~platform ~budget ~prune ~compose kernel =
-  let k = key ~platform ~budget ~prune ~compose kernel in
-  match Table.find (Xpiler_util.Session.get table) k with
-  | Some e ->
-    Metrics.inc m_hits;
-    Some e
-  | None ->
-    Metrics.inc m_misses;
-    None
+  Table.find (Xpiler_util.Session.get table) (key ~platform ~budget ~prune ~compose kernel)
 
 let store ~platform ~budget ~prune ~compose kernel entry =
-  let k = key ~platform ~budget ~prune ~compose kernel in
-  if Table.replace (Xpiler_util.Session.get table) k entry then Metrics.inc m_evictions;
-  match Atomic.get observer with Some f -> f k entry | None -> ()
+  match Atomic.get observer with
+  | Some f -> f (key ~platform ~budget ~prune ~compose kernel) entry
+  | None -> ()
 
-(* eviction still applies, but silently: a replay must not emit the
-   eviction trace counts the original run never produced *)
 let restore k entry = ignore (Table.replace (Xpiler_util.Session.get table) k entry)
 let fold f acc = Table.fold f (Xpiler_util.Session.get table) acc
+let count_lookup ~hit = Metrics.inc (if hit then m_hits else m_misses)
 let count_eval () = Metrics.inc m_evals
 let size () = Table.length (Xpiler_util.Session.get table)
 let hits () = Metrics.value m_hits

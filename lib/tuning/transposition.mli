@@ -1,27 +1,23 @@
 open Xpiler_machine
 
-(** Transposition table for MCTS reward evaluations, one per session
+(** Reward entries restored from the durable store, one table per session
     ({!Xpiler_util.Session}).
 
     Maps a state — [(platform, intra budget, prune, compose, kernel)], keyed
     by the structural {!Xpiler_ir.Kernel.hash}/[equal] — to the reward of
     its intra-pass tuning plus a *receipt* of the effects the original
-    evaluation emitted (variants measured, variants pruned). Successive
-    searches in a session share it, so a state is intra-tuned once per
-    session instead of once per search.
+    evaluation emitted (variants measured, variants pruned).
 
-    It is the tuner's one cache: the checker and cost-model runs behind a
-    fresh evaluation ({!Intra.tune}) are not memoized. Rewards are pure, so
-    sharing changes wall-clock time only, never values.
-    Observable effects are kept deterministic by the receipt discipline (see
-    {!Mcts}): both a table hit and a fresh evaluation emit exactly the
-    receipt's canonical stream, so charges and trace counters depend only on
-    the search trajectory, not on which search populated the table first,
-    so a cold and a pre-populated table give byte-identical journals.
+    Each {!Mcts.search} keeps the rewards it computes in its own table and
+    drops them on return. This table holds only what {!restore} put in,
+    i.e. what [Xpiler_store.Store.load] replayed from earlier processes; a
+    search reads it after a miss in its own table. {!store} inserts
+    nothing: it hands a fresh entry to the store's observer.
 
-    The table is an LRU of 65536 entries ({!Xpiler_util.Lru}): at capacity
-    a fresh {!store} evicts the least recently used entry, traced as
-    [mcts.tt_evictions]. *)
+    Rewards are pure, so a restored entry changes wall-clock time only,
+    and a hit replays the receipt's canonical stream (see {!Mcts}): a cold
+    and a warm-started search give byte-identical journals. The table is
+    an LRU of 65536 entries ({!Xpiler_util.Lru}); eviction is silent. *)
 
 type entry = {
   reward : float;  (** best intra-tuned throughput; 0 for non-compiling states *)
@@ -47,14 +43,18 @@ end
 val find :
   platform:Platform.id -> budget:int -> prune:bool -> compose:bool ->
   Xpiler_ir.Kernel.t -> entry option
-(** Counted as a hit or a miss in [xpiler_transposition_lookups_total];
-    {!hits} reads the hits. *)
+(** A restored entry. Silent: {!Mcts} counts its lookups with
+    {!count_lookup}. *)
 
 val store :
   platform:Platform.id -> budget:int -> prune:bool -> compose:bool ->
   Xpiler_ir.Kernel.t -> entry -> unit
-(** Bind a freshly evaluated state (after a {!find} miss in this session)
-    and pass it to the observer. *)
+(** Pass a freshly evaluated state to the observer (if any). The table
+    itself is not changed. *)
+
+val count_lookup : hit:bool -> unit
+(** Record one lookup in [xpiler_transposition_lookups_total] by result;
+    {!hits} reads the hits. *)
 
 val count_eval : unit -> unit
 (** Record one fresh reward evaluation (an actual {!Intra.tune} run). {!Mcts}
@@ -70,20 +70,21 @@ val evals : unit -> int
     [xpiler_transposition_evals_total]; measure a window with deltas. *)
 
 val clear : unit -> unit
-(** Drop all entries (bench/test isolation); the counters keep running. *)
+(** Drop all restored entries (bench/test isolation); the counters keep
+    running. *)
 
 (** {2 Durable-store integration} (see [Xpiler_store.Store]) *)
 
 val restore : Key.t -> entry -> unit
-(** Reinsert a persisted entry. Silent — no hit/miss counts, no eviction
-    traces, no observer — so replaying a log emits none of the effects the
-    original run already journaled. LRU eviction still applies. *)
+(** Insert a persisted entry. Silent — no hit/miss counts, no traces, no
+    observer — so replaying a log emits none of the effects the original
+    run already journaled. *)
 
 val fold : (Key.t -> entry -> 'a -> 'a) -> 'a -> 'a
-(** Fold over the live entries (most recent first), for
+(** Fold over the restored entries (most recent first), for
     {!Xpiler_store.Store.fingerprint}. *)
 
 val set_observer : (Key.t -> entry -> unit) option -> unit
-(** Process-wide hook called on every {!store} of a new state, from
-    whichever domain stores, so the observer must synchronize internally.
-    The durable store uses it to append to its write-ahead log. *)
+(** Process-wide hook called on every {!store}, from whichever domain
+    stores, so the observer must synchronize internally. The durable store
+    uses it to append to its write-ahead log. *)

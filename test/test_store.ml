@@ -300,6 +300,10 @@ let test_failing_append_detaches () =
   Store.attach ~db store;
   let kernel = gen_kernel (Rng.create 13) in
   let entry = { Transposition.reward = 1.5; evaluated = 3; pruned = 1 } in
+  (* the table holds what a load restored; a failing append leaves it be *)
+  Transposition.restore
+    { Transposition.Key.platform = pid; budget = 8; prune = true; compose = true; kernel }
+    entry;
   Transposition.store ~platform:pid ~budget:8 ~prune:true ~compose:true kernel entry;
   Alcotest.(check bool) "detached" true (Store.active () = None);
   let _, trans, _ = dump_tables db in
@@ -398,7 +402,8 @@ let test_pool_tasks_start_cold () =
   let find_state () =
     Transposition.find ~platform:pid ~budget:8 ~prune:true ~compose:true kernel
   in
-  Transposition.store ~platform:pid ~budget:8 ~prune:true ~compose:true kernel
+  Transposition.restore
+    { Transposition.Key.platform = pid; budget = 8; prune = true; compose = true; kernel }
     { Transposition.reward = 1.5; evaluated = 3; pruned = 1 };
   Memo.store ~mode:Memo.Solve ~max_steps:100 problem
     { Memo.payload = Memo.Outcome Problem.Unsat; stats = { Problem.steps = 5; evals = 9 } };

@@ -241,21 +241,34 @@ let test_mcts_budget_monotone_ish () =
   let r8 = run 8 and r64 = run 64 in
   Alcotest.(check bool) (Printf.sprintf "8 sims %.3g <= 64 sims %.3g" r8 r64) true (r8 <= r64)
 
-(* ---- transposition sharing ---------------------------------------------- *)
+(* ---- restored transposition entries ------------------------------------ *)
 
 let small_config = { Mcts.default_config with simulations = 16; max_depth = 6 }
 
+(* The entries a search evaluates fresh, as the durable store's observer
+   sees them. *)
+let capture_entries f =
+  let got = ref [] in
+  Transposition.set_observer (Some (fun k e -> got := (k, e) :: !got));
+  let v = Fun.protect ~finally:(fun () -> Transposition.set_observer None) f in
+  (v, List.rev !got)
+
 let test_transposition_values_pure () =
-  (* sharing changes time, never values: same result with the table off,
-     cold, and fully warm *)
+  (* restored entries change time, never values: same result with sharing
+     off, cold, and warm-started from the cold run's persisted entries *)
   Transposition.clear ();
-  let r_off = Mcts.search ~config:small_config ~buffer_sizes ~share:false ~platform:Platform.bang (serial ()) in
-  Transposition.clear ();
-  let evals0 = Transposition.evals () and hits0 = Transposition.hits () in
-  let r_cold = Mcts.search ~config:small_config ~buffer_sizes ~share:true ~platform:Platform.bang (serial ()) in
+  let search share =
+    Mcts.search ~config:small_config ~buffer_sizes ~share ~platform:Platform.bang (serial ())
+  in
+  let r_off = search false in
+  let evals0 = Transposition.evals () in
+  let r_cold, entries = capture_entries (fun () -> search true) in
   let cold_evals = Transposition.evals () - evals0 in
-  let r_warm = Mcts.search ~config:small_config ~buffer_sizes ~share:true ~platform:Platform.bang (serial ()) in
-  let warm_evals = Transposition.evals () - evals0 - cold_evals in
+  Transposition.clear ();
+  List.iter (fun (k, e) -> Transposition.restore k e) entries;
+  let evals1 = Transposition.evals () and hits1 = Transposition.hits () in
+  let r_warm = search true in
+  Transposition.clear ();
   Alcotest.(check bool) "share off = share on" true
     (r_off.Mcts.best_reward = r_cold.Mcts.best_reward
     && r_off.Mcts.best_specs = r_cold.Mcts.best_specs);
@@ -263,8 +276,15 @@ let test_transposition_values_pure () =
     (r_cold.Mcts.best_reward = r_warm.Mcts.best_reward
     && r_cold.Mcts.best_specs = r_warm.Mcts.best_specs);
   Alcotest.(check bool) "cold search evaluates" true (cold_evals > 0);
-  Alcotest.(check int) "warm repeat is free" 0 warm_evals;
-  Alcotest.(check bool) "hits recorded" true (Transposition.hits () > hits0)
+  Alcotest.(check int) "every fresh evaluation persisted" cold_evals (List.length entries);
+  Alcotest.(check int) "warm repeat is free" 0 (Transposition.evals () - evals1);
+  Alcotest.(check bool) "hits recorded" true (Transposition.hits () > hits1)
+
+let test_search_leaves_no_live_entries () =
+  (* a search's reward table dies with it: nothing restored, nothing left *)
+  Transposition.clear ();
+  ignore (Mcts.search ~config:small_config ~buffer_sizes ~platform:Platform.bang (serial ()));
+  Alcotest.(check int) "no live entries" 0 (Transposition.size ())
 
 (* ---- schedule database --------------------------------------------------- *)
 
@@ -301,7 +321,7 @@ let test_warm_start_never_worse () =
   Alcotest.(check bool) "result recorded" true
     (Schedule_db.lookup db pid (serial ()) = Some warm.Mcts.best_specs)
 
-(* ---- cold vs pre-populated transposition table --------------------------- *)
+(* ---- cold vs warm-started search ----------------------------------------- *)
 
 module Vclock = Xpiler_util.Vclock
 module Trace = Xpiler_obs.Trace
@@ -323,11 +343,11 @@ let observed_run work =
   (v, List.rev !charges, counters, Vclock.elapsed clock, Tracer.events tracer)
 
 let test_mcts_full_stack_cold_vs_warm_table () =
-  (* pruning + composition + shared transposition table + warm-started
-     root-parallel search, run twice: once on a cleared table, once on the
-     table the first run filled. Byte-identical result, charge stream,
-     counters and full trace journal prove that a cold and a pre-populated
-     table are observably identical (the receipt discipline). *)
+  (* pruning + composition + warm-started root-parallel search, run twice:
+     once cold, once warm-started from the entries the first run persisted.
+     Byte-identical result, charge stream, counters and full trace journal
+     prove that a cold and a warm-started search are observably identical
+     (the receipt discipline). *)
   let config =
     { Mcts.default_config with simulations = 24; max_depth = 6; root_parallel = 3 }
   in
@@ -337,16 +357,22 @@ let test_mcts_full_stack_cold_vs_warm_table () =
       .Mcts.best_specs
   in
   Alcotest.(check bool) "prime non-trivial" true (prime <> []);
-  let run ~clear =
+  let run () =
     let db = Schedule_db.create () in
     Schedule_db.record db Platform.bang.Platform.id (serial ()) ~specs:prime ~reward:1.0;
-    if clear then Transposition.clear ();
     observed_run (fun clock ->
         Mcts.search ~config ~clock ~buffer_sizes ~share:true ~db ~platform:Platform.bang
           (serial ()))
   in
-  let r1, c1, n1, e1, j1 = run ~clear:true in
-  let r2, c2, n2, e2, j2 = run ~clear:false in
+  Transposition.clear ();
+  let (r1, c1, n1, e1, j1), entries = capture_entries run in
+  List.iter (fun (k, e) -> Transposition.restore k e) entries;
+  let evals0 = Transposition.evals () and hits0 = Transposition.hits () in
+  let r2, c2, n2, e2, j2 = run () in
+  Transposition.clear ();
+  Alcotest.(check bool) "cold run persisted entries" true (entries <> []);
+  Alcotest.(check int) "warm run evaluates nothing" 0 (Transposition.evals () - evals0);
+  Alcotest.(check bool) "warm run hits" true (Transposition.hits () > hits0);
   Alcotest.(check bool) "same result" true
     (r1.Mcts.best_reward = r2.Mcts.best_reward
     && r1.Mcts.best_specs = r2.Mcts.best_specs
@@ -428,6 +454,8 @@ let () =
         ] );
       ( "sharing",
         [ Alcotest.test_case "transposition values pure" `Quick test_transposition_values_pure;
+          Alcotest.test_case "a search leaves no live entries" `Quick
+            test_search_leaves_no_live_entries;
           Alcotest.test_case "signature shape-invariant" `Quick test_signature_shape_invariant;
           Alcotest.test_case "warm start never worse" `Quick test_warm_start_never_worse;
           Alcotest.test_case "full stack cold = warm table" `Quick
