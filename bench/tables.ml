@@ -294,9 +294,9 @@ let table8 () =
 
 (* ---- Figure 7: performance vs vendor libraries ---------------------------------- *)
 
-(* Cases grouped into runs of one operator, in case order. Tuned translations
-   of one operator warm-start from each other's schedule-database records, so
-   each group is one pool task that translates its shapes in order. *)
+(* Cases grouped into runs of one operator, in case order: each group is one
+   pool task, so the operator's reference outputs are computed once in the
+   task's session. *)
 let by_operator cases =
   List.fold_right
     (fun (c : Registry.case) groups ->
@@ -326,9 +326,7 @@ let fig7 () =
     | _ -> None
   in
   (* one task per operator runs every direction, so the operator's
-     reference outputs are computed once in the task's session; the
-     directions' targets differ, so their schedule-database records never
-     meet *)
+     reference outputs are computed once in the task's session *)
   let groups = by_operator (cases ()) in
   let per_group =
     Pool.map

@@ -1,6 +1,6 @@
-(* Auto-tuner search-efficiency benchmark: the pre-PR brute-force search
-   (no pruning, no composed candidates, no transposition sharing, no warm
-   start) vs the overhauled one, on the same seeds. Writes
+(* Auto-tuner search-efficiency benchmark: the brute-force search (no
+   pruning, no composed candidates, no transposition sharing) vs the
+   overhauled one, on the same seeds. Writes
    BENCH_tuning.json (schema xpiler-tuning-bench/v2) into the current
    directory.
 
@@ -49,13 +49,11 @@ let base_config budget =
 
 type point = { sims : int; evals : int; best : float; wall : float }
 
-let run_search ~mode_config ~share ~db ~buffer_sizes kernel budget =
+let run_search ~mode_config ~share ~buffer_sizes kernel budget =
   Transposition.clear ();
   let evals0 = Transposition.evals () in
   let t0 = now () in
-  let r =
-    Mcts.search ~config:(mode_config budget) ~buffer_sizes ~share ?db ~platform kernel
-  in
+  let r = Mcts.search ~config:(mode_config budget) ~buffer_sizes ~share ~platform kernel in
   { sims = budget; evals = Transposition.evals () - evals0; best = r.Mcts.best_reward;
     wall = now () -. t0 }
 
@@ -78,16 +76,10 @@ type row = {
 
 let bench_op name =
   let op = Registry.find_exn name in
-  let shapes = op.Opdef.shapes in
-  let shape_a = List.hd shapes in
-  (* warm-start priming uses a *different* shape of the same operator when
-     the registry has one: the schedule database keys on structure, so the
-     recorded specs must transfer across shapes to be useful *)
-  let shape_b = match shapes with _ :: s :: _ -> s | _ -> shape_a in
-  let kernel = op.Opdef.serial shape_a in
-  let kernel_b = op.Opdef.serial shape_b in
+  let shape = List.hd op.Opdef.shapes in
+  let kernel = op.Opdef.serial shape in
   let buffer_sizes =
-    List.map (fun (b : Opdef.buffer_spec) -> (b.buf_name, b.size shape_a)) op.Opdef.buffers
+    List.map (fun (b : Opdef.buffer_spec) -> (b.buf_name, b.size shape)) op.Opdef.buffers
   in
   (* intra-level pruning: lossless by construction, counted for the report *)
   let exhaustive, _ =
@@ -102,35 +94,19 @@ let bench_op name =
       pruned_v.Intra.throughput exhaustive.Intra.throughput;
     exit 1
   end;
-  (* pre-PR baseline: exhaustive intra, private reward caches, cold start *)
+  (* baseline: exhaustive intra, private reward caches *)
   let baseline_config budget = { (base_config budget) with Mcts.prune = false; compose = false } in
   let baseline =
     List.map
-      (fun b -> run_search ~mode_config:baseline_config ~share:false ~db:None ~buffer_sizes kernel b)
+      (fun b -> run_search ~mode_config:baseline_config ~share:false ~buffer_sizes kernel b)
       budgets
   in
   let target = (List.hd (List.rev baseline)).best in
-  (* overhauled search: prune + compose + shared table + warm start. The
-     priming search stands for the *previous* translation of a similar
-     kernel (same operator, different shape); its cost is that translation's,
-     not this one's, so each measured budget starts from a freshly primed
-     database rather than compounding its own results. *)
-  let prime =
-    let db = Schedule_db.create () in
-    ignore
-      (Mcts.search ~config:(base_config (List.hd (List.rev budgets))) ~buffer_sizes
-         ~share:true ~db ~platform kernel_b);
-    Schedule_db.lookup db platform.Platform.id kernel
-  in
+  (* overhauled search: prune + compose + one reward table shared by the
+     search's batches; each budget starts from empty tables *)
   let tuned =
     List.map
-      (fun b ->
-        let db = Schedule_db.create () in
-        (match prime with
-        | Some specs ->
-          Schedule_db.record db platform.Platform.id kernel ~specs ~reward:1.0
-        | None -> ());
-        run_search ~mode_config:base_config ~share:true ~db:(Some db) ~buffer_sizes kernel b)
+      (fun b -> run_search ~mode_config:base_config ~share:true ~buffer_sizes kernel b)
       budgets
   in
   (* never-worse gate over the whole sweep: every tuned point is an
@@ -155,8 +131,8 @@ let bench_op name =
 (* ---- durable-store warm start -------------------------------------------
 
    Cold-process experiment: "process 1" tunes the kernel with the durable
-   store attached (every learned transposition entry and schedule-DB record
-   streams to the write-ahead log), then every in-memory table is cleared —
+   store attached (every freshly evaluated transposition entry streams to
+   the write-ahead log), then every in-memory table is cleared —
    the moral equivalent of the process dying. "Process 2" re-tunes the same
    kernel per budget, either after replaying the persisted store (warm) or
    from empty tables (cold). Fresh reward evaluations are the meter; replay
@@ -197,19 +173,16 @@ let bench_store_warm name =
     match Store.open_store ~dir () with Ok s -> s | Error m -> failwith ("store: " ^ m)
   in
   (* process 1: tune at the top budget with the store write-through attached *)
-  let db1 = Schedule_db.create () in
-  Store.attach ~db:db1 store;
+  Store.attach store;
   Transposition.clear ();
-  ignore (Mcts.search ~config:(base_config top) ~buffer_sizes ~share:true ~db:db1 ~platform kernel);
+  ignore (Mcts.search ~config:(base_config top) ~buffer_sizes ~share:true ~platform kernel);
   Store.detach ();
   let info = Store.scan store in
   let store_records = Store.total info.Store.records in
   (* process death: no in-memory state survives into either measured arm *)
   let cold =
     List.map
-      (fun b ->
-        let db = Schedule_db.create () in
-        run_search ~mode_config:base_config ~share:true ~db:(Some db) ~buffer_sizes kernel b)
+      (fun b -> run_search ~mode_config:base_config ~share:true ~buffer_sizes kernel b)
       budgets
   in
   let target = (List.hd (List.rev cold)).best in
@@ -217,11 +190,10 @@ let bench_store_warm name =
     List.map
       (fun b ->
         Transposition.clear ();
-        let db = Schedule_db.create () in
-        ignore (Store.load ~db store);
+        ignore (Store.load store);
         let evals0 = Transposition.evals () in
         let t0 = now () in
-        let r = Mcts.search ~config:(base_config b) ~buffer_sizes ~share:true ~db ~platform kernel in
+        let r = Mcts.search ~config:(base_config b) ~buffer_sizes ~share:true ~platform kernel in
         { sims = b; evals = Transposition.evals () - evals0; best = r.Mcts.best_reward;
           wall = now () -. t0 })
       budgets

@@ -48,13 +48,6 @@ let no_prune_arg =
   in
   Arg.(value & flag & info [ "no-tune-prune" ] ~doc)
 
-let no_warm_start_arg =
-  let doc =
-    "Disable warm-starting MCTS from the in-process schedule database (recorded best \
-     schedules of previously tuned, structurally similar kernels)."
-  in
-  Arg.(value & flag & info [ "no-warm-start" ] ~doc)
-
 let max_escalation_arg =
   let doc =
     "Cap the recovery ladder at rung $(docv) (0 validate-only, 1 +hinted re-prompt, 2 +SMT \
@@ -79,12 +72,12 @@ let fault_scale_arg =
 
 let store_dir_arg =
   let doc =
-    "Durable knowledge store directory: the warm-start schedule DB, transposition \
-     table and solver memo are loaded from it before translating and written through \
-     (one append-only log, DIR/store.wal) during it, so later processes warm-start \
-     from this run's learning. Defaults to \\$XPILER_STORE_DIR when that is set. Persisted \
-     entries carry their effect receipts: results and traces are identical with or \
-     without the store — only evals-to-target and wall-clock change."
+    "Durable knowledge store directory: the transposition table and solver memo are \
+     loaded from it before translating and written through (one append-only log, \
+     DIR/store.wal) during it, so later processes reuse this run's evaluations. Defaults \
+     to \\$XPILER_STORE_DIR when that is set. Persisted entries carry their effect \
+     receipts: results, modelled time and traces are identical with or without the store \
+     — only fresh evaluations and wall-clock change."
   in
   Arg.(value & opt (some string) None & info [ "store-dir" ] ~docv:"DIR" ~doc)
 
@@ -166,8 +159,8 @@ let find_op name =
 
 (* ---- translate ------------------------------------------------------------ *)
 
-let translate op_name shape src dst tune seed no_prune no_warm_start max_escalation
-    no_rollback fault_scale store_dir no_store trace =
+let translate op_name shape src dst tune seed no_prune max_escalation no_rollback
+    fault_scale store_dir no_store trace =
   let op = find_op op_name in
   let shape = parse_shape op shape in
   check_max_escalation max_escalation;
@@ -177,8 +170,7 @@ let translate op_name shape src dst tune seed no_prune no_warm_start max_escalat
     let base = Config.with_seed base seed in
     let base =
       { base with
-        Config.tuning_prune = not no_prune;
-        tuning_warm_start = not no_warm_start;
+        Config.mcts = { base.Config.mcts with Xpiler_tuning.Mcts.prune = not no_prune };
         ladder =
           List.filter (fun r -> not (no_rollback && r = Config.Rollback)) base.Config.ladder;
         store_dir = effective_store_dir store_dir no_store
@@ -227,7 +219,7 @@ let translate_cmd =
   Cmd.v info
     Term.(
       const translate $ op_arg $ shape_arg $ src_arg $ dst_arg $ tune_arg $ seed_arg
-      $ no_prune_arg $ no_warm_start_arg $ max_escalation_arg $ no_rollback_arg
+      $ no_prune_arg $ max_escalation_arg $ no_rollback_arg
       $ fault_scale_arg $ store_dir_arg $ no_store_arg $ trace_arg)
 
 (* ---- show-source ----------------------------------------------------------- *)
@@ -465,8 +457,8 @@ let store_action dir action =
       exit 2
   in
   let print_counts label (c : Store.counts) =
-    Printf.printf "%-10s schedule %d | transposition %d | solver memo %d  (total %d)\n" label
-      c.Store.schedule c.Store.transposition c.Store.solver_memo (Store.total c)
+    Printf.printf "%-10s transposition %d | solver memo %d  (total %d)\n" label
+      c.Store.transposition c.Store.solver_memo (Store.total c)
   in
   match action with
   | `Stats ->
@@ -497,8 +489,8 @@ let store_cmd =
       ~doc:
         "Inspect the durable knowledge store ($(b,stats), the default), rewrite its \
          log keeping the last record per key ($(b,compact)), or delete it \
-         ($(b,clear)). The store persists the warm-start schedule DB, transposition \
-         table and solver memo under \\$XPILER_STORE_DIR (or $(b,--dir)); it is safe \
+         ($(b,clear)). The store persists the transposition table and solver memo \
+         under \\$XPILER_STORE_DIR (or $(b,--dir)); it is safe \
          to delete at any time — later runs simply start cold."
   in
   let action_pos =

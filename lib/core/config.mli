@@ -38,12 +38,12 @@ type t = {
   tune : bool;  (** hierarchical auto-tuning for performance *)
   mcts : Xpiler_tuning.Mcts.config;
   tuning_prune : bool;
-      (** bound-based pruning of intra-pass candidates (lossless; changes
-          modelled tuning time, never the chosen schedule) *)
+      (** Ignored: [mcts.prune] is the pruning switch. It is kept only
+          because [e2ebench/layers.ml] reads it; drop the two together. *)
   tuning_warm_start : bool;
-      (** warm-start MCTS from the session's schedule database, so
-          repeated translations of similar kernels converge in fewer
-          simulations *)
+      (** Ignored: no search warm-starts from a schedule database. It is
+          kept only because [e2ebench/layers.ml] reads it; drop the two
+          together. *)
   unit_test_trials : int;
   jobs : int;
       (** Ignored: nothing reads this field. It is kept only because
@@ -64,13 +64,12 @@ type t = {
           [e2ebench/sweep.ml] sets it; drop the two together. *)
   store_dir : string option;
       (** When set, the durable knowledge store at this directory is loaded
-          into the schedule DB / transposition table / solver memo before
-          the translation and kept write-through for its duration (see
+          into the transposition table and solver memo before the
+          translation and kept write-through for its duration (see
           [Xpiler_store.Store]). Persisted entries carry their effect
-          receipts, so a cold process warm-starting from disk is observably
-          identical to a warm in-process run — results and traces never
-          change, only evals-to-target and wall-clock do. The CLI defaults
-          this from [$XPILER_STORE_DIR]. *)
+          receipts, so results, modelled time and traces are the same with
+          or without the store; only fresh evaluations and wall-clock
+          drop. The CLI defaults this from [$XPILER_STORE_DIR]. *)
 }
 
 val default : t

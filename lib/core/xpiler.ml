@@ -361,15 +361,8 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
        still computes correctly, so it is tuned like any other) *)
     let k, throughput =
       if accepted status && config.Config.tune then begin
-        let mcts_config =
-          { config.Config.mcts with Xpiler_tuning.Mcts.prune = config.Config.tuning_prune }
-        in
-        let db =
-          if config.Config.tuning_warm_start then Some Xpiler_tuning.Schedule_db.default
-          else None
-        in
         let result =
-          Xpiler_tuning.Mcts.search ~config:mcts_config ~clock ~buffer_sizes ?db
+          Xpiler_tuning.Mcts.search ~config:config.Config.mcts ~clock ~buffer_sizes
             ~platform:target k
         in
         let tuned = result.Xpiler_tuning.Mcts.best_kernel in
@@ -483,10 +476,10 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
 
 let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
   (* durable knowledge store: load-and-attach once per process (idempotent
-     per directory) so the calling session's schedule DB / transposition
-     table / solver memo warm-start from prior runs and every session
-     writes through. Purely a time optimization: persisted entries replay
-     their effect receipts, so results and traces are unchanged. A store
+     per directory) so the calling session's transposition table and
+     solver memo warm-start from prior runs and every session writes
+     through. Purely a time optimization: persisted entries replay their
+     effect receipts, so results and traces are unchanged. A store
      that cannot be opened is a warning, not a failure — the translation
      proceeds cold. *)
   (match config.Config.store_dir with

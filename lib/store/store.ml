@@ -10,22 +10,16 @@ module Fsx = Xpiler_util.Fsx
    count across a store's life depend on the schedule and on what earlier
    runs persisted. The deterministic artifact is the reconstructed table
    contents, not these meters. *)
-let m_append_schedule =
-  Metrics.counter ~stable:false ~help:"records appended to the store WAL by kind"
-    ~labels:[ ("kind", "schedule") ] "xpiler_store_records_total"
-
 let m_append_transposition =
-  Metrics.counter ~stable:false ~labels:[ ("kind", "transposition") ] "xpiler_store_records_total"
+  Metrics.counter ~stable:false ~help:"records appended to the store WAL by kind"
+    ~labels:[ ("kind", "transposition") ] "xpiler_store_records_total"
 
 let m_append_memo =
   Metrics.counter ~stable:false ~labels:[ ("kind", "solver_memo") ] "xpiler_store_records_total"
 
-let m_loaded_schedule =
-  Metrics.counter ~stable:false ~help:"records replayed from the store into memory by kind"
-    ~labels:[ ("kind", "schedule") ] "xpiler_store_loaded_total"
-
 let m_loaded_transposition =
-  Metrics.counter ~stable:false ~labels:[ ("kind", "transposition") ] "xpiler_store_loaded_total"
+  Metrics.counter ~stable:false ~help:"records replayed from the store into memory by kind"
+    ~labels:[ ("kind", "transposition") ] "xpiler_store_loaded_total"
 
 let m_loaded_memo =
   Metrics.counter ~stable:false ~labels:[ ("kind", "solver_memo") ] "xpiler_store_loaded_total"
@@ -46,7 +40,6 @@ let m_bytes = Metrics.gauge ~stable:false ~help:"on-disk store size" "xpiler_sto
 (* ---- records ------------------------------------------------------------- *)
 
 type record =
-  | Schedule of { signature : int; entry : Schedule_db.entry }
   | Transposition of Transposition.Key.t * Transposition.entry
   | Solver_memo of Memo.Key.t * Memo.entry
 
@@ -100,16 +93,15 @@ let append t r =
       Wal.append oc payload);
   Metrics.inc
     (match r with
-    | Schedule _ -> m_append_schedule
     | Transposition _ -> m_append_transposition
     | Solver_memo _ -> m_append_memo)
 
 (* ---- loading ------------------------------------------------------------- *)
 
-type counts = { schedule : int; transposition : int; solver_memo : int }
+type counts = { transposition : int; solver_memo : int }
 
-let zero_counts = { schedule = 0; transposition = 0; solver_memo = 0 }
-let total c = c.schedule + c.transposition + c.solver_memo
+let zero_counts = { transposition = 0; solver_memo = 0 }
+let total c = c.transposition + c.solver_memo
 
 type load_stats = {
   loaded : counts;
@@ -122,7 +114,7 @@ let decode payload : record option =
   | r -> Some r
   | exception _ -> None
 
-let load ?(db = Schedule_db.default) t =
+let load t =
   let loaded = ref zero_counts and torn_tails = ref 0 in
   let dropped = ref 0 in
   let apply payload =
@@ -130,10 +122,6 @@ let load ?(db = Schedule_db.default) t =
     | None ->
       incr dropped;
       Metrics.inc m_dropped
-    | Some (Schedule { signature; entry }) ->
-      Schedule_db.restore db ~signature entry;
-      loaded := { !loaded with schedule = !loaded.schedule + 1 };
-      Metrics.inc m_loaded_schedule
     | Some (Transposition (k, e)) ->
       Transposition.restore k e;
       loaded := { !loaded with transposition = !loaded.transposition + 1 };
@@ -166,26 +154,25 @@ let load ?(db = Schedule_db.default) t =
 
 (* an atomic so that, when appends from several domains fail at once,
    exactly one of them wins the detach and prints the warning *)
-let attached : (t * Schedule_db.t) option Atomic.t = Atomic.make None
+let attached : t option Atomic.t = Atomic.make None
 
 let unhook = function
   | None -> ()
-  | Some (t, db) ->
-    Schedule_db.set_observer db None;
+  | Some t ->
     Transposition.set_observer None;
     Memo.set_observer None;
     close t
 
 let detach () = unhook (Atomic.exchange attached None)
 
-let attach ?(db = Schedule_db.default) t =
+let attach t =
   detach ();
   (* the store is a cache: an I/O error on the log detaches it with one
      warning and leaves the translation that learned the record untouched *)
   let disable m =
     let cur = Atomic.get attached in
     match cur with
-    | Some (t', _) when t' == t && Atomic.compare_and_set attached cur None ->
+    | Some t' when t' == t && Atomic.compare_and_set attached cur None ->
       unhook cur;
       Printf.eprintf "warning: knowledge store disabled: %s: %s\n%!" t.dir m
     | _ -> ()
@@ -196,22 +183,21 @@ let attach ?(db = Schedule_db.default) t =
     | exception Sys_error m -> disable m
     | exception Unix.Unix_error (e, _, _) -> disable (Unix.error_message e)
   in
-  Schedule_db.set_observer db (Some (fun signature entry -> write (Schedule { signature; entry })));
   Transposition.set_observer (Some (fun k e -> write (Transposition (k, e))));
   Memo.set_observer (Some (fun k e -> write (Solver_memo (k, e))));
-  Atomic.set attached (Some (t, db))
+  Atomic.set attached (Some t)
 
-let active () = Option.map fst (Atomic.get attached)
+let active () = Atomic.get attached
 
-let ensure ?db ~dir () =
+let ensure ~dir () =
   match Atomic.get attached with
-  | Some (t, _) when t.dir = dir -> Ok t
+  | Some t when t.dir = dir -> Ok t
   | _ -> (
     match open_store ~dir () with
     | Error _ as e -> e
     | Ok t ->
-      ignore (load ?db t);
-      attach ?db t;
+      ignore (load t);
+      attach t;
       Ok t)
 
 (* ---- compaction ---------------------------------------------------------- *)
@@ -219,17 +205,15 @@ let ensure ?db ~dir () =
 (* last-wins dedup key: the same structural identity the in-memory tables
    use, so compaction folds every rewrite of a key into its final entry *)
 module DKey = struct
-  type t = KSched of int | KTrans of Transposition.Key.t | KMemo of Memo.Key.t
+  type t = KTrans of Transposition.Key.t | KMemo of Memo.Key.t
 
   let equal a b =
     match (a, b) with
-    | KSched x, KSched y -> x = y
     | KTrans x, KTrans y -> Transposition.Key.equal x y
     | KMemo x, KMemo y -> Memo.Key.equal x y
     | _ -> false
 
   let hash = function
-    | KSched s -> Hashtbl.hash s
     | KTrans k -> Transposition.Key.hash k
     | KMemo k -> Memo.Key.hash k
 end
@@ -237,7 +221,6 @@ end
 module DTbl = Hashtbl.Make (DKey)
 
 let dkey = function
-  | Schedule { signature; _ } -> DKey.KSched signature
   | Transposition (k, _) -> DKey.KTrans k
   | Solver_memo (k, _) -> DKey.KMemo k
 
@@ -298,7 +281,6 @@ let scan t =
       List.fold_left
         (fun c payload ->
           match decode payload with
-          | Some (Schedule _) -> { c with schedule = c.schedule + 1 }
           | Some (Transposition _) -> { c with transposition = c.transposition + 1 }
           | Some (Solver_memo _) -> { c with solver_memo = c.solver_memo + 1 }
           | None ->
@@ -323,18 +305,12 @@ let clear_files t =
 
 (* ---- fingerprinting (determinism tests) ---------------------------------- *)
 
-(* Digest of the session's three in-memory stores. Only meaningful for
+(* Digest of the session's two in-memory stores. Only meaningful for
    comparing states produced the same way (e.g. both freshly loaded from disk):
    Marshal bytes can differ across *construction* paths for structurally
    equal values, but are stable for equal replay inputs. *)
-let fingerprint ?(db = Schedule_db.default) () =
+let fingerprint () =
   let items = ref [] in
-  Schedule_db.fold db
-    (fun s e () ->
-      items :=
-        Printf.sprintf "S %d %s" s (Digest.to_hex (Digest.string (Marshal.to_string e [])))
-        :: !items)
-    ();
   Transposition.fold
     (fun k e () ->
       items :=

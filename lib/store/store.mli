@@ -1,10 +1,9 @@
 (** Durable knowledge store.
 
-    The three learning stores — the warm-start schedule database
-    ({!Xpiler_tuning.Schedule_db}), the tuner's reward entries
+    The two learning stores — the tuner's reward entries
     ({!Xpiler_tuning.Transposition}) and the solver memo
     ({!Xpiler_smt.Memo}) — die with the process, so every run would
-    re-learn the same schedules. This module persists them under a
+    re-evaluate the same states. This module persists them under a
     directory (canonically [$XPILER_STORE_DIR]) as one append-only log,
     [DIR/store.wal], and replays it back into the in-memory tables on the
     next process start.
@@ -23,15 +22,17 @@
 
     {b Content addressing.} Records are keyed by the same structural
     identities the in-memory tables use ({!Xpiler_ir.Kernel.hash}-based
-    transposition keys, {!Xpiler_smt.Problem.hash}-based memo keys,
-    schedule-DB signatures); replay is last-write-wins per key.
+    transposition keys, {!Xpiler_smt.Problem.hash}-based memo keys);
+    replay is last-write-wins per key.
 
     {b Determinism.} Entries are persisted {e with} their effect receipts
-    (transposition eval/prune counts, solver search stats), so a
-    cold-process run that warm-starts from disk replays exactly the
-    canonical charge/trace stream a warm in-process run emits, across
-    process boundaries. Replaying the log rebuilds each table bit-for-bit
-    (asserted by the [@store] suite, {!fingerprint}).
+    (transposition eval/prune counts, solver search stats), so a run that
+    reads a restored entry replays exactly the canonical charge/trace
+    stream the run that evaluated it emitted: a translation's result,
+    modelled time and journal are the same with a cold store and a warm
+    one, and only the number of fresh evaluations (wall-clock) drops.
+    Replaying the log rebuilds each table bit-for-bit (asserted by the
+    [@store] suite, {!fingerprint}).
 
     {b Crash safety.} Appends are whole flushed frames ({!Wal}), so a torn
     tail loads as a valid prefix and is truncated before the next append.
@@ -44,7 +45,6 @@ open Xpiler_tuning
 module Memo = Xpiler_smt.Memo
 
 type record =
-  | Schedule of { signature : int; entry : Schedule_db.entry }
   | Transposition of Transposition.Key.t * Transposition.entry
   | Solver_memo of Memo.Key.t * Memo.entry
 
@@ -65,7 +65,7 @@ val append : t -> record -> unit
     be opened or written. This is what the attached observers call; it is
     public for tests and offline tooling. *)
 
-type counts = { schedule : int; transposition : int; solver_memo : int }
+type counts = { transposition : int; solver_memo : int }
 
 val total : counts -> int
 
@@ -75,13 +75,13 @@ type load_stats = {
   dropped : int;  (** checksummed frames whose payload failed to decode *)
 }
 
-val load : ?db:Schedule_db.t -> t -> load_stats
+val load : t -> load_stats
 (** Replay the log (last write wins) into the calling session's in-memory
     stores via their silent [restore] entry points — no hit/miss counts, no
-    traces, no observer echo. [db] defaults to {!Schedule_db.default}. *)
+    traces, no observer echo. *)
 
-val attach : ?db:Schedule_db.t -> t -> unit
-(** Register the write-through observers on the three stores: from here
+val attach : t -> unit
+(** Register the write-through observers on the two stores: from here
     on, every fresh entry they learn, in any session, is appended to the
     log. At most one
     store is attached per process (a prior attachment is detached). An
@@ -94,7 +94,7 @@ val detach : unit -> unit
 val active : unit -> t option
 (** The currently attached store. *)
 
-val ensure : ?db:Schedule_db.t -> dir:string -> unit -> (t, string) result
+val ensure : dir:string -> unit -> (t, string) result
 (** Idempotent open + {!load} + {!attach}: the one-call wiring used by
     [Core.Xpiler] and the CLI. Already attached to [dir] → no-op. *)
 
@@ -122,8 +122,8 @@ val clear_files : t -> int
 (** Delete the log and any leftover [store.wal.tmp]; returns the number of
     files removed. *)
 
-val fingerprint : ?db:Schedule_db.t -> unit -> string
-(** Order-insensitive digest of the calling session's three in-memory
+val fingerprint : unit -> string
+(** Order-insensitive digest of the calling session's two in-memory
     stores.
     Stable across construction paths that replay the same records (e.g.
     two loads of equivalent stores); the [@store] determinism tests

@@ -3,7 +3,7 @@
 
     {b File format}:
     {v
-    8 bytes   magic: "XPWAL02\n" (the format version lives here)
+    8 bytes   magic: "XPWAL03\n" (the format version lives here)
     repeated  frame:
       4 bytes   payload length, u32 big-endian
       4 bytes   FNV-1a/32 checksum of the payload, u32 big-endian

@@ -69,8 +69,7 @@ type slot = { entry : Transposition.entry; mutable replayed_by : int }
    then one aggregated [intra.pruned] count. Later touches emit nothing.
    {!Intra} emits and charges nothing, and runs under [Trace.without] so
    the cost model's own events stay out of that stream. *)
-let search_one ~config ~batch ~table ~sims ~seed ~charge ~share ~prefix ~buffer_sizes ~platform
-    kernel =
+let search_one ~config ~batch ~table ~sims ~seed ~charge ~share ~buffer_sizes ~platform kernel =
   let rng = Rng.create seed in
   let nodes = ref 0 in
   let best = ref (kernel, [], 0.0) in
@@ -154,50 +153,6 @@ let search_one ~config ~batch ~table ~sims ~seed ~charge ~share ~prefix ~buffer_
        *. sqrt (log (float_of_int (max parent_visits 1)) /. float_of_int (max n.visits 1))
   in
   let apply k spec = Pass.apply ~platform spec k in
-  (* Warm start: replay a recorded spec prefix (from Schedule_db) as a
-     guaranteed-expanded first trajectory before UCT simulation. Each step
-     removes the spec from the node's untried set *by identity* (no rng
-     drawn, so the simulation stream is untouched), expands the child and
-     evaluates its reward; the best reward along the replayed chain
-     backpropagates once, like a single simulation. Replay stops early when
-     the prefix diverges — the spec is not in the action space or fails to
-     apply (recorded schedules come from *similar* kernels, not equal
-     ones). *)
-  let replay_prefix () =
-    let rec go node k = function
-      | [] -> []
-      | spec :: rest when node.depth < config.max_depth -> (
-        let idx = ref (-1) in
-        for i = 0 to node.untried_n - 1 do
-          if !idx < 0 && node.untried.(i) = spec then idx := i
-        done;
-        if !idx < 0 then []
-        else
-          match apply k spec with
-          | Error _ -> []
-          | Ok k' ->
-            node.untried.(!idx) <- node.untried.(node.untried_n - 1);
-            node.untried_n <- node.untried_n - 1;
-            Trace.count "mcts.warm_steps";
-            let child = mk_node k' (spec :: node.rspecs) (node.depth + 1) in
-            node.children <- child :: node.children;
-            let r = reward k' child.rspecs in
-            (child, r) :: go child k' rest)
-      | _ -> []
-    in
-    match go root kernel prefix with
-    | [] -> ()
-    | chain ->
-      let br = List.fold_left (fun acc (_, r) -> Float.max acc r) root_reward chain in
-      List.iter
-        (fun (n, _) ->
-          n.visits <- n.visits + 1;
-          n.total <- n.total +. br)
-        chain;
-      root.visits <- root.visits + 1;
-      root.total <- root.total +. br
-  in
-  replay_prefix ();
   (* random rollout from a state, returning the best reward encountered *)
   let rec rollout k rspecs depth best_r =
     if depth >= config.max_depth then best_r
@@ -266,8 +221,9 @@ let search_one ~config ~batch ~table ~sims ~seed ~charge ~share ~prefix ~buffer_
     simulations_run = sims
   }
 
-(* [jobs] is ignored: the search runs on one domain. *)
-let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?(share = true) ?db
+(* [jobs] and [db] are ignored: the search runs on one domain and starts
+   from its input kernel alone. *)
+let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?(share = true) ?db:_
     ~platform kernel =
   Trace.span ~cat:"phase"
     ~attrs:
@@ -275,65 +231,38 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?(shar
         ("max_depth", string_of_int config.max_depth) ]
     "mcts"
   @@ fun () ->
-  let platform_id = platform.Xpiler_machine.Platform.id in
-  (* warm start: one database lookup before any batch runs — the prefix is
-     replayed by a dedicated extra batch *)
-  let prefix =
-    match db with
-    | None -> []
-    | Some db -> (
-      match Schedule_db.lookup db platform_id kernel with
-      | Some specs -> specs
-      | None -> [])
-  in
   let charge_clock s =
     match clock with Some c -> Vclock.charge c Vclock.Auto_tuning s | None -> ()
   in
   (* Root parallelism: independent searches over distinct seeds, sharing
      this search's reward table, run one after another and merged.
-     Simulations split evenly over the [b] base batches (remainder to the
-     early ones). The warm-start trajectory runs as one *extra* batch — the
-     base batches never see the prefix, so a schedule-database hit can only
-     improve the merged result relative to the cold search, never redirect
-     it. One batch with no prefix is the classic single tree. *)
+     Simulations split evenly over the [b] batches (remainder to the early
+     ones). One batch is the classic single tree. *)
   let b = max config.root_parallel 1 in
-  let sims_of i =
-    if i >= b then max 1 (config.simulations / b)
-    else (config.simulations / b) + if i < config.simulations mod b then 1 else 0
-  in
+  let sims_of i = (config.simulations / b) + if i < config.simulations mod b then 1 else 0 in
   let table = KTbl.create 1024 in
   let batch i =
     let table = if share then table else KTbl.create 128 in
     search_one ~config ~batch:i ~table ~sims:(sims_of i) ~seed:(config.seed + (7919 * i))
-      ~charge:charge_clock ~share ~prefix:(if i >= b then prefix else []) ~buffer_sizes ~platform
-      kernel
+      ~charge:charge_clock ~share ~buffer_sizes ~platform kernel
   in
-  let result =
-    match List.init (b + if prefix = [] then 0 else 1) batch with
-    | [] -> assert false
-    | r0 :: rest ->
-      List.fold_left
-        (fun acc r ->
-          let acc =
-            { acc with
-              nodes_expanded = acc.nodes_expanded + r.nodes_expanded;
-              simulations_run = acc.simulations_run + r.simulations_run
-            }
-          in
-          (* strict > keeps the earliest batch on ties *)
-          if r.best_reward > acc.best_reward then
-            { acc with
-              best_kernel = r.best_kernel;
-              best_specs = r.best_specs;
-              best_reward = r.best_reward
-            }
-          else acc)
-        r0 rest
-  in
-  (* record the winner for the next similar translation *)
-  (match db with
-  | Some db ->
-    Schedule_db.record db platform_id kernel ~specs:result.best_specs
-      ~reward:result.best_reward
-  | None -> ());
-  result
+  match List.init b batch with
+  | [] -> assert false
+  | r0 :: rest ->
+    List.fold_left
+      (fun acc r ->
+        let acc =
+          { acc with
+            nodes_expanded = acc.nodes_expanded + r.nodes_expanded;
+            simulations_run = acc.simulations_run + r.simulations_run
+          }
+        in
+        (* strict > keeps the earliest batch on ties *)
+        if r.best_reward > acc.best_reward then
+          { acc with
+            best_kernel = r.best_kernel;
+            best_specs = r.best_specs;
+            best_reward = r.best_reward
+          }
+        else acc)
+      r0 rest

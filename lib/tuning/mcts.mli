@@ -20,29 +20,21 @@ module Pass = Xpiler_passes.Pass
       off each batch has a private table and the store is not touched.
       Rewards are pure, so sharing changes wall-clock only; charges and
       trace counts replay from per-entry receipts on each batch's first
-      touch of a state, so a cold and a warm-started search give
-      byte-identical journals. A repeat search in one process re-evaluates.
+      touch of a state, so a cold search and one that reads restored
+      entries give byte-identical journals. A repeat search in one process
+      re-evaluates.
     - {b Bound-based pruning and composed candidates}
       ([config.prune]/[config.compose], default on): forwarded to
       {!Intra.tune} for every reward evaluation.
-    - {b Warm start} ([db]): when a {!Schedule_db} holds a best-spec
-      sequence for the kernel's signature (same operator structure and
-      platform, any shape), a dedicated extra search batch replays the
-      prefix as a guaranteed-expanded first trajectory and then refines
-      around it. The base batches never see the prefix, so a database hit
-      can only improve the merged result over the cold search — it never
-      redirects it (warm-start is monotone by construction). The search
-      result is recorded back for the next similar translation; replayed
-      steps are traced as [mcts.warm_steps].
 
     With [root_parallel > 1] the simulation budget is split over that many
     independent searches (distinct seeds, one shared reward table), run
     one after another on the calling domain, whose best result is kept.
     [root_parallel] shapes the search; it does not parallelize it.
 
-    Every batch, the warm-start one included, emits its events as it runs:
-    one [mcts.expansions] count per node, one [mcts.simulations] count per
-    simulation, [mcts.rollout_steps]/[mcts.warm_steps] per step, and per
+    Every batch emits its events as it runs: one [mcts.expansions] count
+    per node, one [mcts.simulations] count per simulation, one
+    [mcts.rollout_steps] count per rollout step, and per
     positive reward the transposition receipt's stream (a 5 s
     [Auto_tuning] charge, then one [intra.variants] count and one 10 s
     charge per measured variant, then [intra.pruned]). So the journal's
@@ -87,6 +79,10 @@ val search :
     kernel always passes the platform checker (it may equal the input when
     nothing better is found).
 
-    [jobs] is inert: a search runs on one domain, and only whole
-    translations run in parallel (the bench harness's {!Xpiler_util.Pool}).
-    The argument is kept because the end-to-end benchmark worker passes it. *)
+    A search starts from its input kernel alone, so its result depends
+    only on [config], [buffer_sizes], [platform] and the kernel.
+
+    [jobs] and [db] are inert: a search runs on one domain, and only whole
+    translations run in parallel (the bench harness's {!Xpiler_util.Pool});
+    no search reads or records a schedule database. Both arguments are kept
+    only because [e2ebench/layers.ml] passes them. *)

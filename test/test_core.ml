@@ -117,6 +117,31 @@ let test_tuned_config_improves_throughput () =
     Alcotest.(check bool) (Printf.sprintf "tuned %.3g >= plain %.3g" t p) true (t >= p)
   | _ -> Alcotest.fail "missing throughput"
 
+(* a tuned translation depends only on its own inputs: gemm at its second
+   registry shape tunes the same in a fresh session as right after a tuned
+   run of the first shape *)
+let test_tuned_translation_independent_of_history () =
+  let config = Config.with_trace Config.tuned Xpiler_obs.Tracer.Detail in
+  let shape_b = List.nth gemm.Opdef.shapes 1 in
+  let tune shape = run ~config ~src:Platform.Cuda ~dst:Platform.Bang gemm shape in
+  let alone = Xpiler_util.Session.fresh (fun () -> tune shape_b) in
+  let after =
+    Xpiler_util.Session.fresh (fun () ->
+        ignore (tune gemm_shape);
+        tune shape_b)
+  in
+  Alcotest.(check bool) "tuned" true
+    (List.exists
+       (function
+         | Xpiler_obs.Event.Count { name = "mcts.simulations"; _ } -> true | _ -> false)
+       alone.Xpiler.trace);
+  Alcotest.(check bool) "same status" true (alone.Xpiler.status = after.Xpiler.status);
+  Alcotest.(check (option string)) "same target text" alone.Xpiler.target_text
+    after.Xpiler.target_text;
+  Alcotest.(check (float 0.0)) "same modelled time" (Vclock.elapsed alone.Xpiler.clock)
+    (Vclock.elapsed after.Xpiler.clock);
+  Alcotest.(check bool) "same journal" true (alone.Xpiler.trace = after.Xpiler.trace)
+
 (* the final unit test rejects MCTS's best rmsnorm kernel on HIP at this
    shape; the translation keeps the untuned kernel and counts the fallback *)
 let test_tuning_rejected_counted () =
@@ -322,6 +347,8 @@ let () =
           Alcotest.test_case "clock breakdown" `Quick test_clock_breakdown_populated;
           Alcotest.test_case "tuning improves" `Quick test_tuned_config_improves_throughput;
           Alcotest.test_case "rejected tuning counted" `Quick test_tuning_rejected_counted;
+          Alcotest.test_case "tuned translation independent of history" `Quick
+            test_tuned_translation_independent_of_history;
           Alcotest.test_case "complexity ordering" `Quick test_complexity_multiplier_ordering
         ] );
       ( "report",

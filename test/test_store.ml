@@ -3,8 +3,9 @@
    (QCheck property); compaction preserves content exactly while keeping
    one record per key; a torn tail loads as the valid prefix and is
    repaired before the next append; a corrupt frame cuts the log at that
-   frame and a corrupt header loads nothing, never an error; a failing
-   append detaches the store without raising; a leftover compaction file
+   frame and a corrupt header loads nothing, never an error; a log in the
+   previous format loads nothing and is rewritten on the next append; a
+   failing append detaches the store without raising; a leftover compaction file
    is never read; a pool task sees none of its caller's cached entries; and
    tuned translations run on the domain pool give the same results, stable
    metrics and persisted state at any job count, from a cold start.
@@ -15,10 +16,8 @@ open Xpiler_machine
 open Xpiler_ir
 module Rng = Xpiler_util.Rng
 module Kgen = Test_support.Kgen
-module Pass = Xpiler_passes.Pass
 module Problem = Xpiler_smt.Problem
 module Memo = Xpiler_smt.Memo
-module Schedule_db = Xpiler_tuning.Schedule_db
 module Transposition = Xpiler_tuning.Transposition
 module Wal = Xpiler_store.Wal
 module Store = Xpiler_store.Store
@@ -50,14 +49,6 @@ let pid = Platform.bang.Platform.id
 
 let gen_kernel rng = Kgen.kernel (Rng.create (100 + Rng.int rng 6))
 
-let gen_specs rng =
-  List.filteri
-    (fun i _ -> i <= Rng.int rng 3)
-    [ Pass.Loop_split { var = "i0"; factor = 2 + Rng.int rng 6 };
-      Pass.Loop_fuse { var = "i1" };
-      Pass.Loop_recovery;
-      Pass.Tensorize ]
-
 let gen_problem rng =
   let var = Rng.choose rng [ "x"; "y"; "len" ] in
   { Problem.vars = [ (var, Problem.Range { lo = 0; hi = 4 + Rng.int rng 8; stride = 1 }) ];
@@ -72,17 +63,8 @@ let gen_payload rng =
   | _ -> Memo.Model_list [ [ ("x", Rng.int rng 9) ]; [ ("x", 9 + Rng.int rng 9) ] ]
 
 let gen_record rng =
-  match Rng.int rng 3 with
+  match Rng.int rng 2 with
   | 0 ->
-    let kernel = gen_kernel rng in
-    Store.Schedule
-      { signature = Schedule_db.signature pid kernel;
-        entry =
-          { Schedule_db.specs = Pass.Loop_recovery :: gen_specs rng;
-            reward = float_of_int (1 + Rng.int rng 16) /. 4.0
-          }
-      }
-  | 1 ->
     Store.Transposition
       ( { Transposition.Key.platform = pid;
           budget = 4 + Rng.int rng 3;
@@ -112,27 +94,23 @@ let gen_records rng n =
 let upsert equal k v l = (k, v) :: List.filter (fun (k', _) -> not (equal k k')) l
 
 let expected records =
-  let sched, trans, memo =
+  let trans, memo =
     List.fold_left
-      (fun (s, t, m) r ->
+      (fun (t, m) r ->
         match r with
-        | Store.Schedule { signature; entry } -> (upsert Int.equal signature entry s, t, m)
-        | Store.Transposition (k, e) -> (s, upsert Transposition.Key.equal k e t, m)
-        | Store.Solver_memo (k, e) -> (s, t, upsert Memo.Key.equal k e m))
-      ([], [], []) records
+        | Store.Transposition (k, e) -> (upsert Transposition.Key.equal k e t, m)
+        | Store.Solver_memo (k, e) -> (t, upsert Memo.Key.equal k e m))
+      ([], []) records
   in
-  (List.sort compare sched, List.sort compare trans, List.sort compare memo)
+  (List.sort compare trans, List.sort compare memo)
 
-let dump_tables db =
-  ( List.sort compare (Schedule_db.fold db (fun k e acc -> (k, e) :: acc) []),
-    List.sort compare (Transposition.fold (fun k e acc -> (k, e) :: acc) []),
+let dump_tables () =
+  ( List.sort compare (Transposition.fold (fun k e acc -> (k, e) :: acc) []),
     List.sort compare (Memo.fold (fun k e acc -> (k, e) :: acc) []) )
 
 let load_fresh store =
   clear_tables ();
-  let db = Schedule_db.create () in
-  let stats = Store.load ~db store in
-  (db, stats)
+  Store.load store
 
 (* ---- WAL round-trip property --------------------------------------------- *)
 
@@ -143,25 +121,25 @@ let prop_roundtrip seed =
   List.iter (Store.append store) records;
   let exp = expected records in
   (* replay reconstructs the tables bit-for-bit, receipts included *)
-  let db, stats = load_fresh store in
+  let stats = load_fresh store in
   if stats.Store.torn_tails <> 0 || stats.Store.dropped <> 0 then
     QCheck.Test.fail_report "clean store reported damage";
   if Store.total stats.Store.loaded <> List.length records then
     QCheck.Test.fail_report "replay count mismatch";
-  if dump_tables db <> exp then QCheck.Test.fail_report "replayed tables differ from the stream";
+  if dump_tables () <> exp then QCheck.Test.fail_report "replayed tables differ from the stream";
   (* two loads of the same store fingerprint identically *)
-  let fp1 = Store.fingerprint ~db () in
-  let db2, _ = load_fresh store in
-  if Store.fingerprint ~db:db2 () <> fp1 then QCheck.Test.fail_report "reload changed fingerprint";
+  let fp1 = Store.fingerprint () in
+  ignore (load_fresh store);
+  if Store.fingerprint () <> fp1 then QCheck.Test.fail_report "reload changed fingerprint";
   (* compaction keeps one record per key without changing content *)
   let cs = ok_exn (Store.compact store) in
   if cs.Store.records_in <> List.length records then
     QCheck.Test.fail_report "compaction lost input records";
-  let db3, stats3 = load_fresh store in
+  let stats3 = load_fresh store in
   if Store.total stats3.Store.loaded <> cs.Store.records_out then
     QCheck.Test.fail_report "compacted replay count differs from compaction output";
-  if dump_tables db3 <> exp then QCheck.Test.fail_report "compaction changed table contents";
-  if Store.fingerprint ~db:db3 () <> fp1 then
+  if dump_tables () <> exp then QCheck.Test.fail_report "compaction changed table contents";
+  if Store.fingerprint () <> fp1 then
     QCheck.Test.fail_report "compaction changed fingerprint";
   let info = Store.scan store in
   Store.total info.Store.records = cs.Store.records_out && not info.Store.damaged
@@ -195,19 +173,19 @@ let test_torn_tail () =
   let wal = Filename.concat dir "store.wal" in
   let size = (Unix.stat wal).Unix.st_size in
   Wal.truncate wal (size - 3);
-  let db, stats = load_fresh store in
+  let stats = load_fresh store in
   Alcotest.(check int) "one torn tail" 1 stats.Store.torn_tails;
   Alcotest.(check int) "valid prefix replayed" 7 (Store.total stats.Store.loaded);
   let prefix = List.filteri (fun i _ -> i < 7) records in
-  Alcotest.(check bool) "prefix contents exact" true (dump_tables db = expected prefix);
+  Alcotest.(check bool) "prefix contents exact" true (dump_tables () = expected prefix);
   (* the next append repairs the tail before writing after it *)
   let extra = gen_record rng in
   Store.append store extra;
-  let db2, stats2 = load_fresh store in
+  let stats2 = load_fresh store in
   Alcotest.(check int) "repaired" 0 stats2.Store.torn_tails;
   Alcotest.(check int) "prefix plus the new record" 8 (Store.total stats2.Store.loaded);
   Alcotest.(check bool) "repaired contents exact" true
-    (dump_tables db2 = expected (prefix @ [ extra ]))
+    (dump_tables () = expected (prefix @ [ extra ]))
 
 (* ---- frame and header corruption ---------------------------------------- *)
 
@@ -222,17 +200,49 @@ let test_corrupt_frame () =
   (* a flipped payload byte fails that frame's checksum: the log loads as
      the frames before it *)
   flip_byte wal ((Unix.stat wal).Unix.st_size - 1);
-  let db, stats = load_fresh store in
+  let stats = load_fresh store in
   Alcotest.(check int) "cut counted" 1 stats.Store.torn_tails;
   Alcotest.(check int) "valid prefix replayed" 5 (Store.total stats.Store.loaded);
   Alcotest.(check bool) "prefix contents exact" true
-    (dump_tables db = expected (List.filteri (fun i _ -> i < 5) records));
+    (dump_tables () = expected (List.filteri (fun i _ -> i < 5) records));
   (* a smashed header leaves no valid prefix: the store loads empty *)
   flip_byte wal 0;
-  let db2, stats2 = load_fresh store in
+  let stats2 = load_fresh store in
   Alcotest.(check int) "header corruption counted" 1 stats2.Store.torn_tails;
   Alcotest.(check int) "nothing replays" 0 (Store.total stats2.Store.loaded);
-  Alcotest.(check bool) "tables empty" true (dump_tables db2 = ([], [], []))
+  Alcotest.(check bool) "tables empty" true (dump_tables () = ([], []))
+
+(* ---- previous format ------------------------------------------------------
+
+   A log written under the previous magic holds records of the previous
+   [Store.record] type, whose constructors no longer line up with today's:
+   it must load nothing, and the next append starts the file over. *)
+
+let test_previous_format_starts_cold () =
+  let dir = fresh_dir () in
+  let store = ok_exn (Store.open_store ~dir ()) in
+  let wal = Filename.concat dir "store.wal" in
+  let record =
+    Store.Transposition
+      ( { Transposition.Key.platform = pid; budget = 8; prune = true; compose = true;
+          kernel = gen_kernel (Rng.create 3) },
+        { Transposition.reward = 1.5; evaluated = 3; pruned = 1 } )
+  in
+  let oc = open_out_bin wal in
+  output_string oc "XPWAL02\n";
+  Wal.append oc (Marshal.to_string record []);
+  close_out oc;
+  let stats = load_fresh store in
+  Alcotest.(check int) "nothing replays" 0 (Store.total stats.Store.loaded);
+  Alcotest.(check int) "bad header counted" 1 stats.Store.torn_tails;
+  Alcotest.(check bool) "tables empty" true (dump_tables () = ([], []));
+  Store.append store record;
+  Store.close store;
+  let header = In_channel.with_open_bin wal (fun ic -> really_input_string ic 8) in
+  Alcotest.(check string) "rewritten under the new magic" Wal.magic header;
+  let stats2 = load_fresh store in
+  Alcotest.(check int) "only the new record replays" 1 (Store.total stats2.Store.loaded);
+  Alcotest.(check int) "no damage left" 0 stats2.Store.torn_tails
 
 (* ---- interrupted compaction ----------------------------------------------- *)
 
@@ -249,44 +259,41 @@ let test_leftover_compaction_file () =
   let oc = open_out_bin tmp in
   output_string oc (Wal.magic ^ "half a frame");
   close_out oc;
-  let db, stats = load_fresh store in
+  let stats = load_fresh store in
   Alcotest.(check int) "the log alone replays" 6 (Store.total stats.Store.loaded);
   Alcotest.(check int) "no damage seen" 0 stats.Store.torn_tails;
-  Alcotest.(check bool) "contents exact" true (dump_tables db = expected records);
+  Alcotest.(check bool) "contents exact" true (dump_tables () = expected records);
   ignore (ok_exn (Store.compact store));
   Alcotest.(check bool) "compaction consumed the leftover" false (Sys.file_exists tmp);
-  let db2, _ = load_fresh store in
-  Alcotest.(check bool) "compacted contents exact" true (dump_tables db2 = expected records)
+  ignore (load_fresh store);
+  Alcotest.(check bool) "compacted contents exact" true (dump_tables () = expected records)
 
 (* ---- write-through attachment --------------------------------------------- *)
 
 let test_attach_write_through () =
   let dir = fresh_dir () in
   let store = ok_exn (Store.open_store ~dir ()) in
-  let db = Schedule_db.create () in
   clear_tables ();
-  Store.attach ~db store;
+  Store.attach store;
   Alcotest.(check bool) "attached" true (Store.active () <> None);
   let rng = Rng.create 11 in
   let kernel = gen_kernel rng in
-  Schedule_db.record db pid kernel ~specs:[ Pass.Loop_recovery ] ~reward:2.0;
   Transposition.store ~platform:pid ~budget:8 ~prune:true ~compose:true kernel
     { Transposition.reward = 1.5; evaluated = 3; pruned = 1 };
   Memo.store ~mode:Memo.Solve ~max_steps:100 (gen_problem rng)
     { Memo.payload = Memo.Outcome Problem.Unsat; stats = { Problem.steps = 5; evals = 9 } };
   Store.detach ();
   let info = Store.scan store in
-  Alcotest.(check int) "schedule record persisted" 1 info.Store.records.Store.schedule;
   Alcotest.(check int) "transposition record persisted" 1 info.Store.records.Store.transposition;
   Alcotest.(check int) "memo record persisted" 1 info.Store.records.Store.solver_memo;
   (* detached: fresh learning no longer streams to the log *)
   Transposition.store ~platform:pid ~budget:9 ~prune:true ~compose:true kernel
     { Transposition.reward = 1.0; evaluated = 1; pruned = 0 };
-  Alcotest.(check int) "no append after detach" 3
+  Alcotest.(check int) "no append after detach" 2
     (Store.total (Store.scan store).Store.records);
   (* ensure is idempotent: same dir, same attachment *)
-  let t1 = ok_exn (Store.ensure ~db ~dir ()) in
-  let t2 = ok_exn (Store.ensure ~db ~dir ()) in
+  let t1 = ok_exn (Store.ensure ~dir ()) in
+  let t2 = ok_exn (Store.ensure ~dir ()) in
   Alcotest.(check bool) "ensure is idempotent" true (t1 == t2);
   Store.detach ()
 
@@ -295,9 +302,8 @@ let test_failing_append_detaches () =
   let store = ok_exn (Store.open_store ~dir ()) in
   (* a directory where the log should be: every append fails *)
   Unix.mkdir (Filename.concat dir "store.wal") 0o755;
-  let db = Schedule_db.create () in
   clear_tables ();
-  Store.attach ~db store;
+  Store.attach store;
   let kernel = gen_kernel (Rng.create 13) in
   let entry = { Transposition.reward = 1.5; evaluated = 3; pruned = 1 } in
   (* the table holds what a load restored; a failing append leaves it be *)
@@ -306,7 +312,7 @@ let test_failing_append_detaches () =
     entry;
   Transposition.store ~platform:pid ~budget:8 ~prune:true ~compose:true kernel entry;
   Alcotest.(check bool) "detached" true (Store.active () = None);
-  let _, trans, _ = dump_tables db in
+  let trans, _ = dump_tables () in
   Alcotest.(check int) "the in-memory table kept the entry" 1 (List.length trans);
   (* detached: later learning no longer reaches the store *)
   Transposition.store ~platform:pid ~budget:9 ~prune:true ~compose:true kernel entry;
@@ -314,12 +320,11 @@ let test_failing_append_detaches () =
 
 (* ---- parallel translations: jobs=1 vs jobs=4 ------------------------------
 
-   Whole translations are the only work that runs in parallel. Tuned
-   translations of one operator warm-start from each other's schedule-DB
-   records, so — as in the bench harness — each operator is one pool task
-   that translates its shapes in order. Every task runs in a fresh session,
-   so results, the stable metrics snapshot and the persisted store state
-   must not depend on the job count, from a cold start. *)
+   Whole translations are the only work that runs in parallel. As in the
+   bench harness, each operator is one pool task that translates its shapes
+   in order. Every task runs in a fresh session, so results, the stable
+   metrics snapshot and the persisted store state must not depend on the
+   job count, from a cold start. *)
 
 module Pool = Xpiler_util.Pool
 module Listx = Xpiler_util.Listx
@@ -337,7 +342,6 @@ let translation_groups =
 
 let translate_groups ~jobs =
   clear_tables ();
-  Schedule_db.clear Schedule_db.default;
   Metrics.reset ();
   let store = ok_exn (Store.open_store ~dir:(fresh_dir ()) ()) in
   Store.attach store;
@@ -365,15 +369,16 @@ let test_parallel_translations_deterministic () =
     (List.exists (List.exists (fun (_, _, t) -> t <> None)) o1);
   let json m = Json.to_string (Metrics.to_json m) in
   Alcotest.(check string) "same stable metrics snapshot" (json m1) (json m4);
-  Alcotest.(check bool) "schedule DB lookups are stable" true
+  Alcotest.(check bool) "compile cache lookups are stable" true
     (List.exists
        (fun (s : Metrics.sample) ->
-         s.Metrics.name = "xpiler_schedule_db_lookups_total" && s.Metrics.value <> Metrics.Vcounter 0)
+         s.Metrics.name = "xpiler_compile_cache_lookups_total"
+         && s.Metrics.value <> Metrics.Vcounter 0)
        m1);
-  let db1, st1 = load_fresh s1 in
-  let d1 = dump_tables db1 in
-  let db4, st4 = load_fresh s4 in
-  let d4 = dump_tables db4 in
+  let st1 = load_fresh s1 in
+  let d1 = dump_tables () in
+  let st4 = load_fresh s4 in
+  let d4 = dump_tables () in
   Alcotest.(check bool) "the translations persisted something" true
     (Store.total st1.Store.loaded > 0);
   Alcotest.(check int) "same record count" (Store.total st1.Store.loaded)
@@ -395,8 +400,6 @@ let test_pool_tasks_start_cold () =
   Pool.set_max_domains 4;
   Fun.protect ~finally:(fun () -> Pool.set_max_domains saved) @@ fun () ->
   clear_tables ();
-  let db = Schedule_db.default in
-  Schedule_db.clear db;
   let rng = Rng.create 17 in
   let kernel = gen_kernel rng and problem = gen_problem rng in
   let find_state () =
@@ -407,12 +410,10 @@ let test_pool_tasks_start_cold () =
     { Transposition.reward = 1.5; evaluated = 3; pruned = 1 };
   Memo.store ~mode:Memo.Solve ~max_steps:100 problem
     { Memo.payload = Memo.Outcome Problem.Unsat; stats = { Problem.steps = 5; evals = 9 } };
-  Schedule_db.record db pid kernel ~specs:[ Pass.Loop_recovery ] ~reward:2.0;
   let compiled = Compile.cached kernel in
   let caller_view () =
     ( find_state () <> None,
       Memo.find ~mode:Memo.Solve ~max_steps:100 problem <> None,
-      Schedule_db.lookup db pid kernel <> None,
       Compile.cached kernel == compiled )
   in
   Trace.with_tracer (Tracer.create ()) @@ fun () ->
@@ -424,7 +425,6 @@ let test_pool_tasks_start_cold () =
             let c = Compile.cached kernel in
             ( find_state () = None && Transposition.size () = 0,
               Memo.size () = 0,
-              Schedule_db.size db = 0,
               c != compiled && Compile.cached kernel == c,
               Trace.enabled () ))
           (List.init 4 Fun.id)
@@ -432,13 +432,12 @@ let test_pool_tasks_start_cold () =
       let each what f =
         Alcotest.(check bool) (Printf.sprintf "jobs=%d: %s" jobs what) true (List.for_all f tasks)
       in
-      each "transposition table empty" (fun (t, _, _, _, _) -> t);
-      each "solver memo empty" (fun (_, m, _, _, _) -> m);
-      each "schedule database empty" (fun (_, _, s, _, _) -> s);
-      each "compile cache empty, then its own" (fun (_, _, _, c, _) -> c);
-      each "no ambient tracer" (fun (_, _, _, _, tr) -> not tr);
+      each "transposition table empty" (fun (t, _, _, _) -> t);
+      each "solver memo empty" (fun (_, m, _, _) -> m);
+      each "compile cache empty, then its own" (fun (_, _, c, _) -> c);
+      each "no ambient tracer" (fun (_, _, _, tr) -> not tr);
       Alcotest.(check bool) (Printf.sprintf "jobs=%d: caller's entries survive" jobs) true
-        (caller_view () = (true, true, true, true)))
+        (caller_view () = (true, true, true)))
     [ 1; 4 ]
 
 let () =
@@ -448,6 +447,8 @@ let () =
         [ roundtrip_test;
           Alcotest.test_case "torn tail is a valid prefix" `Quick test_torn_tail;
           Alcotest.test_case "corrupt frame cuts the log" `Quick test_corrupt_frame;
+          Alcotest.test_case "previous-format log starts cold" `Quick
+            test_previous_format_starts_cold;
           Alcotest.test_case "leftover compaction file is ignored" `Quick
             test_leftover_compaction_file
         ] );

@@ -286,42 +286,7 @@ let test_search_leaves_no_live_entries () =
   ignore (Mcts.search ~config:small_config ~buffer_sizes ~platform:Platform.bang (serial ()));
   Alcotest.(check int) "no live entries" 0 (Transposition.size ())
 
-(* ---- schedule database --------------------------------------------------- *)
-
-let gemm_shape_b = List.nth gemm.Opdef.shapes 1
-
-let test_signature_shape_invariant () =
-  let pid = Platform.bang.Platform.id in
-  let sig_a = Schedule_db.signature pid (serial ()) in
-  let sig_b = Schedule_db.signature pid (gemm.Opdef.serial gemm_shape_b) in
-  Alcotest.(check int) "same op, different shape" sig_a sig_b;
-  let softmax = Registry.find_exn "softmax" in
-  let sig_soft = Schedule_db.signature pid (softmax.Opdef.serial (List.hd softmax.Opdef.shapes)) in
-  Alcotest.(check bool) "different op" true (sig_a <> sig_soft);
-  Alcotest.(check bool) "different platform" true
-    (sig_a <> Schedule_db.signature Platform.cuda.Platform.id (serial ()))
-
-let test_warm_start_never_worse () =
-  let pid = Platform.bang.Platform.id in
-  let db = Schedule_db.create () in
-  ignore
-    (Mcts.search ~config:small_config ~buffer_sizes ~share:true ~db ~platform:Platform.bang
-       (gemm.Opdef.serial gemm_shape_b));
-  Alcotest.(check bool) "prime recorded" true (Schedule_db.lookup db pid (serial ()) <> None);
-  Transposition.clear ();
-  let cold = Mcts.search ~config:small_config ~buffer_sizes ~share:true ~platform:Platform.bang (serial ()) in
-  Transposition.clear ();
-  let warm = Mcts.search ~config:small_config ~buffer_sizes ~share:true ~db ~platform:Platform.bang (serial ()) in
-  (* the warm trajectory runs as an extra batch, so the merge can only gain *)
-  Alcotest.(check bool)
-    (Printf.sprintf "warm %.4g >= cold %.4g" warm.Mcts.best_reward cold.Mcts.best_reward)
-    true
-    (warm.Mcts.best_reward >= cold.Mcts.best_reward);
-  (* the winner was recorded back for the next similar translation *)
-  Alcotest.(check bool) "result recorded" true
-    (Schedule_db.lookup db pid (serial ()) = Some warm.Mcts.best_specs)
-
-(* ---- cold vs warm-started search ----------------------------------------- *)
+(* ---- cold search vs restored entries ------------------------------------- *)
 
 module Vclock = Xpiler_util.Vclock
 module Trace = Xpiler_obs.Trace
@@ -337,32 +302,23 @@ let observed_run work =
     List.map
       (fun c -> (c, Tracer.counter_total tracer c))
       [ "intra.variants"; "intra.pruned"; "mcts.simulations"; "mcts.expansions";
-        "mcts.rollout_steps"; "mcts.warm_steps"
+        "mcts.rollout_steps"
       ]
   in
   (v, List.rev !charges, counters, Vclock.elapsed clock, Tracer.events tracer)
 
 let test_mcts_full_stack_cold_vs_warm_table () =
-  (* pruning + composition + warm-started root-parallel search, run twice:
-     once cold, once warm-started from the entries the first run persisted.
-     Byte-identical result, charge stream, counters and full trace journal
-     prove that a cold and a warm-started search are observably identical
-     (the receipt discipline). *)
+  (* pruning + composition + root-parallel search, run twice: once cold,
+     once reading the entries the first run persisted. Byte-identical
+     result, charge stream, counters and full trace journal prove that a
+     cold search and one served from restored entries are observably
+     identical (the receipt discipline). *)
   let config =
     { Mcts.default_config with simulations = 24; max_depth = 6; root_parallel = 3 }
   in
-  let prime =
-    (Mcts.search ~config ~buffer_sizes ~share:false ~platform:Platform.bang
-       (gemm.Opdef.serial gemm_shape_b))
-      .Mcts.best_specs
-  in
-  Alcotest.(check bool) "prime non-trivial" true (prime <> []);
   let run () =
-    let db = Schedule_db.create () in
-    Schedule_db.record db Platform.bang.Platform.id (serial ()) ~specs:prime ~reward:1.0;
     observed_run (fun clock ->
-        Mcts.search ~config ~clock ~buffer_sizes ~share:true ~db ~platform:Platform.bang
-          (serial ()))
+        Mcts.search ~config ~clock ~buffer_sizes ~share:true ~platform:Platform.bang (serial ()))
   in
   Transposition.clear ();
   let (r1, c1, n1, e1, j1), entries = capture_entries run in
@@ -381,15 +337,14 @@ let test_mcts_full_stack_cold_vs_warm_table () =
     && r1.Mcts.nodes_expanded = r2.Mcts.nodes_expanded);
   Alcotest.(check (list (pair string (float 1e-9)))) "same charge stream" c1 c2;
   Alcotest.(check (list (pair string int))) "same trace counters" n1 n2;
-  Alcotest.(check bool) "warm steps replayed" true (List.assoc "mcts.warm_steps" n1 > 0);
   Alcotest.(check (float 1e-9)) "same clock" e1 e2;
   Alcotest.(check bool) "same trace journal" true (j1 = j2)
 
 (* The journal describes the tuner whatever path the search takes: every
    measured intra variant is one [intra.variants] count and one 10 s
    auto-tuning charge, and the [mcts.*] totals are the result's. Checked on
-   a cold single tree and on a root-parallel search with a warm-start
-   prefix (four batches). *)
+   a cold single tree, on a cold root-parallel search (three batches), and
+   on that search again reading the entries the cold one persisted. *)
 let test_mcts_journal_counts () =
   let config = { Mcts.default_config with simulations = 24; max_depth = 6 } in
   let check name (r, charges, counters, _, _) =
@@ -407,17 +362,20 @@ let test_mcts_journal_counts () =
   check "cold single tree"
     (observed_run (fun clock ->
          Mcts.search ~config ~clock ~buffer_sizes ~platform:Platform.bang (serial ())));
-  let db = Schedule_db.create () in
-  ignore
-    (Mcts.search ~config ~buffer_sizes ~db ~platform:Platform.bang
-       (gemm.Opdef.serial gemm_shape_b));
-  let ((_, _, counters, _, _) as warm) =
+  let root_parallel () =
     observed_run (fun clock ->
-        Mcts.search ~config:{ config with root_parallel = 3 } ~clock ~buffer_sizes ~db
+        Mcts.search ~config:{ config with root_parallel = 3 } ~clock ~buffer_sizes
           ~platform:Platform.bang (serial ()))
   in
-  Alcotest.(check bool) "warm prefix replayed" true (List.assoc "mcts.warm_steps" counters > 0);
-  check "root-parallel warm start" warm
+  Transposition.clear ();
+  let cold, entries = capture_entries root_parallel in
+  check "root-parallel cold" cold;
+  List.iter (fun (k, e) -> Transposition.restore k e) entries;
+  let evals0 = Transposition.evals () in
+  let restored = root_parallel () in
+  Transposition.clear ();
+  Alcotest.(check int) "restored run evaluates nothing" 0 (Transposition.evals () - evals0);
+  check "root-parallel restored" restored
 
 let prop_mcts_best_is_valid =
   QCheck.Test.make ~name:"MCTS best kernel always compiles" ~count:6
@@ -456,8 +414,6 @@ let () =
         [ Alcotest.test_case "transposition values pure" `Quick test_transposition_values_pure;
           Alcotest.test_case "a search leaves no live entries" `Quick
             test_search_leaves_no_live_entries;
-          Alcotest.test_case "signature shape-invariant" `Quick test_signature_shape_invariant;
-          Alcotest.test_case "warm start never worse" `Quick test_warm_start_never_worse;
           Alcotest.test_case "full stack cold = warm table" `Quick
             test_mcts_full_stack_cold_vs_warm_table
         ] );
