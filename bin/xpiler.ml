@@ -42,9 +42,9 @@ let seed_arg =
 
 let no_prune_arg =
   let doc =
-    "Disable bound-based pruning of intra-pass tuning candidates. Pruning is lossless \
-     (the chosen schedule never changes, only modelled tuning time); the flag exists for \
-     A/B measurement."
+    "Disable bound-based pruning of intra-pass tuning candidates. Pruning skips only \
+     candidates whose admissible cost bound cannot beat the best variant so far; the flag \
+     exists for A/B measurement."
   in
   Arg.(value & flag & info [ "no-tune-prune" ] ~doc)
 

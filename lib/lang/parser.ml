@@ -177,11 +177,17 @@ and parse_args st =
     loop []
   end
 
-(* a pointer argument of an intrinsic: buf, buf + off, or &buf[off] *)
-let buf_ref_of_expr (e : Expr.t) : Intrin.buf_ref =
+(* a pointer argument of an intrinsic: buf, buf + off, or &buf[off]. Codegen
+   prints a multi-term offset unparenthesized, [buf + a + b], which parses
+   as the left-nested [(buf + a) + b]: the buffer heads the chain and the
+   terms after it are the offset. *)
+let rec buf_ref_of_expr (e : Expr.t) : Intrin.buf_ref =
   match e with
   | Expr.Var b -> { buf = b; offset = Expr.Int 0 }
   | Expr.Binop (Expr.Add, Expr.Var b, off) -> { buf = b; offset = off }
+  | Expr.Binop (Expr.Add, (Expr.Binop (Expr.Add, _, _) as head), off) ->
+    let r = buf_ref_of_expr head in
+    { r with offset = Expr.Binop (Expr.Add, r.offset, off) }
   | Expr.Load (b, off) -> { buf = b; offset = off }  (* &buf[off] is lexed via '&' below *)
   | _ -> fail "expected a buffer reference (buf, buf + offset, or &buf[offset])"
 

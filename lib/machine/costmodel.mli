@@ -48,5 +48,5 @@ val throughput_bound : Platform.t -> Kernel.t -> shapes:(string * int) list -> f
     skips the per-expression flop and load-traffic folds (the dominant cost
     of {!extract_features}), under-counting work with the same rates and
     occupancy. Guaranteed [throughput_bound p k >= throughput p k] on every
-    kernel (fuzzed), which makes branch-and-bound pruning on it lossless.
+    kernel (fuzzed), which makes a branch-and-bound scan on it lossless.
     Emits no trace events, so pruning stays observably silent. *)

@@ -43,10 +43,12 @@ let composed_candidates survivors ~limit =
 
 (* ---- the tuning loop ---------------------------------------------------- *)
 
-(* how many measured depth-1 split variants seed the composition phase *)
+(* candidates measured per phase, and how many measured depth-1 split
+   variants seed the composition phase *)
+let max_candidates = 12
 let compose_seeds = 4
 
-let tune ?(max_candidates = 64) ?(prune = true) ?(compose = true) ~platform k =
+let tune ?(prune = true) ~platform k =
   let compiles k = Result.is_ok (Checker.compile platform k) in
   let modelled_throughput k = Costmodel.throughput platform k ~shapes:[] in
   let apply specs =
@@ -108,10 +110,6 @@ let tune ?(max_candidates = 64) ?(prune = true) ?(compose = true) ~platform k =
       List.iter (fun specs -> measure specs (apply specs))
   in
   phase (Listx.take max_candidates (candidates platform k));
-  if compose then begin
-    let seeds =
-      Listx.top_k ~k:compose_seeds ~score:(fun v -> v.throughput) (List.rev !measured)
-    in
-    phase (composed_candidates seeds ~limit:max_candidates)
-  end;
+  let seeds = Listx.top_k ~k:compose_seeds ~score:(fun v -> v.throughput) (List.rev !measured) in
+  phase (composed_candidates seeds ~limit:max_candidates);
   (!best, { evaluated = !evaluated; pruned = !pruned })

@@ -10,9 +10,12 @@ module Pass = Xpiler_passes.Pass
       cheap admissible throughput bound ({!Costmodel.throughput_bound}) and
       scanned best-bound-first; once a bound cannot beat the incumbent the
       whole remaining suffix is skipped without running the checker or the
-      full cost model. Lossless by the bound's admissibility (fuzzed in
-      test_tuning.ml); skips are counted in {!stats}.
-    - {b composed candidates} (on by default): the top measured depth-1
+      full cost model. Within a phase this is lossless by the bound's
+      admissibility (fuzzed in test_tuning.ml). A skipped candidate is never
+      measured, so it cannot seed the composed phase: pruning can change the
+      composed candidates, and so, in principle, the result. Skips are
+      counted in {!stats}.
+    - {b composed candidates} (always on): the top measured depth-1
       split variants seed depth-2 compositions (split x reorder,
       split x pipeline) generated against their *transformed* kernels, so
       the search reaches schedules single-spec enumeration cannot express.
@@ -34,16 +37,10 @@ type stats = {
   pruned : int;  (** variants skipped by bound-based pruning *)
 }
 
-val tune :
-  ?max_candidates:int ->
-  ?prune:bool ->
-  ?compose:bool ->
-  platform:Platform.t ->
-  Kernel.t ->
-  variant * stats
-(** Search the candidate space (each phase bounded by [max_candidates],
-    default 64), keep the compilable variant with the highest modelled
-    throughput; the input kernel itself is always a candidate, so the result
+val tune : ?prune:bool -> platform:Platform.t -> Kernel.t -> variant * stats
+(** Search the candidate space (the depth-1 phase and the composed phase,
+    at most 12 candidates each), keep the compilable variant with the
+    highest modelled throughput; the input kernel itself is always a candidate, so the result
     never regresses. Also returns the measured/pruned counts — the receipt
     {!Mcts} keeps with the reward so a hit can replay the
     canonical effect stream of the original evaluation.

@@ -4,20 +4,12 @@ module Rng = Xpiler_util.Rng
 module Vclock = Xpiler_util.Vclock
 module Trace = Xpiler_obs.Trace
 
-type config = {
-  max_depth : int;
-  simulations : int;
-  exploration : float;
-  seed : int;
-  intra_candidates : int;
-  root_parallel : int;
-  prune : bool;
-  compose : bool;
-}
+type config = { max_depth : int; simulations : int; seed : int; prune : bool }
 
-let default_config =
-  { max_depth = 13; simulations = 512; exploration = 1.2; seed = 7;
-    intra_candidates = 12; root_parallel = 1; prune = true; compose = true }
+let default_config = { max_depth = 13; simulations = 512; seed = 7; prune = true }
+
+(* the UCT exploration constant *)
+let exploration = 1.2
 
 type result = {
   best_kernel : Kernel.t;
@@ -49,40 +41,45 @@ module KTbl = Hashtbl.Make (struct
   let hash = Kernel.hash
 end)
 
-(* A slot of a search's reward table: the entry, and the last batch that
-   replayed its receipt. *)
-type slot = { entry : Transposition.entry; mutable replayed_by : int }
+(* One search: one tree, one rng, one reward table, modelled device time
+   charged through [charge], events emitted as they happen.
 
-(* One independent search: own rng, modelled device time charged through
-   [charge], events emitted as they happen.
+   Rewards come from [table], which dies with the search. On a miss, the
+   {!Transposition} entries the durable store restored may hold the state;
+   otherwise one {!Intra.tune} call evaluates it (a state the checker
+   rejects tunes to 0 with an empty receipt) and the entry goes to the
+   store's observer. Values are pure, so where an entry comes from changes
+   wall-clock time only. Observable effects stay deterministic because a
+   state entering the table emits the same canonical stream, replayed from
+   the entry's receipt, whatever its source: nothing for invalid states,
+   else one 5.0 charge, then a count + 10.0 charge per measured intra
+   variant, then one aggregated [intra.pruned] count. Later touches emit
+   nothing. {!Intra} emits and charges nothing, and runs under
+   [Trace.without] so the cost model's own events stay out of that
+   stream.
 
-   Rewards come from [table], which the search's batches share (with
-   [share] off, each batch has its own). On a miss, the {!Transposition}
-   entries the durable store restored may hold the state; otherwise one
-   {!Intra.tune} call evaluates it (a state the checker rejects tunes to 0
-   with an empty receipt) and the entry goes to the store's observer.
-   Values are pure, so where an entry comes from changes wall-clock time
-   only. Observable effects stay deterministic because a batch's first
-   touch of a state emits the same canonical stream, replayed from the
-   entry's receipt, whatever its source: nothing for invalid states, else
-   one 5.0 charge, then a count + 10.0 charge per measured intra variant,
-   then one aggregated [intra.pruned] count. Later touches emit nothing.
-   {!Intra} emits and charges nothing, and runs under [Trace.without] so
-   the cost model's own events stay out of that stream. *)
-let search_one ~config ~batch ~table ~sims ~seed ~charge ~share ~buffer_sizes ~platform kernel =
-  let rng = Rng.create seed in
+   [jobs] and [db] are ignored: the search runs on one domain and starts
+   from its input kernel alone. *)
+let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?db:_ ~platform kernel =
+  Trace.span ~cat:"phase"
+    ~attrs:
+      [ ("simulations", string_of_int config.simulations);
+        ("max_depth", string_of_int config.max_depth) ]
+    "mcts"
+  @@ fun () ->
+  let charge s =
+    match clock with Some c -> Vclock.charge c Vclock.Auto_tuning s | None -> ()
+  in
+  let rng = Rng.create config.seed in
+  let table = KTbl.create 1024 in
   let nodes = ref 0 in
   let best = ref (kernel, [], 0.0) in
-  let keyed f =
-    f ~platform:platform.Xpiler_machine.Platform.id ~budget:config.intra_candidates
-      ~prune:config.prune ~compose:config.compose
-  in
+  let pid = platform.Xpiler_machine.Platform.id in
   let evaluate k =
     Transposition.count_eval ();
     let v, st =
       Trace.without (fun () ->
-          Intra.tune ~prune:config.prune ~compose:config.compose
-            ~max_candidates:config.intra_candidates ~platform k)
+          Intra.tune ~prune:config.prune ~platform k)
     in
     let e =
       { Transposition.reward = v.Intra.throughput;
@@ -90,39 +87,37 @@ let search_one ~config ~batch ~table ~sims ~seed ~charge ~share ~buffer_sizes ~p
         pruned = st.Intra.pruned
       }
     in
-    if share then keyed Transposition.store k e;
+    Transposition.store ~platform:pid ~prune:config.prune k e;
     e
   in
+  (* canonical receipt replay, once per state: when it enters the table *)
+  let enter k e =
+    KTbl.add table k e;
+    if e.Transposition.reward > 0.0 then begin
+      charge 5.0 (* state set-up on the device *);
+      for _ = 1 to e.Transposition.evaluated do
+        Trace.count "intra.variants";
+        charge 10.0 (* one variant measured on the device *)
+      done;
+      if e.Transposition.pruned > 0 then Trace.count ~n:e.Transposition.pruned "intra.pruned"
+    end;
+    e
+  in
+  (* a lookup the table or a restored entry serves is a hit; a miss is one
+     fresh evaluation *)
   let lookup k =
     match KTbl.find_opt table k with
-    | Some s ->
-      (* only a shared table holds another batch's states *)
-      if s.replayed_by <> batch then Transposition.count_lookup ~hit:true;
-      s
+    | Some e ->
+      Transposition.count_lookup ~hit:true;
+      e
     | None ->
-      let restored = if share then keyed Transposition.find k else None in
-      if share then Transposition.count_lookup ~hit:(restored <> None);
-      let entry = match restored with Some e -> e | None -> evaluate k in
-      let s = { entry; replayed_by = -1 } in
-      KTbl.add table k s;
-      s
+      let restored = Transposition.find ~platform:pid ~prune:config.prune k in
+      Transposition.count_lookup ~hit:(restored <> None);
+      enter k (match restored with Some e -> e | None -> evaluate k)
   in
   (* reward = best intra-tuned throughput of the state; 0 for invalid states *)
   let reward (k : Kernel.t) rspecs =
-    let s = lookup k in
-    let e = s.entry in
-    (* canonical receipt replay, once per batch *)
-    if s.replayed_by <> batch then begin
-      s.replayed_by <- batch;
-      if e.Transposition.reward > 0.0 then begin
-        charge 5.0 (* state set-up on the device *);
-        for _ = 1 to e.Transposition.evaluated do
-          Trace.count "intra.variants";
-          charge 10.0 (* one variant measured on the device *)
-        done;
-        if e.Transposition.pruned > 0 then Trace.count ~n:e.Transposition.pruned "intra.pruned"
-      end
-    end;
+    let e = lookup k in
     let r = e.Transposition.reward in
     Trace.observe "mcts.reward" r;
     let _, _, b = !best in
@@ -149,7 +144,7 @@ let search_one ~config ~batch ~table ~sims ~seed ~charge ~share ~buffer_sizes ~p
   let uct parent_visits n =
     let mean = if n.visits = 0 then 0.0 else n.total /. float_of_int n.visits in
     mean
-    +. config.exploration
+    +. exploration
        *. sqrt (log (float_of_int (max parent_visits 1)) /. float_of_int (max n.visits 1))
   in
   let apply k spec = Pass.apply ~platform spec k in
@@ -208,7 +203,7 @@ let search_one ~config ~batch ~table ~sims ~seed ~charge ~share ~buffer_sizes ~p
     node.total <- node.total +. r;
     r
   in
-  for _ = 1 to sims do
+  for _ = 1 to config.simulations do
     Trace.count "mcts.simulations";
     ignore (simulate root)
   done;
@@ -218,51 +213,5 @@ let search_one ~config ~batch ~table ~sims ~seed ~charge ~share ~buffer_sizes ~p
     best_reward = br;
     root_reward;
     nodes_expanded = !nodes;
-    simulations_run = sims
+    simulations_run = config.simulations
   }
-
-(* [jobs] and [db] are ignored: the search runs on one domain and starts
-   from its input kernel alone. *)
-let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?(share = true) ?db:_
-    ~platform kernel =
-  Trace.span ~cat:"phase"
-    ~attrs:
-      [ ("simulations", string_of_int config.simulations);
-        ("max_depth", string_of_int config.max_depth) ]
-    "mcts"
-  @@ fun () ->
-  let charge_clock s =
-    match clock with Some c -> Vclock.charge c Vclock.Auto_tuning s | None -> ()
-  in
-  (* Root parallelism: independent searches over distinct seeds, sharing
-     this search's reward table, run one after another and merged.
-     Simulations split evenly over the [b] batches (remainder to the early
-     ones). One batch is the classic single tree. *)
-  let b = max config.root_parallel 1 in
-  let sims_of i = (config.simulations / b) + if i < config.simulations mod b then 1 else 0 in
-  let table = KTbl.create 1024 in
-  let batch i =
-    let table = if share then table else KTbl.create 128 in
-    search_one ~config ~batch:i ~table ~sims:(sims_of i) ~seed:(config.seed + (7919 * i))
-      ~charge:charge_clock ~share ~buffer_sizes ~platform kernel
-  in
-  match List.init b batch with
-  | [] -> assert false
-  | r0 :: rest ->
-    List.fold_left
-      (fun acc r ->
-        let acc =
-          { acc with
-            nodes_expanded = acc.nodes_expanded + r.nodes_expanded;
-            simulations_run = acc.simulations_run + r.simulations_run
-          }
-        in
-        (* strict > keeps the earliest batch on ties *)
-        if r.best_reward > acc.best_reward then
-          { acc with
-            best_kernel = r.best_kernel;
-            best_specs = r.best_specs;
-            best_reward = r.best_reward
-          }
-        else acc)
-      r0 rest

@@ -11,47 +11,33 @@ module Pass = Xpiler_passes.Pass
     limit, reward backpropagation along the path. The paper's defaults are
     depth N = 13 and 512 simulations.
 
-    Search-efficiency mechanisms (each independently switchable):
+    One search is one tree with one reward table keyed by kernel, dropped
+    when it returns. A miss there reads the {!Transposition} entries the
+    store restored; a miss in both runs {!Intra.tune} (bound-based pruning
+    per [config.prune], composed candidates always, 12 candidates per
+    phase) and persists the entry. Rewards are pure, so where an entry
+    comes from changes wall-clock only: charges and trace counts replay
+    from the entry's receipt once, when the state enters the search's
+    table, so a cold search and one that reads restored entries give
+    byte-identical journals. A repeat search in one process re-evaluates.
+    Each reward lookup counts once in [xpiler_transposition_lookups_total]:
+    a hit when the table or a restored entry serves it, a miss when it is
+    evaluated fresh. UCT's exploration constant is 1.2.
 
-    - {b Transposition sharing} ([share], default on): a search's batches
-      share one reward table keyed by kernel, dropped when it returns. A
-      miss there reads the {!Transposition} entries the store restored; a
-      miss in both runs {!Intra.tune} and persists the entry. With [share]
-      off each batch has a private table and the store is not touched.
-      Rewards are pure, so sharing changes wall-clock only; charges and
-      trace counts replay from per-entry receipts on each batch's first
-      touch of a state, so a cold search and one that reads restored
-      entries give byte-identical journals. A repeat search in one process
-      re-evaluates.
-    - {b Bound-based pruning and composed candidates}
-      ([config.prune]/[config.compose], default on): forwarded to
-      {!Intra.tune} for every reward evaluation.
-
-    With [root_parallel > 1] the simulation budget is split over that many
-    independent searches (distinct seeds, one shared reward table), run
-    one after another on the calling domain, whose best result is kept.
-    [root_parallel] shapes the search; it does not parallelize it.
-
-    Every batch emits its events as it runs: one [mcts.expansions] count
+    The search emits its events as it runs: one [mcts.expansions] count
     per node, one [mcts.simulations] count per simulation, one
-    [mcts.rollout_steps] count per rollout step, and per
-    positive reward the transposition receipt's stream (a 5 s
-    [Auto_tuning] charge, then one [intra.variants] count and one 10 s
-    charge per measured variant, then [intra.pruned]). So the journal's
-    totals equal the result's [nodes_expanded]/[simulations_run] and its
-    [intra.variants] total equals its 10 s charges, however many batches
-    ran. *)
+    [mcts.rollout_steps] count per rollout step, and per positive reward
+    entering the table the receipt's stream (a 5 s [Auto_tuning] charge,
+    then one [intra.variants] count and one 10 s charge per measured
+    variant, then [intra.pruned]). So the journal's totals equal the
+    result's [nodes_expanded]/[simulations_run] and its [intra.variants]
+    total equals its 10 s charges. *)
 
 type config = {
   max_depth : int;
   simulations : int;
-  exploration : float;
   seed : int;
-  intra_candidates : int;  (** intra-pass variants measured per new state *)
-  root_parallel : int;
-      (** independent root-parallel search batches; 1 = classic single tree *)
   prune : bool;  (** bound-based pruning inside intra-pass tuning *)
-  compose : bool;  (** depth-2 composed intra candidates *)
 }
 
 val default_config : config
@@ -70,7 +56,6 @@ val search :
   ?clock:Xpiler_util.Vclock.t ->
   ?buffer_sizes:(string * int) list ->
   ?jobs:int ->
-  ?share:bool ->
   ?db:Schedule_db.t ->
   platform:Platform.t ->
   Kernel.t ->

@@ -9,9 +9,9 @@
    *receipt*, the effect counts the original evaluation emitted, so a hit
    replays the same stream a fresh evaluation emits.
 
-   The reward depends on the intra-tuning parameters (candidate budget,
-   pruning, composition), so they are part of the key: searches with
-   different configurations never alias. *)
+   The reward depends on whether intra-tuning prunes, so [prune] is part
+   of the key: searches with different configurations never alias. The
+   candidate budget and composition are constants of {!Intra}. *)
 
 open Xpiler_machine
 module Metrics = Xpiler_obs.Metrics
@@ -27,7 +27,7 @@ let m_misses =
   Metrics.counter ~stable:false ~labels:[ ("result", "miss") ] "xpiler_transposition_lookups_total"
 
 let m_evals =
-  Metrics.counter ~stable:false ~help:"fresh reward evaluations (sharing on or off)"
+  Metrics.counter ~stable:false ~help:"fresh reward evaluations"
     "xpiler_transposition_evals_total"
 
 type entry = {
@@ -39,24 +39,16 @@ type entry = {
 module Key = struct
   type t = {
     platform : Platform.id;
-    budget : int;
     prune : bool;
-    compose : bool;
     kernel : Xpiler_ir.Kernel.t;
   }
 
   let equal a b =
-    a.platform = b.platform && a.budget = b.budget && a.prune = b.prune
-    && a.compose = b.compose
-    && Xpiler_ir.Kernel.equal a.kernel b.kernel
+    a.platform = b.platform && a.prune = b.prune && Xpiler_ir.Kernel.equal a.kernel b.kernel
 
   let hash k =
     let comb = Xpiler_ir.Expr.hash_comb in
-    comb
-      (comb
-         (comb (Hashtbl.hash k.platform) k.budget)
-         (Hashtbl.hash (k.prune, k.compose)))
-      (Xpiler_ir.Kernel.hash k.kernel)
+    comb (Hashtbl.hash (k.platform, k.prune)) (Xpiler_ir.Kernel.hash k.kernel)
 end
 
 module Table = Xpiler_util.Lru.Make (Key)
@@ -68,15 +60,12 @@ let table : entry Table.t Xpiler_util.Session.t =
 let observer : (Key.t -> entry -> unit) option Atomic.t = Atomic.make None
 let set_observer o = Atomic.set observer o
 
-let key ~platform ~budget ~prune ~compose kernel =
-  { Key.platform; budget; prune; compose; kernel }
+let find ~platform ~prune kernel =
+  Table.find (Xpiler_util.Session.get table) { Key.platform; prune; kernel }
 
-let find ~platform ~budget ~prune ~compose kernel =
-  Table.find (Xpiler_util.Session.get table) (key ~platform ~budget ~prune ~compose kernel)
-
-let store ~platform ~budget ~prune ~compose kernel entry =
+let store ~platform ~prune kernel entry =
   match Atomic.get observer with
-  | Some f -> f (key ~platform ~budget ~prune ~compose kernel) entry
+  | Some f -> f { Key.platform; prune; kernel } entry
   | None -> ()
 
 let restore k entry = ignore (Table.replace (Xpiler_util.Session.get table) k entry)

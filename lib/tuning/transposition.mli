@@ -3,7 +3,7 @@ open Xpiler_machine
 (** Reward entries restored from the durable store, one table per session
     ({!Xpiler_util.Session}).
 
-    Maps a state — [(platform, intra budget, prune, compose, kernel)], keyed
+    Maps a state — [(platform, prune, kernel)], keyed
     by the structural {!Xpiler_ir.Kernel.hash}/[equal] — to the reward of
     its intra-pass tuning plus a *receipt* of the effects the original
     evaluation emitted (variants measured, variants pruned).
@@ -30,9 +30,7 @@ type entry = {
 module Key : sig
   type t = {
     platform : Platform.id;
-    budget : int;
     prune : bool;
-    compose : bool;
     kernel : Xpiler_ir.Kernel.t;
   }
 
@@ -41,25 +39,24 @@ module Key : sig
 end
 
 val find :
-  platform:Platform.id -> budget:int -> prune:bool -> compose:bool ->
-  Xpiler_ir.Kernel.t -> entry option
+  platform:Platform.id -> prune:bool -> Xpiler_ir.Kernel.t -> entry option
 (** A restored entry. Silent: {!Mcts} counts its lookups with
     {!count_lookup}. *)
 
 val store :
-  platform:Platform.id -> budget:int -> prune:bool -> compose:bool ->
-  Xpiler_ir.Kernel.t -> entry -> unit
+  platform:Platform.id -> prune:bool -> Xpiler_ir.Kernel.t -> entry -> unit
 (** Pass a freshly evaluated state to the observer (if any). The table
     itself is not changed. *)
 
 val count_lookup : hit:bool -> unit
-(** Record one lookup in [xpiler_transposition_lookups_total] by result;
-    {!hits} reads the hits. *)
+(** Record one reward lookup in [xpiler_transposition_lookups_total] by
+    result: {!Mcts} counts a hit for every lookup its own table or a
+    restored entry serves, and a miss for every fresh evaluation. {!hits}
+    reads the hits. *)
 
 val count_eval : unit -> unit
-(** Record one fresh reward evaluation (an actual {!Intra.tune} run). {!Mcts}
-    calls this on every table miss *and* when sharing is disabled, so
-    benches can compare search modes with a single meter. *)
+(** Record one fresh reward evaluation (an actual {!Intra.tune} run);
+    {!Mcts} calls this with every miss, so the misses equal {!evals}. *)
 
 val size : unit -> int
 

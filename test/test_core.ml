@@ -59,6 +59,35 @@ let test_target_text_is_valid_dialect () =
       | Xpiler.Success -> "missing text"
       | s -> Xpiler.status_to_string s)
 
+(* Codegen prints a multi-term intrinsic offset unparenthesized
+   ([inp + i0 * 160 + i1 * 16 + ...]). These default-config vnni texts
+   print one; each must parse back into a kernel that passes the unit
+   test. *)
+let test_multi_term_offsets_parse_back () =
+  let gemv = Registry.find_exn "gemv" and conv = Registry.find_exn "conv2d_nhwc" in
+  let conv_shape = [ ("h", 8); ("w", 8); ("ci", 16); ("co", 16) ] in
+  List.iter
+    (fun (src, (op : Opdef.t), shape) ->
+      let name =
+        Printf.sprintf "%s->vnni %s %s" (Platform.id_to_string src) op.Opdef.name
+          (String.concat "," (List.map (fun (d, v) -> Printf.sprintf "%s=%d" d v) shape))
+      in
+      let o = run ~src ~dst:Platform.Vnni op shape in
+      match (o.Xpiler.status, o.Xpiler.target_text) with
+      | (Xpiler.Success | Xpiler.Degraded), Some text -> (
+        match Xpiler_lang.Parser.parse_platform Platform.Vnni text with
+        | k ->
+          Alcotest.(check bool) (name ^ ": parsed text passes") true
+            (Unit_test.check ~trials:1 ~seed:1_000_003 op shape k = Unit_test.Pass)
+        | exception Xpiler_lang.Parser.Parse_error m ->
+          Alcotest.fail (name ^ ": unparseable output: " ^ m))
+      | s, _ -> Alcotest.fail (name ^ ": not accepted: " ^ Xpiler.status_to_string s))
+    [ (Platform.Bang, gemv, List.nth gemv.Opdef.shapes 0);
+      (Platform.Bang, gemv, List.nth gemv.Opdef.shapes 1);
+      (Platform.Cuda, conv, conv_shape);
+      (Platform.Hip, conv, conv_shape)
+    ]
+
 let test_deterministic () =
   let o1 = run ~src:Platform.Cuda ~dst:Platform.Bang gemm gemm_shape in
   let o2 = run ~src:Platform.Cuda ~dst:Platform.Bang gemm gemm_shape in
@@ -339,6 +368,8 @@ let () =
         [ Alcotest.test_case "all 12 directions (relu)" `Quick test_all_directions_relu;
           Alcotest.test_case "gemm tensorized on bang" `Quick test_gemm_cuda_to_bang_tensorized;
           Alcotest.test_case "target text valid" `Quick test_target_text_is_valid_dialect;
+          Alcotest.test_case "multi-term offsets parse back" `Quick
+            test_multi_term_offsets_parse_back;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "seeds vary" `Quick test_seed_changes_faults
         ] );

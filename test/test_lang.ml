@@ -155,6 +155,42 @@ let test_parse_vnni () =
   Alcotest.(check (float 0.0)) "dot0" 12.0 (Tensor.get acc 0);
   Alcotest.(check (float 0.0)) "dot1" 8.0 (Tensor.get acc 1)
 
+(* codegen prints a multi-term intrinsic offset unparenthesized: the buffer
+   heads a left-nested sum and the terms after it are the offset *)
+let test_parse_vnni_multi_term_offset () =
+  let src =
+    {|void dot(int8_t* a, int8_t* b, int32_t* acc) {
+  for (int g = 0; g < 2; g++) {
+    for (int h = 0; h < 2; h++) {
+      acc[g * 2 + h] = 0;
+    }
+  }
+  for (int g = 0; g < 2; g++) {
+    for (int h = 0; h < 2; h++) {
+      _mm512_dpbusd_epi32(acc + g * 2 + h, a + g * 8 + h * 4 + 16, b + g * 8 + h * 4, 4);
+    }
+  }
+}|}
+  in
+  let k = Parser.parse Dialect.vnni src in
+  (match Stmt.intrinsics k.Kernel.body with
+  | [ { Intrin.srcs = { buf = "a"; offset } :: _; _ } ] ->
+    let open Expr in
+    Alcotest.(check bool) "three-term offset" true
+      (Expr.equal offset
+         (Binop (Add, Binop (Add, Binop (Mul, Var "g", Int 8), Binop (Mul, Var "h", Int 4)), Int 16)))
+  | _ -> Alcotest.fail "expected one dpbusd call reading a");
+  (* group i of a (from element 16 on) holds i + 1; b is all ones *)
+  let a =
+    Tensor.of_array ~dtype:Dtype.I8
+      (Array.init 32 (fun i -> if i < 16 then 9. else float_of_int (((i - 16) / 4) + 1)))
+  in
+  let b = Tensor.of_array ~dtype:Dtype.I8 (Array.make 16 1.) in
+  let acc = Tensor.create ~dtype:Dtype.I32 4 in
+  let _ = Interp.run k [ ("a", Interp.Buf a); ("b", Interp.Buf b); ("acc", Interp.Buf acc) ] in
+  Alcotest.(check (list (float 0.0))) "dot products" [ 4.; 8.; 12.; 16. ]
+    (List.init 4 (Tensor.get acc))
+
 let test_parse_shared_hoist () =
   let src =
     {|#launch blockIdx.x=2 threadIdx.x=16
@@ -311,6 +347,7 @@ let () =
           Alcotest.test_case "bang" `Quick test_parse_bang;
           Alcotest.test_case "hip" `Quick test_parse_hip;
           Alcotest.test_case "vnni" `Quick test_parse_vnni;
+          Alcotest.test_case "vnni multi-term offset" `Quick test_parse_vnni_multi_term_offset;
           Alcotest.test_case "shared hoisting" `Quick test_parse_shared_hoist;
           Alcotest.test_case "wrong dialect rejected" `Quick test_parse_rejects_wrong_dialect;
           Alcotest.test_case "compound assignment" `Quick test_parse_compound_assign;

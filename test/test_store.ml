@@ -66,12 +66,7 @@ let gen_record rng =
   match Rng.int rng 2 with
   | 0 ->
     Store.Transposition
-      ( { Transposition.Key.platform = pid;
-          budget = 4 + Rng.int rng 3;
-          prune = Rng.bernoulli rng 0.5;
-          compose = Rng.bernoulli rng 0.5;
-          kernel = gen_kernel rng
-        },
+      ( { Transposition.Key.platform = pid; prune = Rng.bernoulli rng 0.5; kernel = gen_kernel rng },
         { Transposition.reward = float_of_int (Rng.int rng 64) /. 8.0;
           evaluated = Rng.int rng 50;
           pruned = Rng.int rng 50
@@ -212,37 +207,41 @@ let test_corrupt_frame () =
   Alcotest.(check int) "nothing replays" 0 (Store.total stats2.Store.loaded);
   Alcotest.(check bool) "tables empty" true (dump_tables () = ([], []))
 
-(* ---- previous format ------------------------------------------------------
+(* ---- previous formats -----------------------------------------------------
 
-   A log written under the previous magic holds records of the previous
-   [Store.record] type, whose constructors no longer line up with today's:
-   it must load nothing, and the next append starts the file over. *)
+   A log written under a previous magic holds records of a previous
+   [Store.record] type, whose constructors or key fields no longer line up
+   with today's: it must load nothing, and the next append starts the file
+   over. [XPWAL03] logs keyed transposition entries by intra budget and
+   composition as well. *)
 
 let test_previous_format_starts_cold () =
-  let dir = fresh_dir () in
-  let store = ok_exn (Store.open_store ~dir ()) in
-  let wal = Filename.concat dir "store.wal" in
-  let record =
-    Store.Transposition
-      ( { Transposition.Key.platform = pid; budget = 8; prune = true; compose = true;
-          kernel = gen_kernel (Rng.create 3) },
-        { Transposition.reward = 1.5; evaluated = 3; pruned = 1 } )
-  in
-  let oc = open_out_bin wal in
-  output_string oc "XPWAL02\n";
-  Wal.append oc (Marshal.to_string record []);
-  close_out oc;
-  let stats = load_fresh store in
-  Alcotest.(check int) "nothing replays" 0 (Store.total stats.Store.loaded);
-  Alcotest.(check int) "bad header counted" 1 stats.Store.torn_tails;
-  Alcotest.(check bool) "tables empty" true (dump_tables () = ([], []));
-  Store.append store record;
-  Store.close store;
-  let header = In_channel.with_open_bin wal (fun ic -> really_input_string ic 8) in
-  Alcotest.(check string) "rewritten under the new magic" Wal.magic header;
-  let stats2 = load_fresh store in
-  Alcotest.(check int) "only the new record replays" 1 (Store.total stats2.Store.loaded);
-  Alcotest.(check int) "no damage left" 0 stats2.Store.torn_tails
+  List.iter
+    (fun old_magic ->
+      let dir = fresh_dir () in
+      let store = ok_exn (Store.open_store ~dir ()) in
+      let wal = Filename.concat dir "store.wal" in
+      let record =
+        Store.Transposition
+          ( { Transposition.Key.platform = pid; prune = true; kernel = gen_kernel (Rng.create 3) },
+            { Transposition.reward = 1.5; evaluated = 3; pruned = 1 } )
+      in
+      let oc = open_out_bin wal in
+      output_string oc old_magic;
+      Wal.append oc (Marshal.to_string record []);
+      close_out oc;
+      let stats = load_fresh store in
+      Alcotest.(check int) "nothing replays" 0 (Store.total stats.Store.loaded);
+      Alcotest.(check int) "bad header counted" 1 stats.Store.torn_tails;
+      Alcotest.(check bool) "tables empty" true (dump_tables () = ([], []));
+      Store.append store record;
+      Store.close store;
+      let header = In_channel.with_open_bin wal (fun ic -> really_input_string ic 8) in
+      Alcotest.(check string) "rewritten under the new magic" Wal.magic header;
+      let stats2 = load_fresh store in
+      Alcotest.(check int) "only the new record replays" 1 (Store.total stats2.Store.loaded);
+      Alcotest.(check int) "no damage left" 0 stats2.Store.torn_tails)
+    [ "XPWAL02\n"; "XPWAL03\n" ]
 
 (* ---- interrupted compaction ----------------------------------------------- *)
 
@@ -278,7 +277,7 @@ let test_attach_write_through () =
   Alcotest.(check bool) "attached" true (Store.active () <> None);
   let rng = Rng.create 11 in
   let kernel = gen_kernel rng in
-  Transposition.store ~platform:pid ~budget:8 ~prune:true ~compose:true kernel
+  Transposition.store ~platform:pid ~prune:true kernel
     { Transposition.reward = 1.5; evaluated = 3; pruned = 1 };
   Memo.store ~mode:Memo.Solve ~max_steps:100 (gen_problem rng)
     { Memo.payload = Memo.Outcome Problem.Unsat; stats = { Problem.steps = 5; evals = 9 } };
@@ -287,7 +286,7 @@ let test_attach_write_through () =
   Alcotest.(check int) "transposition record persisted" 1 info.Store.records.Store.transposition;
   Alcotest.(check int) "memo record persisted" 1 info.Store.records.Store.solver_memo;
   (* detached: fresh learning no longer streams to the log *)
-  Transposition.store ~platform:pid ~budget:9 ~prune:true ~compose:true kernel
+  Transposition.store ~platform:pid ~prune:false kernel
     { Transposition.reward = 1.0; evaluated = 1; pruned = 0 };
   Alcotest.(check int) "no append after detach" 2
     (Store.total (Store.scan store).Store.records);
@@ -308,14 +307,14 @@ let test_failing_append_detaches () =
   let entry = { Transposition.reward = 1.5; evaluated = 3; pruned = 1 } in
   (* the table holds what a load restored; a failing append leaves it be *)
   Transposition.restore
-    { Transposition.Key.platform = pid; budget = 8; prune = true; compose = true; kernel }
+    { Transposition.Key.platform = pid; prune = true; kernel }
     entry;
-  Transposition.store ~platform:pid ~budget:8 ~prune:true ~compose:true kernel entry;
+  Transposition.store ~platform:pid ~prune:true kernel entry;
   Alcotest.(check bool) "detached" true (Store.active () = None);
   let trans, _ = dump_tables () in
   Alcotest.(check int) "the in-memory table kept the entry" 1 (List.length trans);
   (* detached: later learning no longer reaches the store *)
-  Transposition.store ~platform:pid ~budget:9 ~prune:true ~compose:true kernel entry;
+  Transposition.store ~platform:pid ~prune:false kernel entry;
   Alcotest.(check bool) "still detached" true (Store.active () = None)
 
 (* ---- parallel translations: jobs=1 vs jobs=4 ------------------------------
@@ -403,10 +402,10 @@ let test_pool_tasks_start_cold () =
   let rng = Rng.create 17 in
   let kernel = gen_kernel rng and problem = gen_problem rng in
   let find_state () =
-    Transposition.find ~platform:pid ~budget:8 ~prune:true ~compose:true kernel
+    Transposition.find ~platform:pid ~prune:true kernel
   in
   Transposition.restore
-    { Transposition.Key.platform = pid; budget = 8; prune = true; compose = true; kernel }
+    { Transposition.Key.platform = pid; prune = true; kernel }
     { Transposition.reward = 1.5; evaluated = 3; pruned = 1 };
   Memo.store ~mode:Memo.Solve ~max_steps:100 problem
     { Memo.payload = Memo.Outcome Problem.Unsat; stats = { Problem.steps = 5; evals = 9 } };

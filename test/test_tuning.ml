@@ -149,26 +149,41 @@ let test_bound_admissible_on_tuning_states () =
         (Actions.enumerate ~buffer_sizes p k))
     Platform.all
 
+(* Pruning skips only candidates whose bound cannot beat the incumbent, so
+   within a phase it is lossless by admissibility. A skipped candidate is
+   never measured and so cannot seed the composed phase: pruning may
+   change the composed candidates. Checked on serial roots, and on
+   translated gemm and its depth-1 states, where pruning bites. *)
 let test_intra_prune_lossless () =
-  List.iter
-    (fun p ->
-      let v_off, s_off =
-        Intra.tune ~prune:false ~compose:false ~platform:p (serial ())
-      in
-      let v_on, s_on =
-        Intra.tune ~prune:true ~compose:false ~platform:p (serial ())
-      in
-      Alcotest.(check (float 0.0)) "same best throughput" v_off.Intra.throughput
-        v_on.Intra.throughput;
-      Alcotest.(check int) "every candidate accounted for" s_off.Intra.evaluated
-        (s_on.Intra.evaluated + s_on.Intra.pruned);
-      (* composition only ever adds candidates *)
-      let v_comp, _ =
-        Intra.tune ~prune:true ~compose:true ~platform:p (serial ())
-      in
-      Alcotest.(check bool) "composition never loses" true
-        (v_comp.Intra.throughput >= v_on.Intra.throughput))
-    [ Platform.cuda; Platform.bang ]
+  let root name =
+    let op = Registry.find_exn name in
+    op.Opdef.serial (List.hd op.Opdef.shapes)
+  in
+  let translated p =
+    let k = Idiom.source p.Platform.id gemm gemm_shape in
+    k
+    :: List.filter_map
+         (fun spec -> Result.to_option (Xpiler_passes.Pass.apply ~platform:p spec k))
+         (Actions.enumerate ~buffer_sizes p k)
+  in
+  let cases =
+    List.map (fun k -> (Platform.cuda, k)) (serial () :: translated Platform.cuda)
+    @ List.map (fun k -> (Platform.hip, k)) (translated Platform.hip)
+    @ List.map (fun k -> (Platform.bang, k)) [ serial (); root "conv2d_nhwc"; root "softmax" ]
+  in
+  let pruned =
+    List.fold_left
+      (fun acc (p, k) ->
+        let v_off, s_off = Intra.tune ~prune:false ~platform:p k in
+        let v_on, s_on = Intra.tune ~prune:true ~platform:p k in
+        Alcotest.(check (float 0.0)) "same best throughput" v_off.Intra.throughput
+          v_on.Intra.throughput;
+        Alcotest.(check bool) "never measures more" true
+          (s_on.Intra.evaluated <= s_off.Intra.evaluated);
+        acc + s_on.Intra.pruned)
+      0 cases
+  in
+  Alcotest.(check bool) "pruning bites" true (pruned > 0)
 
 (* ---- rejected input ------------------------------------------------------- *)
 
@@ -254,24 +269,20 @@ let capture_entries f =
   (v, List.rev !got)
 
 let test_transposition_values_pure () =
-  (* restored entries change time, never values: same result with sharing
-     off, cold, and warm-started from the cold run's persisted entries *)
+  (* restored entries change time, never values: same result cold and
+     warm-started from the cold run's persisted entries *)
   Transposition.clear ();
-  let search share =
-    Mcts.search ~config:small_config ~buffer_sizes ~share ~platform:Platform.bang (serial ())
+  let search () =
+    Mcts.search ~config:small_config ~buffer_sizes ~platform:Platform.bang (serial ())
   in
-  let r_off = search false in
   let evals0 = Transposition.evals () in
-  let r_cold, entries = capture_entries (fun () -> search true) in
+  let r_cold, entries = capture_entries search in
   let cold_evals = Transposition.evals () - evals0 in
   Transposition.clear ();
   List.iter (fun (k, e) -> Transposition.restore k e) entries;
   let evals1 = Transposition.evals () and hits1 = Transposition.hits () in
-  let r_warm = search true in
+  let r_warm = search () in
   Transposition.clear ();
-  Alcotest.(check bool) "share off = share on" true
-    (r_off.Mcts.best_reward = r_cold.Mcts.best_reward
-    && r_off.Mcts.best_specs = r_cold.Mcts.best_specs);
   Alcotest.(check bool) "cold = warm" true
     (r_cold.Mcts.best_reward = r_warm.Mcts.best_reward
     && r_cold.Mcts.best_specs = r_warm.Mcts.best_specs);
@@ -279,6 +290,31 @@ let test_transposition_values_pure () =
   Alcotest.(check int) "every fresh evaluation persisted" cold_evals (List.length entries);
   Alcotest.(check int) "warm repeat is free" 0 (Transposition.evals () - evals1);
   Alcotest.(check bool) "hits recorded" true (Transposition.hits () > hits1)
+
+(* The lookup meter counts every reuse: a cold search with nothing
+   restored hits its own table whenever it revisits a state, and each
+   miss is one fresh evaluation. *)
+let test_lookup_meter_counts_reuse () =
+  let module Metrics = Xpiler_obs.Metrics in
+  let misses () =
+    List.fold_left
+      (fun acc (s : Metrics.sample) ->
+        match s.Metrics.value with
+        | Metrics.Vcounter n
+          when s.Metrics.name = "xpiler_transposition_lookups_total"
+               && s.Metrics.labels = [ ("result", "miss") ] -> acc + n
+        | _ -> acc)
+      0 (Metrics.snapshot ())
+  in
+  (* the tuned pipeline's search size *)
+  let config = { Mcts.default_config with simulations = 48; max_depth = 6 } in
+  Transposition.clear ();
+  let hits0 = Transposition.hits () and misses0 = misses () and evals0 = Transposition.evals () in
+  ignore (Mcts.search ~config ~buffer_sizes ~platform:Platform.bang (serial ()));
+  let evals = Transposition.evals () - evals0 in
+  Alcotest.(check bool) "cold search evaluates" true (evals > 0);
+  Alcotest.(check bool) "revisits count as hits" true (Transposition.hits () - hits0 > 0);
+  Alcotest.(check int) "misses = fresh evaluations" evals (misses () - misses0)
 
 let test_search_leaves_no_live_entries () =
   (* a search's reward table dies with it: nothing restored, nothing left *)
@@ -308,17 +344,14 @@ let observed_run work =
   (v, List.rev !charges, counters, Vclock.elapsed clock, Tracer.events tracer)
 
 let test_mcts_full_stack_cold_vs_warm_table () =
-  (* pruning + composition + root-parallel search, run twice: once cold,
-     once reading the entries the first run persisted. Byte-identical
-     result, charge stream, counters and full trace journal prove that a
-     cold search and one served from restored entries are observably
-     identical (the receipt discipline). *)
-  let config =
-    { Mcts.default_config with simulations = 24; max_depth = 6; root_parallel = 3 }
-  in
+  (* the full search, run twice: once cold, once reading the entries the
+     first run persisted. Byte-identical result, charge stream, counters
+     and full trace journal prove that a cold search and one served from
+     restored entries are observably identical (the receipt discipline). *)
+  let config = { Mcts.default_config with simulations = 24; max_depth = 6 } in
   let run () =
     observed_run (fun clock ->
-        Mcts.search ~config ~clock ~buffer_sizes ~share:true ~platform:Platform.bang (serial ()))
+        Mcts.search ~config ~clock ~buffer_sizes ~platform:Platform.bang (serial ()))
   in
   Transposition.clear ();
   let (r1, c1, n1, e1, j1), entries = capture_entries run in
@@ -343,8 +376,8 @@ let test_mcts_full_stack_cold_vs_warm_table () =
 (* The journal describes the tuner whatever path the search takes: every
    measured intra variant is one [intra.variants] count and one 10 s
    auto-tuning charge, and the [mcts.*] totals are the result's. Checked on
-   a cold single tree, on a cold root-parallel search (three batches), and
-   on that search again reading the entries the cold one persisted. *)
+   a cold search, and on that search again reading the entries the cold
+   one persisted. *)
 let test_mcts_journal_counts () =
   let config = { Mcts.default_config with simulations = 24; max_depth = 6 } in
   let check name (r, charges, counters, _, _) =
@@ -359,23 +392,19 @@ let test_mcts_journal_counts () =
     Alcotest.(check int) (name ^ ": mcts.simulations") r.Mcts.simulations_run
       (total "mcts.simulations")
   in
-  check "cold single tree"
-    (observed_run (fun clock ->
-         Mcts.search ~config ~clock ~buffer_sizes ~platform:Platform.bang (serial ())));
-  let root_parallel () =
+  let run () =
     observed_run (fun clock ->
-        Mcts.search ~config:{ config with root_parallel = 3 } ~clock ~buffer_sizes
-          ~platform:Platform.bang (serial ()))
+        Mcts.search ~config ~clock ~buffer_sizes ~platform:Platform.bang (serial ()))
   in
   Transposition.clear ();
-  let cold, entries = capture_entries root_parallel in
-  check "root-parallel cold" cold;
+  let cold, entries = capture_entries run in
+  check "cold" cold;
   List.iter (fun (k, e) -> Transposition.restore k e) entries;
   let evals0 = Transposition.evals () in
-  let restored = root_parallel () in
+  let restored = run () in
   Transposition.clear ();
   Alcotest.(check int) "restored run evaluates nothing" 0 (Transposition.evals () - evals0);
-  check "root-parallel restored" restored
+  check "restored" restored
 
 let prop_mcts_best_is_valid =
   QCheck.Test.make ~name:"MCTS best kernel always compiles" ~count:6
@@ -414,6 +443,8 @@ let () =
         [ Alcotest.test_case "transposition values pure" `Quick test_transposition_values_pure;
           Alcotest.test_case "a search leaves no live entries" `Quick
             test_search_leaves_no_live_entries;
+          Alcotest.test_case "lookup meter counts every reuse" `Quick
+            test_lookup_meter_counts_reuse;
           Alcotest.test_case "full stack cold = warm table" `Quick
             test_mcts_full_stack_cold_vs_warm_table
         ] );
