@@ -91,6 +91,203 @@ let search_naive ?(max_steps = default_max_steps) problem ~on_model =
   let found = assign [] problem.vars in
   (found, !timeout, { steps = !steps; evals = !evals })
 
+(* ---- linear refutation ---------------------------------------------------
+
+   A cheap proof that a subtree holds no model. [prepare] keeps the linear
+   part of every constraint as clauses over the problem's slots. A clause is
+   a disjunction of alternatives, an alternative a conjunction of atoms
+   [Σ aⱼ·xⱼ + c rel 0]: a constraint's [&&] splits it into clauses and its
+   top-level [||] into alternatives. A comparison whose sides are not linear
+   in the slots is dropped. Dropping only weakens the system, so a
+   refutation of what is left is a refutation of the problem.
+
+   [refute] takes the slots before [free] as bound and the rest as free
+   within their [min, max] domain bounds. It splits each [≠] into [<] and
+   [>] and proves every branch empty over the integers. Equalities go first:
+   a GCD test, then exact elimination of the variable with the smallest
+   coefficient. Fourier–Motzkin elimination then removes the inequalities'
+   variables, dividing each new row by its coefficients' gcd and rounding
+   its constant toward the tighter bound. Past a cap the check gives up and
+   reports "not refuted", which is always sound. *)
+
+type rel = Le | Eq | Ne
+
+(* [a.(0..n-1)] are the slot coefficients, [a.(n)] the constant *)
+type atom = { rel : rel; a : int array }
+type clause = atom list list
+
+let max_branches = 16 (* ≠ splits and || alternatives tried per check *)
+let min_subtree = 16 (* a smaller subtree is cheaper to enumerate than to refute *)
+let max_rows = 48 (* Fourier–Motzkin gives up past this many rows *)
+
+(* row entries stay below 2^30 and domain bounds below 2^24, so products
+   and slot sums fit in 63 bits and each linear side evaluates exactly *)
+let limit = 1 lsl 30
+let small x = x > -limit && x < limit
+let small_domain d = Array.for_all (fun v -> v > -(1 lsl 24) && v < 1 lsl 24) d
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+let cdiv a b = if a <= 0 then -(-a / b) else ((a - 1) / b) + 1
+
+(* [Σ aⱼxⱼ + c] of an expression linear in the slots *)
+let linear_row slot n e =
+  let d = Linear.decompose e in
+  let a = Array.make (n + 1) 0 in
+  a.(n) <- d.Linear.const;
+  let slot_term (atom, k) =
+    match atom with
+    | Expr.Var v -> (
+      match slot v with
+      | Some j ->
+        a.(j) <- k;
+        true
+      | None -> false)
+    | _ -> false
+  in
+  if List.for_all slot_term d.Linear.terms && Array.for_all small a then Some a else None
+
+let negate : Expr.binop -> Expr.binop = function
+  | Eq -> Ne | Ne -> Eq | Lt -> Ge | Ge -> Lt | Le -> Gt | Gt -> Le | op -> op
+
+(* [l op r] as one atom; each side is linearized on its own so that its
+   evaluation cannot overflow where the atom's difference does not *)
+let atom_of slot n (op : Expr.binop) l r =
+  match (linear_row slot n l, linear_row slot n r) with
+  | Some x, Some y ->
+    let d = Array.map2 ( - ) x y in
+    let shift k v = v.(n) <- v.(n) + k; v in
+    let atom =
+      match op with
+      | Eq -> Some { rel = Eq; a = d }
+      | Ne -> Some { rel = Ne; a = d }
+      | Le -> Some { rel = Le; a = d }
+      | Lt -> Some { rel = Le; a = shift 1 d }
+      | Ge -> Some { rel = Le; a = Array.map ( ~- ) d }
+      | Gt -> Some { rel = Le; a = shift 1 (Array.map ( ~- ) d) }
+      | _ -> None
+    in
+    Option.bind atom (fun at -> if Array.for_all small at.a then Some at else None)
+  | _ -> None
+
+let is_bool : Expr.t -> bool = function
+  | Binop ((Eq | Ne | Lt | Le | Gt | Ge | And | Or), _, _) | Unop (Not, _) -> true
+  | _ -> false
+
+(* the clauses implied by [e] evaluating to true ([pos]) or to false *)
+let rec clauses slot n pos (e : Expr.t) : clause list =
+  match e with
+  | Binop (And, x, y) when pos -> clauses slot n pos x @ clauses slot n pos y
+  | Binop (Or, x, y) when not pos -> clauses slot n pos x @ clauses slot n pos y
+  | Binop ((And | Or), _, _) ->
+    (* each alternative keeps its disjunct's plain atoms; an alternative
+       with none says nothing, and neither does the clause *)
+    let alternative d =
+      List.concat_map (function [ atoms ] -> atoms | _ -> []) (clauses slot n pos d)
+    in
+    let alts = List.map alternative (disjuncts pos e) in
+    if List.mem [] alts then [] else [ alts ]
+  | Binop (Ne, x, Int 0) when is_bool x -> clauses slot n pos x
+  | Binop (Eq, x, Int 0) when is_bool x -> clauses slot n (not pos) x
+  | Unop (Not, x) -> clauses slot n (not pos) x
+  | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), l, r) ->
+    Option.to_list (atom_of slot n (if pos then op else negate op) l r)
+    |> List.map (fun at -> [ [ at ] ])
+  | e ->
+    Option.to_list (atom_of slot n (if pos then Ne else Eq) e (Expr.Int 0))
+    |> List.map (fun at -> [ [ at ] ])
+
+and disjuncts pos (e : Expr.t) =
+  match e with
+  | Binop (Or, x, y) when pos -> disjuncts pos x @ disjuncts pos y
+  | Binop (And, x, y) when not pos -> disjuncts pos x @ disjuncts pos y
+  | e -> [ e ]
+
+exception Empty
+
+let coeff_gcd n r =
+  let g = ref 0 in
+  for j = 0 to n - 1 do g := gcd !g (abs r.(j)) done;
+  !g
+
+(* divide a [≤ 0] row by its coefficients' gcd, rounding the constant up;
+   [None] drops a row that always holds or outgrew [limit] *)
+let tighten_le n r =
+  let g = coeff_gcd n r in
+  if g = 0 then if r.(n) > 0 then raise Empty else None
+  else begin
+    if g > 1 then begin
+      for j = 0 to n - 1 do r.(j) <- r.(j) / g done;
+      r.(n) <- cdiv r.(n) g
+    end;
+    if Array.for_all small r then Some r else None
+  end
+
+(* the GCD test: [Σ aⱼxⱼ + c = 0] has an integer solution only if
+   gcd(aⱼ) divides c *)
+let tighten_eq n r =
+  let g = coeff_gcd n r in
+  if g = 0 then if r.(n) <> 0 then raise Empty else None
+  else if r.(n) mod g <> 0 then raise Empty
+  else begin
+    if g > 1 then for j = 0 to n do r.(j) <- r.(j) / g done;
+    if Array.for_all small r then Some r else None
+  end
+
+(* one Fourier–Motzkin step per call, on the variable whose elimination
+   adds the fewest rows; returns when nothing is left to eliminate or the
+   rows outgrow [max_rows], raises [Empty] on a contradiction *)
+let rec eliminate n rows =
+  let best = ref (-1) and best_cost = ref max_int in
+  for j = 0 to n - 1 do
+    let pos = ref 0 and neg = ref 0 in
+    List.iter (fun r -> if r.(j) > 0 then incr pos else if r.(j) < 0 then incr neg) rows;
+    if !pos + !neg > 0 then begin
+      let cost = (!pos * !neg) - !pos - !neg in
+      if cost < !best_cost then begin best := j; best_cost := cost end
+    end
+  done;
+  let k = !best in
+  if k >= 0 then begin
+    let pos, rest = List.partition (fun r -> r.(k) > 0) rows in
+    let neg, rest = List.partition (fun r -> r.(k) < 0) rest in
+    if List.length rest + (List.length pos * List.length neg) <= max_rows then
+      let combined =
+        List.concat_map
+          (fun p ->
+            List.filter_map
+              (fun q -> tighten_le n (Array.init (n + 1) (fun j -> (-q.(k) * p.(j)) + (p.(k) * q.(j)))))
+              neg)
+          pos
+      in
+      eliminate n (combined @ rest)
+  end
+
+let rec eliminate_eqs n eqs les =
+  match eqs with
+  | [] -> eliminate n les
+  | e :: eqs ->
+    let k = ref (-1) in
+    for j = n - 1 downto 0 do
+      if e.(j) <> 0 && (!k < 0 || abs e.(j) <= abs e.(!k)) then k := j
+    done;
+    let k = !k in
+    let s = abs e.(k) in
+    let sub r =
+      if r.(k) = 0 then r
+      else
+        let t = if e.(k) > 0 then r.(k) else -r.(k) in
+        Array.init (n + 1) (fun j -> (s * r.(j)) - (t * e.(j)))
+    in
+    eliminate_eqs n
+      (List.filter_map (fun r -> tighten_eq n (sub r)) eqs)
+      (List.filter_map (fun r -> tighten_le n (sub r)) les)
+
+(* no integer point satisfies [eqs = 0 ∧ les ≤ 0] *)
+let empty n eqs les =
+  match eliminate_eqs n (List.filter_map (tighten_eq n) eqs) (List.filter_map (tighten_le n) les) with
+  | () -> false
+  | exception Empty -> true
+
 (* ---- incremental search --------------------------------------------------
 
    Same search tree, much less work per node:
@@ -103,10 +300,16 @@ let search_naive ?(max_steps = default_max_steps) problem ~on_model =
      evaluates only the constraints that *became* fully bound at [i].
      Constraints bound earlier were already checked true on the ancestor
      step, and later ones would be skipped as partial by the naive engine
-     anyway, so pruning decisions — and hence outcomes, model sets and
-     model order — are identical. [steps] counts the same assignment
-     attempts, keeping [max_steps]/[Timeout] behaviour aligned; only
-     [evals] shrinks.
+     anyway;
+   - after a binding passes its constraints, [refute] may prove that the
+     free slots below it admit no model under the linear clauses; the
+     subtree is then skipped.
+   Both cuts remove only subtrees that hold no model, and the values are
+   tried in the same order, so outcomes, model sets and model order are
+   identical to the naive engine's. [steps] counts the assignment attempts
+   the search actually makes, so it is at most the naive count (a query the
+   naive engine finishes within [max_steps] cannot time out here) and falls
+   with every pruned subtree; [evals] falls with it.
 
    One deliberate divergence: a fully-bound constraint that *raises* (e.g.
    division by zero) prunes here, where the naive engine kept exploring the
@@ -121,7 +324,86 @@ type prepared = {
   p_slots : (string, int) Hashtbl.t;
   p_const_false : bool;  (** some constant constraint folded to false *)
   p_residual : bool;  (** some constraint mentions a variable outside [vars] *)
+  p_clauses : clause list;  (** the linear part, for [refute] *)
+  p_bounds : int array list array;
+      (** rows [lo - xⱼ ≤ 0] and [xⱼ - hi ≤ 0] of slot [j]'s domain, empty
+          when no clause mentions the slot *)
+  p_check : bool array;
+      (** [p_check.(i)]: after binding slot [i], the subtree below is worth
+          refuting (slot [i] occurs in a clause and the subtree holds at
+          least [min_subtree] leaves); index [n] is the root *)
 }
+
+type substituted = Fails | Holds | Row of (rel * int array)
+
+(* [values.(j)] for the bound slots [j < free]; true when no assignment of
+   the free slots satisfies the linear clauses *)
+let refute prep values free =
+  let n = Array.length prep.p_names in
+  (* a ground atom is decided; one whose constant outgrew [limit] is dropped *)
+  let subst at =
+    let r = Array.make (n + 1) 0 and c = ref at.a.(n) and ground = ref true in
+    for j = 0 to n - 1 do
+      let k = at.a.(j) in
+      if k <> 0 then
+        if j < free then c := !c + (k * values.(j))
+        else begin
+          r.(j) <- k;
+          ground := false
+        end
+    done;
+    r.(n) <- !c;
+    if !ground then
+      if match at.rel with Le -> !c <= 0 | Eq -> !c = 0 | Ne -> !c <> 0 then Holds else Fails
+    else if small !c then Row (at.rel, r)
+    else Holds
+  in
+  (* an alternative becomes the options it splits into, each a list of
+     [Eq]/[Le] rows; [None] when one of its atoms fails *)
+  let rec options = function
+    | [] -> Some [ [] ]
+    | at :: rest -> (
+      match (subst at, options rest) with
+      | Fails, _ | _, None -> None
+      | Holds, tail -> tail
+      | Row (Ne, r), Some tail ->
+        let lt = Array.copy r and gt = Array.map ( ~- ) r in
+        lt.(n) <- lt.(n) + 1;
+        gt.(n) <- gt.(n) + 1;
+        Some (List.concat_map (fun t -> [ (Le, lt) :: t; (Le, gt) :: t ]) tail)
+      | Row row, Some tail -> Some (List.map (fun t -> row :: t) tail))
+  in
+  match
+    List.fold_left
+      (fun acc clause ->
+        let alts = List.filter_map options clause in
+        if alts = [] then raise Empty
+        else if List.exists (List.mem []) alts then acc (* an alternative holds *)
+        else List.concat alts :: acc)
+      [] prep.p_clauses
+  with
+  | exception Empty -> true
+  | choices ->
+    let bounds = List.concat (List.init (n - free) (fun j -> prep.p_bounds.(free + j))) in
+    (* choices with one option join every branch; the others multiply the
+       branches up to [max_branches], and the rest are dropped *)
+    let base, split = List.partition (fun c -> List.length c = 1) (List.rev choices) in
+    let base = List.concat_map List.hd base in
+    let _, split =
+      List.fold_left
+        (fun (count, kept) c ->
+          let count' = count * List.length c in
+          if count' <= max_branches then (count', c :: kept) else (count, kept))
+        (1, []) split
+    in
+    let rec all_empty rows = function
+      | [] ->
+        let eqs = List.filter_map (fun (rel, r) -> if rel = Eq then Some r else None) rows
+        and les = List.filter_map (fun (rel, r) -> if rel = Le then Some r else None) rows in
+        empty n eqs (bounds @ les)
+      | c :: rest -> List.for_all (fun opt -> all_empty (opt @ rows) rest) c
+    in
+    all_empty base split
 
 let prepare (problem : problem) =
   let n = List.length problem.vars in
@@ -137,6 +419,9 @@ let prepare (problem : problem) =
   let watched = Array.make (max n 1) [] in
   let const_false = ref false in
   let residual = ref false in
+  (* the bounds behind [limit] hold for up to 64 slots *)
+  let linear = Array.for_all small_domain p_domains && n <= 64 in
+  let p_clauses = ref [] in
   let n_constraints = List.length problem.constraints in
   List.iter
     (fun c0 ->
@@ -156,20 +441,49 @@ let prepare (problem : problem) =
         match Expr.eval_int (fun _ -> raise Not_found) c with
         | v -> if v = 0 then const_false := true
         | exception _ -> const_false := true)
-      | Some i -> watched.(i) <- c :: watched.(i))
+      | Some i ->
+        watched.(i) <- c :: watched.(i);
+        if linear then
+          p_clauses := List.rev_append (clauses (Hashtbl.find_opt p_slots) n true c) !p_clauses)
     problem.constraints;
   let p_watched = Array.map (fun cs -> Array.of_list (List.rev cs)) watched in
   let p_skipped = Array.map (fun cs -> n_constraints - Array.length cs) p_watched in
+  let p_clauses = List.rev !p_clauses in
+  let p_occurs =
+    Array.init n (fun j -> List.exists (List.exists (List.exists (fun at -> at.a.(j) <> 0))) p_clauses)
+  in
+  let p_bounds =
+    Array.mapi
+      (fun j dom ->
+        if (not p_occurs.(j)) || dom = [||] then []
+        else
+          let row k c = Array.init (n + 1) (fun i -> if i = j then k else if i = n then c else 0) in
+          [ row (-1) (Array.fold_left min max_int dom); row 1 (-Array.fold_left max min_int dom) ])
+      p_domains
+  in
+  (* [leaves] counts the assignments of slots [i+1 ..], the subtree below [i] *)
+  let p_check = Array.make (n + 1) false in
+  let leaves = ref 1 in
+  for i = n - 1 downto 0 do
+    p_check.(i) <- !leaves >= min_subtree && p_occurs.(i);
+    leaves := min (1 lsl 40) (!leaves * Array.length p_domains.(i))
+  done;
+  p_check.(n) <- !leaves >= min_subtree && p_clauses <> [];
   { p_names; p_domains; p_watched; p_skipped; p_slots;
-    p_const_false = !const_false; p_residual = !residual }
+    p_const_false = !const_false; p_residual = !residual; p_clauses; p_bounds; p_check }
+
+let infeasible problem =
+  let prep = prepare problem in
+  prep.p_const_false || refute prep [||] 0
 
 let search_incremental ?(max_steps = default_max_steps) problem ~on_model =
   let prep = prepare problem in
   let n = Array.length prep.p_names in
+  let values = Array.make n 0 in
   if prep.p_const_false || prep.p_residual then (false, false, { steps = 0; evals = 0 }, 0)
   else if n = 0 then (on_model [], false, { steps = 0; evals = 0 }, 0)
+  else if prep.p_check.(n) && refute prep values 0 then (false, false, { steps = 0; evals = 0 }, 0)
   else begin
-    let values = Array.make n 0 in
     let lookup name = values.(Hashtbl.find prep.p_slots name) in
     let steps = ref 0 and evals = ref 0 and skipped = ref 0 in
     let timeout = ref false in
@@ -180,6 +494,7 @@ let search_incremental ?(max_steps = default_max_steps) problem ~on_model =
         let dom = prep.p_domains.(i) in
         let watched = prep.p_watched.(i) in
         let skip_here = prep.p_skipped.(i) in
+        let check = prep.p_check.(i) in
         let stop = ref false in
         let k = ref 0 in
         let len = Array.length dom in
@@ -198,7 +513,8 @@ let search_incremental ?(max_steps = default_max_steps) problem ~on_model =
                 watched
             in
             skipped := !skipped + skip_here;
-            if ok then if assign (i + 1) then stop := true
+            if ok && not (check && refute prep values (i + 1)) then
+              if assign (i + 1) then stop := true
           end;
           incr k
         done;

@@ -13,11 +13,15 @@ open Xpiler_ir
     Two engines share the entry points: the default incremental engine
     (domains materialized once per problem, slot-indexed array environment,
     constraints simplified once and indexed by last-bound variable so each
-    assignment step evaluates only newly-fully-bound constraints) and the
-    retained naive reference they are differentially fuzzed against.
-    Incremental solves are additionally memoized in the session's {!Memo},
-    with effect receipts keeping cold and warm runs observably
-    byte-identical. *)
+    assignment step evaluates only newly-fully-bound constraints, and
+    subtrees skipped whenever {!infeasible}'s linear refutation proves they
+    hold no model) and the retained naive reference they are
+    differentially fuzzed against. Both try values in the same order, so
+    they return the same outcome, first model and model list; [steps]
+    counts the assignment attempts each engine actually makes, so the
+    incremental count is at most the naive one. Incremental solves are
+    additionally memoized in the session's {!Memo}, with effect receipts
+    keeping cold and warm runs observably byte-identical. *)
 
 type domain = Problem.domain =
   | Range of { lo : int; hi : int; stride : int }  (** lo, lo+stride, ..., <= hi *)
@@ -43,10 +47,19 @@ val divisors : int -> int list
 
 val solve : ?max_steps:int -> problem -> outcome * stats
 (** [max_steps] bounds assignment attempts (default 2_000_000). The returned
-    model satisfies every constraint (checked before returning). *)
+    model satisfies every constraint (checked before returning) and is the
+    first one in enumeration order. *)
 
 val solve_all : ?max_steps:int -> ?limit:int -> problem -> (string * int) list list
 (** All models, up to [limit] (default 64), in enumeration order. *)
+
+val infeasible : problem -> bool
+(** [true] is a proof that the problem has no model: the linear part of its
+    constraints has no integer point within each variable's [min, max]
+    domain bounds (GCD test, then Fourier–Motzkin elimination with integer
+    tightening; [||] and [≠] are tried branch by branch). [false] proves
+    nothing. This is the check the incremental search runs before it
+    descends into a subtree. *)
 
 val forall_range : string -> lo:int -> hi:int -> Expr.t -> Expr.t
 (** [forall_range i ~lo ~hi body] expands a bounded universal quantifier into

@@ -5,7 +5,7 @@ type read = Missing | Bad_header | Data of { payloads : string list; valid_len :
 
 (* 8 bytes so a header read is one fixed-size input; bump the digit when
    the record encoding changes, and old files read as [Bad_header] *)
-let magic = "XPWAL04\n"
+let magic = "XPWAL05\n"
 let magic_len = String.length magic
 
 (* FNV-1a, 32-bit: cheap, endian-free, and plenty to reject a torn or

@@ -68,7 +68,11 @@ let test_race_missing_sync () =
     let race = List.find (fun (x : A.finding) -> x.A.check = A.Race) fs in
     Alcotest.(check bool) "parallelism category" true (race.A.diag.Diag.category = `Parallelism);
     Alcotest.(check bool) "names the shared tile" true (List.mem "tile" race.A.buffers);
-    Alcotest.(check bool) "store sites attached" true (race.A.sites <> [])
+    Alcotest.(check bool) "store sites attached" true (race.A.sites <> []);
+    Alcotest.(check string) "witness is the lex-first colliding pair"
+      "data race on tile across threadIdx.x: store tile and store out touch the same element in \
+       the same barrier phase (e.g. threadIdx.x=0 vs threadIdx.x=63)"
+      race.A.diag.Diag.message
 
 (* block-level axes never share Shared-scope storage: binding the same loop
    to blockIdx.x must NOT race (each block owns its tile) *)
@@ -136,7 +140,9 @@ let test_oob_index_fault () =
     Alcotest.(check bool) "oob flagged" true (has_check A.Out_of_bounds fs);
     let f = List.find (fun (x : A.finding) -> x.A.check = A.Out_of_bounds) fs in
     Alcotest.(check bool) "memory category" true (f.A.diag.Diag.category = `Memory);
-    Alcotest.(check bool) "repair sites attached" true (f.A.sites <> [])
+    Alcotest.(check bool) "repair sites attached" true (f.A.sites <> []);
+    Alcotest.(check string) "witness is the lex-first violating point"
+      "index range [-1, 254] exceeds out[256] at i=0" f.A.diag.Diag.message
 
 let test_oob_bound_fault () =
   (* find a seed that grows a loop extent (shrinking one is benign) *)

@@ -58,6 +58,35 @@ let test_solve_timeout () =
   | Solver.Unsat, _ -> Alcotest.fail "should time out before proving unsat"
   | Solver.Sat _, _ -> Alcotest.fail "unsatisfiable"
 
+(* the analyzer's race-pair query on a 128-wide block: the first model sits
+   at p = 128, so a search that binds p first tries every (p', t, t') under
+   p = 0..127 unless it sees that t - t' is forced to 0 there *)
+let race_pair_problem : Solver.problem =
+  let open Expr.Infix in
+  { vars =
+      [ ("p", Solver.Range { lo = 0; hi = 128; stride = 1 });
+        ("p'", Solver.Range { lo = 0; hi = 127; stride = 1 });
+        ("taskId", Solver.Range { lo = 0; hi = 3; stride = 1 });
+        ("taskId'", Solver.Range { lo = 0; hi = 3; stride = 1 }) ];
+    constraints =
+      [ Expr.Binop (Expr.Ne, v "taskId", v "taskId'");
+        v "p" - v "p'" + (int 128 * v "taskId") - (int 128 * v "taskId'") = int 0 ]
+  }
+
+let test_race_pair_pruned () =
+  let expected = [ ("p", 128); ("p'", 0); ("taskId", 0); ("taskId'", 1) ] in
+  let naive, _ = Solver.solve_naive race_pair_problem in
+  Alcotest.(check bool) "naive model" true (naive = Solver.Sat expected);
+  Memo.clear ();
+  match Solver.solve race_pair_problem with
+  | Solver.Sat model, stats ->
+    Alcotest.(check (list (pair string int))) "same model as the naive engine" expected model;
+    Alcotest.(check bool)
+      (Printf.sprintf "at most 1000 steps (took %d)" stats.Solver.steps)
+      true
+      (stats.Solver.steps <= 1000)
+  | _ -> Alcotest.fail "expected sat"
+
 let test_divisors () =
   Alcotest.(check (list int)) "divisors 12" [ 1; 2; 3; 4; 6; 12 ] (Solver.divisors 12);
   Alcotest.(check (list int)) "divisors 1" [ 1 ] (Solver.divisors 1)
@@ -261,6 +290,117 @@ let prop_incremental_matches_naive =
         (Stdlib.( = ) inc_models naive_models)
         (Stdlib.( = ) inc_outcome naive_outcome))
 
+(* differential fuzz of the linear refutation: generated problems mix
+   equalities, disequalities and bounds (some wrapped as [cond != 0] /
+   [cond == 0] guards), top-level [||], strided and [Enum] domains and one
+   nonlinear guard. Wherever the naive engine finishes, the incremental
+   engine gives the same outcome (first model included) and the same
+   [solve_all] list, in no more steps *)
+let gen_linear_problem =
+  let open QCheck.Gen in
+  let names = [| "a"; "b"; "c"; "d" |] in
+  let domain =
+    oneof
+      [ map3
+          (fun lo len stride -> Solver.Range { lo; hi = lo + len; stride })
+          (int_range (-3) 3) (int_range 0 9) (int_range 1 3);
+        map (fun xs -> Solver.Enum xs) (list_size (int_range 1 5) (int_range (-5) 12)) ]
+  in
+  let cmp =
+    let ops = [| Expr.Eq; Expr.Ne; Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge |] in
+    fun nvars ->
+      map3
+        (fun coeffs k (op, wrap) ->
+          let lhs =
+            List.fold_left
+              (fun acc (i, c) -> Expr.Binop (Expr.Add, acc, Expr.Binop (Expr.Mul, Expr.Int c, Expr.Var names.(i))))
+              (Expr.Int k) coeffs
+          in
+          let e = Expr.Binop (ops.(op), lhs, Expr.Int 0) in
+          match wrap with
+          | 0 -> e
+          | 1 -> Expr.Binop (Expr.Ne, e, Expr.Int 0)
+          | _ ->
+            let neg = [| Expr.Ne; Expr.Eq; Expr.Ge; Expr.Gt; Expr.Le; Expr.Lt |] in
+            Expr.Binop (Expr.Eq, Expr.Binop (neg.(op), lhs, Expr.Int 0), Expr.Int 0))
+        (list_size (int_range 1 3) (pair (int_range 0 (nvars - 1)) (int_range (-4) 4)))
+        (int_range (-8) 8)
+        (pair (int_range 0 5) (int_range 0 2))
+  in
+  let constraint_ nvars =
+    frequency
+      [ (3, cmp nvars);
+        (1, map2 (fun x y -> Expr.Binop (Expr.Or, x, y)) (cmp nvars) (cmp nvars));
+        (1, map2 (fun x y -> Expr.Binop (Expr.And, x, y)) (cmp nvars) (cmp nvars)) ]
+  in
+  let nonlinear nvars =
+    map3
+      (fun i j (mul, k) ->
+        let x = Expr.Var names.(i) and y = Expr.Var names.(j) in
+        if mul then Expr.Binop (Expr.Ne, Expr.Binop (Expr.Mul, x, y), Expr.Int k)
+        else Expr.Binop (Expr.Ne, Expr.Binop (Expr.Mod, x, Expr.Int (2 + abs k mod 3)), Expr.Int 1))
+      (int_range 0 (nvars - 1)) (int_range 0 (nvars - 1)) (pair bool (int_range (-6) 6))
+  in
+  int_range 3 4 >>= fun nvars ->
+  map3
+    (fun doms cs guard : Solver.problem ->
+      { vars = List.mapi (fun i d -> (names.(i), d)) doms; constraints = cs @ [ guard ] })
+    (list_repeat nvars domain)
+    (list_size (int_range 1 4) (constraint_ nvars))
+    (nonlinear nvars)
+
+let print_problem (p : Solver.problem) =
+  let dom = function
+    | Solver.Range { lo; hi; stride } -> Printf.sprintf "%d..%d/%d" lo hi stride
+    | Solver.Enum xs -> "{" ^ String.concat "," (List.map string_of_int xs) ^ "}"
+  in
+  String.concat ", " (List.map (fun (v, d) -> v ^ " in " ^ dom d) p.vars)
+  ^ " | " ^ String.concat " ; " (List.map Expr.to_string p.constraints)
+
+let prop_linear_pruning_matches_naive =
+  QCheck.Test.make ~name:"linear pruning matches naive engine" ~count:500
+    (QCheck.make ~print:print_problem gen_linear_problem)
+    (fun problem ->
+      match Solver.solve_naive problem with
+      | Solver.Timeout, _ -> true
+      | naive_outcome, naive_stats ->
+        let inc_outcome, inc_stats = Solver.solve problem in
+        let naive_models, _ = Solver.solve_all_naive problem in
+        Stdlib.( = ) inc_outcome naive_outcome
+        && Stdlib.( = ) (Solver.solve_all problem) naive_models
+        && inc_stats.Solver.steps <= naive_stats.Solver.steps)
+
+(* on atoms of one variable each over unit-stride ranges, the refutation is
+   exact: integer tightening decides what the rational shadow cannot (2x <= 1
+   and 2x >= 1 have no integer solution) *)
+let prop_refutation_exact_on_bounds =
+  let gen =
+    let open QCheck.Gen in
+    let atom =
+      map3
+        (fun (i, a) c op ->
+          let ops = [| Expr.Eq; Expr.Ne; Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge |] in
+          let x = Expr.Var (if i = 0 then "x" else "y") in
+          let a = if a = 0 then 2 else a in
+          Expr.Binop (ops.(op), Expr.Binop (Expr.Add, Expr.Binop (Expr.Mul, Expr.Int a, x), Expr.Int c), Expr.Int 0))
+        (pair (int_range 0 1) (int_range (-5) 5))
+        (int_range (-12) 12) (int_range 0 5)
+    in
+    map3
+      (fun (lx, ly) (wx, wy) cs : Solver.problem ->
+        { vars =
+            [ ("x", Solver.Range { lo = lx; hi = lx + wx; stride = 1 });
+              ("y", Solver.Range { lo = ly; hi = ly + wy; stride = 1 }) ];
+          constraints = cs })
+      (pair (int_range (-4) 4) (int_range (-4) 4))
+      (pair (int_range 0 6) (int_range 0 6))
+      (list_size (int_range 1 3) atom)
+  in
+  QCheck.Test.make ~name:"refutation exact on one-variable atoms" ~count:500
+    (QCheck.make ~print:print_problem gen)
+    (fun problem ->
+      Stdlib.( = ) (Solver.infeasible problem) (Stdlib.( = ) (fst (Solver.solve_naive problem)) Solver.Unsat))
+
 let () =
   Alcotest.run "smt"
     [ ( "solver",
@@ -268,6 +408,7 @@ let () =
           Alcotest.test_case "unsat" `Quick test_solve_unsat;
           Alcotest.test_case "alignment filter" `Quick test_solve_alignment;
           Alcotest.test_case "timeout" `Quick test_solve_timeout;
+          Alcotest.test_case "race pair pruned" `Quick test_race_pair_pruned;
           Alcotest.test_case "divisors" `Quick test_divisors;
           Alcotest.test_case "divisors O(sqrt n)" `Quick test_divisors_sqrt;
           Alcotest.test_case "bounded forall" `Quick test_forall
@@ -286,6 +427,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_sat_models_satisfy; prop_solve_all_distinct; prop_incremental_matches_naive ]
+          [ prop_sat_models_satisfy;
+            prop_solve_all_distinct;
+            prop_incremental_matches_naive;
+            prop_linear_pruning_matches_naive;
+            prop_refutation_exact_on_bounds ]
       )
     ]

@@ -213,7 +213,9 @@ let test_corrupt_frame () =
    [Store.record] type, whose constructors or key fields no longer line up
    with today's: it must load nothing, and the next append starts the file
    over. [XPWAL03] logs keyed transposition entries by intra budget and
-   composition as well. *)
+   composition as well. [XPWAL04] solver-memo receipts hold the step
+   counts of a search that did not prune by linear refutation, and a warm
+   journal would replay them. *)
 
 let test_previous_format_starts_cold () =
   List.iter
@@ -241,7 +243,7 @@ let test_previous_format_starts_cold () =
       let stats2 = load_fresh store in
       Alcotest.(check int) "only the new record replays" 1 (Store.total stats2.Store.loaded);
       Alcotest.(check int) "no damage left" 0 stats2.Store.torn_tails)
-    [ "XPWAL02\n"; "XPWAL03\n" ]
+    [ "XPWAL02\n"; "XPWAL03\n"; "XPWAL04\n" ]
 
 (* ---- interrupted compaction ----------------------------------------------- *)
 
