@@ -134,7 +134,13 @@ let rename_buffer ~old_name ~new_name e =
       | _ -> None)
     e
 
-let contains_var x e = List.exists (String.equal x) (free_vars e)
+let rec contains_var x = function
+  | Var y -> String.equal x y
+  | Int _ | Float _ -> false
+  | Load (_, i) -> contains_var x i
+  | Binop (_, l, r) -> contains_var x l || contains_var x r
+  | Unop (_, e) | Cast (_, e) -> contains_var x e
+  | Select (c, t, f) -> contains_var x c || contains_var x t || contains_var x f
 
 let rec eval_int env = function
   | Int n -> n

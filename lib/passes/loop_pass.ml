@@ -267,7 +267,46 @@ let fuse ~var (k : Kernel.t) =
    same address twice (write-write order would change), and any buffer both
    read and written must only be read at the address it stores in the same
    iteration (the read-modify-write idiom). Checked by enumerating the small
-   constant iteration space with other variables fixed. *)
+   constant iteration space with other variables fixed, except where the
+   closed form below decides the enumeration's answer exactly. *)
+
+(* an index [eval_int] evaluates without raising and [Linear.decompose]
+   represents without dropping anything *)
+let rec int_polynomial = function
+  | Expr.Int _ | Expr.Var _ -> true
+  | Expr.Binop ((Expr.Add | Expr.Sub | Expr.Mul), l, r) -> int_polynomial l && int_polynomial r
+  | Expr.Unop (Expr.Neg, x) -> int_polynomial x
+  | _ -> false
+
+let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
+
+(* coefficients below this bound cannot wrap [c1 * da + c2 * db] for the
+   differences a capped box allows, so the closed form matches the wrapping
+   arithmetic of [eval_int] *)
+let coeff_limit = 1 lsl 40
+
+(* whether one store's addresses are distinct over the non-empty box
+   [0, e1) x [0, e2), with every other variable at 0, when the index is
+   c1*v1 + c2*v2 + (plain variables) + const. Two iterations collide iff
+   c1*da + c2*db = 0 for some nonzero (da, db) with |da| < e1 and |db| < e2;
+   the smallest such difference is (c2/g, -c1/g) with g = gcd c1 c2. [None]
+   when the index is outside that class. *)
+let affine_injective ~v1 ~e1 ~v2 ~e2 index =
+  if String.equal v1 v2 || not (int_polynomial index) then None
+  else begin
+    let d = Linear.decompose index in
+    let c1 = Linear.coeff_of_var v1 d and c2 = Linear.coeff_of_var v2 d in
+    let small c = c > -coeff_limit && c < coeff_limit in
+    if not (List.for_all (function Expr.Var _, _ -> true | _ -> false) d.Linear.terms)
+       || not (small c1 && small c2)
+    then None
+    else if c1 = 0 && c2 = 0 then Some (e1 * e2 <= 1)
+    else begin
+      let g = gcd c1 c2 in
+      Some (not (abs (c2 / g) <= e1 - 1 && abs (c1 / g) <= e2 - 1))
+    end
+  end
+
 let interchange_legal ~v1 ~e1 ~v2 ~e2 body =
   if e1 * e2 > 4096 then false
   else begin
@@ -308,59 +347,69 @@ let interchange_legal ~v1 ~e1 ~v2 ~e2 body =
           end)
         written
     in
-    let injective =
-      (* per buffer, an address may be written from at most one iteration of
-         the (v1, v2) space: writes within one iteration keep their program
-         order under interchange, writes from different iterations do not *)
+    (* per buffer, an address may be written from at most one iteration of
+       the (v1, v2) space: writes within one iteration keep their program
+       order under interchange, writes from different iterations do not *)
+    let injective () =
       let stores = ref [] in
       Stmt.iter
         (fun s -> match s with Stmt.Store r -> stores := (r.buf, r.index) :: !stores | _ -> ())
         body;
-      (* evaluating with outer variables at 0 is exact only when, for every
-         pair of stores to the same buffer, the index difference over the
-         outer variables is constant; otherwise be conservative *)
-      let pairwise_outer_constant =
-        let rec pairs = function
-          | [] -> true
-          | (buf, idx) :: rest ->
-            List.for_all
-              (fun (buf', idx') ->
-                (not (String.equal buf buf'))
-                ||
-                let d = Linear.decompose (Expr.Binop (Expr.Sub, idx, idx')) in
-                let d = Linear.drop_var v1 (Linear.drop_var v2 d) in
-                d.Linear.terms = [])
-              rest
-            && pairs rest
+      let enumerate () =
+        (* evaluating with outer variables at 0 is exact only when, for every
+           pair of stores to the same buffer, the index difference over the
+           outer variables is constant; otherwise be conservative *)
+        let pairwise_outer_constant =
+          let rec pairs = function
+            | [] -> true
+            | (buf, idx) :: rest ->
+              List.for_all
+                (fun (buf', idx') ->
+                  (not (String.equal buf buf'))
+                  ||
+                  let d = Linear.decompose (Expr.Binop (Expr.Sub, idx, idx')) in
+                  let d = Linear.drop_var v1 (Linear.drop_var v2 d) in
+                  d.Linear.terms = [])
+                rest
+              && pairs rest
+          in
+          pairs !stores
         in
-        pairs !stores
-      in
-      let seen : (string * int, int * int) Hashtbl.t = Hashtbl.create 64 in
-      let ok = ref pairwise_outer_constant in
-      (try
-         for a = 0 to e1 - 1 do
-           for b = 0 to e2 - 1 do
-             List.iter
-               (fun (buf, index) ->
-                 let v =
-                   Expr.eval_int
-                     (fun x -> if x = v1 then a else if x = v2 then b else 0)
-                     index
-                 in
-                 match Hashtbl.find_opt seen (buf, v) with
-                 | Some (a', b') when (a', b') <> (a, b) ->
-                   ok := false;
-                   raise Exit
-                 | _ -> Hashtbl.replace seen (buf, v) (a, b))
-               !stores
+        let seen : (string * int, int * int) Hashtbl.t = Hashtbl.create 64 in
+        let ok = ref pairwise_outer_constant in
+        (try
+           for a = 0 to e1 - 1 do
+             for b = 0 to e2 - 1 do
+               List.iter
+                 (fun (buf, index) ->
+                   let v =
+                     Expr.eval_int
+                       (fun x -> if x = v1 then a else if x = v2 then b else 0)
+                       index
+                   in
+                   match Hashtbl.find_opt seen (buf, v) with
+                   | Some (a', b') when (a', b') <> (a, b) ->
+                     ok := false;
+                     raise Exit
+                   | _ -> Hashtbl.replace seen (buf, v) (a, b))
+                 !stores
+             done
            done
-         done
-       with
-      | Exit -> ()
-      | _ -> ok := false);
-      !ok
+         with
+        | Exit -> ()
+        | _ -> ok := false);
+        !ok
+      in
+      match !stores with
+      | [] -> true
+      | [ _ ] when e1 <= 0 || e2 <= 0 -> true
+      | [ (_, index) ] -> (
+        match affine_injective ~v1 ~e1 ~v2 ~e2 index with
+        | Some injective -> injective
+        | None -> enumerate ())
+      | _ -> enumerate ()
     in
-    rmw_ok && injective
+    rmw_ok && injective ()
   end
 
 let reorder ~var (k : Kernel.t) =

@@ -5,37 +5,44 @@ module Listx = Xpiler_util.Listx
 type variant = { specs : Pass.spec list; kernel : Xpiler_ir.Kernel.t; throughput : float }
 type stats = { evaluated : int; pruned : int }
 
+(* a candidate records its whole spec sequence but is built by applying only
+   its [last] spec to [seed], the kernel the sequence's prefix already
+   produced: passes are pure, so this equals folding [specs] from the input *)
+type candidate = { specs : Pass.spec list; seed : Xpiler_ir.Kernel.t; last : Pass.spec option }
+
 let candidates platform k =
+  let one spec = { specs = [ spec ]; seed = k; last = Some spec } in
   let splits =
     List.concat_map
       (fun (var, extent) ->
         List.map
-          (fun factor -> [ Pass.Loop_split { var; factor } ])
+          (fun factor -> one (Pass.Loop_split { var; factor }))
           (Knobs.split_factors platform ~extent))
       (Knobs.splittable_loops k)
   in
-  let reorders = List.map (fun var -> [ Pass.Loop_reorder { var } ]) (Knobs.reorderable_loops k) in
-  let pipelines = List.map (fun var -> [ Pass.Pipeline { var } ]) (Knobs.pipelinable_loops k) in
-  [ [] ] @ splits @ reorders @ pipelines
+  let reorders =
+    List.map (fun var -> one (Pass.Loop_reorder { var })) (Knobs.reorderable_loops k)
+  in
+  let pipelines = List.map (fun var -> one (Pass.Pipeline { var })) (Knobs.pipelinable_loops k) in
+  [ { specs = []; seed = k; last = None } ] @ splits @ reorders @ pipelines
 
 (* Depth-2 compositions seeded from measured depth-1 survivors: each
    surviving split opens reorder/pipeline opportunities on its *transformed*
    kernel (the split loop pair is what becomes interchangeable or
    pipelineable), which single-spec enumeration can never see. *)
-let composed_candidates survivors ~limit =
+let composed_candidates (survivors : variant list) ~limit =
   survivors
-  |> List.concat_map (fun v ->
+  |> List.concat_map (fun (v : variant) ->
          match v.specs with
          | [ Pass.Loop_split _ ] ->
+           let extend spec = { specs = v.specs @ [ spec ]; seed = v.kernel; last = Some spec } in
            let reorders =
              List.map
-               (fun var -> v.specs @ [ Pass.Loop_reorder { var } ])
+               (fun var -> extend (Pass.Loop_reorder { var }))
                (Knobs.reorderable_loops v.kernel)
            in
            let pipelines =
-             List.map
-               (fun var -> v.specs @ [ Pass.Pipeline { var } ])
-               (Knobs.pipelinable_loops v.kernel)
+             List.map (fun var -> extend (Pass.Pipeline { var })) (Knobs.pipelinable_loops v.kernel)
            in
            reorders @ pipelines
          | _ -> [])
@@ -51,8 +58,8 @@ let compose_seeds = 4
 let tune ?(prune = true) ~platform k =
   let compiles k = Result.is_ok (Checker.compile platform k) in
   let modelled_throughput k = Costmodel.throughput platform k ~shapes:[] in
-  let apply specs =
-    List.fold_left (fun acc spec -> Result.bind acc (Pass.apply ~platform spec)) (Ok k) specs
+  let apply c =
+    match c.last with None -> Ok c.seed | Some spec -> Pass.apply ~platform spec c.seed
   in
   if not (compiles k) then
     (* a rejected input has no valid variant to offer: nothing is measured *)
@@ -82,14 +89,14 @@ let tune ?(prune = true) ~platform k =
          scan sequentially. Once a bound cannot beat the incumbent, no later
          bound can either — the whole suffix is pruned without the expensive
          checker + full cost-model walk. *)
-      let prep specs_list =
+      let prep cands =
         List.filter_map
-          (fun specs ->
-            match apply specs with
+          (fun c ->
+            match apply c with
             | Error _ -> None
             | Ok kernel ->
-              Some (specs, kernel, Costmodel.throughput_bound platform kernel ~shapes:[]))
-          specs_list
+              Some (c.specs, kernel, Costmodel.throughput_bound platform kernel ~shapes:[]))
+          cands
         |> List.stable_sort (fun (_, _, a) (_, _, b) -> compare (b : float) a)
       in
       let rec scan = function
@@ -103,11 +110,11 @@ let tune ?(prune = true) ~platform k =
             scan rest
           end
       in
-      fun specs_list -> scan (prep specs_list)
+      fun cands -> scan (prep cands)
     end
     else
       (* exhaustive mode: every candidate is measured, in candidate order *)
-      List.iter (fun specs -> measure specs (apply specs))
+      List.iter (fun c -> measure c.specs (apply c))
   in
   phase (Listx.take max_candidates (candidates platform k));
   let seeds = Listx.top_k ~k:compose_seeds ~score:(fun v -> v.throughput) (List.rev !measured) in

@@ -19,6 +19,8 @@ module Pass = Xpiler_passes.Pass
       split variants seed depth-2 compositions (split x reorder,
       split x pipeline) generated against their *transformed* kernels, so
       the search reaches schedules single-spec enumeration cannot express.
+      A composed candidate applies only its last spec to its seed's kernel
+      (passes are pure) and records the whole spec sequence.
 
     The depth-1 knob space is split factors per splittable loop,
     interchanges and pipelining, plus the empty sequence (keep as is).

@@ -106,6 +106,34 @@ let test_validate_unbound () =
   | Ok () -> Alcotest.fail "expected errors"
   | Error es -> Alcotest.(check bool) "two errors" true (at_least_two es)
 
+(* the exact reports, in order: each expression reports its unbound
+   variables, then its unbound buffers, each name once *)
+let test_validate_error_parity () =
+  let open Expr.Infix in
+  let errors body =
+    let k =
+      Kernel.make ~name:"bad" ~params:[ Builder.buffer "dst"; Builder.buffer "src" ] body
+    in
+    match Validate.check k with
+    | Ok () -> []
+    | Error es -> List.map Validate.error_to_string es
+  in
+  Alcotest.(check (list string)) "same variable twice" [ "let t: unbound variable x" ]
+    (errors [ Builder.let_ "t" (v "x" * v "x") ]);
+  Alcotest.(check (list string)) "unbound buffer in a load index"
+    [ "store dst: unbound buffer ghost" ]
+    (errors
+       [ Builder.for_ "i" (int 4)
+           [ Builder.store "dst" (v "i")
+               (load "src" (load "ghost" (v "i") + load "ghost" (int 0)))
+           ]
+       ]);
+  Alcotest.(check (list string)) "store index and value"
+    [ "store dst: unbound variable y"; "store dst: unbound variable z";
+      "store dst: unbound variable y"; "store dst: unbound buffer g1" ]
+    (errors
+       [ Builder.store "dst" (v "y" + v "z" + v "y") (load "g1" (v "y") + load "g1" (int 1)) ])
+
 let test_validate_intrinsic_arity () =
   let k =
     Kernel.make ~name:"bad" ~params:[ Builder.buffer "a"; Builder.buffer "b" ]
@@ -217,6 +245,7 @@ let () =
       ( "validate",
         [ Alcotest.test_case "ok kernel" `Quick test_validate_ok;
           Alcotest.test_case "unbound names" `Quick test_validate_unbound;
+          Alcotest.test_case "error parity" `Quick test_validate_error_parity;
           Alcotest.test_case "intrinsic arity" `Quick test_validate_intrinsic_arity;
           Alcotest.test_case "kernel helpers" `Quick test_kernel_helpers
         ] );

@@ -166,6 +166,34 @@ let test_reorder () =
 let test_reorder_imperfect () =
   expect_error "imperfect nest" (Loop_pass.reorder ~var:"j" (serial_gemm 4 4 4))
 
+(* one perfect (i, j) nest over [body], under a serial loop n *)
+let nest ?(e1 = 4) ?(e2 = 4) body =
+  Kernel.make ~name:"nest"
+    ~params:[ Builder.buffer "out"; Builder.buffer "out2"; Builder.buffer "inp";
+              Builder.buffer "idx" ]
+    [ Builder.for_ "n" (e 3) [ Builder.for_ "i" (e e1) [ Builder.for_ "j" (e e2) body ] ] ]
+
+let reorders k = Result.is_ok (Loop_pass.reorder ~var:"i" k)
+
+let test_reorder_pinned () =
+  let open Expr.Infix in
+  let store_out index = [ Builder.store "out" index (flt 1.0) ] in
+  let case name expected k = Alcotest.(check bool) name expected (reorders k) in
+  case "out[i*4 + j] legal" true (nest (store_out ((v "i" * int 4) + v "j")));
+  case "out[i + j] illegal" false (nest (store_out (v "i" + v "j")));
+  (* i=2,j=0 and i=0,j=1 both write out[4] *)
+  case "out[2i + 4j], 4x2, illegal" false
+    (nest ~e1:4 ~e2:2 (store_out ((int 2 * v "i") + (int 4 * v "j"))));
+  case "extent-1 outer legal" true (nest ~e1:1 (store_out (v "i" + v "j")));
+  case "no stores legal" true (nest [ Builder.let_ "t" (v "i" + v "j") ]);
+  (* an index that reads memory cannot be evaluated, so it stays illegal *)
+  case "out[idx[i] + j] illegal" false (nest (store_out (load "idx" (v "i") + v "j")));
+  (* [Linear.decompose] drops the zero-scaled load; evaluation still raises *)
+  case "out[0*idx[i] + j] illegal" false
+    (nest (store_out ((int 0 * load "idx" (v "i")) + v "j")));
+  case "out[0*idx[i] + i*4 + j] illegal" false
+    (nest (store_out ((int 0 * load "idx" (v "i")) + (v "i" * int 4) + v "j")))
+
 let test_expansion_contraction () =
   let open Expr.Infix in
   let k =
@@ -690,6 +718,123 @@ let prop_cache_any_window =
         | Error _ -> false
       end)
 
+(* Interchange legality against a brute-force oracle: the read-modify-write
+   rule plus enumerating the (i, j) box with every other variable at 0.
+   Indexes are mostly affine in i, j and n (the closed-form class), some
+   not (the enumerated fallback), including a zero-scaled load that
+   [Linear.decompose] drops but evaluation rejects. *)
+let oracle_legal ~e1 ~e2 body =
+  let v1 = "i" and v2 = "j" in
+  let written = Stmt.buffers_written body and read = Stmt.buffers_read body in
+  let stores = ref [] in
+  Stmt.iter (function Stmt.Store r -> stores := (r.buf, r.index) :: !stores | _ -> ()) body;
+  let rmw_ok =
+    List.for_all
+      (fun buf ->
+        (not (List.mem buf read))
+        ||
+        let idxs = List.filter_map (fun (b, i) -> if b = buf then Some i else None) !stores in
+        let loads = ref [] in
+        Stmt.iter
+          (fun s ->
+            ignore
+              (Stmt.map_exprs
+                 (Expr.map (function
+                   | Expr.Load (b, i) when b = buf ->
+                     loads := i :: !loads;
+                     None
+                   | _ -> None))
+                 s))
+          body;
+        match List.rev idxs with
+        | [] -> true
+        | si :: rest ->
+          List.for_all (Linear.equal_linear si) rest
+          && List.for_all (Linear.equal_linear si) !loads)
+      written
+  in
+  let outer_constant =
+    let rec pairs = function
+      | [] -> true
+      | (b, i) :: rest ->
+        List.for_all
+          (fun (b', i') ->
+            b <> b'
+            ||
+            let d = Linear.decompose (Expr.Binop (Expr.Sub, i, i')) in
+            (Linear.drop_var v1 (Linear.drop_var v2 d)).Linear.terms = [])
+          rest
+        && pairs rest
+    in
+    pairs !stores
+  in
+  let injective () =
+    let seen = Hashtbl.create 64 in
+    try
+      for a = 0 to e1 - 1 do
+        for b = 0 to e2 - 1 do
+          List.iter
+            (fun (buf, index) ->
+              let x =
+                Expr.eval_int (fun x -> if x = v1 then a else if x = v2 then b else 0) index
+              in
+              match Hashtbl.find_opt seen (buf, x) with
+              | Some ab when ab <> (a, b) -> raise Exit
+              | _ -> Hashtbl.replace seen (buf, x) (a, b))
+            !stores
+        done
+      done;
+      true
+    with _ -> false
+  in
+  e1 * e2 <= 4096 && rmw_ok && outer_constant && injective ()
+
+let gen_nest =
+  let open QCheck.Gen in
+  let coeff = int_range (-8) 8 in
+  let affine =
+    map
+      (fun (((a, b), c), k) ->
+        Expr.Infix.(
+          (int a * v "i") + (v "j" * int b) - (int c * v "n") + int k))
+      (pair (pair (pair coeff coeff) coeff) (int_range 0 16))
+  in
+  let index =
+    frequency
+      [ (6, affine);
+        (1, map (fun x -> Expr.Infix.(x / int 2)) affine);
+        (1, map (fun x -> Expr.Infix.(x % int 3)) affine);
+        (1, map (fun x -> Expr.Infix.(load "idx" x + v "j")) affine);
+        (1, map (fun x -> Expr.Cast (Dtype.I32, x)) affine);
+        (1, map (fun x -> Expr.Infix.((v "i" * v "j") + x)) affine);
+        (1, map (fun x -> Expr.Infix.((int 0 * load "idx" (v "i")) + x)) affine)
+      ]
+  in
+  let store =
+    map3
+      (fun buf index value ->
+        let value =
+          match value with
+          | 0 -> Expr.Float 1.0
+          | 1 -> Expr.Load ("inp", index)
+          | 2 -> Expr.Infix.(load buf index + flt 1.0)
+          | _ -> Expr.Infix.(load buf (v "i") + flt 1.0)
+        in
+        Builder.store buf index value)
+      (oneofl [ "out"; "out2" ]) index
+      (frequencyl [ (3, 0); (3, 1); (2, 2); (1, 3) ])
+  in
+  let extent = oneof [ int_range 0 8; int_range 0 64 ] in
+  let stores = frequencyl [ (1, 0); (4, 1); (2, 2); (1, 3) ] in
+  triple extent extent (stores >>= fun n -> list_repeat n store)
+
+let prop_reorder_matches_oracle =
+  QCheck.Test.make ~name:"reorder legal iff brute-force oracle" ~count:1500
+    (QCheck.make gen_nest
+       ~print:(fun (e1, e2, body) ->
+         Printf.sprintf "e1=%d e2=%d\n%s" e1 e2 (Stmt.to_string body)))
+    (fun (e1, e2, body) -> reorders (nest ~e1 ~e2 body) = oracle_legal ~e1 ~e2 body)
+
 let () =
   Alcotest.run "passes"
     [ ( "recovery",
@@ -711,6 +856,7 @@ let () =
         [ Alcotest.test_case "fuse" `Quick test_fuse;
           Alcotest.test_case "reorder" `Quick test_reorder;
           Alcotest.test_case "reorder imperfect" `Quick test_reorder_imperfect;
+          Alcotest.test_case "reorder pinned legality" `Quick test_reorder_pinned;
           Alcotest.test_case "expansion+contraction" `Quick test_expansion_contraction;
           Alcotest.test_case "expansion accumulator" `Quick test_expansion_rejects_accumulator
         ] );
@@ -744,5 +890,6 @@ let () =
       ("pipeline", [ Alcotest.test_case "gemm to bang" `Quick test_full_pipeline_gemm_to_bang ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_split_preserves; prop_split_then_fuse_identity; prop_cache_any_window ] )
+          [ prop_split_preserves; prop_split_then_fuse_identity; prop_cache_any_window;
+            prop_reorder_matches_oracle ] )
     ]

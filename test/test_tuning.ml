@@ -185,6 +185,48 @@ let test_intra_prune_lossless () =
   in
   Alcotest.(check bool) "pruning bites" true (pruned > 0)
 
+(* A composed candidate is built from its seed's kernel, not re-applied from
+   the input: replaying the winner's specs from the input must rebuild the
+   winner exactly. Checked on every operator's translated kernel and its
+   depth-1 action states on every platform; the measured and pruned totals
+   are pinned, so building candidates differently cannot change what the
+   search measures. *)
+let test_intra_specs_replay () =
+  let composed = ref 0 and evaluated = ref 0 and pruned = ref 0 in
+  let tune_replays p k =
+    let v, st = Intra.tune ~platform:p k in
+    let replayed =
+      List.fold_left
+        (fun acc spec -> Result.bind acc (Xpiler_passes.Pass.apply ~platform:p spec))
+        (Ok k) v.Intra.specs
+    in
+    (match replayed with
+    | Ok k' -> Alcotest.(check bool) "replays" true (Kernel.equal k' v.Intra.kernel)
+    | Error m -> Alcotest.fail m);
+    if List.length v.Intra.specs = 2 then incr composed;
+    evaluated := !evaluated + st.Intra.evaluated;
+    pruned := !pruned + st.Intra.pruned
+  in
+  List.iter
+    (fun (op : Opdef.t) ->
+      let shape = List.hd op.Opdef.shapes in
+      let buffer_sizes =
+        List.map (fun (b : Opdef.buffer_spec) -> (b.buf_name, b.size shape)) op.Opdef.buffers
+      in
+      List.iter
+        (fun (p : Platform.t) ->
+          let k = Idiom.source p.Platform.id op shape in
+          List.iter (tune_replays p)
+            (k
+            :: List.filter_map
+                 (fun spec -> Result.to_option (Xpiler_passes.Pass.apply ~platform:p spec k))
+                 (Actions.enumerate ~buffer_sizes p k)))
+        Platform.all)
+    Registry.all;
+  Alcotest.(check int) "composed winners" 3 !composed;
+  Alcotest.(check int) "evaluated" 5241 !evaluated;
+  Alcotest.(check int) "pruned" 48 !pruned
+
 (* ---- rejected input ------------------------------------------------------- *)
 
 (* the tensorized MLU gemm fails the CUDA checker: it has no valid variant,
@@ -437,7 +479,8 @@ let () =
           Alcotest.test_case "pruning lossless" `Quick test_intra_prune_lossless;
           Alcotest.test_case "bound admissible on tuning states" `Quick
             test_bound_admissible_on_tuning_states;
-          Alcotest.test_case "rejected input tunes to 0" `Quick test_intra_rejected_input
+          Alcotest.test_case "rejected input tunes to 0" `Quick test_intra_rejected_input;
+          Alcotest.test_case "winner replays from its specs" `Quick test_intra_specs_replay
         ] );
       ( "sharing",
         [ Alcotest.test_case "transposition values pure" `Quick test_transposition_values_pure;
