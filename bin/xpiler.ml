@@ -72,9 +72,9 @@ let fault_scale_arg =
 
 let store_dir_arg =
   let doc =
-    "Durable knowledge store directory: the transposition table and solver memo are \
-     loaded from it before translating and written through (one append-only log, \
-     DIR/store.wal) during it, so later processes reuse this run's evaluations. Defaults \
+    "Durable knowledge store directory: the tuner's reward entries are loaded from it \
+     before translating and written through (one append-only log, DIR/store.wal) \
+     during it, so later processes reuse this run's evaluations. Defaults \
      to \\$XPILER_STORE_DIR when that is set. Persisted entries carry their effect \
      receipts: results, modelled time and traces are identical with or without the store \
      — only fresh evaluations and wall-clock change."
@@ -98,8 +98,8 @@ let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 (* A --shape value overrides some of the op's declared dims; the rest keep
-   the op's first registered shape. Unknown dims, non-integers and values
-   <= 0 are usage errors: one line on stderr, exit 2. *)
+   the op's first registered shape. Unknown or repeated dims, non-integers
+   and values <= 0 are usage errors: one line on stderr, exit 2. *)
 let parse_shape (op : Opdef.t) arg =
   let defaults = List.hd op.Opdef.shapes in
   match arg with
@@ -124,6 +124,13 @@ let parse_shape (op : Opdef.t) arg =
       | _ -> reject "expected NAME=VALUE, got %S" kv
     in
     let overrides = List.map override (String.split_on_char ',' s) in
+    let rec no_repeats = function
+      | [] -> ()
+      | (k, _) :: rest ->
+        if List.mem_assoc k rest then reject "dim %S given twice" k;
+        no_repeats rest
+    in
+    no_repeats overrides;
     List.map
       (fun (k, d) -> (k, Option.value ~default:d (List.assoc_opt k overrides)))
       defaults
@@ -456,15 +463,11 @@ let store_action dir action =
       Printf.eprintf "store: %s\n" m;
       exit 2
   in
-  let print_counts label (c : Store.counts) =
-    Printf.printf "%-10s transposition %d | solver memo %d  (total %d)\n" label
-      c.Store.transposition c.Store.solver_memo (Store.total c)
-  in
   match action with
   | `Stats ->
     let info = Store.scan t in
     Printf.printf "dir:    %s\n" info.Store.info_dir;
-    print_counts "records:" info.Store.records;
+    Printf.printf "records: %d\n" info.Store.records;
     Printf.printf "bytes:  %d (%.1f KiB)\n" info.Store.bytes
       (float_of_int info.Store.bytes /. 1024.0);
     if info.Store.damaged then
@@ -489,7 +492,7 @@ let store_cmd =
       ~doc:
         "Inspect the durable knowledge store ($(b,stats), the default), rewrite its \
          log keeping the last record per key ($(b,compact)), or delete it \
-         ($(b,clear)). The store persists the transposition table and solver memo \
+         ($(b,clear)). The store persists the tuner's reward entries \
          under \\$XPILER_STORE_DIR (or $(b,--dir)); it is safe \
          to delete at any time — later runs simply start cold."
   in

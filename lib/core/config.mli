@@ -64,7 +64,7 @@ type t = {
           [e2ebench/sweep.ml] sets it; drop the two together. *)
   store_dir : string option;
       (** When set, the durable knowledge store at this directory is loaded
-          into the transposition table and solver memo before the
+          into the tuner's transposition table before the
           translation and kept write-through for its duration (see
           [Xpiler_store.Store]). Persisted entries carry their effect
           receipts, so results, modelled time and traces are the same with

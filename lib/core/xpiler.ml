@@ -476,8 +476,8 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
 
 let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
   (* durable knowledge store: load-and-attach once per process (idempotent
-     per directory) so the calling session's transposition table and
-     solver memo warm-start from prior runs and every session writes
+     per directory) so the calling session's tuner reward entries
+     warm-start from prior runs and every session writes its fresh ones
      through. Purely a time optimization: persisted entries replay their
      effect receipts, so results and traces are unchanged. A store
      that cannot be opened is a warning, not a failure — the translation

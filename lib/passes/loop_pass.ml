@@ -292,7 +292,7 @@ let coeff_limit = 1 lsl 40
    the smallest such difference is (c2/g, -c1/g) with g = gcd c1 c2. [None]
    when the index is outside that class. *)
 let affine_injective ~v1 ~e1 ~v2 ~e2 index =
-  if String.equal v1 v2 || not (int_polynomial index) then None
+  if not (int_polynomial index) then None
   else begin
     let d = Linear.decompose index in
     let c1 = Linear.coeff_of_var v1 d and c2 = Linear.coeff_of_var v2 d in
@@ -419,6 +419,10 @@ let reorder ~var (k : Kernel.t) =
           (fun ~var ~lo ~extent ~kind ~body ->
             match body with
             | [ Stmt.For inner ] ->
+              (* the inner loop shadows the outer variable: swapping them
+                 rebinds every use in the body to the other extent *)
+              if String.equal var inner.var then
+                fail "inner loop reuses the name %s; cannot interchange" var;
               if Expr.contains_var var inner.lo || Expr.contains_var var inner.extent then
                 fail "inner loop bounds depend on %s; cannot interchange" var;
               (match (Rewrite.const_extent extent, Rewrite.const_extent inner.extent) with

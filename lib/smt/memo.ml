@@ -1,21 +1,19 @@
 (* Session-local solver memo.
 
    The repair loop re-poses the same finite-domain problems over and over:
-   every localization round rebuilds each site's candidate problem, every
-   escalation rung re-enters repair on similar kernels, and bench sweeps
-   repeat the whole thing across seeds. A solve is pure — outcome and
-   models depend only on (problem, budget) — so one table per session can
-   serve every query, exactly like the tuner's transposition table
-   (lib/tuning/transposition.ml).
+   every localization round rebuilds each site's candidate problem, and
+   every escalation rung re-enters repair on similar kernels. A solve is
+   pure — outcome and models depend only on (problem, budget) — so one
+   table per session can serve every query. The table is not persisted:
+   it dies with its session.
 
    Determinism contract (the receipts trick): each entry stores the
    canonical [stats] the original search produced. A hit replays those
    stats through the same [Solver.record_query] effect path a fresh solve
    uses, so the emitted charge/trace/metrics stream is a function of the
-   query trajectory alone — cold vs. warm runs are observably
-   byte-identical, whichever translation filled an entry first. Only the
-   registry hit/miss meters below (and wall time) reveal that the table
-   exists.
+   query trajectory alone — observably byte-identical whichever
+   translation of the session filled an entry first. Only the registry
+   hit/miss meters below (and wall time) reveal that the table exists.
 
    [max_steps] (and [limit] for model enumeration) are part of the key:
    a [Timeout] under a small budget says nothing about a larger one, so
@@ -53,15 +51,10 @@ type payload =
 
 type entry = { payload : payload; stats : Problem.stats  (** the receipt *) }
 
-(* a repair pass touches a few dozen distinct problems; whole bench sweeps a
-   few thousand — same sizing logic as the transposition table *)
+(* a repair pass touches a few dozen distinct problems; a whole sweep in one
+   session a few thousand *)
 let table : entry Table.t Xpiler_util.Session.t =
   Xpiler_util.Session.make (fun () -> Table.create 65536)
-
-(* durable-store hook, process-wide: called on every fresh [store];
-   [restore] bypasses it so log replay never echoes back to disk *)
-let observer : (Key.t -> entry -> unit) option Atomic.t = Atomic.make None
-let set_observer o = Atomic.set observer o
 
 let find ~mode ~max_steps problem =
   match Table.find (Xpiler_util.Session.get table) { Key.mode; max_steps; problem } with
@@ -73,12 +66,8 @@ let find ~mode ~max_steps problem =
     None
 
 let store ~mode ~max_steps problem entry =
-  let key = { Key.mode; max_steps; problem } in
-  ignore (Table.replace (Xpiler_util.Session.get table) key entry);
-  match Atomic.get observer with Some f -> f key entry | None -> ()
+  ignore (Table.replace (Xpiler_util.Session.get table) { Key.mode; max_steps; problem } entry)
 
-let restore key entry = ignore (Table.replace (Xpiler_util.Session.get table) key entry)
-let fold f acc = Table.fold f (Xpiler_util.Session.get table) acc
 let hits () = Metrics.value m_hits
 let misses () = Metrics.value m_misses
 let size () = Table.length (Xpiler_util.Session.get table)

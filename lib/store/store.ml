@@ -1,7 +1,6 @@
 (* Durable knowledge store. See store.mli for the design contract. *)
 
 open Xpiler_tuning
-module Memo = Xpiler_smt.Memo
 module Metrics = Xpiler_obs.Metrics
 module Fsx = Xpiler_util.Fsx
 
@@ -10,19 +9,13 @@ module Fsx = Xpiler_util.Fsx
    count across a store's life depend on the schedule and on what earlier
    runs persisted. The deterministic artifact is the reconstructed table
    contents, not these meters. *)
-let m_append_transposition =
-  Metrics.counter ~stable:false ~help:"records appended to the store WAL by kind"
-    ~labels:[ ("kind", "transposition") ] "xpiler_store_records_total"
+let m_appended =
+  Metrics.counter ~stable:false ~help:"records appended to the store WAL"
+    "xpiler_store_records_total"
 
-let m_append_memo =
-  Metrics.counter ~stable:false ~labels:[ ("kind", "solver_memo") ] "xpiler_store_records_total"
-
-let m_loaded_transposition =
-  Metrics.counter ~stable:false ~help:"records replayed from the store into memory by kind"
-    ~labels:[ ("kind", "transposition") ] "xpiler_store_loaded_total"
-
-let m_loaded_memo =
-  Metrics.counter ~stable:false ~labels:[ ("kind", "solver_memo") ] "xpiler_store_loaded_total"
+let m_loaded =
+  Metrics.counter ~stable:false ~help:"records replayed from the store into memory"
+    "xpiler_store_loaded_total"
 
 let m_torn =
   Metrics.counter ~stable:false ~help:"torn WAL tails truncated to a valid prefix at load"
@@ -39,9 +32,7 @@ let m_bytes = Metrics.gauge ~stable:false ~help:"on-disk store size" "xpiler_sto
 
 (* ---- records ------------------------------------------------------------- *)
 
-type record =
-  | Transposition of Transposition.Key.t * Transposition.entry
-  | Solver_memo of Memo.Key.t * Memo.entry
+type record = Transposition.Key.t * Transposition.entry
 
 (* ---- layout -------------------------------------------------------------- *)
 
@@ -91,20 +82,12 @@ let append t r =
           oc
       in
       Wal.append oc payload);
-  Metrics.inc
-    (match r with
-    | Transposition _ -> m_append_transposition
-    | Solver_memo _ -> m_append_memo)
+  Metrics.inc m_appended
 
 (* ---- loading ------------------------------------------------------------- *)
 
-type counts = { transposition : int; solver_memo : int }
-
-let zero_counts = { transposition = 0; solver_memo = 0 }
-let total c = c.transposition + c.solver_memo
-
 type load_stats = {
-  loaded : counts;
+  loaded : int;
   torn_tails : int;  (** logs cut short or with a corrupt header *)
   dropped : int;  (** checksummed frames whose payload failed to decode *)
 }
@@ -115,21 +98,17 @@ let decode payload : record option =
   | exception _ -> None
 
 let load t =
-  let loaded = ref zero_counts and torn_tails = ref 0 in
+  let loaded = ref 0 and torn_tails = ref 0 in
   let dropped = ref 0 in
   let apply payload =
     match decode payload with
     | None ->
       incr dropped;
       Metrics.inc m_dropped
-    | Some (Transposition (k, e)) ->
+    | Some (k, e) ->
       Transposition.restore k e;
-      loaded := { !loaded with transposition = !loaded.transposition + 1 };
-      Metrics.inc m_loaded_transposition
-    | Some (Solver_memo (k, e)) ->
-      Memo.restore k e;
-      loaded := { !loaded with solver_memo = !loaded.solver_memo + 1 };
-      Metrics.inc m_loaded_memo
+      incr loaded;
+      Metrics.inc m_loaded
   in
   let count_torn () =
     incr torn_tails;
@@ -139,8 +118,8 @@ let load t =
       (* reading through a live appender is safe (appends flush whole
          frames), but reload semantics are clearest from a closed file *)
       close_locked t;
-      (* replay order is write order, so Hashtbl.replace in the restores
-         gives last-wins for free *)
+      (* replay order is write order, so the restore's replace gives
+         last-wins for free *)
       match Wal.read (log_path t) with
       | Wal.Missing -> ()
       | Wal.Bad_header -> count_torn ()
@@ -160,7 +139,6 @@ let unhook = function
   | None -> ()
   | Some t ->
     Transposition.set_observer None;
-    Memo.set_observer None;
     close t
 
 let detach () = unhook (Atomic.exchange attached None)
@@ -183,8 +161,7 @@ let attach t =
     | exception Sys_error m -> disable m
     | exception Unix.Unix_error (e, _, _) -> disable (Unix.error_message e)
   in
-  Transposition.set_observer (Some (fun k e -> write (Transposition (k, e))));
-  Memo.set_observer (Some (fun k e -> write (Solver_memo (k, e))));
+  Transposition.set_observer (Some (fun k e -> write (k, e)));
   Atomic.set attached (Some t)
 
 let active () = Atomic.get attached
@@ -202,27 +179,9 @@ let ensure ~dir () =
 
 (* ---- compaction ---------------------------------------------------------- *)
 
-(* last-wins dedup key: the same structural identity the in-memory tables
-   use, so compaction folds every rewrite of a key into its final entry *)
-module DKey = struct
-  type t = KTrans of Transposition.Key.t | KMemo of Memo.Key.t
-
-  let equal a b =
-    match (a, b) with
-    | KTrans x, KTrans y -> Transposition.Key.equal x y
-    | KMemo x, KMemo y -> Memo.Key.equal x y
-    | _ -> false
-
-  let hash = function
-    | KTrans k -> Transposition.Key.hash k
-    | KMemo k -> Memo.Key.hash k
-end
-
-module DTbl = Hashtbl.Make (DKey)
-
-let dkey = function
-  | Transposition (k, _) -> DKey.KTrans k
-  | Solver_memo (k, _) -> DKey.KMemo k
+(* last-wins dedup on the structural identity the in-memory table uses, so
+   compaction folds every rewrite of a key into its final entry *)
+module KTbl = Hashtbl.Make (Transposition.Key)
 
 type compact_stats = { records_in : int; records_out : int; bytes : int }
 
@@ -237,18 +196,17 @@ let compact t =
   (* last-wins dedup, output in first-seen order (deterministic given the
      file contents); undecodable payloads are dropped here — this is where
      a store heals *)
-  let latest : string DTbl.t = DTbl.create 256 in
+  let latest : string KTbl.t = KTbl.create 256 in
   let order = ref [] in
   List.iter
     (fun payload ->
       match decode payload with
       | None -> ()
-      | Some r ->
-        let k = dkey r in
-        if not (DTbl.mem latest k) then order := k :: !order;
-        DTbl.replace latest k payload)
+      | Some (k, _) ->
+        if not (KTbl.mem latest k) then order := k :: !order;
+        KTbl.replace latest k payload)
     payloads;
-  let kept = List.rev_map (DTbl.find latest) !order in
+  let kept = List.rev_map (KTbl.find latest) !order in
   (* a rename of one file is atomic: a crash leaves the old log or the
      compacted one *)
   match Wal.write_atomic (log_path t) kept with
@@ -263,7 +221,7 @@ let compact t =
 
 type info = {
   info_dir : string;
-  records : counts;
+  records : int;
   bytes : int;
   damaged : bool;  (** a torn tail, corrupt header or undecodable frame seen *)
 }
@@ -272,21 +230,20 @@ let scan t =
   let damaged = ref false in
   let records =
     match Wal.read (log_path t) with
-    | Wal.Missing -> zero_counts
+    | Wal.Missing -> 0
     | Wal.Bad_header ->
       damaged := true;
-      zero_counts
+      0
     | Wal.Data { payloads; torn; _ } ->
       if torn then damaged := true;
       List.fold_left
-        (fun c payload ->
+        (fun n payload ->
           match decode payload with
-          | Some (Transposition _) -> { c with transposition = c.transposition + 1 }
-          | Some (Solver_memo _) -> { c with solver_memo = c.solver_memo + 1 }
+          | Some _ -> n + 1
           | None ->
             damaged := true;
-            c)
-        zero_counts payloads
+            n)
+        0 payloads
   in
   { info_dir = t.dir; records; bytes = disk_bytes t; damaged = !damaged }
 
@@ -302,27 +259,3 @@ let clear_files t =
   in
   Metrics.set m_bytes 0.0;
   removed
-
-(* ---- fingerprinting (determinism tests) ---------------------------------- *)
-
-(* Digest of the session's two in-memory stores. Only meaningful for
-   comparing states produced the same way (e.g. both freshly loaded from disk):
-   Marshal bytes can differ across *construction* paths for structurally
-   equal values, but are stable for equal replay inputs. *)
-let fingerprint () =
-  let items = ref [] in
-  Transposition.fold
-    (fun k e () ->
-      items :=
-        Printf.sprintf "T %d %s" (Transposition.Key.hash k)
-          (Digest.to_hex (Digest.string (Marshal.to_string (k, e) [])))
-        :: !items)
-    ();
-  Memo.fold
-    (fun k e () ->
-      items :=
-        Printf.sprintf "M %d %s" (Memo.Key.hash k)
-          (Digest.to_hex (Digest.string (Marshal.to_string (k, e) [])))
-        :: !items)
-    ();
-  Digest.to_hex (Digest.string (String.concat "\n" (List.sort compare !items)))

@@ -1,12 +1,12 @@
 (** Durable knowledge store.
 
-    The two learning stores — the tuner's reward entries
-    ({!Xpiler_tuning.Transposition}) and the solver memo
-    ({!Xpiler_smt.Memo}) — die with the process, so every run would
-    re-evaluate the same states. This module persists them under a
-    directory (canonically [$XPILER_STORE_DIR]) as one append-only log,
-    [DIR/store.wal], and replays it back into the in-memory tables on the
-    next process start.
+    The tuner's reward entries ({!Xpiler_tuning.Transposition}) die with
+    the process, so every run would re-evaluate the same states. This
+    module persists them under a directory (canonically
+    [$XPILER_STORE_DIR]) as one append-only log, [DIR/store.wal], and
+    replays it back into the in-memory table on the next process start.
+    The solver memo ({!Xpiler_smt.Memo}) stays in-process: a fresh solve
+    is cheap enough that replaying a persisted one did not shorten a run.
 
     {b Reward entries.} A tuner search drops its own reward table on
     return; {!Xpiler_tuning.Transposition} holds only what {!load}
@@ -15,24 +15,22 @@
 
     {b Sessions.} Replay fills the session that opens the store (the
     caller of {!load} or {!ensure}; for the CLI, the main domain). The
-    write-through observers are process-wide: once attached, every
+    write-through observer is process-wide: once attached, every
     session's fresh entries are appended, pool tasks' included, through
     the store's own lock. A pool task's fresh session is not filled by
     replay, so it sees only what it computes itself.
 
-    {b Content addressing.} Records are keyed by the same structural
-    identities the in-memory tables use ({!Xpiler_ir.Kernel.hash}-based
-    transposition keys, {!Xpiler_smt.Problem.hash}-based memo keys);
-    replay is last-write-wins per key.
+    {b Content addressing.} Records are keyed by the structural identity
+    the in-memory table uses ({!Xpiler_ir.Kernel.hash}-based
+    transposition keys); replay is last-write-wins per key.
 
     {b Determinism.} Entries are persisted {e with} their effect receipts
-    (transposition eval/prune counts, solver search stats), so a run that
-    reads a restored entry replays exactly the canonical charge/trace
-    stream the run that evaluated it emitted: a translation's result,
-    modelled time and journal are the same with a cold store and a warm
-    one, and only the number of fresh evaluations (wall-clock) drops.
-    Replaying the log rebuilds each table bit-for-bit (asserted by the
-    [@store] suite, {!fingerprint}).
+    (eval/prune counts), so a run that reads a restored entry replays
+    exactly the canonical charge/trace stream the run that evaluated it
+    emitted: a translation's result, modelled time and journal are the
+    same with a cold store and a warm one, and only the number of fresh
+    evaluations (wall-clock) drops. Replaying the log rebuilds the table
+    bit-for-bit (asserted by the [@store] suite).
 
     {b Crash safety.} Appends are whole flushed frames ({!Wal}), so a torn
     tail loads as a valid prefix and is truncated before the next append.
@@ -42,11 +40,8 @@
     old sharded store's files) is ignored, so those runs start cold. *)
 
 open Xpiler_tuning
-module Memo = Xpiler_smt.Memo
 
-type record =
-  | Transposition of Transposition.Key.t * Transposition.entry
-  | Solver_memo of Memo.Key.t * Memo.entry
+type record = Transposition.Key.t * Transposition.entry
 
 type t
 
@@ -62,34 +57,30 @@ val dir : t -> string
 val append : t -> record -> unit
 (** Append one record to the log (framed, checksummed, flushed).
     Thread-safe. Raises [Sys_error] or [Unix.Unix_error] when the log cannot
-    be opened or written. This is what the attached observers call; it is
+    be opened or written. This is what the attached observer calls; it is
     public for tests and offline tooling. *)
 
-type counts = { transposition : int; solver_memo : int }
-
-val total : counts -> int
-
 type load_stats = {
-  loaded : counts;
+  loaded : int;
   torn_tails : int;  (** logs cut short or with a corrupt header *)
   dropped : int;  (** checksummed frames whose payload failed to decode *)
 }
 
 val load : t -> load_stats
-(** Replay the log (last write wins) into the calling session's in-memory
-    stores via their silent [restore] entry points — no hit/miss counts, no
+(** Replay the log (last write wins) into the calling session's
+    transposition table via its silent [restore] — no hit/miss counts, no
     traces, no observer echo. *)
 
 val attach : t -> unit
-(** Register the write-through observers on the two stores: from here
-    on, every fresh entry they learn, in any session, is appended to the
-    log. At most one
-    store is attached per process (a prior attachment is detached). An
-    append that fails prints one warning to stderr and detaches the store;
-    the learning store that produced the record is unaffected. *)
+(** Register the write-through observer on the transposition table: from
+    here on, every fresh entry it is handed, in any session, is appended
+    to the log. At most one store is attached per process (a prior
+    attachment is detached). An append that fails prints one warning to
+    stderr and detaches the store; the search that produced the record is
+    unaffected. *)
 
 val detach : unit -> unit
-(** Unregister the observers (if any) and close the appenders. *)
+(** Unregister the observer (if any) and close the appender. *)
 
 val active : unit -> t option
 (** The currently attached store. *)
@@ -110,7 +101,7 @@ val compact : t -> (compact_stats, string) result
 
 type info = {
   info_dir : string;
-  records : counts;
+  records : int;
   bytes : int;
   damaged : bool;  (** a torn tail, corrupt header or undecodable frame seen *)
 }
@@ -121,10 +112,3 @@ val scan : t -> info
 val clear_files : t -> int
 (** Delete the log and any leftover [store.wal.tmp]; returns the number of
     files removed. *)
-
-val fingerprint : unit -> string
-(** Order-insensitive digest of the calling session's two in-memory
-    stores.
-    Stable across construction paths that replay the same records (e.g.
-    two loads of equivalent stores); the [@store] determinism tests
-    compare these. *)

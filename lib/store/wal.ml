@@ -5,7 +5,7 @@ type read = Missing | Bad_header | Data of { payloads : string list; valid_len :
 
 (* 8 bytes so a header read is one fixed-size input; bump the digit when
    the record encoding changes, and old files read as [Bad_header] *)
-let magic = "XPWAL05\n"
+let magic = "XPWAL06\n"
 let magic_len = String.length magic
 
 (* FNV-1a, 32-bit: cheap, endian-free, and plenty to reject a torn or
@@ -43,7 +43,7 @@ let append oc payload =
   flush oc
 
 (* a frame larger than this is assumed to be garbage, not data — no single
-   kernel/problem record comes anywhere near it *)
+   reward record comes anywhere near it *)
 let max_frame = 64 * 1024 * 1024
 
 let read path =

@@ -78,8 +78,8 @@ val restore : Key.t -> entry -> unit
     run already journaled. *)
 
 val fold : (Key.t -> entry -> 'a -> 'a) -> 'a -> 'a
-(** Fold over the restored entries (most recent first), for
-    {!Xpiler_store.Store.fingerprint}. *)
+(** Fold over the restored entries (most recent first); the [@store]
+    tests compare a replayed table with the records written. *)
 
 val set_observer : (Key.t -> entry -> unit) option -> unit
 (** Process-wide hook called on every {!store}, from whichever domain

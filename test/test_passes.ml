@@ -192,7 +192,14 @@ let test_reorder_pinned () =
   case "out[0*idx[i] + j] illegal" false
     (nest (store_out ((int 0 * load "idx" (v "i")) + v "j")));
   case "out[0*idx[i] + i*4 + j] illegal" false
-    (nest (store_out ((int 0 * load "idx" (v "i")) + (v "i" * int 4) + v "j")))
+    (nest (store_out ((int 0 * load "idx" (v "i")) + (v "i" * int 4) + v "j")));
+  (* the inner loop shadows i: the nest adds 4 to out[0], the swapped nest
+     adds 1 to each of out[0..3] *)
+  case "shadowed inner i illegal" false
+    (Kernel.make ~name:"shadow" ~params:[ Builder.buffer "out" ]
+       [ Builder.for_ "i" (e 4)
+           [ Builder.for_ "i" (e 1) [ Builder.store "out" (v "i") (load "out" (v "i") + flt 1.0) ] ]
+       ])
 
 let test_expansion_contraction () =
   let open Expr.Infix in

@@ -1,11 +1,12 @@
 (* Durable-store guarantees: a record stream appended to the log replays
-   back into the in-memory tables bit-for-bit, effect receipts included
+   back into the in-memory table bit-for-bit, effect receipts included
    (QCheck property); compaction preserves content exactly while keeping
    one record per key; a torn tail loads as the valid prefix and is
    repaired before the next append; a corrupt frame cuts the log at that
    frame and a corrupt header loads nothing, never an error; a log in the
-   previous format loads nothing and is rewritten on the next append; a
-   failing append detaches the store without raising; a leftover compaction file
+   previous format loads nothing and is rewritten on the next append; the
+   solver memo writes nothing through; a failing append detaches the store
+   without raising; a leftover compaction file
    is never read; a pool task sees none of its caller's cached entries; and
    tuned translations run on the domain pool give the same results, stable
    metrics and persisted state at any job count, from a cold start.
@@ -55,53 +56,27 @@ let gen_problem rng =
     constraints = [ Expr.Var var ]
   }
 
-let gen_payload rng =
-  match Rng.int rng 4 with
-  | 0 -> Memo.Outcome (Problem.Sat [ ("x", Rng.int rng 9) ])
-  | 1 -> Memo.Outcome Problem.Unsat
-  | 2 -> Memo.Outcome Problem.Timeout
-  | _ -> Memo.Model_list [ [ ("x", Rng.int rng 9) ]; [ ("x", 9 + Rng.int rng 9) ] ]
-
-let gen_record rng =
-  match Rng.int rng 2 with
-  | 0 ->
-    Store.Transposition
-      ( { Transposition.Key.platform = pid; prune = Rng.bernoulli rng 0.5; kernel = gen_kernel rng },
-        { Transposition.reward = float_of_int (Rng.int rng 64) /. 8.0;
-          evaluated = Rng.int rng 50;
-          pruned = Rng.int rng 50
-        } )
-  | _ ->
-    Store.Solver_memo
-      ( { Memo.Key.mode =
-            (if Rng.bernoulli rng 0.5 then Memo.Solve else Memo.Models { limit = 1 + Rng.int rng 4 });
-          max_steps = 100 * (1 + Rng.int rng 3);
-          problem = gen_problem rng
-        },
-        { Memo.payload = gen_payload rng; stats = { Problem.steps = Rng.int rng 200; evals = Rng.int rng 500 } } )
+let gen_record rng : Store.record =
+  ( { Transposition.Key.platform = pid; prune = Rng.bernoulli rng 0.5; kernel = gen_kernel rng },
+    { Transposition.reward = float_of_int (Rng.int rng 64) /. 8.0;
+      evaluated = Rng.int rng 50;
+      pruned = Rng.int rng 50
+    } )
 
 let gen_records rng n =
   let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (gen_record rng :: acc) in
   go n []
 
 (* the expected final table contents: last-wins over the stream, computed
-   independently of the store with the modules' own key equalities *)
-let upsert equal k v l = (k, v) :: List.filter (fun (k', _) -> not (equal k k')) l
-
+   independently of the store with the table's own key equality *)
 let expected records =
-  let trans, memo =
-    List.fold_left
-      (fun (t, m) r ->
-        match r with
-        | Store.Transposition (k, e) -> (upsert Transposition.Key.equal k e t, m)
-        | Store.Solver_memo (k, e) -> (t, upsert Memo.Key.equal k e m))
-      ([], []) records
-  in
-  (List.sort compare trans, List.sort compare memo)
+  List.sort compare
+    (List.fold_left
+       (fun acc (k, e) ->
+         (k, e) :: List.filter (fun (k', _) -> not (Transposition.Key.equal k k')) acc)
+       [] records)
 
-let dump_tables () =
-  ( List.sort compare (Transposition.fold (fun k e acc -> (k, e) :: acc) []),
-    List.sort compare (Memo.fold (fun k e acc -> (k, e) :: acc) []) )
+let dump_table () = List.sort compare (Transposition.fold (fun k e acc -> (k, e) :: acc) [])
 
 let load_fresh store =
   clear_tables ();
@@ -115,29 +90,23 @@ let prop_roundtrip seed =
   let store = ok_exn (Store.open_store ~dir:(fresh_dir ()) ()) in
   List.iter (Store.append store) records;
   let exp = expected records in
-  (* replay reconstructs the tables bit-for-bit, receipts included *)
+  (* replay reconstructs the table bit-for-bit, receipts included *)
   let stats = load_fresh store in
   if stats.Store.torn_tails <> 0 || stats.Store.dropped <> 0 then
     QCheck.Test.fail_report "clean store reported damage";
-  if Store.total stats.Store.loaded <> List.length records then
+  if stats.Store.loaded <> List.length records then
     QCheck.Test.fail_report "replay count mismatch";
-  if dump_tables () <> exp then QCheck.Test.fail_report "replayed tables differ from the stream";
-  (* two loads of the same store fingerprint identically *)
-  let fp1 = Store.fingerprint () in
-  ignore (load_fresh store);
-  if Store.fingerprint () <> fp1 then QCheck.Test.fail_report "reload changed fingerprint";
+  if dump_table () <> exp then QCheck.Test.fail_report "replayed table differs from the stream";
   (* compaction keeps one record per key without changing content *)
   let cs = ok_exn (Store.compact store) in
   if cs.Store.records_in <> List.length records then
     QCheck.Test.fail_report "compaction lost input records";
   let stats3 = load_fresh store in
-  if Store.total stats3.Store.loaded <> cs.Store.records_out then
+  if stats3.Store.loaded <> cs.Store.records_out then
     QCheck.Test.fail_report "compacted replay count differs from compaction output";
-  if dump_tables () <> exp then QCheck.Test.fail_report "compaction changed table contents";
-  if Store.fingerprint () <> fp1 then
-    QCheck.Test.fail_report "compaction changed fingerprint";
+  if dump_table () <> exp then QCheck.Test.fail_report "compaction changed table contents";
   let info = Store.scan store in
-  Store.total info.Store.records = cs.Store.records_out && not info.Store.damaged
+  info.Store.records = cs.Store.records_out && not info.Store.damaged
 
 let roundtrip_test =
   QCheck_alcotest.to_alcotest
@@ -170,17 +139,17 @@ let test_torn_tail () =
   Wal.truncate wal (size - 3);
   let stats = load_fresh store in
   Alcotest.(check int) "one torn tail" 1 stats.Store.torn_tails;
-  Alcotest.(check int) "valid prefix replayed" 7 (Store.total stats.Store.loaded);
+  Alcotest.(check int) "valid prefix replayed" 7 stats.Store.loaded;
   let prefix = List.filteri (fun i _ -> i < 7) records in
-  Alcotest.(check bool) "prefix contents exact" true (dump_tables () = expected prefix);
+  Alcotest.(check bool) "prefix contents exact" true (dump_table () = expected prefix);
   (* the next append repairs the tail before writing after it *)
   let extra = gen_record rng in
   Store.append store extra;
   let stats2 = load_fresh store in
   Alcotest.(check int) "repaired" 0 stats2.Store.torn_tails;
-  Alcotest.(check int) "prefix plus the new record" 8 (Store.total stats2.Store.loaded);
+  Alcotest.(check int) "prefix plus the new record" 8 stats2.Store.loaded;
   Alcotest.(check bool) "repaired contents exact" true
-    (dump_tables () = expected (prefix @ [ extra ]))
+    (dump_table () = expected (prefix @ [ extra ]))
 
 (* ---- frame and header corruption ---------------------------------------- *)
 
@@ -197,15 +166,15 @@ let test_corrupt_frame () =
   flip_byte wal ((Unix.stat wal).Unix.st_size - 1);
   let stats = load_fresh store in
   Alcotest.(check int) "cut counted" 1 stats.Store.torn_tails;
-  Alcotest.(check int) "valid prefix replayed" 5 (Store.total stats.Store.loaded);
+  Alcotest.(check int) "valid prefix replayed" 5 stats.Store.loaded;
   Alcotest.(check bool) "prefix contents exact" true
-    (dump_tables () = expected (List.filteri (fun i _ -> i < 5) records));
+    (dump_table () = expected (List.filteri (fun i _ -> i < 5) records));
   (* a smashed header leaves no valid prefix: the store loads empty *)
   flip_byte wal 0;
   let stats2 = load_fresh store in
   Alcotest.(check int) "header corruption counted" 1 stats2.Store.torn_tails;
-  Alcotest.(check int) "nothing replays" 0 (Store.total stats2.Store.loaded);
-  Alcotest.(check bool) "tables empty" true (dump_tables () = ([], []))
+  Alcotest.(check int) "nothing replays" 0 stats2.Store.loaded;
+  Alcotest.(check bool) "tables empty" true (dump_table () = [])
 
 (* ---- previous formats -----------------------------------------------------
 
@@ -214,8 +183,9 @@ let test_corrupt_frame () =
    with today's: it must load nothing, and the next append starts the file
    over. [XPWAL03] logs keyed transposition entries by intra budget and
    composition as well. [XPWAL04] solver-memo receipts hold the step
-   counts of a search that did not prune by linear refutation, and a warm
-   journal would replay them. *)
+   counts of a search that did not prune by linear refutation. [XPWAL05]
+   records are a two-constructor variant: a solver-memo frame is a tag-1
+   block that would decode as a reward pair of the wrong type. *)
 
 let test_previous_format_starts_cold () =
   List.iter
@@ -223,27 +193,26 @@ let test_previous_format_starts_cold () =
       let dir = fresh_dir () in
       let store = ok_exn (Store.open_store ~dir ()) in
       let wal = Filename.concat dir "store.wal" in
-      let record =
-        Store.Transposition
-          ( { Transposition.Key.platform = pid; prune = true; kernel = gen_kernel (Rng.create 3) },
-            { Transposition.reward = 1.5; evaluated = 3; pruned = 1 } )
+      let record : Store.record =
+        ( { Transposition.Key.platform = pid; prune = true; kernel = gen_kernel (Rng.create 3) },
+          { Transposition.reward = 1.5; evaluated = 3; pruned = 1 } )
       in
       let oc = open_out_bin wal in
       output_string oc old_magic;
       Wal.append oc (Marshal.to_string record []);
       close_out oc;
       let stats = load_fresh store in
-      Alcotest.(check int) "nothing replays" 0 (Store.total stats.Store.loaded);
+      Alcotest.(check int) "nothing replays" 0 stats.Store.loaded;
       Alcotest.(check int) "bad header counted" 1 stats.Store.torn_tails;
-      Alcotest.(check bool) "tables empty" true (dump_tables () = ([], []));
+      Alcotest.(check bool) "tables empty" true (dump_table () = []);
       Store.append store record;
       Store.close store;
       let header = In_channel.with_open_bin wal (fun ic -> really_input_string ic 8) in
       Alcotest.(check string) "rewritten under the new magic" Wal.magic header;
       let stats2 = load_fresh store in
-      Alcotest.(check int) "only the new record replays" 1 (Store.total stats2.Store.loaded);
+      Alcotest.(check int) "only the new record replays" 1 stats2.Store.loaded;
       Alcotest.(check int) "no damage left" 0 stats2.Store.torn_tails)
-    [ "XPWAL02\n"; "XPWAL03\n"; "XPWAL04\n" ]
+    [ "XPWAL02\n"; "XPWAL03\n"; "XPWAL04\n"; "XPWAL05\n" ]
 
 (* ---- interrupted compaction ----------------------------------------------- *)
 
@@ -261,13 +230,13 @@ let test_leftover_compaction_file () =
   output_string oc (Wal.magic ^ "half a frame");
   close_out oc;
   let stats = load_fresh store in
-  Alcotest.(check int) "the log alone replays" 6 (Store.total stats.Store.loaded);
+  Alcotest.(check int) "the log alone replays" 6 stats.Store.loaded;
   Alcotest.(check int) "no damage seen" 0 stats.Store.torn_tails;
-  Alcotest.(check bool) "contents exact" true (dump_tables () = expected records);
+  Alcotest.(check bool) "contents exact" true (dump_table () = expected records);
   ignore (ok_exn (Store.compact store));
   Alcotest.(check bool) "compaction consumed the leftover" false (Sys.file_exists tmp);
   ignore (load_fresh store);
-  Alcotest.(check bool) "compacted contents exact" true (dump_tables () = expected records)
+  Alcotest.(check bool) "compacted contents exact" true (dump_table () = expected records)
 
 (* ---- write-through attachment --------------------------------------------- *)
 
@@ -281,17 +250,16 @@ let test_attach_write_through () =
   let kernel = gen_kernel rng in
   Transposition.store ~platform:pid ~prune:true kernel
     { Transposition.reward = 1.5; evaluated = 3; pruned = 1 };
+  (* the solver memo stays in-process: a fresh solve appends nothing *)
   Memo.store ~mode:Memo.Solve ~max_steps:100 (gen_problem rng)
     { Memo.payload = Memo.Outcome Problem.Unsat; stats = { Problem.steps = 5; evals = 9 } };
   Store.detach ();
-  let info = Store.scan store in
-  Alcotest.(check int) "transposition record persisted" 1 info.Store.records.Store.transposition;
-  Alcotest.(check int) "memo record persisted" 1 info.Store.records.Store.solver_memo;
+  Alcotest.(check int) "only the transposition record persisted" 1
+    (Store.scan store).Store.records;
   (* detached: fresh learning no longer streams to the log *)
   Transposition.store ~platform:pid ~prune:false kernel
     { Transposition.reward = 1.0; evaluated = 1; pruned = 0 };
-  Alcotest.(check int) "no append after detach" 2
-    (Store.total (Store.scan store).Store.records);
+  Alcotest.(check int) "no append after detach" 1 (Store.scan store).Store.records;
   (* ensure is idempotent: same dir, same attachment *)
   let t1 = ok_exn (Store.ensure ~dir ()) in
   let t2 = ok_exn (Store.ensure ~dir ()) in
@@ -313,7 +281,7 @@ let test_failing_append_detaches () =
     entry;
   Transposition.store ~platform:pid ~prune:true kernel entry;
   Alcotest.(check bool) "detached" true (Store.active () = None);
-  let trans, _ = dump_tables () in
+  let trans = dump_table () in
   Alcotest.(check int) "the in-memory table kept the entry" 1 (List.length trans);
   (* detached: later learning no longer reaches the store *)
   Transposition.store ~platform:pid ~prune:false kernel entry;
@@ -377,13 +345,11 @@ let test_parallel_translations_deterministic () =
          && s.Metrics.value <> Metrics.Vcounter 0)
        m1);
   let st1 = load_fresh s1 in
-  let d1 = dump_tables () in
+  let d1 = dump_table () in
   let st4 = load_fresh s4 in
-  let d4 = dump_tables () in
-  Alcotest.(check bool) "the translations persisted something" true
-    (Store.total st1.Store.loaded > 0);
-  Alcotest.(check int) "same record count" (Store.total st1.Store.loaded)
-    (Store.total st4.Store.loaded);
+  let d4 = dump_table () in
+  Alcotest.(check bool) "the translations persisted something" true (st1.Store.loaded > 0);
+  Alcotest.(check int) "same record count" st1.Store.loaded st4.Store.loaded;
   Alcotest.(check bool) "identical persisted state" true (d1 = d4)
 
 (* ---- sessions: a pool task starts cold ------------------------------------
