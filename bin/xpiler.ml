@@ -70,26 +70,6 @@ let fault_scale_arg =
   in
   Arg.(value & opt float 1.0 & info [ "fault-scale" ] ~docv:"F" ~doc)
 
-let store_dir_arg =
-  let doc =
-    "Durable knowledge store directory: the tuner's reward entries are loaded from it \
-     before translating and written through (one append-only log, DIR/store.wal) \
-     during it, so later processes reuse this run's evaluations. Defaults \
-     to \\$XPILER_STORE_DIR when that is set. Persisted entries carry their effect \
-     receipts: results, modelled time and traces are identical with or without the store \
-     — only fresh evaluations and wall-clock change."
-  in
-  Arg.(value & opt (some string) None & info [ "store-dir" ] ~docv:"DIR" ~doc)
-
-let no_store_arg =
-  let doc = "Ignore \\$XPILER_STORE_DIR and run without the durable knowledge store." in
-  Arg.(value & flag & info [ "no-store" ] ~doc)
-
-(* CLI precedence: explicit flag > environment > off; --no-store vetoes both *)
-let effective_store_dir store_dir no_store =
-  if no_store then None
-  else match store_dir with Some d -> Some d | None -> Xpiler_store.Store.env_dir ()
-
 let trace_arg =
   let doc =
     "Write a JSONL trace journal of the translation to $(docv) (replay it with `xpiler \
@@ -167,7 +147,7 @@ let find_op name =
 (* ---- translate ------------------------------------------------------------ *)
 
 let translate op_name shape src dst tune seed no_prune max_escalation no_rollback
-    fault_scale store_dir no_store trace =
+    fault_scale trace =
   let op = find_op op_name in
   let shape = parse_shape op shape in
   check_max_escalation max_escalation;
@@ -179,8 +159,7 @@ let translate op_name shape src dst tune seed no_prune max_escalation no_rollbac
       { base with
         Config.mcts = { base.Config.mcts with Xpiler_tuning.Mcts.prune = not no_prune };
         ladder =
-          List.filter (fun r -> not (no_rollback && r = Config.Rollback)) base.Config.ladder;
-        store_dir = effective_store_dir store_dir no_store
+          List.filter (fun r -> not (no_rollback && r = Config.Rollback)) base.Config.ladder
       }
     in
     let base = Config.with_max_escalation base max_escalation in
@@ -227,7 +206,7 @@ let translate_cmd =
     Term.(
       const translate $ op_arg $ shape_arg $ src_arg $ dst_arg $ tune_arg $ seed_arg
       $ no_prune_arg $ max_escalation_arg $ no_rollback_arg
-      $ fault_scale_arg $ store_dir_arg $ no_store_arg $ trace_arg)
+      $ fault_scale_arg $ trace_arg)
 
 (* ---- show-source ----------------------------------------------------------- *)
 
@@ -376,16 +355,14 @@ let trace_cmd =
 (* run a translation, then print the registry snapshot and the profiled
    span table; tuning is on by default so the cache/transposition meters
    have something to show *)
-let metrics_run op_name shape src dst no_tune seed fault_scale store_dir no_store
-    openmetrics_out json_out =
+let metrics_run op_name shape src dst no_tune seed fault_scale openmetrics_out json_out =
   let op = find_op op_name in
   let shape = parse_shape op shape in
   check_fault_scale fault_scale;
   let config =
     let base = if no_tune then Config.default else Config.tuned in
     let base = Config.with_seed base seed in
-    let base = Config.with_fault_scale base fault_scale in
-    { base with Config.store_dir = effective_store_dir store_dir no_store }
+    Config.with_fault_scale base fault_scale
   in
   Xpiler_obs.Metrics.reset ();
   Xpiler_obs.Prof.reset ();
@@ -436,77 +413,7 @@ let metrics_cmd =
   Cmd.v info
     Term.(
       const metrics_run $ op_arg $ shape_arg $ src_arg $ dst_arg $ no_tune_flag $ seed_arg
-      $ fault_scale_arg $ store_dir_arg $ no_store_arg $ openmetrics_opt
-      $ json_opt)
-
-(* ---- store ------------------------------------------------------------------- *)
-
-let store_action dir action =
-  let module Store = Xpiler_store.Store in
-  let dir =
-    match (dir, Store.env_dir ()) with
-    | Some d, _ -> d
-    | None, Some d -> d
-    | None, None ->
-      Printf.eprintf "store: no directory (pass --dir or set $XPILER_STORE_DIR)\n";
-      exit 2
-  in
-  (* inspecting a store never creates one; only translate --store-dir does *)
-  if not (Sys.file_exists dir) then begin
-    Printf.eprintf "store: %s: no such directory\n" dir;
-    exit 2
-  end;
-  let t =
-    match Store.open_store ~dir () with
-    | Ok t -> t
-    | Error m ->
-      Printf.eprintf "store: %s\n" m;
-      exit 2
-  in
-  match action with
-  | `Stats ->
-    let info = Store.scan t in
-    Printf.printf "dir:    %s\n" info.Store.info_dir;
-    Printf.printf "records: %d\n" info.Store.records;
-    Printf.printf "bytes:  %d (%.1f KiB)\n" info.Store.bytes
-      (float_of_int info.Store.bytes /. 1024.0);
-    if info.Store.damaged then
-      Printf.printf "damaged: yes (torn tails load as a valid prefix; compact to heal)\n"
-  | `Compact -> (
-    match Store.compact t with
-    | Ok s ->
-      Printf.printf "compacted %d record(s) into %d (%d bytes) in %s\n" s.Store.records_in
-        s.Store.records_out s.Store.bytes dir
-    | Error m ->
-      Printf.eprintf "store: %s\n" m;
-      exit 2)
-  | `Clear ->
-    let removed = Store.clear_files t in
-    Printf.printf "removed %d store file%s from %s\n" removed
-      (if removed = 1 then "" else "s")
-      dir
-
-let store_cmd =
-  let info =
-    Cmd.info "store"
-      ~doc:
-        "Inspect the durable knowledge store ($(b,stats), the default), rewrite its \
-         log keeping the last record per key ($(b,compact)), or delete it \
-         ($(b,clear)). The store persists the tuner's reward entries \
-         under \\$XPILER_STORE_DIR (or $(b,--dir)); it is safe \
-         to delete at any time — later runs simply start cold."
-  in
-  let action_pos =
-    let action_conv =
-      Arg.enum [ ("stats", `Stats); ("compact", `Compact); ("clear", `Clear) ]
-    in
-    Arg.(value & pos 0 action_conv `Stats & info [] ~docv:"ACTION")
-  in
-  let dir_opt =
-    let doc = "Store directory (default: \\$XPILER_STORE_DIR)." in
-    Arg.(value & opt (some string) None & info [ "dir" ] ~docv:"DIR" ~doc)
-  in
-  Cmd.v info Term.(const store_action $ dir_opt $ action_pos)
+      $ fault_scale_arg $ openmetrics_opt $ json_opt)
 
 (* ---- manual ------------------------------------------------------------------ *)
 
@@ -529,4 +436,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ translate_cmd; show_source_cmd; list_ops_cmd; lint_cmd; trace_cmd; metrics_cmd;
-            store_cmd; manual_cmd ]))
+            manual_cmd ]))

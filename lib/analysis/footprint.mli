@@ -6,8 +6,6 @@ type bound = { lo : int; hi : int }  (** inclusive on both ends *)
 
 type env = (string * bound) list
 
-val point : int -> bound
-
 val range : env -> Expr.t -> bound option
 (** Sound over-approximation of the expression's value set; [None] when a
     subterm (a load, a float, an unbounded variable) defeats the interval. *)

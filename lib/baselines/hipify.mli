@@ -18,6 +18,3 @@ type result = {
 
 val translate : Opdef.t -> Opdef.shape -> result
 (** Translate the operator's idiomatic CUDA source. *)
-
-val supported : Kernel.t -> bool
-(** Whether the mapping table covers every construct in the kernel. *)

@@ -7,7 +7,6 @@ open Xpiler_ops
 type method_ = Gpt4_zero | Gpt4_few | O1_zero | O1_few
 
 val method_name : method_ -> string
-val profile : method_ -> Xpiler_neural.Profile.t
 
 type result = {
   compiles : bool;

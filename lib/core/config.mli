@@ -63,13 +63,8 @@ type t = {
       (** Ignored: nothing reads this field. It is kept only because
           [e2ebench/sweep.ml] sets it; drop the two together. *)
   store_dir : string option;
-      (** When set, the durable knowledge store at this directory is loaded
-          into the tuner's transposition table before the
-          translation and kept write-through for its duration (see
-          [Xpiler_store.Store]). Persisted entries carry their effect
-          receipts, so results, modelled time and traces are the same with
-          or without the store; only fresh evaluations and wall-clock
-          drop. The CLI defaults this from [$XPILER_STORE_DIR]. *)
+      (** Ignored: no tuner state outlives a translation. It is kept only
+          because [e2ebench/sweep.ml] sets it; drop the two together. *)
 }
 
 val default : t

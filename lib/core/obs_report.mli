@@ -6,12 +6,9 @@
     as the same aligned tables / CSV machinery the benchmark harness
     uses. *)
 
-val tables : Xpiler_obs.Summary.t -> Report.t list
-(** Stage breakdown, span totals, counters and histograms — empty sections
-    are omitted. *)
-
 val render : Xpiler_obs.Summary.t -> string
-(** All tables concatenated, ready to print. *)
+(** Stage breakdown, span totals, counters and histograms as tables,
+    concatenated and ready to print — empty sections are omitted. *)
 
 val render_metrics : Xpiler_obs.Metrics.sample list -> Xpiler_obs.Prof.report -> string
 (** Registry snapshot rendered as counter / gauge / histogram tables

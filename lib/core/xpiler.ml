@@ -475,19 +475,6 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
     end)
 
 let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
-  (* durable knowledge store: load-and-attach once per process (idempotent
-     per directory) so the calling session's tuner reward entries
-     warm-start from prior runs and every session writes its fresh ones
-     through. Purely a time optimization: persisted entries replay their
-     effect receipts, so results and traces are unchanged. A store
-     that cannot be opened is a warning, not a failure — the translation
-     proceeds cold. *)
-  (match config.Config.store_dir with
-  | Some dir -> (
-    match Xpiler_store.Store.ensure ~dir () with
-    | Ok _ -> ()
-    | Error m -> Printf.eprintf "warning: knowledge store disabled: %s\n%!" m)
-  | None -> ());
   let clock = Vclock.create () in
   (* tracing: a tracer of our own when the config asks for one, else reuse
      an ambient tracer a caller (e.g. the bench harness) scoped; either way

@@ -21,7 +21,6 @@ let to_string = function
   | Core_id -> "coreId"
 
 let equal (a : t) (b : t) = a = b
-let compare = Stdlib.compare
 
 let all =
   [ Block_x; Block_y; Block_z; Thread_x; Thread_y; Thread_z; Task_id; Cluster_id; Core_id ]

@@ -17,7 +17,6 @@ type t =
 
 val to_string : t -> string
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val all : t list
 
 val is_thread : t -> bool

@@ -31,4 +31,3 @@ let to_string d =
 
 let list_to_string ds = String.concat "\n" (List.map to_string ds)
 let is_error d = d.severity = Error
-let errors ds = List.filter is_error ds

@@ -15,8 +15,6 @@ type t = {
   message : string;
 }
 
-val category_name : category -> string
-
 val error : category -> string -> string -> t
 
 val to_string : t -> string
@@ -25,4 +23,3 @@ val to_string : t -> string
 
 val list_to_string : t list -> string
 val is_error : t -> bool
-val errors : t list -> t list

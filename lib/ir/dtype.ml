@@ -10,4 +10,3 @@ let to_string = function
 let size_in_bytes = function F32 -> 4 | F16 -> 2 | I32 -> 4 | I8 -> 1 | Bool -> 1
 let is_float = function F32 | F16 -> true | I32 | I8 | Bool -> false
 let equal (a : t) (b : t) = a = b
-let compare = Stdlib.compare

@@ -6,4 +6,3 @@ val to_string : t -> string
 val size_in_bytes : t -> int
 val is_float : t -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int

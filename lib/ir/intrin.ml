@@ -107,8 +107,6 @@ let hash_fold h t =
   let h = List.fold_left href (comb h 3) t.srcs in
   List.fold_left Expr.hash_fold (comb h 5) t.params
 
-let hash t = hash_fold 0 t
-
 let map_exprs f t =
   { t with
     dst = { t.dst with offset = f t.dst.offset };

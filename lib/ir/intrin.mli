@@ -48,10 +48,9 @@ val op_name : op -> string
 val equal_op : op -> op -> bool
 val equal : t -> t -> bool
 
-val hash : t -> int
-(** Full-depth structural hash, consistent with [equal]. *)
-
 val hash_fold : int -> t -> int
+(** Full-depth structural hash folded into a seed, consistent with [equal]. *)
+
 val arity : op -> int
 (** Number of source buffers the op expects. *)
 

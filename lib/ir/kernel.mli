@@ -23,8 +23,8 @@ val equal : t -> t -> bool
 val hash : t -> int
 (** Cheap full-depth structural hash, consistent with [equal]. Together with
     [equal] it is the one key scheme of every kernel-keyed memo: the compile
-    cache, the tuner's per-search reward tables and restored transposition
-    entries, and the unit-test verdict memo. *)
+    cache, the tuner's per-search reward tables and the unit-test verdict
+    memo. *)
 
 val axis_extent : t -> Axis.t -> int option
 val with_body : t -> Stmt.t list -> t

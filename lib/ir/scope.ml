@@ -10,7 +10,6 @@ let to_string = function
   | Fragment -> "fragment"
 
 let equal (a : t) (b : t) = a = b
-let compare = Stdlib.compare
 let is_on_chip = function
   | Shared | Local | Nram | Wram | Fragment -> true
   | Global | Host -> false

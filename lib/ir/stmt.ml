@@ -75,8 +75,6 @@ let rec hash_fold h stmt =
 
 and hash_fold_block h block = List.fold_left hash_fold (Expr.hash_comb h 37) block
 
-let hash s = hash_fold 0 s
-
 let rec map_exprs f stmt =
   match stmt with
   | For r -> For { r with lo = f r.lo; extent = f r.extent; body = List.map (map_exprs f) r.body }

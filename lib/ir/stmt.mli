@@ -26,13 +26,12 @@ type t =
       (** semantic marker inserted by program annotation (Algorithm 1);
           ignored by execution *)
 
-val equal : t -> t -> bool
 val equal_block : t list -> t list -> bool
 
-val hash : t -> int
-(** Full-depth structural hash, consistent with [equal]. *)
-
 val hash_fold : int -> t -> int
+(** Full-depth structural hash folded into a seed, consistent with
+    structural equality. *)
+
 val hash_fold_block : int -> t list -> int
 
 val map_exprs : (Expr.t -> Expr.t) -> t -> t

@@ -227,8 +227,8 @@ let throughput p k ~shapes =
 
    Hence [bound_seconds <= seconds] and the returned throughput is [>=] the
    true modelled throughput on every kernel (fuzzed in test_tuning.ml).
-   Emits no trace events: pruning decisions replay from transposition
-   receipts, so the bound must be observably silent. *)
+   Emits no trace events: the tuner emits its pruning counts itself, so
+   the bound must be observably silent. *)
 let throughput_bound (p : Platform.t) (k : Kernel.t) ~shapes =
   let acc =
     { f_scalar = 0.0; f_vector = 0.0; f_tensor = 0.0; b_off = 0.0; b_on = 0.0;

@@ -38,10 +38,3 @@ let mismatch_count ?(rtol = 1e-4) ?(atol = 1e-5) a b =
     done;
     !bad
   end
-
-let to_string ?(max_elems = 16) t =
-  let n = min max_elems (length t) in
-  let elems = List.init n (fun i -> Printf.sprintf "%g" t.data.(i)) in
-  let suffix = if length t > n then "; ..." else "" in
-  Printf.sprintf "[%s%s] (%d x %s)" (String.concat "; " elems) suffix (length t)
-    (Dtype.to_string t.dtype)

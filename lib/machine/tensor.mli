@@ -26,5 +26,3 @@ val max_abs_diff : t -> t -> float
 val mismatch_count : ?rtol:float -> ?atol:float -> t -> t -> int
 (** Number of elements where the two tensors differ beyond tolerance; the
     longer length when the lengths differ (the repair mismatch score). *)
-
-val to_string : ?max_elems:int -> t -> string

@@ -8,12 +8,10 @@ type doc = { id : string; text : string }
 type index
 
 val build : doc list -> index
-val tokenize : string -> string list
-(** Lowercased alphanumeric tokens; underscores and [::] split identifiers so
-    [__bang_mlp] matches the query "mlp". *)
-
-val search : index -> string -> (string * float) list
-(** [search idx query] returns (doc id, score) sorted by descending score;
-    only documents with a positive score are returned. *)
+(** Documents and queries tokenize to lowercased alphanumeric tokens;
+    underscores and [::] split identifiers so [__bang_mlp] matches the
+    query "mlp". *)
 
 val top : index -> string -> int -> string list
+(** [top idx query n]: the ids of at most [n] documents with a positive
+    score, best first. *)

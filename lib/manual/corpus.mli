@@ -18,7 +18,6 @@ type entry = {
 }
 
 val entries : Platform.id -> entry list
-val find : Platform.id -> string -> entry option
 val index : Platform.id -> Bm25.index
 (** BM25 index over this platform's manual (memoized). *)
 

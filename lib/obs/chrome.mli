@@ -9,5 +9,3 @@
 
 val to_string : Event.t list -> string
 (** A complete [{"traceEvents": [...], ...}] JSON document. *)
-
-val to_json : Event.t list -> Json.t

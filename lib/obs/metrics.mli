@@ -8,14 +8,14 @@
 
     {b Stability classes.} Some instrumented quantities are pure functions of
     the input and configuration (escalation rung counts, SMT verdicts, pass
-    tallies, intra-memo lookups); others depend on what ran before or on the
-    parallel schedule (transposition-table hit/miss counts of the
-    process-global table, fresh solver searches behind a warm memo). Each
+    tallies, tuner reward lookups); others depend on what ran before or on
+    the parallel schedule (fresh solver searches behind a warm memo). Each
     metric is registered [~stable:true/false], and
     {!snapshot}[ ~stable_only:true] keeps only the schedule-independent ones
     — that restricted snapshot is byte-identical whatever the job count of
-    the pool running whole translations, which test_store asserts. Wall-clock time is not a
-    registry metric: {!Prof} is the one real-time meter.
+    the pool running whole translations, which test_core asserts.
+    Wall-clock time is not a registry metric: {!Prof} is the one real-time
+    meter.
 
     Handles are interned per [(name, labels)]: registering the same pair
     twice returns a handle on the same series; reusing a name with a different kind

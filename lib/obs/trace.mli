@@ -25,8 +25,8 @@ val current : unit -> Tracer.t option
 val without : (unit -> 'a) -> 'a
 (** Runs the function with tracing suspended on this domain (restored on
     exit, including by exception). Used only where the caller emits the
-    work's effects itself: a fresh MCTS reward evaluation, whose
-    transposition receipt is replayed instead, and the unit-test oracle's
+    work's effects itself: a fresh MCTS reward evaluation, whose charges
+    and counts the search emits from its result, and the unit-test oracle's
     scoring re-run of a memoized kernel, whose receipt was just replayed.
     The [Vclock] observer is not the facade, so charges still reach the
     tracer. *)

@@ -43,9 +43,8 @@ val tune : ?prune:bool -> platform:Platform.t -> Kernel.t -> variant * stats
 (** Search the candidate space (the depth-1 phase and the composed phase,
     at most 12 candidates each), keep the compilable variant with the
     highest modelled throughput; the input kernel itself is always a candidate, so the result
-    never regresses. Also returns the measured/pruned counts — the receipt
-    {!Mcts} keeps with the reward so a hit can replay the
-    canonical effect stream of the original evaluation.
+    never regresses. Also returns the measured/pruned counts, from which
+    {!Mcts} emits the evaluation's charges and trace counts.
 
     The checker runs on the input once. A rejected input returns itself at
     throughput 0 with nothing measured or pruned; otherwise the empty

@@ -44,19 +44,13 @@ end)
 (* One search: one tree, one rng, one reward table, modelled device time
    charged through [charge], events emitted as they happen.
 
-   Rewards come from [table], which dies with the search. On a miss, the
-   {!Transposition} entries the durable store restored may hold the state;
-   otherwise one {!Intra.tune} call evaluates it (a state the checker
-   rejects tunes to 0 with an empty receipt) and the entry goes to the
-   store's observer. Values are pure, so where an entry comes from changes
-   wall-clock time only. Observable effects stay deterministic because a
-   state entering the table emits the same canonical stream, replayed from
-   the entry's receipt, whatever its source: nothing for invalid states,
-   else one 5.0 charge, then a count + 10.0 charge per measured intra
-   variant, then one aggregated [intra.pruned] count. Later touches emit
-   nothing. {!Intra} emits and charges nothing, and runs under
-   [Trace.without] so the cost model's own events stay out of that
-   stream.
+   Rewards come from [table], which dies with the search. On a miss, one
+   {!Intra.tune} call evaluates the state and the search emits its
+   effects: nothing for a state the checker rejects (reward 0), else one
+   5.0 charge, then a count + 10.0 charge per measured intra variant, then
+   one aggregated [intra.pruned] count. A hit emits nothing. {!Intra}
+   emits and charges nothing, and runs under [Trace.without] so the cost
+   model's own events stay out of that stream.
 
    [jobs] and [db] are ignored: the search runs on one domain and starts
    from its input kernel alone. *)
@@ -74,51 +68,35 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?db:_ 
   let table = KTbl.create 1024 in
   let nodes = ref 0 in
   let best = ref (kernel, [], 0.0) in
-  let pid = platform.Xpiler_machine.Platform.id in
   let evaluate k =
     Transposition.count_eval ();
-    let v, st =
-      Trace.without (fun () ->
-          Intra.tune ~prune:config.prune ~platform k)
-    in
-    let e =
-      { Transposition.reward = v.Intra.throughput;
-        evaluated = st.Intra.evaluated;
-        pruned = st.Intra.pruned
-      }
-    in
-    Transposition.store ~platform:pid ~prune:config.prune k e;
-    e
-  in
-  (* canonical receipt replay, once per state: when it enters the table *)
-  let enter k e =
-    KTbl.add table k e;
-    if e.Transposition.reward > 0.0 then begin
+    let v, st = Trace.without (fun () -> Intra.tune ~prune:config.prune ~platform k) in
+    let r = v.Intra.throughput in
+    if r > 0.0 then begin
       charge 5.0 (* state set-up on the device *);
-      for _ = 1 to e.Transposition.evaluated do
+      for _ = 1 to st.Intra.evaluated do
         Trace.count "intra.variants";
         charge 10.0 (* one variant measured on the device *)
       done;
-      if e.Transposition.pruned > 0 then Trace.count ~n:e.Transposition.pruned "intra.pruned"
+      if st.Intra.pruned > 0 then Trace.count ~n:st.Intra.pruned "intra.pruned"
     end;
-    e
+    r
   in
-  (* a lookup the table or a restored entry serves is a hit; a miss is one
-     fresh evaluation *)
+  (* a lookup the table serves is a hit; a miss is one fresh evaluation *)
   let lookup k =
     match KTbl.find_opt table k with
-    | Some e ->
+    | Some r ->
       Transposition.count_lookup ~hit:true;
-      e
+      r
     | None ->
-      let restored = Transposition.find ~platform:pid ~prune:config.prune k in
-      Transposition.count_lookup ~hit:(restored <> None);
-      enter k (match restored with Some e -> e | None -> evaluate k)
+      Transposition.count_lookup ~hit:false;
+      let r = evaluate k in
+      KTbl.add table k r;
+      r
   in
   (* reward = best intra-tuned throughput of the state; 0 for invalid states *)
   let reward (k : Kernel.t) rspecs =
-    let e = lookup k in
-    let r = e.Transposition.reward in
+    let r = lookup k in
     Trace.observe "mcts.reward" r;
     let _, _, b = !best in
     if r > b then begin

@@ -12,24 +12,18 @@ module Pass = Xpiler_passes.Pass
     depth N = 13 and 512 simulations.
 
     One search is one tree with one reward table keyed by kernel, dropped
-    when it returns. A miss there reads the {!Transposition} entries the
-    store restored; a miss in both runs {!Intra.tune} (bound-based pruning
-    per [config.prune], composed candidates always, 12 candidates per
-    phase) and persists the entry. Rewards are pure, so where an entry
-    comes from changes wall-clock only: charges and trace counts replay
-    from the entry's receipt once, when the state enters the search's
-    table, so a cold search and one that reads restored entries give
-    byte-identical journals. A repeat search in one process re-evaluates.
-    Each reward lookup counts once in [xpiler_transposition_lookups_total]:
-    a hit when the table or a restored entry serves it, a miss when it is
+    when it returns; a repeat search re-evaluates. A miss in the table runs
+    {!Intra.tune} (bound-based pruning per [config.prune], composed
+    candidates always, 12 candidates per phase); a hit emits nothing. Each
+    reward lookup counts once in [xpiler_transposition_lookups_total]
+    ({!Transposition}): a hit when the table serves it, a miss when it is
     evaluated fresh. UCT's exploration constant is 1.2.
 
     The search emits its events as it runs: one [mcts.expansions] count
     per node, one [mcts.simulations] count per simulation, one
-    [mcts.rollout_steps] count per rollout step, and per positive reward
-    entering the table the receipt's stream (a 5 s [Auto_tuning] charge,
-    then one [intra.variants] count and one 10 s charge per measured
-    variant, then [intra.pruned]). So the journal's totals equal the
+    [mcts.rollout_steps] count per rollout step, and per fresh positive
+    reward a 5 s [Auto_tuning] charge, then one [intra.variants] count and
+    one 10 s charge per measured variant, then [intra.pruned]. So the journal's totals equal the
     result's [nodes_expanded]/[simulations_run] and its [intra.variants]
     total equals its 10 s charges. *)
 

@@ -3,7 +3,7 @@
     A session value is a slot with an initializer, one copy per domain:
     the first read on a domain runs the initializer, and no other domain
     ever sees that copy. Every translation cache (compile cache, unit-test
-    LRUs, solver memo, transposition table, corpus tables, vendor
+    LRUs, solver memo, corpus tables, vendor
     baselines) and every ambient setting (tracer, solver engine) is one,
     so no table is reachable from two domains and none needs a lock.
 

@@ -2,7 +2,7 @@
    wall-clock profiler. The two load-bearing invariants — the reasons this
    layer is safe to leave on in production — are (1) the stable-only registry
    snapshot is byte-identical whatever the job count of the pool running whole
-   translations (asserted in test_store.ml, next to the persisted state), and
+   translations (asserted in test_core.ml), and
    (2) the always-on profiler stream is fully segregated from the tracer, so
    its spans never reach a journal. *)
 
