@@ -45,6 +45,9 @@ type t = {
           kept only because [e2ebench/layers.ml] reads it; drop the two
           together. *)
   unit_test_trials : int;
+      (** trials of [finalize]'s unit test, the final acceptance check (and
+          of the check on a tuned kernel). Per-pass validation always runs
+          one trial *)
   jobs : int;
       (** Ignored: nothing reads this field. It is kept only because
           [e2ebench/sweep.ml] sets it; drop the two together. *)
@@ -80,8 +83,9 @@ val without_smt : t
 (** "QiMeng-Xpiler w/o SMT" ablation: an empty ladder. *)
 
 val without_analysis : t
-(** Static pre-validation disabled: every pass goes straight to the
-    interpreter-based unit test and repairs pay full dynamic localization. *)
+(** Static pre-validation disabled: every pass goes straight to the target
+    checker and the interpreter-based unit test, and repairs pay full
+    dynamic localization. *)
 
 val without_smt_self_debug : t
 (** "QiMeng-Xpiler w/o SMT + Self-Debugging" ablation: ladder [[Self_debug]]. *)

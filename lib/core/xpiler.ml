@@ -77,6 +77,18 @@ let m_tuning_rejected =
   Obs.Metrics.counter ~help:"tuned kernels the final unit test rejected (untuned kernel kept)"
     "xpiler_tuning_rejected_total"
 
+(* injected faults in an LLM output that per-pass validation accepted, by
+   the paper's fault classes: validation's misses, read against the
+   oracle's ground truth. Registry only, like [m_tuning_rejected]. *)
+let m_faults_escaped =
+  let mk category =
+    ( category,
+      Obs.Metrics.counter ~help:"injected faults in LLM outputs that per-pass validation accepted"
+        ~labels:[ ("class", Fault.category_name category) ]
+        "xpiler_faults_escaped_total" )
+  in
+  List.map mk [ Fault.Memory; Fault.Instruction; Fault.Parallelism ]
+
 let accepted = function Success | Degraded -> true | Compile_error _ | Computation_error _ -> false
 
 let strip_annots (k : Kernel.t) =
@@ -183,17 +195,31 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
       ledger_rev = []
     }
   in
-  let compile_ok k = Checker.compile target k = Ok () in
-  let unit_ok k =
+  (* every call is one modelled unit test, whatever its trial count *)
+  let unit_test ~trials k =
     Vclock.charge clock Vclock.Unit_test 45.0;
-    Unit_test.check ~trials:config.Config.unit_test_trials op shape k = Unit_test.Pass
+    Unit_test.check ~trials op shape k
   in
-  (* per-pass validation: a static pre-validation pass first (a diagnosed
-     program never reaches the interpreter, and its findings seed the
-     repairer's localization), then the unit test (the paper's flow).
-     Platform compilation is checked once on the final program, since
-     intermediate states legitimately mix source and target features *)
-  let validate k =
+  let diagnostics k =
+    match Checker.compile target k with
+    | Ok () -> []
+    | Error es -> List.map (fun (e : Checker.error) -> (e.category, e.message)) es
+  in
+  (* [baseline] is the pass checkpoint's diagnostics, forced at most once
+     per pass and only when [k] has a diagnostic at all *)
+  let adds_diagnostic baseline k =
+    List.exists (fun d -> not (List.mem d (Lazy.force baseline))) (diagnostics k)
+  in
+  (* per-pass validation, cheapest check first: the static analyzer (a
+     diagnosed program never reaches the interpreter, and its findings seed
+     the repairer's localization), then the target checker, then one
+     unit-test trial. Intermediate programs legitimately mix source and
+     target features, so the checker rejects only a diagnostic that the
+     pass's checkpoint ([baseline]) lacks: a foreign axis loop or an illegal
+     scope the LLM introduced fails at the pass that made it, where the
+     ladder can still repair it. [finish] is the stronger check: the whole
+     checker and [Config.unit_test_trials] trials. *)
+  let validate baseline k =
     let findings =
       if config.Config.static_analysis then begin
         Vclock.charge clock Vclock.Static_analysis
@@ -202,14 +228,16 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
       end
       else []
     in
-    (* short-circuit: no interpreter run for a statically-diagnosed program —
-       reading the report is orders of magnitude cheaper *)
-    if findings <> [] then Error findings else if unit_ok k then Ok () else Error []
+    if findings <> [] then Error findings
+    else if adds_diagnostic baseline k then Error []
+    else if unit_test ~trials:1 k = Unit_test.Pass then Ok ()
+    else Error []
   in
   (* one LLM-assisted pass with validation; a failed validation climbs
      [config.ladder] (see [Config.rung]) *)
   let run_pass_untraced spec =
     let checkpoint = st.kernel in
+    let baseline = lazy (diagnostics checkpoint) in
     let t0 = Vclock.elapsed clock in
     let attempts = ref 0 in
     let fault_classes = ref [] in
@@ -253,8 +281,13 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
       | Ok (k, faults) -> (
         incr attempts;
         note_faults faults;
-        match validate k with
-        | Ok () -> apply_ok k result
+        match validate baseline k with
+        | Ok () ->
+          List.iter
+            (fun (f : Fault.injected) ->
+              Obs.Metrics.inc (List.assoc f.Fault.category m_faults_escaped))
+            faults;
+          apply_ok k result
         | Error findings -> on_fail k faults findings)
     in
     (* [k] failed validation with [findings] and carries the [live] faults *)
@@ -278,6 +311,10 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
         match
           Xpiler_repair.Repairer.repair ~static:findings ~clock ~platform:target ~op ~shape k
         with
+        (* the repairer checks only the unit test, so an output the target
+           checker rejected comes back unchanged as "repaired" *)
+        | Xpiler_repair.Repairer.Repaired { kernel; _ } when adds_diagnostic baseline kernel ->
+          climb k live findings rest
         | Xpiler_repair.Repairer.Repaired { kernel; _ } ->
           st.repairs_succeeded <- st.repairs_succeeded + 1;
           apply_ok kernel Ledger.Repaired
@@ -290,7 +327,7 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
         | Ok k_sym -> (
           Vclock.charge clock Vclock.Symbolic_fallback
             (20.0 +. (2.0 *. float_of_int (Stmt.count_stmts k_sym.Kernel.body)));
-          match validate k_sym with
+          match validate baseline k_sym with
           | Ok () -> apply_ok k_sym Ledger.Symbolic_applied
           | Error _ -> climb k live findings rest))
       | Config.Rollback :: _ ->
@@ -344,18 +381,13 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
     @@ fun () ->
     let k = st.kernel in
     let status =
-      if not (compile_ok k) then
-        Compile_error
-          (match Checker.compile target k with
-          | Error (e :: _) -> Checker.error_to_string e
-          | _ -> "unknown")
-      else if not (unit_ok k) then
-        Computation_error
-          (match Unit_test.check ~trials:1 op shape k with
-          | Unit_test.Fail m -> m
-          | Unit_test.Pass -> "flaky")
-      else if st.skipped_rev <> [] then Degraded
-      else Success
+      match Checker.compile target k with
+      | Error es ->
+        Compile_error (match es with e :: _ -> Checker.error_to_string e | [] -> "unknown")
+      | Ok () -> (
+        match unit_test ~trials:config.Config.unit_test_trials k with
+        | Unit_test.Fail m -> Computation_error m
+        | Unit_test.Pass -> if st.skipped_rev <> [] then Degraded else Success)
     in
     (* hierarchical auto-tuning on accepted translations (a degraded kernel
        still computes correctly, so it is tuned like any other) *)
@@ -366,7 +398,8 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
             ~platform:target k
         in
         let tuned = result.Xpiler_tuning.Mcts.best_kernel in
-        if unit_ok tuned then (tuned, Some result.Xpiler_tuning.Mcts.best_reward)
+        if unit_test ~trials:config.Config.unit_test_trials tuned = Unit_test.Pass then
+          (tuned, Some result.Xpiler_tuning.Mcts.best_reward)
         else begin
           Obs.Metrics.inc m_tuning_rejected;
           (k, Some (Costmodel.throughput target k ~shapes:[]))

@@ -9,9 +9,15 @@ let relu = Registry.find_exn "relu"
 let relu_shape = List.hd relu.Opdef.shapes
 let softmax = Registry.find_exn "softmax"
 let softmax_shape = List.hd softmax.Opdef.shapes
+let platforms = [ Platform.Cuda; Platform.Bang; Platform.Hip; Platform.Vnni ]
 
 let run ?config ~src ~dst op shape =
   Xpiler.transcompile ?config ~src ~dst ~op ~shape ()
+
+let case_name src dst (op : Opdef.t) shape =
+  Printf.sprintf "%s->%s %s %s" (Platform.id_to_string src) (Platform.id_to_string dst)
+    op.Opdef.name
+    (String.concat "," (List.map (fun (d, v) -> Printf.sprintf "%s=%d" d v) shape))
 
 (* ---- end-to-end translation, all 12 directions on one easy operator ---------- *)
 
@@ -68,10 +74,7 @@ let test_multi_term_offsets_parse_back () =
   let conv_shape = [ ("h", 8); ("w", 8); ("ci", 16); ("co", 16) ] in
   List.iter
     (fun (src, (op : Opdef.t), shape) ->
-      let name =
-        Printf.sprintf "%s->vnni %s %s" (Platform.id_to_string src) op.Opdef.name
-          (String.concat "," (List.map (fun (d, v) -> Printf.sprintf "%s=%d" d v) shape))
-      in
+      let name = case_name src Platform.Vnni op shape in
       let o = run ~src ~dst:Platform.Vnni op shape in
       match (o.Xpiler.status, o.Xpiler.target_text) with
       | (Xpiler.Success | Xpiler.Degraded), Some text -> (
@@ -171,18 +174,20 @@ let test_tuned_translation_independent_of_history () =
     (Vclock.elapsed after.Xpiler.clock);
   Alcotest.(check bool) "same journal" true (alone.Xpiler.trace = after.Xpiler.trace)
 
+(* a registry counter's total over all its label sets *)
+let counter_total name =
+  let module Metrics = Xpiler_obs.Metrics in
+  List.fold_left
+    (fun acc (s : Metrics.sample) ->
+      match s.Metrics.value with
+      | Metrics.Vcounter n when s.Metrics.name = name -> acc + n
+      | _ -> acc)
+    0 (Metrics.snapshot ())
+
 (* the final unit test rejects MCTS's best rmsnorm kernel on HIP at this
    shape; the translation keeps the untuned kernel and counts the fallback *)
 let test_tuning_rejected_counted () =
-  let module Metrics = Xpiler_obs.Metrics in
-  let rejected () =
-    List.fold_left
-      (fun acc (s : Metrics.sample) ->
-        match s.Metrics.value with
-        | Metrics.Vcounter n when s.Metrics.name = "xpiler_tuning_rejected_total" -> acc + n
-        | _ -> acc)
-      0 (Metrics.snapshot ())
-  in
+  let rejected () = counter_total "xpiler_tuning_rejected_total" in
   let rmsnorm = Registry.find_exn "rmsnorm" in
   let before = rejected () in
   let o =
@@ -197,6 +202,72 @@ let test_complexity_multiplier_ordering () =
   let relu_k = relu.Opdef.serial relu_shape in
   Alcotest.(check bool) "deformable attention is the hardest" true
     (Xpiler.complexity_multiplier da_k > 3.0 *. Xpiler.complexity_multiplier relu_k)
+
+(* ---- per-pass validation ------------------------------------------------------ *)
+
+(* With no injected faults, no pass output may fail validation: the target
+   checker rejects only diagnostics the pass's checkpoint lacks, and a
+   fault-free pass must never add one. A false positive would climb the
+   ladder (a rung past [validate]) or end in an error status. *)
+let test_fault_free_never_escalates () =
+  let config = Config.with_fault_scale Config.default 0.0 in
+  let escaped_before = counter_total "xpiler_faults_escaped_total" in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun dst ->
+          if src <> dst then
+            List.iter
+              (fun (op : Opdef.t) ->
+                let shape = List.hd op.Opdef.shapes in
+                let name = case_name src dst op shape in
+                let o = run ~config ~src ~dst op shape in
+                if not (Xpiler.accepted o.Xpiler.status) then
+                  Alcotest.fail (name ^ ": " ^ Xpiler.status_to_string o.Xpiler.status);
+                List.iter
+                  (fun (e : Ledger.entry) ->
+                    if e.Ledger.rung <> Ledger.Validate then
+                      Alcotest.fail
+                        (Printf.sprintf "%s: %s escalated to %s" name
+                           (Xpiler_passes.Pass.describe e.Ledger.spec)
+                           (Ledger.rung_name e.Ledger.rung)))
+                  o.Xpiler.ledger)
+              Registry.all)
+        platforms)
+    platforms;
+  Alcotest.(check int) "no escaped faults" 0
+    (counter_total "xpiler_faults_escaped_total" - escaped_before)
+
+(* Faults only the target checker sees (a foreign axis loop) are caught at
+   the pass that made them and re-prompted there. Without the per-pass
+   checker the first two cases end in a compile error at finalize. In the
+   third (fault scale 20), the output that the checker rejects passes its
+   unit test, so the repairer hands it back unchanged; the SMT rung must not
+   commit it. *)
+let test_faults_die_at_their_pass () =
+  let self_attention = Registry.find_exn "self_attention"
+  and gelu = Registry.find_exn "gelu"
+  and rmsnorm = Registry.find_exn "rmsnorm" in
+  let storm = Config.with_fault_scale Config.default 20.0 in
+  List.iter
+    (fun (config, src, dst, (op : Opdef.t), shape) ->
+      let o = run ~config ~src ~dst op shape in
+      Alcotest.(check string) (case_name src dst op shape) "success"
+        (Xpiler.status_to_string o.Xpiler.status))
+    [ (Config.default, Platform.Vnni, Platform.Bang, self_attention, [ ("s", 64); ("d", 32) ]);
+      (Config.default, Platform.Hip, Platform.Bang, gelu, [ ("n", 256) ]);
+      (storm, Platform.Bang, Platform.Vnni, rmsnorm, [ ("r", 4); ("c", 64) ]) ]
+
+(* finalize reports the trial that failed. This fault-scale-20 relu launches
+   taskId=254 after loop recovery: trial 0 passes (both inputs at elements
+   254 and 255 are negative, so 0 is the right answer there) and trial 1
+   fails. *)
+let test_finalize_reports_failing_trial () =
+  let config = Config.with_fault_scale Config.default 20.0 in
+  let o = run ~config ~src:Platform.Hip ~dst:Platform.Bang relu [ ("n", 256) ] in
+  Alcotest.(check string) "status"
+    "computation error: output out diverges (max abs diff 0.98)"
+    (Xpiler.status_to_string o.Xpiler.status)
 
 (* ---- report ------------------------------------------------------------------ *)
 
@@ -299,8 +370,6 @@ let test_too_large_shape () =
       Alcotest.(check (option string)) "no target text" None o.Xpiler.target_text)
     [ (100_000_000, 100_000, "10000000000000"); (1 lsl 31, 1 lsl 31, "an overflowing number of") ]
 
-let platforms = [ Platform.Cuda; Platform.Bang; Platform.Hip; Platform.Vnni ]
-
 (* Random op x shape x direction x fault scale. Each dim keeps the op's
    first registered value or is redrawn as 1, a small odd number, or an
    oversize 2d+1; a redraw is kept only while the product of dims stays
@@ -381,6 +450,13 @@ let () =
           Alcotest.test_case "tuned translation independent of history" `Quick
             test_tuned_translation_independent_of_history;
           Alcotest.test_case "complexity ordering" `Quick test_complexity_multiplier_ordering
+        ] );
+      ( "validation",
+        [ Alcotest.test_case "fault-free passes never escalate" `Quick
+            test_fault_free_never_escalates;
+          Alcotest.test_case "faults die at their pass" `Quick test_faults_die_at_their_pass;
+          Alcotest.test_case "finalize reports the failing trial" `Quick
+            test_finalize_reports_failing_trial
         ] );
       ( "report",
         [ Alcotest.test_case "render and csv" `Quick test_report_render_and_csv;
