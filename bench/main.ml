@@ -6,23 +6,24 @@
      dune exec bench/main.exe table6 fig7        # a subset
      dune exec bench/main.exe -- -j 4 table6     # 4 worker domains
    XPILER_BENCH_SHAPES=8 runs the full 168-case suite (default 2 shapes/op).
-   -j/--jobs N (or XPILER_JOBS=N) sizes the domain pool for the per-case
-   loops; results, CSVs and trace journals are identical for any job count —
-   only wall-clock changes. *)
+   -j/--jobs N (default 1) sizes the domain pool for the per-case loops;
+   results, CSVs and trace journals are identical for any job count — only
+   wall-clock changes. *)
 
-let experiments =
-  [ ("table2", Tables.table2);
-    ("table3", Tables.table3);
-    ("table5", Tables.table5);
-    ("table6", Tables.table6);
-    ("table7", Tables.table7);
-    ("table8", Tables.table8);
-    ("fig7", Tables.fig7);
-    ("fig8", Tables.fig8);
-    ("space", Tables.space);
-    ("mcts_dse", Tables.mcts_dse);
-    ("ablation", Ablation.run);
-    ("micro", Micro.run) ]
+let experiments : (string * (jobs:int -> unit)) list =
+  let serial f ~jobs:_ = f () in
+  [ ("table2", fun ~jobs -> Tables.table2 ~jobs ());
+    ("table3", serial Tables.table3);
+    ("table5", serial Tables.table5);
+    ("table6", fun ~jobs -> Tables.table6 ~jobs ());
+    ("table7", fun ~jobs -> Tables.table7 ~jobs ());
+    ("table8", serial Tables.table8);
+    ("fig7", fun ~jobs -> Tables.fig7 ~jobs ());
+    ("fig8", serial Tables.fig8);
+    ("space", serial Tables.space);
+    ("mcts_dse", serial Tables.mcts_dse);
+    ("ablation", serial Ablation.run);
+    ("micro", serial Micro.run) ]
 
 (* Every experiment runs under an ambient tracer: each [Xpiler.transcompile]
    it runs inline (trace level Off in its config) emits into the
@@ -46,23 +47,21 @@ let traced name f =
 
 let () =
   let args = match Array.to_list Sys.argv with [] -> [] | _ :: rest -> rest in
-  let rec parse names = function
-    | [] -> List.rev names
+  let rec parse jobs names = function
+    | [] -> (jobs, List.rev names)
     | ("-j" | "--jobs") :: v :: rest -> (
       match int_of_string_opt v with
-      | Some j when j > 0 ->
-        Xpiler_util.Pool.set_jobs j;
-        parse names rest
+      | Some j when j > 0 -> parse j names rest
       | _ ->
         Printf.eprintf "bad --jobs value %s\n" v;
         exit 2)
     | ("-j" | "--jobs") :: [] ->
       Printf.eprintf "--jobs needs a value\n";
       exit 2
-    | a :: rest -> parse (a :: names) rest
+    | a :: rest -> parse jobs (a :: names) rest
   in
-  let requested =
-    match parse [] args with [] -> List.map fst experiments | names -> names
+  let jobs, requested =
+    match parse 1 [] args with jobs, [] -> (jobs, List.map fst experiments) | r -> r
   in
   Printf.printf "QiMeng-Xpiler benchmark harness (%d cases per direction; set XPILER_BENCH_SHAPES=8 for the full suite)\n%!"
     (List.length (Tables.cases ()));
@@ -72,7 +71,7 @@ let () =
       match List.assoc_opt name experiments with
       | Some f ->
         let t = Unix.gettimeofday () in
-        traced name f;
+        traced name (fun () -> f ~jobs);
         Printf.printf "[%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. t)
       | None ->
         Printf.printf "unknown experiment %s (available: %s)\n%!" name

@@ -46,7 +46,7 @@ let table5 () =
 
 (* ---- Table 2: single-step GPT-4 error breakdown (CUDA -> BANG) ------------- *)
 
-let table2 () =
+let table2 ~jobs () =
   header "Table 2: breakdown of unsuccessful GPT-4 transcompilations, CUDA C -> BANG C (%)";
   let run m =
     let cs = cases () in
@@ -59,7 +59,7 @@ let table2 () =
     (* translations are independent; evaluate on the pool (case order kept),
        then fold the counters sequentially *)
     let rs =
-      Pool.map
+      Pool.map ~jobs
         (fun (c : Registry.case) ->
           Baselines.Llm_baseline.translate m ~src:Platform.Cuda ~dst:Platform.Bang ~op:c.op
             ~shape:c.shape)
@@ -184,11 +184,11 @@ let evaluate m ~src ~dst (c : Registry.case) =
    and verdicts are computed once in the task's session and reused across
    methods and directions. A pool task has no ambient tracer, so journals
    are byte-stable under --jobs. *)
-let eval_runs runs =
+let eval_runs ~jobs runs =
   let cs = cases () in
   let total = List.length cs in
   let per_case =
-    Pool.map
+    Pool.map ~jobs
       (fun c -> Array.of_list (List.map (fun (m, src, dst) -> evaluate m ~src ~dst c) runs))
       cs
   in
@@ -198,9 +198,9 @@ let eval_runs runs =
       (pct (count fst) total, pct (count snd) total))
     runs
 
-let eval_direction m ~src ~dst = List.hd (eval_runs [ (m, src, dst) ])
+let eval_direction ~jobs m ~src ~dst = List.hd (eval_runs ~jobs [ (m, src, dst) ])
 
-let table6 () =
+let table6 ~jobs () =
   header
     (Printf.sprintf "Table 6: compilation / computation accuracy by direction (%%), %d cases per direction"
        (List.length (cases ())));
@@ -211,7 +211,7 @@ let table6 () =
         List.concat_map (fun m -> List.map (fun dst -> (m, src, dst)) (dsts_of src)) table6_methods)
       platforms
   in
-  let scores = Array.of_list (eval_runs runs) in
+  let scores = Array.of_list (eval_runs ~jobs runs) in
   let n_methods = List.length table6_methods in
   List.iteri
     (fun si src ->
@@ -242,7 +242,7 @@ let table6 () =
 
 (* ---- Table 7: rule-based comparison ------------------------------------------ *)
 
-let table7 () =
+let table7 ~jobs () =
   header "Table 7: accuracy comparison to rule-based methods (%)";
   let cs = cases () in
   let total = List.length cs in
@@ -254,7 +254,7 @@ let table7 () =
       if r.compiles then incr h_compiled;
       if r.computes then incr h_computed)
     cs;
-  let x_cmp, x_cpt = eval_direction (Xpiler Config.default) ~src:Platform.Cuda ~dst:Platform.Hip in
+  let x_cmp, x_cpt = eval_direction ~jobs (Xpiler Config.default) ~src:Platform.Cuda ~dst:Platform.Hip in
   Printf.printf "CUDA C -> HIP     | HIPIFY        : compile %5.1f  computation %5.1f\n"
     (pct !h_compiled total) (pct !h_computed total);
   Printf.printf "CUDA C -> HIP     | QiMeng-Xpiler : compile %5.1f  computation %5.1f\n" x_cmp x_cpt;
@@ -267,7 +267,7 @@ let table7 () =
       if r.computes then incr p_computed)
     cs;
   let c_cmp, c_cpt =
-    eval_direction (Xpiler Config.default) ~src:Platform.Vnni ~dst:Platform.Cuda
+    eval_direction ~jobs (Xpiler Config.default) ~src:Platform.Vnni ~dst:Platform.Cuda
   in
   Printf.printf "C -> CUDA C       | PPCG          : compile %5.1f  computation %5.1f\n"
     (pct !p_compiled total) (pct !p_computed total);
@@ -305,7 +305,7 @@ let by_operator cases =
       | _ -> [ c ] :: groups)
     cases []
 
-let fig7 () =
+let fig7 ~jobs () =
   header
     "Figure 7: translated-program performance vs vendor libraries (speedup, 1.0 = parity)";
   let directions =
@@ -329,7 +329,7 @@ let fig7 () =
      reference outputs are computed once in the task's session *)
   let groups = by_operator (cases ()) in
   let per_group =
-    Pool.map
+    Pool.map ~jobs
       (fun group -> List.map (fun (src, dst, _) -> List.map (speedup src dst) group) directions)
       groups
   in

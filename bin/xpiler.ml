@@ -55,13 +55,6 @@ let max_escalation_arg =
   in
   Arg.(value & opt int 4 & info [ "max-escalation" ] ~docv:"RUNG" ~doc)
 
-let no_rollback_arg =
-  let doc =
-    "Commit a pass's output even when validation failed and every repair rung gave up \
-     (the pre-resilience behaviour); skipped-pass rollback is on by default."
-  in
-  Arg.(value & flag & info [ "no-rollback" ] ~doc)
-
 let fault_scale_arg =
   let doc =
     "Multiplier on the simulated LLM's fault-injection rates (default 1.0, the \
@@ -146,8 +139,7 @@ let find_op name =
 
 (* ---- translate ------------------------------------------------------------ *)
 
-let translate op_name shape src dst tune seed no_prune max_escalation no_rollback
-    fault_scale trace =
+let translate op_name shape src dst tune seed no_prune max_escalation fault_scale trace =
   let op = find_op op_name in
   let shape = parse_shape op shape in
   check_max_escalation max_escalation;
@@ -157,9 +149,7 @@ let translate op_name shape src dst tune seed no_prune max_escalation no_rollbac
     let base = Config.with_seed base seed in
     let base =
       { base with
-        Config.mcts = { base.Config.mcts with Xpiler_tuning.Mcts.prune = not no_prune };
-        ladder =
-          List.filter (fun r -> not (no_rollback && r = Config.Rollback)) base.Config.ladder
+        Config.mcts = { base.Config.mcts with Xpiler_tuning.Mcts.prune = not no_prune }
       }
     in
     let base = Config.with_max_escalation base max_escalation in
@@ -205,8 +195,7 @@ let translate_cmd =
   Cmd.v info
     Term.(
       const translate $ op_arg $ shape_arg $ src_arg $ dst_arg $ tune_arg $ seed_arg
-      $ no_prune_arg $ max_escalation_arg $ no_rollback_arg
-      $ fault_scale_arg $ trace_arg)
+      $ no_prune_arg $ max_escalation_arg $ fault_scale_arg $ trace_arg)
 
 (* ---- show-source ----------------------------------------------------------- *)
 

@@ -656,14 +656,4 @@ let check_races ~table (k : Kernel.t) =
 
 let analyze ?(extents = []) (k : Kernel.t) =
   let table = lazy (Site.walk k) in
-  let findings =
-    check_races ~table k @ check_barriers k @ check_oob ~extents ~table k @ check_uninit k
-  in
-  List.iter
-    (fun f ->
-      Xpiler_obs.Trace.count
-        (Printf.sprintf "analyzer.%s.%s"
-           (if Diag.is_error f.diag then "error" else "warning")
-           (check_name f.check)))
-    findings;
-  findings
+  check_races ~table k @ check_barriers k @ check_oob ~extents ~table k @ check_uninit k

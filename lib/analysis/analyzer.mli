@@ -17,12 +17,18 @@ type finding = {
   sites : Site.t list;  (** candidate repair sites, best first *)
 }
 
+val check_name : check -> string
+(** ["race"], ["barrier-divergence"], ["out-of-bounds"] or ["uninit-read"]. *)
+
 val finding_to_string : finding -> string
 
 val analyze : ?extents:(string * int) list -> Kernel.t -> finding list
 (** Run all four checks. [extents] gives element counts of kernel parameter
     buffers (on-chip allocation sizes are read from the body); accesses to
-    buffers with unknown extents are not bounds-checked. *)
+    buffers with unknown extents are not bounds-checked. The analyzer emits
+    no trace events: the pipeline's per-pass validation counts each finding
+    as [analyzer.<error|warning>.<check>]. Its solver queries are metered
+    by the solver memo. *)
 
 val errors : finding list -> finding list
 (** Only the [Error]-severity findings. *)

@@ -6,6 +6,7 @@ module Pass = Xpiler_passes.Pass
 module Vclock = Xpiler_util.Vclock
 module Rng = Xpiler_util.Rng
 module Obs = Xpiler_obs
+module Analyzer = Xpiler_analysis.Analyzer
 
 type status = Success | Degraded | Compile_error of string | Computation_error of string
 
@@ -39,7 +40,7 @@ let status_class = function
   | Compile_error _ -> "compile-error"
   | Computation_error _ -> "computation-error"
 
-(* Stable registry metrics: everything below is counted on the master domain
+(* Registry metrics: everything below is counted on the master domain
    and is a pure function of workload, configuration and seed. Escalation
    counters are pre-registered at zero for every rung so `xpiler metrics`
    always shows the full ladder. *)
@@ -224,7 +225,15 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
       if config.Config.static_analysis then begin
         Vclock.charge clock Vclock.Static_analysis
           (2.0 +. (0.05 *. float_of_int (Stmt.count_stmts k.Kernel.body)));
-        Xpiler_analysis.Analyzer.errors (Xpiler_analysis.Analyzer.analyze ~extents:buffer_sizes k)
+        let findings = Analyzer.analyze ~extents:buffer_sizes k in
+        List.iter
+          (fun (f : Analyzer.finding) ->
+            Obs.Trace.count
+              (Printf.sprintf "analyzer.%s.%s"
+                 (if Diag.is_error f.diag then "error" else "warning")
+                 (Analyzer.check_name f.check)))
+          findings;
+        Analyzer.errors findings
       end
       else []
     in
@@ -376,6 +385,15 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
     if Stmt.axes_used st.kernel.Kernel.body <> [] then run_pass Pass.Loop_recovery
     else Applied
   in
+  (* the one cost-model estimate a translation meters: its final kernel's *)
+  let modelled_throughput k =
+    let e = Costmodel.estimate target k ~shapes:[] in
+    Obs.Trace.count "costmodel.evals";
+    (* roofline balance in [0, 1]: 1 = pure compute-bound, 0 = pure memory-bound *)
+    let busy = e.Costmodel.compute_seconds +. e.Costmodel.memory_seconds in
+    if busy > 0.0 then Obs.Trace.observe "costmodel.balance" (e.Costmodel.compute_seconds /. busy);
+    Costmodel.throughput_of e
+  in
   let finish () =
     Obs.Trace.span ~cat:"phase" "finalize"
     @@ fun () ->
@@ -402,10 +420,10 @@ let translate ~config ~clock ~src ~dst ~op ~shape =
           (tuned, Some result.Xpiler_tuning.Mcts.best_reward)
         else begin
           Obs.Metrics.inc m_tuning_rejected;
-          (k, Some (Costmodel.throughput target k ~shapes:[]))
+          (k, Some (modelled_throughput k))
         end
       end
-      else if accepted status then (k, Some (Costmodel.throughput target k ~shapes:[]))
+      else if accepted status then (k, Some (modelled_throughput k))
       else (k, None)
     in
     { status;

@@ -398,28 +398,11 @@ let intrinsic_exec stats ~name ~op ~dst_t ~dname ~dst_off ~srcs ~params ~fparam 
     ~params:(Array.init (Array.length params) (fun n -> ns + n))
     ~fparam ()
 
-(* ---- profiling --------------------------------------------------------- *)
-
-module Trace = Xpiler_obs.Trace
+(* ---- run receipts ------------------------------------------------------ *)
 
 let fresh_stats () = { steps = 0; stores = 0; intrinsic_elems = 0; memcpy_elems = 0; barriers = 0 }
 
 type receipt = { stats : stats; error : string option }
-
-(* profiling hook: per-run op counts, emitted to the ambient tracer so
-   unit-test and localization executions show up in the per-translation
-   trace *)
-let profile stats =
-  if Trace.enabled () then begin
-    Trace.count "interp.runs";
-    Trace.count ~n:stats.steps "interp.steps";
-    Trace.count ~n:stats.stores "interp.stores";
-    Trace.count ~n:stats.intrinsic_elems "interp.intrinsic_elems";
-    Trace.count ~n:stats.memcpy_elems "interp.memcpy_elems";
-    Trace.count ~n:stats.barriers "interp.barriers"
-  end
-
-let replay r = profile r.stats
 
 (* ---- the closure compiler ---------------------------------------------- *)
 
@@ -1518,17 +1501,8 @@ let run_receipt ?(fuel = 200_000_000) ?trace c args =
   let stats = fresh_stats () in
   let ctx = { stats; fuel; trace } in
   let frame = bind_args c args in
-  let error =
-    match c.code ctx frame with
-    | () -> None
-    | exception Runtime_error m -> Some m
-    | exception e ->
-      profile stats;
-      raise e
-  in
-  let r = { stats; error } in
-  replay r;
-  r
+  let error = match c.code ctx frame with () -> None | exception Runtime_error m -> Some m in
+  { stats; error }
 
 let run ?fuel ?trace c args =
   let r = run_receipt ?fuel ?trace c args in
@@ -1549,7 +1523,7 @@ let cache : t Cache.t Xpiler_util.Session.t =
 
 module Metrics = Xpiler_obs.Metrics
 
-(* Stable: the cache is session-local, so hit/miss counts are a pure
+(* The cache is session-local, so hit/miss counts are a pure
    function of the session's workload. *)
 let m_cache_hits =
   Metrics.counter ~help:"compile cache lookups by result" ~labels:[ ("result", "hit") ]

@@ -85,15 +85,9 @@ type receipt = {
   stats : stats;
   error : string option;  (** the [Runtime_error] message that ended the run *)
 }
-(** What one execution emitted to the ambient tracer, so a memoized result
-    can emit it again. *)
-
-val profile : stats -> unit
-(** Emit a run's [interp.*] counts to the ambient tracer (a no-op when
-    tracing is off). *)
-
-val replay : receipt -> unit
-(** [profile] of a receipt: exactly what the recorded run emitted. *)
+(** What one execution did: its counts and how it ended. The engines emit
+    nothing; a caller that meters runs (the unit-test oracle, the repair
+    localizer) keeps the receipt and meters it, once per run it owns. *)
 
 (** {1 The compiler} *)
 
@@ -108,8 +102,7 @@ val run : ?fuel:int -> ?trace:(string -> int -> float -> unit) -> t -> (string *
 val run_receipt :
   ?fuel:int -> ?trace:(string -> int -> float -> unit) -> t -> (string * arg) list -> receipt
 (** [run], with a [Runtime_error] raised during execution returned in the
-    receipt instead; argument-binding errors still raise (they emit
-    nothing). *)
+    receipt instead; argument-binding errors still raise (nothing ran). *)
 
 val cached : Kernel.t -> t
 (** Session-local LRU memo of [compile] (4096 entries), keyed by the

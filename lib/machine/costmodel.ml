@@ -160,7 +160,6 @@ let extract_features (k : Kernel.t) ~shapes =
   }
 
 let estimate (p : Platform.t) k ~shapes =
-  Xpiler_obs.Trace.count "costmodel.evals";
   let f = extract_features k ~shapes in
   let c = p.Platform.cost in
   let clock = c.clock_ghz *. 1e9 in
@@ -195,17 +194,13 @@ let estimate (p : Platform.t) k ~shapes =
     else compute +. memory
   in
   let seconds = body +. (c.launch_overhead_us *. 1e-6 *. float_of_int f.launches) in
-  (* roofline balance in [0, 1]: 1 = pure compute-bound, 0 = pure memory-bound *)
-  if compute +. memory > 0.0 then
-    Xpiler_obs.Trace.observe "costmodel.balance" (compute /. (compute +. memory));
   { seconds; compute_seconds = compute; memory_seconds = memory; features = f }
 
-let throughput p k ~shapes =
-  (* the tuning reward: inverse modelled time (scaled to an ops/s-like
-     magnitude). Counting executed operations instead would reward padding
-     the schedule with overhead work. *)
-  let e = estimate p k ~shapes in
-  1e9 /. e.seconds
+(* the tuning reward: inverse modelled time (scaled to an ops/s-like
+   magnitude). Counting executed operations instead would reward padding
+   the schedule with overhead work. *)
+let throughput_of e = 1e9 /. e.seconds
+let throughput p k ~shapes = throughput_of (estimate p k ~shapes)
 
 (* ---- cheap admissible bound --------------------------------------------
 
@@ -226,9 +221,7 @@ let throughput p k ~shapes =
      is [max + 0.15 * min >= max].
 
    Hence [bound_seconds <= seconds] and the returned throughput is [>=] the
-   true modelled throughput on every kernel (fuzzed in test_tuning.ml).
-   Emits no trace events: the tuner emits its pruning counts itself, so
-   the bound must be observably silent. *)
+   true modelled throughput on every kernel (fuzzed in test_tuning.ml). *)
 let throughput_bound (p : Platform.t) (k : Kernel.t) ~shapes =
   let acc =
     { f_scalar = 0.0; f_vector = 0.0; f_tensor = 0.0; b_off = 0.0; b_on = 0.0;

@@ -38,15 +38,19 @@ val extract_features : Kernel.t -> shapes:(string * int) list -> features
 (** [shapes] binds the kernel's scalar parameters (problem sizes). *)
 
 val estimate : Platform.t -> Kernel.t -> shapes:(string * int) list -> estimate
+(** Emits no trace events, like every function here: the pipeline meters
+    the one estimate it makes for a translation's final kernel. *)
 
 val throughput : Platform.t -> Kernel.t -> shapes:(string * int) list -> float
 (** The auto-tuner's reward (Equations 3-4 of the paper): inverse modelled
     execution time, scaled to an ops/s-like magnitude. *)
+
+val throughput_of : estimate -> float
+(** {!throughput} of an estimate already made. *)
 
 val throughput_bound : Platform.t -> Kernel.t -> shapes:(string * int) list -> float
 (** Cheap admissible upper bound on {!throughput}: a structural walk that
     skips the per-expression flop and load-traffic folds (the dominant cost
     of {!extract_features}), under-counting work with the same rates and
     occupancy. Guaranteed [throughput_bound p k >= throughput p k] on every
-    kernel (fuzzed), which makes a branch-and-bound scan on it lossless.
-    Emits no trace events, so pruning stays observably silent. *)
+    kernel (fuzzed), which makes a branch-and-bound scan on it lossless. *)

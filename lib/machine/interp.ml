@@ -244,9 +244,7 @@ let run_tree ?(fuel = 200_000_000) ?trace kernel args =
   let stats = fresh_stats () in
   let ctx = { stats; fuel; trace } in
   let env = build_env kernel args in
-  Fun.protect
-    ~finally:(fun () -> Compile.profile stats)
-    (fun () -> exec_block ctx env kernel.Kernel.body);
+  exec_block ctx env kernel.Kernel.body;
   stats
 
 (* ---- run receipts ------------------------------------------------------ *)
@@ -254,4 +252,3 @@ let run_tree ?(fuel = 200_000_000) ?trace kernel args =
 type receipt = Compile.receipt = { stats : stats; error : string option }
 
 let run_receipt ?fuel kernel args = Compile.run_receipt ?fuel (Compile.cached kernel) args
-let replay = Compile.replay

@@ -56,14 +56,10 @@ type receipt = Compile.receipt = {
 }
 
 val run_receipt : ?fuel:int -> Kernel.t -> (string * arg) list -> receipt
-(** [run] that returns what the run emitted to the ambient tracer — its
-    stats — with a runtime error raised during execution in the receipt
-    instead of raised. Argument-binding errors still raise [Runtime_error]
-    (they emit nothing). *)
-
-val replay : receipt -> unit
-(** Emit a receipt's [interp.*] counts to the ambient tracer: the same
-    events the recorded run emitted. A no-op when tracing is off. *)
+(** [run] that returns the run's stats, with a runtime error raised during
+    execution in the receipt instead of raised. Argument-binding errors
+    still raise [Runtime_error] (nothing ran). Neither engine emits trace
+    events: a caller that owns a run meters its receipt. *)
 
 val run_tree :
   ?fuel:int ->

@@ -22,7 +22,7 @@ let llm_call_seconds kernel =
 
 let severity_name = function Fault.Structural -> "structural" | Fault.Detail -> "detail"
 
-(* Stable: the simulated LLM runs on the master domain; attempt and garbage
+(* The simulated LLM runs on the master domain; attempt and garbage
    counts are a pure function of workload and seed. *)
 let m_attempts =
   Metrics.counter ~help:"simulated LLM calls (translate + pass application)"

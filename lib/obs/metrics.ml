@@ -29,7 +29,6 @@ type metric = {
   m_name : string;
   m_labels : (string * string) list; (* sorted by key *)
   m_help : string;
-  m_stable : bool;
   cell : cell;
 }
 
@@ -48,7 +47,7 @@ let default_bounds = [| 1.0; 2.0; 5.0; 10.0; 25.0; 50.0; 100.0; 250.0; 500.0; 10
 let sort_labels labels =
   List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels
 
-let register ~kind ~stable ~help ~labels name make_cell =
+let register ~kind ~help ~labels name make_cell =
   let labels = sort_labels labels in
   Mutex.protect registry_lock (fun () ->
       (match Hashtbl.find_opt name_meta name with
@@ -62,28 +61,28 @@ let register ~kind ~stable ~help ~labels name make_cell =
       | Some m -> m.cell
       | None ->
         let help = match Hashtbl.find_opt name_meta name with Some (_, h) -> h | None -> help in
-        let m = { m_name = name; m_labels = labels; m_help = help; m_stable = stable; cell = make_cell () } in
+        let m = { m_name = name; m_labels = labels; m_help = help; cell = make_cell () } in
         Hashtbl.replace registry (name, labels) m;
         m.cell)
 
-let counter ?(stable = true) ?(help = "") ?(labels = []) ?trace name : counter =
-  match register ~kind:Counter ~stable ~help ~labels name (fun () -> Ccell (Atomic.make 0)) with
+let counter ?(help = "") ?(labels = []) ?trace name : counter =
+  match register ~kind:Counter ~help ~labels name (fun () -> Ccell (Atomic.make 0)) with
   | Ccell c -> { c; c_trace = trace }
   | _ -> assert false
 
-let gauge ?(stable = true) ?(help = "") ?(labels = []) name : gauge =
-  match register ~kind:Gauge ~stable ~help ~labels name (fun () -> Gcell (Atomic.make 0.0)) with
+let gauge ?(help = "") ?(labels = []) name : gauge =
+  match register ~kind:Gauge ~help ~labels name (fun () -> Gcell (Atomic.make 0.0)) with
   | Gcell g -> g
   | _ -> assert false
 
-let histogram ?(stable = true) ?(help = "") ?(labels = []) ?(bounds = default_bounds) ?trace
+let histogram ?(help = "") ?(labels = []) ?(bounds = default_bounds) ?trace
     name : histogram =
   if Array.length bounds = 0 then invalid_arg "Metrics.histogram: empty bounds";
   Array.iteri
     (fun i b -> if i > 0 && b <= bounds.(i - 1) then invalid_arg "Metrics.histogram: bounds not increasing")
     bounds;
   match
-    register ~kind:Histogram ~stable ~help ~labels name (fun () ->
+    register ~kind:Histogram ~help ~labels name (fun () ->
         Hcell
           {
             bounds = Array.copy bounds;
@@ -136,7 +135,6 @@ type sample = {
   name : string;
   labels : (string * string) list;
   help : string;
-  stable : bool;
   value : value;
 }
 
@@ -158,14 +156,13 @@ let sample_of_metric m =
     | Gcell g -> Vgauge (Atomic.get g)
     | Hcell h -> Vhist (snap_hist h)
   in
-  { name = m.m_name; labels = m.m_labels; help = m.m_help; stable = m.m_stable; value }
+  { name = m.m_name; labels = m.m_labels; help = m.m_help; value }
 
-let snapshot ?(stable_only = false) () =
-  let base =
+let snapshot () =
+  let all =
     Mutex.protect registry_lock (fun () ->
         Hashtbl.fold (fun _ m acc -> sample_of_metric m :: acc) registry [])
   in
-  let all = if stable_only then List.filter (fun s -> s.stable) base else base in
   List.sort (fun a b ->
       match compare a.name b.name with 0 -> compare a.labels b.labels | c -> c)
     all
@@ -284,7 +281,7 @@ let to_json samples =
     (List.map
        (fun s ->
          let labels = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) s.labels) in
-         let base = [ ("name", Json.Str s.name); ("labels", labels); ("stable", Json.Bool s.stable) ] in
+         let base = [ ("name", Json.Str s.name); ("labels", labels) ] in
          let value =
            match s.value with
            | Vcounter n -> [ ("kind", Json.Str "counter"); ("value", Json.Int n) ]

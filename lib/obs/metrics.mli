@@ -6,16 +6,12 @@
     including translations on pool worker domains (all updates are atomic or
     mutex-protected).
 
-    {b Stability classes.} Some instrumented quantities are pure functions of
-    the input and configuration (escalation rung counts, SMT verdicts, pass
-    tallies, tuner reward lookups); others depend on what ran before or on
-    the parallel schedule (fresh solver searches behind a warm memo). Each
-    metric is registered [~stable:true/false], and
-    {!snapshot}[ ~stable_only:true] keeps only the schedule-independent ones
-    — that restricted snapshot is byte-identical whatever the job count of
-    the pool running whole translations, which test_core asserts.
-    Wall-clock time is not a registry metric: {!Prof} is the one real-time
-    meter.
+    {b One class.} Every translation cache is a session value and every
+    pool task runs in a fresh session, so each series, memo lookups and
+    fresh solver searches alike, depends only on the work a session did:
+    the whole snapshot is the same whatever the job count of the pool
+    running whole translations, which test_sessions asserts. Wall-clock
+    time is not a registry metric: {!Prof} is the one real-time meter.
 
     Handles are interned per [(name, labels)]: registering the same pair
     twice returns a handle on the same series; reusing a name with a different kind
@@ -27,22 +23,20 @@
     [Trace.count ~n name], [observe v] emits [Trace.observe name v]), so an
     event that belongs in both the registry and the trace stream is
     instrumented once. The forwarded events obey the facade: nothing is
-    emitted without a tracer or inside {!Trace.without}. *)
+    emitted without a tracer. *)
 
 type counter
 type gauge
 type histogram
 
 val counter :
-  ?stable:bool -> ?help:string -> ?labels:(string * string) list -> ?trace:string -> string ->
-  counter
-(** [stable] defaults to [true]; label lists are sorted and deduplicated by
-    key at registration. [trace] names the trace counter {!inc} forwards to. *)
+  ?help:string -> ?labels:(string * string) list -> ?trace:string -> string -> counter
+(** Label lists are sorted and deduplicated by key at registration. [trace]
+    names the trace counter {!inc} forwards to. *)
 
-val gauge : ?stable:bool -> ?help:string -> ?labels:(string * string) list -> string -> gauge
+val gauge : ?help:string -> ?labels:(string * string) list -> string -> gauge
 
 val histogram :
-  ?stable:bool ->
   ?help:string ->
   ?labels:(string * string) list ->
   ?bounds:float array ->
@@ -79,14 +73,12 @@ type sample = {
   name : string;
   labels : (string * string) list;
   help : string;
-  stable : bool;
   value : value;
 }
 
-val snapshot : ?stable_only:bool -> unit -> sample list
-(** Deterministically ordered (by name, then labels). With
-    [~stable_only:true], drops unstable metrics, leaving exactly the
-    schedule-independent set. *)
+val snapshot : unit -> sample list
+(** Every registered series, deterministically ordered (by name, then
+    labels). *)
 
 val reset : unit -> unit
 (** Zero all values (registrations survive). *)

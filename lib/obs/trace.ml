@@ -7,9 +7,6 @@ let with_tracer t f = Session.with_value active (Some t) f
 let current () = Session.get active
 let enabled () = Option.is_some (current ())
 
-let without f =
-  match current () with None -> f () | Some _ -> Session.with_value active None f
-
 (* The same span marks feed the profiler — but through its own wall-clock
    stream, never through the tracer's deterministic one. *)
 let span ?cat ?attrs ?prof name f =

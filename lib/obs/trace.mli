@@ -1,8 +1,13 @@
 (** Ambient tracing facade.
 
-    The pipeline's libraries (neural, repair, smt, tuning, machine) record
-    metrics without threading a tracer through every signature: they call
-    the functions below, which no-op unless a tracer is in scope.
+    The pipeline's libraries (core, neural, ops, repair, smt, tuning)
+    record metrics without threading a tracer through every signature: they
+    call the functions below, which no-op unless a tracer is in scope. The
+    evaluators (interpreter engines, cost model, checker, static analyzer)
+    emit nothing; the caller that owns a run meters it: the unit-test
+    oracle its trials, the localizer its probe run, [finalize] its cost
+    estimate and per-pass validation the analyzer's findings. Tracing only
+    records, so no caller ever has to suspend it.
     [Core.Xpiler] scopes one per translation when
     [Config.trace_level <> Off]; the bench harness scopes one around a
     whole experiment to journal every case into one file. An event also
@@ -21,15 +26,6 @@ val with_tracer : Tracer.t -> (unit -> 'a) -> 'a
     the caller's tracer (or none) on exit, including by exception. *)
 
 val current : unit -> Tracer.t option
-
-val without : (unit -> 'a) -> 'a
-(** Runs the function with tracing suspended on this domain (restored on
-    exit, including by exception). Used only where the caller emits the
-    work's effects itself: a fresh MCTS reward evaluation, whose charges
-    and counts the search emits from its result, and the unit-test oracle's
-    scoring re-run of a memoized kernel, whose receipt was just replayed.
-    The [Vclock] observer is not the facade, so charges still reach the
-    tracer. *)
 
 val enabled : unit -> bool
 (** A tracer is current. *)

@@ -108,14 +108,30 @@ let reference_outputs_seeded ~seed op shape =
   | Ok (args, outs) -> (clone args, List.map (fun (n, t) -> (n, Tensor.copy t)) outs)
   | Error m -> raise (Reference_failed m)
 
+(* ---- metering ---------------------------------------------------------------
+
+   The interpreter emits nothing; the caller that owns a candidate run
+   meters its counts here, once per run, whether the run was fresh or
+   served by the verdict memo. *)
+
+let meter (stats : Interp.stats) =
+  if Trace.enabled () then begin
+    Trace.count "interp.runs";
+    Trace.count ~n:stats.steps "interp.steps";
+    Trace.count ~n:stats.stores "interp.stores";
+    Trace.count ~n:stats.intrinsic_elems "interp.intrinsic_elems";
+    Trace.count ~n:stats.memcpy_elems "interp.memcpy_elems";
+    Trace.count ~n:stats.barriers "interp.barriers"
+  end
+
 (* ---- verdict memo ------------------------------------------------------------
 
    Pipeline validation, ladder retries, repair rounds and baselines keep
    re-testing the same kernels, and a trial is a pure function of (op,
    shape, trial seed, kernel). Each trial is memoized, keyed by structural
    kernel identity (and physical op identity, as above). An entry keeps the
-   run's receipt, so a hit re-emits exactly the [interp.*] counts the run
-   emitted and journals do not depend on the memo. *)
+   run's stats, and every lookup, hit or miss, meters them: journals do not
+   depend on the memo. *)
 
 module Memo_key = struct
   type t = { op : Opdef.t; shape : Opdef.shape; seed : int; kernel : Kernel.t; khash : int }
@@ -131,10 +147,8 @@ module Memo_lru = Lru.Make (Memo_key)
 
 type entry = {
   verdict : verdict;
-  receipt : Interp.receipt;
-  mutable score : int option;
-      (** expected-output elements the kernel gets wrong; computed with a
-          failing verdict, on demand for a passing one *)
+  stats : Interp.stats;
+  score : int;  (** expected-output elements the kernel gets wrong *)
 }
 
 let memo_capacity = 8192
@@ -152,11 +166,16 @@ let pipeline_lookups =
         "xpiler_unit_test_memo_lookups_total"
   }
 
+(* the verdict's tolerance: the score counts exactly the elements that
+   make [judge] fail, so a passing trial scores 0 *)
+let rtol = 1e-3
+let atol = 1e-4
+
 let mismatches args expected =
   List.fold_left
     (fun acc (name, e) ->
       match List.assoc_opt name args with
-      | Some (Interp.Buf t) -> acc + Tensor.mismatch_count t e
+      | Some (Interp.Buf t) -> acc + Tensor.mismatch_count ~rtol ~atol t e
       | _ -> acc + Tensor.length e)
     0 expected
 
@@ -165,7 +184,7 @@ let judge op args expected =
     List.find_opt
       (fun (name, t) ->
         match List.assoc_opt name expected with
-        | Some e -> not (Tensor.allclose ~rtol:1e-3 ~atol:1e-4 t e)
+        | Some e -> not (Tensor.allclose ~rtol ~atol t e)
         | None -> true)
       (out_tensors op args)
   in
@@ -177,47 +196,42 @@ let judge op args expected =
   | None -> Pass
 
 (* Run the kernel on a clone of the trial's inputs. [Error] when argument
-   binding fails: nothing ran and nothing was emitted, so there is nothing
-   to memoize either. *)
-let execute op kernel inputs expected ~want_score =
+   binding fails: nothing ran, so there is nothing to meter or memoize. *)
+let execute op kernel inputs expected =
   let args = clone inputs in
   match Interp.run_receipt kernel args with
   | exception Interp.Runtime_error m -> Error ("runtime error: " ^ m)
-  | receipt -> (
-    match receipt.Interp.error with
-    | Some m -> Ok { verdict = Fail ("runtime error: " ^ m); receipt; score = Some max_int }
-    | None ->
-      let verdict = judge op args expected in
-      let score =
-        if want_score || verdict <> Pass then Some (mismatches args expected) else None
-      in
-      Ok { verdict; receipt; score })
+  | { Interp.stats; error = Some m } ->
+    Ok { verdict = Fail ("runtime error: " ^ m); stats; score = max_int }
+  | { Interp.stats; error = None } -> (
+    match judge op args expected with
+    | Pass -> Ok { verdict = Pass; stats; score = 0 }
+    | fail -> Ok { verdict = fail; stats; score = mismatches args expected })
 
 (* one trial's verdict and score, from the memo entry for (op, shape, seed,
    kernel), looked up before running and counted in [lookups] *)
-let trial ~lookups ~want_score ~seed (op : Opdef.t) shape kernel khash =
+let trial ~lookups ~seed (op : Opdef.t) shape kernel khash =
   match reference ~seed op shape with
-  | Error m -> (Fail ("reference run: " ^ m), Some max_int)
+  | Error m -> (Fail ("reference run: " ^ m), max_int)
   | Ok (inputs, expected) -> (
     let key = { Memo_key.op; shape; seed; kernel; khash } in
     let memo = Session.get memo in
-    match Memo_lru.find memo key with
-    | Some e ->
-      Metrics.inc lookups.hit;
-      Interp.replay e.receipt;
-      (if want_score && e.score = None then
-         (* the receipt was just replayed: the scoring run stays silent *)
-         match Trace.without (fun () -> execute op kernel inputs expected ~want_score) with
-         | Ok fresh -> e.score <- fresh.score
-         | Error _ -> e.score <- Some max_int);
+    let entry =
+      match Memo_lru.find memo key with
+      | Some e ->
+        Metrics.inc lookups.hit;
+        Ok e
+      | None ->
+        Metrics.inc lookups.miss;
+        let r = execute op kernel inputs expected in
+        Result.iter (fun e -> ignore (Memo_lru.replace memo key e)) r;
+        r
+    in
+    match entry with
+    | Ok e ->
+      meter e.stats;
       (e.verdict, e.score)
-    | None -> (
-      Metrics.inc lookups.miss;
-      match execute op kernel inputs expected ~want_score with
-      | Error m -> (Fail m, Some max_int)
-      | Ok e ->
-        ignore (Memo_lru.replace memo key e);
-        (e.verdict, e.score)))
+    | Error m -> (Fail m, max_int))
 
 let default_seed = 20250706
 let trial_seed seed i = seed + (i * 7919)
@@ -227,15 +241,14 @@ let check ?(trials = 2) ?(seed = default_seed) ?(lookups = pipeline_lookups) op 
   let rec go i =
     if i >= trials then Pass
     else
-      match trial ~lookups ~want_score:false ~seed:(trial_seed seed i) op shape kernel khash with
+      match trial ~lookups ~seed:(trial_seed seed i) op shape kernel khash with
       | Pass, _ -> go (i + 1)
       | fail, _ -> fail
   in
   go 0
 
 let check_scored ?(seed = default_seed) ?(lookups = pipeline_lookups) op shape kernel =
-  let verdict, score = trial ~lookups ~want_score:true ~seed op shape kernel (Kernel.hash kernel) in
-  (verdict, Option.value ~default:max_int score)
+  trial ~lookups ~seed op shape kernel (Kernel.hash kernel)
 
 let mismatch_score ?seed ?lookups op shape kernel =
   snd (check_scored ?seed ?lookups op shape kernel)

@@ -36,14 +36,21 @@ val reference_outputs_seeded :
     cached too). Cache misses count in
     [xpiler_unit_test_reference_runs_total]. *)
 
+val meter : Interp.stats -> unit
+(** Emit one candidate run's [interp.*] counts to the ambient tracer (a
+    no-op when tracing is off). The interpreter emits nothing itself: the
+    checker below meters every trial through this function, and the repair
+    localizer its probe run. Serial reference runs are not metered, so a
+    journal does not depend on the reference cache. *)
+
 (** {2 The checker}
 
     Every trial is memoized in the session ({!Xpiler_util.Session}), keyed
     by (physical op, shape, trial seed, structural kernel): re-testing a
-    kernel costs a lookup. An entry keeps the run's receipt and a hit
-    replays it to the ambient tracer, so results, modelled charges (callers
-    charge before checking) and trace journals are the same as with a fresh
-    run, whether or not the entry was recorded under a tracer. *)
+    kernel costs a lookup. An entry keeps the run's stats, and every trial
+    meters them with {!meter}, on a hit and on a miss, so results, modelled
+    charges (callers charge before checking) and trace journals are the
+    same whether or not the memo served the trial. *)
 
 type lookups = { hit : Xpiler_obs.Metrics.counter; miss : Xpiler_obs.Metrics.counter }
 (** The counters a caller's memo lookups are counted in; by default the
@@ -61,10 +68,10 @@ val check :
 val check_scored :
   ?seed:int -> ?lookups:lookups -> Opdef.t -> Opdef.shape -> Kernel.t -> verdict * int
 (** The trial-0 verdict (identical to [check ~trials:1 ~seed]) and the
-    repair mismatch score — the number of expected-output elements the
-    candidate gets wrong, [max_int] on a runtime error — from one memo
-    entry. A failing run scores as it is judged; a passing entry is scored
-    on first demand by a silent re-run, then cached. *)
+    repair mismatch score from one memo entry: the number of
+    expected-output elements the candidate gets wrong at the verdict's
+    tolerance (rtol 1e-3, atol 1e-4), [max_int] on a runtime error. So a
+    [Pass] scores 0. *)
 
 val mismatch_score : ?seed:int -> ?lookups:lookups -> Opdef.t -> Opdef.shape -> Kernel.t -> int
 (** The score half of {!check_scored}. *)

@@ -43,8 +43,10 @@ let localize ?(seed = 20250706) ~op ~shape (kernel : Kernel.t) =
   let args, expected = Unit_test.reference_outputs_seeded ~seed op shape in
   let out_names = List.map fst expected in
   let runtime_error =
-    match Interp.run kernel args with
-    | _ -> None
+    match Interp.run_receipt kernel args with
+    | r ->
+      Unit_test.meter r.Interp.stats;
+      r.Interp.error
     | exception Interp.Runtime_error m -> Some m
   in
   let outs =

@@ -24,7 +24,9 @@ type report = {
 
 val localize : ?seed:int -> op:Opdef.t -> shape:Opdef.shape -> Kernel.t -> report
 (** [seed] selects the probe inputs; the default matches the unit-test
-    oracle's, so localization sees exactly the failure validation saw. *)
+    oracle's, so localization sees exactly the failure validation saw. The
+    probe run is metered with {!Unit_test.meter}, also when it ends in a
+    runtime error. *)
 
 val of_findings : Xpiler_analysis.Analyzer.finding list -> report
 (** Build a report from static-analyzer findings alone, with no probe run.

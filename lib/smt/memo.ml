@@ -22,7 +22,7 @@
 
 module Metrics = Xpiler_obs.Metrics
 
-(* Stable: a translation issues its solver queries on one domain, in a fixed
+(* A translation issues its solver queries on one domain, in a fixed
    order, against its session's table. *)
 let m_hits =
   Metrics.counter ~help:"solver memo lookups by result" ~labels:[ ("result", "hit") ]

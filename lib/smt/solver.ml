@@ -530,7 +530,7 @@ let search_incremental ?(max_steps = default_max_steps) problem ~on_model =
 module Trace = Xpiler_obs.Trace
 module Metrics = Xpiler_obs.Metrics
 
-(* Stable: the solver runs on the master domain inside the escalation
+(* The solver runs on the master domain inside the escalation
    ladder, so query counts and step distributions are workload-determined. *)
 let m_queries verdict =
   Metrics.counter ~help:"SMT queries by verdict" ~labels:[ ("verdict", verdict) ]
@@ -570,9 +570,9 @@ type work = {
 }
 
 (* real searches under either engine (memo hits excluded), so the repair
-   bench compares baseline and overhauled arms with one meter. Unstable:
-   a warm memo (or store) turns fresh searches into hits *)
-let m_fresh name help = Metrics.counter ~stable:false ~help name
+   bench compares baseline and overhauled arms with one meter. A warm memo
+   turns fresh searches into hits *)
+let m_fresh name help = Metrics.counter ~help name
 let m_fresh_solves =
   m_fresh "xpiler_smt_fresh_solves_total" "fresh solver searches (memo hits excluded)"
 

@@ -85,7 +85,7 @@ type work = {
 val work_totals : unit -> work
 (** Real search work under either engine; memo hits do not count. One meter
     for both bench arms, like the transposition table's eval counter. The
-    counts are the unstable registry counters
+    counts are the registry counters
     [xpiler_smt_fresh_{solves,steps,evals}_total] (zeroed only by
     [Metrics.reset]) and the wall is the [Obs.Prof] row [smt.search];
     readers take before/after deltas. *)

@@ -48,9 +48,8 @@ end)
    {!Intra.tune} call evaluates the state and the search emits its
    effects: nothing for a state the checker rejects (reward 0), else one
    5.0 charge, then a count + 10.0 charge per measured intra variant, then
-   one aggregated [intra.pruned] count. A hit emits nothing. {!Intra}
-   emits and charges nothing, and runs under [Trace.without] so the cost
-   model's own events stay out of that stream.
+   one aggregated [intra.pruned] count. A hit emits nothing. Nothing under
+   {!Intra} (the checker, the cost model) emits or charges.
 
    [jobs] and [db] are ignored: the search runs on one domain and starts
    from its input kernel alone. *)
@@ -70,7 +69,7 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?db:_ 
   let best = ref (kernel, [], 0.0) in
   let evaluate k =
     Transposition.count_eval ();
-    let v, st = Trace.without (fun () -> Intra.tune ~prune:config.prune ~platform k) in
+    let v, st = Intra.tune ~prune:config.prune ~platform k in
     let r = v.Intra.throughput in
     if r > 0.0 then begin
       charge 5.0 (* state set-up on the device *);

@@ -25,7 +25,8 @@ module Pass = Xpiler_passes.Pass
     reward a 5 s [Auto_tuning] charge, then one [intra.variants] count and
     one 10 s charge per measured variant, then [intra.pruned]. So the journal's totals equal the
     result's [nodes_expanded]/[simulations_run] and its [intra.variants]
-    total equals its 10 s charges. *)
+    total equals its 10 s charges. Nothing the search calls emits (the
+    checker and cost model are silent), so these are its only events. *)
 
 type config = {
   max_depth : int;

@@ -1,15 +1,6 @@
 (* Domain pool: parallel map with input-order results, for independent
    whole translations. See pool.mli for the contract. *)
 
-let default_jobs =
-  ref
-    (match Sys.getenv_opt "XPILER_JOBS" with
-    | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 1)
-    | None -> 1)
-
-let jobs () = !default_jobs
-let set_jobs n = if n > 0 then default_jobs := n
-
 (* Effective parallelism is capped by the cores actually available: extra
    domains on an oversubscribed host cannot run concurrently, yet every live
    domain must join each stop-the-world minor collection, so they make things
@@ -42,8 +33,8 @@ let stats () = Mutex.protect busy_lock (fun () -> { busy_seconds = !busy })
    which a parallel section worth parallelising amortises easily, and joined
    domains leave no residue. *)
 
-let map ?jobs:j f inputs =
-  let j = min (match j with Some j -> j | None -> jobs ()) !max_domains in
+let map ~jobs f inputs =
+  let j = min jobs !max_domains in
   let items = Array.of_list inputs in
   let n = Array.length items in
   let results = Array.make n None in

@@ -9,9 +9,9 @@
     [jobs=N] runs agree. If tasks fail, the first failing task by input
     order re-raises with its backtrace; the other results are dropped. *)
 
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map f inputs] with results in input order. [jobs] defaults to
-    {!jobs}[ ()].
+val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ~jobs f inputs] with results in input order. The caller sizes
+    every call; there is no process-wide default.
 
     The effective job count is additionally clamped to {!get_max_domains}
     (default [Domain.recommended_domain_count ()]): oversubscribed domains
@@ -20,12 +20,6 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     the same results. Helper domains are spawned per call and joined before
     [map] returns; idle parked domains were measured to slow unrelated
     serial code 20-100x. *)
-
-val jobs : unit -> int
-(** The process default used when [map]'s [?jobs] is omitted: last
-    {!set_jobs} value, else [XPILER_JOBS], else 1. *)
-
-val set_jobs : int -> unit
 
 val get_max_domains : unit -> int
 (** Cap on real worker domains per [map]: last {!set_max_domains} value,

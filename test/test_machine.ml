@@ -490,19 +490,19 @@ let test_cold_vs_warm () =
   Alcotest.(check bool) "cold = warm (buffers)" true
     (compare (Tcommon.buffers a_cold) (Tcommon.buffers a_warm) = 0)
 
-(* the stable metrics snapshot — the cross-jobs determinism contract — is
-   touched only by compile-memo lookups, never by executing a compiled
-   kernel: pool workers run kernels on whichever domain is free *)
+(* the metrics snapshot (the cross-jobs determinism contract) is touched
+   only by compile-memo lookups, never by executing a compiled kernel: pool
+   workers run kernels on whichever domain is free *)
 let test_stable_metrics_untouched () =
   let k = kernel_of_seed 11 in
   let args = Tcommon.make_args (Xpiler_util.Rng.create 4) ~buf_size k [] in
   let c = Compile.cached k in
-  let before = Xpiler_obs.Metrics.snapshot ~stable_only:true () in
+  let before = Xpiler_obs.Metrics.snapshot () in
   ignore (Compile.run c (Tcommon.clone_args args));
   ignore (Compile.run ~trace:(fun _ _ _ -> ()) c (Tcommon.clone_args args));
   ignore (Interp.run_tree k (Tcommon.clone_args args));
-  let after = Xpiler_obs.Metrics.snapshot ~stable_only:true () in
-  Alcotest.(check bool) "stable snapshot unchanged" true (before = after)
+  let after = Xpiler_obs.Metrics.snapshot () in
+  Alcotest.(check bool) "snapshot unchanged" true (before = after)
 
 let () =
   Alcotest.run "machine"

@@ -1,8 +1,8 @@
 (* Observability-layer guarantees: the typed metrics registry and the
    wall-clock profiler. The two load-bearing invariants — the reasons this
-   layer is safe to leave on in production — are (1) the stable-only registry
-   snapshot is byte-identical whatever the job count of the pool running whole
-   translations (asserted in test_core.ml), and
+   layer is safe to leave on in production — are (1) the registry snapshot
+   is byte-identical whatever the job count of the pool running whole
+   translations (asserted in test_sessions.ml), and
    (2) the always-on profiler stream is fully segregated from the tracer, so
    its spans never reach a journal. *)
 
@@ -91,7 +91,7 @@ let test_kind_conflict () =
   Alcotest.(check bool) "name reuse across kinds raises" true raised
 
 (* a [~trace] handle feeds the ambient tracer with the same call, and obeys
-   the facade: silent without a tracer and inside [Trace.without] *)
+   the facade: silent without a tracer *)
 let test_trace_forwarding () =
   let c = Metrics.counter ~trace:"testm.fwd" "testm_fwd_total" in
   let h = Metrics.histogram ~trace:"testm.fwd_h" "testm_fwd_hist" in
@@ -99,32 +99,14 @@ let test_trace_forwarding () =
   let t = Tracer.create () in
   Trace.with_tracer t (fun () ->
       Metrics.inc ~n:3 c;
-      Metrics.observe h 2.0;
-      Trace.without (fun () -> Metrics.inc ~n:10 c));
+      Metrics.observe h 2.0);
+  Metrics.inc ~n:10 c;
   Alcotest.(check int) "registry sees every update" 14 (Metrics.value c);
   Alcotest.(check int) "trace sees the traced ones" 3 (Tracer.counter_total t "testm.fwd");
   Alcotest.(check bool) "observe forwarded" true
     (List.exists
        (function Event.Observe { name = "testm.fwd_h"; v = 2.0; _ } -> true | _ -> false)
        (Tracer.events t))
-
-let test_stable_only_filter () =
-  let stable = Metrics.counter "testm_stable_total" in
-  let unstable = Metrics.counter ~stable:false "testm_unstable_total" in
-  Metrics.inc stable;
-  Metrics.inc unstable;
-  let s = Metrics.snapshot ~stable_only:true () in
-  Alcotest.(check (option int)) "stable kept" (Some 1) (counter_value "testm_stable_total" [] s);
-  Alcotest.(check (option int)) "unstable dropped" None
-    (counter_value "testm_unstable_total" [] s);
-  let full = Metrics.snapshot () in
-  Alcotest.(check (option int)) "unstable in full snapshot" (Some 1)
-    (counter_value "testm_unstable_total" [] full);
-  Alcotest.(check bool) "no synthesized pool series" true
-    (not
-       (List.exists
-          (fun (x : Metrics.sample) -> String.starts_with ~prefix:"xpiler_pool_" x.Metrics.name)
-          full))
 
 let test_hist_quantile_edges () =
   let h = Metrics.histogram ~bounds:[| 1.0; 2.0; 5.0 |] "testm_quant_hist" in
@@ -264,7 +246,7 @@ let meter_run =
      in
      let counters =
        List.map
-         (fun n -> (n, Metrics.counter ~stable:false n))
+         (fun n -> (n, Metrics.counter n))
          [ "xpiler_smt_fresh_solves_total"; "xpiler_smt_fresh_steps_total";
            "xpiler_smt_fresh_evals_total" ]
      in
@@ -351,7 +333,6 @@ let () =
           Alcotest.test_case "kind conflict" `Quick test_kind_conflict;
           Alcotest.test_case "trace forwarding" `Quick test_trace_forwarding;
           Alcotest.test_case "trace parity" `Quick test_trace_registry_parity;
-          Alcotest.test_case "stable-only filter" `Quick test_stable_only_filter;
           Alcotest.test_case "hist quantile edges" `Quick test_hist_quantile_edges;
           Alcotest.test_case "openmetrics format" `Quick test_openmetrics_format;
           Alcotest.test_case "json parseable" `Quick test_json_parseable

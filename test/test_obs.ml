@@ -112,7 +112,6 @@ let test_tracer_records_metrics () =
   Alcotest.(check int) "spans kept" 6 (List.length (Tracer.events t))
 
 let test_trace_facade_noop () =
-  Trace.without @@ fun () ->
   Alcotest.(check bool) "disabled" false (Trace.enabled ());
   (* all of these must be silent no-ops *)
   Trace.count "c";

@@ -67,6 +67,17 @@ let throwaway_op name body : Opdef.t =
     flops = (fun _ -> float_of_int n)
   }
 
+(* an output off by 5e-4 relative is within the verdict's tolerance (rtol
+   1e-3): it passes, and the repair score, counted at the same tolerance,
+   is 0 *)
+let test_within_tolerance_scores_zero () =
+  let scale c = Expr.Infix.(fun i -> load "inp" i * flt c) in
+  let op = throwaway_op "scale2" (scale 2.0) in
+  let shape = List.hd op.shapes in
+  let near = (throwaway_op "scale2" (scale 2.001)).serial shape in
+  Alcotest.(check bool) "passes" true (Unit_test.check op shape near = Unit_test.Pass);
+  Alcotest.(check int) "scores 0" 0 (Unit_test.mismatch_score op shape near)
+
 (* the serial reference reads one past the end of its input: the oracle
    cannot run, which must end in a typed failure, not an exception *)
 let oob_op () = throwaway_op "oob_reference" (fun i -> Expr.Infix.(load "inp" (i + int 1)))
@@ -90,7 +101,7 @@ let test_reference_failure_is_typed () =
 
 let reference_runs () =
   Xpiler_obs.Metrics.value
-    (Xpiler_obs.Metrics.counter ~stable:false "xpiler_unit_test_reference_runs_total")
+    (Xpiler_obs.Metrics.counter "xpiler_unit_test_reference_runs_total")
 
 (* the reference cache evicts least-recently-used entries, not everything:
    after touching more keys than it holds, the most recent is still cached *)
@@ -247,7 +258,9 @@ let () =
           Alcotest.test_case "corrupted kernel fails" `Quick test_corrupted_kernel_fails;
           Alcotest.test_case "raising reference is a typed failure" `Quick
             test_reference_failure_is_typed;
-          Alcotest.test_case "reference cache is LRU" `Quick test_reference_cache_lru
+          Alcotest.test_case "reference cache is LRU" `Quick test_reference_cache_lru;
+          Alcotest.test_case "within-tolerance output scores 0" `Quick
+            test_within_tolerance_scores_zero
         ] );
       ( "idioms",
         [ Alcotest.test_case "all ops, first shape, 4 platforms" `Slow test_idioms_first_shape;

@@ -3,11 +3,14 @@
    changes wall-clock time, never outcomes or journals. The contracts
    asserted here:
 
-   - repeat-run identity: two same-seed runs from the same cache state
-     produce byte-identical trace journals and stable metrics snapshots;
+   - repeat-run identity: two same-seed runs from fresh sessions produce
+     byte-identical trace journals and metrics snapshots;
    - cold vs warm: re-running a traced translation against warm memos yields
      a byte-identical journal (solver-memo entries carry their original
-     search receipts, unit-test verdict-memo entries their run receipts);
+     search receipts, and every unit-test trial is metered from its memo
+     entry, on a hit as on a miss);
+   - the serial reference run is not metered, so a journal does not depend
+     on the reference cache either;
    - journal honesty: every unit test the repairer counts reaches the
      journal as an interpreter run. *)
 
@@ -19,6 +22,7 @@ module Memo = Xpiler_smt.Memo
 module Journal = Xpiler_obs.Journal
 module Event = Xpiler_obs.Event
 module Metrics = Xpiler_obs.Metrics
+module Session = Xpiler_util.Session
 
 let rng seed = Xpiler_util.Rng.create seed
 let gemm = Registry.find_exn "gemm"
@@ -48,22 +52,12 @@ let count_total ?(within = fun _ -> true) name events =
       | _ -> acc)
     0 events
 
-(* [Unit_test.reference_outputs_seeded] caches the serial reference run
-   per session (pre-overhaul behaviour): a cold-cache run emits the
-   reference's interp.* trace counts, a warm one doesn't. Journal
-   comparisons must therefore compare runs on equal cache footing — warm
-   the reference entries for a config once, then compare. *)
-let warm_refs config =
-  cold ();
-  ignore (run ~config)
-
 let test_repeat_run_journal () =
-  warm_refs (traced 20.0);
   let mk () =
-    cold ();
+    Session.fresh @@ fun () ->
     Metrics.reset ();
     let o = run ~config:(traced 20.0) in
-    (o, Metrics.snapshot ~stable_only:true ())
+    (o, Metrics.snapshot ())
   in
   let o1, s1 = mk () in
   let o2, s2 = mk () in
@@ -73,16 +67,15 @@ let test_repeat_run_journal () =
   Alcotest.(check bool) "byte-identical target text" true
     (o1.Xpiler.target_text = o2.Xpiler.target_text);
   Alcotest.(check string) "byte-identical journal" (journal o1) (journal o2);
-  Alcotest.(check string) "byte-identical stable metrics" (Metrics.to_openmetrics s1)
+  Alcotest.(check string) "byte-identical metrics" (Metrics.to_openmetrics s1)
     (Metrics.to_openmetrics s2);
-  Alcotest.(check bool) "verdict-memo lookups are stable" true
+  Alcotest.(check bool) "verdict-memo lookups in the snapshot" true
     (List.exists
        (fun (s : Metrics.sample) -> s.Metrics.name = "xpiler_unit_test_memo_lookups_total")
        s1)
 
 let test_cold_vs_warm_journal () =
   let config = traced ~seed:5 18.0 in
-  warm_refs config;
   cold ();
   let o_cold = run ~config in
   let hits_after_cold = Memo.hits () in
@@ -96,21 +89,38 @@ let test_cold_vs_warm_journal () =
 let verdict_memo_hits () =
   List.fold_left
     (fun n name ->
-      n + Metrics.value (Metrics.counter ~stable:false ~labels:[ ("result", "hit") ] name))
+      n + Metrics.value (Metrics.counter ~labels:[ ("result", "hit") ] name))
     0
     [ "xpiler_unit_test_memo_lookups_total"; "xpiler_repair_verdict_memo_lookups_total" ]
 
-(* the verdict memo stays on under tracing: a warm run replays the recorded
-   receipts instead of re-running kernels, and its journal is the cold
-   run's byte for byte *)
+(* the verdict memo stays on under tracing: a warm run meters the memo
+   entries' counts instead of re-running kernels, and its journal is the
+   cold run's byte for byte *)
 let test_verdict_memo_traced_cold_vs_warm () =
   let config = traced ~seed:3 20.0 in
-  warm_refs config;
   Unit_test.reset_memo ();
   let o_cold = run ~config in
   let hits = verdict_memo_hits () in
   let o_warm = run ~config in
   Alcotest.(check bool) "warm run hit the verdict memo" true (verdict_memo_hits () > hits);
+  Alcotest.(check bool) "same status" true (o_cold.Xpiler.status = o_warm.Xpiler.status);
+  Alcotest.(check string) "byte-identical journal" (journal o_cold) (journal o_warm)
+
+let reference_runs () =
+  Metrics.value (Metrics.counter "xpiler_unit_test_reference_runs_total")
+
+(* the serial reference run is not metered: a traced translation journals
+   the same events whether Unit_test's reference cache is cold or warm *)
+let test_reference_cache_journal () =
+  Session.fresh @@ fun () ->
+  let config = traced ~seed:2 20.0 in
+  let refs = reference_runs () in
+  let o_cold = run ~config in
+  Alcotest.(check bool) "cold run computed its references" true (reference_runs () > refs);
+  cold ();
+  let refs = reference_runs () in
+  let o_warm = run ~config in
+  Alcotest.(check int) "warm run computed none" refs (reference_runs ());
   Alcotest.(check bool) "same status" true (o_cold.Xpiler.status = o_warm.Xpiler.status);
   Alcotest.(check string) "byte-identical journal" (journal o_cold) (journal o_warm)
 
@@ -174,6 +184,8 @@ let () =
             test_cold_vs_warm_journal;
           Alcotest.test_case "traced verdict memo: cold vs warm journal" `Slow
             test_verdict_memo_traced_cold_vs_warm;
+          Alcotest.test_case "reference cache: cold vs warm journal" `Slow
+            test_reference_cache_journal;
           Alcotest.test_case "every repair test reaches the journal" `Slow
             test_repair_tests_journaled
         ] );
