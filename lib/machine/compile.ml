@@ -6,14 +6,16 @@ open Xpiler_ir
    operator semantics, intrinsic semantics, the barrier effect and fiber
    scheduler — live here so both engines agree by construction.
 
-   The unit of work is the statement, except in an innermost loop: a loop
-   whose body is one float store or one float-slot update over indices
-   affine in its counter is also compiled to one OCaml [for] loop (see
-   [lower_loop]). That loop runs only when a check at loop entry proves
-   that no iteration can fail: no store trace hook, enough fuel for every
-   iteration, float tensors, and every index of every iteration in range.
-   Otherwise the per-element closures run, so outputs, error messages, fuel
-   exhaustion and step counts are those of the statement-at-a-time engine. *)
+   The unit of work is the statement, except in a perfect affine nest: a
+   loop whose body is a chain of single loops ending in one float store or
+   one float-slot update, over indices linear in the counters, is also
+   compiled to nested OCaml [for] loops (see [lower_nest]). The nest runs
+   so only when a check at its entry proves that no iteration can fail: no
+   store trace hook, enough fuel for every statement, float tensors, and
+   every index of every iteration in range. Otherwise the per-element
+   closures run, each inner loop trying the same check at its own entry,
+   so outputs, error messages, fuel exhaustion and step counts are those of
+   the statement-at-a-time engine. *)
 
 exception Runtime_error of string
 
@@ -437,24 +439,57 @@ type t = {
    which licenses the unboxed float path. *)
 type sref = Boxed of int | Fslot of int | Unboxed of int
 
-(* [idx] holds index closures already compiled for the statement being
-   compiled, keyed by the physical index expression: a lowered loop's fast
-   path and its per-element fallback share them (see [lower_loop]) *)
+(* The fast path of a lowered nest, entered at one of its levels: given
+   that level's [lo] and extent, it runs the level and those below it and
+   returns [true], or returns [false] having changed nothing the
+   per-element loops read before they write it (see [ready]) *)
+type fast = ctx -> frame -> int -> int -> bool
+
+(* [loops] gives each inner level of a nest, keyed by the physical [For]
+   statement, its counter slot and the nest's fast path entered at that
+   level (see [lower_nest]) *)
 type cenv = {
   svars : (string * sref) list;
   bvars : (string * int) list;
-  idx : (Expr.t * (frame -> int)) list;
+  loops : (Stmt.t * (int * fast option)) list;
 }
 
 let dummy_tensor = Tensor.create 0
 
-(* ---- lowered innermost loops ------------------------------------------- *)
+(* ---- lowered nests ----------------------------------------------------- *)
 
-(* One buffer access of a lowered loop body: its index is affine in the loop
-   counter, so at loop entry [index] is evaluated at [lo] and [lo + 1] into the
-   int slots [base] and [stride], and iteration [k] touches element [base +
-   stride * k] of the tensor in buffer slot [slot]. *)
-type access = { slot : int; index : frame -> int; base : int; stride : int }
+(* [k + sum_j coefs.(j) * ints.(slots.(j))]: an integer combination of int
+   slots with literal coefficients, the form every index and bound of a
+   lowered nest takes, and every linear index compiles to. Evaluated in the
+   engine's wrapping arithmetic, it equals the expression it was built
+   from. *)
+type lin = { k : int; slots : int array; coefs : int array }
+
+let lin_zero = { k = 0; slots = [||]; coefs = [||] }
+
+let[@inline] lin_eval ints l =
+  let v = ref l.k in
+  for j = 0 to Array.length l.slots - 1 do
+    v := !v + (Array.unsafe_get l.coefs j * Array.unsafe_get ints (Array.unsafe_get l.slots j))
+  done;
+  !v
+
+(* One buffer access of a lowered nest's body, into the tensor in buffer
+   slot [slot]. Its index is [form], in which level [l]'s counter has the
+   coefficient [strides.(l)]. The last two levels run as rows (the only
+   level of a one-level nest, as one row): before they run, the int slot
+   [base] gets the index at their first iteration; [ostride] and [stride]
+   are the strides of the two, and the int slot [row] gets the index at
+   the start of the current row ([base] itself in a one-level nest). *)
+type access = {
+  slot : int;
+  form : lin;
+  strides : int array;
+  base : int;
+  ostride : int;
+  stride : int;
+  row : int;
+}
 
 (* A lowered float expression in postfix order, evaluated on a stack of
    float slots: loads, literals and loop-invariant float slots are pushed;
@@ -469,6 +504,25 @@ type fop =
   | Apply2 of Expr.binop
   | Apply1 of Expr.unop
 
+(* A lowered nest of [Array.length counters] loops, level 0 outermost:
+   level [l] runs its counter slot [counters.(l)] from [los.(l)] over
+   [exts.(l)] iterations (level 0's bounds come from the loop itself).
+   [accs] are every access of the body. [reduce] is set for a store [d[f] =
+   d[f] + e]: the store's access and the float slot its element is reduced
+   in. *)
+type nest = {
+  counters : int array;
+  los : lin array;
+  exts : lin array;
+  accs : access array;
+  reduce : (access * int) option;
+}
+
+(* The last two levels of a nest that passed [ready], [eo] rows of [ei]
+   iterations: each runner below reads the bases and strides of its
+   accesses once and loops over both *)
+type rows = frame -> int -> int -> unit
+
 let[@inline] binop_float (op : Expr.binop) x y =
   match op with
   | Add -> x +. y
@@ -479,60 +533,157 @@ let[@inline] binop_float (op : Expr.binop) x y =
   | Max -> Float.max x y
   | Mod | Eq | Ne | Lt | Le | Gt | Ge | And | Or -> assert false
 
-(* every one of [ext] elements [first + stride * k] lies in [0, len), decided
-   without the overflow [first + stride * (ext - 1)] could hit *)
-let span_ok first stride ext len =
-  first >= 0
-  && first < len
-  && (stride = 0
-     || if stride > 0 then ext - 1 <= (len - 1 - first) / stride else ext - 1 <= first / -stride)
+(* Extents, strides and statement counts a lowered nest accepts are below
+   2^30, so the product of two of them, and its sum with an array index,
+   cannot overflow *)
+let small = 0x4000_0000
 
-(* The loop-entry preconditions of a lowered loop over [lo, lo + ext) with
-   counter slot [s]: no store trace hook, the whole loop within the fuel,
-   float tensors, and every access of every iteration in range. Probing the
-   indices writes the counter slot, which the per-element loop rewrites
-   before it reads it; nothing else changes until this returns [true]. *)
-let ready (ctx : ctx) fr s lo ext (accs : access array) =
-  Option.is_none ctx.trace
-  && ext >= 1
-  && lo + (ext - 1) >= lo
-  && ext <= ctx.fuel - ctx.stats.steps
+(* The start and the extent of level [l] of a nest entered at level [l0]
+   over [lo0, lo0 + ext0) *)
+let[@inline] level_lo fr nx l0 lo0 l = if l = l0 then lo0 else lin_eval fr.ints nx.los.(l)
+let[@inline] level_ext fr nx l0 ext0 l = if l = l0 then ext0 else lin_eval fr.ints nx.exts.(l)
+
+(* access [a]'s index at the iteration the counter slots hold *)
+let[@inline] index_now ints (a : access) = lin_eval ints a.form
+
+(* Access [a] of a nest entered at level [l0] over [lo0, lo0 + ext0), with
+   the counters at the first iteration, reads a float tensor, and every
+   element [base + sum_l stride_l * i_l] with [0 <= i_l < ext_l] for the
+   levels [l0] and below lies in it; [base], its index at the first
+   iteration, goes to its [base] slot. An affine index takes its extremes at
+   the box's corners, so [lo] and [hi] add up the negative and the positive
+   steps. Each sum is checked as it grows, so while the check holds nothing
+   overflows. *)
+let access_ok fr nx l0 ext0 (a : access) =
+  let t = Array.unsafe_get fr.bufs a.slot in
+  Dtype.is_float t.Tensor.dtype
   && begin
-    let ints = fr.ints and n = Array.length accs in
-    let ok = ref true in
-    for j = 0 to n - 1 do
-      let a = Array.unsafe_get accs j in
-      if not (Dtype.is_float (Array.unsafe_get fr.bufs a.slot).Tensor.dtype) then ok := false
+    let base = index_now fr.ints a and len = Array.length t.Tensor.data in
+    Array.unsafe_set fr.ints a.base base;
+    let lo = ref base and hi = ref base and ok = ref (base >= 0 && base < len) in
+    for l = l0 to Array.length nx.counters - 1 do
+      let s = Array.unsafe_get a.strides l and e1 = level_ext fr nx l0 ext0 l - 1 in
+      if s > 0 then (if s < small then hi := !hi + (s * e1) else ok := false)
+      else if s < 0 then if s > -small then lo := !lo + (s * e1) else ok := false;
+      if !hi >= len || !lo < 0 then ok := false
     done;
-    if !ok then begin
-      Array.unsafe_set ints s lo;
-      for j = 0 to n - 1 do
-        let a = Array.unsafe_get accs j in
-        Array.unsafe_set ints a.base (a.index fr)
-      done;
-      Array.unsafe_set ints s (lo + 1);
-      for j = 0 to n - 1 do
-        let a = Array.unsafe_get accs j in
-        let first = Array.unsafe_get ints a.base in
-        let stride = a.index fr - first in
-        let len = Array.length (Array.unsafe_get fr.bufs a.slot).Tensor.data in
-        Array.unsafe_set ints a.stride stride;
-        if not (span_ok first stride ext len) then ok := false
-      done
-    end;
     !ok
   end
 
-(* the per-element effect of [ext] iterations, after a lowered loop ran *)
-let finish (ctx : ctx) fr s lo ext =
-  Array.unsafe_set fr.ints s (lo + ext - 1);
-  ctx.stats.steps <- ctx.stats.steps + ext
+(* The entry check of a lowered nest entered at level [l0], whose loop
+   runs over [lo0, lo0 + ext0) while the counters of the levels above hold
+   their current iterations: no store trace hook, every level's extent at
+   least 1 with its last counter value representable, every statement the
+   per-element engine would run within the fuel, and every access
+   [access_ok]. Returns the number of those statements, or -1 when a check
+   fails. Level [l] runs [ext_l * (1 + t)] statements, where [t] is the
+   count of the level below it (0 below the innermost): its [For]
+   statement and their iterations. Only the accesses' [base] slots and the
+   counter slots of the levels [l0] and below change: the counters get
+   their levels' first iterations, which the per-element loops overwrite
+   before they read them. *)
+let ready (ctx : ctx) fr nx l0 lo0 ext0 =
+  match ctx.trace with
+  | Some _ -> -1
+  | None ->
+    let ints = fr.ints and depth = Array.length nx.counters in
+    let total = ref 0 and l = ref (depth - 1) in
+    while !l >= l0 && !total >= 0 do
+      let lo = level_lo fr nx l0 lo0 !l and e = level_ext fr nx l0 ext0 !l in
+      if e >= 1 && e < small && lo + (e - 1) >= lo && !total < small then begin
+        Array.unsafe_set ints (Array.unsafe_get nx.counters !l) lo;
+        total := e * (1 + !total)
+      end
+      else total := -1;
+      decr l
+    done;
+    if !total > ctx.fuel - ctx.stats.steps then total := -1;
+    let accs = nx.accs and j = ref 0 in
+    while !total >= 0 && !j < Array.length accs do
+      if access_ok fr nx l0 ext0 (Array.unsafe_get accs !j) then incr j else total := -1
+    done;
+    !total
 
-(* element [k] of access [a] of a lowered loop that passed [ready] *)
+(* the per-element effect of levels [l0] and below, which ran [total]
+   statements lowered: every counter slot at its last value, and for a
+   store nest ([stores]) as many stores as iterations *)
+let finish (ctx : ctx) fr nx l0 lo0 ext0 total ~stores =
+  let n = ref 1 in
+  for l = l0 to Array.length nx.counters - 1 do
+    let e = level_ext fr nx l0 ext0 l in
+    fr.ints.(nx.counters.(l)) <- level_lo fr nx l0 lo0 l + e - 1;
+    n := !n * e
+  done;
+  ctx.stats.steps <- ctx.stats.steps + total;
+  if stores then ctx.stats.stores <- ctx.stats.stores + !n
+
+(* The level from which the store access [dst] stays put, so its element
+   can be reduced in a float slot: the first of the levels from [l0] down
+   below which every stride of [dst] is 0. [depth] (no reduction) when the
+   innermost level moves it, or when an access of the reduction ([loads])
+   reads its tensor. *)
+let reduction_level fr nx l0 dst (loads : access array) =
+  let depth = Array.length nx.counters in
+  let red = ref depth in
+  while !red > l0 && dst.strides.(!red - 1) = 0 do
+    decr red
+  done;
+  let t = fr.bufs.(dst.slot) in
+  for j = 0 to Array.length loads - 1 do
+    if fr.bufs.((Array.unsafe_get loads j).slot) == t then red := depth
+  done;
+  !red
+
+(* Levels [l] and below of a nest entered at level [l0] over [lo0, lo0 +
+   ext0) that passed [ready]. A level above the last two steps its counter
+   slot; the last two run as [rows], from every access's [base] at the
+   counters' iteration. At level [red] the reduced element of [nx.reduce]
+   is read into its float slot, and written back once the levels below have
+   run (the counters of those levels do not move it). *)
+let rec run_level nx (rows : rows) red fr l0 lo0 ext0 l =
+  match nx.reduce with
+  | Some (d, acc) when l = red ->
+    let data = (Array.unsafe_get fr.bufs d.slot).Tensor.data in
+    let o = index_now fr.ints d in
+    Array.unsafe_set fr.floats acc (Array.unsafe_get data o);
+    run_below nx rows red fr l0 lo0 ext0 l;
+    Array.unsafe_set data o (Array.unsafe_get fr.floats acc)
+  | _ -> run_below nx rows red fr l0 lo0 ext0 l
+
+and run_below nx rows red fr l0 lo0 ext0 l =
+  let ints = fr.ints and depth = Array.length nx.counters in
+  if l >= depth - 2 then begin
+    (* at [l0], [ready] left the bases at the counters' iteration *)
+    if l > l0 then begin
+      let accs = nx.accs in
+      for j = 0 to Array.length accs - 1 do
+        let a = Array.unsafe_get accs j in
+        Array.unsafe_set ints a.base (index_now ints a)
+      done
+    end;
+    let ext = level_ext fr nx l0 ext0 l in
+    if l = depth - 1 then rows fr 1 ext else rows fr ext (level_ext fr nx l0 ext0 (l + 1))
+  end
+  else begin
+    let c = Array.unsafe_get nx.counters l and lo = level_lo fr nx l0 lo0 l in
+    for i = 0 to level_ext fr nx l0 ext0 l - 1 do
+      Array.unsafe_set ints c (lo + i);
+      run_level nx rows red fr l0 lo0 ext0 (l + 1)
+    done
+  end
+
+(* row [i]'s start in every access of [accs] *)
+let set_rows ints (accs : access array) i =
+  for j = 0 to Array.length accs - 1 do
+    let a = Array.unsafe_get accs j in
+    Array.unsafe_set ints a.row (Array.unsafe_get ints a.base + (i * a.ostride))
+  done
+
+(* element [k] of access [a] in the current row *)
 let[@inline] load fr ints a k =
   Array.unsafe_get
     (Array.unsafe_get fr.bufs a.slot).Tensor.data
-    (Array.unsafe_get ints a.base + (Array.unsafe_get ints a.stride * k))
+    (Array.unsafe_get ints a.row + (a.stride * k))
 
 (* iteration [k] of a lowered expression: its value ends up in float slot
    [sp0]. Each case writes its float straight into the slot, so nothing is
@@ -576,64 +727,169 @@ let run_fcode (code : fop array) fr k sp0 =
       | Not -> assert false)
   done
 
-(* [acc = acc + a[ia] * b[ib]] (or [a[ia] * b[ib] + acc]) over the loop,
-   with the accumulator in float slot [f] *)
-let mac_loop ~acc_first f a b =
-  let accs = [| a; b |] in
-  fun ctx fr s lo ext ->
-  ready ctx fr s lo ext accs
-  && begin
-    let ints = fr.ints in
+(* For the row reduction of a store [d[f] = d[f] + e] whose index [f]
+   moves only along the outer of the last two levels: [dst]'s tensor, its
+   element at the first row and its step per row (dummies without [dst]) *)
+let[@inline] row_dst fr (dst : access option) =
+  match dst with
+  | Some d -> (Array.unsafe_get fr.bufs d.slot).Tensor.data
+  | None -> [||]
+
+let[@inline] row_start ints (dst : access option) =
+  match dst with Some d -> Array.unsafe_get ints d.base | None -> 0
+
+let[@inline] row_step (dst : access option) =
+  match dst with Some d -> d.ostride | None -> 0
+
+(* [acc = acc + a[ia] * b[ib]] (or [a[ia] * b[ib] + acc]) over the rows,
+   with the accumulator in float slot [f]. With [dst], each row starts from
+   the row's element of [dst] and writes its sum back there. *)
+let mac_rows ~acc_first f a b dst : rows =
+  let per_row = Option.is_some dst in
+  let run fr eo ei =
+    let ints = fr.ints and fl = fr.floats in
     let da = (Array.unsafe_get fr.bufs a.slot).Tensor.data
     and db = (Array.unsafe_get fr.bufs b.slot).Tensor.data in
-    let a0 = Array.unsafe_get ints a.base and sa = Array.unsafe_get ints a.stride in
-    let b0 = Array.unsafe_get ints b.base and sb = Array.unsafe_get ints b.stride in
-    let acc = ref (Array.unsafe_get fr.floats f) in
-    if acc_first then
-      for k = 0 to ext - 1 do
-        acc :=
-          !acc +. (Array.unsafe_get da (a0 + (sa * k)) *. Array.unsafe_get db (b0 + (sb * k)))
-      done
-    else
-      for k = 0 to ext - 1 do
-        acc :=
-          (Array.unsafe_get da (a0 + (sa * k)) *. Array.unsafe_get db (b0 + (sb * k))) +. !acc
+    let a0 = Array.unsafe_get ints a.base and ao = a.ostride and sa = a.stride in
+    let b0 = Array.unsafe_get ints b.base and bo = b.ostride and sb = b.stride in
+    let dd = row_dst fr dst and d0 = row_start ints dst and dso = row_step dst in
+    for i = 0 to eo - 1 do
+      let ar = a0 + (ao * i) and br = b0 + (bo * i) in
+      if per_row then Array.unsafe_set fl f (Array.unsafe_get dd (d0 + (dso * i)));
+      let acc = ref (Array.unsafe_get fl f) in
+      if acc_first then
+        for k = 0 to ei - 1 do
+          acc :=
+            !acc +. (Array.unsafe_get da (ar + (sa * k)) *. Array.unsafe_get db (br + (sb * k)))
+        done
+      else
+        for k = 0 to ei - 1 do
+          acc :=
+            (Array.unsafe_get da (ar + (sa * k)) *. Array.unsafe_get db (br + (sb * k))) +. !acc
+        done;
+      Array.unsafe_set fl f !acc;
+      if per_row then Array.unsafe_set dd (d0 + (dso * i)) !acc
+    done
+  in
+  run
+
+(* [x = e] over the rows, for the float slot [f] of [x]: [e] may read [x],
+   so each iteration's value is written back before the next one starts.
+   [loads] are the accesses of [code]; [dst] as for [mac_rows]. *)
+let assign_rows f loads code sp0 dst : rows =
+  let per_row = Option.is_some dst in
+  let run fr eo ei =
+    let ints = fr.ints and fl = fr.floats in
+    let dd = row_dst fr dst and d0 = row_start ints dst and dso = row_step dst in
+    for i = 0 to eo - 1 do
+      set_rows ints loads i;
+      if per_row then Array.unsafe_set fl f (Array.unsafe_get dd (d0 + (dso * i)));
+      for k = 0 to ei - 1 do
+        run_fcode code fr k sp0;
+        Array.unsafe_set fl f (Array.unsafe_get fl sp0)
       done;
-    Array.unsafe_set fr.floats f !acc;
-    finish ctx fr s lo ext;
-    true
-  end
+      if per_row then Array.unsafe_set dd (d0 + (dso * i)) (Array.unsafe_get fl f)
+    done
+  in
+  run
 
-(* [x = e] over the loop, for the float slot [f] of [x]: [e] may read [x],
-   so each iteration's value is written back before the next one starts *)
-let assign_loop f loads code sp0 =
-  let accs = Array.of_list loads in
-  fun ctx fr s lo ext ->
-  ready ctx fr s lo ext accs
-  && begin
-    for k = 0 to ext - 1 do
-      run_fcode code fr k sp0;
-      Array.unsafe_set fr.floats f (Array.unsafe_get fr.floats sp0)
-    done;
-    finish ctx fr s lo ext;
-    true
-  end
-
-(* [d[id] = e] over the loop: [dst] is the store's access, [loads] those of
-   [code], [sp0] the first float slot of the evaluation stack *)
-let store_loop dst loads code sp0 =
-  let accs = Array.of_list (dst :: loads) in
-  fun (ctx : ctx) fr s lo ext ->
-  ready ctx fr s lo ext accs
-  && begin
+(* [d[id] = e] over the rows: [dst] is the store's access, [loads] those
+   of [code], which evaluates [e] with its stack from float slot [sp0] *)
+let store_rows dst loads code sp0 : rows =
+  let run fr eo ei =
+    let ints = fr.ints in
     let dd = (Array.unsafe_get fr.bufs dst.slot).Tensor.data in
-    let d0 = Array.unsafe_get fr.ints dst.base and sd = Array.unsafe_get fr.ints dst.stride in
-    for k = 0 to ext - 1 do
-      run_fcode code fr k sp0;
-      Array.unsafe_set dd (d0 + (sd * k)) (Array.unsafe_get fr.floats sp0)
-    done;
-    finish ctx fr s lo ext;
-    ctx.stats.stores <- ctx.stats.stores + ext;
+    let d0 = Array.unsafe_get ints dst.base and dso = dst.ostride and sd = dst.stride in
+    for i = 0 to eo - 1 do
+      set_rows ints loads i;
+      let dr = d0 + (dso * i) in
+      for k = 0 to ei - 1 do
+        run_fcode code fr k sp0;
+        Array.unsafe_set dd (dr + (sd * k)) (Array.unsafe_get fr.floats sp0)
+      done
+    done
+  in
+  run
+
+(* [d[id] = a[ia] op b[ib]] over the rows, the shape of most lowered
+   stores, without [run_fcode]'s dispatch *)
+let op2_rows op dst a b : rows =
+  let run fr eo ei =
+    let ints = fr.ints in
+    let dd = (Array.unsafe_get fr.bufs dst.slot).Tensor.data
+    and da = (Array.unsafe_get fr.bufs a.slot).Tensor.data
+    and db = (Array.unsafe_get fr.bufs b.slot).Tensor.data in
+    let d0 = Array.unsafe_get ints dst.base and dso = dst.ostride and sd = dst.stride in
+    let a0 = Array.unsafe_get ints a.base and ao = a.ostride and sa = a.stride in
+    let b0 = Array.unsafe_get ints b.base and bo = b.ostride and sb = b.stride in
+    for i = 0 to eo - 1 do
+      let dr = d0 + (dso * i) and ar = a0 + (ao * i) and br = b0 + (bo * i) in
+      for k = 0 to ei - 1 do
+        let x = Array.unsafe_get da (ar + (sa * k)) in
+        Array.unsafe_set dd (dr + (sd * k)) (binop_float op x (Array.unsafe_get db (br + (sb * k))))
+      done
+    done
+  in
+  run
+
+(* [x = x op a[ia]] (or [x = a[ia] op x]) over the rows, for the float
+   slot [f] of [x], such as [mx = max(mx, s[p])]; [dst] as for
+   [mac_rows] *)
+let fold_rows ~acc_first op f a dst : rows =
+  let per_row = Option.is_some dst in
+  let run fr eo ei =
+    let ints = fr.ints and fl = fr.floats in
+    let da = (Array.unsafe_get fr.bufs a.slot).Tensor.data in
+    let a0 = Array.unsafe_get ints a.base and ao = a.ostride and sa = a.stride in
+    let dd = row_dst fr dst and d0 = row_start ints dst and dso = row_step dst in
+    for i = 0 to eo - 1 do
+      let ar = a0 + (ao * i) in
+      if per_row then Array.unsafe_set fl f (Array.unsafe_get dd (d0 + (dso * i)));
+      let acc = ref (Array.unsafe_get fl f) in
+      if acc_first then
+        for k = 0 to ei - 1 do
+          acc := binop_float op !acc (Array.unsafe_get da (ar + (sa * k)))
+        done
+      else
+        for k = 0 to ei - 1 do
+          acc := binop_float op (Array.unsafe_get da (ar + (sa * k))) !acc
+        done;
+      Array.unsafe_set fl f !acc;
+      if per_row then Array.unsafe_set dd (d0 + (dso * i)) !acc
+    done
+  in
+  run
+
+(* The fast path, entered at level [l0], of a nest whose body updates a
+   float slot *)
+let update_nest nx rows l0 (ctx : ctx) fr lo ext =
+  let total = ready ctx fr nx l0 lo ext in
+  total >= 0
+  && begin
+    run_level nx rows (Array.length nx.counters) fr l0 lo ext l0;
+    finish ctx fr nx l0 lo ext total ~stores:false;
+    true
+  end
+
+(* The fast path, entered at level [l0], of a nest whose body stores
+   through [dst]: [plain] stores every element. For a store [d[f] = d[f] +
+   e], [reduced] holds the accesses of [e] and the runners of the same rows
+   as an update of [nx.reduce]'s float slot: the one that reduces each row
+   into its element of [dst], and the one that leaves the reduction to
+   [run_level]. *)
+let store_nest nx dst plain reduced l0 (ctx : ctx) fr lo ext =
+  let total = ready ctx fr nx l0 lo ext in
+  total >= 0
+  && begin
+    let depth = Array.length nx.counters in
+    (match reduced with
+    | Some (loads, per_row, whole) -> (
+      match reduction_level fr nx l0 dst loads with
+      | red when red = depth -> run_level nx plain depth fr l0 lo ext l0
+      | red when red = depth - 1 && depth > 1 -> run_level nx per_row depth fr l0 lo ext l0
+      | red -> run_level nx whole red fr l0 lo ext l0)
+    | None -> run_level nx plain depth fr l0 lo ext l0);
+    finish ctx fr nx l0 lo ext total ~stores:true;
     true
   end
 
@@ -697,9 +953,10 @@ let compile (k : Kernel.t) : t =
   let fresh_int () = fresh nints in
   let fresh_float () = fresh nfloats in
   let fresh_buf () = fresh nbufs in
-  (* A lowered loop runs to completion without running another statement,
+  (* A lowered nest runs to completion without running another statement,
      so all of them share one scratch region of the frame: [scratch_int j]
-     is its [j]-th int slot, and [stack depth] the first of [depth]
+     is its [j]-th int slot, [reduce_slot ()] the float slot a reducing
+     store accumulates in, and [stack depth] the first of [depth]
      consecutive float slots. Thread-parallel loops copy the frame per fiber,
      so it stays small. *)
   let scratch_ints = ref [] in
@@ -709,6 +966,11 @@ let compile (k : Kernel.t) : t =
     | None ->
       scratch_ints := !scratch_ints @ [ fresh_int () ];
       scratch_int j
+  in
+  let reduce_slot = ref (-1) in
+  let reduce_slot () =
+    if !reduce_slot < 0 then reduce_slot := fresh_float ();
+    !reduce_slot
   in
   let stack_region = ref (0, 0) in
   let stack depth =
@@ -758,6 +1020,69 @@ let compile (k : Kernel.t) : t =
   let static_float cenv =
     float_valued (fun x ->
         match List.assoc_opt x cenv.svars with Some (Fslot _) -> true | _ -> false)
+  in
+  (* the slot [svars] binds variable [x] to, when it is an int slot
+     ([int_slot]: [Unboxed]) or a float slot ([float_slot]: [Fslot]); -1
+     otherwise *)
+  let rec int_slot x (svars : (string * sref) list) =
+    match svars with
+    | [] -> -1
+    | (y, r) :: rest ->
+      if String.equal x y then match r with Unboxed s -> s | _ -> -1 else int_slot x rest
+  in
+  let rec float_slot x (svars : (string * sref) list) =
+    match svars with
+    | [] -> -1
+    | (y, r) :: rest ->
+      if String.equal x y then match r with Fslot s -> s | _ -> -1 else float_slot x rest
+  in
+  (* [e] is linear when it is built from literals, int-slot variables, [+],
+     [-] and [*] by a constant ([is_const]): evaluating it cannot raise, and
+     in the engine's wrapping arithmetic it equals its constant term plus
+     the sum of its coefficients ([coef]) times its slots ([int_slots]) *)
+  let rec is_const (e : Expr.t) =
+    match e with
+    | Int _ -> true
+    | Binop ((Add | Sub | Mul), l, r) -> is_const l && is_const r
+    | _ -> false
+  in
+  let rec is_linear cenv (e : Expr.t) =
+    match e with
+    | Int _ -> true
+    | Var x -> int_slot x cenv.svars >= 0
+    | Binop ((Add | Sub), l, r) -> is_linear cenv l && is_linear cenv r
+    | Binop (Mul, l, r) -> (is_const l && is_linear cenv r) || (is_linear cenv l && is_const r)
+    | _ -> false
+  in
+  (* the coefficient of int slot [s] in the linear [e]; for [s = -1], its
+     constant term *)
+  let rec coef cenv s (e : Expr.t) =
+    match e with
+    | Int n -> if s < 0 then n else 0
+    | Var x -> if s >= 0 && int_slot x cenv.svars = s then 1 else 0
+    | Binop (Add, l, r) -> coef cenv s l + coef cenv s r
+    | Binop (Sub, l, r) -> coef cenv s l - coef cenv s r
+    | Binop (Mul, l, r) when is_const l -> coef cenv (-1) l * coef cenv s r
+    | Binop (Mul, l, r) -> coef cenv s l * coef cenv (-1) r
+    | _ -> 0
+  in
+  (* the int slots [e] reads, each once, onto [acc] *)
+  let rec int_slots cenv (e : Expr.t) acc =
+    match e with
+    | Var x ->
+      let s = int_slot x cenv.svars in
+      if s < 0 || List.mem s acc then acc else s :: acc
+    | Binop (_, l, r) -> int_slots cenv l (int_slots cenv r acc)
+    | _ -> acc
+  in
+  (* the linear [e] as a [lin] *)
+  let lin_of cenv e =
+    let slots = Array.of_list (int_slots cenv e []) in
+    let coefs = Array.make (Array.length slots) 0 in
+    for j = 0 to Array.length slots - 1 do
+      coefs.(j) <- coef cenv slots.(j) e
+    done;
+    { k = coef cenv (-1) e; slots; coefs }
   in
   let rec comp cenv (e : Expr.t) : frame -> value =
     match e with
@@ -972,9 +1297,12 @@ let compile (k : Kernel.t) : t =
       let c = comp cenv e in
       fun fr -> to_int (c fr)
   and comp_int cenv (e : Expr.t) : frame -> int =
-    match (e, List.assq_opt e cenv.idx) with
-    | _, Some c -> c
-    | Int n, None -> fun _ -> n
+    match e with
+    | Int n -> fun _ -> n
+    | Binop _ when is_linear cenv e ->
+      (* one closure over the combination instead of a closure per node *)
+      let l = lin_of cenv e in
+      fun fr -> lin_eval fr.ints l
     | _ when static_int cenv e -> comp_iint cenv e
     | _ ->
       let c = comp cenv e in
@@ -1069,81 +1397,115 @@ let compile (k : Kernel.t) : t =
       let c = comp cenv e in
       fun fr -> to_float (c fr)
   in
-  (* A loop whose body is one statement over affine indices gets a fast
-     path that runs the whole loop as one OCaml loop when [ready] holds at
-     entry: a fused MAC into a float slot ([mac_loop]), another float-slot
-     update ([assign_loop]) or a store ([store_loop]), whose value is float
-     arithmetic over loads, literals and float slots. [s] is the loop
-     counter's int slot and [cenv] binds it. The per-element body is
-     compiled in the returned environment, which hands it the fast path's
-     index closures, so each index is compiled once. *)
-  let lower_loop cenv s body =
-    (* built from literals, int-slot variables, [+], [-] and [*], with
-       degree at most one in the counter: evaluating it cannot raise *)
-    let rec degree (e : Expr.t) =
-      match e with
-      | Int _ -> Some 0
-      | Var x -> (
-        match List.assoc_opt x cenv.svars with
-        | Some (Unboxed s') -> Some (if s' = s then 1 else 0)
-        | _ -> None)
-      | Binop ((Add | Sub), l, r) -> (
-        match (degree l, degree r) with Some a, Some b -> Some (max a b) | _ -> None)
-      | Binop (Mul, l, r) -> (
-        match (degree l, degree r) with Some a, Some b when a + b <= 1 -> Some (a + b) | _ -> None)
-      | _ -> None
+  let bound cenv b = List.mem_assoc b cenv.bvars in
+  (* float arithmetic over loads, literals and float slots: an [F _] when
+     every load reads a float tensor ([Int] literals only next to a float);
+     every index is linear *)
+  let rec lfloat cenv (e : Expr.t) =
+    match e with
+    | Float _ -> true
+    | Load (b, i) -> bound cenv b && is_linear cenv i
+    | Var x -> float_slot x cenv.svars >= 0
+    | Binop ((Add | Sub | Mul | Div | Min | Max), l, r) ->
+      (lfloat cenv l && lnum cenv r) || (lnum cenv l && lfloat cenv r)
+    | Unop ((Exp | Log | Sqrt | Rsqrt | Tanh | Erf | Recip | Floor), x) -> lnum cenv x
+    | Unop ((Neg | Abs), x) -> lfloat cenv x
+    | _ -> false
+  and lnum cenv (e : Expr.t) = match e with Int _ -> true | _ -> lfloat cenv e in
+  (* [e] is linear and reads none of the counter slots [cs] *)
+  let invariant cenv cs e =
+    is_linear cenv e && int_slots cenv e [] |> List.for_all (fun s -> not (List.mem s cs))
+  in
+  (* The inner levels of the nest a loop heads, whose counter slots so far
+     are [cs]: a chain of single non-thread loops whose counters are never
+     assigned and whose bounds are linear without the counters. Gives the
+     environment binding them, each level's [For] statement, counter slot
+     and bounds, and the statement the chain ends in. *)
+  let rec chain cenv cs levels body =
+    match body with
+    | [ (Stmt.For { var; lo; extent; kind; body = inner } as st) ]
+      when (match kind with Stmt.Parallel ax -> not (Axis.is_thread ax) | _ -> true)
+           && never_assigned var && invariant cenv cs lo && invariant cenv cs extent ->
+      let s = fresh_int () in
+      chain
+        { cenv with svars = (var, Unboxed s) :: cenv.svars }
+        (s :: cs)
+        ((st, s, lin_of cenv lo, lin_of cenv extent) :: levels)
+        inner
+    | _ -> (cenv, List.rev levels, body)
+  in
+  (* the access of [accs] into buffer [b] at index [e] *)
+  let rec find_access b e = function
+    | [] -> None
+    | (b', e', a) :: rest ->
+      if String.equal b b' && Expr.equal e' e then Some a else find_access b e rest
+  in
+  (* The fast path, as a function of the level it is entered at, of a nest
+     whose outer counter is [s] and whose inner [levels] and statement
+     [body] [lower_nest] accepted; [cenv] binds every counter *)
+  let nest_path cenv s levels body =
+    let cs = s :: List.map (fun (_, s, _, _) -> s) levels in
+    let counters = Array.of_list cs in
+    let depth = Array.length counters in
+    (* the nest's scratch int slots, in order of need *)
+    let next = ref 0 in
+    let scratch () =
+      let x = scratch_int !next in
+      incr next;
+      x
     in
-    let affine e = degree e <> None in
-    let bound b = List.mem_assoc b cenv.bvars in
-    let fslot x = match List.assoc_opt x cenv.svars with Some (Fslot f) -> Some f | _ -> None in
-    (* float arithmetic over loads, literals and float slots: an [F _] when
-       every load reads a float tensor ([Int] literals only next to a float) *)
-    let rec lfloat (e : Expr.t) =
-      match e with
-      | Float _ -> true
-      | Load (b, i) -> bound b && affine i
-      | Var x -> fslot x <> None
-      | Binop ((Add | Sub | Mul | Div | Min | Max), l, r) ->
-        (lfloat l && lnum r) || (lnum l && lfloat r)
-      | Unop ((Exp | Log | Sqrt | Rsqrt | Tanh | Erf | Recip | Floor), x) -> lnum x
-      | Unop ((Neg | Abs), x) -> lfloat x
-      | _ -> false
-    and lnum (e : Expr.t) = match e with Int _ -> true | _ -> lfloat e in
-    let shared = ref [] in
+    (* the outer of the two levels that run as rows *)
+    let rows = if depth > 2 then depth - 2 else 0 in
+    (* one access per buffer and index *)
+    let accs = ref [] in
     let access b e =
-      let j = List.length !shared in
-      let a =
-        { slot = List.assoc b cenv.bvars;
-          index = comp_int cenv e;
-          base = scratch_int (2 * j);
-          stride = scratch_int ((2 * j) + 1)
-        }
-      in
-      shared := (e, a.index) :: !shared;
-      a
+      match find_access b e !accs with
+      | Some a -> a
+      | None ->
+        let strides = Array.make depth 0 in
+        for l = 0 to depth - 1 do
+          strides.(l) <- coef cenv counters.(l) e
+        done;
+        let base = scratch () in
+        let a =
+          { slot = List.assoc b cenv.bvars;
+            form = lin_of cenv e;
+            strides;
+            base;
+            ostride = strides.(rows);
+            stride = strides.(depth - 1);
+            row = (if depth = 1 then base else scratch ())
+          }
+        in
+        accs := (b, e, a) :: !accs;
+        a
     in
-    (* [value] in postfix, with the accesses of its loads in order *)
-    let lower_value value =
+    (* [value] in postfix, with the accesses of its loads in order; the
+       subexpression [acc], if any, reads float slot [f] instead *)
+    let lower_value ?acc value =
       let loads = ref [] in
+      let is_acc e = match acc with Some (x, _) -> x == e | None -> false in
       let load_access b i =
         let a = access b i in
         loads := a :: !loads;
         a
       in
-      let rec emit (e : Expr.t) =
+      (* [e]'s instructions, last first, onto [code] *)
+      let rec emit (e : Expr.t) code =
         match e with
-        | Int n -> [ Push_const (float_of_int n) ]
-        | Float c -> [ Push_const c ]
-        | Var x -> [ Push_slot (Option.get (fslot x)) ]
-        | Load (b, i) -> [ Push_load (load_access b i) ]
-        | Binop (op, Load (b, i), Load (b', i')) ->
+        | _ when is_acc e -> Push_slot (snd (Option.get acc)) :: code
+        | Int n -> Push_const (float_of_int n) :: code
+        | Float c -> Push_const c :: code
+        | Var x -> Push_slot (float_slot x cenv.svars) :: code
+        | Load (b, i) -> Push_load (load_access b i) :: code
+        | Binop (op, (Load (b, i) as l), (Load (b', i') as r)) when not (is_acc l || is_acc r) ->
           let a = load_access b i in
-          [ Push_op2 (op, a, load_access b' i') ]
-        | Binop (op, l, r) -> emit l @ emit r @ [ Apply2 op ]
-        | Unop (op, x) -> emit x @ [ Apply1 op ]
+          Push_op2 (op, a, load_access b' i') :: code
+        | Binop (op, l, r) -> Apply2 op :: emit r (emit l code)
+        | Unop (op, x) -> Apply1 op :: emit x code
         | _ -> assert false
       in
-      let code = Array.of_list (emit value) in
+      let code = Array.of_list (List.rev (emit value [])) in
       (* the stack depth postfix evaluation of [value] reaches *)
       let rec depth (e : Expr.t) =
         match e with
@@ -1151,37 +1513,113 @@ let compile (k : Kernel.t) : t =
         | Unop (_, x) -> depth x
         | _ -> 1
       in
-      (List.rev !loads, code, stack (depth value))
+      (Array.of_list (List.rev !loads), code, stack (depth value))
     in
-    let fast =
-      match body with
-      | [ Stmt.Assign { var; value } ] -> (
-        let mac ~acc_first f a ia b ib =
-          if bound a && bound b && affine ia && affine ib then begin
-            let a = access a ia in
-            let b = access b ib in
-            Some (mac_loop ~acc_first f a b)
-          end
-          else None
-        in
-        match (fslot var, value) with
-        | Some f, Binop (Add, Var x, Binop (Mul, Load (a, ia), Load (b, ib)))
-          when String.equal x var ->
-          mac ~acc_first:true f a ia b ib
-        | Some f, Binop (Add, Binop (Mul, Load (a, ia), Load (b, ib)), Var x)
-          when String.equal x var ->
-          mac ~acc_first:false f a ia b ib
-        | Some f, _ when lfloat value ->
+    (* [x = value] for the float slot [f] of [x], where [is_x] picks the
+       reads of [x]: the accesses the update reads, and its rows runner for
+       a row reduction into [dst] (see [mac_rows]) *)
+    let lower_update f is_x (value : Expr.t) =
+      match value with
+      | Binop (Add, x, Binop (Mul, Load (a, ia), Load (b, ib))) when is_x x ->
+        let a = access a ia in
+        let b = access b ib in
+        ([| a; b |], mac_rows ~acc_first:true f a b)
+      | Binop (Add, Binop (Mul, Load (a, ia), Load (b, ib)), x) when is_x x ->
+        let a = access a ia in
+        let b = access b ib in
+        ([| a; b |], mac_rows ~acc_first:false f a b)
+      | Binop (op, x, Load (a, ia)) when is_x x ->
+        let a = access a ia in
+        ([| a |], fold_rows ~acc_first:true op f a)
+      | Binop (op, Load (a, ia), x) when is_x x ->
+        let a = access a ia in
+        ([| a |], fold_rows ~acc_first:false op f a)
+      | _ ->
+        let acc = match value with Binop (Add, x, _) when is_x x -> Some (x, f) | _ -> None in
+        let loads, code, sp0 = lower_value ?acc value in
+        (loads, assign_rows f loads code sp0)
+    in
+    let nest reduce =
+      { counters;
+        los = Array.of_list (lin_zero :: List.map (fun (_, _, lo, _) -> lo) levels);
+        exts = Array.of_list (lin_zero :: List.map (fun (_, _, _, ext) -> ext) levels);
+        accs = Array.of_list (List.rev_map (fun (_, _, a) -> a) !accs);
+        reduce
+      }
+    in
+    match body with
+    | [ Stmt.Assign { var; value } ] ->
+      let is_var (e : Expr.t) = match e with Var x -> String.equal x var | _ -> false in
+      let _, rows = lower_update (float_slot var cenv.svars) is_var value in
+      let nx = nest None and rows = rows None in
+      fun l0 ->
+        let fast ctx fr lo ext = update_nest nx rows l0 ctx fr lo ext in
+        fast
+    | [ Stmt.Store { buf; index; value } ] ->
+      let dst = access buf index in
+      let plain =
+        match value with
+        | Binop (op, Load (a, ia), Load (b, ib)) ->
+          let a = access a ia in
+          op2_rows op dst a (access b ib)
+        | _ ->
           let loads, code, sp0 = lower_value value in
-          Some (assign_loop f loads code sp0)
-        | _ -> None)
-      | [ Stmt.Store { buf; index; value } ] when bound buf && affine index && lfloat value ->
-        let dst = access buf index in
-        let loads, code, sp0 = lower_value value in
-        Some (store_loop dst loads code sp0)
-      | _ -> None
-    in
-    (fast, { cenv with idx = !shared })
+          store_rows dst loads code sp0
+      in
+      (* the levels the index stays put in, from [still] down: with none,
+         the store never reduces *)
+      let still = ref depth in
+      while !still > 0 && dst.strides.(!still - 1) = 0 do
+        decr still
+      done;
+      let reduced =
+        match value with
+        | Binop (Add, (Load (b, i) as x), _)
+          when String.equal b buf && Expr.equal i index && !still < depth ->
+          let f = reduce_slot () in
+          let loads, rows = lower_update f (fun e -> e == x) value in
+          (* a one-level nest reduces whole, never per row *)
+          let whole = rows None in
+          Some (f, (loads, (if depth > 1 then rows (Some dst) else whole), whole))
+        | _ -> None
+      in
+      let nx = nest (Option.map (fun (f, _) -> (dst, f)) reduced) in
+      let reduced = Option.map snd reduced in
+      fun l0 ->
+        let fast ctx fr lo ext = store_nest nx dst plain reduced l0 ctx fr lo ext in
+        fast
+    | _ -> invalid_arg "nest_path"
+  in
+  (* A loop whose body is a chain of single loops ending in one statement
+     gets a fast path that runs the whole nest as OCaml loops when [ready]
+     holds at entry. The chain is a perfect affine nest ([chain]), and every
+     index in it is linear, so of degree at most one in the counters. The
+     statement updates a float slot, as a fused MAC ([mac_rows]), a fold
+     [x = x op a[i]] ([fold_rows]) or otherwise ([assign_rows]), or it is
+     a store, of two loads ([op2_rows]) or otherwise ([store_rows]); the
+     value is float arithmetic over loads, literals and float slots. A
+     store [d[f] = d[f] + e] also gets the reduction of [d[f]] in a float
+     slot. [s] is the outer loop's counter slot and [cenv] binds it. The
+     per-element body is compiled in the returned environment, which gives
+     each inner level its counter slot and the fast path entered there. *)
+  let lower_nest cenv s body =
+    match body with
+    | [ (Stmt.For _ | Stmt.Assign _ | Stmt.Store _) ] ->
+      let ienv, levels, stmt = chain cenv [ s ] [] body in
+      let fast_at =
+        match stmt with
+        | [ Stmt.Assign { var; value } ] when float_slot var ienv.svars >= 0 && lfloat ienv value
+          ->
+          Some (nest_path ienv s levels stmt)
+        | [ Stmt.Store { buf; index; value } ]
+          when bound ienv buf && is_linear ienv index && lfloat ienv value ->
+          Some (nest_path ienv s levels stmt)
+        | _ -> None
+      in
+      let entry l = Option.map (fun f -> f l) fast_at in
+      let loops = List.mapi (fun l (st, s, _, _) -> (st, (s, entry (l + 1)))) levels in
+      (entry 0, match loops with [] -> cenv | _ -> { cenv with loops = loops @ cenv.loops })
+    | _ -> (None, cenv)
   in
   let rec comp_block cenv block : ctx -> frame -> unit =
     let codes =
@@ -1411,8 +1849,14 @@ let compile (k : Kernel.t) : t =
       let clo = comp_int cenv lo in
       let cext = comp_int cenv extent in
       if never_assigned var then begin
-        let s = fresh_int () in
-        let fast, benv = lower_loop { cenv with svars = (var, Unboxed s) :: cenv.svars } s body in
+        let s, fast, benv =
+          match List.assq_opt stmt cenv.loops with
+          | Some (s, fast) -> (s, fast, { cenv with svars = (var, Unboxed s) :: cenv.svars })
+          | None ->
+            let s = fresh_int () in
+            let fast, benv = lower_nest { cenv with svars = (var, Unboxed s) :: cenv.svars } s body in
+            (s, fast, benv)
+        in
         let cbody = comp_block benv body in
         let per_element ctx fr lo_v ext_v =
           for i = lo_v to lo_v + ext_v - 1 do
@@ -1433,7 +1877,7 @@ let compile (k : Kernel.t) : t =
               let lo_v = clo fr in
               let ext_v = cext fr in
               if ext_v < 0 then err "negative loop extent in %s" var;
-              if not (fast ctx fr s lo_v ext_v) then per_element ctx fr lo_v ext_v )
+              if not (fast ctx fr lo_v ext_v) then per_element ctx fr lo_v ext_v )
       end
       else begin
         let s = fresh_scalar () in
@@ -1461,7 +1905,7 @@ let compile (k : Kernel.t) : t =
           let s = fresh_scalar () in
           ({ cenv with svars = (p.name, Boxed s) :: cenv.svars }, (p, Scalar_slot s) :: binds)
         end)
-      ({ svars = []; bvars = []; idx = [] }, [])
+      ({ svars = []; bvars = []; loops = [] }, [])
       k.Kernel.params
   in
   let code = comp_block cenv0 k.Kernel.body in

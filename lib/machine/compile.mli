@@ -8,11 +8,15 @@
     tree-walking reference interpreter — {!Interp.run} is a thin wrapper over
     {!cached}, and [test/test_fuzz.ml] checks the two engines differentially.
 
-    An innermost loop whose body is one float store or one float-slot update
-    (a fused [acc = acc + a[i] * b[j]] among them), with every index affine
-    in the loop counter, runs as one OCaml loop when a loop-entry check
-    proves no iteration can fail; otherwise its statements run one at a
-    time. Either way the run has the same outputs, statistics and errors.
+    A perfect affine nest — a loop whose body is a chain of single loops
+    ending in one float store or one float-slot update (a fused [acc = acc
+    + a[i] * b[j]] among them), with inner bounds fixed at entry and every
+    index linear in the counters — runs as nested OCaml loops when a check
+    at its entry proves no iteration can fail; otherwise its statements run
+    one at a time. A store [d[f] = d[f] + e] whose index stays put in the
+    inner levels is reduced in a float slot when nothing else in the body
+    touches [d]'s tensor. Either way the run has the same outputs,
+    statistics and errors.
 
     This module also owns the runtime pieces both engines share (value and
     statistics types, scalar operators, intrinsic semantics, the barrier

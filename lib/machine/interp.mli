@@ -19,8 +19,8 @@ open Xpiler_ir
     [run] executes through {!Compile}: the kernel is lowered
     once into OCaml closures over slot-indexed frames (memoized on the
     kernel's structural hash) and then executed without walking the statement
-    tree. An innermost loop with a single float store or float-slot update
-    over affine indices runs as one range-checked OCaml loop, unless a
+    tree. A perfect affine nest ending in a single float store or
+    float-slot update runs as one range-checked OCaml loop nest, unless a
     [trace] hook is given or its entry check fails. {!run_tree} keeps the
     direct tree-walker; the differential property in [test/test_fuzz.ml]
     holds both engines to identical outputs, stats and error messages, with

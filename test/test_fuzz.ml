@@ -255,6 +255,102 @@ let affine_kernel rng =
         ]
     ]
 
+(* Perfect nests, the shapes the compiled engine runs as one OCaml loop
+   nest: 2 or 3 levels with extents 0 to 4 from a start of 0 to 2, strides of
+   either sign or 0 per level, and a body of the forms [affine_kernel]
+   lowers or a store [d[f] = d[f] + e] whose index stays put in the inner
+   levels, where [e] may read [d] too. Some indices leave their buffer only
+   at the last corner; some inner bounds read an outer counter, which must
+   not lower; an inner counter may shadow the variable an inner bound
+   reads; some nests run inside a thread-parallel chain. *)
+let nest_kernel rng =
+  let size = Kgen.buf_size in
+  let depth = 2 + Rng.int rng 2 in
+  let shadow = Rng.bernoulli rng 0.15 in
+  (* the innermost counter shadows the [n] that level 1's extent reads *)
+  let names =
+    Array.init depth (fun l -> if shadow && l = depth - 1 then "n" else [| "i"; "j"; "k" |].(l))
+  in
+  let ext = Array.init depth (fun _ -> Rng.int rng 5) in
+  let lo = Array.init depth (fun _ -> Rng.int rng 3) in
+  let dtype () = if Rng.bernoulli rng 0.1 then Dtype.I32 else Dtype.F32 in
+  (* [first + sum_l stride_l * (v_l - lo_l)], not moving from level [still]
+     on; at an edge its extreme corner is one past either end *)
+  let index ?(still = depth) () =
+    let strides = Array.init depth (fun l -> if l >= still then 0 else Rng.int rng 7 - 3) in
+    let reach sgn =
+      Array.fold_left ( + ) 0
+        (Array.mapi (fun l s -> max 0 (sgn * s * max 0 (ext.(l) - 1))) strides)
+    in
+    let pos = reach 1 and neg = reach (-1) in
+    let first =
+      if Rng.bernoulli rng 0.1 then if Rng.bool rng then size - pos else neg - 1
+      else neg + Rng.int rng (max 1 (size - pos - neg))
+    in
+    let k = first - Array.fold_left ( + ) 0 (Array.mapi (fun l s -> s * lo.(l)) strides) in
+    Expr.Infix.(
+      Array.fold_left ( + ) (int k) (Array.mapi (fun l s -> int s * v names.(l)) strides))
+  in
+  let buf () = Rng.choose rng [ "a"; "b"; "out" ] in
+  let ld () = Expr.Infix.load (buf ()) (index ()) in
+  let value () =
+    Expr.Infix.(
+      match Rng.int rng 4 with
+      | 0 -> ld () - v "m"
+      | 1 -> (ld () * flt 0.5) + ld ()
+      | 2 -> Expr.Unop (Expr.Tanh, ld ())
+      | _ -> ld () * ld ())
+  in
+  (* a store index that stays put from a level from 1 on *)
+  let still () = index ~still:(1 + Rng.int rng (depth - 1)) () in
+  let body =
+    Expr.Infix.(
+      match Rng.int rng 9 with
+      | 0 -> Builder.assign "acc" (v "acc" + (ld () * ld ()))
+      | 1 -> Builder.assign "acc" ((ld () * ld ()) + v "acc")
+      | 2 -> Builder.assign "acc" (Expr.Binop (Expr.Min, v "acc", ld () * v "m"))
+      | 7 -> Builder.assign "acc" (Expr.Binop (Expr.Max, v "acc", ld ()))
+      | 8 -> Builder.assign "acc" (ld () - v "acc")
+      | 3 -> Builder.store "out" (index ()) (value ())
+      | 4 ->
+        (* a reduction, as a MAC or another sum *)
+        let d = buf () and f = still () in
+        Builder.store d f (load d f + if Rng.bool rng then ld () * ld () else value ())
+      | 5 ->
+        let d = buf () and f = index ~still:(Rng.int rng depth) () in
+        Builder.store d f (load d f + ld ())
+      | _ ->
+        (* the same, with [e] reading the reduced buffer *)
+        let d = buf () and f = still () in
+        Builder.store d f (load d f + load d (index ())))
+  in
+  let rec level l =
+    if l = depth then [ body ]
+    else begin
+      let extent =
+        if l = 1 && shadow then Expr.Var "n"
+        else if l > 0 && Rng.bernoulli rng 0.15 then
+          (* triangular: the bound reads the counter above *)
+          Expr.Binop (Expr.Add, Expr.Var names.(l - 1), Expr.Int ext.(l))
+        else Expr.Int ext.(l)
+      in
+      [ Builder.for_ names.(l) ~lo:(Expr.Int lo.(l)) extent (level (l + 1)) ]
+    end
+  in
+  let m =
+    Expr.Infix.(if Rng.bernoulli rng 0.8 then load "a" (int 0) * flt 0.5 else load "a" (int 0))
+  in
+  let prelude =
+    [ Builder.let_ "n" (Expr.Int ext.(1)); Builder.let_ "m" m; Builder.let_ "acc" (Expr.Float 0.0) ]
+  in
+  let body = prelude @ level 0 @ [ Builder.store "out" (Expr.Int 0) (Expr.Var "acc") ] in
+  Kernel.make ~name:"nest"
+    ~params:
+      [ Builder.buffer ~dtype:(dtype ()) "a"; Builder.buffer ~dtype:(dtype ()) "b";
+        Builder.buffer ~dtype:(dtype ()) "out" ]
+    (if Rng.bernoulli rng 0.25 then [ Builder.par_for Axis.Thread_x "tx" (Expr.Int 2) body ]
+     else body)
+
 (* both engines, traced and untraced, on fresh copies of [args] *)
 let engines_agree ~fuel k args =
   List.for_all
@@ -311,7 +407,15 @@ let prop_engines_agree =
       let k = affine_kernel ag in
       let args = Tcommon.make_args (Rng.create (seed + 5)) ~buf_size k [] in
       engines_agree ~fuel:200_000_000 k args
-      && engines_agree ~fuel:(1 + Rng.int ag 60) k args)
+      && engines_agree ~fuel:(1 + Rng.int ag 60) k args
+      &&
+      (* a perfect nest, run to completion and with fuel that runs out
+         part-way, most likely inside the nest *)
+      let ng = Rng.create ((seed * 13) + 5) in
+      let k = nest_kernel ng in
+      let args = Tcommon.make_args (Rng.create (seed + 9)) ~buf_size k [] in
+      engines_agree ~fuel:200_000_000 k args
+      && engines_agree ~fuel:(1 + Rng.int ng 150) k args)
 
 (* handcrafted dynamic errors: both engines must raise Runtime_error with the
    exact same message *)
@@ -356,6 +460,40 @@ let test_engine_error_parity () =
         mk "fuel_lowered"
           [ Builder.for_ "p" (int 5000)
               [ Builder.store "out" (int 0) (load "out" (int 0) + flt 1.0) ]
+          ] );
+      (* nests the compiled engine lowers whole: the index leaves the
+         buffer at the box's last corner only; the statements overrun the
+         fuel; an inner bound reads the outer counter *)
+      ( "oob_nest_last_corner",
+        mk "oob_nest_last_corner"
+          [ Builder.for_ "i" (int 4)
+              [ Builder.for_ "j" (int 4)
+                  [ Builder.for_ "k" (int 8)
+                      [ Builder.store "out"
+                          (int 897 + (v "i" * int 32) + (v "j" * int 8) + v "k")
+                          (load "out" (v "k") * flt 2.0)
+                      ]
+                  ]
+              ]
+          ] );
+      ( "fuel_nest",
+        mk "fuel_nest"
+          [ Builder.let_ "acc" (flt 0.0);
+            Builder.for_ "i" (int 20)
+              [ Builder.for_ "j" (int 20)
+                  [ Builder.for_ "k" (int 20)
+                      [ Builder.assign "acc" (v "acc" + (load "out" (v "k") * load "out" (v "j")))
+                      ]
+                  ]
+              ];
+            Builder.store "out" (int 0) (v "acc")
+          ] );
+      ( "triangular_nest",
+        mk "triangular_nest"
+          [ Builder.for_ "i" (int 6)
+              [ Builder.for_ "j" (v "i" + int 1)
+                  [ Builder.store "out" (int 1020 + v "i" + v "j") (load "out" (v "j") + flt 1.0) ]
+              ]
           ] )
     ]
   in

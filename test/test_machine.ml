@@ -472,6 +472,42 @@ let test_error_message_parity () =
         (msg (Compile.run ~fuel (Compile.cached k))))
     cases
 
+(* Every operator's serial kernel and golden sources at its first shape run
+   on both engines with the same outputs, bit for bit, and the same five
+   counts. These are the real conv, pool and attention nests, which the
+   generated kernels of the differential property never reach. *)
+let test_registry_engine_parity () =
+  let open Xpiler_ops in
+  List.iter
+    (fun (op : Opdef.t) ->
+      let shape = List.hd op.Opdef.shapes in
+      let kernels =
+        ("serial", op.Opdef.serial shape)
+        :: List.map
+             (fun p -> (Platform.id_to_string p, Idiom.source p op shape))
+             Platform.[ Cuda; Bang; Hip; Vnni ]
+      in
+      List.iter
+        (fun (label, k) ->
+          let args = Unit_test.make_args (Xpiler_util.Rng.create 20250706) op shape in
+          let run engine =
+            let a = Tcommon.clone_args args in
+            let (s : Interp.stats) = engine k a in
+            ( [ s.steps; s.stores; s.intrinsic_elems; s.memcpy_elems; s.barriers ],
+              List.filter_map
+                (function
+                  | _, Interp.Buf t -> Some (Array.map Int64.bits_of_float t.Tensor.data)
+                  | _ -> None)
+                a )
+          in
+          let stats_tree, bufs_tree = run (fun k a -> Interp.run_tree k a) in
+          let stats_comp, bufs_comp = run (fun k a -> Interp.run k a) in
+          let name = op.Opdef.name ^ " " ^ label in
+          Alcotest.(check (list int)) (name ^ ": stats") stats_tree stats_comp;
+          Alcotest.(check bool) (name ^ ": buffers") true (bufs_tree = bufs_comp))
+        kernels)
+    Registry.all
+
 (* cold vs warm: a fresh compile and a memo-served compile of a structurally
    equal (but separately built) kernel produce identical outputs, stats and
    traces, and the memo hands back the same compiled value *)
@@ -531,7 +567,11 @@ let () =
           Alcotest.test_case "tensorize faster" `Quick test_cost_tensorize_faster
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_barrier_determinism ]);
-      ("parity", [ Alcotest.test_case "error-message parity" `Quick test_error_message_parity ]);
+      ( "parity",
+        [ Alcotest.test_case "error-message parity" `Quick test_error_message_parity;
+          Alcotest.test_case "registry kernels on both engines" `Quick
+            test_registry_engine_parity
+        ] );
       ( "cache",
         [ Alcotest.test_case "cold vs warm identical" `Quick test_cold_vs_warm;
           Alcotest.test_case "stable metrics untouched" `Quick test_stable_metrics_untouched
