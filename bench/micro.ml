@@ -43,12 +43,21 @@ let test_costmodel =
   Test.make ~name:"fig7:cost-model" (Staged.stage (fun () ->
       ignore (Costmodel.estimate Platform.bang bang_kernel ~shapes:[])))
 
+(* one tuner state: every candidate built, walked once by the cost model,
+   and the survivors checked *)
+let cuda_kernel = Idiom.source Platform.Cuda gemm gemm_shape
+
+let test_intra =
+  Test.make ~name:"fig7:intra-tune-state" (Staged.stage (fun () ->
+      ignore (Xpiler_tuning.Intra.tune ~platform:Platform.cuda cuda_kernel)))
+
 let test_bm25 =
   Test.make ~name:"fig8:bm25-retrieval" (Staged.stage (fun () ->
       ignore (Xpiler_manual.Corpus.search Platform.Bang "matmul gemm" 3)))
 
 let all_tests =
-  [ test_parse; test_checker; test_interp; test_pass; test_solver; test_costmodel; test_bm25 ]
+  [ test_parse; test_checker; test_interp; test_pass; test_solver; test_costmodel; test_intra;
+    test_bm25 ]
 
 let run () =
   Printf.printf "\n=== Bechamel micro-benchmarks (pipeline-stage latencies) ===\n%!";

@@ -93,15 +93,30 @@ let rec hash_fold h = function
 
 let hash e = hash_fold 0 e
 
+(* children are mapped right to left, and a node whose children come back
+   physically equal is kept as is, so an unchanged subtree stays shared *)
 let rec map f e =
   let e' =
     match e with
     | Int _ | Float _ | Var _ -> e
-    | Load (b, i) -> Load (b, map f i)
-    | Binop (op, l, r) -> Binop (op, map f l, map f r)
-    | Unop (op, x) -> Unop (op, map f x)
-    | Select (c, t, fe) -> Select (map f c, map f t, map f fe)
-    | Cast (d, x) -> Cast (d, map f x)
+    | Load (b, i) ->
+      let i' = map f i in
+      if i' == i then e else Load (b, i')
+    | Binop (op, l, r) ->
+      let r' = map f r in
+      let l' = map f l in
+      if l' == l && r' == r then e else Binop (op, l', r')
+    | Unop (op, x) ->
+      let x' = map f x in
+      if x' == x then e else Unop (op, x')
+    | Select (c, t, fe) ->
+      let fe' = map f fe in
+      let t' = map f t in
+      let c' = map f c in
+      if c' == c && t' == t && fe' == fe then e else Select (c', t', fe')
+    | Cast (d, x) ->
+      let x' = map f x in
+      if x' == x then e else Cast (d, x')
   in
   match f e' with Some e'' -> e'' | None -> e'
 
@@ -224,7 +239,7 @@ let simplify_node = function
 
 let rec simplify e =
   let e' = map simplify_node e in
-  if equal e e' then e' else simplify e'
+  if e' == e || equal e e' then e' else simplify e'
 
 (* --- Printing ---------------------------------------------------------- *)
 

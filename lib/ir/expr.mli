@@ -52,7 +52,9 @@ val compare : t -> t -> int
 
 val map : (t -> t option) -> t -> t
 (** [map f e] rewrites [e] bottom-up: at each node [n] (after children were
-    rewritten), if [f n] is [Some n'] the node is replaced by [n']. *)
+    rewritten), if [f n] is [Some n'] the node is replaced by [n']. A node
+    whose children are unchanged and which [f] declines is returned as is,
+    so [map (fun _ -> None) e == e]. *)
 
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
 (** Pre-order fold over every sub-expression. *)

@@ -75,19 +75,14 @@ let rec hash_fold h stmt =
 
 and hash_fold_block h block = List.fold_left hash_fold (Expr.hash_comb h 37) block
 
-let rec map_exprs f stmt =
+let map_exprs f stmt =
   match stmt with
-  | For r -> For { r with lo = f r.lo; extent = f r.extent; body = List.map (map_exprs f) r.body }
+  | For r -> For { r with lo = f r.lo; extent = f r.extent }
   | Let r -> Let { r with value = f r.value }
   | Assign r -> Assign { r with value = f r.value }
   | Store r -> Store { r with index = f r.index; value = f r.value }
   | Alloc _ -> stmt
-  | If r ->
-    If
-      { cond = f r.cond;
-        then_ = List.map (map_exprs f) r.then_;
-        else_ = List.map (map_exprs f) r.else_
-      }
+  | If r -> If { r with cond = f r.cond }
   | Memcpy r ->
     Memcpy
       { dst = { r.dst with offset = f r.dst.offset };
@@ -188,25 +183,11 @@ let rec max_loop_depth block =
 let rec subst_var x v block =
   List.map
     (fun stmt ->
-      match stmt with
-      | For r when String.equal r.var x ->
-        (* the loop rebinds x: only substitute in the bounds *)
-        For { r with lo = Expr.subst_var x v r.lo; extent = Expr.subst_var x v r.extent }
-      | For r ->
-        For
-          { r with
-            lo = Expr.subst_var x v r.lo;
-            extent = Expr.subst_var x v r.extent;
-            body = subst_var x v r.body
-          }
-      | Let r when String.equal r.var x -> Let { r with value = Expr.subst_var x v r.value }
-      | If r ->
-        If
-          { cond = Expr.subst_var x v r.cond;
-            then_ = subst_var x v r.then_;
-            else_ = subst_var x v r.else_
-          }
-      | _ -> map_exprs (Expr.subst_var x v) stmt)
+      match map_exprs (Expr.subst_var x v) stmt with
+      (* a loop that rebinds x keeps its body *)
+      | For r when not (String.equal r.var x) -> For { r with body = subst_var x v r.body }
+      | If r -> If { r with then_ = subst_var x v r.then_; else_ = subst_var x v r.else_ }
+      | stmt -> stmt)
     block
 
 let rename_buffer ~old_name ~new_name block =
@@ -228,14 +209,13 @@ let simplify block =
   let rec go block =
     List.concat_map
       (fun stmt ->
-        let stmt = map_exprs Expr.simplify stmt in
-        match stmt with
+        match map_exprs Expr.simplify stmt with
         | If { cond = Expr.Int 0; else_; _ } -> go else_
         | If { cond = Expr.Int _; then_; _ } -> go then_
         | If r -> [ If { r with then_ = go r.then_; else_ = go r.else_ } ]
         | For { extent = Expr.Int n; _ } when n <= 0 -> []
         | For r -> [ For { r with body = go r.body } ]
-        | _ -> [ stmt ])
+        | stmt -> [ stmt ])
       block
   in
   go block

@@ -35,8 +35,11 @@ val hash_fold : int -> t -> int
 val hash_fold_block : int -> t list -> int
 
 val map_exprs : (Expr.t -> Expr.t) -> t -> t
-(** Rewrite every expression in the statement tree (loop bounds, indices,
-    conditions, intrinsic offsets/params, …). *)
+(** Rewrite the statement's own expressions: a [For]'s bounds, an [If]'s
+    condition, a leaf's indices, values, offsets and intrinsic params. It
+    does not descend into loop or branch bodies: a caller that rewrites a
+    tree walks it itself (e.g. with {!map_block} or {!iter}), so each
+    expression is visited once. *)
 
 val map_block : (t -> t option) -> t list -> t list
 (** Bottom-up statement rewriting: each statement (children already

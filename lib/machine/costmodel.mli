@@ -48,9 +48,10 @@ val throughput : Platform.t -> Kernel.t -> shapes:(string * int) list -> float
 val throughput_of : estimate -> float
 (** {!throughput} of an estimate already made. *)
 
-val throughput_bound : Platform.t -> Kernel.t -> shapes:(string * int) list -> float
-(** Cheap admissible upper bound on {!throughput}: a structural walk that
-    skips the per-expression flop and load-traffic folds (the dominant cost
-    of {!extract_features}), under-counting work with the same rates and
-    occupancy. Guaranteed [throughput_bound p k >= throughput p k] on every
-    kernel (fuzzed), which makes a branch-and-bound scan on it lossless. *)
+val bound_and_throughput :
+  Platform.t -> Kernel.t -> shapes:(string * int) list -> float * float
+(** [(bound, throughput)] from one walk of the kernel. [bound] is a cheap
+    admissible upper bound on {!throughput}: it under-counts the work
+    (no per-expression flops or load traffic) at the same rates and
+    occupancy, so [bound >= throughput] on every kernel the checker
+    accepts (fuzzed), which makes a branch-and-bound scan on it lossless. *)

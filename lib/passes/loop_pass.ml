@@ -90,16 +90,8 @@ let recovery (k : Kernel.t) =
       let body = drop_syncs (seq k.Kernel.body) in
       (* rename axis-named loop variables to plain serial names *)
       let axis_names = List.map Axis.to_string Axis.all in
-      let counter = ref 0 in
       let k' = Kernel.with_launch (Kernel.with_body k body) [] in
-      let fresh () =
-        let names = Rewrite.fresh_serial_names k' 64 in
-        fun () ->
-          let n = List.nth names !counter in
-          incr counter;
-          n
-      in
-      let next = fresh () in
+      let next = Rewrite.fresh_serial_names k' in
       let rec rename block =
         List.map
           (fun stmt ->

@@ -58,28 +58,25 @@ let const_extent e =
   | Expr.Int n -> Ok n
   | e -> Error (Printf.sprintf "extent %s is not a compile-time constant" (Expr.to_string e))
 
-let fresh_serial_names k n =
-  let used = ref (Kernel.param_names k) in
-  Stmt.iter
-    (fun s ->
-      match s with
-      | Stmt.For r -> used := r.var :: !used
-      | Stmt.Let r -> used := r.var :: !used
-      | Stmt.Alloc r -> used := r.buf :: !used
-      | _ -> ())
-    k.Kernel.body;
-  let rec pick i count acc =
-    if count = 0 then List.rev acc
-    else begin
-      let candidate = Printf.sprintf "i%d" i in
-      if List.mem candidate !used then pick (i + 1) count acc
-      else begin
-        used := candidate :: !used;
-        pick (i + 1) (count - 1) (candidate :: acc)
-      end
-    end
+let fresh_serial_names k =
+  let used =
+    lazy
+      (Stmt.fold
+         (fun used s ->
+           match s with
+           | Stmt.For r -> r.var :: used
+           | Stmt.Let r -> r.var :: used
+           | Stmt.Alloc r -> r.buf :: used
+           | _ -> used)
+         (Kernel.param_names k) k.Kernel.body)
   in
-  pick 0 n []
+  let i = ref (-1) in
+  let rec next () =
+    incr i;
+    let candidate = Printf.sprintf "i%d" !i in
+    if List.mem candidate (Lazy.force used) then next () else candidate
+  in
+  next
 
 let buffer_dtype k b =
   match

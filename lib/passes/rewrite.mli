@@ -17,8 +17,10 @@ val rewrite_nth :
 val const_extent : Expr.t -> (int, string) result
 (** Loop extents the passes reshape must be compile-time constants. *)
 
-val fresh_serial_names : Kernel.t -> int -> string list
-(** [i0, i1, ...] avoiding every name already used in the kernel. *)
+val fresh_serial_names : Kernel.t -> unit -> string
+(** A generator of [i0, i1, ...] skipping every name already used in the
+    kernel: each call returns the next one. The kernel is scanned on the
+    first call. *)
 
 val buffer_dtype : Kernel.t -> string -> Dtype.t option
 (** Element type of a parameter or allocated buffer. *)

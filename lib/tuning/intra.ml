@@ -69,44 +69,50 @@ let tune ?(prune = true) ~platform k =
   let best = ref base in
   let measured = ref [] (* successful variants, newest first *) in
   let evaluated = ref 0 and pruned = ref 0 in
-  (* one measured candidate: the checker and the full cost model; the empty
-     candidate is the input, already checked and modelled as [base] *)
-  let measure specs applied =
+  (* one measured candidate: the checker, and the cost model unless its
+     [throughput] is already known; the empty candidate is the input,
+     already checked and modelled as [base] *)
+  let measure ?throughput specs applied =
     incr evaluated;
     match applied with
     | Ok _ when specs = [] -> measured := base :: !measured
     | Ok kernel when compiles kernel ->
-      let v = { specs; kernel; throughput = modelled_throughput kernel } in
+      let throughput =
+        match throughput with Some t -> t | None -> modelled_throughput kernel
+      in
+      let v = { specs; kernel; throughput } in
       measured := v :: !measured;
       if v.throughput > !best.throughput then best := v
     | _ -> ()
   in
   let phase =
     if prune then begin
-      (* Branch-and-bound: apply every candidate and compute a cheap
-         admissible throughput bound (Costmodel.throughput_bound), sort by
-         bound descending (stable, so ties keep enumeration order), then
-         scan sequentially. Once a bound cannot beat the incumbent, no later
-         bound can either — the whole suffix is pruned without the expensive
-         checker + full cost-model walk. *)
+      (* Branch-and-bound: apply every candidate and walk it once with the
+         cost model, which gives an admissible throughput bound and the
+         throughput itself (Costmodel.bound_and_throughput); sort by bound
+         descending (stable, so ties keep enumeration order), then scan
+         sequentially. Once a bound cannot beat the incumbent, no later
+         bound can either — the whole suffix is pruned without the
+         checker. *)
       let prep cands =
         List.filter_map
           (fun c ->
             match apply c with
             | Error _ -> None
             | Ok kernel ->
-              Some (c.specs, kernel, Costmodel.throughput_bound platform kernel ~shapes:[]))
+              let bound, throughput = Costmodel.bound_and_throughput platform kernel ~shapes:[] in
+              Some (c.specs, kernel, bound, throughput))
           cands
-        |> List.stable_sort (fun (_, _, a) (_, _, b) -> compare (b : float) a)
+        |> List.stable_sort (fun (_, _, a, _) (_, _, b, _) -> compare (b : float) a)
       in
       let rec scan = function
         | [] -> ()
-        | (specs, kernel, bound) :: rest ->
+        | (specs, kernel, bound, throughput) :: rest ->
           if bound <= !best.throughput then
             (* sorted descending: the entire suffix is also beaten *)
             pruned := !pruned + 1 + List.length rest
           else begin
-            measure specs (Ok kernel);
+            measure ~throughput specs (Ok kernel);
             scan rest
           end
       in

@@ -6,11 +6,12 @@ module Pass = Xpiler_passes.Pass
     keeping the candidate with the best modelled throughput. Two search
     refinements over plain brute force:
 
-    - {b bound-based pruning} (on by default): candidates are sorted by a
-      cheap admissible throughput bound ({!Costmodel.throughput_bound}) and
-      scanned best-bound-first; once a bound cannot beat the incumbent the
-      whole remaining suffix is skipped without running the checker or the
-      full cost model. Within a phase this is lossless by the bound's
+    - {b bound-based pruning} (on by default): one cost-model walk per
+      candidate gives an admissible throughput bound and the throughput
+      ({!Costmodel.bound_and_throughput}); candidates are sorted by bound
+      and scanned best-bound-first, and once a bound cannot beat the
+      incumbent the whole remaining suffix is skipped without running the
+      checker. Within a phase this is lossless by the bound's
       admissibility (fuzzed in test_tuning.ml). A skipped candidate is never
       measured, so it cannot seed the composed phase: pruning can change the
       composed candidates, and so, in principle, the result. Skips are

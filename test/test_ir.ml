@@ -227,6 +227,93 @@ let prop_subst_removes_var =
   QCheck.Test.make ~name:"subst removes the variable" ~count:500 arb_expr (fun e ->
       not (Expr.contains_var "x" (Expr.subst_var "x" (Expr.Int 1) e)))
 
+(* [Expr.map] keeps an unchanged subtree shared, so simplifying what is
+   already simple builds no node and returns its input *)
+let prop_simplify_shares =
+  QCheck.Test.make ~name:"simplify and map keep unchanged trees shared" ~count:500 arb_expr
+    (fun e ->
+      let s = Expr.simplify e in
+      Expr.simplify s == s && Expr.map (fun _ -> None) e == e)
+
+(* ---- Stmt.simplify against the whole-subtree reference --------------------
+   [Stmt.map_exprs] is node-local, so [Stmt.simplify] simplifies each
+   expression once; [Naive.stmt_simplify] simplifies a statement's whole
+   subtree at every level. Both must give the same block. [loosen] undoes
+   simplification at every depth (foldable index terms, constant guards,
+   empty loops), so the structural rules have work to do. *)
+
+let rec loosen rng block =
+  let open Expr in
+  let module Rng = Xpiler_util.Rng in
+  List.concat_map
+    (fun stmt ->
+      let pad e = if Rng.bool rng then Binop (Add, e, Binop (Sub, Int 3, Int 3)) else e in
+      let stmt =
+        match Stmt.map_exprs pad stmt with
+        | Stmt.For r -> Stmt.For { r with body = loosen rng r.body }
+        | Stmt.If r -> Stmt.If { r with then_ = loosen rng r.then_; else_ = loosen rng r.else_ }
+        | s -> s
+      in
+      match Rng.int rng 4 with
+      | 0 -> [ Stmt.If { cond = Binop (Lt, Int 0, Int 1); then_ = [ stmt ]; else_ = [] } ]
+      | 1 ->
+        [ Stmt.If { cond = Binop (Sub, Int 2, Int 2); then_ = [ Stmt.Sync ]; else_ = [ stmt ] } ]
+      | 2 ->
+        [ Stmt.For
+            { var = "dead"; lo = Int 0; extent = Binop (Sub, Int 1, Int 1); kind = Stmt.Serial;
+              body = [ stmt ] };
+          stmt
+        ]
+      | _ -> [ stmt ])
+    block
+
+let simplify_agrees block =
+  let fast = Stmt.simplify block and naive = Test_support.Naive.stmt_simplify block in
+  Stmt.equal_block fast naive
+  || Alcotest.failf "simplify disagrees on\n%s--- node-local ---\n%s--- whole-subtree ---\n%s"
+       (Stmt.to_string block) (Stmt.to_string fast) (Stmt.to_string naive)
+
+let prop_simplify_matches_naive =
+  QCheck.Test.make ~name:"Stmt.simplify = whole-subtree simplify" ~count:300
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let rng = Xpiler_util.Rng.create seed in
+      let body = (Test_support.Kgen.kernel rng).Kernel.body in
+      simplify_agrees body && simplify_agrees (loosen rng body))
+
+(* every golden source, and every tuning action on it for all four
+   platforms, as is and loosened *)
+let test_simplify_goldens () =
+  let open Xpiler_ops in
+  let open Xpiler_machine in
+  let rng = Xpiler_util.Rng.create 20250706 in
+  let applied = ref 0 in
+  List.iter
+    (fun (op : Opdef.t) ->
+      let shape = List.hd op.Opdef.shapes in
+      let buffer_sizes =
+        List.map (fun (b : Opdef.buffer_spec) -> (b.buf_name, b.size shape)) op.Opdef.buffers
+      in
+      List.iter
+        (fun (src : Platform.t) ->
+          let k = Idiom.source src.Platform.id op shape in
+          List.iter
+            (fun (p : Platform.t) ->
+              List.iter
+                (fun spec ->
+                  incr applied;
+                  match Xpiler_passes.Pass.apply ~platform:p spec k with
+                  | Ok k' ->
+                    ignore (simplify_agrees k'.Kernel.body);
+                    ignore (simplify_agrees (loosen rng k'.Kernel.body))
+                  | Error _ -> ())
+                (Xpiler_tuning.Actions.enumerate ~buffer_sizes p k))
+            Platform.all;
+          ignore (simplify_agrees (loosen rng k.Kernel.body)))
+        Platform.all)
+    Registry.all;
+  Alcotest.(check bool) "actions applied" true (!applied > 1000)
+
 let () =
   Alcotest.run "ir"
     [ ( "expr",
@@ -240,7 +327,8 @@ let () =
         [ Alcotest.test_case "buffers" `Quick test_stmt_buffers;
           Alcotest.test_case "subst shadowing" `Quick test_stmt_subst_shadowing;
           Alcotest.test_case "rename buffer" `Quick test_rename_buffer;
-          Alcotest.test_case "simplify block" `Quick test_simplify_block
+          Alcotest.test_case "simplify block" `Quick test_simplify_block;
+          Alcotest.test_case "simplify goldens = whole-subtree" `Quick test_simplify_goldens
         ] );
       ( "validate",
         [ Alcotest.test_case "ok kernel" `Quick test_validate_ok;
@@ -255,6 +343,7 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_simplify_preserves_value; prop_simplify_idempotent; prop_subst_removes_var ]
+          [ prop_simplify_preserves_value; prop_simplify_idempotent; prop_subst_removes_var;
+            prop_simplify_shares; prop_simplify_matches_naive ]
       )
     ]

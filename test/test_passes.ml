@@ -116,6 +116,24 @@ let test_recovery_names_are_serial () =
         (String.contains var '.'))
     (Stmt.loop_vars k'.Kernel.body)
 
+(* more axis-named loops than any fixed pool of fresh names: each gets its
+   own serial name, in order, and the result is a value, not an exception *)
+let test_recovery_many_axis_loops () =
+  let open Expr.Infix in
+  let k =
+    Kernel.make ~name:"many" ~params:[ Builder.buffer "c" ] ~launch:[ (Axis.Thread_x, 4) ]
+      (List.init 65 (fun j ->
+           Builder.par_for Axis.Thread_x "threadIdx.x" (int 4)
+             [ Builder.store "c" (v "threadIdx.x" + int Stdlib.(4 * j)) (flt (float_of_int j)) ]))
+  in
+  match Pass.apply ~platform:Platform.cuda Pass.Loop_recovery k with
+  | Error _ -> ()
+  | Ok k' ->
+    Alcotest.(check (list string)) "fresh names in order"
+      (List.init 65 (Printf.sprintf "i%d"))
+      (Stmt.loop_vars k'.Kernel.body);
+    check_equivalent "recovery of 65 loops" k k'
+
 (* ---- loop bind ------------------------------------------------------------- *)
 
 let test_bind_roundtrip () =
@@ -848,7 +866,8 @@ let () =
         [ Alcotest.test_case "vecadd" `Quick test_recovery_vecadd;
           Alcotest.test_case "barrier fission" `Quick test_recovery_barrier;
           Alcotest.test_case "nested sync interchange" `Quick test_recovery_nested_sync;
-          Alcotest.test_case "serial names" `Quick test_recovery_names_are_serial
+          Alcotest.test_case "serial names" `Quick test_recovery_names_are_serial;
+          Alcotest.test_case "65 axis-named loops" `Quick test_recovery_many_axis_loops
         ] );
       ( "bind",
         [ Alcotest.test_case "roundtrip" `Quick test_bind_roundtrip;

@@ -119,15 +119,15 @@ let test_intra_result_correct () =
     v.Intra.kernel
 
 (* ---- bound-based pruning ------------------------------------------------
-   The pruning proof obligation: [Costmodel.throughput_bound] must dominate
-   [Costmodel.throughput] on every kernel, or the branch-and-bound scan in
-   [Intra.tune] could discard the true optimum. Fuzzed over random kernels
-   on every platform, plus every depth-1 tuning action applied to gemm
-   (launch configurations and transformed loop structures the generator
-   does not produce). *)
+   The pruning proof obligation: the bound of [Costmodel.bound_and_throughput]
+   must dominate [Costmodel.throughput] on every kernel, or the
+   branch-and-bound scan in [Intra.tune] could discard the true optimum.
+   Fuzzed over random kernels on every platform, plus every depth-1 tuning
+   action applied to gemm (launch configurations and transformed loop
+   structures the generator does not produce). *)
 
 let admissible p k =
-  Costmodel.throughput_bound p k ~shapes:[] >= Costmodel.throughput p k ~shapes:[]
+  fst (Costmodel.bound_and_throughput p k ~shapes:[]) >= Costmodel.throughput p k ~shapes:[]
 
 let prop_bound_admissible =
   QCheck.Test.make ~name:"throughput_bound dominates throughput" ~count:40
@@ -147,6 +147,56 @@ let test_bound_admissible_on_tuning_states () =
           | Ok k' -> Alcotest.(check bool) "admissible after action" true (admissible p k')
           | Error _ -> ())
         (Actions.enumerate ~buffer_sizes p k))
+    Platform.all
+
+(* The bound comes out of the cost model's own walk; [Naive.throughput_bound]
+   is the separate walk it replaced. They agree bit for bit, and the
+   throughput that comes with the bound is [Costmodel.throughput]'s, also
+   bit for bit, since a measured candidate reuses it. Checked on generated
+   kernels, on every gemm tuning state, and on a store to an undeclared
+   buffer: the one place where the bound's scope rule (off-chip) differs
+   from the features' (on-chip). *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let bound_matches_naive p k =
+  let bound, throughput = Costmodel.bound_and_throughput p k ~shapes:[] in
+  same_bits bound (Test_support.Naive.throughput_bound p k ~shapes:[])
+  && same_bits throughput (Costmodel.throughput p k ~shapes:[])
+
+let prop_bound_matches_naive =
+  QCheck.Test.make ~name:"fused bound = separate bound walk, bit for bit" ~count:100
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let k = Test_support.Kgen.kernel (Xpiler_util.Rng.create seed) in
+      List.for_all (fun p -> bound_matches_naive p k) Platform.all)
+
+let test_bound_matches_naive_on_tuning_states () =
+  let undeclared =
+    Kernel.make ~name:"ghost" ~params:[ Builder.buffer "a" ]
+      [ loop "i" 16
+          [ Stmt.Store
+              { buf = "ghost"; index = Expr.Var "i"; value = Expr.Load ("a", Expr.Var "i") }
+          ]
+      ]
+  in
+  let check p k =
+    Alcotest.(check bool) (k.Kernel.name ^ " bound bits") true (bound_matches_naive p k)
+  in
+  List.iter
+    (fun p ->
+      check p undeclared;
+      List.iter
+        (fun k ->
+          check p k;
+          List.iter
+            (fun spec ->
+              match Xpiler_passes.Pass.apply ~platform:p spec k with
+              | Ok k' -> check p k'
+              | Error _ -> ())
+            (Actions.enumerate ~buffer_sizes p k))
+        (serial ()
+        :: List.map (fun (q : Platform.t) -> Idiom.source q.Platform.id gemm gemm_shape)
+             Platform.all))
     Platform.all
 
 (* Pruning skips only candidates whose bound cannot beat the incumbent, so
@@ -380,6 +430,8 @@ let () =
           Alcotest.test_case "pruning lossless" `Quick test_intra_prune_lossless;
           Alcotest.test_case "bound admissible on tuning states" `Quick
             test_bound_admissible_on_tuning_states;
+          Alcotest.test_case "bound bits on tuning states" `Quick
+            test_bound_matches_naive_on_tuning_states;
           Alcotest.test_case "rejected input tunes to 0" `Quick test_intra_rejected_input;
           Alcotest.test_case "winner replays from its specs" `Quick test_intra_specs_replay
         ] );
@@ -400,6 +452,7 @@ let () =
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_mcts_best_is_valid;
-          QCheck_alcotest.to_alcotest prop_bound_admissible
+          QCheck_alcotest.to_alcotest prop_bound_admissible;
+          QCheck_alcotest.to_alcotest prop_bound_matches_naive
         ] )
     ]
