@@ -1,6 +1,6 @@
 (* Evaluation-engine benchmark: tree-walking reference interpreter vs the
    closure-compiled engine. Writes BENCH_eval.json (schema
-   xpiler-eval-bench/v6) into the current directory.
+   xpiler-eval-bench/v7) into the current directory.
 
    Usage:
      dune exec bench/interp_bench.exe            # full measurement
@@ -8,13 +8,18 @@
 
    The smoke run is attached to `dune runtest` via the @bench-smoke alias:
    it cross-checks that both engines produce identical outputs before
-   timing them, and fails when the serial gemm kernel allocates more than
-   [gemm_words_per_step_limit] minor words per executed statement on the
-   compiled engine (its accumulator loop must stay unboxed), or when the
-   compiled engine is slower than its [speedup_gated] limit times the
-   tree-walker: on gemm and self_attention their innermost loops must stay
-   lowered, and on conv2d_nchw its 3-level window nest must run as one
-   OCaml loop nest. *)
+   timing them, and fails when a kernel of [alloc_gated] allocates more
+   than [words_per_step_limit] words per executed statement on the
+   compiled engine, or when the compiled engine is slower than its
+   [speedup_gated] limit times the tree-walker. The serial gemm's
+   accumulator loop must stay unboxed; the vnni self_attention source must
+   reuse its per-[j] scratch tensors and run its intrinsics without
+   allocating; the tuned depthwise_conv's barrier-free thread chain must
+   run without fibers. On gemm and self_attention their innermost loops must
+   stay lowered, and on conv2d_nchw its 3-level window nest must run as one
+   OCaml loop nest. Words are all the words allocated, minor and major, so
+   a scratch tensor of 256 words or more (which goes straight to the major
+   heap) counts too. *)
 
 open Xpiler_machine
 open Xpiler_ops
@@ -34,9 +39,18 @@ let bench_ops =
 
 (* translated kernels whose body is a store [d[f] = d[f] + e] reduced in a
    float slot: the conv2d_nhwc window and the gemm dot product as the
-   translation leaves them, accumulating into the output *)
+   translation leaves them, accumulating into the output; and the tuned
+   depthwise_conv, whose two-level thread chain (16 x 16 threads per
+   block) reaches no barrier *)
 let translated =
-  [ ("conv2d_nhwc", Platform.Bang, Platform.Cuda); ("gemm", Platform.Cuda, Platform.Vnni) ]
+  [ ("conv2d_nhwc", Platform.Bang, Platform.Cuda, false);
+    ("gemm", Platform.Cuda, Platform.Vnni, false);
+    ("depthwise_conv", Platform.Bang, Platform.Cuda, true)
+  ]
+
+(* golden sources: the vnni self_attention allocates two scratch tensors
+   per [j] and runs two intrinsics on them *)
+let golden = [ ("self_attention", Platform.Vnni) ]
 
 type row = {
   op_name : string;
@@ -44,13 +58,26 @@ type row = {
   tree_eps : float;  (** tree-walker elements/second *)
   compiled_eps : float;
   speedup : float;
-  words_per_step : float;  (** compiled-engine minor words per executed statement *)
+  words_per_step : float;  (** compiled-engine words per executed statement *)
 }
 
-let gemm_words_per_step_limit = 1.0
+let words_per_step_limit = 1.0
+let alloc_gated = [ "gemm"; "self_attention vnni"; "depthwise_conv bang->cuda tuned" ]
 let speedup_gated = [ ("gemm", 20.0); ("self_attention", 20.0); ("conv2d_nchw", 30.0) ]
 
 let elems (s : Interp.stats) = s.stores + s.intrinsic_elems + s.memcpy_elems
+
+(* [run ()] and the words it allocates: its minor words, and its major
+   words that were not promoted from the minor heap. [Gc.minor_words] is
+   exact (the minor count of [Gc.counters] can miss words), and the
+   counters' own result falls outside the minor window. *)
+let with_words run =
+  let _, p0, j0 = Gc.counters () in
+  let m0 = Gc.minor_words () in
+  let r = run () in
+  let m1 = Gc.minor_words () in
+  let _, p1, j1 = Gc.counters () in
+  (r, m1 -. m0 +. (j1 -. p1) -. (j0 -. p0))
 
 let clone_args args =
   List.map
@@ -111,9 +138,8 @@ let bench_kernel name op kernel =
   let tree_eps = rate ~min_time ~elems_per_run (fun () -> Interp.run_tree kernel a_tree) in
   let compiled_eps = rate ~min_time ~elems_per_run (fun () -> Interp.run kernel a_comp) in
   (* one run on the warm compile cache; allocation is deterministic *)
-  let w0 = Gc.minor_words () in
-  let s = Interp.run kernel a_comp in
-  let words_per_step = (Gc.minor_words () -. w0) /. float_of_int s.Interp.steps in
+  let s, words = with_words (fun () -> Interp.run kernel a_comp) in
+  let words_per_step = words /. float_of_int s.Interp.steps in
   let r =
     { op_name = name;
       elems_per_run;
@@ -124,7 +150,7 @@ let bench_kernel name op kernel =
     }
   in
   Printf.printf
-    "%-24s %10d elems/run | tree %12.3e elems/s | compiled %12.3e elems/s | %5.1fx | \
+    "%-32s %10d elems/run | tree %12.3e elems/s | compiled %12.3e elems/s | %5.1fx | \
      %6.2f words/step\n%!"
     r.op_name r.elems_per_run r.tree_eps r.compiled_eps r.speedup r.words_per_step;
   r
@@ -133,13 +159,22 @@ let bench_op name =
   let op = Registry.find_exn name in
   bench_kernel name op (op.Opdef.serial (List.hd op.Opdef.shapes))
 
-let bench_translated (name, src, dst) =
+let bench_golden (name, platform) =
+  let op = Registry.find_exn name in
+  let label = Printf.sprintf "%s %s" name (Platform.id_to_string platform) in
+  bench_kernel label op (Idiom.source platform op (List.hd op.Opdef.shapes))
+
+let bench_translated (name, src, dst, tuned) =
   let op = Registry.find_exn name in
   let shape = List.hd op.Opdef.shapes in
   let label =
-    Printf.sprintf "%s %s->%s" name (Platform.id_to_string src) (Platform.id_to_string dst)
+    Printf.sprintf "%s %s->%s%s" name (Platform.id_to_string src) (Platform.id_to_string dst)
+      (if tuned then " tuned" else "")
   in
-  match (Xpiler_core.Xpiler.transcompile ~src ~dst ~op ~shape ()).Xpiler_core.Xpiler.kernel with
+  let config = if tuned then Xpiler_core.Config.tuned else Xpiler_core.Config.default in
+  match
+    (Xpiler_core.Xpiler.transcompile ~config ~src ~dst ~op ~shape ()).Xpiler_core.Xpiler.kernel
+  with
   | Some k -> bench_kernel label op k
   | None ->
     Printf.eprintf "%s: the translation produced no kernel\n" label;
@@ -148,13 +183,17 @@ let bench_translated (name, src, dst) =
 let () =
   Printf.printf "evaluation-engine benchmark%s\n%!" (if smoke then " (smoke)" else "");
   let rows = List.map bench_op bench_ops in
-  let rows = rows @ List.map bench_translated translated in
-  let gemm = List.find (fun r -> r.op_name = "gemm") rows in
-  if gemm.words_per_step > gemm_words_per_step_limit then begin
-    Printf.eprintf "allocation gate: serial gemm allocates %.2f words/step (limit %.1f)\n"
-      gemm.words_per_step gemm_words_per_step_limit;
-    exit 1
-  end;
+  let golden_rows = List.map bench_golden golden in
+  let rows = rows @ golden_rows @ List.map bench_translated translated in
+  List.iter
+    (fun name ->
+      let r = List.find (fun r -> r.op_name = name) rows in
+      if r.words_per_step > words_per_step_limit then begin
+        Printf.eprintf "allocation gate: %s allocates %.2f words/step (limit %.1f)\n" name
+          r.words_per_step words_per_step_limit;
+        exit 1
+      end)
+    alloc_gated;
   List.iter
     (fun r ->
       match List.assoc_opt r.op_name speedup_gated with
@@ -172,7 +211,7 @@ let () =
   let g = geomean (List.map (fun r -> r.speedup) rows) in
   Printf.printf "geomean speedup: %.1fx\n%!" g;
   let oc = open_out "BENCH_eval.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"xpiler-eval-bench/v6\",\n  \"smoke\": %b,\n" smoke;
+  Printf.fprintf oc "{\n  \"schema\": \"xpiler-eval-bench/v7\",\n  \"smoke\": %b,\n" smoke;
   Printf.fprintf oc "  \"kernels\": [\n";
   List.iteri
     (fun i r ->

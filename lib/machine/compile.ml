@@ -15,7 +15,13 @@ open Xpiler_ir
    every index of every iteration in range. Otherwise the per-element
    closures run, each inner loop trying the same check at its own entry,
    so outputs, error messages, fuel exhaustion and step counts are those of
-   the statement-at-a-time engine. *)
+   the statement-at-a-time engine.
+
+   A run's frame owns its scratch. An [Alloc] zero-fills and keeps the
+   tensor its site made earlier in the same frame, and a thread chain whose
+   body contains no [Sync] runs its threads one after another, in the
+   order the fibers would run, in one private frame instead of as fibers
+   (see [thread_chain]); a chain with a [Sync] runs as fibers. *)
 
 exception Runtime_error of string
 
@@ -158,8 +164,12 @@ let run_fiber_group fibers =
             | _ -> None)
       }
   in
-  (* reverse order within each round deterministically exposes
-     missing-barrier races *)
+  (* Round 1 starts the fibers in thread order; each later round resumes
+     those still suspended in the reverse of the order the round before ran
+     them, so a 4-thread kernel with one barrier runs its threads 0..3, then
+     3..0. Without a barrier a thread runs to completion before the next one
+     starts, so a missing barrier shows, deterministically, as a read of a
+     later thread's element before that thread has written it. *)
   let rec rounds states =
     let pending =
       List.filter_map (function Done -> None | Suspended r -> Some r) states
@@ -170,29 +180,31 @@ let run_fiber_group fibers =
 
 (* ---- intrinsic semantics (shared by both engines) ---------------------- *)
 
+(* an intrinsic's source [n] and parameter [n] (see [intrinsic_run]) *)
+let[@inline] intrinsic_src name srcs n =
+  if n < Array.length srcs then Array.unsafe_get srcs n
+  else err "intrinsic %s: missing source %d" name n
+
+let[@inline] intrinsic_param name ints params n =
+  if n < Array.length params then ints.(params.(n))
+  else err "intrinsic %s: missing parameter %d" name n
+
 (* Operands live in slots the caller owns: source [n] is [srcs.(n) = (b,
    nm, o)], the tensor [bufs.(b)] named [nm] at offset [ints.(o)], and
    parameter [n] is [ints.(params.(n))]. The compiled engine points them
-   into its frame, so an execution builds no operand arrays. [fparam env]
-   evaluates the second parameter as a float. Each elementwise op is its
-   own loop: without flambda a float closure called per element boxes. *)
+   into its frame, so an execution builds no operand arrays, and the
+   operands are read by top-level functions, so it builds no closures
+   either. [fparam env] evaluates the second parameter as a float. Each
+   elementwise op is its own loop: without flambda a float closure called
+   per element boxes. *)
 let intrinsic_run stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~bufs ~ints ~srcs ~params
     ~fparam env =
-  let src n =
-    if n < Array.length srcs then Array.unsafe_get srcs n
-    else err "intrinsic %s: missing source %d" name n
-  in
-  let param n =
-    if n < Array.length params then ints.(params.(n))
-    else err "intrinsic %s: missing parameter %d" name n
-  in
-  let tensor (b, _, _) = bufs.(b) and offset (_, _, o) = ints.(o) in
   match op with
   | Vec_add | Vec_sub | Vec_mul | Vec_max | Vec_min ->
-    let len = param 0 in
-    let ((_, an, _) as a) = src 0 in
-    let ((_, bn, _) as b) = src 1 in
-    let at = tensor a and ao = offset a and bt = tensor b and bo = offset b in
+    let len = intrinsic_param name ints params 0 in
+    let ab, an, ao = intrinsic_src name srcs 0 in
+    let bb, bn, bo = intrinsic_src name srcs 1 in
+    let at = bufs.(ab) and ao = ints.(ao) and bt = bufs.(bb) and bo = ints.(bo) in
     (* the second operand is read first: when both reads are out of
        bounds, the error names the second *)
     (match op with
@@ -229,9 +241,9 @@ let intrinsic_run stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~bufs ~in
     stats.intrinsic_elems <- stats.intrinsic_elems + len
   | Vec_exp | Vec_log | Vec_sqrt | Vec_recip | Vec_tanh | Vec_erf | Vec_relu | Vec_sigmoid
   | Vec_gelu | Vec_sign | Vec_copy ->
-    let len = param 0 in
-    let ((_, an, _) as a) = src 0 in
-    let at = tensor a and ao = offset a in
+    let len = intrinsic_param name ints params 0 in
+    let ab, an, ao = intrinsic_src name srcs 0 in
+    let at = bufs.(ab) and ao = ints.(ao) in
     (match op with
     | Vec_exp ->
       for k = 0 to len - 1 do
@@ -284,34 +296,34 @@ let intrinsic_run stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~bufs ~in
     stats.intrinsic_elems <- stats.intrinsic_elems + len
   | Vec_scale ->
     (* the scalar parameter may be float-valued: re-evaluated via [fparam] *)
-    let len = param 0 in
+    let len = intrinsic_param name ints params 0 in
     let s = fparam env in
-    let ((_, an, _) as a) = src 0 in
-    let at = tensor a and ao = offset a in
+    let ab, an, ao = intrinsic_src name srcs 0 in
+    let at = bufs.(ab) and ao = ints.(ao) in
     for k = 0 to len - 1 do
       buf_set dst_t dname (dst_off + k) (buf_get at an (ao + k) *. s)
     done;
     stats.intrinsic_elems <- stats.intrinsic_elems + len
   | Vec_adds ->
-    let len = param 0 in
+    let len = intrinsic_param name ints params 0 in
     let s = fparam env in
-    let ((_, an, _) as a) = src 0 in
-    let at = tensor a and ao = offset a in
+    let ab, an, ao = intrinsic_src name srcs 0 in
+    let at = bufs.(ab) and ao = ints.(ao) in
     for k = 0 to len - 1 do
       buf_set dst_t dname (dst_off + k) (buf_get at an (ao + k) +. s)
     done;
     stats.intrinsic_elems <- stats.intrinsic_elems + len
   | Vec_fill ->
-    let len = param 0 in
+    let len = intrinsic_param name ints params 0 in
     let s = fparam env in
     for k = 0 to len - 1 do
       buf_set dst_t dname (dst_off + k) s
     done;
     stats.intrinsic_elems <- stats.intrinsic_elems + len
   | Vec_reduce_sum ->
-    let len = param 0 in
-    let ((_, an, _) as a) = src 0 in
-    let at = tensor a and ao = offset a in
+    let len = intrinsic_param name ints params 0 in
+    let ab, an, ao = intrinsic_src name srcs 0 in
+    let at = bufs.(ab) and ao = ints.(ao) in
     let acc = ref 0.0 in
     for k = 0 to len - 1 do
       acc := !acc +. buf_get at an (ao + k)
@@ -319,10 +331,10 @@ let intrinsic_run stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~bufs ~in
     buf_set dst_t dname dst_off !acc;
     stats.intrinsic_elems <- stats.intrinsic_elems + len
   | Vec_reduce_max ->
-    let len = param 0 in
+    let len = intrinsic_param name ints params 0 in
     if len <= 0 then err "vec_reduce_max: empty input";
-    let ((_, an, _) as a) = src 0 in
-    let at = tensor a and ao = offset a in
+    let ab, an, ao = intrinsic_src name srcs 0 in
+    let at = bufs.(ab) and ao = ints.(ao) in
     let acc = ref (buf_get at an ao) in
     for k = 1 to len - 1 do
       acc := Float.max !acc (buf_get at an (ao + k))
@@ -330,10 +342,12 @@ let intrinsic_run stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~bufs ~in
     buf_set dst_t dname dst_off !acc;
     stats.intrinsic_elems <- stats.intrinsic_elems + len
   | Mma | Mlp ->
-    let m = param 0 and k = param 1 and n = param 2 in
-    let ((_, an, _) as a) = src 0 in
-    let ((_, bn, _) as b) = src 1 in
-    let at = tensor a and ao = offset a and bt = tensor b and bo = offset b in
+    let m = intrinsic_param name ints params 0
+    and k = intrinsic_param name ints params 1
+    and n = intrinsic_param name ints params 2 in
+    let ab, an, ao = intrinsic_src name srcs 0 in
+    let bb, bn, bo = intrinsic_src name srcs 1 in
+    let at = bufs.(ab) and ao = ints.(ao) and bt = bufs.(bb) and bo = ints.(bo) in
     for r = 0 to m - 1 do
       for c = 0 to n - 1 do
         let acc = ref (buf_get dst_t dname (dst_off + (r * n) + c)) in
@@ -346,12 +360,17 @@ let intrinsic_run stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~bufs ~in
     done;
     stats.intrinsic_elems <- stats.intrinsic_elems + (m * n * k)
   | Conv2d ->
-    let co = param 0 and ci = param 1 and kh = param 2 and kw = param 3 in
-    let ho = param 4 and wo = param 5 and stride = param 6 in
+    let co = intrinsic_param name ints params 0
+    and ci = intrinsic_param name ints params 1
+    and kh = intrinsic_param name ints params 2
+    and kw = intrinsic_param name ints params 3 in
+    let ho = intrinsic_param name ints params 4
+    and wo = intrinsic_param name ints params 5
+    and stride = intrinsic_param name ints params 6 in
     let wi = ((wo - 1) * stride) + kw in
-    let ((_, iname, _) as i) = src 0 in
-    let ((_, wname, _) as w) = src 1 in
-    let it = tensor i and io = offset i and wt = tensor w and wo_ = offset w in
+    let ib, iname, io = intrinsic_src name srcs 0 in
+    let wb, wname, wo_ = intrinsic_src name srcs 1 in
+    let it = bufs.(ib) and io = ints.(io) and wt = bufs.(wb) and wo_ = ints.(wo_) in
     for oh = 0 to ho - 1 do
       for ow = 0 to wo - 1 do
         for oc = 0 to co - 1 do
@@ -374,11 +393,11 @@ let intrinsic_run stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~bufs ~in
     done;
     stats.intrinsic_elems <- stats.intrinsic_elems + (ho * wo * co * kh * kw * ci)
   | Dp4a ->
-    let len = param 0 in
+    let len = intrinsic_param name ints params 0 in
     if len mod 4 <> 0 then err "dp4a: length %d not a multiple of 4" len;
-    let ((_, an, _) as a) = src 0 in
-    let ((_, bn, _) as b) = src 1 in
-    let at = tensor a and ao = offset a and bt = tensor b and bo = offset b in
+    let ab, an, ao = intrinsic_src name srcs 0 in
+    let bb, bn, bo = intrinsic_src name srcs 1 in
+    let at = bufs.(ab) and ao = ints.(ao) and bt = bufs.(bb) and bo = ints.(bo) in
     for g = 0 to (len / 4) - 1 do
       let acc = ref (buf_get dst_t dname (dst_off + g)) in
       for j = 0 to 3 do
@@ -411,13 +430,27 @@ type receipt = { stats : stats; error : string option }
 (* [ints] holds the variables proven always-integer (loop counters, int lets)
    and [floats] those proven always-float (accumulators): writing an unboxed
    array slot allocates nothing and skips the generational write barrier
-   that boxed [value array] writes pay on every loop iteration *)
+   that boxed [value array] writes pay on every loop iteration. [threads] is
+   the private frame the barrier-free thread chains run in this frame use,
+   made at the first of them ([no_frame] until then). *)
 type frame = {
   scalars : value array;
   ints : int array;
   floats : float array;
   bufs : Tensor.t array;
+  mutable threads : frame;
 }
+
+let rec no_frame = { scalars = [||]; ints = [||]; floats = [||]; bufs = [||]; threads = no_frame }
+
+(* a frame with [fr]'s slots and no thread frame: a fiber's *)
+let copy_frame fr =
+  { scalars = Array.copy fr.scalars;
+    ints = Array.copy fr.ints;
+    floats = Array.copy fr.floats;
+    bufs = Array.copy fr.bufs;
+    threads = no_frame
+  }
 
 type slot = Scalar_slot of int | Buffer_slot of int
 
@@ -455,6 +488,130 @@ type cenv = {
 }
 
 let dummy_tensor = Tensor.create 0
+
+(* ---- thread chains ----------------------------------------------------- *)
+
+(* A chain of immediately nested thread-parallel loops, outermost first:
+   each level's variable, its slot and its compiled bounds *)
+type level = string * sref * (frame -> int) * (frame -> int)
+
+let set_chain_var fr r x =
+  match r with
+  | Unboxed s -> Array.unsafe_set fr.ints s x
+  | Boxed s -> fr.scalars.(s) <- I x
+  | Fslot _ -> assert false (* loop variables are never float slots *)
+
+(* A chain whose body may reach a barrier: every thread a fiber with its
+   own copy of the frame, all spawned (every level's bounds evaluated, in
+   thread order) before any runs *)
+let fiber_chain (levels : level list) cbody ctx fr =
+  let rec spawn fr = function
+    | [] -> [ (fun () -> cbody ctx fr) ]
+    | (v, r, clo, cext) :: rest ->
+      let lo_v = clo fr in
+      let ext_v = cext fr in
+      if ext_v < 0 then err "negative loop extent in %s" v;
+      List.concat
+        (List.init ext_v (fun i ->
+             let fr' = copy_frame fr in
+             set_chain_var fr' r (lo_v + i);
+             spawn fr' rest))
+  in
+  run_fiber_group (spawn fr levels)
+
+(* the distinct slots [f] picks from [l] *)
+let slots f l = Array.of_list (List.sort_uniq compare (List.filter_map f l))
+
+(* [dst.(s) <- src.(s)] for every slot [s] of [slots]; a float array
+   needs its own copy, as a polymorphic read of one boxes *)
+let copy_slots (src : 'a array) (dst : 'a array) slots =
+  for j = 0 to Array.length slots - 1 do
+    let s = Array.unsafe_get slots j in
+    Array.unsafe_set dst s (Array.unsafe_get src s)
+  done
+
+let copy_float_slots (src : float array) (dst : float array) slots =
+  for j = 0 to Array.length slots - 1 do
+    let s = Array.unsafe_get slots j in
+    Array.unsafe_set dst s (Array.unsafe_get src s)
+  done
+
+(* the frame [fr]'s barrier-free chains run their threads in *)
+let thread_frame fr =
+  if fr.threads != no_frame then fr.threads
+  else begin
+    let t = copy_frame fr in
+    fr.threads <- t;
+    t
+  end
+
+(* A chain whose body reaches no barrier ([innermost], compiled to [cbody]
+   in [env], which extends the chain's scope [cenv] with the chain
+   variables): no fiber ever suspends, so each runs to completion in turn,
+   in thread order, the order [run_fiber_group] runs them in. So the
+   threads run one after another in [fr]'s thread frame. Before any thread
+   runs, every level's bounds are evaluated in that order, so the spawner's
+   errors are raised before any body runs; the bounds of the inner levels
+   read no tensor (a body may store to it), so evaluating them again as the
+   threads run gives the same values. Each thread starts from the frame the
+   spawner would copy for it: every slot the body can see is copied from
+   [fr] when the chain starts, and before each thread the slots a thread
+   can change, the chain variables and the variables of [cenv] the body
+   assigns, again. The body's own slots are written before they are read,
+   and the tensors its [Alloc]s made for the thread before are reused:
+   nothing outside the thread reads them. *)
+let thread_chain cenv env innermost (levels : level list) cbody =
+  let levels = Array.of_list levels in
+  let depth = Array.length levels in
+  let boxed = function Boxed s -> Some s | _ -> None
+  and unboxed = function Unboxed s -> Some s | _ -> None
+  and fslot = function Fslot s -> Some s | _ -> None in
+  let seen = List.map snd env.svars in
+  let see_scalars = slots boxed seen
+  and see_ints = slots unboxed seen
+  and see_floats = slots fslot seen
+  and see_bufs = slots (fun (_, s) -> Some s) env.bvars in
+  let assigned =
+    Stmt.fold
+      (fun acc s -> match s with Stmt.Assign { var; _ } -> var :: acc | _ -> acc)
+      [] innermost
+  in
+  let changed =
+    List.map (fun (_, r, _, _) -> r) (Array.to_list levels)
+    @ List.filter_map (fun x -> List.assoc_opt x cenv.svars) assigned
+  in
+  let own_scalars = slots boxed changed
+  and own_ints = slots unboxed changed
+  and own_floats = slots fslot changed in
+  (* every level's bounds in the spawner's order and, given a thread frame
+     [t], every thread's body in it *)
+  let rec walk ctx fr t l =
+    let v, r, clo, cext = Array.unsafe_get levels l in
+    let lo = clo fr in
+    let ext = cext fr in
+    if ext < 0 then err "negative loop extent in %s" v;
+    if l + 1 < depth then
+      for i = 0 to ext - 1 do
+        set_chain_var fr r (lo + i);
+        walk ctx fr t (l + 1)
+      done
+    else if t != no_frame then
+      for i = 0 to ext - 1 do
+        set_chain_var fr r (lo + i);
+        copy_slots fr.scalars t.scalars own_scalars;
+        copy_slots fr.ints t.ints own_ints;
+        copy_float_slots fr.floats t.floats own_floats;
+        cbody ctx t
+      done
+  in
+  fun ctx fr ->
+    if depth > 1 then walk ctx fr no_frame 0;
+    let t = thread_frame fr in
+    copy_slots fr.scalars t.scalars see_scalars;
+    copy_slots fr.ints t.ints see_ints;
+    copy_float_slots fr.floats t.floats see_floats;
+    copy_slots fr.bufs t.bufs see_bufs;
+    walk ctx fr t 0
 
 (* ---- lowered nests ----------------------------------------------------- *)
 
@@ -1702,9 +1859,18 @@ let compile (k : Kernel.t) : t =
           ctx.stats.stores <- ctx.stats.stores + 1;
           match ctx.trace with Some f -> f buf i v | None -> () )
     | Stmt.Alloc { buf; dtype; size; _ } ->
+      (* the slot holds [dummy_tensor] or the tensor this site made earlier
+         in the same frame: only this frame and the frames copied from it
+         while the site's scope ran (fibers, its thread frame) could reach
+         that tensor, and they are done with it. A site inside a thread
+         chain never runs in the frame the chain copies, so a fiber's copy
+         of the slot is [dummy_tensor]. *)
       let s = fresh_buf () in
       ( { cenv with bvars = (buf, s) :: cenv.bvars },
-        fun _ fr -> fr.bufs.(s) <- Tensor.create ~dtype size )
+        fun _ fr ->
+          let t = Array.unsafe_get fr.bufs s in
+          if t == dummy_tensor then fr.bufs.(s) <- Tensor.create ~dtype size
+          else Array.fill t.Tensor.data 0 size 0.0 )
     | Stmt.If { cond; then_; else_ } ->
       let cc = comp cenv cond in
       let ct = comp_block cenv then_ in
@@ -1818,33 +1984,16 @@ let compile (k : Kernel.t) : t =
       in
       let cloops = List.rev rev_loops in
       let cbody = comp_block env innermost in
-      ( cenv,
-        fun ctx fr ->
-          let rec spawn fr = function
-            | [] -> [ (fun () -> cbody ctx fr) ]
-            | (v, r, clo, cext) :: rest ->
-              let lo_v = clo fr in
-              let ext_v = cext fr in
-              if ext_v < 0 then err "negative loop extent in %s" v;
-              List.concat
-                (List.init ext_v (fun i ->
-                     (* per-fiber frame: private scalars and buffer bindings,
-                        shared tensors (allocs before the chain are shared;
-                        allocs inside rebind the fiber's own slot copy) *)
-                     let fr' =
-                       { scalars = Array.copy fr.scalars;
-                         ints = Array.copy fr.ints;
-                         floats = Array.copy fr.floats;
-                         bufs = Array.copy fr.bufs
-                       }
-                     in
-                     (match r with
-                     | Unboxed s -> fr'.ints.(s) <- lo_v + i
-                     | Boxed s -> fr'.scalars.(s) <- I (lo_v + i)
-                     | Fslot _ -> assert false (* loop variables are never float slots *));
-                     spawn fr' rest))
-          in
-          run_fiber_group (spawn fr cloops) )
+      let contains_sync =
+        Stmt.fold (fun found s -> match s with Stmt.Sync -> true | _ -> found) false innermost
+      in
+      let inner_loads =
+        List.exists
+          (fun (_, lo_e, ext_e) -> Expr.buffers_read lo_e <> [] || Expr.buffers_read ext_e <> [])
+          (List.tl loops)
+      in
+      if contains_sync || inner_loads then (cenv, fiber_chain cloops cbody)
+      else (cenv, thread_chain cenv env innermost cloops cbody)
     | Stmt.For { var; lo; extent; body; _ } ->
       let clo = comp_int cenv lo in
       let cext = comp_int cenv extent in
@@ -1918,10 +2067,11 @@ let compile (k : Kernel.t) : t =
   }
 
 let bind_args c args =
-  let scalars = Array.make (max c.nscalars 1) (I 0) in
-  let ints = Array.make (max c.nints 1) 0 in
-  let floats = Array.make (max c.nfloats 1) 0.0 in
-  let bufs = Array.make (max c.nbufs 1) dummy_tensor in
+  (* a kind with no slot allocates nothing: [Array.make 0] is [[||]] *)
+  let scalars = Array.make c.nscalars (I 0) in
+  let ints = Array.make c.nints 0 in
+  let floats = Array.make c.nfloats 0.0 in
+  let bufs = Array.make c.nbufs dummy_tensor in
   List.iter
     (fun ((p : Kernel.param), slot) ->
       match List.assoc_opt p.name args with
@@ -1939,18 +2089,23 @@ let bind_args c args =
         | Scalar_slot s -> scalars.(s) <- F f
         | Buffer_slot _ -> err "parameter %s is a buffer but got a scalar" p.name))
     c.param_binds;
-  { scalars; ints; floats; bufs }
+  { scalars; ints; floats; bufs; threads = no_frame }
 
-let run_receipt ?(fuel = 200_000_000) ?trace c args =
+let default_fuel = 200_000_000
+
+let run_receipt ?(fuel = default_fuel) ?trace c args =
   let stats = fresh_stats () in
   let ctx = { stats; fuel; trace } in
   let frame = bind_args c args in
   let error = match c.code ctx frame with () -> None | exception Runtime_error m -> Some m in
   { stats; error }
 
-let run ?fuel ?trace c args =
-  let r = run_receipt ?fuel ?trace c args in
-  match r.error with Some m -> raise (Runtime_error m) | None -> r.stats
+(* [run_receipt] without the receipt: a runtime error propagates *)
+let run ?(fuel = default_fuel) ?trace c args =
+  let stats = fresh_stats () in
+  let frame = bind_args c args in
+  c.code { stats; fuel; trace } frame;
+  stats
 
 (* ---- bounded compile memo ---------------------------------------------- *)
 

@@ -18,6 +18,13 @@
     touches [d]'s tensor. Either way the run has the same outputs,
     statistics and errors.
 
+    A run's frame owns its scratch: an [Alloc] executed again zero-fills and
+    keeps the tensor it made before in the same frame, and a thread chain
+    whose body contains no [Sync] runs its threads one after another, in
+    thread order (the order its fibers would run), in a private frame
+    instead of as fibers. Its spawn-time errors are still raised before any
+    thread body runs.
+
     This module also owns the runtime pieces both engines share (value and
     statistics types, scalar operators, intrinsic semantics, the barrier
     effect and the fiber scheduler), so the engines cannot drift apart. *)
@@ -62,8 +69,10 @@ val unop : Expr.unop -> value -> value
 type _ Effect.t += Barrier : unit Effect.t
 
 val run_fiber_group : (unit -> unit) list -> unit
-(** Runs SIMT fibers round-robin between barriers, reversing order each
-    round to deterministically expose missing-barrier races. *)
+(** Runs SIMT fibers round-robin between barriers: round 1 in thread order,
+    each later round in the reverse of the round before. A missing barrier
+    shows deterministically as a read of a later thread's element before
+    that thread has written it. *)
 
 val intrinsic_exec :
   stats ->

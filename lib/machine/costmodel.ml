@@ -85,13 +85,17 @@ let walk_kernel (k : Kernel.t) ~shapes =
       | _ -> ())
     k.Kernel.body;
   let scope_of b = Hashtbl.find_opt buf_info b in
-  (* integer environment for trip counts *)
-  let env = Hashtbl.create 16 in
-  List.iter (fun (n, v) -> Hashtbl.replace env n v) shapes;
-  let eval_opt e =
-    try Some (Expr.eval_int (fun x -> Hashtbl.find env x) e) with _ -> None
+  (* integer environment for trip counts: the tuner passes no shapes, so
+     it builds no table *)
+  let lookup =
+    match shapes with
+    | [] -> fun _ -> raise Not_found
+    | _ ->
+      let env = Hashtbl.create 16 in
+      List.iter (fun (n, v) -> Hashtbl.replace env n v) shapes;
+      Hashtbl.find env
   in
-  let extent_of e = match eval_opt e with Some n -> max n 0 | None -> 8 in
+  let extent_of e = match Expr.eval_int lookup e with n -> max n 0 | exception _ -> 8 in
   let byte_size b = match scope_of b with Some (_, dt) -> float_of_int (Dtype.size_in_bytes dt) | None -> 4.0 in
   let charge_loads trips e =
     let off, on = load_bytes scope_of e in

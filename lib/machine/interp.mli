@@ -5,9 +5,13 @@ open Xpiler_ir
     (threadIdx.* / coreId parallel loops) run as cooperating fibers built on
     OCaml effect handlers: all fibers of a group advance to the next [Sync]
     barrier before any continues, so cooperative shared-memory tiling
-    executes exactly as on hardware. Within a round, fibers run in *reverse*
-    thread order, which deterministically exposes missing-barrier races as
-    stale reads instead of letting in-order execution hide them.
+    executes exactly as on hardware. Round 1 runs the fibers in thread
+    order and each later round in the reverse of the round before, so a
+    4-thread kernel with one barrier runs threads 0..3, then 3..0. Without
+    a barrier each thread runs to completion before the next one starts, so
+    a missing barrier shows deterministically as a stale read of a later
+    thread's element. A chain whose body contains no [Sync] runs its
+    threads in the same order without fibers (see {!Compile}).
 
     Block-level axes (blockIdx.*, taskId, clusterId) carry no barrier on real
     hardware and run as ordinary sequential loops.
@@ -21,7 +25,9 @@ open Xpiler_ir
     kernel's structural hash) and then executed without walking the statement
     tree. A perfect affine nest ending in a single float store or
     float-slot update runs as one range-checked OCaml loop nest, unless a
-    [trace] hook is given or its entry check fails. {!run_tree} keeps the
+    [trace] hook is given or its entry check fails. An [Alloc] executed
+    again zero-fills the tensor it made before, and a thread chain without
+    a [Sync] runs without fibers. {!run_tree} keeps the
     direct tree-walker; the differential property in [test/test_fuzz.ml]
     holds both engines to identical outputs, stats and error messages, with
     and without a trace hook. *)

@@ -351,6 +351,83 @@ let nest_kernel rng =
     (if Rng.bernoulli rng 0.25 then [ Builder.par_for Axis.Thread_x "tx" (Expr.Int 2) body ]
      else body)
 
+(* Scratch tensors and barrier-free thread chains, the shapes the compiled
+   engine runs out of its frames' own scratch. An [Alloc] inside a serial
+   loop, whose tensor each iteration reads before writing it (it must read
+   zeros, not the iteration before's values), and an [Alloc] per thread,
+   which each thread likewise reads first. They run in the kernel's frame
+   or inside a chain of 1 to 3 thread-parallel levels with no barrier,
+   whose inner bounds read the outer chain variables: an extent [c - v]
+   goes negative after positive ones, and an extent read from [b[0]], which
+   a thread may store to, must be the value before any thread ran. The
+   body assigns a scalar of the enclosing scope ([x], a float slot or
+   boxed), which each thread must see as the chain found it, and which is
+   stored after the chain too. *)
+let scratch_kernel rng =
+  let depth = Rng.int rng 4 in
+  let names = [| "tx"; "ty"; "tz" |] and axes = Axis.[| Thread_x; Thread_y; Thread_z |] in
+  let size = 2 + Rng.int rng 4 and iters = 1 + Rng.int rng 3 in
+  let sdtype () = if Rng.bernoulli rng 0.2 then Dtype.I32 else Dtype.F32 in
+  let int = Expr.Infix.int and flt = Expr.Infix.flt and v = Expr.Infix.v in
+  let load = Expr.Infix.load and ( +: ) = Expr.Infix.( + ) and ( *: ) = Expr.Infix.( * ) in
+  (* a thread's number: its chain variables in base 8 *)
+  let thread =
+    List.fold_left (fun acc l -> (acc *: int 8) +: v names.(l)) (int 0) (List.init depth Fun.id)
+  in
+  let slot e = Expr.Binop (Expr.Mod, e, int size) in
+  let at e = Expr.Binop (Expr.Mod, e, int Kgen.buf_size) in
+  let x_value = Rng.choose rng [ flt 0.5; load "a" (int 1); int 1 ] in
+  let loop_body =
+    [ Builder.alloc ~dtype:(sdtype ()) "s" Scope.Local size;
+      (* zeros, whatever the iteration before stored *)
+      Builder.store "out" (at ((thread *: int 3) +: v "i")) (load "s" (slot (v "i")));
+      Builder.store "s" (slot (v "i")) (load "a" (at ((thread *: int 2) +: v "i")) +: v "x")
+    ]
+    @ (if Rng.bool rng then
+         [ Builder.intrin Intrin.Vec_add ~dst:("s", int 0) ~srcs:[ ("s", int 0); ("b", v "i") ]
+             [ int size ]
+         ]
+       else [])
+    @ [ Builder.assign "x" (v "x" +: (load "s" (slot (v "i" +: int 1)) *: flt 0.5)) ]
+  in
+  let per_thread =
+    if depth > 0 && Rng.bool rng then
+      [ Builder.alloc ~dtype:(sdtype ()) "u" Scope.Local size;
+        Builder.store "out" (at (thread +: int 200)) (load "u" (slot thread));
+        Builder.store "u" (slot (thread +: int 1)) (v "x")
+      ]
+    else []
+  in
+  let body =
+    per_thread
+    @ [ Builder.for_ "i" (int iters) loop_body;
+        Builder.store "out" (at (thread +: int 100)) (v "x")
+      ]
+    @ if depth > 0 && Rng.bernoulli rng 0.3 then [ Builder.store "b" (int 0) (flt 1.0) ] else []
+  in
+  let rec chain l =
+    if l = depth then body
+    else begin
+      let outer = if l > 0 then v names.(l - 1) else int 0 in
+      let lo = if l > 0 && Rng.bool rng then outer else int (Rng.int rng 2) in
+      let extent =
+        if l = 0 then int (Rng.int rng 4)
+        else
+          match Rng.int rng 4 with
+          | 0 -> int (1 + Rng.int rng 3)
+          | 1 -> outer +: int 1
+          | 2 -> Expr.Binop (Expr.Sub, int (Rng.int rng 3), outer)
+          | _ -> Expr.Cast (Dtype.I32, load "b" (int 0)) +: int 2
+      in
+      [ Stmt.For
+          { var = names.(l); lo; extent; kind = Stmt.Parallel axes.(l); body = chain (l + 1) }
+      ]
+    end
+  in
+  Kernel.make ~name:"scratch"
+    ~params:[ Builder.buffer "a"; Builder.buffer "b"; Builder.buffer "out" ]
+    ((Builder.let_ "x" x_value :: chain 0) @ [ Builder.store "out" (int 255) (v "x") ])
+
 (* both engines, traced and untraced, on fresh copies of [args] *)
 let engines_agree ~fuel k args =
   List.for_all
@@ -415,7 +492,15 @@ let prop_engines_agree =
       let k = nest_kernel ng in
       let args = Tcommon.make_args (Rng.create (seed + 9)) ~buf_size k [] in
       engines_agree ~fuel:200_000_000 k args
-      && engines_agree ~fuel:(1 + Rng.int ng 150) k args)
+      && engines_agree ~fuel:(1 + Rng.int ng 150) k args
+      &&
+      (* scratch tensors and barrier-free thread chains, run to completion
+         and with fuel that runs out part-way *)
+      let sg = Rng.create ((seed * 17) + 7) in
+      let k = scratch_kernel sg in
+      let args = Tcommon.make_args (Rng.create (seed + 11)) ~buf_size k [] in
+      engines_agree ~fuel:200_000_000 k args
+      && engines_agree ~fuel:(1 + Rng.int sg 120) k args)
 
 (* handcrafted dynamic errors: both engines must raise Runtime_error with the
    exact same message *)

@@ -79,6 +79,58 @@ let test_sync_semantics () =
   Alcotest.(check bool) "with barrier: correct" true (run_reverse ~with_sync:true);
   Alcotest.(check bool) "without barrier: race exposed" false (run_reverse ~with_sync:false)
 
+(* The fiber schedule, pinned: round 1 runs the threads in thread order,
+   each later round in the reverse of the round before, and a chain with no
+   barrier runs each thread to completion in thread order (the compiled
+   engine runs it without fibers). Each thread stores [out[t]] twice, with
+   or without a barrier between the stores; a two-level chain runs its
+   threads in lexicographic order. *)
+let store_order ~levels ~with_sync =
+  let open Expr.Infix in
+  let t, chain =
+    match levels with
+    | 1 -> (v "tx", fun body -> [ Builder.par_for Axis.Thread_x "tx" (int 4) body ])
+    | _ ->
+      ( (v "tx" * int 2) + v "ty",
+        fun body ->
+          [ Builder.par_for Axis.Thread_x "tx" (int 2)
+              [ Builder.par_for Axis.Thread_y "ty" (int 2) body ]
+          ] )
+  in
+  let k =
+    Kernel.make ~name:"order" ~params:[ Builder.buffer "out" ]
+      (chain
+         ((Builder.store "out" t (flt 1.0) :: (if with_sync then [ Builder.sync ] else []))
+         @ [ Builder.store "out" t (flt 2.0) ]))
+  in
+  List.map
+    (fun run ->
+      let stores = ref [] in
+      ignore
+        (run ~trace:(fun _ i _ -> stores := i :: !stores) k
+           [ ("out", Interp.Buf (Tensor.create 4)) ]
+          : Interp.stats);
+      List.rev !stores)
+    [ (fun ~trace k a -> Interp.run ~trace k a); (fun ~trace k a -> Interp.run_tree ~trace k a) ]
+
+let test_fiber_order () =
+  List.iter
+    (fun (levels, with_sync, expected) ->
+      List.iter2
+        (fun engine stores ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%d-level chain, %s, %s" levels
+               (if with_sync then "one barrier" else "no barrier")
+               engine)
+            expected stores)
+        [ "compiled"; "tree" ]
+        (store_order ~levels ~with_sync))
+    [ (1, true, [ 0; 1; 2; 3; 3; 2; 1; 0 ]);
+      (1, false, [ 0; 0; 1; 1; 2; 2; 3; 3 ]);
+      (2, true, [ 0; 1; 2; 3; 3; 2; 1; 0 ]);
+      (2, false, [ 0; 0; 1; 1; 2; 2; 3; 3 ])
+    ]
+
 (* cooperative tiled GEMM with barriers inside a serial K-tile loop *)
 let tiled_gemm =
   let m, n, k = gemm_shapes in
@@ -545,6 +597,7 @@ let () =
     [ ( "interp",
         [ Alcotest.test_case "vecadd" `Quick test_vecadd;
           Alcotest.test_case "sync semantics" `Quick test_sync_semantics;
+          Alcotest.test_case "fiber order" `Quick test_fiber_order;
           Alcotest.test_case "tiled gemm" `Quick test_tiled_gemm;
           Alcotest.test_case "mlp intrinsic" `Quick test_intrinsic_mlp;
           Alcotest.test_case "dp4a intrinsic" `Quick test_intrinsic_dp4a;
