@@ -8,13 +8,13 @@ open Xpiler_ir
 
    The unit of work is the statement, except in a perfect affine nest: a
    loop whose body is a chain of single loops ending in one float store or
-   one float-slot update, over indices linear in the counters, is also
-   compiled to nested OCaml [for] loops (see [lower_nest]). The nest runs
-   so only when a check at its entry proves that no iteration can fail: no
-   store trace hook, enough fuel for every statement, float tensors, and
-   every index of every iteration in range. Otherwise the per-element
-   closures run, each inner loop trying the same check at its own entry,
-   so outputs, error messages, fuel exhaustion and step counts are those of
+   one MAC or fold update of a float slot, over indices linear in the
+   counters, is also compiled to nested OCaml [for] loops (see
+   [lower_nest]). The nest runs so only when a check at its head's entry
+   proves that no iteration can fail: no store trace hook, enough fuel for
+   every statement, float tensors, and every index of every iteration in
+   range. Otherwise the whole nest runs as per-element closures, so
+   outputs, error messages, fuel exhaustion and step counts are those of
    the statement-at-a-time engine.
 
    A run's frame owns its scratch. An [Alloc] zero-fills and keeps the
@@ -472,19 +472,13 @@ type t = {
    which licenses the unboxed float path. *)
 type sref = Boxed of int | Fslot of int | Unboxed of int
 
-(* The fast path of a lowered nest, entered at one of its levels: given
-   that level's [lo] and extent, it runs the level and those below it and
-   returns [true], or returns [false] having changed nothing the
-   per-element loops read before they write it (see [ready]) *)
-type fast = ctx -> frame -> int -> int -> bool
-
 (* [loops] gives each inner level of a nest, keyed by the physical [For]
-   statement, its counter slot and the nest's fast path entered at that
-   level (see [lower_nest]) *)
+   statement, the counter slot the nest's indices read (see
+   [lower_nest]) *)
 type cenv = {
   svars : (string * sref) list;
   bvars : (string * int) list;
-  loops : (Stmt.t * (int * fast option)) list;
+  loops : (Stmt.t * int) list;
 }
 
 let dummy_tensor = Tensor.create 0
@@ -650,14 +644,11 @@ type access = {
 
 (* A lowered float expression in postfix order, evaluated on a stack of
    float slots: loads, literals and loop-invariant float slots are pushed;
-   the operators replace their operands with the result. [Push_op2] pushes
-   [op] applied to two loads, the shape of most lowered stores
-   ([t[p] = a[p] * b[p]], [x[0] = x[0] + y[p]]), in one dispatch. *)
+   the operators replace their operands with the result. *)
 type fop =
   | Push_const of float
   | Push_slot of int
   | Push_load of access
-  | Push_op2 of Expr.binop * access * access
   | Apply2 of Expr.binop
   | Apply1 of Expr.unop
 
@@ -695,31 +686,30 @@ let[@inline] binop_float (op : Expr.binop) x y =
    cannot overflow *)
 let small = 0x4000_0000
 
-(* The start and the extent of level [l] of a nest entered at level [l0]
+(* The start and the extent of level [l] of a nest whose head loop runs
    over [lo0, lo0 + ext0) *)
-let[@inline] level_lo fr nx l0 lo0 l = if l = l0 then lo0 else lin_eval fr.ints nx.los.(l)
-let[@inline] level_ext fr nx l0 ext0 l = if l = l0 then ext0 else lin_eval fr.ints nx.exts.(l)
+let[@inline] level_lo fr nx lo0 l = if l = 0 then lo0 else lin_eval fr.ints nx.los.(l)
+let[@inline] level_ext fr nx ext0 l = if l = 0 then ext0 else lin_eval fr.ints nx.exts.(l)
 
 (* access [a]'s index at the iteration the counter slots hold *)
 let[@inline] index_now ints (a : access) = lin_eval ints a.form
 
-(* Access [a] of a nest entered at level [l0] over [lo0, lo0 + ext0), with
-   the counters at the first iteration, reads a float tensor, and every
-   element [base + sum_l stride_l * i_l] with [0 <= i_l < ext_l] for the
-   levels [l0] and below lies in it; [base], its index at the first
-   iteration, goes to its [base] slot. An affine index takes its extremes at
-   the box's corners, so [lo] and [hi] add up the negative and the positive
-   steps. Each sum is checked as it grows, so while the check holds nothing
-   overflows. *)
-let access_ok fr nx l0 ext0 (a : access) =
+(* Access [a] of a nest whose head runs [ext0] iterations, with the
+   counters at the first iteration, reads a float tensor, and every element
+   [base + sum_l stride_l * i_l] with [0 <= i_l < ext_l] lies in it;
+   [base], its index at the first iteration, goes to its [base] slot. An
+   affine index takes its extremes at the box's corners, so [lo] and [hi]
+   add up the negative and the positive steps. Each sum is checked as it
+   grows, so while the check holds nothing overflows. *)
+let access_ok fr nx ext0 (a : access) =
   let t = Array.unsafe_get fr.bufs a.slot in
   Dtype.is_float t.Tensor.dtype
   && begin
     let base = index_now fr.ints a and len = Array.length t.Tensor.data in
     Array.unsafe_set fr.ints a.base base;
     let lo = ref base and hi = ref base and ok = ref (base >= 0 && base < len) in
-    for l = l0 to Array.length nx.counters - 1 do
-      let s = Array.unsafe_get a.strides l and e1 = level_ext fr nx l0 ext0 l - 1 in
+    for l = 0 to Array.length nx.counters - 1 do
+      let s = Array.unsafe_get a.strides l and e1 = level_ext fr nx ext0 l - 1 in
       if s > 0 then (if s < small then hi := !hi + (s * e1) else ok := false)
       else if s < 0 then if s > -small then lo := !lo + (s * e1) else ok := false;
       if !hi >= len || !lo < 0 then ok := false
@@ -727,26 +717,24 @@ let access_ok fr nx l0 ext0 (a : access) =
     !ok
   end
 
-(* The entry check of a lowered nest entered at level [l0], whose loop
-   runs over [lo0, lo0 + ext0) while the counters of the levels above hold
-   their current iterations: no store trace hook, every level's extent at
-   least 1 with its last counter value representable, every statement the
-   per-element engine would run within the fuel, and every access
-   [access_ok]. Returns the number of those statements, or -1 when a check
-   fails. Level [l] runs [ext_l * (1 + t)] statements, where [t] is the
-   count of the level below it (0 below the innermost): its [For]
-   statement and their iterations. Only the accesses' [base] slots and the
-   counter slots of the levels [l0] and below change: the counters get
-   their levels' first iterations, which the per-element loops overwrite
-   before they read them. *)
-let ready (ctx : ctx) fr nx l0 lo0 ext0 =
+(* The entry check of a lowered nest whose head loop runs over [lo0, lo0 +
+   ext0): no store trace hook, every level's extent at least 1 with its
+   last counter value representable, every statement the per-element
+   engine would run within the fuel, and every access [access_ok]. Returns
+   the number of those statements, or -1 when a check fails. Level [l]
+   runs [ext_l * (1 + t)] statements, where [t] is the count of the level
+   below it (0 below the innermost): its [For] statement and their
+   iterations. Only the accesses' [base] slots and the counter slots
+   change: the counters get their levels' first iterations, which the
+   per-element loops overwrite before they read them. *)
+let ready (ctx : ctx) fr nx lo0 ext0 =
   match ctx.trace with
   | Some _ -> -1
   | None ->
     let ints = fr.ints and depth = Array.length nx.counters in
     let total = ref 0 and l = ref (depth - 1) in
-    while !l >= l0 && !total >= 0 do
-      let lo = level_lo fr nx l0 lo0 !l and e = level_ext fr nx l0 ext0 !l in
+    while !l >= 0 && !total >= 0 do
+      let lo = level_lo fr nx lo0 !l and e = level_ext fr nx ext0 !l in
       if e >= 1 && e < small && lo + (e - 1) >= lo && !total < small then begin
         Array.unsafe_set ints (Array.unsafe_get nx.counters !l) lo;
         total := e * (1 + !total)
@@ -757,32 +745,32 @@ let ready (ctx : ctx) fr nx l0 lo0 ext0 =
     if !total > ctx.fuel - ctx.stats.steps then total := -1;
     let accs = nx.accs and j = ref 0 in
     while !total >= 0 && !j < Array.length accs do
-      if access_ok fr nx l0 ext0 (Array.unsafe_get accs !j) then incr j else total := -1
+      if access_ok fr nx ext0 (Array.unsafe_get accs !j) then incr j else total := -1
     done;
     !total
 
-(* the per-element effect of levels [l0] and below, which ran [total]
-   statements lowered: every counter slot at its last value, and for a
-   store nest ([stores]) as many stores as iterations *)
-let finish (ctx : ctx) fr nx l0 lo0 ext0 total ~stores =
+(* the per-element effect of a nest that ran [total] statements lowered:
+   every counter slot at its last value, and for a store nest ([stores])
+   as many stores as iterations *)
+let finish (ctx : ctx) fr nx lo0 ext0 total ~stores =
   let n = ref 1 in
-  for l = l0 to Array.length nx.counters - 1 do
-    let e = level_ext fr nx l0 ext0 l in
-    fr.ints.(nx.counters.(l)) <- level_lo fr nx l0 lo0 l + e - 1;
+  for l = 0 to Array.length nx.counters - 1 do
+    let e = level_ext fr nx ext0 l in
+    fr.ints.(nx.counters.(l)) <- level_lo fr nx lo0 l + e - 1;
     n := !n * e
   done;
   ctx.stats.steps <- ctx.stats.steps + total;
   if stores then ctx.stats.stores <- ctx.stats.stores + !n
 
 (* The level from which the store access [dst] stays put, so its element
-   can be reduced in a float slot: the first of the levels from [l0] down
-   below which every stride of [dst] is 0. [depth] (no reduction) when the
-   innermost level moves it, or when an access of the reduction ([loads])
-   reads its tensor. *)
-let reduction_level fr nx l0 dst (loads : access array) =
+   can be reduced in a float slot: the first level below which every
+   stride of [dst] is 0. [depth] (no reduction) when the innermost level
+   moves it, or when an access of the reduction ([loads]) reads its
+   tensor. *)
+let reduction_level fr nx dst (loads : access array) =
   let depth = Array.length nx.counters in
   let red = ref depth in
-  while !red > l0 && dst.strides.(!red - 1) = 0 do
+  while !red > 0 && dst.strides.(!red - 1) = 0 do
     decr red
   done;
   let t = fr.bufs.(dst.slot) in
@@ -791,41 +779,41 @@ let reduction_level fr nx l0 dst (loads : access array) =
   done;
   !red
 
-(* Levels [l] and below of a nest entered at level [l0] over [lo0, lo0 +
-   ext0) that passed [ready]. A level above the last two steps its counter
+(* Levels [l] and below of a nest whose head runs over [lo0, lo0 + ext0)
+   and that passed [ready]. A level above the last two steps its counter
    slot; the last two run as [rows], from every access's [base] at the
    counters' iteration. At level [red] the reduced element of [nx.reduce]
    is read into its float slot, and written back once the levels below have
    run (the counters of those levels do not move it). *)
-let rec run_level nx (rows : rows) red fr l0 lo0 ext0 l =
+let rec run_level nx (rows : rows) red fr lo0 ext0 l =
   match nx.reduce with
   | Some (d, acc) when l = red ->
     let data = (Array.unsafe_get fr.bufs d.slot).Tensor.data in
     let o = index_now fr.ints d in
     Array.unsafe_set fr.floats acc (Array.unsafe_get data o);
-    run_below nx rows red fr l0 lo0 ext0 l;
+    run_below nx rows red fr lo0 ext0 l;
     Array.unsafe_set data o (Array.unsafe_get fr.floats acc)
-  | _ -> run_below nx rows red fr l0 lo0 ext0 l
+  | _ -> run_below nx rows red fr lo0 ext0 l
 
-and run_below nx rows red fr l0 lo0 ext0 l =
+and run_below nx rows red fr lo0 ext0 l =
   let ints = fr.ints and depth = Array.length nx.counters in
   if l >= depth - 2 then begin
-    (* at [l0], [ready] left the bases at the counters' iteration *)
-    if l > l0 then begin
+    (* at the head, [ready] left the bases at the counters' iteration *)
+    if l > 0 then begin
       let accs = nx.accs in
       for j = 0 to Array.length accs - 1 do
         let a = Array.unsafe_get accs j in
         Array.unsafe_set ints a.base (index_now ints a)
       done
     end;
-    let ext = level_ext fr nx l0 ext0 l in
-    if l = depth - 1 then rows fr 1 ext else rows fr ext (level_ext fr nx l0 ext0 (l + 1))
+    let ext = level_ext fr nx ext0 l in
+    if l = depth - 1 then rows fr 1 ext else rows fr ext (level_ext fr nx ext0 (l + 1))
   end
   else begin
-    let c = Array.unsafe_get nx.counters l and lo = level_lo fr nx l0 lo0 l in
-    for i = 0 to level_ext fr nx l0 ext0 l - 1 do
+    let c = Array.unsafe_get nx.counters l and lo = level_lo fr nx lo0 l in
+    for i = 0 to level_ext fr nx ext0 l - 1 do
       Array.unsafe_set ints c (lo + i);
-      run_level nx rows red fr l0 lo0 ext0 (l + 1)
+      run_level nx rows red fr lo0 ext0 (l + 1)
     done
   end
 
@@ -858,10 +846,6 @@ let run_fcode (code : fop array) fr k sp0 =
       incr sp
     | Push_load a ->
       Array.unsafe_set fl !sp (load fr ints a k);
-      incr sp
-    | Push_op2 (op, a, b) ->
-      let x = load fr ints a k in
-      Array.unsafe_set fl !sp (binop_float op x (load fr ints b k));
       incr sp
     | Apply2 op ->
       decr sp;
@@ -898,10 +882,10 @@ let[@inline] row_start ints (dst : access option) =
 let[@inline] row_step (dst : access option) =
   match dst with Some d -> d.ostride | None -> 0
 
-(* [acc = acc + a[ia] * b[ib]] (or [a[ia] * b[ib] + acc]) over the rows,
-   with the accumulator in float slot [f]. With [dst], each row starts from
-   the row's element of [dst] and writes its sum back there. *)
-let mac_rows ~acc_first f a b dst : rows =
+(* [acc = acc + a[ia] * b[ib]] over the rows, with the accumulator in
+   float slot [f]. With [dst], each row starts from the row's element of
+   [dst] and writes its sum back there. *)
+let mac_rows f a b dst : rows =
   let per_row = Option.is_some dst in
   let run fr eo ei =
     let ints = fr.ints and fl = fr.floats in
@@ -914,38 +898,11 @@ let mac_rows ~acc_first f a b dst : rows =
       let ar = a0 + (ao * i) and br = b0 + (bo * i) in
       if per_row then Array.unsafe_set fl f (Array.unsafe_get dd (d0 + (dso * i)));
       let acc = ref (Array.unsafe_get fl f) in
-      if acc_first then
-        for k = 0 to ei - 1 do
-          acc :=
-            !acc +. (Array.unsafe_get da (ar + (sa * k)) *. Array.unsafe_get db (br + (sb * k)))
-        done
-      else
-        for k = 0 to ei - 1 do
-          acc :=
-            (Array.unsafe_get da (ar + (sa * k)) *. Array.unsafe_get db (br + (sb * k))) +. !acc
-        done;
+      for k = 0 to ei - 1 do
+        acc := !acc +. (Array.unsafe_get da (ar + (sa * k)) *. Array.unsafe_get db (br + (sb * k)))
+      done;
       Array.unsafe_set fl f !acc;
       if per_row then Array.unsafe_set dd (d0 + (dso * i)) !acc
-    done
-  in
-  run
-
-(* [x = e] over the rows, for the float slot [f] of [x]: [e] may read [x],
-   so each iteration's value is written back before the next one starts.
-   [loads] are the accesses of [code]; [dst] as for [mac_rows]. *)
-let assign_rows f loads code sp0 dst : rows =
-  let per_row = Option.is_some dst in
-  let run fr eo ei =
-    let ints = fr.ints and fl = fr.floats in
-    let dd = row_dst fr dst and d0 = row_start ints dst and dso = row_step dst in
-    for i = 0 to eo - 1 do
-      set_rows ints loads i;
-      if per_row then Array.unsafe_set fl f (Array.unsafe_get dd (d0 + (dso * i)));
-      for k = 0 to ei - 1 do
-        run_fcode code fr k sp0;
-        Array.unsafe_set fl f (Array.unsafe_get fl sp0)
-      done;
-      if per_row then Array.unsafe_set dd (d0 + (dso * i)) (Array.unsafe_get fl f)
     done
   in
   run
@@ -989,10 +946,9 @@ let op2_rows op dst a b : rows =
   in
   run
 
-(* [x = x op a[ia]] (or [x = a[ia] op x]) over the rows, for the float
-   slot [f] of [x], such as [mx = max(mx, s[p])]; [dst] as for
-   [mac_rows] *)
-let fold_rows ~acc_first op f a dst : rows =
+(* [x = x op a[ia]] over the rows, for the float slot [f] of [x], such as
+   [mx = max(mx, s[p])]; [dst] as for [mac_rows] *)
+let fold_rows op f a dst : rows =
   let per_row = Option.is_some dst in
   let run fr eo ei =
     let ints = fr.ints and fl = fr.floats in
@@ -1003,50 +959,44 @@ let fold_rows ~acc_first op f a dst : rows =
       let ar = a0 + (ao * i) in
       if per_row then Array.unsafe_set fl f (Array.unsafe_get dd (d0 + (dso * i)));
       let acc = ref (Array.unsafe_get fl f) in
-      if acc_first then
-        for k = 0 to ei - 1 do
-          acc := binop_float op !acc (Array.unsafe_get da (ar + (sa * k)))
-        done
-      else
-        for k = 0 to ei - 1 do
-          acc := binop_float op (Array.unsafe_get da (ar + (sa * k))) !acc
-        done;
+      for k = 0 to ei - 1 do
+        acc := binop_float op !acc (Array.unsafe_get da (ar + (sa * k)))
+      done;
       Array.unsafe_set fl f !acc;
       if per_row then Array.unsafe_set dd (d0 + (dso * i)) !acc
     done
   in
   run
 
-(* The fast path, entered at level [l0], of a nest whose body updates a
-   float slot *)
-let update_nest nx rows l0 (ctx : ctx) fr lo ext =
-  let total = ready ctx fr nx l0 lo ext in
+(* The fast path of a nest whose body updates a float slot *)
+let update_nest nx rows (ctx : ctx) fr lo ext =
+  let total = ready ctx fr nx lo ext in
   total >= 0
   && begin
-    run_level nx rows (Array.length nx.counters) fr l0 lo ext l0;
-    finish ctx fr nx l0 lo ext total ~stores:false;
+    run_level nx rows (Array.length nx.counters) fr lo ext 0;
+    finish ctx fr nx lo ext total ~stores:false;
     true
   end
 
-(* The fast path, entered at level [l0], of a nest whose body stores
-   through [dst]: [plain] stores every element. For a store [d[f] = d[f] +
-   e], [reduced] holds the accesses of [e] and the runners of the same rows
-   as an update of [nx.reduce]'s float slot: the one that reduces each row
-   into its element of [dst], and the one that leaves the reduction to
-   [run_level]. *)
-let store_nest nx dst plain reduced l0 (ctx : ctx) fr lo ext =
-  let total = ready ctx fr nx l0 lo ext in
+(* The fast path of a nest whose body stores through [dst]: [plain]
+   stores every element. For a store [d[f] = d[f] + e] whose [e] is a MAC
+   or fold operand, [reduced] holds the accesses of [e] and the runners of
+   the same rows as an update of [nx.reduce]'s float slot: the one that
+   reduces each row into its element of [dst], and the one that leaves the
+   reduction to [run_level]. *)
+let store_nest nx dst plain reduced (ctx : ctx) fr lo ext =
+  let total = ready ctx fr nx lo ext in
   total >= 0
   && begin
     let depth = Array.length nx.counters in
     (match reduced with
     | Some (loads, per_row, whole) -> (
-      match reduction_level fr nx l0 dst loads with
-      | red when red = depth -> run_level nx plain depth fr l0 lo ext l0
-      | red when red = depth - 1 && depth > 1 -> run_level nx per_row depth fr l0 lo ext l0
-      | red -> run_level nx whole red fr l0 lo ext l0)
-    | None -> run_level nx plain depth fr l0 lo ext l0);
-    finish ctx fr nx l0 lo ext total ~stores:true;
+      match reduction_level fr nx dst loads with
+      | red when red = depth -> run_level nx plain depth fr lo ext 0
+      | red when red = depth - 1 && depth > 1 -> run_level nx per_row depth fr lo ext 0
+      | red -> run_level nx whole red fr lo ext 0)
+    | None -> run_level nx plain depth fr lo ext 0);
+    finish ctx fr nx lo ext total ~stores:true;
     true
   end
 
@@ -1343,19 +1293,15 @@ let compile (k : Kernel.t) : t =
     | Binop (op, l, r) when static_int cenv l && static_int cenv r ->
       let il = comp_iint cenv l in
       let ir = comp_iint cenv r in
-      (* each case written out so the arithmetic is a direct instruction in
-         the closure body, not an indirect call through a shared combinator *)
+      (* the operators the workloads run written out, so the arithmetic is
+         a direct instruction in the closure body; the rest take
+         [int_binop] *)
       (match op with
       | Add ->
         fun fr ->
           let x = il fr in
           let y = ir fr in
           x + y
-      | Sub ->
-        fun fr ->
-          let x = il fr in
-          let y = ir fr in
-          x - y
       | Mul ->
         fun fr ->
           let x = il fr in
@@ -1371,41 +1317,11 @@ let compile (k : Kernel.t) : t =
           let x = il fr in
           let y = ir fr in
           if y = 0 then err "integer modulo by zero" else x mod y
-      | Min ->
-        fun fr ->
-          let x = il fr in
-          let y = ir fr in
-          if x <= y then x else y
-      | Max ->
-        fun fr ->
-          let x = il fr in
-          let y = ir fr in
-          if x >= y then x else y
-      | Eq ->
-        fun fr ->
-          let x = il fr in
-          let y = ir fr in
-          if x = y then 1 else 0
-      | Ne ->
-        fun fr ->
-          let x = il fr in
-          let y = ir fr in
-          if x <> y then 1 else 0
       | Lt ->
         fun fr ->
           let x = il fr in
           let y = ir fr in
           if x < y then 1 else 0
-      | Le ->
-        fun fr ->
-          let x = il fr in
-          let y = ir fr in
-          if x <= y then 1 else 0
-      | Gt ->
-        fun fr ->
-          let x = il fr in
-          let y = ir fr in
-          if x > y then 1 else 0
       | Ge ->
         fun fr ->
           let x = il fr in
@@ -1416,11 +1332,11 @@ let compile (k : Kernel.t) : t =
           let x = il fr in
           let y = ir fr in
           if x <> 0 && y <> 0 then 1 else 0
-      | Or ->
+      | _ ->
         fun fr ->
           let x = il fr in
           let y = ir fr in
-          if x <> 0 || y <> 0 then 1 else 0)
+          to_int (int_binop op x y))
     | Binop (op, l, r) ->
       (* comparisons/logic over non-static operands: the result is still an
          int, but the operands need the generic int/float dispatch (a float
@@ -1436,20 +1352,9 @@ let compile (k : Kernel.t) : t =
           (match (a, b) with
           | I x, I y -> int_binop op x y
           | _ -> float_binop op (to_float a) (to_float b))
-    | Unop (Neg, x) when static_int cenv x ->
-      let ix = comp_iint cenv x in
-      fun fr -> -ix fr
-    | Unop (Abs, x) when static_int cenv x ->
-      let ix = comp_iint cenv x in
-      fun fr -> abs (ix fr)
     | Unop (Not, x) ->
       let cx = comp cenv x in
       fun fr -> if truthy (cx fr) then 0 else 1
-    | Select (c, t, f) when static_int cenv t && static_int cenv f ->
-      let cc = comp cenv c in
-      let it = comp_iint cenv t in
-      let if_ = comp_iint cenv f in
-      fun fr -> if truthy (cc fr) then it fr else if_ fr
     | _ ->
       let c = comp cenv e in
       fun fr -> to_int (c fr)
@@ -1492,10 +1397,11 @@ let compile (k : Kernel.t) : t =
     | _ when static_int cenv e ->
       let ci = comp_iint cenv e in
       fun fr -> float_of_int (ci fr)
-    | Binop (((Add | Sub | Mul | Div | Mod | Min | Max) as op), l, r)
+    | Binop (((Add | Sub | Mul | Div | Max) as op), l, r)
       when static_float cenv l || static_float cenv r ->
       (* one side provably [F _]: the generic engine would take [float_binop]
-         whatever the other side is, so both operands evaluate unboxed *)
+         whatever the other side is, so both operands evaluate unboxed (the
+         operators the workloads run; the rest take [comp]) *)
       let fl = comp_ffloat cenv l in
       let frr = comp_ffloat cenv r in
       (match op with
@@ -1519,16 +1425,6 @@ let compile (k : Kernel.t) : t =
           let x = fl fr in
           let y = frr fr in
           x /. y
-      | Mod ->
-        fun fr ->
-          let x = fl fr in
-          let y = frr fr in
-          Float.rem x y
-      | Min ->
-        fun fr ->
-          let x = fl fr in
-          let y = frr fr in
-          Float.min x y
       | Max ->
         fun fr ->
           let x = fl fr in
@@ -1542,9 +1438,6 @@ let compile (k : Kernel.t) : t =
     | Unop (Neg, x) when static_float cenv x ->
       let cx = comp_ffloat cenv x in
       fun fr -> -.cx fr
-    | Unop (Abs, x) when static_float cenv x ->
-      let cx = comp_ffloat cenv x in
-      fun fr -> Float.abs (cx fr)
     | Select (c, t, f) when static_float cenv t && static_float cenv f ->
       let cc = comp cenv c in
       let ct = comp_ffloat cenv t in
@@ -1597,9 +1490,12 @@ let compile (k : Kernel.t) : t =
     | (b', e', a) :: rest ->
       if String.equal b b' && Expr.equal e' e then Some a else find_access b e rest
   in
-  (* The fast path, as a function of the level it is entered at, of a nest
-     whose outer counter is [s] and whose inner [levels] and statement
-     [body] [lower_nest] accepted; [cenv] binds every counter *)
+  (* The fast path of a nest whose outer counter is [s] and whose inner
+     [levels] and statement [body] [lower_nest] accepted, when the
+     statement has a lowered form; [cenv] binds every counter. Given the
+     head loop's [lo] and extent, the fast path runs the whole nest and
+     returns [true], or returns [false] having changed nothing the
+     per-element loops read before they write it (see [ready]). *)
   let nest_path cenv s levels body =
     let cs = s :: List.map (fun (_, s, _, _) -> s) levels in
     let counters = Array.of_list cs in
@@ -1637,27 +1533,19 @@ let compile (k : Kernel.t) : t =
         accs := (b, e, a) :: !accs;
         a
     in
-    (* [value] in postfix, with the accesses of its loads in order; the
-       subexpression [acc], if any, reads float slot [f] instead *)
-    let lower_value ?acc value =
+    (* [value] in postfix, with the accesses of its loads in order *)
+    let lower_value value =
       let loads = ref [] in
-      let is_acc e = match acc with Some (x, _) -> x == e | None -> false in
-      let load_access b i =
-        let a = access b i in
-        loads := a :: !loads;
-        a
-      in
       (* [e]'s instructions, last first, onto [code] *)
       let rec emit (e : Expr.t) code =
         match e with
-        | _ when is_acc e -> Push_slot (snd (Option.get acc)) :: code
         | Int n -> Push_const (float_of_int n) :: code
         | Float c -> Push_const c :: code
         | Var x -> Push_slot (float_slot x cenv.svars) :: code
-        | Load (b, i) -> Push_load (load_access b i) :: code
-        | Binop (op, (Load (b, i) as l), (Load (b', i') as r)) when not (is_acc l || is_acc r) ->
-          let a = load_access b i in
-          Push_op2 (op, a, load_access b' i') :: code
+        | Load (b, i) ->
+          let a = access b i in
+          loads := a :: !loads;
+          Push_load a :: code
         | Binop (op, l, r) -> Apply2 op :: emit r (emit l code)
         | Unop (op, x) -> Apply1 op :: emit x code
         | _ -> assert false
@@ -1672,29 +1560,20 @@ let compile (k : Kernel.t) : t =
       in
       (Array.of_list (List.rev !loads), code, stack (depth value))
     in
-    (* [x = value] for the float slot [f] of [x], where [is_x] picks the
-       reads of [x]: the accesses the update reads, and its rows runner for
-       a row reduction into [dst] (see [mac_rows]) *)
-    let lower_update f is_x (value : Expr.t) =
+    (* [x = value], where [is_x] picks the reads of [x], when it is a MAC
+       [x = x + a[i] * b[j]] or a fold [x = x op a[i]]: the accesses the
+       update reads, and its rows runner given the float slot of [x] and a
+       row reduction into [dst] (see [mac_rows]) *)
+    let lower_update is_x (value : Expr.t) =
       match value with
       | Binop (Add, x, Binop (Mul, Load (a, ia), Load (b, ib))) when is_x x ->
         let a = access a ia in
         let b = access b ib in
-        ([| a; b |], mac_rows ~acc_first:true f a b)
-      | Binop (Add, Binop (Mul, Load (a, ia), Load (b, ib)), x) when is_x x ->
-        let a = access a ia in
-        let b = access b ib in
-        ([| a; b |], mac_rows ~acc_first:false f a b)
+        Some ([| a; b |], fun f -> mac_rows f a b)
       | Binop (op, x, Load (a, ia)) when is_x x ->
         let a = access a ia in
-        ([| a |], fold_rows ~acc_first:true op f a)
-      | Binop (op, Load (a, ia), x) when is_x x ->
-        let a = access a ia in
-        ([| a |], fold_rows ~acc_first:false op f a)
-      | _ ->
-        let acc = match value with Binop (Add, x, _) when is_x x -> Some (x, f) | _ -> None in
-        let loads, code, sp0 = lower_value ?acc value in
-        (loads, assign_rows f loads code sp0)
+        Some ([| a |], fun f -> fold_rows op f a)
+      | _ -> None
     in
     let nest reduce =
       { counters;
@@ -1707,11 +1586,11 @@ let compile (k : Kernel.t) : t =
     match body with
     | [ Stmt.Assign { var; value } ] ->
       let is_var (e : Expr.t) = match e with Var x -> String.equal x var | _ -> false in
-      let _, rows = lower_update (float_slot var cenv.svars) is_var value in
-      let nx = nest None and rows = rows None in
-      fun l0 ->
-        let fast ctx fr lo ext = update_nest nx rows l0 ctx fr lo ext in
-        fast
+      Option.map
+        (fun (_, rows) ->
+          let nx = nest None and rows = rows (float_slot var cenv.svars) None in
+          fun ctx fr lo ext -> update_nest nx rows ctx fr lo ext)
+        (lower_update is_var value)
     | [ Stmt.Store { buf; index; value } ] ->
       let dst = access buf index in
       let plain =
@@ -1733,49 +1612,49 @@ let compile (k : Kernel.t) : t =
         match value with
         | Binop (Add, (Load (b, i) as x), _)
           when String.equal b buf && Expr.equal i index && !still < depth ->
-          let f = reduce_slot () in
-          let loads, rows = lower_update f (fun e -> e == x) value in
-          (* a one-level nest reduces whole, never per row *)
-          let whole = rows None in
-          Some (f, (loads, (if depth > 1 then rows (Some dst) else whole), whole))
+          Option.map
+            (fun (loads, rows) ->
+              let f = reduce_slot () in
+              (* a one-level nest reduces whole, never per row *)
+              let whole = rows f None in
+              (f, (loads, (if depth > 1 then rows f (Some dst) else whole), whole)))
+            (lower_update (fun e -> e == x) value)
         | _ -> None
       in
       let nx = nest (Option.map (fun (f, _) -> (dst, f)) reduced) in
       let reduced = Option.map snd reduced in
-      fun l0 ->
-        let fast ctx fr lo ext = store_nest nx dst plain reduced l0 ctx fr lo ext in
-        fast
+      Some (fun ctx fr lo ext -> store_nest nx dst plain reduced ctx fr lo ext)
     | _ -> invalid_arg "nest_path"
   in
   (* A loop whose body is a chain of single loops ending in one statement
      gets a fast path that runs the whole nest as OCaml loops when [ready]
-     holds at entry. The chain is a perfect affine nest ([chain]), and every
-     index in it is linear, so of degree at most one in the counters. The
-     statement updates a float slot, as a fused MAC ([mac_rows]), a fold
-     [x = x op a[i]] ([fold_rows]) or otherwise ([assign_rows]), or it is
-     a store, of two loads ([op2_rows]) or otherwise ([store_rows]); the
-     value is float arithmetic over loads, literals and float slots. A
-     store [d[f] = d[f] + e] also gets the reduction of [d[f]] in a float
-     slot. [s] is the outer loop's counter slot and [cenv] binds it. The
-     per-element body is compiled in the returned environment, which gives
-     each inner level its counter slot and the fast path entered there. *)
+     holds at its entry. The chain is a perfect affine nest ([chain]), and
+     every index in it is linear, so of degree at most one in the counters.
+     The statement updates a float slot, as a fused MAC ([mac_rows]) or a
+     fold [x = x op a[i]] ([fold_rows]), or it is a store, of two loads
+     ([op2_rows]) or otherwise ([store_rows]); the value is float
+     arithmetic over loads, literals and float slots. A store [d[f] = d[f]
+     + e] whose [e] is a MAC or fold operand also gets the reduction of
+     [d[f]] in a float slot. [s] is the outer loop's counter slot and
+     [cenv] binds it. The per-element body is compiled in the returned
+     environment, which gives each inner level the counter slot the nest
+     reads; an inner level has no fast path of its own. *)
   let lower_nest cenv s body =
     match body with
     | [ (Stmt.For _ | Stmt.Assign _ | Stmt.Store _) ] ->
       let ienv, levels, stmt = chain cenv [ s ] [] body in
-      let fast_at =
+      let fast =
         match stmt with
         | [ Stmt.Assign { var; value } ] when float_slot var ienv.svars >= 0 && lfloat ienv value
           ->
-          Some (nest_path ienv s levels stmt)
+          nest_path ienv s levels stmt
         | [ Stmt.Store { buf; index; value } ]
           when bound ienv buf && is_linear ienv index && lfloat ienv value ->
-          Some (nest_path ienv s levels stmt)
+          nest_path ienv s levels stmt
         | _ -> None
       in
-      let entry l = Option.map (fun f -> f l) fast_at in
-      let loops = List.mapi (fun l (st, s, _, _) -> (st, (s, entry (l + 1)))) levels in
-      (entry 0, match loops with [] -> cenv | _ -> { cenv with loops = loops @ cenv.loops })
+      let loops = List.map (fun (st, s, _, _) -> (st, s)) levels in
+      (fast, match loops with [] -> cenv | _ -> { cenv with loops = loops @ cenv.loops })
     | _ -> (None, cenv)
   in
   let rec comp_block cenv block : ctx -> frame -> unit =
@@ -2000,7 +1879,7 @@ let compile (k : Kernel.t) : t =
       if never_assigned var then begin
         let s, fast, benv =
           match List.assq_opt stmt cenv.loops with
-          | Some (s, fast) -> (s, fast, { cenv with svars = (var, Unboxed s) :: cenv.svars })
+          | Some s -> (s, None, { cenv with svars = (var, Unboxed s) :: cenv.svars })
           | None ->
             let s = fresh_int () in
             let fast, benv = lower_nest { cenv with svars = (var, Unboxed s) :: cenv.svars } s body in

@@ -9,12 +9,13 @@
     {!cached}, and [test/test_fuzz.ml] checks the two engines differentially.
 
     A perfect affine nest — a loop whose body is a chain of single loops
-    ending in one float store or one float-slot update (a fused [acc = acc
-    + a[i] * b[j]] among them), with inner bounds fixed at entry and every
-    index linear in the counters — runs as nested OCaml loops when a check
-    at its entry proves no iteration can fail; otherwise its statements run
-    one at a time. A store [d[f] = d[f] + e] whose index stays put in the
-    inner levels is reduced in a float slot when nothing else in the body
+    ending in one float store or one float-slot update that is a MAC [acc
+    = acc + a[i] * b[j]] or a fold [x = x op a[i]], with inner bounds fixed
+    at entry and every index linear in the counters — runs as nested OCaml
+    loops when a check at its head's entry proves no iteration can fail;
+    otherwise all its statements run one at a time. A store [d[f] = d[f] +
+    e] whose index stays put in the inner levels, and whose [e] is a MAC or
+    fold operand, is reduced in a float slot when nothing else in the body
     touches [d]'s tensor. Either way the run has the same outputs,
     statistics and errors.
 

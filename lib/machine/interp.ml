@@ -191,21 +191,21 @@ and exec_stmt ctx env stmt : [ `Scalar of string | `Buf of string ] option =
       | _ -> (List.rev acc, body)
     in
     let loops, innermost = chain [ (var, lo, extent) ] body in
-    let rec spawn scalars = function
-      | [] ->
-        [ (fun () -> exec_block ctx { env with scalars } innermost) ]
+    (* every fiber gets its own scalars and its own buffer table, so an
+       [Alloc] in one thread's body binds its tensor for that thread only *)
+    let rec spawn fenv = function
+      | [] -> [ (fun () -> exec_block ctx fenv innermost) ]
       | (v, lo_e, ext_e) :: rest ->
-        let fenv = { env with scalars } in
         let lo_v = eval_int fenv lo_e in
         let ext_v = eval_int fenv ext_e in
         if ext_v < 0 then err "negative loop extent in %s" v;
         List.concat
           (List.init ext_v (fun i ->
-               let scalars' = copy_scalars scalars in
-               Hashtbl.add scalars' v (ref (I (lo_v + i)));
-               spawn scalars' rest))
+               let scalars = copy_scalars fenv.scalars in
+               Hashtbl.add scalars v (ref (I (lo_v + i)));
+               spawn { scalars; bufs = Hashtbl.copy fenv.bufs } rest))
     in
-    run_fiber_group (spawn env.scalars loops);
+    run_fiber_group (spawn env loops);
     None
   | Stmt.For { var; lo; extent; body; _ } ->
     let lo_v = eval_int env lo in

@@ -179,21 +179,21 @@ let mismatches args expected =
       | _ -> acc + Tensor.length e)
     0 expected
 
+let failing_outputs op args expected =
+  List.filter_map
+    (fun (name, t) ->
+      match List.assoc_opt name expected with
+      | Some e when Tensor.allclose ~rtol ~atol t e -> None
+      | _ -> Some name)
+    (out_tensors op args)
+
 let judge op args expected =
-  let bad =
-    List.find_opt
-      (fun (name, t) ->
-        match List.assoc_opt name expected with
-        | Some e -> not (Tensor.allclose ~rtol ~atol t e)
-        | None -> true)
-      (out_tensors op args)
-  in
-  match bad with
-  | Some (name, t) ->
-    let e = List.assoc name expected in
+  match failing_outputs op args expected with
+  | name :: _ ->
+    let t = List.assoc name (out_tensors op args) and e = List.assoc name expected in
     Fail
       (Printf.sprintf "output %s diverges (max abs diff %.3g)" name (Tensor.max_abs_diff t e))
-  | None -> Pass
+  | [] -> Pass
 
 (* Run the kernel on a clone of the trial's inputs. [Error] when argument
    binding fails: nothing ran, so there is nothing to meter or memoize. *)

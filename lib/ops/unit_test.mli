@@ -36,6 +36,14 @@ val reference_outputs_seeded :
     cached too). Cache misses count in
     [xpiler_unit_test_reference_runs_total]. *)
 
+val failing_outputs :
+  Opdef.t -> (string * Interp.arg) list -> (string * Tensor.t) list -> string list
+(** [failing_outputs op args expected]: the names of [op]'s output buffers
+    in [args], in [op]'s buffer order, that differ from [expected] at the
+    verdict's tolerance (rtol 1e-3, atol 1e-4) or that [expected] lacks.
+    A trial passes exactly when this is empty; the repair localizer reads
+    its failing buffers from it. *)
+
 val meter : Interp.stats -> unit
 (** Emit one candidate run's [interp.*] counts to the ambient tracer (a
     no-op when tracing is off). The interpreter emits nothing itself: the

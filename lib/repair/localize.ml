@@ -49,26 +49,10 @@ let localize ?(seed = 20250706) ~op ~shape (kernel : Kernel.t) =
       r.Interp.error
     | exception Interp.Runtime_error m -> Some m
   in
-  let outs =
-    List.filter_map
-      (fun (b : Opdef.buffer_spec) ->
-        if b.is_output then
-          match List.assoc_opt b.buf_name args with
-          | Some (Interp.Buf t) -> Some (b.buf_name, t)
-          | _ -> None
-        else None)
-      op.Opdef.buffers
-  in
   let failing_buffers =
     match runtime_error with
     | Some _ -> out_names
-    | None ->
-      List.filter_map
-        (fun (name, t) ->
-          match List.assoc_opt name expected with
-          | Some e when Tensor.allclose ~rtol:1e-3 ~atol:1e-4 t e -> None
-          | _ -> Some name)
-        outs
+    | None -> Unit_test.failing_outputs op args expected
   in
   (* dataflow cone of the failing buffers *)
   let cone = ref failing_buffers in

@@ -110,7 +110,10 @@ let wall_totals () =
     score_seconds = wall "repair.score"
   }
 
-let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ~platform ~op ~shape kernel =
+(* the unit-test executions one repair may spend *)
+let max_tests = 200
+
+let repair ?(rounds = 2) ?(static = []) ?clock ~platform ~op ~shape kernel =
   Trace.span ~cat:"phase" "repair" @@ fun () ->
   let total_rounds = rounds in
   let tests = ref 0 in

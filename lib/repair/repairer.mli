@@ -22,7 +22,6 @@ val candidate_values :
     the Table 3 solving-time comparison). *)
 
 val repair :
-  ?max_tests:int ->
   ?rounds:int ->
   ?static:Xpiler_analysis.Analyzer.finding list ->
   ?clock:Xpiler_util.Vclock.t ->
@@ -32,10 +31,11 @@ val repair :
   Kernel.t ->
   outcome
 (** [rounds] (default 2) bounds how many distinct faults can be fixed in
-    sequence; [max_tests] (default 200) bounds unit-test executions.
-    [static] passes pre-validation analyzer findings: their sites are tried
-    first at a fraction of a localization round's modelled cost ([Vclock]
-    charges 30s against 240s), with the dynamic rounds as fallback.
+    sequence, and one repair runs at most 200 unit tests (then it gives up
+    with "test budget exhausted"). [static] passes pre-validation analyzer
+    findings: their sites are tried first at a fraction of a localization
+    round's modelled cost ([Vclock] charges 30s against 240s), with the
+    dynamic rounds as fallback.
 
     Candidates are tested one at a time in site order, then in the solver's
     candidate order; the first that passes is accepted. *)

@@ -19,7 +19,10 @@ let is_block_axis = function
   | Axis.Block_x | Axis.Block_y | Axis.Block_z | Axis.Task_id | Axis.Cluster_id -> true
   | Axis.Thread_x | Axis.Thread_y | Axis.Thread_z | Axis.Core_id -> false
 
-let enumerate ?(buffer_sizes = []) ?(max_actions = 14) (platform : Platform.t) (k : Kernel.t) =
+(* the MCTS branching cap *)
+let max_actions = 14
+
+let enumerate ?(buffer_sizes = []) (platform : Platform.t) (k : Kernel.t) =
   let splits =
     Knobs.splittable_loops k
     |> take 2

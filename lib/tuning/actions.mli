@@ -8,10 +8,9 @@ module Pass = Xpiler_passes.Pass
 
 val enumerate :
   ?buffer_sizes:(string * int) list ->
-  ?max_actions:int ->
   Platform.t ->
   Kernel.t ->
   Pass.spec list
 (** [buffer_sizes] enables whole-buffer cache actions for kernel parameters
-    (sizes are not recoverable from a pointer); [max_actions] caps branching
-    (default 14). *)
+    (sizes are not recoverable from a pointer). At most 14 actions are
+    returned, which caps the branching. *)

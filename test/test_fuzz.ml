@@ -191,11 +191,13 @@ let accum_kernel rng =
     body
 
 (* Innermost affine loops, the shapes the compiled engine runs as one OCaml
-   loop: a fused MAC in either operand order, a float-slot reduction, or one
-   store (elementwise, in place [x[p] = x[p] - m], or a stride-0 reduction
-   [x[c] = x[c] + y[p]]), with strides of either sign over float or int
-   buffers, from a loop start of 0 to 2. Some indices leave their buffer
-   at the last iteration only. *)
+   loop and their near misses, which it runs per element: a fused MAC in
+   either operand order (only [acc = acc + a * b] lowers), a float-slot
+   reduction, or one store (elementwise, in place [x[p] = x[p] - m], or a
+   stride-0 reduction [x[c] = x[c] + y[p]] or [x[c] = x[c] + e] of another
+   sum), with strides of either sign over float or int buffers, from a loop
+   start of 0 to 2. Some indices leave their buffer at the last iteration
+   only. *)
 let affine_kernel rng =
   let size = Kgen.buf_size in
   let dtype () = if Rng.bernoulli rng 0.25 then Dtype.I32 else Dtype.F32 in
@@ -239,7 +241,7 @@ let affine_kernel rng =
       Builder.store b i (load b i - v "m")
     | _ ->
       let b = buf () and c = int (Rng.int rng size) in
-      Builder.store b c (load b c + ld ())
+      Builder.store b c (load b c + if Rng.bool rng then ld () else value ())
   in
   (* [m] from a bare load may hold an int, so it stays boxed and blocks the
      lowering of any value that reads it *)
@@ -256,7 +258,8 @@ let affine_kernel rng =
     ]
 
 (* Perfect nests, the shapes the compiled engine runs as one OCaml loop
-   nest: 2 or 3 levels with extents 0 to 4 from a start of 0 to 2, strides of
+   nest and their near misses (a nest whose head check fails runs per
+   element at every level): 2 or 3 levels with extents 0 to 4 from a start of 0 to 2, strides of
    either sign or 0 per level, and a body of the forms [affine_kernel]
    lowers or a store [d[f] = d[f] + e] whose index stays put in the inner
    levels, where [e] may read [d] too. Some indices leave their buffer only
@@ -428,6 +431,64 @@ let scratch_kernel rng =
     ~params:[ Builder.buffer "a"; Builder.buffer "b"; Builder.buffer "out" ]
     ((Builder.let_ "x" x_value :: chain 0) @ [ Builder.store "out" (int 255) (v "x") ])
 
+(* Scalar expressions, the shapes the compiled engine evaluates unboxed
+   ([comp_iint], [comp_ffloat]) or through the generic value closures:
+   every integer operator, [neg], [abs], [not] and [select] over int lets
+   and loop counters (a boxed scalar parameter [p] too), next to float
+   arithmetic, [min], [max], [mod] and [abs] with a float-slot or literal
+   operand, mixed int/float operands and casts either way. An integer
+   division or modulo by zero must raise the same error in both engines. *)
+let scalar_kernel rng =
+  let open Expr in
+  let int_ops = [ Add; Sub; Mul; Div; Mod; Min; Max; Eq; Ne; Lt; Le; Gt; Ge; And; Or ] in
+  let float_ops = [ Add; Sub; Mul; Div; Mod; Min; Max ] in
+  let ext = 1 + Rng.int rng 8 in
+  let rec iexp d =
+    if d = 0 then
+      match Rng.int rng 5 with
+      | 0 | 1 -> Int (Rng.int_in rng (-3) 3)
+      | 2 -> Var "i"
+      | 3 -> Var "n"
+      | _ -> if Rng.bernoulli rng 0.3 then Var "p" else Var "i"
+    else
+      match Rng.int rng 10 with
+      | 0 | 1 | 2 | 3 | 4 -> Binop (Rng.choose rng int_ops, iexp (d - 1), iexp (d - 1))
+      | 5 -> Unop (Rng.choose rng [ Neg; Abs; Not ], iexp (d - 1))
+      | 6 -> Select (iexp (d - 1), iexp (d - 1), iexp (d - 1))
+      | 7 -> Cast (Dtype.I32, fexp (d - 1))
+      | _ -> iexp 0
+  and fexp d =
+    if d = 0 then
+      match Rng.int rng 4 with
+      | 0 -> Float (float_of_int (Rng.int_in rng (-6) 6) /. 4.0)
+      | 1 -> Var "x"
+      | 2 -> Load ("a", Var "i")
+      | _ -> Cast (Dtype.F32, Var "i")
+    else
+      match Rng.int rng 9 with
+      | 0 | 1 | 2 | 3 -> Binop (Rng.choose rng float_ops, fexp (d - 1), fexp (d - 1))
+      | 4 -> Binop (Rng.choose rng float_ops, fexp (d - 1), iexp (d - 1))
+      | 5 -> Unop (Rng.choose rng [ Neg; Abs; Tanh ], fexp (d - 1))
+      | 6 -> Select (iexp (d - 1), fexp (d - 1), fexp (d - 1))
+      | _ -> fexp 0
+  in
+  let at off = Binop (Add, Int off, Var "i") in
+  Kernel.make ~name:"scalar"
+    ~params:[ Builder.buffer "a"; Builder.buffer "out"; Builder.scalar "p" ]
+    [ Builder.let_ "n" (Int (Rng.int_in rng (-2) 5));
+      Builder.let_ "x" (Float 0.5);
+      Builder.for_ "i" (Int ext)
+        [ Builder.let_ "k" (iexp 3);
+          Builder.store "out" (at 0) (Var "k");
+          Builder.let_ "y" (fexp 3);
+          Builder.store "out" (at 16) (Var "y");
+          Builder.assign "x" (fexp 2);
+          Builder.store "out" (at 32) (fexp 2);
+          Builder.if_ (iexp 2) [ Builder.store "out" (at 48) (Cast (Dtype.F32, iexp 2)) ]
+        ];
+      Builder.store "out" (Int 64) (Var "x")
+    ]
+
 (* both engines, traced and untraced, on fresh copies of [args] *)
 let engines_agree ~fuel k args =
   List.for_all
@@ -500,7 +561,15 @@ let prop_engines_agree =
       let k = scratch_kernel sg in
       let args = Tcommon.make_args (Rng.create (seed + 11)) ~buf_size k [] in
       engines_agree ~fuel:200_000_000 k args
-      && engines_agree ~fuel:(1 + Rng.int sg 120) k args)
+      && engines_agree ~fuel:(1 + Rng.int sg 120) k args
+      &&
+      (* scalar expressions, run to completion and with fuel that runs out
+         part-way *)
+      let eg = Rng.create ((seed * 19) + 9) in
+      let k = scalar_kernel eg in
+      let args = Tcommon.make_args (Rng.create (seed + 13)) ~buf_size k [] in
+      engines_agree ~fuel:200_000_000 k args
+      && engines_agree ~fuel:(1 + Rng.int eg 60) k args)
 
 (* handcrafted dynamic errors: both engines must raise Runtime_error with the
    exact same message *)

@@ -129,7 +129,28 @@ let test_fiber_order () =
       (1, false, [ 0; 0; 1; 1; 2; 2; 3; 3 ]);
       (2, true, [ 0; 1; 2; 3; 3; 2; 1; 0 ]);
       (2, false, [ 0; 0; 1; 1; 2; 2; 3; 3 ])
-    ]
+    ];
+  (* a thread's [Alloc] is its own across barriers: after the other
+     threads allocated theirs, each still reads the value it stored *)
+  let k =
+    let open Expr.Infix in
+    Kernel.make ~name:"private_alloc" ~params:[ Builder.buffer "out" ]
+      [ Builder.par_for Axis.Thread_x "tx" (int 3)
+          [ Builder.alloc "s" Scope.Local 4;
+            Builder.store "s" (int 0) (v "tx" + int 1);
+            Builder.sync;
+            Builder.sync;
+            Builder.store "out" (v "tx") (load "s" (int 0))
+          ]
+      ]
+  in
+  List.iter
+    (fun (engine, run) ->
+      let out = Tensor.create 3 in
+      ignore (run k [ ("out", Interp.Buf out) ] : Interp.stats);
+      Alcotest.(check (list (float 0.0)))
+        ("private alloc across barriers, " ^ engine) [ 1.0; 2.0; 3.0 ] (Array.to_list out.data))
+    [ ("compiled", fun k a -> Interp.run k a); ("tree", fun k a -> Interp.run_tree k a) ]
 
 (* cooperative tiled GEMM with barriers inside a serial K-tile loop *)
 let tiled_gemm =
