@@ -134,11 +134,14 @@ let bench_kernel name op kernel =
   end;
   let elems_per_run = elems s_tree in
   let min_time = if smoke then 0.05 else 0.5 in
-  (* timed loops reuse one argument set: outputs are recomputed in place *)
+  (* timed loops reuse one argument set: outputs are recomputed in place.
+     The compiled engine is timed on one compile: the rate and the words
+     are the engine's, not [Interp.run]'s per-call compile *)
   let tree_eps = rate ~min_time ~elems_per_run (fun () -> Interp.run_tree kernel a_tree) in
-  let compiled_eps = rate ~min_time ~elems_per_run (fun () -> Interp.run kernel a_comp) in
-  (* one run on the warm compile cache; allocation is deterministic *)
-  let s, words = with_words (fun () -> Interp.run kernel a_comp) in
+  let compiled = Compile.compile kernel in
+  let compiled_eps = rate ~min_time ~elems_per_run (fun () -> Compile.run compiled a_comp) in
+  (* one run; allocation is deterministic *)
+  let s, words = with_words (fun () -> Compile.run compiled a_comp) in
   let words_per_step = words /. float_of_int s.Interp.steps in
   let r =
     { op_name = name;

@@ -1,8 +1,10 @@
 (* Repair/SMT hot-path benchmark: the pre-overhaul repair stack (naive
    re-checking solver, no memo) vs the overhauled one (incremental
-   watched-constraint solver, session memo) on the resilience
-   workload at matched injected-fault rates. Both arms test repair
-   candidates serially. Writes BENCH_repair.json (schema
+   watched-constraint solver, session memo of [Solver.solve] outcomes;
+   the repairer's candidate domains come from [Solver.solve_all], which
+   searches afresh on every call) on the resilience workload at matched
+   injected-fault rates. Both arms test repair candidates serially and
+   localize from the unit-test verdict memo. Writes BENCH_repair.json (schema
    xpiler-repair-bench/v2) into the current directory.
 
    Usage:

@@ -1985,43 +1985,3 @@ let run ?(fuel = default_fuel) ?trace c args =
   let frame = bind_args c args in
   c.code { stats; fuel; trace } frame;
   stats
-
-(* ---- bounded compile memo ---------------------------------------------- *)
-
-module Cache = Xpiler_util.Lru.Make (struct
-  type t = Kernel.t
-
-  let equal = Kernel.equal
-  let hash = Kernel.hash
-end)
-
-let cache_limit = 4096
-let cache : t Cache.t Xpiler_util.Session.t =
-  Xpiler_util.Session.make (fun () -> Cache.create cache_limit)
-
-module Metrics = Xpiler_obs.Metrics
-
-(* The cache is session-local, so hit/miss counts are a pure
-   function of the session's workload. *)
-let m_cache_hits =
-  Metrics.counter ~help:"compile cache lookups by result" ~labels:[ ("result", "hit") ]
-    "xpiler_compile_cache_lookups_total"
-
-let m_cache_misses =
-  Metrics.counter ~labels:[ ("result", "miss") ] "xpiler_compile_cache_lookups_total"
-
-let m_cache_evictions =
-  Metrics.counter ~help:"least-recently-used entries dropped at capacity"
-    "xpiler_compile_cache_evictions_total"
-
-let cached k =
-  let cache = Xpiler_util.Session.get cache in
-  match Cache.find cache k with
-  | Some c ->
-    Metrics.inc m_cache_hits;
-    c
-  | None ->
-    Metrics.inc m_cache_misses;
-    let c = compile k in
-    if Cache.replace cache k c then Metrics.inc m_cache_evictions;
-    c

@@ -5,8 +5,8 @@
     execution never walks an association list or the statement tree. The
     numerical semantics, error messages, statistics accounting, fuel
     discipline and SIMT fiber scheduling are byte-for-byte those of the
-    tree-walking reference interpreter — {!Interp.run} is a thin wrapper over
-    {!cached}, and [test/test_fuzz.ml] checks the two engines differentially.
+    tree-walking reference interpreter — {!Interp.run} compiles and runs,
+    and [test/test_fuzz.ml] checks the two engines differentially.
 
     A perfect affine nest — a loop whose body is a chain of single loops
     ending in one float store or one float-slot update that is a MAC [acc
@@ -109,6 +109,9 @@ type t
 (** A compiled kernel. *)
 
 val compile : Kernel.t -> t
+(** Lower a kernel. Nothing is memoized here: {!Interp.run} compiles on
+    every call, and the unit-test oracle's verdict memo is what spares a
+    re-tested kernel its compile and run. *)
 
 val run : ?fuel:int -> ?trace:(string -> int -> float -> unit) -> t -> (string * arg) list -> stats
 (** Same contract as [Interp.run]. *)
@@ -117,9 +120,3 @@ val run_receipt :
   ?fuel:int -> ?trace:(string -> int -> float -> unit) -> t -> (string * arg) list -> receipt
 (** [run], with a [Runtime_error] raised during execution returned in the
     receipt instead; argument-binding errors still raise (nothing ran). *)
-
-val cached : Kernel.t -> t
-(** Session-local LRU memo of [compile] (4096 entries), keyed by the
-    structural [Kernel.hash]/[equal]; the tuner and the unit-test oracle
-    re-execute the same candidate kernels many times, so this makes
-    compilation cost amortize to zero. *)

@@ -20,12 +20,15 @@ open Xpiler_ir
     bounds, unbound name, fuel exhausted, division by zero) means the
     translated kernel fails its unit test.
 
-    [run] executes through {!Compile}: the kernel is lowered
-    once into OCaml closures over slot-indexed frames (memoized on the
-    kernel's structural hash) and then executed without walking the statement
-    tree. A perfect affine nest ending in a single float store or
-    float-slot update runs as one range-checked OCaml loop nest, unless a
-    [trace] hook is given or its entry check fails. An [Alloc] executed
+    [run] executes through {!Compile}: each call lowers the kernel into
+    OCaml closures over slot-indexed frames (nothing is memoized here; the
+    unit-test oracle memoizes whole trials) and then executes them without
+    walking the statement tree. Every run counts one compile in
+    [xpiler_compile_cache_lookups_total{result="miss"}], a name kept for
+    the e2ebench layer attribution. A perfect affine nest ending in a
+    single float store or float-slot update runs as one range-checked
+    OCaml loop nest, unless a [trace] hook is given or its entry check
+    fails. An [Alloc] executed
     again zero-fills the tensor it made before, and a thread chain without
     a [Sync] runs without fibers. {!run_tree} keeps the
     direct tree-walker; the differential property in [test/test_fuzz.ml]
@@ -75,4 +78,4 @@ val run_tree :
   stats
 (** The tree-walking reference engine, same contract as {!run}. Kept as the
     baseline for differential testing and for the evaluation-engine
-    benchmark; not memoized. *)
+    benchmark. *)

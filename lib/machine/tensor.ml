@@ -18,16 +18,29 @@ let random rng ?(dtype = Dtype.F32) n =
 
 let close ~rtol ~atol a b = Float.abs (a -. b) <= atol +. (rtol *. Float.abs b)
 
+(* plain loops over the float arrays: a polymorphic iterator would box
+   both floats of every element *)
 let allclose ?(rtol = 1e-4) ?(atol = 1e-5) a b =
-  length a = length b
-  && Array.for_all2 (fun x y -> close ~rtol ~atol x y) a.data b.data
+  let n = length a in
+  n = length b
+  &&
+  let i = ref 0 in
+  while !i < n && close ~rtol ~atol a.data.(!i) b.data.(!i) do
+    incr i
+  done;
+  !i = n
 
+(* NaN wins, as with [Float.max] *)
 let max_abs_diff a b =
   if length a <> length b then infinity
-  else
+  else begin
     let m = ref 0.0 in
-    Array.iteri (fun i x -> m := Float.max !m (Float.abs (x -. b.data.(i)))) a.data;
+    for i = 0 to length a - 1 do
+      let d = Float.abs (a.data.(i) -. b.data.(i)) in
+      if d > !m || d <> d then m := d
+    done;
     !m
+  end
 
 let mismatch_count ?(rtol = 1e-4) ?(atol = 1e-5) a b =
   if length a <> length b then max (length a) (length b)

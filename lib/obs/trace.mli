@@ -5,7 +5,7 @@
     call the functions below, which no-op unless a tracer is in scope. The
     evaluators (interpreter engines, cost model, checker, static analyzer)
     emit nothing; the caller that owns a run meters it: the unit-test
-    oracle its trials, the localizer its probe run, [finalize] its cost
+    oracle its trials (the localizer's probes included), [finalize] its cost
     estimate and per-pass validation the analyzer's findings. Tracing only
     records, so no caller ever has to suspend it.
     [Core.Xpiler] scopes one per translation when

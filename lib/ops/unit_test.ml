@@ -127,10 +127,11 @@ let meter (stats : Interp.stats) =
 (* ---- verdict memo ------------------------------------------------------------
 
    Pipeline validation, ladder retries, repair rounds and baselines keep
-   re-testing the same kernels, and a trial is a pure function of (op,
-   shape, trial seed, kernel). Each trial is memoized, keyed by structural
-   kernel identity (and physical op identity, as above). An entry keeps the
-   run's stats, and every lookup, hit or miss, meters them: journals do not
+   re-testing the same kernels, and the repair localizer probes the trial
+   validation has just run; a trial is a pure function of (op, shape, trial
+   seed, kernel). Each trial is memoized, keyed by structural kernel
+   identity (and physical op identity, as above). An entry keeps the run's
+   stats, and every lookup, hit or miss, meters them: journals do not
    depend on the memo. *)
 
 module Memo_key = struct
@@ -149,6 +150,8 @@ type entry = {
   verdict : verdict;
   stats : Interp.stats;
   score : int;  (** expected-output elements the kernel gets wrong *)
+  error : string option;  (** the runtime error that ended the run *)
+  failing : string list;  (** failing outputs; every output on a runtime error *)
 }
 
 let memo_capacity = 8192
@@ -167,71 +170,80 @@ let pipeline_lookups =
   }
 
 (* the verdict's tolerance: the score counts exactly the elements that
-   make [judge] fail, so a passing trial scores 0 *)
+   make a trial fail, so a passing trial scores 0 *)
 let rtol = 1e-3
 let atol = 1e-4
 
-let mismatches args expected =
-  List.fold_left
-    (fun acc (name, e) ->
-      match List.assoc_opt name args with
-      | Some (Interp.Buf t) -> acc + Tensor.mismatch_count ~rtol ~atol t e
-      | _ -> acc + Tensor.length e)
-    0 expected
+(* the one comparison of a finished run: the outputs that differ from the
+   reference, in [op]'s buffer order, and how many elements they get wrong *)
+let compare_outputs args expected =
+  List.fold_right
+    (fun (name, e) (failing, score) ->
+      let bad =
+        match List.assoc_opt name args with
+        | Some (Interp.Buf t) -> Tensor.mismatch_count ~rtol ~atol t e
+        | _ -> Tensor.length e
+      in
+      if bad = 0 then (failing, score) else (name :: failing, score + bad))
+    expected ([], 0)
 
-let failing_outputs op args expected =
-  List.filter_map
-    (fun (name, t) ->
-      match List.assoc_opt name expected with
-      | Some e when Tensor.allclose ~rtol ~atol t e -> None
-      | _ -> Some name)
-    (out_tensors op args)
-
-let judge op args expected =
-  match failing_outputs op args expected with
-  | name :: _ ->
-    let t = List.assoc name (out_tensors op args) and e = List.assoc name expected in
-    Fail
-      (Printf.sprintf "output %s diverges (max abs diff %.3g)" name (Tensor.max_abs_diff t e))
-  | [] -> Pass
+let crashed stats m expected =
+  { verdict = Fail ("runtime error: " ^ m);
+    stats;
+    score = max_int;
+    error = Some m;
+    failing = List.map fst expected
+  }
 
 (* Run the kernel on a clone of the trial's inputs. [Error] when argument
    binding fails: nothing ran, so there is nothing to meter or memoize. *)
-let execute op kernel inputs expected =
+let execute kernel inputs expected =
   let args = clone inputs in
   match Interp.run_receipt kernel args with
-  | exception Interp.Runtime_error m -> Error ("runtime error: " ^ m)
-  | { Interp.stats; error = Some m } ->
-    Ok { verdict = Fail ("runtime error: " ^ m); stats; score = max_int }
+  | exception Interp.Runtime_error m -> Error m
+  | { Interp.stats; error = Some m } -> Ok (crashed stats m expected)
   | { Interp.stats; error = None } -> (
-    match judge op args expected with
-    | Pass -> Ok { verdict = Pass; stats; score = 0 }
-    | fail -> Ok { verdict = fail; stats; score = mismatches args expected })
+    match compare_outputs args expected with
+    | [], _ -> Ok { verdict = Pass; stats; score = 0; error = None; failing = [] }
+    | (name :: _ as failing), score ->
+      let diff =
+        match List.assoc_opt name args with
+        | Some (Interp.Buf t) -> Tensor.max_abs_diff t (List.assoc name expected)
+        | _ -> infinity
+      in
+      Ok
+        { verdict = Fail (Printf.sprintf "output %s diverges (max abs diff %.3g)" name diff);
+          stats;
+          score;
+          error = None;
+          failing
+        })
 
-(* one trial's verdict and score, from the memo entry for (op, shape, seed,
-   kernel), looked up before running and counted in [lookups] *)
+(* One trial's memo entry for (op, shape, seed, kernel), looked up before
+   running, counted in [lookups] and metered. [Error] when the reference
+   run raised. A binding error is an unmetered, unmemoized entry that fails
+   every output. *)
 let trial ~lookups ~seed (op : Opdef.t) shape kernel khash =
   match reference ~seed op shape with
-  | Error m -> (Fail ("reference run: " ^ m), max_int)
+  | Error m -> Error m
   | Ok (inputs, expected) -> (
     let key = { Memo_key.op; shape; seed; kernel; khash } in
     let memo = Session.get memo in
-    let entry =
-      match Memo_lru.find memo key with
-      | Some e ->
-        Metrics.inc lookups.hit;
-        Ok e
-      | None ->
-        Metrics.inc lookups.miss;
-        let r = execute op kernel inputs expected in
-        Result.iter (fun e -> ignore (Memo_lru.replace memo key e)) r;
-        r
-    in
-    match entry with
-    | Ok e ->
+    let ran e =
       meter e.stats;
-      (e.verdict, e.score)
-    | Error m -> (Fail m, max_int))
+      Ok e
+    in
+    match Memo_lru.find memo key with
+    | Some e ->
+      Metrics.inc lookups.hit;
+      ran e
+    | None -> (
+      Metrics.inc lookups.miss;
+      match execute kernel inputs expected with
+      | Ok e ->
+        ignore (Memo_lru.replace memo key e);
+        ran e
+      | Error m -> Ok (crashed (Compile.fresh_stats ()) m expected)))
 
 let default_seed = 20250706
 let trial_seed seed i = seed + (i * 7919)
@@ -242,13 +254,18 @@ let check ?(trials = 2) ?(seed = default_seed) ?(lookups = pipeline_lookups) op 
     if i >= trials then Pass
     else
       match trial ~lookups ~seed:(trial_seed seed i) op shape kernel khash with
-      | Pass, _ -> go (i + 1)
-      | fail, _ -> fail
+      | Error m -> Fail ("reference run: " ^ m)
+      | Ok { verdict = Pass; _ } -> go (i + 1)
+      | Ok e -> e.verdict
   in
   go 0
 
-let check_scored ?(seed = default_seed) ?(lookups = pipeline_lookups) op shape kernel =
-  trial ~lookups ~seed op shape kernel (Kernel.hash kernel)
+let mismatch_score ?(seed = default_seed) ?(lookups = pipeline_lookups) op shape kernel =
+  match trial ~lookups ~seed op shape kernel (Kernel.hash kernel) with
+  | Error _ -> max_int
+  | Ok e -> e.score
 
-let mismatch_score ?seed ?lookups op shape kernel =
-  snd (check_scored ?seed ?lookups op shape kernel)
+let probe ?(seed = default_seed) ?(lookups = pipeline_lookups) op shape kernel =
+  match trial ~lookups ~seed op shape kernel (Kernel.hash kernel) with
+  | Error m -> raise (Reference_failed m)
+  | Ok e -> (e.error, e.failing)

@@ -36,29 +36,24 @@ val reference_outputs_seeded :
     cached too). Cache misses count in
     [xpiler_unit_test_reference_runs_total]. *)
 
-val failing_outputs :
-  Opdef.t -> (string * Interp.arg) list -> (string * Tensor.t) list -> string list
-(** [failing_outputs op args expected]: the names of [op]'s output buffers
-    in [args], in [op]'s buffer order, that differ from [expected] at the
-    verdict's tolerance (rtol 1e-3, atol 1e-4) or that [expected] lacks.
-    A trial passes exactly when this is empty; the repair localizer reads
-    its failing buffers from it. *)
-
 val meter : Interp.stats -> unit
 (** Emit one candidate run's [interp.*] counts to the ambient tracer (a
     no-op when tracing is off). The interpreter emits nothing itself: the
-    checker below meters every trial through this function, and the repair
-    localizer its probe run. Serial reference runs are not metered, so a
-    journal does not depend on the reference cache. *)
+    checker below meters every trial, {!probe}'s included, through this
+    function. Serial reference runs are not metered, so a journal does not
+    depend on the reference cache. *)
 
 (** {2 The checker}
 
     Every trial is memoized in the session ({!Xpiler_util.Session}), keyed
     by (physical op, shape, trial seed, structural kernel): re-testing a
-    kernel costs a lookup. An entry keeps the run's stats, and every trial
-    meters them with {!meter}, on a hit and on a miss, so results, modelled
+    kernel, scoring it or localizing its fault costs a lookup. One
+    comparison of the run's outputs gives the entry its verdict, score and
+    failing outputs. An entry keeps the run's stats, and every trial meters
+    them with {!meter}, on a hit and on a miss, so results, modelled
     charges (callers charge before checking) and trace journals are the
-    same whether or not the memo served the trial. *)
+    same whether or not the memo served the trial. An argument-binding
+    error runs nothing: it is neither metered nor memoized. *)
 
 type lookups = { hit : Xpiler_obs.Metrics.counter; miss : Xpiler_obs.Metrics.counter }
 (** The counters a caller's memo lookups are counted in; by default the
@@ -73,16 +68,19 @@ val check :
     fuel) are failures, and so is a reference run that raises:
     [Fail "reference run: <msg>"]. *)
 
-val check_scored :
-  ?seed:int -> ?lookups:lookups -> Opdef.t -> Opdef.shape -> Kernel.t -> verdict * int
-(** The trial-0 verdict (identical to [check ~trials:1 ~seed]) and the
-    repair mismatch score from one memo entry: the number of
-    expected-output elements the candidate gets wrong at the verdict's
-    tolerance (rtol 1e-3, atol 1e-4), [max_int] on a runtime error. So a
-    [Pass] scores 0. *)
-
 val mismatch_score : ?seed:int -> ?lookups:lookups -> Opdef.t -> Opdef.shape -> Kernel.t -> int
-(** The score half of {!check_scored}. *)
+(** The repair mismatch score of trial [seed] (the trial of
+    [check ~trials:1 ~seed]): the number of expected-output elements the
+    candidate gets wrong at the verdict's tolerance (rtol 1e-3, atol 1e-4),
+    [max_int] on a runtime error or a reference that raises. So a [Pass]
+    scores 0. *)
+
+val probe :
+  ?seed:int -> ?lookups:lookups -> Opdef.t -> Opdef.shape -> Kernel.t -> string option * string list
+(** Trial [seed]'s runtime error, if one ended the run, and its failing
+    output buffers in [op]'s buffer order: every output on a runtime or
+    argument-binding error. The repair localizer reads a fault from here.
+    Raises {!Reference_failed} when the reference run raises. *)
 
 val reset_memo : unit -> unit
 (** Drop every memoized trial (the reference cache stays). *)

@@ -1,5 +1,4 @@
 open Xpiler_ir
-open Xpiler_machine
 open Xpiler_ops
 
 type report = {
@@ -39,21 +38,8 @@ let dynamic_stmts (k : Kernel.t) =
   walk false k.Kernel.body;
   !found
 
-let localize ?(seed = 20250706) ~op ~shape (kernel : Kernel.t) =
-  let args, expected = Unit_test.reference_outputs_seeded ~seed op shape in
-  let out_names = List.map fst expected in
-  let runtime_error =
-    match Interp.run_receipt kernel args with
-    | r ->
-      Unit_test.meter r.Interp.stats;
-      r.Interp.error
-    | exception Interp.Runtime_error m -> Some m
-  in
-  let failing_buffers =
-    match runtime_error with
-    | Some _ -> out_names
-    | None -> Unit_test.failing_outputs op args expected
-  in
+let localize ?seed ?lookups ~op ~shape (kernel : Kernel.t) =
+  let runtime_error, failing_buffers = Unit_test.probe ?seed ?lookups op shape kernel in
   (* dataflow cone of the failing buffers *)
   let cone = ref failing_buffers in
   let grew = ref true in

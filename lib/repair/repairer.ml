@@ -169,7 +169,7 @@ let repair ?(rounds = 2) ?(static = []) ?clock ~platform ~op ~shape kernel =
          draw shows up on another *)
       let report =
         Prof.span "repair.localize" (fun () ->
-            Localize.localize ~seed:(20250706 + ((total_rounds - n) * 7717)) ~op ~shape k)
+            Localize.localize ~seed:(20250706 + ((total_rounds - n) * 7717)) ~lookups ~op ~shape k)
       in
       if report.Localize.failing_buffers = [] && report.Localize.runtime_error = None then
         if fully_ok k then Repaired { kernel = k; tests_run = !tests; site = "none" }

@@ -1,11 +1,12 @@
 (* Session-local solver memo.
 
-   The repair loop re-poses the same finite-domain problems over and over:
-   every localization round rebuilds each site's candidate problem, and
-   every escalation rung re-enters repair on similar kernels. A solve is
-   pure — outcome and models depend only on (problem, budget) — so one
-   table per session can serve every query. The table is not persisted:
-   it dies with its session.
+   The static analyzer re-poses the same finite-domain problems over and
+   over: every escalation rung re-analyzes similar kernels. A solve is
+   pure — its outcome depends only on (problem, budget) — so one
+   table per session can serve every query. Model enumeration
+   ([Solver.solve_all]) is not memoized: its hits never paid for their
+   entries end to end. The table is not persisted: it dies with its
+   session.
 
    Determinism contract (the receipts trick): each entry stores the
    canonical [stats] the original search produced. A hit replays those
@@ -15,10 +16,10 @@
    translation of the session filled an entry first. Only the registry
    hit/miss meters below (and wall time) reveal that the table exists.
 
-   [max_steps] (and [limit] for model enumeration) are part of the key:
-   a [Timeout] under a small budget says nothing about a larger one, so
-   budgets never alias. That also makes memoizing [Timeout] and [Unsat]
-   outcomes safe — they are as pure as [Sat]. *)
+   [max_steps] is part of the key: a [Timeout] under a small budget says
+   nothing about a larger one, so budgets never alias. That also makes
+   memoizing [Timeout] and [Unsat] outcomes safe — they are as pure as
+   [Sat]. *)
 
 module Metrics = Xpiler_obs.Metrics
 
@@ -31,33 +32,24 @@ let m_hits =
 let m_misses =
   Metrics.counter ~labels:[ ("result", "miss") ] "xpiler_smt_memo_lookups_total"
 
-type mode = Solve | Models of { limit : int }
-
 module Key = struct
-  type t = { mode : mode; max_steps : int; problem : Problem.t }
+  type t = { max_steps : int; problem : Problem.t }
 
-  let equal a b = a.mode = b.mode && a.max_steps = b.max_steps && Problem.equal a.problem b.problem
-
-  let hash k =
-    let comb = Xpiler_ir.Expr.hash_comb in
-    comb (comb (Hashtbl.hash k.mode) k.max_steps) (Problem.hash k.problem)
+  let equal a b = a.max_steps = b.max_steps && Problem.equal a.problem b.problem
+  let hash k = Xpiler_ir.Expr.hash_comb k.max_steps (Problem.hash k.problem)
 end
 
 module Table = Xpiler_util.Lru.Make (Key)
 
-type payload =
-  | Outcome of Problem.outcome
-  | Model_list of (string * int) list list
-
-type entry = { payload : payload; stats : Problem.stats  (** the receipt *) }
+type entry = { outcome : Problem.outcome; stats : Problem.stats  (** the receipt *) }
 
 (* a repair pass touches a few dozen distinct problems; a whole sweep in one
    session a few thousand *)
 let table : entry Table.t Xpiler_util.Session.t =
   Xpiler_util.Session.make (fun () -> Table.create 65536)
 
-let find ~mode ~max_steps problem =
-  match Table.find (Xpiler_util.Session.get table) { Key.mode; max_steps; problem } with
+let find ~max_steps problem =
+  match Table.find (Xpiler_util.Session.get table) { Key.max_steps; problem } with
   | Some e ->
     Metrics.inc m_hits;
     Some e
@@ -65,8 +57,8 @@ let find ~mode ~max_steps problem =
     Metrics.inc m_misses;
     None
 
-let store ~mode ~max_steps problem entry =
-  ignore (Table.replace (Xpiler_util.Session.get table) { Key.mode; max_steps; problem } entry)
+let store ~max_steps problem entry =
+  ignore (Table.replace (Xpiler_util.Session.get table) { Key.max_steps; problem } entry)
 
 let hits () = Metrics.value m_hits
 let misses () = Metrics.value m_misses

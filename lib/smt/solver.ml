@@ -628,41 +628,28 @@ let solve ?(max_steps = default_max_steps) problem =
   let outcome, stats =
     if not (memo_active ()) then fresh ()
     else begin
-      match Memo.find ~mode:Memo.Solve ~max_steps problem with
-      | Some { Memo.payload = Outcome outcome; stats } -> (outcome, stats)
-      | Some { Memo.payload = Model_list _; _ } | None ->
+      match Memo.find ~max_steps problem with
+      | Some { Memo.outcome; stats } -> (outcome, stats)
+      | None ->
         let outcome, stats = fresh () in
-        Memo.store ~mode:Memo.Solve ~max_steps problem { Memo.payload = Outcome outcome; stats };
+        Memo.store ~max_steps problem { Memo.outcome; stats };
         (outcome, stats)
     end
   in
   record_query stats (verdict_of_outcome outcome);
   (outcome, stats)
 
+(* always a fresh search: model lists are not memoized *)
 let solve_all ?(max_steps = default_max_steps) ?(limit = 64) problem =
-  let fresh () =
-    let models = ref [] in
-    let count = ref 0 in
-    let _, _, stats =
-      run_search ~max_steps problem ~on_model:(fun model ->
-          models := model :: !models;
-          incr count;
-          !count >= limit)
-    in
-    (List.rev !models, stats)
+  let models = ref [] in
+  let count = ref 0 in
+  let _, _, stats =
+    run_search ~max_steps problem ~on_model:(fun model ->
+        models := model :: !models;
+        incr count;
+        !count >= limit)
   in
-  let mode = Memo.Models { limit } in
-  let models, stats =
-    if not (memo_active ()) then fresh ()
-    else begin
-      match Memo.find ~mode ~max_steps problem with
-      | Some { Memo.payload = Model_list models; stats } -> (models, stats)
-      | Some { Memo.payload = Outcome _; _ } | None ->
-        let models, stats = fresh () in
-        Memo.store ~mode ~max_steps problem { Memo.payload = Model_list models; stats };
-        (models, stats)
-    end
-  in
+  let models = List.rev !models in
   record_query stats (if models <> [] then "sat" else "unsat");
   Trace.count ~n:(List.length models) "smt.models";
   models

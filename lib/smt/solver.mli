@@ -19,9 +19,10 @@ open Xpiler_ir
     differentially fuzzed against. Both try values in the same order, so
     they return the same outcome, first model and model list; [steps]
     counts the assignment attempts each engine actually makes, so the
-    incremental count is at most the naive one. Incremental solves are
-    additionally memoized in the session's {!Memo}, with effect receipts
-    keeping cold and warm runs observably byte-identical. *)
+    incremental count is at most the naive one. Incremental {!solve}
+    outcomes are additionally memoized in the session's {!Memo}, with
+    effect receipts keeping cold and warm runs observably byte-identical;
+    {!solve_all} always searches afresh. *)
 
 type domain = Problem.domain =
   | Range of { lo : int; hi : int; stride : int }  (** lo, lo+stride, ..., <= hi *)

@@ -506,8 +506,8 @@ let observe runner k args =
     Ok (s.steps, s.stores, s.intrinsic_elems, s.memcpy_elems, s.barriers, List.rev !trace)
   | exception Interp.Runtime_error m -> Error m
 
-(* handcrafted dynamic errors: a memo-served compiled kernel raises the same
-   Runtime_error message as a fresh compile and as the tree interpreter *)
+(* handcrafted dynamic errors: Interp.run raises the same Runtime_error
+   message as a fresh compile and as the tree interpreter *)
 let test_error_message_parity () =
   let open Expr.Infix in
   let out = Builder.buffer "out" in
@@ -539,10 +539,7 @@ let test_error_message_parity () =
         (k.Kernel.name ^ ": fresh compile")
         reference
         (msg (Compile.run ~fuel (Compile.compile k)));
-      Alcotest.(check string)
-        (k.Kernel.name ^ ": memo-served compile")
-        reference
-        (msg (Compile.run ~fuel (Compile.cached k))))
+      Alcotest.(check string) (k.Kernel.name ^ ": Interp.run") reference (msg (Interp.run ~fuel k)))
     cases
 
 (* Every operator's serial kernel and golden sources at its first shape run
@@ -581,9 +578,9 @@ let test_registry_engine_parity () =
         kernels)
     Registry.all
 
-(* cold vs warm: a fresh compile and a memo-served compile of a structurally
-   equal (but separately built) kernel produce identical outputs, stats and
-   traces, and the memo hands back the same compiled value *)
+(* cold vs warm: a compiled kernel run again (its closures reused) on the
+   arguments of a structurally equal, separately built kernel produces its
+   first run's outputs, stats and traces *)
 let test_cold_vs_warm () =
   let k = kernel_of_seed 7 in
   let k' = kernel_of_seed 7 in
@@ -592,21 +589,19 @@ let test_cold_vs_warm () =
   let a_warm = Tcommon.clone_args args in
   let cold = Compile.compile k in
   let r_cold = observe (fun ~trace _ a -> Compile.run ~trace cold a) k a_cold in
-  let c = Compile.cached k in
-  Alcotest.(check bool) "memo keyed by content" true (Compile.cached k' == c);
-  let r_warm = observe (fun ~trace _ a -> Compile.run ~trace c a) k' a_warm in
+  let r_warm = observe (fun ~trace _ a -> Compile.run ~trace cold a) k' a_warm in
   Alcotest.(check bool) "cold = warm (stats+trace)" true (compare r_cold r_warm = 0);
   Alcotest.(check bool) "cold = warm (buffers)" true
     (compare (Tcommon.buffers a_cold) (Tcommon.buffers a_warm) = 0)
 
 (* the metrics snapshot (the cross-jobs determinism contract) is touched
-   only by compile-memo lookups, never by executing a compiled kernel: pool
-   workers run kernels on whichever domain is free *)
+   only by Interp.run's compile count, never by compiling or executing a
+   kernel: pool workers run kernels on whichever domain is free *)
 let test_stable_metrics_untouched () =
   let k = kernel_of_seed 11 in
   let args = Tcommon.make_args (Xpiler_util.Rng.create 4) ~buf_size k [] in
-  let c = Compile.cached k in
   let before = Xpiler_obs.Metrics.snapshot () in
+  let c = Compile.compile k in
   ignore (Compile.run c (Tcommon.clone_args args));
   ignore (Compile.run ~trace:(fun _ _ _ -> ()) c (Tcommon.clone_args args));
   ignore (Interp.run_tree k (Tcommon.clone_args args));

@@ -78,6 +78,17 @@ let test_within_tolerance_scores_zero () =
   Alcotest.(check bool) "passes" true (Unit_test.check op shape near = Unit_test.Pass);
   Alcotest.(check int) "scores 0" 0 (Unit_test.mismatch_score op shape near)
 
+(* the verdict's comparison runs on every trial: comparing two equal
+   10,000-element tensors allocates nothing per element *)
+let test_allclose_allocation_free () =
+  let a = Tensor.random (Xpiler_util.Rng.create 5) 10_000 in
+  let b = Tensor.copy a in
+  let before = Gc.minor_words () in
+  let same = Tensor.allclose ~rtol:1e-3 ~atol:1e-4 a b in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "equal tensors are close" true same;
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words < 100" words) true (words < 100.0)
+
 (* the serial reference reads one past the end of its input: the oracle
    cannot run, which must end in a typed failure, not an exception *)
 let oob_op () = throwaway_op "oob_reference" (fun i -> Expr.Infix.(load "inp" (i + int 1)))
@@ -259,6 +270,8 @@ let () =
           Alcotest.test_case "raising reference is a typed failure" `Quick
             test_reference_failure_is_typed;
           Alcotest.test_case "reference cache is LRU" `Quick test_reference_cache_lru;
+          Alcotest.test_case "allclose allocates nothing per element" `Quick
+            test_allclose_allocation_free;
           Alcotest.test_case "within-tolerance output scores 0" `Quick
             test_within_tolerance_scores_zero
         ] );

@@ -151,11 +151,13 @@ let test_repair_tests_journaled () =
         true (runs >= tests))
     (List.combine spans tests_run)
 
-(* the fused one-run oracle must agree with the two-run path it replaces *)
+(* the verdict and the mismatch score come from one trial's comparison: a
+   trial passes exactly when it scores 0 *)
 let test_fused_oracle_matches_check () =
   let clean = Idiom.source Platform.Bang gemm gemm_shape in
   Alcotest.(check bool) "clean kernel: pass with zero mismatches" true
-    (Unit_test.check_scored gemm gemm_shape clean = (Unit_test.Pass, 0));
+    (Unit_test.check ~trials:1 gemm gemm_shape clean = Unit_test.Pass
+    && Unit_test.mismatch_score gemm gemm_shape clean = 0);
   let exercised = ref 0 in
   List.iter
     (fun seed ->
@@ -163,15 +165,11 @@ let test_fused_oracle_matches_check () =
       | None -> ()
       | Some (broken, _) ->
         incr exercised;
-        let fused, score = Unit_test.check_scored gemm gemm_shape broken in
+        let score = Unit_test.mismatch_score gemm gemm_shape broken in
         let plain = Unit_test.check ~trials:1 gemm gemm_shape broken in
         Alcotest.(check bool)
-          (Printf.sprintf "verdicts agree (seed %d)" seed)
-          true (fused = plain);
-        if fused <> Unit_test.Pass then
-          Alcotest.(check bool)
-            (Printf.sprintf "failing candidate has a positive score (seed %d)" seed)
-            true (score > 0))
+          (Printf.sprintf "pass exactly when the score is 0 (seed %d)" seed)
+          (plain = Unit_test.Pass) (score = 0))
     [ 0; 1; 2; 3; 5 ];
   Alcotest.(check bool) "at least one fault exercised" true (!exercised > 0)
 

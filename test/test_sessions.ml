@@ -18,7 +18,6 @@ let run ?config ~src ~dst op shape =
 
 module Pool = Xpiler_util.Pool
 module Rng = Xpiler_util.Rng
-module Kgen = Test_support.Kgen
 module Problem = Xpiler_smt.Problem
 module Memo = Xpiler_smt.Memo
 module Tracer = Xpiler_obs.Tracer
@@ -29,37 +28,64 @@ let with_four_domains f =
   Pool.set_max_domains 4;
   Fun.protect ~finally:(fun () -> Pool.set_max_domains saved) f
 
+module Metrics = Xpiler_obs.Metrics
+
+(* the pipeline's reference-run and verdict-memo counters; outside the map
+   nothing else runs, so their deltas over a map are the tasks' own *)
+let reference_runs () =
+  Metrics.value (Metrics.counter "xpiler_unit_test_reference_runs_total")
+
+let verdict_lookups result =
+  Metrics.value
+    (Metrics.counter ~labels:[ ("result", result) ] "xpiler_unit_test_memo_lookups_total")
+
 let test_pool_tasks_start_cold () =
   with_four_domains @@ fun () ->
-  let kernel = Kgen.kernel (Rng.create 103) in
   let problem =
     { Problem.vars = [ ("x", Problem.Range { lo = 0; hi = 9; stride = 1 }) ];
       constraints = [ Xpiler_ir.Expr.Var "x" ]
     }
   in
-  Memo.store ~mode:Memo.Solve ~max_steps:100 problem
-    { Memo.payload = Memo.Outcome Problem.Unsat; stats = { Problem.steps = 5; evals = 9 } };
-  let compiled = Compile.cached kernel in
+  Memo.store ~max_steps:100 problem
+    { Memo.outcome = Problem.Unsat; stats = { Problem.steps = 5; evals = 9 } };
+  let op = Registry.find_exn "relu" in
+  let shape = List.hd op.Opdef.shapes in
+  let kernel = op.Opdef.serial shape in
+  let check () = Unit_test.check ~trials:1 op shape kernel in
+  ignore (check ());
   let caller_view () =
-    ( Memo.find ~mode:Memo.Solve ~max_steps:100 problem <> None,
-      Compile.cached kernel == compiled )
+    let refs = reference_runs () and hits = verdict_lookups "hit" in
+    let verdict = check () in
+    ( Memo.find ~max_steps:100 problem <> None,
+      verdict = Unit_test.Pass && reference_runs () = refs && verdict_lookups "hit" = hits + 1 )
   in
   Trace.with_tracer (Tracer.create ()) @@ fun () ->
   List.iter
     (fun jobs ->
+      let refs = reference_runs ()
+      and hits = verdict_lookups "hit"
+      and misses = verdict_lookups "miss" in
       let tasks =
         Pool.map ~jobs
           (fun _ ->
-            let c = Compile.cached kernel in
-            (Memo.size () = 0, c != compiled && Compile.cached kernel == c, Trace.enabled ()))
+            (* the second check is served by the task's own entries *)
+            let first = check () in
+            let second = check () in
+            (Memo.size () = 0, first = second, Trace.enabled ()))
           (List.init 4 Fun.id)
       in
       let each what f =
         Alcotest.(check bool) (Printf.sprintf "jobs=%d: %s" jobs what) true (List.for_all f tasks)
       in
       each "solver memo empty" (fun (m, _, _) -> m);
-      each "compile cache empty, then its own" (fun (_, c, _) -> c);
+      each "same verdict cold and warm" (fun (_, v, _) -> v);
       each "no ambient tracer" (fun (_, _, tr) -> not tr);
+      let counts what base now =
+        Alcotest.(check int) (Printf.sprintf "jobs=%d: %s" jobs what) 4 (now - base)
+      in
+      counts "one reference run per task" refs (reference_runs ());
+      counts "one verdict-memo miss per task" misses (verdict_lookups "miss");
+      counts "one verdict-memo hit per task" hits (verdict_lookups "hit");
       Alcotest.(check bool) (Printf.sprintf "jobs=%d: caller's entries survive" jobs) true
         (caller_view () = (true, true)))
     [ 1; 4 ]
@@ -71,7 +97,6 @@ let test_pool_tasks_start_cold () =
    in order. Every task runs in a fresh session, so results and the metrics
    snapshot must not depend on the job count. *)
 
-module Metrics = Xpiler_obs.Metrics
 module Json = Xpiler_obs.Json
 
 let translation_groups =
