@@ -265,7 +265,7 @@ let mismatch_score ?(seed = default_seed) ?(lookups = pipeline_lookups) op shape
   | Error _ -> max_int
   | Ok e -> e.score
 
-let probe ?(seed = default_seed) ?(lookups = pipeline_lookups) op shape kernel =
+let probe ?(seed = default_seed) ~lookups op shape kernel =
   match trial ~lookups ~seed op shape kernel (Kernel.hash kernel) with
   | Error m -> raise (Reference_failed m)
   | Ok e -> (e.error, e.failing)

@@ -56,8 +56,9 @@ val meter : Interp.stats -> unit
     error runs nothing: it is neither metered nor memoized. *)
 
 type lookups = { hit : Xpiler_obs.Metrics.counter; miss : Xpiler_obs.Metrics.counter }
-(** The counters a caller's memo lookups are counted in; by default the
-    pipeline's [xpiler_unit_test_memo_lookups_total{result}]. *)
+(** The counters a caller's memo lookups are counted in. {!check} and
+    {!mismatch_score} default to the pipeline's
+    [xpiler_unit_test_memo_lookups_total{result}]. *)
 
 val check :
   ?trials:int -> ?seed:int -> ?lookups:lookups -> Opdef.t -> Opdef.shape -> Kernel.t -> verdict
@@ -76,10 +77,11 @@ val mismatch_score : ?seed:int -> ?lookups:lookups -> Opdef.t -> Opdef.shape -> 
     scores 0. *)
 
 val probe :
-  ?seed:int -> ?lookups:lookups -> Opdef.t -> Opdef.shape -> Kernel.t -> string option * string list
+  ?seed:int -> lookups:lookups -> Opdef.t -> Opdef.shape -> Kernel.t -> string option * string list
 (** Trial [seed]'s runtime error, if one ended the run, and its failing
     output buffers in [op]'s buffer order: every output on a runtime or
-    argument-binding error. The repair localizer reads a fault from here.
+    argument-binding error. The repair localizer reads a fault from here,
+    counting its lookup in [lookups].
     Raises {!Reference_failed} when the reference run raises. *)
 
 val reset_memo : unit -> unit

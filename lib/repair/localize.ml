@@ -38,8 +38,19 @@ let dynamic_stmts (k : Kernel.t) =
   walk false k.Kernel.body;
   !found
 
-let localize ?seed ?lookups ~op ~shape (kernel : Kernel.t) =
-  let runtime_error, failing_buffers = Unit_test.probe ?seed ?lookups op shape kernel in
+(* the repair loop's verdict-memo lookups, its own unit tests' and this
+   localizer's alike, are counted apart from the pipeline's *)
+let lookups =
+  { Unit_test.hit =
+      Xpiler_obs.Metrics.counter ~help:"repair verdict-memo lookups by result"
+        ~labels:[ ("result", "hit") ] "xpiler_repair_verdict_memo_lookups_total";
+    miss =
+      Xpiler_obs.Metrics.counter ~labels:[ ("result", "miss") ]
+        "xpiler_repair_verdict_memo_lookups_total"
+  }
+
+let localize ?seed ~op ~shape (kernel : Kernel.t) =
+  let runtime_error, failing_buffers = Unit_test.probe ?seed ~lookups op shape kernel in
   (* dataflow cone of the failing buffers *)
   let cone = ref failing_buffers in
   let grew = ref true in

@@ -22,19 +22,17 @@ type report = {
       (** descriptions of fault locations under data-dependent control flow *)
 }
 
-val localize :
-  ?seed:int ->
-  ?lookups:Unit_test.lookups ->
-  op:Opdef.t ->
-  shape:Opdef.shape ->
-  Kernel.t ->
-  report
+val lookups : Unit_test.lookups
+(** The repair loop's verdict-memo lookups,
+    [xpiler_repair_verdict_memo_lookups_total{result=hit|miss}]: the
+    localizer's trials and the repairer's candidate tests and scores. *)
+
+val localize : ?seed:int -> op:Opdef.t -> shape:Opdef.shape -> Kernel.t -> report
 (** [seed] selects the trial; the default is the unit-test oracle's first,
     so localization reads the failure validation saw from the verdict
     memo instead of running the kernel again. A trial that has to run is
-    metered like every other; the lookup counts in [lookups] (default the
-    pipeline's). Raises {!Unit_test.Reference_failed} when the reference
-    run raises. *)
+    metered like every other; its lookup counts in {!lookups}. Raises
+    {!Unit_test.Reference_failed} when the reference run raises. *)
 
 val of_findings : Xpiler_analysis.Analyzer.finding list -> report
 (** Build a report from static-analyzer findings alone, with no probe run.

@@ -68,17 +68,6 @@ let candidate_values ~platform (k : Kernel.t) (site : Site.t) =
 
 let charge clock stage s = match clock with Some c -> Vclock.charge c stage s | None -> ()
 
-(* The repairer's unit tests go through [Unit_test]'s verdict memo; its
-   lookups are counted apart from the pipeline's *)
-let lookups =
-  { Unit_test.hit =
-      Metrics.counter ~help:"repair verdict-memo lookups by result"
-        ~labels:[ ("result", "hit") ] "xpiler_repair_verdict_memo_lookups_total";
-    miss =
-      Metrics.counter ~labels:[ ("result", "miss") ]
-        "xpiler_repair_verdict_memo_lookups_total"
-  }
-
 (* candidates must stay structurally well-formed; full platform checking
    happens on the final program (intermediate pipeline states legitimately
    mix source and target features) *)
@@ -120,13 +109,15 @@ let repair ?(rounds = 2) ?(static = []) ?clock ~platform ~op ~shape kernel =
   let unit_ok k =
     incr tests;
     charge clock Vclock.Unit_test 45.0;
-    Prof.span "repair.test" (fun () -> Unit_test.check ~trials:1 ~lookups op shape k)
+    Prof.span "repair.test" (fun () ->
+        Unit_test.check ~trials:1 ~lookups:Localize.lookups op shape k)
     = Unit_test.Pass
   in
   let fully_ok k =
     incr tests;
     charge clock Vclock.Unit_test 90.0;
-    Prof.span "repair.test" (fun () -> Unit_test.check ~trials:2 ~lookups op shape k)
+    Prof.span "repair.test" (fun () ->
+        Unit_test.check ~trials:2 ~lookups:Localize.lookups op shape k)
     = Unit_test.Pass
   in
   (* Algorithm 3's inner loop: solve each site's candidate domain in turn
@@ -146,7 +137,7 @@ let repair ?(rounds = 2) ?(static = []) ?clock ~platform ~op ~shape kernel =
             (fun f ->
               f candidate
                 (Prof.span "repair.score" (fun () ->
-                     Unit_test.mismatch_score ~lookups op shape candidate)))
+                     Unit_test.mismatch_score ~lookups:Localize.lookups op shape candidate)))
             on_failed;
           None
         end
@@ -169,7 +160,7 @@ let repair ?(rounds = 2) ?(static = []) ?clock ~platform ~op ~shape kernel =
          draw shows up on another *)
       let report =
         Prof.span "repair.localize" (fun () ->
-            Localize.localize ~seed:(20250706 + ((total_rounds - n) * 7717)) ~lookups ~op ~shape k)
+            Localize.localize ~seed:(20250706 + ((total_rounds - n) * 7717)) ~op ~shape k)
       in
       if report.Localize.failing_buffers = [] && report.Localize.runtime_error = None then
         if fully_ok k then Repaired { kernel = k; tests_run = !tests; site = "none" }
@@ -186,7 +177,8 @@ let repair ?(rounds = 2) ?(static = []) ?clock ~platform ~op ~shape kernel =
         (* how wrong is the kernel? several faults may coexist, so repair
            hill-climbs on this score *)
         let base_score =
-          Prof.span "repair.score" (fun () -> Unit_test.mismatch_score ~lookups op shape k)
+          Prof.span "repair.score" (fun () ->
+              Unit_test.mismatch_score ~lookups:Localize.lookups op shape k)
         in
         let best_partial = ref None in
         (* several faults may coexist: remember the candidate that brings

@@ -43,8 +43,8 @@ val repair :
 (** {2 Bench meters}
 
     Candidate tests and mismatch scores go through [Unit_test]'s verdict
-    memo; the repairer's lookups are counted in
-    [xpiler_repair_verdict_memo_lookups_total{result=hit|miss}]. *)
+    memo; their lookups, and the localizer's, are counted in
+    {!Localize.lookups}. *)
 
 type wall_stats = {
   repairs : int;

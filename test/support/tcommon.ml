@@ -1,5 +1,6 @@
 (* Shared helpers for the test suites: run two kernels on identical random
-   inputs and compare every buffer. *)
+   inputs and compare every buffer; throwaway operators for the unit-test
+   oracle, and its reference-run counter. *)
 
 open Xpiler_ir
 open Xpiler_machine
@@ -57,3 +58,29 @@ let expect_ok = function
 let expect_error msg = function
   | Ok _ -> Alcotest.fail ("expected Error: " ^ msg)
   | Error _ -> ()
+
+(* a throwaway elementwise operator over [n] floats whose serial kernel is
+   [body]: fresh per call, so its reference entries are its own *)
+let throwaway_op name body : Xpiler_ops.Opdef.t =
+  let open Expr.Infix in
+  let n = 64 in
+  { name;
+    cls = Xpiler_ops.Opdef.Elementwise;
+    shapes = [ [ ("n", n) ] ];
+    buffers =
+      [ { buf_name = "inp"; dtype = Dtype.F32; size = (fun _ -> n); is_output = false };
+        { buf_name = "out"; dtype = Dtype.F32; size = (fun _ -> n); is_output = true } ];
+    serial =
+      (fun _ ->
+        Kernel.make ~name ~params:[ Builder.buffer "inp"; Builder.buffer "out" ]
+          [ Builder.for_ "i" (int n) [ Builder.store "out" (v "i") (body (v "i")) ] ]);
+    flops = (fun _ -> float_of_int n)
+  }
+
+(* the serial reference reads one past the end of its input, so running
+   it raises *)
+let oob_op () = throwaway_op "oob_reference" (fun i -> Expr.Infix.(load "inp" (i + int 1)))
+
+(* the pipeline's reference runs so far *)
+let reference_runs () =
+  Xpiler_obs.Metrics.value (Xpiler_obs.Metrics.counter "xpiler_unit_test_reference_runs_total")

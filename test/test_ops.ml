@@ -1,6 +1,7 @@
 open Xpiler_ir
 open Xpiler_machine
 open Xpiler_ops
+module Tcommon = Test_support.Tcommon
 
 let platforms = [ Platform.Cuda; Platform.Bang; Platform.Hip; Platform.Vnni ]
 
@@ -49,37 +50,20 @@ let test_corrupted_kernel_fails () =
   | Unit_test.Fail _ -> ()
   | Unit_test.Pass -> Alcotest.fail "corrupted kernel must fail its unit test"
 
-(* a throwaway elementwise operator over [n] floats whose serial kernel is
-   [body]: fresh per call, so its reference entries are its own *)
-let throwaway_op name body : Opdef.t =
-  let open Expr.Infix in
-  let n = 64 in
-  { name;
-    cls = Opdef.Elementwise;
-    shapes = [ [ ("n", n) ] ];
-    buffers =
-      [ { buf_name = "inp"; dtype = Dtype.F32; size = (fun _ -> n); is_output = false };
-        { buf_name = "out"; dtype = Dtype.F32; size = (fun _ -> n); is_output = true } ];
-    serial =
-      (fun _ ->
-        Kernel.make ~name ~params:[ Builder.buffer "inp"; Builder.buffer "out" ]
-          [ Builder.for_ "i" (int n) [ Builder.store "out" (v "i") (body (v "i")) ] ]);
-    flops = (fun _ -> float_of_int n)
-  }
-
 (* an output off by 5e-4 relative is within the verdict's tolerance (rtol
    1e-3): it passes, and the repair score, counted at the same tolerance,
    is 0 *)
 let test_within_tolerance_scores_zero () =
   let scale c = Expr.Infix.(fun i -> load "inp" i * flt c) in
-  let op = throwaway_op "scale2" (scale 2.0) in
+  let op = Tcommon.throwaway_op "scale2" (scale 2.0) in
   let shape = List.hd op.shapes in
-  let near = (throwaway_op "scale2" (scale 2.001)).serial shape in
+  let near = (Tcommon.throwaway_op "scale2" (scale 2.001)).serial shape in
   Alcotest.(check bool) "passes" true (Unit_test.check op shape near = Unit_test.Pass);
   Alcotest.(check int) "scores 0" 0 (Unit_test.mismatch_score op shape near)
 
-(* the verdict's comparison runs on every trial: comparing two equal
-   10,000-element tensors allocates nothing per element *)
+(* a plain loop: comparing two equal 10,000-element tensors allocates
+   nothing per element (the polymorphic [Array.for_all2] boxed both floats
+   of every pair) *)
 let test_allclose_allocation_free () =
   let a = Tensor.random (Xpiler_util.Rng.create 5) 10_000 in
   let b = Tensor.copy a in
@@ -91,10 +75,8 @@ let test_allclose_allocation_free () =
 
 (* the serial reference reads one past the end of its input: the oracle
    cannot run, which must end in a typed failure, not an exception *)
-let oob_op () = throwaway_op "oob_reference" (fun i -> Expr.Infix.(load "inp" (i + int 1)))
-
 let test_reference_failure_is_typed () =
-  let op = oob_op () in
+  let op = Tcommon.oob_op () in
   let shape = List.hd op.shapes in
   (match Unit_test.check ~trials:1 op shape (op.serial shape) with
   | Unit_test.Fail m ->
@@ -110,27 +92,23 @@ let test_reference_failure_is_typed () =
     Alcotest.(check bool) "not accepted" false (Xpiler.accepted o.Xpiler.status)
   | exception e -> Alcotest.failf "transcompile raised %s" (Printexc.to_string e)
 
-let reference_runs () =
-  Xpiler_obs.Metrics.value
-    (Xpiler_obs.Metrics.counter "xpiler_unit_test_reference_runs_total")
-
 (* the reference cache evicts least-recently-used entries, not everything:
    after touching more keys than it holds, the most recent is still cached *)
 let test_reference_cache_lru () =
-  let op = throwaway_op "lru_probe" (fun i -> Expr.Infix.(load "inp" i * flt 2.0)) in
+  let op = Tcommon.throwaway_op "lru_probe" (fun i -> Expr.Infix.(load "inp" i * flt 2.0)) in
   let shape = List.hd op.shapes in
   let touch seed = ignore (Unit_test.reference_outputs_seeded ~seed op shape) in
   let keys = 600 in
-  let before = reference_runs () in
+  let before = Tcommon.reference_runs () in
   for seed = 1 to keys do
     touch seed
   done;
-  Alcotest.(check int) "one run per new key" keys (reference_runs () - before);
-  let filled = reference_runs () in
+  Alcotest.(check int) "one run per new key" keys (Tcommon.reference_runs () - before);
+  let filled = Tcommon.reference_runs () in
   touch keys;
-  Alcotest.(check int) "the most recent key is still cached" filled (reference_runs ());
+  Alcotest.(check int) "the most recent key is still cached" filled (Tcommon.reference_runs ());
   touch 1;
-  Alcotest.(check int) "the least recent was evicted" (filled + 1) (reference_runs ())
+  Alcotest.(check int) "the least recent was evicted" (filled + 1) (Tcommon.reference_runs ())
 
 let idiom_case pid (op : Opdef.t) shape =
   let platform = Platform.of_id pid in

@@ -94,35 +94,9 @@ let test_localize_flags_dynamic_control_flow () =
   Alcotest.(check bool) "flagged unrepairable" true (report.unrepairable <> [])
 
 (* the localizer reads the trial the unit test has just run from the
-   verdict memo, counted in the repairer's lookups, and reports what a cold
+   verdict memo, counted in the repair loop's lookups, and reports what a cold
    localization reports. A binding error is never memoized and a raising
    reference never reaches the memo *)
-let repair_lookups =
-  let counter result =
-    Xpiler_obs.Metrics.counter ~labels:[ ("result", result) ]
-      "xpiler_repair_verdict_memo_lookups_total"
-  in
-  { Unit_test.hit = counter "hit"; miss = counter "miss" }
-
-(* a throwaway elementwise operator whose serial reference reads one past
-   the end of its input *)
-let raising_reference_op () : Opdef.t =
-  let open Expr.Infix in
-  let n = 64 in
-  { name = "oob_reference";
-    cls = Opdef.Elementwise;
-    shapes = [ [ ("n", n) ] ];
-    buffers =
-      [ { buf_name = "inp"; dtype = Dtype.F32; size = (fun _ -> n); is_output = false };
-        { buf_name = "out"; dtype = Dtype.F32; size = (fun _ -> n); is_output = true } ];
-    serial =
-      (fun _ ->
-        Kernel.make ~name:"oob_reference" ~params:[ Builder.buffer "inp"; Builder.buffer "out" ]
-          [ Builder.for_ "i" (int n)
-              [ Builder.store "out" (v "i") (load "inp" (v "i" + int 1)) ] ]);
-    flops = (fun _ -> float_of_int n)
-  }
-
 let test_localize_reads_oracle_trial () =
   let shift_stores buf by k =
     Kernel.map_body
@@ -138,7 +112,7 @@ let test_localize_reads_oracle_trial () =
     | Some (k, _) -> k
     | None -> Alcotest.fail "no param site"
   in
-  let raising = raising_reference_op () in
+  let raising = Test_support.Tcommon.oob_op () in
   let cases =
     [ ("wrong output", gemm, gemm_shape, wrong, true);
       ("out of bounds", gemm, gemm_shape, shift_stores "C" 1_000_000 (gemm.Opdef.serial gemm_shape),
@@ -146,7 +120,7 @@ let test_localize_reads_oracle_trial () =
       ("raising reference", raising, [ ("n", 64) ], raising.Opdef.serial [ ("n", 64) ], false) ]
   in
   let localize op shape k =
-    match Localize.localize ~lookups:repair_lookups ~op ~shape k with
+    match Localize.localize ~op ~shape k with
     | r -> Ok r
     | exception Unit_test.Reference_failed m -> Error m
   in
@@ -154,11 +128,11 @@ let test_localize_reads_oracle_trial () =
     (fun (label, op, shape, k, memoized) ->
       Alcotest.(check bool) (label ^ ": fails its unit test") true
         (Unit_test.check ~trials:1 op shape k <> Unit_test.Pass);
-      let hits = Xpiler_obs.Metrics.value repair_lookups.hit in
+      let hits = Xpiler_obs.Metrics.value Localize.lookups.hit in
       let warm = localize op shape k in
       Alcotest.(check int) (label ^ ": verdict-memo hits")
         (if memoized then 1 else 0)
-        (Xpiler_obs.Metrics.value repair_lookups.hit - hits);
+        (Xpiler_obs.Metrics.value Localize.lookups.hit - hits);
       Unit_test.reset_memo ();
       let cold = localize op shape k in
       Alcotest.(check bool) (label ^ ": warm report = cold report") true (warm = cold);

@@ -30,11 +30,10 @@ let with_four_domains f =
 
 module Metrics = Xpiler_obs.Metrics
 
+let reference_runs = Test_support.Tcommon.reference_runs
+
 (* the pipeline's reference-run and verdict-memo counters; outside the map
    nothing else runs, so their deltas over a map are the tasks' own *)
-let reference_runs () =
-  Metrics.value (Metrics.counter "xpiler_unit_test_reference_runs_total")
-
 let verdict_lookups result =
   Metrics.value
     (Metrics.counter ~labels:[ ("result", result) ] "xpiler_unit_test_memo_lookups_total")
