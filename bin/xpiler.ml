@@ -40,14 +40,6 @@ let seed_arg =
   let doc = "Seed for the (simulated) neural oracle." in
   Arg.(value & opt int 20250706 & info [ "seed" ] ~doc)
 
-let no_prune_arg =
-  let doc =
-    "Disable bound-based pruning of intra-pass tuning candidates. Pruning skips only \
-     candidates whose admissible cost bound cannot beat the best variant so far; the flag \
-     exists for A/B measurement."
-  in
-  Arg.(value & flag & info [ "no-tune-prune" ] ~doc)
-
 let max_escalation_arg =
   let doc =
     "Cap the recovery ladder at rung $(docv) (0 validate-only, 1 +hinted re-prompt, 2 +SMT \
@@ -139,7 +131,7 @@ let find_op name =
 
 (* ---- translate ------------------------------------------------------------ *)
 
-let translate op_name shape src dst tune seed no_prune max_escalation fault_scale trace =
+let translate op_name shape src dst tune seed max_escalation fault_scale trace =
   let op = find_op op_name in
   let shape = parse_shape op shape in
   check_max_escalation max_escalation;
@@ -147,11 +139,6 @@ let translate op_name shape src dst tune seed no_prune max_escalation fault_scal
   let config =
     let base = if tune then Config.tuned else Config.default in
     let base = Config.with_seed base seed in
-    let base =
-      { base with
-        Config.mcts = { base.Config.mcts with Xpiler_tuning.Mcts.prune = not no_prune }
-      }
-    in
     let base = Config.with_max_escalation base max_escalation in
     let base = Config.with_fault_scale base fault_scale in
     if trace = None then base else Config.with_trace base Xpiler_obs.Tracer.Detail
@@ -195,7 +182,7 @@ let translate_cmd =
   Cmd.v info
     Term.(
       const translate $ op_arg $ shape_arg $ src_arg $ dst_arg $ tune_arg $ seed_arg
-      $ no_prune_arg $ max_escalation_arg $ fault_scale_arg $ trace_arg)
+      $ max_escalation_arg $ fault_scale_arg $ trace_arg)
 
 (* ---- show-source ----------------------------------------------------------- *)
 
@@ -419,10 +406,18 @@ let manual_cmd =
   let query_pos = Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY") in
   Cmd.v info Term.(const manual $ platform_pos $ query_pos)
 
+(* A command line cmdliner cannot parse (an unknown option or command, a
+   value that does not convert) is bad input like any other: exit 2, not
+   cmdliner's 124. No term here returns an error of its own, so cmdliner's
+   term errors are command-line errors too. *)
 let () =
   let info = Cmd.info "xpiler" ~version:"1.0.0" ~doc:"Neural-symbolic tensor-program transcompiler." in
+  let cmd =
+    Cmd.group info
+      [ translate_cmd; show_source_cmd; list_ops_cmd; lint_cmd; trace_cmd; metrics_cmd; manual_cmd ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ translate_cmd; show_source_cmd; list_ops_cmd; lint_cmd; trace_cmd; metrics_cmd;
-            manual_cmd ]))
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok () | `Version | `Help) -> Cmd.Exit.ok
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

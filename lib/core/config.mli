@@ -38,8 +38,10 @@ type t = {
   tune : bool;  (** hierarchical auto-tuning for performance *)
   mcts : Xpiler_tuning.Mcts.config;
   tuning_prune : bool;
-      (** Ignored: [mcts.prune] is the pruning switch. It is kept only
-          because [e2ebench/layers.ml] reads it; drop the two together. *)
+      (** Ignored: the intra-pass tuner prunes nothing, and [mcts.prune],
+          which [e2ebench/layers.ml] sets from this field, is ignored too.
+          It is kept only because [e2ebench/layers.ml] reads it; drop the
+          two together. *)
   tuning_warm_start : bool;
       (** Ignored: no search warm-starts from a schedule database. It is
           kept only because [e2ebench/layers.ml] reads it; drop the two

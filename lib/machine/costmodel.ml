@@ -19,19 +19,31 @@ type estimate = {
   features : features;
 }
 
-(* One walk fills two sets of accumulators: the features' and, for
-   [bound_and_throughput], the bound's own scalar and traffic terms (the
-   vector and tensor work and the launch shape are the same in both). An
-   all-float record is stored flat, so an update allocates nothing. *)
-type acc = {
-  mutable f_scalar : float;
-  mutable f_vector : float;
-  mutable f_tensor : float;
-  mutable b_off : float;
-  mutable b_on : float;
-  mutable lb_scalar : float;
-  mutable lb_off : float;
-  mutable lb_on : float;
+(* The walk allocates nothing per statement or expression. Its float sums
+   live in an all-float record, which is stored flat, so an update
+   allocates nothing; [trips] is the enclosing loops' trip count, kept here
+   rather than passed as an argument, where it would be boxed. *)
+type sums = {
+  mutable trips : float;
+  mutable scalar : float;
+  mutable vector : float;
+  mutable tensor : float;
+  mutable off : float;
+  mutable on : float;
+}
+
+(* The rest of a walk's state. [allocs] are the body's [Alloc] statements,
+   last first; [load_off]/[load_on] sum one expression's load bytes. *)
+type walk = {
+  sums : sums;
+  params : Kernel.param list;
+  allocs : Stmt.t list;
+  lookup : string -> int;
+  mutable blocks : int;
+  mutable threads : int;
+  mutable pipelined : bool;
+  mutable load_off : int;
+  mutable load_on : int;
 }
 
 let is_offchip = function Scope.Global | Scope.Host -> true | _ -> false
@@ -50,170 +62,181 @@ let rec flop_count (e : Expr.t) =
   | Select (c, t, f) -> 1 + flop_count c + flop_count t + flop_count f
   | Cast (_, x) -> flop_count x
 
-(* bytes of off-chip / on-chip traffic implied by the loads in [e] *)
-let load_bytes scope_of (e : Expr.t) =
-  let off = ref 0 and on = ref 0 in
-  Expr.fold
-    (fun () e ->
-      match e with
-      | Expr.Load (b, _) -> (
-        match scope_of b with
-        | Some (s, dt) ->
-          let r = if is_offchip s then off else on in
-          r := !r + Dtype.size_in_bytes dt
-        | None -> off := !off + 4)
-      | _ -> ())
-    () e;
-  (!off, !on)
+(* the body's [Alloc]s in [Stmt.iter] order, the last one first *)
+let rec collect_allocs acc = function
+  | [] -> acc
+  | stmt :: rest ->
+    let acc =
+      match stmt with
+      | Stmt.Alloc _ -> stmt :: acc
+      | Stmt.For r -> collect_allocs acc r.body
+      | Stmt.If r -> collect_allocs (collect_allocs acc r.then_) r.else_
+      | _ -> acc
+    in
+    collect_allocs acc rest
 
-let walk_kernel (k : Kernel.t) ~shapes =
-  let acc =
-    { f_scalar = 0.0; f_vector = 0.0; f_tensor = 0.0; b_off = 0.0; b_on = 0.0;
-      lb_scalar = 0.0; lb_off = 0.0; lb_on = 0.0 }
-  in
-  let blocks = ref 1 and threads = ref 1 and pipelined = ref false in
-  (* buffer scope/dtype environment *)
-  let buf_info = Hashtbl.create 16 in
-  List.iter
-    (fun (p : Kernel.param) ->
-      if p.is_buffer then Hashtbl.replace buf_info p.name (Scope.Global, p.dtype))
-    k.Kernel.params;
-  Stmt.iter
-    (fun s ->
-      match s with
-      | Stmt.Alloc r -> Hashtbl.replace buf_info r.buf (r.scope, r.dtype)
-      | _ -> ())
-    k.Kernel.body;
-  let scope_of b = Hashtbl.find_opt buf_info b in
-  (* integer environment for trip counts: the tuner passes no shapes, so
-     it builds no table *)
+(* Where buffer [b] lives, as one immediate int: its element size in bytes,
+   negated when it lives off-chip, and 0 when nothing declares it. The last
+   [Alloc] of a name wins over earlier ones and over a buffer parameter,
+   which lives in global memory. *)
+let rec param_residence b found = function
+  | [] -> found
+  | (p : Kernel.param) :: rest ->
+    let found =
+      if p.is_buffer && String.equal p.name b then -Dtype.size_in_bytes p.dtype else found
+    in
+    param_residence b found rest
+
+let rec alloc_residence params b = function
+  | Stmt.Alloc r :: _ when String.equal r.buf b ->
+    let n = Dtype.size_in_bytes r.dtype in
+    if is_offchip r.scope then -n else n
+  | _ :: rest -> alloc_residence params b rest
+  | [] -> param_residence b 0 params
+
+let residence w b = alloc_residence w.params b w.allocs
+
+(* an undeclared buffer's elements count as 4 bytes *)
+let byte_size r = if r = 0 then 4.0 else float_of_int (abs r)
+
+(* bytes of off-chip / on-chip traffic implied by the loads in [e]; an
+   undeclared buffer is read from off-chip memory *)
+let rec count_loads w (e : Expr.t) =
+  match e with
+  | Int _ | Float _ | Var _ -> ()
+  | Load (b, i) ->
+    let r = residence w b in
+    if r <= 0 then w.load_off <- w.load_off + (if r = 0 then 4 else -r)
+    else w.load_on <- w.load_on + r;
+    count_loads w i
+  | Binop (_, l, r) ->
+    count_loads w l;
+    count_loads w r
+  | Unop (_, x) | Cast (_, x) -> count_loads w x
+  | Select (c, t, f) ->
+    count_loads w c;
+    count_loads w t;
+    count_loads w f
+
+let charge_loads w e =
+  w.load_off <- 0;
+  w.load_on <- 0;
+  count_loads w e;
+  let s = w.sums in
+  s.off <- s.off +. (s.trips *. float_of_int w.load_off);
+  s.on <- s.on +. (s.trips *. float_of_int w.load_on)
+
+(* a trip count from the integer environment; 8 when it cannot be
+   evaluated *)
+let extent w (e : Expr.t) =
+  match e with
+  | Int n -> max n 0
+  | _ -> ( match Expr.eval_int w.lookup e with n -> max n 0 | exception _ -> 8)
+
+(* an intrinsic's [n]-th size parameter; 1 when it has none *)
+let rec param_extent w params n =
+  match params with
+  | [] -> 1
+  | e :: rest -> if n = 0 then extent w e else param_extent w rest (n - 1)
+
+let rec walk w = function
+  | [] -> ()
+  | stmt :: rest ->
+    let s = w.sums in
+    let trips = s.trips in
+    (match stmt with
+    | Stmt.For r ->
+      let n = extent w r.extent in
+      (match r.kind with
+      | Stmt.Parallel (Axis.Block_x | Axis.Block_y | Axis.Block_z | Axis.Task_id | Axis.Cluster_id) ->
+        w.blocks <- w.blocks * max n 1
+      | Stmt.Parallel (Axis.Thread_x | Axis.Thread_y | Axis.Thread_z | Axis.Core_id) ->
+        w.threads <- w.threads * max n 1
+      | Stmt.Pipelined -> w.pipelined <- true
+      | Stmt.Serial | Stmt.Unrolled | Stmt.Vectorized -> ());
+      (* loop overhead: one integer op per iteration *)
+      s.scalar <- s.scalar +. (trips *. float_of_int n *. 0.25);
+      s.trips <- trips *. float_of_int n;
+      walk w r.body;
+      s.trips <- trips
+    | Stmt.Let { value; _ } | Stmt.Assign { value; _ } ->
+      s.scalar <- s.scalar +. (trips *. float_of_int (flop_count value));
+      charge_loads w value
+    | Stmt.Store r ->
+      s.scalar <- s.scalar +. (trips *. float_of_int (flop_count r.value));
+      charge_loads w r.value;
+      (* a store to an undeclared buffer is on-chip traffic *)
+      let res = residence w r.buf in
+      let bytes = byte_size res in
+      if res < 0 then s.off <- s.off +. (trips *. bytes) else s.on <- s.on +. (trips *. bytes)
+    | Stmt.If r ->
+      charge_loads w r.cond;
+      walk w r.then_;
+      s.trips <- trips *. 0.25;
+      walk w r.else_;
+      s.trips <- trips
+    | Stmt.Memcpy r ->
+      let n = float_of_int (extent w r.len) in
+      (* a copy to or from an undeclared buffer is off-chip traffic *)
+      let dst = residence w r.dst.buf and src = residence w r.src.buf in
+      let total = trips *. n *. byte_size dst in
+      if dst <= 0 then s.off <- s.off +. total else s.on <- s.on +. total;
+      let total = trips *. n *. byte_size src in
+      if src <= 0 then s.off <- s.off +. total else s.on <- s.on +. total
+    | Stmt.Intrinsic i ->
+      let p n = float_of_int (param_extent w i.params n) in
+      let p0 = p 0 in
+      (match i.op with
+      | Intrin.Mma | Intrin.Mlp -> s.tensor <- s.tensor +. (trips *. p0 *. p 1 *. p 2)
+      | Intrin.Conv2d ->
+        s.tensor <- s.tensor +. (trips *. p0 *. p 1 *. p 2 *. p 3 *. p 4 *. p 5)
+      | Intrin.Dp4a -> s.tensor <- s.tensor +. (trips *. p0)
+      | _ -> s.vector <- s.vector +. (trips *. p0));
+      (* intrinsic operands stream through on-chip memory *)
+      s.on <- s.on +. (trips *. p0 *. 4.0)
+    | Stmt.Sync -> s.scalar <- s.scalar +. (trips *. 2.0)
+    | Stmt.Alloc _ | Stmt.Annot _ -> ());
+    walk w rest
+
+(* the tuner passes no shapes: its integer environment is empty *)
+let no_shapes _ = raise Not_found
+
+let extract_features (k : Kernel.t) ~shapes =
   let lookup =
     match shapes with
-    | [] -> fun _ -> raise Not_found
+    | [] -> no_shapes
     | _ ->
       let env = Hashtbl.create 16 in
       List.iter (fun (n, v) -> Hashtbl.replace env n v) shapes;
       Hashtbl.find env
   in
-  let extent_of e = match Expr.eval_int lookup e with n -> max n 0 | exception _ -> 8 in
-  let byte_size b = match scope_of b with Some (_, dt) -> float_of_int (Dtype.size_in_bytes dt) | None -> 4.0 in
-  let charge_loads trips e =
-    let off, on = load_bytes scope_of e in
-    acc.b_off <- acc.b_off +. (trips *. float_of_int off);
-    acc.b_on <- acc.b_on +. (trips *. float_of_int on)
+  let w =
+    { sums = { trips = 1.0; scalar = 0.0; vector = 0.0; tensor = 0.0; off = 0.0; on = 0.0 };
+      params = k.Kernel.params;
+      allocs = collect_allocs [] k.Kernel.body;
+      lookup;
+      blocks = 1;
+      threads = 1;
+      pipelined = false;
+      load_off = 0;
+      load_on = 0
+    }
   in
-  let rec walk trips block =
-    List.iter
-      (fun stmt ->
-        match stmt with
-        | Stmt.For r ->
-          let n = extent_of r.extent in
-          (match r.kind with
-          | Stmt.Parallel (Axis.Block_x | Axis.Block_y | Axis.Block_z | Axis.Task_id | Axis.Cluster_id) ->
-            blocks := !blocks * max n 1
-          | Stmt.Parallel (Axis.Thread_x | Axis.Thread_y | Axis.Thread_z | Axis.Core_id) ->
-            threads := !threads * max n 1
-          | Stmt.Pipelined -> pipelined := true
-          | Stmt.Serial | Stmt.Unrolled | Stmt.Vectorized -> ());
-          (* loop overhead: one integer op per iteration *)
-          acc.f_scalar <- acc.f_scalar +. (trips *. float_of_int n *. 0.25);
-          acc.lb_scalar <- acc.lb_scalar +. (trips *. float_of_int n *. 0.25);
-          walk (trips *. float_of_int n) r.body
-        | Stmt.Let { value; _ } | Stmt.Assign { value; _ } ->
-          acc.f_scalar <- acc.f_scalar +. (trips *. float_of_int (flop_count value));
-          charge_loads trips value
-        | Stmt.Store r ->
-          acc.f_scalar <- acc.f_scalar +. (trips *. float_of_int (flop_count r.value));
-          charge_loads trips r.value;
-          let bytes = byte_size r.buf in
-          (* a store to a buffer of unknown scope is on-chip traffic here
-             but off-chip in the bound *)
-          (match scope_of r.buf with
-          | Some (s, _) when is_offchip s ->
-            acc.b_off <- acc.b_off +. (trips *. bytes);
-            acc.lb_off <- acc.lb_off +. (trips *. bytes)
-          | Some _ ->
-            acc.b_on <- acc.b_on +. (trips *. bytes);
-            acc.lb_on <- acc.lb_on +. (trips *. bytes)
-          | None ->
-            acc.b_on <- acc.b_on +. (trips *. bytes);
-            acc.lb_off <- acc.lb_off +. (trips *. bytes))
-        | Stmt.If r ->
-          charge_loads trips r.cond;
-          walk trips r.then_;
-          walk (trips *. 0.25) r.else_
-        | Stmt.Memcpy r ->
-          let n = float_of_int (extent_of r.len) in
-          let offchip buf =
-            match scope_of buf with Some (s, _) -> is_offchip s | None -> true
-          in
-          let charge buf =
-            let total = trips *. n *. byte_size buf in
-            if offchip buf then begin
-              acc.b_off <- acc.b_off +. total;
-              acc.lb_off <- acc.lb_off +. total
-            end
-            else begin
-              acc.b_on <- acc.b_on +. total;
-              acc.lb_on <- acc.lb_on +. total
-            end
-          in
-          charge r.dst.buf;
-          charge r.src.buf
-        | Stmt.Intrinsic i ->
-          let p n = match List.nth_opt i.params n with Some e -> float_of_int (extent_of e) | None -> 1.0 in
-          (match i.op with
-          | Intrin.Mma | Intrin.Mlp -> acc.f_tensor <- acc.f_tensor +. (trips *. p 0 *. p 1 *. p 2)
-          | Intrin.Conv2d ->
-            acc.f_tensor <- acc.f_tensor +. (trips *. p 0 *. p 1 *. p 2 *. p 3 *. p 4 *. p 5)
-          | Intrin.Dp4a -> acc.f_tensor <- acc.f_tensor +. (trips *. p 0)
-          | _ -> acc.f_vector <- acc.f_vector +. (trips *. p 0));
-          (* intrinsic operands stream through on-chip memory *)
-          acc.b_on <- acc.b_on +. (trips *. p 0 *. 4.0);
-          acc.lb_on <- acc.lb_on +. (trips *. p 0 *. 4.0)
-        | Stmt.Sync ->
-          acc.f_scalar <- acc.f_scalar +. (trips *. 2.0);
-          acc.lb_scalar <- acc.lb_scalar +. (trips *. 2.0)
-        | Stmt.Alloc _ | Stmt.Annot _ -> ())
-      block
-  in
-  walk 1.0 k.Kernel.body;
-  ( { scalar_flops = acc.f_scalar;
-      vector_elems = acc.f_vector;
-      tensor_macs = acc.f_tensor;
-      offchip_bytes = acc.b_off;
-      onchip_bytes = acc.b_on;
-      blocks = !blocks;
-      threads = !threads;
-      pipelined = !pipelined;
-      launches = 1
-    },
-    acc )
+  walk w k.Kernel.body;
+  let s = w.sums in
+  { scalar_flops = s.scalar;
+    vector_elems = s.vector;
+    tensor_macs = s.tensor;
+    offchip_bytes = s.off;
+    onchip_bytes = s.on;
+    blocks = w.blocks;
+    threads = w.threads;
+    pipelined = w.pipelined;
+    launches = 1
+  }
 
-let extract_features k ~shapes = fst (walk_kernel k ~shapes)
-
-(* The estimate, and the cheap admissible bound on its throughput. The
-   bound's terms skip every per-expression fold ([flop_count] and
-   [load_bytes]); soundness, term by term:
-
-   - blocks / threads / pipelined / launches are structural and shared, so
-     the rates and occupancy match exactly;
-   - scalar flops are under-counted (loop overhead and syncs only — no
-     expression arithmetic), vector/tensor work is counted exactly, so
-     [compute' <= compute];
-   - traffic is under-counted (stores, memcpys and intrinsic streaming only
-     — no loads), with the same scope attribution, so [memory' <= memory].
-     The one exception is a store to a buffer of unknown scope, which the
-     bound charges off-chip: the checker rejects such a kernel, so it is
-     never a tuning result;
-   - the body time is lower-bounded by [max compute' memory']: the
-     unpipelined body is [compute + memory >= max], and the pipelined body
-     is [max + 0.15 * min >= max].
-
-   Hence [bound_seconds <= seconds], and the bound's throughput is [>=] the
-   modelled throughput. *)
-let estimate_with_bound (p : Platform.t) k ~shapes =
-  let f, acc = walk_kernel k ~shapes in
+let estimate (p : Platform.t) k ~shapes =
+  let f = extract_features k ~shapes in
   let c = p.Platform.cost in
   let clock = c.clock_ghz *. 1e9 in
   (* effective parallel resources *)
@@ -247,27 +270,10 @@ let estimate_with_bound (p : Platform.t) k ~shapes =
     else compute +. memory
   in
   let seconds = body +. (c.launch_overhead_us *. 1e-6 *. float_of_int f.launches) in
-  let bound =
-    let compute =
-      (acc.lb_scalar /. scalar_rate) +. (f.vector_elems /. vector_rate)
-      +. (f.tensor_macs /. tensor_rate)
-    in
-    let memory =
-      (acc.lb_off /. (c.dram_gbps *. 1e9)) +. (acc.lb_on /. (c.onchip_gbps *. 1e9))
-    in
-    let bound_seconds = Float.max compute memory +. (c.launch_overhead_us *. 1e-6) in
-    if bound_seconds <= 0.0 then infinity else 1e9 /. bound_seconds
-  in
-  ({ seconds; compute_seconds = compute; memory_seconds = memory; features = f }, bound)
-
-let estimate p k ~shapes = fst (estimate_with_bound p k ~shapes)
+  { seconds; compute_seconds = compute; memory_seconds = memory; features = f }
 
 (* the tuning reward: inverse modelled time (scaled to an ops/s-like
    magnitude). Counting executed operations instead would reward padding
    the schedule with overhead work. *)
 let throughput_of e = 1e9 /. e.seconds
 let throughput p k ~shapes = throughput_of (estimate p k ~shapes)
-
-let bound_and_throughput p k ~shapes =
-  let e, bound = estimate_with_bound p k ~shapes in
-  (bound, throughput_of e)

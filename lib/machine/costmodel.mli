@@ -13,7 +13,11 @@ open Xpiler_ir
     paper's transformation passes manipulate — parallel binding (occupancy),
     caching (traffic reduction), tensorization (tensor vs. scalar pipes),
     pipelining (overlap), tiling (per-iteration footprint) — so pass/knob
-    choices change the estimate the way they change real execution time. *)
+    choices change the estimate the way they change real execution time.
+
+    The auto-tuner scores every candidate with {!throughput}, so the walk
+    is written to allocate nothing per statement or expression: one call
+    allocates only the walk's state and its result. *)
 
 type features = {
   scalar_flops : float;
@@ -47,11 +51,3 @@ val throughput : Platform.t -> Kernel.t -> shapes:(string * int) list -> float
 
 val throughput_of : estimate -> float
 (** {!throughput} of an estimate already made. *)
-
-val bound_and_throughput :
-  Platform.t -> Kernel.t -> shapes:(string * int) list -> float * float
-(** [(bound, throughput)] from one walk of the kernel. [bound] is a cheap
-    admissible upper bound on {!throughput}: it under-counts the work
-    (no per-expression flops or load traffic) at the same rates and
-    occupancy, so [bound >= throughput] on every kernel the checker
-    accepts (fuzzed), which makes a branch-and-bound scan on it lossless. *)

@@ -2,55 +2,46 @@ open Xpiler_ir
 open Xpiler_machine
 module Pass = Xpiler_passes.Pass
 
-(** Intra-pass auto-tuning (paper §5.1): search over a pass's tuning knobs,
-    keeping the candidate with the best modelled throughput. Two search
-    refinements over plain brute force:
-
-    - {b bound-based pruning} (on by default): one cost-model walk per
-      candidate gives an admissible throughput bound and the throughput
-      ({!Costmodel.bound_and_throughput}); candidates are sorted by bound
-      and scanned best-bound-first, and once a bound cannot beat the
-      incumbent the whole remaining suffix is skipped without running the
-      checker. Within a phase this is lossless by the bound's
-      admissibility (fuzzed in test_tuning.ml). A skipped candidate is never
-      measured, so it cannot seed the composed phase: pruning can change the
-      composed candidates, and so, in principle, the result. Skips are
-      counted in {!stats}.
-    - {b composed candidates} (always on): the top measured depth-1
-      split variants seed depth-2 compositions (split x reorder,
-      split x pipeline) generated against their *transformed* kernels, so
-      the search reaches schedules single-spec enumeration cannot express.
-      A composed candidate applies only its last spec to its seed's kernel
-      (passes are pure) and records the whole spec sequence.
+(** Intra-pass auto-tuning (paper §5.1): a brute-force search over a
+    pass's tuning knobs, keeping the candidate with the best modelled
+    throughput. Every candidate that applies is scored by
+    {!Costmodel.throughput} alone: no bound, no ordering, no skipped
+    suffix.
 
     The depth-1 knob space is split factors per splittable loop,
     interchanges and pipelining, plus the empty sequence (keep as is).
-    Every other measured candidate costs one checker run and one
-    cost-model walk, unmemoized: hashing whole kernels cost more than the
-    repeats it saved.
+    {b Composed candidates}: the top measured depth-1 split variants seed
+    depth-2 compositions (split x reorder, split x pipeline) generated
+    against their *transformed* kernels, so the search reaches schedules
+    single-spec enumeration cannot express. A composed candidate applies
+    only its last spec to its seed's kernel (passes are pure) and records
+    the whole spec sequence. Candidates are not memoized: hashing whole
+    kernels cost more than the repeats it saved.
+
+    The checker runs on the input and on the winner only. Split, reorder
+    and pipeline rebuild serial loops or change a loop's kind, and the
+    checker's rules read none of that, so no candidate of an accepted
+    input is rejected (test_tuning checks this on golden sources, their
+    action states and generated kernels).
 
     The tuner emits no trace events and charges no clock: it returns what
-    it measured and pruned, and {!Mcts} turns that into the canonical
-    [intra.variants]/[intra.pruned] counts and [Auto_tuning] charges. *)
+    it measured, and {!Mcts} turns that into the canonical
+    [intra.variants] counts and [Auto_tuning] charges. *)
 
 type variant = { specs : Pass.spec list; kernel : Kernel.t; throughput : float }
 
-type stats = {
-  evaluated : int;  (** variants measured (checker + full cost model) *)
-  pruned : int;  (** variants skipped by bound-based pruning *)
-}
+type stats = { evaluated : int  (** candidates that applied, each scored once *) }
 
-val tune : ?prune:bool -> platform:Platform.t -> Kernel.t -> variant * stats
+val tune : platform:Platform.t -> Kernel.t -> variant * stats
 (** Search the candidate space (the depth-1 phase and the composed phase,
-    at most 12 candidates each), keep the compilable variant with the
-    highest modelled throughput; the input kernel itself is always a candidate, so the result
-    never regresses. Also returns the measured/pruned counts, from which
-    {!Mcts} emits the evaluation's charges and trace counts.
+    at most 12 candidates each) and keep the variant with the highest
+    modelled throughput; the input kernel itself is always a candidate, so
+    the result never regresses. Also returns how many candidates were
+    measured, from which {!Mcts} emits the evaluation's charges and trace
+    counts. A candidate whose pass does not apply is not measured.
 
-    The checker runs on the input once. A rejected input returns itself at
-    throughput 0 with nothing measured or pruned; otherwise the empty
-    candidate reuses that check and the input's modelled throughput.
-
-    With [prune:false] every candidate is measured, in candidate order.
-    With [prune:true] (default) the scan stops at the first bound that
-    cannot beat the incumbent, and the rest count as pruned. *)
+    A rejected input returns itself at throughput 0 with nothing measured;
+    otherwise the empty candidate reuses the input's modelled throughput.
+    A winner other than the input is checked once; if the checker rejects
+    it, the input is returned instead (this never happens on the
+    benchmark workloads). *)

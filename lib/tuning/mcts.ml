@@ -47,12 +47,13 @@ end)
    Rewards come from [table], which dies with the search. On a miss, one
    {!Intra.tune} call evaluates the state and the search emits its
    effects: nothing for a state the checker rejects (reward 0), else one
-   5.0 charge, then a count + 10.0 charge per measured intra variant, then
-   one aggregated [intra.pruned] count. A hit emits nothing. Nothing under
-   {!Intra} (the checker, the cost model) emits or charges.
+   5.0 charge, then a count + 10.0 charge per measured intra variant. A hit
+   emits nothing. Nothing under {!Intra} (the checker, the cost model)
+   emits or charges.
 
-   [jobs] and [db] are ignored: the search runs on one domain and starts
-   from its input kernel alone. *)
+   [jobs], [db] and [config.prune] are ignored: the search runs on one
+   domain, starts from its input kernel alone, and its intra-pass tuning
+   prunes nothing. *)
 let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?db:_ ~platform kernel =
   Trace.span ~cat:"phase"
     ~attrs:
@@ -69,15 +70,14 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?db:_ 
   let best = ref (kernel, [], 0.0) in
   let evaluate k =
     Transposition.count_eval ();
-    let v, st = Intra.tune ~prune:config.prune ~platform k in
+    let v, st = Intra.tune ~platform k in
     let r = v.Intra.throughput in
     if r > 0.0 then begin
       charge 5.0 (* state set-up on the device *);
       for _ = 1 to st.Intra.evaluated do
         Trace.count "intra.variants";
         charge 10.0 (* one variant measured on the device *)
-      done;
-      if st.Intra.pruned > 0 then Trace.count ~n:st.Intra.pruned "intra.pruned"
+      done
     end;
     r
   in

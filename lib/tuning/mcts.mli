@@ -13,8 +13,8 @@ module Pass = Xpiler_passes.Pass
 
     One search is one tree with one reward table keyed by kernel, dropped
     when it returns; a repeat search re-evaluates. A miss in the table runs
-    {!Intra.tune} (bound-based pruning per [config.prune], composed
-    candidates always, 12 candidates per phase); a hit emits nothing. Each
+    {!Intra.tune} (brute force over the knob space, composed candidates
+    included, 12 candidates per phase); a hit emits nothing. Each
     reward lookup counts once in [xpiler_transposition_lookups_total]
     ({!Transposition}): a hit when the table serves it, a miss when it is
     evaluated fresh. UCT's exploration constant is 1.2.
@@ -23,7 +23,7 @@ module Pass = Xpiler_passes.Pass
     per node, one [mcts.simulations] count per simulation, one
     [mcts.rollout_steps] count per rollout step, and per fresh positive
     reward a 5 s [Auto_tuning] charge, then one [intra.variants] count and
-    one 10 s charge per measured variant, then [intra.pruned]. So the journal's totals equal the
+    one 10 s charge per measured variant. So the journal's totals equal the
     result's [nodes_expanded]/[simulations_run] and its [intra.variants]
     total equals its 10 s charges. Nothing the search calls emits (the
     checker and cost model are silent), so these are its only events. *)
@@ -32,7 +32,9 @@ type config = {
   max_depth : int;
   simulations : int;
   seed : int;
-  prune : bool;  (** bound-based pruning inside intra-pass tuning *)
+  prune : bool;
+      (** Ignored: {!Intra.tune} is a brute-force search with nothing to
+          prune. Kept only because [e2ebench/layers.ml] sets it. *)
 }
 
 val default_config : config

@@ -34,13 +34,14 @@ let stmt_simplify block =
   in
   go block
 
-(* [Costmodel]'s admissible throughput bound as a walk of its own, before
-   the cost model's walk learnt to accumulate the bound's terms alongside
-   the features *)
-let throughput_bound (p : Platform.t) (k : Kernel.t) ~shapes =
+(* [Costmodel.estimate] as it was written before the walk stopped
+   allocating: a [Hashtbl] of buffer scopes, an [Expr.fold] per expression
+   and a closure per helper, with the trip count passed down as a float *)
+let estimate (p : Platform.t) (k : Kernel.t) ~shapes : Costmodel.estimate =
   let f_scalar = ref 0.0 and f_vector = ref 0.0 and f_tensor = ref 0.0 in
   let b_off = ref 0.0 and b_on = ref 0.0 in
-  let blocks = ref 1 and threads = ref 1 in
+  let blocks = ref 1 and threads = ref 1 and pipelined = ref false in
+  let is_offchip = function Scope.Global | Scope.Host -> true | _ -> false in
   let buf_info = Hashtbl.create 16 in
   List.iter
     (fun (prm : Kernel.param) ->
@@ -53,22 +54,43 @@ let throughput_bound (p : Platform.t) (k : Kernel.t) ~shapes =
       | _ -> ())
     k.Kernel.body;
   let scope_of b = Hashtbl.find_opt buf_info b in
-  let is_offchip = function Scope.Global | Scope.Host -> true | _ -> false in
+  let rec flop_count (e : Expr.t) =
+    match e with
+    | Int _ | Float _ | Var _ -> 0
+    | Load (_, i) -> flop_count i
+    | Binop (_, l, r) -> 1 + flop_count l + flop_count r
+    | Unop ((Exp | Log | Sqrt | Rsqrt | Tanh | Erf | Recip), x) -> 8 + flop_count x
+    | Unop (_, x) -> 1 + flop_count x
+    | Select (c, t, f) -> 1 + flop_count c + flop_count t + flop_count f
+    | Cast (_, x) -> flop_count x
+  in
+  let load_bytes (e : Expr.t) =
+    let off = ref 0 and on = ref 0 in
+    Expr.fold
+      (fun () e ->
+        match e with
+        | Expr.Load (b, _) -> (
+          match scope_of b with
+          | Some (s, dt) ->
+            let r = if is_offchip s then off else on in
+            r := !r + Dtype.size_in_bytes dt
+          | None -> off := !off + 4)
+        | _ -> ())
+      () e;
+    (!off, !on)
+  in
   let env = Hashtbl.create 16 in
   List.iter (fun (n, v) -> Hashtbl.replace env n v) shapes;
-  let eval_opt e =
-    try Some (Expr.eval_int (fun x -> Hashtbl.find env x) e) with _ -> None
+  let extent_of e =
+    match Expr.eval_int (Hashtbl.find env) e with n -> max n 0 | exception _ -> 8
   in
-  let extent_of e = match eval_opt e with Some n -> max n 0 | None -> 8 in
   let byte_size b =
     match scope_of b with Some (_, dt) -> float_of_int (Dtype.size_in_bytes dt) | None -> 4.0
   in
-  let charge_bytes trips buf =
-    let total = trips *. byte_size buf in
-    match scope_of buf with
-    | Some (s, _) when not (is_offchip s) -> b_on := !b_on +. total
-    | Some _ -> b_off := !b_off +. total
-    | None -> b_off := !b_off +. total
+  let charge_loads trips e =
+    let off, on = load_bytes e in
+    b_off := !b_off +. (trips *. float_of_int off);
+    b_on := !b_on +. (trips *. float_of_int on)
   in
   let rec walk trips block =
     List.iter
@@ -81,18 +103,34 @@ let throughput_bound (p : Platform.t) (k : Kernel.t) ~shapes =
             blocks := !blocks * max n 1
           | Stmt.Parallel (Axis.Thread_x | Axis.Thread_y | Axis.Thread_z | Axis.Core_id) ->
             threads := !threads * max n 1
-          | Stmt.Pipelined | Stmt.Serial | Stmt.Unrolled | Stmt.Vectorized -> ());
+          | Stmt.Pipelined -> pipelined := true
+          | Stmt.Serial | Stmt.Unrolled | Stmt.Vectorized -> ());
           f_scalar := !f_scalar +. (trips *. float_of_int n *. 0.25);
           walk (trips *. float_of_int n) r.body
-        | Stmt.Let _ | Stmt.Assign _ -> ()
-        | Stmt.Store r -> charge_bytes trips r.buf
+        | Stmt.Let { value; _ } | Stmt.Assign { value; _ } ->
+          f_scalar := !f_scalar +. (trips *. float_of_int (flop_count value));
+          charge_loads trips value
+        | Stmt.Store r -> (
+          f_scalar := !f_scalar +. (trips *. float_of_int (flop_count r.value));
+          charge_loads trips r.value;
+          let bytes = byte_size r.buf in
+          match scope_of r.buf with
+          | Some (s, _) when is_offchip s -> b_off := !b_off +. (trips *. bytes)
+          | _ -> b_on := !b_on +. (trips *. bytes))
         | Stmt.If r ->
+          charge_loads trips r.cond;
           walk trips r.then_;
           walk (trips *. 0.25) r.else_
         | Stmt.Memcpy r ->
           let n = float_of_int (extent_of r.len) in
-          charge_bytes (trips *. n) r.dst.buf;
-          charge_bytes (trips *. n) r.src.buf
+          let charge buf =
+            let total = trips *. n *. byte_size buf in
+            match scope_of buf with
+            | Some (s, _) when not (is_offchip s) -> b_on := !b_on +. total
+            | _ -> b_off := !b_off +. total
+          in
+          charge r.dst.buf;
+          charge r.src.buf
         | Stmt.Intrinsic i ->
           let p n =
             match List.nth_opt i.params n with Some e -> float_of_int (extent_of e) | None -> 1.0
@@ -109,9 +147,21 @@ let throughput_bound (p : Platform.t) (k : Kernel.t) ~shapes =
       block
   in
   walk 1.0 k.Kernel.body;
+  let f : Costmodel.features =
+    { scalar_flops = !f_scalar;
+      vector_elems = !f_vector;
+      tensor_macs = !f_tensor;
+      offchip_bytes = !b_off;
+      onchip_bytes = !b_on;
+      blocks = !blocks;
+      threads = !threads;
+      pipelined = !pipelined;
+      launches = 1
+    }
+  in
   let c = p.Platform.cost in
   let clock = c.clock_ghz *. 1e9 in
-  let blocks = max !blocks 1 and threads = max !threads 1 in
+  let blocks = max f.blocks 1 and threads = max f.threads 1 in
   let cores_used, occupancy =
     match p.Platform.id with
     | Platform.Cuda | Platform.Hip ->
@@ -125,8 +175,15 @@ let throughput_bound (p : Platform.t) (k : Kernel.t) ~shapes =
   let vector_rate = cores_used *. float_of_int c.vector_lanes *. clock in
   let tensor_rate = cores_used *. c.tensor_macs_per_cycle *. clock in
   let compute =
-    (!f_scalar /. scalar_rate) +. (!f_vector /. vector_rate) +. (!f_tensor /. tensor_rate)
+    (f.scalar_flops /. scalar_rate) +. (f.vector_elems /. vector_rate)
+    +. (f.tensor_macs /. tensor_rate)
   in
-  let memory = (!b_off /. (c.dram_gbps *. 1e9)) +. (!b_on /. (c.onchip_gbps *. 1e9)) in
-  let bound_seconds = Float.max compute memory +. (c.launch_overhead_us *. 1e-6) in
-  if bound_seconds <= 0.0 then infinity else 1e9 /. bound_seconds
+  let memory =
+    (f.offchip_bytes /. (c.dram_gbps *. 1e9)) +. (f.onchip_bytes /. (c.onchip_gbps *. 1e9))
+  in
+  let body =
+    if f.pipelined then Float.max compute memory +. (0.15 *. Float.min compute memory)
+    else compute +. memory
+  in
+  let seconds = body +. (c.launch_overhead_us *. 1e-6 *. float_of_int f.launches) in
+  { seconds; compute_seconds = compute; memory_seconds = memory; features = f }

@@ -460,6 +460,39 @@ let test_costmodel_cross_validation () =
   in
   List.iter check_op [ "add"; "gemm"; "softmax"; "conv2d_nhwc"; "gemv" ]
 
+(* The auto-tuner scores every candidate with [Costmodel.throughput], so its
+   walk must stay cheap. Over the 84 golden sources (every operator at its
+   first shape, on every platform), the walk that kept a [Hashtbl] of
+   buffer scopes, an [Expr.fold] per expression and a closure per helper
+   allocated 332.9 minor words per call (x86-64, OCaml 5.1); this gate
+   holds the call to at most half of that. *)
+let test_costmodel_allocation () =
+  let kernels =
+    List.concat_map
+      (fun (op : Xpiler_ops.Opdef.t) ->
+        List.map
+          (fun (p : Platform.t) ->
+            (p, Xpiler_ops.Idiom.source p.Platform.id op (List.hd op.Xpiler_ops.Opdef.shapes)))
+          Platform.all)
+      Xpiler_ops.Registry.all
+  in
+  Alcotest.(check int) "golden sources" 84 (List.length kernels);
+  let run () =
+    List.iter
+      (fun (p, k) -> ignore (Sys.opaque_identity (Costmodel.throughput p k ~shapes:[])))
+      kernels
+  in
+  run ();
+  let reps = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do
+    run ()
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int (reps * List.length kernels) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per call <= 166" per_call)
+    true (Stdlib.( <= ) per_call 166.0)
+
 (* property: fibers with barriers always compute the same result as a
    sequential phase-by-phase reference on a family of stencil programs *)
 let prop_barrier_determinism =
@@ -633,7 +666,9 @@ let () =
           Alcotest.test_case "cross-validation vs interpreter" `Quick
             test_costmodel_cross_validation;
           Alcotest.test_case "parallel speedup" `Quick test_cost_parallel_speedup;
-          Alcotest.test_case "tensorize faster" `Quick test_cost_tensorize_faster
+          Alcotest.test_case "tensorize faster" `Quick test_cost_tensorize_faster;
+          Alcotest.test_case "throughput allocates half the old walk" `Quick
+            test_costmodel_allocation
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_barrier_determinism ]);
       ( "parity",

@@ -118,131 +118,172 @@ let test_intra_result_correct () =
   check_equivalent ~buf_size:(fun b -> List.assoc b buffer_sizes) "intra variant" k
     v.Intra.kernel
 
-(* ---- bound-based pruning ------------------------------------------------
-   The pruning proof obligation: the bound of [Costmodel.bound_and_throughput]
-   must dominate [Costmodel.throughput] on every kernel, or the
-   branch-and-bound scan in [Intra.tune] could discard the true optimum.
-   Fuzzed over random kernels on every platform, plus every depth-1 tuning
-   action applied to gemm (launch configurations and transformed loop
-   structures the generator does not produce). *)
-
-let admissible p k =
-  fst (Costmodel.bound_and_throughput p k ~shapes:[]) >= Costmodel.throughput p k ~shapes:[]
-
-let prop_bound_admissible =
-  QCheck.Test.make ~name:"throughput_bound dominates throughput" ~count:40
-    QCheck.(int_range 1 100_000)
-    (fun seed ->
-      let k = Test_support.Kgen.kernel (Xpiler_util.Rng.create seed) in
-      List.for_all (fun p -> admissible p k) Platform.all)
-
-let test_bound_admissible_on_tuning_states () =
-  let k = serial () in
-  List.iter
-    (fun p ->
-      Alcotest.(check bool) "root admissible" true (admissible p k);
-      List.iter
-        (fun spec ->
-          match Xpiler_passes.Pass.apply ~platform:p spec k with
-          | Ok k' -> Alcotest.(check bool) "admissible after action" true (admissible p k')
-          | Error _ -> ())
-        (Actions.enumerate ~buffer_sizes p k))
-    Platform.all
-
-(* The bound comes out of the cost model's own walk; [Naive.throughput_bound]
-   is the separate walk it replaced. They agree bit for bit, and the
-   throughput that comes with the bound is [Costmodel.throughput]'s, also
-   bit for bit, since a measured candidate reuses it. Checked on generated
-   kernels, on every gemm tuning state, and on a store to an undeclared
-   buffer: the one place where the bound's scope rule (off-chip) differs
-   from the features' (on-chip). *)
+(* ---- the cost model against its naive walk --------------------------------
+   [Test_support.Naive.estimate] is the cost model's walk as it was before
+   it stopped allocating. The two agree bit for bit on every field of the
+   estimate: on generated kernels, on every golden source and its depth-1
+   tuning states, and on a hand-built kernel that reads, writes and copies
+   an undeclared buffer, redeclares a buffer in another scope and dtype,
+   takes an [else] branch, and sizes its loop and copy from scalar
+   parameters (bound by [shapes], or left unbound, which the model reads
+   as 8). *)
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let bound_matches_naive p k =
-  let bound, throughput = Costmodel.bound_and_throughput p k ~shapes:[] in
-  same_bits bound (Test_support.Naive.throughput_bound p k ~shapes:[])
-  && same_bits throughput (Costmodel.throughput p k ~shapes:[])
+let estimate_matches_naive p k ~shapes =
+  let e = Costmodel.estimate p k ~shapes and n = Test_support.Naive.estimate p k ~shapes in
+  let f = e.Costmodel.features and g = n.Costmodel.features in
+  same_bits e.Costmodel.seconds n.Costmodel.seconds
+  && same_bits e.Costmodel.compute_seconds n.Costmodel.compute_seconds
+  && same_bits e.Costmodel.memory_seconds n.Costmodel.memory_seconds
+  && same_bits f.Costmodel.scalar_flops g.Costmodel.scalar_flops
+  && same_bits f.Costmodel.vector_elems g.Costmodel.vector_elems
+  && same_bits f.Costmodel.tensor_macs g.Costmodel.tensor_macs
+  && same_bits f.Costmodel.offchip_bytes g.Costmodel.offchip_bytes
+  && same_bits f.Costmodel.onchip_bytes g.Costmodel.onchip_bytes
+  && f.Costmodel.blocks = g.Costmodel.blocks
+  && f.Costmodel.threads = g.Costmodel.threads
+  && f.Costmodel.pipelined = g.Costmodel.pipelined
+  && f.Costmodel.launches = g.Costmodel.launches
 
-let prop_bound_matches_naive =
-  QCheck.Test.make ~name:"fused bound = separate bound walk, bit for bit" ~count:100
+let prop_estimate_matches_naive =
+  QCheck.Test.make ~name:"cost model = naive walk, bit for bit" ~count:100
     QCheck.(int_range 1 100_000)
     (fun seed ->
       let k = Test_support.Kgen.kernel (Xpiler_util.Rng.create seed) in
-      List.for_all (fun p -> bound_matches_naive p k) Platform.all)
+      List.for_all (fun p -> estimate_matches_naive p k ~shapes:[]) Platform.all)
 
-let test_bound_matches_naive_on_tuning_states () =
-  let undeclared =
-    Kernel.make ~name:"ghost" ~params:[ Builder.buffer "a" ]
-      [ loop "i" 16
-          [ Stmt.Store
-              { buf = "ghost"; index = Expr.Var "i"; value = Expr.Load ("a", Expr.Var "i") }
-          ]
+let test_estimate_matches_naive_on_tuning_states () =
+  let hand_built =
+    let open Expr.Infix in
+    Kernel.make ~name:"hand-built"
+      ~params:[ Builder.buffer "a"; Builder.scalar "n" ]
+      [ Builder.alloc "s" Scope.Nram 64;
+        Builder.for_ "i" (v "n")
+          [ Builder.if_
+              (v "i" < int 4)
+              [ Builder.store "ghost" (v "i") (load "a" (v "i") + load "ghost" (v "i")) ]
+              ~else_:[ Builder.store "s" (v "i") (load "s" (v "i") * load "a" (v "i")) ];
+            Builder.memcpy ~dst:"ghost" ~dst_off:(int 0) ~src:"s" ~src_off:(int 0)
+              (v "n" * v "m")
+          ];
+        Builder.alloc ~dtype:Dtype.I8 "s" Scope.Global 64
       ]
   in
-  let check p k =
-    Alcotest.(check bool) (k.Kernel.name ^ " bound bits") true (bound_matches_naive p k)
+  let check p k ~shapes =
+    Alcotest.(check bool) (k.Kernel.name ^ " estimate bits") true
+      (estimate_matches_naive p k ~shapes)
   in
   List.iter
     (fun p ->
-      check p undeclared;
+      check p hand_built ~shapes:[];
+      check p hand_built ~shapes:[ ("n", 16) ];
+      check p hand_built ~shapes:[ ("n", 16); ("m", 4) ])
+    Platform.all;
+  List.iter
+    (fun (op : Opdef.t) ->
+      let shape = List.hd op.Opdef.shapes in
+      let buffer_sizes =
+        List.map (fun (b : Opdef.buffer_spec) -> (b.buf_name, b.size shape)) op.Opdef.buffers
+      in
       List.iter
-        (fun k ->
-          check p k;
+        (fun (p : Platform.t) ->
+          let k = Idiom.source p.Platform.id op shape in
           List.iter
-            (fun spec ->
-              match Xpiler_passes.Pass.apply ~platform:p spec k with
-              | Ok k' -> check p k'
-              | Error _ -> ())
-            (Actions.enumerate ~buffer_sizes p k))
-        (serial ()
-        :: List.map (fun (q : Platform.t) -> Idiom.source q.Platform.id gemm gemm_shape)
-             Platform.all))
-    Platform.all
+            (fun k ->
+              check p k ~shapes:[];
+              check p k ~shapes:shape)
+            (k
+            :: List.filter_map
+                 (fun spec -> Result.to_option (Xpiler_passes.Pass.apply ~platform:p spec k))
+                 (Actions.enumerate ~buffer_sizes p k)))
+        Platform.all)
+    Registry.all
 
-(* Pruning skips only candidates whose bound cannot beat the incumbent, so
-   within a phase it is lossless by admissibility. A skipped candidate is
-   never measured and so cannot seed the composed phase: pruning may
-   change the composed candidates. Checked on serial roots, and on
-   translated gemm and its depth-1 states, where pruning bites. *)
-let test_intra_prune_lossless () =
-  let root name =
-    let op = Registry.find_exn name in
-    op.Opdef.serial (List.hd op.Opdef.shapes)
+(* ---- the tuner's candidates pass the checker ---------------------------------
+   [Intra.tune] checks only its input and its winner. That is sound because
+   split, reorder and pipeline rebuild serial loops or change a loop's kind,
+   which none of the checker's rules read: every such candidate of a
+   checker-accepted state passes the checker too. Checked over the whole
+   knob space (every split factor, every interchange and pipelining, and
+   each split's own reorder/pipeline compositions): of every golden source
+   on every platform, with its depth-1 and depth-2 action states there, and
+   of generated kernels. *)
+let knob_candidates p k =
+  let apply spec k = Result.to_option (Xpiler_passes.Pass.apply ~platform:p spec k) in
+  let reorders_and_pipelines k =
+    List.filter_map
+      (fun spec -> apply spec k)
+      (List.map (fun var -> Xpiler_passes.Pass.Loop_reorder { var }) (Knobs.reorderable_loops k)
+      @ List.map (fun var -> Xpiler_passes.Pass.Pipeline { var }) (Knobs.pipelinable_loops k))
   in
-  let translated p =
-    let k = Idiom.source p.Platform.id gemm gemm_shape in
-    k
-    :: List.filter_map
-         (fun spec -> Result.to_option (Xpiler_passes.Pass.apply ~platform:p spec k))
-         (Actions.enumerate ~buffer_sizes p k)
+  let splits =
+    List.concat_map
+      (fun (var, extent) ->
+        List.filter_map
+          (fun factor -> apply (Xpiler_passes.Pass.Loop_split { var; factor }) k)
+          (Knobs.split_factors p ~extent))
+      (Knobs.splittable_loops k)
   in
-  let cases =
-    List.map (fun k -> (Platform.cuda, k)) (serial () :: translated Platform.cuda)
-    @ List.map (fun k -> (Platform.hip, k)) (translated Platform.hip)
-    @ List.map (fun k -> (Platform.bang, k)) [ serial (); root "conv2d_nhwc"; root "softmax" ]
-  in
-  let pruned =
-    List.fold_left
-      (fun acc (p, k) ->
-        let v_off, s_off = Intra.tune ~prune:false ~platform:p k in
-        let v_on, s_on = Intra.tune ~prune:true ~platform:p k in
-        Alcotest.(check (float 0.0)) "same best throughput" v_off.Intra.throughput
-          v_on.Intra.throughput;
-        Alcotest.(check bool) "never measures more" true
-          (s_on.Intra.evaluated <= s_off.Intra.evaluated);
-        acc + s_on.Intra.pruned)
-      0 cases
-  in
-  Alcotest.(check bool) "pruning bites" true (pruned > 0)
+  splits @ reorders_and_pipelines k @ List.concat_map reorders_and_pipelines splits
+
+(* the candidates of [k] the checker rejects, when it accepts [k] itself *)
+let rejected_candidates p k =
+  if Result.is_error (Checker.compile p k) then []
+  else List.filter (fun k' -> Result.is_error (Checker.compile p k')) (knob_candidates p k)
+
+let test_candidates_pass_checker () =
+  let states = ref 0 in
+  List.iter
+    (fun (op : Opdef.t) ->
+      let shape = List.hd op.Opdef.shapes in
+      let buffer_sizes =
+        List.map (fun (b : Opdef.buffer_spec) -> (b.buf_name, b.size shape)) op.Opdef.buffers
+      in
+      let step p k =
+        List.filter_map
+          (fun spec -> Result.to_option (Xpiler_passes.Pass.apply ~platform:p spec k))
+          (Actions.enumerate ~buffer_sizes p k)
+      in
+      List.iter
+        (fun (q : Platform.t) ->
+          let source = Idiom.source q.Platform.id op shape in
+          List.iter
+            (fun (p : Platform.t) ->
+              let depth1 = step p source in
+              let depth2 = List.concat_map (step p) depth1 in
+              List.iter
+                (fun k ->
+                  if Result.is_ok (Checker.compile p k) then incr states;
+                  match rejected_candidates p k with
+                  | [] -> ()
+                  | k' :: _ ->
+                    Alcotest.failf "%s on %s: a candidate of %s is rejected:\n%s" op.Opdef.name
+                      p.Platform.name k.Kernel.name
+                      (match Checker.compile p k' with
+                      | Error es -> Checker.errors_to_string es
+                      | Ok () -> ""))
+                ((source :: depth1) @ depth2))
+            Platform.all)
+        Platform.all)
+    Registry.all;
+  (* 13,264 accepted states at the time of writing *)
+  Alcotest.(check bool) "accepted states checked" true (!states > 10_000)
+
+let prop_candidates_pass_checker =
+  QCheck.Test.make ~name:"tuner candidates of accepted kernels pass the checker" ~count:100
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let k = Test_support.Kgen.kernel (Xpiler_util.Rng.create seed) in
+      List.for_all (fun p -> rejected_candidates p k = []) Platform.all)
 
 (* A composed candidate is built from its seed's kernel, not re-applied from
    the input: replaying the winner's specs from the input must rebuild the
    winner exactly. Checked on every operator's translated kernel and its
-   depth-1 action states on every platform; the measured and pruned totals
-   are pinned, so building candidates differently cannot change what the
+   depth-1 action states on every platform; the measured total is
+   pinned, so building candidates differently cannot change what the
    search measures. *)
 let test_intra_specs_replay () =
-  let composed = ref 0 and evaluated = ref 0 and pruned = ref 0 in
+  let composed = ref 0 and evaluated = ref 0 in
   let tune_replays p k =
     let v, st = Intra.tune ~platform:p k in
     let replayed =
@@ -254,8 +295,7 @@ let test_intra_specs_replay () =
     | Ok k' -> Alcotest.(check bool) "replays" true (Kernel.equal k' v.Intra.kernel)
     | Error m -> Alcotest.fail m);
     if List.length v.Intra.specs = 2 then incr composed;
-    evaluated := !evaluated + st.Intra.evaluated;
-    pruned := !pruned + st.Intra.pruned
+    evaluated := !evaluated + st.Intra.evaluated
   in
   List.iter
     (fun (op : Opdef.t) ->
@@ -274,13 +314,12 @@ let test_intra_specs_replay () =
         Platform.all)
     Registry.all;
   Alcotest.(check int) "composed winners" 3 !composed;
-  Alcotest.(check int) "evaluated" 5241 !evaluated;
-  Alcotest.(check int) "pruned" 48 !pruned
+  Alcotest.(check int) "evaluated" 5297 !evaluated
 
 (* ---- rejected input ------------------------------------------------------- *)
 
 (* the tensorized MLU gemm fails the CUDA checker: it has no valid variant,
-   so it tunes to 0 without measuring or pruning anything — the same empty
+   so it tunes to 0 without measuring anything — the same empty
    receipt MCTS records for a rejected state *)
 let test_intra_rejected_input () =
   let k = Idiom.source Platform.Bang gemm gemm_shape in
@@ -288,8 +327,7 @@ let test_intra_rejected_input () =
     (Result.is_error (Checker.compile Platform.cuda k));
   let v, st = Intra.tune ~platform:Platform.cuda k in
   Alcotest.(check (float 0.0)) "throughput" 0.0 v.Intra.throughput;
-  Alcotest.(check int) "evaluated" 0 st.Intra.evaluated;
-  Alcotest.(check int) "pruned" 0 st.Intra.pruned
+  Alcotest.(check int) "evaluated" 0 st.Intra.evaluated
 
 (* ---- actions ------------------------------------------------------------------ *)
 
@@ -427,11 +465,9 @@ let () =
       ( "intra",
         [ Alcotest.test_case "never regresses" `Quick test_intra_never_regresses;
           Alcotest.test_case "result correct" `Quick test_intra_result_correct;
-          Alcotest.test_case "pruning lossless" `Quick test_intra_prune_lossless;
-          Alcotest.test_case "bound admissible on tuning states" `Quick
-            test_bound_admissible_on_tuning_states;
-          Alcotest.test_case "bound bits on tuning states" `Quick
-            test_bound_matches_naive_on_tuning_states;
+          Alcotest.test_case "estimate bits on tuning states" `Quick
+            test_estimate_matches_naive_on_tuning_states;
+          Alcotest.test_case "candidates pass the checker" `Quick test_candidates_pass_checker;
           Alcotest.test_case "rejected input tunes to 0" `Quick test_intra_rejected_input;
           Alcotest.test_case "winner replays from its specs" `Quick test_intra_specs_replay
         ] );
@@ -452,7 +488,7 @@ let () =
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_mcts_best_is_valid;
-          QCheck_alcotest.to_alcotest prop_bound_admissible;
-          QCheck_alcotest.to_alcotest prop_bound_matches_naive
+          QCheck_alcotest.to_alcotest prop_estimate_matches_naive;
+          QCheck_alcotest.to_alcotest prop_candidates_pass_checker
         ] )
     ]
