@@ -1,6 +1,6 @@
 (* Evaluation-engine benchmark: tree-walking reference interpreter vs the
    closure-compiled engine. Writes BENCH_eval.json (schema
-   xpiler-eval-bench/v7) into the current directory.
+   xpiler-eval-bench/v8) into the current directory.
 
    Usage:
      dune exec bench/interp_bench.exe            # full measurement
@@ -19,7 +19,11 @@
    stay lowered, and on conv2d_nchw its 3-level window nest must run as one
    OCaml loop nest. Words are all the words allocated, minor and major, so
    a scratch tensor of 256 words or more (which goes straight to the major
-   heap) counts too. *)
+   heap) counts too. The row-reduction row runs the same MACs as 4,096
+   rows of 32 and as one row, and fails when a MAC in the rows costs more
+   than [row_mac_limit] times one in the single row (the median over
+   back-to-back pairs): every row enters its inner loop, so the gate
+   bounds what an entry costs. *)
 
 open Xpiler_machine
 open Xpiler_ops
@@ -62,6 +66,7 @@ type row = {
 }
 
 let words_per_step_limit = 1.0
+let row_mac_limit = 2.0
 let alloc_gated = [ "gemm"; "self_attention vnni"; "depthwise_conv bang->cuda tuned" ]
 let speedup_gated = [ ("gemm", 20.0); ("self_attention", 20.0); ("conv2d_nchw", 30.0) ]
 
@@ -183,6 +188,57 @@ let bench_translated (name, src, dst, tuned) =
     Printf.eprintf "%s: the translation produced no kernel\n" label;
     exit 1
 
+(* Row reductions: [row_macs] MACs as [rows] rows of [row_macs / rows],
+   each [acc = 0; for p { acc = acc + a[i] * b[i] }; out[j] = acc] *)
+let row_macs = 131_072
+
+let row_kernel rows =
+  let open Xpiler_ir in
+  let len = row_macs / rows in
+  let open Expr.Infix in
+  let at = (v "j" * int len) + v "p" in
+  Kernel.make ~name:"rows"
+    ~params:[ Builder.buffer "a"; Builder.buffer "b"; Builder.buffer "out" ]
+    [ Builder.for_ "j" (int rows)
+        [ Builder.let_ "acc" (flt 0.0);
+          Builder.for_ "p" (int len) [ Builder.assign "acc" (v "acc" + (load "a" at * load "b" at)) ];
+          Builder.store "out" (v "j") (v "acc")
+        ]
+    ]
+
+(* a compiled run of [row_kernel rows], after checking that both engines
+   agree on it *)
+let row_run rows =
+  let rng = Rng.create 20250706 in
+  let args () =
+    [ ("a", Interp.Buf (Tensor.random rng row_macs)); ("b", Interp.Buf (Tensor.random rng row_macs));
+      ("out", Interp.Buf (Tensor.create rows)) ]
+  in
+  let k = row_kernel rows in
+  let a_tree = args () in
+  let a_comp = clone_args a_tree in
+  let s_tree = Interp.run_tree k a_tree and s_comp = Interp.run k a_comp in
+  let out args = match List.assoc "out" args with Interp.Buf t -> t.Tensor.data | _ -> [||] in
+  if s_tree <> s_comp || out a_tree <> out a_comp then begin
+    Printf.eprintf "engine divergence on the row reduction of %d rows\n" rows;
+    exit 1
+  end;
+  let compiled = Compile.compile k in
+  fun () -> ignore (Compile.run compiled a_comp)
+
+(* compiled nanoseconds per MAC of 4,096 rows of 32 and of one row, and
+   the ratio of the two: the medians over back-to-back pairs of batches,
+   so load on the host that slows both sides of a pair cancels in its
+   ratio *)
+let row_ns_per_mac () =
+  let rows = row_run 4096 and one = row_run 1 in
+  let ns run = 1e9 /. rate ~min_time:(if smoke then 0.01 else 0.05) ~elems_per_run:row_macs run in
+  let pairs = List.init (if smoke then 9 else 21) (fun _ -> let r = ns rows in (r, ns one)) in
+  let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
+  ( median (List.map fst pairs),
+    median (List.map snd pairs),
+    median (List.map (fun (r, o) -> r /. o) pairs) )
+
 let () =
   Printf.printf "evaluation-engine benchmark%s\n%!" (if smoke then " (smoke)" else "");
   let rows = List.map bench_op bench_ops in
@@ -208,13 +264,23 @@ let () =
         exit 1
       | _ -> ())
     rows;
+  let rows_ns, one_ns, row_ratio = row_ns_per_mac () in
+  Printf.printf "row reduction: 4096 rows x 32 %.2f ns/MAC | one row %.2f ns/MAC | %.2fx\n%!"
+    rows_ns one_ns row_ratio;
+  if row_ratio > row_mac_limit then begin
+    Printf.eprintf
+      "row gate: a MAC in rows of 32 costs %.2fx one in a single row (limit %.1fx); does a loop \
+       of rows still run lowered?\n"
+      row_ratio row_mac_limit;
+    exit 1
+  end;
   let geomean xs =
     exp (List.fold_left (fun a x -> a +. log x) 0.0 xs /. float_of_int (List.length xs))
   in
   let g = geomean (List.map (fun r -> r.speedup) rows) in
   Printf.printf "geomean speedup: %.1fx\n%!" g;
   let oc = open_out "BENCH_eval.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"xpiler-eval-bench/v7\",\n  \"smoke\": %b,\n" smoke;
+  Printf.fprintf oc "{\n  \"schema\": \"xpiler-eval-bench/v8\",\n  \"smoke\": %b,\n" smoke;
   Printf.fprintf oc "  \"kernels\": [\n";
   List.iteri
     (fun i r ->
@@ -225,6 +291,10 @@ let () =
         r.op_name r.elems_per_run r.tree_eps r.compiled_eps r.speedup r.words_per_step
         (if i = List.length rows - 1 then "" else ","))
     rows;
-  Printf.fprintf oc "  ],\n  \"geomean_speedup\": %.3f\n}\n" g;
+  Printf.fprintf oc "  ],\n  \"geomean_speedup\": %.3f,\n" g;
+  Printf.fprintf oc
+    "  \"row_reduction\": {\"rows\": 4096, \"row_len\": 32, \"rows_ns_per_mac\": %.3f, \
+     \"one_row_ns_per_mac\": %.3f, \"ratio\": %.3f}\n}\n"
+    rows_ns one_ns row_ratio;
   close_out oc;
   Printf.printf "wrote BENCH_eval.json\n%!"

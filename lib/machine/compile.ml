@@ -6,16 +6,20 @@ open Xpiler_ir
    operator semantics, intrinsic semantics, the barrier effect and fiber
    scheduler — live here so both engines agree by construction.
 
-   The unit of work is the statement, except in a perfect affine nest: a
-   loop whose body is a chain of single loops ending in one float store or
-   one MAC or fold update of a float slot, over indices linear in the
-   counters, is also compiled to nested OCaml [for] loops (see
-   [lower_nest]). The nest runs so only when a check at its head's entry
-   proves that no iteration can fail: no store trace hook, enough fuel for
-   every statement, float tensors, and every index of every iteration in
-   range. Otherwise the whole nest runs as per-element closures, so
-   outputs, error messages, fuel exhaustion and step counts are those of
-   the statement-at-a-time engine.
+   The unit of work is the statement, except in a lowered loop (see
+   [lower_loop]). A loop whose body is a perfect affine nest — a chain of
+   single loops ending in one float store or one MAC or fold update of a
+   float slot, over indices linear in the counters — runs as nested OCaml
+   [for] loops. A loop whose body is a straight-line block of float lets,
+   float stores, float-slot assignments, float scratch [Alloc]s and such
+   nests, a loop of reduction rows, runs each iteration as one postfix
+   program, with its nests as OCaml loops. Either runs so only when one
+   check at the loop's entry proves that no iteration can fail: no store
+   trace hook, enough fuel for every statement, float tensors, and every
+   index of every iteration in range. Otherwise the loop runs as
+   per-element closures, compiled when the check first fails, and a nest
+   inside it keeps its own check, so outputs, error messages, fuel
+   exhaustion and step counts are those of the statement-at-a-time engine.
 
    A run's frame owns its scratch. An [Alloc] zero-fills and keeps the
    tensor its site made earlier in the same frame, and a thread chain whose
@@ -472,13 +476,18 @@ type t = {
    which licenses the unboxed float path. *)
 type sref = Boxed of int | Fslot of int | Unboxed of int
 
-(* [loops] gives each inner level of a nest, keyed by the physical [For]
-   statement, the counter slot the nest's indices read (see
-   [lower_nest]) *)
+(* How the lowering of an enclosing loop fixed a statement of its body
+   (see [lower_loop]), keyed by the physical statement: [Level s], a level
+   of a nest, runs its counter in int slot [s] and has no fast path of its
+   own, as the nest's covers it; [Head (s, fast)], the loop heading a nest
+   in a longer body, runs its counter in [s] and has the fast path [fast];
+   [Slot s], a let or an [Alloc], binds float or buffer slot [s]. *)
+type fixed = Level of int | Head of int * (ctx -> frame -> int -> int -> bool) | Slot of int
+
 type cenv = {
   svars : (string * sref) list;
   bvars : (string * int) list;
-  loops : (Stmt.t * int) list;
+  fixed : (Stmt.t * fixed) list;
 }
 
 let dummy_tensor = Tensor.create 0
@@ -631,7 +640,10 @@ let[@inline] lin_eval ints l =
    level of a one-level nest, as one row): before they run, the int slot
    [base] gets the index at their first iteration; [ostride] and [stride]
    are the strides of the two, and the int slot [row] gets the index at
-   the start of the current row ([base] itself in a one-level nest). *)
+   the start of the current row ([base] itself in a one-level nest).
+   [size] is the declared size of a float tensor that an [Alloc] of the
+   same loop body makes before the access runs, and -1 for a tensor the
+   frame holds at the loop's entry. *)
 type access = {
   slot : int;
   form : lin;
@@ -640,17 +652,27 @@ type access = {
   ostride : int;
   stride : int;
   row : int;
+  size : int;
 }
 
 (* A lowered float expression in postfix order, evaluated on a stack of
    float slots: loads, literals and loop-invariant float slots are pushed;
-   the operators replace their operands with the result. *)
+   the operators replace their operands with the result. A lowered
+   straight-line block is one such program: [Push_at] and [Pop_at] load
+   and store at the index the counters give now, [Pop_slot] writes a float
+   slot, [Alloc (s, dtype, size)] is an [Alloc] at buffer slot [s], and
+   [Run] runs a nest below the block's loop. *)
 type fop =
   | Push_const of float
   | Push_slot of int
   | Push_load of access
+  | Push_at of access
   | Apply2 of Expr.binop
   | Apply1 of Expr.unop
+  | Pop_slot of int
+  | Pop_at of access
+  | Alloc of int * Dtype.t * int
+  | Run of (frame -> unit)
 
 (* A lowered nest of [Array.length counters] loops, level 0 outermost:
    level [l] runs its counter slot [counters.(l)] from [los.(l)] over
@@ -670,6 +692,28 @@ type nest = {
    iterations: each runner below reads the bases and strides of its
    accesses once and loops over both *)
 type rows = frame -> int -> int -> unit
+
+(* A lowered nest whose level 0 is a lowered loop: [nx] and the runners of
+   its levels, [head fr lo0 ext0] from level 0 over [lo0, lo0 + ext0), and
+   [below fr] from level 1 at the iteration the loop's counter holds.
+   [stores] is set when its statement is a store. *)
+type item = { nx : nest; stores : bool; head : frame -> int -> int -> unit; below : frame -> unit }
+
+(* A lowered loop with counter slot [counter]: [nests] are the nests of
+   its body. A body of one nest or one statement ([prog] empty) runs as the
+   nest [nests.(0)] from the loop's level. Otherwise an iteration runs
+   [prog] with its stack from float slot [sp]: the body's [stmts] own
+   statements ([stored] of them stores), whose accesses are those of the
+   one-level nest [top], and a [Run] of each nest. *)
+type block = {
+  counter : int;
+  nests : item array;
+  top : nest;
+  stmts : int;
+  stored : int;
+  prog : fop array;
+  sp : int;
+}
 
 let[@inline] binop_float (op : Expr.binop) x y =
   match op with
@@ -703,9 +747,10 @@ let[@inline] index_now ints (a : access) = lin_eval ints a.form
    grows, so while the check holds nothing overflows. *)
 let access_ok fr nx ext0 (a : access) =
   let t = Array.unsafe_get fr.bufs a.slot in
-  Dtype.is_float t.Tensor.dtype
+  (a.size >= 0 || Dtype.is_float t.Tensor.dtype)
   && begin
-    let base = index_now fr.ints a and len = Array.length t.Tensor.data in
+    let base = index_now fr.ints a
+    and len = if a.size >= 0 then a.size else Array.length t.Tensor.data in
     Array.unsafe_set fr.ints a.base base;
     let lo = ref base and hi = ref base and ok = ref (base >= 0 && base < len) in
     for l = 0 to Array.length nx.counters - 1 do
@@ -717,50 +762,72 @@ let access_ok fr nx ext0 (a : access) =
     !ok
   end
 
-(* The entry check of a lowered nest whose head loop runs over [lo0, lo0 +
-   ext0): no store trace hook, every level's extent at least 1 with its
-   last counter value representable, every statement the per-element
-   engine would run within the fuel, and every access [access_ok]. Returns
-   the number of those statements, or -1 when a check fails. Level [l]
+(* The entry check of a lowered loop [b] over [lo0, lo0 + ext0): no store
+   trace hook, the extent of the loop and of every level of every nest at
+   least 1 with its last counter value representable, every statement the
+   per-element engine would run within the fuel, and every access
+   [access_ok]. Returns the number of those statements, or -1 when a check
+   fails. An iteration of the loop runs its body's own statements and, per
+   nest, the [For] heading it and the iterations of its levels: level [l]
    runs [ext_l * (1 + t)] statements, where [t] is the count of the level
-   below it (0 below the innermost): its [For] statement and their
-   iterations. Only the accesses' [base] slots and the counter slots
-   change: the counters get their levels' first iterations, which the
-   per-element loops overwrite before they read them. *)
-let ready (ctx : ctx) fr nx lo0 ext0 =
+   below it (0 below the innermost). Only the accesses' [base] slots and
+   the counter slots change: the counters get their levels' first
+   iterations, which the per-element loops overwrite before they read
+   them. *)
+let ready (ctx : ctx) fr b lo0 ext0 =
   match ctx.trace with
   | Some _ -> -1
   | None ->
-    let ints = fr.ints and depth = Array.length nx.counters in
-    let total = ref 0 and l = ref (depth - 1) in
-    while !l >= 0 && !total >= 0 do
-      let lo = level_lo fr nx lo0 !l and e = level_ext fr nx ext0 !l in
-      if e >= 1 && e < small && lo + (e - 1) >= lo && !total < small then begin
-        Array.unsafe_set ints (Array.unsafe_get nx.counters !l) lo;
-        total := e * (1 + !total)
-      end
-      else total := -1;
-      decr l
+    let ints = fr.ints and nests = b.nests in
+    let per = ref (if ext0 >= 1 && ext0 < small && lo0 + (ext0 - 1) >= lo0 then b.stmts else -1) in
+    let j = ref 0 in
+    while !per >= 0 && !j < Array.length nests do
+      let nx = (Array.unsafe_get nests !j).nx in
+      let total = ref 0 and l = ref (Array.length nx.counters - 1) in
+      while !l >= 1 && !total >= 0 do
+        let lo = lin_eval ints nx.los.(!l) and e = lin_eval ints nx.exts.(!l) in
+        if e >= 1 && e < small && lo + (e - 1) >= lo && !total < small then begin
+          Array.unsafe_set ints (Array.unsafe_get nx.counters !l) lo;
+          total := e * (1 + !total)
+        end
+        else total := -1;
+        decr l
+      done;
+      if !total >= 0 && !total < small && !per < small then per := !per + 1 + !total
+      else per := -1;
+      incr j
     done;
+    let total = ref (if !per >= 0 && !per < small then ext0 * !per else -1) in
     if !total > ctx.fuel - ctx.stats.steps then total := -1;
-    let accs = nx.accs and j = ref 0 in
-    while !total >= 0 && !j < Array.length accs do
-      if access_ok fr nx ext0 (Array.unsafe_get accs !j) then incr j else total := -1
+    Array.unsafe_set ints b.counter lo0;
+    let j = ref (-1) in
+    while !total >= 0 && !j < Array.length nests do
+      let nx = if !j < 0 then b.top else (Array.unsafe_get nests !j).nx in
+      let accs = nx.accs and k = ref 0 in
+      while !total >= 0 && !k < Array.length accs do
+        if access_ok fr nx ext0 (Array.unsafe_get accs !k) then incr k else total := -1
+      done;
+      incr j
     done;
     !total
 
-(* the per-element effect of a nest that ran [total] statements lowered:
-   every counter slot at its last value, and for a store nest ([stores])
-   as many stores as iterations *)
-let finish (ctx : ctx) fr nx lo0 ext0 total ~stores =
-  let n = ref 1 in
-  for l = 0 to Array.length nx.counters - 1 do
-    let e = level_ext fr nx ext0 l in
-    fr.ints.(nx.counters.(l)) <- level_lo fr nx lo0 l + e - 1;
-    n := !n * e
+(* the per-element effect of a loop that ran [total] statements lowered:
+   every counter slot at its last value, and as many stores as iterations
+   of every store *)
+let finish (ctx : ctx) fr b lo0 ext0 total =
+  fr.ints.(b.counter) <- lo0 + ext0 - 1;
+  ctx.stats.stores <- ctx.stats.stores + (b.stored * ext0);
+  for j = 0 to Array.length b.nests - 1 do
+    let { nx; stores; _ } = b.nests.(j) in
+    let n = ref ext0 in
+    for l = 1 to Array.length nx.counters - 1 do
+      let e = level_ext fr nx ext0 l in
+      fr.ints.(nx.counters.(l)) <- level_lo fr nx lo0 l + e - 1;
+      n := !n * e
+    done;
+    if stores then ctx.stats.stores <- ctx.stats.stores + !n
   done;
-  ctx.stats.steps <- ctx.stats.steps + total;
-  if stores then ctx.stats.stores <- ctx.stats.stores + !n
+  ctx.stats.steps <- ctx.stats.steps + total
 
 (* The level from which the store access [dst] stays put, so its element
    can be reduced in a float slot: the first level below which every
@@ -779,12 +846,13 @@ let reduction_level fr nx dst (loads : access array) =
   done;
   !red
 
-(* Levels [l] and below of a nest whose head runs over [lo0, lo0 + ext0)
-   and that passed [ready]. A level above the last two steps its counter
-   slot; the last two run as [rows], from every access's [base] at the
-   counters' iteration. At level [red] the reduced element of [nx.reduce]
-   is read into its float slot, and written back once the levels below have
-   run (the counters of those levels do not move it). *)
+(* Levels [l] and below of a nest whose head runs over [lo0, lo0 + ext0),
+   in a loop that passed [ready]; levels from 1 read neither bound of level
+   0. A level above the last two steps its counter slot; the last two run
+   as [rows], from every access's [base] at the counters' iteration. At
+   level [red] (-1: none) the reduced element of [nx.reduce] is read into
+   its float slot, and written back once the levels below have run (the
+   counters of those levels do not move it). *)
 let rec run_level nx (rows : rows) red fr lo0 ext0 l =
   match nx.reduce with
   | Some (d, acc) when l = red ->
@@ -830,9 +898,21 @@ let[@inline] load fr ints a k =
     (Array.unsafe_get fr.bufs a.slot).Tensor.data
     (Array.unsafe_get ints a.row + (a.stride * k))
 
+(* [Alloc] at buffer slot [s]: the slot holds [dummy_tensor] or the tensor
+   this site made earlier in the same frame. Only this frame and the frames
+   copied from it while the site's scope ran (fibers, its thread frame)
+   could reach that tensor, and they are done with it. A site inside a
+   thread chain never runs in the frame the chain copies, so a fiber's copy
+   of the slot is [dummy_tensor]. *)
+let alloc_at fr s dtype size =
+  let t = Array.unsafe_get fr.bufs s in
+  if t == dummy_tensor then fr.bufs.(s) <- Tensor.create ~dtype size
+  else Array.fill t.Tensor.data 0 size 0.0
+
 (* iteration [k] of a lowered expression: its value ends up in float slot
-   [sp0]. Each case writes its float straight into the slot, so nothing is
-   boxed. *)
+   [sp0]; or an iteration of a lowered block, which leaves the stack as it
+   found it. Each case writes its float straight into the slot, so nothing
+   is boxed. *)
 let run_fcode (code : fop array) fr k sp0 =
   let fl = fr.floats and ints = fr.ints in
   let sp = ref sp0 in
@@ -847,6 +927,19 @@ let run_fcode (code : fop array) fr k sp0 =
     | Push_load a ->
       Array.unsafe_set fl !sp (load fr ints a k);
       incr sp
+    | Push_at a ->
+      Array.unsafe_set fl !sp
+        (Array.unsafe_get (Array.unsafe_get fr.bufs a.slot).Tensor.data (index_now ints a));
+      incr sp
+    | Pop_slot x ->
+      decr sp;
+      Array.unsafe_set fl x (Array.unsafe_get fl !sp)
+    | Pop_at a ->
+      decr sp;
+      Array.unsafe_set (Array.unsafe_get fr.bufs a.slot).Tensor.data (index_now ints a)
+        (Array.unsafe_get fl !sp)
+    | Alloc (s, dtype, size) -> alloc_at fr s dtype size
+    | Run below -> below fr
     | Apply2 op ->
       decr sp;
       let t = !sp - 1 in
@@ -867,6 +960,39 @@ let run_fcode (code : fop array) fr k sp0 =
       | Floor -> Array.unsafe_set fl t (Float.floor x)
       | Not -> assert false)
   done
+
+(* The fast path of a loop whose body [lower_loop] lowered to [b]: given
+   the loop's start and extent, it runs the whole loop and returns [true],
+   or returns [false] having changed nothing the per-element loops read
+   before they write it (see [ready]). *)
+let block_path b (ctx : ctx) fr lo ext =
+  let total = ready ctx fr b lo ext in
+  total >= 0
+  && begin
+    if Array.length b.prog = 0 then b.nests.(0).head fr lo ext
+    else
+      for i = 0 to ext - 1 do
+        Array.unsafe_set fr.ints b.counter (lo + i);
+        run_fcode b.prog fr 0 b.sp
+      done;
+    finish ctx fr b lo ext total;
+    true
+  end
+
+(* The fast path of the loop heading the nest [b.nests.(0)] of a longer
+   block, when it runs per element: the block's loop stays at the
+   iteration its counter holds, and the check and the run are those of
+   [b] over that one iteration. The loop's own statement was counted
+   before, so its run counts one statement less. *)
+let head_path b (ctx : ctx) fr _ _ =
+  let lo = Array.unsafe_get fr.ints b.counter in
+  let total = ready ctx fr b lo 1 in
+  total >= 0
+  && begin
+    b.nests.(0).below fr;
+    finish ctx fr b lo 1 (total - 1);
+    true
+  end
 
 (* For the row reduction of a store [d[f] = d[f] + e] whose index [f]
    moves only along the outer of the last two levels: [dst]'s tensor, its
@@ -926,7 +1052,8 @@ let store_rows dst loads code sp0 : rows =
   run
 
 (* [d[id] = a[ia] op b[ib]] over the rows, the shape of most lowered
-   stores, without [run_fcode]'s dispatch *)
+   stores, without [run_fcode]'s dispatch. A product, nearly every element
+   the workloads run here, also skips [binop_float]'s per element. *)
 let op2_rows op dst a b : rows =
   let run fr eo ei =
     let ints = fr.ints in
@@ -938,16 +1065,25 @@ let op2_rows op dst a b : rows =
     let b0 = Array.unsafe_get ints b.base and bo = b.ostride and sb = b.stride in
     for i = 0 to eo - 1 do
       let dr = d0 + (dso * i) and ar = a0 + (ao * i) and br = b0 + (bo * i) in
-      for k = 0 to ei - 1 do
-        let x = Array.unsafe_get da (ar + (sa * k)) in
-        Array.unsafe_set dd (dr + (sd * k)) (binop_float op x (Array.unsafe_get db (br + (sb * k))))
-      done
+      match (op : Expr.binop) with
+      | Mul ->
+        for k = 0 to ei - 1 do
+          let x = Array.unsafe_get da (ar + (sa * k)) in
+          Array.unsafe_set dd (dr + (sd * k)) (x *. Array.unsafe_get db (br + (sb * k)))
+        done
+      | _ ->
+        for k = 0 to ei - 1 do
+          let x = Array.unsafe_get da (ar + (sa * k)) in
+          Array.unsafe_set dd (dr + (sd * k)) (binop_float op x (Array.unsafe_get db (br + (sb * k))))
+        done
     done
   in
   run
 
 (* [x = x op a[ia]] over the rows, for the float slot [f] of [x], such as
-   [mx = max(mx, s[p])]; [dst] as for [mac_rows] *)
+   [mx = max(mx, s[p])]; [dst] as for [mac_rows]. A sum, nearly every
+   element the workloads run here, skips [binop_float]'s dispatch per
+   element. *)
 let fold_rows op f a dst : rows =
   let per_row = Option.is_some dst in
   let run fr eo ei =
@@ -959,78 +1095,147 @@ let fold_rows op f a dst : rows =
       let ar = a0 + (ao * i) in
       if per_row then Array.unsafe_set fl f (Array.unsafe_get dd (d0 + (dso * i)));
       let acc = ref (Array.unsafe_get fl f) in
-      for k = 0 to ei - 1 do
-        acc := binop_float op !acc (Array.unsafe_get da (ar + (sa * k)))
-      done;
+      (match (op : Expr.binop) with
+      | Add ->
+        for k = 0 to ei - 1 do
+          acc := !acc +. Array.unsafe_get da (ar + (sa * k))
+        done
+      | _ ->
+        for k = 0 to ei - 1 do
+          acc := binop_float op !acc (Array.unsafe_get da (ar + (sa * k)))
+        done);
       Array.unsafe_set fl f !acc;
       if per_row then Array.unsafe_set dd (d0 + (dso * i)) !acc
     done
   in
   run
 
-(* The fast path of a nest whose body updates a float slot *)
-let update_nest nx rows (ctx : ctx) fr lo ext =
-  let total = ready ctx fr nx lo ext in
-  total >= 0
-  && begin
-    run_level nx rows (Array.length nx.counters) fr lo ext 0;
-    finish ctx fr nx lo ext total ~stores:false;
-    true
+(* The levels from 1 of a nest that reduces nothing, run as [rows] at the
+   iteration level 0's counter holds: a nest of one level below the loop,
+   the common one, sets its bases and runs its one row directly *)
+let below_rows nx (rows : rows) : frame -> unit =
+  if Array.length nx.counters <> 2 then fun fr -> run_below nx rows (-1) fr 0 0 1
+  else begin
+    let accs = nx.accs and ext = nx.exts.(1) in
+    fun fr ->
+      let ints = fr.ints in
+      for j = 0 to Array.length accs - 1 do
+        let a = Array.unsafe_get accs j in
+        Array.unsafe_set ints a.base (index_now ints a)
+      done;
+      rows fr 1 (lin_eval ints ext)
   end
 
-(* The fast path of a nest whose body stores through [dst]: [plain]
-   stores every element. For a store [d[f] = d[f] + e] whose [e] is a MAC
-   or fold operand, [reduced] holds the accesses of [e] and the runners of
-   the same rows as an update of [nx.reduce]'s float slot: the one that
-   reduces each row into its element of [dst], and the one that leaves the
-   reduction to [run_level]. *)
-let store_nest nx dst plain reduced (ctx : ctx) fr lo ext =
-  let total = ready ctx fr nx lo ext in
-  total >= 0
-  && begin
-    let depth = Array.length nx.counters in
-    (match reduced with
-    | Some (loads, per_row, whole) -> (
-      match reduction_level fr nx dst loads with
-      | red when red = depth -> run_level nx plain depth fr lo ext 0
-      | red when red = depth - 1 && depth > 1 -> run_level nx per_row depth fr lo ext 0
-      | red -> run_level nx whole red fr lo ext 0)
-    | None -> run_level nx plain depth fr lo ext 0);
-    finish ctx fr nx lo ext total ~stores:true;
-    true
-  end
+(* The levels from [l] of a nest whose statement stores through [dst]:
+   [plain] stores every element. For a store [d[f] = d[f] + e] whose [e] is
+   a MAC or fold operand, [reduced] holds the accesses of [e] and the
+   runners of the same rows as an update of [nx.reduce]'s float slot: the
+   one that reduces each row into its element of [dst], and the one that
+   leaves the reduction to [run_level]. Below level [l] nothing reduces. *)
+let store_levels nx dst plain reduced fr lo ext l =
+  let depth = Array.length nx.counters in
+  match reduced with
+  | Some (loads, per_row, whole) -> (
+    match max l (reduction_level fr nx dst loads) with
+    | red when red = depth -> run_level nx plain (-1) fr lo ext l
+    | red when red = depth - 1 && depth > 1 -> run_level nx per_row (-1) fr lo ext l
+    | red -> run_level nx whole red fr lo ext l)
+  | None -> run_level nx plain (-1) fr lo ext l
 
-(* [float_valued is_float_var e]: evaluation provably yields [F _], given
-   that every variable satisfying [is_float_var] holds an [F _]. Transcendental
-   unops always do; arithmetic does if either operand does (the mixed case
-   takes [float_binop]). *)
-let rec float_valued is_float_var (e : Expr.t) =
+(* A nest being lowered: [nenv] binds its counters [ncounters] and the
+   names in scope, [nsizes] gives the buffer slots its loop's body
+   allocates their declared sizes, [naccs] holds its accesses so far, each
+   with its buffer slot and index, and [nnext] is its next scratch int
+   slot. The one-level nest of a block's own statements follows the
+   block's scope as its statements bind names. *)
+type builder = {
+  mutable nenv : cenv;
+  ncounters : int array;
+  mutable nsizes : (int * int) list;
+  mutable naccs : (int * Expr.t * access) list;
+  mutable nnext : int;
+}
+
+(* the stack depth postfix evaluation of [e] reaches *)
+let rec stack_depth (e : Expr.t) =
+  match e with
+  | Binop (_, l, r) -> max (stack_depth l) (1 + stack_depth r)
+  | Unop (_, x) -> stack_depth x
+  | _ -> 1
+
+(* the accumulator [x] of a MAC [x + a[i] * b[j]] or a fold [x op a[i]] *)
+let update_acc (e : Expr.t) =
+  match e with
+  | Binop (Add, x, Binop (Mul, Load _, Load _)) | Binop (_, x, Load _) -> Some x
+  | _ -> None
+
+(* the level bounds of a nest of no levels below its loop's *)
+let no_levels = [| lin_zero |]
+
+(* the nest of no levels and no accesses *)
+let no_nest = { counters = [||]; los = [||]; exts = [||]; accs = [||]; reduce = None }
+
+(* the nest of [nb], whose levels below its loop's are [levels] *)
+let make_nest nb levels reduce =
+  let bounds f = match levels with [] -> no_levels | _ -> Array.of_list (lin_zero :: List.map f levels) in
+  { counters = nb.ncounters;
+    los = bounds (fun (_, _, lo, _) -> lo);
+    exts = bounds (fun (_, _, _, ext) -> ext);
+    accs = Array.of_list (List.rev_map (fun (_, _, a) -> a) nb.naccs);
+    reduce
+  }
+
+(* [float_valued is_float_var is_float_buf e]: evaluation provably yields
+   [F _], given that every variable satisfying [is_float_var] holds an [F
+   _] and every buffer name satisfying [is_float_buf] names a float tensor.
+   Transcendental unops always do; arithmetic does if either operand does
+   (the mixed case takes [float_binop]). *)
+let rec float_valued is_float_var is_float_buf (e : Expr.t) =
   match e with
   | Float _ -> true
-  | Int _ | Load _ -> false
+  | Int _ -> false
+  | Load (b, _) -> is_float_buf b
   | Var x -> is_float_var x
   | Binop ((Eq | Ne | Lt | Le | Gt | Ge | And | Or), _, _) -> false
-  | Binop (_, l, r) -> float_valued is_float_var l || float_valued is_float_var r
+  | Binop (_, l, r) ->
+    float_valued is_float_var is_float_buf l || float_valued is_float_var is_float_buf r
   | Unop ((Exp | Log | Sqrt | Rsqrt | Tanh | Erf | Recip | Floor), _) -> true
-  | Unop ((Neg | Abs), x) -> float_valued is_float_var x
+  | Unop ((Neg | Abs), x) -> float_valued is_float_var is_float_buf x
   | Unop (Not, _) -> false
-  | Select (_, t, f) -> float_valued is_float_var t && float_valued is_float_var f
+  | Select (_, t, f) ->
+    float_valued is_float_var is_float_buf t && float_valued is_float_var is_float_buf f
   | Cast (d, _) -> Dtype.is_float d
 
 (* The names that only ever hold floats: the greatest set of Let/Assign
    targets, excluding parameter and loop-variable names, such that every
    Let/Assign value of a member is [float_valued] assuming the members are.
-   Start from all targets and drop violators until none is left. *)
+   Start from all targets and drop violators until none is left. With it,
+   the buffer names whose loads are floats: those that only float [Alloc]s
+   bind and no parameter has (a load reads the tensor its name is bound to,
+   and only an [Alloc] or a parameter binds one). *)
 let float_names (k : Kernel.t) =
-  let excluded = Hashtbl.create 16 and defs = ref [] in
+  let excluded = Hashtbl.create 16 and defs = ref [] and allocs = ref [] in
   List.iter (fun (p : Kernel.param) -> Hashtbl.replace excluded p.name ()) k.Kernel.params;
   Stmt.iter
     (fun s ->
       match s with
       | Stmt.Let { var; value } | Stmt.Assign { var; value } -> defs := (var, value) :: !defs
       | Stmt.For { var; _ } -> Hashtbl.replace excluded var ()
+      | Stmt.Alloc { buf; dtype; _ } -> allocs := (buf, Dtype.is_float dtype) :: !allocs
       | _ -> ())
     k.Kernel.body;
+  let float_bufs =
+    List.filter_map
+      (fun (b, is_float) ->
+        if
+          is_float
+          && (not (List.mem (b, false) !allocs))
+          && not (List.exists (fun (p : Kernel.param) -> String.equal p.name b) k.Kernel.params)
+        then Some b
+        else None)
+      !allocs
+  in
+  let is_float_buf b = List.mem b float_bufs in
   let names = Hashtbl.create 16 in
   List.iter
     (fun (v, _) -> if not (Hashtbl.mem excluded v) then Hashtbl.replace names v ())
@@ -1038,7 +1243,7 @@ let float_names (k : Kernel.t) =
   let rec shrink () =
     let violators =
       List.filter
-        (fun (v, e) -> Hashtbl.mem names v && not (float_valued (Hashtbl.mem names) e))
+        (fun (v, e) -> Hashtbl.mem names v && not (float_valued (Hashtbl.mem names) is_float_buf e))
         !defs
     in
     if violators <> [] then begin
@@ -1047,7 +1252,7 @@ let float_names (k : Kernel.t) =
     end
   in
   shrink ();
-  names
+  (names, is_float_buf)
 
 let compile (k : Kernel.t) : t =
   let nscalars = ref 0 and nints = ref 0 and nfloats = ref 0 and nbufs = ref 0 in
@@ -1089,7 +1294,7 @@ let compile (k : Kernel.t) : t =
       !nfloats - depth
     end
   in
-  let float_names = float_names k in
+  let float_names, is_float_buf = float_names k in
   (* names ever targeted by an Assign anywhere in the kernel: a variable not
      in this set whose binding only ever writes integers can never observe a
      float, so expressions over it compile to unboxed int closures *)
@@ -1125,8 +1330,16 @@ let compile (k : Kernel.t) : t =
      must keep taking the [int_binop] path, so only a proof that one side is
      [F] lets both sides skip boxing. *)
   let static_float cenv =
-    float_valued (fun x ->
-        match List.assoc_opt x cenv.svars with Some (Fslot _) -> true | _ -> false)
+    float_valued
+      (fun x -> match List.assoc_opt x cenv.svars with Some (Fslot _) -> true | _ -> false)
+      is_float_buf
+  in
+  (* a let of [var] binds a float slot: its value is an [F _] ([var] is in
+     [float_names], or the value is [static_float] and never reassigned),
+     and not an unboxed int *)
+  let float_let cenv var value =
+    (not (static_int cenv value && never_assigned var))
+    && (Hashtbl.mem float_names var || (static_float cenv value && never_assigned var))
   in
   (* the slot [svars] binds variable [x] to, when it is an int slot
      ([int_slot]: [Unboxed]) or a float slot ([float_slot]: [Fslot]); -1
@@ -1484,122 +1697,119 @@ let compile (k : Kernel.t) : t =
         inner
     | _ -> (cenv, List.rev levels, body)
   in
-  (* the access of [accs] into buffer [b] at index [e] *)
-  let rec find_access b e = function
+  (* the access of [accs] into buffer slot [slot] at index [e] *)
+  let rec find_access slot e = function
     | [] -> None
-    | (b', e', a) :: rest ->
-      if String.equal b b' && Expr.equal e' e then Some a else find_access b e rest
+    | (slot', e', a) :: rest ->
+      if slot = slot' && Expr.equal e' e then Some a else find_access slot e rest
   in
-  (* The fast path of a nest whose outer counter is [s] and whose inner
-     [levels] and statement [body] [lower_nest] accepted, when the
-     statement has a lowered form; [cenv] binds every counter. Given the
-     head loop's [lo] and extent, the fast path runs the whole nest and
-     returns [true], or returns [false] having changed nothing the
-     per-element loops read before they write it (see [ready]). *)
-  let nest_path cenv s levels body =
-    let cs = s :: List.map (fun (_, s, _, _) -> s) levels in
-    let counters = Array.of_list cs in
-    let depth = Array.length counters in
-    (* the nest's scratch int slots, in order of need *)
-    let next = ref 0 in
-    let scratch () =
-      let x = scratch_int !next in
-      incr next;
-      x
-    in
-    (* the outer of the two levels that run as rows *)
-    let rows = if depth > 2 then depth - 2 else 0 in
-    (* one access per buffer and index *)
-    let accs = ref [] in
-    let access b e =
-      match find_access b e !accs with
-      | Some a -> a
-      | None ->
-        let strides = Array.make depth 0 in
-        for l = 0 to depth - 1 do
-          strides.(l) <- coef cenv counters.(l) e
-        done;
-        let base = scratch () in
-        let a =
-          { slot = List.assoc b cenv.bvars;
-            form = lin_of cenv e;
-            strides;
-            base;
-            ostride = strides.(rows);
-            stride = strides.(depth - 1);
-            row = (if depth = 1 then base else scratch ())
-          }
-        in
-        accs := (b, e, a) :: !accs;
-        a
-    in
-    (* [value] in postfix, with the accesses of its loads in order *)
-    let lower_value value =
-      let loads = ref [] in
-      (* [e]'s instructions, last first, onto [code] *)
-      let rec emit (e : Expr.t) code =
-        match e with
-        | Int n -> Push_const (float_of_int n) :: code
-        | Float c -> Push_const c :: code
-        | Var x -> Push_slot (float_slot x cenv.svars) :: code
-        | Load (b, i) ->
-          let a = access b i in
-          loads := a :: !loads;
-          Push_load a :: code
-        | Binop (op, l, r) -> Apply2 op :: emit r (emit l code)
-        | Unop (op, x) -> Apply1 op :: emit x code
-        | _ -> assert false
+  (* the access of the nest [nb] into buffer [b] at index [e], one per
+     buffer slot and index *)
+  let access nb b e =
+    let cenv = nb.nenv in
+    let slot = List.assoc b cenv.bvars in
+    match find_access slot e nb.naccs with
+    | Some a -> a
+    | None ->
+      let counters = nb.ncounters in
+      let depth = Array.length counters in
+      let strides = Array.make depth 0 in
+      for l = 0 to depth - 1 do
+        strides.(l) <- coef cenv counters.(l) e
+      done;
+      let base = scratch_int nb.nnext in
+      let row = if depth = 1 then base else scratch_int (nb.nnext + 1) in
+      nb.nnext <- (if depth = 1 then nb.nnext + 1 else nb.nnext + 2);
+      let a =
+        { slot;
+          form = lin_of cenv e;
+          strides;
+          base;
+          (* the outer of the two levels that run as rows *)
+          ostride = strides.(if depth > 2 then depth - 2 else 0);
+          stride = strides.(depth - 1);
+          row;
+          size = (match List.assoc_opt slot nb.nsizes with Some n -> n | None -> -1)
+        }
       in
-      let code = Array.of_list (List.rev (emit value [])) in
-      (* the stack depth postfix evaluation of [value] reaches *)
-      let rec depth (e : Expr.t) =
-        match e with
-        | Binop (_, l, r) -> max (depth l) (1 + depth r)
-        | Unop (_, x) -> depth x
-        | _ -> 1
-      in
-      (Array.of_list (List.rev !loads), code, stack (depth value))
-    in
-    (* [x = value], where [is_x] picks the reads of [x], when it is a MAC
-       [x = x + a[i] * b[j]] or a fold [x = x op a[i]]: the accesses the
-       update reads, and its rows runner given the float slot of [x] and a
-       row reduction into [dst] (see [mac_rows]) *)
-    let lower_update is_x (value : Expr.t) =
-      match value with
-      | Binop (Add, x, Binop (Mul, Load (a, ia), Load (b, ib))) when is_x x ->
-        let a = access a ia in
-        let b = access b ib in
-        Some ([| a; b |], fun f -> mac_rows f a b)
-      | Binop (op, x, Load (a, ia)) when is_x x ->
-        let a = access a ia in
-        Some ([| a |], fun f -> fold_rows op f a)
-      | _ -> None
-    in
-    let nest reduce =
-      { counters;
-        los = Array.of_list (lin_zero :: List.map (fun (_, _, lo, _) -> lo) levels);
-        exts = Array.of_list (lin_zero :: List.map (fun (_, _, _, ext) -> ext) levels);
-        accs = Array.of_list (List.rev_map (fun (_, _, a) -> a) !accs);
-        reduce
+      nb.naccs <- (slot, e, a) :: nb.naccs;
+      a
+  in
+  (* [e]'s instructions in postfix, last first, onto [code], and the
+     accesses of its loads onto [loads]; a load reads its row's element
+     ([Push_load]), or with [at] the element at the counters' iteration *)
+  let rec emit nb loads ~at (e : Expr.t) code =
+    match e with
+    | Int n -> Push_const (float_of_int n) :: code
+    | Float c -> Push_const c :: code
+    | Var x -> Push_slot (float_slot x nb.nenv.svars) :: code
+    | Load (b, i) ->
+      let a = access nb b i in
+      loads := a :: !loads;
+      (if at then Push_at a else Push_load a) :: code
+    | Binop (op, l, r) -> Apply2 op :: emit nb loads ~at r (emit nb loads ~at l code)
+    | Unop (op, x) -> Apply1 op :: emit nb loads ~at x code
+    | _ -> assert false
+  in
+  (* [value] in postfix, with the accesses of its loads in order and the
+     first float slot of its stack *)
+  let lower_value nb value =
+    let loads = ref [] in
+    let code = Array.of_list (List.rev (emit nb loads ~at:false value [])) in
+    (Array.of_list (List.rev !loads), code, stack (stack_depth value))
+  in
+  (* the accesses the MAC or fold [value] reads (see [update_acc]), and its
+     rows runner given the float slot of its accumulator and a row
+     reduction into [dst] (see [mac_rows]) *)
+  let lower_update nb (value : Expr.t) =
+    match value with
+    | Binop (Add, _, Binop (Mul, Load (a, ia), Load (b, ib))) ->
+      let a = access nb a ia in
+      let b = access nb b ib in
+      ([| a; b |], fun f -> mac_rows f a b)
+    | Binop (op, _, Load (a, ia)) ->
+      let a = access nb a ia in
+      ([| a |], fun f -> fold_rows op f a)
+    | _ -> invalid_arg "lower_update"
+  in
+  (* The nest of a lowered loop with counter [s] whose levels below the
+     loop's are [levels], ending in the statement [body], when the
+     statement has a lowered form: a float store, or a float-slot update
+     that is a MAC or a fold. [cenv] binds every counter, and [sizes] gives
+     the buffer slots the loop's body allocates their declared sizes. *)
+  let nest_path ~sizes cenv s levels body =
+    let nb =
+      { nenv = cenv;
+        ncounters = Array.of_list (s :: List.map (fun (_, s, _, _) -> s) levels);
+        nsizes = sizes;
+        naccs = [];
+        nnext = 0
       }
     in
+    let depth = Array.length nb.ncounters in
     match body with
-    | [ Stmt.Assign { var; value } ] ->
-      let is_var (e : Expr.t) = match e with Var x -> String.equal x var | _ -> false in
-      Option.map
-        (fun (_, rows) ->
-          let nx = nest None and rows = rows (float_slot var cenv.svars) None in
-          fun ctx fr lo ext -> update_nest nx rows ctx fr lo ext)
-        (lower_update is_var value)
+    | [ Stmt.Assign { var; value } ] -> (
+      match update_acc value with
+      | Some (Var x) when String.equal x var ->
+        let _, rows = lower_update nb value in
+        let nx = make_nest nb levels None in
+        let rows = rows (float_slot var cenv.svars) None in
+        Some
+          { nx;
+            stores = false;
+            head = (fun fr lo ext -> run_level nx rows (-1) fr lo ext 0);
+            below = below_rows nx rows
+          }
+      | _ -> None)
     | [ Stmt.Store { buf; index; value } ] ->
-      let dst = access buf index in
+      let dst = access nb buf index in
       let plain =
         match value with
         | Binop (op, Load (a, ia), Load (b, ib)) ->
-          let a = access a ia in
-          op2_rows op dst a (access b ib)
+          let a = access nb a ia in
+          op2_rows op dst a (access nb b ib)
         | _ ->
-          let loads, code, sp0 = lower_value value in
+          let loads, code, sp0 = lower_value nb value in
           store_rows dst loads code sp0
       in
       (* the levels the index stays put in, from [still] down: with none,
@@ -1609,52 +1819,175 @@ let compile (k : Kernel.t) : t =
         decr still
       done;
       let reduced =
-        match value with
-        | Binop (Add, (Load (b, i) as x), _)
-          when String.equal b buf && Expr.equal i index && !still < depth ->
-          Option.map
-            (fun (loads, rows) ->
-              let f = reduce_slot () in
-              (* a one-level nest reduces whole, never per row *)
-              let whole = rows f None in
-              (f, (loads, (if depth > 1 then rows f (Some dst) else whole), whole)))
-            (lower_update (fun e -> e == x) value)
+        match (value, update_acc value) with
+        | Binop (Add, (Load (b, i) as x), _), Some x'
+          when x' == x && String.equal b buf && Expr.equal i index && !still < depth ->
+          let loads, rows = lower_update nb value in
+          let f = reduce_slot () in
+          (* a one-level nest reduces whole, never per row *)
+          let whole = rows f None in
+          Some (f, loads, (if depth > 1 then rows f (Some dst) else whole), whole)
         | _ -> None
       in
-      let nx = nest (Option.map (fun (f, _) -> (dst, f)) reduced) in
-      let reduced = Option.map snd reduced in
-      Some (fun ctx fr lo ext -> store_nest nx dst plain reduced ctx fr lo ext)
+      let nx, reduced =
+        match reduced with
+        | Some (f, loads, per_row, whole) ->
+          (make_nest nb levels (Some (dst, f)), Some (loads, per_row, whole))
+        | None -> (make_nest nb levels None, None)
+      in
+      Some
+        { nx;
+          stores = true;
+          head = (fun fr lo ext -> store_levels nx dst plain reduced fr lo ext 0);
+          below =
+            (match reduced with
+            | None -> below_rows nx plain
+            | Some _ -> fun fr -> store_levels nx dst plain reduced fr 0 0 1)
+        }
     | _ -> invalid_arg "nest_path"
   in
-  (* A loop whose body is a chain of single loops ending in one statement
-     gets a fast path that runs the whole nest as OCaml loops when [ready]
-     holds at its entry. The chain is a perfect affine nest ([chain]), and
-     every index in it is linear, so of degree at most one in the counters.
-     The statement updates a float slot, as a fused MAC ([mac_rows]) or a
-     fold [x = x op a[i]] ([fold_rows]), or it is a store, of two loads
-     ([op2_rows]) or otherwise ([store_rows]); the value is float
-     arithmetic over loads, literals and float slots. A store [d[f] = d[f]
-     + e] whose [e] is a MAC or fold operand also gets the reduction of
-     [d[f]] in a float slot. [s] is the outer loop's counter slot and
-     [cenv] binds it. The per-element body is compiled in the returned
-     environment, which gives each inner level the counter slot the nest
-     reads; an inner level has no fast path of its own. *)
-  let lower_nest cenv s body =
+  (* a chain of single non-thread loops ending in a store or a MAC or fold
+     update (see [chain]) *)
+  let rec nest_shape (body : Stmt.t list) =
     match body with
-    | [ (Stmt.For _ | Stmt.Assign _ | Stmt.Store _) ] ->
-      let ienv, levels, stmt = chain cenv [ s ] [] body in
-      let fast =
-        match stmt with
-        | [ Stmt.Assign { var; value } ] when float_slot var ienv.svars >= 0 && lfloat ienv value
-          ->
-          nest_path ienv s levels stmt
-        | [ Stmt.Store { buf; index; value } ]
-          when bound ienv buf && is_linear ienv index && lfloat ienv value ->
-          nest_path ienv s levels stmt
-        | _ -> None
+    | [ Stmt.For { kind = Stmt.Parallel ax; _ } ] when Axis.is_thread ax -> false
+    | [ Stmt.For { body; _ } ] -> nest_shape body
+    | [ Stmt.Assign { var; value } ] -> (
+      match update_acc value with Some (Var x) -> String.equal x var | _ -> false)
+    | [ Stmt.Store _ ] -> true
+    | _ -> false
+  in
+  (* the levels of the nest [st] heads below the loop with counter [s],
+     and its lowered form if it has one (see [nest_path]) *)
+  let nest_item ~sizes cenv s st =
+    let ienv, levels, stmt = chain cenv [ s ] [] [ st ] in
+    ( levels,
+      match stmt with
+      | [ Stmt.Assign { var; value } ] when float_slot var ienv.svars >= 0 && lfloat ienv value ->
+        nest_path ~sizes ienv s levels stmt
+      | [ Stmt.Store { buf; index; value } ]
+        when bound ienv buf && is_linear ienv index && lfloat ienv value ->
+        nest_path ~sizes ienv s levels stmt
+      | _ -> None )
+  in
+  (* [body]'s statements have lowered forms in a block, as far as the kinds
+     of the slots the ones before bind tell; a nest's bounds and indices
+     are judged when it is built *)
+  let rec lowerable cenv (body : Stmt.t list) =
+    match body with
+    | [] -> true
+    | Stmt.Let { var; value } :: rest ->
+      float_let cenv var value && lfloat cenv value
+      && lowerable { cenv with svars = (var, Fslot 0) :: cenv.svars } rest
+    | Stmt.Assign { var; value } :: rest ->
+      float_slot var cenv.svars >= 0 && lfloat cenv value && lowerable cenv rest
+    | Stmt.Store { buf; index; value } :: rest ->
+      bound cenv buf && is_linear cenv index && lfloat cenv value && lowerable cenv rest
+    | Stmt.Alloc { buf; dtype; size; _ } :: rest ->
+      Dtype.is_float dtype && size >= 0
+      && lowerable { cenv with bvars = (buf, 0) :: cenv.bvars } rest
+    | (Stmt.For _ as st) :: rest -> nest_shape [ st ] && lowerable cenv rest
+    | _ -> false
+  in
+  let level fixed (st, s, _, _) = (st, Level s) :: fixed in
+  let one_nest counter it =
+    { counter; nests = [| it |]; top = no_nest; stmts = 0; stored = 0; prog = [||]; sp = 0 }
+  in
+  (* The fast path of a loop with counter slot [s], bound in [cenv], when
+     its [body] lowers (see [block_path]); the per-element body is compiled
+     in the returned environment, which fixes the slots the lowered code
+     reads (see [fixed]).
+
+     A body of one statement runs as a nest from the loop's level, as does
+     a body that is a perfect nest: a chain of single loops ([chain])
+     ending in one statement. Each level's [lo] and extent is linear and
+     reads none of the nest's counters, and every index is linear, so of
+     degree at most one in the counters. The statement is a float store, a
+     MAC [acc = acc + a[i] * b[j]] ([mac_rows]) or a fold [x = x op a[i]]
+     ([fold_rows]) of a float slot. A store of two loads runs as
+     [op2_rows], another store as [store_rows]; a store [d[f] = d[f] + e]
+     whose [e] is a MAC or fold operand also gets the reduction of [d[f]]
+     in a float slot. The nest's levels have no fast path of their own, as
+     the loop's covers them.
+
+     A longer body is a straight-line block of float lets, float-slot
+     assignments and float stores, [Alloc]s of float tensors, and loops that
+     head such nests, whose bounds read none of their counters nor [s]. An
+     iteration runs it as one program ([run_fcode]): each statement's value
+     in postfix and a [Pop_slot] or [Pop_at], an [Alloc], or a [Run] of a
+     nest's levels. A loop heading a nest keeps a fast path of its own
+     ([head_path]), which runs when the block's entry check fails. Ints
+     bound in the body other than the counters, such as an int let, keep
+     the loop per element. *)
+  let lower_loop cenv s body =
+    match body with
+    | [ ((Stmt.For _ | Stmt.Assign _ | Stmt.Store _) as st) ] -> (
+      match nest_item ~sizes:[] cenv s st with
+      | levels, Some it ->
+        ( Some (block_path (one_nest s it)),
+          { cenv with fixed = List.fold_left level cenv.fixed levels } )
+      | _, None -> (None, cenv))
+    | _ when lowerable cenv body ->
+      (* the block's own statements, a one-level nest whose scope follows
+         the block's *)
+      let zb = { nenv = cenv; ncounters = [| s |]; nsizes = []; naccs = []; nnext = 0 } in
+      let code = ref [] and nests = ref [] and stmts = ref 0 and stored = ref 0 in
+      let depth = ref 0 in
+      let value cenv e =
+        zb.nenv <- cenv;
+        depth := max !depth (stack_depth e);
+        code := emit zb (ref []) ~at:true e !code;
+        incr stmts
       in
-      let loops = List.map (fun (st, s, _, _) -> (st, s)) levels in
-      (fast, match loops with [] -> cenv | _ -> { cenv with loops = loops @ cenv.loops })
+      let rec build cenv fixed (body : Stmt.t list) =
+        match body with
+        | [] -> Some fixed
+        | st :: _ when List.mem_assq st fixed -> None
+        | (Stmt.Let { var; value = e } as st) :: rest ->
+          let x = fresh_float () in
+          value cenv e;
+          code := Pop_slot x :: !code;
+          build { cenv with svars = (var, Fslot x) :: cenv.svars } ((st, Slot x) :: fixed) rest
+        | Stmt.Assign { var; value = e } :: rest ->
+          value cenv e;
+          code := Pop_slot (float_slot var cenv.svars) :: !code;
+          build cenv fixed rest
+        | Stmt.Store { buf; index; value = e } :: rest ->
+          value cenv e;
+          code := Pop_at (access zb buf index) :: !code;
+          incr stored;
+          build cenv fixed rest
+        | (Stmt.Alloc { buf; dtype; size; _ } as st) :: rest ->
+          let b = fresh_buf () in
+          code := Alloc (b, dtype, size) :: !code;
+          incr stmts;
+          zb.nsizes <- (b, size) :: zb.nsizes;
+          build { cenv with bvars = (buf, b) :: cenv.bvars } ((st, Slot b) :: fixed) rest
+        | st :: rest -> (
+          let fresh (st, _, _, _) = not (List.mem_assq st fixed) in
+          match nest_item ~sizes:zb.nsizes cenv s st with
+          | ((_, h, _, _) :: inner as levels), Some it when List.for_all fresh levels ->
+            nests := it :: !nests;
+            code := Run it.below :: !code;
+            build cenv
+              ((st, Head (h, head_path (one_nest s it))) :: List.fold_left level fixed inner)
+              rest
+          | _ -> None)
+      in
+      (match build cenv cenv.fixed body with
+      | Some fixed ->
+        let b =
+          { counter = s;
+            nests = Array.of_list (List.rev !nests);
+            top = make_nest zb [] None;
+            stmts = !stmts;
+            stored = !stored;
+            prog = Array.of_list (List.rev !code);
+            sp = stack !depth
+          }
+        in
+        (Some (block_path b), { cenv with fixed })
+      | None -> (None, cenv))
     | _ -> (None, cenv)
   in
   let rec comp_block cenv block : ctx -> frame -> unit =
@@ -1688,18 +2021,17 @@ let compile (k : Kernel.t) : t =
     match stmt with
     | Stmt.Annot _ -> (cenv, fun _ _ -> ())
     | Stmt.Let { var; value } ->
-      if static_int cenv value && never_assigned var then begin
+      if float_let cenv var value then begin
+        (* the value is an [F _]: storing its float is storing the value *)
+        let cv = comp_ffloat cenv value in
+        let s = match List.assq_opt stmt cenv.fixed with Some (Slot s) -> s | _ -> fresh_float () in
+        ( { cenv with svars = (var, Fslot s) :: cenv.svars },
+          fun _ fr -> Array.unsafe_set fr.floats s (cv fr) )
+      end
+      else if static_int cenv value && never_assigned var then begin
         let civ = comp_iint cenv value in
         let s = fresh_int () in
         ({ cenv with svars = (var, Unboxed s) :: cenv.svars }, fun _ fr -> fr.ints.(s) <- civ fr)
-      end
-      else if Hashtbl.mem float_names var || (static_float cenv value && never_assigned var)
-      then begin
-        (* the value is an [F _]: storing its float is storing the value *)
-        let cv = comp_ffloat cenv value in
-        let s = fresh_float () in
-        ( { cenv with svars = (var, Fslot s) :: cenv.svars },
-          fun _ fr -> Array.unsafe_set fr.floats s (cv fr) )
       end
       else begin
         let cv = comp cenv value in
@@ -1738,18 +2070,8 @@ let compile (k : Kernel.t) : t =
           ctx.stats.stores <- ctx.stats.stores + 1;
           match ctx.trace with Some f -> f buf i v | None -> () )
     | Stmt.Alloc { buf; dtype; size; _ } ->
-      (* the slot holds [dummy_tensor] or the tensor this site made earlier
-         in the same frame: only this frame and the frames copied from it
-         while the site's scope ran (fibers, its thread frame) could reach
-         that tensor, and they are done with it. A site inside a thread
-         chain never runs in the frame the chain copies, so a fiber's copy
-         of the slot is [dummy_tensor]. *)
-      let s = fresh_buf () in
-      ( { cenv with bvars = (buf, s) :: cenv.bvars },
-        fun _ fr ->
-          let t = Array.unsafe_get fr.bufs s in
-          if t == dummy_tensor then fr.bufs.(s) <- Tensor.create ~dtype size
-          else Array.fill t.Tensor.data 0 size 0.0 )
+      let s = match List.assq_opt stmt cenv.fixed with Some (Slot s) -> s | _ -> fresh_buf () in
+      ({ cenv with bvars = (buf, s) :: cenv.bvars }, fun _ fr -> alloc_at fr s dtype size)
     | Stmt.If { cond; then_; else_ } ->
       let cc = comp cenv cond in
       let ct = comp_block cenv then_ in
@@ -1878,15 +2200,15 @@ let compile (k : Kernel.t) : t =
       let cext = comp_int cenv extent in
       if never_assigned var then begin
         let s, fast, benv =
-          match List.assq_opt stmt cenv.loops with
-          | Some s -> (s, None, { cenv with svars = (var, Unboxed s) :: cenv.svars })
-          | None ->
+          match List.assq_opt stmt cenv.fixed with
+          | Some (Level s) -> (s, None, { cenv with svars = (var, Unboxed s) :: cenv.svars })
+          | Some (Head (s, fast)) -> (s, Some fast, { cenv with svars = (var, Unboxed s) :: cenv.svars })
+          | _ ->
             let s = fresh_int () in
-            let fast, benv = lower_nest { cenv with svars = (var, Unboxed s) :: cenv.svars } s body in
+            let fast, benv = lower_loop { cenv with svars = (var, Unboxed s) :: cenv.svars } s body in
             (s, fast, benv)
         in
-        let cbody = comp_block benv body in
-        let per_element ctx fr lo_v ext_v =
+        let per_element cbody ctx fr lo_v ext_v =
           for i = lo_v to lo_v + ext_v - 1 do
             Array.unsafe_set fr.ints s i;
             cbody ctx fr
@@ -1895,17 +2217,34 @@ let compile (k : Kernel.t) : t =
         ( cenv,
           match fast with
           | None ->
+            let cbody = comp_block benv body in
             fun ctx fr ->
               let lo_v = clo fr in
               let ext_v = cext fr in
               if ext_v < 0 then err "negative loop extent in %s" var;
-              per_element ctx fr lo_v ext_v
+              per_element cbody ctx fr lo_v ext_v
           | Some fast ->
+            (* the per-element body compiles when the entry check first
+               fails: the lowering fixed every slot the body binds (see
+               [fixed]), so compiling it then adds no slot to the frame *)
+            let cbody = ref None in
+            let slots () = !nscalars + !nints + !nfloats + !nbufs in
+            let per_element_body () =
+              match !cbody with
+              | Some c -> c
+              | None ->
+                let n = slots () in
+                let c = comp_block benv body in
+                assert (slots () = n);
+                cbody := Some c;
+                c
+            in
             fun ctx fr ->
               let lo_v = clo fr in
               let ext_v = cext fr in
               if ext_v < 0 then err "negative loop extent in %s" var;
-              if not (fast ctx fr lo_v ext_v) then per_element ctx fr lo_v ext_v )
+              if not (fast ctx fr lo_v ext_v) then
+                per_element (per_element_body ()) ctx fr lo_v ext_v )
       end
       else begin
         let s = fresh_scalar () in
@@ -1933,7 +2272,7 @@ let compile (k : Kernel.t) : t =
           let s = fresh_scalar () in
           ({ cenv with svars = (p.name, Boxed s) :: cenv.svars }, (p, Scalar_slot s) :: binds)
         end)
-      ({ svars = []; bvars = []; loops = [] }, [])
+      ({ svars = []; bvars = []; fixed = [] }, [])
       k.Kernel.params
   in
   let code = comp_block cenv0 k.Kernel.body in

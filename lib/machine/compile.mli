@@ -12,12 +12,23 @@
     ending in one float store or one float-slot update that is a MAC [acc
     = acc + a[i] * b[j]] or a fold [x = x op a[i]], with inner bounds fixed
     at entry and every index linear in the counters — runs as nested OCaml
-    loops when a check at its head's entry proves no iteration can fail;
-    otherwise all its statements run one at a time. A store [d[f] = d[f] +
-    e] whose index stays put in the inner levels, and whose [e] is a MAC or
-    fold operand, is reduced in a float slot when nothing else in the body
-    touches [d]'s tensor. Either way the run has the same outputs,
-    statistics and errors.
+    loops. So does a loop of reduction rows: a loop whose body is a
+    straight-line block of float lets, float stores, float-slot
+    assignments, [Alloc]s of float tensors and such nests, as in [for j
+    { acc = 0; for p { acc += a * b }; out[j] = acc }]. Its iterations
+    run as one lowered program each, and its nests as OCaml loops. Either
+    loop runs so only when one check at its entry proves no iteration can
+    fail; otherwise its statements run one at a time, and a nest in its
+    body keeps its own check. A store [d[f] = d[f] + e] whose index stays
+    put in the inner levels, and whose [e] is a MAC or fold operand, is
+    reduced in a float slot when nothing else in the nest touches [d]'s
+    tensor. Either way the run has the same outputs, statistics and
+    errors.
+
+    A variable that only ever holds floats gets an unboxed float slot; a
+    load from a buffer name that only float [Alloc]s bind, and no parameter
+    has, counts as a float for that, so [mx = s[0]] over a float scratch
+    tensor is a float slot.
 
     A run's frame owns its scratch: an [Alloc] executed again zero-fills and
     keeps the tensor it made before in the same frame, and a thread chain

@@ -26,9 +26,10 @@ open Xpiler_ir
     walking the statement tree. Every run counts one compile in
     [xpiler_compile_cache_lookups_total{result="miss"}], a name kept for
     the e2ebench layer attribution. A perfect affine nest ending in a
-    single float store or float-slot update runs as one range-checked
-    OCaml loop nest, unless a [trace] hook is given or its entry check
-    fails. An [Alloc] executed
+    single float store or float-slot update, and a loop of reduction rows
+    (a straight-line block of float statements and such nests), each run
+    as range-checked OCaml loops, unless a [trace] hook is given or the
+    loop's entry check fails. An [Alloc] executed
     again zero-fills the tensor it made before, and a thread chain without
     a [Sync] runs without fibers. {!run_tree} keeps the
     direct tree-walker; the differential property in [test/test_fuzz.ml]

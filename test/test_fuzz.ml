@@ -489,6 +489,66 @@ let scalar_kernel rng =
       Builder.store "out" (Int 64) (Var "x")
     ]
 
+(* Loops whose body is a block of rows, the shapes the compiled engine runs
+   as one program per iteration, and their near misses. A row is a per-row
+   init, then a MAC nest, a store nest or the vnni mul+reduce as loops
+   (two scratch [Alloc]s, a product nest, the reduced element zeroed or
+   left to the [Alloc]'s zero fill, a reduction nest and a fold of the
+   reduced element into the row's sum), then a store of the sum, which may
+   read the reduced element too. A scratch tensor may be an int one, or
+   named like the parameter [b]; one may be read into a scalar that is
+   halved, which an int load must keep an integer division. An int let
+   keeps the loop per element. Some indices leave their buffer at the last
+   corner only. *)
+let block_kernel rng =
+  let size = Kgen.buf_size in
+  let ext_i = Rng.int rng 5 and lo_i = Rng.int rng 2 and len = 1 + Rng.int rng 6 in
+  (* [off + i * len + p]; at an edge the last corner is one past the end *)
+  let span = (lo_i + ext_i) * len in
+  let offset () =
+    if Rng.bernoulli rng 0.1 then size - span + 1 else Rng.int rng (max 1 (size - span))
+  in
+  let open Expr.Infix in
+  let index () = int (offset ()) + (v "i" * int len) + v "p" in
+  (* an element per row *)
+  let row () = int (Rng.int rng (Stdlib.( - ) size 8)) + v "i" in
+  let t = if Rng.bernoulli rng 0.15 then "b" else "t" in
+  let tdtype = if Rng.bernoulli rng 0.2 then Dtype.I32 else Dtype.F32 in
+  let init =
+    if Rng.bool rng then Builder.let_ "acc" (flt 0.0)
+    else Builder.let_ "acc" (load "out" (row ()) * flt 0.5)
+  in
+  let scratch = Rng.bernoulli rng 0.34 in
+  let middle =
+    if scratch then
+      [ Builder.alloc ~dtype:tdtype t Scope.Local len; Builder.alloc "u" Scope.Local 2;
+        Builder.for_ "p" (int len)
+          [ Builder.store t (v "p") ((load "a" (index ()) * flt 8.0) + load "out" (index ())) ] ]
+      @ (if Rng.bool rng then [ Builder.store "u" (int 0) (flt 0.0) ] else [])
+      @ [ Builder.for_ "p" (int len) [ Builder.store "u" (int 0) (load "u" (int 0) + load t (v "p")) ];
+          Builder.assign "acc" (v "acc" + load "u" (int 0)) ]
+    else if Rng.bool rng then
+      [ Builder.for_ "p" (int len)
+          [ Builder.assign "acc" (v "acc" + (load "a" (index ()) * load "b" (index ()))) ] ]
+    else [ Builder.for_ "p" (int len) [ Builder.store "out" (index ()) (load "a" (index ()) * v "acc") ] ]
+  in
+  let halved =
+    if Stdlib.( && ) scratch (Rng.bool rng) then
+      [ Builder.let_ "x" (load t (int (Rng.int rng len)));
+        Builder.store "out" (row ()) (v "x" / int 2) ]
+    else []
+  in
+  let int_let = if Rng.bernoulli rng 0.15 then [ Builder.let_ "n" (v "i" * int 2) ] else [] in
+  let epilogue =
+    Builder.store "out" (row ())
+      (if Stdlib.( && ) scratch (Rng.bool rng) then v "acc" + load "u" (int 0) else v "acc" * flt 0.5)
+  in
+  Kernel.make ~name:"block"
+    ~params:[ Builder.buffer "a"; Builder.buffer "b"; Builder.buffer "out" ]
+    [ Builder.for_ "i" ~lo:(int lo_i) (int ext_i)
+        ((init :: int_let) @ middle @ halved @ [ epilogue ])
+    ]
+
 (* both engines, traced and untraced, on fresh copies of [args] *)
 let engines_agree ~fuel k args =
   List.for_all
@@ -569,7 +629,15 @@ let prop_engines_agree =
       let k = scalar_kernel eg in
       let args = Tcommon.make_args (Rng.create (seed + 13)) ~buf_size k [] in
       engines_agree ~fuel:200_000_000 k args
-      && engines_agree ~fuel:(1 + Rng.int eg 60) k args)
+      && engines_agree ~fuel:(1 + Rng.int eg 60) k args
+      &&
+      (* a loop of rows, run to completion and with fuel that runs out
+         part-way *)
+      let bg = Rng.create ((seed * 23) + 11) in
+      let k = block_kernel bg in
+      let args = Tcommon.make_args (Rng.create (seed + 15)) ~buf_size k [] in
+      engines_agree ~fuel:200_000_000 k args
+      && engines_agree ~fuel:(1 + Rng.int bg 150) k args)
 
 (* handcrafted dynamic errors: both engines must raise Runtime_error with the
    exact same message *)

@@ -493,6 +493,43 @@ let test_costmodel_allocation () =
     (Printf.sprintf "%.1f minor words per call <= 166" per_call)
     true (Stdlib.( <= ) per_call 166.0)
 
+(* A scalar read from a float scratch tensor holds a float, so it gets a
+   float slot and its fold over the tensor runs lowered. When every load
+   counted as boxed, [mx = s[0]] boxed [mx] and each [mx = max(mx, s[p])]
+   ran as one boxed statement. *)
+let test_scratch_max_unboxed () =
+  let open Expr.Infix in
+  let k =
+    Kernel.make ~name:"scratch_max"
+      ~params:[ Builder.buffer "a"; Builder.buffer "out" ]
+      ~launch:[]
+      [ Builder.alloc "s" Scope.Local 64;
+        Builder.for_ "p" (int 64) [ Builder.store "s" (v "p") (load "a" (v "p") * flt 2.0) ];
+        Builder.for_ "i" (int 64)
+          [ Builder.let_ "mx" (load "s" (int 0));
+            Builder.for_ "p" (int 64)
+              [ Builder.assign "mx" (Expr.Binop (Expr.Max, v "mx", load "s" (v "p"))) ];
+            Builder.store "out" (v "i") (v "mx" + load "s" (v "i"))
+          ]
+      ]
+  in
+  let args () =
+    [ ("a", Interp.Buf (Tensor.random (rng ()) 64)); ("out", Interp.Buf (Tensor.create 64)) ]
+  in
+  let a_tree = args () and a_comp = args () in
+  let s_tree = Interp.run_tree k a_tree in
+  let c = Compile.compile k in
+  let s_comp = Compile.run c a_comp in
+  let buffers = Test_support.Tcommon.buffers in
+  Alcotest.(check bool) "same stats" true (Stdlib.( = ) s_tree s_comp);
+  Alcotest.(check bool) "same outputs" true (Stdlib.( = ) (buffers a_tree) (buffers a_comp));
+  let before = Gc.minor_words () in
+  let s = Compile.run c a_comp in
+  let per_step = (Gc.minor_words () -. before) /. float_of_int s.steps in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per step <= 0.1" per_step)
+    true (Stdlib.( <= ) per_step 0.1)
+
 (* property: fibers with barriers always compute the same result as a
    sequential phase-by-phase reference on a family of stencil programs *)
 let prop_barrier_determinism =
@@ -651,7 +688,8 @@ let () =
           Alcotest.test_case "mlp intrinsic" `Quick test_intrinsic_mlp;
           Alcotest.test_case "dp4a intrinsic" `Quick test_intrinsic_dp4a;
           Alcotest.test_case "out-of-bounds" `Quick test_oob_raises;
-          Alcotest.test_case "fuel" `Quick test_fuel
+          Alcotest.test_case "fuel" `Quick test_fuel;
+          Alcotest.test_case "scratch max runs unboxed" `Quick test_scratch_max_unboxed
         ] );
       ( "checker",
         [ Alcotest.test_case "scope legality" `Quick test_checker_scope;
