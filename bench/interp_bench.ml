@@ -20,10 +20,11 @@
    OCaml loop nest. Words are all the words allocated, minor and major, so
    a scratch tensor of 256 words or more (which goes straight to the major
    heap) counts too. The row-reduction row runs the same MACs as 4,096
-   rows of 32 and as one row, and fails when a MAC in the rows costs more
-   than [row_mac_limit] times one in the single row (the median over
-   back-to-back pairs): every row enters its inner loop, so the gate
-   bounds what an entry costs. *)
+   rows of 32 and as one row, and fails unless each kernel's loop of rows
+   enters lowered code once per run (the receipt's [lowered] count), so
+   no row pays an entry check of its own; it reports what a MAC costs in
+   the rows against one in the single row (the median over back-to-back
+   pairs). *)
 
 open Xpiler_machine
 open Xpiler_ops
@@ -66,7 +67,6 @@ type row = {
 }
 
 let words_per_step_limit = 1.0
-let row_mac_limit = 2.0
 let alloc_gated = [ "gemm"; "self_attention vnni"; "depthwise_conv bang->cuda tuned" ]
 let speedup_gated = [ ("gemm", 20.0); ("self_attention", 20.0); ("conv2d_nchw", 30.0) ]
 
@@ -207,7 +207,8 @@ let row_kernel rows =
     ]
 
 (* a compiled run of [row_kernel rows], after checking that both engines
-   agree on it *)
+   agree on it and that the compiled run enters lowered code once: the
+   loop of rows, not each row's inner loop *)
 let row_run rows =
   let rng = Rng.create 20250706 in
   let args () =
@@ -217,13 +218,20 @@ let row_run rows =
   let k = row_kernel rows in
   let a_tree = args () in
   let a_comp = clone_args a_tree in
-  let s_tree = Interp.run_tree k a_tree and s_comp = Interp.run k a_comp in
+  let compiled = Compile.compile k in
+  let s_tree = Interp.run_tree k a_tree and r_comp = Compile.run_receipt compiled a_comp in
   let out args = match List.assoc "out" args with Interp.Buf t -> t.Tensor.data | _ -> [||] in
-  if s_tree <> s_comp || out a_tree <> out a_comp then begin
+  if s_tree <> r_comp.stats || r_comp.error <> None || out a_tree <> out a_comp then begin
     Printf.eprintf "engine divergence on the row reduction of %d rows\n" rows;
     exit 1
   end;
-  let compiled = Compile.compile k in
+  if r_comp.lowered <> 1 then begin
+    Printf.eprintf
+      "row gate: the row reduction of %d rows entered lowered code %d times (want 1); does a \
+       loop of rows still run lowered?\n"
+      rows r_comp.lowered;
+    exit 1
+  end;
   fun () -> ignore (Compile.run compiled a_comp)
 
 (* compiled nanoseconds per MAC of 4,096 rows of 32 and of one row, and
@@ -267,13 +275,6 @@ let () =
   let rows_ns, one_ns, row_ratio = row_ns_per_mac () in
   Printf.printf "row reduction: 4096 rows x 32 %.2f ns/MAC | one row %.2f ns/MAC | %.2fx\n%!"
     rows_ns one_ns row_ratio;
-  if row_ratio > row_mac_limit then begin
-    Printf.eprintf
-      "row gate: a MAC in rows of 32 costs %.2fx one in a single row (limit %.1fx); does a loop \
-       of rows still run lowered?\n"
-      row_ratio row_mac_limit;
-    exit 1
-  end;
   let geomean xs =
     exp (List.fold_left (fun a x -> a +. log x) 0.0 xs /. float_of_int (List.length xs))
   in

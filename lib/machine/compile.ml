@@ -10,16 +10,17 @@ open Xpiler_ir
    [lower_loop]). A loop whose body is a perfect affine nest — a chain of
    single loops ending in one float store or one MAC or fold update of a
    float slot, over indices linear in the counters — runs as nested OCaml
-   [for] loops. A loop whose body is a straight-line block of float lets,
-   float stores, float-slot assignments, float scratch [Alloc]s and such
-   nests, a loop of reduction rows, runs each iteration as one postfix
-   program, with its nests as OCaml loops. Either runs so only when one
-   check at the loop's entry proves that no iteration can fail: no store
-   trace hook, enough fuel for every statement, float tensors, and every
-   index of every iteration in range. Otherwise the loop runs as
-   per-element closures, compiled when the check first fails, and a nest
-   inside it keeps its own check, so outputs, error messages, fuel
-   exhaustion and step counts are those of the statement-at-a-time engine.
+   [for] loops. A loop whose body is a non-empty straight-line block of
+   float lets, float stores, float-slot assignments, float scratch
+   [Alloc]s and such nests, a loop of reduction rows, runs each iteration
+   as one postfix program, with its nests as OCaml loops. Either runs so
+   only when one check at the loop's entry proves that no iteration can
+   fail: no store trace hook, enough fuel for every statement, float
+   tensors, and every index of every iteration in range. Otherwise the
+   loop runs as per-element closures, compiled when the check first fails,
+   and a nest inside it keeps its own check, so outputs, error messages,
+   fuel exhaustion and step counts are those of the statement-at-a-time
+   engine.
 
    A run's frame owns its scratch. An [Alloc] zero-fills and keeps the
    tensor its site made earlier in the same frame, and a thread chain whose
@@ -45,6 +46,7 @@ type ctx = {
   stats : stats;
   fuel : int;
   trace : (string -> int -> float -> unit) option;
+  mutable lowered : int;
 }
 
 let to_float = function I n -> float_of_int n | F f -> f
@@ -427,7 +429,7 @@ let intrinsic_exec stats ~name ~op ~dst_t ~dname ~dst_off ~srcs ~params ~fparam 
 
 let fresh_stats () = { steps = 0; stores = 0; intrinsic_elems = 0; memcpy_elems = 0; barriers = 0 }
 
-type receipt = { stats : stats; error : string option }
+type receipt = { stats : stats; error : string option; lowered : int }
 
 (* ---- the closure compiler ---------------------------------------------- *)
 
@@ -969,6 +971,7 @@ let block_path b (ctx : ctx) fr lo ext =
   let total = ready ctx fr b lo ext in
   total >= 0
   && begin
+    ctx.lowered <- ctx.lowered + 1;
     if Array.length b.prog = 0 then b.nests.(0).head fr lo ext
     else
       for i = 0 to ext - 1 do
@@ -989,6 +992,7 @@ let head_path b (ctx : ctx) fr _ _ =
   let total = ready ctx fr b lo 1 in
   total >= 0
   && begin
+    ctx.lowered <- ctx.lowered + 1;
     b.nests.(0).below fr;
     finish ctx fr b lo 1 (total - 1);
     true
@@ -1052,8 +1056,7 @@ let store_rows dst loads code sp0 : rows =
   run
 
 (* [d[id] = a[ia] op b[ib]] over the rows, the shape of most lowered
-   stores, without [run_fcode]'s dispatch. A product, nearly every element
-   the workloads run here, also skips [binop_float]'s per element. *)
+   stores, without [run_fcode]'s dispatch *)
 let op2_rows op dst a b : rows =
   let run fr eo ei =
     let ints = fr.ints in
@@ -1065,25 +1068,16 @@ let op2_rows op dst a b : rows =
     let b0 = Array.unsafe_get ints b.base and bo = b.ostride and sb = b.stride in
     for i = 0 to eo - 1 do
       let dr = d0 + (dso * i) and ar = a0 + (ao * i) and br = b0 + (bo * i) in
-      match (op : Expr.binop) with
-      | Mul ->
-        for k = 0 to ei - 1 do
-          let x = Array.unsafe_get da (ar + (sa * k)) in
-          Array.unsafe_set dd (dr + (sd * k)) (x *. Array.unsafe_get db (br + (sb * k)))
-        done
-      | _ ->
-        for k = 0 to ei - 1 do
-          let x = Array.unsafe_get da (ar + (sa * k)) in
-          Array.unsafe_set dd (dr + (sd * k)) (binop_float op x (Array.unsafe_get db (br + (sb * k))))
-        done
+      for k = 0 to ei - 1 do
+        let x = Array.unsafe_get da (ar + (sa * k)) in
+        Array.unsafe_set dd (dr + (sd * k)) (binop_float op x (Array.unsafe_get db (br + (sb * k))))
+      done
     done
   in
   run
 
 (* [x = x op a[ia]] over the rows, for the float slot [f] of [x], such as
-   [mx = max(mx, s[p])]; [dst] as for [mac_rows]. A sum, nearly every
-   element the workloads run here, skips [binop_float]'s dispatch per
-   element. *)
+   [mx = max(mx, s[p])]; [dst] as for [mac_rows] *)
 let fold_rows op f a dst : rows =
   let per_row = Option.is_some dst in
   let run fr eo ei =
@@ -1095,15 +1089,9 @@ let fold_rows op f a dst : rows =
       let ar = a0 + (ao * i) in
       if per_row then Array.unsafe_set fl f (Array.unsafe_get dd (d0 + (dso * i)));
       let acc = ref (Array.unsafe_get fl f) in
-      (match (op : Expr.binop) with
-      | Add ->
-        for k = 0 to ei - 1 do
-          acc := !acc +. Array.unsafe_get da (ar + (sa * k))
-        done
-      | _ ->
-        for k = 0 to ei - 1 do
-          acc := binop_float op !acc (Array.unsafe_get da (ar + (sa * k)))
-        done);
+      for k = 0 to ei - 1 do
+        acc := binop_float op !acc (Array.unsafe_get da (ar + (sa * k)))
+      done;
       Array.unsafe_set fl f !acc;
       if per_row then Array.unsafe_set dd (d0 + (dso * i)) !acc
     done
@@ -1279,10 +1267,10 @@ let compile (k : Kernel.t) : t =
       scratch_ints := !scratch_ints @ [ fresh_int () ];
       scratch_int j
   in
-  let reduce_slot = ref (-1) in
+  let reduce_at = ref (-1) in
   let reduce_slot () =
-    if !reduce_slot < 0 then reduce_slot := fresh_float ();
-    !reduce_slot
+    if !reduce_at < 0 then reduce_at := fresh_float ();
+    !reduce_at
   in
   let stack_region = ref (0, 0) in
   let stack depth =
@@ -1846,17 +1834,6 @@ let compile (k : Kernel.t) : t =
         }
     | _ -> invalid_arg "nest_path"
   in
-  (* a chain of single non-thread loops ending in a store or a MAC or fold
-     update (see [chain]) *)
-  let rec nest_shape (body : Stmt.t list) =
-    match body with
-    | [ Stmt.For { kind = Stmt.Parallel ax; _ } ] when Axis.is_thread ax -> false
-    | [ Stmt.For { body; _ } ] -> nest_shape body
-    | [ Stmt.Assign { var; value } ] -> (
-      match update_acc value with Some (Var x) -> String.equal x var | _ -> false)
-    | [ Stmt.Store _ ] -> true
-    | _ -> false
-  in
   (* the levels of the nest [st] heads below the loop with counter [s],
      and its lowered form if it has one (see [nest_path]) *)
   let nest_item ~sizes cenv s st =
@@ -1869,25 +1846,6 @@ let compile (k : Kernel.t) : t =
         when bound ienv buf && is_linear ienv index && lfloat ienv value ->
         nest_path ~sizes ienv s levels stmt
       | _ -> None )
-  in
-  (* [body]'s statements have lowered forms in a block, as far as the kinds
-     of the slots the ones before bind tell; a nest's bounds and indices
-     are judged when it is built *)
-  let rec lowerable cenv (body : Stmt.t list) =
-    match body with
-    | [] -> true
-    | Stmt.Let { var; value } :: rest ->
-      float_let cenv var value && lfloat cenv value
-      && lowerable { cenv with svars = (var, Fslot 0) :: cenv.svars } rest
-    | Stmt.Assign { var; value } :: rest ->
-      float_slot var cenv.svars >= 0 && lfloat cenv value && lowerable cenv rest
-    | Stmt.Store { buf; index; value } :: rest ->
-      bound cenv buf && is_linear cenv index && lfloat cenv value && lowerable cenv rest
-    | Stmt.Alloc { buf; dtype; size; _ } :: rest ->
-      Dtype.is_float dtype && size >= 0
-      && lowerable { cenv with bvars = (buf, 0) :: cenv.bvars } rest
-    | (Stmt.For _ as st) :: rest -> nest_shape [ st ] && lowerable cenv rest
-    | _ -> false
   in
   let level fixed (st, s, _, _) = (st, Level s) :: fixed in
   let one_nest counter it =
@@ -1918,16 +1876,31 @@ let compile (k : Kernel.t) : t =
      nest's levels. A loop heading a nest keeps a fast path of its own
      ([head_path]), which runs when the block's entry check fails. Ints
      bound in the body other than the counters, such as an int let, keep
-     the loop per element. *)
+     the loop per element, as does an empty body.
+
+     A body that does not lower gives back every slot its lowering took,
+     so the frame holds only the slots of code that runs. *)
   let lower_loop cenv s body =
+    let taken = (!nints, !nfloats, !nbufs, !scratch_ints, !reduce_at, !stack_region) in
+    let give_back (i, f, b, si, r, st) =
+      nints := i;
+      nfloats := f;
+      nbufs := b;
+      scratch_ints := si;
+      reduce_at := r;
+      stack_region := st
+    in
     match body with
     | [ ((Stmt.For _ | Stmt.Assign _ | Stmt.Store _) as st) ] -> (
       match nest_item ~sizes:[] cenv s st with
       | levels, Some it ->
         ( Some (block_path (one_nest s it)),
           { cenv with fixed = List.fold_left level cenv.fixed levels } )
-      | _, None -> (None, cenv))
-    | _ when lowerable cenv body ->
+      | _, None ->
+        give_back taken;
+        (None, cenv))
+    | [] -> (None, cenv)
+    | _ ->
       (* the block's own statements, a one-level nest whose scope follows
          the block's *)
       let zb = { nenv = cenv; ncounters = [| s |]; nsizes = []; naccs = []; nnext = 0 } in
@@ -1943,27 +1916,29 @@ let compile (k : Kernel.t) : t =
         match body with
         | [] -> Some fixed
         | st :: _ when List.mem_assq st fixed -> None
-        | (Stmt.Let { var; value = e } as st) :: rest ->
+        | (Stmt.Let { var; value = e } as st) :: rest when float_let cenv var e && lfloat cenv e ->
           let x = fresh_float () in
           value cenv e;
           code := Pop_slot x :: !code;
           build { cenv with svars = (var, Fslot x) :: cenv.svars } ((st, Slot x) :: fixed) rest
-        | Stmt.Assign { var; value = e } :: rest ->
+        | Stmt.Assign { var; value = e } :: rest
+          when float_slot var cenv.svars >= 0 && lfloat cenv e ->
           value cenv e;
           code := Pop_slot (float_slot var cenv.svars) :: !code;
           build cenv fixed rest
-        | Stmt.Store { buf; index; value = e } :: rest ->
+        | Stmt.Store { buf; index; value = e } :: rest
+          when bound cenv buf && is_linear cenv index && lfloat cenv e ->
           value cenv e;
           code := Pop_at (access zb buf index) :: !code;
           incr stored;
           build cenv fixed rest
-        | (Stmt.Alloc { buf; dtype; size; _ } as st) :: rest ->
+        | (Stmt.Alloc { buf; dtype; size; _ } as st) :: rest when Dtype.is_float dtype && size >= 0 ->
           let b = fresh_buf () in
           code := Alloc (b, dtype, size) :: !code;
           incr stmts;
           zb.nsizes <- (b, size) :: zb.nsizes;
           build { cenv with bvars = (buf, b) :: cenv.bvars } ((st, Slot b) :: fixed) rest
-        | st :: rest -> (
+        | (Stmt.For _ as st) :: rest -> (
           let fresh (st, _, _, _) = not (List.mem_assq st fixed) in
           match nest_item ~sizes:zb.nsizes cenv s st with
           | ((_, h, _, _) :: inner as levels), Some it when List.for_all fresh levels ->
@@ -1973,6 +1948,7 @@ let compile (k : Kernel.t) : t =
               ((st, Head (h, head_path (one_nest s it))) :: List.fold_left level fixed inner)
               rest
           | _ -> None)
+        | _ -> None
       in
       (match build cenv cenv.fixed body with
       | Some fixed ->
@@ -1987,8 +1963,9 @@ let compile (k : Kernel.t) : t =
           }
         in
         (Some (block_path b), { cenv with fixed })
-      | None -> (None, cenv))
-    | _ -> (None, cenv)
+      | None ->
+        give_back taken;
+        (None, cenv))
   in
   let rec comp_block cenv block : ctx -> frame -> unit =
     let codes =
@@ -2313,14 +2290,14 @@ let default_fuel = 200_000_000
 
 let run_receipt ?(fuel = default_fuel) ?trace c args =
   let stats = fresh_stats () in
-  let ctx = { stats; fuel; trace } in
+  let ctx = { stats; fuel; trace; lowered = 0 } in
   let frame = bind_args c args in
   let error = match c.code ctx frame with () -> None | exception Runtime_error m -> Some m in
-  { stats; error }
+  { stats; error; lowered = ctx.lowered }
 
 (* [run_receipt] without the receipt: a runtime error propagates *)
 let run ?(fuel = default_fuel) ?trace c args =
   let stats = fresh_stats () in
   let frame = bind_args c args in
-  c.code { stats; fuel; trace } frame;
+  c.code { stats; fuel; trace; lowered = 0 } frame;
   stats

@@ -13,7 +13,7 @@
     = acc + a[i] * b[j]] or a fold [x = x op a[i]], with inner bounds fixed
     at entry and every index linear in the counters — runs as nested OCaml
     loops. So does a loop of reduction rows: a loop whose body is a
-    straight-line block of float lets, float stores, float-slot
+    non-empty straight-line block of float lets, float stores, float-slot
     assignments, [Alloc]s of float tensors and such nests, as in [for j
     { acc = 0; for p { acc += a * b }; out[j] = acc }]. Its iterations
     run as one lowered program each, and its nests as OCaml loops. Either
@@ -64,6 +64,7 @@ type ctx = {
   stats : stats;
   fuel : int;
   trace : (string -> int -> float -> unit) option;
+  mutable lowered : int;  (** entries of lowered loops whose check passed *)
 }
 
 (** {1 Shared runtime — used by the tree-walking reference interpreter} *)
@@ -109,6 +110,9 @@ val fresh_stats : unit -> stats
 type receipt = {
   stats : stats;
   error : string option;  (** the [Runtime_error] message that ended the run *)
+  lowered : int;
+      (** how many times a lowered loop passed its entry check and ran as
+          OCaml loops (see {!compile}) *)
 }
 (** What one execution did: its counts and how it ended. The engines emit
     nothing; a caller that meters runs (the unit-test oracle, the repair

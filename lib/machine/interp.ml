@@ -24,6 +24,7 @@ type ctx = Compile.ctx = {
   stats : stats;
   fuel : int;
   trace : (string -> int -> float -> unit) option;
+  mutable lowered : int;
 }
 
 let to_float = Compile.to_float
@@ -253,13 +254,13 @@ let build_env (kernel : Kernel.t) args =
 
 let run_tree ?(fuel = 200_000_000) ?trace kernel args =
   let stats = fresh_stats () in
-  let ctx = { stats; fuel; trace } in
+  let ctx = { stats; fuel; trace; lowered = 0 } in
   let env = build_env kernel args in
   exec_block ctx env kernel.Kernel.body;
   stats
 
 (* ---- run receipts ------------------------------------------------------ *)
 
-type receipt = Compile.receipt = { stats : stats; error : string option }
+type receipt = Compile.receipt = { stats : stats; error : string option; lowered : int }
 
 let run_receipt ?fuel kernel args = Compile.run_receipt ?fuel (compile kernel) args

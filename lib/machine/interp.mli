@@ -63,6 +63,7 @@ val run :
 type receipt = Compile.receipt = {
   stats : stats;
   error : string option;  (** the [Runtime_error] message that ended the run *)
+  lowered : int;  (** entries of lowered loops whose check passed *)
 }
 
 val run_receipt : ?fuel:int -> Kernel.t -> (string * arg) list -> receipt

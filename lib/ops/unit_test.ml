@@ -201,8 +201,8 @@ let execute kernel inputs expected =
   let args = clone inputs in
   match Interp.run_receipt kernel args with
   | exception Interp.Runtime_error m -> Error m
-  | { Interp.stats; error = Some m } -> Ok (crashed stats m expected)
-  | { Interp.stats; error = None } -> (
+  | { Interp.stats; error = Some m; _ } -> Ok (crashed stats m expected)
+  | { Interp.stats; error = None; _ } -> (
     match compare_outputs args expected with
     | [], _ -> Ok { verdict = Pass; stats; score = 0; error = None; failing = [] }
     | (name :: _ as failing), score ->

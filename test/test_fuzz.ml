@@ -498,8 +498,8 @@ let scalar_kernel rng =
    read the reduced element too. A scratch tensor may be an int one, or
    named like the parameter [b]; one may be read into a scalar that is
    halved, which an int load must keep an integer division. An int let
-   keeps the loop per element. Some indices leave their buffer at the last
-   corner only. *)
+   or a loop with an empty body keeps the loop per element. Some indices
+   leave their buffer at the last corner only. *)
 let block_kernel rng =
   let size = Kgen.buf_size in
   let ext_i = Rng.int rng 5 and lo_i = Rng.int rng 2 and len = 1 + Rng.int rng 6 in
@@ -543,10 +543,11 @@ let block_kernel rng =
     Builder.store "out" (row ())
       (if Stdlib.( && ) scratch (Rng.bool rng) then v "acc" + load "u" (int 0) else v "acc" * flt 0.5)
   in
+  let empty = if Rng.bernoulli rng 0.1 then [ Builder.for_ "q" (int len) [] ] else [] in
   Kernel.make ~name:"block"
     ~params:[ Builder.buffer "a"; Builder.buffer "b"; Builder.buffer "out" ]
     [ Builder.for_ "i" ~lo:(int lo_i) (int ext_i)
-        ((init :: int_let) @ middle @ halved @ [ epilogue ])
+        ((init :: int_let) @ middle @ empty @ halved @ [ epilogue ])
     ]
 
 (* both engines, traced and untraced, on fresh copies of [args] *)

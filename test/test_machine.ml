@@ -530,6 +530,46 @@ let test_scratch_max_unboxed () =
     (Printf.sprintf "%.3f minor words per step <= 0.1" per_step)
     true (Stdlib.( <= ) per_step 0.1)
 
+(* A loop with an empty body does nothing but count its iterations, on
+   both engines, whether it stands alone, heads another empty loop or sits
+   in a loop of rows; run to completion and out of fuel. *)
+let test_empty_loop_bodies () =
+  let open Expr.Infix in
+  let mk name body =
+    Kernel.make ~name ~params:[ Builder.buffer "a"; Builder.buffer "out" ] ~launch:[] body
+  in
+  let kernels =
+    [ mk "empty" [ Builder.for_ "i" (int 4) [] ];
+      mk "empty_nest" [ Builder.for_ "i" (int 3) [ Builder.for_ "j" (int 5) [] ] ];
+      mk "empty_in_rows"
+        [ Builder.for_ "i" (int 4)
+            [ Builder.let_ "x" (flt 2.0);
+              Builder.for_ "p" (int 3) [];
+              Builder.store "out" (v "i") (v "x" * load "a" (v "i"))
+            ]
+        ]
+    ]
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun fuel ->
+          let args () =
+            [ ("a", Interp.Buf (Tensor.random (rng ()) 8)); ("out", Interp.Buf (Tensor.create 8)) ]
+          in
+          let a_tree = args () and a_comp = args () in
+          let run engine a = match engine a with s -> Ok s | exception Interp.Runtime_error m -> Error m in
+          let r_tree = run (Interp.run_tree ~fuel k) a_tree in
+          let r_comp = run (Interp.run ~fuel k) a_comp in
+          let name = Printf.sprintf "%s, fuel %d" k.Kernel.name fuel in
+          Alcotest.(check bool) (name ^ ": same stats or error") true (Stdlib.( = ) r_tree r_comp);
+          Alcotest.(check bool)
+            (name ^ ": same outputs")
+            true
+            (Stdlib.( = ) (Test_support.Tcommon.buffers a_tree) (Test_support.Tcommon.buffers a_comp)))
+        [ 200_000_000; 7 ])
+    kernels
+
 (* property: fibers with barriers always compute the same result as a
    sequential phase-by-phase reference on a family of stencil programs *)
 let prop_barrier_determinism =
@@ -689,7 +729,8 @@ let () =
           Alcotest.test_case "dp4a intrinsic" `Quick test_intrinsic_dp4a;
           Alcotest.test_case "out-of-bounds" `Quick test_oob_raises;
           Alcotest.test_case "fuel" `Quick test_fuel;
-          Alcotest.test_case "scratch max runs unboxed" `Quick test_scratch_max_unboxed
+          Alcotest.test_case "scratch max runs unboxed" `Quick test_scratch_max_unboxed;
+          Alcotest.test_case "empty loop bodies" `Quick test_empty_loop_bodies
         ] );
       ( "checker",
         [ Alcotest.test_case "scope legality" `Quick test_checker_scope;
