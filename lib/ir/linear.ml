@@ -105,6 +105,23 @@ and normalize e = Expr.simplify (recompose (decompose_norm e))
 let decompose = decompose_norm
 let equal_linear a b = Expr.equal (normalize a) (normalize b)
 
+(* With only variable and load atoms, [recompose] builds a sum that
+   [Expr.simplify] leaves as it is: a load's index is normalized already,
+   no product has a coefficient of 0 or 1, and no two integers meet. So two
+   such decompositions normalize alike only with the same constant and the
+   same (atom, coefficient) pairs; atoms are distinct within each. *)
+let plain_atoms d =
+  List.for_all (fun (a, _) -> match a with Expr.Var _ | Expr.Load _ -> true | _ -> false) d.terms
+
+let normal_forms_differ a b =
+  plain_atoms a && plain_atoms b
+  && (a.const <> b.const
+     || List.compare_lengths a.terms b.terms <> 0
+     || not
+          (List.for_all
+             (fun (x, c) -> List.exists (fun (y, c') -> c = c' && Expr.equal x y) b.terms)
+             a.terms))
+
 let coeff_of_var v d =
   match List.find_opt (fun (a, _) -> Expr.equal a (Expr.Var v)) d.terms with
   | Some (_, c) -> c

@@ -21,6 +21,12 @@ val normalize : Expr.t -> Expr.t
 val equal_linear : Expr.t -> Expr.t -> bool
 (** Equality modulo linear arithmetic. *)
 
+val normal_forms_differ : decomp -> decomp -> bool
+(** [true] only when the sources' [normalize]s differ (so [equal_linear]
+    is false): both decompositions have only variable and load atoms, which
+    [Expr.simplify] leaves alone, and their constants or (atom,
+    coefficient) pairs differ. [false] decides nothing. *)
+
 val coeff_of_var : string -> decomp -> int
 (** Coefficient of the atom [Var v]; 0 when absent. *)
 

@@ -258,9 +258,140 @@ let fuse ~var (k : Kernel.t) =
 (* interchange legality: within the 2-D iteration space, no store may hit the
    same address twice (write-write order would change), and any buffer both
    read and written must only be read at the address it stores in the same
-   iteration (the read-modify-write idiom). Checked by enumerating the small
-   constant iteration space with other variables fixed, except where the
-   closed form below decides the enumeration's answer exactly. *)
+   iteration (the read-modify-write idiom).
+
+   One walk collects every store and load. The read-modify-write rule
+   compares each access of a stored, read buffer with the buffer's first
+   store: structurally, then by the two [Linear.decompose]s, and by
+   [Linear.equal_linear] only where neither settles it. Injectivity is
+   decided per buffer: a buffer with one store whose index is affine in
+   plain variables (fused-loop [x / c * c + x % c] pairs included) has a
+   closed form ([affine_injective]); any other buffer enumerates the small
+   constant box with every other variable at 0 ([box_injective]), which is
+   exact only when each pair of its stores differs by a constant outside
+   the two loop variables. *)
+
+(* one store, or one load of a buffer; [counted] is whether
+   [Stmt.buffers_read] sees the load (a copy's or an intrinsic's offsets and
+   parameters are not reads of their buffers there), and [dec] is the index
+   decomposed at most once *)
+type access = {
+  buf : string;
+  index : Expr.t;
+  counted : bool;
+  mutable dec : Linear.decomp option;
+}
+
+let decomposition a =
+  match a.dec with
+  | Some d -> d
+  | None ->
+    let d = Linear.decompose a.index in
+    a.dec <- Some d;
+    d
+
+(* [Linear.equal_linear x.index y.index]: equal expressions are equal, and
+   decompositions over plain atoms settle a difference; normal forms are
+   built only for what is left (an atom such as [j % 1], which
+   simplification removes, or the same terms in another order) *)
+let same_index x y =
+  Expr.equal x.index y.index
+  || (not (Linear.normal_forms_differ (decomposition x) (decomposition y)))
+     && Linear.equal_linear x.index y.index
+
+(* the stores, newest first, every load (any order), and the buffers a copy
+   or an intrinsic reads *)
+type accesses = {
+  mutable stores : access list;
+  mutable loads : access list;
+  mutable copied : string list;
+}
+
+let rec scan w counted (e : Expr.t) =
+  match e with
+  | Int _ | Float _ | Var _ -> ()
+  | Load (buf, index) ->
+    w.loads <- { buf; index; counted; dec = None } :: w.loads;
+    scan w counted index
+  | Binop (_, l, r) ->
+    scan w counted l;
+    scan w counted r
+  | Unop (_, x) | Cast (_, x) -> scan w counted x
+  | Select (c, t, f) ->
+    scan w counted c;
+    scan w counted t;
+    scan w counted f
+
+let rec scan_sources w = function
+  | [] -> ()
+  | (r : Intrin.buf_ref) :: rest ->
+    w.copied <- r.buf :: w.copied;
+    scan w false r.offset;
+    scan_sources w rest
+
+let rec scan_params w = function
+  | [] -> ()
+  | e :: rest ->
+    scan w false e;
+    scan_params w rest
+
+(* the pre-order walk of [Stmt.iter] *)
+let rec collect w = function
+  | [] -> ()
+  | s :: rest ->
+    (match s with
+    | Stmt.For r ->
+      scan w true r.lo;
+      scan w true r.extent;
+      collect w r.body
+    | Stmt.Let { value; _ } | Stmt.Assign { value; _ } -> scan w true value
+    | Stmt.Store r ->
+      w.stores <- { buf = r.buf; index = r.index; counted = true; dec = None } :: w.stores;
+      scan w true r.index;
+      scan w true r.value
+    | Stmt.If r ->
+      scan w true r.cond;
+      collect w r.then_;
+      collect w r.else_
+    | Stmt.Memcpy r ->
+      w.copied <- r.src.buf :: w.copied;
+      scan w false r.dst.offset;
+      scan w false r.src.offset;
+      scan w false r.len
+    | Stmt.Intrinsic i ->
+      scan w false i.dst.offset;
+      scan_sources w i.srcs;
+      scan_params w i.params
+    | Stmt.Alloc _ | Stmt.Sync | Stmt.Annot _ -> ());
+    collect w rest
+
+(* [s] is the first store of its buffer in [stores] (program order) *)
+let rec is_first s = function
+  | [] -> false
+  | s' :: rest -> if String.equal s'.buf s.buf then s' == s else is_first s rest
+
+let rec read_counted buf = function
+  | [] -> false
+  | (l : access) :: rest -> (l.counted && String.equal l.buf buf) || read_counted buf rest
+
+let rec mem_string x = function [] -> false | y :: rest -> String.equal x y || mem_string x rest
+
+(* every access of [s.buf] in the list but [s] itself equals [s] *)
+let rec all_same s = function
+  | [] -> true
+  | x :: rest -> (x == s || (not (String.equal x.buf s.buf)) || same_index x s) && all_same s rest
+
+(* every access of a stored buffer that is also read equals its first store *)
+let rmw_ok w stores =
+  let rec go = function
+    | [] -> true
+    | s :: rest ->
+      ((not (is_first s stores))
+      || (not (read_counted s.buf w.loads || mem_string s.buf w.copied))
+      || (all_same s stores && all_same s w.loads))
+      && go rest
+  in
+  go stores
 
 (* an index [eval_int] evaluates without raising and [Linear.decompose]
    represents without dropping anything *)
@@ -269,6 +400,43 @@ let rec int_polynomial = function
   | Expr.Binop ((Expr.Add | Expr.Sub | Expr.Mul), l, r) -> int_polynomial l && int_polynomial r
   | Expr.Unop (Expr.Neg, x) -> int_polynomial x
   | _ -> false
+
+let rec has_var = function
+  | Expr.Var _ -> true
+  | Expr.Int _ -> false
+  | Expr.Binop (_, l, r) -> has_var l || has_var r
+  | Expr.Unop (_, x) -> has_var x
+  | _ -> true
+
+(* the coefficients of [v1] and [v2] in an index, summed with the wrapping
+   arithmetic of [eval_int] and [Linear.decompose]. [affine] stays set only
+   when [eval_int] computes c1*v1 + c2*v2 + (plain variables) + const
+   without raising: sums, differences, negations, products with a
+   variable-free polynomial factor, and the fused-loop pair
+   [x / c * c + x % c] (c > 0), which evaluates to [x] *)
+type coeffs = { mutable c1 : int; mutable c2 : int; mutable affine : bool }
+
+let rec add_coeffs acc ~v1 ~v2 m (e : Expr.t) =
+  match e with
+  | Int _ -> ()
+  | Var x ->
+    if String.equal x v1 then acc.c1 <- acc.c1 + m;
+    if String.equal x v2 then acc.c2 <- acc.c2 + m
+  | Binop (Add, Binop (Mul, Binop (Div, x, Int c), Int c'), Binop (Mod, x', Int c''))
+    when c > 0 && c = c' && c = c'' && Expr.equal x x' ->
+    add_coeffs acc ~v1 ~v2 m x
+  | Binop (Add, l, r) ->
+    add_coeffs acc ~v1 ~v2 m l;
+    add_coeffs acc ~v1 ~v2 m r
+  | Binop (Sub, l, r) ->
+    add_coeffs acc ~v1 ~v2 m l;
+    add_coeffs acc ~v1 ~v2 (-m) r
+  | Unop (Neg, x) -> add_coeffs acc ~v1 ~v2 (-m) x
+  | Binop (Mul, l, r) when constant l -> add_coeffs acc ~v1 ~v2 (m * Expr.eval_int (fun _ -> 0) l) r
+  | Binop (Mul, l, r) when constant r -> add_coeffs acc ~v1 ~v2 (m * Expr.eval_int (fun _ -> 0) r) l
+  | _ -> acc.affine <- false
+
+and constant e = int_polynomial e && not (has_var e)
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
@@ -282,127 +450,137 @@ let coeff_limit = 1 lsl 40
    c1*v1 + c2*v2 + (plain variables) + const. Two iterations collide iff
    c1*da + c2*db = 0 for some nonzero (da, db) with |da| < e1 and |db| < e2;
    the smallest such difference is (c2/g, -c1/g) with g = gcd c1 c2. [None]
-   when the index is outside that class. *)
-let affine_injective ~v1 ~e1 ~v2 ~e2 index =
-  if not (int_polynomial index) then None
-  else begin
-    let d = Linear.decompose index in
-    let c1 = Linear.coeff_of_var v1 d and c2 = Linear.coeff_of_var v2 d in
-    let small c = c > -coeff_limit && c < coeff_limit in
-    if not (List.for_all (function Expr.Var _, _ -> true | _ -> false) d.Linear.terms)
-       || not (small c1 && small c2)
-    then None
-    else if c1 = 0 && c2 = 0 then Some (e1 * e2 <= 1)
+   when the index is outside that class. A polynomial with a product whose
+   factors both mention a variable is left to its decomposition. *)
+let affine_injective ~v1 ~e1 ~v2 ~e2 store =
+  let acc = { c1 = 0; c2 = 0; affine = true } in
+  add_coeffs acc ~v1 ~v2 1 store.index;
+  let coeffs =
+    if not (int_polynomial store.index) then
+      (* the fused-loop pair; [reorder] never has v1 = v2, where the
+         environment binds one variable and the box enumeration decides *)
+      if acc.affine && not (String.equal v1 v2) then Some (acc.c1, acc.c2) else None
+    else if acc.affine then Some (acc.c1, acc.c2)
+    else begin
+      let d = decomposition store in
+      if List.for_all (function Expr.Var _, _ -> true | _ -> false) d.Linear.terms then
+        Some (Linear.coeff_of_var v1 d, Linear.coeff_of_var v2 d)
+      else None
+    end
+  in
+  let small c = c > -coeff_limit && c < coeff_limit in
+  match coeffs with
+  | Some (c1, c2) when small c1 && small c2 ->
+    if c1 = 0 && c2 = 0 then Some (e1 * e2 <= 1)
     else begin
       let g = gcd c1 c2 in
       Some (not (abs (c2 / g) <= e1 - 1 && abs (c1 / g) <= e2 - 1))
     end
+  | _ -> None
+
+(* whether two indexes differ by a constant once [v1] and [v2] are dropped:
+   every other atom has the same coefficient in both decompositions *)
+let rec covered ~v1 ~v2 (terms : (Expr.t * int) list) (d' : Linear.decomp) =
+  match terms with
+  | [] -> true
+  | (a, c) :: rest ->
+    (match a with
+    | Expr.Var v when String.equal v v1 || String.equal v v2 -> true
+    | _ -> List.exists (fun (a', c') -> c = c' && Expr.equal a a') d'.terms)
+    && covered ~v1 ~v2 rest d'
+
+let differ_by_constant ~v1 ~v2 x y =
+  let dx = decomposition x and dy = decomposition y in
+  covered ~v1 ~v2 dx.terms dy && covered ~v1 ~v2 dy.terms dx
+
+(* whether one buffer's stores give each address to one iteration of the
+   non-empty box, evaluating every point with other variables at 0: store j
+   at point p is entry [j * n + p] of [values], and an address taken at two
+   different points is a collision. An index that does not evaluate makes
+   the nest illegal. *)
+let box_injective ~v1 ~e1 ~v2 ~e2 stores =
+  let n = e1 * e2 in
+  let m = List.length stores in
+  let a = ref 0 and b = ref 0 in
+  let env x = if String.equal x v1 then !a else if String.equal x v2 then !b else 0 in
+  let values = Array.make (m * n) 0 in
+  let evaluated =
+    try
+      List.iteri
+        (fun j s ->
+          for p = 0 to n - 1 do
+            a := p / e2;
+            b := p mod e2;
+            values.((j * n) + p) <- Expr.eval_int env s.index
+          done)
+        stores;
+      true
+    with _ -> false
+  in
+  evaluated
+  &&
+  if m = 1 then begin
+    Array.sort Int.compare values;
+    let ok = ref true in
+    for k = 1 to n - 1 do
+      if values.(k) = values.(k - 1) then ok := false
+    done;
+    !ok
+  end
+  else begin
+    let order = Array.init (m * n) Fun.id in
+    Array.sort (fun x y -> Int.compare values.(x) values.(y)) order;
+    (* within a run of one address, every entry must come from the run's
+       first point *)
+    let ok = ref true and run = ref 0 in
+    for k = 1 to (m * n) - 1 do
+      if values.(order.(k)) <> values.(order.(!run)) then run := k
+      else if order.(k) mod n <> order.(!run) mod n then ok := false
+    done;
+    !ok
   end
 
+let decide ~v1 ~e1 ~v2 ~e2 s =
+  match affine_injective ~v1 ~e1 ~v2 ~e2 s with
+  | Some injective -> injective
+  | None -> box_injective ~v1 ~e1 ~v2 ~e2 [ s ]
+
+let rec outer_constant ~v1 ~v2 = function
+  | [] -> true
+  | s :: rest ->
+    List.for_all
+      (fun s' -> (not (String.equal s.buf s'.buf)) || differ_by_constant ~v1 ~v2 s s')
+      rest
+    && outer_constant ~v1 ~v2 rest
+
+(* per buffer, an address may be written from at most one iteration of the
+   (v1, v2) space: writes within one iteration keep their program order
+   under interchange, writes from different iterations do not *)
+let injective ~v1 ~e1 ~v2 ~e2 stores =
+  match stores with
+  | [] -> true
+  | [ s ] -> e1 <= 0 || e2 <= 0 || decide ~v1 ~e1 ~v2 ~e2 s
+  | _ ->
+    outer_constant ~v1 ~v2 stores
+    && (e1 <= 0 || e2 <= 0
+       || List.for_all
+            (fun s ->
+              (not (is_first s stores))
+              ||
+              match List.filter (fun s' -> String.equal s'.buf s.buf) stores with
+              (* with v1 = v2 the environment binds one variable, which the
+                 closed form does not model *)
+              | [ s ] when not (String.equal v1 v2) -> decide ~v1 ~e1 ~v2 ~e2 s
+              | group -> box_injective ~v1 ~e1 ~v2 ~e2 group)
+            stores)
+
 let interchange_legal ~v1 ~e1 ~v2 ~e2 body =
-  if e1 * e2 > 4096 then false
-  else begin
-    let written = Stmt.buffers_written body and read = Stmt.buffers_read body in
-    let rmw_ok =
-      List.for_all
-        (fun buf ->
-          if not (List.mem buf read) then true
-          else begin
-            (* every load of [buf] must linearly equal some same-statement
-               store index; conservatively require it equals the single store
-               index of that buffer *)
-            let store_idx = ref None and ok = ref true in
-            Stmt.iter
-              (fun s ->
-                match s with
-                | Stmt.Store { buf = b; index; _ } when String.equal b buf -> (
-                  match !store_idx with
-                  | None -> store_idx := Some index
-                  | Some i -> if not (Linear.equal_linear i index) then ok := false)
-                | _ -> ())
-              body;
-            (match !store_idx with
-            | None -> ()
-            | Some si ->
-              Stmt.iter
-                (fun s ->
-                  Stmt.map_exprs
-                    (Expr.map (function
-                      | Expr.Load (b, idx) when String.equal b buf ->
-                        if not (Linear.equal_linear idx si) then ok := false;
-                        None
-                      | _ -> None))
-                    s
-                  |> ignore)
-                body);
-            !ok
-          end)
-        written
-    in
-    (* per buffer, an address may be written from at most one iteration of
-       the (v1, v2) space: writes within one iteration keep their program
-       order under interchange, writes from different iterations do not *)
-    let injective () =
-      let stores = ref [] in
-      Stmt.iter
-        (fun s -> match s with Stmt.Store r -> stores := (r.buf, r.index) :: !stores | _ -> ())
-        body;
-      let enumerate () =
-        (* evaluating with outer variables at 0 is exact only when, for every
-           pair of stores to the same buffer, the index difference over the
-           outer variables is constant; otherwise be conservative *)
-        let pairwise_outer_constant =
-          let rec pairs = function
-            | [] -> true
-            | (buf, idx) :: rest ->
-              List.for_all
-                (fun (buf', idx') ->
-                  (not (String.equal buf buf'))
-                  ||
-                  let d = Linear.decompose (Expr.Binop (Expr.Sub, idx, idx')) in
-                  let d = Linear.drop_var v1 (Linear.drop_var v2 d) in
-                  d.Linear.terms = [])
-                rest
-              && pairs rest
-          in
-          pairs !stores
-        in
-        let seen : (string * int, int * int) Hashtbl.t = Hashtbl.create 64 in
-        let ok = ref pairwise_outer_constant in
-        (try
-           for a = 0 to e1 - 1 do
-             for b = 0 to e2 - 1 do
-               List.iter
-                 (fun (buf, index) ->
-                   let v =
-                     Expr.eval_int
-                       (fun x -> if x = v1 then a else if x = v2 then b else 0)
-                       index
-                   in
-                   match Hashtbl.find_opt seen (buf, v) with
-                   | Some (a', b') when (a', b') <> (a, b) ->
-                     ok := false;
-                     raise Exit
-                   | _ -> Hashtbl.replace seen (buf, v) (a, b))
-                 !stores
-             done
-           done
-         with
-        | Exit -> ()
-        | _ -> ok := false);
-        !ok
-      in
-      match !stores with
-      | [] -> true
-      | [ _ ] when e1 <= 0 || e2 <= 0 -> true
-      | [ (_, index) ] -> (
-        match affine_injective ~v1 ~e1 ~v2 ~e2 index with
-        | Some injective -> injective
-        | None -> enumerate ())
-      | _ -> enumerate ()
-    in
-    rmw_ok && injective ()
-  end
+  e1 * e2 <= 4096
+  &&
+  let w = { stores = []; loads = []; copied = [] } in
+  collect w body;
+  let stores = List.rev w.stores in
+  rmw_ok w stores && injective ~v1 ~e1 ~v2 ~e2 stores
 
 let reorder ~var (k : Kernel.t) =
   wrap_result (fun () ->

@@ -30,6 +30,15 @@ val reorder : var:string -> Kernel.t -> (Kernel.t, string) result
 (** Interchange [for v { for w }] to [for w { for v }]; the nest must be
     perfect. *)
 
+val interchange_legal : v1:string -> e1:int -> v2:string -> e2:int -> Stmt.t list -> bool
+(** Whether swapping the loops [v1 < e1] (outer) and [v2 < e2] around [body]
+    keeps what it computes: the box has at most 4,096 points; no store hits
+    one address from two iterations (every other variable at 0); and a
+    buffer that is stored and read is read only at the linear-equal index
+    of its first store. One walk collects the stores and loads; a buffer
+    with one store whose index is affine in plain variables is decided in
+    closed form, any other enumerates the box. {!reorder} applies it. *)
+
 val expansion : var:string -> Kernel.t -> (Kernel.t, string) result
 (** Loop fission: distribute the loop over its body's statement groups (each
     group is one writing statement plus the scalar definitions before it). *)

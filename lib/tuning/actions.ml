@@ -3,8 +3,6 @@ open Xpiler_machine
 module Pass = Xpiler_passes.Pass
 module Memory_pass = Xpiler_passes.Memory_pass
 
-let take = Xpiler_util.Listx.take
-
 let pick_factors factors =
   (* bound branching: smallest, middle, largest *)
   match factors with
@@ -22,132 +20,249 @@ let is_block_axis = function
 (* the MCTS branching cap *)
 let max_actions = 14
 
-let enumerate ?(buffer_sizes = []) (platform : Platform.t) (k : Kernel.t) =
-  let splits =
-    Knobs.splittable_loops k
-    |> take 2
-    |> List.concat_map (fun (var, extent) ->
-           List.map
-             (fun factor -> Pass.Loop_split { var; factor })
-             (pick_factors (Knobs.split_factors platform ~extent)))
+(* what the action space reads of a kernel, gathered in one pre-order walk
+   (an [If]'s branches after its condition); the lists are newest first *)
+type facts = {
+  buffer_sizes : (string * int) list;
+  mutable splittable : (string * int) list;  (** the first two serial loops of constant extent > 1 *)
+  mutable bindable : string list;
+      (** the first two zero-based serial loops of constant extent, outside
+          every [If], whose iterations are independent *)
+  mutable reorderable : string option;  (** the first serial perfect 2-nest *)
+  mutable expandable : string option;  (** the first serial loop of >= 2 statements *)
+  mutable contractible : string option;
+      (** the first loop, outside every [If], followed by a loop of the same
+          variable and extent *)
+  mutable pipelinable : string option;  (** the first serial loop that copies and computes *)
+  mutable allocs : string list;
+  mutable intrinsic : bool;
+  mutable parallel : bool;
+  read : bool array;  (** per [buffer_sizes] entry, as [Stmt.buffers_read] sees it *)
+  written : bool array;
+  matrix_operand : bool array;  (** a second or later operand of a matrix intrinsic *)
+}
+
+(* only zero-based loops with independent iterations are bindable: a loop
+   carrying a scalar accumulator declared outside it, or storing at indices
+   that do not vary with it, would race on real hardware. [declared] holds
+   the [Let]s met so far in [Stmt.iter]'s order. *)
+let rec independent r_var declared = function
+  | [] -> Some declared
+  | s :: rest -> (
+    let inner =
+      match s with
+      | Stmt.Let { var; _ } -> Some (var :: declared)
+      | Stmt.Assign { var; _ } when not (List.mem var declared) -> None
+      | Stmt.Store { index; _ } when not (Expr.contains_var r_var index) -> None
+      | Stmt.Memcpy { dst; _ } when not (Expr.contains_var r_var dst.offset) -> None
+      | Stmt.Intrinsic i when not (Expr.contains_var r_var i.dst.offset) -> None
+      | Stmt.For r -> independent r_var declared r.body
+      | Stmt.If r -> (
+        match independent r_var declared r.then_ with
+        | Some declared -> independent r_var declared r.else_
+        | None -> None)
+      | _ -> Some declared
+    in
+    match inner with Some declared -> independent r_var declared rest | None -> None)
+
+(* set [flags.(i)] for every [buffer_sizes] entry [i] named [buf] *)
+let rec mark flags buf i = function
+  | [] -> ()
+  | (b, _) :: rest ->
+    if String.equal b buf then flags.(i) <- true;
+    mark flags buf (i + 1) rest
+
+let rec mark_loads f (e : Expr.t) =
+  match e with
+  | Int _ | Float _ | Var _ -> ()
+  | Load (b, i) ->
+    mark f.read b 0 f.buffer_sizes;
+    mark_loads f i
+  | Binop (_, l, r) ->
+    mark_loads f l;
+    mark_loads f r
+  | Unop (_, x) | Cast (_, x) -> mark_loads f x
+  | Select (c, t, e) ->
+    mark_loads f c;
+    mark_loads f t;
+    mark_loads f e
+
+let rec mark_sources f = function
+  | [] -> ()
+  | (r : Intrin.buf_ref) :: rest ->
+    mark f.read r.buf 0 f.buffer_sizes;
+    mark_sources f rest
+
+let rec mark_operands f = function
+  | [] -> ()
+  | (r : Intrin.buf_ref) :: rest ->
+    mark f.matrix_operand r.buf 0 f.buffer_sizes;
+    mark_operands f rest
+
+let is_copy = function Stmt.Memcpy _ -> true | _ -> false
+let is_compute = function Stmt.Memcpy _ | Stmt.Annot _ -> false | _ -> true
+
+let rec walk f ~under_if = function
+  | [] -> ()
+  | s :: rest ->
+    visit f ~under_if s rest;
+    walk f ~under_if rest
+
+and visit f ~under_if s rest =
+  let sizes = f.buffer_sizes <> [] in
+  match s with
+  | Stmt.For r ->
+    let serial = r.kind = Stmt.Serial in
+    (match r.extent with
+    | Expr.Int e when serial && e > 1 && List.compare_length_with f.splittable 2 < 0 ->
+      f.splittable <- (r.var, e) :: f.splittable
+    | _ -> ());
+    (match (r.lo, r.extent) with
+    | Expr.Int 0, Expr.Int _
+      when serial && (not under_if)
+           && List.compare_length_with f.bindable 2 < 0
+           && Option.is_some (independent r.var [] r.body) ->
+      f.bindable <- r.var :: f.bindable
+    | _ -> ());
+    (match r.body with
+    | [ Stmt.For inner ]
+      when serial && f.reorderable = None && inner.kind = Stmt.Serial
+           && (not (Expr.contains_var r.var inner.lo))
+           && not (Expr.contains_var r.var inner.extent) ->
+      f.reorderable <- Some r.var
+    | _ -> ());
+    if serial && f.expandable = None && List.compare_length_with r.body 2 >= 0 then
+      f.expandable <- Some r.var;
+    (match rest with
+    | Stmt.For r2 :: _
+      when (not under_if) && f.contractible = None && String.equal r.var r2.var
+           && Expr.equal r.extent r2.extent ->
+      f.contractible <- Some r.var
+    | _ -> ());
+    if
+      serial && f.pipelinable = None && List.exists is_copy r.body
+      && List.exists is_compute r.body
+    then f.pipelinable <- Some r.var;
+    (match r.kind with Stmt.Parallel _ -> f.parallel <- true | _ -> ());
+    if sizes then begin
+      mark_loads f r.lo;
+      mark_loads f r.extent
+    end;
+    walk f ~under_if r.body
+  | Stmt.If r ->
+    if sizes then mark_loads f r.cond;
+    walk f ~under_if:true r.then_;
+    walk f ~under_if:true r.else_
+  | Stmt.Let { value; _ } | Stmt.Assign { value; _ } -> if sizes then mark_loads f value
+  | Stmt.Store r ->
+    if sizes then begin
+      mark f.written r.buf 0 f.buffer_sizes;
+      mark_loads f r.value;
+      mark_loads f r.index
+    end
+  | Stmt.Alloc r -> f.allocs <- r.buf :: f.allocs
+  | Stmt.Memcpy r ->
+    if sizes then begin
+      mark f.written r.dst.buf 0 f.buffer_sizes;
+      mark f.read r.src.buf 0 f.buffer_sizes
+    end
+  | Stmt.Intrinsic i ->
+    f.intrinsic <- true;
+    if sizes then begin
+      mark f.written i.dst.buf 0 f.buffer_sizes;
+      mark_sources f i.srcs;
+      if Intrin.is_matrix i.op then
+        mark_operands f (match i.srcs with _ :: rest -> rest | [] -> [])
+    end
+  | Stmt.Sync | Stmt.Annot _ -> ()
+
+let facts ~buffer_sizes (k : Kernel.t) =
+  let n = List.length buffer_sizes in
+  let f =
+    { buffer_sizes; splittable = []; bindable = []; reorderable = None; expandable = None;
+      contractible = None; pipelinable = None; allocs = []; intrinsic = false;
+      parallel = false; read = Array.make n false; written = Array.make n false;
+      matrix_operand = Array.make n false
+    }
   in
-  let binds =
+  walk f ~under_if:false k.Kernel.body;
+  f
+
+(* whether [name] is [buf ^ "_" ^ suffix] *)
+let names_cache name buf suffix =
+  let lb = String.length buf in
+  String.length name = lb + 1 + String.length suffix
+  && String.starts_with ~prefix:buf name
+  && name.[lb] = '_'
+  && String.ends_with ~suffix name
+
+let rec staged allocs buf suffix =
+  match allocs with [] -> false | a :: rest -> names_cache a buf suffix || staged rest buf suffix
+
+(* the action list under construction: the first [max_actions] specs
+   offered, newest first *)
+type actions = { mutable specs : Pass.spec list; mutable count : int }
+
+let offer acts spec =
+  if acts.count < max_actions then begin
+    acts.specs <- spec :: acts.specs;
+    acts.count <- acts.count + 1
+  end
+
+let offer_option acts make = function Some var -> offer acts (make var) | None -> ()
+
+let enumerate ?(buffer_sizes = []) (platform : Platform.t) (k : Kernel.t) =
+  let f = facts ~buffer_sizes k in
+  let acts = { specs = []; count = 0 } in
+  if platform.Platform.intrinsics <> [] then offer acts Pass.Tensorize;
+  (* staging: every parameter the kernel writes (Readwrite is the sound
+     generic choice: Write-only would clobber cells the kernel never
+     writes), else every one it reads, unless a cache already exists *)
+  let scope = Platform.default_compute_scope platform.Platform.id in
+  let scope_name = Scope.to_string scope and wram_name = Scope.to_string Scope.Wram in
+  List.iteri
+    (fun i (buf, size) ->
+      if staged f.allocs buf scope_name || staged f.allocs buf wram_name then ()
+      else if f.written.(i) then
+        offer acts
+          (Pass.Cache
+             { buf; scope; direction = Memory_pass.Readwrite; under = None; base = Expr.Int 0;
+               size })
+      else if f.read.(i) then begin
+        let scope =
+          (* second read operand of a matmul prefers WRAM on the MLU *)
+          if Platform.equal_id platform.Platform.id Platform.Bang && f.matrix_operand.(i) then
+            Scope.Wram
+          else scope
+        in
+        offer acts
+          (Pass.Cache
+             { buf; scope; direction = Memory_pass.Read; under = None; base = Expr.Int 0; size })
+      end)
+    buffer_sizes;
+  if f.bindable <> [] then begin
     let axes = Knobs.bindable_axes platform k in
     let block_axis = List.find_opt is_block_axis axes in
     let thread_axis = List.find_opt (fun a -> not (is_block_axis a)) axes in
-    (* only zero-based loops with independent iterations are bindable: a
-       loop carrying a scalar accumulator declared outside it, or storing at
-       indices that do not vary with it, would race on real hardware *)
-    let independent (r_var : string) body =
-      let outer_assign = ref false and invariant_store = ref false in
-      let declared = Hashtbl.create 8 in
-      Stmt.iter
-        (fun s ->
-          match s with
-          | Stmt.Let { var; _ } -> Hashtbl.replace declared var ()
-          | Stmt.Assign { var; _ } when not (Hashtbl.mem declared var) -> outer_assign := true
-          | Stmt.Store { index; _ } when not (Expr.contains_var r_var index) ->
-            invariant_store := true
-          | Stmt.Memcpy { dst; _ } when not (Expr.contains_var r_var dst.offset) ->
-            invariant_store := true
-          | Stmt.Intrinsic i when not (Expr.contains_var r_var i.dst.offset) ->
-            invariant_store := true
-          | _ -> ())
-        body;
-      not (!outer_assign || !invariant_store)
-    in
-    let top_loops =
-      let rec collect block =
-        List.concat_map
-          (function
-            | Stmt.For ({ kind = Stmt.Serial; lo = Expr.Int 0; extent = Expr.Int _; _ } as r)
-              ->
-              (if independent r.var r.body then [ r.var ] else []) @ collect r.body
-            | Stmt.For r -> collect r.body
-            | _ -> [])
-          block
-      in
-      take 2 (collect k.Kernel.body)
-    in
-    List.concat_map
+    List.iter
       (fun var ->
-        List.filter_map
-          (fun axis -> Option.map (fun axis -> Pass.Loop_bind { var; axis }) axis)
-          [ block_axis; thread_axis ])
-      top_loops
-  in
-  let reorders = List.map (fun var -> Pass.Loop_reorder { var }) (take 1 (Knobs.reorderable_loops k)) in
-  let expansions =
-    (* loops with several statements are fission candidates; the pass itself
-       rejects unsound distributions *)
-    let found = ref [] in
-    Stmt.iter
-      (fun s ->
-        match s with
-        | Stmt.For { var; body; kind = Stmt.Serial; _ }
-          when List.length body >= 2 && !found = [] ->
-          found := [ Pass.Loop_expansion { var } ]
-        | _ -> ())
-      k.Kernel.body;
-    !found
-  in
-  let contractions =
-    let rec adjacent block =
-      match block with
-      | Stmt.For r1 :: Stmt.For r2 :: _
-        when String.equal r1.var r2.var && Expr.equal r1.extent r2.extent ->
-        [ Pass.Loop_contraction { var = r1.var } ]
-      | s :: rest -> (
-        match s with
-        | Stmt.For r -> (
-          match adjacent r.body with [] -> adjacent rest | found -> found)
-        | _ -> adjacent rest)
-      | [] -> []
-    in
-    adjacent k.Kernel.body
-  in
-  let pipelines = List.map (fun var -> Pass.Pipeline { var }) (take 1 (Knobs.pipelinable_loops k)) in
-  let existing_allocs = List.map (fun (b, _, _, _) -> b) (Stmt.allocs k.Kernel.body) in
-  let caches =
-    let reads = Stmt.buffers_read k.Kernel.body in
-    let writes = Stmt.buffers_written k.Kernel.body in
-    let scope = Platform.default_compute_scope platform.Platform.id in
-    List.filter_map
-      (fun (buf, size) ->
-        let cache_name s = buf ^ "_" ^ Scope.to_string s in
-        if List.mem (cache_name scope) existing_allocs || List.mem (cache_name Scope.Wram) existing_allocs
-        then None
-        else if List.mem buf writes then
-          (* Readwrite staging is the sound generic choice: Write-only would
-             clobber cells the kernel never writes *)
-          Some
-            (Pass.Cache
-               { buf; scope; direction = Memory_pass.Readwrite; under = None;
-                 base = Expr.Int 0; size })
-        else if List.mem buf reads then begin
-          let scope =
-            (* second read operand of a matmul prefers WRAM on the MLU *)
-            if Platform.equal_id platform.Platform.id Platform.Bang
-               && List.exists
-                    (fun (i : Intrin.t) ->
-                      Intrin.is_matrix i.op
-                      && List.exists (fun (r : Intrin.buf_ref) -> String.equal r.buf buf)
-                           (match i.srcs with _ :: rest -> rest | [] -> []))
-                    (Stmt.intrinsics k.Kernel.body)
-            then Scope.Wram
-            else scope
-          in
-          Some
-            (Pass.Cache
-               { buf; scope; direction = Memory_pass.Read; under = None; base = Expr.Int 0;
-                 size })
-        end
-        else None)
-      buffer_sizes
-  in
-  let tensorize = if platform.Platform.intrinsics <> [] then [ Pass.Tensorize ] else [] in
-  let detensorize = if Stmt.intrinsics k.Kernel.body <> [] then [ Pass.Detensorize ] else [] in
-  let recovery = if Stmt.axes_used k.Kernel.body <> [] then [ Pass.Loop_recovery ] else [] in
-  take max_actions
-    (tensorize @ caches @ binds @ splits @ pipelines @ reorders @ expansions @ contractions
-    @ detensorize @ recovery)
+        offer_option acts (fun axis -> Pass.Loop_bind { var; axis }) block_axis;
+        offer_option acts (fun axis -> Pass.Loop_bind { var; axis }) thread_axis)
+      (List.rev f.bindable)
+  end;
+  List.iter
+    (fun (var, extent) ->
+      if acts.count < max_actions then
+        List.iter
+          (fun factor -> offer acts (Pass.Loop_split { var; factor }))
+          (pick_factors (Knobs.split_factors platform ~extent)))
+    (List.rev f.splittable);
+  offer_option acts (fun var -> Pass.Pipeline { var }) f.pipelinable;
+  offer_option acts (fun var -> Pass.Loop_reorder { var }) f.reorderable;
+  (* loops with several statements are fission candidates; the pass itself
+     rejects unsound distributions *)
+  offer_option acts (fun var -> Pass.Loop_expansion { var }) f.expandable;
+  offer_option acts (fun var -> Pass.Loop_contraction { var }) f.contractible;
+  if f.intrinsic then offer acts Pass.Detensorize;
+  if f.parallel then offer acts Pass.Loop_recovery;
+  List.rev acts.specs

@@ -10,43 +10,53 @@ type stats = { evaluated : int }
    produced: passes are pure, so this equals folding [specs] from the input *)
 type candidate = { specs : Pass.spec list; seed : Xpiler_ir.Kernel.t; last : Pass.spec option }
 
+(* [f ()]'s elements, with [f] run only when the first one is asked for:
+   the candidate lists are walked only as far as the cap reaches *)
+let deferred (f : unit -> 'a Seq.t) : 'a Seq.t = fun () -> f () ()
+
 let candidates platform k =
   let one spec = { specs = [ spec ]; seed = k; last = Some spec } in
   let splits =
-    List.concat_map
-      (fun (var, extent) ->
-        List.map
-          (fun factor -> one (Pass.Loop_split { var; factor }))
-          (Knobs.split_factors platform ~extent))
-      (Knobs.splittable_loops k)
+    deferred (fun () ->
+        Seq.concat_map
+          (fun (var, extent) ->
+            deferred (fun () ->
+                Seq.map
+                  (fun factor -> one (Pass.Loop_split { var; factor }))
+                  (List.to_seq (Knobs.split_factors platform ~extent))))
+          (List.to_seq (Knobs.splittable_loops k)))
   in
   let reorders =
-    List.map (fun var -> one (Pass.Loop_reorder { var })) (Knobs.reorderable_loops k)
+    deferred (fun () ->
+        Seq.map (fun var -> one (Pass.Loop_reorder { var })) (List.to_seq (Knobs.reorderable_loops k)))
   in
-  let pipelines = List.map (fun var -> one (Pass.Pipeline { var })) (Knobs.pipelinable_loops k) in
-  [ { specs = []; seed = k; last = None } ] @ splits @ reorders @ pipelines
+  let pipelines =
+    deferred (fun () ->
+        Seq.map (fun var -> one (Pass.Pipeline { var })) (List.to_seq (Knobs.pipelinable_loops k)))
+  in
+  Seq.cons { specs = []; seed = k; last = None } (Seq.append splits (Seq.append reorders pipelines))
 
 (* Depth-2 compositions seeded from the best measured depth-1 variants: each
    split among them opens reorder/pipeline opportunities on its *transformed*
    kernel (the split loop pair is what becomes interchangeable or
    pipelineable), which single-spec enumeration can never see. *)
-let composed_candidates (seeds : variant list) ~limit =
-  seeds
-  |> List.concat_map (fun (v : variant) ->
-         match v.specs with
-         | [ Pass.Loop_split _ ] ->
-           let extend spec = { specs = v.specs @ [ spec ]; seed = v.kernel; last = Some spec } in
-           let reorders =
-             List.map
-               (fun var -> extend (Pass.Loop_reorder { var }))
-               (Knobs.reorderable_loops v.kernel)
-           in
-           let pipelines =
-             List.map (fun var -> extend (Pass.Pipeline { var })) (Knobs.pipelinable_loops v.kernel)
-           in
-           reorders @ pipelines
-         | _ -> [])
-  |> Listx.take limit
+let composed_candidates (seeds : variant list) =
+  Seq.concat_map
+    (fun (v : variant) ->
+      match v.specs with
+      | [ Pass.Loop_split _ ] ->
+        let extend spec = { specs = v.specs @ [ spec ]; seed = v.kernel; last = Some spec } in
+        Seq.append
+          (deferred (fun () ->
+               Seq.map
+                 (fun var -> extend (Pass.Loop_reorder { var }))
+                 (List.to_seq (Knobs.reorderable_loops v.kernel))))
+          (deferred (fun () ->
+               Seq.map
+                 (fun var -> extend (Pass.Pipeline { var }))
+                 (List.to_seq (Knobs.pipelinable_loops v.kernel))))
+      | _ -> Seq.empty)
+    (List.to_seq seeds)
 
 (* ---- the tuning loop ---------------------------------------------------- *)
 
@@ -74,18 +84,20 @@ let tune ~platform k =
   (* brute force: every candidate that applies is measured, in candidate
      order, by the cost model alone; the empty candidate is the input,
      already modelled as [base] *)
-  let phase =
-    List.iter (fun c ->
+  let phase cands =
+    Seq.iter
+      (fun c ->
         match c.last with
         | None -> measure base
         | Some spec -> (
           match Pass.apply ~platform spec c.seed with
           | Ok kernel -> measure { specs = c.specs; kernel; throughput = modelled_throughput kernel }
           | Error _ -> ()))
+      (Seq.take max_candidates cands)
   in
-  phase (Listx.take max_candidates (candidates platform k));
+  phase (candidates platform k);
   let seeds = Listx.top_k ~k:compose_seeds ~score:(fun v -> v.throughput) (List.rev !measured) in
-  phase (composed_candidates seeds ~limit:max_candidates);
+  phase (composed_candidates seeds);
   (* split, reorder and pipeline only rebuild serial loops, so no candidate
      of an accepted input is rejected (test_tuning checks it); the winner
      is checked all the same, and a rejected one gives way to the input *)

@@ -16,7 +16,10 @@ module Pass = Xpiler_passes.Pass
     single-spec enumeration cannot express. A composed candidate applies
     only its last spec to its seed's kernel (passes are pure) and records
     the whole spec sequence. Candidates are not memoized: hashing whole
-    kernels cost more than the repeats it saved.
+    kernels cost more than the repeats it saved. Each phase builds its
+    candidates lazily in the order above and stops at the cap, so the
+    split-factor lists and the reorder and pipeline walks past it are
+    never built.
 
     The checker runs on the input and on the winner only. Split, reorder
     and pipeline rebuild serial loops or change a loop's kind, and the

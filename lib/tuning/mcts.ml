@@ -106,17 +106,18 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?db:_ 
     r
   in
   let actions k = Actions.enumerate ~buffer_sizes platform k in
+  (* a node and its action list, which the node's untried array copies *)
   let mk_node kernel rspecs depth =
     incr nodes;
     Trace.count "mcts.expansions";
-    let untried =
-      if depth >= config.max_depth then [||] else Array.of_list (actions kernel)
-    in
-    { kernel; rspecs; depth; untried; untried_n = Array.length untried;
-      children = []; visits = 0; total = 0.0
-    }
+    let acts = if depth >= config.max_depth then [] else actions kernel in
+    let untried = Array.of_list acts in
+    ( { kernel; rspecs; depth; untried; untried_n = Array.length untried;
+        children = []; visits = 0; total = 0.0
+      },
+      acts )
   in
-  let root = mk_node kernel [] 0 in
+  let root, _ = mk_node kernel [] 0 in
   let root_reward = reward kernel [] in
   let uct parent_visits n =
     let mean = if n.visits = 0 then 0.0 else n.total /. float_of_int n.visits in
@@ -125,12 +126,13 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?db:_ 
        *. sqrt (log (float_of_int (max parent_visits 1)) /. float_of_int (max n.visits 1))
   in
   let apply k spec = Pass.apply ~platform spec k in
-  (* random rollout from a state, returning the best reward encountered *)
-  let rec rollout k rspecs depth best_r =
+  (* random rollout from a state, returning the best reward encountered;
+     [acts] is the state's action list when the caller already has it *)
+  let rec rollout ?acts k rspecs depth best_r =
     if depth >= config.max_depth then best_r
     else begin
       Trace.count "mcts.rollout_steps";
-      match actions k with
+      match match acts with Some acts -> acts | None -> actions k with
       | [] -> best_r
       | acts -> (
         let spec = Rng.choose rng acts in
@@ -155,10 +157,12 @@ let search ?(config = default_config) ?clock ?(buffer_sizes = []) ?jobs:_ ?db:_ 
           (* inapplicable action: learn its 0 reward *)
           0.0
         | Ok k' ->
-          let child = mk_node k' (spec :: node.rspecs) (node.depth + 1) in
+          let child, acts = mk_node k' (spec :: node.rspecs) (node.depth + 1) in
           node.children <- child :: node.children;
           let r0 = reward k' child.rspecs in
-          let r = rollout k' child.rspecs child.depth r0 in
+          (* the rollout's first step draws from the list the child was
+             built from, before any expansion permutes its untried array *)
+          let r = rollout ~acts k' child.rspecs child.depth r0 in
           child.visits <- child.visits + 1;
           child.total <- child.total +. r;
           r

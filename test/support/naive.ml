@@ -187,3 +187,313 @@ let estimate (p : Platform.t) (k : Kernel.t) ~shapes : Costmodel.estimate =
   in
   let seconds = body +. (c.launch_overhead_us *. 1e-6 *. float_of_int f.launches) in
   { seconds; compute_seconds = compute; memory_seconds = memory; features = f }
+
+(* [Loop_pass.interchange_legal] as it was before it became one walk: the
+   read-modify-write rule compares indexes with [Linear.equal_linear] per
+   pair, from [buffers_read]/[buffers_written] lists, and every nest with
+   more than one store enumerates its box into a tuple-keyed [Hashtbl] *)
+module Loop_legal = struct
+  (* an index [eval_int] evaluates without raising and [Linear.decompose]
+     represents without dropping anything *)
+  let rec int_polynomial = function
+    | Expr.Int _ | Expr.Var _ -> true
+    | Expr.Binop ((Expr.Add | Expr.Sub | Expr.Mul), l, r) -> int_polynomial l && int_polynomial r
+    | Expr.Unop (Expr.Neg, x) -> int_polynomial x
+    | _ -> false
+  
+  let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
+  
+  (* coefficients below this bound cannot wrap [c1 * da + c2 * db] for the
+     differences a capped box allows, so the closed form matches the wrapping
+     arithmetic of [eval_int] *)
+  let coeff_limit = 1 lsl 40
+  
+  (* whether one store's addresses are distinct over the non-empty box
+     [0, e1) x [0, e2), with every other variable at 0, when the index is
+     c1*v1 + c2*v2 + (plain variables) + const. Two iterations collide iff
+     c1*da + c2*db = 0 for some nonzero (da, db) with |da| < e1 and |db| < e2;
+     the smallest such difference is (c2/g, -c1/g) with g = gcd c1 c2. [None]
+     when the index is outside that class. *)
+  let affine_injective ~v1 ~e1 ~v2 ~e2 index =
+    if not (int_polynomial index) then None
+    else begin
+      let d = Linear.decompose index in
+      let c1 = Linear.coeff_of_var v1 d and c2 = Linear.coeff_of_var v2 d in
+      let small c = c > -coeff_limit && c < coeff_limit in
+      if not (List.for_all (function Expr.Var _, _ -> true | _ -> false) d.Linear.terms)
+         || not (small c1 && small c2)
+      then None
+      else if c1 = 0 && c2 = 0 then Some (e1 * e2 <= 1)
+      else begin
+        let g = gcd c1 c2 in
+        Some (not (abs (c2 / g) <= e1 - 1 && abs (c1 / g) <= e2 - 1))
+      end
+    end
+  
+  let interchange_legal ~v1 ~e1 ~v2 ~e2 body =
+    if e1 * e2 > 4096 then false
+    else begin
+      let written = Stmt.buffers_written body and read = Stmt.buffers_read body in
+      let rmw_ok =
+        List.for_all
+          (fun buf ->
+            if not (List.mem buf read) then true
+            else begin
+              (* every load of [buf] must linearly equal some same-statement
+                 store index; conservatively require it equals the single store
+                 index of that buffer *)
+              let store_idx = ref None and ok = ref true in
+              Stmt.iter
+                (fun s ->
+                  match s with
+                  | Stmt.Store { buf = b; index; _ } when String.equal b buf -> (
+                    match !store_idx with
+                    | None -> store_idx := Some index
+                    | Some i -> if not (Linear.equal_linear i index) then ok := false)
+                  | _ -> ())
+                body;
+              (match !store_idx with
+              | None -> ()
+              | Some si ->
+                Stmt.iter
+                  (fun s ->
+                    Stmt.map_exprs
+                      (Expr.map (function
+                        | Expr.Load (b, idx) when String.equal b buf ->
+                          if not (Linear.equal_linear idx si) then ok := false;
+                          None
+                        | _ -> None))
+                      s
+                    |> ignore)
+                  body);
+              !ok
+            end)
+          written
+      in
+      (* per buffer, an address may be written from at most one iteration of
+         the (v1, v2) space: writes within one iteration keep their program
+         order under interchange, writes from different iterations do not *)
+      let injective () =
+        let stores = ref [] in
+        Stmt.iter
+          (fun s -> match s with Stmt.Store r -> stores := (r.buf, r.index) :: !stores | _ -> ())
+          body;
+        let enumerate () =
+          (* evaluating with outer variables at 0 is exact only when, for every
+             pair of stores to the same buffer, the index difference over the
+             outer variables is constant; otherwise be conservative *)
+          let pairwise_outer_constant =
+            let rec pairs = function
+              | [] -> true
+              | (buf, idx) :: rest ->
+                List.for_all
+                  (fun (buf', idx') ->
+                    (not (String.equal buf buf'))
+                    ||
+                    let d = Linear.decompose (Expr.Binop (Expr.Sub, idx, idx')) in
+                    let d = Linear.drop_var v1 (Linear.drop_var v2 d) in
+                    d.Linear.terms = [])
+                  rest
+                && pairs rest
+            in
+            pairs !stores
+          in
+          let seen : (string * int, int * int) Hashtbl.t = Hashtbl.create 64 in
+          let ok = ref pairwise_outer_constant in
+          (try
+             for a = 0 to e1 - 1 do
+               for b = 0 to e2 - 1 do
+                 List.iter
+                   (fun (buf, index) ->
+                     let v =
+                       Expr.eval_int
+                         (fun x -> if x = v1 then a else if x = v2 then b else 0)
+                         index
+                     in
+                     match Hashtbl.find_opt seen (buf, v) with
+                     | Some (a', b') when (a', b') <> (a, b) ->
+                       ok := false;
+                       raise Exit
+                     | _ -> Hashtbl.replace seen (buf, v) (a, b))
+                   !stores
+               done
+             done
+           with
+          | Exit -> ()
+          | _ -> ok := false);
+          !ok
+        in
+        match !stores with
+        | [] -> true
+        | [ _ ] when e1 <= 0 || e2 <= 0 -> true
+        | [ (_, index) ] -> (
+          match affine_injective ~v1 ~e1 ~v2 ~e2 index with
+          | Some injective -> injective
+          | None -> enumerate ())
+        | _ -> enumerate ()
+      in
+      rmw_ok && injective ()
+    end
+end
+
+let interchange_legal = Loop_legal.interchange_legal
+
+(* [Actions.enumerate] as it was before it collected its facts in one walk:
+   about ten walks of the kernel, and one [Stmt.intrinsics] walk per cached
+   buffer on the MLU *)
+module Enumerate = struct
+  open Xpiler_tuning
+  module Pass = Xpiler_passes.Pass
+  module Memory_pass = Xpiler_passes.Memory_pass
+
+  let take = Xpiler_util.Listx.take
+
+  let pick_factors factors =
+    (* bound branching: smallest, middle, largest *)
+    match factors with
+    | [] -> []
+    | [ f ] -> [ f ]
+    | fs ->
+      let arr = Array.of_list fs in
+      let n = Array.length arr in
+      List.sort_uniq compare [ arr.(0); arr.(n / 2); arr.(n - 1) ]
+  
+  let is_block_axis = function
+    | Axis.Block_x | Axis.Block_y | Axis.Block_z | Axis.Task_id | Axis.Cluster_id -> true
+    | Axis.Thread_x | Axis.Thread_y | Axis.Thread_z | Axis.Core_id -> false
+  
+  (* the MCTS branching cap *)
+  let max_actions = 14
+  
+  let enumerate ?(buffer_sizes = []) (platform : Platform.t) (k : Kernel.t) =
+    let splits =
+      Knobs.splittable_loops k
+      |> take 2
+      |> List.concat_map (fun (var, extent) ->
+             List.map
+               (fun factor -> Pass.Loop_split { var; factor })
+               (pick_factors (Knobs.split_factors platform ~extent)))
+    in
+    let binds =
+      let axes = Knobs.bindable_axes platform k in
+      let block_axis = List.find_opt is_block_axis axes in
+      let thread_axis = List.find_opt (fun a -> not (is_block_axis a)) axes in
+      (* only zero-based loops with independent iterations are bindable: a
+         loop carrying a scalar accumulator declared outside it, or storing at
+         indices that do not vary with it, would race on real hardware *)
+      let independent (r_var : string) body =
+        let outer_assign = ref false and invariant_store = ref false in
+        let declared = Hashtbl.create 8 in
+        Stmt.iter
+          (fun s ->
+            match s with
+            | Stmt.Let { var; _ } -> Hashtbl.replace declared var ()
+            | Stmt.Assign { var; _ } when not (Hashtbl.mem declared var) -> outer_assign := true
+            | Stmt.Store { index; _ } when not (Expr.contains_var r_var index) ->
+              invariant_store := true
+            | Stmt.Memcpy { dst; _ } when not (Expr.contains_var r_var dst.offset) ->
+              invariant_store := true
+            | Stmt.Intrinsic i when not (Expr.contains_var r_var i.dst.offset) ->
+              invariant_store := true
+            | _ -> ())
+          body;
+        not (!outer_assign || !invariant_store)
+      in
+      let top_loops =
+        let rec collect block =
+          List.concat_map
+            (function
+              | Stmt.For ({ kind = Stmt.Serial; lo = Expr.Int 0; extent = Expr.Int _; _ } as r)
+                ->
+                (if independent r.var r.body then [ r.var ] else []) @ collect r.body
+              | Stmt.For r -> collect r.body
+              | _ -> [])
+            block
+        in
+        take 2 (collect k.Kernel.body)
+      in
+      List.concat_map
+        (fun var ->
+          List.filter_map
+            (fun axis -> Option.map (fun axis -> Pass.Loop_bind { var; axis }) axis)
+            [ block_axis; thread_axis ])
+        top_loops
+    in
+    let reorders = List.map (fun var -> Pass.Loop_reorder { var }) (take 1 (Knobs.reorderable_loops k)) in
+    let expansions =
+      (* loops with several statements are fission candidates; the pass itself
+         rejects unsound distributions *)
+      let found = ref [] in
+      Stmt.iter
+        (fun s ->
+          match s with
+          | Stmt.For { var; body; kind = Stmt.Serial; _ }
+            when List.length body >= 2 && !found = [] ->
+            found := [ Pass.Loop_expansion { var } ]
+          | _ -> ())
+        k.Kernel.body;
+      !found
+    in
+    let contractions =
+      let rec adjacent block =
+        match block with
+        | Stmt.For r1 :: Stmt.For r2 :: _
+          when String.equal r1.var r2.var && Expr.equal r1.extent r2.extent ->
+          [ Pass.Loop_contraction { var = r1.var } ]
+        | s :: rest -> (
+          match s with
+          | Stmt.For r -> (
+            match adjacent r.body with [] -> adjacent rest | found -> found)
+          | _ -> adjacent rest)
+        | [] -> []
+      in
+      adjacent k.Kernel.body
+    in
+    let pipelines = List.map (fun var -> Pass.Pipeline { var }) (take 1 (Knobs.pipelinable_loops k)) in
+    let existing_allocs = List.map (fun (b, _, _, _) -> b) (Stmt.allocs k.Kernel.body) in
+    let caches =
+      let reads = Stmt.buffers_read k.Kernel.body in
+      let writes = Stmt.buffers_written k.Kernel.body in
+      let scope = Platform.default_compute_scope platform.Platform.id in
+      List.filter_map
+        (fun (buf, size) ->
+          let cache_name s = buf ^ "_" ^ Scope.to_string s in
+          if List.mem (cache_name scope) existing_allocs || List.mem (cache_name Scope.Wram) existing_allocs
+          then None
+          else if List.mem buf writes then
+            (* Readwrite staging is the sound generic choice: Write-only would
+               clobber cells the kernel never writes *)
+            Some
+              (Pass.Cache
+                 { buf; scope; direction = Memory_pass.Readwrite; under = None;
+                   base = Expr.Int 0; size })
+          else if List.mem buf reads then begin
+            let scope =
+              (* second read operand of a matmul prefers WRAM on the MLU *)
+              if Platform.equal_id platform.Platform.id Platform.Bang
+                 && List.exists
+                      (fun (i : Intrin.t) ->
+                        Intrin.is_matrix i.op
+                        && List.exists (fun (r : Intrin.buf_ref) -> String.equal r.buf buf)
+                             (match i.srcs with _ :: rest -> rest | [] -> []))
+                      (Stmt.intrinsics k.Kernel.body)
+              then Scope.Wram
+              else scope
+            in
+            Some
+              (Pass.Cache
+                 { buf; scope; direction = Memory_pass.Read; under = None; base = Expr.Int 0;
+                   size })
+          end
+          else None)
+        buffer_sizes
+    in
+    let tensorize = if platform.Platform.intrinsics <> [] then [ Pass.Tensorize ] else [] in
+    let detensorize = if Stmt.intrinsics k.Kernel.body <> [] then [ Pass.Detensorize ] else [] in
+    let recovery = if Stmt.axes_used k.Kernel.body <> [] then [ Pass.Loop_recovery ] else [] in
+    take max_actions
+      (tensorize @ caches @ binds @ splits @ pipelines @ reorders @ expansions @ contractions
+      @ detensorize @ recovery)
+end
+
+let enumerate = Enumerate.enumerate

@@ -211,6 +211,17 @@ let test_reorder_pinned () =
     (nest (store_out ((int 0 * load "idx" (v "i")) + v "j")));
   case "out[0*idx[i] + i*4 + j] illegal" false
     (nest (store_out ((int 0 * load "idx" (v "i")) + (v "i" * int 4) + v "j")));
+  (* out is read, and its second store is not at the first store's index *)
+  let ij = (v "i" * int 4) + v "j" in
+  case "out[4i + j] += 1; out[4i + j + 256] = 1 illegal" false
+    (nest
+       [ Builder.store "out" ij (load "out" ij + flt 1.0);
+         Builder.store "out" (ij + int 256) (flt 1.0)
+       ]);
+  (* the two stores meet across iterations once n > 0, which the box at
+     n = 0 cannot see *)
+  case "out[4i + j] and out[4i + j + n] illegal" false
+    (nest [ Builder.store "out" ij (flt 1.0); Builder.store "out" (ij + v "n") (flt 2.0) ]);
   (* the inner loop shadows i: the nest adds 4 to out[0], the swapped nest
      adds 1 to each of out[0..3] *)
   case "shadowed inner i illegal" false
@@ -853,6 +864,21 @@ let gen_nest =
   let stores = frequencyl [ (1, 0); (4, 1); (2, 2); (1, 3) ] in
   triple extent extent (stores >>= fun n -> list_repeat n store)
 
+(* [Loop_pass.interchange_legal] against the walk it replaced
+   ([Test_support.Naive.interchange_legal], a per-pair [Linear.equal_linear]
+   and a tuple-keyed enumeration) on generated nest bodies *)
+let prop_interchange_matches_naive =
+  QCheck.Test.make ~name:"interchange legality = naive" ~count:3000
+    (QCheck.make
+       ~print:(fun seed ->
+         let v1, e1, v2, e2, body = Test_support.Kgen.interchange (Xpiler_util.Rng.create seed) in
+         Printf.sprintf "%s<%d %s<%d\n%s" v1 e1 v2 e2 (Stmt.to_string body))
+       QCheck.Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      let v1, e1, v2, e2, body = Test_support.Kgen.interchange (Xpiler_util.Rng.create seed) in
+      Loop_pass.interchange_legal ~v1 ~e1 ~v2 ~e2 body
+      = Test_support.Naive.interchange_legal ~v1 ~e1 ~v2 ~e2 body)
+
 let prop_reorder_matches_oracle =
   QCheck.Test.make ~name:"reorder legal iff brute-force oracle" ~count:1500
     (QCheck.make gen_nest
@@ -917,5 +943,5 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_split_preserves; prop_split_then_fuse_identity; prop_cache_any_window;
-            prop_reorder_matches_oracle ] )
+            prop_reorder_matches_oracle; prop_interchange_matches_naive ] )
     ]

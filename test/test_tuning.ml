@@ -316,6 +316,131 @@ let test_intra_specs_replay () =
   Alcotest.(check int) "composed winners" 3 !composed;
   Alcotest.(check int) "evaluated" 5297 !evaluated
 
+(* ---- the tuner's structural queries against their naive walks -------------
+   [Test_support.Naive] keeps [Actions.enumerate] and
+   [Loop_pass.interchange_legal] as they were before each became one
+   allocation-light walk. The states are every operator's golden source on
+   every platform, with its depth-1 and depth-2 action states on every
+   platform (the states "candidates pass the checker" walks); the
+   interchanges are the ones [Knobs.reorderable_loops] offers on them. *)
+let golden_states =
+  lazy
+    (let states = ref [] in
+     List.iter
+       (fun (op : Opdef.t) ->
+         let shape = List.hd op.Opdef.shapes in
+         let buffer_sizes =
+           List.map (fun (b : Opdef.buffer_spec) -> (b.buf_name, b.size shape)) op.Opdef.buffers
+         in
+         let step p k =
+           List.filter_map
+             (fun spec -> Result.to_option (Xpiler_passes.Pass.apply ~platform:p spec k))
+             (Actions.enumerate ~buffer_sizes p k)
+         in
+         List.iter
+           (fun (q : Platform.t) ->
+             let source = Idiom.source q.Platform.id op shape in
+             List.iter
+               (fun (p : Platform.t) ->
+                 let depth1 = step p source in
+                 List.iter
+                   (fun k -> states := (p, buffer_sizes, k) :: !states)
+                   ((source :: depth1) @ List.concat_map (step p) depth1))
+               Platform.all)
+           Platform.all)
+       Registry.all;
+     List.rev !states)
+
+(* each enumeration the states ask for: with and without [buffer_sizes] *)
+let enumerations () =
+  List.concat_map (fun (p, buffer_sizes, k) -> [ (p, buffer_sizes, k); (p, [], k) ])
+    (Lazy.force golden_states)
+
+let test_enumerate_matches_naive () =
+  let calls = enumerations () in
+  (* 23,051 states at the time of writing *)
+  Alcotest.(check bool) "states" true (List.length calls > 40_000);
+  List.iter
+    (fun (p, buffer_sizes, (k : Kernel.t)) ->
+      if Actions.enumerate ~buffer_sizes p k <> Test_support.Naive.enumerate ~buffer_sizes p k
+      then
+        Alcotest.failf "%s on %s (%d buffer sizes): actions differ from the naive walk"
+          k.Kernel.name p.Platform.name (List.length buffer_sizes))
+    calls
+
+(* minor words per call of [f] over [xs], after one warm-up pass *)
+let words_per_call f xs =
+  List.iter f xs;
+  let before = Gc.minor_words () in
+  List.iter f xs;
+  (Gc.minor_words () -. before) /. float_of_int (List.length xs)
+
+(* The one walk allocated 332 minor words per call against the naive
+   walk's 1,699 over these calls (x86-64, OCaml 5.1); the gate holds it to
+   a third. *)
+let test_enumerate_allocation () =
+  let calls = enumerations () in
+  let per_call (enumerate : ?buffer_sizes:_ -> _) =
+    words_per_call
+      (fun (p, buffer_sizes, k) -> ignore (Sys.opaque_identity (enumerate ~buffer_sizes p k)))
+      calls
+  in
+  let fast = per_call Actions.enumerate and naive = per_call Test_support.Naive.enumerate in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per enumeration <= 1/3 of naive %.1f" fast naive)
+    true
+    (fast <= naive /. 3.0)
+
+(* the interchanges [reorder] would check on the golden states *)
+let offered_interchanges () =
+  List.concat_map
+    (fun (_, _, (k : Kernel.t)) ->
+      List.concat_map
+        (fun var ->
+          let found = ref [] in
+          Stmt.iter
+            (fun s ->
+              match s with
+              | Stmt.For
+                  { var = v1; extent = Expr.Int e1;
+                    body = [ Stmt.For { var = v2; extent = Expr.Int e2; body; _ } ]; _ }
+                when String.equal v1 var ->
+                found := (v1, e1, v2, e2, body) :: !found
+              | _ -> ())
+            k.Kernel.body;
+          !found)
+        (Knobs.reorderable_loops k))
+    (Lazy.force golden_states)
+
+(* Same answers as the naive walk on every offered interchange, in a
+   quarter of its allocation: the one walk allocated 37 minor words per
+   call against the naive walk's 417 (x86-64, OCaml 5.1). *)
+let test_interchange_on_golden_states () =
+  let nests = offered_interchanges () in
+  (* 32,611 at the time of writing, 1,105 of them illegal *)
+  Alcotest.(check bool) "interchanges" true (List.length nests > 30_000);
+  let illegal = ref 0 in
+  List.iter
+    (fun (v1, e1, v2, e2, body) ->
+      let legal = Xpiler_passes.Loop_pass.interchange_legal ~v1 ~e1 ~v2 ~e2 body in
+      if not legal then incr illegal;
+      if legal <> Test_support.Naive.interchange_legal ~v1 ~e1 ~v2 ~e2 body then
+        Alcotest.failf "interchange of %s < %d and %s < %d differs from the naive walk:\n%s" v1
+          e1 v2 e2 (Stmt.to_string body))
+    nests;
+  Alcotest.(check bool) "some illegal" true (!illegal > 0);
+  let per_call legal =
+    words_per_call
+      (fun (v1, e1, v2, e2, body) -> ignore (Sys.opaque_identity (legal ~v1 ~e1 ~v2 ~e2 body)))
+      nests
+  in
+  let fast = per_call Xpiler_passes.Loop_pass.interchange_legal
+  and naive = per_call Test_support.Naive.interchange_legal in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per legality check <= 1/4 of naive %.1f" fast naive)
+    true
+    (fast <= naive /. 4.0)
+
 (* ---- rejected input ------------------------------------------------------- *)
 
 (* the tensorized MLU gemm fails the CUDA checker: it has no valid variant,
@@ -437,6 +562,38 @@ let test_mcts_journal_counts () =
   Alcotest.(check int) "mcts.expansions" r.Mcts.nodes_expanded (total "mcts.expansions");
   Alcotest.(check int) "mcts.simulations" r.Mcts.simulations_run (total "mcts.simulations")
 
+(* The search is pinned to what it returned before the rollout reused the
+   expanded child's action list and the action and legality walks were
+   rewritten: the tuned pipeline's search over the untuned translation of
+   gemm cuda->bang and softmax cuda->hip, at each operator's first shape. *)
+let test_mcts_pinned () =
+  let pinned name src dst ~specs ~reward_bits ~nodes =
+    let op = Registry.find_exn name in
+    let shape = List.hd op.Opdef.shapes in
+    let outcome = Xpiler_core.Xpiler.transcompile ~src ~dst ~op ~shape () in
+    let k = Option.get outcome.Xpiler_core.Xpiler.kernel in
+    let buffer_sizes =
+      List.map (fun (b : Opdef.buffer_spec) -> (b.buf_name, b.size shape)) op.Opdef.buffers
+    in
+    let r =
+      Mcts.search ~config:Xpiler_core.Config.tuned.Xpiler_core.Config.mcts ~buffer_sizes
+        ~platform:(Platform.of_id dst) k
+    in
+    Alcotest.(check (list string)) (name ^ " best specs") specs
+      (List.map Xpiler_passes.Pass.describe r.Mcts.best_specs);
+    Alcotest.(check int64) (name ^ " best reward bits") reward_bits
+      (Int64.bits_of_float r.Mcts.best_reward);
+    Alcotest.(check int) (name ^ " nodes expanded") nodes r.Mcts.nodes_expanded
+  in
+  pinned "gemm" Platform.Cuda Platform.Bang
+    ~specs:[ "loop-recovery"; "loop-bind(z_t1 -> taskId)" ]
+    ~reward_bits:4817703169794324358L ~nodes:41;
+  pinned "softmax" Platform.Cuda Platform.Hip
+    ~specs:
+      [ "cache(out -> shared, readwrite, under=-, base=0, size=256)"; "loop-split(p, 32)";
+        "loop-split(p_1, 8)"; "loop-bind(p -> threadIdx.x)"; "loop-bind(p -> blockIdx.y)" ]
+    ~reward_bits:4820743423719119246L ~nodes:44
+
 let prop_mcts_best_is_valid =
   QCheck.Test.make ~name:"MCTS best kernel always compiles" ~count:6
     QCheck.(int_range 1 1000)
@@ -471,6 +628,13 @@ let () =
           Alcotest.test_case "rejected input tunes to 0" `Quick test_intra_rejected_input;
           Alcotest.test_case "winner replays from its specs" `Quick test_intra_specs_replay
         ] );
+      ( "naive",
+        [ Alcotest.test_case "enumerate = naive" `Quick test_enumerate_matches_naive;
+          Alcotest.test_case "enumerate allocates a third of naive" `Quick
+            test_enumerate_allocation;
+          Alcotest.test_case "interchange legality = naive on golden states" `Quick
+            test_interchange_on_golden_states
+        ] );
       ( "sharing",
         [ Alcotest.test_case "lookup meter counts every reuse" `Quick
             test_lookup_meter_counts_reuse
@@ -484,7 +648,8 @@ let () =
         [ Alcotest.test_case "improves gemm" `Quick test_mcts_improves_gemm;
           Alcotest.test_case "deterministic" `Quick test_mcts_deterministic;
           Alcotest.test_case "budget monotone" `Quick test_mcts_budget_monotone_ish;
-          Alcotest.test_case "journal counts" `Quick test_mcts_journal_counts
+          Alcotest.test_case "journal counts" `Quick test_mcts_journal_counts;
+          Alcotest.test_case "pinned searches" `Quick test_mcts_pinned
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_mcts_best_is_valid;
