@@ -188,17 +188,6 @@ let facts ~buffer_sizes (k : Kernel.t) =
   walk f ~under_if:false k.Kernel.body;
   f
 
-(* whether [name] is [buf ^ "_" ^ suffix] *)
-let names_cache name buf suffix =
-  let lb = String.length buf in
-  String.length name = lb + 1 + String.length suffix
-  && String.starts_with ~prefix:buf name
-  && name.[lb] = '_'
-  && String.ends_with ~suffix name
-
-let rec staged allocs buf suffix =
-  match allocs with [] -> false | a :: rest -> names_cache a buf suffix || staged rest buf suffix
-
 (* the action list under construction: the first [max_actions] specs
    offered, newest first *)
 type actions = { mutable specs : Pass.spec list; mutable count : int }
@@ -219,10 +208,10 @@ let enumerate ?(buffer_sizes = []) (platform : Platform.t) (k : Kernel.t) =
      generic choice: Write-only would clobber cells the kernel never
      writes), else every one it reads, unless a cache already exists *)
   let scope = Platform.default_compute_scope platform.Platform.id in
-  let scope_name = Scope.to_string scope and wram_name = Scope.to_string Scope.Wram in
+  let staged buf s = List.mem (buf ^ "_" ^ Scope.to_string s) f.allocs in
   List.iteri
     (fun i (buf, size) ->
-      if staged f.allocs buf scope_name || staged f.allocs buf wram_name then ()
+      if staged buf scope || staged buf Scope.Wram then ()
       else if f.written.(i) then
         offer acts
           (Pass.Cache
