@@ -58,6 +58,8 @@ let unop_to_string = function
   | Floor -> "floorf"
 
 let rec equal a b =
+  a == b
+  ||
   match (a, b) with
   | Int x, Int y -> x = y
   | Float x, Float y ->
@@ -149,6 +151,13 @@ let rename_buffer ~old_name ~new_name e =
       | _ -> None)
     e
 
+let rec contains_load b = function
+  | Load (b', i) -> String.equal b b' || contains_load b i
+  | Int _ | Float _ | Var _ -> false
+  | Binop (_, l, r) -> contains_load b l || contains_load b r
+  | Unop (_, e) | Cast (_, e) -> contains_load b e
+  | Select (c, t, f) -> contains_load b c || contains_load b t || contains_load b f
+
 let rec contains_var x = function
   | Var y -> String.equal x y
   | Int _ | Float _ -> false
@@ -209,9 +218,13 @@ let fold_binop op a b =
   | And -> Some (if a <> 0 && b <> 0 then 1 else 0)
   | Or -> Some (if a <> 0 || b <> 0 then 1 else 0)
 
+(* the value of a comparison or a logical operator is 0 or 1 *)
+let is_boolean = function
+  | Binop ((Eq | Ne | Lt | Le | Gt | Ge | And | Or), _, _) | Unop (Not, _) -> true
+  | _ -> false
+
 let simplify_node = function
-  | Binop (op, Int a, Int b) as e -> (
-    match fold_binop op a b with Some n -> Some (Int n) | None -> Some e)
+  | Binop (op, Int a, Int b) -> Option.map (fun n -> Int n) (fold_binop op a b)
   | Binop (Add, x, Int 0) | Binop (Add, Int 0, x) -> Some x
   | Binop (Sub, x, Int 0) -> Some x
   | Binop (Mul, _, Int 0) | Binop (Mul, Int 0, _) -> Some (Int 0)
@@ -222,9 +235,10 @@ let simplify_node = function
   | Binop (Div, Binop (Mul, x, Int a), Int b) when b > 0 && a mod b = 0 ->
     Some (if a = b then x else Binop (Mul, x, Int (a / b)))
   | Binop (Mod, _, Int 1) -> Some (Int 0)
-  | Binop (And, x, Int 1) | Binop (And, Int 1, x) -> Some x
+  (* [x && 1] is [x] only when [x] is already 0 or 1: [5 && 1] is 1 *)
+  | (Binop (And, x, Int 1) | Binop (And, Int 1, x)) when is_boolean x -> Some x
   | Binop (And, _, Int 0) | Binop (And, Int 0, _) -> Some (Int 0)
-  | Binop (Or, x, Int 0) | Binop (Or, Int 0, x) -> Some x
+  | (Binop (Or, x, Int 0) | Binop (Or, Int 0, x)) when is_boolean x -> Some x
   (* re-associate (x + c1) + c2 -> x + (c1+c2) *)
   | Binop (Add, Binop (Add, x, Int c1), Int c2) -> Some (Binop (Add, x, Int (c1 + c2)))
   | Binop (Mul, Binop (Mul, x, Int c1), Int c2) -> Some (Binop (Mul, x, Int (c1 * c2)))
@@ -234,12 +248,14 @@ let simplify_node = function
   | Unop (Neg, Int n) -> Some (Int (-n))
   | Unop (Neg, Float f) -> Some (Float (-.f))
   | Unop (Not, Int n) -> Some (Int (if n = 0 then 1 else 0))
+  (* a float cast keeps its value's type: [(float)3 / 2] is 1.5, [3 / 2] is 1 *)
+  | Cast (d, Int n) when Dtype.is_float d -> Some (Float (float_of_int n))
   | Cast (_, (Int _ as e)) -> Some e
   | _ -> None
 
 let rec simplify e =
   let e' = map simplify_node e in
-  if e' == e || equal e e' then e' else simplify e'
+  if equal e e' then e else simplify e'
 
 (* --- Printing ---------------------------------------------------------- *)
 

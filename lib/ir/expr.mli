@@ -35,7 +35,8 @@ type t =
 
 val equal : t -> t -> bool
 (** Structural equality. Float literals compare by bit pattern, so [0.0]
-    and [-0.0] differ (they divide to opposite infinities). *)
+    and [-0.0] differ (they divide to opposite infinities). A shared
+    subtree ([a == b]) is equal without a walk. *)
 
 val hash : t -> int
 (** Full-depth structural hash, consistent with [equal] (unlike the
@@ -71,6 +72,9 @@ val subst_var : string -> t -> t -> t
 val rename_buffer : old_name:string -> new_name:string -> t -> t
 val contains_var : string -> t -> bool
 
+val contains_load : string -> t -> bool
+(** [contains_load b e]: [e] loads from buffer [b]. Allocates nothing. *)
+
 val eval_int : (string -> int) -> t -> int
 (** Evaluate an integer expression given a variable environment. Raises
     [Failure] on float literals, loads, or unbound variables. *)
@@ -78,7 +82,10 @@ val eval_int : (string -> int) -> t -> int
 val simplify : t -> t
 (** Constant folding plus basic algebraic identities ([x+0], [x*1], [x*0],
     [x/1], flattening of nested constant additions, …). Keeps C integer
-    division/modulo semantics intact. *)
+    division/modulo semantics intact and never changes a value: [x && 1]
+    and [x || 0] drop to [x] only when [x] is a comparison or a logical
+    operator, and a float cast of an int literal folds to a float literal.
+    An expression it leaves unchanged comes back physically ([==]). *)
 
 val to_string : t -> string
 (** C-like rendering, used by all dialect code generators. *)

@@ -107,12 +107,30 @@ let hash_fold h t =
   let h = List.fold_left href (comb h 3) t.srcs in
   List.fold_left Expr.hash_fold (comb h 5) t.params
 
+(* like [Expr.map], these return their argument when nothing changed *)
+let map_ref f r =
+  let offset = f r.offset in
+  if offset == r.offset then r else { r with offset }
+
+let rec map_refs f = function
+  | [] as refs -> refs
+  | r :: rest as refs ->
+    let r' = map_ref f r in
+    let rest' = map_refs f rest in
+    if r' == r && rest' == rest then refs else r' :: rest'
+
+let rec map_params f = function
+  | [] as params -> params
+  | e :: rest as params ->
+    let e' = f e in
+    let rest' = map_params f rest in
+    if e' == e && rest' == rest then params else e' :: rest'
+
 let map_exprs f t =
-  { t with
-    dst = { t.dst with offset = f t.dst.offset };
-    srcs = List.map (fun (r : buf_ref) -> { r with offset = f r.offset }) t.srcs;
-    params = List.map f t.params
-  }
+  let dst = map_ref f t.dst in
+  let srcs = map_refs f t.srcs in
+  let params = map_params f t.params in
+  if dst == t.dst && srcs == t.srcs && params == t.params then t else { t with dst; srcs; params }
 
 let buffers t =
   Xpiler_util.Listx.dedup (t.dst.buf :: List.map (fun (r : buf_ref) -> r.buf) t.srcs)

@@ -58,8 +58,15 @@ val param_count : op -> int
 val is_vector : op -> bool
 val is_matrix : op -> bool
 
+val map_ref : (Expr.t -> Expr.t) -> buf_ref -> buf_ref
+(** Rewrite the offset; the reference comes back physically when the
+    offset does. *)
+
 val map_exprs : (Expr.t -> Expr.t) -> t -> t
-(** Apply a rewriting function to every expression (offsets and params). *)
+(** Apply a rewriting function to every expression: the destination
+    offset, then the source offsets, then the params, in order. An
+    intrinsic whose expressions all come back physically ([==]) is
+    returned as is. *)
 
 val buffers : t -> string list
 (** All buffers touched (dst first), without duplicates. *)

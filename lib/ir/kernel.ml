@@ -13,7 +13,8 @@ let scalar_params t = List.filter (fun p -> not p.is_buffer) t.params
 let param_names t = List.map (fun (p : param) -> p.name) t.params
 
 let equal a b =
-  String.equal a.name b.name && a.params = b.params && a.launch = b.launch
+  a == b
+  || String.equal a.name b.name && a.params = b.params && a.launch = b.launch
   && Stmt.equal_block a.body b.body
 
 let hash t =
@@ -36,7 +37,9 @@ let axis_extent t ax = List.assoc_opt ax t.launch
 let with_body t body = { t with body }
 let with_launch t launch = { t with launch }
 let total_parallelism t = List.fold_left (fun acc (_, n) -> acc * n) 1 t.launch
-let map_body f t = { t with body = f t.body }
+let map_body f t =
+  let body = f t.body in
+  if body == t.body then t else { t with body }
 
 let to_string t =
   let param_str p =

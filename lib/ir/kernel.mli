@@ -19,6 +19,8 @@ val buffer_params : t -> param list
 val scalar_params : t -> param list
 val param_names : t -> string list
 val equal : t -> t -> bool
+(** Structural equality; [true] at once on a shared kernel, and without a
+    walk of any statement or block the two bodies share. *)
 
 val hash : t -> int
 (** Cheap full-depth structural hash, consistent with [equal]. Together with
@@ -33,4 +35,6 @@ val total_parallelism : t -> int
 (** Product of all launch extents (1 when fully sequential). *)
 
 val map_body : (Stmt.t list -> Stmt.t list) -> t -> t
+(** The kernel itself when [f] returns its body physically. *)
+
 val to_string : t -> string

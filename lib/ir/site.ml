@@ -57,19 +57,10 @@ let change value = function
     Stmt.Store { r with index = Linear.normalize (Expr.Binop (Expr.Add, r.index, Expr.Int value)) }
   | s -> s
 
+(* [Stmt.map_block] calls back in the numbering's post-order *)
 let set k site value =
   let number = numbering () in
-  let rec block b = List.map stmt b
-  and stmt s =
-    let s =
-      match s with
-      | Stmt.For r -> Stmt.For { r with body = block r.body }
-      | Stmt.If r ->
-        let then_ = block r.then_ in
-        let else_ = block r.else_ in
-        Stmt.If { r with then_; else_ }
-      | s -> s
-    in
-    match number s with Some n when same n site -> change value s | _ -> s
-  in
-  Kernel.map_body block k
+  Kernel.map_body
+    (Stmt.map_block (fun s ->
+         match number s with Some n when same n site -> Some (change value s) | _ -> None))
+    k

@@ -26,7 +26,7 @@ val stmt : Kernel.t -> t -> Stmt.t option
 val set : Kernel.t -> t -> int -> Kernel.t
 (** [set k site v] sets a param's length or a bound's extent to [v], or adds
     [v] to a store's index (linearly normalized). Every other statement is
-    left as it is. *)
+    left as it is, physically: only the path to the site is rebuilt. *)
 
 val to_string : t -> string
 (** [param#N (=V)], [bound#N var (=V)] or [index#N -> buf]; repair journals

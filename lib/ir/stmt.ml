@@ -12,7 +12,12 @@ type t =
   | Sync
   | Annot of { key : string; value : string }
 
+(* a shared statement or block is equal to itself without a walk; rewrites
+   return what they did not change, so a rewritten kernel shares most of
+   its input *)
 let rec equal a b =
+  a == b
+  ||
   match (a, b) with
   | For f1, For f2 ->
     String.equal f1.var f2.var && Expr.equal f1.lo f2.lo && Expr.equal f1.extent f2.extent
@@ -37,7 +42,13 @@ let rec equal a b =
   | ( (For _ | Let _ | Assign _ | Store _ | Alloc _ | If _ | Memcpy _ | Intrinsic _ | Sync
       | Annot _), _ ) -> false
 
-and equal_block b1 b2 = List.length b1 = List.length b2 && List.for_all2 equal b1 b2
+and equal_block b1 b2 =
+  b1 == b2
+  ||
+  match (b1, b2) with
+  | [], [] -> true
+  | s1 :: r1, s2 :: r2 -> equal s1 s2 && equal_block r1 r2
+  | _ -> false
 
 let rec hash_fold h stmt =
   let comb = Expr.hash_comb in
@@ -75,30 +86,63 @@ let rec hash_fold h stmt =
 
 and hash_fold_block h block = List.fold_left hash_fold (Expr.hash_comb h 37) block
 
+(* Every rewrite below returns its argument physically where it changes
+   nothing: a statement whose expressions and children come back [==] is
+   kept, and so is a list whose elements and tail do. An unchanged kernel
+   is then neither copied nor allocated. Callbacks run left to right, a
+   node's children before the node. *)
+
 let map_exprs f stmt =
   match stmt with
-  | For r -> For { r with lo = f r.lo; extent = f r.extent }
-  | Let r -> Let { r with value = f r.value }
-  | Assign r -> Assign { r with value = f r.value }
-  | Store r -> Store { r with index = f r.index; value = f r.value }
+  | For r ->
+    let lo = f r.lo in
+    let extent = f r.extent in
+    if lo == r.lo && extent == r.extent then stmt else For { r with lo; extent }
+  | Let r ->
+    let value = f r.value in
+    if value == r.value then stmt else Let { r with value }
+  | Assign r ->
+    let value = f r.value in
+    if value == r.value then stmt else Assign { r with value }
+  | Store r ->
+    let index = f r.index in
+    let value = f r.value in
+    if index == r.index && value == r.value then stmt else Store { r with index; value }
   | Alloc _ -> stmt
-  | If r -> If { r with cond = f r.cond }
+  | If r ->
+    let cond = f r.cond in
+    if cond == r.cond then stmt else If { r with cond }
   | Memcpy r ->
-    Memcpy
-      { dst = { r.dst with offset = f r.dst.offset };
-        src = { r.src with offset = f r.src.offset };
-        len = f r.len
-      }
-  | Intrinsic i -> Intrinsic (Intrin.map_exprs f i)
+    let dst = Intrin.map_ref f r.dst in
+    let src = Intrin.map_ref f r.src in
+    let len = f r.len in
+    if dst == r.dst && src == r.src && len == r.len then stmt else Memcpy { dst; src; len }
+  | Intrinsic i ->
+    let i' = Intrin.map_exprs f i in
+    if i' == i then stmt else Intrinsic i'
   | Sync | Annot _ -> stmt
 
-let rec map_block f block = List.map (map_stmt f) block
+(* [s'] and [rest'] rewrite the head and tail of [block] *)
+let cons_shared block s s' rest rest' =
+  if s' == s && rest' == rest then block else s' :: rest'
+
+let rec map_block f block =
+  match block with
+  | [] -> block
+  | s :: rest ->
+    let s' = map_stmt f s in
+    cons_shared block s s' rest (map_block f rest)
 
 and map_stmt f stmt =
   let stmt' =
     match stmt with
-    | For r -> For { r with body = map_block f r.body }
-    | If r -> If { r with then_ = map_block f r.then_; else_ = map_block f r.else_ }
+    | For r ->
+      let body = map_block f r.body in
+      if body == r.body then stmt else For { r with body }
+    | If r ->
+      let then_ = map_block f r.then_ in
+      let else_ = map_block f r.else_ in
+      if then_ == r.then_ && else_ == r.else_ then stmt else If { r with then_; else_ }
     | Let _ | Assign _ | Store _ | Alloc _ | Memcpy _ | Intrinsic _ | Sync | Annot _ -> stmt
   in
   match f stmt' with Some s -> s | None -> stmt'
@@ -180,45 +224,115 @@ let rec max_loop_depth block =
       | _ -> acc)
     0 block
 
+(* whether [p x e] holds for one of the statement's own expressions; [p] is
+   a two-argument function, so the check allocates nothing *)
+let rec exists_offset p x = function
+  | [] -> false
+  | (r : Intrin.buf_ref) :: rest -> p x r.offset || exists_offset p x rest
+
+let rec exists_expr p x = function [] -> false | e :: rest -> p x e || exists_expr p x rest
+
+let own_exprs_exist p x = function
+  | For r -> p x r.lo || p x r.extent
+  | Let { value; _ } | Assign { value; _ } -> p x value
+  | Store r -> p x r.index || p x r.value
+  | If r -> p x r.cond
+  | Memcpy r -> p x r.dst.offset || p x r.src.offset || p x r.len
+  | Intrinsic i -> p x i.dst.offset || exists_offset p x i.srcs || exists_expr p x i.params
+  | Alloc _ | Sync | Annot _ -> false
+
 let rec subst_var x v block =
-  List.map
-    (fun stmt ->
-      match map_exprs (Expr.subst_var x v) stmt with
-      (* a loop that rebinds x keeps its body *)
-      | For r when not (String.equal r.var x) -> For { r with body = subst_var x v r.body }
-      | If r -> If { r with then_ = subst_var x v r.then_; else_ = subst_var x v r.else_ }
-      | stmt -> stmt)
-    block
+  match block with
+  | [] -> block
+  | s :: rest ->
+    let s' = subst_stmt x v s in
+    cons_shared block s s' rest (subst_var x v rest)
 
-let rename_buffer ~old_name ~new_name block =
-  map_block
-    (fun stmt ->
-      let ren b = if String.equal b old_name then new_name else b in
-      let ren_ref (r : Intrin.buf_ref) = { r with Intrin.buf = ren r.buf } in
-      let stmt = map_exprs (Expr.rename_buffer ~old_name ~new_name) stmt in
-      match stmt with
-      | Store r -> Some (Store { r with buf = ren r.buf })
-      | Alloc r -> Some (Alloc { r with buf = ren r.buf })
-      | Memcpy r -> Some (Memcpy { r with dst = ren_ref r.dst; src = ren_ref r.src })
-      | Intrinsic i ->
-        Some (Intrinsic { i with dst = ren_ref i.dst; srcs = List.map ren_ref i.srcs })
-      | _ -> Some stmt)
-    block
-
-let simplify block =
-  let rec go block =
-    List.concat_map
-      (fun stmt ->
-        match map_exprs Expr.simplify stmt with
-        | If { cond = Expr.Int 0; else_; _ } -> go else_
-        | If { cond = Expr.Int _; then_; _ } -> go then_
-        | If r -> [ If { r with then_ = go r.then_; else_ = go r.else_ } ]
-        | For { extent = Expr.Int n; _ } when n <= 0 -> []
-        | For r -> [ For { r with body = go r.body } ]
-        | stmt -> [ stmt ])
-      block
+and subst_stmt x v stmt =
+  let stmt =
+    if own_exprs_exist Expr.contains_var x stmt then map_exprs (Expr.subst_var x v) stmt
+    else stmt
   in
-  go block
+  match stmt with
+  (* a loop that rebinds x keeps its body *)
+  | For r when not (String.equal r.var x) ->
+    let body = subst_var x v r.body in
+    if body == r.body then stmt else For { r with body }
+  | If r ->
+    let then_ = subst_var x v r.then_ in
+    let else_ = subst_var x v r.else_ in
+    if then_ == r.then_ && else_ == r.else_ then stmt else If { r with then_; else_ }
+  | _ -> stmt
+
+let rename_ref old_name new_name (r : Intrin.buf_ref) =
+  if String.equal r.buf old_name then { r with buf = new_name } else r
+
+let rec rename_refs old_name new_name = function
+  | [] as refs -> refs
+  | r :: rest as refs ->
+    let r' = rename_ref old_name new_name r in
+    let rest' = rename_refs old_name new_name rest in
+    if r' == r && rest' == rest then refs else r' :: rest'
+
+let rec rename_buffer ~old_name ~new_name block =
+  match block with
+  | [] -> block
+  | s :: rest ->
+    let s' = rename_stmt old_name new_name s in
+    cons_shared block s s' rest (rename_buffer ~old_name ~new_name rest)
+
+and rename_stmt old_name new_name stmt =
+  let stmt =
+    match stmt with
+    | For r ->
+      let body = rename_buffer ~old_name ~new_name r.body in
+      if body == r.body then stmt else For { r with body }
+    | If r ->
+      let then_ = rename_buffer ~old_name ~new_name r.then_ in
+      let else_ = rename_buffer ~old_name ~new_name r.else_ in
+      if then_ == r.then_ && else_ == r.else_ then stmt else If { r with then_; else_ }
+    | _ -> stmt
+  in
+  let stmt =
+    if own_exprs_exist Expr.contains_load old_name stmt then
+      map_exprs (Expr.rename_buffer ~old_name ~new_name) stmt
+    else stmt
+  in
+  match stmt with
+  | Store r when String.equal r.buf old_name -> Store { r with buf = new_name }
+  | Alloc r when String.equal r.buf old_name -> Alloc { r with buf = new_name }
+  | Memcpy r ->
+    let dst = rename_ref old_name new_name r.dst in
+    let src = rename_ref old_name new_name r.src in
+    if dst == r.dst && src == r.src then stmt else Memcpy { r with dst; src }
+  | Intrinsic i ->
+    let dst = rename_ref old_name new_name i.dst in
+    let srcs = rename_refs old_name new_name i.srcs in
+    if dst == i.dst && srcs == i.srcs then stmt else Intrinsic { i with dst; srcs }
+  | _ -> stmt
+
+let rec simplify block =
+  match block with
+  | [] -> block
+  | s :: rest -> (
+    match map_exprs Expr.simplify s with
+    | If { cond = Expr.Int 0; else_; _ } ->
+      let kept = simplify else_ in
+      kept @ simplify rest
+    | If { cond = Expr.Int _; then_; _ } ->
+      let kept = simplify then_ in
+      kept @ simplify rest
+    | For { extent = Expr.Int n; _ } when n <= 0 -> simplify rest
+    | If r as s' ->
+      let then_ = simplify r.then_ in
+      let else_ = simplify r.else_ in
+      let s' = if then_ == r.then_ && else_ == r.else_ then s' else If { r with then_; else_ } in
+      cons_shared block s s' rest (simplify rest)
+    | For r as s' ->
+      let body = simplify r.body in
+      let s' = if body == r.body then s' else For { r with body } in
+      cons_shared block s s' rest (simplify rest)
+    | s' -> cons_shared block s s' rest (simplify rest))
 
 let kind_str = function
   | Serial -> ""

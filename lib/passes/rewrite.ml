@@ -48,9 +48,9 @@ let rewrite_nth n select f block =
     (fun s ->
       if select s then begin
         incr count;
-        if !count = n then Some (f s) else Some s
+        if !count = n then Some (f s) else None
       end
-      else Some s)
+      else None)
     block
 
 let const_extent e =

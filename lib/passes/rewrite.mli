@@ -11,8 +11,10 @@ val rewrite_loop :
 val count_matching : (Stmt.t -> bool) -> Stmt.t list -> int
 val rewrite_nth :
   int -> (Stmt.t -> bool) -> (Stmt.t -> Stmt.t) -> Stmt.t list -> Stmt.t list
-(** Replace the [n]-th (0-based, traversal order) statement satisfying the
-    predicate. *)
+(** Replace the [n]-th (0-based) statement satisfying the predicate,
+    numbering matches in {!Stmt.map_block}'s callback order (post-order,
+    left to right: matching leaves in source order). Statements off the
+    path to the match come back physically. *)
 
 val const_extent : Expr.t -> (int, string) result
 (** Loop extents the passes reshape must be compile-time constants. *)

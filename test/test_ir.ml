@@ -192,22 +192,36 @@ let gen_expr =
   sized (fun n ->
       fix
         (fun self n ->
-          if n <= 0 then
-            oneof
-              [ map (fun i -> Expr.Int i) (int_range (-20) 20);
-                oneofl [ Expr.Var "x"; Expr.Var "y" ]
+          (* 0 and 1 often, for the logical identities *)
+          let literal =
+            frequency
+              [ (3, map (fun i -> Expr.Int i) (int_range (-20) 20));
+                (1, oneofl [ Expr.Int 0; Expr.Int 1 ])
               ]
+          in
+          let nonzero = map (fun i -> Expr.Int (if i >= 0 then i + 1 else i)) (int_range (-6) 5) in
+          if n <= 0 then oneof [ literal; oneofl [ Expr.Var "x"; Expr.Var "y" ] ]
           else
             frequency
-              [ (1, map (fun i -> Expr.Int i) (int_range (-20) 20));
+              [ (1, literal);
                 (1, oneofl [ Expr.Var "x"; Expr.Var "y" ]);
-                ( 3,
+                ( 4,
                   map3
                     (fun op a b -> Expr.Binop (op, a, b))
                     (oneofl
-                       [ Expr.Add; Expr.Sub; Expr.Mul; Expr.Min; Expr.Max; Expr.Lt; Expr.Le ])
+                       [ Expr.Add; Expr.Sub; Expr.Mul; Expr.Min; Expr.Max; Expr.Lt; Expr.Le;
+                         Expr.And; Expr.Or ])
                     (self (n / 2)) (self (n / 2)) );
-                (1, map (fun a -> Expr.Unop (Expr.Neg, a)) (self (n - 1)))
+                ( 1,
+                  map3
+                    (fun op a b -> Expr.Binop (op, a, b))
+                    (oneofl [ Expr.Div; Expr.Mod ])
+                    (self (n - 1)) nonzero );
+                ( 1,
+                  map2
+                    (fun op a -> Expr.Unop (op, a))
+                    (oneofl [ Expr.Neg; Expr.Not ])
+                    (self (n - 1)) )
               ])
         n)
 
@@ -281,6 +295,149 @@ let prop_simplify_matches_naive =
       let body = (Test_support.Kgen.kernel rng).Kernel.body in
       simplify_agrees body && simplify_agrees (loosen rng body))
 
+(* The statement rewrites share the same way: a rewrite returns a
+   statement or a block physically exactly when it is structurally
+   unchanged, at every depth. [b'] is a rewrite of [b] that keeps the
+   block shape (it replaces statements, never drops or splices them). *)
+let rec shared_where_unchanged b b' =
+  Bool.equal (b == b') (Stmt.equal_block b b')
+  && List.length b = List.length b'
+  && List.for_all2
+       (fun s s' ->
+         Bool.equal (s == s') (Stmt.equal s s')
+         &&
+         match (s, s') with
+         | Stmt.For r, Stmt.For r' -> shared_where_unchanged r.body r'.body
+         | Stmt.If r, Stmt.If r' ->
+           shared_where_unchanged r.then_ r'.then_ && shared_where_unchanged r.else_ r'.else_
+         | _ -> true)
+       b b'
+
+let prop_stmt_rewrites_share =
+  QCheck.Test.make ~name:"statement rewrites keep unchanged trees shared" ~count:300
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let rng = Xpiler_util.Rng.create seed in
+      let body = (Test_support.Kgen.kernel rng).Kernel.body in
+      let simple = Stmt.simplify body in
+      let loose = loosen rng body in
+      let loop_var = match Stmt.loop_vars body with x :: _ -> x | [] -> "absent" in
+      let tail_var = match List.rev (Stmt.loop_vars body) with x :: _ -> x | [] -> "absent" in
+      Stmt.simplify simple == simple
+      && Bool.equal (Stmt.simplify loose == loose) (Stmt.equal_block (Stmt.simplify loose) loose)
+      && Stmt.map_block (fun _ -> None) body == body
+      && Stmt.subst_var "absent" (Expr.Int 1) body == body
+      && Stmt.rename_buffer ~old_name:"absent" ~new_name:"z" body == body
+      && shared_where_unchanged body (Stmt.subst_var loop_var (Expr.Int 1) body)
+      && shared_where_unchanged body (Stmt.subst_var tail_var (Expr.Int 1) body)
+      && shared_where_unchanged body (Stmt.rename_buffer ~old_name:"b" ~new_name:"z" body)
+      && shared_where_unchanged body
+           (Stmt.map_block
+              (function Stmt.If r -> Some (Stmt.If { r with cond = Expr.Int 1 }) | s -> Some s)
+              body))
+
+(* The rewrites every tuner candidate pays return their argument and
+   allocate nothing when they change nothing, on every golden source (each
+   operator on each platform, first shape): [Stmt.simplify] of a simplified
+   body, [Stmt.subst_var] of a name not in the kernel, an identity
+   [Stmt.map_block] and [Stmt.rename_buffer] of an absent buffer. Renaming
+   a real buffer and substituting a real loop variable rebuild only what
+   they change. *)
+let rec run_all rewrite = function
+  | [] -> ()
+  | b :: rest ->
+    ignore (Sys.opaque_identity (rewrite b));
+    run_all rewrite rest
+
+let test_noop_rewrites_allocate_nothing () =
+  let open Xpiler_ops in
+  let module Platform = Xpiler_machine.Platform in
+  let bodies =
+    List.concat_map
+      (fun (op : Opdef.t) ->
+        List.map
+          (fun (p : Platform.t) ->
+            let raw = (Idiom.source p.Platform.id op (List.hd op.Opdef.shapes)).Kernel.body in
+            (raw, Stmt.simplify raw))
+          Platform.all)
+      Registry.all
+  in
+  Alcotest.(check int) "golden sources" 84 (List.length bodies);
+  let rewrites =
+    [ ("simplify", fun (_, simple) -> Stmt.simplify simple == simple);
+      ("subst_var", fun (raw, _) -> Stmt.subst_var "absent" (Expr.Int 0) raw == raw);
+      ("map_block", fun (raw, _) -> Stmt.map_block (fun _ -> None) raw == raw);
+      ( "rename_buffer",
+        fun (raw, _) -> Stmt.rename_buffer ~old_name:"absent" ~new_name:"z" raw == raw )
+    ]
+  in
+  List.iter
+    (fun (name, rewrite) ->
+      List.iter
+        (fun ((raw, _) as b) ->
+          if not (rewrite b) then Alcotest.failf "%s copied\n%s" name (Stmt.to_string raw))
+        bodies;
+      let before = Gc.minor_words () in
+      run_all rewrite bodies;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.0)) (name ^ ": minor words over the golden sources") 0.0 words)
+    rewrites;
+  List.iter
+    (fun (raw, _) ->
+      let renamed =
+        List.map
+          (fun b -> Stmt.rename_buffer ~old_name:b ~new_name:"z" raw)
+          (Stmt.buffers_written raw @ Stmt.buffers_read raw)
+      in
+      let substituted =
+        List.map (fun x -> Stmt.subst_var x (Expr.Int 1) raw) (Stmt.loop_vars raw)
+      in
+      List.iter
+        (fun raw' ->
+          if not (shared_where_unchanged raw raw') then
+            Alcotest.failf "a rewrite copied an unchanged statement of\n%s" (Stmt.to_string raw))
+        (renamed @ substituted))
+    bodies
+
+(* [Stmt.map_block] calls back in post-order, left to right: a loop's body
+   and an [If]'s then branch, then its else branch, before the statement
+   itself, a block's head before its tail. [Rewrite.rewrite_nth] numbers
+   its matches in this order. *)
+let test_map_block_order () =
+  let open Expr.Infix in
+  let mark n = Stmt.Annot { key = n; value = "" } in
+  let block =
+    [ mark "a";
+      Builder.for_ "i" (int 2)
+        [ mark "b";
+          Builder.if_ (v "i" < int 1)
+            [ mark "c"; Builder.for_ "j" (int 2) [ mark "d" ] ]
+            ~else_:[ mark "e"; mark "f" ];
+          mark "g"
+        ];
+      Builder.if_ (v "n" < int 1) [ mark "h" ] ~else_:[ mark "k" ];
+      mark "l"
+    ]
+  in
+  let seen = ref [] in
+  let name = function
+    | Stmt.Annot { key; _ } -> key
+    | Stmt.For { var; _ } -> "for " ^ var
+    | Stmt.If { cond; _ } -> "if " ^ Expr.to_string cond
+    | s -> Stmt.to_string [ s ]
+  in
+  let result =
+    Stmt.map_block
+      (fun s ->
+        seen := name s :: !seen;
+        None)
+      block
+  in
+  Alcotest.(check (list string)) "post-order, left to right"
+    [ "a"; "b"; "c"; "d"; "for j"; "e"; "f"; "if i < 1"; "g"; "for i"; "h"; "k"; "if n < 1"; "l" ]
+    (List.rev !seen);
+  Alcotest.(check bool) "unchanged block shared" true (result == block)
+
 (* every golden source, and every tuning action on it for all four
    platforms, as is and loosened *)
 let test_simplify_goldens () =
@@ -328,7 +485,10 @@ let () =
           Alcotest.test_case "subst shadowing" `Quick test_stmt_subst_shadowing;
           Alcotest.test_case "rename buffer" `Quick test_rename_buffer;
           Alcotest.test_case "simplify block" `Quick test_simplify_block;
-          Alcotest.test_case "simplify goldens = whole-subtree" `Quick test_simplify_goldens
+          Alcotest.test_case "simplify goldens = whole-subtree" `Quick test_simplify_goldens;
+          Alcotest.test_case "no-op rewrites allocate nothing" `Quick
+            test_noop_rewrites_allocate_nothing;
+          Alcotest.test_case "map_block callback order" `Quick test_map_block_order
         ] );
       ( "validate",
         [ Alcotest.test_case "ok kernel" `Quick test_validate_ok;
@@ -344,6 +504,6 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_simplify_preserves_value; prop_simplify_idempotent; prop_subst_removes_var;
-            prop_simplify_shares; prop_simplify_matches_naive ]
+            prop_simplify_shares; prop_simplify_matches_naive; prop_stmt_rewrites_share ]
       )
     ]

@@ -570,6 +570,30 @@ let test_empty_loop_bodies () =
         [ 200_000_000; 7 ])
     kernels
 
+(* [(float)3 / 2] divides floats: 1.5 on both engines, and still 1.5 once
+   [Stmt.simplify] has folded the cast (into [3.0f], not the int [3], whose
+   division by 2 is 1) *)
+let test_float_cast_of_int_literal () =
+  let k =
+    Kernel.make ~name:"cast" ~params:[ Builder.buffer "out" ] ~launch:[]
+      [ Builder.store "out" (Expr.Int 0)
+          (Expr.Binop (Expr.Div, Expr.Cast (Dtype.F32, Expr.Int 3), Expr.Int 2))
+      ]
+  in
+  List.iter
+    (fun (name, k) ->
+      List.iter
+        (fun (engine, run) ->
+          let out = Tensor.create 1 in
+          ignore (run k [ ("out", Interp.Buf out) ]);
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s, %s" name engine)
+            1.5 (Tensor.get out 0))
+        [ ("tree", fun k args -> Interp.run_tree k args);
+          ("compiled", fun k args -> Interp.run k args)
+        ])
+    [ ("as written", k); ("simplified", Kernel.map_body Stmt.simplify k) ]
+
 (* property: fibers with barriers always compute the same result as a
    sequential phase-by-phase reference on a family of stencil programs *)
 let prop_barrier_determinism =
@@ -730,7 +754,8 @@ let () =
           Alcotest.test_case "out-of-bounds" `Quick test_oob_raises;
           Alcotest.test_case "fuel" `Quick test_fuel;
           Alcotest.test_case "scratch max runs unboxed" `Quick test_scratch_max_unboxed;
-          Alcotest.test_case "empty loop bodies" `Quick test_empty_loop_bodies
+          Alcotest.test_case "empty loop bodies" `Quick test_empty_loop_bodies;
+          Alcotest.test_case "float cast of an int literal" `Quick test_float_cast_of_int_literal
         ] );
       ( "checker",
         [ Alcotest.test_case "scope legality" `Quick test_checker_scope;

@@ -662,6 +662,47 @@ let test_detensorize_all_ops () =
 
 (* ---- pass dispatch / composition ------------------------------------------------ *)
 
+(* [Rewrite.rewrite_nth] numbers matches in source order, also when they
+   sit in nested loops and in both branches of an [If] (fault injection
+   picks its site this way); what it does not rewrite stays shared *)
+let test_rewrite_nth_source_order () =
+  let open Expr.Infix in
+  let st n = Builder.store (Printf.sprintf "s%d" n) (int 0) (flt 1.0) in
+  let block =
+    [ Builder.for_ "i" (int 2)
+        [ st 0;
+          Builder.for_ "j" (int 2)
+            [ st 1;
+              Builder.if_ (v "j" < int 1)
+                [ st 2; Builder.for_ "k" (int 2) [ st 3 ] ]
+                ~else_:[ st 4 ]
+            ];
+          st 5
+        ];
+      st 6
+    ]
+  in
+  let is_store = function Stmt.Store _ -> true | _ -> false in
+  let stores b =
+    Stmt.fold (fun acc s -> match s with Stmt.Store r -> r.buf :: acc | _ -> acc) [] b
+    |> List.rev
+  in
+  Alcotest.(check int) "matches" 7 (Rewrite.count_matching is_store block);
+  for n = 0 to 6 do
+    let hit _ = Stmt.Annot { key = "hit"; value = "" } in
+    let b' = Rewrite.rewrite_nth n is_store hit block in
+    Alcotest.(check (list string))
+      (Printf.sprintf "match %d" n)
+      (List.filter (fun b -> b <> Printf.sprintf "s%d" n) (stores block))
+      (stores b');
+    match (block, b') with
+    | [ _; last ], [ _; last' ] ->
+      Alcotest.(check bool) "untouched statement shared" Stdlib.(n < 6) (last == last')
+    | _ -> Alcotest.fail "block shape changed"
+  done;
+  Alcotest.(check bool) "no match, no copy" true
+    (Rewrite.rewrite_nth 7 is_store (fun _ -> Stmt.Sync) block == block)
+
 let test_full_pipeline_gemm_to_bang () =
   (* sequential GEMM -> split rows across tasks -> cache -> tensorize:
      a miniature of the paper's CUDA->BANG pipeline *)
@@ -940,6 +981,8 @@ let () =
           Alcotest.test_case "detensorize all ops" `Quick test_detensorize_all_ops
         ] );
       ("pipeline", [ Alcotest.test_case "gemm to bang" `Quick test_full_pipeline_gemm_to_bang ]);
+      ( "rewrite",
+        [ Alcotest.test_case "rewrite_nth in source order" `Quick test_rewrite_nth_source_order ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_split_preserves; prop_split_then_fuse_identity; prop_cache_any_window;
