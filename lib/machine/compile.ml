@@ -26,7 +26,9 @@ open Xpiler_ir
    tensor its site made earlier in the same frame, and a thread chain whose
    body contains no [Sync] runs its threads one after another, in the
    order the fibers would run, in one private frame instead of as fibers
-   (see [thread_chain]); a chain with a [Sync] runs as fibers. *)
+   (see [thread_chain]); a chain with a [Sync] runs as fibers. A
+   barrier-free one-level chain that assigns no outer variable is the
+   serial loop it equals and compiles as one ([serial_threads]). *)
 
 exception Runtime_error of string
 
@@ -1291,6 +1293,23 @@ let compile (k : Kernel.t) : t =
     (function Stmt.Assign { var; _ } -> Hashtbl.replace assigned var () | _ -> ())
     k.Kernel.body;
   let never_assigned v = not (Hashtbl.mem assigned v) in
+  (* A thread loop with [body] in scope [cenv] compiles as the serial loop
+     it equals when its chain has one level (the body is not a thread
+     loop), reaches no [Sync] and assigns no variable bound outside it: its
+     threads would run one after another in thread order, each from the
+     spawner's slots ([thread_chain]), and only such an assignment could
+     tell those slots from the ones the thread before left *)
+  let serial_threads cenv (body : Stmt.t list) =
+    (match body with
+    | [ Stmt.For { kind = Stmt.Parallel ax; _ } ] -> not (Axis.is_thread ax)
+    | _ -> true)
+    && (not (Stmt.has_sync body))
+    && Stmt.fold
+         (fun ok s ->
+           ok
+           && match s with Stmt.Assign { var; _ } -> not (List.mem_assoc var cenv.svars) | _ -> true)
+         true body
+  in
   (* a reference to a buffer name: raising closure when unbound, so unbound
      names fail at execution time (a never-executed branch must not fail) *)
   let buf_slot cenv b : frame -> Tensor.t =
@@ -1675,7 +1694,9 @@ let compile (k : Kernel.t) : t =
   let rec chain cenv cs levels body =
     match body with
     | [ (Stmt.For { var; lo; extent; kind; body = inner } as st) ]
-      when (match kind with Stmt.Parallel ax -> not (Axis.is_thread ax) | _ -> true)
+      when (match kind with
+           | Stmt.Parallel ax -> (not (Axis.is_thread ax)) || serial_threads cenv inner
+           | _ -> true)
            && never_assigned var && invariant cenv cs lo && invariant cenv cs extent ->
       let s = fresh_int () in
       chain
@@ -2139,7 +2160,8 @@ let compile (k : Kernel.t) : t =
         fun ctx _ ->
           ctx.stats.barriers <- ctx.stats.barriers + 1;
           try Effect.perform Barrier with Effect.Unhandled _ -> () )
-    | Stmt.For { var; lo; extent; kind = Stmt.Parallel ax; body } when Axis.is_thread ax ->
+    | Stmt.For { var; lo; extent; kind = Stmt.Parallel ax; body }
+      when Axis.is_thread ax && not (serial_threads cenv body) ->
       (* collect the maximal immediately-nested chain of thread-parallel
          loops so a barrier synchronizes the whole thread block *)
       let rec chain acc body =

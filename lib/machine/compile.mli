@@ -35,7 +35,10 @@
     whose body contains no [Sync] runs its threads one after another, in
     thread order (the order its fibers would run), in a private frame
     instead of as fibers. Its spawn-time errors are still raised before any
-    thread body runs.
+    thread body runs. A one-level chain among those (its body is not a
+    thread loop) that assigns no variable bound outside it is the serial
+    loop it equals and compiles as one, so it lowers like any loop: as a
+    nest level, or as a nest in a loop of rows.
 
     This module also owns the runtime pieces both engines share (value and
     statistics types, scalar operators, intrinsic semantics, the barrier

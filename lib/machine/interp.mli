@@ -31,7 +31,9 @@ open Xpiler_ir
     as range-checked OCaml loops, unless a [trace] hook is given or the
     loop's entry check fails. An [Alloc] executed
     again zero-fills the tensor it made before, and a thread chain without
-    a [Sync] runs without fibers. {!run_tree} keeps the
+    a [Sync] runs without fibers; if it has one level and assigns no
+    variable bound outside it, it runs as a serial loop and lowers with
+    the loops around it. {!run_tree} keeps the
     direct tree-walker; the differential property in [test/test_fuzz.ml]
     holds both engines to identical outputs, stats and error messages, with
     and without a trace hook. *)

@@ -157,14 +157,14 @@ let split ~var ~factor (k : Kernel.t) =
             in
             if factor > e then fail "split factor %d exceeds extent %d" factor e;
             let outer_var = var ^ "_0" and inner_var = var ^ "_1" in
+            let index = Expr.(Binop (Add, Binop (Mul, Var outer_var, Int factor), Var inner_var)) in
             let recomposed =
-              Linear.normalize
-                Expr.(
-                  Binop
-                    ( Add,
-                      lo,
-                      Binop
-                        (Add, Binop (Mul, Var outer_var, Int factor), Var inner_var) ))
+              match lo with
+              (* [normalize]'s form of [v_0 * f + v_1]: the sum sorted by
+                 atom, and a coefficient of 1 dropped *)
+              | Expr.Int 0 ->
+                if factor = 1 then Expr.(Binop (Add, Var outer_var, Var inner_var)) else index
+              | _ -> Linear.normalize (Expr.Binop (Add, lo, index))
             in
             let inner_body = Stmt.subst_var var recomposed body in
             let divides = e mod factor = 0 in
@@ -175,11 +175,7 @@ let split ~var ~factor (k : Kernel.t) =
                 [ Stmt.If
                     { cond =
                         Expr.(
-                          Binop
-                            ( Lt,
-                              Binop
-                                (Add, Binop (Mul, Var outer_var, Int factor), Var inner_var),
-                              Int e ));
+                          Binop (Lt, index, Int e));
                       then_ = inner_body;
                       else_ = []
                     }

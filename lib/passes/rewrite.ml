@@ -1,43 +1,45 @@
 open Xpiler_ir
 
-(* replace the first statement (pre-order) satisfying the predicate; [None]
-   when nothing matched *)
+(* replace the first statement (pre-order) satisfying the predicate; the
+   block itself, physically, when nothing matched (a match never gives it
+   back, as [f s @ rest] is never [s :: rest]), so the walk allocates only
+   the path to the match *)
 let rec rewrite_first p f block =
   match block with
-  | [] -> None
+  | [] -> block
   | s :: rest ->
-    if p s then Some (f s @ rest)
+    if p s then f s @ rest
     else begin
-      let try_inner rebuild body =
-        match rewrite_first p f body with
-        | Some body' -> Some (rebuild body' :: rest)
-        | None -> None
-      in
-      let inner =
+      let s' =
         match s with
-        | Stmt.For r -> try_inner (fun b -> Stmt.For { r with body = b }) r.body
-        | Stmt.If r -> (
-          match rewrite_first p f r.then_ with
-          | Some t -> Some (Stmt.If { r with then_ = t } :: rest)
-          | None -> try_inner (fun b -> Stmt.If { r with else_ = b }) r.else_)
+        | Stmt.For r ->
+          let body = rewrite_first p f r.body in
+          if body == r.body then s else Stmt.For { r with body }
+        | Stmt.If r ->
+          let then_ = rewrite_first p f r.then_ in
+          if then_ != r.then_ then Stmt.If { r with then_ }
+          else
+            let else_ = rewrite_first p f r.else_ in
+            if else_ == r.else_ then s else Stmt.If { r with else_ }
         | Stmt.Let _ | Stmt.Assign _ | Stmt.Store _ | Stmt.Alloc _ | Stmt.Memcpy _
-        | Stmt.Intrinsic _ | Stmt.Sync | Stmt.Annot _ -> None
+        | Stmt.Intrinsic _ | Stmt.Sync | Stmt.Annot _ -> s
       in
-      match inner with
-      | Some _ as result -> result
-      | None -> (
-        match rewrite_first p f rest with
-        | Some rest' -> Some (s :: rest')
-        | None -> None)
+      if s' != s then s' :: rest
+      else
+        let rest' = rewrite_first p f rest in
+        if rest' == rest then block else s :: rest'
     end
 
 let rewrite_loop var f block =
-  rewrite_first
-    (function Stmt.For r -> String.equal r.var var | _ -> false)
-    (function
-      | Stmt.For r -> f ~var:r.var ~lo:r.lo ~extent:r.extent ~kind:r.kind ~body:r.body
-      | _ -> assert false)
-    block
+  let block' =
+    rewrite_first
+      (function Stmt.For r -> String.equal r.var var | _ -> false)
+      (function
+        | Stmt.For r -> f ~var:r.var ~lo:r.lo ~extent:r.extent ~kind:r.kind ~body:r.body
+        | _ -> assert false)
+      block
+  in
+  if block' == block then None else Some block'
 
 let count_matching select block =
   Stmt.fold (fun acc s -> if select s then acc + 1 else acc) 0 block

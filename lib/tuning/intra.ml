@@ -5,61 +5,6 @@ module Listx = Xpiler_util.Listx
 type variant = { specs : Pass.spec list; kernel : Xpiler_ir.Kernel.t; throughput : float }
 type stats = { evaluated : int }
 
-(* a candidate records its whole spec sequence but is built by applying only
-   its [last] spec to [seed], the kernel the sequence's prefix already
-   produced: passes are pure, so this equals folding [specs] from the input *)
-type candidate = { specs : Pass.spec list; seed : Xpiler_ir.Kernel.t; last : Pass.spec option }
-
-(* [f ()]'s elements, with [f] run only when the first one is asked for:
-   the candidate lists are walked only as far as the cap reaches *)
-let deferred (f : unit -> 'a Seq.t) : 'a Seq.t = fun () -> f () ()
-
-let candidates platform k =
-  let one spec = { specs = [ spec ]; seed = k; last = Some spec } in
-  let splits =
-    deferred (fun () ->
-        Seq.concat_map
-          (fun (var, extent) ->
-            deferred (fun () ->
-                Seq.map
-                  (fun factor -> one (Pass.Loop_split { var; factor }))
-                  (List.to_seq (Knobs.split_factors platform ~extent))))
-          (List.to_seq (Knobs.splittable_loops k)))
-  in
-  let reorders =
-    deferred (fun () ->
-        Seq.map (fun var -> one (Pass.Loop_reorder { var })) (List.to_seq (Knobs.reorderable_loops k)))
-  in
-  let pipelines =
-    deferred (fun () ->
-        Seq.map (fun var -> one (Pass.Pipeline { var })) (List.to_seq (Knobs.pipelinable_loops k)))
-  in
-  Seq.cons { specs = []; seed = k; last = None } (Seq.append splits (Seq.append reorders pipelines))
-
-(* Depth-2 compositions seeded from the best measured depth-1 variants: each
-   split among them opens reorder/pipeline opportunities on its *transformed*
-   kernel (the split loop pair is what becomes interchangeable or
-   pipelineable), which single-spec enumeration can never see. *)
-let composed_candidates (seeds : variant list) =
-  Seq.concat_map
-    (fun (v : variant) ->
-      match v.specs with
-      | [ Pass.Loop_split _ ] ->
-        let extend spec = { specs = v.specs @ [ spec ]; seed = v.kernel; last = Some spec } in
-        Seq.append
-          (deferred (fun () ->
-               Seq.map
-                 (fun var -> extend (Pass.Loop_reorder { var }))
-                 (List.to_seq (Knobs.reorderable_loops v.kernel))))
-          (deferred (fun () ->
-               Seq.map
-                 (fun var -> extend (Pass.Pipeline { var }))
-                 (List.to_seq (Knobs.pipelinable_loops v.kernel))))
-      | _ -> Seq.empty)
-    (List.to_seq seeds)
-
-(* ---- the tuning loop ---------------------------------------------------- *)
-
 (* candidates measured per phase, and how many measured depth-1 split
    variants seed the composition phase *)
 let max_candidates = 12
@@ -82,22 +27,56 @@ let tune ~platform k =
     if v.throughput > !best.throughput then best := v
   in
   (* brute force: every candidate that applies is measured, in candidate
-     order, by the cost model alone; the empty candidate is the input,
-     already modelled as [base] *)
-  let phase cands =
-    Seq.iter
-      (fun c ->
-        match c.last with
-        | None -> measure base
-        | Some spec -> (
-          match Pass.apply ~platform spec c.seed with
-          | Ok kernel -> measure { specs = c.specs; kernel; throughput = modelled_throughput kernel }
-          | Error _ -> ()))
-      (Seq.take max_candidates cands)
+     order, by the cost model alone; [left] is how many more candidates
+     the current phase may try *)
+  let left = ref max_candidates in
+  (* the candidate [prefix @ [spec]], built by applying only [spec] to
+     [seed], the kernel [prefix] already produced: passes are pure, so this
+     equals folding the whole sequence from the input *)
+  let try_spec prefix seed spec =
+    decr left;
+    match Pass.apply ~platform spec seed with
+    | Ok kernel ->
+      measure { specs = prefix @ [ spec ]; kernel; throughput = modelled_throughput kernel }
+    | Error _ -> ()
   in
-  phase (candidates platform k);
+  (* [f x] for each [x] of [xs] in order, while the phase's cap lasts *)
+  let rec walk f = function
+    | x :: rest when !left > 0 ->
+      f x;
+      walk f rest
+    | _ -> ()
+  in
+  (* the interchanges, then the pipelinings, of [seed]; a knob list the
+     cap has reached is never made *)
+  let reshapes prefix seed =
+    if !left > 0 then
+      walk
+        (fun var -> try_spec prefix seed (Pass.Loop_reorder { var }))
+        (Knobs.reorderable_loops seed);
+    if !left > 0 then
+      walk (fun var -> try_spec prefix seed (Pass.Pipeline { var })) (Knobs.pipelinable_loops seed)
+  in
+  (* depth 1: the input itself (already modelled as [base]), the split
+     factors of every splittable loop, then the reshapes *)
+  decr left;
+  measure base;
+  walk
+    (fun (var, extent) ->
+      walk
+        (fun factor -> try_spec [] k (Pass.Loop_split { var; factor }))
+        (Knobs.split_factors platform ~extent))
+    (Knobs.splittable_loops k);
+  reshapes [] k;
+  (* depth 2, seeded from the best measured depth-1 variants: each split
+     among them opens reorder/pipeline opportunities on its *transformed*
+     kernel (the split loop pair is what becomes interchangeable or
+     pipelineable), which single-spec enumeration can never see *)
   let seeds = Listx.top_k ~k:compose_seeds ~score:(fun v -> v.throughput) (List.rev !measured) in
-  phase (composed_candidates seeds);
+  left := max_candidates;
+  walk
+    (fun v -> match v.specs with [ Pass.Loop_split _ ] -> reshapes v.specs v.kernel | _ -> ())
+    seeds;
   (* split, reorder and pipeline only rebuild serial loops, so no candidate
      of an accepted input is rejected (test_tuning checks it); the winner
      is checked all the same, and a rejected one gives way to the input *)

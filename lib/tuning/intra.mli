@@ -16,10 +16,13 @@ module Pass = Xpiler_passes.Pass
     single-spec enumeration cannot express. A composed candidate applies
     only its last spec to its seed's kernel (passes are pure) and records
     the whole spec sequence. Candidates are not memoized: hashing whole
-    kernels cost more than the repeats it saved. Each phase builds its
-    candidates lazily in the order above and stops at the cap, so the
-    split-factor lists and the reorder and pipeline walks past it are
-    never built.
+    kernels cost more than the repeats it saved. Each phase tries its
+    candidates in the order above: the empty sequence, the split factors
+    loop by loop, the interchanges, the pipelinings (the composed phase:
+    per seed, best first, its interchanges then its pipelinings). It stops
+    at the cap, so the split-factor lists and the reorder and pipeline
+    walks past it are never made, and it builds a candidate's spec
+    sequence only when its pass applies.
 
     The checker runs on the input and on the winner only. Split, reorder
     and pipeline rebuild serial loops or change a loop's kind, and the

@@ -497,3 +497,159 @@ module Enumerate = struct
 end
 
 let enumerate = Enumerate.enumerate
+
+(* [Intra.tune] as it was before its candidate loop became plain loops:
+   each phase a lazy [Seq] of candidate records, with a [deferred] closure
+   per knob walk and a composed spec list per composed candidate *)
+module Intra_seq = struct
+  open Xpiler_tuning
+  module Pass = Xpiler_passes.Pass
+  module Listx = Xpiler_util.Listx
+
+  type variant = Intra.variant = {
+    specs : Pass.spec list;
+    kernel : Kernel.t;
+    throughput : float;
+  }
+
+  (* a candidate records its whole spec sequence but is built by applying only
+     its [last] spec to [seed], the kernel the sequence's prefix already
+     produced: passes are pure, so this equals folding [specs] from the input *)
+  type candidate = { specs : Pass.spec list; seed : Kernel.t; last : Pass.spec option }
+
+  (* [f ()]'s elements, with [f] run only when the first one is asked for:
+     the candidate lists are walked only as far as the cap reaches *)
+  let deferred (f : unit -> 'a Seq.t) : 'a Seq.t = fun () -> f () ()
+
+  let candidates platform k =
+    let one spec = { specs = [ spec ]; seed = k; last = Some spec } in
+    let splits =
+      deferred (fun () ->
+          Seq.concat_map
+            (fun (var, extent) ->
+              deferred (fun () ->
+                  Seq.map
+                    (fun factor -> one (Pass.Loop_split { var; factor }))
+                    (List.to_seq (Knobs.split_factors platform ~extent))))
+            (List.to_seq (Knobs.splittable_loops k)))
+    in
+    let reorders =
+      deferred (fun () ->
+          Seq.map (fun var -> one (Pass.Loop_reorder { var })) (List.to_seq (Knobs.reorderable_loops k)))
+    in
+    let pipelines =
+      deferred (fun () ->
+          Seq.map (fun var -> one (Pass.Pipeline { var })) (List.to_seq (Knobs.pipelinable_loops k)))
+    in
+    Seq.cons { specs = []; seed = k; last = None } (Seq.append splits (Seq.append reorders pipelines))
+
+  let composed_candidates (seeds : variant list) =
+    Seq.concat_map
+      (fun (v : variant) ->
+        match v.specs with
+        | [ Pass.Loop_split _ ] ->
+          let extend spec = { specs = v.specs @ [ spec ]; seed = v.kernel; last = Some spec } in
+          Seq.append
+            (deferred (fun () ->
+                 Seq.map
+                   (fun var -> extend (Pass.Loop_reorder { var }))
+                   (List.to_seq (Knobs.reorderable_loops v.kernel))))
+            (deferred (fun () ->
+                 Seq.map
+                   (fun var -> extend (Pass.Pipeline { var }))
+                   (List.to_seq (Knobs.pipelinable_loops v.kernel))))
+        | _ -> Seq.empty)
+      (List.to_seq seeds)
+
+  let max_candidates = 12
+  let compose_seeds = 4
+
+  let tune ~platform k : Intra.variant * Intra.stats =
+    let compiles k = Result.is_ok (Checker.compile platform k) in
+    let modelled_throughput k = Costmodel.throughput platform k ~shapes:[] in
+    if not (compiles k) then ({ specs = []; kernel = k; throughput = 0.0 }, { evaluated = 0 })
+    else
+    let base = { specs = []; kernel = k; throughput = modelled_throughput k } in
+    let best = ref base in
+    let measured = ref [] in
+    let evaluated = ref 0 in
+    let measure v =
+      incr evaluated;
+      measured := v :: !measured;
+      if v.throughput > !best.throughput then best := v
+    in
+    let phase cands =
+      Seq.iter
+        (fun c ->
+          match c.last with
+          | None -> measure base
+          | Some spec -> (
+            match Pass.apply ~platform spec c.seed with
+            | Ok kernel -> measure { specs = c.specs; kernel; throughput = modelled_throughput kernel }
+            | Error _ -> ()))
+        (Seq.take max_candidates cands)
+    in
+    phase (candidates platform k);
+    let seeds = Listx.top_k ~k:compose_seeds ~score:(fun v -> v.throughput) (List.rev !measured) in
+    phase (composed_candidates seeds);
+    let winner = if !best == base || compiles !best.kernel then !best else base in
+    (winner, { evaluated = !evaluated })
+end
+
+let intra_tune = Intra_seq.tune
+
+(* [Loop_pass.split] as it was before it built the recomposed index
+   directly: [lo + v_0 * f + v_1] through [Linear.normalize] for every
+   start, the loop found by the option-returning [Rewrite.rewrite_loop] *)
+let split ~var ~factor (k : Kernel.t) =
+  let exception Failed of string in
+  let fail fmt = Printf.ksprintf (fun s -> raise (Failed s)) fmt in
+  match
+    if factor <= 0 then fail "split factor must be positive";
+    Xpiler_passes.Rewrite.rewrite_loop var
+      (fun ~var ~lo ~extent ~kind ~body ->
+        let e =
+          match Xpiler_passes.Rewrite.const_extent extent with Ok n -> n | Error m -> fail "%s" m
+        in
+        if factor > e then fail "split factor %d exceeds extent %d" factor e;
+        let outer_var = var ^ "_0" and inner_var = var ^ "_1" in
+        let recomposed =
+          Linear.normalize
+            Expr.(
+              Binop (Add, lo, Binop (Add, Binop (Mul, Var outer_var, Int factor), Var inner_var)))
+        in
+        let inner_body = Stmt.subst_var var recomposed body in
+        let divides = e mod factor = 0 in
+        let outer_extent = if divides then e / factor else (e + factor - 1) / factor in
+        let guarded =
+          if divides then inner_body
+          else
+            [ Stmt.If
+                { cond =
+                    Expr.(
+                      Binop
+                        ( Lt,
+                          Binop (Add, Binop (Mul, Var outer_var, Int factor), Var inner_var),
+                          Int e ));
+                  then_ = inner_body;
+                  else_ = []
+                }
+            ]
+        in
+        [ Stmt.For
+            { var = outer_var;
+              lo = Expr.Int 0;
+              extent = Expr.Int outer_extent;
+              kind;
+              body =
+                [ Stmt.For
+                    { var = inner_var; lo = Expr.Int 0; extent = Expr.Int factor; kind = Stmt.Serial;
+                      body = guarded }
+                ]
+            }
+        ])
+      k.Kernel.body
+  with
+  | None -> Error (Printf.sprintf "no loop named %s" var)
+  | Some body -> Ok (Kernel.with_body k body)
+  | exception Failed m -> Error m

@@ -499,7 +499,10 @@ let scalar_kernel rng =
    named like the parameter [b]; one may be read into a scalar that is
    halved, which an int load must keep an integer division. An int let
    or a loop with an empty body keeps the loop per element. Some indices
-   leave their buffer at the last corner only. *)
+   leave their buffer at the last corner only. A loop over [p] may be a
+   one-level thread loop, the serial loop it equals, which lowers with the
+   row unless it assigns [acc], or the inner level of a two-level thread
+   chain; those two stay thread chains. *)
 let block_kernel rng =
   let size = Kgen.buf_size in
   let ext_i = Rng.int rng 5 and lo_i = Rng.int rng 2 and len = 1 + Rng.int rng 6 in
@@ -518,19 +521,30 @@ let block_kernel rng =
     if Rng.bool rng then Builder.let_ "acc" (flt 0.0)
     else Builder.let_ "acc" (load "out" (row ()) * flt 0.5)
   in
+  let loop_p body =
+    match Rng.int rng 6 with
+    | 0 -> Builder.par_for Axis.Thread_x "p" (int len) body
+    | 1 ->
+      (* drawn so, the inner extent is negative in thread [ty = 1]: the
+         chain raises before any of its threads runs *)
+      let ext =
+        if Rng.bernoulli rng 0.3 then int len - (v "ty" * int (Stdlib.( + ) len 1)) else int len
+      in
+      Builder.par_for Axis.Thread_y "ty" (int (Stdlib.( + ) 1 (Rng.int rng 2)))
+        [ Builder.par_for Axis.Thread_x "p" ext body ]
+    | _ -> Builder.for_ "p" (int len) body
+  in
   let scratch = Rng.bernoulli rng 0.34 in
   let middle =
     if scratch then
       [ Builder.alloc ~dtype:tdtype t Scope.Local len; Builder.alloc "u" Scope.Local 2;
-        Builder.for_ "p" (int len)
-          [ Builder.store t (v "p") ((load "a" (index ()) * flt 8.0) + load "out" (index ())) ] ]
+        loop_p [ Builder.store t (v "p") ((load "a" (index ()) * flt 8.0) + load "out" (index ())) ] ]
       @ (if Rng.bool rng then [ Builder.store "u" (int 0) (flt 0.0) ] else [])
-      @ [ Builder.for_ "p" (int len) [ Builder.store "u" (int 0) (load "u" (int 0) + load t (v "p")) ];
+      @ [ loop_p [ Builder.store "u" (int 0) (load "u" (int 0) + load t (v "p")) ];
           Builder.assign "acc" (v "acc" + load "u" (int 0)) ]
     else if Rng.bool rng then
-      [ Builder.for_ "p" (int len)
-          [ Builder.assign "acc" (v "acc" + (load "a" (index ()) * load "b" (index ()))) ] ]
-    else [ Builder.for_ "p" (int len) [ Builder.store "out" (index ()) (load "a" (index ()) * v "acc") ] ]
+      [ loop_p [ Builder.assign "acc" (v "acc" + (load "a" (index ()) * load "b" (index ()))) ] ]
+    else [ loop_p [ Builder.store "out" (index ()) (load "a" (index ()) * v "acc") ] ]
   in
   let halved =
     if Stdlib.( && ) scratch (Rng.bool rng) then

@@ -570,6 +570,56 @@ let test_empty_loop_bodies () =
         [ 200_000_000; 7 ])
     kernels
 
+(* A one-level thread loop that reaches no barrier and assigns no variable
+   bound outside it is the serial loop it equals, so it lowers with the
+   loop of rows around it: the run enters lowered code once. Outputs,
+   stats and errors equal the tree engine's, run to completion, out of
+   fuel, and with a row that reads past [a]. *)
+let test_thread_loop_in_rows () =
+  let open Expr.Infix in
+  let k ~rows =
+    Kernel.make ~name:"thread_rows"
+      ~params:[ Builder.buffer "a"; Builder.buffer "b"; Builder.buffer "out" ]
+      ~launch:[ (Axis.Thread_x, 16) ]
+      [ Builder.for_ "j" (int rows)
+          [ Builder.let_ "acc" (flt 0.0);
+            Builder.alloc "t" Scope.Local 16;
+            Builder.par_for Axis.Thread_x "threadIdx.x" (int 16)
+              [ Builder.store "t" (v "threadIdx.x")
+                  (load "a" ((v "j" * int 16) + v "threadIdx.x") * load "b" (v "threadIdx.x"))
+              ];
+            Builder.for_ "p" (int 16) [ Builder.assign "acc" (v "acc" + load "t" (v "p")) ];
+            Builder.store "out" (v "j") (v "acc")
+          ]
+      ]
+  in
+  let args () =
+    [ ("a", Interp.Buf (Tensor.random (rng ()) 128));
+      ("b", Interp.Buf (Tensor.random (rng ()) 16));
+      ("out", Interp.Buf (Tensor.create 9))
+    ]
+  in
+  List.iter
+    (fun (rows, fuel, lowered) ->
+      let k = k ~rows in
+      let a_tree = args () and a_comp = args () in
+      let r_tree =
+        match Interp.run_tree ~fuel k a_tree with
+        | s -> (s, None)
+        | exception Interp.Runtime_error m -> (Compile.fresh_stats (), Some m)
+      in
+      let r = Interp.run_receipt ~fuel k a_comp in
+      let name = Printf.sprintf "%d rows, fuel %d" rows fuel in
+      Option.iter (fun n -> Alcotest.(check int) (name ^ ": lowered entries") n r.Interp.lowered) lowered;
+      Alcotest.(check (option string)) (name ^ ": same error") (snd r_tree) r.Interp.error;
+      if Option.is_none r.Interp.error then
+        Alcotest.(check bool) (name ^ ": same stats") true (Stdlib.( = ) (fst r_tree) r.Interp.stats);
+      Alcotest.(check bool)
+        (name ^ ": same outputs")
+        true
+        (Stdlib.( = ) (Test_support.Tcommon.buffers a_tree) (Test_support.Tcommon.buffers a_comp)))
+    [ (8, 200_000_000, Some 1); (8, 150, None); (9, 200_000_000, None) ]
+
 (* [(float)3 / 2] divides floats: 1.5 on both engines, and still 1.5 once
    [Stmt.simplify] has folded the cast (into [3.0f], not the int [3], whose
    division by 2 is 1) *)
@@ -755,6 +805,7 @@ let () =
           Alcotest.test_case "fuel" `Quick test_fuel;
           Alcotest.test_case "scratch max runs unboxed" `Quick test_scratch_max_unboxed;
           Alcotest.test_case "empty loop bodies" `Quick test_empty_loop_bodies;
+          Alcotest.test_case "thread loop lowers with its rows" `Quick test_thread_loop_in_rows;
           Alcotest.test_case "float cast of an int literal" `Quick test_float_cast_of_int_literal
         ] );
       ( "checker",

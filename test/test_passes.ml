@@ -165,6 +165,72 @@ let test_split_with_guard () =
 let test_split_too_large () =
   expect_error "factor > extent" (Loop_pass.split ~var:"i" ~factor:512 serial_scale)
 
+(* The direct index [v_0 * f + v_1] is the one [Linear.normalize] built:
+   every constant-extent serial loop of every golden source and of its
+   depth-1 action states, split by every factor [Knobs.split_factors] offers
+   on some platform, from its own start and from a non-zero one, gives the
+   kernel (or the error) that [Test_support.Naive.split] gives. *)
+let test_split_matches_naive () =
+  let module Tuning = Xpiler_tuning in
+  let states =
+    List.concat_map
+      (fun (op : Xpiler_ops.Opdef.t) ->
+        let shape = List.hd op.Xpiler_ops.Opdef.shapes in
+        List.concat_map
+          (fun (q : Platform.t) ->
+            let source = Xpiler_ops.Idiom.source q.Platform.id op shape in
+            source
+            :: List.concat_map
+                 (fun (p : Platform.t) ->
+                   List.filter_map
+                     (fun spec -> Result.to_option (Pass.apply ~platform:p spec source))
+                     (Tuning.Actions.enumerate p source))
+                 Platform.all)
+          Platform.all)
+      Xpiler_ops.Registry.all
+  in
+  let shifted var (k : Kernel.t) =
+    Kernel.with_body k
+      (Stmt.map_block
+         (function
+           | Stmt.For r when String.equal r.var var -> Some (Stmt.For { r with lo = Expr.Int 3 })
+           | _ -> None)
+         k.Kernel.body)
+  in
+  let same a b =
+    match (a, b) with
+    | Ok a, Ok b -> Kernel.equal a b
+    | Error a, Error b -> String.equal a b
+    | _ -> false
+  in
+  let splits = ref 0 in
+  List.iter
+    (fun (k : Kernel.t) ->
+      List.iter
+        (fun (var, extent) ->
+          let factors =
+            List.sort_uniq compare
+              (List.concat_map (fun p -> Tuning.Knobs.split_factors p ~extent) Platform.all)
+          in
+          List.iter
+            (fun factor ->
+              List.iter
+                (fun k ->
+                  incr splits;
+                  if
+                    not
+                      (same (Loop_pass.split ~var ~factor k)
+                         (Test_support.Naive.split ~var ~factor k))
+                  then
+                    Alcotest.failf "split %s by %d differs from the normalized index:\n%s" var
+                      factor (Stmt.to_string k.Kernel.body))
+                [ k; shifted var k ])
+            (1 :: factors))
+        (Tuning.Knobs.splittable_loops k))
+    states;
+  (* 50,734 at the time of writing *)
+  Alcotest.(check bool) "splits" true (!splits > 10_000)
+
 (* ---- fuse / reorder / expansion / contraction ------------------------------- *)
 
 let test_fuse () =
@@ -943,7 +1009,8 @@ let () =
       ( "split",
         [ Alcotest.test_case "divisible" `Quick test_split_divisible;
           Alcotest.test_case "guarded" `Quick test_split_with_guard;
-          Alcotest.test_case "too large" `Quick test_split_too_large
+          Alcotest.test_case "too large" `Quick test_split_too_large;
+          Alcotest.test_case "direct index = naive" `Quick test_split_matches_naive
         ] );
       ( "reshape",
         [ Alcotest.test_case "fuse" `Quick test_fuse;
