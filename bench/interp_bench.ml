@@ -1,6 +1,6 @@
 (* Evaluation-engine benchmark: tree-walking reference interpreter vs the
    closure-compiled engine. Writes BENCH_eval.json (schema
-   xpiler-eval-bench/v8) into the current directory.
+   xpiler-eval-bench/v9) into the current directory.
 
    Usage:
      dune exec bench/interp_bench.exe            # full measurement
@@ -15,7 +15,9 @@
    accumulator loop must stay unboxed; the vnni self_attention source must
    reuse its per-[j] scratch tensors and run its intrinsics without
    allocating; the tuned depthwise_conv's barrier-free thread chain must
-   run without fibers. On gemm and self_attention their innermost loops must
+   run without fibers; the per-element store, a loop that an int [let]
+   keeps from lowering, must evaluate its float value without boxing. On
+   gemm and self_attention their innermost loops must
    stay lowered, and on conv2d_nchw its 3-level window nest must run as one
    OCaml loop nest. Words are all the words allocated, minor and major, so
    a scratch tensor of 256 words or more (which goes straight to the major
@@ -53,6 +55,29 @@ let translated =
     ("depthwise_conv", Platform.Bang, Platform.Cuda, true)
   ]
 
+(* [for p < 8192 { let z = 0; out[p] = a[p] * 2.0 }]: the int [let] keeps
+   the loop from lowering, so every store runs one statement at a time *)
+let per_element_store : Opdef.t =
+  let n = 8192 in
+  let buffer buf_name is_output =
+    { Opdef.buf_name; dtype = Xpiler_ir.Dtype.F32; size = (fun _ -> n); is_output }
+  in
+  { name = "per_element_store";
+    cls = Opdef.Elementwise;
+    shapes = [ [ ("n", n) ] ];
+    buffers = [ buffer "a" false; buffer "out" true ];
+    serial =
+      (fun _ ->
+        let open Xpiler_ir in
+        let open Expr.Infix in
+        Kernel.make ~name:"per_element_store"
+          ~params:[ Builder.buffer "a"; Builder.buffer "out" ]
+          [ Builder.for_ "p" (int n)
+              [ Builder.let_ "z" (int 0); Builder.store "out" (v "p") (load "a" (v "p") * flt 2.0) ]
+          ]);
+    flops = (fun _ -> float_of_int n)
+  }
+
 (* golden sources: the vnni self_attention allocates two scratch tensors
    per [j] and runs two intrinsics on them *)
 let golden = [ ("self_attention", Platform.Vnni) ]
@@ -67,7 +92,8 @@ type row = {
 }
 
 let words_per_step_limit = 1.0
-let alloc_gated = [ "gemm"; "self_attention vnni"; "depthwise_conv bang->cuda tuned" ]
+let alloc_gated =
+  [ "gemm"; "self_attention vnni"; "depthwise_conv bang->cuda tuned"; "per-element store" ]
 let speedup_gated = [ ("gemm", 20.0); ("self_attention", 20.0); ("conv2d_nchw", 30.0) ]
 
 let elems (s : Interp.stats) = s.stores + s.intrinsic_elems + s.memcpy_elems
@@ -251,10 +277,14 @@ let () =
   Printf.printf "evaluation-engine benchmark%s\n%!" (if smoke then " (smoke)" else "");
   let rows = List.map bench_op bench_ops in
   let golden_rows = List.map bench_golden golden in
+  let per_element =
+    bench_kernel "per-element store" per_element_store
+      (per_element_store.serial (List.hd per_element_store.shapes))
+  in
   let rows = rows @ golden_rows @ List.map bench_translated translated in
   List.iter
     (fun name ->
-      let r = List.find (fun r -> r.op_name = name) rows in
+      let r = List.find (fun r -> r.op_name = name) (per_element :: rows) in
       if r.words_per_step > words_per_step_limit then begin
         Printf.eprintf "allocation gate: %s allocates %.2f words/step (limit %.1f)\n" name
           r.words_per_step words_per_step_limit;
@@ -278,21 +308,24 @@ let () =
   let geomean xs =
     exp (List.fold_left (fun a x -> a +. log x) 0.0 xs /. float_of_int (List.length xs))
   in
+  (* the synthetic per-element row is gated, not part of the geomean *)
   let g = geomean (List.map (fun r -> r.speedup) rows) in
   Printf.printf "geomean speedup: %.1fx\n%!" g;
+  let row_json r =
+    Printf.sprintf
+      "{\"op\": %S, \"elems_per_run\": %d, \"tree_elems_per_sec\": %.6e, \
+       \"compiled_elems_per_sec\": %.6e, \"speedup\": %.3f, \"compiled_words_per_step\": %.3f}"
+      r.op_name r.elems_per_run r.tree_eps r.compiled_eps r.speedup r.words_per_step
+  in
   let oc = open_out "BENCH_eval.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"xpiler-eval-bench/v8\",\n  \"smoke\": %b,\n" smoke;
+  Printf.fprintf oc "{\n  \"schema\": \"xpiler-eval-bench/v9\",\n  \"smoke\": %b,\n" smoke;
   Printf.fprintf oc "  \"kernels\": [\n";
   List.iteri
     (fun i r ->
-      Printf.fprintf oc
-        "    {\"op\": %S, \"elems_per_run\": %d, \"tree_elems_per_sec\": %.6e, \
-         \"compiled_elems_per_sec\": %.6e, \"speedup\": %.3f, \
-         \"compiled_words_per_step\": %.3f}%s\n"
-        r.op_name r.elems_per_run r.tree_eps r.compiled_eps r.speedup r.words_per_step
-        (if i = List.length rows - 1 then "" else ","))
+      Printf.fprintf oc "    %s%s\n" (row_json r) (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ],\n  \"geomean_speedup\": %.3f,\n" g;
+  Printf.fprintf oc "  \"per_element_store\": %s,\n" (row_json per_element);
   Printf.fprintf oc
     "  \"row_reduction\": {\"rows\": 4096, \"row_len\": 32, \"rows_ns_per_mac\": %.3f, \
      \"one_row_ns_per_mac\": %.3f, \"ratio\": %.3f}\n}\n"

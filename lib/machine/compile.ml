@@ -7,9 +7,17 @@ open Xpiler_ir
    scheduler — live here so both engines agree by construction.
 
    The unit of work is the statement, except in a lowered loop (see
-   [lower_loop]). A loop whose body is a perfect affine nest — a chain of
-   single loops ending in one float store or one MAC or fold update of a
-   float slot, over indices linear in the counters — runs as nested OCaml
+   [lower_loop]). Every float value is a postfix program over a stack of
+   float slots ([fop], run by [run_fcode]), compiled by one emitter
+   ([emit]): a float let, a float-slot assignment, a store's value, an
+   intrinsic's scalar, and each lowered statement. A float the program
+   computes crosses no closure boundary, so it is not boxed; the boxed
+   [value] closures ([comp]) serve the operands whose type is known only
+   at run time, such as a scalar parameter's.
+
+   A loop whose body is a perfect affine nest — a chain of single loops
+   ending in one float store or one MAC or fold update of a float slot,
+   over indices linear in the counters — runs as nested OCaml
    [for] loops. A loop whose body is a non-empty straight-line block of
    float lets, float stores, float-slot assignments, float scratch
    [Alloc]s and such nests, a loop of reduction rows, runs each iteration
@@ -51,7 +59,7 @@ type ctx = {
   mutable lowered : int;
 }
 
-let to_float = function I n -> float_of_int n | F f -> f
+let[@inline] to_float = function I n -> float_of_int n | F f -> f
 let to_int = function I n -> n | F f -> int_of_float f
 let truthy = function I n -> n <> 0 | F f -> f <> 0.0
 let of_bool b = I (if b then 1 else 0)
@@ -93,15 +101,22 @@ let int_binop op a b =
   | And -> of_bool (a <> 0 && b <> 0)
   | Or -> of_bool (a <> 0 || b <> 0)
 
+(* the float result of a float arithmetic operator: the one definition
+   [float_binop] and the postfix programs ([run_fcode]) share *)
+let[@inline] binop_float (op : Expr.binop) x y =
+  match op with
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | Mod -> Float.rem x y
+  | Min -> Float.min x y
+  | Max -> Float.max x y
+  | Eq | Ne | Lt | Le | Gt | Ge | And | Or -> assert false
+
 let float_binop op a b =
   match (op : Expr.binop) with
-  | Add -> F (a +. b)
-  | Sub -> F (a -. b)
-  | Mul -> F (a *. b)
-  | Div -> F (a /. b)
-  | Mod -> F (Float.rem a b)
-  | Min -> F (Float.min a b)
-  | Max -> F (Float.max a b)
+  | Add | Sub | Mul | Div | Mod | Min | Max -> F (binop_float op a b)
   | Eq -> of_bool (a = b)
   | Ne -> of_bool (a <> b)
   | Lt -> of_bool (a < b)
@@ -124,32 +139,27 @@ let erf_approx x =
   in
   s *. y
 
+(* the float result of a unop on a float, [unop]'s and [run_fcode]'s *)
+let[@inline] unop_float (op : Expr.unop) x =
+  match op with
+  | Neg -> -.x
+  | Abs -> Float.abs x
+  | Exp -> exp x
+  | Log -> log x
+  | Sqrt -> sqrt x
+  | Rsqrt -> 1.0 /. sqrt x
+  | Tanh -> tanh x
+  | Erf -> erf_approx x
+  | Recip -> 1.0 /. x
+  | Floor -> Float.floor x
+  | Not -> assert false
+
 let unop op v =
   match (op : Expr.unop) with
-  | Neg -> ( match v with I n -> I (-n) | F f -> F (-.f))
   | Not -> of_bool (not (truthy v))
-  | Exp -> F (exp (to_float v))
-  | Log -> F (log (to_float v))
-  | Sqrt -> F (sqrt (to_float v))
-  | Rsqrt -> F (1.0 /. sqrt (to_float v))
-  | Tanh -> F (tanh (to_float v))
-  | Erf -> F (erf_approx (to_float v))
-  | Abs -> ( match v with I n -> I (abs n) | F f -> F (Float.abs f))
-  | Recip -> F (1.0 /. to_float v)
-  | Floor -> F (Float.floor (to_float v))
-
-(* the float-to-float function of the unops that always produce [F _] *)
-let float_unop op : float -> float =
-  match (op : Expr.unop) with
-  | Exp -> exp
-  | Log -> log
-  | Sqrt -> sqrt
-  | Rsqrt -> fun x -> 1.0 /. sqrt x
-  | Tanh -> tanh
-  | Erf -> erf_approx
-  | Recip -> fun x -> 1.0 /. x
-  | Floor -> Float.floor
-  | Neg | Not | Abs -> invalid_arg "float_unop"
+  | Neg -> ( match v with I n -> I (-n) | F f -> F (unop_float op f))
+  | Abs -> ( match v with I n -> I (abs n) | F f -> F (unop_float op f))
+  | Exp | Log | Sqrt | Rsqrt | Tanh | Erf | Recip | Floor -> F (unop_float op (to_float v))
 
 (* ---- fibers ------------------------------------------------------------ *)
 
@@ -202,11 +212,12 @@ let[@inline] intrinsic_param name ints params n =
    parameter [n] is [ints.(params.(n))]. The compiled engine points them
    into its frame, so an execution builds no operand arrays, and the
    operands are read by top-level functions, so it builds no closures
-   either. [fparam env] evaluates the second parameter as a float. Each
+   either. [fparam env] evaluates the second parameter as a float into the
+   slot of [floats] it returns, as a float a closure returns is boxed. Each
    elementwise op is its own loop: without flambda a float closure called
    per element boxes. *)
 let intrinsic_run stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~bufs ~ints ~srcs ~params
-    ~fparam env =
+    ~(floats : float array) ~fparam env =
   match op with
   | Vec_add | Vec_sub | Vec_mul | Vec_max | Vec_min ->
     let len = intrinsic_param name ints params 0 in
@@ -305,7 +316,7 @@ let intrinsic_run stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~bufs ~in
   | Vec_scale ->
     (* the scalar parameter may be float-valued: re-evaluated via [fparam] *)
     let len = intrinsic_param name ints params 0 in
-    let s = fparam env in
+    let s = floats.(fparam env) in
     let ab, an, ao = intrinsic_src name srcs 0 in
     let at = bufs.(ab) and ao = ints.(ao) in
     for k = 0 to len - 1 do
@@ -314,7 +325,7 @@ let intrinsic_run stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~bufs ~in
     stats.intrinsic_elems <- stats.intrinsic_elems + len
   | Vec_adds ->
     let len = intrinsic_param name ints params 0 in
-    let s = fparam env in
+    let s = floats.(fparam env) in
     let ab, an, ao = intrinsic_src name srcs 0 in
     let at = bufs.(ab) and ao = ints.(ao) in
     for k = 0 to len - 1 do
@@ -323,7 +334,7 @@ let intrinsic_run stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~bufs ~in
     stats.intrinsic_elems <- stats.intrinsic_elems + len
   | Vec_fill ->
     let len = intrinsic_param name ints params 0 in
-    let s = fparam env in
+    let s = floats.(fparam env) in
     for k = 0 to len - 1 do
       buf_set dst_t dname (dst_off + k) s
     done;
@@ -417,15 +428,20 @@ let intrinsic_run stats ~name ~(op : Intrin.op) ~dst_t ~dname ~dst_off ~bufs ~in
     done;
     stats.intrinsic_elems <- stats.intrinsic_elems + len
 
-(* [intrinsic_run] over operands the caller evaluated into arrays *)
+(* [intrinsic_run] over operands the caller evaluated into arrays, and the
+   scalar [fparam ()] *)
 let intrinsic_exec stats ~name ~op ~dst_t ~dname ~dst_off ~srcs ~params ~fparam =
-  let ns = Array.length srcs in
+  let ns = Array.length srcs and floats = [| 0.0 |] in
   intrinsic_run stats ~name ~op ~dst_t ~dname ~dst_off
     ~bufs:(Array.map (fun (t, _, _) -> t) srcs)
     ~ints:(Array.append (Array.map (fun (_, _, o) -> o) srcs) params)
     ~srcs:(Array.mapi (fun n (_, nm, _) -> (n, nm, n)) srcs)
     ~params:(Array.init (Array.length params) (fun n -> ns + n))
-    ~fparam ()
+    ~floats
+    ~fparam:(fun () ->
+      floats.(0) <- fparam ();
+      0)
+    ()
 
 (* ---- run receipts ------------------------------------------------------ *)
 
@@ -477,7 +493,7 @@ type t = {
    integer (loop counters, int-valued lets never reassigned), which licenses
    the unboxed integer compilation path below. [Fslot] slots live in
    [frame.floats]: every runtime write to them is proven to be an [F _],
-   which licenses the unboxed float path. *)
+   so the postfix programs read and write them as floats. *)
 type sref = Boxed of int | Fslot of int | Unboxed of int
 
 (* How the lowering of an enclosing loop fixed a statement of its body
@@ -659,18 +675,25 @@ type access = {
   size : int;
 }
 
-(* A lowered float expression in postfix order, evaluated on a stack of
-   float slots: loads, literals and loop-invariant float slots are pushed;
-   the operators replace their operands with the result. A lowered
-   straight-line block is one such program: [Push_at] and [Pop_at] load
-   and store at the index the counters give now, [Pop_slot] writes a float
+(* A float expression in postfix order, evaluated on a stack of float
+   slots: loads, literals and float slots are pushed; the operators replace
+   their operands with the result. In a lowered nest a load reads its row's
+   element ([Push_load]) or the element at the counters' iteration
+   ([Push_at]), and a lowered straight-line block is one such program:
+   [Pop_at] stores at the counters' iteration, [Pop_slot] writes a float
    slot, [Alloc (s, dtype, size)] is an [Alloc] at buffer slot [s], and
-   [Run] runs a nest below the block's loop. *)
+   [Run] runs a nest below the block's loop. Outside lowered code a
+   statement's float value is one such program too: [Push_get (i, s, b)]
+   is a checked load of buffer [b] in buffer slot [s] (-1: unbound) at
+   index [i], and [Push_value c] pushes the value [c] evaluates, as a
+   float. *)
 type fop =
   | Push_const of float
   | Push_slot of int
   | Push_load of access
   | Push_at of access
+  | Push_get of (frame -> int) * int * string
+  | Push_value of (frame -> value)
   | Apply2 of Expr.binop
   | Apply1 of Expr.unop
   | Pop_slot of int
@@ -718,16 +741,6 @@ type block = {
   prog : fop array;
   sp : int;
 }
-
-let[@inline] binop_float (op : Expr.binop) x y =
-  match op with
-  | Add -> x +. y
-  | Sub -> x -. y
-  | Mul -> x *. y
-  | Div -> x /. y
-  | Min -> Float.min x y
-  | Max -> Float.max x y
-  | Mod | Eq | Ne | Lt | Le | Gt | Ge | And | Or -> assert false
 
 (* Extents, strides and statement counts a lowered nest accepts are below
    2^30, so the product of two of them, and its sum with an array index,
@@ -913,10 +926,11 @@ let alloc_at fr s dtype size =
   if t == dummy_tensor then fr.bufs.(s) <- Tensor.create ~dtype size
   else Array.fill t.Tensor.data 0 size 0.0
 
-(* iteration [k] of a lowered expression: its value ends up in float slot
-   [sp0]; or an iteration of a lowered block, which leaves the stack as it
-   found it. Each case writes its float straight into the slot, so nothing
-   is boxed. *)
+(* iteration [k] of a float expression: its value ends up in float slot
+   [sp0]; or an iteration of a lowered block or a statement's program,
+   which leaves the stack as it found it. Each case writes its float
+   straight into the slot, so nothing is boxed. No closure a program calls
+   runs a program, so all programs share one stack region of the frame. *)
 let run_fcode (code : fop array) fr k sp0 =
   let fl = fr.floats and ints = fr.ints in
   let sp = ref sp0 in
@@ -935,6 +949,19 @@ let run_fcode (code : fop array) fr k sp0 =
       Array.unsafe_set fl !sp
         (Array.unsafe_get (Array.unsafe_get fr.bufs a.slot).Tensor.data (index_now ints a));
       incr sp
+    | Push_get (ci, s, b) ->
+      (* the index, then the buffer, as [comp]'s [Load]; an int tensor's
+         element truncates *)
+      let i = ci fr in
+      if s < 0 then err "unbound buffer %s" b;
+      let t = Array.unsafe_get fr.bufs s in
+      let v = buf_get t b i in
+      Array.unsafe_set fl !sp
+        (if Dtype.is_float t.Tensor.dtype then v else float_of_int (int_of_float v));
+      incr sp
+    | Push_value c ->
+      Array.unsafe_set fl !sp (to_float (c fr));
+      incr sp
     | Pop_slot x ->
       decr sp;
       Array.unsafe_set fl x (Array.unsafe_get fl !sp)
@@ -948,21 +975,9 @@ let run_fcode (code : fop array) fr k sp0 =
       decr sp;
       let t = !sp - 1 in
       Array.unsafe_set fl t (binop_float op (Array.unsafe_get fl t) (Array.unsafe_get fl !sp))
-    | Apply1 op -> (
+    | Apply1 op ->
       let t = !sp - 1 in
-      let x = Array.unsafe_get fl t in
-      match op with
-      | Neg -> Array.unsafe_set fl t (-.x)
-      | Abs -> Array.unsafe_set fl t (Float.abs x)
-      | Exp -> Array.unsafe_set fl t (exp x)
-      | Log -> Array.unsafe_set fl t (log x)
-      | Sqrt -> Array.unsafe_set fl t (sqrt x)
-      | Rsqrt -> Array.unsafe_set fl t (1.0 /. sqrt x)
-      | Tanh -> Array.unsafe_set fl t (tanh x)
-      | Erf -> Array.unsafe_set fl t (erf_approx x)
-      | Recip -> Array.unsafe_set fl t (1.0 /. x)
-      | Floor -> Array.unsafe_set fl t (Float.floor x)
-      | Not -> assert false)
+      Array.unsafe_set fl t (unop_float op (Array.unsafe_get fl t))
   done
 
 (* The fast path of a loop whose body [lower_loop] lowered to [b]: given
@@ -1146,7 +1161,7 @@ type builder = {
   mutable nnext : int;
 }
 
-(* the stack depth postfix evaluation of [e] reaches *)
+(* the stack depth postfix evaluation of [e] reaches at most *)
 let rec stack_depth (e : Expr.t) =
   match e with
   | Binop (_, l, r) -> max (stack_depth l) (1 + stack_depth r)
@@ -1259,8 +1274,10 @@ let compile (k : Kernel.t) : t =
      so all of them share one scratch region of the frame: [scratch_int j]
      is its [j]-th int slot, [reduce_slot ()] the float slot a reducing
      store accumulates in, and [stack depth] the first of [depth]
-     consecutive float slots. Thread-parallel loops copy the frame per fiber,
-     so it stays small. *)
+     consecutive float slots. Every postfix program's stack is that one
+     region: a program runs to completion, and no closure it calls ([comp],
+     [comp_int], [comp_iint]) runs a program. Thread-parallel loops copy
+     the frame per fiber, so it stays small. *)
   let scratch_ints = ref [] in
   let rec scratch_int j =
     match List.nth_opt !scratch_ints j with
@@ -1333,9 +1350,9 @@ let compile (k : Kernel.t) : t =
     | Cast (d, _) -> not (Dtype.is_float d)
   in
   (* [static_float cenv e]: evaluation provably yields [F _]. Matters only as
-     the licence to evaluate a [Binop]'s operands unboxed: an [I , I] pair
-     must keep taking the [int_binop] path, so only a proof that one side is
-     [F] lets both sides skip boxing. *)
+     the licence to emit a [Binop] as float arithmetic ([Apply2]): an [I ,
+     I] pair must keep taking the [int_binop] path, so only a proof that
+     one side is [F] lets both sides be floats. *)
   let static_float cenv =
     float_valued
       (fun x -> match List.assoc_opt x cenv.svars with Some (Fslot _) -> true | _ -> false)
@@ -1440,46 +1457,12 @@ let compile (k : Kernel.t) : t =
     | Binop (op, l, r) ->
       let cl = comp cenv l in
       let cr = comp cenv r in
-      (* op resolved at compile time for the hot arithmetic cases; the
-         int/int → int_binop, otherwise-float dispatch is unchanged *)
-      (match op with
-      | Add ->
-        fun fr ->
-          let a = cl fr in
-          let b = cr fr in
-          (match (a, b) with
-          | I x, I y -> I (x + y)
-          | F x, F y -> F (x +. y)
-          | _ -> F (to_float a +. to_float b))
-      | Sub ->
-        fun fr ->
-          let a = cl fr in
-          let b = cr fr in
-          (match (a, b) with
-          | I x, I y -> I (x - y)
-          | F x, F y -> F (x -. y)
-          | _ -> F (to_float a -. to_float b))
-      | Mul ->
-        fun fr ->
-          let a = cl fr in
-          let b = cr fr in
-          (match (a, b) with
-          | I x, I y -> I (x * y)
-          | F x, F y -> F (x *. y)
-          | _ -> F (to_float a *. to_float b))
-      | _ ->
-        fun fr ->
-          let a = cl fr in
-          let b = cr fr in
-          (match (a, b) with
-          | I x, I y -> int_binop op x y
-          | _ -> float_binop op (to_float a) (to_float b)))
-    | Unop (((Exp | Log | Sqrt | Rsqrt | Tanh | Erf | Recip | Floor) as op), x) ->
-      (* [unop] converts the operand with [to_float] for these, so the operand
-         evaluates unboxed; only the result is boxed *)
-      let cx = comp_ffloat cenv x in
-      let f = float_unop op in
-      fun fr -> F (f (cx fr))
+      fun fr ->
+        let a = cl fr in
+        let b = cr fr in
+        (match (a, b) with
+        | I x, I y -> int_binop op x y
+        | _ -> float_binop op (to_float a) (to_float b))
     | Unop (op, x) ->
       let cx = comp cenv x in
       fun fr -> unop op (cx fr)
@@ -1489,14 +1472,8 @@ let compile (k : Kernel.t) : t =
       let cf = comp cenv f in
       fun fr -> if truthy (cc fr) then ct fr else cf fr
     | Cast (d, x) ->
-      if Dtype.is_float d then begin
-        let cx = comp_ffloat cenv x in
-        fun fr -> F (cx fr)
-      end
-      else begin
-        let cx = comp cenv x in
-        fun fr -> I (to_int (cx fr))
-      end
+      let cx = comp cenv x in
+      if Dtype.is_float d then fun fr -> F (to_float (cx fr)) else fun fr -> I (to_int (cx fr))
   (* unboxed integer compilation: closures of type [frame -> int], no [value]
      allocation anywhere in the subtree. Only reached via [static_int] (or the
      final catch-all, which unboxes a generic evaluation). Evaluation order and
@@ -1589,83 +1566,6 @@ let compile (k : Kernel.t) : t =
     | _ ->
       let c = comp cenv e in
       fun fr -> to_int (c fr)
-  (* unboxed float compilation: [comp_ffloat cenv e fr = to_float (comp cenv
-     e fr)] by construction, without boxing where representable. Used wherever
-     the consumer applies [to_float] anyway (store values, float unop
-     operands, intrinsic scalar params), so only representation changes. *)
-  and comp_ffloat cenv (e : Expr.t) : frame -> float =
-    match e with
-    | Int n ->
-      let v = float_of_int n in
-      fun _ -> v
-    | Float f -> fun _ -> f
-    | Var x -> (
-      match List.assoc_opt x cenv.svars with
-      | Some (Boxed s) -> fun fr -> to_float fr.scalars.(s)
-      | Some (Fslot s) -> fun fr -> Array.unsafe_get fr.floats s
-      | Some (Unboxed s) -> fun fr -> float_of_int (Array.unsafe_get fr.ints s)
-      | None -> fun _ -> err "unbound variable %s" x)
-    | Load (b, i) ->
-      let ci = comp_int cenv i in
-      let get = buf_slot cenv b in
-      fun fr ->
-        let idx = ci fr in
-        let t = get fr in
-        let v = buf_get t b idx in
-        (* int dtypes truncate on load ([I (int_of_float v)] in [comp]) *)
-        if Dtype.is_float t.Tensor.dtype then v else float_of_int (int_of_float v)
-    | _ when static_int cenv e ->
-      let ci = comp_iint cenv e in
-      fun fr -> float_of_int (ci fr)
-    | Binop (((Add | Sub | Mul | Div | Max) as op), l, r)
-      when static_float cenv l || static_float cenv r ->
-      (* one side provably [F _]: the generic engine would take [float_binop]
-         whatever the other side is, so both operands evaluate unboxed (the
-         operators the workloads run; the rest take [comp]) *)
-      let fl = comp_ffloat cenv l in
-      let frr = comp_ffloat cenv r in
-      (match op with
-      | Add ->
-        fun fr ->
-          let x = fl fr in
-          let y = frr fr in
-          x +. y
-      | Sub ->
-        fun fr ->
-          let x = fl fr in
-          let y = frr fr in
-          x -. y
-      | Mul ->
-        fun fr ->
-          let x = fl fr in
-          let y = frr fr in
-          x *. y
-      | Div ->
-        fun fr ->
-          let x = fl fr in
-          let y = frr fr in
-          x /. y
-      | Max ->
-        fun fr ->
-          let x = fl fr in
-          let y = frr fr in
-          Float.max x y
-      | _ -> assert false)
-    | Unop (((Exp | Log | Sqrt | Rsqrt | Tanh | Erf | Recip | Floor) as op), x) ->
-      let cx = comp_ffloat cenv x in
-      let f = float_unop op in
-      fun fr -> f (cx fr)
-    | Unop (Neg, x) when static_float cenv x ->
-      let cx = comp_ffloat cenv x in
-      fun fr -> -.cx fr
-    | Select (c, t, f) when static_float cenv t && static_float cenv f ->
-      let cc = comp cenv c in
-      let ct = comp_ffloat cenv t in
-      let cf = comp_ffloat cenv f in
-      fun fr -> if truthy (cc fr) then ct fr else cf fr
-    | _ ->
-      let c = comp cenv e in
-      fun fr -> to_float (c fr)
   in
   let bound cenv b = List.mem_assoc b cenv.bvars in
   (* float arithmetic over loads, literals and float slots: an [F _] when
@@ -1744,28 +1644,49 @@ let compile (k : Kernel.t) : t =
       nb.naccs <- (slot, e, a) :: nb.naccs;
       a
   in
-  (* [e]'s instructions in postfix, last first, onto [code], and the
-     accesses of its loads onto [loads]; a load reads its row's element
-     ([Push_load]), or with [at] the element at the counters' iteration *)
-  let rec emit nb loads ~at (e : Expr.t) code =
+  (* [e]'s instructions in postfix, last first, onto [code]: [load b i]
+     is the instruction of a load of [b] at [i], and [is_float] holds of
+     the subtrees that provably evaluate to [F _]. A program computes
+     [to_float] of [comp]'s value, with [comp]'s operand order and errors:
+     an operator whose operand is provably a float takes the float
+     arithmetic [float_binop] or [unop] would, and anything else is one
+     [comp] closure, which lowered code ([lfloat]) never reaches. *)
+  let rec emit cenv ~load ~is_float (e : Expr.t) code =
+    let emit e code = emit cenv ~load ~is_float e code in
     match e with
     | Int n -> Push_const (float_of_int n) :: code
     | Float c -> Push_const c :: code
-    | Var x -> Push_slot (float_slot x nb.nenv.svars) :: code
-    | Load (b, i) ->
-      let a = access nb b i in
-      loads := a :: !loads;
-      (if at then Push_at a else Push_load a) :: code
-    | Binop (op, l, r) -> Apply2 op :: emit nb loads ~at r (emit nb loads ~at l code)
-    | Unop (op, x) -> Apply1 op :: emit nb loads ~at x code
-    | _ -> assert false
+    | Var x when float_slot x cenv.svars >= 0 -> Push_slot (float_slot x cenv.svars) :: code
+    | Load (b, i) -> load b i :: code
+    | Binop (((Add | Sub | Mul | Div | Min | Max) as op), l, r) when is_float l || is_float r ->
+      Apply2 op :: emit r (emit l code)
+    | Unop (((Exp | Log | Sqrt | Rsqrt | Tanh | Erf | Recip | Floor) as op), x) ->
+      Apply1 op :: emit x code
+    | Unop (((Neg | Abs) as op), x) when is_float x -> Apply1 op :: emit x code
+    | _ -> Push_value (comp cenv e) :: code
   in
   (* [value] in postfix, with the accesses of its loads in order and the
      first float slot of its stack *)
   let lower_value nb value =
     let loads = ref [] in
-    let code = Array.of_list (List.rev (emit nb loads ~at:false value [])) in
-    (Array.of_list (List.rev !loads), code, stack (stack_depth value))
+    let load b i =
+      let a = access nb b i in
+      loads := a :: !loads;
+      Push_load a
+    in
+    let code = emit nb.nenv ~load ~is_float:(lfloat nb.nenv) value [] in
+    (Array.of_list (List.rev !loads), Array.of_list (List.rev code), stack (stack_depth value))
+  in
+  (* the program of the float value [e] outside lowered code, followed by
+     [tail], and the first float slot of its stack, where the value ends up
+     when [tail] is empty *)
+  let program cenv e tail =
+    let load b i =
+      let s = match List.assoc_opt b cenv.bvars with Some s -> s | None -> -1 in
+      Push_get (comp_int cenv i, s, b)
+    in
+    let code = emit cenv ~load ~is_float:(static_float cenv) e [] in
+    (Array.of_list (List.rev_append code tail), stack (stack_depth e))
   in
   (* the accesses the MAC or fold [value] reads (see [update_acc]), and its
      rows runner given the float slot of its accumulator and a row
@@ -1856,16 +1777,22 @@ let compile (k : Kernel.t) : t =
     | _ -> invalid_arg "nest_path"
   in
   (* the levels of the nest [st] heads below the loop with counter [s],
-     and its lowered form if it has one (see [nest_path]) *)
+     and its lowered form if it has one (see [nest_path]). The stack of
+     the statement's per-element program is reserved with it, as the
+     loop's per-element body compiles lazily (see [comp_stmt_body]). *)
   let nest_item ~sizes cenv s st =
     let ienv, levels, stmt = chain cenv [ s ] [] [ st ] in
+    let path value =
+      ignore (stack (stack_depth value) : int);
+      nest_path ~sizes ienv s levels stmt
+    in
     ( levels,
       match stmt with
       | [ Stmt.Assign { var; value } ] when float_slot var ienv.svars >= 0 && lfloat ienv value ->
-        nest_path ~sizes ienv s levels stmt
+        path value
       | [ Stmt.Store { buf; index; value } ]
         when bound ienv buf && is_linear ienv index && lfloat ienv value ->
-        nest_path ~sizes ienv s levels stmt
+        path value
       | _ -> None )
   in
   let level fixed (st, s, _, _) = (st, Level s) :: fixed in
@@ -1930,7 +1857,8 @@ let compile (k : Kernel.t) : t =
       let value cenv e =
         zb.nenv <- cenv;
         depth := max !depth (stack_depth e);
-        code := emit zb (ref []) ~at:true e !code;
+        let load b i = Push_at (access zb b i) in
+        code := emit cenv ~load ~is_float:(lfloat cenv) e !code;
         incr stmts
       in
       let rec build cenv fixed (body : Stmt.t list) =
@@ -2021,10 +1949,9 @@ let compile (k : Kernel.t) : t =
     | Stmt.Let { var; value } ->
       if float_let cenv var value then begin
         (* the value is an [F _]: storing its float is storing the value *)
-        let cv = comp_ffloat cenv value in
         let s = match List.assq_opt stmt cenv.fixed with Some (Slot s) -> s | _ -> fresh_float () in
-        ( { cenv with svars = (var, Fslot s) :: cenv.svars },
-          fun _ fr -> Array.unsafe_set fr.floats s (cv fr) )
+        let code, sp = program cenv value [ Pop_slot s ] in
+        ({ cenv with svars = (var, Fslot s) :: cenv.svars }, fun _ fr -> run_fcode code fr 0 sp)
       end
       else if static_int cenv value && never_assigned var then begin
         let civ = comp_iint cenv value in
@@ -2044,8 +1971,8 @@ let compile (k : Kernel.t) : t =
       | Some (Fslot s) ->
         (* only names in [float_names] get float slots, so the value is an
            [F _] and storing its float is exact *)
-        let cv = comp_ffloat cenv value in
-        (cenv, fun _ fr -> Array.unsafe_set fr.floats s (cv fr))
+        let code, sp = program cenv value [ Pop_slot s ] in
+        (cenv, fun _ fr -> run_fcode code fr 0 sp)
       | Some (Unboxed _) ->
         (* unreachable: requires [never_assigned] over the whole kernel,
            which is name-based and thus covers every binding of [var] *)
@@ -2054,12 +1981,13 @@ let compile (k : Kernel.t) : t =
     | Stmt.Store { buf; index; value } ->
       let get = buf_slot cenv buf in
       let ci = comp_int cenv index in
-      let cv = comp_ffloat cenv value in
+      let code, sp = program cenv value [] in
       ( cenv,
         fun ctx fr ->
           let t = get fr in
           let i = ci fr in
-          let v = cv fr in
+          run_fcode code fr 0 sp;
+          let v = Array.unsafe_get fr.floats sp in
           (* int dtypes truncate: [float_of_int (to_int v)] in value terms *)
           let v =
             if Dtype.is_float t.Tensor.dtype then v else float_of_int (int_of_float v)
@@ -2135,7 +2063,11 @@ let compile (k : Kernel.t) : t =
       let params = Array.map snd cparams in
       let cfparam =
         match i.params with
-        | _ :: e :: _ -> comp_ffloat cenv e
+        | _ :: e :: _ ->
+          let code, sp = program cenv e [] in
+          fun fr ->
+            run_fcode code fr 0 sp;
+            sp
         | _ -> fun _ -> err "%s: no scalar" name
       in
       let dname = i.dst.buf in
@@ -2154,7 +2086,7 @@ let compile (k : Kernel.t) : t =
             Array.unsafe_set fr.ints o (c fr)
           done;
           intrinsic_run ctx.stats ~name ~op ~dst_t ~dname ~dst_off ~bufs:fr.bufs ~ints:fr.ints
-            ~srcs ~params ~fparam:cfparam fr )
+            ~srcs ~params ~floats:fr.floats ~fparam:cfparam fr )
     | Stmt.Sync ->
       ( cenv,
         fun ctx _ ->
@@ -2225,7 +2157,9 @@ let compile (k : Kernel.t) : t =
           | Some fast ->
             (* the per-element body compiles when the entry check first
                fails: the lowering fixed every slot the body binds (see
-               [fixed]), so compiling it then adds no slot to the frame *)
+               [fixed]) and the stack its programs run on (see
+               [nest_item] and the block's [sp]), so compiling it then
+               adds no slot to the frame *)
             let cbody = ref None in
             let slots () = !nscalars + !nints + !nfloats + !nbufs in
             let per_element_body () =

@@ -25,6 +25,12 @@
     tensor. Either way the run has the same outputs, statistics and
     errors.
 
+    Every float value, in a lowered loop or not, is a postfix program over
+    the frame's float slots, compiled by one emitter; a subexpression
+    whose type is known only at bind time, such as arithmetic over loads
+    of a parameter tensor or a scalar parameter, is evaluated boxed and
+    converted.
+
     A variable that only ever holds floats gets an unboxed float slot; a
     load from a buffer name that only float [Alloc]s bind, and no parameter
     has, counts as a float for that, so [mx = s[0]] over a float scratch

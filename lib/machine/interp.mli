@@ -25,7 +25,11 @@ open Xpiler_ir
     unit-test oracle memoizes whole trials) and then executes them without
     walking the statement tree. Every run counts one compile in
     [xpiler_compile_cache_lookups_total{result="miss"}], a name kept for
-    the e2ebench layer attribution. A perfect affine nest ending in a
+    the e2ebench layer attribution. Every float value (a float [let], an
+    assignment to a float variable, a store's value, an intrinsic's scalar)
+    runs as one postfix program over unboxed float slots, so a float
+    statement run one at a time allocates nothing for the floats it
+    computes. A perfect affine nest ending in a
     single float store or float-slot update, and a loop of reduction rows
     (a straight-line block of float statements and such nests), each run
     as range-checked OCaml loops, unless a [trace] hook is given or the

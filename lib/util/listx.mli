@@ -12,6 +12,7 @@ val dedup : 'a list -> 'a list
     functions or cyclic values). *)
 
 val top_k : k:int -> score:('a -> float) -> 'a list -> 'a list
-(** The [k] highest-scoring elements, best first. The sort is stable, so
-    ties keep input order — callers relying on deterministic candidate
-    streams can use it freely. *)
+(** The [k] highest-scoring elements, best first: [take k] of the list
+    stably sorted by descending score. One pass keeps the best [k] without
+    sorting, and ties keep input order — callers relying on deterministic
+    candidate streams can use it freely. *)

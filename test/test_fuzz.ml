@@ -432,16 +432,21 @@ let scratch_kernel rng =
     ((Builder.let_ "x" x_value :: chain 0) @ [ Builder.store "out" (int 255) (v "x") ])
 
 (* Scalar expressions, the shapes the compiled engine evaluates unboxed
-   ([comp_iint], [comp_ffloat]) or through the generic value closures:
-   every integer operator, [neg], [abs], [not] and [select] over int lets
-   and loop counters (a boxed scalar parameter [p] too), next to float
-   arithmetic, [min], [max], [mod] and [abs] with a float-slot or literal
-   operand, mixed int/float operands and casts either way. An integer
-   division or modulo by zero must raise the same error in both engines. *)
+   ([comp_iint], the postfix programs of float values) or through the
+   generic value closures: every integer operator, [neg], [abs], [not] and
+   [select] over int lets and loop counters (a boxed scalar parameter [p]
+   too, which the property binds to an int or a float), next to float
+   arithmetic, [min], [max], [mod], every float unop and [abs] with a
+   float-slot or literal operand, mixed int/float operands and casts
+   either way. Float operands include [p], loads from the int buffer [b]
+   (which truncate) and gathered loads [a[iexp]] that may fall out of
+   range deep in an expression. An integer division or modulo by zero, or
+   an out-of-range load, must raise the same error in both engines. *)
 let scalar_kernel rng =
   let open Expr in
   let int_ops = [ Add; Sub; Mul; Div; Mod; Min; Max; Eq; Ne; Lt; Le; Gt; Ge; And; Or ] in
   let float_ops = [ Add; Sub; Mul; Div; Mod; Min; Max ] in
+  let float_unops = [ Neg; Abs; Exp; Log; Sqrt; Rsqrt; Tanh; Erf; Recip; Floor ] in
   let ext = 1 + Rng.int rng 8 in
   let rec iexp d =
     if d = 0 then
@@ -459,22 +464,27 @@ let scalar_kernel rng =
       | _ -> iexp 0
   and fexp d =
     if d = 0 then
-      match Rng.int rng 4 with
-      | 0 -> Float (float_of_int (Rng.int_in rng (-6) 6) /. 4.0)
-      | 1 -> Var "x"
-      | 2 -> Load ("a", Var "i")
+      match Rng.int rng 8 with
+      | 0 | 1 -> Float (float_of_int (Rng.int_in rng (-6) 6) /. 4.0)
+      | 2 -> Var "x"
+      | 3 -> Load ("a", Var "i")
+      | 4 -> Load ("a", iexp 1)
+      | 5 -> Load ("b", Var "i")
+      | 6 -> Var "p"
       | _ -> Cast (Dtype.F32, Var "i")
     else
       match Rng.int rng 9 with
       | 0 | 1 | 2 | 3 -> Binop (Rng.choose rng float_ops, fexp (d - 1), fexp (d - 1))
       | 4 -> Binop (Rng.choose rng float_ops, fexp (d - 1), iexp (d - 1))
-      | 5 -> Unop (Rng.choose rng [ Neg; Abs; Tanh ], fexp (d - 1))
+      | 5 -> Unop (Rng.choose rng float_unops, fexp (d - 1))
       | 6 -> Select (iexp (d - 1), fexp (d - 1), fexp (d - 1))
       | _ -> fexp 0
   in
   let at off = Binop (Add, Int off, Var "i") in
   Kernel.make ~name:"scalar"
-    ~params:[ Builder.buffer "a"; Builder.buffer "out"; Builder.scalar "p" ]
+    ~params:
+      [ Builder.buffer "a"; Builder.buffer ~dtype:Dtype.I32 "b"; Builder.buffer "out";
+        Builder.scalar "p" ]
     [ Builder.let_ "n" (Int (Rng.int_in rng (-2) 5));
       Builder.let_ "x" (Float 0.5);
       Builder.for_ "i" (Int ext)
@@ -642,7 +652,19 @@ let prop_engines_agree =
          part-way *)
       let eg = Rng.create ((seed * 19) + 9) in
       let k = scalar_kernel eg in
-      let args = Tcommon.make_args (Rng.create (seed + 13)) ~buf_size k [] in
+      (* [p] a float in half the seeds; the int buffer [b] holding
+         fractions, which its loads truncate *)
+      let args =
+        List.map
+          (fun (n, a) ->
+            match a with
+            | Interp.Scalar_int _ when seed mod 2 = 0 ->
+              (n, Interp.Scalar_float (float_of_int (Rng.int_in eg (-8) 8) /. 4.0))
+            | Interp.Buf t when not (Dtype.is_float t.Tensor.dtype) ->
+              (n, Interp.Buf { t with Tensor.data = Array.map (fun x -> x /. 3.0) t.Tensor.data })
+            | a -> (n, a))
+          (Tcommon.make_args (Rng.create (seed + 13)) ~buf_size k [])
+      in
       engines_agree ~fuel:200_000_000 k args
       && engines_agree ~fuel:(1 + Rng.int eg 60) k args
       &&

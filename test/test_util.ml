@@ -239,7 +239,27 @@ let test_listx_top_k () =
   (* ties keep input order (stable) *)
   Alcotest.(check (list (pair int string))) "stable on ties"
     [ (1, "a"); (1, "b") ]
-    (Listx.top_k ~k:2 ~score:(fun (s, _) -> float_of_int s) [ (1, "a"); (0, "z"); (1, "b") ])
+    (Listx.top_k ~k:2 ~score:(fun (s, _) -> float_of_int s) [ (1, "a"); (0, "z"); (1, "b") ]);
+  (* the definition: [take k] of the stable sort by descending score, on
+     lists with many ties and the odd nan *)
+  let rng = Rng.create 154 in
+  for _ = 1 to 500 do
+    let xs =
+      List.init (Rng.int rng 14) (fun i ->
+          ((if Rng.bernoulli rng 0.05 then Float.nan else float_of_int (Rng.int rng 4)), i))
+    in
+    let k = Rng.int_in rng (-1) 6 in
+    let sorted = List.stable_sort (fun (a, _) (b, _) -> compare (b : float) a) xs in
+    Alcotest.(check (list int)) "take k of the stable sort"
+      (List.map snd (Listx.take k sorted))
+      (List.map snd (Listx.top_k ~k ~score:fst xs))
+  done;
+  (* one pass: the two arrays it keeps and the list it returns *)
+  let xs = List.init 12 (fun i -> (float_of_int ((i * 7) mod 5), i)) in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Listx.top_k ~k:4 ~score:fst xs));
+  let words = Gc.minor_words () -. w0 in
+  if words > 24.0 then Alcotest.failf "top_k of 4 from 12 allocates %.0f words (limit 24)" words
 
 module Lru = Xpiler_util.Lru.Make (struct
   type t = int
